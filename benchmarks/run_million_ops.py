@@ -54,7 +54,7 @@ def main() -> None:
     seq = SeedSequence(ROOT_SEED).child("million-ops", n=n)
     print(f"[million-ops] building ideal network, n={n} ...", flush=True)
     t_build = time.perf_counter()
-    net = build_ideal_network(n, seq.child("build").seed(), incremental=True)
+    net = build_ideal_network(n, seq.child("build").seed(), engine="columnar")
     build_secs = time.perf_counter() - t_build
 
     plane = TrafficPlane(

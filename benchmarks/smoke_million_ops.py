@@ -61,7 +61,7 @@ def campaign(mode: str) -> dict:
     from repro.workloads.initial import random_peer_ids
 
     seq = SeedSequence(SEED).child("smoke-million", n=N)
-    net = build_ideal_network(N, seq.child("build").seed(), incremental=True)
+    net = build_ideal_network(N, seq.child("build").seed(), engine="columnar")
     plane = TrafficPlane(net, collector_mode=mode, reservoir_size=RESERVOIR)
     WorkloadGenerator(
         plane,

@@ -2,15 +2,22 @@
 """CI smoke gate: the telemetry plane's census and overhead contract.
 
 Runs the ``flash-crowd`` campaign at n=32 on the columnar kernel with a
-telemetry recorder attached and checks three classes of properties
+telemetry recorder attached and checks four classes of properties
 against ``benchmarks/baseline_telemetry.json``:
 
 * **machine-independent exact checks** — the counter census is a pure
   function of the seeded run: rounds, messages sent, drop-filter hits,
   the envelope census by payload type, the per-rule firing census, the
-  kernel execute/replay split and the per-window drop totals must all
-  match the baseline exactly (any drift means instrumentation leaked
-  into behavior, or kernel/scenario behavior changed);
+  kernel's actor-round total and dirty-set peak and the per-window drop
+  totals must all match the baseline exactly (any drift means
+  instrumentation leaked into behavior, or kernel/scenario behavior
+  changed);
+* **lane check** — the execute side of the kernel split must equal that
+  of the same campaign with the traffic rate at zero: application
+  messages ride the columnar kernel's lane and never run the rule
+  pipeline (the baseline's ``kernel.executed`` predates the lane, when
+  every traffic-touched peer executed twice, so it is only an upper
+  bound now);
 * **zero-overhead contract** — the same campaign run *without*
   telemetry must produce a comparison-equal report (identical
   config digest included): observation must never gate behavior;
@@ -40,6 +47,8 @@ ENGINE = "columnar"
 
 
 def measure() -> dict:
+    from dataclasses import replace
+
     from repro.scenarios import make_scenario, run_scenario
     from repro.telemetry import TelemetryRecorder
 
@@ -54,6 +63,13 @@ def measure() -> dict:
     plain = run_scenario(spec, engine=ENGINE)
     elapsed = time.perf_counter() - t0
 
+    # the traffic-free twin: same overlay events, no application messages
+    idle = TelemetryRecorder()
+    run_scenario(
+        spec.with_overrides(traffic=replace(spec.traffic, rate=0.0)),
+        engine=ENGINE, telemetry=idle,
+    )
+
     census = recorder.census()
     return {
         "scenario": SCENARIO,
@@ -66,6 +82,7 @@ def measure() -> dict:
         "messages": census["messages"],
         "rules": census["rules"],
         "kernel": recorder.kernel_stats(),
+        "idle_twin_executed": idle.kernel_stats()["executed"],
         "dropped_by_window": [list(w) for w in observed.dropped_by_window],
         "traces": len(recorder.traces),
         "config_digest": observed.config_digest,
@@ -95,6 +112,15 @@ def main(argv=None) -> int:
         )
         return 1
 
+    kernel = result["kernel"]
+    if kernel["executed"] != result["idle_twin_executed"]:
+        print(
+            f"FAIL: {kernel['executed']} rule steps executed with traffic, "
+            f"{result['idle_twin_executed']} by the traffic-free twin "
+            "(application messages dirtied the overlay)"
+        )
+        return 1
+
     if args.update or not BASELINE_PATH.exists():
         BASELINE_PATH.write_text(json.dumps(result, indent=2) + "\n")
         print(f"baseline written to {BASELINE_PATH}")
@@ -110,7 +136,6 @@ def main(argv=None) -> int:
         "dropped",
         "messages",
         "rules",
-        "kernel",
         "dropped_by_window",
         "traces",
         "config_digest",
@@ -121,6 +146,16 @@ def main(argv=None) -> int:
                 "(telemetry census drifted)"
             )
             return 1
+    # the kernel split: actor-rounds and the dirty peak are lane-invariant
+    # and exact; the lane check above pins ``executed`` itself
+    recorded = baseline["kernel"]
+    if (
+        kernel["executed"] + kernel["replayed"] != recorded["executed"] + recorded["replayed"]
+        or kernel["dirty_peak"] != recorded["dirty_peak"]
+        or kernel["executed"] > recorded["executed"]
+    ):
+        print(f"FAIL: kernel = {kernel!r}, baseline says {recorded!r} (kernel split drifted)")
+        return 1
     floor = baseline["rounds_per_sec"] / args.allowed_regression
     if result["rounds_per_sec"] < floor:
         print(

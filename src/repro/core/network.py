@@ -256,8 +256,7 @@ class ReChordNetwork:
         instead of hitting the no-plane-attached error path."""
 
         def handle(self, peer, payloads, ctx) -> None:
-            """Drop the payloads (the one-shot re-execution discipline
-            is already applied by the caller)."""
+            """Drop the payloads."""
 
     def attach_traffic(self, handler) -> None:
         """Install an application-plane handler on every peer.

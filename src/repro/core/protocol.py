@@ -63,6 +63,13 @@ RefOracle = Callable[[NodeRef], str]
 _KEY = attrgetter("_key")
 
 
+def _no_plane_error(payload: AppPayload, peer_id: int) -> TypeError:
+    return TypeError(
+        f"traffic payload {payload!r} delivered to peer {peer_id} with no "
+        "traffic plane attached (call ReChordNetwork.attach_traffic first)"
+    )
+
+
 class ReChordPeer:
     """Actor running the Re-Chord rules for one peer."""
 
@@ -106,7 +113,13 @@ class ReChordPeer:
     # actor entry point
     # ------------------------------------------------------------------
     def step(self, inbox: Sequence[Envelope], ctx: RoundContext) -> None:
-        """One synchronous round: apply inbox, purge, rules 1-6, traffic."""
+        """One synchronous round: apply inbox, purge, rules 1-6, traffic.
+
+        Application mail in the inbox goes to the traffic handler after
+        the rules; the handler emits through ``ctx.send_once``, so the
+        step's outbox and counter delta cover the rules alone and stay a
+        valid replay template.
+        """
         if self.telemetry is not None:
             return self._step_timed(inbox, ctx)
         fires_before = dict(self.counters.fires)
@@ -131,9 +144,6 @@ class ReChordPeer:
         if cfg.connection:
             self._rule6_connection(ctx)
         if app:
-            # one-shot inbox: this step's outbox and counter delta must
-            # not become a replay template (see AppPayload contract)
-            ctx.reexecute_next_round()
             self.traffic.handle(self, app, ctx)
         fires = self.counters.fires
         self._replay_delta = {
@@ -184,7 +194,6 @@ class ReChordPeer:
             self._rule6_connection(ctx)
             t2 = _perf(); add("rule.6_connection", t2 - t); t = t2
         if app:
-            ctx.reexecute_next_round()
             self.traffic.handle(self, app, ctx)
             add("peer.traffic", _perf() - t)
         fires = self.counters.fires
@@ -193,6 +202,47 @@ class ReChordPeer:
             for rule, count in fires.items()
             if count != fires_before.get(rule, 0)
         }
+
+    # ------------------------------------------------------------------
+    # the application lane (see repro.netsim.columnar)
+    # ------------------------------------------------------------------
+    def handle_app(self, inbox: Sequence[Envelope], ctx: RoundContext) -> None:
+        """A lane-only round: application mail, no rule pipeline.
+
+        Called by the columnar kernel instead of :meth:`step` when the
+        peer is clean and its inbox differs from the replay baseline only
+        by :class:`AppPayload` envelopes (``inbox`` holds exactly those).
+        The rules would reproduce the cached step, so only the handler
+        runs — against the boundary state, which for a clean peer is the
+        state the handler would see after the rules — and the rule
+        counters keep settling as replays.
+        """
+        tel = self.telemetry
+        if tel is None:
+            self._handle_lane(inbox, ctx)
+        else:
+            t = _perf()
+            self._handle_lane(inbox, ctx)
+            tel.add_time("peer.traffic", _perf() - t)
+
+    def _handle_lane(self, inbox: Sequence[Envelope], ctx: RoundContext) -> None:
+        """:meth:`handle_app` without the span (the batched backend
+        times its whole handler phase as one)."""
+        if self.traffic is None:
+            raise _no_plane_error(inbox[0].payload, self.state.peer_id)
+        state = self.state
+        version = state.version
+        self.traffic.handle(self, [env.payload for env in inbox], ctx)
+        if state.version != version:
+            # the lane is sound only because handlers leave the overlay
+            # alone: a mutation here would never reach the rules' replay
+            # baseline, the fingerprint probes or the watcher index
+            kinds = sorted({type(env.payload).__name__ for env in inbox})
+            raise RuntimeError(
+                f"application handler mutated the overlay state of peer "
+                f"{state.peer_id} while handling {', '.join(kinds)}: handlers may "
+                "read peer state, stores and the message, never write the overlay"
+            )
 
     # ------------------------------------------------------------------
     # activity-tracking probes (see repro.netsim.scheduler)
@@ -264,11 +314,7 @@ class ReChordPeer:
             elif cls is NeighborIntro:
                 self._deliver_edge(payload.target, payload.endpoint, KIND_UNMARKED)
             elif isinstance(payload, AppPayload):
-                raise TypeError(
-                    f"traffic payload {payload!r} delivered to peer "
-                    f"{self.state.peer_id} with no traffic plane attached "
-                    "(call ReChordNetwork.attach_traffic first)"
-                )
+                raise _no_plane_error(payload, peer_id)
             else:  # pragma: no cover - protocol violation
                 raise TypeError(f"unknown payload {payload!r}")
 

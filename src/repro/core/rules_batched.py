@@ -77,7 +77,7 @@ never to a wrong answer.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from time import perf_counter as _perf
 from typing import Dict, List, Optional, Sequence
 
@@ -100,6 +100,7 @@ except Exception:  # pragma: no cover - numpy absent in minimal installs
     _np = None
 
 _KEY = attrgetter("_key")
+_ITEM_KEY = itemgetter(0)
 
 #: clear-on-overflow bound, mirroring the scheduler's envelope cache
 _FAST_CACHE_MAX = 4_000_000
@@ -177,15 +178,22 @@ class BatchedRuleEngine:
     # ------------------------------------------------------------------
     # entry point
     # ------------------------------------------------------------------
-    def run_batch(self, items: Sequence[tuple]) -> None:
+    def run_batch(self, items: Sequence[tuple], lane: Sequence[tuple] = ()) -> None:
         """Execute one round's steps phase-major.
 
         ``items`` is ``[(key, actor, inbox, ctx), ...]`` in scheduler
         key order; every actor's observable effects (state, outbox,
         counters, replay delta) end up exactly as if ``actor.step(inbox,
-        ctx)`` had been called in that order.
+        ctx)`` had been called in that order.  ``lane`` lists the
+        columnar kernel's lane-only rounds in the same shape (the inbox
+        holding application mail only): those actors skip the rule
+        phases and join the handler phase, which runs over both lists
+        merged in key order — handler side effects (completion order)
+        must not depend on which peers happened to be dirty.
         """
         peers: List[list] = []
+        #: the handler phase: (key, bound handler, its arguments)
+        handlers: List[tuple] = []
         tel = None
         for key, actor, inbox, ctx in items:
             if not isinstance(actor, ReChordPeer):
@@ -194,20 +202,28 @@ class BatchedRuleEngine:
             if actor.telemetry is not None:
                 tel = actor.telemetry
             fires_before = dict(actor.counters.fires)
-            app: Optional[List] = None
             if actor.traffic is not None:
                 app = [e.payload for e in inbox if isinstance(e.payload, AppPayload)]
                 if app:
                     inbox = [e for e in inbox if not isinstance(e.payload, AppPayload)]
-            peers.append([actor, inbox, ctx, app, fires_before])
-        if not peers:
-            return
-        self.rank_index.refresh()
+                    handlers.append((key, actor.traffic.handle, (actor, app, ctx)))
+            peers.append([actor, inbox, ctx, fires_before])
+        for key, actor, inbox, ctx in lane:
+            if not isinstance(actor, ReChordPeer):
+                actor.handle_app(inbox, ctx)
+                continue
+            if actor.telemetry is not None:
+                tel = actor.telemetry
+            handlers.append((key, actor._handle_lane, (inbox, ctx)))
+        if lane and peers:
+            handlers.sort(key=_ITEM_KEY)
+        if peers:
+            self.rank_index.refresh()
         if tel is None:
-            self._pipeline(peers)
+            self._pipeline(peers, handlers)
         else:
-            self._pipeline_timed(peers, tel)
-        for actor, _inbox, _ctx, _app, fires_before in peers:
+            self._pipeline_timed(peers, handlers, tel)
+        for actor, _inbox, _ctx, fires_before in peers:
             fires = actor.counters.fires
             actor._replay_delta = {
                 rule: count - fires_before.get(rule, 0)
@@ -215,28 +231,31 @@ class BatchedRuleEngine:
                 if count != fires_before.get(rule, 0)
             }
 
-    def _pipeline(self, peers: List[list]) -> None:
-        self._phase_apply_inbox(peers)
-        self._phase_purge(peers)
-        for actor, _i, _c, _a, _f in peers:
-            if actor.config.virtual_nodes:
-                actor._rule1_virtual_nodes()
-        for actor, _i, _c, _a, _f in peers:
-            if actor.config.overlap:
-                actor._rule2_overlap()
-        # rule 1 mints refs for freshly created levels: re-rank once so
-        # the sort phases below see them (cheap no-op when nothing grew)
-        self.rank_index.refresh()
-        self._phase_rule3(peers)
-        self._phase_rule4(peers)
-        self._phase_rule5(peers)
-        self._phase_rule6(peers)
-        for actor, _inbox, ctx, app, _f in peers:
-            if app:
-                ctx.reexecute_next_round()
-                actor.traffic.handle(actor, app, ctx)
+    @staticmethod
+    def _phase_handlers(handlers: List[tuple]) -> None:
+        for _key, handle, args in handlers:
+            handle(*args)
 
-    def _pipeline_timed(self, peers: List[list], tel) -> None:
+    def _pipeline(self, peers: List[list], handlers: List[tuple]) -> None:
+        if peers:
+            self._phase_apply_inbox(peers)
+            self._phase_purge(peers)
+            for actor, _i, _c, _f in peers:
+                if actor.config.virtual_nodes:
+                    actor._rule1_virtual_nodes()
+            for actor, _i, _c, _f in peers:
+                if actor.config.overlap:
+                    actor._rule2_overlap()
+            # rule 1 mints refs for freshly created levels: re-rank once so
+            # the sort phases below see them (cheap no-op when nothing grew)
+            self.rank_index.refresh()
+            self._phase_rule3(peers)
+            self._phase_rule4(peers)
+            self._phase_rule5(peers)
+            self._phase_rule6(peers)
+        self._phase_handlers(handlers)
+
+    def _pipeline_timed(self, peers: List[list], handlers: List[tuple], tel) -> None:
         """The pipeline with per-phase wall-clock spans.
 
         Phase labels match the scalar ``_step_timed`` ones so telemetry
@@ -245,34 +264,30 @@ class BatchedRuleEngine:
         """
         add = tel.add_time
         t = _perf()
-        self._phase_apply_inbox(peers)
-        t2 = _perf(); add("peer.apply_inbox", t2 - t); t = t2
-        self._phase_purge(peers)
-        t2 = _perf(); add("rule.purge", t2 - t); t = t2
-        for actor, _i, _c, _a, _f in peers:
-            if actor.config.virtual_nodes:
-                actor._rule1_virtual_nodes()
-        t2 = _perf(); add("rule.1_virtual_nodes", t2 - t); t = t2
-        for actor, _i, _c, _a, _f in peers:
-            if actor.config.overlap:
-                actor._rule2_overlap()
-        t2 = _perf(); add("rule.2_overlap", t2 - t); t = t2
-        self.rank_index.refresh()
-        self._phase_rule3(peers)
-        t2 = _perf(); add("rule.3_closest_real", t2 - t); t = t2
-        self._phase_rule4(peers)
-        t2 = _perf(); add("rule.4_linearize", t2 - t); t = t2
-        self._phase_rule5(peers)
-        t2 = _perf(); add("rule.5_ring", t2 - t); t = t2
-        self._phase_rule6(peers)
-        t2 = _perf(); add("rule.6_connection", t2 - t); t = t2
-        traffic_ran = False
-        for actor, _inbox, ctx, app, _f in peers:
-            if app:
-                ctx.reexecute_next_round()
-                actor.traffic.handle(actor, app, ctx)
-                traffic_ran = True
-        if traffic_ran:
+        if peers:
+            self._phase_apply_inbox(peers)
+            t2 = _perf(); add("peer.apply_inbox", t2 - t); t = t2
+            self._phase_purge(peers)
+            t2 = _perf(); add("rule.purge", t2 - t); t = t2
+            for actor, _i, _c, _f in peers:
+                if actor.config.virtual_nodes:
+                    actor._rule1_virtual_nodes()
+            t2 = _perf(); add("rule.1_virtual_nodes", t2 - t); t = t2
+            for actor, _i, _c, _f in peers:
+                if actor.config.overlap:
+                    actor._rule2_overlap()
+            t2 = _perf(); add("rule.2_overlap", t2 - t); t = t2
+            self.rank_index.refresh()
+            self._phase_rule3(peers)
+            t2 = _perf(); add("rule.3_closest_real", t2 - t); t = t2
+            self._phase_rule4(peers)
+            t2 = _perf(); add("rule.4_linearize", t2 - t); t = t2
+            self._phase_rule5(peers)
+            t2 = _perf(); add("rule.5_ring", t2 - t); t = t2
+            self._phase_rule6(peers)
+            t2 = _perf(); add("rule.6_connection", t2 - t); t = t2
+        if handlers:
+            self._phase_handlers(handlers)
             add("peer.traffic", _perf() - t)
 
     # ------------------------------------------------------------------
@@ -413,7 +428,7 @@ class BatchedRuleEngine:
                 add.discard(node.ref)  # self-edge sanitation [D10]
                 if add:
                     refs.update(add)
-            if state.version == ver0 and actor.counters.fires == it[4]:
+            if state.version == ver0 and actor.counters.fires == it[3]:
                 actor._inbox_skip = (state.canonical(), inbox)
             else:
                 actor._inbox_skip = None

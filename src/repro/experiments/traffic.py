@@ -143,14 +143,14 @@ def measure_one(
     """
     seq = SeedSequence(seed).child("traffic", n=n)
     build_seed = seq.child("build").seed()
-    net = build_ideal_network(n, build_seed, incremental=True)
+    net = build_ideal_network(n, build_seed, engine="columnar")
     recorder = None
     if telemetry:
         recorder = net.enable_telemetry(None if telemetry is True else telemetry)
     # twin without traffic: the exact oracle for overlay recovery time
     # (traffic never mutates overlay state, so the repair trajectory of
     # the traffic-carrying network is identical)
-    twin = build_ideal_network(n, build_seed, incremental=True)
+    twin = build_ideal_network(n, build_seed, engine="columnar")
     plane = TrafficPlane(
         net,
         default_deadline=deadline,

@@ -20,6 +20,10 @@ inboxes:
 * ``_pre_buffer[target]`` / the plain inbox buffer — out-of-band posts
   that sort before / after the flows at the next boundary (matching the
   parent's physical append order exactly);
+* ``_lane[target]`` — the application lane: one-shot sends
+  (``RoundContext.send_once``) delivered at the last boundary, held
+  outside the flow columns; together with ``AppPayload`` posts in the
+  buffers they make ``_lane_targets``, which are *not* dirty;
 * ``_ref_watch[owner][target]`` — a reverse index from referenced
   owners of pending payloads to their receivers, replacing the
   network's O(pending) in-flight scan on liveness flips;
@@ -27,10 +31,16 @@ inboxes:
   actor owes one replay delta per skipped round, applied in one batch
   (``replay_steps``) when it wakes or when counters are observed.
 
-A round then touches only the dirty actors: each one *materializes* its
-inbox ``[pre-buffer][flows + ghosts in sorted-sender order][buffer]``,
-steps, and has its outbox diffed against the steady cache.  Flow
-patches, removals and revivals are applied at the end-of-round delivery
+A round then touches only its work list — the key-sorted merge of the
+dirty set and the lane's targets.  A dirty actor *materializes* its
+inbox ``[pre-buffer][flows + ghosts in sorted-sender order][lane mail]
+[buffer]``, steps (rules, then the application handler), and has its
+outbox diffed against the steady cache.  A lane-only actor — clean, but
+holding application mail — runs only its ``handle_app`` hook against
+its boundary state: the rule pipeline would reproduce the cached step,
+so the round counts and settles as a replay, and application messages
+never dirty the overlay.  Flow patches, removals, revivals and the
+round's one-shot sends are applied at the end-of-round delivery
 point, exactly where the parent delivers, so every boundary observable
 — fingerprints, pending multisets, change flags, sent/dropped/executed
 counts, rule counters at observation points — is bit-for-bit identical
@@ -40,8 +50,10 @@ to the parent kernel (the differential suite in
 The fast path is only sound under the parent's unit-delivery flow
 induction, so the kernel drops back to the parent round implementation
 (draining its columns into real inboxes) whenever latency models,
-partial activation, or drop-filter changes appear, and re-enters one
-round after the last out-of-band flow event.  Full-scan
+partial activation, or drop-filter changes appear — draining the lane
+into the real inboxes in the parent's order and marking its targets
+dirty — and re-enters one round after the last out-of-band flow event,
+picking application mail back up from the inboxes.  Full-scan
 (``activity_tracking=False``) and the parent tracked kernel remain the
 executable references.
 """
@@ -55,6 +67,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.netsim.messages import (
     HASH_MASK as _MASK,
+    AppPayload,
     Envelope,
     envelope_fingerprint as _envelope_hash,
 )
@@ -100,10 +113,24 @@ class ColumnarScheduler(SynchronousScheduler):
         self._ref_watch: Dict[Hashable, Dict[Hashable, int]] = {}
         #: rule-counter settlement: last round each actor's counters cover
         self._settled: Dict[Hashable, int] = {}
+        # ---- the application lane ----------------------------------------
+        #: one-shot sends delivered at the last boundary, per live target,
+        #: in sender order
+        self._lane: Dict[Hashable, List[Envelope]] = {}
+        #: targets holding application mail (lane sends, or AppPayload
+        #: posts in the buffers) for their next step
+        self._lane_targets: Set[Hashable] = set()
+        #: AppPayload posts accepted by the parent kernel since the last
+        #: round; columnar entry tells them from last round's one-shot
+        #: sends, which sit in the same real inboxes
+        self._late_posts: List[Envelope] = []
         # ---- per-round working state (fast rounds only) ------------------
         self._col_pos: Optional[Hashable] = None
         self._work: List[Hashable] = []
         self._queued: Set[Hashable] = set()
+        #: queued actors that run the rule pipeline this round; the rest
+        #: of the work list is lane-only
+        self._must_step: Set[Hashable] = set()
         self._added_mid_round: Set[Hashable] = set()
         #: [key, contributed, final_out, committed_out] per mid-round removal
         self._removed_mid: List[list] = []
@@ -120,18 +147,20 @@ class ColumnarScheduler(SynchronousScheduler):
     # ------------------------------------------------------------------
     def _watch_env(self, env: Envelope) -> None:
         refs_fn = getattr(env.payload, "refs", None)
-        if refs_fn is None:
+        refs = refs_fn() if refs_fn is not None else None
+        if not refs:  # traffic payloads carry addresses, not refs
             return
-        for owner in {ref.owner for ref in refs_fn()}:
+        for owner in {ref.owner for ref in refs}:
             targets = self._ref_watch.setdefault(owner, {})
             targets[env.target] = targets.get(env.target, 0) + 1
 
     def _unwatch_env(self, env: Envelope) -> None:
         refs_fn = getattr(env.payload, "refs", None)
-        if refs_fn is None:
+        refs = refs_fn() if refs_fn is not None else None
+        if not refs:
             return
         watch = self._ref_watch
-        for owner in {ref.owner for ref in refs_fn()}:
+        for owner in {ref.owner for ref in refs}:
             targets = watch.get(owner)
             if targets is None:
                 continue
@@ -154,6 +183,19 @@ class ColumnarScheduler(SynchronousScheduler):
         self._pending_hash = (self._pending_hash - _envelope_hash(env)) & _MASK
         self._flow_pending -= 1
         self._unwatch_env(env)
+
+    def _account_one_shot(self, env: Envelope) -> None:
+        """A buffered post / lane envelope enters the pending set."""
+        self._pending_hash = (self._pending_hash + _envelope_hash(env)) & _MASK
+        self._watch_env(env)
+
+    def _unaccount_one_shots(self, envs: List[Envelope]) -> None:
+        """Buffered posts / lane mail leave the pending set."""
+        pending = self._pending_hash
+        for env in envs:
+            pending -= _envelope_hash(env)
+            self._unwatch_env(env)
+        self._pending_hash = pending & _MASK
 
     # ------------------------------------------------------------------
     # sender flow surgery
@@ -185,13 +227,16 @@ class ColumnarScheduler(SynchronousScheduler):
     # ------------------------------------------------------------------
     # mode transitions
     # ------------------------------------------------------------------
-    def _enter_columnar(self) -> None:
+    def _enter_columnar(self, late_posts: List[Envelope]) -> None:
         """Derive the columns from the steady-emission cache.
 
         Only called at a boundary with no pending flow events
         (``_flow_flag`` clear), where the parent's inboxes provably equal
-        the filtered steady deliveries — so the physical inboxes can be
-        dropped and regenerated from ``_out`` on exit.
+        the filtered steady deliveries plus application mail — so the
+        steady part can be dropped and regenerated from ``_out`` on
+        exit.  The application mail moves into the lane: last round's
+        one-shot sends (already in sender order) into ``_lane``, the
+        posts made since (``late_posts``) stay behind as the buffer.
         """
         round_no = self._round
         self._flow_in = {}
@@ -201,55 +246,71 @@ class ColumnarScheduler(SynchronousScheduler):
         self._revive = set()
         self._drop_by = {}
         self._ref_watch = {}
+        self._lane = {}
+        self._lane_targets = set()
         self._flow_dropped = 0
         self._flow_sent = 0
         self._flow_pending = 0
-        derived_hash = 0
         self._settled = {key: round_no - 1 for key in self._actors}
         saved_hash = self._pending_hash
         self._pending_hash = 0
-        tel_types = Counter() if self._telemetry is not None else None
-        self._tel_flow_types = tel_types
+        self._tel_flow_types = None
         for key in self._actors:
             out = self._out.get(key, [])
             self._flow_sent += len(out)
-            if tel_types is not None:
-                for env in out:
-                    tel_types[type(env.payload).__name__] += 1
             drops = self._install_sender_flows(key, out)
             self._drop_by[key] = drops
             self._flow_dropped += drops
-        derived_hash = self._pending_hash
-        assert derived_hash == saved_hash, (
+        if self._lane_flag:
+            posted = {id(env) for env in late_posts}
+            for target, box in self._inboxes.items():
+                mail = [env for env in box if isinstance(env.payload, AppPayload)]
+                if mail:
+                    for env in mail:
+                        self._account_one_shot(env)
+                    sends = [env for env in mail if id(env) not in posted]
+                    if sends:
+                        self._lane[target] = sends
+                    self._lane_targets.add(target)
+                    box[:] = [env for env in mail if id(env) in posted]
+                else:
+                    box.clear()
+        else:
+            for box in self._inboxes.values():
+                box.clear()
+        assert self._pending_hash == saved_hash, (
             "columnar entry: derived pending hash diverges from the "
             "parent's rolling hash — flow bookkeeping bug"
         )
-        for box in self._inboxes.values():
-            box.clear()
         self._cols_active = True
+        self._sync_tel_flow_types()
+
+    def _boundary_inbox(self, target: Hashable) -> List[Envelope]:
+        """The target's pending messages in the parent's inbox order:
+        ``[pre-buffer][per sender in key order: flows, ghosts, one-shot
+        sends][buffer]`` — a sender's one-shots follow its steady
+        emissions, exactly where the parent's delivery loop puts them."""
+        inbox: List[Envelope] = list(self._pre_buffer.get(target, ()))
+        flows = self._flow_in.get(target) or {}
+        ghosts = self._ghost.get(target) or {}
+        lane: SubFlows = {}
+        for env in self._lane.get(target, ()):
+            lane.setdefault(env.sender, []).append(env)
+        for sender in sorted({*flows, *ghosts, *lane}):
+            inbox.extend(flows.get(sender, ()))
+            inbox.extend(ghosts.get(sender, ()))
+            inbox.extend(lane.get(sender, ()))
+        inbox.extend(self._inboxes.get(target, ()))
+        return inbox
 
     def _exit_columnar(self) -> None:
         """Materialize every inbox and fall back to the parent kernel."""
         self.settle_replays()
         for target in self._actors:
-            inbox: List[Envelope] = []
-            pre = self._pre_buffer.get(target)
-            if pre:
-                inbox.extend(pre)
-            flows = self._flow_in.get(target)
-            ghosts = self._ghost.get(target)
-            senders: Set[Hashable] = set()
-            if flows:
-                senders.update(flows)
-            if ghosts:
-                senders.update(ghosts)
-            for sender in sorted(senders):
-                if flows is not None:
-                    inbox.extend(flows.get(sender, ()))
-                if ghosts is not None:
-                    inbox.extend(ghosts.get(sender, ()))
-            inbox.extend(self._inboxes.get(target, ()))
-            self._inboxes[target] = inbox
+            self._inboxes[target] = self._boundary_inbox(target)
+        # the parent kernel runs a one-shot's target the round it
+        # consumes it; under the lane those targets were never dirty
+        self._dirty.update(self._lane_targets)
         self._flow_in = {}
         self._ghost = {}
         self._pre_buffer = {}
@@ -257,6 +318,8 @@ class ColumnarScheduler(SynchronousScheduler):
         self._revive = set()
         self._drop_by = {}
         self._ref_watch = {}
+        self._lane = {}
+        self._lane_targets = set()
         self._flow_dropped = 0
         self._flow_sent = 0
         self._flow_pending = 0
@@ -368,11 +431,9 @@ class ColumnarScheduler(SynchronousScheduler):
             for sub in ghosts.values():
                 for env in sub:
                     self._unaccount_flow_env(env)
-        pre = self._pre_buffer.pop(key, None)
-        if pre:
-            for env in pre:
-                self._pending_hash = (self._pending_hash - _envelope_hash(env)) & _MASK
-                self._unwatch_env(env)
+        self._unaccount_one_shots(self._pre_buffer.pop(key, ()))
+        self._unaccount_one_shots(self._lane.pop(key, ()))
+        self._lane_targets.discard(key)
         for env in self._inboxes.get(key, ()):
             # the parent's remove_actor subtracts the buffer hashes;
             # only the ref index is ours to maintain
@@ -407,30 +468,53 @@ class ColumnarScheduler(SynchronousScheduler):
                     self._ghost.setdefault(target, {})[key] = sub
 
     def post(self, envelope: Envelope) -> bool:
-        ok = super().post(envelope)
-        if not ok or not self._cols_active:
+        app = isinstance(envelope.payload, AppPayload)
+        if not self._cols_active:
+            ok = super().post(envelope)
+            if ok and app:
+                self._late_posts.append(envelope)
             return ok
         target = envelope.target
-        box = self._inboxes.get(target)
-        if box is None or not box or box[-1] is not envelope:
-            return ok  # parked in the future queue (not possible while unit)
+        if app:
+            # a lane post: the parent's delivery checks (columnar mode
+            # implies unit delivery) and pending accounting, but the
+            # target is not marked dirty
+            box = self._inboxes.get(target)
+            if box is None:
+                return False
+            if self._drop_filter is not None and self._drop_filter(envelope):
+                return False
+            box.append(envelope)
+            self._pending_hash = (self._pending_hash + _envelope_hash(envelope)) & _MASK
+            self._lane_flag = True
+        else:
+            if not super().post(envelope):
+                return False
+            box = self._inboxes[target]
         self._watch_env(envelope)
-        if self._in_round:
-            if (
-                target in self._added_mid_round
-                or (self._col_pos is not None and target <= self._col_pos)
-            ):
-                # the target's step already passed this round (or it was
-                # added mid-round and will not run): the post sits in its
-                # inbox and the end-of-round deliveries append AFTER it
-                box.pop()
-                self._pre_buffer.setdefault(target, []).append(envelope)
-            elif target not in self._queued:
-                # not yet reached: it must execute (not replay) this
-                # round, consuming [flows][post] like the parent
+        if not self._in_round:
+            if app:
+                self._lane_targets.add(target)
+        elif (
+            target in self._added_mid_round
+            or (self._col_pos is not None and target <= self._col_pos)
+        ):
+            # the target's step already passed this round (or it was
+            # added mid-round and will not run): the post sits in its
+            # inbox and the end-of-round deliveries append AFTER it
+            box.pop()
+            self._pre_buffer.setdefault(target, []).append(envelope)
+            if app:
+                self._lane_targets.add(target)
+        else:
+            # not yet reached: it must consume [flows][post] this round
+            # like the parent — through the rules unless it is lane mail
+            if not app:
+                self._must_step.add(target)
+            if target not in self._queued:
                 insort(self._work, target)
                 self._queued.add(target)
-        return ok
+        return True
 
     def set_drop_filter(self, drop: Optional[Callable[[Envelope], bool]]) -> None:
         if self._cols_active and not (drop is None and self._drop_filter is None):
@@ -449,12 +533,19 @@ class ColumnarScheduler(SynchronousScheduler):
         super().set_delivery_model(model)
 
     def set_telemetry(self, recorder) -> None:
-        if self._cols_active:
-            # the typed flow mirror is derived at columnar entry; exit so
-            # the next fast round rebuilds it consistently (observably
-            # neutral — exit/enter is a behavior-preserving transition)
-            self._exit_columnar()
         super().set_telemetry(recorder)
+        if self._cols_active:
+            # in place, not by leaving columnar mode: a traced run must
+            # drive the same kernel as an untraced one
+            self._sync_tel_flow_types()
+
+    def _sync_tel_flow_types(self) -> None:
+        """(Re)build the typed mirror of ``_flow_sent`` from ``_out``."""
+        self._tel_flow_types = None if self._telemetry is None else Counter(
+            type(env.payload).__name__
+            for key in self._actors
+            for env in self._out.get(key, ())
+        )
 
     # ------------------------------------------------------------------
     # pending-set observers
@@ -463,10 +554,9 @@ class ColumnarScheduler(SynchronousScheduler):
         if not self._cols_active:
             return super().pending_messages()
         count = self._flow_pending
-        for box in self._pre_buffer.values():
-            count += len(box)
-        for box in self._inboxes.values():
-            count += len(box)
+        for boxes in (self._pre_buffer, self._lane, self._inboxes):
+            for box in boxes.values():
+                count += len(box)
         return count
 
     def all_pending(self) -> List[Envelope]:
@@ -474,22 +564,7 @@ class ColumnarScheduler(SynchronousScheduler):
             return super().all_pending()
         out: List[Envelope] = []
         for target in sorted(self._inboxes):
-            pre = self._pre_buffer.get(target)
-            if pre:
-                out.extend(pre)
-            flows = self._flow_in.get(target)
-            ghosts = self._ghost.get(target)
-            senders: Set[Hashable] = set()
-            if flows:
-                senders.update(flows)
-            if ghosts:
-                senders.update(ghosts)
-            for sender in sorted(senders):
-                if flows is not None:
-                    out.extend(flows.get(sender, ()))
-                if ghosts is not None:
-                    out.extend(ghosts.get(sender, ()))
-            out.extend(self._inboxes[target])
+            out.extend(self._boundary_inbox(target))
         return out
 
     # ------------------------------------------------------------------
@@ -499,6 +574,9 @@ class ColumnarScheduler(SynchronousScheduler):
         if active is None and not self._daemon.is_full:
             active = self._daemon.select(self._round, sorted(self._actors))
         self.active_last_round = frozenset(active) if active is not None else None
+        late_posts = self._late_posts
+        if late_posts:
+            self._late_posts = []
         if not self.activity_tracking:
             self._run_round_full(active)
             return
@@ -522,7 +600,7 @@ class ColumnarScheduler(SynchronousScheduler):
                 # parent kernel absorb them, enter once the flag clears
                 self._run_round_tracked()
                 return
-            self._enter_columnar()
+            self._enter_columnar(late_posts)
         self._run_round_columnar()
 
     # ------------------------------------------------------------------
@@ -531,16 +609,17 @@ class ColumnarScheduler(SynchronousScheduler):
     def _materialize_inbox(self, key: Hashable) -> List[Envelope]:
         """Assemble and consume the actor's boundary inbox.
 
-        Ghosts, pre-buffered and buffered posts are one-shot: they leave
-        the pending set here.  Steady flows stay indexed — they are
-        conceptually re-delivered at the end of the round.
+        Ghosts, lane mail, pre-buffered and buffered posts are one-shot:
+        they leave the pending set here.  Steady flows stay indexed —
+        they are conceptually re-delivered at the end of the round.
+        Lane sends land after all flows rather than after their own
+        sender's: the rules never see them and the handler sees only
+        them, so just their relative order is observable.
         """
         inbox: List[Envelope] = []
         pre = self._pre_buffer.pop(key, None)
         if pre:
-            for env in pre:
-                self._pending_hash = (self._pending_hash - _envelope_hash(env)) & _MASK
-                self._unwatch_env(env)
+            self._unaccount_one_shots(pre)
             inbox.extend(pre)
         flows = self._flow_in.get(key)
         ghosts = self._ghost.pop(key, None)
@@ -558,14 +637,26 @@ class ColumnarScheduler(SynchronousScheduler):
         elif flows:
             for sender in sorted(flows):
                 inbox.extend(flows[sender])
+        inbox.extend(self._take_mail(key))
+        return inbox
+
+    def _lane_inbox(self, key: Hashable) -> List[Envelope]:
+        """Consume a lane-only actor's inbox: application mail alone
+        (any other post would have put the actor on the dirty list)."""
+        pre = self._pre_buffer.pop(key, None) or []
+        self._unaccount_one_shots(pre)
+        return pre + self._take_mail(key)
+
+    def _take_mail(self, key: Hashable) -> List[Envelope]:
+        """Consume the actor's lane sends and buffered posts, in order."""
+        mail = self._lane.pop(key, None) or []
         box = self._inboxes.get(key)
         if box:
-            for env in box:
-                self._pending_hash = (self._pending_hash - _envelope_hash(env)) & _MASK
-                self._unwatch_env(env)
-            inbox.extend(box)
+            mail.extend(box)
             self._inboxes[key] = []
-        return inbox
+        if mail:
+            self._unaccount_one_shots(mail)
+        return mail
 
     def _columnar_post_step(
         self,
@@ -630,13 +721,24 @@ class ColumnarScheduler(SynchronousScheduler):
                     break
         return state_changed, flow_changed
 
+    @staticmethod
+    def _check_lane_step(key: Hashable, ctx: RoundContext) -> None:
+        if ctx._outbox:
+            raise RuntimeError(
+                f"actor {key!r} used ctx.send() while handling application "
+                "mail on a lane-only round; handlers emit through "
+                "ctx.send_once() — a steady send here would never be replayed"
+            )
+
     def _run_round_columnar(self) -> None:
         round_no = self._round
         tel = self._telemetry
         n_start = len(self._actors)
         state_changed_any = False
-        flow_changed = self._flow_flag
+        # posts / membership / pending application mail since last round
+        flow_changed = self._flow_flag or self._lane_flag
         self._flow_flag = False
+        self._lane_flag = False
         changed_keys: Set[Hashable] = set()
         newly_dirty: Set[Hashable] = set()
         executed = 0
@@ -648,13 +750,22 @@ class ColumnarScheduler(SynchronousScheduler):
         self._patched = {}
         self._removed_mid = []
         self._added_mid_round = set()
-        self._work = sorted(k for k in dirty if k in self._actors)
-        self._queued = set(self._work)
+        # the work list: the dirty set merged with the lane's targets
+        must_step = self._must_step = {k for k in dirty if k in self._actors}
+        self._queued = set(must_step)
+        if self._lane_targets:
+            self._queued.update(k for k in self._lane_targets if k in self._actors)
+            self._lane_targets = set()
+        self._work = sorted(self._queued)
         self._in_round = True
 
-        # ---- pass 1: materialize + execute the dirty set ---------------
+        # ---- pass 1: materialize + execute the work list ---------------
         stepper = self._batch_stepper
         batch: Optional[List[tuple]] = [] if stepper is not None else None
+        lane_batch: List[tuple] = []
+        #: every context of the round in key order (one-shot delivery)
+        ctxs: List[RoundContext] = []
+        materialize, lane_inbox = self._materialize_inbox, self._lane_inbox
         index = 0
         while index < len(self._work):
             key = self._work[index]
@@ -663,42 +774,50 @@ class ColumnarScheduler(SynchronousScheduler):
             if actor is None:  # removed by an earlier actor this round
                 continue
             self._col_pos = key
-            executed += 1
+            # a clean actor with application mail is lane-only: the rules
+            # would reproduce the cached step, so only the handler runs
+            # and the round still counts (and settles) as a replay
+            lane_only = key not in must_step and hasattr(actor, "handle_app")
+            take_inbox = lane_inbox if lane_only else materialize
             if tel is None:
-                inbox = self._materialize_inbox(key)
-                self._settle_actor(key, round_no - 1)
-                self._settled[key] = round_no
-                ctx = RoundContext(round_no, key, self)
-                if batch is None:
-                    actor.step(inbox, ctx)
-                else:
-                    # probe/diff bookkeeping deferred past run_batch;
-                    # materializations commute (no mid-round posts under
-                    # the batched-backend contract)
-                    batch.append((key, actor, inbox, ctx))
-                    continue
+                inbox = take_inbox(key)
             else:
                 _t0 = _perf()
-                inbox = self._materialize_inbox(key)
+                inbox = take_inbox(key)
                 tel.add_time("kernel.materialize", _perf() - _t0)
+            if not lane_only:
+                executed += 1
                 self._settle_actor(key, round_no - 1)
                 self._settled[key] = round_no
-                ctx = RoundContext(round_no, key, self)
-                if batch is not None:
-                    batch.append((key, actor, inbox, ctx))
-                    continue
+            ctx = RoundContext(round_no, key, self)
+            ctxs.append(ctx)
+            if batch is not None:
+                # probe/diff bookkeeping deferred past run_batch;
+                # materializations commute (no mid-round posts under
+                # the batched-backend contract)
+                (lane_batch if lane_only else batch).append((key, actor, inbox, ctx))
+                continue
+            run = actor.handle_app if lane_only else actor.step
+            if tel is None:
+                run(inbox, ctx)
+            else:
                 _t0 = _perf()
-                actor.step(inbox, ctx)
+                run(inbox, ctx)
                 tel.add_time("kernel.execute", _perf() - _t0)
+            if lane_only:
+                self._check_lane_step(key, ctx)
+                continue
             sc, fc = self._columnar_post_step(key, ctx._outbox, changed_keys, newly_dirty)
             state_changed_any |= sc
             flow_changed |= fc
-        if batch:
-            stepper.run_batch(batch)
+        if batch or lane_batch:
+            stepper.run_batch(batch, lane_batch)
             for key, _actor, _inbox, ctx in batch:
                 sc, fc = self._columnar_post_step(key, ctx._outbox, changed_keys, newly_dirty)
                 state_changed_any |= sc
                 flow_changed |= fc
+            for key, _actor, _inbox, ctx in lane_batch:
+                self._check_lane_step(key, ctx)
 
         # ---- pass 2: the delivery point ---------------------------------
         _t0 = _perf() if tel is not None else 0.0
@@ -807,8 +926,27 @@ class ColumnarScheduler(SynchronousScheduler):
                 self._drop_by[sender] = self._drop_by.get(sender, 0) - len(sub)
                 self._flow_dropped -= len(sub)
         self._revive.clear()
+        # (d) this round's one-shot sends enter the lane
+        lane = self._lane
+        for ctx in ctxs:
+            once = ctx._once
+            if not once:
+                continue
+            flow_changed = True
+            self._lane_flag = True  # consumed next round: that boundary differs too
+            sent_extra += len(once)
+            for env in once:
+                if tel_extra is not None:
+                    tel_extra[type(env.payload).__name__] += 1
+                target = env.target
+                if target not in self._actors or (flt is not None and flt(env)):
+                    dropped_extra += 1
+                    continue
+                lane.setdefault(target, []).append(env)
+                self._account_one_shot(env)
+                self._lane_targets.add(target)
 
-        # (d) boundary bookkeeping — identical observables to the parent
+        # (e) boundary bookkeeping — identical observables to the parent
         self.dropped_last_round = self._flow_dropped + dropped_extra
         sent = self._flow_sent + sent_extra
         if tel is not None:
@@ -836,6 +974,7 @@ class ColumnarScheduler(SynchronousScheduler):
         self._col_pos = None
         self._work = []
         self._queued = set()
+        self._must_step = set()
         self._added_mid_round = set()
         self._removed_mid = []
         self._patched = {}

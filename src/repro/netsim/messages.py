@@ -12,18 +12,23 @@ HASH_MASK = (1 << 64) - 1
 class AppPayload:
     """Marker base for application-plane payloads (the traffic plane).
 
-    The kernel treats these like any other payload (buffered, delivered
-    at the round boundary, fingerprinted via ``canonical()``), but the
-    protocol layer routes them to the peer's attached traffic handler
-    instead of the stabilization rules.  Subclasses must provide
+    The kernel buffers, delivers, drop-filters, delays, counts and
+    fingerprints (via ``canonical()``) these like any other payload, but
+    the protocol layer routes them to the peer's attached traffic
+    handler instead of the stabilization rules.  Subclasses must provide
     ``canonical()`` and ``refs()`` like the protocol payloads do.
 
-    Exactness contract (activity-tracked kernel): handlers may read the
-    peer's state, external stores and the message — never the liveness
-    oracle — and must not mutate overlay state.  Application messages
-    are *one-shot*, not steady flows, so the protocol layer forces any
-    actor that consumed one to execute (not replay) the following round,
-    keeping traffic emissions out of the steady-emission cache.
+    The lane contract (dirty-set kernels): application messages are
+    *one-shot*, never steady flow.  They enter the network through
+    ``post()`` or a handler's ``RoundContext.send_once()`` — never
+    ``send()`` — so they stay out of the steady-emission cache, and a
+    step that consumed or emitted one remains a valid replay template.
+    Handlers may read the peer's state, external stores and the message
+    — never the liveness oracle — and must not mutate overlay state
+    (enforced on lane-only rounds).  In return application mail does
+    not dirty the overlay: the tracked kernel runs a one-shot's target
+    the round it consumes it and nothing more, and the columnar kernel
+    holds the mail in a per-target lane and runs only the handler.
     """
 
     __slots__ = ()

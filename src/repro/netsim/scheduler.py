@@ -29,10 +29,15 @@ is dirty when
   confirmed exactly via the optional ``state_token`` probe (a canonical
   state tuple), so transient within-step mutations that cancel out do
   not keep an actor dirty;
-* a message was :meth:`post`-ed to it; or
+* a message was :meth:`post`-ed to it;
 * an actor whose *emissions changed* sent to it (receivers of both the
   old and the new outbox are re-activated, so vanished flows wake their
-  former receivers too).
+  former receivers too); or
+* one-shot application mail reached it (an :class:`AppPayload` post or
+  a delivered :meth:`RoundContext.send_once`) — for the consuming round
+  only: the rules never see application mail, so the round after is a
+  valid replay again, and one-shot sends never enter the
+  steady-emission cache of their sender.
 
 A clean actor's round is **replayed** from the steady-emission cache:
 its inbox is consumed with no state effect, its cached outbox is re-sent
@@ -90,6 +95,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Protocol, Sequ
 
 from repro.netsim.messages import (
     HASH_MASK as _MASK,
+    AppPayload,
     Envelope,
     envelope_canon as _envelope_canon,
     envelope_fingerprint as _envelope_hash,
@@ -119,6 +125,9 @@ class Actor(Protocol):
     queried only when the version moved) and ``replay_step() -> None``
     (re-apply cached side effects of the last executed step).  Actors
     without the probes are treated as always-dirty and never replayed.
+    An actor that also implements ``handle_app(inbox, ctx)`` lets the
+    columnar kernel run just that — not ``step`` — on rounds where it is
+    clean and its inbox holds application mail only (the lane).
     """
 
     def step(self, inbox: Sequence[Envelope], ctx: "RoundContext") -> None:
@@ -129,12 +138,14 @@ class Actor(Protocol):
 class RoundContext:
     """Per-actor view of the current round, used to send messages."""
 
-    __slots__ = ("round_no", "self_key", "_outbox", "_scheduler")
+    __slots__ = ("round_no", "self_key", "_outbox", "_once", "_scheduler")
 
     def __init__(self, round_no: int, self_key: Hashable, scheduler: "SynchronousScheduler") -> None:
         self.round_no = round_no
         self.self_key = self_key
         self._outbox: List[Envelope] = []
+        #: one-shot sends of this step (see :meth:`send_once`)
+        self._once: List[Envelope] = []
         self._scheduler = scheduler
 
     def send(self, target: Hashable, payload: Any) -> None:
@@ -171,19 +182,20 @@ class RoundContext:
         """
         return self._scheduler.has_actor(key)
 
-    def reexecute_next_round(self) -> None:
-        """Force this actor to execute (not replay) next round.
+    def send_once(self, target: Hashable, payload: AppPayload) -> None:
+        """Queue a *one-shot* application message for this round's delivery.
 
-        Required whenever the current step consumed or emitted a
-        *one-shot* message (application traffic): the steady-emission
-        cache would otherwise treat this step's outbox as a repeating
-        flow and replay it verbatim, and the cached rule-counter delta
-        would re-apply side effects that happened only once.  Executing
-        once more with the one-shot inbox gone re-baselines the cache,
-        and the resulting emission diff wakes the downstream receivers
-        of the vanished flow.
+        The path application handlers emit through (the traffic plane's
+        forwarded requests and replies): delivered, drop-filtered,
+        delayed, fingerprinted and counted exactly like a :meth:`send`
+        from this actor issued right after its steady emissions, but
+        never part of the steady-emission cache — a step that sends
+        one-shots stays a valid replay template, because a replay
+        re-sends only the steady outbox.  The envelope is not interned:
+        a one-shot is never re-emitted, so a cache entry could never
+        hit.
         """
-        self._scheduler.mark_dirty(self.self_key)
+        self._once.append(Envelope(self.self_key, target, payload))
 
 
 class SynchronousScheduler:
@@ -258,6 +270,12 @@ class SynchronousScheduler:
         self._state_hash = 0
         #: external flow change (post / membership) pending for next round
         self._flow_flag = False
+        #: one-shot application mail (an :class:`AppPayload` post, a
+        #: delivered :meth:`RoundContext.send_once`) is pending: the next
+        #: boundary differs because that mail is consumed.  Kept apart
+        #: from ``_flow_flag`` because it says nothing about the steady
+        #: flows (the columnar kernel may enter with it raised)
+        self._lane_flag = False
         #: targets post()ed to while a tracked round is executing: they
         #: must execute (not replay) THIS round or the injected message
         #: would be silently consumed by the replay inbox-clear
@@ -454,6 +472,12 @@ class SynchronousScheduler:
         outbox, counters, replay hooks) exactly as the equivalent
         sequence of ``actor.step(inbox, ctx)`` calls would — the
         equivalence suites compare the two backends bit for bit.
+
+        The columnar kernel additionally passes ``run_batch(items,
+        lane)``, ``lane`` listing its lane-only rounds in the same shape
+        (inbox = application mail only): those actors get
+        ``handle_app`` semantics, ordered with the other actors'
+        application handlers by key.
 
         The batched path materializes every inbox before any step runs,
         so it assumes actors do not post messages or mutate scheduler
@@ -662,17 +686,24 @@ class SynchronousScheduler:
             return False
         box.append(envelope)
         if self.activity_tracking:
-            # the target consumes the injected message next round AND has
-            # it missing from its inbox the round after — dirty for both
             self._dirty.add(envelope.target)
-            self._dirty_carry.add(envelope.target)
+            if isinstance(envelope.payload, AppPayload):
+                # application mail never reaches the rules: the target
+                # executes the round it consumes it (the handler runs
+                # inside its step) and may replay the round after
+                self._lane_flag = True
+            else:
+                # the target consumes the injected message next round AND
+                # has it missing from its inbox the round after — dirty
+                # for both
+                self._dirty_carry.add(envelope.target)
+                self._flow_flag = True  # one-shot injection: next boundary differs
             if self._in_round:
                 # mid-round injection: if the target has not stepped yet
                 # this round it must execute, not replay, or the message
                 # would vanish in the replay inbox-clear
                 self._posted_mid_round.add(envelope.target)
             self._pending_hash = (self._pending_hash + _envelope_hash(envelope)) & _MASK
-            self._flow_flag = True  # one-shot injection: next boundary differs
             if self._prev_pending is not None:
                 if self._in_round:
                     self._pending_force_changed = True
@@ -681,53 +712,15 @@ class SynchronousScheduler:
         return True
 
     def post_batch(self, envelopes: Sequence[Envelope]) -> List[bool]:
-        """Bulk :meth:`post`: inject a round's worth of messages in one pass.
+        """Bulk :meth:`post`: inject a round's worth of messages.
 
-        Semantically identical to posting each envelope in order — same
+        Exactly ``[self.post(env) for env in envelopes]`` — same
         per-envelope accept/reject results, same dirty-set, pending-hash
         and flow bookkeeping — so batched traffic injection cannot be
-        distinguished from the one-at-a-time loop by any kernel.  The
-        fast path applies in the batched-injection configuration (unit
-        delivery, no drop filter, between rounds) and hoists the
-        per-envelope attribute traffic and flow-flag writes out of the
-        loop; any other configuration falls back to per-envelope
-        :meth:`post`, which handles delayed maturation and drops.
+        distinguished from the one-at-a-time loop by any kernel, and a
+        kernel that overrides :meth:`post` covers batches too.
         """
-        if not envelopes:
-            return []
-        if (
-            not self._delivery.is_unit
-            or self._drop_filter is not None
-            or self._in_round
-        ):
-            return [self.post(env) for env in envelopes]
-        inboxes = self._inboxes
-        tracking = self.activity_tracking
-        dirty = self._dirty
-        carry = self._dirty_carry
-        prev = self._prev_pending
-        pending = self._pending_hash
-        results: List[bool] = []
-        posted_any = False
-        for env in envelopes:
-            box = inboxes.get(env.target)
-            if box is None:
-                results.append(False)
-                continue
-            box.append(env)
-            results.append(True)
-            posted_any = True
-            if tracking:
-                dirty.add(env.target)
-                carry.add(env.target)
-                pending = (pending + _envelope_hash(env)) & _MASK
-                if prev is not None:
-                    prev[(0, env.target, _envelope_canon(env))] += 1
-        if tracking:
-            self._pending_hash = pending
-            if posted_any:
-                self._flow_flag = True  # one-shot injections: boundary differs
-        return results
+        return [self.post(env) for env in envelopes]
 
     def run_round(self, active: Optional[set] = None) -> None:
         """Execute one synchronous round.
@@ -753,7 +746,7 @@ class SynchronousScheduler:
         round_no = self._round
         tel = self._telemetry
         _t0 = _perf() if tel is not None else 0.0
-        outboxes: List[List[Envelope]] = []
+        ctxs: List[RoundContext] = []
         stepper = self._batch_stepper
         batch: Optional[List[tuple]] = [] if stepper is not None else None
         # Snapshot keys: actors added mid-round (e.g. by a join event
@@ -772,14 +765,15 @@ class SynchronousScheduler:
                 actor.step(inbox, ctx)
             else:
                 batch.append((key, actor, inbox, ctx))
-            # the ctx outbox list is shared with the batch, so appending
-            # it before the (deferred) batched execution is safe
-            outboxes.append(ctx._outbox)
+            ctxs.append(ctx)
         if batch:
             stepper.run_batch(batch)
+        # an actor's one-shot sends are delivered right after its steady
+        # emissions — the inbox order every other kernel reproduces
+        outboxes = [out for ctx in ctxs for out in (ctx._outbox, ctx._once) if out]
 
         if tel is not None:
-            tel.add_time("kernel.step", _perf() - _t0, len(outboxes))
+            tel.add_time("kernel.step", _perf() - _t0, len(ctxs))
             _t0 = _perf()
         sent = 0
         _, dropped = self._drain_matured(round_no)
@@ -808,7 +802,7 @@ class SynchronousScheduler:
                     msg[type(env.payload).__name__] += 1
             # the full-scan kernel executes every stepped actor
             tel.on_round(sent=sent, dropped=dropped,
-                         executed=len(outboxes), replayed=0)
+                         executed=len(ctxs), replayed=0)
         if self._trace is not None:
             self._trace.record_round(round_no, actors=len(keys), sent=sent, dropped=dropped)
         self._round += 1
@@ -833,6 +827,29 @@ class SynchronousScheduler:
                 return True
         return False
 
+    def _stage_once(
+        self,
+        once: List[Envelope],
+        contributions: List[List[Envelope]],
+        newly_dirty: Set[Hashable],
+    ) -> int:
+        """Queue an executed step's one-shot sends for this round's
+        delivery, right after the actor's steady outbox.
+
+        The whole lane contract of the tracked loops: a one-shot's
+        target executes the round it consumes it.  Nothing else is
+        needed — the one-shots never enter ``_out``, so sender and
+        target both stay valid replay templates.  Returns the sends'
+        pending-hash contribution.
+        """
+        contributions.append(once)
+        total = 0
+        for env in once:
+            newly_dirty.add(env.target)
+            total += _envelope_hash(env)
+        self._lane_flag = True  # consumed next round: that boundary differs too
+        return total & _MASK
+
     # -- activity-tracked kernel, full activation ------------------------
     def _run_round_tracked(self) -> None:
         if self._batch_stepper is not None:
@@ -842,8 +859,10 @@ class SynchronousScheduler:
         _t0 = _perf() if tel is not None else 0.0
         keys = sorted(self._actors)
         state_changed_any = False
-        flow_changed = self._flow_flag  # posts / membership since last round
+        # posts / membership / pending one-shot mail since the last round
+        flow_changed = self._flow_flag or self._lane_flag
         self._flow_flag = False
+        self._lane_flag = False
         changed_keys: Set[Hashable] = set()
         newly_dirty: Set[Hashable] = set()
         contributions: List[List[Envelope]] = []
@@ -921,6 +940,11 @@ class SynchronousScheduler:
                     self._out_hash[key] = _outbox_hash(out)
                 contributions.append(self._out[key])
                 new_pending = (new_pending + self._out_hash[key]) & _MASK
+                if ctx._once:
+                    flow_changed = True
+                    new_pending = (
+                        new_pending + self._stage_once(ctx._once, contributions, newly_dirty)
+                    ) & _MASK
             else:
                 # quiescent: replay the steady emissions without rules
                 replayed += 1
@@ -1033,8 +1057,10 @@ class SynchronousScheduler:
         _t0 = _perf() if tel is not None else 0.0
         keys = sorted(self._actors)
         state_changed_any = False
-        flow_changed = self._flow_flag  # posts / membership since last round
+        # posts / membership / pending one-shot mail since the last round
+        flow_changed = self._flow_flag or self._lane_flag
         self._flow_flag = False
+        self._lane_flag = False
         changed_keys: Set[Hashable] = set()
         newly_dirty: Set[Hashable] = set()
         contributions: List[List[Envelope]] = []
@@ -1108,6 +1134,11 @@ class SynchronousScheduler:
                 self._out_hash[key] = _outbox_hash(out)
             contributions.append(self._out[key])
             new_pending = (new_pending + self._out_hash[key]) & _MASK
+            if ctx._once:
+                flow_changed = True
+                new_pending = (
+                    new_pending + self._stage_once(ctx._once, contributions, newly_dirty)
+                ) & _MASK
 
         if tel is not None:
             tel.add_time("kernel.step", _perf() - _t0, executed + replayed)
@@ -1213,6 +1244,8 @@ class SynchronousScheduler:
                 continue  # probe/cache refresh deferred past run_batch
             out = ctx._outbox
             outboxes.append(out)
+            if ctx._once:
+                outboxes.append(ctx._once)
             probes = self._probes.get(key)
             if probes and probes[0] is not None:
                 if self._probe_refresh(key, probes):
@@ -1226,6 +1259,8 @@ class SynchronousScheduler:
             for key, _actor, _inbox, ctx in batch:
                 out = ctx._outbox
                 outboxes.append(out)
+                if ctx._once:
+                    outboxes.append(ctx._once)
                 probes = self._probes.get(key)
                 if probes and probes[0] is not None:
                     if self._probe_refresh(key, probes):

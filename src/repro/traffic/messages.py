@@ -22,7 +22,7 @@ rules exact without extra scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 from repro.netsim.messages import AppPayload
@@ -78,9 +78,29 @@ class LookupRequest(AppPayload):
     #: one (fingerprints, interning, pending multisets all unchanged)
     trace: Optional[TraceContext] = field(compare=False, default=None)
 
-    def forwarded(self, next_hop: int) -> "LookupRequest":
-        """The hop-stamped copy sent to ``next_hop``."""
-        return replace(self, hops=self.hops + 1, path=self.path + (next_hop,))
+    def forwarded(
+        self, next_hop: int, trace: Optional[TraceContext] = None
+    ) -> "LookupRequest":
+        """The hop-stamped copy sent to ``next_hop``.
+
+        The causal trace is carried along; pass ``trace`` to carry an
+        extended one instead (a sampled op recording this hop).  Built
+        field by field: this runs once per hop of every op, and
+        ``dataclasses.replace`` re-derives the field list on each call.
+        """
+        return LookupRequest(
+            self.op,
+            self.op_id,
+            self.origin,
+            self.kid,
+            self.ttl,
+            self.hops + 1,
+            self.path + (next_hop,),
+            self.value,
+            self.attempt,
+            self.hedge,
+            trace if trace is not None else self.trace,
+        )
 
     def canonical(self) -> tuple:
         """Sortable identity tuple for fingerprints.

@@ -17,18 +17,21 @@ enforces):
 * traffic payloads ride ordinary envelopes, so in-flight requests are
   part of the configuration fingerprint and of the scheduler's rolling
   pending-hash — no side channel;
-* a peer holding an in-flight request is *active* by construction: the
-  sender's emission diff (or the injection ``post()``) marks the
-  receiver dirty, so a request is always consumed by an executed step,
-  never swallowed by a replay inbox-clear;
-* traffic is one-shot, not a steady flow, so the protocol layer forces
-  every traffic-touched peer to execute once more the following round
-  (:meth:`RoundContext.reexecute_next_round`): the steady-emission
-  cache never contains a traffic message, and the resulting emission
-  diff wakes the downstream receiver of the vanished flow;
+* traffic is one-shot, not a steady flow: requests enter through
+  ``post()`` and handlers emit through
+  :meth:`RoundContext.send_once`, so the steady-emission cache never
+  contains a traffic message and a traffic-touched step stays a valid
+  replay template;
 * handlers read only ``(peer state, message, store)`` — never the
-  liveness oracle — and never mutate overlay state, so no additional
-  wake rules are needed and ``refs()`` of traffic payloads is empty.
+  liveness oracle — and never mutate overlay state, so application
+  mail does not dirty the overlay: the columnar kernel keeps it in a
+  per-target lane and runs only :meth:`TrafficPlane.handle` for a
+  clean receiver (the rule pipeline replays), the tracked kernel
+  executes a receiver the round it consumes mail and not the round
+  after, and ``refs()`` of traffic payloads is empty;
+* handler side effects (completions, store writes) happen in ascending
+  peer-key order within a round on every kernel, so the collector's
+  order-sensitive sketches (P², the reservoir) agree bit for bit.
 
 Forwarding semantics (mirrors :func:`repro.chord.routing.route_greedy`,
 but with purely local termination): a peer answers a request itself when
@@ -629,16 +632,17 @@ class TrafficPlane:
         if req.hops + 1 > req.ttl:
             self._reply(req, ST_TTL, me, ctx)
             return
-        fwd = req.forwarded(best)
-        if req.trace is not None:
-            # record the forwarding decision this hop took (the trace
-            # rides outside payload equality: behavior is unchanged)
-            fwd = replace(fwd, trace=req.trace.extended(me, ctx.round_no, rule))
+        # a traced request records the forwarding decision this hop took
+        # (the trace rides outside payload equality: behavior is unchanged)
+        trace = req.trace
+        fwd = req.forwarded(
+            best, trace if trace is None else trace.extended(me, ctx.round_no, rule)
+        )
         if self.route_redundancy > 1 and req.hops == 0 and me == req.origin:
             # remember the first hop each attempt routes through so a
             # later expiry can suspect it (and a delivery refute it)
             self._first_hop[req.op_id] = best
-        ctx.send(best, fwd)
+        ctx.send_once(best, fwd)
 
     def _redundant_choice(
         self, me: int, req: LookupRequest, view: Sequence[int], rule: str, space
@@ -731,7 +735,7 @@ class TrafficPlane:
             # terminated at the origin itself: complete without a message
             self.collector.on_reply(reply, ctx.round_no)
         else:
-            ctx.send(req.origin, reply)
+            ctx.send_once(req.origin, reply)
 
     def _view_for(self, state) -> List[int]:
         """The peer's sorted routing view, memoized on ``state.version``.

@@ -1,0 +1,569 @@
+"""The application lane: traffic does not dirty the overlay.
+
+The columnar kernel holds application mail (``AppPayload`` posts and
+``RoundContext.send_once`` sends) in a per-target lane: a clean receiver
+runs only the traffic handler, never the rule pipeline.  The full-scan
+kernel stays the executable spec, so this suite drives both over the
+same seeded traffic campaigns **round by round** and compares every
+observable — including the ones that depend on *order* (``all_pending``,
+completion order behind the P² sketch and the reservoir).  It also pins
+the lane's own contract: the twin count (traffic adds no rule steps),
+handler purity, and that tracing does not change the kernel.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.events import KIND_UNMARKED, EdgeAdd
+from repro.dht.lookup import ReChordRouter
+from repro.dht.storage import KeyValueStore
+from repro.idspace.keys import key_id
+from repro.netsim.columnar import ColumnarScheduler
+from repro.netsim.messages import HASH_MASK, AppPayload, Envelope, envelope_fingerprint
+from repro.netsim.scheduler import SynchronousScheduler
+from repro.traffic import TrafficPlane, WorkloadGenerator
+from repro.traffic.messages import OP_GET, OP_LOOKUP, OP_PUT, LookupRequest
+from repro.workloads.initial import build_random_network, random_peer_ids
+
+OP_MIX = ((OP_LOOKUP, 0.5), (OP_PUT, 0.3), (OP_GET, 0.2))
+BACKENDS = ("scalar", "batched")
+
+
+class Campaign:
+    """One seeded stabilized network with a streaming traffic plane."""
+
+    def __init__(self, engine: str, backend: str, seed: int, n: int = 14,
+                 rate: float = 3.0, plane_cls=TrafficPlane):
+        self.net = net = build_random_network(
+            n=n, seed=seed, engine=engine, rule_backend=backend, record_trace=True
+        )
+        net.run_until_stable(max_rounds=5000)
+        self.plane = plane_cls(
+            net, store=KeyValueStore(ReChordRouter(net)),
+            collector_mode="streaming", reservoir_size=32,
+        )
+        self.gen = WorkloadGenerator(
+            self.plane, rate=rate, op_mix=OP_MIX, key_universe=24,
+            popularity="zipf", seed=seed, deadline=32,
+        )
+        self.sched = net.scheduler
+
+    def round(self) -> tuple:
+        """``plane.run_round()`` with the fingerprint taken after the
+        injection, so a boundary-to-boundary change is observable."""
+        self.gen.inject()
+        before = self.net.fingerprint()
+        self.net.run_round()
+        self.plane.collector.expire(self.net.round_no)
+        return before
+
+
+def lockstep(lane: Campaign, spec: Campaign, context: str) -> None:
+    """One round on both kernels, then every observable compared."""
+    lane_before = lane.round()
+    spec_before = spec.round()
+    assert lane_before == spec_before, f"post-injection fingerprint {context}"
+    fp = spec.net.fingerprint()
+    assert lane.net.fingerprint() == fp, f"fingerprint {context}"
+    flat = [(e.sender, e.target, e.payload) for e in lane.sched.all_pending()]
+    assert flat == [
+        (e.sender, e.target, e.payload) for e in spec.sched.all_pending()
+    ], f"all_pending() order {context}"
+    assert lane.sched.pending_messages() == spec.sched.pending_messages(), context
+    rolling = sum(envelope_fingerprint(e) for e in lane.sched.all_pending()) & HASH_MASK
+    assert lane.sched._pending_hash == rolling, f"rolling pending hash {context}"
+    assert lane.sched.changed_last_round == (fp != spec_before), f"change flag {context}"
+    assert lane.sched.dropped_last_round == spec.sched.dropped_last_round, context
+    last, ref = lane.net.trace.rounds()[-1], spec.net.trace.rounds()[-1]
+    assert (last.sent, last.dropped) == (ref.sent, ref.dropped), f"sent/dropped {context}"
+    assert lane.net.counters().fires == spec.net.counters().fires, f"counters {context}"
+
+
+def assert_same_ledger(lane: Campaign, spec: Campaign) -> None:
+    a, b = lane.plane.collector, spec.plane.collector
+    assert a.summary() == b.summary()
+    # algorithm R and P² consume completions in order: equal reservoirs
+    # mean the handlers ran in the same order on both kernels
+    assert [c.op_id for c in a.completed] == [c.op_id for c in b.completed]
+    assert list(a.completed) == list(b.completed)
+
+
+def fresh_id(net, rng) -> int:
+    while True:
+        candidate = random_peer_ids(1, rng, net.space)[0]
+        if candidate not in net.peers:
+            return candidate
+
+
+class TestLaneEquivalentToFullScan:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_join_leave_and_crash_of_a_lane_target(self, backend, seed):
+        lane = Campaign("columnar", backend, seed)
+        spec = Campaign("full", backend, seed)
+        rng = random.Random(seed + 1000)
+        crashed_with_mail = False
+        for r in range(48):
+            if r == 10:
+                new_id = fresh_id(lane.net, rng)
+                for c in (lane, spec):
+                    c.net.join(new_id, c.net.peer_ids[0])
+            if r == 20:
+                victim = lane.net.peer_ids[3]
+                for c in (lane, spec):
+                    c.net.leave(victim)
+            if r == 30:
+                # crash a peer while application mail is pending for it
+                assert lane.sched._cols_active and lane.sched._lane_targets
+                victim = max(lane.sched._lane_targets)
+                crashed_with_mail = bool(lane.sched._lane.get(victim))
+                for c in (lane, spec):
+                    c.net.crash(victim)
+            lockstep(lane, spec, f"backend={backend} seed={seed} round={r}")
+        assert crashed_with_mail
+        for c in (lane, spec):
+            c.gen.active = False
+            c.plane.drain()
+        assert_same_ledger(lane, spec)
+        assert lane.net.fingerprint() == spec.net.fingerprint()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_drop_filter_and_delivery_model_mid_traffic(self, backend):
+        """Both fall back to the tracked loops: the exit drains the lane
+        into the real inboxes in parent order, re-entry picks the mail
+        in the inboxes back up — with the generator active throughout."""
+        lane = Campaign("columnar", backend, seed=5)
+        spec = Campaign("full", backend, seed=5)
+        cut = set(lane.net.peer_ids[:4])
+        partition = lambda env: (env.sender in cut) != (env.target in cut)  # noqa: E731
+        modes = []
+        for r in range(60):
+            if r == 8:
+                assert lane.sched._lane_targets  # mail pending at the exit
+                for c in (lane, spec):
+                    c.sched.set_drop_filter(partition)
+            if r == 16:
+                for c in (lane, spec):
+                    c.sched.set_drop_filter(None)
+            if r == 28:
+                assert lane.sched._lane_targets
+                for c in (lane, spec):
+                    c.net.set_delivery_model({"kind": "constant", "delay": 2})
+            if r == 34:
+                for c in (lane, spec):
+                    c.net.set_delivery_model("unit")
+            lockstep(lane, spec, f"backend={backend} round={r}")
+            modes.append(lane.sched._cols_active)
+        # left columnar mode for each event, came back while traffic flowed
+        assert modes[7] and not modes[8] and modes[15]
+        assert not modes[28] and modes[-1]
+        reentries = [r for r in range(1, 60) if modes[r] and not modes[r - 1]]
+        assert len(reentries) >= 3
+        for c in (lane, spec):
+            c.gen.active = False
+            c.plane.drain()
+        assert_same_ledger(lane, spec)
+
+    def test_reentry_moves_inbox_mail_into_the_lane(self):
+        lane = Campaign("columnar", "scalar", seed=9)
+        for _ in range(4):
+            lane.round()
+        lane.sched.set_drop_filter(lambda env: False)
+        lane.round()
+        assert not lane.sched._cols_active
+        # tracked rounds hold application mail in the real inboxes ...
+        lane.gen.inject()
+        held = sum(
+            isinstance(e.payload, LookupRequest)
+            for box in lane.sched._inboxes.values() for e in box
+        )
+        assert held and not lane.sched._lane_targets
+        lane.net.run_round()
+        # ... and entry moved all of it out: sends to the lane, posts stay
+        assert lane.sched._cols_active
+
+    def test_mid_round_removal_of_a_lane_target(self):
+        """An actor sorting after every peer removes a lane-only peer
+        mid-round: the victim has already handled its mail, so its
+        one-shot sends still deliver and its counters settle the round
+        as a replay, while this round's mail *to* it drops."""
+
+        class Remover:
+            victim = None
+
+            def __init__(self, net):
+                self.net = net
+
+            def state_version(self):
+                return 0
+
+            def state_token(self):
+                return ()
+
+            def step(self, inbox, ctx):
+                if self.victim is not None:
+                    self.net._remove_peer(self.victim)
+                    self.victim = None
+
+        lane = Campaign("columnar", "scalar", seed=7)
+        spec = Campaign("full", "scalar", seed=7)
+        removers = []
+        for c in (lane, spec):
+            removers.append(Remover(c.net))
+            c.sched.add_actor(2**70, removers[-1])
+        removed = 0
+        for r in range(40):
+            targets = sorted(lane.sched._lane_targets)
+            if r in (12, 24):
+                # a clean peer holding lane sends: a handler-only round
+                victim = next(t for t in targets if lane.sched._lane.get(t))
+                assert victim not in lane.sched._dirty
+                for remover in removers:
+                    remover.victim = victim
+                lane.sched.mark_dirty(2**70)
+                removed += 1
+            lockstep(lane, spec, f"round={r}")
+            assert all(remover.victim is None for remover in removers)
+        assert removed == 2
+        assert_same_ledger(lane, spec)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        rate=st.sampled_from([0.4, 1.5, 4.0]),
+        events=st.lists(
+            st.tuples(st.integers(0, 23), st.sampled_from(["join", "leave", "crash", "filter"])),
+            max_size=4,
+        ),
+        seed=st.integers(0, 50),
+        backend=st.sampled_from(BACKENDS),
+    )
+    def test_random_campaigns(self, rate, events, seed, backend):
+        lane = Campaign("columnar", backend, seed, n=10, rate=rate)
+        spec = Campaign("full", backend, seed, n=10, rate=rate)
+        rng = random.Random(seed)
+        schedule: dict = {}
+        for when, kind in events:
+            schedule.setdefault(when, []).append(kind)
+        filtered = False
+        for r in range(24):
+            for kind in schedule.get(r, ()):
+                ids = lane.net.peer_ids
+                if kind == "join":
+                    new_id = fresh_id(lane.net, rng)
+                    for c in (lane, spec):
+                        c.net.join(new_id, ids[0])
+                elif kind == "filter":
+                    filtered = not filtered
+                    cut = set(ids[::3])
+                    drop = (lambda env: (env.sender in cut) != (env.target in cut)) if filtered else None
+                    for c in (lane, spec):
+                        c.sched.set_drop_filter(drop)
+                elif len(ids) > 4:
+                    victim = rng.choice(ids)
+                    for c in (lane, spec):
+                        getattr(c.net, kind)(victim)
+            lockstep(lane, spec, f"rate={rate} events={events} seed={seed} {backend} round={r}")
+        assert_same_ledger(lane, spec)
+
+
+class Token(AppPayload):
+    """A one-shot hop counter for the kernel-level ring below."""
+
+    def __init__(self, hops: int) -> None:
+        self.hops = hops
+
+    def canonical(self) -> tuple:
+        return ("token", self.hops)
+
+    def refs(self) -> tuple:
+        return ()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Token) and other.hops == self.hops
+
+    def __hash__(self) -> int:
+        return hash(("token", self.hops))
+
+
+class Relay:
+    """Steady heartbeat to the next actor; application tokens are
+    passed on one hop per round by the handler."""
+
+    def __init__(self, sched, nxt: int) -> None:
+        self.sched = sched
+        self.next = nxt
+        self.seen: list = []
+        self.remove_on_mail = None
+
+    def state_version(self) -> int:
+        return 0
+
+    def state_token(self) -> tuple:
+        return ()
+
+    def replay_step(self) -> None:
+        pass
+
+    def step(self, inbox, ctx) -> None:
+        ctx.send(self.next, "heartbeat")
+        mail = [env for env in inbox if isinstance(env.payload, AppPayload)]
+        if mail:
+            self.handle_app(mail, ctx)
+
+    def handle_app(self, inbox, ctx) -> None:
+        for env in inbox:
+            self.seen.append((ctx.round_no, env.payload.hops))
+            if env.payload.hops:
+                ctx.send_once(self.next, Token(env.payload.hops - 1))
+        if self.remove_on_mail is not None:
+            self.sched.remove_actor(self.remove_on_mail)
+            self.remove_on_mail = None
+
+
+class TestLaneKernelLevel:
+    """Toy actors, no liveness oracle: mid-round surgery at any position
+    is comparable between the lane kernel and the full-scan spec."""
+
+    @staticmethod
+    def ring(sched, size: int = 6) -> list:
+        relays = [Relay(sched, (i + 1) % size) for i in range(size)]
+        for i, relay in enumerate(relays):
+            sched.add_actor(i, relay)
+        return relays
+
+    def test_target_removed_before_its_lane_step(self):
+        lane, spec = ColumnarScheduler(), SynchronousScheduler(activity_tracking=False)
+        rings = [self.ring(lane), self.ring(spec)]
+        for sched in (lane, spec):
+            sched.run(3)
+        assert lane._cols_active and lane.executed_last_round == 0
+        for sched, relays in zip((lane, spec), rings):
+            assert sched.post_batch(
+                [Envelope(i, i, Token(8)) for i in (1, 4, 5)]
+            ) == [True] * 3
+            relays[1].remove_on_mail = 4  # 4 still holds its token
+        for r in range(12):
+            for sched in (lane, spec):
+                sched.run_round()
+            assert [(e.sender, e.target, e.payload) for e in lane.all_pending()] == [
+                (e.sender, e.target, e.payload) for e in spec.all_pending()
+            ], f"round {r}"
+            assert lane.dropped_last_round == spec.dropped_last_round, f"round {r}"
+            assert lane.pending_messages() == spec.pending_messages()
+            rolling = sum(envelope_fingerprint(e) for e in lane.all_pending()) & HASH_MASK
+            assert lane.config_hash()[1] == rolling, f"round {r}"
+            # only the heartbeat change around the removal runs the rules
+            assert lane.executed_last_round <= (2 if r in (1, 2) else 0), f"round {r}"
+        assert [x.seen for x in rings[0]] == [x.seen for x in rings[1]]
+        assert rings[0][4].seen == []  # its token died with it
+        assert not lane.changed_last_round
+
+    def test_mid_round_post_reaches_unstepped_and_stepped_targets(self):
+        class Poster(Relay):
+            def handle_app(self, inbox, ctx):
+                super().handle_app(inbox, ctx)
+                for target in (0, 5):  # 0 already stepped, 5 not yet
+                    self.sched.post(Envelope(2, target, Token(0)))
+
+        scheds = [ColumnarScheduler(), SynchronousScheduler(activity_tracking=False)]
+        rings = []
+        for sched in scheds:
+            relays = [Relay(sched, (i + 1) % 6) for i in range(6)]
+            relays[2] = Poster(sched, 3)
+            for i, relay in enumerate(relays):
+                sched.add_actor(i, relay)
+            rings.append(relays)
+            sched.run(3)
+            sched.post(Envelope(2, 2, Token(0)))
+        for r in range(4):
+            for sched in scheds:
+                sched.run_round()
+            assert [(e.sender, e.target, e.payload) for e in scheds[0].all_pending()] == [
+                (e.sender, e.target, e.payload) for e in scheds[1].all_pending()
+            ], f"round {r}"
+        assert [x.seen for x in rings[0]] == [x.seen for x in rings[1]]
+        assert rings[0][5].seen == [(3, 0)] and rings[0][0].seen == [(4, 0)]
+
+
+class TestLaneContract:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_traffic_executes_exactly_the_twins_rule_steps(self, backend):
+        """Application messages never run the rule pipeline: the join +
+        crash campaign executes as many rule steps with the generator
+        injecting as with it inactive, round for round."""
+
+        def campaign(traffic: bool) -> tuple:
+            c = Campaign("columnar", backend, seed=21, n=16, rate=6.0)
+            c.gen.active = traffic
+            rng = random.Random(4)
+            steps = []
+            for r in range(40):
+                if r == 6:
+                    c.net.join(fresh_id(c.net, rng), rng.choice(c.net.peer_ids))
+                if r == 14:
+                    c.net.crash(rng.choice(c.net.peer_ids))
+                if r == 24:
+                    c.gen.active = False
+                c.plane.run_round()
+                executed, replayed = c.net.activity_stats()
+                assert executed + replayed == len(c.net.peers)
+                steps.append(executed)
+            assert not c.plane.collector.outstanding
+            return steps, c.plane.collector.summary()["completed"], c.net.fingerprint()
+
+        busy, completed, busy_fp = campaign(True)
+        idle, none, idle_fp = campaign(False)
+        assert completed > 100 and none == 0
+        assert busy == idle
+        assert busy[-1] == 0  # back to quiescence
+        assert busy_fp == idle_fp
+
+    def test_tracked_kernel_executes_a_receiver_only_the_consuming_round(self):
+        """The fallback contract: a one-shot's target executes the round
+        it consumes it — and replays the round after."""
+        net = build_random_network(n=12, seed=7, engine="incremental")
+        net.run_until_stable(max_rounds=5000)
+        plane = TrafficPlane(net)
+        net.run_round()
+        assert net.activity_stats()[0] == 0
+        owner = plane.true_owner(key_id("some-key", net.space))
+        origin = next(p for p in net.peer_ids if p != owner)
+        plane.lookup("some-key", origin)
+        net.run_round()  # the origin consumes the post ...
+        assert net.activity_stats()[0] == 1
+        hops = []
+        while plane.collector.outstanding:
+            net.run_round()  # ... then exactly the peer holding the op runs
+            hops.append(net.activity_stats()[0])
+        assert hops and set(hops) == {1}
+        net.run_round()
+        assert net.activity_stats()[0] == 0
+        assert not net.scheduler.changed_last_round
+
+    def test_lane_only_peers_count_as_replayed(self):
+        lane = Campaign("columnar", "scalar", seed=3, rate=5.0)
+        lane.plane.run(6)
+        assert lane.sched._cols_active and lane.sched._lane_targets
+        lane.plane.run_round()
+        executed, replayed = lane.net.activity_stats()
+        assert executed == 0 and replayed == len(lane.net.peers)
+        assert lane.sched.changed_last_round  # traffic in flight is a change
+
+    def test_mutating_handler_is_rejected(self):
+        """The lane is sound only while handlers leave the overlay alone."""
+
+        class MutatingPlane(TrafficPlane):
+            def handle(self, peer, payloads, ctx):
+                peer.state.nodes[0].nu.add(self.net.ref(self.net.peer_ids[-1]))
+                peer.state.nodes[0].nu.discard(peer.state.nodes[0].ref)
+                super().handle(peer, payloads, ctx)
+
+        lane = Campaign("columnar", "scalar", seed=3, rate=0.0, plane_cls=MutatingPlane)
+        lane.net.run_round()
+        assert lane.sched._cols_active
+        origin = lane.net.peer_ids[0]
+        lane.plane.lookup("k", origin)
+        with pytest.raises(RuntimeError) as err:
+            lane.net.run_round()
+        assert f"peer {origin}" in str(err.value) and "LookupRequest" in str(err.value)
+
+    def test_steady_send_from_a_lane_handler_is_rejected(self):
+        class SteadyPlane(TrafficPlane):
+            def handle(self, peer, payloads, ctx):
+                ctx.send(peer.state.peer_id, payloads[0])
+
+        lane = Campaign("columnar", "scalar", seed=3, rate=0.0, plane_cls=SteadyPlane)
+        lane.net.run_round()
+        lane.plane.lookup("k", lane.net.peer_ids[0])
+        with pytest.raises(RuntimeError, match="send_once"):
+            lane.net.run_round()
+
+    def test_lane_mail_without_a_plane_fails_loudly(self):
+        net = build_random_network(n=6, seed=3, engine="columnar")
+        net.run_until_stable(max_rounds=5000)
+        net.run_round()
+        origin = net.peer_ids[0]
+        req = LookupRequest(op=OP_LOOKUP, op_id=0, origin=origin, kid=1, ttl=8)
+        net.scheduler.post(Envelope(origin, origin, req))
+        with pytest.raises(TypeError, match="no traffic plane"):
+            net.run_round()
+
+
+class TestTracedRunsUseTheSameKernel:
+    def test_telemetry_on_columnar_traffic_run_records_no_kernel_step(self):
+        """Regression: attaching a recorder used to leave columnar mode,
+        and every traffic post then blocked re-entry — a traced run
+        measured the tracked loop while the untraced one ran columnar."""
+        lane = Campaign("columnar", "scalar", seed=3, rate=4.0)
+        lane.plane.run(3)
+        assert lane.sched._cols_active
+        rec = lane.net.enable_telemetry()
+        lane.plane.run(12)
+        assert lane.sched._cols_active
+        assert "kernel.step" not in rec.timers
+        assert rec.timers["kernel.execute"][1] > 0
+        assert rec.timers["peer.traffic"][1] > 0
+        assert rec.counters["rounds"] == 12
+
+    def test_envelope_census_identical_when_attached_mid_run(self):
+        """The in-place typed mirror must equal the one a full-scan
+        kernel counts, one-shot sends included."""
+        censuses = []
+        for engine in ("columnar", "full"):
+            c = Campaign(engine, "scalar", seed=5, rate=3.0)
+            c.plane.run(4)
+            rec = c.net.enable_telemetry()
+            c.plane.run(10)
+            censuses.append(c.net.telemetry_census())
+        assert censuses[0] == censuses[1]
+        assert censuses[0]["messages"]["LookupRequest"] > 0
+
+
+class TestPostBatch:
+    def test_ref_carrying_batch_is_indexed_for_liveness_flips(self):
+        """``post_batch`` goes through the kernel's ``post`` — ref index
+        and all: a batched protocol payload referencing an owner that
+        then crashes wakes its receiver exactly like the spec."""
+        nets = []
+        for engine in ("columnar", "full"):
+            net = build_random_network(n=10, seed=13, engine=engine)
+            net.run_until_stable(max_rounds=5000)
+            net.run_round()
+            nets.append(net)
+        lane, spec = nets
+        sched = lane.scheduler
+        assert sched._cols_active
+        a, b, c = lane.peer_ids[0], lane.peer_ids[4], lane.peer_ids[7]
+        watched = sched._ref_watch.get(c, {}).get(b, 0)
+        for net in nets:
+            payload = EdgeAdd(net.ref(b), net.ref(c), KIND_UNMARKED)
+            assert net.scheduler.post_batch([Envelope(a, b, payload)]) == [True]
+        assert sched._ref_watch[c][b] == watched + 1
+        for net in nets:
+            net.crash(c)
+        assert b in sched._dirty
+        for r in range(12):
+            for net in nets:
+                net.run_round()
+            assert lane.fingerprint() == spec.fingerprint(), f"round {r}"
+            assert lane.counters().fires == spec.counters().fires
+        assert sched._ref_watch.get(c, {}).get(b, 0) == 0
+
+    def test_batch_results_match_per_envelope_posts(self):
+        lane = Campaign("columnar", "scalar", seed=3, rate=0.0)
+        lane.net.run_round()
+        origin, dead = lane.net.peer_ids[0], lane.net.peer_ids[1]
+        lane.net.crash(dead)
+        reqs = [
+            LookupRequest(op=OP_LOOKUP, op_id=i, origin=o, kid=1, ttl=8)
+            for i, o in enumerate((origin, dead, origin))
+        ]
+        envs = [Envelope(r.origin, r.origin, r) for r in reqs]
+        dirty = set(lane.sched._dirty)
+        assert lane.sched.post_batch(envs) == [True, False, True]
+        assert lane.sched._lane_targets == {origin}
+        assert lane.sched._dirty == dirty  # lane posts dirty nobody
