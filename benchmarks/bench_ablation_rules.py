@@ -1,17 +1,9 @@
-"""E10 — rule ablations, plus the scalar-vs-batched per-rule profile.
+"""E10 — rule ablations.
 
 Regenerates the ablation table and benchmarks the full-rule
 configuration against the cheapest ablation (no_overlap) at n = 32 —
 rule 2 is a shortcut whose removal slows convergence, visible directly
 in the two timings.
-
-The second test profiles the same seeded stabilization under both rule
-backends with telemetry attached: the per-phase timers (``rule.*`` /
-``peer.*`` labels are identical between the scalar pipeline and the
-batched phase sweeps) land side by side in
-``benchmarks/results/rule_backend_profile.txt``, and the two runs'
-censuses must be identical — the timing table is only meaningful if the
-backends did exactly the same work.
 """
 
 from __future__ import annotations
@@ -38,50 +30,3 @@ def test_ablation_rules(benchmark):
     assert by_name["no_overlap"].rounds.mean >= by_name["full"].rounds.mean
 
     benchmark.pedantic(stabilize_with, args=(RuleConfig(),), rounds=3, iterations=1)
-
-
-def _profile_backend(backend: str, n: int = 256, seed: int = 2011):
-    net = build_random_network(n=n, seed=seed, rule_backend=backend)
-    net.enable_telemetry()
-    report = net.run_until_stable(max_rounds=20_000)
-    phases = {
-        phase: (seconds, calls)
-        for phase, seconds, calls in net.telemetry.phase_table()
-        if phase.startswith(("rule.", "peer."))
-    }
-    return report, net.telemetry_census(), phases
-
-
-def test_rule_backend_profile(benchmark):
-    ra, census_a, scalar = _profile_backend("scalar")
-    rb, census_b, batched = _profile_backend("batched")
-    assert ra == rb, "backends diverged (report)"
-    assert census_a == census_b, "backends diverged (census)"
-
-    lines = [
-        "Per-rule wall-clock: scalar pipeline vs. batched phase sweeps",
-        f"(n=256 seed=2011, {ra.rounds_executed} rounds, identical censuses)",
-        "",
-        f"{'phase':<24} {'scalar s':>10} {'batched s':>10} {'speedup':>8} {'calls':>8}",
-    ]
-    for phase in sorted(set(scalar) | set(batched)):
-        s_sec, s_calls = scalar.get(phase, (0.0, 0))
-        b_sec, _ = batched.get(phase, (0.0, 0))
-        speedup = f"{s_sec / b_sec:.2f}x" if b_sec > 0 else "n/a"
-        lines.append(
-            f"{phase:<24} {s_sec:>10.4f} {b_sec:>10.4f} {speedup:>8} {s_calls:>8}"
-        )
-    total_s = sum(v[0] for v in scalar.values())
-    total_b = sum(v[0] for v in batched.values())
-    lines.append("")
-    lines.append(
-        f"{'total rule time':<24} {total_s:>10.4f} {total_b:>10.4f} "
-        f"{total_s / total_b:>7.2f}x" if total_b > 0 else "total n/a"
-    )
-    emit("rule_backend_profile", "\n".join(lines))
-
-    def run_batched() -> int:
-        net = build_random_network(n=256, seed=2011, rule_backend="batched")
-        return net.run_until_stable(max_rounds=20_000).rounds_to_stable
-
-    benchmark.pedantic(run_batched, rounds=3, iterations=1)

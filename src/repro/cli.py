@@ -97,12 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 choices=("full", "incremental", "columnar"),
                 help="simulation kernel (default: incremental)",
             )
-            p.add_argument(
-                "--rule-backend", type=str, default="scalar",
-                choices=("scalar", "batched"),
-                help="rule backend: per-peer scalar pipeline (the spec) "
-                "or batched phase-major sweeps (observationally identical)",
-            )
         if name == "traffic":
             p.add_argument(
                 "--telemetry", action="store_true",
@@ -168,12 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(e.g. partial:p=0.5), or a JSON spec dict",
     )
     scen.add_argument(
-        "--rule-backend", type=str, default="scalar",
-        choices=("scalar", "batched"),
-        help="rule backend for the whole campaign (default: scalar); "
-        "batched runs the phase-major kernels, observationally identical",
-    )
-    scen.add_argument(
         "--telemetry", action="store_true",
         help="run the campaign with a telemetry recorder attached and "
         "append the counter census / phase-timer report",
@@ -202,11 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulation kernel to instrument (default: columnar)",
     )
     obs.add_argument(
-        "--rule-backend", type=str, default="scalar",
-        choices=("scalar", "batched"),
-        help="rule backend to instrument (default: scalar)",
-    )
-    obs.add_argument(
         "--trace-sample", type=int, default=1, metavar="K",
         help="trace every K-th op id (default: 1 = every op)",
     )
@@ -221,12 +204,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _InputError(Exception):
+    """Bad command-line input: ``main`` prints it and exits 2."""
+
+
 def _parse_model_arg(text: str) -> dict:
     """Parse a ``--latency-model`` / ``--daemon`` value.
 
     Accepts a bare kind (``reorder``), ``kind:key=value,key=value``
     (``constant:delay=3``), or a JSON object
-    (``'{"kind": "reorder", "bound": 4}'``).
+    (``'{"kind": "reorder", "bound": 4}'``); raises ``ValueError`` on
+    anything else.
     """
     import json as _json
 
@@ -235,22 +223,52 @@ def _parse_model_arg(text: str) -> dict:
         return dict(_json.loads(text))
     kind, _, rest = text.partition(":")
     spec: dict = {"kind": kind}
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise SystemExit(
-                    f"bad model parameter {item!r} (expected key=value) in {text!r}"
-                )
+    for item in rest.split(",") if rest else ():
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"bad parameter {item!r} (expected key=value)")
+        for number in (int, float):  # every model parameter is one
             try:
-                parsed: object = int(value)
+                spec[key.strip()] = number(value)
+                break
             except ValueError:
-                try:
-                    parsed = float(value)
-                except ValueError:
-                    parsed = value
-            spec[key.strip()] = parsed
+                pass
+        else:
+            raise ValueError(f"bad parameter {item!r} (expected a number)")
     return spec
+
+
+def _time_model_overrides(args: argparse.Namespace) -> dict:
+    """The ``ScenarioSpec`` overrides of ``--latency-model`` / ``--daemon``.
+
+    The time model's own spec constructors are the validators: an
+    unknown kind, an unknown parameter or an out-of-range value is
+    reported here, before any campaign is built.
+    """
+    from repro.netsim.timemodel import make_daemon, make_delivery_model
+
+    overrides = {}
+    for field, flag, text, factory in (
+        ("latency", "--latency-model", args.latency_model, make_delivery_model),
+        ("daemon", "--daemon", args.daemon, make_daemon),
+    ):
+        if text is None:
+            continue
+        try:
+            overrides[field] = _parse_model_arg(text)
+            factory(overrides[field])
+        except (ValueError, TypeError) as exc:
+            raise _InputError(f"{flag} {text!r}: {exc}") from None
+    return overrides
+
+
+def _named_scenario(name: str, n: int, seed: int):
+    from repro.scenarios import make_scenario
+
+    try:
+        return make_scenario(name, n=n, seed=seed)
+    except KeyError as exc:  # the library's "unknown scenario ...; choose from"
+        raise _InputError(exc.args[0]) from None
 
 
 def _run_scenario_command(args: argparse.Namespace) -> List[str]:
@@ -261,7 +279,6 @@ def _run_scenario_command(args: argparse.Namespace) -> List[str]:
     from repro.netsim.rng import SeedSequence
     from repro.scenarios import (
         ScenarioSpec,
-        make_scenario,
         run_scenario,
         scenario_description,
         scenario_names,
@@ -285,11 +302,7 @@ def _run_scenario_command(args: argparse.Namespace) -> List[str]:
         return ["\n".join(lines)]
     if args.all:
         n = args.n if args.n is not None else DEFAULT_N
-        overrides = {}
-        if args.latency_model is not None:
-            overrides["latency"] = _parse_model_arg(args.latency_model)
-        if args.daemon is not None:
-            overrides["daemon"] = _parse_model_arg(args.daemon)
+        overrides = _time_model_overrides(args)
         return [
             format_scenarios(
                 run_scenarios(n=n, root_seed=args.root_seed, overrides=overrides)
@@ -298,7 +311,11 @@ def _run_scenario_command(args: argparse.Namespace) -> List[str]:
     if args.spec is not None:
         from pathlib import Path
 
-        spec = ScenarioSpec.from_json(Path(args.spec).read_text())
+        try:
+            spec = ScenarioSpec.from_json(Path(args.spec).read_text())
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            # unreadable file, malformed JSON, or JSON that is not a spec
+            raise _InputError(f"--spec {args.spec}: {exc}") from None
         if args.n is not None:
             spec = spec.with_overrides(n=args.n)
         if args.seed is not None:
@@ -310,13 +327,12 @@ def _run_scenario_command(args: argparse.Namespace) -> List[str]:
             if args.seed is not None
             else SeedSequence(args.root_seed).child("scenario-exp", args.name, n=n).seed()
         )
-        spec = make_scenario(args.name, n=n, seed=seed)
+        spec = _named_scenario(args.name, n, seed)
     else:
         raise SystemExit("scenario: give a name, --spec FILE, --all, or --list")
-    if args.latency_model is not None:
-        spec = spec.with_overrides(latency=_parse_model_arg(args.latency_model))
-    if args.daemon is not None:
-        spec = spec.with_overrides(daemon=_parse_model_arg(args.daemon))
+    overrides = _time_model_overrides(args)
+    if overrides:
+        spec = spec.with_overrides(**overrides)
     if getattr(args, "sketch_quantiles", None):
         if spec.traffic is None:
             raise SystemExit(
@@ -334,9 +350,7 @@ def _run_scenario_command(args: argparse.Namespace) -> List[str]:
         from repro.telemetry import TelemetryRecorder
 
         recorder = TelemetryRecorder()
-    report = run_scenario(
-        spec, telemetry=recorder, rule_backend=getattr(args, "rule_backend", "scalar")
-    )
+    report = run_scenario(spec, telemetry=recorder)
     if args.json:
         return [_json.dumps(report.to_dict(), indent=2, sort_keys=True)]
     blocks = [_format_scenario_report(spec, report)]
@@ -393,7 +407,7 @@ def _run_observe_command(args: argparse.Namespace) -> List[str]:
     """Dispatch ``rechord observe`` — one instrumented campaign."""
     from repro.experiments.scenarios import DEFAULT_N
     from repro.netsim.rng import SeedSequence
-    from repro.scenarios import make_scenario, run_scenario
+    from repro.scenarios import run_scenario
     from repro.telemetry import TelemetryRecorder, render_telemetry
 
     n = args.n if args.n is not None else DEFAULT_N
@@ -404,15 +418,11 @@ def _run_observe_command(args: argparse.Namespace) -> List[str]:
         .child("scenario-exp", args.scenario, n=n)
         .seed()
     )
-    spec = make_scenario(args.scenario, n=n, seed=seed)
+    spec = _named_scenario(args.scenario, n, seed)
     recorder = TelemetryRecorder(trace_sample_interval=args.trace_sample)
-    run_scenario(
-        spec, engine=args.engine, telemetry=recorder,
-        rule_backend=getattr(args, "rule_backend", "scalar"),
-    )
+    run_scenario(spec, engine=args.engine, telemetry=recorder)
     lines = [
-        f"Observe: {spec.name}  (n={n}, seed={seed}, engine={args.engine}, "
-        f"rules={getattr(args, 'rule_backend', 'scalar')})",
+        f"Observe: {spec.name}  (n={n}, seed={seed}, engine={args.engine})",
         "=" * 78,
         "",
         render_telemetry(recorder, traces=args.traces),
@@ -452,12 +462,7 @@ def _dispatch(args: argparse.Namespace) -> List[str]:
     if cmd in ("messages", "all"):
         n = getattr(args, "n", 32)
         engine = getattr(args, "engine", None)
-        backend = getattr(args, "rule_backend", "scalar")
-        out.append(
-            format_messages(
-                run_messages(n=n, root_seed=rs, engine=engine, rule_backend=backend)
-            )
-        )
+        out.append(format_messages(run_messages(n=n, root_seed=rs, engine=engine)))
     if cmd in ("phases", "all"):
         out.append(format_phases(run_phases(_sizes(args, PHASES_SIZES), _seeds(args, 5), rs)))
     if cmd in ("economy", "all"):
@@ -485,7 +490,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
     started = time.time()
-    for block in _dispatch(args):
+    try:
+        blocks = _dispatch(args)
+    except _InputError as exc:
+        print(f"rechord: error: {exc}", file=sys.stderr)
+        return 2
+    for block in blocks:
         print(block)
         print()
     print(f"[done in {time.time() - started:.1f}s]", file=sys.stderr)

@@ -30,6 +30,12 @@ Two kernels drive the rounds:
   round-for-round equivalent (identical reports, fingerprints and rule
   counters) on random topologies, corrupt starts and churn schedules.
 
+The kernel also fixes the rule pipeline, there is no separate setting:
+the full-scan kernel steps each peer through the scalar pipeline of
+:mod:`repro.core.protocol` (the spec), the activity-tracked kernels run
+the phase-major pipeline of :mod:`repro.core.rules_batched` (the fast
+path) over each round's dirty peers.
+
 The network layer owns the two pieces of tracking the scheduler cannot
 see:
 
@@ -57,6 +63,7 @@ from repro.core.ideal import IdealTopology, compute_ideal
 from repro.core.noderef import NodeRef, make_ref
 from repro.core.protocol import REF_DEAD, REF_OK, REF_PHANTOM, ReChordPeer
 from repro.core.rules import RuleConfig, RuleCounters
+from repro.core.rules_batched import BatchedRuleEngine
 from repro.core.state import PeerState
 from repro.graphs.digraph import EdgeKind, TypedDigraph
 from repro.idspace.ring import IdSpace
@@ -114,7 +121,6 @@ class ReChordNetwork:
         incremental: bool = True,
         time_model: Optional[TimeModel] = None,
         engine: Optional[str] = None,
-        rule_backend: str = "scalar",
     ) -> None:
         self.space = space if space is not None else IdSpace()
         self.config = config if config is not None else RuleConfig()
@@ -138,16 +144,9 @@ class ReChordNetwork:
             self.scheduler = SynchronousScheduler(
                 self.trace, activity_tracking=self.incremental, time_model=time_model
             )
-        if rule_backend not in ("scalar", "batched"):
-            raise ValueError(f"unknown rule backend {rule_backend!r}")
-        #: selected rule backend: "scalar" (the per-peer reference
-        #: pipeline in :mod:`repro.core.protocol`, the spec) or
-        #: "batched" (phase-major sweeps over all dirty peers via
-        #: :mod:`repro.core.rules_batched`, observationally identical).
-        self.rule_backend = rule_backend
-        if rule_backend == "batched":
-            from repro.core.rules_batched import BatchedRuleEngine
-
+        if self.incremental:
+            # the kernel picks the rule pipeline (module docstring): the
+            # full-scan spec steps peer by peer, tracked kernels batch
             self.scheduler.set_batch_stepper(BatchedRuleEngine())
         self.peers: Dict[int, ReChordPeer] = {}
         self._level_snapshot: Dict[int, frozenset] = {}

@@ -75,7 +75,7 @@ class ReChordPeer:
 
     __slots__ = (
         "state", "config", "counters", "_ref_alive", "_replay_delta",
-        "traffic", "telemetry", "_batched_sibs", "_inbox_skip",
+        "traffic", "telemetry",
     )
 
     def __init__(
@@ -100,14 +100,6 @@ class ReChordPeer:
         #: by ReChordNetwork.enable_telemetry, None (disabled) by default —
         #: the only cost then is this one attribute check per step
         self.telemetry = None
-        #: memos owned by the *batched* rule backend (see
-        #: repro.core.rules_batched): the peer's sorted sibling chain
-        #: keyed by its level tuple, and the no-op inbox skip keyed on
-        #: the canonical state tuple — the same completeness oracle the
-        #: incremental kernel's steady-replay relies on.  The scalar
-        #: pipeline never reads or writes them; they die with the actor.
-        self._batched_sibs = None
-        self._inbox_skip = None
 
     # ------------------------------------------------------------------
     # actor entry point

@@ -36,9 +36,12 @@ What the batching buys
 * **An integer-keyed envelope cache** — the stable state re-emits the
   same small set of envelopes every round; the batched send path looks
   them up by flat ``(owner, level)`` integers without constructing the
-  payload at all.  Misses are routed through the scheduler's canonical
-  envelope cache so instances (and their fingerprint memos) coincide
-  with the scalar path's.
+  payload at all.  It is the *only* intern cache on this path: a miss
+  builds the envelope here and never enters the scheduler's
+  ``(sender, target, payload)``-keyed cache, so each envelope is held
+  under one key, not two.  Interning is a pure speed device — outbox
+  comparisons are by value — so an interleaved round, which emits
+  through ``ctx.send``, merely compares a little slower.
 * **Bulk-set delivery** — the apply-inbox phase groups a peer's
   ``EdgeAdd`` envelopes by ``(level, kind)`` and lands each group with
   one C-level ``set.update`` (self-edges removed by one ``discard``)
@@ -47,10 +50,7 @@ What the batching buys
   first), and the ``version`` counter is only ever compared for
   equality, so coalesced bumping is invisible.  Candidate messages
   keep their relative order; they commute with edge-adds (adoption
-  reads pointer slots, edge-adds write only the neighbor sets).  A
-  peer whose apply was a proven no-op (identical canonical state +
-  element-equal inbox, cached from a mutation-free, bump-free run)
-  skips the phase entirely.
+  reads pointer slots, edge-adds write only the neighbor sets).
 * **C-speed purge screening** — a per-batch ``ok`` set of refs already
   judged alive turns the common per-set scan into one hash-based
   ``issuperset`` call, and a single ``nref in refs`` containment check
@@ -110,6 +110,10 @@ _FAST_CACHE_MAX = 4_000_000
 _NUMPY_MIN_ROWS = 2048
 
 
+def _untimed(phase: str, seconds: float, calls: int = 1) -> None:
+    """``TelemetryRecorder.add_time`` for a batch nobody records."""
+
+
 class RankIndex:
     """Global linear rank of every interned ref, by ``NodeRef._key``.
 
@@ -161,23 +165,29 @@ class RankIndex:
 class BatchedRuleEngine:
     """Phase-major executor for a round's batch of dirty ReChord peers.
 
-    Installed on a scheduler via ``set_batch_stepper``; the kernels hand
-    it the full list of ``(key, actor, inbox, ctx)`` step items (in key
-    order) instead of calling ``actor.step`` one by one.  Non-ReChord
-    actors in the batch fall back to their own ``step``.
+    Installed on a scheduler via ``set_batch_stepper``; the tracked
+    kernels hand it the full list of ``(key, actor, inbox, ctx)`` step
+    items (in key order) of every round whose actors it all
+    :meth:`accepts`, instead of calling ``actor.step`` one by one.
     """
 
     __slots__ = ("rank_index", "_fast")
 
     def __init__(self, use_numpy: Optional[bool] = None) -> None:
         self.rank_index = RankIndex(use_numpy)
-        #: envelope cache keyed by flat ints; values are the same
-        #: instances the scheduler's canonical cache holds
+        #: this pipeline's envelope intern cache, keyed by flat ints
         self._fast: Dict[tuple, Envelope] = {}
 
     # ------------------------------------------------------------------
     # entry point
     # ------------------------------------------------------------------
+    @staticmethod
+    def accepts(actor) -> bool:
+        """Only Re-Chord peers: their rules touch nothing but their own
+        state and round outbox, so the phase-major order is invisible;
+        a round with any other actor on it keeps the interleaved order."""
+        return isinstance(actor, ReChordPeer)
+
     def run_batch(self, items: Sequence[tuple], lane: Sequence[tuple] = ()) -> None:
         """Execute one round's steps phase-major.
 
@@ -196,9 +206,6 @@ class BatchedRuleEngine:
         handlers: List[tuple] = []
         tel = None
         for key, actor, inbox, ctx in items:
-            if not isinstance(actor, ReChordPeer):
-                actor.step(inbox, ctx)
-                continue
             if actor.telemetry is not None:
                 tel = actor.telemetry
             fires_before = dict(actor.counters.fires)
@@ -209,9 +216,6 @@ class BatchedRuleEngine:
                     handlers.append((key, actor.traffic.handle, (actor, app, ctx)))
             peers.append([actor, inbox, ctx, fires_before])
         for key, actor, inbox, ctx in lane:
-            if not isinstance(actor, ReChordPeer):
-                actor.handle_app(inbox, ctx)
-                continue
             if actor.telemetry is not None:
                 tel = actor.telemetry
             handlers.append((key, actor._handle_lane, (inbox, ctx)))
@@ -219,10 +223,7 @@ class BatchedRuleEngine:
             handlers.sort(key=_ITEM_KEY)
         if peers:
             self.rank_index.refresh()
-        if tel is None:
-            self._pipeline(peers, handlers)
-        else:
-            self._pipeline_timed(peers, handlers, tel)
+        self._pipeline(peers, handlers, _untimed if tel is None else tel.add_time)
         for actor, _inbox, _ctx, fires_before in peers:
             fires = actor.counters.fires
             actor._replay_delta = {
@@ -231,64 +232,47 @@ class BatchedRuleEngine:
                 if count != fires_before.get(rule, 0)
             }
 
-    @staticmethod
-    def _phase_handlers(handlers: List[tuple]) -> None:
-        for _key, handle, args in handlers:
-            handle(*args)
+    def _pipeline(self, peers: List[list], handlers: List[tuple], add) -> None:
+        """The phases in order, each closed by a wall-clock span.
 
-    def _pipeline(self, peers: List[list], handlers: List[tuple]) -> None:
+        ``add`` is the recorder's ``add_time`` (or :func:`_untimed`: an
+        untraced batch pays ten clock reads per *round*, not per peer).
+        Phase labels match the scalar ``_step_timed`` ones so telemetry
+        reports stay comparable; a span covers the whole batch and
+        counts one call per peer in it, so call counts (and the
+        per-call averages derived from them) keep their per-peer
+        meaning.
+        """
+        n = len(peers)
+        t = _perf()
         if peers:
             self._phase_apply_inbox(peers)
+            t2 = _perf(); add("peer.apply_inbox", t2 - t, n); t = t2
             self._phase_purge(peers)
+            t2 = _perf(); add("rule.purge", t2 - t, n); t = t2
             for actor, _i, _c, _f in peers:
                 if actor.config.virtual_nodes:
                     actor._rule1_virtual_nodes()
+            t2 = _perf(); add("rule.1_virtual_nodes", t2 - t, n); t = t2
             for actor, _i, _c, _f in peers:
                 if actor.config.overlap:
                     actor._rule2_overlap()
+            t2 = _perf(); add("rule.2_overlap", t2 - t, n); t = t2
             # rule 1 mints refs for freshly created levels: re-rank once so
             # the sort phases below see them (cheap no-op when nothing grew)
             self.rank_index.refresh()
             self._phase_rule3(peers)
+            t2 = _perf(); add("rule.3_closest_real", t2 - t, n); t = t2
             self._phase_rule4(peers)
+            t2 = _perf(); add("rule.4_linearize", t2 - t, n); t = t2
             self._phase_rule5(peers)
+            t2 = _perf(); add("rule.5_ring", t2 - t, n); t = t2
             self._phase_rule6(peers)
-        self._phase_handlers(handlers)
-
-    def _pipeline_timed(self, peers: List[list], handlers: List[tuple], tel) -> None:
-        """The pipeline with per-phase wall-clock spans.
-
-        Phase labels match the scalar ``_step_timed`` ones so telemetry
-        reports stay comparable; spans cover the whole batch (one call
-        per phase) rather than one per peer.
-        """
-        add = tel.add_time
-        t = _perf()
-        if peers:
-            self._phase_apply_inbox(peers)
-            t2 = _perf(); add("peer.apply_inbox", t2 - t); t = t2
-            self._phase_purge(peers)
-            t2 = _perf(); add("rule.purge", t2 - t); t = t2
-            for actor, _i, _c, _f in peers:
-                if actor.config.virtual_nodes:
-                    actor._rule1_virtual_nodes()
-            t2 = _perf(); add("rule.1_virtual_nodes", t2 - t); t = t2
-            for actor, _i, _c, _f in peers:
-                if actor.config.overlap:
-                    actor._rule2_overlap()
-            t2 = _perf(); add("rule.2_overlap", t2 - t); t = t2
-            self.rank_index.refresh()
-            self._phase_rule3(peers)
-            t2 = _perf(); add("rule.3_closest_real", t2 - t); t = t2
-            self._phase_rule4(peers)
-            t2 = _perf(); add("rule.4_linearize", t2 - t); t = t2
-            self._phase_rule5(peers)
-            t2 = _perf(); add("rule.5_ring", t2 - t); t = t2
-            self._phase_rule6(peers)
-            t2 = _perf(); add("rule.6_connection", t2 - t); t = t2
+            t2 = _perf(); add("rule.6_connection", t2 - t, n); t = t2
         if handlers:
-            self._phase_handlers(handlers)
-            add("peer.traffic", _perf() - t)
+            for _key, handle, args in handlers:
+                handle(*args)
+            add("peer.traffic", _perf() - t, len(handlers))
 
     # ------------------------------------------------------------------
     # sorting over the rank column
@@ -327,9 +311,9 @@ class BatchedRuleEngine:
         The cache key is the interned row ids of both refs — a short
         int tuple that hashes far cheaper than the refs themselves — so
         repeated stable-flow emissions skip both payload construction
-        and the scheduler cache's tuple hashing.  Misses go through
-        ``ctx.send`` so the instance is the canonical one; never-interned
-        refs (``iid == -1`` is not unique) always take that path.
+        and the scheduler cache's tuple hashing.  A miss interns the
+        new envelope here only; never-interned refs (``iid == -1`` is
+        not unique) go through ``ctx.send``.
         """
         ti = target.iid
         ei = endpoint.iid
@@ -340,12 +324,12 @@ class BatchedRuleEngine:
         key = (ctx.self_key, ti, ei, kind)
         env = fast.get(key)
         if env is None:
-            ctx.send(target.owner, EdgeAdd(target, endpoint, kind))
             if len(fast) >= _FAST_CACHE_MAX:
                 fast.clear()
-            fast[key] = ctx._outbox[-1]
-        else:
-            outbox.append(env)
+            env = fast[key] = Envelope(
+                ctx.self_key, target.owner, EdgeAdd(target, endpoint, kind)
+            )
+        outbox.append(env)
 
     def _send_cand(
         self, ctx, outbox, target: NodeRef, cand: NodeRef, side: str, wrap: bool = False
@@ -360,12 +344,12 @@ class BatchedRuleEngine:
         key = (ctx.self_key, ti, ci, side, wrap)
         env = fast.get(key)
         if env is None:
-            ctx.send(target.owner, RealCandidate(target, cand, side, wrap))
             if len(fast) >= _FAST_CACHE_MAX:
                 fast.clear()
-            fast[key] = ctx._outbox[-1]
-        else:
-            outbox.append(env)
+            env = fast[key] = Envelope(
+                ctx.self_key, target.owner, RealCandidate(target, cand, side, wrap)
+            )
+        outbox.append(env)
 
     # ------------------------------------------------------------------
     # phase: delayed-assignment delivery
@@ -379,16 +363,6 @@ class BatchedRuleEngine:
         for it in peers:
             actor, inbox = it[0], it[1]
             state = actor.state
-            skip = actor._inbox_skip
-            if skip is not None and skip[1] == inbox:
-                canon = state.canonical()
-                canon0 = skip[0]
-                if canon0 is canon or canon0 == canon:
-                    # proven no-op: the cached apply of this exact inbox
-                    # on this exact state mutated nothing, bumped nothing
-                    actor._inbox_skip = (canon, inbox)
-                    continue
-            ver0 = state.version
             nodes = state.nodes
             peer_id = state.peer_id
             deliver_candidate = actor._deliver_candidate
@@ -428,10 +402,6 @@ class BatchedRuleEngine:
                 add.discard(node.ref)  # self-edge sanitation [D10]
                 if add:
                     refs.update(add)
-            if state.version == ver0 and actor.counters.fires == it[3]:
-                actor._inbox_skip = (state.canonical(), inbox)
-            else:
-                actor._inbox_skip = None
 
     # ------------------------------------------------------------------
     # phase: purge [D7]/[D11]
@@ -768,16 +738,7 @@ class BatchedRuleEngine:
             state = actor.state
             outbox = ctx._outbox
             nodes = state.nodes
-            # the sibling chain only depends on the level set (virtual
-            # ids are deterministic per level), so the sorted chain is
-            # memoized per peer against the level-key tuple
-            levels_key = tuple(nodes)
-            cached = actor._batched_sibs
-            if cached is not None and cached[0] == levels_key:
-                sibs = cached[1]
-            else:
-                sibs = self._sorted_refs([n.ref for n in nodes.values()])
-                actor._batched_sibs = (levels_key, sibs)
+            sibs = self._sorted_refs([n.ref for n in nodes.values()])
             for a, b in zip(sibs, sibs[1:]):
                 nodes[a.level].nc.add(b)
             forward = backward = 0

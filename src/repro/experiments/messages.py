@@ -70,21 +70,17 @@ def run_messages(
     seed: int | None = None,
     root_seed: int = DEFAULT_ROOT_SEED,
     engine: Optional[str] = None,
-    rule_backend: str = "scalar",
 ) -> MessageProfile:
     """Trace one stabilization run's message counts.
 
     ``engine`` selects the simulation kernel (``full``, ``incremental``
     or ``columnar``; default incremental) — the message series is
     engine-invariant, the executed-actor series reports ``n/a`` under
-    the full-scan kernel.  ``rule_backend`` selects the rule pipeline
-    (``scalar`` / ``batched``); the series is backend-invariant too.
+    the full-scan kernel.
     """
     if seed is None:
         seed = SeedSequence(root_seed).child("messages", n=n).seed()
-    net = build_random_network(
-        n=n, seed=seed, record_trace=True, engine=engine, rule_backend=rule_backend
-    )
+    net = build_random_network(n=n, seed=seed, record_trace=True, engine=engine)
     report = net.run_until_stable(max_rounds=20_000)
     # two extra rounds past stability to sample the steady-state rate
     net.run(2)

@@ -96,7 +96,6 @@ def build_ideal_network(
     incremental: bool = True,
     settle_rounds: Optional[int] = None,
     engine: Optional[str] = None,
-    rule_backend: str = "scalar",
 ) -> ReChordNetwork:
     """A network *constructed in* its unique stable topology.
 
@@ -121,9 +120,7 @@ def build_ideal_network(
         settle_rounds = max(64, 12 * int(math.log2(max(2, n))))
     rng = random.Random(seed)
     ids = random_peer_ids(n, rng, space)
-    net = ReChordNetwork(
-        space, config, incremental=incremental, engine=engine, rule_backend=rule_backend
-    )
+    net = ReChordNetwork(space, config, incremental=incremental, engine=engine)
     ideal = compute_ideal(space, ids)
     for pid in ids:
         peer = net.add_peer(pid)

@@ -665,52 +665,14 @@ class ColumnarScheduler(SynchronousScheduler):
         changed_keys: Set[Hashable],
         newly_dirty: Set[Hashable],
     ) -> Tuple[bool, bool]:
-        """Probe + outbox-diff bookkeeping after one actor's step.
-
-        Factored out of pass 1 so the batched backend can defer it until
-        after ``run_batch``; returns ``(state_changed, flow_changed)``.
-        """
-        probes = self._probes.get(key)
-        if probes is None or probes[0] is None:
-            state_changed = True
-            newly_dirty.add(key)
-        else:
-            state_changed = self._probe_refresh(key, probes)
-        if state_changed:
-            changed_keys.add(key)
-            newly_dirty.add(key)
-        flow_changed = False
-        prev_out = self._out.get(key)
-        if prev_out != out:
-            flow_changed = True
-            prev_by: Dict[Hashable, List[Envelope]] = {}
-            for env in prev_out or ():
-                prev_by.setdefault(env.target, []).append(env)
-            new_by: Dict[Hashable, List[Envelope]] = {}
-            for env in out:
-                new_by.setdefault(env.target, []).append(env)
-            # the per-target diff: only these sub-flows need surgery
-            # at the delivery point — unchanged targets keep their
-            # (value-equal) indexed envelopes untouched
-            changed: List[Hashable] = []
-            for target, sub in new_by.items():
-                if prev_by.get(target) != sub:
-                    newly_dirty.add(target)
-                    changed.append(target)
-            for target in prev_by:
-                if target not in new_by:
-                    newly_dirty.add(target)
-                    changed.append(target)
-            h = self._out_hash.get(key, 0)
-            for target in changed:
-                for env in new_by.get(target, ()):
-                    h = (h + _envelope_hash(env)) & _MASK
-                for env in prev_by.get(target, ()):
-                    h = (h - _envelope_hash(env)) & _MASK
-            if key not in self._patched:
-                self._patched[key] = (prev_out, out, changed, prev_by, new_by)
-            self._out[key] = out
-            self._out_hash[key] = h
+        """The parent's post-step bookkeeping, with the outbox patch
+        queued for the delivery point's flow surgery — which touches
+        only the targets whose sub-flow changed, unchanged targets keep
+        their (value-equal) indexed envelopes.  Returns
+        ``(state_changed, flow_changed)``."""
+        state_changed, patch = self._post_step(key, out, changed_keys, newly_dirty)
+        if patch is not None and key not in self._patched:
+            self._patched[key] = patch
         if key not in self._actors:
             # it removed itself during its own step; the parent still
             # delivers THIS step's emissions, so fix the removal
@@ -719,7 +681,7 @@ class ColumnarScheduler(SynchronousScheduler):
                 if record[0] == key:
                     record[2] = list(out)
                     break
-        return state_changed, flow_changed
+        return state_changed, patch is not None
 
     @staticmethod
     def _check_lane_step(key: Hashable, ctx: RoundContext) -> None:
@@ -760,8 +722,10 @@ class ColumnarScheduler(SynchronousScheduler):
         self._in_round = True
 
         # ---- pass 1: materialize + execute the work list ---------------
-        stepper = self._batch_stepper
-        batch: Optional[List[tuple]] = [] if stepper is not None else None
+        # an accepted round (see set_batch_stepper) only collects here and
+        # runs as one batch below; any other round steps interleaved
+        accepted = self._accepted(self._work)
+        batch: List[tuple] = []
         lane_batch: List[tuple] = []
         #: every context of the round in key order (one-shot delivery)
         ctxs: List[RoundContext] = []
@@ -791,10 +755,9 @@ class ColumnarScheduler(SynchronousScheduler):
                 self._settled[key] = round_no
             ctx = RoundContext(round_no, key, self)
             ctxs.append(ctx)
-            if batch is not None:
-                # probe/diff bookkeeping deferred past run_batch;
-                # materializations commute (no mid-round posts under
-                # the batched-backend contract)
+            if accepted:
+                # materializations commute: accepted actors neither post
+                # nor change membership mid-round
                 (lane_batch if lane_only else batch).append((key, actor, inbox, ctx))
                 continue
             run = actor.handle_app if lane_only else actor.step
@@ -811,7 +774,12 @@ class ColumnarScheduler(SynchronousScheduler):
             state_changed_any |= sc
             flow_changed |= fc
         if batch or lane_batch:
-            stepper.run_batch(batch, lane_batch)
+            if tel is None:
+                self._batch_stepper.run_batch(batch, lane_batch)
+            else:
+                _t0 = _perf()
+                self._batch_stepper.run_batch(batch, lane_batch)
+                tel.add_time("kernel.execute", _perf() - _t0, len(batch) + len(lane_batch))
             for key, _actor, _inbox, ctx in batch:
                 sc, fc = self._columnar_post_step(key, ctx._outbox, changed_keys, newly_dirty)
                 state_changed_any |= sc

@@ -91,7 +91,9 @@ rules under non-unit delivery:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple,
+)
 
 from repro.netsim.messages import (
     HASH_MASK as _MASK,
@@ -288,9 +290,9 @@ class SynchronousScheduler:
         #: execution/replay split of the last round (instrumentation)
         self.executed_last_round = 0
         self.replayed_last_round = 0
-        #: optional batched rule backend (see repro.core.rules_batched):
-        #: when set, each round hands the full list of step items to
-        #: ``run_batch`` instead of calling ``actor.step`` one by one
+        #: optional batched rule pipeline (see repro.core.rules_batched):
+        #: the tracked loops hand it every round whose actors it accepts
+        #: (:meth:`set_batch_stepper`) instead of stepping one by one
         self._batch_stepper = None
 
     # ------------------------------------------------------------------
@@ -464,14 +466,17 @@ class SynchronousScheduler:
         self._telemetry = recorder
 
     def set_batch_stepper(self, stepper) -> None:
-        """Install (or clear, with ``None``) a batched rule backend.
+        """Install (or clear, with ``None``) the batched rule pipeline of
+        the activity-tracked round loops.
 
-        ``stepper`` must provide ``run_batch(items)`` where ``items`` is
-        the round's ``[(key, actor, inbox, ctx), ...]`` in key order; it
-        must leave every actor's observable effects (state, ``ctx``
-        outbox, counters, replay hooks) exactly as the equivalent
-        sequence of ``actor.step(inbox, ctx)`` calls would — the
-        equivalence suites compare the two backends bit for bit.
+        ``stepper`` provides ``accepts(actor) -> bool`` and
+        ``run_batch(items)``, ``items`` being a round's ``[(key, actor,
+        inbox, ctx), ...]`` in key order; ``run_batch`` must leave every
+        actor's observable effects (state, ``ctx`` outbox, counters,
+        replay hooks) exactly as the equivalent sequence of
+        ``actor.step(inbox, ctx)`` calls would — the equivalence suites
+        compare it bit for bit against the full-scan kernel, which is
+        the spec and never consults a stepper.
 
         The columnar kernel additionally passes ``run_batch(items,
         lane)``, ``lane`` listing its lane-only rounds in the same shape
@@ -479,12 +484,18 @@ class SynchronousScheduler:
         ``handle_app`` semantics, ordered with the other actors'
         application handlers by key.
 
-        The batched path materializes every inbox before any step runs,
-        so it assumes actors do not post messages or mutate scheduler
-        membership *mid-round* (the Re-Chord actors never do: traffic
-        injection and join/leave/crash all happen between rounds).  A
-        mid-round post under this backend lands in the target's *next*
-        inbox — the scalar semantics for a target that already stepped.
+        **The accepted-round rule.**  A round is handed to the stepper
+        only when it accepts *every* actor on that round's work list —
+        the dirty actors of a tracked round, the awake ones of a partial
+        round, dirty plus lane targets of a columnar round.  Any other
+        round runs interleaved, ``actor.step`` one by one in key order:
+        the path that honours mid-round posts, removals and additions.
+        A batch materializes every inbox before any step runs, so the
+        stepper may accept only actors that never post or change
+        scheduler membership *mid-round* (the Re-Chord peers never do:
+        traffic injection and join/leave/crash happen between rounds);
+        a harness actor that does is not accepted, and every round it
+        is due to step in keeps the spec's interleaving.
         """
         self._batch_stepper = stepper
 
@@ -601,6 +612,10 @@ class SynchronousScheduler:
             for env in batch:
                 cur[(remaining, env.target, _envelope_canon(env))] += 1
         return cur
+
+    def _inbox_hash(self) -> int:
+        """The pending hash recomputed exactly over all inboxes."""
+        return sum(_envelope_hash(env) for box in self._inboxes.values() for env in box) & _MASK
 
     def _drain_matured(self, round_no: int) -> Tuple[int, int]:
         """Deliver envelopes scheduled for consumption in ``round_no + 1``.
@@ -743,12 +758,14 @@ class SynchronousScheduler:
 
     # -- legacy full-scan kernel (activity_tracking=False) --------------
     def _run_round_full(self, active: Optional[set]) -> None:
+        """The executable spec: every (active) actor steps, one by one in
+        key order, through its own ``step`` — never a batch stepper."""
         round_no = self._round
-        tel = self._telemetry
-        _t0 = _perf() if tel is not None else 0.0
-        ctxs: List[RoundContext] = []
-        stepper = self._batch_stepper
-        batch: Optional[List[tuple]] = [] if stepper is not None else None
+        _t0 = _perf() if self._telemetry is not None else 0.0
+        # an actor's one-shot sends are delivered right after its steady
+        # emissions — the inbox order every other kernel reproduces
+        outboxes: List[List[Envelope]] = []
+        executed = 0
         # Snapshot keys: actors added mid-round (e.g. by a join event
         # processed inside another actor) first step next round.
         keys = sorted(self._actors)
@@ -761,22 +778,44 @@ class SynchronousScheduler:
             inbox = self._inboxes.get(key, [])
             self._inboxes[key] = []
             ctx = RoundContext(round_no, key, self)
-            if batch is None:
-                actor.step(inbox, ctx)
-            else:
-                batch.append((key, actor, inbox, ctx))
-            ctxs.append(ctx)
-        if batch:
-            stepper.run_batch(batch)
-        # an actor's one-shot sends are delivered right after its steady
-        # emissions — the inbox order every other kernel reproduces
-        outboxes = [out for ctx in ctxs for out in (ctx._outbox, ctx._once) if out]
+            actor.step(inbox, ctx)
+            executed += 1
+            outboxes.append(ctx._outbox)
+            if ctx._once:
+                outboxes.append(ctx._once)
+        # the full-scan kernel executes every stepped actor
+        self._deliver_round(round_no, outboxes, len(keys), executed, 0, _t0)
+        self._round += 1
 
+    def _deliver_round(
+        self,
+        round_no: int,
+        outboxes: List[List[Envelope]],
+        actors: int,
+        executed: int,
+        replayed: int,
+        step_t0: float,
+    ) -> Tuple[int, int]:
+        """The delivery point of every round loop of this kernel.
+
+        Matured delayed sends land first, then the round's ``outboxes``
+        in order: each envelope is scheduled (delay beyond one round),
+        dropped (dead target or drop filter) or appended to its target's
+        inbox.  Closes the ``kernel.step`` span opened at ``step_t0``
+        and records the round with the telemetry plane (envelope census
+        by payload type included) and the trace recorder.  Returns
+        ``(matured, dropped_hash)``: the delayed deliveries that landed,
+        and the pending-hash contribution of the dropped sends — sends
+        counted by their sender's outbox hash that never reach an inbox.
+        """
+        tel = self._telemetry
         if tel is not None:
-            tel.add_time("kernel.step", _perf() - _t0, len(ctxs))
-            _t0 = _perf()
+            tel.add_time("kernel.step", _perf() - step_t0, executed + replayed)
+            step_t0 = _perf()
         sent = 0
-        _, dropped = self._drain_matured(round_no)
+        dropped_hash = 0
+        matured, dropped = self._drain_matured(round_no)
+        inboxes = self._inboxes
         flt = self._drop_filter
         delivery = self._delivery
         unit = delivery.is_unit
@@ -788,31 +827,34 @@ class SynchronousScheduler:
                     if d > 1:
                         self._future.setdefault(round_no + d, []).append(env)
                         continue
-                box = self._inboxes.get(env.target)
+                box = inboxes.get(env.target)
                 if box is None or (flt is not None and flt(env)):
                     dropped += 1
+                    dropped_hash += _envelope_hash(env)
                     continue
                 box.append(env)
         self.dropped_last_round = dropped
         if tel is not None:
-            tel.add_time("kernel.deliver", _perf() - _t0)
+            tel.add_time("kernel.deliver", _perf() - step_t0)
             msg = tel.messages
             for outbox in outboxes:
                 for env in outbox:
                     msg[type(env.payload).__name__] += 1
-            # the full-scan kernel executes every stepped actor
-            tel.on_round(sent=sent, dropped=dropped,
-                         executed=len(ctxs), replayed=0)
+            tel.on_round(sent=sent, dropped=dropped, executed=executed, replayed=replayed)
         if self._trace is not None:
-            self._trace.record_round(round_no, actors=len(keys), sent=sent, dropped=dropped)
-        self._round += 1
+            self._trace.record_round(
+                round_no, actors=actors, sent=sent, dropped=dropped,
+                # the full-scan kernel reports no execute/replay split
+                executed=executed if self.activity_tracking else -1,
+            )
+        return matured, dropped_hash
 
     def _probe_refresh(self, key: Hashable, probes: tuple) -> bool:
         """Refresh an executed actor's probe baselines after its step.
 
-        Returns whether the exact state token changed (updating the
-        version/token caches and the rolling state hash exactly like the
-        inline block of the tracked hot loop).
+        Returns whether the exact state token changed: the cheap version
+        counter says *possibly*, the token confirms, and only then do
+        the version/token caches and the rolling state hash move.
         """
         version = probes[0]()
         if version != self._ver.get(key):
@@ -827,36 +869,114 @@ class SynchronousScheduler:
                 return True
         return False
 
-    def _stage_once(
+    def _post_step(
         self,
-        once: List[Envelope],
-        contributions: List[List[Envelope]],
+        key: Hashable,
+        out: List[Envelope],
+        changed_keys: Set[Hashable],
         newly_dirty: Set[Hashable],
-    ) -> int:
-        """Queue an executed step's one-shot sends for this round's
-        delivery, right after the actor's steady outbox.
+    ) -> Tuple[bool, Optional[tuple]]:
+        """Boundary bookkeeping after one executed step.
 
-        The whole lane contract of the tracked loops: a one-shot's
-        target executes the round it consumes it.  Nothing else is
-        needed — the one-shots never enter ``_out``, so sender and
-        target both stay valid replay templates.  Returns the sends'
-        pending-hash contribution.
+        Refreshes the actor's probe baselines, diffs its outbox against
+        the steady-emission cache and wakes only the targets whose
+        per-sender sub-flow actually changed (receivers of messages that
+        stopped, started, or were reordered), not every receiver of an
+        otherwise-stable emission.  Returns ``(state_changed, patch)``;
+        ``patch`` is ``None`` when the outbox repeats the cached one —
+        a replayed actor repeats its contribution verbatim, so only a
+        patch can make the next boundary's pending set differ — and
+        otherwise ``(prev_out, out, changed_targets, prev_by, new_by)``,
+        the per-target diff the columnar kernel's flow surgery consumes.
         """
-        contributions.append(once)
-        total = 0
-        for env in once:
-            newly_dirty.add(env.target)
-            total += _envelope_hash(env)
-        self._lane_flag = True  # consumed next round: that boundary differs too
-        return total & _MASK
+        probes = self._probes.get(key)
+        if probes is None or probes[0] is None:
+            state_changed = True  # untracked actor: assume changed, never replay
+        else:
+            state_changed = self._probe_refresh(key, probes)
+        if state_changed:
+            changed_keys.add(key)
+            newly_dirty.add(key)
+        prev_out = self._out.get(key)
+        if prev_out == out:
+            return state_changed, None
+        prev_by: Dict[Hashable, List[Envelope]] = {}
+        for env in prev_out or ():
+            prev_by.setdefault(env.target, []).append(env)
+        new_by: Dict[Hashable, List[Envelope]] = {}
+        for env in out:
+            new_by.setdefault(env.target, []).append(env)
+        changed = [t for t, sub in new_by.items() if prev_by.get(t) != sub]
+        changed.extend(t for t in prev_by if t not in new_by)
+        newly_dirty.update(changed)
+        self._out[key] = out
+        self._out_hash[key] = _outbox_hash(out)
+        return state_changed, (prev_out, out, changed, prev_by, new_by)
+
+    def _accepted(self, work: Iterable[Hashable]) -> bool:
+        """Whether this round goes to the batch stepper: one is installed
+        and accepts every actor on the round's work list (the accepted-
+        round rule of :meth:`set_batch_stepper`)."""
+        stepper = self._batch_stepper
+        if stepper is None:
+            return False
+        accepts = stepper.accepts
+        actors = self._actors
+        return all(accepts(actors[key]) for key in work)
+
+    def _step_work(
+        self, keys: List[Hashable], dirty: Set[Hashable], round_no: int
+    ) -> Iterator[Tuple[Hashable, Optional[RoundContext]]]:
+        """Run the round's steps; yield ``(key, ctx)`` per live actor of
+        ``keys`` in key order, each *after* its step ran.
+
+        Actors in ``dirty`` execute, the others replay (inbox consumed —
+        it provably repeats the last executed one, a known no-op on
+        state — and cached side effects re-applied); ``ctx`` is ``None``
+        for a replay.  An accepted round is collected, handed to the
+        stepper in one ``run_batch`` and then yielded in key order.  Any
+        other round is interleaved: each actor steps when its key comes
+        up and is yielded at once, so the caller's bookkeeping and
+        anything the step did to the scheduler (a mid-round post makes
+        its target execute, a removed actor never steps) take effect
+        before the next actor runs.
+        """
+        actors, inboxes = self._actors, self._inboxes
+        batch: Optional[List[tuple]] = (
+            [] if self._accepted(key for key in keys if key in dirty) else None
+        )
+        plan: List[tuple] = []
+        for key in keys:
+            actor = actors.get(key)
+            if actor is None:  # removed by an earlier actor this round
+                continue
+            if key in dirty or key in self._posted_mid_round:
+                inbox = inboxes.get(key, [])
+                inboxes[key] = []
+                ctx = RoundContext(round_no, key, self)
+                if batch is None:
+                    actor.step(inbox, ctx)
+                else:
+                    batch.append((key, actor, inbox, ctx))
+            else:
+                ctx = None
+                if inboxes.get(key):
+                    inboxes[key] = []
+                replay_fn = self._probes.get(key, (None, None, None))[2]
+                if replay_fn is not None:
+                    replay_fn()
+            if batch is None:
+                yield key, ctx
+            else:
+                plan.append((key, ctx))
+        if batch:
+            self._batch_stepper.run_batch(batch)
+        yield from plan
 
     # -- activity-tracked kernel, full activation ------------------------
     def _run_round_tracked(self) -> None:
-        if self._batch_stepper is not None:
-            return self._run_round_tracked_batched(self._batch_stepper)
         round_no = self._round
-        tel = self._telemetry
-        _t0 = _perf() if tel is not None else 0.0
+        _t0 = _perf() if self._telemetry is not None else 0.0
         keys = sorted(self._actors)
         state_changed_any = False
         # posts / membership / pending one-shot mail since the last round
@@ -879,125 +999,46 @@ class SynchronousScheduler:
         self._dirty_carry = set()
         self._posted_mid_round = set()
         self._in_round = True
-        for key in keys:
-            actor = self._actors.get(key)
-            if actor is None:  # removed by an earlier actor this round
-                continue
-            if key in dirty or key in self._posted_mid_round:
-                executed += 1
-                inbox = self._inboxes.get(key, [])
-                self._inboxes[key] = []
-                ctx = RoundContext(round_no, key, self)
-                actor.step(inbox, ctx)
-                out = ctx._outbox
-                probes = self._probes.get(key)
-                ver_fn = probes[0] if probes else None
-                if ver_fn is None:
-                    # untracked actor: assume changed, never replay
-                    state_changed = True
-                    newly_dirty.add(key)
-                else:
-                    state_changed = False
-                    version = ver_fn()
-                    if version != self._ver.get(key):
-                        # possibly changed; confirm with the exact token
-                        self._ver[key] = version
-                        tok = probes[1]()
-                        if tok != self._tok.get(key):
-                            self._tok[key] = tok
-                            old_h = self._tok_hash.get(key, 0)
-                            h = hash(tok) & _MASK
-                            self._tok_hash[key] = h
-                            self._state_hash = (self._state_hash - old_h + h) & _MASK
-                            state_changed = True
-                if state_changed:
-                    state_changed_any = True
-                    changed_keys.add(key)
-                    newly_dirty.add(key)
-                prev_out = self._out.get(key)
-                if prev_out != out:
-                    # this actor's flow changed: the next boundary's
-                    # pending set cannot repeat the previous one (exact —
-                    # a replayed actor repeats its contribution verbatim)
-                    flow_changed = True
-                    # wake only the targets whose per-sender sub-flow
-                    # actually changed (receivers of messages that
-                    # stopped, started, or were reordered), not every
-                    # receiver of an otherwise-stable emission
-                    prev_by: Dict[Hashable, List[Envelope]] = {}
-                    for env in prev_out or ():
-                        prev_by.setdefault(env.target, []).append(env)
-                    new_by: Dict[Hashable, List[Envelope]] = {}
-                    for env in out:
-                        new_by.setdefault(env.target, []).append(env)
-                    for target, sub in new_by.items():
-                        if prev_by.get(target) != sub:
-                            newly_dirty.add(target)
-                    for target in prev_by:
-                        if target not in new_by:
-                            newly_dirty.add(target)
-                    self._out[key] = out
-                    self._out_hash[key] = _outbox_hash(out)
-                contributions.append(self._out[key])
-                new_pending = (new_pending + self._out_hash[key]) & _MASK
-                if ctx._once:
-                    flow_changed = True
-                    new_pending = (
-                        new_pending + self._stage_once(ctx._once, contributions, newly_dirty)
-                    ) & _MASK
-            else:
-                # quiescent: replay the steady emissions without rules
+        for key, ctx in self._step_work(keys, dirty, round_no):
+            if ctx is None:
+                # quiescent: the steady emissions repeat without rules
                 replayed += 1
-                box = self._inboxes.get(key)
-                if box:
-                    # the inbox provably repeats the last executed one;
-                    # consuming it is a known no-op on state
-                    self._inboxes[key] = []
-                replay_fn = self._probes.get(key, (None, None, None))[2]
-                if replay_fn is not None:
-                    replay_fn()
-                out = self._out.get(key, [])
-                contributions.append(out)
-                new_pending = (new_pending + self._out_hash.get(key, 0)) & _MASK
+                contributions.append(self._out.get(key, []))
+                new_pending += self._out_hash.get(key, 0)
+                continue
+            executed += 1
+            state_changed, patch = self._post_step(
+                key, ctx._outbox, changed_keys, newly_dirty
+            )
+            if state_changed:
+                state_changed_any = True
+            if patch is not None:
+                flow_changed = True
+            contributions.append(self._out[key])
+            new_pending += self._out_hash[key]
+            if ctx._once:
+                # one-shot sends go out right after the steady outbox.  The
+                # whole lane contract of the tracked loops: a one-shot's
+                # target executes the round it consumes it — the sends never
+                # enter ``_out``, so sender and target both stay valid
+                # replay templates
+                contributions.append(ctx._once)
+                for env in ctx._once:
+                    newly_dirty.add(env.target)
+                    new_pending += _envelope_hash(env)
+                flow_changed = True
+                self._lane_flag = True  # consumed next round: that boundary differs too
 
-        if tel is not None:
-            tel.add_time("kernel.step", _perf() - _t0, executed + replayed)
-            _t0 = _perf()
-        sent = 0
-        inboxes = self._inboxes
-        flt = self._drop_filter
-        delivery = self._delivery
-        unit = delivery.is_unit
+        unit = self._delivery.is_unit
         # token mode: an exact multiset comparison of the whole pending
         # structure replaces the unit-mode flow flags while non-unit
         # delivery is (or until recently was) in effect — entered when a
         # non-unit model is installed or scheduled envelopes exist, left
         # one round after the last scheduled envelope drained
         token_mode = (not unit) or bool(self._future) or self._prev_pending is not None
-        matured, dropped = self._drain_matured(round_no)
-        for outbox in contributions:
-            for env in outbox:
-                sent += 1
-                if not unit:
-                    d = delivery.delay(env)
-                    if d > 1:
-                        self._future.setdefault(round_no + d, []).append(env)
-                        continue
-                box = inboxes.get(env.target)
-                if box is None or (flt is not None and flt(env)):
-                    dropped += 1
-                    new_pending = (new_pending - _envelope_hash(env)) & _MASK
-                    continue
-                box.append(env)
-        self.dropped_last_round = dropped
-        if tel is not None:
-            tel.add_time("kernel.deliver", _perf() - _t0)
-            msg = tel.messages
-            for outbox in contributions:
-                for env in outbox:
-                    msg[type(env.payload).__name__] += 1
-            tel.on_round(sent=sent, dropped=dropped,
-                         executed=executed, replayed=replayed)
+        matured, dropped_hash = self._deliver_round(
+            round_no, contributions, len(keys), executed, replayed, _t0
+        )
         if token_mode:
             cur = self._pending_counter()
             pending_changed = (
@@ -1009,11 +1050,7 @@ class SynchronousScheduler:
             # the rolling inbox hash cannot be derived from outbox
             # contributions under latency (some sends were scheduled,
             # matured envelopes arrived): recompute it exactly
-            pending = 0
-            for box in inboxes.values():
-                for env in box:
-                    pending = (pending + _envelope_hash(env)) & _MASK
-            self._pending_hash = pending
+            self._pending_hash = self._inbox_hash()
             if unit and not self._future and not matured:
                 # fully drained AND no matured delivery still sitting in
                 # an inbox: the next boundary's pending set is entirely
@@ -1023,7 +1060,7 @@ class SynchronousScheduler:
                 self._prev_pending = cur
             self.changed_last_round = state_changed_any or pending_changed
         else:
-            self._pending_hash = new_pending
+            self._pending_hash = (new_pending - dropped_hash) & _MASK
             self.changed_last_round = state_changed_any or flow_changed
         self.state_changed_keys = changed_keys
         self.executed_last_round = executed
@@ -1033,179 +1070,6 @@ class SynchronousScheduler:
         newly_dirty |= carry_due
         newly_dirty |= self._dirty  # marks added mid-round
         self._dirty = newly_dirty
-        if self._trace is not None:
-            self._trace.record_round(
-                round_no, actors=len(keys), sent=sent, dropped=dropped, executed=executed
-            )
-        self._round += 1
-
-    # -- activity-tracked kernel, full activation, batched backend -------
-    def _run_round_tracked_batched(self, stepper) -> None:
-        """:meth:`_run_round_tracked` over a batched rule backend.
-
-        Same round structure in two passes: pass A decides execute vs.
-        replay per key (in key order), pops inboxes, performs the
-        replays, and collects the execute items; the stepper then runs
-        the whole batch; pass B does the probe checks and outbox diffs
-        in the same key order, so contributions, wake-ups and hashes are
-        computed exactly as the scalar interleaving would.  Relies on
-        the no-mid-round-posts contract of :meth:`set_batch_stepper`
-        (``_posted_mid_round`` stays empty for Re-Chord actors).
-        """
-        round_no = self._round
-        tel = self._telemetry
-        _t0 = _perf() if tel is not None else 0.0
-        keys = sorted(self._actors)
-        state_changed_any = False
-        # posts / membership / pending one-shot mail since the last round
-        flow_changed = self._flow_flag or self._lane_flag
-        self._flow_flag = False
-        self._lane_flag = False
-        changed_keys: Set[Hashable] = set()
-        newly_dirty: Set[Hashable] = set()
-        contributions: List[List[Envelope]] = []
-        executed = 0
-        replayed = 0
-        new_pending = 0
-        dirty = self._dirty
-        self._dirty = set()
-        carry_due = self._dirty_carry
-        self._dirty_carry = set()
-        self._posted_mid_round = set()
-        self._in_round = True
-        # pass A: replay the quiescent actors, collect the dirty ones
-        plan: List[tuple] = []  # (key, ctx or None)
-        batch: List[tuple] = []
-        for key in keys:
-            actor = self._actors.get(key)
-            if actor is None:
-                continue
-            if key in dirty:
-                executed += 1
-                inbox = self._inboxes.get(key, [])
-                self._inboxes[key] = []
-                ctx = RoundContext(round_no, key, self)
-                batch.append((key, actor, inbox, ctx))
-                plan.append((key, ctx))
-            else:
-                replayed += 1
-                if self._inboxes.get(key):
-                    self._inboxes[key] = []
-                replay_fn = self._probes.get(key, (None, None, None))[2]
-                if replay_fn is not None:
-                    replay_fn()
-                plan.append((key, None))
-        if batch:
-            stepper.run_batch(batch)
-        # pass B: probe checks, outbox diffs and contributions, key order
-        for key, ctx in plan:
-            if ctx is None:
-                out = self._out.get(key, [])
-                contributions.append(out)
-                new_pending = (new_pending + self._out_hash.get(key, 0)) & _MASK
-                continue
-            out = ctx._outbox
-            probes = self._probes.get(key)
-            if probes is None or probes[0] is None:
-                state_changed = True
-                newly_dirty.add(key)
-            else:
-                state_changed = self._probe_refresh(key, probes)
-            if state_changed:
-                state_changed_any = True
-                changed_keys.add(key)
-                newly_dirty.add(key)
-            prev_out = self._out.get(key)
-            if prev_out != out:
-                flow_changed = True
-                prev_by: Dict[Hashable, List[Envelope]] = {}
-                for env in prev_out or ():
-                    prev_by.setdefault(env.target, []).append(env)
-                new_by: Dict[Hashable, List[Envelope]] = {}
-                for env in out:
-                    new_by.setdefault(env.target, []).append(env)
-                for target, sub in new_by.items():
-                    if prev_by.get(target) != sub:
-                        newly_dirty.add(target)
-                for target in prev_by:
-                    if target not in new_by:
-                        newly_dirty.add(target)
-                self._out[key] = out
-                self._out_hash[key] = _outbox_hash(out)
-            contributions.append(self._out[key])
-            new_pending = (new_pending + self._out_hash[key]) & _MASK
-            if ctx._once:
-                flow_changed = True
-                new_pending = (
-                    new_pending + self._stage_once(ctx._once, contributions, newly_dirty)
-                ) & _MASK
-
-        if tel is not None:
-            tel.add_time("kernel.step", _perf() - _t0, executed + replayed)
-            _t0 = _perf()
-        sent = 0
-        inboxes = self._inboxes
-        flt = self._drop_filter
-        delivery = self._delivery
-        unit = delivery.is_unit
-        token_mode = (not unit) or bool(self._future) or self._prev_pending is not None
-        matured, dropped = self._drain_matured(round_no)
-        for outbox in contributions:
-            for env in outbox:
-                sent += 1
-                if not unit:
-                    d = delivery.delay(env)
-                    if d > 1:
-                        self._future.setdefault(round_no + d, []).append(env)
-                        continue
-                box = inboxes.get(env.target)
-                if box is None or (flt is not None and flt(env)):
-                    dropped += 1
-                    new_pending = (new_pending - _envelope_hash(env)) & _MASK
-                    continue
-                box.append(env)
-        self.dropped_last_round = dropped
-        if tel is not None:
-            tel.add_time("kernel.deliver", _perf() - _t0)
-            msg = tel.messages
-            for outbox in contributions:
-                for env in outbox:
-                    msg[type(env.payload).__name__] += 1
-            tel.on_round(sent=sent, dropped=dropped,
-                         executed=executed, replayed=replayed)
-        if token_mode:
-            cur = self._pending_counter()
-            pending_changed = (
-                self._pending_force_changed
-                or self._prev_pending is None
-                or cur != self._prev_pending
-            )
-            self._pending_force_changed = False
-            pending = 0
-            for box in inboxes.values():
-                for env in box:
-                    pending = (pending + _envelope_hash(env)) & _MASK
-            self._pending_hash = pending
-            if unit and not self._future and not matured:
-                self._prev_pending = None
-            else:
-                self._prev_pending = cur
-            self.changed_last_round = state_changed_any or pending_changed
-        else:
-            self._pending_hash = new_pending
-            self.changed_last_round = state_changed_any or flow_changed
-        self.state_changed_keys = changed_keys
-        self.executed_last_round = executed
-        self.replayed_last_round = replayed
-        self._in_round = False
-        self._posted_mid_round = set()
-        newly_dirty |= carry_due
-        newly_dirty |= self._dirty  # marks added mid-round
-        self._dirty = newly_dirty
-        if self._trace is not None:
-            self._trace.record_round(
-                round_no, actors=len(keys), sent=sent, dropped=dropped, executed=executed
-            )
         self._round += 1
 
     # -- activity-tracked kernel, partial activation ---------------------
@@ -1219,92 +1083,31 @@ class SynchronousScheduler:
         exact so later full rounds still detect stability correctly.
         """
         round_no = self._round
-        tel = self._telemetry
-        _t0 = _perf() if tel is not None else 0.0
+        _t0 = _perf() if self._telemetry is not None else 0.0
         keys = sorted(self._actors)
         outboxes: List[List[Envelope]] = []
         executed = 0
         changed_keys: Set[Hashable] = set()
-        stepper = self._batch_stepper
-        batch: Optional[List[tuple]] = [] if stepper is not None else None
-        for key in keys:
-            if key not in active:
-                continue
-            actor = self._actors.get(key)
-            if actor is None:
-                continue
+        awake = [key for key in keys if key in active]
+        for key, ctx in self._step_work(awake, active, round_no):
             executed += 1
-            inbox = self._inboxes.get(key, [])
-            self._inboxes[key] = []
-            ctx = RoundContext(round_no, key, self)
-            if batch is None:
-                actor.step(inbox, ctx)
-            else:
-                batch.append((key, actor, inbox, ctx))
-                continue  # probe/cache refresh deferred past run_batch
             out = ctx._outbox
             outboxes.append(out)
             if ctx._once:
                 outboxes.append(ctx._once)
             probes = self._probes.get(key)
-            if probes and probes[0] is not None:
-                if self._probe_refresh(key, probes):
-                    changed_keys.add(key)
+            if probes and probes[0] is not None and self._probe_refresh(key, probes):
+                changed_keys.add(key)
             # refresh the emission cache with this (accumulated-inbox)
             # execution so a later identity round can go quiescent
             self._out[key] = out
             self._out_hash[key] = _outbox_hash(out)
-        if batch:
-            stepper.run_batch(batch)
-            for key, _actor, _inbox, ctx in batch:
-                out = ctx._outbox
-                outboxes.append(out)
-                if ctx._once:
-                    outboxes.append(ctx._once)
-                probes = self._probes.get(key)
-                if probes and probes[0] is not None:
-                    if self._probe_refresh(key, probes):
-                        changed_keys.add(key)
-                self._out[key] = out
-                self._out_hash[key] = _outbox_hash(out)
 
-        if tel is not None:
-            tel.add_time("kernel.step", _perf() - _t0, executed)
-            _t0 = _perf()
-        sent = 0
-        matured, dropped = self._drain_matured(round_no)
-        flt = self._drop_filter
-        delivery = self._delivery
-        unit = delivery.is_unit
-        for outbox in outboxes:
-            for env in outbox:
-                sent += 1
-                if not unit:
-                    d = delivery.delay(env)
-                    if d > 1:
-                        self._future.setdefault(round_no + d, []).append(env)
-                        continue
-                box = self._inboxes.get(env.target)
-                if box is None or (flt is not None and flt(env)):
-                    dropped += 1
-                    continue
-                box.append(env)
-        self.dropped_last_round = dropped
-        if tel is not None:
-            tel.add_time("kernel.deliver", _perf() - _t0)
-            msg = tel.messages
-            for outbox in outboxes:
-                for env in outbox:
-                    msg[type(env.payload).__name__] += 1
-            tel.on_round(sent=sent, dropped=dropped,
-                         executed=executed, replayed=0)
+        unit = self._delivery.is_unit
+        matured, _ = self._deliver_round(round_no, outboxes, len(keys), executed, 0, _t0)
         # pending hash cannot be derived from contributions alone here
         # (sleepers kept their inboxes): recompute it exactly
-        pending = 0
-        for box in self._inboxes.values():
-            for env in box:
-                pending = (pending + _envelope_hash(env)) & _MASK
-        self._pending_hash = pending
+        self._pending_hash = self._inbox_hash()
         # keep the token-mode baseline current so a later *full* round's
         # exact pending comparison starts from this boundary
         self._pending_force_changed = False
@@ -1318,10 +1121,6 @@ class SynchronousScheduler:
         self.executed_last_round = executed
         self.replayed_last_round = 0
         self._dirty = set(self._actors)
-        if self._trace is not None:
-            self._trace.record_round(
-                round_no, actors=len(keys), sent=sent, dropped=dropped, executed=executed
-            )
         self._round += 1
 
     def run(self, rounds: int) -> None:

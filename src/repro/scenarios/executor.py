@@ -138,7 +138,6 @@ def _build_start(
     seq: SeedSequence,
     incremental: bool,
     engine: Optional[str] = None,
-    rule_backend: str = "scalar",
 ) -> ReChordNetwork:
     """Materialize the campaign's initial topology."""
     params = dict(spec.start_params)
@@ -148,14 +147,10 @@ def _build_start(
     corrupt = params.pop("corrupt", False)
     corrupt_kw = dict(corrupt) if isinstance(corrupt, dict) else {}
     if spec.start == "ideal":
-        net = build_ideal_network(
-            spec.n, build_seed, incremental=incremental, engine=engine,
-            rule_backend=rule_backend,
-        )
+        net = build_ideal_network(spec.n, build_seed, incremental=incremental, engine=engine)
     elif spec.start == "random":
         net = build_random_network(
-            spec.n, build_seed, incremental=incremental, engine=engine,
-            rule_backend=rule_backend, **params
+            spec.n, build_seed, incremental=incremental, engine=engine, **params
         )
     elif spec.start == "two_rings":
         rng = seq.child("ids").rng()
@@ -163,14 +158,10 @@ def _build_start(
 
         space = IdSpace()
         ids = random_peer_ids(spec.n, rng, space)
-        net = build_two_rings_network(
-            ids, space, incremental=incremental, engine=engine,
-            rule_backend=rule_backend,
-        )
+        net = build_two_rings_network(ids, space, incremental=incremental, engine=engine)
     else:  # a degenerate shape
         net = build_shaped_network(
-            spec.start, spec.n, build_seed, incremental=incremental, engine=engine,
-            rule_backend=rule_backend,
+            spec.start, spec.n, build_seed, incremental=incremental, engine=engine
         )
     if corrupt:
         corrupt_network(net, seq.child("corrupt").seed(), **corrupt_kw)
@@ -207,7 +198,6 @@ def run_scenario(
     incremental: bool = True,
     engine: Optional[str] = None,
     telemetry: object = None,
-    rule_backend: str = "scalar",
 ) -> ScenarioReport:
     """Execute one campaign and report recovery + SLO metrics.
 
@@ -229,7 +219,7 @@ def run_scenario(
     :meth:`ReChordNetwork.enable_telemetry`).
     """
     seq = SeedSequence(spec.seed).child("scenario", spec.name, n=spec.n)
-    net = _build_start(spec, seq, incremental, engine=engine, rule_backend=rule_backend)
+    net = _build_start(spec, seq, incremental, engine=engine)
     recorder = None
     if telemetry:
         recorder = net.enable_telemetry(None if telemetry is True else telemetry)

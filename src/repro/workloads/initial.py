@@ -71,7 +71,6 @@ def build_random_network(
     record_trace: bool = False,
     incremental: bool = True,
     engine: Optional[str] = None,
-    rule_backend: str = "scalar",
 ) -> ReChordNetwork:
     """The paper's Section 5 workload: a random weakly connected start.
 
@@ -87,8 +86,7 @@ def build_random_network(
     rng = random.Random(seed)
     ids = random_peer_ids(n, rng, space)
     net = ReChordNetwork(
-        space, config, record_trace=record_trace, incremental=incremental,
-        engine=engine, rule_backend=rule_backend,
+        space, config, record_trace=record_trace, incremental=incremental, engine=engine
     )
     edges = gnp_connected_graph(n, extra_edge_prob, rng) if n > 1 else []
     return _wire(net, ids, edges, rng)
@@ -102,7 +100,6 @@ def build_shaped_network(
     config: Optional[RuleConfig] = None,
     incremental: bool = True,
     engine: Optional[str] = None,
-    rule_backend: str = "scalar",
 ) -> ReChordNetwork:
     """A degenerate initial shape (see :data:`SHAPES`)."""
     try:
@@ -112,9 +109,7 @@ def build_shaped_network(
     space = space if space is not None else IdSpace()
     rng = random.Random(seed)
     ids = random_peer_ids(n, rng, space)
-    net = ReChordNetwork(
-        space, config, incremental=incremental, engine=engine, rule_backend=rule_backend
-    )
+    net = ReChordNetwork(space, config, incremental=incremental, engine=engine)
     return _wire(net, ids, maker(n) if n > 1 else [], rng)
 
 
@@ -124,7 +119,6 @@ def build_two_rings_network(
     config: Optional[RuleConfig] = None,
     incremental: bool = True,
     engine: Optional[str] = None,
-    rule_backend: str = "scalar",
 ) -> ReChordNetwork:
     """The interleaved two-ring split that permanently breaks classic Chord.
 
@@ -137,9 +131,7 @@ def build_two_rings_network(
     adversarial concession the model requires.
     """
     space = space if space is not None else IdSpace()
-    net = ReChordNetwork(
-        space, config, incremental=incremental, engine=engine, rule_backend=rule_backend
-    )
+    net = ReChordNetwork(space, config, incremental=incremental, engine=engine)
     ordered = sorted(ids)
     for u in ordered:
         net.add_peer(u)

@@ -104,3 +104,30 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["scenario", "seam-crash", "--latency-model", "bogus"],
+             "unknown delivery model 'bogus'"),
+            (["scenario", "seam-crash", "--latency-model", "constant:delay=x"],
+             "bad parameter 'delay=x' (expected a number)"),
+            (["scenario", "seam-crash", "--daemon", "partial:p=7"],
+             "activation probability must be in (0, 1]"),
+            (["scenario", "nope"], "unknown scenario 'nope'; choose from"),
+            (["scenario", "--spec", "/nonexistent.json"], "No such file"),
+            (["scenario", "--spec", "MALFORMED"], "--spec"),
+        ],
+    )
+    def test_bad_input_is_a_diagnostic_not_a_traceback(self, argv, message, capsys, tmp_path):
+        if "MALFORMED" in argv:
+            path = tmp_path / "spec.json"
+            path.write_text('{"name": "x", ')
+            argv = [str(path) if a == "MALFORMED" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rechord: error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+

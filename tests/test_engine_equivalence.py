@@ -321,28 +321,26 @@ class TestTelemetryCensusEquivalence:
 
 
 class TestRuleBackendMatrix:
-    """The full equivalence matrix: kernel × rule backend.
+    """The equivalence matrix: spec × fast.
 
     One seeded campaign — stabilization, a latency model, live KV
     traffic, a crash, a transient partition and a join — is driven
-    through every (engine, rule_backend) cell; fingerprints, rule
-    counters, SLO outcome ledgers and the telemetry counter census must
-    be identical across all six cells.
+    through every engine: the full-scan kernel on the scalar rule
+    pipeline (the spec) and both activity-tracked kernels on the batched
+    one; fingerprints, rule counters, SLO outcome ledgers and the
+    telemetry counter census must be identical across all of them.
     """
 
     ENGINES = ("full", "incremental", "columnar")
-    BACKENDS = ("scalar", "batched")
 
     @staticmethod
-    def _campaign(engine: str, backend: str):
+    def _campaign(engine: str):
         from repro.dht.lookup import ReChordRouter
         from repro.dht.storage import KeyValueStore
         from repro.traffic import TrafficPlane, WorkloadGenerator
         from repro.traffic.messages import OP_GET, OP_LOOKUP, OP_PUT
 
-        net = build_random_network(
-            n=12, seed=31, engine=engine, rule_backend=backend
-        )
+        net = build_random_network(n=12, seed=31, engine=engine)
         net.enable_telemetry()
         net.run_until_stable(max_rounds=5000)
         net.set_delivery_model({"kind": "reorder", "bound": 3, "seed": 21})
@@ -379,14 +377,10 @@ class TestRuleBackendMatrix:
         }
 
     def test_matrix_identical_observables(self):
-        cells = {
-            (engine, backend): self._campaign(engine, backend)
-            for engine in self.ENGINES
-            for backend in self.BACKENDS
-        }
-        reference = cells[("full", "scalar")]
-        for key, cell in cells.items():
+        cells = {engine: self._campaign(engine) for engine in self.ENGINES}
+        reference = cells["full"]
+        for engine, cell in cells.items():
             for field in ("fingerprint", "counters", "census", "outcomes"):
                 assert cell[field] == reference[field], (
-                    f"{field} diverged at {key} vs. (full, scalar)"
+                    f"{field} diverged at {engine} vs. the full-scan spec"
                 )

@@ -182,74 +182,39 @@ class TestStableFingerprintMatchesReference:
 
 
 # ----------------------------------------------------------------------
-# the batched rule backend under fuzz
+# spec vs. fast under fuzz
 # ----------------------------------------------------------------------
-class TestBatchedBackendFuzz:
-    """Hypothesis-driven topologies + churn under ``rule_backend="batched"``.
+class TestSpecVsFastFuzz:
+    """Hypothesis-driven topologies + churn, spec against fast path.
 
     Every drawn example prints its ``repro:`` line via :func:`note` —
     shown by Hypothesis on failure — so a failing topology/churn draw
-    can be replayed in isolation with the stated seeds.  The batched
-    backend must keep invariants (a)–(c) round by round and land on the
-    **same** ``run_until_stable`` fingerprints and reports as the legacy
-    scalar full-scan kernel, invariant (d) extended to the new backend.
+    can be replayed in isolation with the stated seeds.  An
+    activity-tracked kernel on the batched rule pipeline must follow the
+    full-scan kernel on the scalar pipeline event by event: same
+    ``run_until_stable`` reports, fingerprints and rule counters, with
+    invariants (a)–(c) holding along the way.
     """
-
-    @given(
-        n=st.integers(min_value=2, max_value=12),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        corrupt=st.booleans(),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_invariants_every_round_batched(self, n, seed, corrupt):
-        note(f"repro: build_random_network(n={n}, seed={seed}, "
-             f"rule_backend='batched'), corrupt={corrupt}")
-        net = build_random_network(n=n, seed=seed, rule_backend="batched")
-        if corrupt:
-            corrupt_network(net, seed + 1)
-        assert_all_invariants(net)
-        for _ in range(30):
-            net.run_round()
-            assert_no_self_loops(net)
-            assert_refs_well_formed(net)
-        net.run_until_stable(max_rounds=4000)
-        assert_all_invariants(net)
-
-    @given(
-        n=st.integers(min_value=2, max_value=10),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        corrupt=st.booleans(),
-        engine=st.sampled_from(["full", "incremental", "columnar"]),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_batched_fingerprint_matches_legacy(self, n, seed, corrupt, engine):
-        note(f"repro: n={n} seed={seed} corrupt={corrupt} engine={engine!r} "
-             f"— batched vs. legacy full-scan scalar")
-        a = build_random_network(n=n, seed=seed, engine=engine,
-                                 rule_backend="batched")
-        b = build_random_network(n=n, seed=seed, incremental=False)
-        if corrupt:
-            corrupt_network(a, seed + 1)
-            corrupt_network(b, seed + 1)
-        ra = a.run_until_stable(max_rounds=4000)
-        rb = b.run_until_stable(max_rounds=4000)
-        assert ra == rb, "reports diverged"
-        assert a.fingerprint() == b.fingerprint(), "fingerprints diverged"
-        assert a.counters().fires == b.counters().fires, "counters diverged"
 
     @given(
         n=st.integers(min_value=4, max_value=10),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         events=st.integers(min_value=1, max_value=4),
+        corrupt=st.booleans(),
+        engine=st.sampled_from(["incremental", "columnar"]),
     )
-    @settings(max_examples=10, deadline=None)
-    def test_churn_trajectory_batched_equals_scalar(self, n, seed, events):
-        note(f"repro: n={n} seed={seed} events={events} — seeded churn, "
-             f"batched vs. scalar on the incremental kernel")
-        a = build_random_network(n=n, seed=seed, rule_backend="batched")
-        b = build_random_network(n=n, seed=seed)
-        a.run_until_stable(max_rounds=4000)
-        b.run_until_stable(max_rounds=4000)
+    @settings(max_examples=20, deadline=None)
+    def test_churn_trajectory_fast_equals_spec(self, n, seed, events, corrupt, engine):
+        note(f"repro: n={n} seed={seed} events={events} corrupt={corrupt} — "
+             f"seeded churn, engine={engine!r} vs. engine='full'")
+        a = build_random_network(n=n, seed=seed, engine=engine)
+        b = build_random_network(n=n, seed=seed, engine="full")
+        if corrupt:
+            corrupt_network(a, seed + 1)
+            corrupt_network(b, seed + 1)
+        ra = a.run_until_stable(max_rounds=4000)
+        rb = b.run_until_stable(max_rounds=4000)
+        assert ra == rb, "reports diverged from the random start"
         schedule = ChurnSchedule.random(a, events=events, seed=seed ^ 0x5EED)
         for event in schedule:
             apply_event(a, event)
@@ -259,6 +224,9 @@ class TestBatchedBackendFuzz:
             assert ra == rb, f"reports diverged after {event}"
             assert a.fingerprint() == b.fingerprint(), (
                 f"fingerprints diverged after {event}"
+            )
+            assert a.counters().fires == b.counters().fires, (
+                f"counters diverged after {event}"
             )
             assert_no_self_loops(a)
             assert_refs_well_formed(a)

@@ -1,18 +1,19 @@
-"""Differential tests for the batched rule backend, rule by rule.
+"""Differential tests for the batched rule pipeline, rule by rule.
 
-The batched backend (:mod:`repro.core.rules_batched`) runs each phase of
-the rule pipeline across *all* peers of a round before the next phase
-starts, sorting by precomputed global ranks over the intern table's flat
-columns instead of per-peer key sorts.  Its contract is **observational
-identity** with the scalar pipeline in :mod:`repro.core.protocol` — the
-executable spec: identical fingerprints (states *and* in-flight
-messages), identical delivered envelopes in identical per-sender order,
-identical rule-firing counters.
+The batched pipeline (:mod:`repro.core.rules_batched`, the fast path
+every activity-tracked kernel runs) executes each phase of the rules
+across *all* dirty peers of a round before the next phase starts,
+sorting by precomputed global ranks over the intern table's flat columns
+instead of per-peer key sorts.  Its contract is **observational
+identity** with the scalar pipeline in :mod:`repro.core.protocol` that
+the full-scan kernel runs — the executable spec: identical fingerprints
+(states *and* in-flight messages), identical delivered envelopes in
+identical per-sender order, identical rule-firing counters.
 
 Each test here isolates one rule via :meth:`RuleConfig.ablated`, builds
 the same adversarial start twice — self-loops, duplicate identifiers in
 a tiny id space, empty virtual levels, refs wrapping the id-space origin
-— and compares one round (and then the full run) scalar vs. batched.
+— and compares one round (and then the full run) spec vs. fast.
 """
 
 from __future__ import annotations
@@ -48,18 +49,18 @@ RULE_FLAGS = {
 
 
 def _pair(config: RuleConfig, builder, bits: int = 8):
-    """The same hand-built start under the scalar and batched backends.
+    """The same hand-built start on the spec (full-scan kernel, scalar
+    pipeline) and on the default engine (tracked kernel, batched
+    pipeline).
 
     ``builder(net)`` populates peers and plants the adversarial state;
-    it runs identically on both networks.  The full-scan engine steps
-    every peer every round, so one round exercises every batched phase
-    on every peer.
+    it runs identically on both networks.  Freshly registered peers are
+    all dirty, so the first round exercises every batched phase on
+    every peer.
     """
     nets = []
-    for backend in ("scalar", "batched"):
-        net = ReChordNetwork(
-            space=IdSpace(bits), config=config, engine="full", rule_backend=backend
-        )
+    for engine in ("full", None):
+        net = ReChordNetwork(space=IdSpace(bits), config=config, engine=engine)
         builder(net)
         nets.append(net)
     return nets
@@ -71,7 +72,7 @@ def _delivered(net: ReChordNetwork):
 
 
 def assert_one_round_identical(a: ReChordNetwork, b: ReChordNetwork, context: str):
-    """One round under each backend: states, envelopes, counters equal."""
+    """One round on each side: states, envelopes, counters equal."""
     a.run_round()
     b.run_round()
     assert a.fingerprint() == b.fingerprint(), f"fingerprint diverged {context}"
@@ -216,7 +217,7 @@ class TestFullPipelineDifferential:
         assert_run_identical(a, b, f"(full pipeline on {start})")
 
     def test_economical_broadcast_lockstep(self):
-        """The eco-broadcast memo bookkeeping is backend-invariant."""
+        """The eco-broadcast memo bookkeeping is pipeline-invariant."""
         config = RuleConfig(economical_broadcast=True)
         a, b = _pair(config, plant_wraparound)
         assert_run_identical(a, b, "(economical broadcast)")
@@ -224,30 +225,44 @@ class TestFullPipelineDifferential:
     @pytest.mark.parametrize("seed", [3, 17])
     def test_corrupt_random_start_lockstep(self, seed):
         nets = []
-        for backend in ("scalar", "batched"):
-            net = build_random_network(
-                n=14, seed=seed, engine="full", rule_backend=backend
-            )
+        for engine in ("full", None):
+            net = build_random_network(n=14, seed=seed, engine=engine)
             corrupt_network(net, seed + 1)
             nets.append(net)
         assert_run_identical(*nets, f"(corrupt seed={seed})")
 
 
 class TestBackendSurface:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="rule backend"):
-            ReChordNetwork(rule_backend="warp")
+    """The pipeline follows the kernel; nothing selects it."""
 
-    def test_backend_recorded(self):
-        assert ReChordNetwork().rule_backend == "scalar"
-        assert ReChordNetwork(rule_backend="batched").rule_backend == "batched"
+    def test_full_scan_network_has_no_stepper(self):
+        assert ReChordNetwork(engine="full").scheduler._batch_stepper is None
+
+    @pytest.mark.parametrize("engine", [None, "incremental", "columnar"])
+    def test_tracked_engines_run_the_batched_pipeline(self, engine):
+        from repro.core.rules_batched import BatchedRuleEngine
+
+        stepper = ReChordNetwork(engine=engine).scheduler._batch_stepper
+        assert isinstance(stepper, BatchedRuleEngine)
+
+    def test_rule_backend_parameter_is_gone(self):
+        with pytest.raises(TypeError, match="rule_backend"):
+            ReChordNetwork(rule_backend="batched")
+
+    def test_rule_backend_flag_is_gone(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenario", "flash-crowd", "--rule-backend", "batched"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --rule-backend" in capsys.readouterr().err
 
     def test_batched_pure_fallback_matches(self):
         """Forcing the pure-``array`` path (no numpy) changes nothing."""
         from repro.core.rules_batched import BatchedRuleEngine
 
         a = ReChordNetwork(space=IdSpace(8), engine="full")
-        b = ReChordNetwork(space=IdSpace(8), engine="full")
+        b = ReChordNetwork(space=IdSpace(8))
         b.scheduler.set_batch_stepper(BatchedRuleEngine(use_numpy=False))
         plant_phantoms(a)
         plant_phantoms(b)

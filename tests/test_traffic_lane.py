@@ -30,16 +30,15 @@ from repro.traffic.messages import OP_GET, OP_LOOKUP, OP_PUT, LookupRequest
 from repro.workloads.initial import build_random_network, random_peer_ids
 
 OP_MIX = ((OP_LOOKUP, 0.5), (OP_PUT, 0.3), (OP_GET, 0.2))
-BACKENDS = ("scalar", "batched")
 
 
 class Campaign:
     """One seeded stabilized network with a streaming traffic plane."""
 
-    def __init__(self, engine: str, backend: str, seed: int, n: int = 14,
+    def __init__(self, engine: str, seed: int, n: int = 14,
                  rate: float = 3.0, plane_cls=TrafficPlane):
         self.net = net = build_random_network(
-            n=n, seed=seed, engine=engine, rule_backend=backend, record_trace=True
+            n=n, seed=seed, engine=engine, record_trace=True
         )
         net.run_until_stable(max_rounds=5000)
         self.plane = plane_cls(
@@ -100,11 +99,10 @@ def fresh_id(net, rng) -> int:
 
 
 class TestLaneEquivalentToFullScan:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_join_leave_and_crash_of_a_lane_target(self, backend, seed):
-        lane = Campaign("columnar", backend, seed)
-        spec = Campaign("full", backend, seed)
+    def test_join_leave_and_crash_of_a_lane_target(self, seed):
+        lane = Campaign("columnar", seed)
+        spec = Campaign("full", seed)
         rng = random.Random(seed + 1000)
         crashed_with_mail = False
         for r in range(48):
@@ -123,7 +121,7 @@ class TestLaneEquivalentToFullScan:
                 crashed_with_mail = bool(lane.sched._lane.get(victim))
                 for c in (lane, spec):
                     c.net.crash(victim)
-            lockstep(lane, spec, f"backend={backend} seed={seed} round={r}")
+            lockstep(lane, spec, f"seed={seed} round={r}")
         assert crashed_with_mail
         for c in (lane, spec):
             c.gen.active = False
@@ -131,13 +129,12 @@ class TestLaneEquivalentToFullScan:
         assert_same_ledger(lane, spec)
         assert lane.net.fingerprint() == spec.net.fingerprint()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_drop_filter_and_delivery_model_mid_traffic(self, backend):
+    def test_drop_filter_and_delivery_model_mid_traffic(self):
         """Both fall back to the tracked loops: the exit drains the lane
         into the real inboxes in parent order, re-entry picks the mail
         in the inboxes back up — with the generator active throughout."""
-        lane = Campaign("columnar", backend, seed=5)
-        spec = Campaign("full", backend, seed=5)
+        lane = Campaign("columnar", seed=5)
+        spec = Campaign("full", seed=5)
         cut = set(lane.net.peer_ids[:4])
         partition = lambda env: (env.sender in cut) != (env.target in cut)  # noqa: E731
         modes = []
@@ -156,7 +153,7 @@ class TestLaneEquivalentToFullScan:
             if r == 34:
                 for c in (lane, spec):
                     c.net.set_delivery_model("unit")
-            lockstep(lane, spec, f"backend={backend} round={r}")
+            lockstep(lane, spec, f"round={r}")
             modes.append(lane.sched._cols_active)
         # left columnar mode for each event, came back while traffic flowed
         assert modes[7] and not modes[8] and modes[15]
@@ -169,7 +166,7 @@ class TestLaneEquivalentToFullScan:
         assert_same_ledger(lane, spec)
 
     def test_reentry_moves_inbox_mail_into_the_lane(self):
-        lane = Campaign("columnar", "scalar", seed=9)
+        lane = Campaign("columnar", seed=9)
         for _ in range(4):
             lane.round()
         lane.sched.set_drop_filter(lambda env: False)
@@ -209,8 +206,8 @@ class TestLaneEquivalentToFullScan:
                     self.net._remove_peer(self.victim)
                     self.victim = None
 
-        lane = Campaign("columnar", "scalar", seed=7)
-        spec = Campaign("full", "scalar", seed=7)
+        lane = Campaign("columnar", seed=7)
+        spec = Campaign("full", seed=7)
         removers = []
         for c in (lane, spec):
             removers.append(Remover(c.net))
@@ -239,11 +236,10 @@ class TestLaneEquivalentToFullScan:
             max_size=4,
         ),
         seed=st.integers(0, 50),
-        backend=st.sampled_from(BACKENDS),
     )
-    def test_random_campaigns(self, rate, events, seed, backend):
-        lane = Campaign("columnar", backend, seed, n=10, rate=rate)
-        spec = Campaign("full", backend, seed, n=10, rate=rate)
+    def test_random_campaigns(self, rate, events, seed):
+        lane = Campaign("columnar", seed, n=10, rate=rate)
+        spec = Campaign("full", seed, n=10, rate=rate)
         rng = random.Random(seed)
         schedule: dict = {}
         for when, kind in events:
@@ -266,7 +262,7 @@ class TestLaneEquivalentToFullScan:
                     victim = rng.choice(ids)
                     for c in (lane, spec):
                         getattr(c.net, kind)(victim)
-            lockstep(lane, spec, f"rate={rate} events={events} seed={seed} {backend} round={r}")
+            lockstep(lane, spec, f"rate={rate} events={events} seed={seed} round={r}")
         assert_same_ledger(lane, spec)
 
 
@@ -390,14 +386,13 @@ class TestLaneKernelLevel:
 
 
 class TestLaneContract:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_traffic_executes_exactly_the_twins_rule_steps(self, backend):
+    def test_traffic_executes_exactly_the_twins_rule_steps(self):
         """Application messages never run the rule pipeline: the join +
         crash campaign executes as many rule steps with the generator
         injecting as with it inactive, round for round."""
 
         def campaign(traffic: bool) -> tuple:
-            c = Campaign("columnar", backend, seed=21, n=16, rate=6.0)
+            c = Campaign("columnar", seed=21, n=16, rate=6.0)
             c.gen.active = traffic
             rng = random.Random(4)
             steps = []
@@ -445,7 +440,7 @@ class TestLaneContract:
         assert not net.scheduler.changed_last_round
 
     def test_lane_only_peers_count_as_replayed(self):
-        lane = Campaign("columnar", "scalar", seed=3, rate=5.0)
+        lane = Campaign("columnar", seed=3, rate=5.0)
         lane.plane.run(6)
         assert lane.sched._cols_active and lane.sched._lane_targets
         lane.plane.run_round()
@@ -462,7 +457,7 @@ class TestLaneContract:
                 peer.state.nodes[0].nu.discard(peer.state.nodes[0].ref)
                 super().handle(peer, payloads, ctx)
 
-        lane = Campaign("columnar", "scalar", seed=3, rate=0.0, plane_cls=MutatingPlane)
+        lane = Campaign("columnar", seed=3, rate=0.0, plane_cls=MutatingPlane)
         lane.net.run_round()
         assert lane.sched._cols_active
         origin = lane.net.peer_ids[0]
@@ -476,7 +471,7 @@ class TestLaneContract:
             def handle(self, peer, payloads, ctx):
                 ctx.send(peer.state.peer_id, payloads[0])
 
-        lane = Campaign("columnar", "scalar", seed=3, rate=0.0, plane_cls=SteadyPlane)
+        lane = Campaign("columnar", seed=3, rate=0.0, plane_cls=SteadyPlane)
         lane.net.run_round()
         lane.plane.lookup("k", lane.net.peer_ids[0])
         with pytest.raises(RuntimeError, match="send_once"):
@@ -498,7 +493,7 @@ class TestTracedRunsUseTheSameKernel:
         """Regression: attaching a recorder used to leave columnar mode,
         and every traffic post then blocked re-entry — a traced run
         measured the tracked loop while the untraced one ran columnar."""
-        lane = Campaign("columnar", "scalar", seed=3, rate=4.0)
+        lane = Campaign("columnar", seed=3, rate=4.0)
         lane.plane.run(3)
         assert lane.sched._cols_active
         rec = lane.net.enable_telemetry()
@@ -514,7 +509,7 @@ class TestTracedRunsUseTheSameKernel:
         kernel counts, one-shot sends included."""
         censuses = []
         for engine in ("columnar", "full"):
-            c = Campaign(engine, "scalar", seed=5, rate=3.0)
+            c = Campaign(engine, seed=5, rate=3.0)
             c.plane.run(4)
             rec = c.net.enable_telemetry()
             c.plane.run(10)
@@ -554,7 +549,7 @@ class TestPostBatch:
         assert sched._ref_watch.get(c, {}).get(b, 0) == 0
 
     def test_batch_results_match_per_envelope_posts(self):
-        lane = Campaign("columnar", "scalar", seed=3, rate=0.0)
+        lane = Campaign("columnar", seed=3, rate=0.0)
         lane.net.run_round()
         origin, dead = lane.net.peer_ids[0], lane.net.peer_ids[1]
         lane.net.crash(dead)
