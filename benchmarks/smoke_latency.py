@@ -13,6 +13,10 @@ and checks two classes of properties against
   completed-op count, outcome census and the wire-delay census must
   match the baseline exactly (any drift means the delivery engine, the
   delivery-queue exactness rules, traffic or kernel behavior changed);
+* **closure under latency** (machine-independent, no baseline entry) —
+  the campaign ends stable with the jitter still installed, so its last
+  round must have executed nobody and replayed every surviving peer:
+  matured steady mail dirties no one;
 * **throughput floor** — campaign rounds/sec must stay within
   ``allowed_regression`` (default 3x) of the baseline.
 
@@ -36,7 +40,8 @@ N = 32
 SEED = 2026
 
 
-def measure() -> dict:
+def measure() -> tuple:
+    """Run the campaign; returns ``(baseline-shaped result, closure)``."""
     from repro.scenarios import make_scenario, run_scenario
 
     spec = make_scenario(SCENARIO, n=N, seed=SEED)
@@ -44,6 +49,11 @@ def measure() -> dict:
     report = run_scenario(spec)
     elapsed = time.perf_counter() - t0
     slo = report.slo or {}
+    closure = {
+        "executed_last_round": report.activity["executed_last_round"],
+        "replayed_last_round": report.activity["replayed_last_round"],
+        "peers_final": report.peers_final,
+    }
     return {
         "scenario": SCENARIO,
         "n": N,
@@ -60,7 +70,7 @@ def measure() -> dict:
         "wire_delay_max": slo.get("wire_delay_max", 0),
         "config_digest": report.config_digest,
         "rounds_per_sec": round(report.rounds_total / elapsed, 2),
-    }
+    }, closure
 
 
 def main(argv=None) -> int:
@@ -74,8 +84,14 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    result = measure()
+    result, closure = measure()
     print("measured:", json.dumps(result))
+    print("closure:", json.dumps(closure))
+    if closure["executed_last_round"] != 0 or (
+        closure["replayed_last_round"] != closure["peers_final"]
+    ):
+        print("FAIL: the stable network still executes peers under latency")
+        return 1
 
     if args.update or not BASELINE_PATH.exists():
         BASELINE_PATH.write_text(json.dumps(result, indent=2) + "\n")

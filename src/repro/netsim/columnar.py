@@ -580,12 +580,7 @@ class ColumnarScheduler(SynchronousScheduler):
         if not self.activity_tracking:
             self._run_round_full(active)
             return
-        fast_ok = (
-            active is None
-            and self._delivery.is_unit
-            and not self._future
-            and self._prev_pending is None
-        )
+        fast_ok = active is None and self._unit_settled()
         if not fast_ok:
             if self._cols_active:
                 self._exit_columnar()
@@ -671,8 +666,10 @@ class ColumnarScheduler(SynchronousScheduler):
         their (value-equal) indexed envelopes.  Returns
         ``(state_changed, flow_changed)``."""
         state_changed, patch = self._post_step(key, out, changed_keys, newly_dirty)
-        if patch is not None and key not in self._patched:
-            self._patched[key] = patch
+        if patch is not None:
+            newly_dirty.update(patch[2])  # unit delivery: the change arrives next round
+            if key not in self._patched:
+                self._patched[key] = patch
         if key not in self._actors:
             # it removed itself during its own step; the parent still
             # delivers THIS step's emissions, so fix the removal

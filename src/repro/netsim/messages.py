@@ -119,8 +119,9 @@ def envelope_canon(env: Envelope) -> object:
     """The hashable canonical pending identity of one payload.
 
     Mirrors the identity used by :func:`envelope_fingerprint` and the
-    global network fingerprint, but returns the value itself (for exact
-    multiset comparisons) instead of a hash.  Falls back to ``repr``
+    global network fingerprint, but returns the value itself (for keyed
+    fingerprints and seeded per-message draws) instead of a hash.  Falls
+    back to ``repr``
     for unhashable payloads without ``canonical()`` (generic unit-test
     actors) — exactness guarantees only cover canonical payloads.
     """

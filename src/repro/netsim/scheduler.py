@@ -76,21 +76,57 @@ queue** (``_future``); it matures — drop filter applied, inbox appended
 — at the end of the round before its consumption round.  Exactness
 rules under non-unit delivery:
 
-* a matured delayed envelope dirties its receiver with the one-round
-  carry, exactly like a :meth:`post` (the inbox differs from the replay
-  baseline at the delivery round and again when the one-shot delivery
-  vanishes), so the replay induction never sees a delayed delivery;
+* **matured steady mail dirties nobody.**  ``DeliveryModel.delay`` is a
+  pure function of envelope content, so a clean sender's replayed outbox
+  lands in the same inboxes with the same delays every round: a
+  receiver's inbox can only differ from its replay baseline in a round
+  where a *change* of some sender's sub-flow arrives.  The **wake wheel**
+  (``round -> actors that must execute in it``; ``_dirty`` and
+  ``_dirty_carry`` are its next-round and round-after slots) is fed when
+  the change is made, for the round it arrives in:
+
+  1. a changed sub-flow (``_post_step``'s per-target patch, made in
+     round ``q``) wakes its target for ``q + d`` for every delay ``d``
+     at which the old and the new sub-flow differ (``d = 1``: the unit
+     rule, dirty next round);
+  2. a removed sender wakes its former receivers ``d`` rounds after its
+     last send, for each delay ``d`` of its cached outbox;
+  3. a delayed one-shot (``send_once``, a delayed ``post``) wakes its
+     target for the round that consumes it — a non-application post for
+     the round after as well (the carry), and a (re-)joining actor runs
+     again when the flows that were waiting for it land;
+  4. what redefines every delivery at once is conservative: a model
+     change wakes everyone for as long as an old- or new-delay front can
+     arrive (``delay_bound() + 1`` rounds), a partial round under
+     non-unit delivery likewise (the sleepers' missing sends arrive as
+     gaps), a drop-filter change for the two rounds of the unit rule
+     (all delays are filtered at landing, so it takes effect at once).
+
+  Conservative wakes are always allowed, missed wakes never.  The
+  network's liveness-flip scan may keep reading inboxes only: a receiver
+  whose *current* inbox holds a reference to the flipped owner executes
+  now, and a later first arrival is itself a sub-flow change, woken by
+  the wheel;
 * scheduled envelopes are part of the configuration: they enter
   :meth:`config_hash` and the network fingerprint keyed by their
-  *remaining* delay, and :attr:`changed_last_round` is computed from an
-  exact multiset comparison of the whole pending structure (inbox +
-  future, O(pending) per round) instead of the unit-mode flow flags —
-  the unit model keeps the O(active-work) fast path bit-for-bit.
+  *remaining* delay;
+* :attr:`changed_last_round` stays exact and O(changed): the flow flags
+  are extended by a **flux horizon**.  An emission change of envelope
+  ``E`` (delay ``d``) effective from round ``q`` — started, stopped, or,
+  at a model switch, "the old-delay flow stops and the new-delay flow
+  starts" for every cached envelope whose delay differs — keeps the flag
+  raised for the boundaries of rounds ``q .. q+d-2`` (the front travels
+  through remaining ``d-1 .. 1``) and for ``q+d-1`` iff ``E`` is
+  deliverable when it lands (live target, not filtered: a delivery
+  dropped at maturity never reaches remaining 0).  A one-shot is a start
+  at ``q`` and a stop at ``q + 1``, which also flags the boundary of the
+  round that consumes it.  The unit model keeps the O(active-work) fast
+  path bit for bit, and takes over again once wheel, horizon and queue
+  are empty (:meth:`_unit_settled`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import (
     Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple,
 )
@@ -99,12 +135,11 @@ from repro.netsim.messages import (
     HASH_MASK as _MASK,
     AppPayload,
     Envelope,
-    envelope_canon as _envelope_canon,
     envelope_fingerprint as _envelope_hash,
     future_fingerprint as _future_hash,
     outbox_fingerprint as _outbox_hash,
 )
-from repro.netsim.timemodel import TimeModel, make_daemon, make_delivery_model
+from repro.netsim.timemodel import DeliveryModel, TimeModel, make_daemon, make_delivery_model
 from repro.netsim.trace import TraceRecorder
 from time import perf_counter as _perf
 
@@ -226,14 +261,22 @@ class SynchronousScheduler:
         #: delivery-round-keyed queue of delayed sends: consumption
         #: round -> envelopes, drained at the end of the preceding round
         self._future: Dict[int, List[Envelope]] = {}
-        #: exact pending multiset at the last boundary, keyed
-        #: (remaining, target, canonical) — maintained only while the
-        #: delivery model is non-unit or scheduled envelopes exist (the
-        #: "token mode" of changed_last_round); None otherwise
-        self._prev_pending: Optional[Counter] = None
-        #: forces the pending part of changed_last_round for one round
-        #: (mid-round posts under token mode cannot be attributed)
-        self._pending_force_changed = False
+        #: the wake wheel: round -> actors that must execute in it.  Fed
+        #: when a change is made, for the round the change *arrives* in
+        #: (see "The time model" above); ``_dirty`` / ``_dirty_carry``
+        #: are its next-round and round-after slots, so unit delivery
+        #: never touches it
+        self._wake: Dict[int, Set[Hashable]] = {}
+        #: the flux horizon: ``changed_last_round`` stays raised for the
+        #: boundaries of all rounds <= this (change fronts in flight)
+        self._flux_until = -1
+        #: change fronts by landing point: consumption round -> envelopes
+        #: whose emission started or stopped; the boundary before that
+        #: round differs iff one of them is deliverable when it lands
+        self._landing: Dict[int, List[Envelope]] = {}
+        #: the delivery model the last round's sends were scheduled with,
+        #: while it differs from the installed one (None otherwise)
+        self._switched_from: Optional[DeliveryModel] = None
         #: the active set the last round ran with (None = full)
         self.active_last_round: Optional[frozenset] = None
         #: messages addressed to unregistered actors in the last round
@@ -321,32 +364,51 @@ class SynchronousScheduler:
                 self._state_hash = (self._state_hash + h) & _MASK
             self._out[key] = []
             self._out_hash[key] = 0
+            if not self._unit_settled():
+                # flows already addressed to a (re-)joining id — scheduled
+                # ones included — all start landing for its second step
+                first = self._round + 1
+                self._wake_at(first, key)
+                if self._in_round:
+                    self._wake_at(first + 1, key)
 
     def remove_actor(self, key: Hashable) -> Actor:
         """Remove an actor; undelivered messages to it will be dropped."""
         actor = self._actors.pop(key)
         box = self._inboxes.pop(key, None)
         if self.activity_tracking:
-            # its steady flow vanishes: former receivers must re-run —
-            # both next round (defensive) and the round after, when its
-            # final in-flight emissions actually disappear from inboxes
+            # its steady flow vanishes: a former receiver must re-run in
+            # the round its last emission is missing from the inbox — the
+            # round after next under unit delivery (carry; next round is
+            # defensive), ``delay`` rounds after its last send in general
             out = self._out.pop(key, [])
             if out:
                 self._flow_flag = True  # its contribution leaves the pending set
+            settled = self._unit_settled()
+            delay = (self._switched_from or self._delivery).delay
+            # a mid-round removal may or may not have sent this round:
+            # feed both possibilities (conservative wakes are allowed)
+            stops = (self._round, self._round + 1) if self._in_round else (self._round,)
             for env in out:
-                if env.target != key:
+                if env.target == key:
+                    continue
+                d = 1 if settled else delay(env)
+                if d == 1:
                     self._dirty.add(env.target)
                     self._dirty_carry.add(env.target)
+                if not settled:
+                    for q in stops:
+                        if d > 1:
+                            self._wake_at(q + d, env.target)
+                        self._front(q, env, d)
             self._out_hash.pop(key, None)
             self._dirty_carry.discard(key)
             if box:
+                # the envelopes die with the actor: boundary comparisons
+                # start from the post-removal configuration, like a fresh
+                # full fingerprint
                 for env in box:
                     self._pending_hash = (self._pending_hash - _envelope_hash(env)) & _MASK
-                    if self._prev_pending is not None:
-                        # the envelopes die with the actor: the boundary
-                        # comparison must start from the post-removal
-                        # configuration, like a fresh full fingerprint
-                        self._counter_remove((0, env.target, _envelope_canon(env)))
             h = self._tok_hash.pop(key, None)
             if h is not None:
                 self._state_hash = (self._state_hash - h) & _MASK
@@ -517,13 +579,14 @@ class SynchronousScheduler:
         """Install a delivery model (instance, kind name, or spec dict).
 
         Effective for every send from the next round on; envelopes
-        already scheduled keep their assigned delivery rounds.  Like
-        :meth:`set_drop_filter`, a model change is a flow event for the
-        activity-tracked kernel: every actor's upcoming inboxes may
-        differ from their replay baselines, so all actors are marked
-        dirty with the one-round carry.  Installing a model that is
-        observably unit (``is_unit``) over another unit model is a
-        no-op, keeping the fast path and the exact change flag intact.
+        already scheduled keep their assigned delivery rounds.  A model
+        change is a flow event for the activity-tracked kernel: per
+        cached envelope whose delay differs, the old-delay flow stops
+        and the new-delay flow starts, so every actor is woken for each
+        round one of the two fronts can still arrive in (``bound + 1``
+        rounds, the larger bound of the two models).  Installing a model
+        that is observably unit (``is_unit``) over another unit model is
+        a no-op, keeping the fast path and the exact change flag intact.
         """
         model = make_delivery_model(model)
         old = self._delivery
@@ -532,9 +595,13 @@ class SynchronousScheduler:
         self._delivery = model
         self.time_model = TimeModel(model, self._daemon)
         if self.activity_tracking:
+            if self._switched_from is None:
+                self._switched_from = old
             for key in self._actors:
                 self._dirty.add(key)
                 self._dirty_carry.add(key)
+            first = self._round + (3 if self._in_round else 2)
+            self._wake_everyone(first, first - 2 + max(old.delay_bound(), model.delay_bound()))
             self._flow_flag = True
 
     def set_daemon(self, daemon) -> None:
@@ -586,32 +653,60 @@ class SynchronousScheduler:
                     pending = (pending + _future_hash(env, remaining)) & _MASK
         return (self._state_hash, pending)
 
-    # -- token-mode internals (exact pending comparison under latency) --
-    def _counter_remove(self, entry: tuple) -> None:
-        """Decrement one pending-identity count (drop zeros so Counter
-        equality stays well-defined on every supported Python)."""
-        prev = self._prev_pending
-        count = prev.get(entry, 0)
-        if count <= 1:
-            prev.pop(entry, None)
-        else:
-            prev[entry] = count - 1
+    # -- the wake wheel and the flux horizon (exactness under latency) ---
+    def _unit_settled(self) -> bool:
+        """Whether unit delivery is in effect *and* nothing of a non-unit
+        past is left: no scheduled envelope, no wake, no change front.
+        Only then do the unit-mode shortcuts hold (rolling pending hash,
+        O(changed) flow flags, the columnar kernel's fast rounds)."""
+        return (
+            not self._future
+            and not self._wake
+            and not self._landing
+            and self._switched_from is None
+            and self._flux_until < self._round
+            and self._delivery.is_unit
+        )
 
-    def _pending_counter(self) -> Counter:
-        """The exact pending multiset, keyed ``(remaining, target,
-        canonical)`` — called at the end of a round, before the round
-        counter advances, so inbox envelopes (consumed next round) get
-        remaining 0 and scheduled ones >= 1."""
-        cur: Counter = Counter()
-        for box in self._inboxes.values():
-            for env in box:
-                cur[(0, env.target, _envelope_canon(env))] += 1
-        base = self._round + 1
-        for t, batch in self._future.items():
-            remaining = t - base
-            for env in batch:
-                cur[(remaining, env.target, _envelope_canon(env))] += 1
-        return cur
+    def _wake_at(self, round_no: int, key: Hashable) -> None:
+        """``key`` must execute (not replay) in ``round_no``."""
+        self._wake.setdefault(round_no, set()).add(key)
+
+    def _wake_everyone(self, first: int, last: int) -> None:
+        """Every current actor executes in rounds ``first..last``."""
+        for round_no in range(first, last + 1):
+            self._wake.setdefault(round_no, set()).update(self._actors)
+
+    def _front(self, q: int, env: Envelope, d: int) -> None:
+        """The emission of ``env`` (delay ``d``) started or stopped with
+        round ``q``: the pending structure differs across the boundaries
+        of rounds ``q .. q+d-2`` (the front travels through remaining
+        ``d-1 .. 1``) and of ``q+d-1`` iff ``env`` is deliverable when
+        the front lands — decided then, see :meth:`_landed`."""
+        if q + d - 2 > self._flux_until:
+            self._flux_until = q + d - 2
+        self._landing.setdefault(q + d, []).append(env)
+
+    def _one_shot(self, q: int, env: Envelope, d: int) -> None:
+        """``env`` (delay ``d``) is emitted in round ``q`` only: its
+        target executes the round that consumes it, and the emission
+        starts with round ``q`` and stops with ``q + 1``."""
+        self._wake_at(q + d, env.target)
+        self._front(q, env, d)
+        self._front(q + 1, env, d)
+
+    def _landed(self, round_no: int) -> bool:
+        """Whether a change front landed in an inbox at the end of
+        ``round_no`` (a front to a dead or filtered target never reaches
+        remaining 0: that boundary does not differ)."""
+        fronts = self._landing.pop(round_no + 1, None)
+        if not fronts:
+            return False
+        inboxes = self._inboxes
+        flt = self._drop_filter
+        return any(
+            env.target in inboxes and not (flt is not None and flt(env)) for env in fronts
+        )
 
     def _inbox_hash(self) -> int:
         """The pending hash recomputed exactly over all inboxes."""
@@ -621,12 +716,12 @@ class SynchronousScheduler:
         """Deliver envelopes scheduled for consumption in ``round_no + 1``.
 
         The delivery point of a delayed send: the drop filter applies
-        here (a partition installed mid-flight eats the message), and
-        the activity-tracked kernel marks each receiver dirty with the
-        one-round carry — the exact treatment of a :meth:`post`: the
-        receiver's inbox differs from its replay baseline at the
-        delivery round AND at the round after, when the one-shot
-        delivery vanishes again.  Returns ``(delivered, dropped)``.
+        here (a partition installed mid-flight eats the message).
+        Maturing dirties nobody: a steady sub-flow lands identically
+        every round, and whatever made this delivery differ from the
+        receiver's replay baseline woke the receiver for exactly this
+        round when it happened (the wake wheel).  Returns ``(delivered,
+        dropped)``.
         """
         batch = self._future.pop(round_no + 1, None)
         if not batch:
@@ -634,7 +729,6 @@ class SynchronousScheduler:
         delivered = 0
         dropped = 0
         flt = self._drop_filter
-        tracking = self.activity_tracking
         for env in batch:
             box = self._inboxes.get(env.target)
             if box is None or (flt is not None and flt(env)):
@@ -642,9 +736,6 @@ class SynchronousScheduler:
                 continue
             box.append(env)
             delivered += 1
-            if tracking:
-                self._dirty.add(env.target)
-                self._dirty_carry.add(env.target)
         return delivered, dropped
 
     # ------------------------------------------------------------------
@@ -691,11 +782,13 @@ class SynchronousScheduler:
             # consumption `delay` steps from the target's next step
             t = self._round + delay if self._in_round else self._round + delay - 1
             self._future.setdefault(t, []).append(envelope)
-            if self.activity_tracking and self._prev_pending is not None:
-                if self._in_round:
-                    self._pending_force_changed = True
-                else:
-                    self._prev_pending[(delay - 1, envelope.target, _envelope_canon(envelope))] += 1
+            if self.activity_tracking:
+                # a one-shot: the target executes the round that consumes
+                # it — and, unless it is application mail (the rules never
+                # see that), the round after, when it is missing again
+                self._one_shot(t - delay, envelope, delay)
+                if not isinstance(envelope.payload, AppPayload):
+                    self._wake_at(t + 1, envelope.target)
             return True
         if self._drop_filter is not None and self._drop_filter(envelope):
             return False
@@ -719,11 +812,11 @@ class SynchronousScheduler:
                 # would vanish in the replay inbox-clear
                 self._posted_mid_round.add(envelope.target)
             self._pending_hash = (self._pending_hash + _envelope_hash(envelope)) & _MASK
-            if self._prev_pending is not None:
-                if self._in_round:
-                    self._pending_force_changed = True
-                else:
-                    self._prev_pending[(0, envelope.target, _envelope_canon(envelope))] += 1
+            if self._in_round and not self._unit_settled():
+                # whether the target already stepped (the message sits in
+                # its inbox at this boundary) cannot be told from here:
+                # report this round as changed
+                self._flux_until = max(self._flux_until, self._round)
         return True
 
     def post_batch(self, envelopes: Sequence[Envelope]) -> List[bool]:
@@ -878,16 +971,18 @@ class SynchronousScheduler:
     ) -> Tuple[bool, Optional[tuple]]:
         """Boundary bookkeeping after one executed step.
 
-        Refreshes the actor's probe baselines, diffs its outbox against
-        the steady-emission cache and wakes only the targets whose
-        per-sender sub-flow actually changed (receivers of messages that
-        stopped, started, or were reordered), not every receiver of an
-        otherwise-stable emission.  Returns ``(state_changed, patch)``;
-        ``patch`` is ``None`` when the outbox repeats the cached one —
-        a replayed actor repeats its contribution verbatim, so only a
-        patch can make the next boundary's pending set differ — and
-        otherwise ``(prev_out, out, changed_targets, prev_by, new_by)``,
-        the per-target diff the columnar kernel's flow surgery consumes.
+        Refreshes the actor's probe baselines (a changed state keeps the
+        actor dirty) and diffs its outbox against the steady-emission
+        cache.  Returns ``(state_changed, patch)``; ``patch`` is ``None``
+        when the outbox repeats the cached one — a replayed actor
+        repeats its contribution verbatim, so only a patch can make a
+        later boundary's pending set differ — and otherwise ``(prev_out,
+        out, changed_targets, prev_by, new_by)``: only the targets whose
+        per-sender sub-flow actually changed (messages that stopped,
+        started, or were reordered) must re-run when the change arrives,
+        not every receiver of an otherwise-stable emission.  The caller
+        wakes them (next round under unit delivery) and the columnar
+        kernel's flow surgery consumes the per-target diff.
         """
         probes = self._probes.get(key)
         if probes is None or probes[0] is None:
@@ -908,7 +1003,6 @@ class SynchronousScheduler:
             new_by.setdefault(env.target, []).append(env)
         changed = [t for t, sub in new_by.items() if prev_by.get(t) != sub]
         changed.extend(t for t in prev_by if t not in new_by)
-        newly_dirty.update(changed)
         self._out[key] = out
         self._out_hash[key] = _outbox_hash(out)
         return state_changed, (prev_out, out, changed, prev_by, new_by)
@@ -986,6 +1080,10 @@ class SynchronousScheduler:
         changed_keys: Set[Hashable] = set()
         newly_dirty: Set[Hashable] = set()
         contributions: List[List[Envelope]] = []
+        #: sender -> outbox patch of this round (see :meth:`_post_step`)
+        patches: Dict[Hashable, tuple] = {}
+        #: the round's one-shot sends, per sender in key order
+        onces: List[List[Envelope]] = []
         executed = 0
         replayed = 0
         new_pending = 0
@@ -1013,55 +1111,57 @@ class SynchronousScheduler:
             if state_changed:
                 state_changed_any = True
             if patch is not None:
-                flow_changed = True
+                patches[key] = patch
             contributions.append(self._out[key])
             new_pending += self._out_hash[key]
             if ctx._once:
-                # one-shot sends go out right after the steady outbox.  The
-                # whole lane contract of the tracked loops: a one-shot's
-                # target executes the round it consumes it — the sends never
-                # enter ``_out``, so sender and target both stay valid
+                # one-shot sends go out right after the steady outbox; they
+                # never enter ``_out``, so sender and target both stay valid
                 # replay templates
                 contributions.append(ctx._once)
-                for env in ctx._once:
+                onces.append(ctx._once)
+
+        # the delivery point.  Settled unit delivery: every change arrives
+        # next round and the boundary differs iff anything was patched or
+        # sent once.  Otherwise the wake wheel and the flux horizon are
+        # fed with each change's own arrival round (module docstring)
+        settled = self._unit_settled()
+        if settled:
+            if patches:
+                flow_changed = True
+                for patch in patches.values():
+                    newly_dirty.update(patch[2])
+        else:
+            self._feed_flow_changes(round_no, keys, patches, newly_dirty)
+        delay = self._delivery.delay
+        for once in onces:
+            # the whole lane contract of the tracked loops: a one-shot's
+            # target executes the round it consumes it
+            for env in once:
+                d = 1 if settled else delay(env)
+                if d == 1:
                     newly_dirty.add(env.target)
                     new_pending += _envelope_hash(env)
-                flow_changed = True
-                self._lane_flag = True  # consumed next round: that boundary differs too
-
-        unit = self._delivery.is_unit
-        # token mode: an exact multiset comparison of the whole pending
-        # structure replaces the unit-mode flow flags while non-unit
-        # delivery is (or until recently was) in effect — entered when a
-        # non-unit model is installed or scheduled envelopes exist, left
-        # one round after the last scheduled envelope drained
-        token_mode = (not unit) or bool(self._future) or self._prev_pending is not None
-        matured, dropped_hash = self._deliver_round(
+                    flow_changed = True
+                    self._lane_flag = True  # consumed next round: that boundary differs too
+                else:
+                    self._one_shot(round_no, env, d)
+        _, dropped_hash = self._deliver_round(
             round_no, contributions, len(keys), executed, replayed, _t0
         )
-        if token_mode:
-            cur = self._pending_counter()
-            pending_changed = (
-                self._pending_force_changed
-                or self._prev_pending is None
-                or cur != self._prev_pending
-            )
-            self._pending_force_changed = False
-            # the rolling inbox hash cannot be derived from outbox
-            # contributions under latency (some sends were scheduled,
-            # matured envelopes arrived): recompute it exactly
-            self._pending_hash = self._inbox_hash()
-            if unit and not self._future and not matured:
-                # fully drained AND no matured delivery still sitting in
-                # an inbox: the next boundary's pending set is entirely
-                # unit-produced, so the flow flags are sound again
-                self._prev_pending = None
-            else:
-                self._prev_pending = cur
-            self.changed_last_round = state_changed_any or pending_changed
-        else:
+        if settled:
             self._pending_hash = (new_pending - dropped_hash) & _MASK
             self.changed_last_round = state_changed_any or flow_changed
+        else:
+            # the rolling inbox hash cannot be derived from outbox
+            # contributions under latency (some sends were scheduled,
+            # matured envelopes arrived): recount it (memoized per
+            # envelope) — it stays observational either way
+            self._pending_hash = self._inbox_hash()
+            landed = self._landed(round_no)
+            self.changed_last_round = (
+                state_changed_any or flow_changed or landed or round_no <= self._flux_until
+            )
         self.state_changed_keys = changed_keys
         self.executed_last_round = executed
         self.replayed_last_round = replayed
@@ -1069,8 +1169,70 @@ class SynchronousScheduler:
         self._posted_mid_round = set()
         newly_dirty |= carry_due
         newly_dirty |= self._dirty  # marks added mid-round
+        newly_dirty.update(self._wake.pop(round_no + 1, ()))
         self._dirty = newly_dirty
         self._round += 1
+
+    def _feed_flow_changes(
+        self,
+        q: int,
+        keys: List[Hashable],
+        patches: Dict[Hashable, tuple],
+        newly_dirty: Set[Hashable],
+    ) -> None:
+        """Feed wake wheel and flux horizon with round ``q``'s emission
+        changes, at its delivery point (the delivery model is final).
+
+        A changed sub-flow wakes its target for round ``q + d`` for every
+        delay ``d`` at which the old and the new sub-flow differ, and
+        every envelope whose multiplicity changed is a front.  In the
+        first round after a model switch every cached envelope whose
+        delay differs is two fronts, whether its sender executed or not:
+        the old-delay flow stops, the new-delay flow starts (the switch
+        itself woke everyone for as long as either front can arrive).
+        """
+        delay = self._delivery.delay
+        old_model = self._switched_from
+        if old_model is not None:
+            self._switched_from = None
+            old_delay = old_model.delay
+            for key in keys:
+                out = self._out.get(key)
+                if out is None:  # removed mid-round: fed by remove_actor
+                    continue
+                patch = patches.get(key)
+                self._fronts(
+                    q,
+                    [(env, old_delay(env)) for env in (patch[0] or () if patch else out)],
+                    [(env, delay(env)) for env in out],
+                )
+            return
+        for _prev_out, _out, changed, prev_by, new_by in patches.values():
+            for target in changed:
+                stopped = [(env, delay(env)) for env in prev_by.get(target, ())]
+                started = [(env, delay(env)) for env in new_by.get(target, ())]
+                # a target's inbox is grouped by delay (older sends land
+                # first), so the sub-flow changes class by class
+                for d in {d for _, d in stopped + started}:
+                    if [e for e, x in stopped if x == d] == [e for e, x in started if x == d]:
+                        continue
+                    if d == 1:
+                        newly_dirty.add(target)
+                    else:
+                        self._wake_at(q + d, target)
+                self._fronts(q, stopped, started)
+
+    def _fronts(self, q: int, stopped: List[tuple], started: List[tuple]) -> None:
+        """Every ``(envelope, delay)`` whose multiplicity differs between
+        the emissions of round ``q - 1`` and of round ``q`` is a front."""
+        started = list(started)
+        for pair in stopped:
+            try:
+                started.remove(pair)
+            except ValueError:
+                self._front(q, *pair)
+        for pair in started:
+            self._front(q, *pair)
 
     # -- activity-tracked kernel, partial activation ---------------------
     def _run_round_partial_tracked(self, active: set) -> None:
@@ -1081,6 +1243,9 @@ class SynchronousScheduler:
         actor is conservatively marked dirty afterwards and the round is
         reported as changed.  Probe baselines of executed actors are kept
         exact so later full rounds still detect stability correctly.
+        Under non-unit delivery a sleeper's missing sends keep arriving
+        (as gaps) for up to ``delay_bound()`` rounds: everyone stays
+        woken, and the change flag raised, until the last one landed.
         """
         round_no = self._round
         _t0 = _perf() if self._telemetry is not None else 0.0
@@ -1103,24 +1268,27 @@ class SynchronousScheduler:
             self._out[key] = out
             self._out_hash[key] = _outbox_hash(out)
 
-        unit = self._delivery.is_unit
-        matured, _ = self._deliver_round(round_no, outboxes, len(keys), executed, 0, _t0)
+        settled = self._unit_settled()
+        self._deliver_round(round_no, outboxes, len(keys), executed, 0, _t0)
         # pending hash cannot be derived from contributions alone here
         # (sleepers kept their inboxes): recompute it exactly
         self._pending_hash = self._inbox_hash()
-        # keep the token-mode baseline current so a later *full* round's
-        # exact pending comparison starts from this boundary
-        self._pending_force_changed = False
-        if unit and not self._future and not matured:
-            self._prev_pending = None
-        else:
-            self._prev_pending = self._pending_counter()
         self.changed_last_round = True  # conservative; see docstring
         self._flow_flag = True  # sleepers' flow resumes later: boundary differs
         self.state_changed_keys = changed_keys
         self.executed_last_round = executed
         self.replayed_last_round = 0
         self._dirty = set(self._actors)
+        self._wake.pop(round_no + 1, None)
+        self._landing.pop(round_no + 1, None)
+        if not settled:
+            bound = self._delivery.delay_bound()
+            if self._switched_from is not None:
+                bound = max(bound, self._switched_from.delay_bound())
+                self._switched_from = None
+            last = max(round_no + 1 + bound, max(self._future, default=0))
+            self._wake_everyone(round_no + 2, last)
+            self._flux_until = max(self._flux_until, last - 1)
         self._round += 1
 
     def run(self, rounds: int) -> None:

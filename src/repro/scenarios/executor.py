@@ -15,11 +15,13 @@ split) is carried in a comparison-excluded field so reports from the
 two engines compare equal — the property ``tests/test_scenarios.py``
 asserts for every named scenario.
 
-Stability is detected uniformly for both kernels by fingerprint
-comparison (states + in-flight messages), mirroring
-:meth:`ReChordNetwork.run_until_stable`'s legacy criterion; recovery
-additionally waits for the operation ledger to drain (deadlines bound
-that wait).
+Stability is the configuration (states + in-flight messages) repeating
+across a round, detected as :meth:`ReChordNetwork.run_until_stable`
+does: the full-scan spec — and any run under a partial-activation
+daemon — compares fingerprints, the activity-tracked kernels under full
+activation ask the scheduler's exact ``changed_last_round`` flag.
+Recovery additionally waits for the operation ledger to drain (deadlines
+bound that wait).
 """
 
 from __future__ import annotations
@@ -171,15 +173,23 @@ def _build_start(
 
 
 def _sample(
-    net: ReChordNetwork, plane: Optional[TrafficPlane]
+    net: ReChordNetwork, plane: Optional[TrafficPlane], checked: Dict[int, tuple]
 ) -> RecoverySample:
+    """One repair-curve point.  ``checked`` memoizes the local checker
+    for the duration of one campaign: it reads only the peer's own
+    ``PeerState``, so its violation count is a pure function of
+    ``(state, state.version)`` — a re-joined id brings a fresh state
+    object and misses."""
     failing = 0
     violations = 0
-    for peer in net.peers.values():
-        problems = local_check_peer(peer)
-        if problems:
+    for pid, peer in net.peers.items():
+        state = peer.state
+        hit = checked.get(pid)
+        if hit is None or hit[0] is not state or hit[1] != state.version:
+            hit = checked[pid] = (state, state.version, len(local_check_peer(peer)))
+        if hit[2]:
             failing += 1
-            violations += len(problems)
+            violations += hit[2]
     return RecoverySample(
         round=net.round_no,
         peers=len(net.peers),
@@ -279,7 +289,8 @@ def run_scenario(
         stream = ("event", event.at, event.kind, k)
         timeline.setdefault(event.at, []).append((stream, event.kind, dict(event.params)))
 
-    samples: List[RecoverySample] = [_sample(net, plane)]
+    checked: Dict[int, tuple] = {}  # _sample's memo, dies with this run
+    samples: List[RecoverySample] = [_sample(net, plane, checked)]
 
     # ---- event windows ----------------------------------------------
     # the campaign is segmented at event-firing rounds: "start", one
@@ -340,13 +351,13 @@ def run_scenario(
         if fired:
             # capture the damage at the boundary it lands on, before the
             # protocol gets a round to repair it (the repair curve's peak)
-            samples.append(_sample(net, plane))
+            samples.append(_sample(net, plane, checked))
             _open_window(
                 f"r{net.round_no}:{'+'.join(sorted(set(fired_kinds)))}"
             )
         run_one_round()
         if fired or (offset + 1) % spec.sample_every == 0:
-            samples.append(_sample(net, plane))
+            samples.append(_sample(net, plane, checked))
 
     # ---- recovery: workload off, run to configuration fixpoint ------
     if plane is not None and plane.generator is not None:
@@ -354,22 +365,35 @@ def run_scenario(
     _open_window("recovery")
     adversity_end = net.round_no
     recovery_rounds = -1
-    prev = net.fingerprint()
+    # tracked kernels, full activation: the scheduler's change flag is
+    # exact and O(changed); otherwise compare fingerprints (module
+    # docstring).  The flag measures a round against the configuration
+    # it started from, the fingerprint criterion against the previous
+    # boundary: a probe the plane relaunches at the top of a round sits
+    # between the two, so those rounds compare fingerprints as well
+    by_flag = net.incremental and net.time_model.daemon.is_full
+    prev = None if by_flag else net.fingerprint()
     stable = False
     for executed in range(1, spec.max_recovery_rounds + 1):
+        if by_flag and plane is not None and plane.launches_due():
+            prev = net.fingerprint()
         run_one_round()
         if executed % spec.sample_every == 0:
-            samples.append(_sample(net, plane))
-        cur = net.fingerprint()
+            samples.append(_sample(net, plane, checked))
+        if prev is None:
+            changed = net.scheduler.changed_last_round
+        else:
+            cur = net.fingerprint()
+            changed = cur != prev
+            prev = None if by_flag else cur
         drained = plane is None or not plane.collector.outstanding
-        if cur == prev and drained:
+        if not changed and drained:
             # the configuration reached at `executed - 1` is final
             recovery_rounds = executed - 1
             stable = True
             break
-        prev = cur
     if samples[-1].round != net.round_no:
-        samples.append(_sample(net, plane))
+        samples.append(_sample(net, plane, checked))
 
     # ---- survival: eventual success of ops issued per window --------
     # attribute every completion to the window its *issue* round fell

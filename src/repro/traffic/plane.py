@@ -489,6 +489,16 @@ class TrafficPlane:
             self.attempt_log.append(("retry", issued.op_id, nxt, launch))
         return replace(issued, attempt=nxt, deadline=launch + span)
 
+    def launches_due(self) -> bool:
+        """Whether the next :meth:`run_round` has retry/hedge relaunches
+        to consider before it executes the round (a due entry may still
+        turn out stale and post nothing)."""
+        round_no = self.net.round_no
+        return any(
+            rounds and rounds[0] <= round_no
+            for rounds in (self._retry_rounds, self._hedge_rounds)
+        )
+
     def _launch_due(self) -> None:
         """Post every retry/hedge probe whose launch round has arrived.
 

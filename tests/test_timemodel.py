@@ -1,7 +1,7 @@
 """The pluggable time model: delivery models, activation daemons, and
 the exactness of the simulation kernels under non-unit latency.
 
-Four layers of guarantees:
+Five layers of guarantees:
 
 * **model layer** — delivery models and daemons are deterministic pure
   functions of their seeds and inputs, round-trip through spec dicts,
@@ -14,9 +14,15 @@ Four layers of guarantees:
   equivalent to the full-scan kernel under latency models, daemons, and
   the combined adversity of latency + partition + traffic + churn in
   one seeded run;
+* **latency exactness** — a sub-flow change wakes its target for the
+  round it arrives in and matured steady mail dirties nobody (the wake
+  wheel): a stable network replays everyone under every model, and a
+  missed wake would show up as a divergence from the full-scan spec;
 * **exact change flag** — ``changed_last_round`` equals a genuine
   full-fingerprint comparison at every boundary while non-unit delivery
-  is in effect (the token-mode pending comparison).
+  is in effect (O(changed) flags extended by the flux horizon: a change
+  front keeps the flag raised while it travels, and for its landing
+  boundary iff it is deliverable then).
 """
 
 from __future__ import annotations
@@ -24,10 +30,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dht.lookup import ReChordRouter
 from repro.dht.storage import KeyValueStore
-from repro.netsim.messages import Envelope
+from repro.netsim.messages import AppPayload, Envelope
 from repro.netsim.scheduler import SynchronousScheduler
 from repro.netsim.timemodel import (
     DAEMON_KINDS,
@@ -59,6 +67,54 @@ class Recorder:
 
     def step(self, inbox, ctx):
         self.seen.append([env.payload for env in inbox])
+
+
+def _attach_traffic(net, seed):
+    """A KV workload on ``net`` (same seed, same stream on any engine)."""
+    plane = TrafficPlane(net, store=KeyValueStore(ReChordRouter(net)))
+    WorkloadGenerator(
+        plane,
+        rate=1.5,
+        op_mix=((OP_LOOKUP, 0.5), (OP_PUT, 0.3), (OP_GET, 0.2)),
+        seed=seed,
+    )
+    return plane
+
+
+#: between-round events of the latency campaigns; a dict is a model switch
+EVENT_KINDS = ("crash", "leave", "join", "filter_on", "filter_off", "unit")
+#: the campaigns additionally nap: partial activation for a while
+DAEMON_KINDS_ON_OFF = ("daemon_on", "daemon_off")
+
+
+def _apply_event(net, event, rng) -> None:
+    """Apply one between-round event; every choice is drawn from ``rng``
+    and the sorted peer ids, so equal-seeded networks stay in lockstep."""
+    ids = net.peer_ids
+    if isinstance(event, dict) or event == "unit":
+        net.set_delivery_model(event)
+    elif event in ("crash", "leave"):
+        victim = rng.choice(ids)
+        if len(ids) > 4:
+            getattr(net, event)(victim)
+    elif event == "join":
+        new_id = random_peer_ids(1, rng, net.space)[0]
+        while new_id in net.peers:
+            new_id = random_peer_ids(1, rng, net.space)[0]
+        net.join(new_id, rng.choice(ids))
+    elif event == "filter_on":
+        side = frozenset(ids[: len(ids) // 2])
+        net.scheduler.set_drop_filter(
+            lambda env, _s=side: (env.sender in _s) != (env.target in _s)
+        )
+    elif event == "filter_off":
+        net.scheduler.set_drop_filter(None)
+    elif event == "daemon_on":
+        net.set_daemon({"kind": "partial", "p": 0.6, "seed": rng.randrange(99)})
+    elif event == "daemon_off":
+        net.set_daemon("full")
+    else:  # pragma: no cover - test bug
+        raise ValueError(event)
 
 
 class TestModels:
@@ -269,21 +325,42 @@ class TestEngineEquivalenceUnderLatency:
         assert ra == rb
         assert a.matches_ideal()
 
-    def test_change_flag_exact_under_latency(self):
-        """The O(active)+O(pending) change flag equals a genuine full
-        fingerprint comparison at every boundary in token mode."""
-        net = build_random_network(n=8, seed=4, incremental=True)
-        net.set_delivery_model({"kind": "reorder", "bound": 3, "seed": 5})
-        prev = net.fingerprint()
-        for r in range(80):
-            net.run_round()
-            cur = net.fingerprint()
-            assert net.scheduler.changed_last_round == (cur != prev), f"round {r}"
-            prev = cur
+    @pytest.mark.parametrize("traffic", [False, True], ids=["quiet", "traffic"])
+    @pytest.mark.parametrize("spec", LATENCY_MODELS, ids=lambda s: s["kind"])
+    def test_change_flag_exact_under_latency(self, spec, traffic):
+        """The O(changed) change flag (flow flags + flux horizon) equals
+        a genuine full fingerprint comparison at every boundary under
+        every model, through crash / leave / join / drop-filter install
+        and clear / model switches (back to ``unit`` included).  With
+        application mail in flight it may over-report (a dropped
+        one-shot still flags its two boundaries, as under unit
+        delivery) but is never ``False`` across a changed boundary."""
+        net = build_random_network(n=9, seed=4, incremental=True)
+        net.set_delivery_model(spec)
+        plane = _attach_traffic(net, seed=4) if traffic else None
+        rng = random.Random(31)
+        schedule = {
+            6: "crash", 12: "filter_on", 19: "leave", 24: "filter_off",
+            30: "join", 36: {"kind": "constant", "delay": 2}, 44: "unit",
+            52: spec, 60: "crash",
+        }
+        for r in range(90):
+            if r in schedule:
+                _apply_event(net, schedule[r], rng)
+            # events happen between rounds: the comparison starts from
+            # the post-event configuration, like a fresh fingerprint
+            prev = net.fingerprint()
+            (plane or net).run_round()
+            changed = net.fingerprint() != prev
+            if traffic:
+                assert net.scheduler.changed_last_round or not changed, f"round {r}"
+            else:
+                assert net.scheduler.changed_last_round == changed, f"round {r}"
 
     def test_change_flag_exact_through_model_switches(self):
-        """Entering and leaving token mode (non-unit -> unit) keeps the
-        flag exact while the delivery queue drains."""
+        """A model switch is "old-delay flow stops, new-delay flow
+        starts" per steady envelope: the flag stays exact while the two
+        fronts travel, and after the delivery queue drained."""
         net = build_random_network(n=8, seed=14, incremental=True)
         net.run_until_stable(max_rounds=4000)
         prev = net.fingerprint()
@@ -345,6 +422,304 @@ class TestEngineEquivalenceUnderLatency:
             assert a_net.counters().fires == b_net.counters().fires, f"counters at {r}"
         assert a_plane.collector.summary() == b_plane.collector.summary()
         assert a_plane.collector.summary()["wire_delay_mean"] > 0
+
+
+TRACKED_ENGINES = ("incremental", "columnar")
+
+
+class TestClosureUnderLatency:
+    """Closure (a stable configuration steps to itself) costs nothing
+    under latency: matured steady mail dirties nobody."""
+
+    @pytest.mark.parametrize("engine", TRACKED_ENGINES)
+    @pytest.mark.parametrize("spec", LATENCY_MODELS, ids=lambda s: s["kind"])
+    def test_stable_network_replays_everyone(self, spec, engine):
+        fast = build_random_network(n=9, seed=6, engine=engine)
+        full = build_random_network(n=9, seed=6, engine="full")
+        for net in (fast, full):
+            net.set_delivery_model(spec)
+        assert fast.run_until_stable(max_rounds=6000) == full.run_until_stable(
+            max_rounds=6000
+        )
+        n = len(fast.peers)
+        for r in range(3 * fast.scheduler.delay_bound()):
+            fast.run_round()
+            full.run_round()
+            assert fast.activity_stats() == (0, n), f"round {r}"
+            assert not fast.scheduler.changed_last_round
+            assert fast.fingerprint() == full.fingerprint(), f"round {r}"
+        assert fast.counters().fires == full.counters().fires
+
+    def test_columnar_reenters_after_switch_back_to_unit(self):
+        net = build_random_network(n=9, seed=6, engine="columnar")
+        net.run_until_stable(max_rounds=6000)
+        sched = net.scheduler
+        assert sched._cols_active
+        net.set_delivery_model({"kind": "reorder", "bound": 4, "seed": 7})
+        bound = sched.delay_bound()
+        net.run(12)
+        assert not sched._cols_active
+        net.set_delivery_model("unit")
+        for r in range(bound + 2):
+            net.run_round()
+        assert sched._cols_active, "columnar kernel did not re-enter"
+        assert not sched._wake and not sched._landing and not sched.future_pending()
+        report = net.run_until_stable(max_rounds=6000)
+        assert net.matches_ideal() and report.rounds_executed >= 1
+
+
+def _latency_campaign(n, seed, spec, events, traffic, engine):
+    """Drive one seeded campaign; returns everything that must be equal
+    on every engine: per-round fingerprints and rule counters, the
+    final ``run_until_stable`` report and the SLO summary."""
+    net = build_random_network(n=n, seed=seed, engine=engine)
+    net.set_delivery_model(spec)
+    plane = _attach_traffic(net, seed) if traffic else None
+    rng = random.Random(seed)
+    schedule = {3 + 4 * i: event for i, event in enumerate(events)}
+    log = []
+    for r in range(4 * len(events) + 10):
+        if r in schedule:
+            _apply_event(net, schedule[r], rng)
+        (plane or net).run_round()
+        log.append((net.fingerprint(), dict(net.counters().fires)))
+    summary = None
+    if plane is not None:
+        plane.generator.active = False
+        plane.drain(max_rounds=4096)
+        summary = plane.collector.summary()
+    net.scheduler.set_drop_filter(None)
+    net.set_daemon("full")
+    report = net.run_until_stable(max_rounds=8000)
+    return log, summary, report, net.fingerprint()
+
+
+class TestLatencyCampaigns:
+    """One Hypothesis campaign: a missed wake (a target clean in a round
+    where its inbox or oracle view differs from its replay baseline)
+    surfaces as a fingerprint or counter divergence from the spec."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(min_value=5, max_value=10),
+        seed=st.integers(min_value=0, max_value=2**16),
+        spec=st.sampled_from(LATENCY_MODELS),
+        events=st.lists(
+            st.one_of(
+                st.sampled_from(EVENT_KINDS + DAEMON_KINDS_ON_OFF),
+                st.sampled_from(LATENCY_MODELS),
+            ),
+            max_size=6,
+        ),
+        traffic=st.booleans(),
+        engine=st.sampled_from(TRACKED_ENGINES),
+    )
+    def test_tracked_engines_match_the_spec(self, n, seed, spec, events, traffic, engine):
+        want = _latency_campaign(n, seed, spec, events, traffic, "full")
+        got = _latency_campaign(n, seed, spec, events, traffic, engine)
+        for r, (a, b) in enumerate(zip(got[0], want[0])):
+            assert a[0] == b[0], f"fingerprint diverged at round {r}"
+            assert a[1] == b[1], f"rule counters diverged at round {r}"
+        assert got[1:] == want[1:]
+
+
+class Mail(AppPayload):
+    """A toy application payload."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def canonical(self):
+        return ("mail", self.tag)
+
+    def refs(self):
+        return ()
+
+
+class Toy:
+    """A probed toy actor: emits ``out`` every step (so it replays when
+    left alone), ``once`` a single time, and logs the rounds it ran."""
+
+    def __init__(self):
+        self.out = []
+        self.once = []
+        self.ran = []
+
+    def state_version(self):
+        return 0
+
+    def state_token(self):
+        return 0
+
+    def step(self, inbox, ctx):
+        self.ran.append(ctx.round_no)
+        for target, payload in self.out:
+            ctx.send(target, payload)
+        for target, payload in self.once:
+            ctx.send_once(target, payload)
+        self.once = []
+
+
+class TestWakeWheel:
+    """Kernel level: who executes when, and when the flag is raised."""
+
+    def build(self, model):
+        sched = SynchronousScheduler(activity_tracking=True)
+        src, sink = Toy(), Toy()
+        sched.add_actor("src", src)
+        sched.add_actor("sink", sink)
+        sched.set_delivery_model(model)
+        return sched, src, sink
+
+    @staticmethod
+    def settle(sched, *actors):
+        """Run until everyone replays and nothing is in motion."""
+        for _ in range(64):
+            sched.run_round()
+            if (
+                not sched.changed_last_round
+                and sched.executed_last_round == 0
+                and not sched._wake
+            ):
+                break
+        else:  # pragma: no cover - test bug
+            raise AssertionError("toy network never settled")
+        for actor in actors:
+            actor.ran.clear()
+        return sched.round_no
+
+    @staticmethod
+    def config(sched):
+        """A toy full fingerprint: inboxes + scheduled deliveries."""
+        pending = sorted((env.target, repr(env.payload)) for env in sched.all_pending())
+        future = sorted(
+            (rem, env.target, repr(env.payload)) for rem, env in sched.future_pending()
+        )
+        return pending, future
+
+    def run_checking_flag(self, sched, rounds):
+        """Run ``rounds`` rounds; the flag must equal a comparison of
+        toy fingerprints at every boundary.  Returns the flags."""
+        flags = []
+        for _ in range(rounds):
+            prev = self.config(sched)
+            sched.run_round()
+            assert sched.changed_last_round == (self.config(sched) != prev), flags
+            flags.append(sched.changed_last_round)
+        return flags
+
+    def test_delayed_send_once_runs_target_in_consumption_round_only(self):
+        sched, src, sink = self.build({"kind": "constant", "delay": 3})
+        q = self.settle(sched, src, sink)
+        src.once = [("sink", Mail(1))]
+        sched.mark_dirty("src")
+        flags = self.run_checking_flag(sched, 8)
+        assert src.ran == [q]
+        assert sink.ran == [q + 3]
+        # in flight across the boundaries of q .. q+2, consumed in q+3
+        assert flags == [True] * 4 + [False] * 4
+
+    def test_delayed_plain_post_runs_target_one_round_longer(self):
+        sched, src, sink = self.build({"kind": "constant", "delay": 3})
+        r = self.settle(sched, src, sink)
+        assert sched.post(Envelope("src", "sink", "plain"))
+        flags = self.run_checking_flag(sched, 8)
+        # posted before round r with delay 3: consumed in round r + 2
+        assert sink.ran == [r + 2, r + 3]
+        assert src.ran == []
+        assert flags == [True] * 3 + [False] * 5
+
+    def test_model_switch_is_two_fronts_per_envelope(self):
+        sched, src, sink = self.build("unit")
+        src.out = [("sink", "steady")]
+        sched.mark_dirty("src")
+        self.settle(sched, src, sink)
+        sched.set_delivery_model({"kind": "constant", "delay": 4})
+        # the unit flow stops (one boundary), the delay-4 flow fills its
+        # pipe (four boundaries); then the configuration repeats
+        assert self.run_checking_flag(sched, 8) == [True] * 4 + [False] * 4
+        sched.set_delivery_model({"kind": "constant", "delay": 2})
+        assert self.run_checking_flag(sched, 8) == [True] * 4 + [False] * 4
+        sched.set_delivery_model("unit")
+        assert self.run_checking_flag(sched, 8) == [True] * 2 + [False] * 6
+
+    def test_subflow_change_wakes_target_per_delay_class(self):
+        model = {"kind": "reorder", "bound": 3, "seed": 2}
+        delay = make_delivery_model(model).delay
+        by_delay = {1: [], 3: []}
+        for i in range(200):
+            d = delay(Envelope("src", "sink", ("p", i)))
+            if d in by_delay and len(by_delay[d]) < 2:
+                by_delay[d].append(("sink", ("p", i)))
+        (near_a, near_b), (far_a, far_b) = by_delay[1], by_delay[3]
+        sched, src, sink = self.build(model)
+        src.out = [near_a, far_a]
+        sched.mark_dirty("src")
+        self.settle(sched, src, sink)
+        # both delay classes change: the target runs when each arrives
+        src.out = [near_b, far_b]
+        sched.mark_dirty("src")
+        q = sched.round_no
+        sched.run(8)
+        assert sink.ran == [q + 1, q + 3]
+        # only the slow class changes: the fast one still lands as cached
+        self.settle(sched, src, sink)
+        src.out = [near_b, far_a]
+        sched.mark_dirty("src")
+        q = sched.round_no
+        sched.run(8)
+        assert sink.ran == [q + 3]
+
+    @pytest.mark.parametrize("how", ["dead", "filtered"])
+    def test_front_to_undeliverable_target_never_lands(self, how):
+        sched, src, sink = self.build({"kind": "constant", "delay": 3})
+        src.out = [("sink", "old")]
+        sched.mark_dirty("src")
+        self.settle(sched, src, sink)
+        if how == "dead":
+            sched.remove_actor("sink")
+        else:
+            sched.set_drop_filter(lambda env: env.target == "sink")
+        self.settle(sched, src)
+        src.out = [("sink", "new")]
+        sched.mark_dirty("src")
+        q = sched.round_no
+        flags = self.run_checking_flag(sched, 6)
+        # raised while the front travels (rounds q, q+1 = q+d-2), not at
+        # q+d-1: a delivery dropped at maturity never reaches remaining 0
+        assert flags == [True, True, False, False, False, False], (q, flags)
+
+    def test_front_to_live_target_lands(self):
+        sched, src, sink = self.build({"kind": "constant", "delay": 3})
+        src.out = [("sink", "old")]
+        sched.mark_dirty("src")
+        self.settle(sched, src, sink)
+        src.out = [("sink", "new")]
+        sched.mark_dirty("src")
+        assert self.run_checking_flag(sched, 6) == [True] * 3 + [False] * 3
+
+    def test_joining_target_runs_again_when_the_waiting_flows_land(self):
+        sched, src, sink = self.build({"kind": "constant", "delay": 3})
+        src.out = [("late", "steady")]
+        sched.mark_dirty("src")
+        r = self.settle(sched, src, sink)
+        late = Toy()
+        sched.add_actor("late", late)
+        sched.run(8)
+        # fresh in round r; the sends of rounds r-2 .. r were all
+        # scheduled while it was away and land from round r + 1 on
+        assert late.ran == [r, r + 1]
+        assert src.ran == []
+
+    def test_removed_sender_wakes_receivers_when_its_flow_runs_dry(self):
+        sched, src, sink = self.build({"kind": "constant", "delay": 3})
+        src.out = [("sink", "steady")]
+        sched.mark_dirty("src")
+        r = self.settle(sched, src, sink)
+        sched.remove_actor("src")
+        sched.run(8)
+        # last sent in round r - 1, so round r + 3 is the first without it
+        assert sink.ran == [r + 3]
 
 
 class TestTrafficUnderLatency:
