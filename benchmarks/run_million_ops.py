@@ -13,8 +13,9 @@ by the reservoir regardless of campaign length, which is what makes
 this run (and longer ones) practical.
 
 Writes ``benchmarks/results/million_ops.json`` and ``.txt``.  Expect a
-wall-clock of tens of minutes, dominated by the per-round rule pipeline
-of the traffic-touched peers.  Usage::
+wall-clock of a few minutes (recorded: 196 s; 2,800 s before the
+columnar kernel's application lane took traffic off the rule pipeline).
+Usage::
 
     PYTHONPATH=src python benchmarks/run_million_ops.py [--ops 1000000]
 """

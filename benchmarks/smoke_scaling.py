@@ -18,6 +18,10 @@ executed-peer fraction grows beyond 1.5x baseline (replay/dirty-set
 effectiveness).  Both kernels run the batched rule pipeline
 (``repro.core.rules_batched``); the exact round counts were recorded
 under the scalar one, so they also pin the two pipelines together.
+Each gate also prints the hit share of that pipeline's per-level memo
+over the post-churn run — a count, identical on every machine — and
+fails below ``MEMO_HIT_FLOOR``: a post-churn step re-runs rules 3–6 on
+every level of a dirty peer, and all but the touched levels must hit.
 
 Usage::
 
@@ -38,6 +42,8 @@ from pathlib import Path
 
 BASELINE_PATH = Path(__file__).resolve().parent / "baseline_engine.json"
 SEED = 2011
+#: minimum share of per-level memo lookups that hit, post-churn
+MEMO_HIT_FLOOR = 0.8
 
 #: the gates: engine name -> (n, build kwargs)
 GATES = {
@@ -46,7 +52,8 @@ GATES = {
 }
 
 
-def measure(gate: str) -> dict:
+def measure(gate: str) -> tuple:
+    """One gate's ``(baseline-shaped result, memo hit share)``."""
     from repro.experiments.scaling import _post_churn_restabilize, build_ideal_network
     from repro.netsim.rng import SeedSequence
     from repro.workloads.initial import random_peer_ids
@@ -60,13 +67,20 @@ def measure(gate: str) -> dict:
     while join_id in net.peers:
         join_id = random_peer_ids(1, rng, net.space)[0]
     gateway = rng.choice(net.peer_ids)
+    stepper = net.scheduler._batch_stepper
+    before = stepper.memo_counts()
     report, seconds, frac = _post_churn_restabilize(net, join_id, gateway, 2_000)
-    return {
+    hits = misses = 0
+    for rule, (h, m) in stepper.memo_counts().items():
+        hits += h - before[rule][0]
+        misses += m - before[rule][1]
+    result = {
         "n": n,
         "rounds": report.rounds_executed,
         "rounds_per_sec": round(report.rounds_executed / seconds, 2),
         "executed_fraction": round(frac, 4),
     }
+    return result, round(hits / (hits + misses), 4)
 
 
 def check(gate: str, result: dict, baseline: dict, allowed_regression: float) -> bool:
@@ -118,9 +132,14 @@ def main(argv=None) -> int:
 
     gates = ["incremental"] if args.quick else list(GATES)
     results = {}
+    ok = True
     for gate in gates:
-        results[gate] = measure(gate)
+        results[gate], hit_share = measure(gate)
         print(f"measured[{gate}]:", json.dumps(results[gate]))
+        print(f"memo[{gate}]: per-level hit share {hit_share} (floor {MEMO_HIT_FLOOR})")
+        if hit_share < MEMO_HIT_FLOOR:
+            print(f"FAIL[{gate}]: rules 3-6 recompute levels whose inputs did not change")
+            ok = False
 
     baselines = json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else {}
     if "rounds" in baselines:  # pre-columnar flat layout (n=256 incremental)
@@ -130,9 +149,8 @@ def main(argv=None) -> int:
         baselines.update(results)
         BASELINE_PATH.write_text(json.dumps(baselines, indent=2) + "\n")
         print(f"baseline written to {BASELINE_PATH}")
-        return 0
+        return 0 if ok else 1
 
-    ok = True
     for gate in gates:
         if gate not in baselines:
             print(f"FAIL[{gate}]: no baseline entry (run with --update)")

@@ -63,6 +63,10 @@ RefOracle = Callable[[NodeRef], str]
 _KEY = attrgetter("_key")
 
 
+def _untimed(phase: str, seconds: float, calls: int = 1) -> None:
+    """``TelemetryRecorder.add_time`` for a step nobody records."""
+
+
 def _no_plane_error(payload: AppPayload, peer_id: int) -> TypeError:
     return TypeError(
         f"traffic payload {payload!r} delivered to peer {peer_id} with no "
@@ -110,51 +114,13 @@ class ReChordPeer:
         Application mail in the inbox goes to the traffic handler after
         the rules; the handler emits through ``ctx.send_once``, so the
         step's outbox and counter delta cover the rules alone and stay a
-        valid replay template.
+        valid replay template.  Each phase is closed by a wall-clock span
+        under its ``rule.*`` / ``peer.*`` label — handed to the
+        recorder's ``add_time``, or to :func:`_untimed` when telemetry is
+        off — so the timed and the untimed step are one pipeline.
         """
-        if self.telemetry is not None:
-            return self._step_timed(inbox, ctx)
-        fires_before = dict(self.counters.fires)
-        app: Optional[List] = None
-        if self.traffic is not None:
-            app = [env.payload for env in inbox if isinstance(env.payload, AppPayload)]
-            if app:
-                inbox = [env for env in inbox if not isinstance(env.payload, AppPayload)]
-        self._apply_inbox(inbox)
-        self._purge()
-        cfg = self.config
-        if cfg.virtual_nodes:
-            self._rule1_virtual_nodes()
-        if cfg.overlap:
-            self._rule2_overlap()
-        if cfg.closest_real:
-            self._rule3_closest_real(ctx)
-        if cfg.linearize:
-            self._rule4_linearize(ctx)
-        if cfg.ring:
-            self._rule5_ring(ctx)
-        if cfg.connection:
-            self._rule6_connection(ctx)
-        if app:
-            self.traffic.handle(self, app, ctx)
-        fires = self.counters.fires
-        self._replay_delta = {
-            rule: count - fires_before.get(rule, 0)
-            for rule, count in fires.items()
-            if count != fires_before.get(rule, 0)
-        }
-
-    def _step_timed(self, inbox: Sequence[Envelope], ctx: RoundContext) -> None:
-        """:meth:`step` with per-rule ``perf_counter`` spans.
-
-        A verbatim copy of the pipeline (same order, same semantics —
-        the differential suites run with telemetry on to prove it) that
-        accumulates each phase's wall time under a ``rule.*`` /
-        ``peer.*`` label, naming the vectorization targets for the
-        ROADMAP's rule-batching work.  Kept as a separate method so the
-        disabled path pays nothing but the attribute check above.
-        """
-        add = self.telemetry.add_time
+        tel = self.telemetry
+        add = _untimed if tel is None else tel.add_time
         fires_before = dict(self.counters.fires)
         app: Optional[List] = None
         if self.traffic is not None:

@@ -45,12 +45,16 @@ What the batching buys
 * **Bulk-set delivery** — the apply-inbox phase groups a peer's
   ``EdgeAdd`` envelopes by ``(level, kind)`` and lands each group with
   one C-level ``set.update`` (self-edges removed by one ``discard``)
-  instead of dispatching per envelope.  Set *content* is all any
+  instead of dispatching per envelope, and its linear
+  ``RealCandidate`` envelopes by ``(level, side)``, adopting each group
+  in one loop with one counter bump.  Set *content* is all any
   downstream consumer observes (every order-sensitive reader sorts
   first), and the ``version`` counter is only ever compared for
-  equality, so coalesced bumping is invisible.  Candidate messages
-  keep their relative order; they commute with edge-adds (adoption
-  reads pointer slots, edge-adds write only the neighbor sets).
+  equality, so coalesced bumping is invisible.  Linear adoption reads
+  only ``node.ref`` and the ``rl``/``rr`` slots, which nothing in the
+  phase writes, so linear candidates commute with each other, with
+  edge-adds and with wrap candidates; wrap candidates (which read and
+  write the wrap slots) keep the scalar path and their relative order.
 * **C-speed purge screening** — a per-batch ``ok`` set of refs already
   judged alive turns the common per-set scan into one hash-based
   ``issuperset`` call, and a single ``nref in refs`` containment check
@@ -60,6 +64,46 @@ What the batching buys
   connection edges per level, the closest-known-predecessor is found
   by a linear key scan over ``nu`` and the sibling chain instead of
   materializing and sorting the full candidate list.
+* **A per-level memo in front of rules 3–6** — the dirty set is per
+  *peer*, but one changed sub-flow usually reaches one virtual node, and
+  the other ~log n levels of the receiver see exactly the inputs they
+  saw the last time the peer executed.  See "The per-level memo" below.
+
+The per-level memo
+------------------
+
+For one simulated node, each of rules 3, 4, 5 and 6 is a deterministic
+function of a short list of inputs — the node's own sets and slots plus
+a few peer-wide values — to (emitted envelopes, the node's state after
+the rule, counter deltas); ``node.ref`` is fixed for the node's
+lifetime.  The inputs, i.e. the **memo key** of each rule:
+
+====  ==============================================================
+rule  key
+====  ==============================================================
+3     ``nu``, the freshly computed ``(rl, rr)``, ``wrap_rl``,
+      ``wrap_rr``, ``config``, and — under ``economical_broadcast``
+      only, nothing else reads them — the four ``bcast_*`` slots
+4     ``nu``, ``rl``, ``rr``
+5     ``nu``, ``nr``, and the peer-wide ``kmin``, ``kmax``,
+      ``reals[0]``, ``reals[-1]`` (taken from ``knowledge()`` *after*
+      rule 4 ran on every level, as the scalar rule does) and
+      ``config.wrap_pointers``
+6     ``nc`` after the sibling-chain add, ``nu``, the sibling tuple
+====  ==============================================================
+
+``(rl, rr)`` rather than the sorted reals list: a far-away real node the
+peer learns of moves no level's closest pair and must not miss them all.
+**A new read in a rule body is a new key component.**
+
+Every :class:`~repro.core.state.LocalNode` carries a one-entry memo per
+rule (``_memo``).  A phase builds the key; on a **hit** it appends the
+cached envelope slice to the outbox, restores the cached post-state
+through the tracking API (so ``PeerState.version`` moves iff content
+changes) and adds the cached counter deltas; on a **miss** it runs the
+rule body (``_ruleN_level``) in place and stores what it did.  The
+purity argument, the lifetime rules and the frozen-set sharing are in
+docs/ARCHITECTURE.md § "The rule pipeline: spec and fast path".
 
 Contract
 --------
@@ -91,7 +135,8 @@ from repro.core.events import (
     SIDE_RIGHT,
 )
 from repro.core.noderef import INTERN, NodeRef
-from repro.core.protocol import REF_OK, REF_PHANTOM, ReChordPeer
+from repro.core.protocol import REF_OK, REF_PHANTOM, ReChordPeer, _untimed
+from repro.core.state import TrackedSet
 from repro.netsim.messages import AppPayload, Envelope
 
 try:  # optional accelerator; the pure-array path below is the fallback
@@ -110,8 +155,40 @@ _FAST_CACHE_MAX = 4_000_000
 _NUMPY_MIN_ROWS = 2048
 
 
-def _untimed(phase: str, seconds: float, calls: int = 1) -> None:
-    """``TelemetryRecorder.add_time`` for a batch nobody records."""
+#: the memoized rules, in pipeline order; a node's memo is a list with
+#: one entry per rule, indexed by position here.  An entry is
+#: ``(key, envelopes, post set, rest)``: the key with its sets frozen,
+#: the emitted outbox slice as a tuple, the post-state of the set the
+#: rule rewrites (``nu`` for rules 3/4, ``nr`` for 5, ``nc`` for 6 — the
+#: key's own frozenset when the rule left it alone) and the rule's
+#: remaining results (rule 3: changed wrap/bcast slots or None; rules
+#: 4–6: counter deltas)
+MEMO_RULES = ("rule3", "rule4", "rule5", "rule6")
+_R3, _R4, _R5, _R6 = range(4)
+
+#: rule 5's counter deltas when nothing fired
+_NO_RING_FIRES = (0, 0, 0)
+
+
+def _restore(refs: TrackedSet, content: frozenset) -> None:
+    """Make a tracked set hold exactly ``content``; bumps iff it changes."""
+    if content:
+        refs.intersection_update(content)
+        refs.update(content)
+    else:
+        refs.clear()
+
+
+def _as_frozen(refs) -> frozenset:
+    """A key's ``nu`` frozen: it is the previous rule's frozen post-state
+    already, or the live set when no memoized rule ran before."""
+    return refs if type(refs) is frozenset else frozenset(refs)
+
+
+def _frozen(refs: TrackedSet, before: frozenset) -> frozenset:
+    """``refs`` frozen — ``before`` itself when the content did not move,
+    so entries share one object and later keys compare by identity."""
+    return before if before == refs else frozenset(refs)
 
 
 class RankIndex:
@@ -171,12 +248,23 @@ class BatchedRuleEngine:
     :meth:`accepts`, instead of calling ``actor.step`` one by one.
     """
 
-    __slots__ = ("rank_index", "_fast")
+    __slots__ = ("rank_index", "_fast", "_memo_hits", "_memo_misses")
 
     def __init__(self, use_numpy: Optional[bool] = None) -> None:
         self.rank_index = RankIndex(use_numpy)
         #: this pipeline's envelope intern cache, keyed by flat ints
         self._fast: Dict[tuple, Envelope] = {}
+        #: per-level memo lookups by outcome, one int per MEMO_RULES
+        #: entry; observational only — no rule reads them
+        self._memo_hits = [0, 0, 0, 0]
+        self._memo_misses = [0, 0, 0, 0]
+
+    def memo_counts(self) -> Dict[str, tuple]:
+        """``rule -> (hits, misses)`` of the per-level memo so far."""
+        return {
+            rule: (self._memo_hits[i], self._memo_misses[i])
+            for i, rule in enumerate(MEMO_RULES)
+        }
 
     # ------------------------------------------------------------------
     # entry point
@@ -223,7 +311,13 @@ class BatchedRuleEngine:
             handlers.sort(key=_ITEM_KEY)
         if peers:
             self.rank_index.refresh()
-        self._pipeline(peers, handlers, _untimed if tel is None else tel.add_time)
+        if tel is None:
+            self._pipeline(peers, handlers, _untimed)
+        else:
+            before = self.memo_counts()
+            self._pipeline(peers, handlers, tel.add_time)
+            for rule, (hits, misses) in self.memo_counts().items():
+                tel.add_memo(rule, hits - before[rule][0], misses - before[rule][1])
         for actor, _inbox, _ctx, fires_before in peers:
             fires = actor.counters.fires
             actor._replay_delta = {
@@ -237,7 +331,7 @@ class BatchedRuleEngine:
 
         ``add`` is the recorder's ``add_time`` (or :func:`_untimed`: an
         untraced batch pays ten clock reads per *round*, not per peer).
-        Phase labels match the scalar ``_step_timed`` ones so telemetry
+        Phase labels match the scalar ``ReChordPeer.step`` ones so telemetry
         reports stay comparable; a span covers the whole batch and
         counts one call per peer in it, so call counts (and the
         per-call averages derived from them) keep their per-peer
@@ -356,16 +450,20 @@ class BatchedRuleEngine:
     # ------------------------------------------------------------------
     def _phase_apply_inbox(self, peers: List[list]) -> None:
         # the scalar _apply_inbox with delivery coalesced: EdgeAdds are
-        # grouped per (level, kind) and landed with one bulk set.update
-        # (edge-adds write only the neighbor sets, candidate adoption
-        # reads only the pointer slots, so the two commute; candidates
-        # keep their relative order among themselves)
+        # grouped per (level, kind) and landed with one bulk set.update,
+        # linear RealCandidates per (level, side) and adopted in one loop
+        # with one counter bump.  Edge-adds write only the neighbor sets;
+        # linear adoption reads only node.ref and the rl/rr slots, which
+        # nothing in this phase writes — so linear candidates commute
+        # with each other, with edge-adds and with wrap candidates, which
+        # keep the scalar path and their relative order
         for it in peers:
             actor, inbox = it[0], it[1]
             state = actor.state
             nodes = state.nodes
             peer_id = state.peer_id
             deliver_candidate = actor._deliver_candidate
+            #: (level, edge kind | candidate side) -> endpoints | candidates
             groups: Dict[tuple, list] = {}
             setdefault = groups.setdefault
             for env in inbox:
@@ -381,27 +479,68 @@ class BatchedRuleEngine:
                         payload.endpoint
                     )
                 elif cls is RealCandidate:
-                    deliver_candidate(payload)
+                    if payload.wrap:
+                        deliver_candidate(payload)
+                        continue
+                    target = payload.target
+                    if target.owner != peer_id:
+                        raise LookupError(f"candidate for {target!r} at peer {peer_id}")
+                    setdefault((target.level, payload.side), []).append(
+                        payload.candidate
+                    )
                 else:
                     # NeighborIntro / no-plane AppPayload / unknown: rare
                     # paths — defer to the scalar handler (same errors)
                     actor._apply_inbox([env])
-            for (level, kind), endpoints in groups.items():
+            for (level, tag), incoming in groups.items():
                 node = nodes.get(level)
                 if node is None:
                     node = nodes[max(nodes)]
-                if kind == KIND_UNMARKED:
+                if tag == KIND_UNMARKED:
                     refs = node._nu
-                elif kind == KIND_RING:
+                elif tag == KIND_RING:
                     refs = node._nr
-                elif kind == KIND_CONNECTION:
+                elif tag == KIND_CONNECTION:
                     refs = node._nc
+                elif tag == SIDE_LEFT or tag == SIDE_RIGHT:
+                    adopted = self._adoptable(node, incoming, tag)
+                    if adopted:
+                        node._nu.update(adopted)
+                        actor.counters.bump("rule3_adopt", len(adopted))
+                    continue
                 else:  # pragma: no cover - protocol violation
-                    raise ValueError(f"unknown edge kind {kind!r}")
-                add = set(endpoints)
+                    raise ValueError(f"unknown edge kind {tag!r}")
+                add = set(incoming)
                 add.discard(node.ref)  # self-edge sanitation [D10]
                 if add:
                     refs.update(add)
+
+    @staticmethod
+    def _adoptable(node, cands: List[NodeRef], side: str) -> List[NodeRef]:
+        """The candidates rule 3's receiver-side guard lets into ``nu``.
+
+        ``_deliver_candidate`` + ``_adopt_linear_candidate`` over one
+        ``(node, side)`` group: real, not the node itself, on the right
+        side, and a strict improvement over the cached pointer.  A
+        duplicate passes twice, as it fires ``rule3_adopt`` twice.
+        """
+        ref = node.ref
+        nk = ref._key
+        if side == SIDE_LEFT:
+            rl = node._rl
+            lo = None if rl is None else rl._key
+            return [
+                c for c in cands
+                if c.level == 0 and c._key < nk
+                and (lo is None or c._key > lo) and c != ref
+            ]
+        rr = node._rr
+        hi = None if rr is None else rr._key
+        return [
+            c for c in cands
+            if c.level == 0 and c._key > nk
+            and (hi is None or c._key < hi) and c != ref
+        ]
 
     # ------------------------------------------------------------------
     # phase: purge [D7]/[D11]
@@ -482,9 +621,22 @@ class BatchedRuleEngine:
                     node.rr = None
 
     # ------------------------------------------------------------------
+    # the per-level memo (module docstring, "The per-level memo")
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _nu_source(cfg, rule: int) -> Optional[int]:
+        """The memoized rule whose entry holds ``nu`` frozen as ``rule``
+        finds it — the last enabled one of rules 3 and 4 before it, which
+        just ran on every level of the peer — or None: read the live set."""
+        if rule > _R4 and cfg.linearize:
+            return _R4
+        return _R3 if cfg.closest_real else None
+
+    # ------------------------------------------------------------------
     # phase: rule 3 — closest real neighbor
     # ------------------------------------------------------------------
     def _phase_rule3(self, peers: List[list]) -> None:
+        hits = misses = 0
         for it in peers:
             actor, ctx = it[0], it[2]
             cfg = actor.config
@@ -492,77 +644,130 @@ class BatchedRuleEngine:
                 continue
             state = actor.state
             outbox = ctx._outbox
-            wrap = cfg.wrap_pointers
             eco = cfg.economical_broadcast
             reals = self._sorted_refs(
                 [r for r in state.knowledge() if r.level == 0]
             )
             real_keys = [r._key for r in reals]
             nreals = len(reals)
-            for level in sorted(state.nodes):
-                node = state.nodes[level]
+            nodes = state.nodes
+            for level in sorted(nodes):
+                node = nodes[level]
                 ui = node.ref
-                uik = ui._key
-                idx = bisect_left(real_keys, uik)
+                idx = bisect_left(real_keys, ui._key)
                 rl = reals[idx - 1] if idx > 0 else None
                 if idx < nreals and reals[idx] == ui:
                     rr = reals[idx + 1] if idx + 1 < nreals else None
                 else:
                     rr = reals[idx] if idx < nreals else None
-                node.rl, node.rr = rl, rr
-                if rl is not None:
-                    node._nu.add(rl)
-                if rr is not None:
-                    node._nu.add(rr)
-                if wrap:
-                    actor._maintain_wrap_slots(node)
-                nu_sorted = self._sorted_refs(node._nu)
-                if rl is not None:
-                    rlk = rl._key
-                    recipients = []
-                    for y in nu_sorted:
-                        if y == rl:
-                            continue
-                        yk = y._key
-                        if yk > uik or rlk < yk < uik:
-                            recipients.append(y)
-                    for y in recipients:
-                        if eco and rl == node.bcast_rl and (
-                            node.bcast_rl_targets is not None
-                            and y in node.bcast_rl_targets
-                        ):
-                            continue
-                        self._send_cand(ctx, outbox, y, rl, SIDE_LEFT)
-                    if eco:
-                        node.bcast_rl = rl
-                        node.bcast_rl_targets = frozenset(recipients)
-                elif eco:
-                    node.bcast_rl = None
-                    node.bcast_rl_targets = None
-                if rr is not None:
-                    rrk = rr._key
-                    recipients = []
-                    for y in nu_sorted:
-                        if y == rr:
-                            continue
-                        yk = y._key
-                        if yk < uik or uik < yk < rrk:
-                            recipients.append(y)
-                    for y in recipients:
-                        if eco and rr == node.bcast_rr and (
-                            node.bcast_rr_targets is not None
-                            and y in node.bcast_rr_targets
-                        ):
-                            continue
-                        self._send_cand(ctx, outbox, y, rr, SIDE_RIGHT)
-                    if eco:
-                        node.bcast_rr = rr
-                        node.bcast_rr_targets = frozenset(recipients)
-                elif eco:
-                    node.bcast_rr = None
-                    node.bcast_rr_targets = None
-                if wrap:
-                    self._relay_wrap(node, ctx, outbox)
+                # the rule's first assignment; (rl, rr) is in the key, so
+                # it is the same write on a hit and on a miss
+                if node._rl is not rl:
+                    node.rl = rl
+                if node._rr is not rr:
+                    node.rr = rr
+                memo = node._memo
+                if memo is None:
+                    memo = node._memo = [None, None, None, None]
+                key = (
+                    node._nu, rl, rr, node._wrap_rl, node._wrap_rr, cfg,
+                    (node._bcast_rl, node._bcast_rl_targets,
+                     node._bcast_rr, node._bcast_rr_targets) if eco else None,
+                )
+                entry = memo[_R3]
+                if entry is None or entry[0] != key:
+                    misses += 1
+                    memo[_R3] = self._rule3_level(actor, node, ctx, key)
+                    continue
+                hits += 1
+                ekey, envelopes, nu_after, slots = entry
+                if envelopes:
+                    outbox.extend(envelopes)
+                if nu_after is not ekey[0]:
+                    _restore(node._nu, nu_after)
+                if slots is not None:
+                    node.wrap_rl, node.wrap_rr, bcast = slots
+                    if bcast is not None:
+                        (node.bcast_rl, node.bcast_rl_targets,
+                         node.bcast_rr, node.bcast_rr_targets) = bcast
+        self._memo_hits[_R3] += hits
+        self._memo_misses[_R3] += misses
+
+    def _rule3_level(self, actor, node, ctx, key: tuple) -> tuple:
+        """Rule 3 on one simulated node whose ``rl``/``rr`` are already
+        assigned; returns the memo entry.  ``key`` lists every input."""
+        nu_live, rl, rr, wrap_rl, wrap_rr, cfg, bcast = key
+        outbox = ctx._outbox
+        start = len(outbox)
+        nu_before = frozenset(nu_live)
+        wrap = cfg.wrap_pointers
+        eco = cfg.economical_broadcast
+        ui = node.ref
+        uik = ui._key
+        if rl is not None:
+            node._nu.add(rl)
+        if rr is not None:
+            node._nu.add(rr)
+        if wrap:
+            actor._maintain_wrap_slots(node)
+        nu_sorted = self._sorted_refs(node._nu)
+        if rl is not None:
+            rlk = rl._key
+            recipients = []
+            for y in nu_sorted:
+                if y == rl:
+                    continue
+                yk = y._key
+                if yk > uik or rlk < yk < uik:
+                    recipients.append(y)
+            for y in recipients:
+                if eco and rl == node.bcast_rl and (
+                    node.bcast_rl_targets is not None
+                    and y in node.bcast_rl_targets
+                ):
+                    continue
+                self._send_cand(ctx, outbox, y, rl, SIDE_LEFT)
+            if eco:
+                node.bcast_rl = rl
+                node.bcast_rl_targets = frozenset(recipients)
+        elif eco:
+            node.bcast_rl = None
+            node.bcast_rl_targets = None
+        if rr is not None:
+            rrk = rr._key
+            recipients = []
+            for y in nu_sorted:
+                if y == rr:
+                    continue
+                yk = y._key
+                if yk < uik or uik < yk < rrk:
+                    recipients.append(y)
+            for y in recipients:
+                if eco and rr == node.bcast_rr and (
+                    node.bcast_rr_targets is not None
+                    and y in node.bcast_rr_targets
+                ):
+                    continue
+                self._send_cand(ctx, outbox, y, rr, SIDE_RIGHT)
+            if eco:
+                node.bcast_rr = rr
+                node.bcast_rr_targets = frozenset(recipients)
+        elif eco:
+            node.bcast_rr = None
+            node.bcast_rr_targets = None
+        if wrap:
+            self._relay_wrap(node, ctx, outbox)
+        bcast_after = (
+            node._bcast_rl, node._bcast_rl_targets,
+            node._bcast_rr, node._bcast_rr_targets,
+        ) if eco else None
+        slots = (node._wrap_rl, node._wrap_rr, bcast_after)
+        return (
+            (nu_before, *key[1:]),
+            tuple(outbox[start:]),
+            _frozen(node._nu, nu_before),
+            None if slots == (wrap_rl, wrap_rr, bcast) else slots,
+        )
 
     def _relay_wrap(self, node, ctx, outbox) -> None:
         """Scalar ``_relay_wrap`` on the fast send path."""
@@ -590,61 +795,97 @@ class BatchedRuleEngine:
     # phase: rule 4 — linearization + mirroring
     # ------------------------------------------------------------------
     def _phase_rule4(self, peers: List[list]) -> None:
-        send_edge = self._send_edge
+        hits = misses = 0
         for it in peers:
             actor, ctx = it[0], it[2]
-            if not actor.config.linearize:
+            cfg = actor.config
+            if not cfg.linearize:
                 continue
-            state = actor.state
             outbox = ctx._outbox
+            source = self._nu_source(cfg, _R4)
+            nodes = actor.state.nodes
             forwards = 0
-            for level in sorted(state.nodes):
-                node = state.nodes[level]
-                ui = node.ref
-                uik = ui._key
-                nu = node._nu
-                # one sort, split at ui — the scalar code sorts the left
-                # and right halves separately
-                snu = self._sorted_refs(nu)
-                lefts: List[NodeRef] = []
-                rights: List[NodeRef] = []
-                for w in snu:
-                    wk = w._key
-                    if wk < uik:
-                        lefts.append(w)
-                    elif wk > uik:
-                        rights.append(w)
-                # forward pairs, closest-first (scalar iterates lefts in
-                # descending order)
-                for j in range(len(lefts) - 1, 0, -1):
-                    a = lefts[j]
-                    b = lefts[j - 1]
-                    send_edge(ctx, outbox, a, b, KIND_UNMARKED)
-                    nu.discard(b)
-                    forwards += 1
-                for j in range(len(rights) - 1):
-                    a = rights[j]
-                    b = rights[j + 1]
-                    send_edge(ctx, outbox, a, b, KIND_UNMARKED)
-                    nu.discard(b)
-                    forwards += 1
-                # mirroring over whatever remains in nu (the two closest
-                # neighbors, plus pathological equal-to-ui refs — match
-                # the scalar re-scan exactly rather than assuming)
-                for v in self._sorted_refs(nu):
-                    send_edge(ctx, outbox, v, ui, KIND_UNMARKED)
-                if node._rl is not None:
-                    nu.add(node._rl)
-                if node._rr is not None:
-                    nu.add(node._rr)
+            for level in sorted(nodes):
+                node = nodes[level]
+                memo = node._memo
+                if memo is None:
+                    memo = node._memo = [None, None, None, None]
+                key = (
+                    node._nu if source is None else memo[source][2],
+                    node._rl, node._rr,
+                )
+                entry = memo[_R4]
+                if entry is None or entry[0] != key:
+                    misses += 1
+                    entry = memo[_R4] = self._rule4_level(node, ctx, key)
+                else:
+                    hits += 1
+                    if entry[1]:
+                        outbox.extend(entry[1])
+                    if entry[2] is not entry[0][0]:
+                        _restore(node._nu, entry[2])
+                forwards += entry[3]
             if forwards:
                 actor.counters.bump("rule4_forward", forwards)
+        self._memo_hits[_R4] += hits
+        self._memo_misses[_R4] += misses
+
+    def _rule4_level(self, node, ctx, key: tuple) -> tuple:
+        """Rule 4 on one simulated node; returns the memo entry (its
+        counter delta is the number of forwards)."""
+        send_edge = self._send_edge
+        outbox = ctx._outbox
+        start = len(outbox)
+        nu = node._nu
+        nu_before = _as_frozen(key[0])
+        ui = node.ref
+        uik = ui._key
+        forwards = 0
+        # one sort, split at ui — the scalar code sorts the left
+        # and right halves separately
+        lefts: List[NodeRef] = []
+        rights: List[NodeRef] = []
+        for w in self._sorted_refs(nu):
+            wk = w._key
+            if wk < uik:
+                lefts.append(w)
+            elif wk > uik:
+                rights.append(w)
+        # forward pairs, closest-first (scalar iterates lefts in
+        # descending order)
+        for j in range(len(lefts) - 1, 0, -1):
+            a = lefts[j]
+            b = lefts[j - 1]
+            send_edge(ctx, outbox, a, b, KIND_UNMARKED)
+            nu.discard(b)
+            forwards += 1
+        for j in range(len(rights) - 1):
+            a = rights[j]
+            b = rights[j + 1]
+            send_edge(ctx, outbox, a, b, KIND_UNMARKED)
+            nu.discard(b)
+            forwards += 1
+        # mirroring over whatever remains in nu (the two closest
+        # neighbors, plus pathological equal-to-ui refs — match
+        # the scalar re-scan exactly rather than assuming)
+        for v in self._sorted_refs(nu):
+            send_edge(ctx, outbox, v, ui, KIND_UNMARKED)
+        if key[1] is not None:
+            nu.add(key[1])
+        if key[2] is not None:
+            nu.add(key[2])
+        return (
+            (nu_before, key[1], key[2]),
+            tuple(outbox[start:]),
+            _frozen(nu, nu_before),
+            forwards,
+        )
 
     # ------------------------------------------------------------------
     # phase: rule 5 — ring edges
     # ------------------------------------------------------------------
     def _phase_rule5(self, peers: List[list]) -> None:
-        send_edge = self._send_edge
+        hits = misses = 0
         for it in peers:
             actor, ctx = it[0], it[2]
             cfg = actor.config
@@ -652,149 +893,226 @@ class BatchedRuleEngine:
                 continue
             state = actor.state
             outbox = ctx._outbox
-            counters = actor.counters
-            wrap = cfg.wrap_pointers
+            # peer-wide inputs, read after rule 4 ran on every level
             knowledge = state.knowledge()
             kmin = min(knowledge, key=_KEY)
             kmax = max(knowledge, key=_KEY)
             reals = state.known_reals(knowledge)
-            for level in sorted(state.nodes):
-                node = state.nodes[level]
-                ui = node.ref
-                uik = ui._key
-                has_left = has_right = False
-                for w in node._nu:
-                    wk = w._key
-                    if wk < uik:
-                        has_left = True
-                    elif wk > uik:
-                        has_right = True
-                if not has_left and kmax != ui:
-                    send_edge(ctx, outbox, kmax, ui, KIND_RING)
-                    counters.bump("rule5_create")
-                if not has_right and kmin != ui:
-                    send_edge(ctx, outbox, kmin, ui, KIND_RING)
-                    counters.bump("rule5_create")
-                nr = node._nr
-                if not nr:
-                    continue
-                for w in self._sorted_refs(nr):
-                    if w == ui:
-                        nr.discard(w)
-                        continue
-                    wk = w._key
-                    if wk > uik:
-                        x = kmax
-                        xk = x._key
-                        for y in nr:
-                            yk = y._key
-                            if yk > xk:
-                                x = y
-                                xk = yk
-                        if xk > wk:
-                            send_edge(ctx, outbox, x, w, KIND_UNMARKED)
-                            nr.discard(w)
-                            counters.bump("rule5_convert")
-                        elif kmin != ui:
-                            send_edge(ctx, outbox, kmin, w, KIND_RING)
-                            nr.discard(w)
-                            counters.bump("rule5_forward")
-                        else:
-                            if wrap and reals:
-                                self._send_cand(
-                                    ctx, outbox, w, reals[0], SIDE_RIGHT, wrap=True
-                                )
-                    else:
-                        x = kmin
-                        xk = x._key
-                        for y in nr:
-                            yk = y._key
-                            if yk < xk:
-                                x = y
-                                xk = yk
-                        if xk < wk:
-                            send_edge(ctx, outbox, x, w, KIND_UNMARKED)
-                            nr.discard(w)
-                            counters.bump("rule5_convert")
-                        elif kmax != ui:
-                            send_edge(ctx, outbox, kmax, w, KIND_RING)
-                            nr.discard(w)
-                            counters.bump("rule5_forward")
-                        else:
-                            if wrap and reals:
-                                self._send_cand(
-                                    ctx, outbox, w, reals[-1], SIDE_LEFT, wrap=True
-                                )
+            wide = (kmin, kmax, reals[0], reals[-1], cfg.wrap_pointers)
+            source = self._nu_source(cfg, _R5)
+            nodes = state.nodes
+            create = convert = forward = 0
+            for level in sorted(nodes):
+                node = nodes[level]
+                memo = node._memo
+                if memo is None:
+                    memo = node._memo = [None, None, None, None]
+                key = (
+                    node._nu if source is None else memo[source][2],
+                    node._nr,
+                    *wide,
+                )
+                entry = memo[_R5]
+                if entry is None or entry[0] != key:
+                    misses += 1
+                    entry = memo[_R5] = self._rule5_level(node, ctx, key)
+                else:
+                    hits += 1
+                    if entry[1]:
+                        outbox.extend(entry[1])
+                    if entry[2] is not entry[0][1]:
+                        _restore(node._nr, entry[2])
+                fires = entry[3]
+                if fires is not _NO_RING_FIRES:
+                    create += fires[0]
+                    convert += fires[1]
+                    forward += fires[2]
+            counters = actor.counters
+            counters.bump("rule5_create", create)
+            counters.bump("rule5_convert", convert)
+            counters.bump("rule5_forward", forward)
+        self._memo_hits[_R5] += hits
+        self._memo_misses[_R5] += misses
+
+    def _rule5_level(self, node, ctx, key: tuple) -> tuple:
+        """Rule 5 on one simulated node; returns the memo entry (its
+        counter deltas are ``(create, convert, forward)``)."""
+        nu, nr_live, kmin, kmax, real_min, real_max, wrap = key
+        send_edge = self._send_edge
+        outbox = ctx._outbox
+        start = len(outbox)
+        nr = node._nr
+        nr_before = frozenset(nr)
+        ui = node.ref
+        uik = ui._key
+        create = convert = forward = 0
+        has_left = has_right = False
+        for w in nu:
+            wk = w._key
+            if wk < uik:
+                has_left = True
+            elif wk > uik:
+                has_right = True
+        if not has_left and kmax != ui:
+            send_edge(ctx, outbox, kmax, ui, KIND_RING)
+            create += 1
+        if not has_right and kmin != ui:
+            send_edge(ctx, outbox, kmin, ui, KIND_RING)
+            create += 1
+        for w in self._sorted_refs(nr) if nr else ():
+            if w == ui:
+                nr.discard(w)
+                continue
+            wk = w._key
+            if wk > uik:
+                x = kmax
+                xk = x._key
+                for y in nr:
+                    yk = y._key
+                    if yk > xk:
+                        x = y
+                        xk = yk
+                if xk > wk:
+                    send_edge(ctx, outbox, x, w, KIND_UNMARKED)
+                    nr.discard(w)
+                    convert += 1
+                elif kmin != ui:
+                    send_edge(ctx, outbox, kmin, w, KIND_RING)
+                    nr.discard(w)
+                    forward += 1
+                elif wrap:
+                    self._send_cand(ctx, outbox, w, real_min, SIDE_RIGHT, wrap=True)
+            else:
+                x = kmin
+                xk = x._key
+                for y in nr:
+                    yk = y._key
+                    if yk < xk:
+                        x = y
+                        xk = yk
+                if xk < wk:
+                    send_edge(ctx, outbox, x, w, KIND_UNMARKED)
+                    nr.discard(w)
+                    convert += 1
+                elif kmax != ui:
+                    send_edge(ctx, outbox, kmax, w, KIND_RING)
+                    nr.discard(w)
+                    forward += 1
+                elif wrap:
+                    self._send_cand(ctx, outbox, w, real_max, SIDE_LEFT, wrap=True)
+        fires = (create, convert, forward)
+        return (
+            (_as_frozen(nu), nr_before, *key[2:]),
+            tuple(outbox[start:]),
+            _frozen(nr, nr_before),
+            _NO_RING_FIRES if fires == _NO_RING_FIRES else fires,
+        )
 
     # ------------------------------------------------------------------
     # phase: rule 6 — connection edges
     # ------------------------------------------------------------------
     def _phase_rule6(self, peers: List[list]) -> None:
-        send_edge = self._send_edge
+        hits = misses = 0
         for it in peers:
             actor, ctx = it[0], it[2]
-            if not actor.config.connection:
+            cfg = actor.config
+            if not cfg.connection:
                 continue
-            state = actor.state
             outbox = ctx._outbox
-            nodes = state.nodes
-            sibs = self._sorted_refs([n.ref for n in nodes.values()])
+            nodes = actor.state.nodes
+            sibs = tuple(self._sorted_refs([n.ref for n in nodes.values()]))
             for a, b in zip(sibs, sibs[1:]):
-                nodes[a.level].nc.add(b)
+                nodes[a.level]._nc.add(b)
+            source = self._nu_source(cfg, _R6)
             forward = backward = 0
             for level in sorted(nodes):
                 node = nodes[level]
                 nc = node._nc
                 if not nc:
                     continue
-                ui = node.ref
-                if len(nc) <= 4:
-                    # few connection edges (typically just the sibling
-                    # chain): find each closest known predecessor by a
-                    # linear key scan instead of sorting nu + sibs
-                    for v in self._sorted_refs(nc):
-                        if v == ui:
-                            nc.discard(v)
-                            continue
-                        vk = v._key
-                        w = None
-                        wk = None
-                        for c in node._nu:
-                            ck = c._key
-                            if ck < vk and (wk is None or ck > wk):
-                                w = c
-                                wk = ck
-                        for c in sibs:
-                            ck = c._key
-                            if ck < vk and (wk is None or ck > wk):
-                                w = c
-                                wk = ck
-                        if w is None or w == ui:
-                            send_edge(ctx, outbox, v, ui, KIND_UNMARKED)
-                            nc.discard(v)
-                            backward += 1
-                        else:
-                            send_edge(ctx, outbox, w, v, KIND_CONNECTION)
-                            nc.discard(v)
-                            forward += 1
-                    continue
-                cands = self._sorted_refs([*node._nu, *sibs])
-                cand_keys = [c._key for c in cands]
-                for v in self._sorted_refs(nc):
-                    if v == ui:
-                        nc.discard(v)
-                        continue
-                    idx = bisect_left(cand_keys, v._key)
-                    w = cands[idx - 1] if idx > 0 else None
-                    if w is None or w == ui:
-                        send_edge(ctx, outbox, v, ui, KIND_UNMARKED)
-                        nc.discard(v)
-                        backward += 1
-                    else:
-                        send_edge(ctx, outbox, w, v, KIND_CONNECTION)
-                        nc.discard(v)
-                        forward += 1
+                memo = node._memo
+                if memo is None:
+                    memo = node._memo = [None, None, None, None]
+                key = (nc, node._nu if source is None else memo[source][2], sibs)
+                entry = memo[_R6]
+                if entry is None or entry[0] != key:
+                    misses += 1
+                    entry = memo[_R6] = self._rule6_level(node, ctx, key)
+                else:
+                    hits += 1
+                    if entry[1]:
+                        outbox.extend(entry[1])
+                    if entry[2] is not entry[0][0]:
+                        _restore(nc, entry[2])
+                forward += entry[3][0]
+                backward += entry[3][1]
             if forward:
                 actor.counters.bump("rule6_forward", forward)
             if backward:
                 actor.counters.bump("rule6_backward", backward)
+        self._memo_hits[_R6] += hits
+        self._memo_misses[_R6] += misses
+
+    def _rule6_level(self, node, ctx, key: tuple) -> tuple:
+        """Rule 6 on one simulated node whose ``nc`` already holds its
+        sibling-chain edge; returns the memo entry (its counter deltas
+        are ``(forward, backward)``)."""
+        nc, nu, sibs = key
+        send_edge = self._send_edge
+        outbox = ctx._outbox
+        start = len(outbox)
+        nc_before = frozenset(nc)
+        ui = node.ref
+        forward = backward = 0
+        if len(nc) <= 4:
+            # few connection edges (typically just the sibling
+            # chain): find each closest known predecessor by a
+            # linear key scan instead of sorting nu + sibs
+            for v in self._sorted_refs(nc):
+                if v == ui:
+                    nc.discard(v)
+                    continue
+                vk = v._key
+                w = None
+                wk = None
+                for c in nu:
+                    ck = c._key
+                    if ck < vk and (wk is None or ck > wk):
+                        w = c
+                        wk = ck
+                for c in sibs:
+                    ck = c._key
+                    if ck < vk and (wk is None or ck > wk):
+                        w = c
+                        wk = ck
+                if w is None or w == ui:
+                    send_edge(ctx, outbox, v, ui, KIND_UNMARKED)
+                    nc.discard(v)
+                    backward += 1
+                else:
+                    send_edge(ctx, outbox, w, v, KIND_CONNECTION)
+                    nc.discard(v)
+                    forward += 1
+        else:
+            cands = self._sorted_refs([*nu, *sibs])
+            cand_keys = [c._key for c in cands]
+            for v in self._sorted_refs(nc):
+                if v == ui:
+                    nc.discard(v)
+                    continue
+                idx = bisect_left(cand_keys, v._key)
+                w = cands[idx - 1] if idx > 0 else None
+                if w is None or w == ui:
+                    send_edge(ctx, outbox, v, ui, KIND_UNMARKED)
+                    nc.discard(v)
+                    backward += 1
+                else:
+                    send_edge(ctx, outbox, w, v, KIND_CONNECTION)
+                    nc.discard(v)
+                    forward += 1
+        return (
+            (nc_before, _as_frozen(nu), sibs),
+            tuple(outbox[start:]),
+            _frozen(nc, nc_before),
+            (forward, backward),
+        )

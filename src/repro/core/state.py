@@ -247,6 +247,7 @@ class LocalNode:
         "_bcast_rl_targets",
         "_bcast_rr",
         "_bcast_rr_targets",
+        "_memo",
     )
 
     def __init__(self, ref: NodeRef, state: Optional["PeerState"] = None) -> None:
@@ -263,6 +264,19 @@ class LocalNode:
         self._bcast_rl_targets: Optional[frozenset] = None
         self._bcast_rr: Optional[NodeRef] = None
         self._bcast_rr_targets: Optional[frozenset] = None
+        #: the fast rule pipeline's per-(node, rule) memo (see
+        #: repro.core.rules_batched): derived data, never protocol state —
+        #: outside canonical(), dropped by copies and pickles, gone with
+        #: the node when its level is dropped
+        self._memo: Optional[list] = None
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name != "_memo"}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._memo = None
 
     nu = _tracked_set_slot("_nu")
     nr = _tracked_set_slot("_nr")

@@ -10,6 +10,10 @@ The recorder separates what is comparable from what is not:
   (the full-scan reference executes everybody by design);
 * :attr:`timers` holds wall-clock phase spans — nondeterministic,
   reported but never compared;
+* :attr:`memo` holds the fast rule pipeline's per-level memo hits and
+  misses — deterministic, but a property of that pipeline alone (the
+  scalar spec has no memo), so it is its own record and never part of
+  the census or the kernel split;
 * :attr:`rule_fires` is filled in from the network's
   :class:`~repro.core.rules.RuleCounters` merge when a census is taken
   (rule firings are counted by the protocol layer whether or not
@@ -24,6 +28,9 @@ The recorder separates what is comparable from what is not:
 {'Introduce': 3}
 >>> rec.kernel_stats() == {"executed": 2, "replayed": 5, "dirty_peak": 2}
 True
+>>> rec.add_memo("rule3", hits=9, misses=1)
+>>> rec.memo_hit_shares()
+{'rule3': 0.9}
 """
 
 from __future__ import annotations
@@ -55,6 +62,8 @@ class TelemetryRecorder:
         self.timers: Dict[str, List[float]] = {}
         #: per-rule firing snapshot (set by the owning network at census)
         self.rule_fires: Dict[str, int] = {}
+        #: per-level rule memo of the batched pipeline: rule -> [hits, misses]
+        self.memo: Dict[str, List[int]] = {}
         #: completed sampled ops: (op_id, op, outcome, hops tuple)
         self.traces: List[Tuple[int, str, str, tuple]] = []
 
@@ -87,6 +96,15 @@ class TelemetryRecorder:
         else:
             slot[0] += seconds
             slot[1] += calls
+
+    def add_memo(self, rule: str, hits: int, misses: int) -> None:
+        """Accumulate one batch's per-level memo lookups of ``rule``."""
+        slot = self.memo.get(rule)
+        if slot is None:
+            self.memo[rule] = [hits, misses]
+        else:
+            slot[0] += hits
+            slot[1] += misses
 
     def sampled(self, op_id: int) -> bool:
         """Deterministic sampling decision for one op id."""
@@ -124,6 +142,14 @@ class TelemetryRecorder:
         rows.sort(key=lambda row: (-row[1], row[0]))
         return rows
 
+    def memo_hit_shares(self) -> Dict[str, float]:
+        """Hits over lookups of the per-level rule memo, per rule."""
+        return {
+            rule: round(hits / (hits + misses), 4)
+            for rule, (hits, misses) in sorted(self.memo.items())
+            if hits + misses
+        }
+
     def rule_hotspots(self, k: int = 3) -> List[Tuple[str, float, int]]:
         """The ``k`` most expensive ``rule.*`` phases by wall time."""
         return [row for row in self.phase_table() if row[0].startswith("rule.")][:k]
@@ -135,8 +161,10 @@ class TelemetryRecorder:
         """Write the full record set as JSONL; returns records written.
 
         One record per line, each self-describing via a ``kind`` field:
-        ``census`` and ``kernel`` (deterministic), ``timer`` rows
-        (wall-clock), and one ``trace`` row per stored sampled op.
+        ``census`` and ``kernel`` (deterministic), one ``memo`` row when
+        the batched pipeline ran (deterministic, fast path only),
+        ``timer`` rows (wall-clock), and one ``trace`` row per stored
+        sampled op.
         """
         records = self.records()
         with open(path, "w") as fh:
@@ -150,6 +178,12 @@ class TelemetryRecorder:
             {"kind": "census", **self.census()},
             {"kind": "kernel", **self.kernel_stats()},
         ]
+        if self.memo:
+            out.append(
+                {"kind": "memo",
+                 "lookups": {rule: {"hits": h, "misses": m}
+                             for rule, (h, m) in sorted(self.memo.items())}}
+            )
         for phase, seconds, calls in self.phase_table():
             out.append(
                 {"kind": "timer", "phase": phase,
@@ -170,4 +204,5 @@ class TelemetryRecorder:
         self.kernel.clear()
         self.timers.clear()
         self.rule_fires.clear()
+        self.memo.clear()
         self.traces.clear()

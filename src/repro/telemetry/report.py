@@ -66,6 +66,10 @@ def render_phase_table(rec: TelemetryRecorder) -> str:
     if hot:
         names = ", ".join(phase for phase, _, _ in hot)
         lines.append(f"  top rule hotspots: {names}")
+    shares = rec.memo_hit_shares()
+    if shares:
+        cells = ", ".join(f"{rule} {share:.1%}" for rule, share in shares.items())
+        lines.append(f"  per-level memo hit share: {cells}")
     return "\n".join(lines)
 
 

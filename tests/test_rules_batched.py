@@ -267,3 +267,420 @@ class TestBackendSurface:
         plant_phantoms(a)
         plant_phantoms(b)
         assert_run_identical(a, b, "(pure fallback)")
+
+
+# ----------------------------------------------------------------------
+# the per-level memo in front of rules 3-6
+# ----------------------------------------------------------------------
+import copy
+import pickle
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.core.events import EdgeAdd, KIND_UNMARKED, RealCandidate, SIDE_LEFT, SIDE_RIGHT
+from repro.core.noderef import NodeRef
+from repro.core.protocol import ReChordPeer
+from repro.core.rules import RuleCounters
+from repro.core.rules_batched import MEMO_RULES, BatchedRuleEngine
+from repro.netsim.messages import Envelope
+from repro.netsim.scheduler import RoundContext
+
+MEMO_PHASES = ("_phase_rule3", "_phase_rule4", "_phase_rule5", "_phase_rule6")
+SCALAR_RULES = (
+    ("closest_real", "_rule3_closest_real"),
+    ("linearize", "_rule4_linearize"),
+    ("ring", "_rule5_ring"),
+    ("connection", "_rule6_connection"),
+)
+SET_SLOTS = ("nu", "nr", "nc")
+POINTER_SLOTS = (
+    "rl", "rr", "wrap_rl", "wrap_rr",
+    "bcast_rl", "bcast_rl_targets", "bcast_rr", "bcast_rr_targets",
+)
+
+
+def _mid_run_states(start: str, config: RuleConfig = RuleConfig(), rounds: int = 2):
+    """Peer states of an adversarial start a few rounds in, as
+    ``(network, [(peer id, deep copy of its state)])`` — deep copies
+    carry no memo, so every test below starts from a cold one."""
+    bits = 4 if start == "duplicate_ids" else 8
+    net = ReChordNetwork(space=IdSpace(bits), config=config)
+    BUILDERS[start](net)
+    for _ in range(rounds):
+        net.run_round()
+    return net, [(pid, copy.deepcopy(net.peers[pid].state)) for pid in net.peer_ids]
+
+
+def _load(dst, src) -> None:
+    """Make ``dst`` hold ``src``'s content through the tracking API,
+    keeping ``dst``'s nodes — and with them their memos."""
+    for level in list(dst.nodes):
+        if level not in src.nodes:
+            dst.drop_level(level)
+    for level, node in src.nodes.items():
+        mine = dst.ensure_level(level)
+        for slot in SET_SLOTS:
+            setattr(mine, slot, set(getattr(node, slot)))
+        for slot in POINTER_SLOTS:
+            setattr(mine, slot, getattr(node, slot))
+
+
+class _Harness:
+    """One peer outside any scheduler: rules 3..6 of the batched engine
+    (memo kept across calls) next to the scalar rules on a twin."""
+
+    def __init__(self, net: ReChordNetwork, state, config: RuleConfig) -> None:
+        self.net = net
+        self.engine = BatchedRuleEngine()
+        self.config = config
+        self.state = copy.deepcopy(state)
+
+    def _ctx(self, state) -> RoundContext:
+        return RoundContext(0, state.peer_id, self.net.scheduler)
+
+    def fast(self, upto: int = 3) -> dict:
+        """Phases rule 3 .. ``MEMO_PHASES[upto]`` on the kept state;
+        reports what the *last* phase did."""
+        actor = ReChordPeer(self.state, self.config, lambda ref: "ok", RuleCounters())
+        ctx = self._ctx(self.state)
+        self.engine.rank_index.refresh()
+        start = self.engine.memo_counts()
+        for name in MEMO_PHASES[:upto]:
+            getattr(self.engine, name)([[actor, [], ctx, {}]])
+        before = (self.state.canonical(), self.state.version, len(ctx._outbox),
+                  dict(actor.counters.fires), self.engine.memo_counts())
+        getattr(self.engine, MEMO_PHASES[upto])([[actor, [], ctx, {}]])
+        counts = self.engine.memo_counts()
+        rule = MEMO_RULES[upto]
+        return {
+            "slice": ctx._outbox[before[2]:],
+            "outbox": list(ctx._outbox),
+            "post": self.state.canonical(),
+            "fires": {k: v - before[3].get(k, 0) for k, v in actor.counters.fires.items()
+                      if v != before[3].get(k, 0)},
+            "all_fires": dict(actor.counters.fires),
+            "moved": self.state.version != before[1],
+            "changed": self.state.canonical() != before[0],
+            "hits": counts[rule][0] - before[4][rule][0],
+            "misses": counts[rule][1] - before[4][rule][1],
+            #: (hits, misses) per rule over the whole call
+            "lookups": {r: (counts[r][0] - start[r][0], counts[r][1] - start[r][1])
+                        for r in MEMO_RULES},
+        }
+
+    def scalar(self, state, upto: int = 3) -> dict:
+        """The spec's rules 3 .. upto on a deep copy of ``state``."""
+        twin = copy.deepcopy(state)
+        actor = ReChordPeer(twin, self.config, lambda ref: "ok", RuleCounters())
+        ctx = self._ctx(twin)
+        mark = 0
+        for flag, method in SCALAR_RULES[: upto + 1]:
+            mark = len(ctx._outbox)
+            if getattr(self.config, flag):
+                getattr(actor, method)(ctx)
+        return {
+            "slice": ctx._outbox[mark:],
+            "outbox": list(ctx._outbox),
+            "post": twin.canonical(),
+            "all_fires": dict(actor.counters.fires),
+        }
+
+
+class TestMemoHitEqualsMiss:
+    """(a) a hit replays exactly what the bare per-level function did."""
+
+    @pytest.mark.parametrize("rule", range(4), ids=MEMO_RULES)
+    @pytest.mark.parametrize("start", sorted(BUILDERS))
+    @pytest.mark.parametrize("eco", [False, True], ids=["plain", "eco"])
+    def test_hit_equals_miss_equals_scalar(self, rule, start, eco):
+        config = RuleConfig(economical_broadcast=eco)
+        net, states = _mid_run_states(start, config)
+        looked_up = 0
+        for pid, inputs in states:
+            h = _Harness(net, inputs, config)
+            # cold memo: every lookup misses and runs ``_ruleN_level``
+            miss = h.fast(rule)
+            assert miss["hits"] == 0
+            # the same inputs again, loaded behind the kept memos
+            _load(h.state, inputs)
+            assert h.state.canonical() == inputs.canonical()
+            hit = h.fast(rule)
+            assert hit["misses"] == 0 and hit["hits"] == miss["misses"]
+            looked_up += hit["hits"]
+            spec = h.scalar(inputs, rule)
+            for key in ("slice", "outbox", "post", "all_fires"):
+                assert hit[key] == miss[key] == spec[key], f"{key} of peer {pid}"
+            assert hit["fires"] == miss["fires"]
+            # the version contract: every content change moves it.  A
+            # hit restores only what differs, so it never moves it where
+            # the body would not (the body may also move it transiently:
+            # a discard followed by a re-add)
+            assert hit["changed"] == miss["changed"]
+            assert hit["moved"] or not hit["changed"]
+            assert miss["moved"] or not hit["moved"]
+        assert looked_up > 0
+
+    def test_a_hit_leaves_an_unchanged_level_alone(self):
+        """Stable network: rule 3/4/5 hits restore nothing, version stays."""
+        net = ReChordNetwork(space=IdSpace(8))
+        plant_empty_levels(net)
+        net.run_until_stable()
+        state = net.peers[net.peer_ids[0]].state
+        h = _Harness(net, state, RuleConfig())
+        h.fast(2)
+        _load(h.state, state)
+        version = h.state.version
+        hit = h.fast(2)
+        assert hit["misses"] == 0 and not hit["changed"]
+        assert h.state.version == version
+
+
+#: one perturbation per key component: name -> (rule that must miss, config)
+PERTURBATIONS = {
+    "nu": (0, RuleConfig()),
+    "nr": (2, RuleConfig()),
+    "nc": (3, RuleConfig()),
+    "rl": (1, RuleConfig(closest_real=False)),
+    "rr": (1, RuleConfig(closest_real=False)),
+    "wrap_rl": (0, RuleConfig()),
+    "wrap_rr": (0, RuleConfig()),
+    "bcast_rl": (0, RuleConfig(economical_broadcast=True)),
+    "bcast_rr_targets": (0, RuleConfig(economical_broadcast=True)),
+    "kmin": (2, RuleConfig()),
+    "kmax": (2, RuleConfig()),
+    "siblings": (3, RuleConfig()),
+    "config": (0, RuleConfig()),
+}
+
+
+#: the components every level of the peer keys on
+PEER_WIDE = ("kmin", "kmax", "siblings", "config")
+
+
+class TestMemoKeyComponents:
+    """(b) every key component is load-bearing: perturb one, get a miss
+    whose outcome is the scalar rule's."""
+
+    @pytest.mark.parametrize("what", sorted(PERTURBATIONS))
+    @given(start=st.sampled_from(sorted(BUILDERS)), data=st.data())
+    @settings(max_examples=12)
+    def test_one_perturbed_component_misses_and_matches_the_spec(self, what, start, data):
+        rule, config = PERTURBATIONS[what]
+        net, states = _mid_run_states(start, config)
+        everyone = sorted(
+            {r for _p, s in states for r in s.knowledge()}, key=lambda r: r.key
+        )
+        if what in ("kmin", "kmax"):
+            # only a peer that has not met the global extreme yet
+            extreme = everyone[0] if what == "kmin" else everyone[-1]
+            states = [(p, s) for p, s in states if extreme not in s.knowledge()]
+            assume(states)
+        pid, inputs = data.draw(st.sampled_from(states), label="peer")
+        level = data.draw(st.sampled_from(sorted(inputs.nodes)), label="level")
+        foreign = [r for r in everyone if r.owner != pid]
+        h = _Harness(net, inputs, config)
+        h.fast()
+        _load(h.state, inputs)
+        warm = h.fast()
+        assert all(misses == 0 for _hits, misses in warm["lookups"].values())
+
+        changed = copy.deepcopy(inputs)
+        node = changed.nodes[level]
+        if what in SET_SLOTS:
+            refs = getattr(node, what)
+            ref = data.draw(st.sampled_from(foreign), label="ref")
+            if ref in refs:
+                refs.discard(ref)
+            else:
+                refs.add(ref)
+        elif what in ("rl", "rr", "wrap_rl", "wrap_rr", "bcast_rl"):
+            reals = [r for r in foreign if r.level == 0 and r != getattr(node, what)]
+            setattr(node, what, data.draw(st.sampled_from(reals), label="ref"))
+        elif what == "bcast_rr_targets":
+            ref = data.draw(st.sampled_from(foreign), label="ref")
+            node.bcast_rr_targets = frozenset((node.bcast_rr_targets or frozenset()) ^ {ref})
+        elif what in ("kmin", "kmax"):
+            node.nc.add(extreme)
+        elif what == "siblings":
+            top = max(changed.nodes)
+            assume(top < net.space.max_level())
+            changed.ensure_level(top + 1)
+        elif what == "config":
+            h.config = config.ablated(wrap_pointers=False)
+        assume(what == "config" or changed.canonical() != inputs.canonical())
+
+        _load(h.state, changed)
+        got = h.fast()
+        hits, misses = got["lookups"][MEMO_RULES[rule]]
+        assert misses > 0, (
+            f"perturbing {what} at level {level} of peer {pid} still hit {MEMO_RULES[rule]}"
+        )
+        if what in PEER_WIDE:
+            assert hits == 0, f"{what} is in every level's {MEMO_RULES[rule]} key"
+        spec = h.scalar(changed)
+        assert got["outbox"] == spec["outbox"]
+        assert got["post"] == spec["post"]
+        assert got["all_fires"] == spec["all_fires"]
+
+
+class TestMemoLifetime:
+    """(c), (d): the memo is derived data tied to the node object."""
+
+    def _warm_pair(self):
+        nets = _pair(RuleConfig(), plant_empty_levels)
+        for _ in range(4):
+            assert_one_round_identical(*nets, "(warm-up)")
+        return nets
+
+    def test_recreated_level_starts_with_an_empty_memo(self):
+        spec, fast = self._warm_pair()
+        pid = fast.peer_ids[0]
+        state = fast.peers[pid].state
+        top = max(state.nodes)
+        assert top >= 1 and state.nodes[top]._memo is not None
+        for net in (spec, fast):
+            s = net.peers[pid].state
+            dropped = s.drop_level(top)
+            fresh = s.ensure_level(top)
+            assert fresh is not dropped and fresh._memo is None
+        assert_run_identical(spec, fast, "(level dropped and re-created)")
+
+    def test_rule1_drop_and_recreate_in_a_run(self):
+        """A close joiner deepens a peer's levels, its crash drops them
+        again: rule 1 makes and unmakes nodes, spec ≡ fast throughout."""
+        nets = []
+        for engine in ("full", None):
+            net = ReChordNetwork(space=IdSpace(8), engine=engine)
+            plant_empty_levels(net)
+            nets.append(net)
+        spec, fast = nets
+        assert_run_identical(spec, fast, "(before the join)")
+        for net in nets:
+            net.join(22, 20)
+        assert_run_identical(spec, fast, "(after the join)")
+        levels = set(fast.peers[20].state.nodes)
+        for net in nets:
+            net.crash(22)
+        assert_run_identical(spec, fast, "(after the crash)")
+        assert set(fast.peers[20].state.nodes) != levels
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copies_drop_the_memo_and_step_like_the_spec(self, how):
+        spec, fast = self._warm_pair()
+        for pid in fast.peer_ids:
+            peer = fast.peers[pid]
+            assert any(n._memo is not None for n in peer.state.nodes.values())
+            if how == "deepcopy":
+                clone = copy.deepcopy(peer.state)
+            else:
+                clone = pickle.loads(pickle.dumps(peer.state))
+            assert clone.canonical() == peer.state.canonical()
+            assert clone.version == peer.state.version
+            assert all(n._memo is None for n in clone.nodes.values())
+            assert all(n._state is clone for n in clone.nodes.values())
+            peer.state = clone
+        assert_run_identical(spec, fast, f"(states replaced by {how} copies)")
+
+
+def plant_loose_refs(net: ReChordNetwork) -> None:
+    """Every planted ref is a never-interned copy (``iid == -1``)."""
+    def loose(ref):
+        return NodeRef(ref.id, ref.owner, ref.level)
+
+    ids = [7, 40, 99, 150, 222]
+    for pid in ids:
+        net.add_peer(pid)
+    for pid in ids:
+        state = net.peers[pid].state
+        state.nodes[0].nu = {loose(net.ref(o)) for o in ids if o != pid}
+        node = state.ensure_level(1)
+        node.nu = {loose(net.ref(ids[0])), loose(make_ref(net.space, ids[-1], 1))}
+        node.nc = {loose(net.ref(ids[1]))}
+        node.nr = {loose(net.ref(ids[2]))}
+
+
+class TestNeverInternedRefs:
+    """(e) loose refs take the value-keyed path, memoized or not."""
+
+    def test_loose_start_lockstep(self):
+        a, b = _pair(RuleConfig(), plant_loose_refs)
+        assert any(
+            r.iid == -1 for p in b.peers.values() for r in p.state.knowledge()
+        )
+        assert_run_identical(a, b, "(never-interned refs)")
+        hits = sum(h for h, _m in b.scheduler._batch_stepper.memo_counts().values())
+        assert hits > 0
+
+
+class TestGroupedCandidateDelivery:
+    """(f) apply-inbox's per-(level, side) adoption ≡ ``_deliver_candidate``."""
+
+    def _peer(self, net, pid=100):
+        peer = net.peers[pid]
+        for level in (1, 2):
+            peer.state.ensure_level(level)
+        peer.state.nodes[0].rl = net.ref(60)
+        peer.state.nodes[0].rr = net.ref(140)
+        peer.state.nodes[1].rr = net.ref(250)
+        return peer
+
+    def _inbox(self, net, pid=100):
+        space = net.space
+        me = [make_ref(space, pid, level) for level in (0, 1, 2, 3)]
+
+        def cand(target, ref, side, wrap=False):
+            return Envelope(ref.owner, pid, RealCandidate(target, ref, side, wrap))
+
+        r = net.ref
+        return [
+            cand(me[0], r(80), SIDE_LEFT),                    # improvement
+            cand(me[0], r(80), SIDE_LEFT),                    # duplicate: fires twice
+            cand(me[0], r(60), SIDE_LEFT),                    # equal to rl: no
+            cand(me[0], r(20), SIDE_LEFT),                    # worse than rl: no
+            cand(me[0], r(140), SIDE_LEFT),                   # wrong side
+            cand(me[0], r(120), SIDE_RIGHT),                  # improvement
+            Envelope(80, pid, EdgeAdd(me[0], r(20), KIND_UNMARKED)),
+            cand(me[0], make_ref(space, 80, 1), SIDE_LEFT),   # virtual candidate
+            cand(me[0], me[0], SIDE_LEFT),                    # self
+            cand(me[1], r(20), SIDE_LEFT),                    # no rl at level 1: adopt
+            cand(me[1], r(250), SIDE_RIGHT),                  # equal to rr: no
+            cand(me[1], r(140), SIDE_RIGHT, wrap=True),       # has rr: no wrap
+            cand(me[2], r(140), SIDE_RIGHT, wrap=True),       # wrap path, keeps its
+            cand(me[2], r(60), SIDE_RIGHT, wrap=True),        # order: 140 is demoted
+            cand(me[2], r(20), SIDE_LEFT, wrap=True),
+            cand(me[3], r(250), SIDE_RIGHT),                  # dropped level -> u_m
+            cand(me[3], r(20), SIDE_RIGHT),                   # wrong side there too
+            cand(me[2], r(60), SIDE_LEFT),
+            cand(me[2], r(60), SIDE_LEFT),
+        ]
+
+    def _net(self):
+        net = ReChordNetwork(space=IdSpace(8))
+        for pid in (20, 60, 80, 100, 120, 140, 250):
+            net.add_peer(pid)
+        return net
+
+    def test_matches_the_scalar_delivery(self):
+        results = []
+        for grouped in (False, True):
+            net = self._net()
+            peer = self._peer(net)
+            inbox = self._inbox(net)
+            if grouped:
+                ctx = RoundContext(0, 100, net.scheduler)
+                BatchedRuleEngine()._phase_apply_inbox([[peer, inbox, ctx, {}]])
+            else:
+                peer._apply_inbox(inbox)
+            results.append((peer.state.canonical(), dict(peer.counters.fires)))
+        assert results[0] == results[1]
+        assert results[0][1]["rule3_adopt"] == 7
+        assert results[0][1]["wrap_adopt"] == 3
+
+    def test_misrouted_candidate_raises_like_the_spec(self):
+        net = self._net()
+        peer = self._peer(net)
+        stray = Envelope(80, 100, RealCandidate(net.ref(120), net.ref(80), SIDE_LEFT))
+        ctx = RoundContext(0, 100, net.scheduler)
+        with pytest.raises(LookupError, match="candidate for"):
+            BatchedRuleEngine()._phase_apply_inbox([[peer, [stray], ctx, {}]])

@@ -138,6 +138,29 @@ class TestEngineInvariance:
         assert len(hotspots) == 3
         assert all(name.startswith("rule.") for name, _, _ in hotspots)
 
+    def test_memo_record_is_its_own_plane(self):
+        """Per-level memo lookups: reported for the batched pipeline,
+        absent for the spec, never inside the census or kernel split."""
+        records = {}
+        for engine in ENGINES:
+            net, rec = _run_instrumented(engine)
+            net.telemetry_census()
+            records[engine] = rec
+            assert set(rec.census()) == {"rounds", "sent", "dropped", "messages", "rules"}
+            assert set(rec.kernel_stats()) == {"executed", "replayed", "dirty_peak"}
+        assert records["full"].memo == {}
+        assert all(r["kind"] != "memo" for r in records["full"].records())
+        assert records["incremental"].memo == records["columnar"].memo
+        rec = records["columnar"]
+        engine_counts = net.scheduler._batch_stepper.memo_counts()
+        assert {rule: tuple(pair) for rule, pair in rec.memo.items()} == engine_counts
+        (memo,) = [r for r in rec.records() if r["kind"] == "memo"]
+        assert set(memo["lookups"]) == {"rule3", "rule4", "rule5", "rule6"}
+        assert memo["lookups"]["rule3"] == dict(zip(("hits", "misses"), rec.memo["rule3"]))
+        assert all(0.0 < share < 1.0 for share in rec.memo_hit_shares().values())
+        rec.clear()
+        assert rec.memo == {}
+
     def test_disable_telemetry_detaches(self):
         net, rec = _run_instrumented("incremental", rounds=5)
         net.disable_telemetry()
@@ -270,7 +293,10 @@ class TestScenarioTelemetry:
         rec = TelemetryRecorder()
         run_scenario(spec, engine="columnar", telemetry=rec)
         text = render_telemetry(rec)
-        for needle in ("message census", "rule firings", "phase timers", "hop traces"):
+        for needle in (
+            "message census", "rule firings", "phase timers", "hop traces",
+            "top rule hotspots", "per-level memo hit share: rule3 ",
+        ):
             assert needle in text, needle
 
 
