@@ -18,10 +18,12 @@ executed-peer fraction grows beyond 1.5x baseline (replay/dirty-set
 effectiveness).  Both kernels run the batched rule pipeline
 (``repro.core.rules_batched``); the exact round counts were recorded
 under the scalar one, so they also pin the two pipelines together.
-Each gate also prints the hit share of that pipeline's per-level memo
-over the post-churn run — a count, identical on every machine — and
-fails below ``MEMO_HIT_FLOOR``: a post-churn step re-runs rules 3–6 on
-every level of a dirty peer, and all but the touched levels must hit.
+Each gate also prints the hit shares of that pipeline's per-level memo
+over the post-churn run — counts, identical on every machine — and
+fails below ``MEMO_HIT_FLOOR`` (rules 3–6: a post-churn step re-runs
+them on every level of a dirty peer, and all but the touched levels must
+hit) or ``APPLY_HIT_FLOOR`` (the apply-inbox landing: of the levels that
+received mail, all but those whose mail or pointers changed).
 
 Usage::
 
@@ -44,6 +46,7 @@ BASELINE_PATH = Path(__file__).resolve().parent / "baseline_engine.json"
 SEED = 2011
 #: minimum share of per-level memo lookups that hit, post-churn
 MEMO_HIT_FLOOR = 0.8
+APPLY_HIT_FLOOR = 0.7
 
 #: the gates: engine name -> (n, build kwargs)
 GATES = {
@@ -53,7 +56,8 @@ GATES = {
 
 
 def measure(gate: str) -> tuple:
-    """One gate's ``(baseline-shaped result, memo hit share)``."""
+    """One gate's ``(baseline-shaped result, rules 3-6 memo hit share,
+    apply-inbox memo hit share)``."""
     from repro.experiments.scaling import _post_churn_restabilize, build_ideal_network
     from repro.netsim.rng import SeedSequence
     from repro.workloads.initial import random_peer_ids
@@ -70,17 +74,20 @@ def measure(gate: str) -> tuple:
     stepper = net.scheduler._batch_stepper
     before = stepper.memo_counts()
     report, seconds, frac = _post_churn_restabilize(net, join_id, gateway, 2_000)
-    hits = misses = 0
-    for rule, (h, m) in stepper.memo_counts().items():
-        hits += h - before[rule][0]
-        misses += m - before[rule][1]
+    lookups = {
+        phase: (h - before[phase][0], m - before[phase][1])
+        for phase, (h, m) in stepper.memo_counts().items()
+    }
+    landed, relanded = lookups.pop("apply_inbox")
+    hits = sum(h for h, _m in lookups.values())
+    misses = sum(m for _h, m in lookups.values())
     result = {
         "n": n,
         "rounds": report.rounds_executed,
         "rounds_per_sec": round(report.rounds_executed / seconds, 2),
         "executed_fraction": round(frac, 4),
     }
-    return result, round(hits / (hits + misses), 4)
+    return result, round(hits / (hits + misses), 4), round(landed / (landed + relanded), 4)
 
 
 def check(gate: str, result: dict, baseline: dict, allowed_regression: float) -> bool:
@@ -134,11 +141,15 @@ def main(argv=None) -> int:
     results = {}
     ok = True
     for gate in gates:
-        results[gate], hit_share = measure(gate)
+        results[gate], hit_share, apply_share = measure(gate)
         print(f"measured[{gate}]:", json.dumps(results[gate]))
         print(f"memo[{gate}]: per-level hit share {hit_share} (floor {MEMO_HIT_FLOOR})")
         if hit_share < MEMO_HIT_FLOOR:
             print(f"FAIL[{gate}]: rules 3-6 recompute levels whose inputs did not change")
+            ok = False
+        print(f"memo[{gate}]: apply-inbox hit share {apply_share} (floor {APPLY_HIT_FLOOR})")
+        if apply_share < APPLY_HIT_FLOOR:
+            print(f"FAIL[{gate}]: apply-inbox re-lands levels whose mail did not change")
             ok = False
 
     baselines = json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else {}

@@ -146,10 +146,17 @@ class ReChordNetwork:
             )
         if self.incremental:
             # the kernel picks the rule pipeline (module docstring): the
-            # full-scan spec steps peer by peer, tracked kernels batch
-            self.scheduler.set_batch_stepper(BatchedRuleEngine())
+            # full-scan spec steps peer by peer, tracked kernels batch.
+            # The pipeline keeps this oracle's verdicts per oracle epoch
+            self.scheduler.set_batch_stepper(
+                BatchedRuleEngine(oracle=self._ref_alive, oracle_epoch=self.oracle_epoch)
+            )
         self.peers: Dict[int, ReChordPeer] = {}
+        #: the liveness oracle's frozen map: owner -> levels it simulates.
+        #: Written only through _note_levels / _forget_levels / the
+        #: full-scan rebuild, each of which moves the oracle epoch
         self._level_snapshot: Dict[int, frozenset] = {}
+        self._oracle_epoch = 0
         #: incremental engine: owner ids referenced by each peer ...
         self._refs_out: Dict[int, frozenset] = {}
         #: ... and its inverse: peers whose purge consults each owner
@@ -199,7 +206,7 @@ class ReChordNetwork:
         peer.traffic = self._traffic_handler
         peer.telemetry = self.telemetry
         self.scheduler.add_actor(peer_id, peer)
-        self._level_snapshot[peer_id] = frozenset(state.nodes)
+        self._note_levels(peer_id)
         self._membership_version += 1
         return peer
 
@@ -208,7 +215,7 @@ class ReChordNetwork:
         self._mutation_version += 1
         node = self.peers[peer_id].state.ensure_level(level)
         if not self.incremental:
-            self._level_snapshot[peer_id] = frozenset(self.peers[peer_id].state.nodes)
+            self._note_levels(peer_id)
         # incremental mode: the version sweep in run_round refreshes the
         # snapshot AND re-activates peers watching this owner
         return node.ref
@@ -234,7 +241,7 @@ class ReChordNetwork:
         self._mutation_version += 1
         node = peer.state.ensure_level(src.level)
         if not self.incremental:
-            self._level_snapshot[src.owner] = frozenset(peer.state.nodes)
+            self._note_levels(src.owner)
         if dst == node.ref:
             return
         if kind is EdgeKind.UNMARKED:
@@ -353,6 +360,28 @@ class ReChordNetwork:
             return REF_DEAD
         return REF_OK if ref.level in levels else REF_PHANTOM
 
+    def oracle_epoch(self) -> int:
+        """Moves whenever an answer of the liveness oracle may: a verdict
+        is a pure function of the ref given the frozen level map, so a
+        consumer (the fast pipeline's purge phase) may keep verdicts for
+        as long as the epoch stands.  Never compared for order."""
+        return self._oracle_epoch
+
+    def _note_levels(self, pid: int) -> bool:
+        """Freeze ``pid``'s current level set into the oracle's map;
+        returns whether it changed."""
+        levels = frozenset(self.peers[pid].state.nodes)
+        if levels == self._level_snapshot.get(pid):
+            return False
+        self._level_snapshot[pid] = levels
+        self._oracle_epoch += 1
+        return True
+
+    def _forget_levels(self, pid: int) -> None:
+        """``pid`` is gone: its refs answer ``dead`` from now on."""
+        if self._level_snapshot.pop(pid, None) is not None:
+            self._oracle_epoch += 1
+
     # ------------------------------------------------------------------
     # activity bookkeeping (incremental engine)
     # ------------------------------------------------------------------
@@ -434,9 +463,7 @@ class ReChordNetwork:
         level-set change, which can flip ``ok``/``phantom`` verdicts) and
         the reverse-dependency index.
         """
-        levels = frozenset(self.peers[pid].state.nodes)
-        if levels != self._level_snapshot.get(pid):
-            self._level_snapshot[pid] = levels
+        if self._note_levels(pid):
             self._dirty_watchers(pid)
             # ok/phantom verdicts for this owner flipped: receivers of
             # in-flight refs to it must re-run too (drained in one scan)
@@ -502,6 +529,7 @@ class ReChordNetwork:
             self._level_snapshot = {
                 pid: frozenset(peer.state.nodes) for pid, peer in self.peers.items()
             }
+            self._oracle_epoch += 1
             self.scheduler.run_round(active)
             return
         sched = self.scheduler
@@ -731,7 +759,7 @@ class ReChordNetwork:
     def _remove_peer(self, peer_id: int) -> None:
         del self.peers[peer_id]
         self.scheduler.remove_actor(peer_id)
-        self._level_snapshot.pop(peer_id, None)
+        self._forget_levels(peer_id)
         self._membership_version += 1
         if self.incremental:
             self._pending_refresh.discard(peer_id)

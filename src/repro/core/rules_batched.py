@@ -30,9 +30,10 @@ What the batching buys
   instead of a tuple-key sort.  Ranks are used for *ordering only*;
   equality guards (``y == rl`` etc.) stay real ``NodeRef`` comparisons,
   which deliberately ignore the id component.
-* **A shared purge-verdict memo** — liveness verdicts are pure in the
-  ref given the frozen snapshot, so one memo serves the whole batch
-  instead of one per peer.
+* **Purge verdicts kept per oracle epoch** — liveness verdicts are pure
+  in the ref given the oracle's frozen snapshot, so one memo serves
+  every peer of the network, across rounds, until the network moves its
+  oracle epoch (any write to the snapshot).
 * **An integer-keyed envelope cache** — the stable state re-emits the
   same small set of envelopes every round; the batched send path looks
   them up by flat ``(owner, level)`` integers without constructing the
@@ -42,20 +43,22 @@ What the batching buys
   under one key, not two.  Interning is a pure speed device — outbox
   comparisons are by value — so an interleaved round, which emits
   through ``ctx.send``, merely compares a little slower.
-* **Bulk-set delivery** — the apply-inbox phase groups a peer's
-  ``EdgeAdd`` envelopes by ``(level, kind)`` and lands each group with
-  one C-level ``set.update`` (self-edges removed by one ``discard``)
-  instead of dispatching per envelope, and its linear
-  ``RealCandidate`` envelopes by ``(level, side)``, adopting each group
-  in one loop with one counter bump.  Set *content* is all any
-  downstream consumer observes (every order-sensitive reader sorts
-  first), and the ``version`` counter is only ever compared for
+* **Per-level delivery** — the apply-inbox phase parses each part of an
+  inbox into its payloads per addressed level (a persistent
+  :class:`~repro.netsim.messages.SubFlow` keeps the parsed form, so an
+  unchanged sub-flow is parsed once, not once per round), and lands
+  each level with one delta: the refs added to ``nu``/``nr``/``nc``
+  (one C-level ``set.update`` each, self-edges removed by one
+  ``discard``), the wrap slots, the adoption counts.  Set *content* is
+  all any downstream consumer observes (every order-sensitive reader
+  sorts first), and the ``version`` counter is only ever compared for
   equality, so coalesced bumping is invisible.  Linear adoption reads
   only ``node.ref`` and the ``rl``/``rr`` slots, which nothing in the
   phase writes, so linear candidates commute with each other, with
   edge-adds and with wrap candidates; wrap candidates (which read and
-  write the wrap slots) keep the scalar path and their relative order.
-* **C-speed purge screening** — a per-batch ``ok`` set of refs already
+  write the wrap slots) keep their relative order.  The landing sits
+  behind the per-level memo too (key table below).
+* **C-speed purge screening** — the ``ok`` set of refs already
   judged alive turns the common per-set scan into one hash-based
   ``issuperset`` call, and a single ``nref in refs`` containment check
   replaces the per-ref self-edge comparison; only sets that might
@@ -91,6 +94,13 @@ rule  key
       ``config.wrap_pointers``
 6     ``nc`` after the sibling-chain add, ``nu``, the sibling tuple
 ====  ==============================================================
+
+The apply-inbox landing is memoized the same way, per simulated node:
+its key is the level's pieces (the payload tuples addressed to it, in
+inbox order), ``rl``, ``rr``, ``wrap_rl``, ``wrap_rr`` and
+``config.wrap_pointers``.  The landing only ever *adds* to the neighbor
+sets and reads none of them, so the sets are not key components and the
+entry is a delta (``_land_level``).
 
 ``(rl, rr)`` rather than the sorted reals list: a far-away real node the
 peer learns of moves no level's closest pair and must not miss them all.
@@ -137,7 +147,7 @@ from repro.core.events import (
 from repro.core.noderef import INTERN, NodeRef
 from repro.core.protocol import REF_OK, REF_PHANTOM, ReChordPeer, _untimed
 from repro.core.state import TrackedSet
-from repro.netsim.messages import AppPayload, Envelope
+from repro.netsim.messages import AppPayload, Envelope, SubFlow
 
 try:  # optional accelerator; the pure-array path below is the fallback
     import numpy as _np
@@ -156,7 +166,8 @@ _NUMPY_MIN_ROWS = 2048
 
 
 #: the memoized rules, in pipeline order; a node's memo is a list with
-#: one entry per rule, indexed by position here.  An entry is
+#: one entry per memoized phase (``MEMO_PHASES`` below), a rule's
+#: indexed by its position here.  A rule's entry is
 #: ``(key, envelopes, post set, rest)``: the key with its sets frozen,
 #: the emitted outbox slice as a tuple, the post-state of the set the
 #: rule rewrites (``nu`` for rules 3/4, ``nr`` for 5, ``nc`` for 6 — the
@@ -165,6 +176,11 @@ _NUMPY_MIN_ROWS = 2048
 #: 4–6: counter deltas)
 MEMO_RULES = ("rule3", "rule4", "rule5", "rule6")
 _R3, _R4, _R5, _R6 = range(4)
+
+#: the memoized phases: the four rules and, in the list's last slot, the
+#: apply-inbox landing (entry layout at ``_land_level``)
+MEMO_PHASES = MEMO_RULES + ("apply_inbox",)
+_AI = 4
 
 #: rule 5's counter deltas when nothing fired
 _NO_RING_FIRES = (0, 0, 0)
@@ -248,22 +264,37 @@ class BatchedRuleEngine:
     :meth:`accepts`, instead of calling ``actor.step`` one by one.
     """
 
-    __slots__ = ("rank_index", "_fast", "_memo_hits", "_memo_misses")
+    __slots__ = (
+        "rank_index", "_fast", "_memo_hits", "_memo_misses",
+        "_oracle", "_oracle_epoch", "_verdict_epoch", "_verdicts", "_ok",
+    )
 
-    def __init__(self, use_numpy: Optional[bool] = None) -> None:
+    def __init__(
+        self, use_numpy: Optional[bool] = None, oracle=None, oracle_epoch=None
+    ) -> None:
         self.rank_index = RankIndex(use_numpy)
         #: this pipeline's envelope intern cache, keyed by flat ints
         self._fast: Dict[tuple, Envelope] = {}
-        #: per-level memo lookups by outcome, one int per MEMO_RULES
+        #: per-level memo lookups by outcome, one int per MEMO_PHASES
         #: entry; observational only — no rule reads them
-        self._memo_hits = [0, 0, 0, 0]
-        self._memo_misses = [0, 0, 0, 0]
+        self._memo_hits = [0] * len(MEMO_PHASES)
+        self._memo_misses = [0] * len(MEMO_PHASES)
+        #: the liveness oracle whose verdicts purge may keep across
+        #: rounds, and the callable reading its epoch — which moves
+        #: whenever one of its answers may
+        #: (``ReChordNetwork._ref_alive`` / ``.oracle_epoch``).  Peers
+        #: answering to any other oracle share nothing
+        self._oracle = oracle
+        self._oracle_epoch = oracle_epoch
+        self._verdict_epoch = None
+        self._verdicts: Dict[NodeRef, str] = {}
+        self._ok: set = set()
 
     def memo_counts(self) -> Dict[str, tuple]:
-        """``rule -> (hits, misses)`` of the per-level memo so far."""
+        """``phase -> (hits, misses)`` of the per-level memo so far."""
         return {
-            rule: (self._memo_hits[i], self._memo_misses[i])
-            for i, rule in enumerate(MEMO_RULES)
+            phase: (self._memo_hits[i], self._memo_misses[i])
+            for i, phase in enumerate(MEMO_PHASES)
         }
 
     # ------------------------------------------------------------------
@@ -279,30 +310,46 @@ class BatchedRuleEngine:
     def run_batch(self, items: Sequence[tuple], lane: Sequence[tuple] = ()) -> None:
         """Execute one round's steps phase-major.
 
-        ``items`` is ``[(key, actor, inbox, ctx), ...]`` in scheduler
-        key order; every actor's observable effects (state, outbox,
-        counters, replay delta) end up exactly as if ``actor.step(inbox,
-        ctx)`` had been called in that order.  ``lane`` lists the
-        columnar kernel's lane-only rounds in the same shape (the inbox
-        holding application mail only): those actors skip the rule
-        phases and join the handler phase, which runs over both lists
-        merged in key order — handler side effects (completion order)
-        must not depend on which peers happened to be dirty.
+        ``items`` is ``[(key, actor, parts, ctx), ...]`` in scheduler
+        key order, ``parts`` being the actor's inbox as the ordered
+        envelope lists it is made of (their concatenation is the inbox;
+        a kernel without parts passes ``[inbox]``).  A part that is a
+        :class:`~repro.netsim.messages.SubFlow` is a persistent steady
+        sub-flow: it holds no application mail (the lane contract) and
+        keeps its parsed form between rounds.  Every actor's observable
+        effects (state, outbox, counters, replay delta) end up exactly
+        as if ``actor.step(inbox, ctx)`` had been called in that order.
+        ``lane`` lists the columnar kernel's lane-only rounds as ``(key,
+        actor, inbox, ctx)``, the inbox holding application mail only:
+        those actors skip the rule phases and join the handler phase,
+        which runs over both lists merged in key order — handler side
+        effects (completion order) must not depend on which peers
+        happened to be dirty.
         """
         peers: List[list] = []
         #: the handler phase: (key, bound handler, its arguments)
         handlers: List[tuple] = []
         tel = None
-        for key, actor, inbox, ctx in items:
+        for key, actor, parts, ctx in items:
             if actor.telemetry is not None:
                 tel = actor.telemetry
             fires_before = dict(actor.counters.fires)
             if actor.traffic is not None:
-                app = [e.payload for e in inbox if isinstance(e.payload, AppPayload)]
+                app: Optional[list] = None
+                for i, part in enumerate(parts):
+                    if type(part) is SubFlow:
+                        continue
+                    mail = [e.payload for e in part if isinstance(e.payload, AppPayload)]
+                    if mail:
+                        if app is None:
+                            app = mail
+                            parts = list(parts)
+                        else:
+                            app.extend(mail)
+                        parts[i] = [e for e in part if not isinstance(e.payload, AppPayload)]
                 if app:
-                    inbox = [e for e in inbox if not isinstance(e.payload, AppPayload)]
                     handlers.append((key, actor.traffic.handle, (actor, app, ctx)))
-            peers.append([actor, inbox, ctx, fires_before])
+            peers.append([actor, parts, ctx, fires_before])
         for key, actor, inbox, ctx in lane:
             if actor.telemetry is not None:
                 tel = actor.telemetry
@@ -316,9 +363,9 @@ class BatchedRuleEngine:
         else:
             before = self.memo_counts()
             self._pipeline(peers, handlers, tel.add_time)
-            for rule, (hits, misses) in self.memo_counts().items():
-                tel.add_memo(rule, hits - before[rule][0], misses - before[rule][1])
-        for actor, _inbox, _ctx, fires_before in peers:
+            for phase, (hits, misses) in self.memo_counts().items():
+                tel.add_memo(phase, hits - before[phase][0], misses - before[phase][1])
+        for actor, _parts, _ctx, fires_before in peers:
             fires = actor.counters.fires
             actor._replay_delta = {
                 rule: count - fires_before.get(rule, 0)
@@ -449,93 +496,240 @@ class BatchedRuleEngine:
     # phase: delayed-assignment delivery
     # ------------------------------------------------------------------
     def _phase_apply_inbox(self, peers: List[list]) -> None:
-        # the scalar _apply_inbox with delivery coalesced: EdgeAdds are
-        # grouped per (level, kind) and landed with one bulk set.update,
-        # linear RealCandidates per (level, side) and adopted in one loop
-        # with one counter bump.  Edge-adds write only the neighbor sets;
-        # linear adoption reads only node.ref and the rl/rr slots, which
-        # nothing in this phase writes — so linear candidates commute
-        # with each other, with edge-adds and with wrap candidates, which
-        # keep the scalar path and their relative order
+        # the scalar _apply_inbox, level by level.  Each part of the inbox
+        # is parsed into its payloads per addressed level (a SubFlow keeps
+        # the result), a level's pieces are gathered in inbox order, and
+        # one landing per level — behind the memo — does what the scalar
+        # loop does envelope by envelope.  Edge-adds write only the
+        # neighbor sets; linear adoption reads only node.ref and the rl/rr
+        # slots, which nothing in this phase writes — so edge-adds, linear
+        # candidates and NeighborIntros commute with each other and with
+        # wrap candidates, which read and write the wrap slots and keep
+        # their relative order (a level's pieces are in inbox order)
+        hits = misses = 0
+        parse = self._parse
         for it in peers:
-            actor, inbox = it[0], it[1]
+            actor, parts = it[0], it[1]
             state = actor.state
-            nodes = state.nodes
             peer_id = state.peer_id
-            deliver_candidate = actor._deliver_candidate
-            #: (level, edge kind | candidate side) -> endpoints | candidates
-            groups: Dict[tuple, list] = {}
-            setdefault = groups.setdefault
-            for env in inbox:
-                payload = env.payload
-                cls = type(payload)
-                if cls is EdgeAdd:
-                    target = payload.target
-                    if target.owner != peer_id:
-                        raise LookupError(
-                            f"message for {target!r} delivered to peer {peer_id}"
-                        )
-                    setdefault((target.level, payload.kind), []).append(
-                        payload.endpoint
-                    )
-                elif cls is RealCandidate:
-                    if payload.wrap:
-                        deliver_candidate(payload)
-                        continue
-                    target = payload.target
-                    if target.owner != peer_id:
-                        raise LookupError(f"candidate for {target!r} at peer {peer_id}")
-                    setdefault((target.level, payload.side), []).append(
-                        payload.candidate
-                    )
+            #: addressed level -> its payload tuples, one per part
+            by_level: Dict[int, list] = {}
+            others: List[Envelope] = []
+            for part in parts:
+                if type(part) is SubFlow:
+                    form = part.parsed
+                    if form is None or form[0] != peer_id:
+                        form = part.parsed = parse(part, peer_id)
                 else:
-                    # NeighborIntro / no-plane AppPayload / unknown: rare
-                    # paths — defer to the scalar handler (same errors)
-                    actor._apply_inbox([env])
-            for (level, tag), incoming in groups.items():
-                node = nodes.get(level)
-                if node is None:
-                    node = nodes[max(nodes)]
-                if tag == KIND_UNMARKED:
-                    refs = node._nu
-                elif tag == KIND_RING:
-                    refs = node._nr
-                elif tag == KIND_CONNECTION:
-                    refs = node._nc
-                elif tag == SIDE_LEFT or tag == SIDE_RIGHT:
-                    adopted = self._adoptable(node, incoming, tag)
-                    if adopted:
-                        node._nu.update(adopted)
-                        actor.counters.bump("rule3_adopt", len(adopted))
-                    continue
-                else:  # pragma: no cover - protocol violation
-                    raise ValueError(f"unknown edge kind {tag!r}")
-                add = set(incoming)
-                add.discard(node.ref)  # self-edge sanitation [D10]
-                if add:
-                    refs.update(add)
+                    form = parse(part, peer_id)
+                for level, payloads in form[1]:
+                    pieces = by_level.get(level)
+                    if pieces is None:
+                        by_level[level] = [payloads]
+                    else:
+                        pieces.append(payloads)
+                if form[2]:
+                    others.extend(form[2])
+            if others:
+                # NeighborIntro / no-plane AppPayload / unknown: rare
+                # paths — the scalar handler (same effects, same errors)
+                actor._apply_inbox(others)
+            if not by_level:
+                continue
+            nodes = state.nodes
+            if not nodes.keys() >= by_level.keys():
+                by_level = self._resolve_levels(parts, nodes)
+            wrap = actor.config.wrap_pointers
+            counters = actor.counters
+            adopts = wrap_adopts = 0
+            for level, pieces in by_level.items():
+                node = nodes[level]
+                memo = node._memo
+                if memo is None:
+                    memo = node._memo = [None] * len(MEMO_PHASES)
+                entry = memo[_AI]
+                rl = node._rl
+                rr = node._rr
+                wrl = node._wrap_rl
+                wrr = node._wrap_rr
+                # interned refs: identity first, NodeRef.__eq__ is a call
+                if entry is not None and (
+                    (k := entry[0])[0] == pieces
+                    and (k[1] is rl or k[1] == rl)
+                    and (k[2] is rr or k[2] == rr)
+                    and (k[3] is wrl or k[3] == wrl)
+                    and (k[4] is wrr or k[4] == wrr)
+                    and k[5] == wrap
+                ):
+                    hits += 1
+                else:
+                    misses += 1
+                    entry = memo[_AI] = self._land_level(
+                        node, (pieces, rl, rr, wrl, wrr, wrap)
+                    )
+                _key, nu_add, nr_add, nc_add, slots, fired = entry
+                if nu_add:
+                    node._nu.update(nu_add)
+                if nr_add:
+                    node._nr.update(nr_add)
+                if nc_add:
+                    node._nc.update(nc_add)
+                if slots is not None:
+                    node.wrap_rl, node.wrap_rr = slots
+                if fired is not None:
+                    adopts += fired[0]
+                    wrap_adopts += fired[1]
+            if adopts:
+                counters.bump("rule3_adopt", adopts)
+            if wrap_adopts:
+                counters.bump("wrap_adopt", wrap_adopts)
+        self._memo_hits[_AI] += hits
+        self._memo_misses[_AI] += misses
 
     @staticmethod
-    def _adoptable(node, cands: List[NodeRef], side: str) -> List[NodeRef]:
+    def _parse(envelopes: Sequence[Envelope], peer_id: int) -> tuple:
+        """One inbox part as ``(receiver, ((level, payloads), ...),
+        others)``: the delayed assignments per *addressed* level in part
+        order, and the envelopes the scalar handler takes.  Raises like
+        the scalar delivery on a payload addressed to another peer — so
+        an error is never stored on a sub-flow."""
+        by_level: Dict[int, list] = {}
+        others: List[Envelope] = []
+        for env in envelopes:
+            payload = env.payload
+            cls = type(payload)
+            if cls is EdgeAdd:
+                target = payload.target
+                if target.owner != peer_id:
+                    raise LookupError(
+                        f"message for {target!r} delivered to peer {peer_id}"
+                    )
+            elif cls is RealCandidate:
+                target = payload.target
+                if target.owner != peer_id:
+                    raise LookupError(f"candidate for {target!r} at peer {peer_id}")
+            else:
+                others.append(env)
+                continue
+            payloads = by_level.get(target.level)
+            if payloads is None:
+                by_level[target.level] = [payload]
+            else:
+                payloads.append(payload)
+        return (
+            peer_id,
+            tuple((level, tuple(payloads)) for level, payloads in by_level.items()),
+            tuple(others),
+        )
+
+    @staticmethod
+    def _resolve_levels(parts: Sequence[Sequence[Envelope]], nodes: dict) -> Dict[int, list]:
+        """The split per *landing* level when an addressed level is gone.
+
+        Mail for a dropped level lands on ``u_m`` ([D8]), and wrap
+        candidates do not commute: ``u_m`` must see its own and the
+        inherited ones in inbox order, so the peer's split is redone
+        from the envelopes, one piece per landing level.
+        """
+        top = max(nodes)
+        landed: Dict[int, list] = {}
+        for part in parts:
+            for env in part:
+                payload = env.payload
+                cls = type(payload)
+                if cls is EdgeAdd or cls is RealCandidate:
+                    level = payload.target.level
+                    landed.setdefault(level if level in nodes else top, []).append(payload)
+        return {level: [tuple(payloads)] for level, payloads in landed.items()}
+
+    def _land_level(self, node, key: tuple) -> tuple:
+        """What the delayed assignments in ``key``'s pieces do to one
+        simulated node, as the memo entry ``(key, added to nu, to nr, to
+        nc, wrap slots or None, (rule3_adopt, wrap_adopt) or None)``.
+
+        Pure in ``key`` and ``node.ref``: no set is read — every landing
+        only adds — so the sets are not key components, and the entry is
+        a *delta* the caller applies on a hit and on a miss alike.
+        ``key`` lists every input: the pieces, ``rl``/``rr`` (the
+        receiver-side guards of both candidate kinds), the wrap slots
+        and ``config.wrap_pointers`` (wrap adoption).
+        """
+        pieces, rl, rr, wrl, wrr, wrap = key
+        ref = node.ref
+        nu_add: set = set()
+        nr_add: set = set()
+        nc_add: set = set()
+        lefts: List[NodeRef] = []
+        rights: List[NodeRef] = []
+        wrap_adopts = 0
+        for payloads in pieces:
+            for payload in payloads:
+                if type(payload) is EdgeAdd:
+                    kind = payload.kind
+                    if kind == KIND_UNMARKED:
+                        nu_add.add(payload.endpoint)
+                    elif kind == KIND_RING:
+                        nr_add.add(payload.endpoint)
+                    elif kind == KIND_CONNECTION:
+                        nc_add.add(payload.endpoint)
+                    else:  # pragma: no cover - protocol violation
+                        raise ValueError(f"unknown edge kind {kind!r}")
+                    continue
+                cand = payload.candidate
+                if not payload.wrap:
+                    (lefts if payload.side == SIDE_LEFT else rights).append(cand)
+                    continue
+                # seam-exchange adoption [D6], _adopt_wrap_candidate on
+                # local slots: the replaced pointer is demoted into nu
+                if not wrap or cand.level != 0 or cand == ref:
+                    continue
+                if payload.side == SIDE_RIGHT:
+                    if rr is None and (wrr is None or cand._key < wrr._key):
+                        if wrr is not None and wrr != ref:
+                            nu_add.add(wrr)
+                        wrr = cand
+                        wrap_adopts += 1
+                elif rl is None and (wrl is None or cand._key > wrl._key):
+                    if wrl is not None and wrl != ref:
+                        nu_add.add(wrl)
+                    wrl = cand
+                    wrap_adopts += 1
+        adopted = self._adoptable(ref, rl, lefts, SIDE_LEFT) if lefts else []
+        if rights:
+            adopted += self._adoptable(ref, rr, rights, SIDE_RIGHT)
+        nu_add.update(adopted)
+        # self-edge sanitation [D10]
+        nu_add.discard(ref)
+        nr_add.discard(ref)
+        nc_add.discard(ref)
+        return (
+            key,
+            tuple(nu_add),
+            tuple(nr_add),
+            tuple(nc_add),
+            None if wrl is key[3] and wrr is key[4] else (wrl, wrr),
+            (len(adopted), wrap_adopts) if adopted or wrap_adopts else None,
+        )
+
+    @staticmethod
+    def _adoptable(ref: NodeRef, bound: Optional[NodeRef], cands: List[NodeRef], side: str) -> List[NodeRef]:
         """The candidates rule 3's receiver-side guard lets into ``nu``.
 
         ``_deliver_candidate`` + ``_adopt_linear_candidate`` over one
-        ``(node, side)`` group: real, not the node itself, on the right
-        side, and a strict improvement over the cached pointer.  A
-        duplicate passes twice, as it fires ``rule3_adopt`` twice.
+        node's candidates of one side: real, not the node itself, on the
+        right side, and a strict improvement over the cached pointer
+        ``bound`` (``rl`` / ``rr``).  A duplicate passes twice, as it
+        fires ``rule3_adopt`` twice.
         """
-        ref = node.ref
         nk = ref._key
         if side == SIDE_LEFT:
-            rl = node._rl
-            lo = None if rl is None else rl._key
+            lo = None if bound is None else bound._key
             return [
                 c for c in cands
                 if c.level == 0 and c._key < nk
                 and (lo is None or c._key > lo) and c != ref
             ]
-        rr = node._rr
-        hi = None if rr is None else rr._key
+        hi = None if bound is None else bound._key
         return [
             c for c in cands
             if c.level == 0 and c._key > nk
@@ -546,17 +740,26 @@ class BatchedRuleEngine:
     # phase: purge [D7]/[D11]
     # ------------------------------------------------------------------
     def _phase_purge(self, peers: List[list]) -> None:
-        # one verdict memo for the whole batch: all peers of a network
-        # share the same oracle, and a verdict is a pure function of the
-        # ref given the frozen round-start snapshot.  ``ok`` holds every
-        # ref already judged alive; a set whose members are all in it
-        # (and which does not contain a self-ref) provably purges
-        # nothing, and both checks run at C speed.
-        verdicts: Dict[NodeRef, str] = {}
-        ok: set = set()
+        # a verdict is a pure function of the ref given the oracle's
+        # frozen snapshot, so the verdicts of ``self._oracle`` are kept
+        # for as long as its epoch stands — across peers and rounds.
+        # ``ok`` holds every ref already judged alive; a set whose
+        # members are all in it (and which does not contain a self-ref)
+        # provably purges nothing, and both checks run at C speed.
+        oracle = self._oracle
+        if oracle is not None:
+            epoch = self._oracle_epoch()
+            if epoch != self._verdict_epoch:
+                self._verdict_epoch = epoch
+                self._verdicts = {}
+                self._ok = set()
         for it in peers:
             actor = it[0]
             alive = actor._ref_alive
+            if alive == oracle:
+                verdicts, ok = self._verdicts, self._ok
+            else:  # another oracle's answers are shared with nobody
+                verdicts, ok = {}, set()
             counters = actor.counters
             state = actor.state
             for level in sorted(state.nodes):
@@ -609,6 +812,8 @@ class BatchedRuleEngine:
                     v = verdicts.get(ref)
                     if v is None:
                         v = verdicts[ref] = alive(ref)
+                        if v == REF_OK:
+                            ok.add(ref)
                     if v != REF_OK:
                         setattr(node, attr, None)
                         counters.bump("purge_slot")
@@ -668,7 +873,7 @@ class BatchedRuleEngine:
                     node.rr = rr
                 memo = node._memo
                 if memo is None:
-                    memo = node._memo = [None, None, None, None]
+                    memo = node._memo = [None] * len(MEMO_PHASES)
                 key = (
                     node._nu, rl, rr, node._wrap_rl, node._wrap_rr, cfg,
                     (node._bcast_rl, node._bcast_rl_targets,
@@ -809,7 +1014,7 @@ class BatchedRuleEngine:
                 node = nodes[level]
                 memo = node._memo
                 if memo is None:
-                    memo = node._memo = [None, None, None, None]
+                    memo = node._memo = [None] * len(MEMO_PHASES)
                 key = (
                     node._nu if source is None else memo[source][2],
                     node._rl, node._rr,
@@ -906,7 +1111,7 @@ class BatchedRuleEngine:
                 node = nodes[level]
                 memo = node._memo
                 if memo is None:
-                    memo = node._memo = [None, None, None, None]
+                    memo = node._memo = [None] * len(MEMO_PHASES)
                 key = (
                     node._nu if source is None else memo[source][2],
                     node._nr,
@@ -1032,7 +1237,7 @@ class BatchedRuleEngine:
                     continue
                 memo = node._memo
                 if memo is None:
-                    memo = node._memo = [None, None, None, None]
+                    memo = node._memo = [None] * len(MEMO_PHASES)
                 key = (nc, node._nu if source is None else memo[source][2], sibs)
                 entry = memo[_R6]
                 if entry is None or entry[0] != key:

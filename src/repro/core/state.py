@@ -248,6 +248,7 @@ class LocalNode:
         "_bcast_rr",
         "_bcast_rr_targets",
         "_memo",
+        "_canon",
     )
 
     def __init__(self, ref: NodeRef, state: Optional["PeerState"] = None) -> None:
@@ -264,19 +265,27 @@ class LocalNode:
         self._bcast_rl_targets: Optional[frozenset] = None
         self._bcast_rr: Optional[NodeRef] = None
         self._bcast_rr_targets: Optional[frozenset] = None
-        #: the fast rule pipeline's per-(node, rule) memo (see
+        #: the fast rule pipeline's per-(node, phase) memo (see
         #: repro.core.rules_batched): derived data, never protocol state —
         #: outside canonical(), dropped by copies and pickles, gone with
         #: the node when its level is dropped
         self._memo: Optional[list] = None
+        #: content-keyed memo of :meth:`canonical` — ``(nu, nr, nc frozen,
+        #: pointer slots, the tuple)``; derived data like ``_memo``
+        self._canon: Optional[tuple] = None
 
     def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__ if name != "_memo"}
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in ("_memo", "_canon")
+        }
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
         self._memo = None
+        self._canon = None
 
     nu = _tracked_set_slot("_nu")
     nr = _tracked_set_slot("_nr")
@@ -308,14 +317,36 @@ class LocalNode:
         return out
 
     def canonical(self) -> tuple:
-        """Deterministic state tuple for fingerprints."""
+        """Deterministic state tuple for fingerprints.
+
+        Memoized on content: an executed step moves the peer's version
+        but usually leaves most levels as they were, and comparing three
+        sets and eight slots (C-level, identity first) is far cheaper
+        than re-sorting them.  An unchanged level hands back the *same*
+        tuple, so comparing two peer tokens short-circuits on it.
+        """
+        slots = (
+            self._rl, self._rr, self._wrap_rl, self._wrap_rr,
+            self._bcast_rl, self._bcast_rl_targets,
+            self._bcast_rr, self._bcast_rr_targets,
+        )
+        cached = self._canon
+        if (
+            cached is not None
+            and cached[0] == self._nu
+            and cached[1] == self._nr
+            and cached[2] == self._nc
+            and cached[3] == slots
+        ):
+            return cached[4]
+
         def k(ref: Optional[NodeRef]) -> tuple | None:
             return None if ref is None else ref.key
 
         def ks(refs: Optional[frozenset]) -> tuple | None:
             return None if refs is None else tuple(sorted(r.key for r in refs))
 
-        return (
+        value = (
             self.ref.key,
             tuple(sorted(r.key for r in self._nu)),
             tuple(sorted(r.key for r in self._nr)),
@@ -329,6 +360,10 @@ class LocalNode:
             k(self._bcast_rr),
             ks(self._bcast_rr_targets),
         )
+        self._canon = (
+            frozenset(self._nu), frozenset(self._nr), frozenset(self._nc), slots, value
+        )
+        return value
 
 
 class PeerState:

@@ -14,7 +14,10 @@ inboxes:
 * ``_flow_in[target][sender]`` — the delivered sub-flows of every
   sender's steady outbox, stored once and conceptually re-delivered
   every boundary (the parent rebuilds these lists physically each
-  round);
+  round).  Each is a :class:`~repro.netsim.messages.SubFlow`: an
+  immutable value shared with the sender's outbox split, carrying its
+  fingerprint sum and referenced-owner counts, so all accounting below
+  is per sub-flow and an unchanged one is recognized by identity;
 * ``_ghost[target][sender]`` — one-shot remnants: the final emissions
   of a removed sender, consumed at the target's next materialization;
 * ``_pre_buffer[target]`` / the plain inbox buffer — out-of-band posts
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
+from itertools import chain
 from time import perf_counter as _perf
 from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
@@ -69,15 +73,18 @@ from repro.netsim.messages import (
     HASH_MASK as _MASK,
     AppPayload,
     Envelope,
+    SubFlow,
     envelope_fingerprint as _envelope_hash,
+    referenced_owners as _referenced_owners,
+    split_by_target as _split_by_target,
 )
 from repro.netsim.scheduler import RoundContext, SynchronousScheduler
 from repro.netsim.timemodel import TimeModel, make_delivery_model
 from repro.netsim.trace import TraceRecorder
 
 
-#: sub-flow map: sender -> that sender's envelopes to one target
-SubFlows = Dict[Hashable, List[Envelope]]
+#: sub-flow map: sender -> that sender's sub-flow to one target
+SubFlows = Dict[Hashable, SubFlow]
 
 
 class ColumnarScheduler(SynchronousScheduler):
@@ -132,7 +139,7 @@ class ColumnarScheduler(SynchronousScheduler):
         #: of the work list is lane-only
         self._must_step: Set[Hashable] = set()
         self._added_mid_round: Set[Hashable] = set()
-        #: [key, contributed, final_out, committed_out] per mid-round removal
+        #: [key, contributed, final_out, committed targets] per mid-round removal
         self._removed_mid: List[list] = []
         #: sender -> (prev_out, new_out) outbox patches of this round
         self._patched: Dict[Hashable, tuple] = {}
@@ -145,44 +152,60 @@ class ColumnarScheduler(SynchronousScheduler):
     # ------------------------------------------------------------------
     # envelope accounting (pending hash + ref index + pending count)
     # ------------------------------------------------------------------
-    def _watch_env(self, env: Envelope) -> None:
-        refs_fn = getattr(env.payload, "refs", None)
-        refs = refs_fn() if refs_fn is not None else None
-        if not refs:  # traffic payloads carry addresses, not refs
+    def _watch(self, owner: Hashable, target: Hashable, count: int) -> None:
+        targets = self._ref_watch.get(owner)
+        if targets is None:
+            self._ref_watch[owner] = {target: count}
+        else:
+            targets[target] = targets.get(target, 0) + count
+
+    def _unwatch(self, owner: Hashable, target: Hashable, count: int) -> None:
+        targets = self._ref_watch.get(owner)
+        if targets is None:
             return
-        for owner in {ref.owner for ref in refs}:
-            targets = self._ref_watch.setdefault(owner, {})
-            targets[env.target] = targets.get(env.target, 0) + 1
+        left = targets.get(target, 0) - count
+        if left <= 0:
+            targets.pop(target, None)
+            if not targets:
+                del self._ref_watch[owner]
+        else:
+            targets[target] = left
+
+    def _watch_env(self, env: Envelope) -> None:
+        for owner in _referenced_owners(env.payload):
+            self._watch(owner, env.target, 1)
 
     def _unwatch_env(self, env: Envelope) -> None:
-        refs_fn = getattr(env.payload, "refs", None)
-        refs = refs_fn() if refs_fn is not None else None
-        if not refs:
-            return
-        watch = self._ref_watch
-        for owner in {ref.owner for ref in refs}:
-            targets = watch.get(owner)
-            if targets is None:
-                continue
-            count = targets.get(env.target, 0)
-            if count <= 1:
-                targets.pop(env.target, None)
-                if not targets:
-                    watch.pop(owner, None)
-            else:
-                targets[env.target] = count - 1
+        for owner in _referenced_owners(env.payload):
+            self._unwatch(owner, env.target, 1)
 
-    def _account_flow_env(self, env: Envelope) -> None:
-        """A steady/ghost envelope enters the pending set."""
-        self._pending_hash = (self._pending_hash + _envelope_hash(env)) & _MASK
-        self._flow_pending += 1
-        self._watch_env(env)
+    def _account_flow(self, target: Hashable, sub: SubFlow) -> None:
+        """A steady/ghost sub-flow enters the pending set."""
+        self._pending_hash = (self._pending_hash + sub.fp_sum) & _MASK
+        self._flow_pending += len(sub)
+        for owner, count in sub.owner_counts():
+            self._watch(owner, target, count)
 
-    def _unaccount_flow_env(self, env: Envelope) -> None:
-        """A steady/ghost envelope leaves the pending set."""
-        self._pending_hash = (self._pending_hash - _envelope_hash(env)) & _MASK
-        self._flow_pending -= 1
-        self._unwatch_env(env)
+    def _unaccount_flow(self, target: Hashable, sub: SubFlow) -> None:
+        """A steady/ghost sub-flow leaves the pending set."""
+        self._pending_hash = (self._pending_hash - sub.fp_sum) & _MASK
+        self._flow_pending -= len(sub)
+        for owner, count in sub.owner_counts():
+            self._unwatch(owner, target, count)
+
+    def _deliverable(self, sub: SubFlow) -> SubFlow:
+        """What of ``sub`` passes the drop filter (``sub`` itself when
+        nothing is filtered) — the gate every sub-flow passes on its way
+        into the columns."""
+        assert not any(isinstance(env.payload, AppPayload) for env in sub), (
+            "application mail in a steady sub-flow: AppPayloads travel by "
+            "post() / send_once(), never send() (the lane contract)"
+        )
+        flt = self._drop_filter
+        if flt is None:
+            return sub
+        kept = [env for env in sub if not flt(env)]
+        return sub if len(kept) == len(sub) else SubFlow(kept)
 
     def _account_one_shot(self, env: Envelope) -> None:
         """A buffered post / lane envelope enters the pending set."""
@@ -200,22 +223,17 @@ class ColumnarScheduler(SynchronousScheduler):
     # ------------------------------------------------------------------
     # sender flow surgery
     # ------------------------------------------------------------------
-    def _install_sender_flows(self, sender: Hashable, envs) -> int:
-        """Index ``sender``'s outbox as steady flows; returns its
+    def _install_sender_flows(self, sender: Hashable) -> int:
+        """Index ``sender``'s cached outbox as steady flows; returns its
         per-round drop count (dead targets + filtered envelopes)."""
         drops = 0
-        flt = self._drop_filter
-        by_target: Dict[Hashable, List[Envelope]] = {}
-        for env in envs:
-            by_target.setdefault(env.target, []).append(env)
-        for target, sub in by_target.items():
-            deliverable = sub if flt is None else [e for e in sub if not flt(e)]
+        for target, sub in self._sub_flows(sender).items():
+            deliverable = self._deliverable(sub)
             if target in self._actors:
                 drops += len(sub) - len(deliverable)
                 if deliverable:
                     self._flow_in.setdefault(target, {})[sender] = deliverable
-                    for env in deliverable:
-                        self._account_flow_env(env)
+                    self._account_flow(target, deliverable)
             else:
                 # every envelope to a dead target drops, filtered or not;
                 # the deliverable part is frozen for a possible re-join
@@ -256,9 +274,8 @@ class ColumnarScheduler(SynchronousScheduler):
         self._pending_hash = 0
         self._tel_flow_types = None
         for key in self._actors:
-            out = self._out.get(key, [])
-            self._flow_sent += len(out)
-            drops = self._install_sender_flows(key, out)
+            self._flow_sent += len(self._out.get(key, ()))
+            drops = self._install_sender_flows(key)
             self._drop_by[key] = drops
             self._flow_dropped += drops
         if self._lane_flag:
@@ -421,16 +438,14 @@ class ColumnarScheduler(SynchronousScheduler):
             self._revive.discard(key)
         elif flows is not None:
             for sender, sub in flows.items():
-                for env in sub:
-                    self._unaccount_flow_env(env)
+                self._unaccount_flow(key, sub)
                 self._drop_by[sender] = self._drop_by.get(sender, 0) + len(sub)
                 self._flow_dropped += len(sub)
             self._dead_in[key] = flows
         ghosts = self._ghost.pop(key, None)
         if ghosts:
             for sub in ghosts.values():
-                for env in sub:
-                    self._unaccount_flow_env(env)
+                self._unaccount_flow(key, sub)
         self._unaccount_one_shots(self._pre_buffer.pop(key, ()))
         self._unaccount_one_shots(self._lane.pop(key, ()))
         self._lane_targets.discard(key)
@@ -439,7 +454,12 @@ class ColumnarScheduler(SynchronousScheduler):
             # only the ref index is ours to maintain
             self._unwatch_env(env)
         # -- as a sender: its steady flow stops --------------------------
-        committed = self._patched[key][0] if key in self._patched else self._out.get(key, [])
+        # what the columns hold of it: the pre-patch outbox while a patch
+        # of this round still waits for the delivery point
+        if key in self._patched:
+            committed, committed_by = self._patched[key][0], self._patched[key][3]
+        else:
+            committed, committed_by = self._out.get(key, []), self._sub_flows(key)
         self._flow_sent -= len(committed or ())
         if self._tel_flow_types is not None:
             for env in committed or ():
@@ -453,13 +473,12 @@ class ColumnarScheduler(SynchronousScheduler):
             # boundary sub-flows, exactly like the parent's snapshot
             # inboxes do
             self._removed_mid.append(
-                [key, contributed, list(self._out.get(key, ())), list(committed or ())]
+                [key, contributed, list(self._out.get(key, ())), list(committed_by)]
             )
         else:
             # between rounds: the flows delivered at the last boundary
             # are still pending; they become one-shot ghosts
-            out = self._out.get(key, ())
-            for target in {env.target for env in out}:
+            for target in committed_by:
                 subs = self._flow_in.get(target)
                 if subs is None:
                     continue
@@ -601,39 +620,41 @@ class ColumnarScheduler(SynchronousScheduler):
     # ------------------------------------------------------------------
     # the fast round
     # ------------------------------------------------------------------
-    def _materialize_inbox(self, key: Hashable) -> List[Envelope]:
-        """Assemble and consume the actor's boundary inbox.
+    def _materialize_inbox(self, key: Hashable) -> List[List[Envelope]]:
+        """Assemble and consume the actor's boundary inbox, as the
+        ordered parts it is made of: ``[pre-buffer][per sender in key
+        order: its SubFlow, its ghost][lane mail + buffer]``.
 
         Ghosts, lane mail, pre-buffered and buffered posts are one-shot:
         they leave the pending set here.  Steady flows stay indexed —
-        they are conceptually re-delivered at the end of the round.
+        they are conceptually re-delivered at the end of the round — and
+        are handed out as the persistent :class:`SubFlow` objects, so a
+        consumer recognizes an unchanged one by identity.
         Lane sends land after all flows rather than after their own
         sender's: the rules never see them and the handler sees only
         them, so just their relative order is observable.
         """
-        inbox: List[Envelope] = []
+        parts: List[List[Envelope]] = []
         pre = self._pre_buffer.pop(key, None)
         if pre:
             self._unaccount_one_shots(pre)
-            inbox.extend(pre)
-        flows = self._flow_in.get(key)
+            parts.append(pre)
+        flows = self._flow_in.get(key) or {}
         ghosts = self._ghost.pop(key, None)
         if ghosts:
             for sub in ghosts.values():
-                for env in sub:
-                    self._unaccount_flow_env(env)
-            senders: Set[Hashable] = set(ghosts)
-            if flows:
-                senders.update(flows)
-            for sender in sorted(senders):
-                if flows is not None:
-                    inbox.extend(flows.get(sender, ()))
-                inbox.extend(ghosts.get(sender, ()))
-        elif flows:
-            for sender in sorted(flows):
-                inbox.extend(flows[sender])
-        inbox.extend(self._take_mail(key))
-        return inbox
+                self._unaccount_flow(key, sub)
+            for sender in sorted({*flows, *ghosts}):
+                if sender in flows:
+                    parts.append(flows[sender])
+                if sender in ghosts:
+                    parts.append(ghosts[sender])
+        else:
+            parts.extend([flows[sender] for sender in sorted(flows)])
+        mail = self._take_mail(key)
+        if mail:
+            parts.append(mail)
+        return parts
 
     def _lane_inbox(self, key: Hashable) -> List[Envelope]:
         """Consume a lane-only actor's inbox: application mail alone
@@ -757,7 +778,11 @@ class ColumnarScheduler(SynchronousScheduler):
                 # nor change membership mid-round
                 (lane_batch if lane_only else batch).append((key, actor, inbox, ctx))
                 continue
-            run = actor.handle_app if lane_only else actor.step
+            if lane_only:
+                run = actor.handle_app
+            else:
+                run = actor.step
+                inbox = list(chain.from_iterable(inbox))
             if tel is None:
                 run(inbox, ctx)
             else:
@@ -797,63 +822,53 @@ class ColumnarScheduler(SynchronousScheduler):
             if sender not in self._actors:
                 continue
             self._flow_sent += len(new) - len(prev or ())
-            if tel_types is not None:
-                for env in new:
-                    tel_types[type(env.payload).__name__] += 1
-                for env in prev or ():
-                    tel_types[type(env.payload).__name__] -= 1
             drop_delta = 0
             for target in changed:
                 old_sub = prev_by.get(target)
                 new_sub = new_by.get(target)
+                if tel_types is not None:
+                    for env in new_sub or ():
+                        tel_types[type(env.payload).__name__] += 1
+                    for env in old_sub or ():
+                        tel_types[type(env.payload).__name__] -= 1
                 # a frozen sub from before the target's death (or from a
                 # pre-revival window) must not resurface on top of the
                 # fresh sub-flow installed below
                 dead = self._dead_in.get(target)
                 if dead is not None:
                     dead.pop(sender, None)
+                deliverable = self._deliverable(new_sub) if new_sub else None
                 if target in self._actors:
                     subs = self._flow_in.get(target)
                     cur = subs.pop(sender, None) if subs is not None else None
                     if cur:
-                        for env in cur:
-                            self._unaccount_flow_env(env)
+                        self._unaccount_flow(target, cur)
                     drop_delta -= len(old_sub or ()) - len(cur or ())
                     if new_sub:
-                        deliverable = (
-                            new_sub if flt is None
-                            else [e for e in new_sub if not flt(e)]
-                        )
                         drop_delta += len(new_sub) - len(deliverable)
                         if deliverable:
                             self._flow_in.setdefault(target, {})[sender] = deliverable
-                            for env in deliverable:
-                                self._account_flow_env(env)
+                            self._account_flow(target, deliverable)
                 else:
                     # every envelope to a dead target drops; the
                     # deliverable part is frozen for a possible re-join
                     drop_delta -= len(old_sub or ())
                     if new_sub:
                         drop_delta += len(new_sub)
-                        deliverable = (
-                            new_sub if flt is None
-                            else [e for e in new_sub if not flt(e)]
-                        )
                         if deliverable:
                             self._dead_in.setdefault(target, {})[sender] = deliverable
             self._drop_by[sender] = self._drop_by.get(sender, 0) + drop_delta
             self._flow_dropped += drop_delta
         # (b) mid-round removals: ghost the contributions, expire the rest
         expired = 0
-        for key, contributed, final_out, committed_out in self._removed_mid:
-            for target in {env.target for env in committed_out}:
+        for key, contributed, final_out, committed_targets in self._removed_mid:
+            for target in committed_targets:
                 subs = self._flow_in.get(target)
                 if subs is None:
                     continue
                 sub = subs.pop(key, None)
                 if sub:
-                    for env in sub:
-                        self._unaccount_flow_env(env)
+                    self._unaccount_flow(target, sub)
             if not contributed:
                 expired += 1
                 continue
@@ -861,19 +876,15 @@ class ColumnarScheduler(SynchronousScheduler):
             if tel_extra is not None:
                 for env in final_out:
                     tel_extra[type(env.payload).__name__] += 1
-            by_target: Dict[Hashable, List[Envelope]] = {}
-            for env in final_out:
-                by_target.setdefault(env.target, []).append(env)
-            for target, sub in by_target.items():
+            for target, sub in _split_by_target(final_out).items():
                 if target not in self._actors:
                     dropped_extra += len(sub)
                     continue
-                deliverable = sub if flt is None else [e for e in sub if not flt(e)]
+                deliverable = self._deliverable(sub)
                 dropped_extra += len(sub) - len(deliverable)
                 if deliverable:
                     self._ghost.setdefault(target, {})[key] = deliverable
-                    for env in deliverable:
-                        self._account_flow_env(env)
+                    self._account_flow(target, deliverable)
         # (c) revivals: frozen flows to re-joined ids resume
         for target in sorted(self._revive):
             if target not in self._actors:
@@ -886,8 +897,7 @@ class ColumnarScheduler(SynchronousScheduler):
                     continue
                 sub = subs[sender]
                 self._flow_in.setdefault(target, {})[sender] = sub
-                for env in sub:
-                    self._account_flow_env(env)
+                self._account_flow(target, sub)
                 self._drop_by[sender] = self._drop_by.get(sender, 0) - len(sub)
                 self._flow_dropped -= len(sub)
         self._revive.clear()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Sequence
+from typing import Any, Hashable, Iterator, Optional, Sequence
 
 #: 64-bit wrap-around for the rolling multiset fingerprints
 HASH_MASK = (1 << 64) - 1
@@ -113,6 +113,85 @@ def envelope_fingerprint(env: Envelope) -> int:
         fp = hash((env.target, repr(canon))) & HASH_MASK
     object.__setattr__(env, "_fp", fp)
     return fp
+
+
+def referenced_owners(payload: Any) -> set:
+    """Owner ids of every node ref ``payload`` carries (empty for
+    payloads without ``refs()``: traffic carries addresses, not refs)."""
+    refs_fn = getattr(payload, "refs", None)
+    if refs_fn is None:
+        return set()
+    return {ref.owner for ref in refs_fn()}
+
+
+class SubFlow(list):
+    """One sender's steady envelopes to one target, in emission order.
+
+    The unit the tracked kernels diff (``_post_step``) and the columnar
+    kernel stores (``_flow_in``): a steady outbox is a set of sub-flows,
+    and between two executions of its sender almost all of them repeat.
+    A ``SubFlow`` is **immutable once built** — a changed sub-flow is a
+    new object, an unchanged one stays the *same* object in the sender's
+    split and in the receiver's column — so what is derived from its
+    content is derived once per change, not once per round or envelope:
+
+    * :attr:`fp_sum` — the multiset fingerprint sum of its envelopes
+      (what it contributes to ``_out_hash`` / ``_pending_hash``);
+    * :meth:`owner_counts` — per referenced owner, how many of its
+      envelopes reference it (its contribution to the columnar
+      ``_ref_watch`` index), computed on first use;
+    * :attr:`parsed` — a slot that belongs to the *receiving* side: the
+      consumer of the sub-flow (the batched rule pipeline) may store its
+      parsed form there, tagged with the receiver it was parsed for.
+      The kernels never read or clear it.
+
+    One-shot messages (posts, ``send_once``) are never sub-flows: a
+    value that is used once has nothing to amortize.
+    """
+
+    __slots__ = ("fp_sum", "_owners", "parsed")
+
+    def __init__(self, envelopes: Sequence[Envelope] = ()) -> None:
+        super().__init__(envelopes)
+        self.fp_sum = outbox_fingerprint(self)
+        self._owners: Optional[tuple] = None
+        self.parsed: Any = None
+
+    def owner_counts(self) -> Iterator[tuple]:
+        """``(owner, envelopes referencing it)`` pairs."""
+        flat = self._owners
+        if flat is None:
+            tally: dict = {}
+            for env in self:
+                for owner in referenced_owners(env.payload):
+                    tally[owner] = tally.get(owner, 0) + 1
+            # kept flat — (owner, count, owner, count, ...) — there are
+            # thousands of live sub-flows and a tuple per pair triples it
+            flat = self._owners = tuple(x for pair in tally.items() for x in pair)
+        return zip(flat[::2], flat[1::2])
+
+    def __reduce__(self):
+        # derived data is rebuilt, not pickled: fingerprints are only
+        # valid within one process (see Envelope.__getstate__)
+        return (SubFlow, (list(self),))
+
+
+def group_by_target(outbox: Sequence[Envelope]) -> dict:
+    """``target -> [envelopes]`` of one sender's outbox, targets in
+    first-emission order, envelopes in emission order."""
+    by_target: dict = {}
+    for env in outbox:
+        sub = by_target.get(env.target)
+        if sub is None:
+            by_target[env.target] = [env]
+        else:
+            sub.append(env)
+    return by_target
+
+
+def split_by_target(outbox: Sequence[Envelope]) -> dict:
+    """``target -> SubFlow`` of one sender's outbox."""
+    return {target: SubFlow(sub) for target, sub in group_by_target(outbox).items()}
 
 
 def envelope_canon(env: Envelope) -> object:

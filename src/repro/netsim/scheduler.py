@@ -135,9 +135,12 @@ from repro.netsim.messages import (
     HASH_MASK as _MASK,
     AppPayload,
     Envelope,
+    SubFlow,
     envelope_fingerprint as _envelope_hash,
     future_fingerprint as _future_hash,
+    group_by_target as _group_by_target,
     outbox_fingerprint as _outbox_hash,
+    split_by_target as _split_by_target,
 )
 from repro.netsim.timemodel import DeliveryModel, TimeModel, make_daemon, make_delivery_model
 from repro.netsim.trace import TraceRecorder
@@ -307,6 +310,10 @@ class SynchronousScheduler:
         self._tok_hash: Dict[Hashable, int] = {}
         #: steady-emission cache: outbox of the last executed step
         self._out: Dict[Hashable, List[Envelope]] = {}
+        #: the cached outbox split into its sub-flows (target -> SubFlow);
+        #: an unchanged sub-flow stays the same object from step to step.
+        #: A missing entry (partial rounds drop it) is rebuilt on demand
+        self._out_by: Dict[Hashable, Dict[Hashable, SubFlow]] = {}
         #: multiset hash-sum of the cached outbox per actor
         self._out_hash: Dict[Hashable, int] = {}
         #: rolling hash over all in-flight envelopes (next round's inboxes)
@@ -363,6 +370,7 @@ class SynchronousScheduler:
                 self._tok_hash[key] = h
                 self._state_hash = (self._state_hash + h) & _MASK
             self._out[key] = []
+            self._out_by[key] = {}
             self._out_hash[key] = 0
             if not self._unit_settled():
                 # flows already addressed to a (re-)joining id — scheduled
@@ -382,6 +390,7 @@ class SynchronousScheduler:
             # round after next under unit delivery (carry; next round is
             # defensive), ``delay`` rounds after its last send in general
             out = self._out.pop(key, [])
+            self._out_by.pop(key, None)
             if out:
                 self._flow_flag = True  # its contribution leaves the pending set
             settled = self._unit_settled()
@@ -533,18 +542,22 @@ class SynchronousScheduler:
 
         ``stepper`` provides ``accepts(actor) -> bool`` and
         ``run_batch(items)``, ``items`` being a round's ``[(key, actor,
-        inbox, ctx), ...]`` in key order; ``run_batch`` must leave every
-        actor's observable effects (state, ``ctx`` outbox, counters,
-        replay hooks) exactly as the equivalent sequence of
-        ``actor.step(inbox, ctx)`` calls would — the equivalence suites
-        compare it bit for bit against the full-scan kernel, which is
-        the spec and never consults a stepper.
+        parts, ctx), ...]`` in key order, where ``parts`` lists the
+        envelope lists whose concatenation is the actor's inbox (this
+        kernel passes the whole inbox as one part; the columnar kernel
+        passes its persistent :class:`SubFlow` objects and the one-shot
+        mail around them).  ``run_batch`` must leave every actor's
+        observable effects (state, ``ctx`` outbox, counters, replay
+        hooks) exactly as the equivalent sequence of ``actor.step(inbox,
+        ctx)`` calls would — the equivalence suites compare it bit for
+        bit against the full-scan kernel, which is the spec and never
+        consults a stepper.
 
         The columnar kernel additionally passes ``run_batch(items,
-        lane)``, ``lane`` listing its lane-only rounds in the same shape
-        (inbox = application mail only): those actors get
-        ``handle_app`` semantics, ordered with the other actors'
-        application handlers by key.
+        lane)``, ``lane`` listing its lane-only rounds as ``(key, actor,
+        inbox, ctx)`` with the application mail as one flat inbox: those
+        actors get ``handle_app`` semantics, ordered with the other
+        actors' application handlers by key.
 
         **The accepted-round rule.**  A round is handed to the stepper
         only when it accepts *every* actor on that round's work list —
@@ -982,7 +995,9 @@ class SynchronousScheduler:
         started, or were reordered) must re-run when the change arrives,
         not every receiver of an otherwise-stable emission.  The caller
         wakes them (next round under unit delivery) and the columnar
-        kernel's flow surgery consumes the per-target diff.
+        kernel's flow surgery consumes the per-target diff.  ``prev_by``
+        and ``new_by`` map targets to :class:`SubFlow` objects; the split
+        of the cached outbox is kept, so only ``out`` is re-grouped.
         """
         probes = self._probes.get(key)
         if probes is None or probes[0] is None:
@@ -995,17 +1010,35 @@ class SynchronousScheduler:
         prev_out = self._out.get(key)
         if prev_out == out:
             return state_changed, None
-        prev_by: Dict[Hashable, List[Envelope]] = {}
-        for env in prev_out or ():
-            prev_by.setdefault(env.target, []).append(env)
-        new_by: Dict[Hashable, List[Envelope]] = {}
-        for env in out:
-            new_by.setdefault(env.target, []).append(env)
-        changed = [t for t, sub in new_by.items() if prev_by.get(t) != sub]
-        changed.extend(t for t in prev_by if t not in new_by)
+        prev_by = self._sub_flows(key)
+        new_by = _group_by_target(out)
+        # an unchanged sub-flow keeps its object (and what it carries);
+        # the outbox hash moves by the changed ones only
+        changed: List[Hashable] = []
+        out_hash = self._out_hash.get(key, 0)
+        for target, envs in new_by.items():
+            old = prev_by.get(target)
+            if old == envs:
+                new_by[target] = old
+                continue
+            sub = new_by[target] = SubFlow(envs)
+            changed.append(target)
+            out_hash += sub.fp_sum - (0 if old is None else old.fp_sum)
+        for target, old in prev_by.items():
+            if target not in new_by:
+                changed.append(target)
+                out_hash -= old.fp_sum
         self._out[key] = out
-        self._out_hash[key] = _outbox_hash(out)
+        self._out_by[key] = new_by
+        self._out_hash[key] = out_hash & _MASK
         return state_changed, (prev_out, out, changed, prev_by, new_by)
+
+    def _sub_flows(self, key: Hashable) -> Dict[Hashable, SubFlow]:
+        """The cached outbox of ``key`` as ``target -> SubFlow``."""
+        by_target = self._out_by.get(key)
+        if by_target is None:
+            by_target = self._out_by[key] = _split_by_target(self._out.get(key) or ())
+        return by_target
 
     def _accepted(self, work: Iterable[Hashable]) -> bool:
         """Whether this round goes to the batch stepper: one is installed
@@ -1051,7 +1084,8 @@ class SynchronousScheduler:
                 if batch is None:
                     actor.step(inbox, ctx)
                 else:
-                    batch.append((key, actor, inbox, ctx))
+                    # this kernel keeps whole inboxes: one uncached part
+                    batch.append((key, actor, [inbox], ctx))
             else:
                 ctx = None
                 if inboxes.get(key):
@@ -1266,6 +1300,7 @@ class SynchronousScheduler:
             # refresh the emission cache with this (accumulated-inbox)
             # execution so a later identity round can go quiescent
             self._out[key] = out
+            self._out_by.pop(key, None)
             self._out_hash[key] = _outbox_hash(out)
 
         settled = self._unit_settled()

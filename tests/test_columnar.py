@@ -344,3 +344,194 @@ class TestInternTable:
         loose = NodeRef(interned.id, interned.owner, interned.level)
         assert loose.iid == -1
         assert loose == interned and hash(loose) == hash(interned)
+
+
+# ----------------------------------------------------------------------
+# sub-flows: what a SubFlow carries, and the totals accounted through it
+# ----------------------------------------------------------------------
+from itertools import chain
+
+from repro.netsim.messages import (
+    HASH_MASK,
+    SubFlow,
+    envelope_fingerprint,
+    outbox_fingerprint,
+    referenced_owners,
+    split_by_target,
+)
+
+
+def audit_columns(sched: ColumnarScheduler) -> None:
+    """Every derived value of the columnar kernel against a rebuild from
+    the envelopes it holds: what each ``SubFlow`` carries, the pending
+    hash / count / ref index, and the sender-side split."""
+    assert sched._cols_active
+    pending = flow_pending = 0
+    watch: dict = {}
+
+    def see(env) -> None:
+        nonlocal pending
+        pending += envelope_fingerprint(env)
+        for owner in referenced_owners(env.payload):
+            targets = watch.setdefault(owner, {})
+            targets[env.target] = targets.get(env.target, 0) + 1
+
+    for target, subs in chain(sched._flow_in.items(), sched._ghost.items()):
+        for sender, sub in subs.items():
+            assert type(sub) is SubFlow and len(sub) > 0
+            assert all(env.sender == sender and env.target == target for env in sub)
+            assert sub.fp_sum == outbox_fingerprint(list(sub))
+            tally: dict = {}
+            for env in sub:
+                see(env)
+                flow_pending += 1
+                for owner in referenced_owners(env.payload):
+                    tally[owner] = tally.get(owner, 0) + 1
+            assert dict(sub.owner_counts()) == tally
+    for boxes in (sched._pre_buffer, sched._lane, sched._inboxes):
+        for box in boxes.values():
+            for env in box:
+                see(env)
+    assert sched._pending_hash == pending & HASH_MASK
+    assert sched._flow_pending == flow_pending
+    assert sched._ref_watch == watch
+    flt = sched._drop_filter
+    for key in sched._actors:
+        out = sched._out[key]
+        assert sched._out_hash[key] == outbox_fingerprint(out)
+        split = sched._out_by.get(key)
+        if split is None:
+            continue
+        assert split == split_by_target(out)
+        for target, sub in split.items():
+            if target in sched._actors and flt is None:
+                # one object, shared by the sender's split and the column
+                assert sched._flow_in[target][key] is sub
+
+
+class _Remover:
+    """A harness actor that removes ``victim`` once, mid-round."""
+
+    def __init__(self, net, victim):
+        self.net, self.victim = net, victim
+
+    def step(self, inbox, ctx):
+        if self.victim is not None:
+            self.net._remove_peer(self.victim)
+            self.victim = None
+
+
+class TestSubFlowAccounting:
+    def test_totals_equal_a_rebuild_at_every_boundary_of_a_churn_run(self):
+        """Changed / stopped / started sub-flows (join, leave), dead
+        targets and a revival (crash, re-join of the crashed id), ghosts
+        (a mid-round removal), filtered sub-flows (a partition that
+        outlasts re-entry): the audit holds at every columnar boundary,
+        and the spec agrees throughout."""
+        spec = build_random_network(n=14, seed=8, engine="full")
+        net = build_random_network(n=14, seed=8, engine="columnar")
+        sched = net.scheduler
+        ids = net.peer_ids
+        fresh = next(i for i in range(1, 2**20) if i not in net.peers)
+        crashed, ghosted, left = ids[5], ids[9], ids[3]
+        side = frozenset(ids[:7])
+
+        def cut(env):
+            return (env.sender in side) != (env.target in side)
+
+        seen = {"audits": 0, "ghost": 0, "dead": 0, "filtered": 0}
+        for r in range(150):
+            for n in (spec, net):
+                if r == 30:
+                    n.join(fresh, ids[0])
+                elif r == 50:
+                    n.leave(left)
+                elif r == 65:
+                    n.crash(crashed)
+                elif r == 80:
+                    n.join(crashed, ids[1])
+                elif r == 95:
+                    n.scheduler.add_actor(2**70, _Remover(n, ghosted))
+                elif r == 97:
+                    n.scheduler.remove_actor(2**70)
+                elif r == 110:
+                    n.scheduler.set_drop_filter(cut)
+                elif r == 135:
+                    n.scheduler.set_drop_filter(None)
+                n.run_round()
+            assert net.fingerprint() == spec.fingerprint(), f"at round {r}"
+            if sched._cols_active:
+                audit_columns(sched)
+                seen["audits"] += 1
+                seen["ghost"] += bool(sched._ghost)
+                seen["dead"] += bool(sched._dead_in)
+                seen["filtered"] += sched._drop_filter is not None
+        assert seen["audits"] > 100 and all(seen.values()), seen
+        assert crashed in net.peers and crashed not in sched._dead_in
+
+    @pytest.mark.parametrize("seed", [2, 6])
+    def test_parts_concatenate_to_the_boundary_inbox(self, seed):
+        """What a dirty actor is handed: its persistent SubFlows in
+        sender order, between the one-shot lists — the flat inbox."""
+        net = build_random_network(n=10, seed=seed, engine="columnar")
+        checked = 0
+        for r in range(40):
+            if r == 15:
+                net.leave(net.peer_ids[2])  # farewell posts: buffered mail
+            if r == 25:
+                net.crash(net.peer_ids[4])  # ghosts
+            net.run_round()
+            sched = net.scheduler
+            if not sched._cols_active:
+                continue
+            probe = copy.deepcopy(sched)
+            for key in sorted(k for k in probe._dirty if k in probe._actors):
+                flat = probe._boundary_inbox(key)
+                flows = probe._flow_in.get(key, {})
+                parts = probe._materialize_inbox(key)
+                assert list(chain.from_iterable(parts)) == flat
+                # the steady parts are the column's own objects, in sender order
+                steady = [flows[sender] for sender in sorted(flows)]
+                handed = [p for p in parts if any(p is sub for sub in steady)]
+                assert len(handed) == len(steady)
+                assert all(a is b for a, b in zip(handed, steady))
+                checked += 1
+        assert checked > 20
+
+    def test_a_sub_flow_survives_copies_without_what_it_carries(self):
+        net = build_random_network(n=6, seed=3, engine="columnar")
+        net.run(12)
+        subs = [s for by in net.scheduler._flow_in.values() for s in by.values()]
+        sub = max(subs, key=len)
+        sub.owner_counts()
+        for clone in (copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
+            assert type(clone) is SubFlow and clone == sub
+            assert clone.fp_sum == sub.fp_sum and clone.parsed is None
+            assert dict(clone.owner_counts()) == dict(sub.owner_counts())
+
+    def test_steady_application_mail_is_refused_at_install(self):
+        """The lane contract, asserted where a sub-flow enters the
+        columns (and never per step): AppPayloads do not travel by
+        ``send()``."""
+        from repro.netsim.messages import AppPayload
+
+        class Mail(AppPayload):
+            def canonical(self):
+                return ("mail",)
+
+            def refs(self):
+                return ()
+
+        class Chatty:
+            def step(self, inbox, ctx):
+                ctx.send("b", Mail())
+
+        class Quiet:
+            def step(self, inbox, ctx):
+                pass
+
+        sched = ColumnarScheduler()
+        sched.add_actor("a", Chatty())
+        sched.add_actor("b", Quiet())
+        with pytest.raises(AssertionError, match="lane contract"):
+            sched.run(3)

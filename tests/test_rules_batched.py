@@ -571,13 +571,14 @@ class TestMemoLifetime:
         for pid in fast.peer_ids:
             peer = fast.peers[pid]
             assert any(n._memo is not None for n in peer.state.nodes.values())
+            assert any(n._canon is not None for n in peer.state.nodes.values())
             if how == "deepcopy":
                 clone = copy.deepcopy(peer.state)
             else:
                 clone = pickle.loads(pickle.dumps(peer.state))
             assert clone.canonical() == peer.state.canonical()
             assert clone.version == peer.state.version
-            assert all(n._memo is None for n in clone.nodes.values())
+            assert all(n._memo is None and n._canon is None for n in clone.nodes.values())
             assert all(n._state is clone for n in clone.nodes.values())
             peer.state = clone
         assert_run_identical(spec, fast, f"(states replaced by {how} copies)")
@@ -669,7 +670,7 @@ class TestGroupedCandidateDelivery:
             inbox = self._inbox(net)
             if grouped:
                 ctx = RoundContext(0, 100, net.scheduler)
-                BatchedRuleEngine()._phase_apply_inbox([[peer, inbox, ctx, {}]])
+                BatchedRuleEngine()._phase_apply_inbox([[peer, [inbox], ctx, {}]])
             else:
                 peer._apply_inbox(inbox)
             results.append((peer.state.canonical(), dict(peer.counters.fires)))
@@ -683,4 +684,358 @@ class TestGroupedCandidateDelivery:
         stray = Envelope(80, 100, RealCandidate(net.ref(120), net.ref(80), SIDE_LEFT))
         ctx = RoundContext(0, 100, net.scheduler)
         with pytest.raises(LookupError, match="candidate for"):
-            BatchedRuleEngine()._phase_apply_inbox([[peer, [stray], ctx, {}]])
+            BatchedRuleEngine()._phase_apply_inbox([[peer, [[stray]], ctx, {}]])
+
+    def test_a_repeated_delivery_hits_and_lands_the_same(self):
+        """Duplicates, wrong sides, virtual and self candidates, dropped
+        levels: the memoized landing of the same inbox equals the first."""
+        net = self._net()
+        peer = self._peer(net)
+        before = copy.deepcopy(peer.state)
+        inbox = self._inbox(net)
+        engine = BatchedRuleEngine()
+        ctx = RoundContext(0, 100, net.scheduler)
+        engine._phase_apply_inbox([[peer, [inbox], ctx, {}]])
+        first = (peer.state.canonical(), dict(peer.counters.fires))
+        assert engine.memo_counts()["apply_inbox"] == (0, 3)
+        _load(peer.state, before)
+        peer.counters = RuleCounters()
+        engine._phase_apply_inbox([[peer, [inbox], ctx, {}]])
+        assert engine.memo_counts()["apply_inbox"] == (3, 3)
+        assert (peer.state.canonical(), dict(peer.counters.fires)) == first
+
+
+# ----------------------------------------------------------------------
+# the per-level memo in front of the apply-inbox landing
+# ----------------------------------------------------------------------
+from itertools import groupby
+
+from repro.netsim.messages import SubFlow
+
+
+def _mid_run_inboxes(start: str, config: RuleConfig, rounds: int):
+    """A tracked network ``rounds`` rounds into an adversarial start, as
+    ``(network, [(peer id, deep copy of its state, the inbox it is about
+    to consume)])`` — the tracked kernel keeps physical inboxes."""
+    bits = 4 if start == "duplicate_ids" else 8
+    net = ReChordNetwork(space=IdSpace(bits), config=config)
+    BUILDERS[start](net)
+    for _ in range(rounds):
+        net.run_round()
+    return net, [
+        (pid, copy.deepcopy(net.peers[pid].state), list(net.scheduler._inboxes[pid]))
+        for pid in net.peer_ids
+    ]
+
+
+def _sub_flows(inbox):
+    """The inbox as the columnar kernel hands it over: one ``SubFlow``
+    per sender, in sender order."""
+    return [SubFlow(list(envs)) for _sender, envs in groupby(inbox, key=lambda e: e.sender)]
+
+
+class _Landing:
+    """One peer outside any scheduler: the batched apply-inbox phase
+    (memo kept across calls) next to the scalar ``_apply_inbox``."""
+
+    def __init__(self, net: ReChordNetwork, state, config: RuleConfig) -> None:
+        self.net = net
+        self.engine = BatchedRuleEngine()
+        self.config = config
+        self.state = copy.deepcopy(state)
+
+    def fast(self, parts) -> dict:
+        actor = ReChordPeer(self.state, self.config, lambda ref: "ok", RuleCounters())
+        ctx = RoundContext(0, self.state.peer_id, self.net.scheduler)
+        canon, version = self.state.canonical(), self.state.version
+        hits, misses = self.engine.memo_counts()["apply_inbox"]
+        self.engine._phase_apply_inbox([[actor, parts, ctx, {}]])
+        after = self.engine.memo_counts()["apply_inbox"]
+        assert ctx._outbox == []
+        return {
+            "post": self.state.canonical(),
+            "fires": dict(actor.counters.fires),
+            "moved": self.state.version != version,
+            "changed": self.state.canonical() != canon,
+            "hits": after[0] - hits,
+            "misses": after[1] - misses,
+        }
+
+    def scalar(self, state, inbox) -> dict:
+        twin = copy.deepcopy(state)
+        actor = ReChordPeer(twin, self.config, lambda ref: "ok", RuleCounters())
+        actor._apply_inbox(inbox)
+        return {"post": twin.canonical(), "fires": dict(actor.counters.fires)}
+
+
+class TestApplyInboxMemo:
+    """A hit lands exactly what the bare landing and the scalar loop do."""
+
+    @pytest.mark.parametrize("rounds", [1, 3])
+    @pytest.mark.parametrize("start", sorted(BUILDERS))
+    @pytest.mark.parametrize("wrap", [True, False], ids=["wrap", "nowrap"])
+    def test_hit_equals_miss_equals_scalar(self, start, wrap, rounds):
+        config = RuleConfig(wrap_pointers=wrap)
+        net, cases = _mid_run_inboxes(start, config, rounds)
+        looked_up = 0
+        for pid, inputs, inbox in cases:
+            spec = _Landing(net, inputs, config).scalar(inputs, inbox)
+            for parts in ([inbox], _sub_flows(inbox)):
+                h = _Landing(net, inputs, config)
+                miss = h.fast(parts)
+                assert miss["hits"] == 0
+                _load(h.state, inputs)
+                assert h.state.canonical() == inputs.canonical()
+                hit = h.fast(parts)
+                assert hit["misses"] == 0 and hit["hits"] == miss["misses"]
+                looked_up += hit["hits"]
+                for key in ("post", "fires"):
+                    assert hit[key] == miss[key] == spec[key], f"{key} of peer {pid}"
+                # every landing only adds: the version moves iff content does
+                assert hit["moved"] == hit["changed"] == miss["moved"] == miss["changed"]
+        assert looked_up > 0
+
+    def test_sub_flows_are_parsed_once_per_receiver(self):
+        net, cases = _mid_run_inboxes("wraparound", RuleConfig(), 2)
+        pid, inputs, inbox = max(cases, key=lambda case: len(case[2]))
+        parts = _sub_flows(inbox)
+        h = _Landing(net, inputs, RuleConfig())
+        h.fast(parts)
+        forms = [part.parsed for part in parts]
+        assert all(form is not None and form[0] == pid for form in forms)
+        _load(h.state, inputs)
+        h.fast(parts)
+        assert all(part.parsed is form for part, form in zip(parts, forms))
+        # the parsed form lists every payload once, under its addressed level
+        for part, form in zip(parts, forms):
+            assert sorted(map(id, (p for _lvl, ps in form[1] for p in ps))) == sorted(
+                id(env.payload) for env in part
+            )
+            assert all(p.target.level == lvl for lvl, ps in form[1] for p in ps)
+
+    def test_a_misaddressed_sub_flow_raises_every_time_and_caches_nothing(self):
+        net = TestGroupedCandidateDelivery()._net()
+        stray = SubFlow([Envelope(80, 100, EdgeAdd(net.ref(120), net.ref(80), KIND_UNMARKED))])
+        engine = BatchedRuleEngine()
+        ctx = RoundContext(0, 100, net.scheduler)
+        for _ in range(2):
+            with pytest.raises(LookupError, match="message for"):
+                engine._phase_apply_inbox([[net.peers[100], [stray], ctx, {}]])
+            assert stray.parsed is None
+        # parsed for its receiver, it is still an error anywhere else
+        engine._phase_apply_inbox([[net.peers[120], [stray], ctx, {}]])
+        assert stray.parsed[0] == 120
+        with pytest.raises(LookupError, match="message for"):
+            engine._phase_apply_inbox([[net.peers[100], [stray], ctx, {}]])
+        assert stray.parsed[0] == 120
+
+    @pytest.mark.parametrize("first", ["own", "inherited"])
+    def test_dropped_level_wrap_candidates_keep_their_inbox_order(self, first):
+        """Mail for a dropped level lands on ``u_m`` next to ``u_m``'s
+        own; two wrap candidates demote different refs depending on who
+        comes first, so the split must follow the inbox, not the parts'
+        addressed levels."""
+        posts = {}
+        for how in ("scalar", "fast"):
+            net = TestGroupedCandidateDelivery()._net()
+            peer = TestGroupedCandidateDelivery()._peer(net)
+            me2, me3 = (make_ref(net.space, 100, level) for level in (2, 3))
+            own = Envelope(60, 100, RealCandidate(me2, net.ref(60), SIDE_RIGHT, True))
+            inherited = Envelope(140, 100, RealCandidate(me3, net.ref(140), SIDE_RIGHT, True))
+            inbox = [own, inherited] if first == "own" else [inherited, own]
+            if how == "scalar":
+                peer._apply_inbox(inbox)
+            else:
+                ctx = RoundContext(0, 100, net.scheduler)
+                parts = [SubFlow([env]) for env in inbox]
+                BatchedRuleEngine()._phase_apply_inbox([[peer, parts, ctx, {}]])
+            posts[how] = (peer.state.canonical(), dict(peer.counters.fires))
+        assert posts["fast"] == posts["scalar"]
+        assert posts["scalar"][1]["wrap_adopt"] == (1 if first == "own" else 2)
+
+
+#: perturbation -> must the landing of the perturbed level miss?
+LANDING_PERTURBATIONS = {
+    "payload": True, "rl": True, "rr": True, "wrap_rl": True, "wrap_rr": True,
+    "config": True,
+    # the landing only adds to the sets and never reads them: not key
+    # components, a perturbed set still hits — and still equals the spec
+    "nu": False, "nr": False, "nc": False,
+}
+
+
+class TestApplyInboxKeyComponents:
+    """Every key component is load-bearing, and nothing else is read."""
+
+    @pytest.mark.parametrize("what", sorted(LANDING_PERTURBATIONS))
+    @given(start=st.sampled_from(sorted(BUILDERS)), data=st.data())
+    @settings(max_examples=12)
+    def test_one_perturbed_input_matches_the_spec(self, what, start, data):
+        config = RuleConfig()
+        net, cases = _mid_run_inboxes(start, config, 2)
+        cases = [
+            case for case in cases
+            if any(type(env.payload) in (EdgeAdd, RealCandidate) for env in case[2])
+        ]
+        assume(cases)
+        pid, inputs, inbox = data.draw(st.sampled_from(cases), label="peer")
+        everyone = sorted(
+            {r for _p, s, _i in cases for r in s.knowledge()}, key=lambda r: r.key
+        )
+        foreign = [r for r in everyone if r.owner != pid]
+        index = data.draw(
+            st.sampled_from(
+                [i for i, env in enumerate(inbox)
+                 if type(env.payload) in (EdgeAdd, RealCandidate)]
+            ),
+            label="envelope",
+        )
+        level = inputs.resolve(inbox[index].payload.target).ref.level
+
+        h = _Landing(net, inputs, config)
+        h.fast(_sub_flows(inbox))
+        _load(h.state, inputs)
+        assert h.fast(_sub_flows(inbox))["misses"] == 0
+
+        changed = copy.deepcopy(inputs)
+        node = changed.nodes[level]
+        if what == "payload":
+            env = inbox[index]
+            old = env.payload
+            ref = data.draw(st.sampled_from(foreign), label="ref")
+            if type(old) is EdgeAdd:
+                assume(ref != old.endpoint)
+                new = EdgeAdd(old.target, ref, old.kind)
+            else:
+                assume(ref != old.candidate)
+                new = RealCandidate(old.target, ref, old.side, old.wrap)
+            inbox = inbox[:index] + [Envelope(env.sender, env.target, new)] + inbox[index + 1:]
+        elif what in SET_SLOTS:
+            refs = getattr(node, what)
+            ref = data.draw(st.sampled_from(foreign), label="ref")
+            if ref in refs:
+                refs.discard(ref)
+            else:
+                refs.add(ref)
+        elif what == "config":
+            h.config = config.ablated(wrap_pointers=False)
+        else:
+            reals = [None] + [r for r in foreign if r.level == 0]
+            value = data.draw(st.sampled_from(reals), label="ref")
+            assume(value != getattr(node, what))
+            setattr(node, what, value)
+
+        _load(h.state, changed)
+        got = h.fast(_sub_flows(inbox))
+        if LANDING_PERTURBATIONS[what]:
+            assert got["misses"] > 0, f"perturbing {what} at level {level} of peer {pid} still hit"
+        else:
+            assert got["misses"] == 0, f"{what} is not an input of the landing"
+        spec = h.scalar(changed, inbox)
+        assert got["post"] == spec["post"]
+        assert got["fires"] == spec["fires"]
+
+
+# ----------------------------------------------------------------------
+# purge verdicts kept across rounds, per oracle epoch
+# ----------------------------------------------------------------------
+from repro.core.protocol import REF_OK
+
+#: peer ids of the verdict-cache networks (8-bit id space)
+_IDS = (20, 77, 140, 230)
+_HOLDER, _SUBJECT, _FRESH = 20, 140, 101
+
+
+def _top(net: ReChordNetwork) -> int:
+    return max(net.peers[_SUBJECT].state.nodes)
+
+
+#: event -> (what it does to a network, the ref whose verdict it flips —
+#: evaluated *before* the event)
+ORACLE_EVENTS = {
+    "join": (lambda net: net.join(_FRESH, 77), lambda net: net.ref(_FRESH)),
+    "crash": (lambda net: net.crash(_SUBJECT), lambda net: net.ref(_SUBJECT)),
+    "leave": (lambda net: net.leave(_SUBJECT), lambda net: net.ref(_SUBJECT)),
+    "level_flip": (
+        lambda net: net.peers[_SUBJECT].state.drop_level(_top(net)),
+        lambda net: net.ref(_SUBJECT, _top(net)),
+    ),
+    "ensure_virtual": (
+        lambda net: net.ensure_virtual(_SUBJECT, _top(net) + 1),
+        lambda net: net.ref(_SUBJECT, _top(net) + 1),
+    ),
+    "add_initial_edge": (
+        lambda net: net.add_initial_edge(net.ref(_SUBJECT, _top(net) + 1), net.ref(77)),
+        lambda net: net.ref(_SUBJECT, _top(net) + 1),
+    ),
+}
+
+
+def _assert_verdicts_truthful(net: ReChordNetwork) -> None:
+    """Whatever purge would reuse is what the oracle says now."""
+    engine, oracle = net.scheduler._batch_stepper, net._ref_alive
+    if engine._verdict_epoch != net.oracle_epoch():
+        return  # dropped at the next purge
+    for ref, verdict in engine._verdicts.items():
+        assert verdict == oracle(ref), f"stale verdict for {ref!r}"
+    assert engine._ok == {r for r, v in engine._verdicts.items() if v == REF_OK}
+
+
+def _round_in_lockstep(spec: ReChordNetwork, fast: ReChordNetwork, context: str) -> None:
+    """One round each; the columnar kernel keeps no physical inboxes, so
+    the in-flight messages are compared through the fingerprint."""
+    spec.run_round()
+    fast.run_round()
+    assert spec.fingerprint() == fast.fingerprint(), f"fingerprint diverged {context}"
+    assert spec.counters().fires == fast.counters().fires, f"counters diverged {context}"
+
+
+class TestPurgeVerdictCache:
+    @pytest.mark.parametrize("engine", ["incremental", "columnar"])
+    @pytest.mark.parametrize("event", sorted(ORACLE_EVENTS))
+    def test_every_oracle_write_invalidates_the_verdicts(self, event, engine):
+        """A probe ref held by a bystander is judged (and cached) before
+        the event and judged again after it: spec ≡ fast throughout, and
+        the epoch moved by the time purge runs again."""
+        apply, probe_of = ORACLE_EVENTS[event]
+        nets = []
+        for kind in ("full", engine):
+            net = ReChordNetwork(space=IdSpace(8), engine=kind)
+            for pid in _IDS:
+                net.add_peer(pid)
+            for a, b in zip(_IDS, _IDS[1:]):
+                net.add_initial_edge(net.ref(a), net.ref(b))
+            net.run_until_stable()
+            nets.append(net)
+        spec, fast = nets
+        probe = probe_of(fast)
+        assert probe == probe_of(spec)
+        for net in nets:
+            net.peers[_HOLDER].state.nodes[0].nu.add(probe)
+        for r in range(3):
+            _round_in_lockstep(spec, fast, f"(probe planted, round {r})")
+            _assert_verdicts_truthful(fast)
+        engine_obj = fast.scheduler._batch_stepper
+        assert probe in engine_obj._verdicts
+        before = (fast._ref_alive(probe), fast.oracle_epoch())
+        for net in nets:
+            apply(net)
+            net.peers[_HOLDER].state.nodes[0].nu.add(probe)
+        for r in range(6):
+            _round_in_lockstep(spec, fast, f"(after {event}, round {r})")
+            _assert_verdicts_truthful(fast)
+            if r == 0:
+                assert fast.oracle_epoch() != before[1]
+                assert fast._ref_alive(probe) != before[0]
+
+    def test_a_peer_of_another_oracle_shares_nothing(self):
+        spec, fast = _pair(RuleConfig(), plant_phantoms)
+        engine = fast.scheduler._batch_stepper
+        stranger = fast.peers[10]
+        stranger._ref_alive = lambda ref: "dead"
+        spec.peers[10]._ref_alive = stranger._ref_alive
+        for r in range(4):
+            assert_one_round_identical(spec, fast, f"(foreign oracle, round {r})")
+            _assert_verdicts_truthful(fast)
+        assert not stranger.state.nodes[0].nu
+        assert any(p.state.nodes[0].nu for p in fast.peers.values())

@@ -209,3 +209,68 @@ class TestVersionTracking:
         v = st.version
         deep.nodes[0].nu.add(NodeRef.real(4))
         assert st.version == v and deep.version > v
+
+
+# ----------------------------------------------------------------------
+# the content-keyed memo of LocalNode.canonical()
+# ----------------------------------------------------------------------
+import copy
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+_REFS = [make_ref(SPACE, owner, level) for owner in (7, 300, 1000, 41000) for level in (0, 1, 3)]
+_SETS = ("nu", "nr", "nc")
+_POINTERS = ("rl", "rr", "wrap_rl", "wrap_rr", "bcast_rl", "bcast_rr")
+_TARGETS = ("bcast_rl_targets", "bcast_rr_targets")
+
+_OPS = st.one_of(
+    st.tuples(st.just("toggle"), st.sampled_from(_SETS), st.sampled_from(_REFS)),
+    st.tuples(st.just("point"), st.sampled_from(_POINTERS), st.sampled_from(_REFS + [None])),
+    st.tuples(
+        st.just("point"), st.sampled_from(_TARGETS),
+        st.one_of(st.none(), st.frozensets(st.sampled_from(_REFS), max_size=3)),
+    ),
+    st.tuples(st.just("level"), st.just(""), st.integers(1, 3)),
+)
+
+
+class TestCanonicalMemo:
+    @given(ops=st.lists(st.tuples(st.integers(0, 3), _OPS), max_size=40))
+    @settings(max_examples=60)
+    def test_memoized_canonical_equals_an_uncached_one(self, ops):
+        state = peer()
+        state.ensure_level(1)
+        for level, (op, slot, value) in ops:
+            if op == "level":
+                if value in state.nodes:
+                    state.drop_level(value)
+                else:
+                    state.ensure_level(value)
+            else:
+                node = state.nodes.get(level)
+                if node is None:
+                    continue
+                if op == "toggle":
+                    refs = getattr(node, slot)
+                    (refs.discard if value in refs else refs.add)(value)
+                else:
+                    setattr(node, slot, value)
+            fresh = copy.deepcopy(state)  # copies carry no memo
+            assert all(n._canon is None for n in fresh.nodes.values())
+            assert state.canonical() == fresh.canonical()
+
+    def test_an_unchanged_level_hands_back_the_same_tuple(self):
+        state = peer()
+        state.ensure_level(1).nu.add(_REFS[0])
+        state.ensure_level(2)
+        before = state.canonical()
+        state.nodes[1].nu.add(_REFS[1])
+        after = state.canonical()
+        assert after != before
+        assert after[1][0] is before[1][0] and after[1][2] is before[1][2]
+        assert after[1][1] != before[1][1]
+        # a transient change that cancels out: the same tuple again
+        state.nodes[1].nu.discard(_REFS[1])
+        again = state.canonical()
+        assert again == before and again[1][0] is before[1][0]

@@ -155,7 +155,7 @@ class TestEngineInvariance:
         engine_counts = net.scheduler._batch_stepper.memo_counts()
         assert {rule: tuple(pair) for rule, pair in rec.memo.items()} == engine_counts
         (memo,) = [r for r in rec.records() if r["kind"] == "memo"]
-        assert set(memo["lookups"]) == {"rule3", "rule4", "rule5", "rule6"}
+        assert set(memo["lookups"]) == {"apply_inbox", "rule3", "rule4", "rule5", "rule6"}
         assert memo["lookups"]["rule3"] == dict(zip(("hits", "misses"), rec.memo["rule3"]))
         assert all(0.0 < share < 1.0 for share in rec.memo_hit_shares().values())
         rec.clear()
@@ -295,7 +295,7 @@ class TestScenarioTelemetry:
         text = render_telemetry(rec)
         for needle in (
             "message census", "rule firings", "phase timers", "hop traces",
-            "top rule hotspots", "per-level memo hit share: rule3 ",
+            "top rule hotspots", "per-level memo hit share: apply_inbox ", ", rule3 ",
         ):
             assert needle in text, needle
 

@@ -1,0 +1,127 @@
+#!/usr/bin/env python
+"""A/B benchmark: a parent revision against the working tree.
+
+What every performance PR measures (choosing-metrics §6 and §8): clone
+the parent revision of this repository into a temporary directory (a
+local ``git clone``, nothing is fetched), then run the committed
+benchmark command of ``BENCHMARK.json`` —
+
+    python3 bench/rechord_bench.py --workload W --seed S --seconds T --trace 0
+
+— on both sides for N pairs, alternating which side runs first.  Per
+end-to-end metric it prints both sides' median and quartiles, how many
+pairs the change won (ties count for neither), the gap between the
+medians next to the parent's own quartile distance, the verdict against
+the metric's bound, and one CHANGES.md-ready line listing every run.
+
+Usage::
+
+    python tools/ab_bench.py --workload restabilize --pairs 10
+    python tools/ab_bench.py --workload traffic_steady --seed 77 --pairs 5 --parent HEAD~1
+
+The script reads ``BENCHMARK.json`` and runs ``bench/``; it edits
+neither.  Run it on an otherwise idle machine: the two sides share it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(command: List[str], checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
+    """One benchmark run in ``checkout``; the metrics of its result line."""
+    argv = command + [
+        "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", "0",
+    ]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} failed in {checkout}:\n{done.stderr[-2000:]}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if not result.get("correct") or result.get("failed"):
+        raise RuntimeError(f"incorrect run in {checkout}: {result}")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def quartiles(values: List[float]) -> Tuple[float, float, float]:
+    """``(q1, median, q3)``; a single run is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def report(metric: dict, parent: List[float], change: List[float]) -> str:
+    """The verdict block of one end-to-end metric."""
+    name, unit = metric["name"], metric["unit"]
+    higher = metric["better"] == "higher"
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    wins = sum(1 for p, c in zip(parent, change) if (c > p if higher else c < p))
+    ties = sum(1 for p, c in zip(parent, change) if c == p)
+    gain = (cm - pm if higher else pm - cm)
+    ratio = (cm / pm if higher else pm / cm) if pm and cm else float("nan")
+    worse = -gain / pm if pm else 0.0
+    if worse > metric["bound"]:
+        verdict = f"REGRESSION (worse by {worse:.1%}, bound {metric['bound']:.0%})"
+    elif wins * 10 >= 9 * (len(parent) - ties) and wins and gain > p3 - p1:
+        verdict = "gain (>= 9/10 of the pairs, gap above the parent's quartile distance)"
+    else:
+        verdict = f"within the bound ({metric['bound']:.0%})"
+    runs = "/".join(f"{v:.4g}" for v in parent) + " | " + "/".join(f"{v:.4g}" for v in change)
+    return "\n".join([
+        f"{name} [{unit}, {metric['better']} is better]",
+        f"  parent  median {pm:.4g}  quartiles {p1:.4g} .. {p3:.4g}",
+        f"  change  median {cm:.4g}  quartiles {c1:.4g} .. {c3:.4g}",
+        f"  change ahead in {wins}/{len(parent)} pairs ({ties} ties); gap {gain:+.4g} "
+        f"vs parent quartile distance {p3 - p1:.4g}; ratio {ratio:.3f}x",
+        f"  verdict: {verdict}",
+        f"  line: `{name}` {runs} (median {pm:.4g} -> {cm:.4g}, {ratio:.2f}x, {wins}/{len(parent)})",
+    ])
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=workloads)
+    parser.add_argument("--seed", type=int, default=2011)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--parent", default="HEAD", help="revision to compare the working tree against")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    seconds = spec["run_seconds"]
+    parent_runs: List[Dict[str, float]] = []
+    change_runs: List[Dict[str, float]] = []
+    with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
+        parent_dir = Path(tmp) / "parent"
+        subprocess.run(["git", "clone", "-q", "--no-hardlinks", str(ROOT), str(parent_dir)], check=True)
+        subprocess.run(["git", "-C", str(parent_dir), "checkout", "-q", "--detach", args.parent], check=True)
+        sides = [("parent", parent_dir, parent_runs), ("change", ROOT, change_runs)]
+        for pair in range(args.pairs):
+            for side, checkout, runs in (sides if pair % 2 == 0 else sides[::-1]):
+                runs.append(run_once(spec["command"], checkout, args.workload, args.seed, seconds))
+                shown = "  ".join(f"{k}={v:.4g}" for k, v in runs[-1].items())
+                print(f"pair {pair + 1:>2} {side}: {shown}", flush=True)
+
+    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} alternating pairs of "
+          f"{seconds} s runs, {args.parent} | working tree")
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        print(report(metric, [r[name] for r in parent_runs], [r[name] for r in change_runs]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
