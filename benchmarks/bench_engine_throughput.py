@@ -5,8 +5,8 @@ that future changes to the rule pipeline or the fingerprinting stay
 honest.  Timed units:
 
 * one synchronous round on a stable 64-peer network (steady-state flow
-  is the hot path — fully *replayed* by the incremental kernel, fully
-  executed by the legacy one: both are benchmarked);
+  is the hot path — fully *replayed* by the default columnar kernel,
+  fully executed by the full-scan one: both are benchmarked);
 * one global fingerprint of the same network;
 * building a 64-peer random initial state.
 
@@ -15,22 +15,16 @@ Comparison mode
 
 ``test_engine_comparison_table`` regenerates the kernel-comparison
 table: post-churn re-stabilization (a single join into an already
-stable network) timed through the legacy full-scan kernel, the
-incremental dirty-set kernel and the columnar kernel, reported as
-rounds/sec per size.  The default ladder is quick (n ∈ {64, 256});
-set ``RECHORD_BENCH_FULL=1`` to run the full ladder
-n ∈ {64, 256, 1024, 4096} (minutes — dominated by the stable-network
-builds; the legacy kernel is skipped above n=512, where one of its
-re-stabilizations alone would need tens of minutes).
+stable network) timed through the full-scan spec and the default
+columnar kernel, reported as rounds/sec per size.  The default ladder
+is quick (n ∈ {64, 256}); set ``RECHORD_BENCH_FULL=1`` to run the full
+ladder n ∈ {64, 256, 1024, 4096} (minutes — dominated by the
+stable-network builds; the full-scan kernel is skipped above n=512,
+where one of its re-stabilizations alone would need tens of minutes).
 
-The columnar acceptance bar is anchored to the *pre-columnar*
-incremental kernel (4.8 rounds/sec at n=1024, the baseline this
-optimization campaign started from): the shared protocol-layer wins of
-the same campaign (interned envelopes, memoized fingerprints, key-based
-rule loops) also lifted the incremental kernel severalfold, so the
-in-table ratio understates what the columnar work bought.  Both ratios
-are asserted: ≥ 5x against the fixed pre-columnar baseline, and a
-same-table margin over the co-optimized incremental kernel.
+The acceptance bar at n ≥ 1024 is anchored to the *pre-columnar*
+dirty-set kernel (4.8 rounds/sec at n=1024, the baseline the columnar
+optimization campaign started from): ≥ 5x that fixed figure.
 """
 
 from __future__ import annotations
@@ -49,19 +43,19 @@ from repro.experiments.scaling import (
 from repro.workloads.initial import build_random_network
 
 
-def _stable_network(n: int = 64, seed: int = 2011, incremental: bool = True):
-    net = build_random_network(n=n, seed=seed, incremental=incremental)
+def _stable_network(n: int = 64, seed: int = 2011, engine: str = "columnar"):
+    net = build_random_network(n=n, seed=seed, engine=engine)
     net.run_until_stable(max_rounds=20_000)
     return net
 
 
-def test_round_throughput_incremental(benchmark):
-    net = _stable_network(incremental=True)
+def test_round_throughput_columnar(benchmark):
+    net = _stable_network()
     benchmark(net.run_round)
 
 
 def test_round_throughput_full_scan(benchmark):
-    net = _stable_network(incremental=False)
+    net = _stable_network(engine="full")
     benchmark(net.run_round)
 
 
@@ -116,7 +110,7 @@ def test_canonical_token_cache(benchmark):
 
 
 def test_incremental_fingerprint_cost(benchmark):
-    net = _stable_network(incremental=True)
+    net = _stable_network()
     benchmark(net.incremental_fingerprint)
 
 
@@ -133,23 +127,23 @@ def test_ideal_build_cost(benchmark):
     )
 
 
-#: incremental-kernel throughput at n=1024 *before* the columnar
-#: optimization campaign (the fixed yardstick of the ≥ 5x columnar
-#: acceptance bar; see the module docstring)
+#: dirty-set kernel throughput at n=1024 *before* the columnar
+#: optimization campaign (the fixed yardstick of the ≥ 5x acceptance
+#: bar; see the module docstring)
 PRE_COLUMNAR_INCR_RPS_1024 = 4.8
 
 
 def test_engine_comparison_table(benchmark):
-    """Full-scan vs. incremental vs. columnar kernel, rounds/sec."""
+    """Full-scan spec vs. the default kernel, rounds/sec."""
     full = bool(os.environ.get("RECHORD_BENCH_FULL"))
     sizes = ENGINE_SIZES_FULL if full else ENGINE_SIZES_QUICK
     rows = run_engine_comparison(sizes=sizes)
     table = format_engine_comparison(rows) + (
         "\n\n(measured via repro.experiments.scaling.run_engine_comparison; the\n"
         "kernels are asserted fingerprint-identical after the same round count.\n"
-        "full r/s is skipped above n=512 — one legacy re-stabilization there\n"
-        "needs tens of minutes.  The columnar acceptance bar also holds against\n"
-        f"the pre-columnar incremental kernel: {PRE_COLUMNAR_INCR_RPS_1024} rounds/sec at n=1024.\n"
+        "full r/s is skipped above n=512 — one full-scan re-stabilization there\n"
+        "needs tens of minutes.  The acceptance bar holds against the\n"
+        f"pre-columnar kernel: {PRE_COLUMNAR_INCR_RPS_1024} rounds/sec at n=1024.\n"
         "Regenerate with:\n"
         "RECHORD_BENCH_FULL=1 PYTHONPATH=src pytest "
         "benchmarks/bench_engine_throughput.py -k comparison)"
@@ -157,20 +151,14 @@ def test_engine_comparison_table(benchmark):
     emit("engine_comparison_full" if full else "engine_comparison", table)
     for n, row in rows.items():
         if row.speedup is not None:
-            assert row.speedup > 1.0, f"incremental kernel slower at n={n}: {row}"
+            assert row.speedup > 1.0, f"default kernel slower than full-scan at n={n}: {row}"
         if n >= 1024:
-            # the headline bar: columnar vs. the fixed pre-columnar
-            # incremental baseline ...
-            assert row.col_rounds_per_sec >= 5 * PRE_COLUMNAR_INCR_RPS_1024, (
-                f"columnar kernel under the 5x pre-columnar bar at n={n}: {row}"
+            # the headline bar: the fixed pre-columnar baseline
+            assert row.rounds_per_sec >= 5 * PRE_COLUMNAR_INCR_RPS_1024, (
+                f"default kernel under the 5x pre-columnar bar at n={n}: {row}"
             )
-            # ... plus a same-table margin over the co-optimized
-            # incremental kernel (the columnar advantage grows with n —
-            # incremental delivery scales with total flow volume,
-            # columnar surgery with the dirty set)
-            assert row.col_speedup > 2.0, f"columnar margin too thin at n={n}: {row}"
-    # the timed unit: one incremental-engine round on the largest stable
+    # the timed unit: one default-kernel round on the largest stable
     # network of the ladder (steady state, fully replayed)
     largest = max(sizes)
-    net = build_ideal_network(largest, seed=2011, incremental=True)
+    net = build_ideal_network(largest, seed=2011)
     benchmark(net.run_round)

@@ -11,8 +11,8 @@ re-stabilized to measure steady-state post-churn throughput.
 
 The full-scan kernel would need days for the same workload (it scans
 all peers and re-buckets the entire ~10M-envelope in-flight multiset
-every round); the incremental kernel still pays per-round delivery
-proportional to the flow volume.  Only the columnar kernel's
+every round); the tracked round loop still pays per-round delivery
+proportional to the flow volume.  Only the columnar loop's
 flow-indexed surgery makes the run practical, which is the point of
 recording it.
 

@@ -3,8 +3,8 @@
 
 Runs the ``jitter-storm`` campaign (bounded per-message delivery
 reordering on every link plus a churn burst, mixed traffic flowing,
-jitter persisting through recovery) at n=32 on the incremental kernel
-and checks two classes of properties against
+jitter persisting through recovery) at n=32 on the default kernel and
+checks two classes of properties against
 ``benchmarks/baseline_latency.json``:
 
 * **machine-independent exact checks** — the campaign and every delay

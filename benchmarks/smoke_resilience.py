@@ -62,7 +62,7 @@ def measure_off_equivalence() -> dict:
     from repro.workloads.initial import random_peer_ids
 
     seq = SeedSequence(SEED_OFF).child("smoke-traffic", n=N_OFF)
-    net = build_ideal_network(N_OFF, seq.child("build").seed(), incremental=True)
+    net = build_ideal_network(N_OFF, seq.child("build").seed())
     store = KeyValueStore(ReChordRouter(net))
     plane = TrafficPlane(
         net,

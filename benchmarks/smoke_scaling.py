@@ -6,16 +6,17 @@ Two gates, each joining one peer into an already-stable network
 ``repro.experiments.scaling``) and measuring re-stabilization
 throughput in rounds/sec:
 
-* ``incremental`` at n=256 — the historical dirty-set kernel gate;
-* ``columnar`` at n=4096 — the large-N kernel the columnar engine
-  exists for (the legacy full-scan kernel is not even practical at this
-  size; the ideal-state build dominates the gate's wall-clock).
+* ``incremental`` at n=256 — the historical dirty-set kernel gate (the
+  key predates the columnar kernel; it now builds the default engine);
+* ``columnar`` at n=4096 — the large-N size the columnar engine exists
+  for (the full-scan kernel is not even practical at this size; the
+  ideal-state build dominates the gate's wall-clock).
 
 Fails (exit 1) if throughput regresses more than ``allowed_regression``
 (default 3x) below the checked-in baseline, if the re-stabilization
 round count deviates at all (the kernels are deterministic), or if the
 executed-peer fraction grows beyond 1.5x baseline (replay/dirty-set
-effectiveness).  Both kernels run the batched rule pipeline
+effectiveness).  Both gates run the batched rule pipeline
 (``repro.core.rules_batched``); the exact round counts were recorded
 under the scalar one, so they also pin the two pipelines together.
 Each gate also prints the hit shares of that pipeline's per-level memo
@@ -48,11 +49,8 @@ SEED = 2011
 MEMO_HIT_FLOOR = 0.8
 APPLY_HIT_FLOOR = 0.7
 
-#: the gates: engine name -> (n, build kwargs)
-GATES = {
-    "incremental": {"n": 256, "engine_kwargs": {"incremental": True}},
-    "columnar": {"n": 4096, "engine_kwargs": {"engine": "columnar"}},
-}
+#: the gates: baseline key -> network size (both build the default engine)
+GATES = {"incremental": 256, "columnar": 4096}
 
 
 def measure(gate: str) -> tuple:
@@ -62,10 +60,9 @@ def measure(gate: str) -> tuple:
     from repro.netsim.rng import SeedSequence
     from repro.workloads.initial import random_peer_ids
 
-    spec = GATES[gate]
-    n = spec["n"]
+    n = GATES[gate]
     seq = SeedSequence(SEED).child("smoke", n=n)
-    net = build_ideal_network(n, seq.child("build").seed(), **spec["engine_kwargs"])
+    net = build_ideal_network(n, seq.child("build").seed())
     rng = seq.child("join").rng()
     join_id = random_peer_ids(1, rng, net.space)[0]
     while join_id in net.peers:
@@ -127,7 +124,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--update", action="store_true", help="rewrite the baseline JSON")
     parser.add_argument(
-        "--quick", action="store_true", help="run only the n=256 incremental gate"
+        "--quick", action="store_true", help="run only the n=256 gate"
     )
     parser.add_argument(
         "--allowed-regression",
@@ -153,8 +150,6 @@ def main(argv=None) -> int:
             ok = False
 
     baselines = json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else {}
-    if "rounds" in baselines:  # pre-columnar flat layout (n=256 incremental)
-        baselines = {"incremental": baselines}
 
     if args.update or not baselines:
         baselines.update(results)

@@ -2,7 +2,7 @@
 """CI smoke gate: one small scenario campaign, exact round/ops census.
 
 Runs the ``seam-crash`` campaign (crash of both ring-seam extremes with
-mixed traffic flowing) at n=64 on the incremental kernel and checks two
+mixed traffic flowing) at n=64 on the default kernel and checks two
 classes of properties against ``benchmarks/baseline_scenario.json``:
 
 * **machine-independent exact checks** — the campaign is fully seeded,

@@ -19,6 +19,7 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
+from repro.core.network import ENGINES
 from repro.experiments import PAPER_SIZES
 from repro.experiments.ablation import format_ablation, run_ablation
 from repro.experiments.baseline import format_baseline, run_baseline
@@ -93,9 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=32 if name != "usability" else 24)
         if name == "messages":
             p.add_argument(
-                "--engine", type=str, default=None,
-                choices=("full", "incremental", "columnar"),
-                help="simulation kernel (default: incremental)",
+                "--engine", type=str, default="columnar", choices=ENGINES,
+                help="simulation kernel (default: columnar)",
             )
         if name == "traffic":
             p.add_argument(
@@ -185,8 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--n", type=int, default=None, help="network size override")
     obs.add_argument("--seed", type=int, default=None, help="campaign seed override")
     obs.add_argument(
-        "--engine", type=str, default="columnar",
-        choices=("full", "incremental", "columnar"),
+        "--engine", type=str, default="columnar", choices=ENGINES,
         help="simulation kernel to instrument (default: columnar)",
     )
     obs.add_argument(
@@ -461,7 +460,7 @@ def _dispatch(args: argparse.Namespace) -> List[str]:
         out.append(format_ablation(run_ablation(n=n, seeds=_seeds(args, 5), root_seed=rs)))
     if cmd in ("messages", "all"):
         n = getattr(args, "n", 32)
-        engine = getattr(args, "engine", None)
+        engine = getattr(args, "engine", "columnar")
         out.append(format_messages(run_messages(n=n, root_seed=rs, engine=engine)))
     if cmd in ("phases", "all"):
         out.append(format_phases(run_phases(_sizes(args, PHASES_SIZES), _seeds(args, 5), rs)))

@@ -16,23 +16,26 @@ Engines
 
 Two kernels drive the rounds:
 
-* ``incremental=True`` (default) — the **activity-tracked** kernel: the
+* ``engine="columnar"`` (default) — the **activity-tracked** kernel: the
   scheduler only executes peers that can behave differently from their
   last executed step (dirty set + steady-emission replay, see
-  :mod:`repro.netsim.scheduler`), and ``run_until_stable`` detects the
-  configuration fixpoint from the scheduler's O(active-work) change flag
-  and rolling hash instead of recomputing the full O(n) fingerprint
-  every round.  Post-churn re-stabilization then costs time proportional
-  to the *touched neighborhood* (paper Theorems 4.1/4.2), not to ``n``.
-* ``incremental=False`` — the legacy full-scan kernel: every peer steps
-  every round and stability compares complete fingerprints.  Kept as the
-  executable reference; the differential test suite asserts the two are
+  :mod:`repro.netsim.scheduler` and :mod:`repro.netsim.columnar`), and
+  ``run_until_stable`` detects the configuration fixpoint from the
+  scheduler's O(active-work) change flag instead of recomputing the full
+  O(n) fingerprint every round.  Post-churn re-stabilization then costs
+  time proportional to the *touched neighborhood* (paper Theorems
+  4.1/4.2), not to ``n``; the kernel picks its round loop per round from
+  how many peers are dirty (dense cold-start rounds run the tracked
+  loop, sparse ones the columnar loop).
+* ``engine="full"`` — the full-scan kernel: every peer steps every round
+  and stability compares complete fingerprints.  Kept as the executable
+  reference; the differential test suite asserts the two are
   round-for-round equivalent (identical reports, fingerprints and rule
   counters) on random topologies, corrupt starts and churn schedules.
 
 The kernel also fixes the rule pipeline, there is no separate setting:
 the full-scan kernel steps each peer through the scalar pipeline of
-:mod:`repro.core.protocol` (the spec), the activity-tracked kernels run
+:mod:`repro.core.protocol` (the spec), the activity-tracked kernel runs
 the phase-major pipeline of :mod:`repro.core.rules_batched` (the fast
 path) over each round's dirty peers.
 
@@ -72,6 +75,9 @@ from repro.netsim.messages import Envelope
 from repro.netsim.scheduler import SynchronousScheduler
 from repro.netsim.timemodel import TimeModel
 from repro.netsim.trace import TraceRecorder
+
+#: the kernels ``ReChordNetwork(engine=...)`` accepts (module docstring)
+ENGINES = ("full", "columnar")
 
 
 @dataclass(frozen=True)
@@ -118,38 +124,33 @@ class ReChordNetwork:
         space: Optional[IdSpace] = None,
         config: Optional[RuleConfig] = None,
         record_trace: bool = False,
-        incremental: bool = True,
         time_model: Optional[TimeModel] = None,
-        engine: Optional[str] = None,
+        engine: str = "columnar",
     ) -> None:
         self.space = space if space is not None else IdSpace()
         self.config = config if config is not None else RuleConfig()
         self.trace: Optional[TraceRecorder] = TraceRecorder() if record_trace else None
-        if engine is None:
-            engine = "incremental" if incremental else "full"
-        if engine not in ("full", "incremental", "columnar"):
-            raise ValueError(f"unknown engine {engine!r}")
-        #: selected kernel: "full" (legacy full-scan reference),
-        #: "incremental" (dirty set + steady-emission replay), or
-        #: "columnar" (flow-indexed dirty set, the n >= 10k kernel).
-        #: The columnar engine is a superset of the incremental one, so
-        #: every incremental code path in this facade applies to it.
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
+        #: selected kernel: "full" (the full-scan reference) or
+        #: "columnar" (the activity-tracked kernel)
         self.engine = engine
+        #: whether the activity-tracked kernel drives the rounds (read-only)
         self.incremental = engine != "full"
-        if engine == "columnar":
+        if self.incremental:
             self.scheduler: SynchronousScheduler = ColumnarScheduler(
-                self.trace, activity_tracking=True, time_model=time_model
+                self.trace, time_model=time_model
+            )
+            # the kernel picks the rule pipeline (module docstring): the
+            # full-scan spec steps peer by peer, the tracked kernel
+            # batches.  The pipeline keeps this oracle's verdicts per
+            # oracle epoch
+            self.scheduler.set_batch_stepper(
+                BatchedRuleEngine(oracle=self._ref_alive, oracle_epoch=self.oracle_epoch)
             )
         else:
             self.scheduler = SynchronousScheduler(
-                self.trace, activity_tracking=self.incremental, time_model=time_model
-            )
-        if self.incremental:
-            # the kernel picks the rule pipeline (module docstring): the
-            # full-scan spec steps peer by peer, tracked kernels batch.
-            # The pipeline keeps this oracle's verdicts per oracle epoch
-            self.scheduler.set_batch_stepper(
-                BatchedRuleEngine(oracle=self._ref_alive, oracle_epoch=self.oracle_epoch)
+                self.trace, activity_tracking=False, time_model=time_model
             )
         self.peers: Dict[int, ReChordPeer] = {}
         #: the liveness oracle's frozen map: owner -> levels it simulates.
@@ -157,7 +158,7 @@ class ReChordNetwork:
         #: full-scan rebuild, each of which moves the oracle epoch
         self._level_snapshot: Dict[int, frozenset] = {}
         self._oracle_epoch = 0
-        #: incremental engine: owner ids referenced by each peer ...
+        #: tracked kernel: owner ids referenced by each peer ...
         self._refs_out: Dict[int, frozenset] = {}
         #: ... and its inverse: peers whose purge consults each owner
         self._watchers: Dict[int, Set[int]] = {}
@@ -216,7 +217,7 @@ class ReChordNetwork:
         node = self.peers[peer_id].state.ensure_level(level)
         if not self.incremental:
             self._note_levels(peer_id)
-        # incremental mode: the version sweep in run_round refreshes the
+        # tracked kernel: the version sweep in run_round refreshes the
         # snapshot AND re-activates peers watching this owner
         return node.ref
 
@@ -383,7 +384,7 @@ class ReChordNetwork:
             self._oracle_epoch += 1
 
     # ------------------------------------------------------------------
-    # activity bookkeeping (incremental engine)
+    # activity bookkeeping (tracked kernel)
     # ------------------------------------------------------------------
     def _flush_pending_refresh(self) -> None:
         """Apply deferred boundary maintenance immediately.
@@ -577,10 +578,9 @@ class ReChordNetwork:
         the report also carries the first round at which all desired
         edges of the ideal topology existed.
 
-        The incremental engine detects the repeat from the scheduler's
-        change flag (exact state tokens + the rolling pending-hash), an
-        O(active work) check; the legacy engine compares full O(n)
-        fingerprints.  The differential tests assert both produce the
+        The tracked kernel detects the repeat from the scheduler's change
+        flag (exact state tokens + flow flags), an O(active work) check;
+        the full-scan kernel compares full O(n) fingerprints.  The differential tests assert both produce the
         same report on the same input.
         """
         ideal = compute_ideal(self.space, self.peer_ids) if track_almost else None
@@ -643,12 +643,12 @@ class ReChordNetwork:
 
         Maintained by the activity-tracked scheduler from dirty peers and
         delivered/expired envelopes only — O(active work) per round, no
-        global scan.  Valid at round boundaries of the incremental
-        engine; equal configurations always hash equal, distinct ones
-        collide with probability ~2^-64.
+        global scan.  Valid at round boundaries of the tracked kernel;
+        equal configurations always hash equal, distinct ones collide
+        with probability ~2^-64.
         """
         if not self.incremental:
-            raise RuntimeError("incremental fingerprint requires the incremental engine")
+            raise RuntimeError("incremental fingerprint requires the tracked kernel")
         return self.scheduler.config_hash()
 
     def is_fixed_point(self, peek: bool = False) -> bool:

@@ -381,7 +381,7 @@ class PeerState:
         self.version = 0
         #: (version, tuple) memo of :meth:`canonical` — valid exactly
         #: while the version has not moved, because every effective
-        #: mutation bumps it (the same invariant the incremental engine
+        #: mutation bumps it (the same invariant the tracked kernel
         #: already relies on)
         self._canon = (-1, None)
         self.nodes: Dict[int, LocalNode] = {
@@ -455,7 +455,7 @@ class PeerState:
     def referenced_owners(self) -> Set[int]:
         """Owner ids of every ref whose liveness this peer's step consults.
 
-        The reverse-dependency index of the incremental engine: a change
+        The reverse-dependency index of the tracked kernel: a change
         to one of these owners (crash, graceful leave, or a level-set
         change that flips an ``ok``/``phantom`` verdict) can alter this
         peer's purge behavior, so the peer must be re-activated.

@@ -69,14 +69,13 @@ def run_messages(
     n: int = 32,
     seed: int | None = None,
     root_seed: int = DEFAULT_ROOT_SEED,
-    engine: Optional[str] = None,
+    engine: str = "columnar",
 ) -> MessageProfile:
     """Trace one stabilization run's message counts.
 
-    ``engine`` selects the simulation kernel (``full``, ``incremental``
-    or ``columnar``; default incremental) — the message series is
-    engine-invariant, the executed-actor series reports ``n/a`` under
-    the full-scan kernel.
+    ``engine`` selects the simulation kernel (``columnar`` or ``full``)
+    — the message series is engine-invariant, the executed-actor series
+    reports ``n/a`` under the full-scan kernel.
     """
     if seed is None:
         seed = SeedSequence(root_seed).child("messages", n=n).seed()

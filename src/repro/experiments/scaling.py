@@ -12,15 +12,15 @@ Large-N engine path
 -------------------
 
 Post-churn recovery is *local* (Theorems 4.1/4.2: a join touches a
-O(log² n)-round neighborhood), which is exactly what the incremental
+O(log² n)-round neighborhood), which is exactly what the
 activity-tracked kernel exploits.  To measure that at sizes where
 stabilizing from a random start would take hours, ``build_ideal_network``
 constructs the unique stable topology directly from
 :func:`repro.core.ideal.compute_ideal` and lets the constant message
 flow settle in a handful of rounds.  ``run_engine_comparison`` then
-drives the same single-join re-stabilization through all three kernels
-(legacy full-scan vs. incremental vs. columnar) and reports rounds/sec
-side by side —
+drives the same single-join re-stabilization through both kernels
+(the full-scan spec vs. the default columnar kernel) and reports
+rounds/sec side by side —
 the regression benchmark behind ``benchmarks/bench_engine_throughput.py``
 and the CI smoke gate.
 """
@@ -93,9 +93,8 @@ def build_ideal_network(
     seed: int,
     space: Optional[IdSpace] = None,
     config: Optional[RuleConfig] = None,
-    incremental: bool = True,
     settle_rounds: Optional[int] = None,
-    engine: Optional[str] = None,
+    engine: str = "columnar",
 ) -> ReChordNetwork:
     """A network *constructed in* its unique stable topology.
 
@@ -120,7 +119,7 @@ def build_ideal_network(
         settle_rounds = max(64, 12 * int(math.log2(max(2, n))))
     rng = random.Random(seed)
     ids = random_peer_ids(n, rng, space)
-    net = ReChordNetwork(space, config, incremental=incremental, engine=engine)
+    net = ReChordNetwork(space, config, engine=engine)
     ideal = compute_ideal(space, ids)
     for pid in ids:
         peer = net.add_peer(pid)
@@ -143,46 +142,38 @@ def build_ideal_network(
 
 
 # ----------------------------------------------------------------------
-# engine-throughput comparison (full-scan vs. incremental)
+# engine-throughput comparison (full-scan spec vs. the default kernel)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class EngineRow:
     """One size of the engine comparison.
 
     ``full_rounds_per_sec`` is ``None`` above the ``full_limit`` cutoff
-    of :func:`measure_engine_pair` — the legacy full-scan engine needs
-    tens of minutes per re-stabilization at n ≥ 1024, so large sizes
-    compare the incremental and columnar kernels only.
+    of :func:`measure_engine_pair` — the full-scan engine needs tens of
+    minutes per re-stabilization at n ≥ 1024, so large sizes time the
+    default kernel only.
     """
 
     n: int
     rounds: int                 #: rounds the re-stabilization took
     full_rounds_per_sec: Optional[float]
-    incr_rounds_per_sec: float
-    executed_fraction: float    #: mean executed/peers per round (incremental)
-    col_rounds_per_sec: float = 0.0
+    rounds_per_sec: float       #: the default kernel
+    executed_fraction: float    #: mean executed/peers per round (default kernel)
 
     @property
     def speedup(self) -> Optional[float]:
-        """Incremental over full-scan throughput (None when full skipped)."""
+        """Default kernel over full-scan throughput (None when full skipped)."""
         if self.full_rounds_per_sec is None:
             return None
         if self.full_rounds_per_sec <= 0:
             return float("inf")
-        return self.incr_rounds_per_sec / self.full_rounds_per_sec
-
-    @property
-    def col_speedup(self) -> float:
-        """Columnar over incremental throughput."""
-        if self.incr_rounds_per_sec <= 0:
-            return float("inf")
-        return self.col_rounds_per_sec / self.incr_rounds_per_sec
+        return self.rounds_per_sec / self.full_rounds_per_sec
 
 
 def _post_churn_restabilize(
     net: ReChordNetwork, join_id: int, gateway: int, max_rounds: int
 ) -> Tuple[StabilizationReport, float, float]:
-    """Join one peer into an incremental-engine network and time the
+    """Join one peer into an activity-tracked network and time the
     re-stabilization.
 
     Returns ``(report, seconds, mean_executed_fraction)`` where the
@@ -222,54 +213,41 @@ def _post_churn_restabilize(
 def measure_engine_pair(
     n: int, seed: int, max_rounds: int = 6_000, full_limit: int = 512
 ) -> EngineRow:
-    """Single-join re-stabilization, timed through the three kernels.
+    """Single-join re-stabilization, timed through both kernels.
 
-    The incremental engine runs first and establishes the exact number
-    of re-stabilization rounds from its change flag; the legacy engine
+    The default kernel runs first and establishes the exact number of
+    re-stabilization rounds from its change flag; the full-scan engine
     then executes the *same* number of rounds on the same input, so both
-    timings cover identical work (the legacy engine would need O(n)
+    timings cover identical work (the full-scan engine would need O(n)
     fingerprints on top to even detect stability — deliberately excluded
-    to keep the comparison conservative).
-
-    Above ``full_limit`` peers the legacy full-scan leg is skipped
-    entirely (it needs tens of minutes per re-stabilization there) and
-    the end-state equivalence check compares the incremental and
-    columnar fingerprints directly.
+    to keep the comparison conservative), and the two end states are
+    asserted fingerprint-identical.  Above ``full_limit`` peers the
+    full-scan leg is skipped entirely (it needs tens of minutes per
+    re-stabilization there).
     """
     seq = SeedSequence(seed).child("engine", n=n)
     build_seed = seq.child("build").seed()
     rng = seq.child("join").rng()
 
-    incr = build_ideal_network(n, build_seed, incremental=True)
-    space = incr.space
+    net = build_ideal_network(n, build_seed)
+    space = net.space
     join_id = random_peer_ids(1, rng, space)[0]
-    while join_id in incr.peers:
+    while join_id in net.peers:
         join_id = random_peer_ids(1, rng, space)[0]
-    gateway = rng.choice(incr.peer_ids)
+    gateway = rng.choice(net.peer_ids)
 
-    report, incr_secs, frac = _post_churn_restabilize(incr, join_id, gateway, max_rounds)
+    report, secs, frac = _post_churn_restabilize(net, join_id, gateway, max_rounds)
     rounds = report.rounds_executed
-
-    col = build_ideal_network(n, build_seed, engine="columnar")
-    col_report, col_secs, _ = _post_churn_restabilize(col, join_id, gateway, max_rounds)
-    if col_report.rounds_executed != rounds:  # pragma: no cover - guarded by tests
-        raise AssertionError(
-            f"columnar round-count divergence at n={n}: "
-            f"{col_report.rounds_executed} != {rounds}"
-        )
-
-    if col.fingerprint() != incr.fingerprint():  # pragma: no cover - guarded by tests
-        raise AssertionError(f"columnar divergence at n={n}, seed={seed}")
 
     full_rps: Optional[float] = None
     if n <= full_limit:
-        full = build_ideal_network(n, build_seed, incremental=False)
+        full = build_ideal_network(n, build_seed, engine="full")
         full.join(join_id, gateway)
         with gc_batched():
             t0 = time.perf_counter()
             full.run(rounds)
             full_secs = time.perf_counter() - t0
-        if incr.fingerprint() != full.fingerprint():  # pragma: no cover - guarded by tests
+        if net.fingerprint() != full.fingerprint():  # pragma: no cover - guarded by tests
             raise AssertionError(f"engine divergence at n={n}, seed={seed}")
         full_rps = rounds / full_secs if full_secs > 0 else float("inf")
 
@@ -277,9 +255,8 @@ def measure_engine_pair(
         n=n,
         rounds=rounds,
         full_rounds_per_sec=full_rps,
-        incr_rounds_per_sec=rounds / incr_secs if incr_secs > 0 else float("inf"),
+        rounds_per_sec=rounds / secs if secs > 0 else float("inf"),
         executed_fraction=frac,
-        col_rounds_per_sec=rounds / col_secs if col_secs > 0 else float("inf"),
     )
 
 
@@ -294,19 +271,17 @@ def run_engine_comparison(
 
 
 def format_engine_comparison(rows: Dict[int, EngineRow]) -> str:
-    """Rounds/sec table: full-scan vs. incremental vs. columnar kernel."""
+    """Rounds/sec table: full-scan spec vs. the default kernel."""
     lines = [
         "Engine throughput — post-churn re-stabilization (single join into a stable network)",
-        f"{'n':>6} {'rounds':>7} {'full r/s':>10} {'incr r/s':>10} {'col r/s':>10} "
-        f"{'speedup':>8} {'col x':>8} {'exec%':>6}",
+        f"{'n':>6} {'rounds':>7} {'full r/s':>10} {'r/s':>10} {'speedup':>8} {'exec%':>6}",
     ]
     for n in sorted(rows):
         r = rows[n]
         full_rps = f"{r.full_rounds_per_sec:>10.2f}" if r.full_rounds_per_sec is not None else f"{'—':>10}"
         speedup = f"{r.speedup:>7.1f}x" if r.speedup is not None else f"{'—':>8}"
         lines.append(
-            f"{r.n:>6} {r.rounds:>7} {full_rps} "
-            f"{r.incr_rounds_per_sec:>10.2f} {r.col_rounds_per_sec:>10.2f} "
-            f"{speedup} {r.col_speedup:>7.1f}x {100 * r.executed_fraction:>5.1f}%"
+            f"{r.n:>6} {r.rounds:>7} {full_rps} {r.rounds_per_sec:>10.2f} "
+            f"{speedup} {100 * r.executed_fraction:>5.1f}%"
         )
     return "\n".join(lines)

@@ -55,10 +55,11 @@ induction, so the kernel drops back to the parent round implementation
 (draining its columns into real inboxes) whenever latency models,
 partial activation, or drop-filter changes appear — draining the lane
 into the real inboxes in the parent's order and marking its targets
-dirty — and re-enters one round after the last out-of-band flow event,
-picking application mail back up from the inboxes.  Full-scan
-(``activity_tracking=False``) and the parent tracked kernel remain the
-executable references.
+dirty — or a round is **dense** (:meth:`ColumnarScheduler._dense`: flat
+inboxes beat per-actor materialization when most actors execute), and
+re-enters one round after the last out-of-band flow event, picking
+application mail back up from the inboxes.  The full-scan kernel remains
+the executable reference.
 """
 
 from __future__ import annotations
@@ -90,13 +91,17 @@ SubFlows = Dict[Hashable, SubFlow]
 class ColumnarScheduler(SynchronousScheduler):
     """Activity-tracked scheduler with a columnar steady-flow store."""
 
+    #: a round with more than this share of the actors dirty (and no
+    #: application mail pending) is dense and runs the tracked loop: the
+    #: crossover measured on cold starts (docs/ARCHITECTURE.md)
+    DENSE_SHARE = 0.5
+
     def __init__(
         self,
         trace: Optional[TraceRecorder] = None,
-        activity_tracking: bool = True,
         time_model: Optional[TimeModel] = None,
     ) -> None:
-        super().__init__(trace, activity_tracking=activity_tracking, time_model=time_model)
+        super().__init__(trace, activity_tracking=True, time_model=time_model)
         #: whether the columnar fast path is currently driving rounds
         self._cols_active = False
         #: steady delivered sub-flows per live target
@@ -131,6 +136,9 @@ class ColumnarScheduler(SynchronousScheduler):
         #: round; columnar entry tells them from last round's one-shot
         #: sends, which sit in the same real inboxes
         self._late_posts: List[Envelope] = []
+        #: their targets the parent kernel would have dirtied: dirtied only
+        #: if the round that consumes them is tracked
+        self._lane_held: Set[Hashable] = set()
         # ---- per-round working state (fast rounds only) ------------------
         self._col_pos: Optional[Hashable] = None
         self._work: List[Hashable] = []
@@ -489,9 +497,17 @@ class ColumnarScheduler(SynchronousScheduler):
     def post(self, envelope: Envelope) -> bool:
         app = isinstance(envelope.payload, AppPayload)
         if not self._cols_active:
+            target = envelope.target
+            hold = (
+                app and not self._in_round and target not in self._dirty
+                and self._unit_settled()
+            )
             ok = super().post(envelope)
             if ok and app:
                 self._late_posts.append(envelope)
+                if hold:  # lane mail if the next round enters columnar
+                    self._dirty.discard(target)
+                    self._lane_held.add(target)
             return ok
         target = envelope.target
         if app:
@@ -590,32 +606,43 @@ class ColumnarScheduler(SynchronousScheduler):
     # round dispatch
     # ------------------------------------------------------------------
     def run_round(self, active: Optional[set] = None) -> None:
+        """One round through the columnar loop, or through the inherited
+        tracked loops under partial activation, non-unit delivery, a dense
+        round (:meth:`_dense`) or out-of-band flow events not yet absorbed."""
         if active is None and not self._daemon.is_full:
             active = self._daemon.select(self._round, sorted(self._actors))
         self.active_last_round = frozenset(active) if active is not None else None
-        late_posts = self._late_posts
+        late_posts, held = self._late_posts, self._lane_held
         if late_posts:
             self._late_posts = []
-        if not self.activity_tracking:
-            self._run_round_full(active)
-            return
-        fast_ok = active is None and self._unit_settled()
-        if not fast_ok:
+            self._lane_held = set()
+        if active is None and self._unit_settled() and not self._dense():
+            if not self._cols_active and not self._flow_flag:
+                self._enter_columnar(late_posts)
             if self._cols_active:
-                self._exit_columnar()
-            if active is not None:
-                self._run_round_partial_tracked(set(active))
-            else:
-                self._run_round_tracked()
-            return
-        if not self._cols_active:
-            if self._flow_flag:
-                # out-of-band flow events since the last boundary: let the
-                # parent kernel absorb them, enter once the flag clears
-                self._run_round_tracked()
+                self._run_round_columnar()
                 return
-            self._enter_columnar(late_posts)
-        self._run_round_columnar()
+            # out-of-band flow events since the last boundary: let the
+            # parent kernel absorb them, enter once the flag clears
+        elif self._cols_active:
+            self._exit_columnar()
+        if active is not None:
+            self._run_round_partial_tracked(set(active))
+            return
+        # the tracked loop executes a one-shot's target the round it
+        # consumes it
+        self._dirty.update(key for key in held if key in self._actors)
+        self._run_round_tracked()
+
+    def _dense(self) -> bool:
+        """Whether more than ``DENSE_SHARE`` of the actors must execute
+        next round and no application mail is pending.  The tracked loop
+        executes a one-shot's target the round it consumes it, the
+        columnar loop only runs its handler: a round holding application
+        mail stays columnar, so traffic never costs rule steps."""
+        if self._lane_flag or self._lane_targets:
+            return False
+        return self.dirty_count() > self.DENSE_SHARE * len(self._actors)
 
     # ------------------------------------------------------------------
     # the fast round

@@ -13,8 +13,8 @@ The scheduler iterates actors in sorted-key order for determinism, but
 because actors cannot read each other's state the iteration order is
 unobservable to a correct protocol (a property the test suite checks).
 
-Activity tracking (the incremental engine)
-------------------------------------------
+Activity tracking (the tracked loop)
+------------------------------------
 
 With ``activity_tracking=True`` (the default) the scheduler exploits the
 locality of self-stabilization (paper Theorems 4.1/4.2: post-churn

@@ -6,7 +6,7 @@ JSON-loadable value (:class:`ScenarioSpec`) composing timed adversity
 events — correlated crash waves, flash-crowd joins, silent or severed
 network partitions, targeted state corruption (finger poisoning,
 phantom refs, mid-run ring splits) and workload phases — over the
-incremental scheduler with the traffic plane active.  The executor
+activity-tracked scheduler with the traffic plane active.  The executor
 (:func:`run_scenario`) drives the campaign on either simulation kernel
 and produces a :class:`ScenarioReport` joining recovery metrics
 (rounds-to-stable, the local-checker repair curve) with the traffic

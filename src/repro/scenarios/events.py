@@ -8,7 +8,7 @@ the simulation kernels track exactly:
 * **membership** events (crash/leave/join waves, churn bursts) go
   through :meth:`ReChordNetwork.crash` / ``leave`` / ``join``, which
   feed the liveness-oracle refresh, watcher wakes and in-flight ref
-  scans of the incremental engine;
+  scans of the activity-tracked kernel;
 * **corruption** events (finger poisoning, phantom refs, ring splits,
   partition severing) mutate :class:`repro.core.state.PeerState`
   directly — every effective mutation bumps the peer's version counter,
@@ -20,8 +20,8 @@ the simulation kernels track exactly:
   installed or removed.
 
 Because every path above is kernel-exact, a campaign executed on the
-incremental engine is round-for-round equivalent to the same campaign
-on the legacy full-scan engine — ``tests/test_scenarios.py`` enforces
+columnar kernel is round-for-round equivalent to the same campaign on
+the full-scan kernel — ``tests/test_scenarios.py`` enforces
 this for every named scenario.
 
 Each event receives its own :class:`random.Random` derived from the

@@ -138,8 +138,7 @@ class ScenarioReport:
 def _build_start(
     spec: ScenarioSpec,
     seq: SeedSequence,
-    incremental: bool,
-    engine: Optional[str] = None,
+    engine: str = "columnar",
 ) -> ReChordNetwork:
     """Materialize the campaign's initial topology."""
     params = dict(spec.start_params)
@@ -149,22 +148,18 @@ def _build_start(
     corrupt = params.pop("corrupt", False)
     corrupt_kw = dict(corrupt) if isinstance(corrupt, dict) else {}
     if spec.start == "ideal":
-        net = build_ideal_network(spec.n, build_seed, incremental=incremental, engine=engine)
+        net = build_ideal_network(spec.n, build_seed, engine=engine)
     elif spec.start == "random":
-        net = build_random_network(
-            spec.n, build_seed, incremental=incremental, engine=engine, **params
-        )
+        net = build_random_network(spec.n, build_seed, engine=engine, **params)
     elif spec.start == "two_rings":
         rng = seq.child("ids").rng()
         from repro.idspace.ring import IdSpace
 
         space = IdSpace()
         ids = random_peer_ids(spec.n, rng, space)
-        net = build_two_rings_network(ids, space, incremental=incremental, engine=engine)
+        net = build_two_rings_network(ids, space, engine=engine)
     else:  # a degenerate shape
-        net = build_shaped_network(
-            spec.start, spec.n, build_seed, incremental=incremental, engine=engine
-        )
+        net = build_shaped_network(spec.start, spec.n, build_seed, engine=engine)
     if corrupt:
         corrupt_network(net, seq.child("corrupt").seed(), **corrupt_kw)
     if stabilize:
@@ -205,18 +200,16 @@ def _sample(
 
 def run_scenario(
     spec: ScenarioSpec,
-    incremental: bool = True,
-    engine: Optional[str] = None,
+    engine: str = "columnar",
     telemetry: object = None,
 ) -> ScenarioReport:
     """Execute one campaign and report recovery + SLO metrics.
 
-    ``incremental`` selects the simulation kernel (``engine`` names one
-    explicitly — ``"full"``, ``"incremental"`` or ``"columnar"`` — and
-    wins over the boolean); the report (minus the comparison-excluded
-    ``activity`` and ``telemetry`` fields) is identical for every
-    kernel — the engine-equivalence suite runs every named scenario
-    through this function once per engine and compares.
+    ``engine`` selects the simulation kernel (``"columnar"`` or the
+    full-scan spec ``"full"``); the report (minus the comparison-excluded
+    ``activity`` and ``telemetry`` fields) is identical for both — the
+    engine-equivalence suite runs every named scenario through this
+    function once per kernel and compares.
 
     ``telemetry`` opts the campaign into the observation plane: pass
     ``True`` for a fresh :class:`repro.telemetry.TelemetryRecorder` or
@@ -229,7 +222,7 @@ def run_scenario(
     :meth:`ReChordNetwork.enable_telemetry`).
     """
     seq = SeedSequence(spec.seed).child("scenario", spec.name, n=spec.n)
-    net = _build_start(spec, seq, incremental, engine=engine)
+    net = _build_start(spec, seq, engine)
     recorder = None
     if telemetry:
         recorder = net.enable_telemetry(None if telemetry is True else telemetry)

@@ -5,12 +5,12 @@ Three strictly separated data planes live in one
 
 * **deterministic, engine-invariant counters** — messages by payload
   type, total emissions, drop-filter hits, round count.  Identical
-  across the ``full``/``incremental``/``columnar`` kernels for the same
-  seeded run, and therefore equivalence-testable;
+  between the ``full`` and ``columnar`` kernels for the same seeded
+  run, and therefore equivalence-testable;
 * **deterministic kernel-plane counters** — execute/replay splits and
-  dirty-set sizes.  Identical between the ``incremental`` and
-  ``columnar`` kernels (the full-scan kernel executes everybody, so its
-  split is trivially different);
+  dirty-set sizes.  Identical between the ``columnar`` kernel's two
+  round loops, whichever ran a round (the full-scan kernel executes
+  everybody, so its split is trivially different);
 * **wall-clock phase timers** — ``perf_counter`` spans around the
   kernel phases and the per-rule sweeps.  Nondeterministic by nature;
   never compared, only reported.

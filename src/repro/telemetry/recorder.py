@@ -3,11 +3,11 @@
 The recorder separates what is comparable from what is not:
 
 * :attr:`counters` and :attr:`messages` are **engine-invariant** —
-  identical across the full/incremental/columnar kernels for the same
-  seeded run (the differential suites assert this);
+  identical between the full and columnar kernels for the same seeded
+  run (the differential suites assert this);
 * :attr:`kernel` holds the execute/replay split and dirty-set peaks —
-  deterministic, but invariant only between the two dirty-set kernels
-  (the full-scan reference executes everybody by design);
+  deterministic, but invariant only between the columnar kernel's
+  round loops (the full-scan reference executes everybody by design);
 * :attr:`timers` holds wall-clock phase spans — nondeterministic,
   reported but never compared;
 * :attr:`memo` holds the fast rule pipeline's per-level memo hits and
@@ -129,7 +129,8 @@ class TelemetryRecorder:
         }
 
     def kernel_stats(self) -> dict:
-        """The kernel-plane split (invariant incremental ≡ columnar)."""
+        """The kernel-plane split (invariant across the tracked and
+        columnar round loops)."""
         return {
             "executed": self.kernel.get("executed", 0),
             "replayed": self.kernel.get("replayed", 0),

@@ -12,7 +12,7 @@ detected in-band instead of burning the TTL.
 Payloads subclass :class:`repro.netsim.messages.AppPayload` and provide
 the same ``canonical()`` / ``refs()`` surface as the protocol events —
 in-flight traffic is part of the global configuration fingerprint, and
-the liveness-flip scans of the incremental engine enumerate every
+the liveness-flip scans of the tracked kernel enumerate every
 pending payload's refs.  Traffic messages carry peer *addresses* (plain
 ids), never :class:`NodeRef` s, and handlers never consult the liveness
 oracle, so ``refs()`` is empty: a membership flip cannot change what a

@@ -751,7 +751,7 @@ class TrafficPlane:
         """The peer's sorted routing view, memoized on ``state.version``.
 
         ``PeerState.version`` bumps on every effective mutation (the
-        standing contract the incremental kernel is built on), so a
+        standing contract the tracked kernel is built on), so a
         version hit returns exactly the view a fresh rebuild would
         produce; rules run before traffic inside a step, so the version
         observed here already reflects this round's repairs.  The cache

@@ -69,25 +69,21 @@ def build_random_network(
     config: Optional[RuleConfig] = None,
     extra_edge_prob: float = 0.05,
     record_trace: bool = False,
-    incremental: bool = True,
-    engine: Optional[str] = None,
+    engine: str = "columnar",
 ) -> ReChordNetwork:
     """The paper's Section 5 workload: a random weakly connected start.
 
-    ``incremental`` selects the simulation kernel (see
-    :class:`repro.core.network.ReChordNetwork`); ``engine`` names one
-    explicitly ("full" / "incremental" / "columnar") and wins over the
-    boolean.  The differential tests build the same seed with every
-    kernel and compare round-for-round.
+    ``engine`` selects the simulation kernel ("columnar" or the
+    full-scan spec "full", see :class:`repro.core.network.ReChordNetwork`).
+    The differential tests build the same seed with both kernels and
+    compare round-for-round.
     """
     if n < 1:
         raise ValueError("need at least one peer")
     space = space if space is not None else IdSpace()
     rng = random.Random(seed)
     ids = random_peer_ids(n, rng, space)
-    net = ReChordNetwork(
-        space, config, record_trace=record_trace, incremental=incremental, engine=engine
-    )
+    net = ReChordNetwork(space, config, record_trace=record_trace, engine=engine)
     edges = gnp_connected_graph(n, extra_edge_prob, rng) if n > 1 else []
     return _wire(net, ids, edges, rng)
 
@@ -98,8 +94,7 @@ def build_shaped_network(
     seed: int,
     space: Optional[IdSpace] = None,
     config: Optional[RuleConfig] = None,
-    incremental: bool = True,
-    engine: Optional[str] = None,
+    engine: str = "columnar",
 ) -> ReChordNetwork:
     """A degenerate initial shape (see :data:`SHAPES`)."""
     try:
@@ -109,7 +104,7 @@ def build_shaped_network(
     space = space if space is not None else IdSpace()
     rng = random.Random(seed)
     ids = random_peer_ids(n, rng, space)
-    net = ReChordNetwork(space, config, incremental=incremental, engine=engine)
+    net = ReChordNetwork(space, config, engine=engine)
     return _wire(net, ids, maker(n) if n > 1 else [], rng)
 
 
@@ -117,8 +112,7 @@ def build_two_rings_network(
     ids: Sequence[int],
     space: Optional[IdSpace] = None,
     config: Optional[RuleConfig] = None,
-    incremental: bool = True,
-    engine: Optional[str] = None,
+    engine: str = "columnar",
 ) -> ReChordNetwork:
     """The interleaved two-ring split that permanently breaks classic Chord.
 
@@ -131,7 +125,7 @@ def build_two_rings_network(
     adversarial concession the model requires.
     """
     space = space if space is not None else IdSpace()
-    net = ReChordNetwork(space, config, incremental=incremental, engine=engine)
+    net = ReChordNetwork(space, config, engine=engine)
     ordered = sorted(ids)
     for u in ordered:
         net.add_peer(u)

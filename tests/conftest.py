@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Any, Dict, List, Tuple
 
 import pytest
@@ -12,10 +13,51 @@ from repro.core.protocol import REF_OK
 from repro.core.rules import RuleConfig
 from repro.core.state import PeerState
 from repro.idspace.ring import IdSpace
+from repro.netsim.columnar import ColumnarScheduler
 
 # Keep property-based tests fast and deterministic in CI.
 settings.register_profile("suite", max_examples=30, deadline=None, derandomize=True)
 settings.load_profile("suite")
+
+#: the default kernel with its columnar loop forced on every round it can
+#: run (no round counts as dense).  The differential suites run it beside
+#: the kernel as shipped — both loops plus the switches between them —
+#: and compare both against the ``engine="full"`` spec
+FORCED = "columnar-forced"
+#: the two legs of the default kernel
+KERNELS = ("columnar", FORCED)
+#: the spec first, then the two legs of the default kernel
+ENGINES = ("full",) + KERNELS
+
+
+def force_columnar(net: ReChordNetwork) -> ReChordNetwork:
+    """Patch ``net``'s kernel so that no round is dense; returns ``net``."""
+    net.scheduler.DENSE_SHARE = 1.0
+    return net
+
+
+def build(builder, engine: str, *args, **kwargs) -> ReChordNetwork:
+    """``builder(*args, engine=engine, **kwargs)``; ``FORCED`` builds the
+    default kernel and forces its columnar loop."""
+    if engine != FORCED:
+        return builder(*args, engine=engine, **kwargs)
+    return force_columnar(builder(*args, engine="columnar", **kwargs))
+
+
+@contextmanager
+def kernel(engine: str):
+    """Yield the ``engine=`` value that builds ``engine``; inside the
+    block every columnar kernel is forced when ``engine`` is ``FORCED``
+    (for callers that build their own network, e.g. ``run_scenario``)."""
+    if engine != FORCED:
+        yield engine
+        return
+    saved = ColumnarScheduler.DENSE_SHARE
+    ColumnarScheduler.DENSE_SHARE = 1.0
+    try:
+        yield "columnar"
+    finally:
+        ColumnarScheduler.DENSE_SHARE = saved
 
 
 @pytest.fixture

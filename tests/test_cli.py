@@ -131,3 +131,16 @@ class TestCli:
         assert message in captured.err
         assert "Traceback" not in captured.err
 
+    # 'incremental' is the retired engine: both --engine flags reject it
+    @pytest.mark.parametrize("command", ["messages", "observe"])
+    @pytest.mark.parametrize("engine", ['incremental', "vectorized"])
+    def test_unknown_engine_is_rejected(self, command, engine, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--engine", engine])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--engine: invalid choice: '{engine}'" in captured.err
+        assert "'full', 'columnar'" in captured.err
+        assert "Traceback" not in captured.err
+

@@ -1,13 +1,14 @@
-"""Differential kernel tests: columnar engine ≡ incremental ≡ full-scan.
+"""Differential kernel tests: columnar engine ≡ full-scan.
 
 The columnar kernel (flow-indexed inboxes over interned NodeRef ids,
-batched dirty-set rule evaluation, bulk per-round delivery) must be
-**round-for-round equivalent** to both existing kernels: same
-:class:`StabilizationReport`, same ``fingerprint()`` at every boundary,
-and same rule-firing counters — across churn, mid-round membership
-surgery, partial activation, latency models, drop filters, and whole
-scenario campaigns.  These tests drive all three engines over the same
-inputs and compare.
+batched dirty-set rule evaluation, bulk per-round delivery, the tracked
+loop on dense rounds) must be **round-for-round equivalent** to the
+full-scan spec: same :class:`StabilizationReport`, same
+``fingerprint()`` at every boundary, and same rule-firing counters —
+across churn, mid-round membership surgery, partial activation, latency
+models, drop filters, and whole scenario campaigns.  These tests drive
+the kernel as shipped, the kernel with its columnar loop forced on every
+round, and the spec over the same inputs and compare.
 
 The suite also pins the :class:`repro.core.noderef.InternTable`
 invariants the columnar layout leans on: one singleton ref per identity
@@ -33,15 +34,17 @@ from repro.workloads.initial import (
     corrupt_network,
     random_peer_ids,
 )
+from tests.conftest import FORCED, build, force_columnar, kernel
 
 ROOT = SeedSequence(61011)
 
 
 def build_triple(n: int, seed: int, corrupt: bool = False):
-    """The same seeded start under all three kernels."""
+    """The same seeded start: the kernel as shipped, forced columnar,
+    and the full-scan spec (last)."""
     nets = [
-        build_random_network(n=n, seed=seed, engine=engine)
-        for engine in ("columnar", "incremental", "full")
+        build(build_random_network, engine, n=n, seed=seed)
+        for engine in ("columnar", FORCED, "full")
     ]
     if corrupt:
         for net in nets:
@@ -58,7 +61,7 @@ def assert_equivalent(nets, context: str = "") -> None:
 
 
 # seeded random starts: mixed sizes, half corrupted with phantom virtual
-# refs and garbage marked edges (subset of the incremental suite's grid)
+# refs and garbage marked edges (subset of test_engine_equivalence's grid)
 STARTS = [
     (n, seed, corrupt)
     for seed, (n, corrupt) in enumerate(
@@ -75,13 +78,69 @@ class TestColumnarEngineSelection:
         assert net.engine == "columnar"
         assert net.incremental  # columnar is an activity-tracked kernel
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ReChordNetwork(engine="vectorized")
+    def test_columnar_is_the_default(self):
+        assert ReChordNetwork().engine == "columnar"
 
-    def test_engine_wins_over_boolean(self):
-        net = ReChordNetwork(incremental=False, engine="columnar")
-        assert isinstance(net.scheduler, ColumnarScheduler)
+    # 'incremental' is the retired engine
+    @pytest.mark.parametrize("name", ["vectorized", 'incremental'])
+    def test_unknown_engine_rejected_naming_both(self, name):
+        with pytest.raises(ValueError, match="unknown engine.*full, columnar"):
+            ReChordNetwork(engine=name)
+
+    def test_incremental_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            ReChordNetwork(**{'incremental': False})
+
+
+class TestLoopSelection:
+    """The kernel picks each round's loop from what it observes: a dense
+    round — more than ``DENSE_SHARE`` of the actors dirty, no application
+    mail pending — runs the tracked loop, any other unit round the
+    columnar loop.  A round that executed more than that share was dense
+    at its start, so ``executed_last_round`` tells the two apart."""
+
+    @staticmethod
+    def _rounds_until_stable(net) -> list:
+        """``(dense, columnar)`` per round, run to the fixpoint."""
+        sched, log = net.scheduler, []
+        while True:
+            net.run_round()
+            dense = sched.executed_last_round > sched.DENSE_SHARE * len(net.peers)
+            log.append((dense, sched._cols_active))
+            if not sched.changed_last_round:
+                return log
+
+    def test_one_seeded_run_takes_each_loop_where_it_fits(self):
+        from repro.traffic import TrafficPlane
+
+        net = build_random_network(n=24, seed=5)
+        sched = net.scheduler
+        cold = self._rounds_until_stable(net)
+        assert sum(dense for dense, _ in cold) >= 3
+        assert not any(cols for dense, cols in cold if dense)
+        assert cold[-1] == (False, True)
+        # a join: the sparse repair rounds run columnar
+        new_id = next(i for i in range(1, 2**20) if i not in net.peers)
+        net.join(new_id, net.peer_ids[0])
+        repair = self._rounds_until_stable(net)
+        sparse = [cols for dense, cols in repair if not dense]
+        assert sparse and all(sparse)
+        # every peer dirty: dense, the tracked loop ...
+        for pid in net.peers:
+            sched.mark_dirty(pid)
+        net.run_round()
+        assert sched.executed_last_round == len(net.peers) and not sched._cols_active
+        # ... unless application mail is pending: then it stays columnar
+        plane = TrafficPlane(net)
+        net.run_round()
+        assert sched._cols_active
+        for pid in net.peers:
+            sched.mark_dirty(pid)
+        plane.lookup("some-key", net.peer_ids[0])
+        net.run_round()
+        assert sched.executed_last_round == len(net.peers) and sched._cols_active
+        plane.drain()
+        assert plane.collector.summary()["completed"] == 1
 
 
 class TestColumnarStabilization:
@@ -276,12 +335,15 @@ class TestColumnarScenarios:
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_named_scenario_equivalent(self, name):
+        """The two legs of the kernel against each other (each against
+        the spec: tests/test_scenarios.py)."""
         spec = make_scenario(name, n=12, seed=5)
         col = run_scenario(spec, engine="columnar")
-        incr = run_scenario(spec, incremental=True)
+        with kernel(FORCED) as engine:
+            forced = run_scenario(spec, engine=engine)
         # dataclass equality covers recovery metrics, repair curve, SLO
         # ledger, rule firings and the configuration digest
-        assert col == incr, f"columnar diverged under scenario {name!r}"
+        assert col == forced, f"the two round loops diverged under scenario {name!r}"
 
     def test_scenario_determinism(self):
         spec = make_scenario("churn-storm", n=12, seed=9)
@@ -422,6 +484,10 @@ class _Remover:
 
 
 class TestSubFlowAccounting:
+    """The columnar loop's own bookkeeping: every network here forces it
+    (a dense round would run the tracked loop, and the audits below only
+    apply while the columns are live)."""
+
     def test_totals_equal_a_rebuild_at_every_boundary_of_a_churn_run(self):
         """Changed / stopped / started sub-flows (join, leave), dead
         targets and a revival (crash, re-join of the crashed id), ghosts
@@ -429,7 +495,7 @@ class TestSubFlowAccounting:
         outlasts re-entry): the audit holds at every columnar boundary,
         and the spec agrees throughout."""
         spec = build_random_network(n=14, seed=8, engine="full")
-        net = build_random_network(n=14, seed=8, engine="columnar")
+        net = force_columnar(build_random_network(n=14, seed=8))
         sched = net.scheduler
         ids = net.peer_ids
         fresh = next(i for i in range(1, 2**20) if i not in net.peers)
@@ -473,7 +539,7 @@ class TestSubFlowAccounting:
     def test_parts_concatenate_to_the_boundary_inbox(self, seed):
         """What a dirty actor is handed: its persistent SubFlows in
         sender order, between the one-shot lists — the flat inbox."""
-        net = build_random_network(n=10, seed=seed, engine="columnar")
+        net = force_columnar(build_random_network(n=10, seed=seed))
         checked = 0
         for r in range(40):
             if r == 15:
@@ -499,7 +565,7 @@ class TestSubFlowAccounting:
         assert checked > 20
 
     def test_a_sub_flow_survives_copies_without_what_it_carries(self):
-        net = build_random_network(n=6, seed=3, engine="columnar")
+        net = force_columnar(build_random_network(n=6, seed=3))
         net.run(12)
         subs = [s for by in net.scheduler._flow_in.values() for s in by.values()]
         sub = max(subs, key=len)
@@ -531,6 +597,7 @@ class TestSubFlowAccounting:
                 pass
 
         sched = ColumnarScheduler()
+        sched.DENSE_SHARE = 1.0
         sched.add_actor("a", Chatty())
         sched.add_actor("b", Quiet())
         with pytest.raises(AssertionError, match="lane contract"):

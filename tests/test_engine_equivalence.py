@@ -1,8 +1,8 @@
 """Differential kernel tests: dirty-set engine ≡ full-scan engine.
 
 The activity-tracked kernel (dirty set + steady-emission replay + exact
-change flag) must be **round-for-round equivalent** to the legacy
-full-activation kernel: same :class:`StabilizationReport`, same final
+change flag) must be **round-for-round equivalent** to the full-scan
+spec (``engine="full"``): same :class:`StabilizationReport`, same final
 ``fingerprint()``, and same rule-firing counters, from any seeded random
 start — including corrupt states with phantom virtual refs and garbage
 marked edges — and across churn.  These tests drive both engines over
@@ -22,14 +22,15 @@ from repro.workloads.initial import (
     corrupt_network,
     random_peer_ids,
 )
+from tests.conftest import ENGINES, FORCED, build
 
 ROOT = SeedSequence(20211)
 
 
 def build_pair(n: int, seed: int, corrupt: bool = False):
     """The same seeded start under both kernels."""
-    a = build_random_network(n=n, seed=seed, incremental=True)
-    b = build_random_network(n=n, seed=seed, incremental=False)
+    a = build_random_network(n=n, seed=seed)
+    b = build_random_network(n=n, seed=seed, engine="full")
     if corrupt:
         corrupt_network(a, seed + 1)
         corrupt_network(b, seed + 1)
@@ -66,8 +67,8 @@ class TestStabilizationEquivalence:
 
     def test_shaped_starts(self):
         for shape in ("line", "star", "two_cliques", "lollipop"):
-            a = build_shaped_network(shape, 9, seed=5, incremental=True)
-            b = build_shaped_network(shape, 9, seed=5, incremental=False)
+            a = build_shaped_network(shape, 9, seed=5)
+            b = build_shaped_network(shape, 9, seed=5, engine="full")
             ra = a.run_until_stable(max_rounds=4000)
             rb = b.run_until_stable(max_rounds=4000)
             assert ra == rb, f"reports diverged for shape {shape}"
@@ -93,9 +94,9 @@ class TestLockstepEquivalence:
             assert a.fingerprint() == b.fingerprint()
 
     def test_change_flag_matches_fingerprint_comparison(self):
-        """The incremental engine's O(active) change flag agrees with a
+        """The tracked kernel's O(active) change flag agrees with a
         genuine full fingerprint comparison at every boundary."""
-        a = build_random_network(n=10, seed=4, incremental=True)
+        a = build_random_network(n=10, seed=4)
         prev = a.fingerprint()
         for _ in range(80):
             a.run_round()
@@ -121,7 +122,7 @@ class TestChurnEquivalence:
 
     def test_graceful_leave_posts_equivalent(self):
         """leave() uses post(): one-shot injections must not upset the
-        incremental engine's stability detection."""
+        tracked kernel's stability detection."""
         a, b = build_pair(8, seed=11)
         a.run_until_stable(max_rounds=4000)
         b.run_until_stable(max_rounds=4000)
@@ -169,8 +170,8 @@ class TestExternalMutationEquivalence:
         assert_equivalent(a, b, "after perturbation")
 
     def test_quiescent_network_replays_everything(self):
-        """In the stable state the incremental engine executes nobody."""
-        a = build_random_network(n=12, seed=41, incremental=True)
+        """In the stable state the tracked kernel executes nobody."""
+        a = build_random_network(n=12, seed=41)
         a.run_until_stable(max_rounds=4000)
         a.run_round()
         executed, replayed = a.activity_stats()
@@ -189,8 +190,8 @@ class TestExternalMutationEquivalence:
         (deterministic for the fixed build seed)."""
         from repro.experiments.scaling import build_ideal_network
 
-        a = build_ideal_network(32, 3, incremental=True)
-        b = build_ideal_network(32, 3, incremental=False)
+        a = build_ideal_network(32, 3)
+        b = build_ideal_network(32, 3, engine="full")
         assert a.fingerprint() == b.fingerprint()
 
         case = None
@@ -223,8 +224,8 @@ class TestExternalMutationEquivalence:
         remove_actor) must survive the end-of-round dirty-set rebuild,
         including the extra carry round when the vanished flow leaves
         receivers' inboxes."""
-        a = build_random_network(n=10, seed=71, incremental=True)
-        b = build_random_network(n=10, seed=71, incremental=False)
+        a = build_random_network(n=10, seed=71)
+        b = build_random_network(n=10, seed=71, engine="full")
         a.run_until_stable(max_rounds=4000)
         b.run_until_stable(max_rounds=4000)
         victim = a.peer_ids[4]
@@ -253,7 +254,7 @@ class TestExternalMutationEquivalence:
     def test_incremental_fingerprint_tracks_configuration(self):
         """The rolling hash is constant across stable rounds and moves
         when the configuration genuinely changes."""
-        net = build_random_network(n=10, seed=61, incremental=True)
+        net = build_random_network(n=10, seed=61)
         net.run_until_stable(max_rounds=4000)
         stable_hash = net.incremental_fingerprint()
         for _ in range(5):
@@ -268,7 +269,7 @@ class TestExternalMutationEquivalence:
         assert net.incremental_fingerprint() != stable_hash
 
     def test_incremental_fingerprint_requires_incremental_engine(self):
-        net = build_random_network(n=4, seed=62, incremental=False)
+        net = build_random_network(n=4, seed=62, engine="full")
         with pytest.raises(RuntimeError):
             net.incremental_fingerprint()
 
@@ -291,16 +292,17 @@ class TestExternalMutationEquivalence:
 
 class TestTelemetryCensusEquivalence:
     """The telemetry counter census is part of the equivalence surface:
-    the same seeded run under all three kernels yields identical rule
+    the same seeded run under the spec and both legs of the default
+    kernel (as shipped, columnar loop forced) yields identical rule
     firings, envelope-type counts and round/sent/dropped totals; the
-    execute/replay split agrees between the two dirty-set kernels."""
+    execute/replay split agrees between the two legs."""
 
     @pytest.mark.parametrize("n,seed,corrupt", STARTS[::5])
     def test_census_invariant(self, n, seed, corrupt):
         censuses = []
         kernel_stats = {}
-        for engine in ("full", "incremental", "columnar"):
-            net = build_random_network(n=n, seed=seed, engine=engine)
+        for engine in ENGINES:
+            net = build(build_random_network, engine, n=n, seed=seed)
             if corrupt:
                 corrupt_network(net, seed + 1)
             net.enable_telemetry()
@@ -310,11 +312,11 @@ class TestTelemetryCensusEquivalence:
         ctx = f"at n={n} seed={seed} corrupt={corrupt}"
         assert censuses[0] == censuses[1] == censuses[2], f"census diverged {ctx}"
         assert (
-            kernel_stats["incremental"] == kernel_stats["columnar"]
+            kernel_stats["columnar"] == kernel_stats[FORCED]
         ), f"kernel split diverged {ctx}"
 
     def test_census_rules_match_network_counters(self):
-        net = build_random_network(n=8, seed=3, engine="incremental")
+        net = build_random_network(n=8, seed=3)
         net.enable_telemetry()
         net.run_until_stable(max_rounds=4000)
         assert net.telemetry_census()["rules"] == dict(net.counters().fires)
@@ -325,13 +327,11 @@ class TestRuleBackendMatrix:
 
     One seeded campaign — stabilization, a latency model, live KV
     traffic, a crash, a transient partition and a join — is driven
-    through every engine: the full-scan kernel on the scalar rule
-    pipeline (the spec) and both activity-tracked kernels on the batched
-    one; fingerprints, rule counters, SLO outcome ledgers and the
-    telemetry counter census must be identical across all of them.
+    through the full-scan kernel on the scalar rule pipeline (the spec)
+    and both legs of the activity-tracked kernel on the batched one;
+    fingerprints, rule counters, SLO outcome ledgers and the telemetry
+    counter census must be identical across all of them.
     """
-
-    ENGINES = ("full", "incremental", "columnar")
 
     @staticmethod
     def _campaign(engine: str):
@@ -340,7 +340,7 @@ class TestRuleBackendMatrix:
         from repro.traffic import TrafficPlane, WorkloadGenerator
         from repro.traffic.messages import OP_GET, OP_LOOKUP, OP_PUT
 
-        net = build_random_network(n=12, seed=31, engine=engine)
+        net = build(build_random_network, engine, n=12, seed=31)
         net.enable_telemetry()
         net.run_until_stable(max_rounds=5000)
         net.set_delivery_model({"kind": "reorder", "bound": 3, "seed": 21})
@@ -377,7 +377,7 @@ class TestRuleBackendMatrix:
         }
 
     def test_matrix_identical_observables(self):
-        cells = {engine: self._campaign(engine) for engine in self.ENGINES}
+        cells = {engine: self._campaign(engine) for engine in ENGINES}
         reference = cells["full"]
         for engine, cell in cells.items():
             for field in ("fingerprint", "counters", "census", "outcomes"):

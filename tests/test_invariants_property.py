@@ -31,6 +31,7 @@ from repro.core.network import ReChordNetwork
 from repro.netsim.rng import SeedSequence
 from repro.workloads.churn import ChurnSchedule, apply_event
 from repro.workloads.initial import build_random_network, corrupt_network
+from tests.conftest import KERNELS, build
 
 ROOT = SeedSequence(41)
 
@@ -163,12 +164,12 @@ class TestStableFingerprintMatchesReference:
     @pytest.mark.parametrize("n,corrupt", CASES)
     def test_incremental_fingerprint_equals_full_scan(self, n, corrupt):
         """(d): the dirty-set kernel's stable fingerprint is identical to
-        a full-scan reference run of the legacy kernel."""
+        a run of the full-scan reference kernel."""
         seq = ROOT.child("ref", n=n, corrupt=corrupt)
         seed = seq.child("build").seed() % (2**31)
         cseed = seq.child("corrupt").seed() % (2**31)
-        a = build_random_network(n=n, seed=seed, incremental=True)
-        b = build_random_network(n=n, seed=seed, incremental=False)
+        a = build_random_network(n=n, seed=seed)
+        b = build_random_network(n=n, seed=seed, engine="full")
         if corrupt:
             corrupt_network(a, cseed)
             corrupt_network(b, cseed)
@@ -189,8 +190,9 @@ class TestSpecVsFastFuzz:
 
     Every drawn example prints its ``repro:`` line via :func:`note` —
     shown by Hypothesis on failure — so a failing topology/churn draw
-    can be replayed in isolation with the stated seeds.  An
-    activity-tracked kernel on the batched rule pipeline must follow the
+    can be replayed in isolation with the stated seeds.  The
+    activity-tracked kernel on the batched rule pipeline — as shipped,
+    or with its columnar loop forced — must follow the
     full-scan kernel on the scalar pipeline event by event: same
     ``run_until_stable`` reports, fingerprints and rule counters, with
     invariants (a)–(c) holding along the way.
@@ -201,13 +203,13 @@ class TestSpecVsFastFuzz:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         events=st.integers(min_value=1, max_value=4),
         corrupt=st.booleans(),
-        engine=st.sampled_from(["incremental", "columnar"]),
+        engine=st.sampled_from(KERNELS),
     )
     @settings(max_examples=20, deadline=None)
     def test_churn_trajectory_fast_equals_spec(self, n, seed, events, corrupt, engine):
         note(f"repro: n={n} seed={seed} events={events} corrupt={corrupt} — "
              f"seeded churn, engine={engine!r} vs. engine='full'")
-        a = build_random_network(n=n, seed=seed, engine=engine)
+        a = build(build_random_network, engine, n=n, seed=seed)
         b = build_random_network(n=n, seed=seed, engine="full")
         if corrupt:
             corrupt_network(a, seed + 1)

@@ -190,7 +190,7 @@ class TestSchedulerSemanticsRegressions:
         order as executed rounds (sorted-sender concatenation)."""
         from repro.workloads.initial import build_random_network
 
-        net = build_random_network(n=8, seed=5, incremental=True)
+        net = build_random_network(n=8, seed=5)
         net.run_until_stable(max_rounds=4000)
         before = net.scheduler.all_pending()
         net.run_round()  # fully replayed
@@ -200,7 +200,7 @@ class TestSchedulerSemanticsRegressions:
     def test_mark_dirty_forces_execution(self):
         from repro.workloads.initial import build_random_network
 
-        net = build_random_network(n=6, seed=9, incremental=True)
+        net = build_random_network(n=6, seed=9)
         net.run_until_stable(max_rounds=4000)
         victim = net.peer_ids[0]
         net.scheduler.mark_dirty(victim)

@@ -12,7 +12,7 @@ Four contract families, mirroring the architecture notes:
   all resolve without double-counting an op;
 * **determinism** — identical seeds produce identical attempt
   schedules, hedge decisions, and collector censuses on every
-  simulation kernel (full / incremental / columnar), under a crash wave
+  simulation kernel (full / columnar, both columnar legs), under a crash wave
   (Hypothesis-driven);
 * **streaming differential** — the resilience counters of a streaming
   collector agree exactly with list mode on the same seeded campaign.
@@ -39,6 +39,7 @@ from repro.traffic.messages import (
 )
 from repro.traffic.slo import IssuedOp, SLOCollector
 from repro.workloads.initial import build_random_network
+from tests.conftest import ENGINES, build
 
 TRUTH = 42
 
@@ -64,7 +65,7 @@ def reply(op_id, status=ST_OK, attempt=1, hedge=False, owner=TRUTH, kid=9, hops=
 
 def stable_plane(n=12, seed=7, **plane_kw):
     """A stabilized random network with an attached (resilient) plane."""
-    net = build_random_network(n=n, seed=seed, incremental=True)
+    net = build_random_network(n=n, seed=seed)
     net.run_until_stable(max_rounds=5000)
     return net, TrafficPlane(net, **plane_kw)
 
@@ -75,7 +76,7 @@ def stable_plane(n=12, seed=7, **plane_kw):
 class TestOffEquivalence:
     def _campaign(self, plane_kw):
         """One seeded churny campaign; returns (fingerprints, summary)."""
-        net = build_random_network(n=12, seed=31, incremental=True)
+        net = build_random_network(n=12, seed=31)
         net.run_until_stable(max_rounds=5000)
         plane = TrafficPlane(net, **plane_kw)
         WorkloadGenerator(
@@ -295,7 +296,7 @@ def _resilient_campaign(seed: int, engine: str, mode: str = "list"):
     """A crash-wave campaign under the fully armed plane; returns the
     (attempt_log, summary, final fingerprint) triple that must be a
     pure function of the seed."""
-    net = build_random_network(n=10, seed=seed % 1000 + 1, engine=engine)
+    net = build(build_random_network, engine, n=10, seed=seed % 1000 + 1)
     net.run_until_stable(max_rounds=5000)
     plane = TrafficPlane(
         net,
@@ -329,16 +330,13 @@ class TestKernelDeterminism:
     def test_identical_seeds_identical_schedules_across_engines(self, seed):
         """One seed ⇒ one attempt schedule, one hedge decision stream,
         one census — on every kernel, under a crash wave."""
-        log_full, sum_full, fp_full = _resilient_campaign(seed, "full")
-        log_inc, sum_inc, fp_inc = _resilient_campaign(seed, "incremental")
-        log_col, sum_col, fp_col = _resilient_campaign(seed, "columnar")
-        assert log_full == log_inc == log_col
-        assert sum_full == sum_inc == sum_col
-        assert fp_full == fp_inc == fp_col
+        spec, *legs = (_resilient_campaign(seed, engine) for engine in ENGINES)
+        for leg in legs:
+            assert leg == spec
 
     def test_same_seed_reruns_identical(self):
-        a = _resilient_campaign(99, "incremental")
-        b = _resilient_campaign(99, "incremental")
+        a = _resilient_campaign(99, "columnar")
+        b = _resilient_campaign(99, "columnar")
         assert a == b
 
 
@@ -353,10 +351,8 @@ class TestStreamingResilienceDifferential:
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_resilience_counters_match_exactly(self, seed):
-        _, list_summary, _ = _resilient_campaign(seed, "incremental", mode="list")
-        _, stream_summary, _ = _resilient_campaign(
-            seed, "incremental", mode="streaming"
-        )
+        _, list_summary, _ = _resilient_campaign(seed, "columnar", mode="list")
+        _, stream_summary, _ = _resilient_campaign(seed, "columnar", mode="streaming")
         assert set(list_summary) == set(stream_summary)
         for key in self.RESILIENCE_KEYS:
             assert list_summary[key] == stream_summary[key], key

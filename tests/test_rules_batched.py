@@ -25,6 +25,7 @@ from repro.core.noderef import make_ref
 from repro.core.rules import RuleConfig
 from repro.idspace.ring import IdSpace
 from repro.workloads.initial import build_random_network, corrupt_network
+from tests.conftest import KERNELS, build
 
 #: a config with every rule off — tests switch individual rules back on
 ALL_OFF = RuleConfig(
@@ -59,16 +60,21 @@ def _pair(config: RuleConfig, builder, bits: int = 8):
     every peer.
     """
     nets = []
-    for engine in ("full", None):
+    for engine in ("full", "columnar"):
         net = ReChordNetwork(space=IdSpace(bits), config=config, engine=engine)
         builder(net)
         nets.append(net)
     return nets
 
 
-def _delivered(net: ReChordNetwork):
-    """The post-round inbox contents, keyed by receiver."""
-    return {k: list(box) for k, box in net.scheduler._inboxes.items() if box}
+def _delivered(net: ReChordNetwork) -> dict:
+    """The post-round inbox contents, keyed by receiver, in inbox order —
+    read through ``all_pending()``, which every kernel (and each loop of
+    the columnar one) answers in the same order."""
+    boxes: dict = {}
+    for env in net.scheduler.all_pending():
+        boxes.setdefault(env.target, []).append(env)
+    return boxes
 
 
 def assert_one_round_identical(a: ReChordNetwork, b: ReChordNetwork, context: str):
@@ -222,14 +228,15 @@ class TestFullPipelineDifferential:
         a, b = _pair(config, plant_wraparound)
         assert_run_identical(a, b, "(economical broadcast)")
 
+    @pytest.mark.parametrize("engine", KERNELS)
     @pytest.mark.parametrize("seed", [3, 17])
-    def test_corrupt_random_start_lockstep(self, seed):
+    def test_corrupt_random_start_lockstep(self, seed, engine):
         nets = []
-        for engine in ("full", None):
-            net = build_random_network(n=14, seed=seed, engine=engine)
+        for kind in ("full", engine):
+            net = build(build_random_network, kind, n=14, seed=seed)
             corrupt_network(net, seed + 1)
             nets.append(net)
-        assert_run_identical(*nets, f"(corrupt seed={seed})")
+        assert_run_identical(*nets, f"(corrupt seed={seed}, {engine})")
 
 
 class TestBackendSurface:
@@ -238,11 +245,10 @@ class TestBackendSurface:
     def test_full_scan_network_has_no_stepper(self):
         assert ReChordNetwork(engine="full").scheduler._batch_stepper is None
 
-    @pytest.mark.parametrize("engine", [None, "incremental", "columnar"])
-    def test_tracked_engines_run_the_batched_pipeline(self, engine):
+    def test_the_tracked_kernel_runs_the_batched_pipeline(self):
         from repro.core.rules_batched import BatchedRuleEngine
 
-        stepper = ReChordNetwork(engine=engine).scheduler._batch_stepper
+        stepper = ReChordNetwork().scheduler._batch_stepper
         assert isinstance(stepper, BatchedRuleEngine)
 
     def test_rule_backend_parameter_is_gone(self):
@@ -550,7 +556,7 @@ class TestMemoLifetime:
         """A close joiner deepens a peer's levels, its crash drops them
         again: rule 1 makes and unmakes nodes, spec ≡ fast throughout."""
         nets = []
-        for engine in ("full", None):
+        for engine in ("full", "columnar"):
             net = ReChordNetwork(space=IdSpace(8), engine=engine)
             plant_empty_levels(net)
             nets.append(net)
@@ -716,14 +722,15 @@ from repro.netsim.messages import SubFlow
 def _mid_run_inboxes(start: str, config: RuleConfig, rounds: int):
     """A tracked network ``rounds`` rounds into an adversarial start, as
     ``(network, [(peer id, deep copy of its state, the inbox it is about
-    to consume)])`` — the tracked kernel keeps physical inboxes."""
+    to consume)])``."""
     bits = 4 if start == "duplicate_ids" else 8
     net = ReChordNetwork(space=IdSpace(bits), config=config)
     BUILDERS[start](net)
     for _ in range(rounds):
         net.run_round()
+    inboxes = _delivered(net)
     return net, [
-        (pid, copy.deepcopy(net.peers[pid].state), list(net.scheduler._inboxes[pid]))
+        (pid, copy.deepcopy(net.peers[pid].state), inboxes.get(pid, []))
         for pid in net.peer_ids
     ]
 
@@ -991,7 +998,7 @@ def _round_in_lockstep(spec: ReChordNetwork, fast: ReChordNetwork, context: str)
 
 
 class TestPurgeVerdictCache:
-    @pytest.mark.parametrize("engine", ["incremental", "columnar"])
+    @pytest.mark.parametrize("engine", KERNELS)
     @pytest.mark.parametrize("event", sorted(ORACLE_EVENTS))
     def test_every_oracle_write_invalidates_the_verdicts(self, event, engine):
         """A probe ref held by a bystander is judged (and cached) before
@@ -1000,7 +1007,7 @@ class TestPurgeVerdictCache:
         apply, probe_of = ORACLE_EVENTS[event]
         nets = []
         for kind in ("full", engine):
-            net = ReChordNetwork(space=IdSpace(8), engine=kind)
+            net = build(ReChordNetwork, kind, space=IdSpace(8))
             for pid in _IDS:
                 net.add_peer(pid)
             for a, b in zip(_IDS, _IDS[1:]):

@@ -9,13 +9,15 @@ Three layers of guarantees:
   byte-identical :class:`ScenarioReport`, including the configuration
   digest, on repeated runs;
 * **engine equivalence** — every named scenario produces the *same*
-  report on the incremental and the full-scan kernel (the
+  report on the columnar kernel (as shipped, and with its columnar loop
+  forced) and on the full-scan kernel (the
   ``tests/test_engine_equivalence.py`` discipline extended to the whole
   adversity vocabulary, partitions and corruption included).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 
@@ -36,6 +38,7 @@ from repro.scenarios import (
 from repro.scenarios.executor import _build_start
 from repro.netsim.rng import SeedSequence
 from repro.workloads.initial import build_random_network
+from tests.conftest import KERNELS, kernel
 
 #: small campaign size used throughout (keeps the suite fast)
 N = 12
@@ -43,6 +46,12 @@ N = 12
 
 def tiny(name: str, n: int = N, seed: int = 5) -> ScenarioSpec:
     return make_scenario(name, n=n, seed=seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _spec_report(name: str):
+    """``tiny(name)`` on the full-scan spec, run once for both legs."""
+    return run_scenario(tiny(name), engine="full")
 
 
 class TestSpec:
@@ -103,24 +112,24 @@ class TestDeterminism:
 
 
 class TestEngineEquivalence:
-    """Incremental-vs-full-scan equality for the whole adversity
+    """Columnar-vs-full-scan equality for the whole adversity
     vocabulary (the tests/test_engine_equivalence.py discipline)."""
 
+    @pytest.mark.parametrize("leg", KERNELS)
     @pytest.mark.parametrize("name", scenario_names())
-    def test_named_scenario_equivalent_across_kernels(self, name):
-        spec = tiny(name)
-        a = run_scenario(spec, incremental=True)
-        b = run_scenario(spec, incremental=False)
+    def test_named_scenario_equivalent_across_kernels(self, name, leg):
+        with kernel(leg) as engine:
+            report = run_scenario(tiny(name), engine=engine)
         # dataclass equality covers recovery metrics, repair curve,
         # SLO ledger, rule firings and the configuration digest
-        assert a == b, f"kernels diverged under scenario {name!r}"
+        assert report == _spec_report(name), f"{leg} diverged under scenario {name!r}"
 
     def test_partition_lockstep_fingerprints(self):
         """Round-for-round equality while a drop filter is installed,
         not only at campaign end."""
 
-        def build(incremental):
-            net = build_random_network(n=10, seed=9, incremental=incremental)
+        def build(engine):
+            net = build_random_network(n=10, seed=9, engine=engine)
             net.run_until_stable(max_rounds=4000)
             ids = net.peer_ids
             side = frozenset(ids[: len(ids) // 2])
@@ -129,7 +138,7 @@ class TestEngineEquivalence:
             )
             return net
 
-        a, b = build(True), build(False)
+        a, b = build("columnar"), build("full")
         for r in range(30):
             a.run_round()
             b.run_round()
@@ -245,7 +254,7 @@ class TestExecutor:
     def test_two_rings_start_builds_split(self):
         spec = ScenarioSpec(name="x", n=10, seed=4, rounds=0,
                             start="two_rings", traffic=None)
-        net = _build_start(spec, SeedSequence(4).child("t"), incremental=True)
+        net = _build_start(spec, SeedSequence(4).child("t"))
         assert len(net.peers) == 10
 
     def test_repair_curve_shows_damage_and_healing(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.checker import local_check_peer, locally_checkable_stable
 from repro.core.noderef import NodeRef
-from tests.conftest import stabilized
+from tests.conftest import ENGINES, build, stabilized
 
 
 class TestStableStateInvariance:
@@ -77,12 +77,12 @@ class TestIsFixedPointSideEffects:
 
     def test_peek_probe_does_not_corrupt_future_rounds(self):
         """After a peek the network evolves exactly as if the peek never
-        happened (both engines)."""
+        happened (every engine)."""
         from repro.workloads.initial import build_random_network
 
-        for incremental in (True, False):
-            a = build_random_network(n=8, seed=33, incremental=incremental)
-            b = build_random_network(n=8, seed=33, incremental=incremental)
+        for engine in ENGINES:
+            a = build(build_random_network, engine, n=8, seed=33)
+            b = build(build_random_network, engine, n=8, seed=33)
             a.run(3)
             b.run(3)
             a.is_fixed_point(peek=True)  # probe on copy

@@ -48,6 +48,7 @@ from repro.netsim.timemodel import (
 from repro.traffic import TrafficPlane, WorkloadGenerator
 from repro.traffic.messages import OP_GET, OP_LOOKUP, OP_PUT
 from repro.workloads.initial import build_random_network, random_peer_ids
+from tests.conftest import KERNELS, build
 
 #: non-unit delivery specs exercised throughout
 LATENCY_MODELS = (
@@ -286,8 +287,8 @@ class TestEngineEquivalenceUnderLatency:
 
     @pytest.mark.parametrize("spec", LATENCY_MODELS, ids=lambda s: s["kind"])
     def test_lockstep_fingerprints_and_reports(self, spec):
-        a = build_random_network(n=9, seed=6, incremental=True)
-        b = build_random_network(n=9, seed=6, incremental=False)
+        a = build_random_network(n=9, seed=6)
+        b = build_random_network(n=9, seed=6, engine="full")
         a.set_delivery_model(spec)
         b.set_delivery_model(spec)
         for r in range(40):
@@ -310,8 +311,8 @@ class TestEngineEquivalenceUnderLatency:
         ids=lambda d: d["kind"],
     )
     def test_daemon_lockstep_and_recovery(self, daemon):
-        a = build_random_network(n=9, seed=8, incremental=True)
-        b = build_random_network(n=9, seed=8, incremental=False)
+        a = build_random_network(n=9, seed=8)
+        b = build_random_network(n=9, seed=8, engine="full")
         a.set_daemon(daemon)
         b.set_daemon(daemon)
         for r in range(50):
@@ -335,7 +336,7 @@ class TestEngineEquivalenceUnderLatency:
         application mail in flight it may over-report (a dropped
         one-shot still flags its two boundaries, as under unit
         delivery) but is never ``False`` across a changed boundary."""
-        net = build_random_network(n=9, seed=4, incremental=True)
+        net = build_random_network(n=9, seed=4)
         net.set_delivery_model(spec)
         plane = _attach_traffic(net, seed=4) if traffic else None
         rng = random.Random(31)
@@ -361,7 +362,7 @@ class TestEngineEquivalenceUnderLatency:
         """A model switch is "old-delay flow stops, new-delay flow
         starts" per steady envelope: the flag stays exact while the two
         fronts travel, and after the delivery queue drained."""
-        net = build_random_network(n=8, seed=14, incremental=True)
+        net = build_random_network(n=8, seed=14)
         net.run_until_stable(max_rounds=4000)
         prev = net.fingerprint()
         net.set_delivery_model({"kind": "constant", "delay": 4})
@@ -375,12 +376,12 @@ class TestEngineEquivalenceUnderLatency:
         assert not net.scheduler.future_pending()
 
     def test_combined_adversity_one_seeded_run(self):
-        """The satellite: incremental-vs-full equivalence with a random
+        """Columnar-vs-full equivalence with a random
         latency model + drop-filter partition + live KV traffic + churn
         flowing in one seeded run."""
 
-        def build(incremental):
-            net = build_random_network(n=12, seed=9, incremental=incremental)
+        def build(engine):
+            net = build_random_network(n=12, seed=9, engine=engine)
             net.run_until_stable(max_rounds=5000)
             net.set_delivery_model({"kind": "reorder", "bound": 3, "seed": 21})
             kv = KeyValueStore(ReChordRouter(net))
@@ -393,8 +394,8 @@ class TestEngineEquivalenceUnderLatency:
             )
             return net, plane
 
-        a_net, a_plane = build(True)
-        b_net, b_plane = build(False)
+        a_net, a_plane = build("columnar")
+        b_net, b_plane = build("full")
         join_rng = random.Random(77)
         for r in range(48):
             if r == 8:
@@ -424,17 +425,14 @@ class TestEngineEquivalenceUnderLatency:
         assert a_plane.collector.summary()["wire_delay_mean"] > 0
 
 
-TRACKED_ENGINES = ("incremental", "columnar")
-
-
 class TestClosureUnderLatency:
     """Closure (a stable configuration steps to itself) costs nothing
     under latency: matured steady mail dirties nobody."""
 
-    @pytest.mark.parametrize("engine", TRACKED_ENGINES)
+    @pytest.mark.parametrize("engine", KERNELS)
     @pytest.mark.parametrize("spec", LATENCY_MODELS, ids=lambda s: s["kind"])
     def test_stable_network_replays_everyone(self, spec, engine):
-        fast = build_random_network(n=9, seed=6, engine=engine)
+        fast = build(build_random_network, engine, n=9, seed=6)
         full = build_random_network(n=9, seed=6, engine="full")
         for net in (fast, full):
             net.set_delivery_model(spec)
@@ -472,7 +470,7 @@ def _latency_campaign(n, seed, spec, events, traffic, engine):
     """Drive one seeded campaign; returns everything that must be equal
     on every engine: per-round fingerprints and rule counters, the
     final ``run_until_stable`` report and the SLO summary."""
-    net = build_random_network(n=n, seed=seed, engine=engine)
+    net = build(build_random_network, engine, n=n, seed=seed)
     net.set_delivery_model(spec)
     plane = _attach_traffic(net, seed) if traffic else None
     rng = random.Random(seed)
@@ -512,7 +510,7 @@ class TestLatencyCampaigns:
             max_size=6,
         ),
         traffic=st.booleans(),
-        engine=st.sampled_from(TRACKED_ENGINES),
+        engine=st.sampled_from(KERNELS),
     )
     def test_tracked_engines_match_the_spec(self, n, seed, spec, events, traffic, engine):
         want = _latency_campaign(n, seed, spec, events, traffic, "full")
@@ -762,8 +760,8 @@ class TestScenarioIntegration:
             max_recovery_rounds=60,
         )
         assert ScenarioSpec.from_json(spec.to_json()) == spec
-        a = run_scenario(spec, incremental=True)
-        b = run_scenario(spec, incremental=False)
+        a = run_scenario(spec)
+        b = run_scenario(spec, engine="full")
         assert a == b
 
     def test_invalid_spec_models_fail_loudly(self):

@@ -28,12 +28,12 @@ from repro.traffic.messages import (
 )
 from repro.traffic.slo import IssuedOp, SLOCollector, latency_histogram
 from repro.workloads.initial import build_random_network, random_peer_ids
-from tests.conftest import stabilized
+from tests.conftest import KERNELS, build, stabilized
 
 
-def make_traffic_net(n: int, seed: int, incremental: bool = True, store: bool = False):
+def make_traffic_net(n: int, seed: int, store: bool = False):
     """A stabilized network with an attached plane (and optional store)."""
-    net = build_random_network(n=n, seed=seed, incremental=incremental)
+    net = build_random_network(n=n, seed=seed)
     net.run_until_stable(max_rounds=5000)
     kv = KeyValueStore(ReChordRouter(net)) if store else None
     return net, TrafficPlane(net, store=kv)
@@ -206,10 +206,11 @@ class TestTrafficUnderChurn:
 class TestEngineEquivalenceWithTraffic:
     """tests/test_engine_equivalence.py extended to the traffic plane."""
 
+    @pytest.mark.parametrize("engine", KERNELS)
     @pytest.mark.parametrize("seed", [3, 7])
-    def test_lockstep_fingerprints_with_traffic_and_churn(self, seed):
-        def make(incremental):
-            net = build_random_network(n=12, seed=seed, incremental=incremental)
+    def test_lockstep_fingerprints_with_traffic_and_churn(self, seed, engine):
+        def make(kind):
+            net = build(build_random_network, kind, n=12, seed=seed)
             net.run_until_stable(max_rounds=5000)
             kv = KeyValueStore(ReChordRouter(net))
             plane = TrafficPlane(net, store=kv)
@@ -222,8 +223,8 @@ class TestEngineEquivalenceWithTraffic:
             )
             return net, plane
 
-        a_net, a_plane = make(True)
-        b_net, b_plane = make(False)
+        a_net, a_plane = make(engine)
+        b_net, b_plane = make("full")
         assert a_net.fingerprint() == b_net.fingerprint()
         join_rng = random.Random(seed + 1000)
         for r in range(40):
@@ -259,8 +260,8 @@ class TestEngineEquivalenceWithTraffic:
         traffic must match the full-scan engine (no duplicated one-shot
         emissions from the steady-emission cache)."""
         nets = []
-        for incremental in (True, False):
-            net = build_random_network(n=10, seed=13, incremental=incremental, record_trace=True)
+        for engine in ("columnar", "full"):
+            net = build_random_network(n=10, seed=13, engine=engine, record_trace=True)
             net.run_until_stable(max_rounds=5000)
             plane = TrafficPlane(net)
             for i in range(6):

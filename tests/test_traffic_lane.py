@@ -28,6 +28,7 @@ from repro.netsim.scheduler import SynchronousScheduler
 from repro.traffic import TrafficPlane, WorkloadGenerator
 from repro.traffic.messages import OP_GET, OP_LOOKUP, OP_PUT, LookupRequest
 from repro.workloads.initial import build_random_network, random_peer_ids
+from tests.conftest import KERNELS, build
 
 OP_MIX = ((OP_LOOKUP, 0.5), (OP_PUT, 0.3), (OP_GET, 0.2))
 
@@ -37,8 +38,8 @@ class Campaign:
 
     def __init__(self, engine: str, seed: int, n: int = 14,
                  rate: float = 3.0, plane_cls=TrafficPlane):
-        self.net = net = build_random_network(
-            n=n, seed=seed, engine=engine, record_trace=True
+        self.net = net = build(
+            build_random_network, engine, n=n, seed=seed, record_trace=True
         )
         net.run_until_stable(max_rounds=5000)
         self.plane = plane_cls(
@@ -99,9 +100,10 @@ def fresh_id(net, rng) -> int:
 
 
 class TestLaneEquivalentToFullScan:
+    @pytest.mark.parametrize("engine", KERNELS)
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_join_leave_and_crash_of_a_lane_target(self, seed):
-        lane = Campaign("columnar", seed)
+    def test_join_leave_and_crash_of_a_lane_target(self, seed, engine):
+        lane = Campaign(engine, seed)
         spec = Campaign("full", seed)
         rng = random.Random(seed + 1000)
         crashed_with_mail = False
@@ -174,14 +176,39 @@ class TestLaneEquivalentToFullScan:
         assert not lane.sched._cols_active
         # tracked rounds hold application mail in the real inboxes ...
         lane.gen.inject()
-        held = sum(
-            isinstance(e.payload, LookupRequest)
-            for box in lane.sched._inboxes.values() for e in box
-        )
+        held = sum(isinstance(e.payload, LookupRequest) for e in lane.sched.all_pending())
         assert held and not lane.sched._lane_targets
         lane.net.run_round()
         # ... and entry moved all of it out: sends to the lane, posts stay
         assert lane.sched._cols_active
+
+    def test_mail_held_across_a_tracked_round(self):
+        """Application mail posted while the tracked loop drives leaves
+        its target clean (the next round may take it as lane mail); when
+        the round that consumes it is tracked as well — here for a
+        protocol post's flow event right after a dense round — the target
+        executes there, like the spec."""
+        lane = Campaign("columnar", seed=5, rate=0.0)
+        spec = Campaign("full", seed=5, rate=0.0)
+        for pid in lane.net.peers:
+            lane.sched.mark_dirty(pid)
+        lockstep(lane, spec, "dense round")
+        assert not lane.sched._cols_active
+        a, b = lane.net.peer_ids[:2]
+        known = min(lane.net.peers[b].state.nodes[0].nu)  # an edge b already has
+        for c in (lane, spec):
+            c.sched.post(Envelope(a, b, EdgeAdd(c.net.ref(b), known, KIND_UNMARKED)))
+        origin = next(p for p in lane.net.peer_ids if p not in lane.sched._dirty)
+        for c in (lane, spec):
+            c.plane.lookup("some-key", origin)
+        assert lane.sched._lane_held == {origin} and origin not in lane.sched._dirty
+        lockstep(lane, spec, "the consuming round")
+        assert not lane.sched._cols_active
+        for r in range(12):
+            lockstep(lane, spec, f"round={r}")
+        assert lane.sched._cols_active
+        assert_same_ledger(lane, spec)
+        assert lane.plane.collector.summary()["completed"] == 1
 
     def test_mid_round_removal_of_a_lane_target(self):
         """An actor sorting after every peer removes a lane-only peer
@@ -236,9 +263,10 @@ class TestLaneEquivalentToFullScan:
             max_size=4,
         ),
         seed=st.integers(0, 50),
+        engine=st.sampled_from(KERNELS),
     )
-    def test_random_campaigns(self, rate, events, seed):
-        lane = Campaign("columnar", seed, n=10, rate=rate)
+    def test_random_campaigns(self, rate, events, seed, engine):
+        lane = Campaign(engine, seed, n=10, rate=rate)
         spec = Campaign("full", seed, n=10, rate=rate)
         rng = random.Random(seed)
         schedule: dict = {}
@@ -417,10 +445,42 @@ class TestLaneContract:
         assert busy[-1] == 0  # back to quiescence
         assert busy_fp == idle_fp
 
+    def test_a_dense_join_costs_traffic_no_rule_steps(self):
+        """A join at small n makes repair rounds dense: the traffic-free
+        twin runs them on the tracked loop, while the busy run's pending
+        application mail keeps it columnar (the tracked loop would
+        execute every one-shot's target) — with the same rule steps,
+        round for round."""
+
+        def campaign(traffic: bool) -> tuple:
+            c = Campaign("columnar", seed=4, n=6, rate=4.0)
+            c.gen.active = traffic
+            rng = random.Random(2)
+            steps, tracked = [], 0
+            for r in range(30):
+                if r == 3:
+                    c.net.join(fresh_id(c.net, rng), c.net.peer_ids[0])
+                if r == 18:
+                    c.gen.active = False
+                c.plane.run_round()
+                steps.append(c.net.activity_stats()[0])
+                tracked += not c.sched._cols_active
+            return steps, tracked, c.plane.collector.summary()["completed"], c.net.fingerprint()
+
+        busy, busy_tracked, completed, busy_fp = campaign(True)
+        idle, idle_tracked, _none, idle_fp = campaign(False)
+        assert idle_tracked >= 3 and busy_tracked < idle_tracked
+        assert completed > 40
+        assert busy == idle
+        assert busy_fp == idle_fp
+
     def test_tracked_kernel_executes_a_receiver_only_the_consuming_round(self):
         """The fallback contract: a one-shot's target executes the round
-        it consumes it — and replays the round after."""
-        net = build_random_network(n=12, seed=7, engine="incremental")
+        it consumes it — and replays the rounds around it.  A constant
+        two-round delay keeps the kernel on its tracked loop, where every
+        hop spends a round on the wire and is consumed the next."""
+        net = build_random_network(n=12, seed=7)
+        net.set_delivery_model({"kind": "constant", "delay": 2})
         net.run_until_stable(max_rounds=5000)
         plane = TrafficPlane(net)
         net.run_round()
@@ -428,15 +488,17 @@ class TestLaneContract:
         owner = plane.true_owner(key_id("some-key", net.space))
         origin = next(p for p in net.peer_ids if p != owner)
         plane.lookup("some-key", origin)
-        net.run_round()  # the origin consumes the post ...
-        assert net.activity_stats()[0] == 1
-        hops = []
+        executed = []
         while plane.collector.outstanding:
-            net.run_round()  # ... then exactly the peer holding the op runs
-            hops.append(net.activity_stats()[0])
-        assert hops and set(hops) == {1}
-        net.run_round()
-        assert net.activity_stats()[0] == 0
+            net.run_round()
+            assert not net.scheduler._cols_active
+            executed.append(net.activity_stats()[0])
+        # the origin consumes the post, then one executed peer per hop
+        # and nobody while the next hop is on the wire
+        assert len(executed) > 3 and executed == [1, 0] * (len(executed) // 2) + [1]
+        for _ in range(3):
+            net.run_round()
+            assert net.activity_stats()[0] == 0
         assert not net.scheduler.changed_last_round
 
     def test_lane_only_peers_count_as_replayed(self):

@@ -75,7 +75,7 @@ class TestStreamingDifferential:
 
     def _campaign(self, mode, seed, reservoir_size=64, sketch_quantiles=None):
         """One seeded churny campaign; returns its plane (post-drain)."""
-        net = build_random_network(n=12, seed=seed, incremental=True)
+        net = build_random_network(n=12, seed=seed)
         net.run_until_stable(max_rounds=5000)
         kv = KeyValueStore(ReChordRouter(net))
         plane = TrafficPlane(
@@ -309,7 +309,7 @@ class TestListModeSummaryCache:
 # ----------------------------------------------------------------------
 class TestIssueBatch:
     def _net(self, seed=31):
-        net = build_random_network(n=10, seed=seed, incremental=True)
+        net = build_random_network(n=10, seed=seed)
         net.run_until_stable(max_rounds=5000)
         return net, TrafficPlane(net)
 
