@@ -62,6 +62,22 @@ def _seeds(args: argparse.Namespace, default: int) -> int:
     return 2 if args.quick else default
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for counts, sizes and round budgets: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def quantile(text: str) -> float:
+    """argparse ``type=`` for a latency quantile: a float in (0, 1)."""
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rechord",
@@ -87,11 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ("all", "run every experiment"),
     ]:
         p = sub.add_parser(name, help=desc)
-        p.add_argument("--sizes", type=int, nargs="*", default=None)
-        p.add_argument("--seeds", type=int, default=None)
+        p.add_argument("--sizes", type=positive_int, nargs="*", default=None)
+        p.add_argument("--seeds", type=positive_int, default=None)
         p.add_argument("--quick", action="store_true", help="small sizes, 2 seeds")
         if name in ("ablation", "messages", "usability"):
-            p.add_argument("--n", type=int, default=32 if name != "usability" else 24)
+            p.add_argument("--n", type=positive_int, default=32 if name != "usability" else 24)
         if name == "messages":
             p.add_argument(
                 "--engine", type=str, default="columnar", choices=ENGINES,
@@ -103,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="attach a telemetry recorder per run and report its census",
             )
             p.add_argument(
-                "--sketch-quantiles", type=float, nargs="*", default=None,
+                "--sketch-quantiles", type=quantile, nargs="*", default=None,
                 metavar="Q",
                 help="opt-in P2 streaming latency quantiles (e.g. 0.5 0.99), "
                 "reported as latency_p*_sketch alongside the exact stats",
@@ -116,22 +132,22 @@ def _build_parser() -> argparse.ArgumentParser:
                 "reservoir sample) for very large campaigns",
             )
             p.add_argument(
-                "--max-attempts", type=int, default=1, metavar="K",
+                "--max-attempts", type=positive_int, default=1, metavar="K",
                 help="resilient request plane: attempt budget per op "
                 "(1 = retries off; retries use seeded exponential "
                 "backoff with jitter)",
             )
             p.add_argument(
-                "--retry-backoff", type=int, default=4, metavar="B",
+                "--retry-backoff", type=positive_int, default=4, metavar="B",
                 help="base backoff in rounds between attempts (default 4)",
             )
             p.add_argument(
-                "--hedge-after", type=int, default=None, metavar="H",
+                "--hedge-after", type=positive_int, default=None, metavar="H",
                 help="launch a duplicate probe for an unanswered op "
                 "after H rounds; first reply wins (off by default)",
             )
             p.add_argument(
-                "--route-redundancy", type=int, default=1, metavar="R",
+                "--route-redundancy", type=positive_int, default=1, metavar="R",
                 help="candidate successors considered per forwarding "
                 "hop; suspected-dead hops are demoted (default 1)",
             )
@@ -141,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scen.add_argument("name", nargs="?", default=None, help="named scenario (omit with --list)")
     scen.add_argument("--list", action="store_true", help="list the scenario library")
-    scen.add_argument("--n", type=int, default=None, help="network size override")
+    scen.add_argument("--n", type=positive_int, default=None, help="network size override")
     scen.add_argument("--seed", type=int, default=None, help="campaign seed override")
     scen.add_argument("--all", action="store_true", help="run the whole library (sweep table)")
     scen.add_argument("--json", action="store_true", help="emit the full ScenarioReport as JSON")
@@ -167,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "append the counter census / phase-timer report",
     )
     scen.add_argument(
-        "--sketch-quantiles", type=float, nargs="*", default=None,
+        "--sketch-quantiles", type=quantile, nargs="*", default=None,
         metavar="Q",
         help="opt-in P2 streaming latency quantiles for the campaign's "
         "traffic (e.g. 0.5 0.99); reported as latency_p*_sketch in the "
@@ -182,14 +198,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scenario", type=str, default="flash-crowd",
         help="named scenario to observe (default: flash-crowd)",
     )
-    obs.add_argument("--n", type=int, default=None, help="network size override")
+    obs.add_argument("--n", type=positive_int, default=None, help="network size override")
     obs.add_argument("--seed", type=int, default=None, help="campaign seed override")
     obs.add_argument(
         "--engine", type=str, default="columnar", choices=ENGINES,
         help="simulation kernel to instrument (default: columnar)",
     )
     obs.add_argument(
-        "--trace-sample", type=int, default=1, metavar="K",
+        "--trace-sample", type=positive_int, default=1, metavar="K",
         help="trace every K-th op id (default: 1 = every op)",
     )
     obs.add_argument(
@@ -328,15 +344,13 @@ def _run_scenario_command(args: argparse.Namespace) -> List[str]:
         )
         spec = _named_scenario(args.name, n, seed)
     else:
-        raise SystemExit("scenario: give a name, --spec FILE, --all, or --list")
+        raise _InputError("scenario: give a name, --spec FILE, --all, or --list")
     overrides = _time_model_overrides(args)
     if overrides:
         spec = spec.with_overrides(**overrides)
     if getattr(args, "sketch_quantiles", None):
         if spec.traffic is None:
-            raise SystemExit(
-                "scenario: --sketch-quantiles needs a scenario with traffic"
-            )
+            raise _InputError("scenario: --sketch-quantiles needs a scenario with traffic")
         from dataclasses import replace as _dc_replace
 
         spec = spec.with_overrides(

@@ -22,8 +22,8 @@ attributes every completion to the window its *issue* round fell in, so
 the failure-window row isolates exactly the ops that raced the outage.
 The retries variant is additionally executed **twice with the same
 seed** and the two reports' configuration digests and survival tables
-must agree — the end-to-end determinism check the resilience gate
-(``benchmarks/smoke_resilience.py``) relies on.
+must agree — the end-to-end determinism check the ``mass_failure`` gate
+case (``benchmarks/gates.py``) relies on.
 
 Run as a module to regenerate the checked-in results::
 

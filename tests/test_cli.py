@@ -93,9 +93,9 @@ class TestCli:
         assert code == 0
         assert "Scenario: crash-wave" in capsys.readouterr().out
 
-    def test_scenario_requires_name_or_flag(self):
-        with pytest.raises(SystemExit):
-            main(["scenario"])
+    def test_scenario_requires_name_or_flag(self, capsys):
+        assert main(["scenario"]) == 2
+        assert "give a name, --spec FILE, --all, or --list" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -129,6 +129,31 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("rechord: error: ")
         assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["traffic", "--max-attempts", "0"],
+            ["traffic", "--route-redundancy", "0"],
+            ["traffic", "--hedge-after", "0"],
+            ["traffic", "--sketch-quantiles", "1.5"],
+            ["scenario", "seam-crash", "--n", "0"],
+            ["scenario", "seam-crash", "--sketch-quantiles", "1.5"],
+            ["observe", "--n", "0"],
+            ["observe", "--trace-sample", "0"],
+            ["scaling", "--sizes", "0"],
+            ["scaling", "--seeds", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_option_is_a_diagnostic_not_a_traceback(self, argv, capsys):
+        flag = next(a for a in argv if a.startswith("--"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be" in captured.err
         assert "Traceback" not in captured.err
 
     # 'incremental' is the retired engine: both --engine flags reject it

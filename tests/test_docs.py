@@ -4,8 +4,8 @@ Two enforcement layers, both also run by the CI docs job:
 
 * every ``>>>`` snippet in README.md and docs/*.md is executed as a
   doctest (so quickstarts cannot rot);
-* every relative Markdown link and anchor resolves
-  (``tools/check_docs.py``).
+* every relative Markdown link and anchor resolves, and every repo
+  path named in code exists (``tools/check_docs.py``).
 """
 
 from __future__ import annotations
@@ -54,6 +54,23 @@ class TestDocs:
         checker = _load_checker()
         broken, _external = checker.check_file(path)
         assert not broken, "\n".join(broken)
+
+    def test_code_paths_must_exist(self, tmp_path, monkeypatch):
+        checker = _load_checker()
+        monkeypatch.setattr(checker, "ROOT", tmp_path)
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "tools" / "kept.py").write_text("")
+        doc = tmp_path / "README.md"
+        doc.write_text(
+            "`tools/kept.py`, `tools/*.py`, `tools/gone.py` and `tests/*.py`\n"
+            "```\npython examples/gone.py\n```\n"
+        )
+        broken, _external = checker.check_file(doc)
+        assert broken == [
+            "README.md: missing path tools/gone.py",
+            "README.md: missing path tests/*.py",
+            "README.md: missing path examples/gone.py",
+        ]
 
     #: public-API modules whose docstring examples must keep executing
     DOCTEST_MODULES = (

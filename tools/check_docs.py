@@ -8,7 +8,11 @@ Validates every Markdown link in ``README.md`` and ``docs/*.md``:
   (GitHub slug rules: lowercase, punctuation stripped, spaces to
   dashes);
 * external ``http(s)`` links are listed but not fetched (CI has no
-  business depending on the network).
+  business depending on the network);
+* repository paths under ``benchmarks/``, ``examples/``, ``src/``,
+  ``tests/`` and ``tools/`` named in inline code spans or code fences
+  must exist (a glob pattern must match something), so a doc cannot
+  name a deleted file.
 
 Exits non-zero on the first class of broken links, printing all of
 them.  Used by the CI docs job and by ``tests/test_docs.py``.
@@ -28,6 +32,12 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: markdown headings (``# ...`` at line start, fenced blocks excluded)
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
+
+#: inline code spans: `text`
+CODE_RE = re.compile(r"`([^`]+)`")
+
+#: a repository path inside code (not the tail of a longer one: ``foo/src/x``)
+PATH_RE = re.compile(r"(?<![\w./-])(?:benchmarks|examples|src|tests|tools)/[\w./*-]*")
 
 
 def doc_files() -> List[Path]:
@@ -76,9 +86,27 @@ def extract_links(path: Path) -> List[str]:
     return links
 
 
+def extract_paths(path: Path) -> List[str]:
+    """Repository paths named in a markdown file's code: inline spans
+    outside fences, whole lines inside them."""
+    paths: List[str] = []
+    in_fence = False
+    for line in path.read_text().splitlines():
+        if line.strip().startswith("```"):
+            in_fence = not in_fence
+            continue
+        for code in [line] if in_fence else CODE_RE.findall(line):
+            paths.extend(p.rstrip(".") for p in PATH_RE.findall(code))
+    return paths
+
+
 def check_file(path: Path) -> Tuple[List[str], List[str]]:
-    """``(broken, external)`` links of one documentation file."""
-    broken: List[str] = []
+    """``(broken, external)`` links and code paths of one documentation file."""
+    broken: List[str] = [
+        f"{path.relative_to(ROOT)}: missing path {name}"
+        for name in extract_paths(path)
+        if not (any(ROOT.glob(name)) if "*" in name else (ROOT / name).exists())
+    ]
     external: List[str] = []
     for link in extract_links(path):
         if link.startswith(("http://", "https://", "mailto:")):
