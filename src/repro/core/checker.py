@@ -13,10 +13,14 @@ topology trips at least one peer's check (demonstrated empirically by
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import List
 
 from repro.core.network import ReChordNetwork
 from repro.core.protocol import ReChordPeer
+
+_KEY = attrgetter("_key")
 
 
 def local_check_peer(peer: ReChordPeer) -> List[str]:
@@ -35,41 +39,40 @@ def local_check_peer(peer: ReChordPeer) -> List[str]:
        knowledge, and point at the opposite extreme;
     5. wrap pointers exist only where the linear real neighbor is
        missing.
+
+    The peer's knowledge is sorted once; every per-level neighbor is a
+    bisection of that order (refs are ordered by their ``_key``).
     """
     state = peer.state
     problems: List[str] = []
-    knowledge = state.knowledge()
-    reals = state.known_reals(knowledge)
-    kmin = min(knowledge)
-    kmax = max(knowledge)
+    known = sorted(state.knowledge(), key=_KEY)
+    keys = [ref._key for ref in known]
+    reals = [ref for ref in known if ref.level == 0]
+    real_keys = [ref._key for ref in reals]
+    kmin = known[0]
+    kmax = known[-1]
 
-    gap = state.closest_real_gap()
-    m = state.space.level_count(gap)
+    m = state.space.level_count(state.closest_real_gap(reals))
     if set(state.nodes) != set(range(0, m + 1)):
         problems.append(f"levels {sorted(state.nodes)} != 0..{m}")
 
     for level in sorted(state.nodes):
         node = state.nodes[level]
         ui = node.ref
-        want_rl = None
-        want_rr = None
-        for ref in reals:
-            if ref == ui:
-                continue
-            if ref < ui:
-                want_rl = ref
-            elif want_rr is None:
-                want_rr = ref
-                break
+        key = ui._key
+        i = bisect_left(real_keys, key)
+        want_rl = reals[i - 1] if i else None
+        i = bisect_right(real_keys, key)
+        want_rr = reals[i] if i < len(reals) else None
         if node.rl != want_rl:
             problems.append(f"{ui!r}: rl cache {node.rl!r} != {want_rl!r}")
         if node.rr != want_rr:
             problems.append(f"{ui!r}: rr cache {node.rr!r} != {want_rr!r}")
 
-        lefts = sorted(w for w in knowledge if w < ui)
-        rights = sorted(w for w in knowledge if w > ui)
-        closest_left = lefts[-1] if lefts else None
-        closest_right = rights[0] if rights else None
+        i = bisect_left(keys, key)
+        closest_left = known[i - 1] if i else None
+        i = bisect_right(keys, key)
+        closest_right = known[i] if i < len(known) else None
         allowed = {x for x in (closest_left, closest_right, want_rl, want_rr) if x is not None}
         extras = node.nu - allowed
         if extras:

@@ -478,15 +478,16 @@ class PeerState:
         source = self.knowledge() if knowledge is None else knowledge
         return sorted((r for r in source if r.level == 0), key=_KEY)
 
-    def closest_real_gap(self) -> int:
+    def closest_real_gap(self, reals: Optional[Iterable[NodeRef]] = None) -> int:
         """Clockwise distance to the nearest known real node (≠ self).
 
         Returns the full ring size when no other real node is known —
-        the ``m = 1`` case of rule 1.
+        the ``m = 1`` case of rule 1.  ``reals`` passes the peer's known
+        reals when the caller already has them.
         """
         best = self.space.size
         me = self.peer_id
-        for ref in self.known_reals():
+        for ref in self.known_reals() if reals is None else reals:
             if ref.owner == me:
                 continue
             d = self.space.distance_cw(me, ref.id)

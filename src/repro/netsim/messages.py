@@ -140,6 +140,10 @@ class SubFlow(list):
     * :meth:`owner_counts` — per referenced owner, how many of its
       envelopes reference it (its contribution to the columnar
       ``_ref_watch`` index), computed on first use;
+    * :meth:`delay_buckets` — its envelopes grouped by delivery delay
+      under one delivery model, computed on first use and kept while
+      that model object stays the one asked for (a model switch
+      recomputes it once per live sub-flow);
     * :attr:`parsed` — a slot that belongs to the *receiving* side: the
       consumer of the sub-flow (the batched rule pipeline) may store its
       parsed form there, tagged with the receiver it was parsed for.
@@ -149,13 +153,40 @@ class SubFlow(list):
     value that is used once has nothing to amortize.
     """
 
-    __slots__ = ("fp_sum", "_owners", "parsed")
+    __slots__ = ("fp_sum", "_owners", "parsed", "_delays")
 
     def __init__(self, envelopes: Sequence[Envelope] = ()) -> None:
         super().__init__(envelopes)
         self.fp_sum = outbox_fingerprint(self)
         self._owners: Optional[tuple] = None
         self.parsed: Any = None
+        self._delays: Optional[tuple] = None
+
+    def delay_buckets(self, model: Any) -> tuple:
+        """``((delay, envelopes), ...)`` under delivery ``model``: every
+        envelope in exactly one bucket, delays ascending, each bucket in
+        emission order.
+
+        The delays are cached per model object (a model must not change
+        its answers, see :mod:`repro.netsim.timemodel`).  One sender and
+        one target share one link, so under every link-keyed model the
+        sub-flow has a single delay: only that number is kept — no copy
+        of the envelopes, no reference from the sub-flow to itself.
+        """
+        cached = self._delays
+        if cached is None or cached[0] is not model:
+            delay = model.delay
+            by_delay: dict = {}
+            for env in self:
+                by_delay.setdefault(delay(env), []).append(env)
+            if len(by_delay) == 1:
+                (d,) = by_delay
+                cached = (model, d)
+            else:
+                cached = (model, tuple(sorted(by_delay.items())))
+            self._delays = cached
+        entry = cached[1]
+        return entry if entry.__class__ is tuple else ((entry, self),)
 
     def owner_counts(self) -> Iterator[tuple]:
         """``(owner, envelopes referencing it)`` pairs."""

@@ -78,7 +78,9 @@ rules under non-unit delivery:
 
 * **matured steady mail dirties nobody.**  ``DeliveryModel.delay`` is a
   pure function of envelope content, so a clean sender's replayed outbox
-  lands in the same inboxes with the same delays every round: a
+  lands in the same inboxes with the same delays every round (the
+  tracked loop delivers it a sub-flow at a time, from each sub-flow's
+  cached delay buckets, without asking the model again): a
   receiver's inbox can only differ from its replay baseline in a round
   where a *change* of some sender's sub-flow arrives.  The **wake wheel**
   (``round -> actors that must execute in it``; ``_dirty`` and
@@ -600,6 +602,9 @@ class SynchronousScheduler:
         rounds, the larger bound of the two models).  Installing a model
         that is observably unit (``is_unit``) over another unit model is
         a no-op, keeping the fast path and the exact change flag intact.
+        The sub-flows' cached delays (:meth:`SubFlow.delay_buckets`) are
+        keyed on the model object, so the switch invalidates them
+        without a sweep.
         """
         model = make_delivery_model(model)
         old = self._delivery
@@ -907,12 +912,17 @@ class SynchronousScheduler:
         Matured delayed sends land first, then the round's ``outboxes``
         in order: each envelope is scheduled (delay beyond one round),
         dropped (dead target or drop filter) or appended to its target's
-        inbox.  Closes the ``kernel.step`` span opened at ``step_t0``
-        and records the round with the telemetry plane (envelope census
-        by payload type included) and the trace recorder.  Returns
-        ``(matured, dropped_hash)``: the delayed deliveries that landed,
-        and the pending-hash contribution of the dropped sends — sends
-        counted by their sender's outbox hash that never reach an inbox.
+        inbox.  Under non-unit delivery an outbox may also be a sender's
+        ``target -> SubFlow`` split, delivered a sub-flow at a time from
+        its cached delay buckets: per-target order is that of the flat
+        outbox, and only the drop filter and dead targets look at single
+        envelopes.  Closes the ``kernel.step`` span opened at
+        ``step_t0`` and records the round with the telemetry plane
+        (envelope census by payload type included) and the trace
+        recorder.  Returns ``(matured, dropped_hash)``: the delayed
+        deliveries that landed, and the pending-hash contribution of the
+        dropped sends — sends counted by their sender's outbox hash that
+        never reach an inbox.
         """
         tel = self._telemetry
         if tel is not None:
@@ -925,13 +935,38 @@ class SynchronousScheduler:
         flt = self._drop_filter
         delivery = self._delivery
         unit = delivery.is_unit
+        future = self._future
         for outbox in outboxes:
+            if outbox.__class__ is dict:
+                for target, sub in outbox.items():
+                    sent += len(sub)
+                    box = inboxes.get(target)
+                    for d, envs in sub.delay_buckets(delivery):
+                        if d > 1:
+                            later = future.get(round_no + d)
+                            if later is None:
+                                future[round_no + d] = list(envs)
+                            else:
+                                later.extend(envs)
+                        elif box is None:
+                            dropped += len(envs)
+                            dropped_hash += sum(_envelope_hash(env) for env in envs)
+                        elif flt is None:
+                            box.extend(envs)
+                        else:
+                            for env in envs:
+                                if flt(env):
+                                    dropped += 1
+                                    dropped_hash += _envelope_hash(env)
+                                else:
+                                    box.append(env)
+                continue
             for env in outbox:
                 sent += 1
                 if not unit:
                     d = delivery.delay(env)
                     if d > 1:
-                        self._future.setdefault(round_no + d, []).append(env)
+                        future.setdefault(round_no + d, []).append(env)
                         continue
                 box = inboxes.get(env.target)
                 if box is None or (flt is not None and flt(env)):
@@ -944,8 +979,9 @@ class SynchronousScheduler:
             tel.add_time("kernel.deliver", _perf() - step_t0)
             msg = tel.messages
             for outbox in outboxes:
-                for env in outbox:
-                    msg[type(env.payload).__name__] += 1
+                for sub in outbox.values() if outbox.__class__ is dict else (outbox,):
+                    for env in sub:
+                        msg[type(env.payload).__name__] += 1
             tel.on_round(sent=sent, dropped=dropped, executed=executed, replayed=replayed)
         if self._trace is not None:
             self._trace.record_round(
@@ -1113,7 +1149,10 @@ class SynchronousScheduler:
         self._lane_flag = False
         changed_keys: Set[Hashable] = set()
         newly_dirty: Set[Hashable] = set()
-        contributions: List[List[Envelope]] = []
+        # under non-unit delivery a sender contributes its sub-flows,
+        # delivered from their cached delay buckets (see _deliver_round)
+        by_flow = not self._delivery.is_unit
+        contributions: List[Any] = []
         #: sender -> outbox patch of this round (see :meth:`_post_step`)
         patches: Dict[Hashable, tuple] = {}
         #: the round's one-shot sends, per sender in key order
@@ -1135,7 +1174,7 @@ class SynchronousScheduler:
             if ctx is None:
                 # quiescent: the steady emissions repeat without rules
                 replayed += 1
-                contributions.append(self._out.get(key, []))
+                contributions.append(self._sub_flows(key) if by_flow else self._out.get(key, []))
                 new_pending += self._out_hash.get(key, 0)
                 continue
             executed += 1
@@ -1146,7 +1185,7 @@ class SynchronousScheduler:
                 state_changed_any = True
             if patch is not None:
                 patches[key] = patch
-            contributions.append(self._out[key])
+            contributions.append(self._sub_flows(key) if by_flow else self._out[key])
             new_pending += self._out_hash[key]
             if ctx._once:
                 # one-shot sends go out right after the steady outbox; they
@@ -1224,12 +1263,14 @@ class SynchronousScheduler:
         delay differs is two fronts, whether its sender executed or not:
         the old-delay flow stops, the new-delay flow starts (the switch
         itself woke everyone for as long as either front can arrive).
+        Otherwise the delays are those of the sub-flows' cached delay
+        buckets, which the delivery point reuses.
         """
-        delay = self._delivery.delay
+        model = self._delivery
         old_model = self._switched_from
         if old_model is not None:
             self._switched_from = None
-            old_delay = old_model.delay
+            delay, old_delay = model.delay, old_model.delay
             for key in keys:
                 out = self._out.get(key)
                 if out is None:  # removed mid-round: fed by remove_actor
@@ -1243,30 +1284,45 @@ class SynchronousScheduler:
             return
         for _prev_out, _out, changed, prev_by, new_by in patches.values():
             for target in changed:
-                stopped = [(env, delay(env)) for env in prev_by.get(target, ())]
-                started = [(env, delay(env)) for env in new_by.get(target, ())]
+                old = prev_by.get(target)
+                new = new_by.get(target)
+                old_buckets = dict(old.delay_buckets(model)) if old is not None else {}
+                new_buckets = dict(new.delay_buckets(model)) if new is not None else {}
                 # a target's inbox is grouped by delay (older sends land
                 # first), so the sub-flow changes class by class
-                for d in {d for _, d in stopped + started}:
-                    if [e for e, x in stopped if x == d] == [e for e, x in started if x == d]:
+                for d in old_buckets.keys() | new_buckets.keys():
+                    if old_buckets.get(d) == new_buckets.get(d):
                         continue
                     if d == 1:
                         newly_dirty.add(target)
                     else:
                         self._wake_at(q + d, target)
-                self._fronts(q, stopped, started)
+                self._fronts(
+                    q,
+                    [(env, d) for d, envs in old_buckets.items() for env in envs],
+                    [(env, d) for d, envs in new_buckets.items() for env in envs],
+                )
 
     def _fronts(self, q: int, stopped: List[tuple], started: List[tuple]) -> None:
         """Every ``(envelope, delay)`` whose multiplicity differs between
-        the emissions of round ``q - 1`` and of round ``q`` is a front."""
-        started = list(started)
-        for pair in stopped:
-            try:
-                started.remove(pair)
-            except ValueError:
-                self._front(q, *pair)
-        for pair in started:
-            self._front(q, *pair)
+        the emissions of round ``q - 1`` and of round ``q`` is a front.
+
+        A linear multiset difference: the started pairs are bucketed by
+        (memoized envelope fingerprint, delay) and equality decides
+        within a bucket — never ``Envelope.__hash__``, which re-hashes
+        payloads deeply."""
+        unmatched: Dict[tuple, List[Envelope]] = {}
+        for env, d in started:
+            unmatched.setdefault((_envelope_hash(env), d), []).append(env)
+        for env, d in stopped:
+            bucket = unmatched.get((_envelope_hash(env), d))
+            if bucket and env in bucket:
+                bucket.remove(env)
+            else:
+                self._front(q, env, d)
+        for (_, d), envs in unmatched.items():
+            for env in envs:
+                self._front(q, env, d)
 
     # -- activity-tracked kernel, partial activation ---------------------
     def _run_round_partial_tracked(self, active: set) -> None:

@@ -32,6 +32,11 @@ equivalent and seeded runs reproduce across processes and platforms:
   latency.  Seeded draws go through :func:`stable_u64` (BLAKE2) or a
   ``random.Random`` seeded from it — never through builtin ``hash``,
   which is process-randomized.
+* A model must not change its answers while it is installed — nor
+  after, if the same object may be installed again: the scheduler's
+  sub-flows cache their delays per model object
+  (:meth:`repro.netsim.messages.SubFlow.delay_buckets`), so a replayed
+  steady emission is not asked again.
 * A message to yourself never crosses the network: ``delay`` is 1 for
   ``sender == target`` under every model (traffic injection posts into
   the origin's own inbox and must not be wire-delayed).

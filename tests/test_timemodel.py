@@ -27,6 +27,8 @@ Five layers of guarantees:
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -35,11 +37,12 @@ from hypothesis import strategies as st
 
 from repro.dht.lookup import ReChordRouter
 from repro.dht.storage import KeyValueStore
-from repro.netsim.messages import AppPayload, Envelope
+from repro.netsim.messages import AppPayload, Envelope, SubFlow
 from repro.netsim.scheduler import SynchronousScheduler
 from repro.netsim.timemodel import (
     DAEMON_KINDS,
     DELIVERY_KINDS,
+    LogNormalDelivery,
     TimeModel,
     make_daemon,
     make_delivery_model,
@@ -873,3 +876,164 @@ class TestSeededDelayPinning:
             fwd = [a.delay(Envelope(s, t, "x")) for s, t in pairs]
             rev = [b.delay(Envelope(s, t, "x")) for s, t in reversed(pairs)]
             assert fwd == list(reversed(rev)), spec
+
+
+class CountingLogNormal(LogNormalDelivery):
+    """A log-normal model that counts its ``delay()`` calls."""
+
+    calls = 0
+
+    def delay(self, env):
+        self.calls += 1
+        return super().delay(env)
+
+
+def _delivery_view(net):
+    """Next round's inboxes in delivery order, and the scheduled
+    deliveries per (remaining, target) in order: what a kernel must
+    reproduce of the spec, message by message."""
+    sched = net.scheduler
+    now = [(e.sender, e.target, e.payload.canonical()) for e in sched.all_pending()]
+    later = {}
+    for remaining, e in sched.future_pending():
+        later.setdefault((remaining, e.target), []).append((e.sender, e.payload.canonical()))
+    return now, later
+
+
+def _old_fronts(sched, q, stopped, started):
+    """The quadratic ``list.remove`` multiset difference ``_fronts`` replaced."""
+    started = list(started)
+    for pair in stopped:
+        try:
+            started.remove(pair)
+        except ValueError:
+            sched._front(q, *pair)
+    for pair in started:
+        sched._front(q, *pair)
+
+
+class TestSubFlowDelayCache:
+    """Delays are cached per sub-flow and model object: a replayed
+    sub-flow costs no ``delay()`` call, and delivery from the cache is
+    indistinguishable from the spec's per-envelope delivery."""
+
+    def test_stable_network_replays_without_delay_calls(self):
+        net = build_random_network(n=12, seed=6)
+        model = CountingLogNormal(sigma=0.9, cap=5, seed=3)
+        net.set_delivery_model(model)
+        net.run_until_stable(max_rounds=6000)
+        n = len(net.peers)
+        for _ in range(2 * model.delay_bound()):
+            net.run_round()
+        assert net.activity_stats() == (0, n)
+        model.calls = 0
+        for _ in range(3):
+            net.run_round()
+            assert net.activity_stats() == (0, n)
+        assert model.calls == 0
+
+    @pytest.mark.parametrize("engine", KERNELS)
+    def test_model_switch_delivers_like_the_spec(self, engine):
+        fast = build(build_random_network, engine, n=10, seed=12)
+        full = build_random_network(n=10, seed=12, engine="full")
+        switches = {
+            0: {"kind": "lognormal", "sigma": 0.9, "cap": 5, "seed": 3},
+            12: {"kind": "reorder", "bound": 4, "seed": 7},
+            24: {"kind": "constant", "delay": 3},
+            36: {"kind": "lognormal", "sigma": 0.9, "cap": 5, "seed": 3},
+        }
+        for r in range(48):
+            if r in switches:
+                fast.set_delivery_model(switches[r])
+                full.set_delivery_model(switches[r])
+            fast.run_round()
+            full.run_round()
+            assert _delivery_view(fast) == _delivery_view(full), f"round {r}"
+            assert fast.counters().fires == full.counters().fires, f"round {r}"
+
+    @pytest.mark.parametrize("engine", KERNELS)
+    def test_reorder_buckets_with_partition_mid_flight(self, engine):
+        fast = build(build_random_network, engine, n=12, seed=9)
+        full = build_random_network(n=12, seed=9, engine="full")
+        for net in (fast, full):
+            net.run_until_stable(max_rounds=5000)
+            net.set_delivery_model({"kind": "reorder", "bound": 4, "seed": 21})
+        side = frozenset(fast.peer_ids[: len(fast.peer_ids) // 2])
+        flt = lambda env: (env.sender in side) != (env.target in side)  # noqa: E731
+        for r in range(40):
+            if r == 10:
+                assert fast.scheduler.future_pending(), "nothing in flight"
+                fast.scheduler.set_drop_filter(flt)
+                full.scheduler.set_drop_filter(flt)
+            if r == 25:
+                fast.scheduler.set_drop_filter(None)
+                full.scheduler.set_drop_filter(None)
+            fast.run_round()
+            full.run_round()
+            assert _delivery_view(fast) == _delivery_view(full), f"round {r}"
+            assert fast.fingerprint() == full.fingerprint(), f"round {r}"
+            assert fast.counters().fires == full.counters().fires, f"round {r}"
+        multi = [
+            sub
+            for by_target in fast.scheduler._out_by.values()
+            for sub in by_target.values()
+            if sub._delays is not None and sub._delays[1].__class__ is tuple
+        ]
+        assert multi, "no sub-flow was split across delays"
+        assert fast.run_until_stable(max_rounds=5000) == full.run_until_stable(max_rounds=5000)
+
+    def test_buckets_partition_the_sub_flow(self):
+        envs = [Envelope(1, 2, ("p", i)) for i in range(24)]
+        sub = SubFlow(envs)
+        reorder = make_delivery_model({"kind": "reorder", "bound": 4, "seed": 1})
+        buckets = sub.delay_buckets(reorder)
+        assert len(buckets) > 1
+        assert [d for d, _ in buckets] == sorted({reorder.delay(e) for e in envs})
+        for d, bucket in buckets:
+            assert list(bucket) == [e for e in envs if reorder.delay(e) == d]
+        assert sub.delay_buckets(reorder) is sub.delay_buckets(reorder)
+        # a link-keyed model: one delay, kept as a number
+        lognormal = make_delivery_model({"kind": "lognormal", "seed": 4})
+        ((d, bucket),) = sub.delay_buckets(lognormal)
+        assert bucket is sub and d == lognormal.delay(envs[0])
+        assert sub._delays == (lognormal, d)
+        assert SubFlow().delay_buckets(lognormal) == ()
+
+    @pytest.mark.parametrize("spec", [{"kind": "reorder", "bound": 4}, {"kind": "lognormal"}])
+    def test_cached_buckets_are_never_copied(self, spec):
+        model = make_delivery_model(spec)
+        sub = SubFlow([Envelope(1, 2, ("p", i)) for i in range(8)])
+        sub.delay_buckets(model)
+        assert sub._delays[0] is model
+        blob = pickle.dumps(sub)
+        assert type(model).__name__.encode() not in blob
+        for clone in (pickle.loads(blob), copy.deepcopy(sub), copy.copy(sub)):
+            assert clone == sub and clone.fp_sum == sub.fp_sum
+            assert clone._delays is None
+
+    def test_fronts_match_the_list_remove_difference(self):
+        rng = random.Random(5)
+        pool = [Envelope(rng.randrange(3), rng.randrange(3), ("p", rng.randrange(4)))
+                for _ in range(12)]
+
+        def pairs():
+            # equal envelopes as distinct objects, and same-fingerprint
+            # envelopes from other senders, with repeated delays
+            out = []
+            for _ in range(rng.randrange(16)):
+                env = rng.choice(pool)
+                if rng.random() < 0.5:
+                    env = Envelope(env.sender, env.target, env.payload)
+                out.append((env, rng.randint(1, 3)))
+            return out
+
+        def landing(sched):
+            return {t: sorted(map(repr, envs)) for t, envs in sched._landing.items()}
+
+        for q in range(200):
+            stopped, started = pairs(), pairs()
+            new, old = SynchronousScheduler(), SynchronousScheduler()
+            new._fronts(q, stopped, started)
+            _old_fronts(old, q, stopped, started)
+            assert landing(new) == landing(old), (stopped, started)
+            assert new._flux_until == old._flux_until
