@@ -80,14 +80,16 @@ def _restabilize(n: int) -> dict:
 
 def _campaign(
     tag: str, seed: int, n: int, rounds: int, join_at: int, crash_at: int,
-    workload: dict, traffic: bool = True, store: bool = False, **plane_kw,
+    workload: dict, traffic: bool = True, store: bool = False,
+    delivery: Optional[dict] = None, **plane_kw,
 ) -> tuple:
     """The seeded join + crash traffic campaign: a stable n-peer columnar
-    network, a generator injecting for the first ``rounds`` rounds (never
-    if ``traffic`` is false), one join at ``join_at`` and one crash at
-    ``crash_at``, then rounds until the op ledger drains.  ``plane_kw``
-    go to :class:`TrafficPlane`.  Returns ``(plane, rounds run, rule
-    steps executed, seconds spent running rounds)``."""
+    network (under the ``delivery`` model if one is given), a generator
+    injecting for the first ``rounds`` rounds (never if ``traffic`` is
+    false), one join at ``join_at`` and one crash at ``crash_at``, then
+    rounds until the op ledger drains.  ``plane_kw`` go to
+    :class:`TrafficPlane`.  Returns ``(plane, rounds run, rule steps
+    executed, seconds spent running rounds)``."""
     from repro.dht.lookup import ReChordRouter
     from repro.dht.storage import KeyValueStore
     from repro.experiments.scaling import build_ideal_network
@@ -97,6 +99,8 @@ def _campaign(
 
     seq = SeedSequence(seed).child(tag, n=n)
     net = build_ideal_network(n, seq.child("build").seed(), engine="columnar")
+    if delivery is not None:
+        net.set_delivery_model(delivery)
     if store:
         plane_kw["store"] = KeyValueStore(ReChordRouter(net))
     plane = TrafficPlane(net, **plane_kw)
@@ -125,8 +129,10 @@ TRAFFIC_CENSUS = ("completed", "outcomes", "violations")
 
 def _traffic() -> dict:
     """Mixed lookup/get/put traffic through a join + crash at n=256, its
-    traffic-free twin (same overlay events, same number of rounds) and
-    its twin through a plane given every resilience knob at its default."""
+    traffic-free twin (same overlay events, same number of rounds), its
+    twin through a plane given every resilience knob at its default, and
+    the campaign and its traffic-free twin again under a two-round
+    constant delay (the tracked loop's lane rule)."""
     from repro.netsim.rng import SeedSequence
     from repro.traffic.messages import OP_GET, OP_LOOKUP, OP_PUT
 
@@ -142,6 +148,9 @@ def _traffic() -> dict:
     plane, rounds_run, rule_steps, _ = _campaign(**run)
     elapsed = time.perf_counter() - t0
     _, _, idle_steps, _ = _campaign(**dict(run, rounds=rounds_run), traffic=False)
+    slow = dict(run, delivery={"kind": "constant", "delay": 2})
+    _, slow_rounds, slow_steps, _ = _campaign(**slow)
+    _, _, slow_idle_steps, _ = _campaign(**dict(slow, rounds=slow_rounds), traffic=False)
     knobs, *_ = _campaign(
         **run, max_attempts=1, retry_backoff=4, hedge_after=None, route_redundancy=1,
         retry_seed=SeedSequence(2011).child("smoke-traffic", n=256).child("retry").seed(),
@@ -155,6 +164,8 @@ def _traffic() -> dict:
         "success_rate": summary["success_rate"],
         "rule_steps": rule_steps,
         "idle_twin_rule_steps": idle_steps,
+        "latency_rule_steps": slow_steps,
+        "latency_idle_twin_rule_steps": slow_idle_steps,
         "resilience_off": {key: off[key] for key in TRAFFIC_CENSUS},
         "ops_per_sec": round(summary["completed"] / elapsed, 2),
     }
@@ -353,6 +364,9 @@ CASES = {
         (lambda r, b: r["rule_steps"] == r["idle_twin_rule_steps"],
          "{r[rule_steps]} rule steps with traffic, {r[idle_twin_rule_steps]} "
          "without (" + _LANE + ")"),
+        (lambda r, b: r["latency_rule_steps"] == r["latency_idle_twin_rule_steps"],
+         "under a two-round delay {r[latency_rule_steps]} rule steps with traffic, "
+         "{r[latency_idle_twin_rule_steps]} without (" + _LANE + ")"),
         (lambda r, b: r["resilience_off"] == {key: r[key] for key in TRAFFIC_CENSUS},
          "resilience knobs at their defaults give {r[resilience_off]} "
          "(a disabled resilience plane must be the plain plane)"),

@@ -162,12 +162,12 @@ class ReChordPeer:
         }
 
     # ------------------------------------------------------------------
-    # the application lane (see repro.netsim.columnar)
+    # the application lane (see repro.netsim.scheduler)
     # ------------------------------------------------------------------
     def handle_app(self, inbox: Sequence[Envelope], ctx: RoundContext) -> None:
         """A lane-only round: application mail, no rule pipeline.
 
-        Called by the columnar kernel instead of :meth:`step` when the
+        Called by the dirty-set kernel instead of :meth:`step` when the
         peer is clean and its inbox differs from the replay baseline only
         by :class:`AppPayload` envelopes (``inbox`` holds exactly those).
         The rules would reproduce the cached step, so only the handler

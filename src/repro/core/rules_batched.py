@@ -319,8 +319,8 @@ class BatchedRuleEngine:
         keeps its parsed form between rounds.  Every actor's observable
         effects (state, outbox, counters, replay delta) end up exactly
         as if ``actor.step(inbox, ctx)`` had been called in that order.
-        ``lane`` lists the columnar kernel's lane-only rounds as ``(key,
-        actor, inbox, ctx)``, the inbox holding application mail only:
+        ``lane`` lists the round's lane steps as ``(key, actor, inbox,
+        ctx)``, the inbox holding application mail only:
         those actors skip the rule phases and join the handler phase,
         which runs over both lists merged in key order — handler side
         effects (completion order) must not depend on which peers

@@ -25,8 +25,9 @@ inboxes:
   parent's physical append order exactly);
 * ``_lane[target]`` — the application lane: one-shot sends
   (``RoundContext.send_once``) delivered at the last boundary, held
-  outside the flow columns; together with ``AppPayload`` posts in the
-  buffers they make ``_lane_targets``, which are *not* dirty;
+  outside the flow columns; their targets and those of ``AppPayload``
+  posts in the buffers make the parent's mail set ``_lane_targets``,
+  which is *not* dirty;
 * ``_ref_watch[owner][target]`` — a reverse index from referenced
   owners of pending payloads to their receivers, replacing the
   network's O(pending) in-flight scan on liveness flips;
@@ -42,24 +43,27 @@ outbox diffed against the steady cache.  A lane-only actor — clean, but
 holding application mail — runs only its ``handle_app`` hook against
 its boundary state: the rule pipeline would reproduce the cached step,
 so the round counts and settles as a replay, and application messages
-never dirty the overlay.  Flow patches, removals, revivals and the
-round's one-shot sends are applied at the end-of-round delivery
-point, exactly where the parent delivers, so every boundary observable
-— fingerprints, pending multisets, change flags, sent/dropped/executed
-counts, rule counters at observation points — is bit-for-bit identical
-to the parent kernel (the differential suite in
-``tests/test_columnar.py`` asserts this round-for-round).
+never dirty the overlay (the parent's lane rule).  Flow patches,
+removals, revivals and the round's one-shot sends are applied at the
+end-of-round delivery point, exactly where the parent delivers, so
+every boundary observable — fingerprints, pending multisets, change
+flags, sent/dropped/executed counts, rule counters at observation
+points — is bit-for-bit identical to the parent kernel (the
+differential suite in ``tests/test_columnar.py`` asserts this
+round-for-round).
 
 The fast path is only sound under the parent's unit-delivery flow
-induction, so the kernel drops back to the parent round implementation
+induction, so the kernel drops back to the parent's tracked loop
 (draining its columns into real inboxes) whenever latency models,
-partial activation, or drop-filter changes appear — draining the lane
-into the real inboxes in the parent's order and marking its targets
-dirty — or a round is **dense** (:meth:`ColumnarScheduler._dense`: flat
-inboxes beat per-actor materialization when most actors execute), and
-re-enters one round after the last out-of-band flow event, picking
-application mail back up from the inboxes.  The full-scan kernel remains
-the executable reference.
+partial activation, or drop-filter changes appear, or a round is
+**dense** (:meth:`ColumnarScheduler._dense`: flat inboxes beat
+per-actor materialization when most actors execute), and re-enters one
+round after the last out-of-band flow event.  Both loops obey one lane
+rule, so application mail crosses either switch as it is: the exit
+drains the lane into the real inboxes in the parent's order and leaves
+its targets in the parent's mail set, the entry picks the mail back up
+from the inboxes.  The full-scan kernel remains the executable
+reference.
 """
 
 from __future__ import annotations
@@ -91,9 +95,9 @@ SubFlows = Dict[Hashable, SubFlow]
 class ColumnarScheduler(SynchronousScheduler):
     """Activity-tracked scheduler with a columnar steady-flow store."""
 
-    #: a round with more than this share of the actors dirty (and no
-    #: application mail pending) is dense and runs the tracked loop: the
-    #: crossover measured on cold starts (docs/ARCHITECTURE.md)
+    #: a round with more than this share of the actors dirty is dense and
+    #: runs the tracked loop: the crossover measured on cold starts
+    #: (docs/ARCHITECTURE.md)
     DENSE_SHARE = 0.5
 
     def __init__(
@@ -127,18 +131,13 @@ class ColumnarScheduler(SynchronousScheduler):
         self._settled: Dict[Hashable, int] = {}
         # ---- the application lane ----------------------------------------
         #: one-shot sends delivered at the last boundary, per live target,
-        #: in sender order
+        #: in sender order; the parent's mail set (``_lane_targets``)
+        #: names their targets and those of AppPayload posts in the buffers
         self._lane: Dict[Hashable, List[Envelope]] = {}
-        #: targets holding application mail (lane sends, or AppPayload
-        #: posts in the buffers) for their next step
-        self._lane_targets: Set[Hashable] = set()
         #: AppPayload posts accepted by the parent kernel since the last
         #: round; columnar entry tells them from last round's one-shot
         #: sends, which sit in the same real inboxes
         self._late_posts: List[Envelope] = []
-        #: their targets the parent kernel would have dirtied: dirtied only
-        #: if the round that consumes them is tracked
-        self._lane_held: Set[Hashable] = set()
         # ---- per-round working state (fast rounds only) ------------------
         self._col_pos: Optional[Hashable] = None
         self._work: List[Hashable] = []
@@ -333,9 +332,7 @@ class ColumnarScheduler(SynchronousScheduler):
         self.settle_replays()
         for target in self._actors:
             self._inboxes[target] = self._boundary_inbox(target)
-        # the parent kernel runs a one-shot's target the round it
-        # consumes it; under the lane those targets were never dirty
-        self._dirty.update(self._lane_targets)
+        # the lane's targets stay behind as the tracked loop's mail set
         self._flow_in = {}
         self._ghost = {}
         self._pre_buffer = {}
@@ -344,7 +341,6 @@ class ColumnarScheduler(SynchronousScheduler):
         self._drop_by = {}
         self._ref_watch = {}
         self._lane = {}
-        self._lane_targets = set()
         self._flow_dropped = 0
         self._flow_sent = 0
         self._flow_pending = 0
@@ -495,60 +491,38 @@ class ColumnarScheduler(SynchronousScheduler):
                     self._ghost.setdefault(target, {})[key] = sub
 
     def post(self, envelope: Envelope) -> bool:
+        # the parent's delivery checks and bookkeeping: application mail
+        # joins the mail set, anything else dirties its target
+        if not super().post(envelope):
+            return False
         app = isinstance(envelope.payload, AppPayload)
         if not self._cols_active:
-            target = envelope.target
-            hold = (
-                app and not self._in_round and target not in self._dirty
-                and self._unit_settled()
-            )
-            ok = super().post(envelope)
-            if ok and app:
+            if app:
                 self._late_posts.append(envelope)
-                if hold:  # lane mail if the next round enters columnar
-                    self._dirty.discard(target)
-                    self._lane_held.add(target)
-            return ok
+            return True
         target = envelope.target
-        if app:
-            # a lane post: the parent's delivery checks (columnar mode
-            # implies unit delivery) and pending accounting, but the
-            # target is not marked dirty
-            box = self._inboxes.get(target)
-            if box is None:
-                return False
-            if self._drop_filter is not None and self._drop_filter(envelope):
-                return False
-            box.append(envelope)
-            self._pending_hash = (self._pending_hash + _envelope_hash(envelope)) & _MASK
-            self._lane_flag = True
-        else:
-            if not super().post(envelope):
-                return False
-            box = self._inboxes[target]
+        box = self._inboxes[target]
         self._watch_env(envelope)
         if not self._in_round:
-            if app:
-                self._lane_targets.add(target)
-        elif (
-            target in self._added_mid_round
-            or (self._col_pos is not None and target <= self._col_pos)
+            return True
+        if target in self._added_mid_round or (
+            self._col_pos is not None and target <= self._col_pos
         ):
             # the target's step already passed this round (or it was
             # added mid-round and will not run): the post sits in its
             # inbox and the end-of-round deliveries append AFTER it
             box.pop()
             self._pre_buffer.setdefault(target, []).append(envelope)
-            if app:
-                self._lane_targets.add(target)
+            return True
+        # not yet reached: it must consume [flows][post] this round like
+        # the parent — through the rules unless it is lane mail
+        if app:
+            self._lane_targets.discard(target)
         else:
-            # not yet reached: it must consume [flows][post] this round
-            # like the parent — through the rules unless it is lane mail
-            if not app:
-                self._must_step.add(target)
-            if target not in self._queued:
-                insort(self._work, target)
-                self._queued.add(target)
+            self._must_step.add(target)
+        if target not in self._queued:
+            insort(self._work, target)
+            self._queued.add(target)
         return True
 
     def set_drop_filter(self, drop: Optional[Callable[[Envelope], bool]]) -> None:
@@ -607,41 +581,27 @@ class ColumnarScheduler(SynchronousScheduler):
     # ------------------------------------------------------------------
     def run_round(self, active: Optional[set] = None) -> None:
         """One round through the columnar loop, or through the inherited
-        tracked loops under partial activation, non-unit delivery, a dense
+        tracked loop under partial activation, non-unit delivery, a dense
         round (:meth:`_dense`) or out-of-band flow events not yet absorbed."""
-        if active is None and not self._daemon.is_full:
-            active = self._daemon.select(self._round, sorted(self._actors))
-        self.active_last_round = frozenset(active) if active is not None else None
-        late_posts, held = self._late_posts, self._lane_held
+        late_posts = self._late_posts
         if late_posts:
             self._late_posts = []
-            self._lane_held = set()
-        if active is None and self._unit_settled() and not self._dense():
+        if active is None and self._daemon.is_full and self._unit_settled() and not self._dense():
             if not self._cols_active and not self._flow_flag:
                 self._enter_columnar(late_posts)
             if self._cols_active:
+                self.active_last_round = None
                 self._run_round_columnar()
                 return
             # out-of-band flow events since the last boundary: let the
             # parent kernel absorb them, enter once the flag clears
         elif self._cols_active:
             self._exit_columnar()
-        if active is not None:
-            self._run_round_partial_tracked(set(active))
-            return
-        # the tracked loop executes a one-shot's target the round it
-        # consumes it
-        self._dirty.update(key for key in held if key in self._actors)
-        self._run_round_tracked()
+        super().run_round(active)
 
     def _dense(self) -> bool:
         """Whether more than ``DENSE_SHARE`` of the actors must execute
-        next round and no application mail is pending.  The tracked loop
-        executes a one-shot's target the round it consumes it, the
-        columnar loop only runs its handler: a round holding application
-        mail stays columnar, so traffic never costs rule steps."""
-        if self._lane_flag or self._lane_targets:
-            return False
+        next round."""
         return self.dirty_count() > self.DENSE_SHARE * len(self._actors)
 
     # ------------------------------------------------------------------
@@ -727,15 +687,6 @@ class ColumnarScheduler(SynchronousScheduler):
                     record[2] = list(out)
                     break
         return state_changed, patch is not None
-
-    @staticmethod
-    def _check_lane_step(key: Hashable, ctx: RoundContext) -> None:
-        if ctx._outbox:
-            raise RuntimeError(
-                f"actor {key!r} used ctx.send() while handling application "
-                "mail on a lane-only round; handlers emit through "
-                "ctx.send_once() — a steady send here would never be replayed"
-            )
 
     def _run_round_columnar(self) -> None:
         round_no = self._round

@@ -26,9 +26,8 @@ class AppPayload:
     Handlers may read the peer's state, external stores and the message
     — never the liveness oracle — and must not mutate overlay state
     (enforced on lane-only rounds).  In return application mail does
-    not dirty the overlay: the tracked kernel runs a one-shot's target
-    the round it consumes it and nothing more, and the columnar kernel
-    holds the mail in a per-target lane and runs only the handler.
+    not dirty the overlay: in both round loops of the dirty-set kernel a
+    clean receiver replays its rules and runs only the handler.
     """
 
     __slots__ = ()

@@ -29,25 +29,28 @@ is dirty when
   confirmed exactly via the optional ``state_token`` probe (a canonical
   state tuple), so transient within-step mutations that cancel out do
   not keep an actor dirty;
-* a message was :meth:`post`-ed to it;
+* a message other than application mail was :meth:`post`-ed to it; or
 * an actor whose *emissions changed* sent to it (receivers of both the
   old and the new outbox are re-activated, so vanished flows wake their
-  former receivers too); or
-* one-shot application mail reached it (an :class:`AppPayload` post or
-  a delivered :meth:`RoundContext.send_once`) — for the consuming round
-  only: the rules never see application mail, so the round after is a
-  valid replay again, and one-shot sends never enter the
-  steady-emission cache of their sender.
+  former receivers too).
 
 A clean actor's round is **replayed** from the steady-emission cache:
 its inbox is consumed with no state effect, its cached outbox is re-sent
 verbatim, and its optional ``replay_step`` hook re-applies cached side
 effects (e.g. rule-counter increments).  This is exact, not heuristic:
-by induction a clean actor's inbox equals the inbox of its last executed
-step, so re-running the (deterministic) step would reproduce the cached
-emissions and leave the state untouched.  Actors that implement none of
-the probes are simply always dirty and keep the paper's every-actor
-semantics.
+by induction a clean actor's inbox, application mail aside, equals the
+inbox of its last executed step, so re-running the (deterministic) step
+would reproduce the cached emissions and leave the state untouched.
+Actors that implement none of the probes are simply always dirty and
+keep the paper's every-actor semantics.
+
+One-shot application mail (an :class:`AppPayload` post, a delivered
+:meth:`RoundContext.send_once`) dirties nobody — the lane rule, the same
+in every loop: the rules never read it, so a clean receiver replays and
+runs only its ``handle_app`` hook on that mail (a *lane step*, counted
+as replayed).  The **mail set** (``_lane_targets``) names the actors
+that may hold some for their next step; a receiver without the hook
+executes.
 
 The O(active-work) stability flag :attr:`changed_last_round` (used by
 ``ReChordNetwork.run_until_stable`` instead of a full O(n) fingerprint
@@ -61,8 +64,10 @@ envelopes.  The hash is exposed for cheap external observation
 (:meth:`config_hash`); it is deliberately *not* part of the stability
 decision because a sum of non-cryptographic hashes admits structured
 collisions.  ``changed_last_round`` is meaningful only for fully
-activated rounds; a partial-activation round (the asynchrony bridge)
-conservatively marks every actor dirty and reports ``True``.
+activated rounds.  Partial activation (the asynchrony bridge) filters
+the same loop's work list — only awake actors step, and all of them
+execute — and the round conservatively marks every actor dirty and
+reports ``True``.
 
 The time model (latency + activation daemons)
 ---------------------------------------------
@@ -93,14 +98,15 @@ rules under non-unit delivery:
      rule, dirty next round);
   2. a removed sender wakes its former receivers ``d`` rounds after its
      last send, for each delay ``d`` of its cached outbox;
-  3. a delayed one-shot (``send_once``, a delayed ``post``) wakes its
-     target for the round that consumes it — a non-application post for
-     the round after as well (the carry), and a (re-)joining actor runs
-     again when the flows that were waiting for it land;
+  3. a delayed one-shot (``send_once``, a delayed ``post``) reaches its
+     target in the round that consumes it: application mail through the
+     mail set (``_mail_at``, the wheel's twin), anything else as a wake
+     for that round and the round after (the carry); a (re-)joining
+     actor runs again when the flows that were waiting for it land;
   4. what redefines every delivery at once is conservative: a model
      change wakes everyone for as long as an old- or new-delay front can
-     arrive (``delay_bound() + 1`` rounds), a partial round under
-     non-unit delivery likewise (the sleepers' missing sends arrive as
+     arrive (``delay_bound() + 1`` rounds), a partial round likewise,
+     unit delivery included (the sleepers' missing sends arrive as
      gaps), a drop-filter change for the two rounds of the unit rule
      (all delays are filtered at landing, so it takes effect at once).
 
@@ -141,8 +147,6 @@ from repro.netsim.messages import (
     envelope_fingerprint as _envelope_hash,
     future_fingerprint as _future_hash,
     group_by_target as _group_by_target,
-    outbox_fingerprint as _outbox_hash,
-    split_by_target as _split_by_target,
 )
 from repro.netsim.timemodel import DeliveryModel, TimeModel, make_daemon, make_delivery_model
 from repro.netsim.trace import TraceRecorder
@@ -167,9 +171,10 @@ class Actor(Protocol):
     queried only when the version moved) and ``replay_step() -> None``
     (re-apply cached side effects of the last executed step).  Actors
     without the probes are treated as always-dirty and never replayed.
-    An actor that also implements ``handle_app(inbox, ctx)`` lets the
-    columnar kernel run just that — not ``step`` — on rounds where it is
-    clean and its inbox holds application mail only (the lane).
+    An actor that also implements ``handle_app(mail, ctx)`` is replayed
+    and runs just that — not ``step`` — on rounds where it is clean but
+    holds application mail (its lane step); one without the hook
+    executes on such rounds.
     """
 
     def step(self, inbox: Sequence[Envelope], ctx: "RoundContext") -> None:
@@ -313,8 +318,7 @@ class SynchronousScheduler:
         #: steady-emission cache: outbox of the last executed step
         self._out: Dict[Hashable, List[Envelope]] = {}
         #: the cached outbox split into its sub-flows (target -> SubFlow);
-        #: an unchanged sub-flow stays the same object from step to step.
-        #: A missing entry (partial rounds drop it) is rebuilt on demand
+        #: an unchanged sub-flow stays the same object from step to step
         self._out_by: Dict[Hashable, Dict[Hashable, SubFlow]] = {}
         #: multiset hash-sum of the cached outbox per actor
         self._out_hash: Dict[Hashable, int] = {}
@@ -330,9 +334,16 @@ class SynchronousScheduler:
         #: from ``_flow_flag`` because it says nothing about the steady
         #: flows (the columnar kernel may enter with it raised)
         self._lane_flag = False
-        #: targets post()ed to while a tracked round is executing: they
-        #: must execute (not replay) THIS round or the injected message
-        #: would be silently consumed by the replay inbox-clear
+        #: the mail set: clean actors that may hold application mail for
+        #: their next step (a lane step finds out what is really there)
+        self._lane_targets: Set[Hashable] = set()
+        #: the mail set's wheel: round -> targets of delayed application
+        #: mail consumed in it (see :meth:`_one_shot`)
+        self._mail_at: Dict[int, Set[Hashable]] = {}
+        #: targets of non-application posts made while a tracked round is
+        #: executing: they must execute (not replay) THIS round or the
+        #: injected message would be silently consumed by the replay
+        #: inbox-clear
         self._posted_mid_round: Set[Hashable] = set()
         self._in_round = False
         #: whether the last full round changed the global configuration
@@ -343,7 +354,7 @@ class SynchronousScheduler:
         self.executed_last_round = 0
         self.replayed_last_round = 0
         #: optional batched rule pipeline (see repro.core.rules_batched):
-        #: the tracked loops hand it every round whose actors it accepts
+        #: the round loops hand it every round whose actors it accepts
         #: (:meth:`set_batch_stepper`) instead of stepping one by one
         self._batch_stepper = None
 
@@ -543,28 +554,26 @@ class SynchronousScheduler:
         the activity-tracked round loops.
 
         ``stepper`` provides ``accepts(actor) -> bool`` and
-        ``run_batch(items)``, ``items`` being a round's ``[(key, actor,
-        parts, ctx), ...]`` in key order, where ``parts`` lists the
-        envelope lists whose concatenation is the actor's inbox (this
-        kernel passes the whole inbox as one part; the columnar kernel
-        passes its persistent :class:`SubFlow` objects and the one-shot
-        mail around them).  ``run_batch`` must leave every actor's
-        observable effects (state, ``ctx`` outbox, counters, replay
-        hooks) exactly as the equivalent sequence of ``actor.step(inbox,
-        ctx)`` calls would — the equivalence suites compare it bit for
-        bit against the full-scan kernel, which is the spec and never
-        consults a stepper.
-
-        The columnar kernel additionally passes ``run_batch(items,
-        lane)``, ``lane`` listing its lane-only rounds as ``(key, actor,
-        inbox, ctx)`` with the application mail as one flat inbox: those
-        actors get ``handle_app`` semantics, ordered with the other
-        actors' application handlers by key.
+        ``run_batch(items, lane)``, ``items`` being a round's ``[(key,
+        actor, parts, ctx), ...]`` in key order, where ``parts`` lists
+        the envelope lists whose concatenation is the actor's inbox (the
+        tracked loop passes the whole inbox as one part; the columnar
+        loop passes its persistent :class:`SubFlow` objects and the
+        one-shot mail around them).  ``run_batch`` must leave every
+        actor's observable effects (state, ``ctx`` outbox, counters,
+        replay hooks) exactly as the equivalent sequence of
+        ``actor.step(inbox, ctx)`` calls would — the equivalence suites
+        compare it bit for bit against the full-scan kernel, which is the
+        spec and never consults a stepper.  ``lane`` lists the round's
+        lane steps as ``(key, actor, mail, ctx)``, ``mail`` holding the
+        application mail alone: those actors get ``handle_app``
+        semantics, ordered with the other actors' application handlers
+        by key.
 
         **The accepted-round rule.**  A round is handed to the stepper
         only when it accepts *every* actor on that round's work list —
-        the dirty actors of a tracked round, the awake ones of a partial
-        round, dirty plus lane targets of a columnar round.  Any other
+        the dirty actors plus the mail set of a full round, the awake
+        ones of a partial round.  Any other
         round runs interleaved, ``actor.step`` one by one in key order:
         the path that honours mid-round posts, removals and additions.
         A batch materializes every inbox before any step runs, so the
@@ -707,9 +716,13 @@ class SynchronousScheduler:
 
     def _one_shot(self, q: int, env: Envelope, d: int) -> None:
         """``env`` (delay ``d``) is emitted in round ``q`` only: its
-        target executes the round that consumes it, and the emission
-        starts with round ``q`` and stops with ``q + 1``."""
-        self._wake_at(q + d, env.target)
+        target consumes it in round ``q + d`` — in a lane step if it is
+        application mail, executing otherwise — and the emission starts
+        with round ``q`` and stops with ``q + 1``."""
+        if isinstance(env.payload, AppPayload):
+            self._mail_at.setdefault(q + d, set()).add(env.target)
+        else:
+            self._wake_at(q + d, env.target)
         self._front(q, env, d)
         self._front(q + 1, env, d)
 
@@ -790,9 +803,11 @@ class SynchronousScheduler:
         introductions (Section 4.2).  Returns ``False`` (dropping the
         message) if the target is not registered.
         """
-        box = self._inboxes.get(envelope.target)
+        target = envelope.target
+        box = self._inboxes.get(target)
         if box is None:
             return False
+        app = isinstance(envelope.payload, AppPayload)
         delay = 1 if self._delivery.is_unit else self._delivery.delay(envelope)
         if delay > 1:
             # a delayed injection behaves like a send from the previous
@@ -801,34 +816,35 @@ class SynchronousScheduler:
             t = self._round + delay if self._in_round else self._round + delay - 1
             self._future.setdefault(t, []).append(envelope)
             if self.activity_tracking:
-                # a one-shot: the target executes the round that consumes
-                # it — and, unless it is application mail (the rules never
-                # see that), the round after, when it is missing again
+                # a one-shot — unless it is application mail (the rules
+                # never see that), the target also executes the round
+                # after consuming it, when it is missing again
                 self._one_shot(t - delay, envelope, delay)
-                if not isinstance(envelope.payload, AppPayload):
-                    self._wake_at(t + 1, envelope.target)
+                if not app:
+                    self._wake_at(t + 1, target)
             return True
         if self._drop_filter is not None and self._drop_filter(envelope):
             return False
         box.append(envelope)
         if self.activity_tracking:
-            self._dirty.add(envelope.target)
-            if isinstance(envelope.payload, AppPayload):
+            if app:
                 # application mail never reaches the rules: the target
-                # executes the round it consumes it (the handler runs
-                # inside its step) and may replay the round after
+                # consumes it in a lane step — mid-round too, if its turn
+                # has not come yet (see _step_work)
+                self._lane_targets.add(target)
                 self._lane_flag = True
             else:
                 # the target consumes the injected message next round AND
                 # has it missing from its inbox the round after — dirty
                 # for both
-                self._dirty_carry.add(envelope.target)
+                self._dirty.add(target)
+                self._dirty_carry.add(target)
                 self._flow_flag = True  # one-shot injection: next boundary differs
-            if self._in_round:
-                # mid-round injection: if the target has not stepped yet
-                # this round it must execute, not replay, or the message
-                # would vanish in the replay inbox-clear
-                self._posted_mid_round.add(envelope.target)
+                if self._in_round:
+                    # mid-round injection: if the target has not stepped
+                    # yet this round it must execute, not replay, or the
+                    # message would vanish in the replay inbox-clear
+                    self._posted_mid_round.add(target)
             self._pending_hash = (self._pending_hash + _envelope_hash(envelope)) & _MASK
             if self._in_round and not self._unit_settled():
                 # whether the target already stepped (the message sits in
@@ -860,12 +876,10 @@ class SynchronousScheduler:
         if active is None and not self._daemon.is_full:
             active = self._daemon.select(self._round, sorted(self._actors))
         self.active_last_round = frozenset(active) if active is not None else None
-        if not self.activity_tracking:
-            self._run_round_full(active)
-        elif active is not None:
-            self._run_round_partial_tracked(set(active))
+        if self.activity_tracking:
+            self._run_round_tracked(self.active_last_round)
         else:
-            self._run_round_tracked()
+            self._run_round_full(active)
 
     # -- legacy full-scan kernel (activity_tracking=False) --------------
     def _run_round_full(self, active: Optional[set]) -> None:
@@ -1070,11 +1084,9 @@ class SynchronousScheduler:
         return state_changed, (prev_out, out, changed, prev_by, new_by)
 
     def _sub_flows(self, key: Hashable) -> Dict[Hashable, SubFlow]:
-        """The cached outbox of ``key`` as ``target -> SubFlow``."""
-        by_target = self._out_by.get(key)
-        if by_target is None:
-            by_target = self._out_by[key] = _split_by_target(self._out.get(key) or ())
-        return by_target
+        """The cached outbox of ``key`` as ``target -> SubFlow`` (empty
+        for an actor that removed itself during its own step)."""
+        return self._out_by.get(key) or {}
 
     def _accepted(self, work: Iterable[Hashable]) -> bool:
         """Whether this round goes to the batch stepper: one is installed
@@ -1088,39 +1100,50 @@ class SynchronousScheduler:
         return all(accepts(actors[key]) for key in work)
 
     def _step_work(
-        self, keys: List[Hashable], dirty: Set[Hashable], round_no: int
-    ) -> Iterator[Tuple[Hashable, Optional[RoundContext]]]:
-        """Run the round's steps; yield ``(key, ctx)`` per live actor of
-        ``keys`` in key order, each *after* its step ran.
+        self, keys: List[Hashable], dirty: Set[Hashable], mail: Set[Hashable], round_no: int
+    ) -> Iterator[Tuple[Hashable, Optional[RoundContext], bool]]:
+        """Run the round's steps; yield ``(key, ctx, executed)`` per live
+        actor of ``keys`` in key order, each *after* its step ran.
 
         Actors in ``dirty`` execute, the others replay (inbox consumed —
-        it provably repeats the last executed one, a known no-op on
-        state — and cached side effects re-applied); ``ctx`` is ``None``
-        for a replay.  An accepted round is collected, handed to the
-        stepper in one ``run_batch`` and then yielded in key order.  Any
+        application mail aside it provably repeats the last executed one,
+        a known no-op on state — and cached side effects re-applied).  A
+        replayed actor holding application mail (one in ``mail``, or
+        posted to this round before its turn) also runs ``handle_app`` on
+        that mail alone, its lane step; one without the hook executes
+        instead.  ``ctx`` is ``None`` for a plain replay.  An accepted
+        round is collected, handed to the stepper in one
+        ``run_batch(items, lane)`` and then yielded in key order.  Any
         other round is interleaved: each actor steps when its key comes
         up and is yielded at once, so the caller's bookkeeping and
-        anything the step did to the scheduler (a mid-round post makes
-        its target execute, a removed actor never steps) take effect
-        before the next actor runs.
+        anything the step did to the scheduler (a mid-round post reaches
+        its target, a removed actor never steps) take effect before the
+        next actor runs.
         """
         actors, inboxes = self._actors, self._inboxes
+        posted, fresh = self._posted_mid_round, self._lane_targets
         batch: Optional[List[tuple]] = (
-            [] if self._accepted(key for key in keys if key in dirty) else None
+            [] if self._accepted(key for key in keys if key in dirty or key in mail) else None
         )
+        lane: List[tuple] = []
         plan: List[tuple] = []
         for key in keys:
             actor = actors.get(key)
             if actor is None:  # removed by an earlier actor this round
                 continue
-            if key in dirty or key in self._posted_mid_round:
+            app = None
+            run = key in dirty or key in posted
+            if not run and (key in mail or key in fresh):
+                app = [env for env in inboxes.get(key, ()) if isinstance(env.payload, AppPayload)]
+                run = bool(app) and not hasattr(actor, "handle_app")
+            if run:
                 inbox = inboxes.get(key, [])
                 inboxes[key] = []
                 ctx = RoundContext(round_no, key, self)
                 if batch is None:
                     actor.step(inbox, ctx)
                 else:
-                    # this kernel keeps whole inboxes: one uncached part
+                    # this loop keeps whole inboxes: one uncached part
                     batch.append((key, actor, [inbox], ctx))
             else:
                 ctx = None
@@ -1129,16 +1152,48 @@ class SynchronousScheduler:
                 replay_fn = self._probes.get(key, (None, None, None))[2]
                 if replay_fn is not None:
                     replay_fn()
+                if app:
+                    ctx = RoundContext(round_no, key, self)
+                    if batch is None:
+                        actor.handle_app(app, ctx)
+                        self._check_lane_step(key, ctx)
+                    else:
+                        lane.append((key, actor, app, ctx))
             if batch is None:
-                yield key, ctx
+                yield key, ctx, run
             else:
-                plan.append((key, ctx))
-        if batch:
-            self._batch_stepper.run_batch(batch)
+                plan.append((key, ctx, run))
+        if batch or lane:
+            self._batch_stepper.run_batch(batch, lane)
+            for key, _actor, _mail, ctx in lane:
+                self._check_lane_step(key, ctx)
         yield from plan
 
-    # -- activity-tracked kernel, full activation ------------------------
-    def _run_round_tracked(self) -> None:
+    @staticmethod
+    def _check_lane_step(key: Hashable, ctx: RoundContext) -> None:
+        if ctx._outbox:
+            raise RuntimeError(
+                f"actor {key!r} used ctx.send() while handling application "
+                "mail on a lane-only round; handlers emit through "
+                "ctx.send_once() — a steady send here would never be replayed"
+            )
+
+    # -- the tracked loop ------------------------------------------------
+    def _run_round_tracked(self, active: Optional[frozenset] = None) -> None:
+        """One round of the activity-tracked kernel.
+
+        ``active`` (partial activation) filters the work list: only awake
+        actors step, and every one of them executes; sleepers keep state
+        *and inbox* and contribute nothing.  That breaks the
+        inbox-repetition induction the replay cache relies on, so such a
+        round ends conservatively: the round reported as changed, and
+        every actor executing while a sleeper's missing sends can still
+        arrive (as gaps) and its resumed sends land once more — the next
+        two rounds, and under non-unit delivery everyone woken, with the
+        change flag raised, until the last one landed (``delay_bound()``
+        rounds).  Probe baselines and emission caches of executed actors
+        stay exact, so later full rounds detect stability.
+        """
         round_no = self._round
         _t0 = _perf() if self._telemetry is not None else 0.0
         keys = sorted(self._actors)
@@ -1160,34 +1215,39 @@ class SynchronousScheduler:
         executed = 0
         replayed = 0
         new_pending = 0
-        # the working dirty set is detached so marks added DURING the
-        # round (mid-round remove_actor / mark_dirty / post) accumulate
-        # in a fresh set and survive the end-of-round reassignment;
-        # carries added mid-round likewise wait one extra round
+        # the working dirty and mail sets are detached so marks added
+        # DURING the round (mid-round remove_actor / mark_dirty / post)
+        # accumulate in fresh sets and survive the end-of-round
+        # reassignment; carries added mid-round likewise wait one extra
+        # round
         dirty = self._dirty
         self._dirty = set()
         carry_due = self._dirty_carry
         self._dirty_carry = set()
+        mail = self._lane_targets
+        self._lane_targets = set()
         self._posted_mid_round = set()
         self._in_round = True
-        for key, ctx in self._step_work(keys, dirty, round_no):
-            if ctx is None:
+        work = keys
+        if active is not None:
+            work = [key for key in keys if key in active]
+            dirty = active
+        for key, ctx, ran in self._step_work(work, dirty, mail, round_no):
+            if ran:
+                executed += 1
+                state_changed, patch = self._post_step(
+                    key, ctx._outbox, changed_keys, newly_dirty
+                )
+                if state_changed:
+                    state_changed_any = True
+                if patch is not None:
+                    patches[key] = patch
+            else:
                 # quiescent: the steady emissions repeat without rules
                 replayed += 1
-                contributions.append(self._sub_flows(key) if by_flow else self._out.get(key, []))
-                new_pending += self._out_hash.get(key, 0)
-                continue
-            executed += 1
-            state_changed, patch = self._post_step(
-                key, ctx._outbox, changed_keys, newly_dirty
-            )
-            if state_changed:
-                state_changed_any = True
-            if patch is not None:
-                patches[key] = patch
-            contributions.append(self._sub_flows(key) if by_flow else self._out[key])
-            new_pending += self._out_hash[key]
-            if ctx._once:
+            contributions.append(self._sub_flows(key) if by_flow else self._out.get(key, []))
+            new_pending += self._out_hash.get(key, 0)
+            if ctx is not None and ctx._once:
                 # one-shot sends go out right after the steady outbox; they
                 # never enter ``_out``, so sender and target both stay valid
                 # replay templates
@@ -1197,23 +1257,28 @@ class SynchronousScheduler:
         # the delivery point.  Settled unit delivery: every change arrives
         # next round and the boundary differs iff anything was patched or
         # sent once.  Otherwise the wake wheel and the flux horizon are
-        # fed with each change's own arrival round (module docstring)
+        # fed with each change's own arrival round (module docstring); a
+        # partial round's conservative tail covers every change instead
         settled = self._unit_settled()
-        if settled:
-            if patches:
-                flow_changed = True
-                for patch in patches.values():
-                    newly_dirty.update(patch[2])
-        else:
-            self._feed_flow_changes(round_no, keys, patches, newly_dirty)
+        if active is None:
+            if settled:
+                if patches:
+                    flow_changed = True
+                    for patch in patches.values():
+                        newly_dirty.update(patch[2])
+            else:
+                self._feed_flow_changes(round_no, keys, patches, newly_dirty)
         delay = self._delivery.delay
         for once in onces:
-            # the whole lane contract of the tracked loops: a one-shot's
-            # target executes the round it consumes it
+            # the lane rule: application mail reaches the mail set, the
+            # target of anything else executes the round it consumes it
             for env in once:
                 d = 1 if settled else delay(env)
                 if d == 1:
-                    newly_dirty.add(env.target)
+                    if isinstance(env.payload, AppPayload):
+                        self._lane_targets.add(env.target)
+                    else:
+                        newly_dirty.add(env.target)
                     new_pending += _envelope_hash(env)
                     flow_changed = True
                     self._lane_flag = True  # consumed next round: that boundary differs too
@@ -1222,14 +1287,15 @@ class SynchronousScheduler:
         _, dropped_hash = self._deliver_round(
             round_no, contributions, len(keys), executed, replayed, _t0
         )
-        if settled:
+        if settled and active is None:
             self._pending_hash = (new_pending - dropped_hash) & _MASK
             self.changed_last_round = state_changed_any or flow_changed
         else:
             # the rolling inbox hash cannot be derived from outbox
             # contributions under latency (some sends were scheduled,
-            # matured envelopes arrived): recount it (memoized per
-            # envelope) — it stays observational either way
+            # matured envelopes arrived) or partial activation (sleepers
+            # kept their inboxes): recount it (memoized per envelope) —
+            # it stays observational either way
             self._pending_hash = self._inbox_hash()
             landed = self._landed(round_no)
             self.changed_last_round = (
@@ -1243,7 +1309,25 @@ class SynchronousScheduler:
         newly_dirty |= carry_due
         newly_dirty |= self._dirty  # marks added mid-round
         newly_dirty.update(self._wake.pop(round_no + 1, ()))
+        self._lane_targets.update(self._mail_at.pop(round_no + 1, ()))
         self._dirty = newly_dirty
+        if active is not None:
+            # the conservative tail (see the docstring): the sleepers'
+            # missing sends are gaps in next round's inboxes, and their
+            # resumed sends differ from those the round after — everyone
+            # executes in both
+            self.changed_last_round = True
+            self._flow_flag = True  # sleepers' flow resumes later: boundary differs
+            self._dirty = set(self._actors)
+            self._dirty_carry = set(self._actors)
+            if not settled:
+                bound = self._delivery.delay_bound()
+                if self._switched_from is not None:
+                    bound = max(bound, self._switched_from.delay_bound())
+                    self._switched_from = None
+                last = max(round_no + 1 + bound, max(self._future, default=0))
+                self._wake_everyone(round_no + 2, last)
+                self._flux_until = max(self._flux_until, last - 1)
         self._round += 1
 
     def _feed_flow_changes(
@@ -1323,64 +1407,6 @@ class SynchronousScheduler:
         for (_, d), envs in unmatched.items():
             for env in envs:
                 self._front(q, env, d)
-
-    # -- activity-tracked kernel, partial activation ---------------------
-    def _run_round_partial_tracked(self, active: set) -> None:
-        """Partial activation under tracking: execute actives, no replays.
-
-        Sleeping actors keep state *and inbox*; because that breaks the
-        inbox-repetition induction the replay cache relies on, every
-        actor is conservatively marked dirty afterwards and the round is
-        reported as changed.  Probe baselines of executed actors are kept
-        exact so later full rounds still detect stability correctly.
-        Under non-unit delivery a sleeper's missing sends keep arriving
-        (as gaps) for up to ``delay_bound()`` rounds: everyone stays
-        woken, and the change flag raised, until the last one landed.
-        """
-        round_no = self._round
-        _t0 = _perf() if self._telemetry is not None else 0.0
-        keys = sorted(self._actors)
-        outboxes: List[List[Envelope]] = []
-        executed = 0
-        changed_keys: Set[Hashable] = set()
-        awake = [key for key in keys if key in active]
-        for key, ctx in self._step_work(awake, active, round_no):
-            executed += 1
-            out = ctx._outbox
-            outboxes.append(out)
-            if ctx._once:
-                outboxes.append(ctx._once)
-            probes = self._probes.get(key)
-            if probes and probes[0] is not None and self._probe_refresh(key, probes):
-                changed_keys.add(key)
-            # refresh the emission cache with this (accumulated-inbox)
-            # execution so a later identity round can go quiescent
-            self._out[key] = out
-            self._out_by.pop(key, None)
-            self._out_hash[key] = _outbox_hash(out)
-
-        settled = self._unit_settled()
-        self._deliver_round(round_no, outboxes, len(keys), executed, 0, _t0)
-        # pending hash cannot be derived from contributions alone here
-        # (sleepers kept their inboxes): recompute it exactly
-        self._pending_hash = self._inbox_hash()
-        self.changed_last_round = True  # conservative; see docstring
-        self._flow_flag = True  # sleepers' flow resumes later: boundary differs
-        self.state_changed_keys = changed_keys
-        self.executed_last_round = executed
-        self.replayed_last_round = 0
-        self._dirty = set(self._actors)
-        self._wake.pop(round_no + 1, None)
-        self._landing.pop(round_no + 1, None)
-        if not settled:
-            bound = self._delivery.delay_bound()
-            if self._switched_from is not None:
-                bound = max(bound, self._switched_from.delay_bound())
-                self._switched_from = None
-            last = max(round_no + 1 + bound, max(self._future, default=0))
-            self._wake_everyone(round_no + 2, last)
-            self._flux_until = max(self._flux_until, last - 1)
-        self._round += 1
 
     def run(self, rounds: int) -> None:
         """Execute ``rounds`` consecutive rounds."""

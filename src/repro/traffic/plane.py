@@ -24,11 +24,10 @@ enforces):
   replay template;
 * handlers read only ``(peer state, message, store)`` — never the
   liveness oracle — and never mutate overlay state, so application
-  mail does not dirty the overlay: the columnar kernel keeps it in a
-  per-target lane and runs only :meth:`TrafficPlane.handle` for a
-  clean receiver (the rule pipeline replays), the tracked kernel
-  executes a receiver the round it consumes mail and not the round
-  after, and ``refs()`` of traffic payloads is empty;
+  mail does not dirty the overlay: both round loops of the dirty-set
+  kernel run only :meth:`TrafficPlane.handle` for a clean receiver
+  (the rule pipeline replays), and ``refs()`` of traffic payloads is
+  empty;
 * handler side effects (completions, store writes) happen in ascending
   peer-key order within a round on every kernel, so the collector's
   order-sensitive sketches (P², the reservoir) agree bit for bit.

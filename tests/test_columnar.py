@@ -130,7 +130,7 @@ class TestLoopSelection:
             sched.mark_dirty(pid)
         net.run_round()
         assert sched.executed_last_round == len(net.peers) and not sched._cols_active
-        # ... unless application mail is pending: then it stays columnar
+        # ... application mail pending or not: both loops obey one lane rule
         plane = TrafficPlane(net)
         net.run_round()
         assert sched._cols_active
@@ -138,7 +138,9 @@ class TestLoopSelection:
             sched.mark_dirty(pid)
         plane.lookup("some-key", net.peer_ids[0])
         net.run_round()
-        assert sched.executed_last_round == len(net.peers) and sched._cols_active
+        assert sched.executed_last_round == len(net.peers) and not sched._cols_active
+        net.run_round()
+        assert sched._cols_active
         plane.drain()
         assert plane.collector.summary()["completed"] == 1
 

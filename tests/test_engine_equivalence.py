@@ -289,6 +289,23 @@ class TestExternalMutationEquivalence:
         assert ra == rb
         assert_equivalent(a, b, "after partial activation")
 
+    @pytest.mark.parametrize("seed", [28, 51])
+    def test_partial_round_on_a_stable_network_round_for_round(self, seed):
+        """One partial round in a stable network: the sleepers' sends are
+        missing from the next round's inboxes and back the round after,
+        so the replay cache must not resume before both have run."""
+        a, b = build_pair(10, seed=seed)
+        for net in (a, b):
+            net.run_until_stable(max_rounds=4000)
+        active = set(a.peer_ids[::3])
+        a.run_round(active=active)
+        b.run_round(active=active)
+        for r in range(8):
+            a.run_round()
+            b.run_round()
+            assert_equivalent(a, b, f"round {r} after a partial round")
+        assert not a.scheduler.changed_last_round
+
 
 class TestTelemetryCensusEquivalence:
     """The telemetry counter census is part of the equivalence surface:
