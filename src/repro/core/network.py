@@ -52,7 +52,8 @@ see:
   level-set change must re-activate exactly the peers holding references
   to the changed owner.  A reverse index (``owner -> watchers``) is
   maintained from each peer's ``referenced_owners()`` whenever its state
-  changes at a boundary.
+  changes at a boundary; the peers about to *receive* such a reference
+  in flight are the kernel's answer to one ``ref_receivers`` query.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ class ReChordNetwork:
         self._pending_refresh: Set[int] = set()
         #: owners whose liveness/phantom verdicts flipped since the last
         #: in-flight scan (level-set changes, membership); drained into
-        #: one _wake_flow_refs pass per round / membership event
+        #: one _wake_flow_refs pass per round start
         self._level_flips: Set[int] = set()
         #: application-plane handler installed on every peer (repro.traffic)
         self._traffic_handler = None
@@ -195,14 +196,8 @@ class ReChordNetwork:
         self.peers[peer_id] = peer
         if self.incremental:
             # defensive: stale references to this (formerly dead) id flip
-            # their liveness verdict, so their holders must re-run.  The
-            # in-flight scan runs now AND again at the next round start
-            # (peer_id stays queued in _level_flips): a mid-round event
-            # misses envelopes still sitting in outboxes at scan time.
-            self._flush_pending_refresh()
-            self._dirty_watchers(peer_id)
-            self._wake_flow_refs({peer_id})
-            self._level_flips.add(peer_id)
+            # their liveness verdict, so their holders must re-run
+            self._membership_flip(peer_id)
             self._refs_out[peer_id] = frozenset()
         peer.traffic = self._traffic_handler
         peer.telemetry = self.telemetry
@@ -410,7 +405,7 @@ class ReChordNetwork:
             if pid in self.peers:
                 mark(pid)
 
-    def _wake_flow_refs(self, owners) -> None:
+    def _wake_flow_refs(self, owners: Set[int]) -> None:
         """Re-activate receivers of in-flight messages that reference
         any owner in ``owners``.
 
@@ -420,25 +415,15 @@ class ReChordNetwork:
         connection edge whose endpoint just crashed or whose virtual
         level was just dropped: the full-scan engine purges/rewrites it
         after delivery, so a replayed receiver must be woken to do the
-        same).  One O(pending) scan per batch of changed owners.
+        same).  The kernel answers who they are
+        (:meth:`~repro.netsim.scheduler.SynchronousScheduler.ref_receivers`),
+        one query per batch of changed owners, whichever loop ran.
         """
-        if not isinstance(owners, (set, frozenset)):
-            owners = {owners}
-        if self.scheduler.wake_ref_receivers(owners):
-            # the columnar kernel maintains a reverse owner -> receiver
-            # index over pending payload refs; no scan needed
-            return
         mark = self.scheduler.mark_dirty
-        for env in self.scheduler.all_pending():
-            # every protocol payload enumerates its refs (events.refs());
-            # a payload type without refs() would be a protocol bug, so
-            # fail loudly rather than silently skip it
-            for ref in env.payload.refs():
-                if ref.owner in owners:
-                    # carry: the message leaves the receiver's inbox one
-                    # round after it is consumed
-                    mark(env.target, carry=True)
-                    break
+        for target in self.scheduler.ref_receivers(owners):
+            # carry: the message leaves the receiver's inbox one round
+            # after it is consumed
+            mark(target, carry=True)
 
     def _update_refs_out(self, pid: int) -> None:
         """Maintain the reverse (owner -> watchers) dependency index."""
@@ -470,6 +455,23 @@ class ReChordNetwork:
             # in-flight refs to it must re-run too (drained in one scan)
             self._level_flips.add(pid)
         self._update_refs_out(pid)
+
+    def _membership_flip(self, peer_id: int) -> None:
+        """A join or departure flips ``peer_id``'s liveness verdict.
+
+        Its watchers are woken at once, on a *current* watcher index,
+        and the in-flight scan is queued in ``_level_flips`` for the
+        next round start.  Between rounds that scan sees the same
+        pending mail plus any posted since, so a wave of k events costs
+        one scan, not k.  A mid-round event is also scanned at once: the
+        rest of the round consumes mail the round-start scan would miss,
+        which in turn catches envelopes still sitting in outboxes now.
+        """
+        self._flush_pending_refresh()
+        self._dirty_watchers(peer_id)
+        if self.scheduler._in_round:
+            self._wake_flow_refs({peer_id})
+        self._level_flips.add(peer_id)
 
     def _drain_level_flips(self) -> None:
         """One in-flight scan for all owners whose verdicts flipped."""
@@ -764,15 +766,9 @@ class ReChordNetwork:
         if self.incremental:
             self._pending_refresh.discard(peer_id)
             # holders of references to the departed peer purge them at
-            # their next step — wake them (on a *current* watcher index),
-            # as must receivers of in-flight messages carrying its refs.
-            # Scan now AND at the next round start (peer_id stays queued
-            # in _level_flips): a mid-round removal misses envelopes
-            # still sitting in outboxes at scan time.
-            self._flush_pending_refresh()
-            self._dirty_watchers(peer_id)
-            self._wake_flow_refs({peer_id})
-            self._level_flips.add(peer_id)
+            # their next step, as must receivers of in-flight messages
+            # carrying its refs
+            self._membership_flip(peer_id)
             old = self._refs_out.pop(peer_id, frozenset())
             for o in old:
                 entry = self._watchers.get(o)

@@ -16,8 +16,8 @@ inboxes:
   every boundary (the parent rebuilds these lists physically each
   round).  Each is a :class:`~repro.netsim.messages.SubFlow`: an
   immutable value shared with the sender's outbox split, carrying its
-  fingerprint sum and referenced-owner counts, so all accounting below
-  is per sub-flow and an unchanged one is recognized by identity;
+  fingerprint sum and referenced owners, so all accounting below is per
+  sub-flow and an unchanged one is recognized by identity;
 * ``_ghost[target][sender]`` — one-shot remnants: the final emissions
   of a removed sender, consumed at the target's next materialization;
 * ``_pre_buffer[target]`` / the plain inbox buffer — out-of-band posts
@@ -28,12 +28,17 @@ inboxes:
   outside the flow columns; their targets and those of ``AppPayload``
   posts in the buffers make the parent's mail set ``_lane_targets``,
   which is *not* dirty;
-* ``_ref_watch[owner][target]`` — a reverse index from referenced
-  owners of pending payloads to their receivers, replacing the
-  network's O(pending) in-flight scan on liveness flips;
 * ``_settled[key]`` — lazily settled rule-counter replays: a quiescent
   actor owes one replay delta per skipped round, applied in one batch
   (``replay_steps``) when it wakes or when counters are observed.
+
+The in-flight ref query of a liveness flip
+(:meth:`ColumnarScheduler.ref_receivers`) scans these columns: flows
+and ghosts one sub-flow at a time, the one-shot lists one envelope at a
+time.  No index is kept for it: the network asks once per round start
+for every flip since the last one (a wave of k joins or crashes between
+rounds is one query, not k) and once per mid-round membership event,
+while an index would be updated on every flow patch and post.
 
 A round then touches only its work list — the key-sorted merge of the
 dirty set and the lane's targets.  A dirty actor *materializes* its
@@ -80,7 +85,7 @@ from repro.netsim.messages import (
     Envelope,
     SubFlow,
     envelope_fingerprint as _envelope_hash,
-    referenced_owners as _referenced_owners,
+    receivers_referencing,
     split_by_target as _split_by_target,
 )
 from repro.netsim.scheduler import RoundContext, SynchronousScheduler
@@ -125,8 +130,6 @@ class ColumnarScheduler(SynchronousScheduler):
         self._flow_dropped = 0  # = sum(_drop_by.values())
         self._flow_sent = 0  # = sum(len(_out[k]) for live k)
         self._flow_pending = 0  # envelopes held in _flow_in + _ghost
-        #: reverse index: referenced owner -> {target: pending count}
-        self._ref_watch: Dict[Hashable, Dict[Hashable, int]] = {}
         #: rule-counter settlement: last round each actor's counters cover
         self._settled: Dict[Hashable, int] = {}
         # ---- the application lane ----------------------------------------
@@ -157,48 +160,17 @@ class ColumnarScheduler(SynchronousScheduler):
         self._tel_flow_types: Optional[Counter] = None
 
     # ------------------------------------------------------------------
-    # envelope accounting (pending hash + ref index + pending count)
+    # envelope accounting (pending hash + pending count)
     # ------------------------------------------------------------------
-    def _watch(self, owner: Hashable, target: Hashable, count: int) -> None:
-        targets = self._ref_watch.get(owner)
-        if targets is None:
-            self._ref_watch[owner] = {target: count}
-        else:
-            targets[target] = targets.get(target, 0) + count
-
-    def _unwatch(self, owner: Hashable, target: Hashable, count: int) -> None:
-        targets = self._ref_watch.get(owner)
-        if targets is None:
-            return
-        left = targets.get(target, 0) - count
-        if left <= 0:
-            targets.pop(target, None)
-            if not targets:
-                del self._ref_watch[owner]
-        else:
-            targets[target] = left
-
-    def _watch_env(self, env: Envelope) -> None:
-        for owner in _referenced_owners(env.payload):
-            self._watch(owner, env.target, 1)
-
-    def _unwatch_env(self, env: Envelope) -> None:
-        for owner in _referenced_owners(env.payload):
-            self._unwatch(owner, env.target, 1)
-
-    def _account_flow(self, target: Hashable, sub: SubFlow) -> None:
+    def _account_flow(self, sub: SubFlow) -> None:
         """A steady/ghost sub-flow enters the pending set."""
         self._pending_hash = (self._pending_hash + sub.fp_sum) & _MASK
         self._flow_pending += len(sub)
-        for owner, count in sub.owner_counts():
-            self._watch(owner, target, count)
 
-    def _unaccount_flow(self, target: Hashable, sub: SubFlow) -> None:
+    def _unaccount_flow(self, sub: SubFlow) -> None:
         """A steady/ghost sub-flow leaves the pending set."""
         self._pending_hash = (self._pending_hash - sub.fp_sum) & _MASK
         self._flow_pending -= len(sub)
-        for owner, count in sub.owner_counts():
-            self._unwatch(owner, target, count)
 
     def _deliverable(self, sub: SubFlow) -> SubFlow:
         """What of ``sub`` passes the drop filter (``sub`` itself when
@@ -217,14 +189,12 @@ class ColumnarScheduler(SynchronousScheduler):
     def _account_one_shot(self, env: Envelope) -> None:
         """A buffered post / lane envelope enters the pending set."""
         self._pending_hash = (self._pending_hash + _envelope_hash(env)) & _MASK
-        self._watch_env(env)
 
     def _unaccount_one_shots(self, envs: List[Envelope]) -> None:
         """Buffered posts / lane mail leave the pending set."""
         pending = self._pending_hash
         for env in envs:
             pending -= _envelope_hash(env)
-            self._unwatch_env(env)
         self._pending_hash = pending & _MASK
 
     # ------------------------------------------------------------------
@@ -240,7 +210,7 @@ class ColumnarScheduler(SynchronousScheduler):
                 drops += len(sub) - len(deliverable)
                 if deliverable:
                     self._flow_in.setdefault(target, {})[sender] = deliverable
-                    self._account_flow(target, deliverable)
+                    self._account_flow(deliverable)
             else:
                 # every envelope to a dead target drops, filtered or not;
                 # the deliverable part is frozen for a possible re-join
@@ -270,7 +240,6 @@ class ColumnarScheduler(SynchronousScheduler):
         self._dead_in = {}
         self._revive = set()
         self._drop_by = {}
-        self._ref_watch = {}
         self._lane = {}
         self._lane_targets = set()
         self._flow_dropped = 0
@@ -339,7 +308,6 @@ class ColumnarScheduler(SynchronousScheduler):
         self._dead_in = {}
         self._revive = set()
         self._drop_by = {}
-        self._ref_watch = {}
         self._lane = {}
         self._flow_dropped = 0
         self._flow_sent = 0
@@ -387,19 +355,21 @@ class ColumnarScheduler(SynchronousScheduler):
             self._settle_actor(key, upto)
 
     # ------------------------------------------------------------------
-    # indexed liveness wake (replaces the network's O(pending) scan)
+    # the in-flight ref query, over the columns
     # ------------------------------------------------------------------
-    def wake_ref_receivers(self, owners: Set) -> bool:
-        if not self._cols_active:
-            return False
-        for owner in owners:
-            targets = self._ref_watch.get(owner)
-            if not targets:
-                continue
-            for target in targets:
-                self._dirty.add(target)
-                self._dirty_carry.add(target)
-        return True
+    def ref_receivers(self, owners: Set) -> Set[Hashable]:
+        """The base query over ``_inboxes`` (the buffer while the columns
+        are live), plus the columns, which are empty otherwise:
+        O(live sub-flows + one-shots)."""
+        receivers = super().ref_receivers(owners)
+        disjoint = owners.isdisjoint
+        for column in (self._flow_in, self._ghost):
+            for target, subs in column.items():
+                for sub in subs.values():
+                    if not disjoint(sub.owners()):
+                        receivers.add(target)
+                        break
+        return receivers | receivers_referencing(owners, self._pre_buffer, self._lane)
 
     # ------------------------------------------------------------------
     # membership / posts / faults under columnar mode
@@ -442,21 +412,17 @@ class ColumnarScheduler(SynchronousScheduler):
             self._revive.discard(key)
         elif flows is not None:
             for sender, sub in flows.items():
-                self._unaccount_flow(key, sub)
+                self._unaccount_flow(sub)
                 self._drop_by[sender] = self._drop_by.get(sender, 0) + len(sub)
                 self._flow_dropped += len(sub)
             self._dead_in[key] = flows
         ghosts = self._ghost.pop(key, None)
         if ghosts:
             for sub in ghosts.values():
-                self._unaccount_flow(key, sub)
+                self._unaccount_flow(sub)
         self._unaccount_one_shots(self._pre_buffer.pop(key, ()))
         self._unaccount_one_shots(self._lane.pop(key, ()))
         self._lane_targets.discard(key)
-        for env in self._inboxes.get(key, ()):
-            # the parent's remove_actor subtracts the buffer hashes;
-            # only the ref index is ours to maintain
-            self._unwatch_env(env)
         # -- as a sender: its steady flow stops --------------------------
         # what the columns hold of it: the pre-patch outbox while a patch
         # of this round still waits for the delivery point
@@ -501,8 +467,6 @@ class ColumnarScheduler(SynchronousScheduler):
                 self._late_posts.append(envelope)
             return True
         target = envelope.target
-        box = self._inboxes[target]
-        self._watch_env(envelope)
         if not self._in_round:
             return True
         if target in self._added_mid_round or (
@@ -511,7 +475,7 @@ class ColumnarScheduler(SynchronousScheduler):
             # the target's step already passed this round (or it was
             # added mid-round and will not run): the post sits in its
             # inbox and the end-of-round deliveries append AFTER it
-            box.pop()
+            self._inboxes[target].pop()
             self._pre_buffer.setdefault(target, []).append(envelope)
             return True
         # not yet reached: it must consume [flows][post] this round like
@@ -630,7 +594,7 @@ class ColumnarScheduler(SynchronousScheduler):
         ghosts = self._ghost.pop(key, None)
         if ghosts:
             for sub in ghosts.values():
-                self._unaccount_flow(key, sub)
+                self._unaccount_flow(sub)
             for sender in sorted({*flows, *ghosts}):
                 if sender in flows:
                     parts.append(flows[sender])
@@ -820,13 +784,13 @@ class ColumnarScheduler(SynchronousScheduler):
                     subs = self._flow_in.get(target)
                     cur = subs.pop(sender, None) if subs is not None else None
                     if cur:
-                        self._unaccount_flow(target, cur)
+                        self._unaccount_flow(cur)
                     drop_delta -= len(old_sub or ()) - len(cur or ())
                     if new_sub:
                         drop_delta += len(new_sub) - len(deliverable)
                         if deliverable:
                             self._flow_in.setdefault(target, {})[sender] = deliverable
-                            self._account_flow(target, deliverable)
+                            self._account_flow(deliverable)
                 else:
                     # every envelope to a dead target drops; the
                     # deliverable part is frozen for a possible re-join
@@ -846,7 +810,7 @@ class ColumnarScheduler(SynchronousScheduler):
                     continue
                 sub = subs.pop(key, None)
                 if sub:
-                    self._unaccount_flow(target, sub)
+                    self._unaccount_flow(sub)
             if not contributed:
                 expired += 1
                 continue
@@ -862,7 +826,7 @@ class ColumnarScheduler(SynchronousScheduler):
                 dropped_extra += len(sub) - len(deliverable)
                 if deliverable:
                     self._ghost.setdefault(target, {})[key] = deliverable
-                    self._account_flow(target, deliverable)
+                    self._account_flow(deliverable)
         # (c) revivals: frozen flows to re-joined ids resume
         for target in sorted(self._revive):
             if target not in self._actors:
@@ -875,7 +839,7 @@ class ColumnarScheduler(SynchronousScheduler):
                     continue
                 sub = subs[sender]
                 self._flow_in.setdefault(target, {})[sender] = sub
-                self._account_flow(target, sub)
+                self._account_flow(sub)
                 self._drop_by[sender] = self._drop_by.get(sender, 0) - len(sub)
                 self._flow_dropped -= len(sub)
         self._revive.clear()

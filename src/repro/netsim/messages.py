@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator, Optional, Sequence
+from typing import Any, Hashable, Iterator, Optional, Sequence, Set
 
 #: 64-bit wrap-around for the rolling multiset fingerprints
 HASH_MASK = (1 << 64) - 1
@@ -114,15 +114,6 @@ def envelope_fingerprint(env: Envelope) -> int:
     return fp
 
 
-def referenced_owners(payload: Any) -> set:
-    """Owner ids of every node ref ``payload`` carries (empty for
-    payloads without ``refs()``: traffic carries addresses, not refs)."""
-    refs_fn = getattr(payload, "refs", None)
-    if refs_fn is None:
-        return set()
-    return {ref.owner for ref in refs_fn()}
-
-
 class SubFlow(list):
     """One sender's steady envelopes to one target, in emission order.
 
@@ -136,9 +127,9 @@ class SubFlow(list):
 
     * :attr:`fp_sum` — the multiset fingerprint sum of its envelopes
       (what it contributes to ``_out_hash`` / ``_pending_hash``);
-    * :meth:`owner_counts` — per referenced owner, how many of its
-      envelopes reference it (its contribution to the columnar
-      ``_ref_watch`` index), computed on first use;
+    * :meth:`owners` — the owner ids its envelopes reference (what the
+      columnar kernel's ``ref_receivers`` query tests), computed on
+      first use;
     * :meth:`delay_buckets` — its envelopes grouped by delivery delay
       under one delivery model, computed on first use and kept while
       that model object stays the one asked for (a model switch
@@ -157,7 +148,7 @@ class SubFlow(list):
     def __init__(self, envelopes: Sequence[Envelope] = ()) -> None:
         super().__init__(envelopes)
         self.fp_sum = outbox_fingerprint(self)
-        self._owners: Optional[tuple] = None
+        self._owners: Optional[frozenset] = None
         self.parsed: Any = None
         self._delays: Optional[tuple] = None
 
@@ -187,18 +178,13 @@ class SubFlow(list):
         entry = cached[1]
         return entry if entry.__class__ is tuple else ((entry, self),)
 
-    def owner_counts(self) -> Iterator[tuple]:
-        """``(owner, envelopes referencing it)`` pairs."""
-        flat = self._owners
-        if flat is None:
-            tally: dict = {}
-            for env in self:
-                for owner in referenced_owners(env.payload):
-                    tally[owner] = tally.get(owner, 0) + 1
-            # kept flat — (owner, count, owner, count, ...) — there are
-            # thousands of live sub-flows and a tuple per pair triples it
-            flat = self._owners = tuple(x for pair in tally.items() for x in pair)
-        return zip(flat[::2], flat[1::2])
+    def owners(self) -> frozenset:
+        """The owner ids referenced by any of its envelopes (every
+        payload enumerates its refs, like the ``ref_receivers`` scan)."""
+        owners = self._owners
+        if owners is None:
+            owners = self._owners = frozenset(ref_owners(self))
+        return owners
 
     def __reduce__(self):
         # derived data is rebuilt, not pickled: fingerprints are only
@@ -222,6 +208,27 @@ def group_by_target(outbox: Sequence[Envelope]) -> dict:
 def split_by_target(outbox: Sequence[Envelope]) -> dict:
     """``target -> SubFlow`` of one sender's outbox."""
     return {target: SubFlow(sub) for target, sub in group_by_target(outbox).items()}
+
+
+def ref_owners(envelopes: Sequence[Envelope]) -> Iterator:
+    """The owner ids referenced by ``envelopes``, lazily, with repeats.
+    Every payload must enumerate its refs (``refs()``): a protocol
+    payload without one is a bug, so this fails loudly rather than skip
+    it."""
+    return (ref.owner for env in envelopes for ref in env.payload.refs())
+
+
+def receivers_referencing(owners: Set, *mailboxes: dict) -> set:
+    """The targets of ``mailboxes`` (``target -> envelopes`` dicts) whose
+    mail references any owner in ``owners`` (a box is read up to its
+    first hit)."""
+    disjoint = owners.isdisjoint
+    return {
+        target
+        for boxes in mailboxes
+        for target, box in boxes.items()
+        if not disjoint(ref_owners(box))
+    }
 
 
 def envelope_canon(env: Envelope) -> object:

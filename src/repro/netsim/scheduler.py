@@ -111,10 +111,10 @@ rules under non-unit delivery:
      (all delays are filtered at landing, so it takes effect at once).
 
   Conservative wakes are always allowed, missed wakes never.  The
-  network's liveness-flip scan may keep reading inboxes only: a receiver
-  whose *current* inbox holds a reference to the flipped owner executes
-  now, and a later first arrival is itself a sub-flow change, woken by
-  the wheel;
+  in-flight ref query of a liveness flip (:meth:`ref_receivers`) may
+  keep reading inboxes only: a receiver whose *current* inbox holds a
+  reference to the flipped owner executes now, and a later first
+  arrival is itself a sub-flow change, woken by the wheel;
 * scheduled envelopes are part of the configuration: they enter
   :meth:`config_hash` and the network fingerprint keyed by their
   *remaining* delay;
@@ -147,6 +147,7 @@ from repro.netsim.messages import (
     envelope_fingerprint as _envelope_hash,
     future_fingerprint as _future_hash,
     group_by_target as _group_by_target,
+    receivers_referencing,
 )
 from repro.netsim.timemodel import DeliveryModel, TimeModel, make_daemon, make_delivery_model
 from repro.netsim.trace import TraceRecorder
@@ -585,17 +586,6 @@ class SynchronousScheduler:
         """
         self._batch_stepper = stepper
 
-    def wake_ref_receivers(self, owners: Set) -> bool:
-        """Columnar fast path for the network's in-flight ref scan.
-
-        Returns ``False`` here: this base kernel keeps no reverse index
-        from referenced owners to pending-message receivers, so the
-        caller must fall back to scanning :meth:`all_pending`.  The
-        columnar subclass overrides this with an O(changed) indexed
-        wake and returns ``True``.
-        """
-        return False
-
     # ------------------------------------------------------------------
     # time model (repro.netsim.timemodel)
     # ------------------------------------------------------------------
@@ -795,6 +785,15 @@ class SynchronousScheduler:
         for key in sorted(self._inboxes):
             out.extend(self._inboxes[key])
         return out
+
+    def ref_receivers(self, owners: Set) -> Set[Hashable]:
+        """The actors whose next-round inbox holds a message referencing
+        any owner in ``owners`` — whom a liveness flip of those owners
+        reaches in flight (the network's ``_wake_flow_refs``).
+
+        O(pending); every payload must enumerate its refs.
+        """
+        return receivers_referencing(owners, self._inboxes)
 
     def post(self, envelope: Envelope) -> bool:
         """Inject a message from outside the round loop.

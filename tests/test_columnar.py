@@ -223,6 +223,43 @@ class TestColumnarLockstep:
             assert reports[0] == reports[1] == reports[2], f"after {event}"
             assert_equivalent(nets, f"after {event}")
 
+    @pytest.mark.parametrize("event", ["crash", "leave", "join"])
+    def test_membership_wave_is_one_ref_query(self, event, monkeypatch):
+        """A wave of membership events between two rounds asks the
+        in-flight ref query once, at the next round start, for all of
+        them, and the trajectory stays the spec's round for round."""
+        nets = build_triple(16, 4)
+        for net in nets:
+            net.run_until_stable(max_rounds=4000)
+        asked = []
+        query = ColumnarScheduler.ref_receivers
+
+        def counted(sched, owners):
+            asked.append(frozenset(owners))
+            return query(sched, owners)
+
+        monkeypatch.setattr(ColumnarScheduler, "ref_receivers", counted)
+        ids = nets[0].peer_ids
+        if event == "join":
+            rng = ROOT.child("wave", seed=4).rng()
+            wave = [i for i in random_peer_ids(8, rng, nets[0].space) if i not in ids][:4]
+        else:
+            wave = ids[5:9]
+        for net in nets:
+            for pid in wave:
+                if event == "join":
+                    net.join(pid, ids[0])
+                else:
+                    getattr(net, event)(pid)
+        assert asked == []
+        for r in range(60):
+            for net in nets:
+                net.run_round()
+            if r == 0:
+                # one query per tracked network (shipped and forced)
+                assert len(asked) == 2 and all(set(wave) <= o for o in asked)
+            assert_equivalent(nets, f"at round {r} after a {event} wave")
+
     def test_mid_round_removal_stays_equivalent(self):
         """A peer removed DURING a round after it already emitted: the
         columnar engine must ghost its final outbox for exactly one
@@ -413,52 +450,55 @@ class TestInternTable:
 # ----------------------------------------------------------------------
 # sub-flows: what a SubFlow carries, and the totals accounted through it
 # ----------------------------------------------------------------------
-from itertools import chain
+from itertools import chain, count
 
 from repro.netsim.messages import (
     HASH_MASK,
     SubFlow,
     envelope_fingerprint,
     outbox_fingerprint,
-    referenced_owners,
     split_by_target,
 )
+
+
+def referenced_owners(env) -> set:
+    """The owner ids of every node ref one envelope carries."""
+    return {ref.owner for ref in env.payload.refs()}
 
 
 def audit_columns(sched: ColumnarScheduler) -> None:
     """Every derived value of the columnar kernel against a rebuild from
     the envelopes it holds: what each ``SubFlow`` carries, the pending
-    hash / count / ref index, and the sender-side split."""
+    hash / count, the in-flight ref query (on the columns and, on a
+    copy, on the materialized inboxes), and the sender-side split."""
     assert sched._cols_active
     pending = flow_pending = 0
-    watch: dict = {}
-
-    def see(env) -> None:
-        nonlocal pending
-        pending += envelope_fingerprint(env)
-        for owner in referenced_owners(env.payload):
-            targets = watch.setdefault(owner, {})
-            targets[env.target] = targets.get(env.target, 0) + 1
-
     for target, subs in chain(sched._flow_in.items(), sched._ghost.items()):
         for sender, sub in subs.items():
             assert type(sub) is SubFlow and len(sub) > 0
             assert all(env.sender == sender and env.target == target for env in sub)
             assert sub.fp_sum == outbox_fingerprint(list(sub))
-            tally: dict = {}
-            for env in sub:
-                see(env)
-                flow_pending += 1
-                for owner in referenced_owners(env.payload):
-                    tally[owner] = tally.get(owner, 0) + 1
-            assert dict(sub.owner_counts()) == tally
+            assert sub.owners() == {o for env in sub for o in referenced_owners(env)}
+            flow_pending += len(sub)
+            pending += sum(envelope_fingerprint(env) for env in sub)
     for boxes in (sched._pre_buffer, sched._lane, sched._inboxes):
         for box in boxes.values():
-            for env in box:
-                see(env)
+            pending += sum(envelope_fingerprint(env) for env in box)
     assert sched._pending_hash == pending & HASH_MASK
     assert sched._flow_pending == flow_pending
-    assert sched._ref_watch == watch
+    # owner -> the targets whose boundary inbox references it
+    holders: dict = {}
+    for target in sched._actors:
+        for env in sched._boundary_inbox(target):
+            for owner in referenced_owners(env):
+                holders.setdefault(owner, set()).add(target)
+    nobody = next(owner for owner in count() if owner not in holders)
+    materialized = copy.deepcopy(sched)
+    materialized._exit_columnar()
+    for owner in [*holders, nobody]:
+        expected = holders.get(owner, set())
+        assert sched.ref_receivers({owner}) == expected, owner
+        assert materialized.ref_receivers({owner}) == expected, owner
     flt = sched._drop_filter
     for key in sched._actors:
         out = sched._out[key]
@@ -474,14 +514,15 @@ def audit_columns(sched: ColumnarScheduler) -> None:
 
 
 class _Remover:
-    """A harness actor that removes ``victim`` once, mid-round."""
+    """A harness actor that makes ``victim`` leave once, mid-round: its
+    farewell posts reach targets whose step already passed."""
 
     def __init__(self, net, victim):
         self.net, self.victim = net, victim
 
     def step(self, inbox, ctx):
         if self.victim is not None:
-            self.net._remove_peer(self.victim)
+            self.net.leave(self.victim)
             self.victim = None
 
 
@@ -493,9 +534,9 @@ class TestSubFlowAccounting:
     def test_totals_equal_a_rebuild_at_every_boundary_of_a_churn_run(self):
         """Changed / stopped / started sub-flows (join, leave), dead
         targets and a revival (crash, re-join of the crashed id), ghosts
-        (a mid-round removal), filtered sub-flows (a partition that
-        outlasts re-entry): the audit holds at every columnar boundary,
-        and the spec agrees throughout."""
+        and pre-buffered farewell posts (a mid-round leave), filtered
+        sub-flows (a partition that outlasts re-entry): the audit holds at
+        every columnar boundary, and the spec agrees throughout."""
         spec = build_random_network(n=14, seed=8, engine="full")
         net = force_columnar(build_random_network(n=14, seed=8))
         sched = net.scheduler
@@ -507,7 +548,7 @@ class TestSubFlowAccounting:
         def cut(env):
             return (env.sender in side) != (env.target in side)
 
-        seen = {"audits": 0, "ghost": 0, "dead": 0, "filtered": 0}
+        seen = dict.fromkeys(("audits", "ghost", "dead", "filtered", "ghost ref", "posted ref"), 0)
         for r in range(150):
             for n in (spec, net):
                 if r == 30:
@@ -534,6 +575,16 @@ class TestSubFlowAccounting:
                 seen["ghost"] += bool(sched._ghost)
                 seen["dead"] += bool(sched._dead_in)
                 seen["filtered"] += sched._drop_filter is not None
+                # what the ref query scans beyond the steady flows
+                seen["ghost ref"] += any(
+                    sub.owners() for subs in sched._ghost.values() for sub in subs.values()
+                )
+                seen["posted ref"] += any(
+                    referenced_owners(env)
+                    for boxes in (sched._pre_buffer, sched._inboxes)
+                    for box in boxes.values()
+                    for env in box
+                )
         assert seen["audits"] > 100 and all(seen.values()), seen
         assert crashed in net.peers and crashed not in sched._dead_in
 
@@ -571,11 +622,12 @@ class TestSubFlowAccounting:
         net.run(12)
         subs = [s for by in net.scheduler._flow_in.values() for s in by.values()]
         sub = max(subs, key=len)
-        sub.owner_counts()
+        assert sub.owners()
         for clone in (copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
             assert type(clone) is SubFlow and clone == sub
             assert clone.fp_sum == sub.fp_sum and clone.parsed is None
-            assert dict(clone.owner_counts()) == dict(sub.owner_counts())
+            assert clone._owners is None
+            assert clone.owners() == sub.owners()
 
     def test_steady_application_mail_is_refused_at_install(self):
         """The lane contract, asserted where a sub-flow enters the

@@ -635,34 +635,41 @@ class TestTracedRunsUseTheSameKernel:
 
 
 class TestPostBatch:
-    def test_ref_carrying_batch_is_indexed_for_liveness_flips(self):
-        """``post_batch`` goes through the kernel's ``post`` — ref index
-        and all: a batched protocol payload referencing an owner that
-        then crashes wakes its receiver exactly like the spec."""
+    @pytest.mark.parametrize("dense_share", [ColumnarScheduler.DENSE_SHARE, -1])
+    def test_ref_carrying_batch_reaches_the_liveness_flip_query(self, dense_share):
+        """``post_batch`` goes through the kernel's ``post``: a batched
+        protocol payload referencing an owner that then crashes wakes its
+        receiver exactly like the spec — on the columnar loop and on the
+        tracked loop (``DENSE_SHARE = -1``: every round is dense), each
+        answering the query from its own pending store."""
         nets = []
         for engine in ("columnar", "full"):
             net = build_random_network(n=10, seed=13, engine=engine)
+            if engine == "columnar":
+                net.scheduler.DENSE_SHARE = dense_share
             net.run_until_stable(max_rounds=5000)
             net.run_round()
             nets.append(net)
         lane, spec = nets
         sched = lane.scheduler
-        assert sched._cols_active
+        assert sched._cols_active == (dense_share >= 0)
         a, b, c = lane.peer_ids[0], lane.peer_ids[4], lane.peer_ids[7]
-        watched = sched._ref_watch.get(c, {}).get(b, 0)
         for net in nets:
             payload = EdgeAdd(net.ref(b), net.ref(c), KIND_UNMARKED)
             assert net.scheduler.post_batch([Envelope(a, b, payload)]) == [True]
-        assert sched._ref_watch[c][b] == watched + 1
+        assert b in sched.ref_receivers({c})
         for net in nets:
             net.crash(c)
+        # between rounds the in-flight scan waits for the round start
+        assert c in lane._level_flips
+        lane._drain_level_flips()
         assert b in sched._dirty
         for r in range(12):
             for net in nets:
                 net.run_round()
             assert lane.fingerprint() == spec.fingerprint(), f"round {r}"
             assert lane.counters().fires == spec.counters().fires
-        assert sched._ref_watch.get(c, {}).get(b, 0) == 0
+        assert not sched.ref_receivers({c})
 
     def test_batch_results_match_per_envelope_posts(self):
         lane = Campaign("columnar", seed=3, rate=0.0)
