@@ -125,13 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "reported as latency_p*_sketch alongside the exact stats",
             )
             p.add_argument(
-                "--collector", type=str, default="list",
-                choices=("list", "streaming"),
-                help="completion retention: full list (the spec) or a "
-                "bounded streaming collector (exact counters, P2 p95, "
-                "reservoir sample) for very large campaigns",
-            )
-            p.add_argument(
                 "--max-attempts", type=positive_int, default=1, metavar="K",
                 help="resilient request plane: attempt budget per op "
                 "(1 = retries off; retries use seeded exponential "
@@ -490,7 +483,6 @@ def _dispatch(args: argparse.Namespace) -> List[str]:
             _sizes(args, TRAFFIC_SIZES), _seeds(args, 1), rs,
             telemetry=getattr(args, "telemetry", False),
             sketch_quantiles=getattr(args, "sketch_quantiles", None),
-            collector_mode=getattr(args, "collector", "list"),
             max_attempts=getattr(args, "max_attempts", 1),
             retry_backoff=getattr(args, "retry_backoff", 4),
             hedge_after=getattr(args, "hedge_after", None),
@@ -501,9 +493,11 @@ def _dispatch(args: argparse.Namespace) -> List[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
     started = time.time()
     try:
+        if unknown:  # a retired or misspelled flag: name it, no usage dump
+            raise _InputError(f"unrecognized arguments: {' '.join(unknown)}")
         blocks = _dispatch(args)
     except _InputError as exc:
         print(f"rechord: error: {exc}", file=sys.stderr)

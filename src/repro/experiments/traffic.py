@@ -33,6 +33,7 @@ Run as a module to regenerate the checked-in results::
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,33 +82,15 @@ class TrafficChurnRun:
     telemetry: Optional[dict] = None
 
 
-def _make_buckets() -> List[Tuple[str, Optional[int]]]:
-    """``(label, inclusive upper edge)`` in report order; ``-1`` is the
-    pre-churn bucket, ``None`` the overflow bucket.  Single source of
-    truth for both bucketing and report ordering."""
-    out: List[Tuple[str, Optional[int]]] = [("pre-churn", -1)]
-    lo = 0
-    for edge in BUCKET_EDGES:
-        out.append((f"{lo}-{edge}", edge))
-        lo = edge + 1
-    out.append((f"{lo}+", None))
-    return out
-
-
-_BUCKETS = _make_buckets()
-
-
 def _bucket_label(rounds_since: int) -> str:
+    """The recovery bucket of an op issued ``rounds_since`` rounds after
+    the churn burst: ``pre-churn``, ``lo-edge`` for each inclusive upper
+    edge of ``BUCKET_EDGES``, then the overflow bucket ``lo+``."""
     if rounds_since < 0:
-        return _BUCKETS[0][0]
-    for label, hi in _BUCKETS[1:]:
-        if hi is None or rounds_since <= hi:
-            return label
-    raise AssertionError("unreachable: overflow bucket catches everything")
-
-
-def _bucket_order() -> List[str]:
-    return [label for label, _ in _BUCKETS]
+        return "pre-churn"
+    i = bisect_left(BUCKET_EDGES, rounds_since)
+    lo = BUCKET_EDGES[i - 1] + 1 if i else 0
+    return f"{lo}-{BUCKET_EDGES[i]}" if i < len(BUCKET_EDGES) else f"{lo}+"
 
 
 def measure_one(
@@ -120,7 +103,6 @@ def measure_one(
     deadline: int = 48,
     telemetry: object = None,
     sketch_quantiles: Optional[Sequence[float]] = None,
-    collector_mode: str = "list",
     max_attempts: int = 1,
     retry_backoff: int = 4,
     hedge_after: Optional[int] = None,
@@ -132,10 +114,9 @@ def measure_one(
     a fresh recorder, or an existing one); purely observational — the
     recovery profile is identical with or without it.
     ``sketch_quantiles`` adds opt-in P² latency estimates to the totals
-    (separate ``latency_p*_sketch`` keys).  ``collector_mode``
-    ``"streaming"`` bounds collector memory for very large campaigns:
-    counter totals stay exact, but the per-bucket recovery profile and
-    the histogram are then computed over the reservoir *sample*.
+    (separate ``latency_p*_sketch`` keys).  The recovery profile and
+    the latency histogram come from the collector's exact tallies, at
+    any campaign size.
     ``max_attempts``/``retry_backoff``/``hedge_after``/
     ``route_redundancy`` opt the run into the resilient request plane
     (see :class:`TrafficPlane`); the defaults keep the run bit-for-bit
@@ -155,7 +136,6 @@ def measure_one(
         net,
         default_deadline=deadline,
         sketch_quantiles=sketch_quantiles,
-        collector_mode=collector_mode,
         max_attempts=max_attempts,
         retry_backoff=retry_backoff,
         hedge_after=hedge_after,
@@ -192,28 +172,21 @@ def measure_one(
     plane.generator.active = False
     plane.drain()
     # 4. bucket by rounds-since-churn at issue time
-    acc: Dict[str, List] = {}
-    for op in plane.collector.completed:
-        label = _bucket_label(op.issue_round - churn_round)
-        acc.setdefault(label, []).append(op)
-    rows: List[BucketRow] = []
-    for label in _bucket_order():
-        ops = acc.get(label, [])
-        if not ops:
-            continue
-        ok = [op for op in ops if op.routed]
-        lats = [op.latency for op in ok]
-        rows.append(
-            BucketRow(
-                label=label,
-                issued=len(ops),
-                ok=len(ok),
-                failed=len(ops) - len(ok),
-                success_rate=round(len(ok) / len(ops), 4),
-                mean_latency=round(sum(lats) / len(lats), 2) if lats else None,
-                max_latency=max(lats) if lats else None,
-            )
+    # buckets come out in report order: tallies merge in issue-round order
+    rows = tuple(
+        BucketRow(
+            label=label,
+            issued=issued,
+            ok=ok,
+            failed=issued - ok,
+            success_rate=round(ok / issued, 4),
+            mean_latency=round(lat_sum / ok, 2) if ok else None,
+            max_latency=lat_max if ok else None,
         )
+        for label, (issued, ok, lat_sum, lat_max) in plane.collector.tallies_by(
+            lambda r: _bucket_label(r - churn_round)
+        ).items()
+    )
     tel = None
     if recorder is not None:
         recorder.rule_fires = dict(net.counters().fires)
@@ -226,9 +199,9 @@ def measure_one(
         churn_events=dict(sorted(kinds.items())),
         churn_round=churn_round,
         rounds_to_stable=stable_after,
-        buckets=tuple(rows),
+        buckets=rows,
         totals=plane.collector.summary(),
-        latency_hist=tuple(latency_histogram(plane.collector.routed_latencies())),
+        latency_hist=tuple(latency_histogram(plane.collector.latency_counts)),
         violations=plane.collector.violations_count,
         telemetry=tel,
     )
@@ -240,7 +213,6 @@ def run_traffic(
     root_seed: int = DEFAULT_ROOT_SEED,
     telemetry: bool = False,
     sketch_quantiles: Optional[Sequence[float]] = None,
-    collector_mode: str = "list",
     max_attempts: int = 1,
     retry_backoff: int = 4,
     hedge_after: Optional[int] = None,
@@ -250,7 +222,7 @@ def run_traffic(
 
     ``telemetry=True`` attaches a fresh recorder to every run and
     carries its census on the run record (observational only);
-    ``sketch_quantiles``/``collector_mode`` and the resilience knobs
+    ``sketch_quantiles`` and the resilience knobs
     (``max_attempts``/``retry_backoff``/``hedge_after``/
     ``route_redundancy``) pass through to :func:`measure_one`.
     """
@@ -264,7 +236,6 @@ def run_traffic(
                     seed,
                     telemetry=telemetry,
                     sketch_quantiles=sketch_quantiles,
-                    collector_mode=collector_mode,
                     max_attempts=max_attempts,
                     retry_backoff=retry_backoff,
                     hedge_after=hedge_after,
@@ -366,12 +337,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="opt-in P2 latency quantiles (e.g. 0.5 0.99)",
     )
     parser.add_argument(
-        "--collector",
-        choices=("list", "streaming"),
-        default="list",
-        help="completion retention mode (streaming bounds memory)",
-    )
-    parser.add_argument(
         "--max-attempts", type=int, default=1,
         help="attempt budget per op (1 = retries off, the default)",
     )
@@ -393,7 +358,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.seeds,
         args.root_seed,
         sketch_quantiles=args.sketch_quantiles,
-        collector_mode=args.collector,
         max_attempts=args.max_attempts,
         retry_backoff=args.retry_backoff,
         hedge_after=args.hedge_after,

@@ -393,21 +393,15 @@ def run_scenario(
     # in; a retry completing during recovery still credits the failure
     # window it was issued in — the resilience gate's survival floor
     survival: Tuple[Tuple[str, int, int], ...] = ()
-    if plane is not None and plane.collector.mode == "list":
+    if plane is not None:
         from bisect import bisect_right as _bisect_right
 
         labels = [w for w in window_order if window_rounds.get(w)]
         opens = [window_opens[w] for w in labels]
-        counts = {w: [0, 0] for w in labels}
-        for comp in plane.collector.completed:
-            i = _bisect_right(opens, comp.issue_round) - 1
-            tally = counts[labels[i if i >= 0 else 0]]
-            tally[0] += 1
-            if comp.routed:
-                tally[1] += 1
-        survival = tuple(
-            (w, counts[w][0], counts[w][1]) for w in labels if counts[w][0]
+        tallies = plane.collector.tallies_by(
+            lambda issue_round: labels[max(_bisect_right(opens, issue_round) - 1, 0)]
         )
+        survival = tuple((w, done, routed) for w, (done, routed, _, _) in tallies.items())
 
     digest = hashlib.sha256(repr(net.fingerprint()).encode()).hexdigest()[:16]
     activity: Dict[str, int] = {}

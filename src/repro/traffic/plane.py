@@ -69,7 +69,7 @@ from repro.traffic.messages import (
     LookupReply,
     LookupRequest,
 )
-from repro.traffic.slo import MODE_LIST, IssuedOp, SLOCollector
+from repro.traffic.slo import IssuedOp, SLOCollector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.network import ReChordNetwork
@@ -100,6 +100,13 @@ class TrafficPlane:
 
     Attach a :class:`repro.traffic.generator.WorkloadGenerator` for a
     sustained arrival process instead of manual injection.
+
+    The plane's :class:`SLOCollector` keeps O(1) memory per op: exact
+    running aggregates, and a seeded reservoir of at most
+    ``reservoir_size`` completions in ``collector.completed``.
+    ``collector_mode`` exists only for callers written against the
+    retired two-mode collector: ``"streaming"`` is accepted and ignored,
+    any other value is a ``ValueError``.
     """
 
     def __init__(
@@ -108,7 +115,7 @@ class TrafficPlane:
         store: Optional["KeyValueStore"] = None,
         default_ttl: Optional[int] = None,
         default_deadline: int = 48,
-        collector_mode: str = MODE_LIST,
+        collector_mode: Optional[str] = None,
         sketch_quantiles: Optional[Sequence[float]] = None,
         reservoir_size: int = 1024,
         max_attempts: int = 1,
@@ -125,12 +132,16 @@ class TrafficPlane:
             raise ValueError("hedge_after must be >= 1 (or None)")
         if route_redundancy < 1:
             raise ValueError("route_redundancy must be >= 1")
+        if collector_mode not in (None, "streaming"):
+            raise ValueError(
+                f"collector_mode={collector_mode!r}: the SLO collector has one "
+                "mode (bounded memory, exact aggregates); omit the argument"
+            )
         self.net = net
         self.store = store
         self.collector = SLOCollector(
             self.true_owner,
             sketch_quantiles=sketch_quantiles,
-            mode=collector_mode,
             reservoir_size=reservoir_size,
         )
         #: optional workload generator driven by run_round()

@@ -23,28 +23,26 @@ Outcome taxonomy (one per completed op):
   messages dropped at crashed peers);
 * ``origin_dead`` — the op was issued at a peer that no longer exists.
 
-Collector modes (million-op campaigns)
---------------------------------------
+One collector, bounded memory
+----------------------------
 
-The collector runs in one of two modes:
+The collector never retains every record.  :meth:`SLOCollector.summary`
+is computed from exact running aggregates, so a 10^6-op campaign and a
+ten-op test read their metrics the same way:
 
-* ``"list"`` (the default, and the spec): every :class:`CompletedOp` is
-  retained in :attr:`SLOCollector.completed`, and latency percentiles
-  are exact.  Memory is O(ops).
-* ``"streaming"``: per-operation memory is O(1) — running counters and
-  moments replace the full completion list, ``latency_p95`` comes from
-  a P² sketch, and :attr:`SLOCollector.completed` holds a **seeded
-  reservoir sample** (Vitter's algorithm R, bounded by
-  ``reservoir_size``) instead of every record.  All *counter* keys of
-  :meth:`SLOCollector.summary` (``issued`` / ``completed`` /
-  ``outcomes`` / ``violations`` / ``success_rate`` / latency and hop
-  means and maxima) are computed from exact running aggregates and are
-  identical to list mode on the same campaign; only the percentile
-  estimate is approximate.  The differential suite pins this.
+* an exact count per routed latency (:attr:`SLOCollector.latency_counts`).
+  Latencies are small integers, a handful of distinct values per run,
+  and ``latency_p95`` is the nearest rank walked over these counts
+  (:func:`nearest_rank`) — the same value :func:`percentile` gives over
+  the full list;
+* exact per-issue-round tallies — completed, routed, routed-latency sum
+  and max — from which callers build recovery profiles and per-window
+  survival (:meth:`SLOCollector.tallies_by`);
+* :attr:`SLOCollector.completed`, a **seeded reservoir** (Vitter's
+  algorithm R, at most ``reservoir_size`` records): every record, in
+  completion order, while they fit, and a uniform sample after that.
 
-Two ledger structures are bounded in **both** modes, with explicit
-overflow policies (unbounded growth over a 10^6-op campaign would
-defeat the streaming mode):
+Two ledger structures are bounded too, with explicit overflow policies:
 
 * the succeeded-once index behind the violation counter holds at most
   ``max_tracked_searches`` distinct ``(origin, kid)`` keys; on overflow
@@ -53,8 +51,8 @@ defeat the streaming mode):
   :attr:`SLOCollector.tracked_search_overflow` — the violation counter
   can then only undercount, never overcount;
 * violation *records* kept for offline analysis are capped at
-  ``max_violation_records`` in streaming mode (first-K retained);
-  :attr:`SLOCollector.violations_count` stays exact in every mode.
+  ``max_violation_records`` (first-K retained);
+  :attr:`SLOCollector.violations_count` stays exact.
 
 Deadline wheel
 --------------
@@ -72,9 +70,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.traffic.messages import (
     OUT_MISROUTE,
@@ -87,10 +85,6 @@ from repro.traffic.messages import (
 
 #: outcomes that count as a successful search (reached the true owner)
 ROUTED_OUTCOMES = (ST_OK, ST_NOTFOUND)
-
-#: collector modes (see module docstring)
-MODE_LIST = "list"
-MODE_STREAMING = "streaming"
 
 
 @dataclass(frozen=True)
@@ -186,18 +180,41 @@ def percentile(
     return float(ordered[rank - 1])
 
 
+def nearest_rank(
+    counts: Mapping[int, int], q: float, default: Optional[float] = None
+) -> float:
+    """:func:`percentile` of the sample holding ``counts[v]`` copies of
+    each value ``v``, walked over the distinct values in ascending order
+    — same rank rule, same edges, same empty-sample contract."""
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile q must be in [0, 100], got {q}")
+    n = sum(counts.values())
+    if not n:
+        if default is not None:
+            return default
+        raise ValueError("no values")
+    rank = min(max(math.ceil(q * n / 100), 1), n)
+    seen = 0
+    for value in sorted(counts):
+        seen += counts[value]
+        if seen >= rank:
+            return float(value)
+    raise AssertionError("unreachable: the ranks sum to n")
+
+
 def latency_histogram(
-    values: Sequence[int],
+    counts: Mapping[int, int],
     bounds: Optional[Sequence[int]] = None,
 ) -> List[Tuple[str, int]]:
     """Bucketed latency counts, ``bounds`` are inclusive upper edges.
 
+    ``counts`` maps a latency to how often it occurred (the collector's
+    :attr:`SLOCollector.latency_counts`, or a ``Counter`` of a sample).
     Defaults to power-of-two edges up to 256 rounds plus an overflow
     bucket, the shape used by every traffic report in this repo.  Each
-    value is placed with one ``bisect_left`` over the edges — O(log
-    edges) instead of the historical linear scan — preserving the
-    inclusive-upper-edge semantics: a value *equal* to an edge lands in
-    that edge's bucket (``bisect_left`` returns the edge's own index
+    value is placed with one ``bisect_left`` over the edges, preserving
+    the inclusive-upper-edge semantics: a value *equal* to an edge lands
+    in that edge's bucket (``bisect_left`` returns the edge's own index
     for an exact hit, because the first edge >= v is the bucket for v).
     """
     if bounds is None:
@@ -205,11 +222,11 @@ def latency_histogram(
     if not bounds:
         # a defined value instead of the historical IndexError on the
         # overflow label: everything lands in one catch-all bucket
-        return [("all", len(values))]
+        return [("all", sum(counts.values()))]
     buckets = [0] * (len(bounds) + 1)
     edges = list(bounds)
-    for v in values:
-        buckets[bisect_left(edges, v)] += 1
+    for v, count in counts.items():
+        buckets[bisect_left(edges, v)] += count
     labels = [f"<={edge}" for edge in bounds] + [f">{bounds[-1]}"]
     return list(zip(labels, buckets))
 
@@ -222,10 +239,11 @@ class SLOCollector:
     consulted once per completion, so classification always reflects the
     membership at completion time.
 
-    ``mode`` selects the retention policy (see the module docstring):
-    ``"list"`` (default, O(ops) memory, exact percentiles) or
-    ``"streaming"`` (O(1) per op: running aggregates + P² sketch +
-    seeded reservoir sample of size ``reservoir_size``).
+    Memory per completed op is O(1) (see the module docstring): every
+    :meth:`summary` key comes from exact running aggregates, and
+    :attr:`completed` is a seeded reservoir of at most
+    ``reservoir_size`` records (all of them, in completion order, while
+    they fit).
 
     Standalone (no network), the ledger mechanics look like this:
 
@@ -243,18 +261,14 @@ class SLOCollector:
         self,
         true_owner: Callable[[int], Optional[int]],
         sketch_quantiles: Optional[Sequence[float]] = None,
-        mode: str = MODE_LIST,
         reservoir_size: int = 1024,
         reservoir_seed: int = 2011,
         max_tracked_searches: int = 1 << 20,
         max_violation_records: int = 4096,
     ) -> None:
-        if mode not in (MODE_LIST, MODE_STREAMING):
-            raise ValueError(f"unknown collector mode {mode!r}")
         if reservoir_size < 1:
             raise ValueError("reservoir_size must be >= 1")
         self._true_owner = true_owner
-        self.mode = mode
         #: opt-in streaming latency percentiles (P² sketches) for extra
         #: quantiles; ``summary()`` keys are unchanged by default — the
         #: estimates land under separate ``latency_p*_sketch`` keys
@@ -263,25 +277,21 @@ class SLOCollector:
             from repro.telemetry.sketch import P2Quantile
 
             self.sketches = {q: P2Quantile(q) for q in sketch_quantiles}
-        #: streaming mode's own p95 sketch backing the ``latency_p95``
-        #: summary key (list mode computes the exact nearest-rank value)
-        self._p95 = None
-        self._reservoir_rng: Optional[random.Random] = None
+        self._reservoir_rng = random.Random(reservoir_seed)
         self.reservoir_size = reservoir_size
-        if mode == MODE_STREAMING:
-            from repro.telemetry.sketch import P2Quantile
-
-            self._p95 = P2Quantile(0.95)
-            self._reservoir_rng = random.Random(reservoir_seed)
         self.outstanding: Dict[int, IssuedOp] = {}
-        #: list mode: every completion, in completion order.  streaming
-        #: mode: a seeded reservoir sample (NOT chronological) bounded by
-        #: ``reservoir_size`` — counts must come from completed_count
+        #: seeded reservoir of completions: every one, in completion
+        #: order, while they fit ``reservoir_size``; a uniform sample (NOT
+        #: chronological) after that — counts come from completed_count
         self.completed: List[CompletedOp] = []
         self.outcomes: Dict[str, int] = {}
-        #: exact completion counters, maintained in both modes
+        #: exact completion counters
         self.completed_count = 0
         self.routed_count = 0
+        #: routed latency (rounds) -> how many routed ops took it
+        self.latency_counts: Dict[int, int] = {}
+        #: issue round -> [completed, routed, routed-latency sum, max]
+        self._issue_tallies: Dict[int, List[int]] = {}
         #: replies that arrived after their op already timed out
         self.late_replies = 0
         #: (origin, kid) pairs with at least one successful search,
@@ -293,9 +303,9 @@ class SLOCollector:
         #: (full) succeeded-once index — the explicit overflow policy
         self.tracked_search_overflow = 0
         #: recorded monotonic-searchability violations; capped at
-        #: ``max_violation_records`` in streaming mode (first-K kept)
+        #: ``max_violation_records`` (first-K kept)
         self.violations: List[CompletedOp] = []
-        #: exact violation counter (== len(violations) in list mode)
+        #: exact violation counter
         self.violations_count = 0
         self.max_violation_records = max_violation_records
         #: truth sampled when the terminal peer *answered* (the plane
@@ -330,7 +340,7 @@ class SLOCollector:
         #: failure replies from a superseded attempt, suppressed instead
         #: of double-counting a retried op
         self.stale_replies = 0
-        #: completion count per winning attempt number (both modes exact)
+        #: completion count per winning attempt number
         self.attempts_histogram: Dict[int, int] = {}
         #: routed completions won by the first attempt vs. by a retry
         self.first_attempt_success = 0
@@ -338,49 +348,28 @@ class SLOCollector:
         # -- deadline wheel: deadline_round -> [op_id] + heap of rounds --
         self._wheel: Dict[int, List[int]] = {}
         self._wheel_rounds: List[int] = []
-        # -- running latency/hop aggregates (exact, both modes) ----------
-        self._lat_sum = 0
-        self._lat_max = 0
+        # -- running wire-delay/hop aggregates (exact) -------------------
         self._wire_sum = 0
         self._wire_max = 0
         self._hops_sum = 0
         self._hops_count = 0
         self._hops_max = 0
-        #: list-mode memo of the sorted routed-latency sample, rebuilt
-        #: lazily and invalidated by _complete (repeated summary() calls
-        #: must not re-sort the full completion list each time)
-        self._sorted_lat_cache: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # ledger
     # ------------------------------------------------------------------
     def register(self, issued: IssuedOp) -> None:
         """Track a newly injected operation (bucketed on the wheel)."""
-        if issued.op_id in self.outstanding:
-            raise ValueError(f"duplicate op id {issued.op_id}")
-        self.outstanding[issued.op_id] = issued
-        bucket = self._wheel.get(issued.deadline)
-        if bucket is None:
-            self._wheel[issued.deadline] = [issued.op_id]
-            heapq.heappush(self._wheel_rounds, issued.deadline)
-        else:
-            bucket.append(issued.op_id)
+        self.register_batch((issued,))
 
     def register_batch(self, batch: Sequence[IssuedOp]) -> None:
         """Bulk :meth:`register`: one ledger/wheel pass for a whole
         round of arrivals (they typically share one deadline bucket)."""
         outstanding = self.outstanding
-        wheel = self._wheel
         for issued in batch:
             if issued.op_id in outstanding:
                 raise ValueError(f"duplicate op id {issued.op_id}")
-            outstanding[issued.op_id] = issued
-            bucket = wheel.get(issued.deadline)
-            if bucket is None:
-                wheel[issued.deadline] = [issued.op_id]
-                heapq.heappush(self._wheel_rounds, issued.deadline)
-            else:
-                bucket.append(issued.op_id)
+            self.rebucket(issued)
 
     def outstanding_count(self) -> int:
         """Operations in flight (closed-loop generators throttle on this)."""
@@ -489,9 +478,10 @@ class SLOCollector:
         return True
 
     def rebucket(self, replacement: IssuedOp) -> None:
-        """Replace an outstanding op's registration (retry relaunch).
+        """Replace an outstanding op's registration (retry relaunch), or
+        make a new one (:meth:`register_batch`).
 
-        The superseded wheel entry is left in place: the expiry sweep
+        A superseded wheel entry is left in place: the expiry sweep
         skips any bucketed op whose *current* deadline lies in the
         future, exactly like a lazily-unlinked completion.
         """
@@ -565,6 +555,10 @@ class SLOCollector:
         routed = record.outcome in ROUTED_OUTCOMES
         self.completed_count += 1
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
+        tally = self._issue_tallies.get(issued.issue_round)
+        if tally is None:
+            tally = self._issue_tallies[issued.issue_round] = [0, 0, 0, 0]
+        tally[0] += 1
         if self.resilience_enabled:
             self.attempts_histogram[attempt] = (
                 self.attempts_histogram.get(attempt, 0) + 1
@@ -579,15 +573,16 @@ class SLOCollector:
         if routed:
             latency = record.latency
             self.routed_count += 1
-            self._lat_sum += latency
-            if latency > self._lat_max:
-                self._lat_max = latency
+            counts = self.latency_counts
+            counts[latency] = counts.get(latency, 0) + 1
+            tally[1] += 1
+            tally[2] += latency
+            if latency > tally[3]:
+                tally[3] = latency
             wire = record.wire_delay
             self._wire_sum += wire
             if wire > self._wire_max:
                 self._wire_max = wire
-            if self._p95 is not None:
-                self._p95.add(latency)
             if self.sketches is not None:
                 for sketch in self.sketches.values():
                     sketch.add(latency)
@@ -596,19 +591,15 @@ class SLOCollector:
             self._hops_count += 1
             if hops > self._hops_max:
                 self._hops_max = hops
-        if self.mode == MODE_LIST:
+        # seeded reservoir (algorithm R): every completion has a
+        # k/count chance of being retained, independent of order
+        k = self.reservoir_size
+        if len(self.completed) < k:
             self.completed.append(record)
-            self._sorted_lat_cache = None
         else:
-            # seeded reservoir (algorithm R): every completion has a
-            # k/count chance of being retained, independent of order
-            k = self.reservoir_size
-            if len(self.completed) < k:
-                self.completed.append(record)
-            else:
-                j = self._reservoir_rng.randrange(self.completed_count)
-                if j < k:
-                    self.completed[j] = record
+            j = self._reservoir_rng.randrange(self.completed_count)
+            if j < k:
+                self.completed[j] = record
         key = (issued.origin, issued.kid)
         if routed:
             if key not in self._succeeded_once:
@@ -618,10 +609,7 @@ class SLOCollector:
                     self.tracked_search_overflow += 1
         elif key in self._succeeded_once:
             self.violations_count += 1
-            if (
-                self.mode == MODE_LIST
-                or len(self.violations) < self.max_violation_records
-            ):
+            if len(self.violations) < self.max_violation_records:
                 self.violations.append(record)
         if self.completion_observer is not None:
             self.completion_observer(record)
@@ -629,30 +617,30 @@ class SLOCollector:
     # ------------------------------------------------------------------
     # derived metrics
     # ------------------------------------------------------------------
-    def routed_latencies(self) -> List[int]:
-        """Latencies (rounds) of successfully routed operations.
+    def tallies_by(
+        self, group: Callable[[int], Hashable]
+    ) -> Dict[Hashable, Tuple[int, int, int, int]]:
+        """Per-issue-round tallies merged by ``group(issue_round)``.
 
-        List mode: every routed completion.  Streaming mode: the routed
-        slice of the reservoir *sample* (callers needing exact
-        aggregates at scale should use :meth:`summary`).
+        Each group maps to ``(completed, routed, routed-latency sum,
+        routed-latency max)`` over the ops issued in its rounds — a
+        retried op counts in the round it was first issued — and groups
+        appear in the order of their earliest issue round.  Exact for
+        every completion, resident in the reservoir or not.
         """
-        return [c.latency for c in self.completed if c.routed]
-
-    def _sorted_routed_latencies(self) -> List[int]:
-        """List-mode memo of the sorted routed latencies (percentiles)."""
-        cached = self._sorted_lat_cache
-        if cached is None:
-            cached = sorted(c.latency for c in self.completed if c.routed)
-            self._sorted_lat_cache = cached
-        return cached
-
-    def traced(self) -> List[CompletedOp]:
-        """Completions carrying a causal hop trace (sampled ops).
-
-        Streaming mode surfaces only the traces still resident in the
-        reservoir sample.
-        """
-        return [c for c in self.completed if c.trace is not None]
+        out: Dict[Hashable, Tuple[int, int, int, int]] = {}
+        for issue_round, (done, routed, lat_sum, lat_max) in sorted(
+            self._issue_tallies.items()
+        ):
+            key = group(issue_round)
+            acc = out.get(key)
+            if acc is not None:
+                done += acc[0]
+                routed += acc[1]
+                lat_sum += acc[2]
+                lat_max = max(lat_max, acc[3])
+            out[key] = (done, routed, lat_sum, lat_max)
+        return out
 
     def success_rate(self) -> float:
         """Fraction of completed ops that reached the true owner."""
@@ -660,14 +648,17 @@ class SLOCollector:
             return 1.0
         return self.routed_count / self.completed_count
 
+    def traced(self) -> List[CompletedOp]:
+        """Resident completions carrying a causal hop trace (sampled ops):
+        those still in the reservoir."""
+        return [c for c in self.completed if c.trace is not None]
+
     def summary(self) -> dict:
         """Flat metrics dict (stable keys, used by tests and benches).
 
-        Every counter key (``issued`` / ``completed`` / ``outstanding``
-        / ``success_rate`` / ``violations`` / ``late_replies`` /
-        ``outcomes`` / means and maxima) is exact in both modes; in
-        streaming mode ``latency_p95`` is the P² estimate (exact until
-        five samples) instead of the nearest-rank percentile.
+        Every key is exact — ``latency_p95`` is the nearest rank over
+        the routed-latency counts — except the opt-in
+        ``latency_p*_sketch`` keys, which are P² estimates.
         """
         out = {
             "issued": self.completed_count + len(self.outstanding),
@@ -679,12 +670,11 @@ class SLOCollector:
             "outcomes": dict(sorted(self.outcomes.items())),
         }
         if self.routed_count:
-            out["latency_mean"] = round(self._lat_sum / self.routed_count, 2)
-            if self.mode == MODE_LIST:
-                out["latency_p95"] = percentile(self._sorted_routed_latencies(), 95)
-            else:
-                out["latency_p95"] = round(self._p95.value(), 2)
-            out["latency_max"] = self._lat_max
+            counts = self.latency_counts
+            lat_sum = sum(lat * count for lat, count in counts.items())
+            out["latency_mean"] = round(lat_sum / self.routed_count, 2)
+            out["latency_p95"] = nearest_rank(counts, 95)
+            out["latency_max"] = max(counts)
             # wire-delay component: rounds spent on slow links beyond
             # the one-round-per-hop baseline (0 under unit delivery)
             out["wire_delay_mean"] = round(self._wire_sum / self.routed_count, 2)
@@ -703,7 +693,7 @@ class SLOCollector:
         if self.resilience_enabled:
             # resilient-plane census; gated so default summaries (and
             # every baseline built on them) keep their historical keys.
-            # All of these are exact running counters in both modes.
+            # All of these are exact running counters.
             out["retries"] = self.retries
             out["stale_replies"] = self.stale_replies
             out["hedges_issued"] = self.hedges_issued

@@ -117,6 +117,8 @@ class TestCli:
             (["scenario", "nope"], "unknown scenario 'nope'; choose from"),
             (["scenario", "--spec", "/nonexistent.json"], "No such file"),
             (["scenario", "--spec", "MALFORMED"], "--spec"),
+            (["traffic", "--collector", "list"],
+             "unrecognized arguments: --collector list"),
         ],
     )
     def test_bad_input_is_a_diagnostic_not_a_traceback(self, argv, message, capsys, tmp_path):

@@ -11,6 +11,7 @@ replay cache).
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.traffic.messages import (
     ST_OK,
     LookupReply,
 )
-from repro.traffic.slo import IssuedOp, SLOCollector, latency_histogram
+from repro.traffic.slo import IssuedOp, SLOCollector, latency_histogram, percentile
 from repro.workloads.initial import build_random_network, random_peer_ids
 from tests.conftest import KERNELS, build, stabilized
 
@@ -385,25 +386,23 @@ class TestSLOCollector:
             col.register(self._issued(0))
 
     def test_latency_histogram_buckets(self):
-        hist = latency_histogram([1, 2, 2, 5, 300], bounds=(1, 2, 4, 8))
+        hist = latency_histogram(Counter([1, 2, 2, 5, 300]), bounds=(1, 2, 4, 8))
         assert hist == [("<=1", 1), ("<=2", 2), ("<=4", 0), ("<=8", 1), (">8", 1)]
 
     def test_latency_histogram_empty_inputs_defined(self):
         """Regression (ISSUE-6): empty samples and empty bounds must
         return defined values, not IndexError on the overflow label."""
-        assert latency_histogram([]) == [
+        assert latency_histogram({}) == [
             (f"<={e}", 0) for e in (1, 2, 4, 8, 16, 32, 64, 128, 256)
         ] + [(">256", 0)]
-        assert latency_histogram([3, 9], bounds=()) == [("all", 2)]
-        assert latency_histogram([], bounds=()) == [("all", 0)]
+        assert latency_histogram(Counter([3, 9]), bounds=()) == [("all", 2)]
+        assert latency_histogram({}, bounds=()) == [("all", 0)]
 
 
 class TestPercentile:
     """Nearest-rank percentile edges (ISSUE-6 regression)."""
 
     def test_exact_rank_boundaries(self):
-        from repro.traffic.slo import percentile
-
         values = list(range(1, 21))  # 1..20
         # 95% of 20 = rank 19 exactly; the historical q/100*n form
         # computed 19.000000000000004 and over-selected rank 20
@@ -414,21 +413,15 @@ class TestPercentile:
         assert percentile(values, 50) == 10.0
 
     def test_single_sample_every_q(self):
-        from repro.traffic.slo import percentile
-
         for q in (0, 1, 50, 95, 100):
             assert percentile([7.5], q) == 7.5
 
     def test_empty_sample(self):
-        from repro.traffic.slo import percentile
-
         with pytest.raises(ValueError):
             percentile([], 95)
         assert percentile([], 95, default=0.0) == 0.0
 
     def test_q_out_of_range_rejected(self):
-        from repro.traffic.slo import percentile
-
         for q in (-1, 100.5):
             with pytest.raises(ValueError):
                 percentile([1, 2, 3], q)

@@ -7,7 +7,7 @@ columnar loop holds the mail in a per-target lane).  The full-scan
 kernel stays the executable spec, so this suite drives both over the
 same seeded traffic campaigns **round by round** and compares every
 observable — including the ones that depend on *order* (``all_pending``,
-completion order behind the P² sketch and the reservoir).  It also pins
+completion order behind the collector's reservoir).  It also pins
 the lane's own contract: the twin count (traffic adds no rule steps),
 handler purity, and that tracing does not change the kernel.
 """
@@ -42,7 +42,7 @@ DELIVERY_LEGS = pytest.mark.parametrize(
 
 
 class Campaign:
-    """One seeded stabilized network with a streaming traffic plane."""
+    """One seeded stabilized network with a traffic plane."""
 
     def __init__(self, engine: str, seed: int, n: int = 14,
                  rate: float = 3.0, plane_cls=TrafficPlane):
@@ -51,8 +51,7 @@ class Campaign:
         )
         net.run_until_stable(max_rounds=5000)
         self.plane = plane_cls(
-            net, store=KeyValueStore(ReChordRouter(net)),
-            collector_mode="streaming", reservoir_size=32,
+            net, store=KeyValueStore(ReChordRouter(net)), reservoir_size=32,
         )
         self.gen = WorkloadGenerator(
             self.plane, rate=rate, op_mix=OP_MIX, key_universe=24,
@@ -99,7 +98,7 @@ def lockstep(lane: Campaign, spec: Campaign, context: str, exact_flag: bool = Tr
 def assert_same_ledger(lane: Campaign, spec: Campaign) -> None:
     a, b = lane.plane.collector, spec.plane.collector
     assert a.summary() == b.summary()
-    # algorithm R and P² consume completions in order: equal reservoirs
+    # algorithm R consumes completions in order: equal reservoirs
     # mean the handlers ran in the same order on both kernels
     assert [c.op_id for c in a.completed] == [c.op_id for c in b.completed]
     assert list(a.completed) == list(b.completed)

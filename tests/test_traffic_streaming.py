@@ -1,12 +1,12 @@
-"""The streaming traffic plane: bounded collectors, the deadline wheel,
+"""The traffic plane at scale: the bounded collector, the deadline wheel,
 and batched injection.
 
 Three contracts from the million-op campaign work, pinned here:
 
-* **differential**: a streaming-mode :class:`SLOCollector` must agree
-  with list mode *exactly* on every counter key of ``summary()`` on the
-  same seeded campaign (only the p95 estimate is approximate), while
-  holding O(reservoir) completions instead of O(ops);
+* **record reference**: every key of :meth:`SLOCollector.summary` and
+  every per-issue-round tally equals the value computed from the
+  campaign's every completion record, while the collector holds
+  O(reservoir) completions instead of O(ops);
 * **wheel**: deadline expiry via the bucket wheel must survive
   adversarial ledgers — replies racing their own deadline round, late
   replies after wheel expiry, registrations landing on already-drained
@@ -19,8 +19,13 @@ Three contracts from the million-op campaign work, pinned here:
 from __future__ import annotations
 
 import random
+import re
+from bisect import bisect_right
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dht.lookup import ReChordRouter
 from repro.dht.storage import KeyValueStore
@@ -33,19 +38,22 @@ from repro.traffic.messages import (
     ST_OK,
     LookupReply,
 )
+from repro.scenarios import executor, make_scenario, run_scenario
+from repro.telemetry.sketch import P2Quantile
 from repro.traffic.slo import (
-    MODE_STREAMING,
     IssuedOp,
     SLOCollector,
     latency_histogram,
+    nearest_rank,
+    percentile,
 )
 from repro.workloads.initial import build_random_network, random_peer_ids
 
 TRUTH = 42
 
 
-def collector(mode="list", **kw) -> SLOCollector:
-    return SLOCollector(lambda kid: TRUTH, mode=mode, **kw)
+def collector(**kw) -> SLOCollector:
+    return SLOCollector(lambda kid: TRUTH, **kw)
 
 
 def issued(op_id, deadline, origin=1, kid=9, issue_round=0) -> IssuedOp:
@@ -63,25 +71,82 @@ def reply(op_id, owner=TRUTH, status=ST_OK, kid=9, hops=3) -> LookupReply:
 
 
 # ----------------------------------------------------------------------
-# streaming vs list differential on seeded campaigns
+# the collector's aggregates against every completion record
 # ----------------------------------------------------------------------
-class TestStreamingDifferential:
-    #: counter keys that must agree bit-for-bit across modes
-    EXACT_KEYS = (
-        "issued", "completed", "outstanding", "success_rate", "violations",
-        "late_replies", "outcomes", "latency_mean", "latency_max",
-        "wire_delay_mean", "wire_delay_max", "hops_mean", "hops_max",
-    )
+QUANTILES = (0.5, 0.99)
+RESILIENT = dict(max_attempts=3, retry_backoff=3, hedge_after=4, route_redundancy=2)
 
-    def _campaign(self, mode, seed, reservoir_size=64, sketch_quantiles=None):
-        """One seeded churny campaign; returns its plane (post-drain)."""
+
+def record_summary(records, coll, log=None) -> dict:
+    """Every ``summary()`` key from the completion records, in completion
+    order; ``outstanding``/``late_replies``/``stale_replies`` come from
+    the ledger, ``retries``/``hedges_issued`` from the attempt log."""
+    routed = [c for c in records if c.routed]
+    lats, wires = [c.latency for c in routed], [c.wire_delay for c in routed]
+    hops = [c.hops for c in records if c.hops is not None]
+    succeeded, violations = set(), 0
+    for c in records:
+        violations += not c.routed and (c.origin, c.kid) in succeeded
+        if c.routed:
+            succeeded.add((c.origin, c.kid))
+    out = {
+        "issued": len(records) + len(coll.outstanding), "completed": len(records),
+        "outstanding": len(coll.outstanding),
+        "success_rate": round(len(routed) / len(records), 4),
+        "violations": violations, "late_replies": coll.late_replies,
+        "outcomes": dict(sorted(Counter(c.outcome for c in records).items())),
+        "latency_mean": round(sum(lats) / len(lats), 2),
+        "latency_p95": percentile(lats, 95), "latency_max": max(lats),
+        "wire_delay_mean": round(sum(wires) / len(wires), 2), "wire_delay_max": max(wires),
+        "hops_mean": round(sum(hops) / len(hops), 2), "hops_max": max(hops),
+    }
+    for q in QUANTILES:
+        sketch = P2Quantile(q)
+        for lat in lats:
+            sketch.add(lat)
+        out[f"latency_p{round(q * 100)}_sketch"] = round(sketch.value(), 2)
+    if log is not None:
+        kinds = Counter(kind for kind, *_ in log)
+        out.update(
+            retries=kinds["retry"], hedges_issued=kinds["hedge"],
+            stale_replies=coll.stale_replies,
+            hedge_wins=sum(c.hedged for c in routed),
+            first_attempt_success=sum(c.attempt == 1 for c in routed),
+            eventual_success=sum(c.attempt > 1 for c in routed),
+            attempts={str(k): v for k, v in sorted(Counter(c.attempt for c in records).items())},
+        )
+    return out
+
+
+def record_tallies(records, group) -> dict:
+    """:meth:`SLOCollector.tallies_by` computed from the records."""
+    out = {}
+    for c in records:
+        done, ok, lat_sum, lat_max = out.get(group(c.issue_round), (0, 0, 0, 0))
+        lat = c.latency if c.routed else 0
+        out[group(c.issue_round)] = (done + 1, ok + c.routed, lat_sum + lat, max(lat_max, lat))
+    return out
+
+
+def recorded(plane) -> list:
+    """Every completion of ``plane``, in order (the plane's own observer still runs)."""
+    records, inner = [], plane.collector.completion_observer
+    plane.collector.completion_observer = lambda c: (records.append(c), inner and inner(c))
+    return records
+
+
+class TestRecordReference:
+    def _campaign(self, seed, reservoir=16, **knobs):
+        """One seeded campaign, a crash at round 10 and a join at 18;
+        returns the drained plane and its every completion record."""
         net = build_random_network(n=12, seed=seed)
         net.run_until_stable(max_rounds=5000)
-        kv = KeyValueStore(ReChordRouter(net))
         plane = TrafficPlane(
-            net, store=kv, collector_mode=mode,
-            reservoir_size=reservoir_size, sketch_quantiles=sketch_quantiles,
+            net, store=KeyValueStore(ReChordRouter(net)), default_deadline=24,
+            reservoir_size=reservoir, sketch_quantiles=QUANTILES, retry_seed=seed, **knobs,
         )
+        plane.attempt_log = []
+        records = recorded(plane)
         WorkloadGenerator(
             plane, rate=6.0,
             op_mix=((OP_LOOKUP, 0.6), (OP_PUT, 0.25), (OP_GET, 0.15)),
@@ -99,51 +164,84 @@ class TestStreamingDifferential:
             plane.run_round()
         plane.generator.active = False
         plane.drain()
-        return plane
+        return plane, records
 
+    @pytest.mark.parametrize("knobs", [{}, RESILIENT], ids=["plain", "resilient"])
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_counter_keys_match_exactly(self, seed):
-        a = self._campaign("list", seed).collector.summary()
-        b = self._campaign("streaming", seed).collector.summary()
-        assert set(a) == set(b)
-        for key in self.EXACT_KEYS:
-            if key in a:
-                assert a[key] == b[key], f"{key}: {a[key]} != {b[key]}"
+    def test_summary_and_tallies_equal_the_records(self, seed, knobs):
+        plane, records = self._campaign(seed, **knobs)
+        coll = plane.collector
+        assert len(records) > len(coll.completed) == 16  # outgrew the reservoir
+        assert all(c in records for c in coll.completed)
+        assert coll.summary() == record_summary(records, coll, plane.attempt_log if knobs else None)
 
-    def test_p95_within_sketch_tolerance(self):
-        a = self._campaign("list", 3).collector.summary()
-        b = self._campaign("streaming", 3).collector.summary()
-        assert abs(a["latency_p95"] - b["latency_p95"]) <= max(
-            2.0, 0.3 * a["latency_p95"]
+        def window(issue_round):  # per-window survival: steady, crash, join
+            return "steady" if issue_round < 10 else "crash" if issue_round < 18 else "join"
+
+        assert coll.tallies_by(window) == record_tallies(records, window)
+
+    def test_reservoir_keeps_every_record_while_they_fit_then_a_seeded_sample(self):
+        plane, records = self._campaign(11, reservoir=1024)
+        assert plane.collector.completed == records  # every record, in order
+        a, b = self._campaign(11)[0].collector, self._campaign(11)[0].collector
+        assert a.completed == b.completed != records[:16]
+
+    def test_scenario_survival_equals_the_records(self, monkeypatch):
+        """``run_scenario``'s per-window survival with a reservoir far
+        smaller than the campaign, against the records grouped by the
+        report's windows: "start", "r<round>:<kinds>", "recovery"."""
+        recordings = []
+
+        def small_reservoir_plane(net, **kw):
+            plane = TrafficPlane(net, **dict(kw, reservoir_size=8))
+            recordings.append(recorded(plane))
+            return plane
+
+        monkeypatch.setattr(executor, "TrafficPlane", small_reservoir_plane)
+        report = run_scenario(make_scenario("mass-failure", n=48, seed=2011))
+        (records,) = recordings
+        labels = [w for w, _ in report.dropped_by_window]
+        opens = [int(m.group(1)) if (m := re.match(r"r(\d+):", w))
+                 else report.rounds_adversity if w == "recovery" else -1 for w in labels]
+        tallies = record_tallies(records, lambda r: labels[bisect_right(opens, r) - 1])
+        assert len(records) > 8
+        assert report.survival_by_window == tuple(
+            (w, *tallies[w][:2]) for w in labels if w in tallies
         )
 
-    def test_optin_sketch_keys_identical_across_modes(self):
-        """The opt-in sketches see the same latency stream in both modes,
-        so their keys agree exactly (and stay separate from the counter
-        keys, as in list mode today)."""
-        qs = (0.5, 0.99)
-        a = self._campaign("list", 3, sketch_quantiles=qs).collector.summary()
-        b = self._campaign("streaming", 3, sketch_quantiles=qs).collector.summary()
-        for key in ("latency_p50_sketch", "latency_p99_sketch"):
-            assert key in a and a[key] == b[key]
 
-    def test_streaming_holds_only_the_reservoir(self):
-        plane = self._campaign("streaming", 3, reservoir_size=16)
-        coll = plane.collector
-        assert coll.completed_count > 16  # the campaign outgrew the cap
-        assert len(coll.completed) == 16
-        # every resident record is a real completion of this campaign
-        assert all(c.op_id < coll.completed_count + len(coll.outstanding) + 1
-                   for c in coll.completed)
+class TestNearestRank:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=60),
+        q=st.floats(min_value=0, max_value=100),
+    )
+    def test_equals_percentile_over_the_expanded_list(self, values, q):
+        assert nearest_rank(Counter(values), q) == percentile(values, q)
 
-    def test_streaming_reservoir_is_seeded(self):
-        a = self._campaign("streaming", 11, reservoir_size=16)
-        b = self._campaign("streaming", 11, reservoir_size=16)
-        assert a.collector.completed == b.collector.completed
+    @pytest.mark.parametrize("rank", [
+        percentile, lambda values, q, **kw: nearest_rank(Counter(values), q, **kw),
+    ], ids=["list", "counts"])
+    def test_edges(self, rank):
+        assert all(rank([7.5], q) == 7.5 for q in (0, 1, 50, 95, 100))  # one sample
+        assert rank([], 95, default=0.0) == 0.0
+        for values, q in (([], 95), ([1, 2, 3], -1), ([1, 2, 3], 100.5)):
+            with pytest.raises(ValueError):
+                rank(values, q)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            collector(mode="ring-buffer")
+    def test_no_routed_ops(self):
+        col = collector()
+        col.register(issued(0, deadline=5))
+        col.expire(round_no=8)  # one timeout, nothing routed
+        assert "latency_p95" not in col.summary() and col.latency_counts == {}
+
+
+class TestCollectorMode:
+    def test_collector_mode_other_than_streaming_is_rejected(self):
+        net = build_random_network(n=6, seed=5)
+        with pytest.raises(ValueError, match="one mode"):
+            TrafficPlane(net, collector_mode="list")
+        TrafficPlane(net, collector_mode="streaming")  # what older callers pass
 
 
 # ----------------------------------------------------------------------
@@ -223,11 +321,11 @@ class TestDeadlineWheel:
 class TestHistogramBisect:
     def test_value_equal_to_bound_lands_in_that_bucket(self):
         """Edges are inclusive upper bounds: v == edge belongs to edge."""
-        hist = dict(latency_histogram([1, 2, 4, 4], bounds=(1, 2, 4)))
+        hist = dict(latency_histogram(Counter([1, 2, 4, 4]), bounds=(1, 2, 4)))
         assert hist == {"<=1": 1, "<=2": 1, "<=4": 2, ">4": 0}
 
     def test_overflow_bucket(self):
-        hist = dict(latency_histogram([5, 100], bounds=(1, 2, 4)))
+        hist = dict(latency_histogram(Counter([5, 100]), bounds=(1, 2, 4)))
         assert hist[">4"] == 2
 
     def test_matches_linear_reference_on_random_values(self):
@@ -246,10 +344,10 @@ class TestHistogramBisect:
                     buckets[-1] += 1
             return buckets
 
-        assert [c for _, c in latency_histogram(values)] == linear(values)
+        assert [c for _, c in latency_histogram(Counter(values))] == linear(values)
 
     def test_empty_bounds_is_one_catch_all(self):
-        assert latency_histogram([3, 9], bounds=()) == [("all", 2)]
+        assert latency_histogram(Counter([3, 9]), bounds=()) == [("all", 2)]
 
 
 # ----------------------------------------------------------------------
@@ -270,38 +368,12 @@ class TestOverflowPolicies:
         assert col.violations_count == 2
         assert col.tracked_search_overflow == 1
 
-    def test_violation_records_capped_in_streaming_mode(self):
-        col = collector(mode=MODE_STREAMING, max_violation_records=1)
-        for i, origin in enumerate((1, 2, 3)):
-            self._succeed_then_fail(col, i, origin)
-        assert col.violations_count == 3  # the counter stays exact
-        assert len(col.violations) == 1  # first-K records retained
-
-    def test_violation_records_unbounded_in_list_mode(self):
+    def test_violation_records_capped(self):
         col = collector(max_violation_records=1)
         for i, origin in enumerate((1, 2, 3)):
             self._succeed_then_fail(col, i, origin)
-        assert col.violations_count == 3
-        assert len(col.violations) == 3
-
-
-# ----------------------------------------------------------------------
-# list-mode summary aggregate cache (satellite)
-# ----------------------------------------------------------------------
-class TestListModeSummaryCache:
-    def test_repeated_summary_is_stable_and_invalidates_on_complete(self):
-        col = collector()
-        for i in range(20):
-            col.register(issued(i, deadline=50, kid=9))
-            col.on_reply(reply(i, hops=i % 5), round_no=3 + i % 7)
-        first = col.summary()
-        assert col.summary() == first  # served from the memo
-        col.register(issued(99, deadline=120, issue_round=0))
-        col.on_reply(reply(99, hops=3), round_no=90)  # new latency tail
-        after = col.summary()
-        assert after["latency_max"] == 90
-        assert after["latency_mean"] > first["latency_mean"]
-        assert after["completed"] == first["completed"] + 1
+        assert col.violations_count == 3  # the counter stays exact
+        assert [c.op_id for c in col.violations] == [100]  # first-K records retained
 
 
 # ----------------------------------------------------------------------
