@@ -72,7 +72,7 @@ from repro.core.state import PeerState
 from repro.graphs.digraph import EdgeKind, TypedDigraph
 from repro.idspace.ring import IdSpace
 from repro.netsim.columnar import ColumnarScheduler
-from repro.netsim.messages import Envelope
+from repro.netsim.messages import AppPayload, Envelope
 from repro.netsim.scheduler import SynchronousScheduler
 from repro.netsim.timemodel import TimeModel
 from repro.netsim.trace import TraceRecorder
@@ -269,7 +269,23 @@ class ReChordNetwork:
         each peer, after the peer's stabilization rules ran, and may emit
         follow-up messages through ``ctx``.  Current and future peers are
         wired; use :meth:`detach_traffic` to unhook.
+
+        Raises ``ValueError`` while application mail is in flight (next
+        round's inboxes or the future queue): it belongs to an earlier
+        plane, whose op ids the new one would reuse — it would handle
+        the old requests and complete its own ops with the old replies.
         """
+        sched = self.scheduler
+        in_flight = sum(
+            isinstance(env.payload, AppPayload)
+            for env in [*sched.all_pending(), *(env for _, env in sched.future_pending())]
+        )
+        if in_flight:
+            raise ValueError(
+                f"{in_flight} application message(s) of an earlier traffic plane "
+                "still in flight: after detach(), run rounds until they have been "
+                "delivered (and dropped) before attaching a new plane"
+            )
         self._traffic_handler = handler
         for peer in self.peers.values():
             peer.traffic = handler
@@ -278,7 +294,8 @@ class ReChordNetwork:
         """Unhook the application plane from every peer.
 
         Traffic still in flight is dropped at delivery (a null handler
-        replaces the plane), so outstanding operations simply time out.
+        replaces the plane), so outstanding operations simply time out;
+        run rounds until it is gone before attaching another plane.
         """
         handler = ReChordNetwork._NullTrafficHandler()
         self._traffic_handler = handler
@@ -641,13 +658,15 @@ class ReChordNetwork:
         return (peers, tuple(sorted(entries)))
 
     def incremental_fingerprint(self) -> tuple:
-        """The rolling 64-bit configuration hash ``(states, pending)``.
+        """The 64-bit configuration hash ``(states, pending)``.
 
-        Maintained by the activity-tracked scheduler from dirty peers and
-        delivered/expired envelopes only — O(active work) per round, no
-        global scan.  Valid at round boundaries of the tracked kernel;
-        equal configurations always hash equal, distinct ones collide
-        with probability ~2^-64.
+        The state half is maintained by the activity-tracked scheduler
+        from dirty peers only — O(active work) per round; the pending
+        half is counted on demand over the in-flight messages,
+        O(pending) per call (see ``SynchronousScheduler.config_hash``).
+        Valid at round boundaries of the tracked kernel; equal
+        configurations always hash equal, distinct ones collide with
+        probability ~2^-64.
         """
         if not self.incremental:
             raise RuntimeError("incremental fingerprint requires the tracked kernel")

@@ -20,7 +20,7 @@ This module provides both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 #: Default number of identifier bits.  64 bits makes random-id collisions
 #: negligible (the paper assumes unique identifiers) while keeping ids
@@ -46,9 +46,7 @@ def ring_between_open(a: int, x: int, b: int, size: int) -> bool:
     """
     if a == b:
         return x != a
-    da = ring_distance_cw(a, x, size)
-    db = ring_distance_cw(a, b, size)
-    return 0 < da < db
+    return 0 < (x - a) % size < (b - a) % size
 
 
 def ring_between_open_closed(a: int, x: int, b: int, size: int) -> bool:
@@ -59,9 +57,7 @@ def ring_between_open_closed(a: int, x: int, b: int, size: int) -> bool:
     """
     if a == b:
         return True  # single-node ring owns everything
-    da = ring_distance_cw(a, x, size)
-    db = ring_distance_cw(a, b, size)
-    return 0 < da <= db
+    return 0 < (x - a) % size <= (b - a) % size
 
 
 @dataclass(frozen=True)
@@ -76,18 +72,22 @@ class IdSpace:
         sits at ``(u + 2**(B - i)) mod 2**B``; levels are capped at ``B``
         (deviation [D1] in DESIGN.md — beyond ``B`` the offset would be
         fractional).
+
+    ``size``, the number of points on the circle (``2**bits``), is
+    derived once at construction — the ring helpers read it on every
+    call — and takes no part in equality, hash, repr or pickling.
     """
 
     bits: int = DEFAULT_BITS
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bits < 1:
             raise ValueError(f"IdSpace needs at least 1 bit, got {self.bits}")
+        object.__setattr__(self, "size", 1 << self.bits)
 
-    @property
-    def size(self) -> int:
-        """Number of points on the circle, ``2**bits``."""
-        return 1 << self.bits
+    def __reduce__(self):
+        return (IdSpace, (self.bits,))
 
     # ------------------------------------------------------------------
     # validation

@@ -16,8 +16,8 @@ inboxes:
   every boundary (the parent rebuilds these lists physically each
   round).  Each is a :class:`~repro.netsim.messages.SubFlow`: an
   immutable value shared with the sender's outbox split, carrying its
-  fingerprint sum and referenced owners, so all accounting below is per
-  sub-flow and an unchanged one is recognized by identity;
+  referenced owners, so all accounting below is per sub-flow and an
+  unchanged one is recognized by identity;
 * ``_ghost[target][sender]`` — one-shot remnants: the final emissions
   of a removed sender, consumed at the target's next materialization;
 * ``_pre_buffer[target]`` / the plain inbox buffer — out-of-band posts
@@ -80,11 +80,9 @@ from time import perf_counter as _perf
 from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.netsim.messages import (
-    HASH_MASK as _MASK,
     AppPayload,
     Envelope,
     SubFlow,
-    envelope_fingerprint as _envelope_hash,
     receivers_referencing,
     split_by_target as _split_by_target,
 )
@@ -159,19 +157,6 @@ class ColumnarScheduler(SynchronousScheduler):
         #: the per-round envelope census equals the parent kernel's)
         self._tel_flow_types: Optional[Counter] = None
 
-    # ------------------------------------------------------------------
-    # envelope accounting (pending hash + pending count)
-    # ------------------------------------------------------------------
-    def _account_flow(self, sub: SubFlow) -> None:
-        """A steady/ghost sub-flow enters the pending set."""
-        self._pending_hash = (self._pending_hash + sub.fp_sum) & _MASK
-        self._flow_pending += len(sub)
-
-    def _unaccount_flow(self, sub: SubFlow) -> None:
-        """A steady/ghost sub-flow leaves the pending set."""
-        self._pending_hash = (self._pending_hash - sub.fp_sum) & _MASK
-        self._flow_pending -= len(sub)
-
     def _deliverable(self, sub: SubFlow) -> SubFlow:
         """What of ``sub`` passes the drop filter (``sub`` itself when
         nothing is filtered) — the gate every sub-flow passes on its way
@@ -186,17 +171,6 @@ class ColumnarScheduler(SynchronousScheduler):
         kept = [env for env in sub if not flt(env)]
         return sub if len(kept) == len(sub) else SubFlow(kept)
 
-    def _account_one_shot(self, env: Envelope) -> None:
-        """A buffered post / lane envelope enters the pending set."""
-        self._pending_hash = (self._pending_hash + _envelope_hash(env)) & _MASK
-
-    def _unaccount_one_shots(self, envs: List[Envelope]) -> None:
-        """Buffered posts / lane mail leave the pending set."""
-        pending = self._pending_hash
-        for env in envs:
-            pending -= _envelope_hash(env)
-        self._pending_hash = pending & _MASK
-
     # ------------------------------------------------------------------
     # sender flow surgery
     # ------------------------------------------------------------------
@@ -210,7 +184,7 @@ class ColumnarScheduler(SynchronousScheduler):
                 drops += len(sub) - len(deliverable)
                 if deliverable:
                     self._flow_in.setdefault(target, {})[sender] = deliverable
-                    self._account_flow(deliverable)
+                    self._flow_pending += len(deliverable)
             else:
                 # every envelope to a dead target drops, filtered or not;
                 # the deliverable part is frozen for a possible re-join
@@ -232,7 +206,10 @@ class ColumnarScheduler(SynchronousScheduler):
         exit.  The application mail moves into the lane: last round's
         one-shot sends (already in sender order) into ``_lane``, the
         posts made since (``late_posts``) stay behind as the buffer.
+        The derived columns must hold the parent's inboxes as a
+        fingerprint multiset: checked at entry.
         """
+        expected = self.config_hash()[1]
         round_no = self._round
         self._flow_in = {}
         self._ghost = {}
@@ -246,8 +223,6 @@ class ColumnarScheduler(SynchronousScheduler):
         self._flow_sent = 0
         self._flow_pending = 0
         self._settled = {key: round_no - 1 for key in self._actors}
-        saved_hash = self._pending_hash
-        self._pending_hash = 0
         self._tel_flow_types = None
         for key in self._actors:
             self._flow_sent += len(self._out.get(key, ()))
@@ -259,8 +234,6 @@ class ColumnarScheduler(SynchronousScheduler):
             for target, box in self._inboxes.items():
                 mail = [env for env in box if isinstance(env.payload, AppPayload)]
                 if mail:
-                    for env in mail:
-                        self._account_one_shot(env)
                     sends = [env for env in mail if id(env) not in posted]
                     if sends:
                         self._lane[target] = sends
@@ -271,11 +244,11 @@ class ColumnarScheduler(SynchronousScheduler):
         else:
             for box in self._inboxes.values():
                 box.clear()
-        assert self._pending_hash == saved_hash, (
-            "columnar entry: derived pending hash diverges from the "
-            "parent's rolling hash — flow bookkeeping bug"
-        )
         self._cols_active = True
+        assert self.config_hash()[1] == expected, (
+            "columnar entry: the derived columns diverge from the parent's "
+            "inboxes — flow bookkeeping bug"
+        )
         self._sync_tel_flow_types()
 
     def _boundary_inbox(self, target: Hashable) -> List[Envelope]:
@@ -412,16 +385,16 @@ class ColumnarScheduler(SynchronousScheduler):
             self._revive.discard(key)
         elif flows is not None:
             for sender, sub in flows.items():
-                self._unaccount_flow(sub)
+                self._flow_pending -= len(sub)
                 self._drop_by[sender] = self._drop_by.get(sender, 0) + len(sub)
                 self._flow_dropped += len(sub)
             self._dead_in[key] = flows
         ghosts = self._ghost.pop(key, None)
         if ghosts:
             for sub in ghosts.values():
-                self._unaccount_flow(sub)
-        self._unaccount_one_shots(self._pre_buffer.pop(key, ()))
-        self._unaccount_one_shots(self._lane.pop(key, ()))
+                self._flow_pending -= len(sub)
+        self._pre_buffer.pop(key, None)
+        self._lane.pop(key, None)
         self._lane_targets.discard(key)
         # -- as a sender: its steady flow stops --------------------------
         # what the columns hold of it: the pre-patch outbox while a patch
@@ -588,13 +561,12 @@ class ColumnarScheduler(SynchronousScheduler):
         parts: List[List[Envelope]] = []
         pre = self._pre_buffer.pop(key, None)
         if pre:
-            self._unaccount_one_shots(pre)
             parts.append(pre)
         flows = self._flow_in.get(key) or {}
         ghosts = self._ghost.pop(key, None)
         if ghosts:
             for sub in ghosts.values():
-                self._unaccount_flow(sub)
+                self._flow_pending -= len(sub)
             for sender in sorted({*flows, *ghosts}):
                 if sender in flows:
                     parts.append(flows[sender])
@@ -610,9 +582,7 @@ class ColumnarScheduler(SynchronousScheduler):
     def _lane_inbox(self, key: Hashable) -> List[Envelope]:
         """Consume a lane-only actor's inbox: application mail alone
         (any other post would have put the actor on the dirty list)."""
-        pre = self._pre_buffer.pop(key, None) or []
-        self._unaccount_one_shots(pre)
-        return pre + self._take_mail(key)
+        return self._pre_buffer.pop(key, []) + self._take_mail(key)
 
     def _take_mail(self, key: Hashable) -> List[Envelope]:
         """Consume the actor's lane sends and buffered posts, in order."""
@@ -621,8 +591,6 @@ class ColumnarScheduler(SynchronousScheduler):
         if box:
             mail.extend(box)
             self._inboxes[key] = []
-        if mail:
-            self._unaccount_one_shots(mail)
         return mail
 
     def _columnar_post_step(
@@ -784,13 +752,13 @@ class ColumnarScheduler(SynchronousScheduler):
                     subs = self._flow_in.get(target)
                     cur = subs.pop(sender, None) if subs is not None else None
                     if cur:
-                        self._unaccount_flow(cur)
+                        self._flow_pending -= len(cur)
                     drop_delta -= len(old_sub or ()) - len(cur or ())
                     if new_sub:
                         drop_delta += len(new_sub) - len(deliverable)
                         if deliverable:
                             self._flow_in.setdefault(target, {})[sender] = deliverable
-                            self._account_flow(deliverable)
+                            self._flow_pending += len(deliverable)
                 else:
                     # every envelope to a dead target drops; the
                     # deliverable part is frozen for a possible re-join
@@ -810,7 +778,7 @@ class ColumnarScheduler(SynchronousScheduler):
                     continue
                 sub = subs.pop(key, None)
                 if sub:
-                    self._unaccount_flow(sub)
+                    self._flow_pending -= len(sub)
             if not contributed:
                 expired += 1
                 continue
@@ -826,7 +794,7 @@ class ColumnarScheduler(SynchronousScheduler):
                 dropped_extra += len(sub) - len(deliverable)
                 if deliverable:
                     self._ghost.setdefault(target, {})[key] = deliverable
-                    self._account_flow(deliverable)
+                    self._flow_pending += len(deliverable)
         # (c) revivals: frozen flows to re-joined ids resume
         for target in sorted(self._revive):
             if target not in self._actors:
@@ -839,7 +807,7 @@ class ColumnarScheduler(SynchronousScheduler):
                     continue
                 sub = subs[sender]
                 self._flow_in.setdefault(target, {})[sender] = sub
-                self._account_flow(sub)
+                self._flow_pending += len(sub)
                 self._drop_by[sender] = self._drop_by.get(sender, 0) - len(sub)
                 self._flow_dropped -= len(sub)
         self._revive.clear()
@@ -860,7 +828,6 @@ class ColumnarScheduler(SynchronousScheduler):
                     dropped_extra += 1
                     continue
                 lane.setdefault(target, []).append(env)
-                self._account_one_shot(env)
                 self._lane_targets.add(target)
 
         # (e) boundary bookkeeping — identical observables to the parent

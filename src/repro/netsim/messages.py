@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterator, Optional, Sequence, Set
 
-#: 64-bit wrap-around for the rolling multiset fingerprints
+#: 64-bit wrap-around for the multiset fingerprints (``config_hash()``)
 HASH_MASK = (1 << 64) - 1
 
 
@@ -95,10 +95,10 @@ def envelope_fingerprint(env: Envelope) -> int:
     actors in unit tests) hash directly, falling back to ``repr`` for
     unhashable ones; exactness guarantees only cover canonical payloads.
 
-    The value is memoized on the (immutable) envelope: the rolling
-    pending-multiset hashes touch the same envelope several times over
-    its life (post, account, deliver), and the columnar kernel's flow
-    surgery would otherwise recompute canonical forms per boundary.
+    The value is memoized on the (immutable) envelope: a steady
+    envelope is interned and stays in flight round after round, so every
+    on-demand count of the pending hash (``config_hash()``, the columnar
+    entry check) and the tracked loop's front diff hash its payload once.
     """
     try:
         return env._fp
@@ -126,7 +126,8 @@ class SubFlow(list):
     content is derived once per change, not once per round or envelope:
 
     * :attr:`fp_sum` — the multiset fingerprint sum of its envelopes
-      (what it contributes to ``_out_hash`` / ``_pending_hash``);
+      (what it contributes to the pending half of ``config_hash()``),
+      computed on first use;
     * :meth:`owners` — the owner ids its envelopes reference (what the
       columnar kernel's ``ref_receivers`` query tests), computed on
       first use;
@@ -143,11 +144,11 @@ class SubFlow(list):
     value that is used once has nothing to amortize.
     """
 
-    __slots__ = ("fp_sum", "_owners", "parsed", "_delays")
+    __slots__ = ("_fp_sum", "_owners", "parsed", "_delays")
 
     def __init__(self, envelopes: Sequence[Envelope] = ()) -> None:
         super().__init__(envelopes)
-        self.fp_sum = outbox_fingerprint(self)
+        self._fp_sum: Optional[int] = None
         self._owners: Optional[frozenset] = None
         self.parsed: Any = None
         self._delays: Optional[tuple] = None
@@ -177,6 +178,14 @@ class SubFlow(list):
             self._delays = cached
         entry = cached[1]
         return entry if entry.__class__ is tuple else ((entry, self),)
+
+    @property
+    def fp_sum(self) -> int:
+        """The multiset fingerprint sum of its envelopes."""
+        fp = self._fp_sum
+        if fp is None:
+            fp = self._fp_sum = outbox_fingerprint(self)
+        return fp
 
     def owners(self) -> frozenset:
         """The owner ids referenced by any of its envelopes (every

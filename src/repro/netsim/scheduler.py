@@ -57,14 +57,15 @@ The O(active-work) stability flag :attr:`changed_last_round` (used by
 per round) is computed from **exact** comparisons only: per-actor state
 tokens plus per-actor emission comparisons against the steady-emission
 cache, with one-shot flags for posts and membership changes.  The
-scheduler additionally maintains a **rolling configuration hash** — a
-64-bit multiset sum over state-token hashes and all in-flight envelope
-hashes, updated only from dirty actors and delivered/expired/posted
-envelopes.  The hash is exposed for cheap external observation
-(:meth:`config_hash`); it is deliberately *not* part of the stability
-decision because a sum of non-cryptographic hashes admits structured
-collisions.  ``changed_last_round`` is meaningful only for fully
-activated rounds.  Partial activation (the asynchrony bridge) filters
+scheduler additionally exposes a **configuration hash**
+(:meth:`config_hash`) — a 64-bit multiset sum over state-token hashes
+and all in-flight envelope hashes.  Its state half rolls, updated only
+from dirty actors; its pending half is counted on demand, O(pending),
+so no round pays per-envelope bookkeeping for it.  The hash is for
+external observation only; it is deliberately *not* part of the
+stability decision because a sum of non-cryptographic hashes admits
+structured collisions.  ``changed_last_round`` is meaningful only for
+fully activated rounds.  Partial activation (the asynchrony bridge) filters
 the same loop's work list — only awake actors step, and all of them
 execute — and the round conservatively marks every actor dirty and
 reports ``True``.
@@ -321,10 +322,6 @@ class SynchronousScheduler:
         #: the cached outbox split into its sub-flows (target -> SubFlow);
         #: an unchanged sub-flow stays the same object from step to step
         self._out_by: Dict[Hashable, Dict[Hashable, SubFlow]] = {}
-        #: multiset hash-sum of the cached outbox per actor
-        self._out_hash: Dict[Hashable, int] = {}
-        #: rolling hash over all in-flight envelopes (next round's inboxes)
-        self._pending_hash = 0
         #: rolling hash over all tracked actors' state tokens
         self._state_hash = 0
         #: external flow change (post / membership) pending for next round
@@ -385,7 +382,6 @@ class SynchronousScheduler:
                 self._state_hash = (self._state_hash + h) & _MASK
             self._out[key] = []
             self._out_by[key] = {}
-            self._out_hash[key] = 0
             if not self._unit_settled():
                 # flows already addressed to a (re-)joining id — scheduled
                 # ones included — all start landing for its second step
@@ -397,7 +393,7 @@ class SynchronousScheduler:
     def remove_actor(self, key: Hashable) -> Actor:
         """Remove an actor; undelivered messages to it will be dropped."""
         actor = self._actors.pop(key)
-        box = self._inboxes.pop(key, None)
+        self._inboxes.pop(key, None)
         if self.activity_tracking:
             # its steady flow vanishes: a former receiver must re-run in
             # the round its last emission is missing from the inbox — the
@@ -424,14 +420,7 @@ class SynchronousScheduler:
                         if d > 1:
                             self._wake_at(q + d, env.target)
                         self._front(q, env, d)
-            self._out_hash.pop(key, None)
             self._dirty_carry.discard(key)
-            if box:
-                # the envelopes die with the actor: boundary comparisons
-                # start from the post-removal configuration, like a fresh
-                # full fingerprint
-                for env in box:
-                    self._pending_hash = (self._pending_hash - _envelope_hash(env)) & _MASK
             h = self._tok_hash.pop(key, None)
             if h is not None:
                 self._state_hash = (self._state_hash - h) & _MASK
@@ -651,31 +640,30 @@ class SynchronousScheduler:
         return out
 
     def config_hash(self) -> tuple:
-        """The rolling configuration hash ``(states, pending)``.
+        """The configuration hash ``(states, pending)``.
 
         A 64-bit multiset-sum fingerprint of all tracked actor states
-        plus all in-flight messages, maintained incrementally from dirty
-        actors and delivered/expired envelopes only.  Scheduled future
-        deliveries contribute keyed by their remaining delay (computed
-        on demand — the future queue is empty under unit delivery).
-        Two equal configurations always hash equal; unequal
-        configurations collide with probability ~2^-64.  Only meaningful
-        with activity tracking.
+        plus all in-flight messages.  The state half rolls, maintained
+        from dirty actors only; the pending half is counted on demand —
+        O(pending): the (memoized) envelope fingerprints over
+        :meth:`all_pending`, one-shots included, plus the scheduled
+        future deliveries keyed by their remaining delay.  Two equal
+        configurations always hash equal; unequal configurations collide
+        with probability ~2^-64.  Only meaningful with activity
+        tracking.
         """
-        pending = self._pending_hash
-        if self._future:
-            for t, batch in self._future.items():
-                remaining = t - self._round
-                for env in batch:
-                    pending = (pending + _future_hash(env, remaining)) & _MASK
-        return (self._state_hash, pending)
+        pending = sum(map(_envelope_hash, self.all_pending()))
+        for t, batch in self._future.items():
+            remaining = t - self._round
+            pending += sum(_future_hash(env, remaining) for env in batch)
+        return (self._state_hash, pending & _MASK)
 
     # -- the wake wheel and the flux horizon (exactness under latency) ---
     def _unit_settled(self) -> bool:
         """Whether unit delivery is in effect *and* nothing of a non-unit
         past is left: no scheduled envelope, no wake, no change front.
-        Only then do the unit-mode shortcuts hold (rolling pending hash,
-        O(changed) flow flags, the columnar kernel's fast rounds)."""
+        Only then do the unit-mode shortcuts hold (O(changed) flow
+        flags, the columnar kernel's fast rounds)."""
         return (
             not self._future
             and not self._wake
@@ -729,11 +717,7 @@ class SynchronousScheduler:
             env.target in inboxes and not (flt is not None and flt(env)) for env in fronts
         )
 
-    def _inbox_hash(self) -> int:
-        """The pending hash recomputed exactly over all inboxes."""
-        return sum(_envelope_hash(env) for box in self._inboxes.values() for env in box) & _MASK
-
-    def _drain_matured(self, round_no: int) -> Tuple[int, int]:
+    def _drain_matured(self, round_no: int) -> int:
         """Deliver envelopes scheduled for consumption in ``round_no + 1``.
 
         The delivery point of a delayed send: the drop filter applies
@@ -741,23 +725,18 @@ class SynchronousScheduler:
         Maturing dirties nobody: a steady sub-flow lands identically
         every round, and whatever made this delivery differ from the
         receiver's replay baseline woke the receiver for exactly this
-        round when it happened (the wake wheel).  Returns ``(delivered,
-        dropped)``.
+        round when it happened (the wake wheel).  Returns how many were
+        dropped.
         """
-        batch = self._future.pop(round_no + 1, None)
-        if not batch:
-            return 0, 0
-        delivered = 0
         dropped = 0
         flt = self._drop_filter
-        for env in batch:
+        for env in self._future.pop(round_no + 1, ()):
             box = self._inboxes.get(env.target)
             if box is None or (flt is not None and flt(env)):
                 dropped += 1
-                continue
-            box.append(env)
-            delivered += 1
-        return delivered, dropped
+            else:
+                box.append(env)
+        return dropped
 
     # ------------------------------------------------------------------
     # execution
@@ -844,7 +823,6 @@ class SynchronousScheduler:
                     # yet this round it must execute, not replay, or the
                     # message would vanish in the replay inbox-clear
                     self._posted_mid_round.add(target)
-            self._pending_hash = (self._pending_hash + _envelope_hash(envelope)) & _MASK
             if self._in_round and not self._unit_settled():
                 # whether the target already stepped (the message sits in
                 # its inbox at this boundary) cannot be told from here:
@@ -856,8 +834,8 @@ class SynchronousScheduler:
         """Bulk :meth:`post`: inject a round's worth of messages.
 
         Exactly ``[self.post(env) for env in envelopes]`` — same
-        per-envelope accept/reject results, same dirty-set, pending-hash
-        and flow bookkeeping — so batched traffic injection cannot be
+        per-envelope accept/reject results, same dirty-set and flow
+        bookkeeping — so batched traffic injection cannot be
         distinguished from the one-at-a-time loop by any kernel, and a
         kernel that overrides :meth:`post` covers batches too.
         """
@@ -919,7 +897,7 @@ class SynchronousScheduler:
         executed: int,
         replayed: int,
         step_t0: float,
-    ) -> Tuple[int, int]:
+    ) -> None:
         """The delivery point of every round loop of this kernel.
 
         Matured delayed sends land first, then the round's ``outboxes``
@@ -932,18 +910,14 @@ class SynchronousScheduler:
         envelopes.  Closes the ``kernel.step`` span opened at
         ``step_t0`` and records the round with the telemetry plane
         (envelope census by payload type included) and the trace
-        recorder.  Returns ``(matured, dropped_hash)``: the delayed
-        deliveries that landed, and the pending-hash contribution of the
-        dropped sends — sends counted by their sender's outbox hash that
-        never reach an inbox.
+        recorder.
         """
         tel = self._telemetry
         if tel is not None:
             tel.add_time("kernel.step", _perf() - step_t0, executed + replayed)
             step_t0 = _perf()
         sent = 0
-        dropped_hash = 0
-        matured, dropped = self._drain_matured(round_no)
+        dropped = self._drain_matured(round_no)
         inboxes = self._inboxes
         flt = self._drop_filter
         delivery = self._delivery
@@ -963,14 +937,12 @@ class SynchronousScheduler:
                                 later.extend(envs)
                         elif box is None:
                             dropped += len(envs)
-                            dropped_hash += sum(_envelope_hash(env) for env in envs)
                         elif flt is None:
                             box.extend(envs)
                         else:
                             for env in envs:
                                 if flt(env):
                                     dropped += 1
-                                    dropped_hash += _envelope_hash(env)
                                 else:
                                     box.append(env)
                 continue
@@ -984,7 +956,6 @@ class SynchronousScheduler:
                 box = inboxes.get(env.target)
                 if box is None or (flt is not None and flt(env)):
                     dropped += 1
-                    dropped_hash += _envelope_hash(env)
                     continue
                 box.append(env)
         self.dropped_last_round = dropped
@@ -1002,7 +973,6 @@ class SynchronousScheduler:
                 # the full-scan kernel reports no execute/replay split
                 executed=executed if self.activity_tracking else -1,
             )
-        return matured, dropped_hash
 
     def _probe_refresh(self, key: Hashable, probes: tuple) -> bool:
         """Refresh an executed actor's probe baselines after its step.
@@ -1061,25 +1031,18 @@ class SynchronousScheduler:
             return state_changed, None
         prev_by = self._sub_flows(key)
         new_by = _group_by_target(out)
-        # an unchanged sub-flow keeps its object (and what it carries);
-        # the outbox hash moves by the changed ones only
+        # an unchanged sub-flow keeps its object (and what it carries)
         changed: List[Hashable] = []
-        out_hash = self._out_hash.get(key, 0)
         for target, envs in new_by.items():
             old = prev_by.get(target)
             if old == envs:
                 new_by[target] = old
                 continue
-            sub = new_by[target] = SubFlow(envs)
+            new_by[target] = SubFlow(envs)
             changed.append(target)
-            out_hash += sub.fp_sum - (0 if old is None else old.fp_sum)
-        for target, old in prev_by.items():
-            if target not in new_by:
-                changed.append(target)
-                out_hash -= old.fp_sum
+        changed.extend(target for target in prev_by if target not in new_by)
         self._out[key] = out
         self._out_by[key] = new_by
-        self._out_hash[key] = out_hash & _MASK
         return state_changed, (prev_out, out, changed, prev_by, new_by)
 
     def _sub_flows(self, key: Hashable) -> Dict[Hashable, SubFlow]:
@@ -1213,7 +1176,6 @@ class SynchronousScheduler:
         onces: List[List[Envelope]] = []
         executed = 0
         replayed = 0
-        new_pending = 0
         # the working dirty and mail sets are detached so marks added
         # DURING the round (mid-round remove_actor / mark_dirty / post)
         # accumulate in fresh sets and survive the end-of-round
@@ -1245,7 +1207,6 @@ class SynchronousScheduler:
                 # quiescent: the steady emissions repeat without rules
                 replayed += 1
             contributions.append(self._sub_flows(key) if by_flow else self._out.get(key, []))
-            new_pending += self._out_hash.get(key, 0)
             if ctx is not None and ctx._once:
                 # one-shot sends go out right after the steady outbox; they
                 # never enter ``_out``, so sender and target both stay valid
@@ -1278,24 +1239,14 @@ class SynchronousScheduler:
                         self._lane_targets.add(env.target)
                     else:
                         newly_dirty.add(env.target)
-                    new_pending += _envelope_hash(env)
                     flow_changed = True
                     self._lane_flag = True  # consumed next round: that boundary differs too
                 else:
                     self._one_shot(round_no, env, d)
-        _, dropped_hash = self._deliver_round(
-            round_no, contributions, len(keys), executed, replayed, _t0
-        )
+        self._deliver_round(round_no, contributions, len(keys), executed, replayed, _t0)
         if settled and active is None:
-            self._pending_hash = (new_pending - dropped_hash) & _MASK
             self.changed_last_round = state_changed_any or flow_changed
         else:
-            # the rolling inbox hash cannot be derived from outbox
-            # contributions under latency (some sends were scheduled,
-            # matured envelopes arrived) or partial activation (sleepers
-            # kept their inboxes): recount it (memoized per envelope) —
-            # it stays observational either way
-            self._pending_hash = self._inbox_hash()
             landed = self._landed(round_no)
             self.changed_last_round = (
                 state_changed_any or flow_changed or landed or round_no <= self._flux_until

@@ -18,12 +18,17 @@ ids), never :class:`NodeRef` s, and handlers never consult the liveness
 oracle, so ``refs()`` is empty: a membership flip cannot change what a
 receiver does with a traffic message, which keeps the dirty-set wake
 rules exact without extra scans.
+
+Requests, replies and the collector's :class:`~repro.traffic.slo.IssuedOp`
+are built once per hop or per op, so they are slotted named tuples
+(:class:`TrafficRecord`) rather than frozen dataclasses: one C-level
+tuple build instead of an ``object.__setattr__`` call per field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from collections import namedtuple
+from typing import Optional
 
 from repro.netsim.messages import AppPayload
 from repro.telemetry.tracing import TraceContext
@@ -46,8 +51,47 @@ OUT_MISROUTE = "misroute"
 OUT_ORIGIN_DEAD = "origin_dead"
 
 
-@dataclass(frozen=True)
-class LookupRequest(AppPayload):
+class TrafficRecord:
+    """Dataclass-style equality for the traffic plane's named-tuple
+    value classes (mixed in ahead of the ``namedtuple`` base).
+
+    An instance equals only an instance of the same class (never a
+    plain tuple), compared and hashed over the fields ``_compared``
+    selects: all but the trailing ``trace`` by default, so a traced run
+    interns, fingerprints and compares exactly like an untraced one.
+    Immutability, ``__slots__ = ()``, pickling and ``deepcopy`` come
+    from the tuple; ``_replace(**changes)`` is the ``dataclasses.replace``
+    of these classes.
+    """
+
+    __slots__ = ()
+    #: the fields equality and hash look at
+    _compared = slice(None, -1)
+
+    # False, not NotImplemented, for another class: the reflected
+    # tuple.__eq__ would otherwise equal a plain tuple of the fields.
+    # __ne__ is spelled out because tuple's own would compare the trace
+    def __eq__(self, other: object) -> bool:
+        part = self._compared
+        return other.__class__ is self.__class__ and self[part] == other[part]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[self._compared])
+
+
+_tuple_new = tuple.__new__
+
+_RequestFields = namedtuple(
+    "_RequestFields",
+    "op op_id origin kid ttl hops path value attempt hedge trace",
+    defaults=(0, (), None, 1, False, None),
+)
+
+
+class LookupRequest(TrafficRecord, _RequestFields, AppPayload):
     """A routed operation in flight toward the peer responsible for
     ``kid``.
 
@@ -55,28 +99,18 @@ class LookupRequest(AppPayload):
     ``origin`` is the peer awaiting the reply; ``path`` lists every peer
     that has held the request (origin first) and doubles as the
     loop-detection seen-set; ``value`` is the payload of put requests.
+
+    ``attempt`` is the 1-based attempt number of the resilient request
+    plane (retries relaunch the op with attempt 2, 3, ... so replies can
+    be matched to the attempt that produced them); ``hedge`` is true for
+    the duplicate probe a hedged op launches after its hedge delay.
+    ``trace`` is the causal hop trace of a telemetry-sampled op
+    (:class:`TraceContext`): it is left out of equality, hash and
+    ``canonical()``, so a traced run is byte-identical to an untraced
+    one (fingerprints, interning, pending multisets all unchanged).
     """
 
-    op: str
-    op_id: int
-    origin: int
-    kid: int
-    ttl: int
-    hops: int = 0
-    path: Tuple[int, ...] = ()
-    value: Any = None
-    #: 1-based attempt number of the resilient request plane; retries
-    #: relaunch the op with attempt 2, 3, ... so replies can be matched
-    #: to the attempt that produced them (stale-failure suppression)
-    attempt: int = 1
-    #: True for the duplicate probe a hedged op launches after its
-    #: hedge delay (first reply wins, the loser is suppressed)
-    hedge: bool = False
-    #: causal hop trace of a telemetry-sampled op.  ``compare=False``
-    #: keeps it out of equality/hash AND it is excluded from
-    #: ``canonical()``: a traced run is byte-identical to an untraced
-    #: one (fingerprints, interning, pending multisets all unchanged)
-    trace: Optional[TraceContext] = field(compare=False, default=None)
+    __slots__ = ()
 
     def forwarded(
         self, next_hop: int, trace: Optional[TraceContext] = None
@@ -84,23 +118,15 @@ class LookupRequest(AppPayload):
         """The hop-stamped copy sent to ``next_hop``.
 
         The causal trace is carried along; pass ``trace`` to carry an
-        extended one instead (a sampled op recording this hop).  Built
-        field by field: this runs once per hop of every op, and
-        ``dataclasses.replace`` re-derives the field list on each call.
+        extended one instead (a sampled op recording this hop).  A copy
+        of this tuple with the hop stamp and the path moved on: this
+        runs once per hop of every op.
         """
-        return LookupRequest(
-            self.op,
-            self.op_id,
-            self.origin,
-            self.kid,
-            self.ttl,
-            self.hops + 1,
-            self.path + (next_hop,),
-            self.value,
-            self.attempt,
-            self.hedge,
-            trace if trace is not None else self.trace,
-        )
+        op, op_id, origin, kid, ttl, hops, path, value, attempt, hedge, old = self
+        return _tuple_new(LookupRequest, (
+            op, op_id, origin, kid, ttl, hops + 1, path + (next_hop,), value,
+            attempt, hedge, old if trace is None else trace,
+        ))
 
     def canonical(self) -> tuple:
         """Sortable identity tuple for fingerprints.
@@ -110,19 +136,10 @@ class LookupRequest(AppPayload):
         tuples — and therefore identical configuration fingerprints and
         baseline digests — to every run recorded before retries existed.
         """
-        base = (
-            "traffic-req",
-            self.op,
-            self.op_id,
-            self.origin,
-            self.kid,
-            self.ttl,
-            self.hops,
-            self.path,
-            repr(self.value),
-        )
-        if self.attempt != 1 or self.hedge:
-            return base + (self.attempt, self.hedge)
+        op, op_id, origin, kid, ttl, hops, path, value, attempt, hedge, _ = self
+        base = ("traffic-req", op, op_id, origin, kid, ttl, hops, path, repr(value))
+        if attempt != 1 or hedge:
+            return base + (attempt, hedge)
         return base
 
     def refs(self) -> tuple:
@@ -130,8 +147,14 @@ class LookupRequest(AppPayload):
         return ()
 
 
-@dataclass(frozen=True)
-class LookupReply(AppPayload):
+_ReplyFields = namedtuple(
+    "_ReplyFields",
+    "op op_id origin kid status owner hops value attempt hedge trace",
+    defaults=(None, 1, False, None),
+)
+
+
+class LookupReply(TrafficRecord, _ReplyFields, AppPayload):
     """Terminal verdict of one request, sent straight back to the origin.
 
     ``owner`` is the peer that terminated the request (the self-believed
@@ -139,23 +162,13 @@ class LookupReply(AppPayload):
     failed otherwise); ``hops`` is the request's hop stamp at
     termination.  The reply uses the origin address carried by the
     request — the connection-layer direct response, one round — so
-    latency measures the *forward* routing path.
+    latency measures the *forward* routing path.  ``attempt`` and
+    ``hedge`` are echoed from the request that produced the reply;
+    ``trace`` is the completed hop trace of a sampled op, outside
+    equality, hash and ``canonical()`` (see :class:`LookupRequest`).
     """
 
-    op: str
-    op_id: int
-    origin: int
-    kid: int
-    status: str
-    owner: int
-    hops: int
-    value: Any = None
-    #: attempt number echoed from the request that produced this reply
-    attempt: int = 1
-    #: True when this reply answers a hedged duplicate probe
-    hedge: bool = False
-    #: completed hop trace of a sampled op (see LookupRequest.trace)
-    trace: Optional[TraceContext] = field(compare=False, default=None)
+    __slots__ = ()
 
     def canonical(self) -> tuple:
         """Sortable identity tuple for fingerprints.
@@ -164,19 +177,10 @@ class LookupReply(AppPayload):
         appended only when non-default so resilience-off runs keep their
         historical fingerprints bit-for-bit.
         """
-        base = (
-            "traffic-rep",
-            self.op,
-            self.op_id,
-            self.origin,
-            self.kid,
-            self.status,
-            self.owner,
-            self.hops,
-            repr(self.value),
-        )
-        if self.attempt != 1 or self.hedge:
-            return base + (self.attempt, self.hedge)
+        op, op_id, origin, kid, status, owner, hops, value, attempt, hedge, _ = self
+        base = ("traffic-rep", op, op_id, origin, kid, status, owner, hops, repr(value))
+        if attempt != 1 or hedge:
+            return base + (attempt, hedge)
         return base
 
     def refs(self) -> tuple:

@@ -15,8 +15,8 @@ Kernel integration (the exactness contract the engine-equivalence suite
 enforces):
 
 * traffic payloads ride ordinary envelopes, so in-flight requests are
-  part of the configuration fingerprint and of the scheduler's rolling
-  pending-hash — no side channel;
+  part of the configuration fingerprint and of the pending half of the
+  scheduler's ``config_hash()`` — no side channel;
 * traffic is one-shot, not a steady flow: requests enter through
   ``post()`` and handlers emit through
   :meth:`RoundContext.send_once`, so the steady-emission cache never
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.telemetry.tracing import TraceContext
@@ -75,6 +74,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.network import ReChordNetwork
     from repro.core.protocol import ReChordPeer
     from repro.dht.storage import KeyValueStore
+
+
+def _check_budget(name: str, value: Optional[int]) -> None:
+    """A hop (``ttl``) or round (``deadline``) budget is >= 1 or unset:
+    a zero or negative one would fail ops that are still routing."""
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 class TrafficPlane:
@@ -132,6 +138,8 @@ class TrafficPlane:
             raise ValueError("hedge_after must be >= 1 (or None)")
         if route_redundancy < 1:
             raise ValueError("route_redundancy must be >= 1")
+        _check_budget("default_ttl", default_ttl)
+        _check_budget("default_deadline", default_deadline)
         if collector_mode not in (None, "streaming"):
             raise ValueError(
                 f"collector_mode={collector_mode!r}: the SLO collector has one "
@@ -214,7 +222,8 @@ class TrafficPlane:
         """Unhook from the network (outstanding ops will time out).
 
         An attached generator is paused too — injecting into a detached
-        plane would only manufacture phantom timeouts.
+        plane would only manufacture phantom timeouts.  A new plane can
+        attach once the rounds run since have drained this one's mail.
         """
         if self.generator is not None:
             self.generator.active = False
@@ -288,12 +297,15 @@ class TrafficPlane:
         op "arrives" at the peer like any other message and is forwarded
         from there, so a dead origin fails the op immediately
         (``origin_dead``) and a crashed origin later strands the reply
-        (``timeout``).
+        (``timeout``).  ``ttl`` (hops) and ``deadline`` (rounds) override
+        the plane's defaults and must be >= 1.
         """
         if op not in (OP_LOOKUP, OP_GET, OP_PUT):
             raise ValueError(f"unknown traffic op {op!r}")
         if op in (OP_GET, OP_PUT) and self.store is None:
             raise RuntimeError("KV traffic needs a store: TrafficPlane(net, store=...)")
+        _check_budget("ttl", ttl)
+        _check_budget("deadline", deadline)
         kid = key if isinstance(key, int) else key_id(key, self.net.space)
         self.net.space.check_id(kid)
         op_id = self._next_op_id
@@ -324,9 +336,8 @@ class TrafficPlane:
         # (outside payload equality — see messages.LookupRequest.trace)
         tel = self.net.telemetry
         if tel is not None and tel.sampled(op_id):
-            request = replace(
-                request,
-                trace=TraceContext(op_id=op_id, hops=((origin, issue_round, "issue"),)),
+            request = request._replace(
+                trace=TraceContext(op_id=op_id, hops=((origin, issue_round, "issue"),))
             )
         if self.net.scheduler.post(Envelope(origin, origin, request)):
             self.collector.register(issued)
@@ -358,9 +369,12 @@ class TrafficPlane:
         skips the per-op ``key_id`` digest entirely).  All ops in the
         batch share one ``ttl``/``deadline`` resolution and one
         registration/post sweep; per-op semantics — op-id assignment
-        order, trace sampling, dead-origin failure — are identical to
-        issuing them one by one.  Returns the op ids in batch order.
+        order, trace sampling, dead-origin failure, the ``ttl`` /
+        ``deadline`` checks — are identical to issuing them one by one.
+        Returns the op ids in batch order.
         """
+        _check_budget("ttl", ttl)
+        _check_budget("deadline", deadline)
         if not ops:
             return []
         bad = {op for op, _, _, _ in ops} - {OP_LOOKUP, OP_GET, OP_PUT}
@@ -382,33 +396,13 @@ class TrafficPlane:
         for op, kid, origin, value in ops:
             space.check_id(kid)
             issued_ops.append(
-                IssuedOp(
-                    op_id=op_id,
-                    op=op,
-                    origin=origin,
-                    kid=kid,
-                    issue_round=issue_round,
-                    deadline=deadline_round,
-                    deadline_span=span,
-                )
+                IssuedOp(op_id, op, origin, kid, issue_round, deadline_round, 1, span)
             )
-            request = LookupRequest(
-                op=op,
-                op_id=op_id,
-                origin=origin,
-                kid=kid,
-                ttl=ttl_val,
-                hops=0,
-                path=(origin,),
-                value=value,
-            )
+            request = LookupRequest(op, op_id, origin, kid, ttl_val, 0, (origin,), value)
             templates.append(request)
             if tel is not None and tel.sampled(op_id):
-                request = replace(
-                    request,
-                    trace=TraceContext(
-                        op_id=op_id, hops=((origin, issue_round, "issue"),)
-                    ),
+                request = request._replace(
+                    trace=TraceContext(op_id=op_id, hops=((origin, issue_round, "issue"),))
                 )
             envelopes.append(Envelope(origin, origin, request))
             op_ids.append(op_id)
@@ -497,7 +491,7 @@ class TrafficPlane:
         self.collector.retries += 1
         if self.attempt_log is not None:
             self.attempt_log.append(("retry", issued.op_id, nxt, launch))
-        return replace(issued, attempt=nxt, deadline=launch + span)
+        return issued._replace(attempt=nxt, deadline=launch + span)
 
     def launches_due(self) -> bool:
         """Whether the next :meth:`run_round` has retry/hedge relaunches
@@ -533,7 +527,7 @@ class TrafficPlane:
                 template = self._op_request.get(op_id)
                 if template is None:  # pragma: no cover - ledger invariant
                     continue
-                probe = replace(template, attempt=attempt)
+                probe = template._replace(attempt=attempt)
                 if self.net.scheduler.post(Envelope(probe.origin, probe.origin, probe)):
                     if self.hedge_after is not None:
                         self._push_launch(
@@ -557,7 +551,7 @@ class TrafficPlane:
                 template = self._op_request.get(op_id)
                 if template is None:  # pragma: no cover - ledger invariant
                     continue
-                probe = replace(template, attempt=attempt, hedge=True)
+                probe = template._replace(attempt=attempt, hedge=True)
                 if self.net.scheduler.post(Envelope(probe.origin, probe.origin, probe)):
                     self.collector.hedges_issued += 1
                     if self.attempt_log is not None:
@@ -611,11 +605,16 @@ class TrafficPlane:
         state = peer.state
         me = state.peer_id
         space = state.space
+        size = space.size
+        kid = req.kid
         node0 = state.nodes[0]
         # believed predecessor: the closest real neighbor to the left,
-        # falling back to the wrap pointer at the ring seam [D6]
+        # falling back to the wrap pointer at the ring seam [D6].  Both
+        # ring tests of this hop are IdSpace.between_open_closed inlined:
+        # x in (a, b] iff a == b or 0 < (x - a) % size <= (b - a) % size
         pred = node0.rl if node0.rl is not None else node0.wrap_rl
-        if pred is None or pred.owner == me or space.between_open_closed(pred.owner, req.kid, me):
+        p = me if pred is None else pred.owner  # none: answer here
+        if p == me or 0 < (kid - p) % size <= (me - p) % size:
             self._terminal(me, req, ctx)
             return
         if not view:
@@ -630,9 +629,9 @@ class TrafficPlane:
         # candidate in (me, kid] also trivially beats distance_cw(me,
         # kid), which the historical linear scan used as its initial
         # bound.)  One bisect replaces the O(v) scan, same decision.
-        best = view[bisect_right(view, req.kid) - 1]  # view[-1] wraps
+        best = view[bisect_right(view, kid) - 1]  # view[-1] wraps
         rule = "greedy"
-        if not space.between_open_closed(me, best, req.kid):
+        if not (me == kid or 0 < (best - me) % size <= (kid - me) % size):
             # the key lies between us and every known neighbor: hand the
             # request to our closest clockwise neighbor (the believed
             # successor), who should find itself responsible — i.e. the
@@ -734,28 +733,16 @@ class TrafficPlane:
         ctx: RoundContext,
         value: Any = None,
     ) -> None:
-        reply = LookupReply(
-            op=req.op,
-            op_id=req.op_id,
-            origin=req.origin,
-            kid=req.kid,
-            status=status,
-            owner=owner,
-            hops=req.hops,
-            value=value,
-            attempt=req.attempt,
-            hedge=req.hedge,
+        op, op_id, origin, kid, _, hops, _, _, attempt, hedge, trace = req
+        if trace is not None:
             # the terminal hop closes the causal trace with its status
-            trace=(
-                req.trace.extended(owner, ctx.round_no, status)
-                if req.trace is not None else None
-            ),
-        )
-        if req.origin == ctx.self_key:
+            trace = trace.extended(owner, ctx.round_no, status)
+        reply = LookupReply(op, op_id, origin, kid, status, owner, hops, value, attempt, hedge, trace)
+        if origin == ctx.self_key:
             # terminated at the origin itself: complete without a message
             self.collector.on_reply(reply, ctx.round_no)
         else:
-            ctx.send_once(req.origin, reply)
+            ctx.send_once(origin, reply)
 
     def _view_for(self, state) -> List[int]:
         """The peer's sorted routing view, memoized on ``state.version``.

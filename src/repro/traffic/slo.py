@@ -71,6 +71,7 @@ import heapq
 import math
 import random
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -81,15 +82,24 @@ from repro.traffic.messages import (
     ST_NOTFOUND,
     ST_OK,
     LookupReply,
+    TrafficRecord,
 )
 
 #: outcomes that count as a successful search (reached the true owner)
 ROUTED_OUTCOMES = (ST_OK, ST_NOTFOUND)
 
 
-@dataclass(frozen=True)
-class IssuedOp:
-    """Registration of one in-flight operation.
+_IssuedFields = namedtuple(
+    "_IssuedFields",
+    "op_id op origin kid issue_round deadline attempt deadline_span",
+    defaults=(1, 0),
+)
+
+
+class IssuedOp(TrafficRecord, _IssuedFields):
+    """Registration of one in-flight operation (a slotted named tuple,
+    see :class:`~repro.traffic.messages.TrafficRecord`; every field
+    takes part in equality and hash).
 
     ``attempt`` is the 1-based attempt currently in flight (bumped by
     the resilient plane on every retry relaunch) and ``deadline_span``
@@ -98,14 +108,19 @@ class IssuedOp:
     launch round.  Both stay at their defaults when resilience is off.
     """
 
-    op_id: int
-    op: str
-    origin: int
-    kid: int
-    issue_round: int
-    deadline: int
-    attempt: int = 1
-    deadline_span: int = 0
+    __slots__ = ()
+    _compared = slice(None)
+
+
+def wire_delay(latency: int, hops: Optional[int]) -> int:
+    """The wire-delay component of a latency, in rounds.
+
+    Under unit delivery a forwarded request costs exactly one round per
+    hop plus one for the reply transit (a self-answered op costs zero),
+    so this is 0; under a latency model every extra round a slow link
+    held the message accumulates here.
+    """
+    return max(0, latency - (hops + 1 if hops else 0))
 
 
 @dataclass(frozen=True)
@@ -141,15 +156,8 @@ class CompletedOp:
 
     @property
     def wire_delay(self) -> int:
-        """The wire-delay component of the latency, in rounds.
-
-        Under unit delivery a forwarded request costs exactly one round
-        per hop plus one for the reply transit (a self-answered op costs
-        zero), so this is 0; under a latency model every extra round a
-        slow link held the message accumulates here.
-        """
-        baseline = self.hops + 1 if self.hops else 0
-        return max(0, self.latency - baseline)
+        """The wire-delay component of the latency (:func:`wire_delay`)."""
+        return wire_delay(self.latency, self.hops)
 
 
 def percentile(
@@ -537,27 +545,17 @@ class SLOCollector:
         attempt: int = 1,
         hedged: bool = False,
     ) -> None:
-        self._answer_truth.pop(issued.op_id, None)
-        record = CompletedOp(
-            op_id=issued.op_id,
-            op=issued.op,
-            origin=issued.origin,
-            kid=issued.kid,
-            issue_round=issued.issue_round,
-            complete_round=round_no,
-            outcome=outcome,
-            hops=hops,
-            value=value,
-            attempt=attempt,
-            hedged=hedged,
-            trace=trace,
-        )
-        routed = record.outcome in ROUTED_OUTCOMES
+        """Fold one terminal verdict into the aggregates; the
+        :class:`CompletedOp` record is built only when the reservoir,
+        the violation list or the completion observer keeps it."""
+        op_id, op, origin, kid, issue_round = issued[:5]
+        self._answer_truth.pop(op_id, None)
+        routed = outcome in ROUTED_OUTCOMES
         self.completed_count += 1
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-        tally = self._issue_tallies.get(issued.issue_round)
+        tally = self._issue_tallies.get(issue_round)
         if tally is None:
-            tally = self._issue_tallies[issued.issue_round] = [0, 0, 0, 0]
+            tally = self._issue_tallies[issue_round] = [0, 0, 0, 0]
         tally[0] += 1
         if self.resilience_enabled:
             self.attempts_histogram[attempt] = (
@@ -571,7 +569,7 @@ class SLOCollector:
                 else:
                     self.eventual_success += 1
         if routed:
-            latency = record.latency
+            latency = round_no - issue_round
             self.routed_count += 1
             counts = self.latency_counts
             counts[latency] = counts.get(latency, 0) + 1
@@ -579,7 +577,7 @@ class SLOCollector:
             tally[2] += latency
             if latency > tally[3]:
                 tally[3] = latency
-            wire = record.wire_delay
+            wire = wire_delay(latency, hops)
             self._wire_sum += wire
             if wire > self._wire_max:
                 self._wire_max = wire
@@ -594,13 +592,12 @@ class SLOCollector:
         # seeded reservoir (algorithm R): every completion has a
         # k/count chance of being retained, independent of order
         k = self.reservoir_size
-        if len(self.completed) < k:
-            self.completed.append(record)
-        else:
-            j = self._reservoir_rng.randrange(self.completed_count)
-            if j < k:
-                self.completed[j] = record
-        key = (issued.origin, issued.kid)
+        completed = self.completed
+        slot = len(completed)
+        if slot >= k:
+            slot = self._reservoir_rng.randrange(self.completed_count)
+        recorded = False
+        key = (origin, kid)
         if routed:
             if key not in self._succeeded_once:
                 if len(self._succeeded_once) < self.max_tracked_searches:
@@ -609,10 +606,22 @@ class SLOCollector:
                     self.tracked_search_overflow += 1
         elif key in self._succeeded_once:
             self.violations_count += 1
-            if len(self.violations) < self.max_violation_records:
-                self.violations.append(record)
-        if self.completion_observer is not None:
-            self.completion_observer(record)
+            recorded = len(self.violations) < self.max_violation_records
+        observer = self.completion_observer
+        if slot >= k and not recorded and observer is None:
+            return
+        record = CompletedOp(
+            op_id, op, origin, kid, issue_round, round_no, outcome, hops, value,
+            attempt, hedged, trace,
+        )
+        if slot < len(completed):
+            completed[slot] = record
+        elif slot < k:
+            completed.append(record)
+        if recorded:
+            self.violations.append(record)
+        if observer is not None:
+            observer(record)
 
     # ------------------------------------------------------------------
     # derived metrics

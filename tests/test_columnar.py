@@ -469,8 +469,9 @@ def referenced_owners(env) -> set:
 def audit_columns(sched: ColumnarScheduler) -> None:
     """Every derived value of the columnar kernel against a rebuild from
     the envelopes it holds: what each ``SubFlow`` carries, the pending
-    hash / count, the in-flight ref query (on the columns and, on a
-    copy, on the materialized inboxes), and the sender-side split."""
+    half of ``config_hash()`` (on the columns and, on a copy, on the
+    materialized inboxes) and the pending count, the in-flight ref query
+    (likewise on both), and the sender-side split."""
     assert sched._cols_active
     pending = flow_pending = 0
     for target, subs in chain(sched._flow_in.items(), sched._ghost.items()):
@@ -484,7 +485,7 @@ def audit_columns(sched: ColumnarScheduler) -> None:
     for boxes in (sched._pre_buffer, sched._lane, sched._inboxes):
         for box in boxes.values():
             pending += sum(envelope_fingerprint(env) for env in box)
-    assert sched._pending_hash == pending & HASH_MASK
+    assert sched.config_hash()[1] == pending & HASH_MASK
     assert sched._flow_pending == flow_pending
     # owner -> the targets whose boundary inbox references it
     holders: dict = {}
@@ -495,6 +496,7 @@ def audit_columns(sched: ColumnarScheduler) -> None:
     nobody = next(owner for owner in count() if owner not in holders)
     materialized = copy.deepcopy(sched)
     materialized._exit_columnar()
+    assert materialized.config_hash() == sched.config_hash()
     for owner in [*holders, nobody]:
         expected = holders.get(owner, set())
         assert sched.ref_receivers({owner}) == expected, owner
@@ -502,11 +504,11 @@ def audit_columns(sched: ColumnarScheduler) -> None:
     flt = sched._drop_filter
     for key in sched._actors:
         out = sched._out[key]
-        assert sched._out_hash[key] == outbox_fingerprint(out)
         split = sched._out_by.get(key)
         if split is None:
             continue
         assert split == split_by_target(out)
+        assert sum(sub.fp_sum for sub in split.values()) & HASH_MASK == outbox_fingerprint(out)
         for target, sub in split.items():
             if target in sched._actors and flt is None:
                 # one object, shared by the sender's split and the column

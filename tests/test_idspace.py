@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -99,6 +103,17 @@ class TestIntervals:
 class TestIdSpace:
     def test_size(self):
         assert IdSpace(8).size == 256
+
+    def test_size_is_derived_not_compared_or_pickled(self):
+        space = IdSpace(8)
+        assert space.__dict__["size"] == 256  # stored once, not recomputed
+        assert repr(space) == "IdSpace(bits=8)"
+        assert space == IdSpace(8) and hash(space) == hash(IdSpace(8))
+        assert space != IdSpace(9)
+        assert b"size" not in pickle.dumps(space)
+        for clone in (pickle.loads(pickle.dumps(space)), copy.deepcopy(space)):
+            assert clone == space and clone.size == 256
+        assert replace(space, bits=4).size == 16
 
     def test_rejects_zero_bits(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ completion record in ``tests/test_traffic_streaming.py``.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -139,9 +138,7 @@ class TestRetryEdgeRaces:
             if op.attempt >= max_attempts:
                 return None
             coll.retries += 1
-            return replace(
-                op, attempt=op.attempt + 1, deadline=round_no + backoff
-            )
+            return op._replace(attempt=op.attempt + 1, deadline=round_no + backoff)
 
         coll.retry_handler = retry
         return coll

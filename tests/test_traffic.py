@@ -17,6 +17,7 @@ import pytest
 
 from repro.dht.lookup import ReChordRouter
 from repro.dht.storage import KeyValueStore
+from repro.experiments.scaling import build_ideal_network
 from repro.idspace.keys import key_id
 from repro.traffic import TrafficPlane, WorkloadGenerator
 from repro.traffic.messages import (
@@ -26,6 +27,7 @@ from repro.traffic.messages import (
     OUT_TIMEOUT,
     ST_OK,
     LookupReply,
+    LookupRequest,
 )
 from repro.traffic.slo import IssuedOp, SLOCollector, latency_histogram, percentile
 from repro.workloads.initial import build_random_network, random_peer_ids
@@ -185,6 +187,52 @@ class TestTrafficUnderChurn:
         assert plane.collector.outstanding_count() == 0
         assert plane.collector.outcomes == {OUT_TIMEOUT: 1}
 
+    def test_a_new_plane_waits_for_the_old_planes_mail(self):
+        """Op ids restart at 0 in every plane: a plane attached while the
+        detached one's requests and replies are in flight would handle
+        them and complete its own ops with them.  Attaching is refused
+        until rounds have drained that mail; then the new plane reports
+        exactly what the same lookups report on a fresh network."""
+
+        def twenty_lookups(net, plane):
+            for i in range(20):
+                plane.lookup(f"key-{i}", origin=net.peer_ids[i % len(net.peer_ids)])
+            plane.drain()
+            return plane.collector.summary()
+
+        net = build_ideal_network(16, 1)
+        old = TrafficPlane(net)
+        for i in range(20):
+            old.lookup(f"key-{i}", origin=net.peer_ids[i % len(net.peer_ids)])
+        net.run(2)
+        old.detach()
+        in_flight = sum(
+            isinstance(env.payload, (LookupRequest, LookupReply))
+            for env in net.scheduler.all_pending()
+        )
+        assert in_flight > 0
+        with pytest.raises(ValueError, match=rf"^{in_flight} application .*detach\(\), run rounds"):
+            TrafficPlane(net)
+        net.run_round()  # the null handler drops what was in flight
+        fresh = build_ideal_network(16, 1)
+        assert twenty_lookups(net, TrafficPlane(net)) == twenty_lookups(fresh, TrafficPlane(fresh))
+
+    def test_delayed_mail_also_blocks_a_new_plane(self):
+        net = build_ideal_network(16, 1)
+        net.set_delivery_model({"kind": "constant", "delay": 3})
+        old = TrafficPlane(net)
+        old.lookup("slow", origin=net.peer_ids[0])
+        net.run_round()
+        old.detach()
+        # the request waits in the future queue alone
+        sched = net.scheduler
+        assert [e for _, e in sched.future_pending() if isinstance(e.payload, LookupRequest)]
+        assert not [e for e in sched.all_pending() if isinstance(e.payload, LookupRequest)]
+        with pytest.raises(ValueError, match="still in flight"):
+            TrafficPlane(net)
+        net.run(3)
+        TrafficPlane(net)
+
     def test_lookups_concurrent_with_recovery_eventually_succeed(self):
         net, plane = make_traffic_net(16, seed=47)
         victim = net.peer_ids[5]
@@ -273,6 +321,39 @@ class TestEngineEquivalenceWithTraffic:
         sent_a = [r.sent for r in a.trace.rounds()[-12:]]
         sent_b = [r.sent for r in b.trace.rounds()[-12:]]
         assert sent_a == sent_b
+
+
+class TestOptionBounds:
+    """A zero or negative hop/round budget would fail ops that are still
+    routing (a deadline) or answer every forwarded op with ``ttl``: each
+    is rejected by name, like ``max_attempts``."""
+
+    @pytest.mark.parametrize("name", ["default_ttl", "default_deadline"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_plane_defaults(self, name, value):
+        net = stabilized(6, seed=3)
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {value}$"):
+            TrafficPlane(net, **{name: value})
+
+    @pytest.mark.parametrize("name", ["ttl", "deadline"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_per_op_budgets(self, name, value):
+        net, plane = make_traffic_net(6, seed=3)
+        origin = net.peer_ids[0]
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {value}$"):
+            plane.lookup("k", origin, **{name: value})
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {value}$"):
+            plane.issue_batch([(OP_LOOKUP, 5, origin, None)], **{name: value})
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {value}$"):
+            plane.issue_batch([], **{name: value})
+        assert plane.collector.summary()["issued"] == 0
+
+    def test_budgets_of_one_are_accepted(self):
+        net = stabilized(6, seed=3)
+        plane = TrafficPlane(net, default_ttl=1, default_deadline=1)
+        plane.lookup("k", net.peer_ids[0], ttl=1, deadline=1)
+        plane.drain()
+        assert plane.collector.completed_count == 1
 
 
 class TestWorkloadGenerator:

@@ -24,7 +24,13 @@ from repro.dht.lookup import ReChordRouter
 from repro.dht.storage import KeyValueStore
 from repro.idspace.keys import key_id
 from repro.netsim.columnar import ColumnarScheduler
-from repro.netsim.messages import HASH_MASK, AppPayload, Envelope, envelope_fingerprint
+from repro.netsim.messages import (
+    HASH_MASK,
+    AppPayload,
+    Envelope,
+    envelope_fingerprint,
+    future_fingerprint,
+)
 from repro.netsim.scheduler import SynchronousScheduler
 from repro.traffic import TrafficPlane, WorkloadGenerator
 from repro.traffic.messages import OP_GET, OP_LOOKUP, OP_PUT, LookupRequest
@@ -83,8 +89,11 @@ def lockstep(lane: Campaign, spec: Campaign, context: str, exact_flag: bool = Tr
         (e.sender, e.target, e.payload) for e in spec.sched.all_pending()
     ], f"all_pending() order {context}"
     assert lane.sched.pending_messages() == spec.sched.pending_messages(), context
-    rolling = sum(envelope_fingerprint(e) for e in lane.sched.all_pending()) & HASH_MASK
-    assert lane.sched._pending_hash == rolling, f"rolling pending hash {context}"
+    rebuilt = sum(envelope_fingerprint(e) for e in lane.sched.all_pending())
+    rebuilt += sum(future_fingerprint(e, left) for left, e in lane.sched.future_pending())
+    pending = lane.sched.config_hash()[1]
+    assert pending == rebuilt & HASH_MASK, f"pending hash {context}"
+    assert pending == spec.sched.config_hash()[1], f"pending hash vs spec {context}"
     if exact_flag:
         assert lane.sched.changed_last_round == (fp != spec_before), f"change flag {context}"
     else:

@@ -14,6 +14,11 @@ pairs the change won (ties count for neither), the gap between the
 medians next to the parent's own quartile distance, the verdict against
 the metric's bound, and one CHANGES.md-ready line listing every run.
 
+Each run's ``attempted`` (the seeded work it got through) is printed
+next to its metrics.  A run executes instances until its time is up, so
+a faster side runs more of them; ``op_success_share`` then averages over
+different instances, and the report flags it.
+
 Usage::
 
     python tools/ab_bench.py --workload restabilize --pairs 10
@@ -38,7 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(command: List[str], checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
-    """One benchmark run in ``checkout``; the metrics of its result line."""
+    """One benchmark run in ``checkout``; the metrics of its result line
+    plus its ``attempted`` count."""
     argv = command + [
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", "0",
@@ -49,7 +55,9 @@ def run_once(command: List[str], checkout: Path, workload: str, seed: int, secon
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if not result.get("correct") or result.get("failed"):
         raise RuntimeError(f"incorrect run in {checkout}: {result}")
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    values = {name: metric["value"] for name, metric in result["metrics"].items()}
+    values["attempted"] = result["attempted"]
+    return values
 
 
 def quartiles(values: List[float]) -> Tuple[float, float, float]:
@@ -58,6 +66,19 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def work_note(parent: List[float], change: List[float]) -> str:
+    """The flag under ``op_success_share`` when the two sides ran
+    different amounts of seeded work (empty when they did not)."""
+    if sorted(parent) == sorted(change):
+        return ""
+    return (
+        f"  note: the sides ran different seeded work (attempted, median "
+        f"{statistics.median(parent):.6g} vs {statistics.median(change):.6g}): a faster "
+        "side runs more instances, so this share averages over different ones; "
+        "compare per-instance statistics (the traced pass) before reading a move here"
+    )
 
 
 def report(metric: dict, parent: List[float], change: List[float]) -> str:
@@ -112,7 +133,7 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             for side, checkout, runs in (sides if pair % 2 == 0 else sides[::-1]):
                 runs.append(run_once(spec["command"], checkout, args.workload, args.seed, seconds))
-                shown = "  ".join(f"{k}={v:.4g}" for k, v in runs[-1].items())
+                shown = "  ".join(f"{k}={v:.6g}" for k, v in runs[-1].items())
                 print(f"pair {pair + 1:>2} {side}: {shown}", flush=True)
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} alternating pairs of "
@@ -120,6 +141,12 @@ def main(argv=None) -> int:
     for metric in spec["end_to_end"]:
         name = metric["name"]
         print(report(metric, [r[name] for r in parent_runs], [r[name] for r in change_runs]))
+        if name == "op_success_share":
+            note = work_note(
+                [r["attempted"] for r in parent_runs], [r["attempted"] for r in change_runs]
+            )
+            if note:
+                print(note)
     return 0
 
 
