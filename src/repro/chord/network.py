@@ -16,7 +16,6 @@ from repro.core.ideal import chord_successor
 from repro.idspace.ring import IdSpace
 from repro.netsim.messages import Envelope
 from repro.netsim.scheduler import SynchronousScheduler
-from repro.netsim.trace import TraceRecorder
 
 
 class ChordNetwork:
@@ -27,11 +26,9 @@ class ChordNetwork:
         space: Optional[IdSpace] = None,
         successor_list_len: int = 4,
         fingers_per_round: int = 1,
-        record_trace: bool = False,
     ) -> None:
         self.space = space if space is not None else IdSpace()
-        self.trace: Optional[TraceRecorder] = TraceRecorder() if record_trace else None
-        self.scheduler = SynchronousScheduler(self.trace)
+        self.scheduler = SynchronousScheduler()
         self.peers: Dict[int, ChordPeer] = {}
         self.successor_list_len = successor_list_len
         self.fingers_per_round = fingers_per_round

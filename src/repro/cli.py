@@ -121,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--sketch-quantiles", type=quantile, nargs="*", default=None,
                 metavar="Q",
-                help="opt-in P2 streaming latency quantiles (e.g. 0.5 0.99), "
-                "reported as latency_p*_sketch alongside the exact stats",
+                help="opt-in extra latency quantiles (e.g. 0.5 0.99), each an "
+                "exact nearest rank, reported as latency_p*_sketch",
             )
             p.add_argument(
                 "--max-attempts", type=positive_int, default=1, metavar="K",
@@ -178,9 +178,10 @@ def _build_parser() -> argparse.ArgumentParser:
     scen.add_argument(
         "--sketch-quantiles", type=quantile, nargs="*", default=None,
         metavar="Q",
-        help="opt-in P2 streaming latency quantiles for the campaign's "
-        "traffic (e.g. 0.5 0.99); reported as latency_p*_sketch in the "
-        "summary and JSON (needs a scenario with traffic attached)",
+        help="opt-in extra latency quantiles for the campaign's traffic "
+        "(e.g. 0.5 0.99), each an exact nearest rank; reported as "
+        "latency_p*_sketch in the summary and JSON (needs a scenario "
+        "with traffic attached)",
     )
     obs = sub.add_parser(
         "observe",

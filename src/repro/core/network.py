@@ -75,7 +75,6 @@ from repro.netsim.columnar import ColumnarScheduler
 from repro.netsim.messages import AppPayload, Envelope
 from repro.netsim.scheduler import SynchronousScheduler
 from repro.netsim.timemodel import TimeModel
-from repro.netsim.trace import TraceRecorder
 
 #: the kernels ``ReChordNetwork(engine=...)`` accepts (module docstring)
 ENGINES = ("full", "columnar")
@@ -124,13 +123,11 @@ class ReChordNetwork:
         self,
         space: Optional[IdSpace] = None,
         config: Optional[RuleConfig] = None,
-        record_trace: bool = False,
         time_model: Optional[TimeModel] = None,
         engine: str = "columnar",
     ) -> None:
         self.space = space if space is not None else IdSpace()
         self.config = config if config is not None else RuleConfig()
-        self.trace: Optional[TraceRecorder] = TraceRecorder() if record_trace else None
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
         #: selected kernel: "full" (the full-scan reference) or
@@ -139,9 +136,7 @@ class ReChordNetwork:
         #: whether the activity-tracked kernel drives the rounds (read-only)
         self.incremental = engine != "full"
         if self.incremental:
-            self.scheduler: SynchronousScheduler = ColumnarScheduler(
-                self.trace, time_model=time_model
-            )
+            self.scheduler: SynchronousScheduler = ColumnarScheduler(time_model=time_model)
             # the kernel picks the rule pipeline (module docstring): the
             # full-scan spec steps peer by peer, the tracked kernel
             # batches.  The pipeline keeps this oracle's verdicts per
@@ -151,7 +146,7 @@ class ReChordNetwork:
             )
         else:
             self.scheduler = SynchronousScheduler(
-                self.trace, activity_tracking=False, time_model=time_model
+                activity_tracking=False, time_model=time_model
             )
         self.peers: Dict[int, ReChordPeer] = {}
         #: the liveness oracle's frozen map: owner -> levels it simulates.

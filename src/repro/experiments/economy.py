@@ -25,14 +25,14 @@ DEFAULT_SIZES = (8, 16, 32, 64)
 
 
 def _run(config: RuleConfig, n: int, seed: int, max_rounds: int) -> Dict[str, float]:
-    net = build_random_network(n=n, seed=seed, config=config, record_trace=True)
+    net = build_random_network(n=n, seed=seed, config=config)
+    telemetry = net.enable_telemetry()
     report = net.run_until_stable(max_rounds=max_rounds)
     if not net.matches_ideal():
         raise AssertionError("variant failed to reach the ideal topology")
-    assert net.trace is not None
-    total = net.trace.total_messages()
+    total = telemetry.counters["sent"]
     net.run(2)
-    steady = net.trace.messages_series()[-1]
+    steady = telemetry.rounds[-1][0]
     return {
         "rounds": report.rounds_to_stable,
         "total_msgs": total,

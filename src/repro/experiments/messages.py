@@ -22,10 +22,9 @@ class MessageProfile:
     """Per-round message series for one stabilization run.
 
     ``executed`` is the per-round executed-actor series; entries are
-    ``None`` for rounds where the kernel reported no execute/replay
-    split (the legacy full-scan engine) — the ``-1`` sentinel the trace
-    recorder stores internally never appears here and ``None`` entries
-    are excluded from all series arithmetic.
+    ``None`` under the full-scan engine, which steps everyone and so
+    has no execute/replay split, and ``None`` entries are excluded from
+    all series arithmetic.
     """
 
     n: int
@@ -79,16 +78,18 @@ def run_messages(
     """
     if seed is None:
         seed = SeedSequence(root_seed).child("messages", n=n).seed()
-    net = build_random_network(n=n, seed=seed, record_trace=True, engine=engine)
+    net = build_random_network(n=n, seed=seed, engine=engine)
+    rounds = net.enable_telemetry().rounds
     report = net.run_until_stable(max_rounds=20_000)
     # two extra rounds past stability to sample the steady-state rate
     net.run(2)
-    assert net.trace is not None
     return MessageProfile(
         n=n,
-        series=tuple(net.trace.messages_series()),
+        series=tuple(sent for sent, _, _, _ in rounds),
         rounds_to_stable=report.rounds_to_stable,
-        executed=tuple(net.trace.executed_series()),
+        executed=tuple(
+            None if engine == "full" else executed for _, _, executed, _ in rounds
+        ),
     )
 
 

@@ -113,10 +113,10 @@ def measure_one(
     ``telemetry`` opts the run into the observation plane (``True`` for
     a fresh recorder, or an existing one); purely observational — the
     recovery profile is identical with or without it.
-    ``sketch_quantiles`` adds opt-in P² latency estimates to the totals
-    (separate ``latency_p*_sketch`` keys).  The recovery profile and
-    the latency histogram come from the collector's exact tallies, at
-    any campaign size.
+    ``sketch_quantiles`` adds opt-in latency quantiles to the totals,
+    each an exact nearest rank (separate ``latency_p*_sketch`` keys).
+    The recovery profile and the latency histogram come from the
+    collector's exact tallies, at any campaign size.
     ``max_attempts``/``retry_backoff``/``hedge_after``/
     ``route_redundancy`` opt the run into the resilient request plane
     (see :class:`TrafficPlane`); the defaults keep the run bit-for-bit
@@ -222,7 +222,8 @@ def run_traffic(
 
     ``telemetry=True`` attaches a fresh recorder to every run and
     carries its census on the run record (observational only);
-    ``sketch_quantiles`` and the resilience knobs
+    ``sketch_quantiles`` (exact nearest-rank latency quantiles) and the
+    resilience knobs
     (``max_attempts``/``retry_backoff``/``hedge_after``/
     ``route_redundancy``) pass through to :func:`measure_one`.
     """
@@ -334,7 +335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=float,
         nargs="*",
         default=None,
-        help="opt-in P2 latency quantiles (e.g. 0.5 0.99)",
+        help="opt-in extra latency quantiles (e.g. 0.5 0.99), exact nearest ranks",
     )
     parser.add_argument(
         "--max-attempts", type=int, default=1,

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.idspace.ring import IdSpace
 from repro.netsim.messages import Envelope
 from repro.netsim.scheduler import RoundContext, SynchronousScheduler
-from repro.netsim.trace import TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -69,10 +68,9 @@ class LinearizePeer:
 class LinearizeNetwork:
     """Facade mirroring :class:`repro.core.network.ReChordNetwork`."""
 
-    def __init__(self, space: Optional[IdSpace] = None, record_trace: bool = False) -> None:
+    def __init__(self, space: Optional[IdSpace] = None) -> None:
         self.space = space if space is not None else IdSpace()
-        self.trace: Optional[TraceRecorder] = TraceRecorder() if record_trace else None
-        self.scheduler = SynchronousScheduler(self.trace)
+        self.scheduler = SynchronousScheduler()
         self.peers: Dict[int, LinearizePeer] = {}
 
     def add_peer(self, peer_id: int) -> LinearizePeer:

@@ -17,7 +17,6 @@ from repro.netsim.timemodel import (
     make_daemon,
     make_delivery_model,
 )
-from repro.netsim.trace import RoundStats, TraceRecorder
 from repro.netsim.rng import SeedSequence
 
 __all__ = [
@@ -26,11 +25,9 @@ __all__ = [
     "DeliveryModel",
     "Envelope",
     "RoundContext",
-    "RoundStats",
     "SeedSequence",
     "SynchronousScheduler",
     "TimeModel",
-    "TraceRecorder",
     "make_daemon",
     "make_delivery_model",
 ]

@@ -88,7 +88,6 @@ from repro.netsim.messages import (
 )
 from repro.netsim.scheduler import RoundContext, SynchronousScheduler
 from repro.netsim.timemodel import TimeModel, make_delivery_model
-from repro.netsim.trace import TraceRecorder
 
 
 #: sub-flow map: sender -> that sender's sub-flow to one target
@@ -103,12 +102,8 @@ class ColumnarScheduler(SynchronousScheduler):
     #: (docs/ARCHITECTURE.md)
     DENSE_SHARE = 0.5
 
-    def __init__(
-        self,
-        trace: Optional[TraceRecorder] = None,
-        time_model: Optional[TimeModel] = None,
-    ) -> None:
-        super().__init__(trace, activity_tracking=True, time_model=time_model)
+    def __init__(self, time_model: Optional[TimeModel] = None) -> None:
+        super().__init__(activity_tracking=True, time_model=time_model)
         #: whether the columnar fast path is currently driving rounds
         self._cols_active = False
         #: steady delivered sub-flows per live target
@@ -832,7 +827,6 @@ class ColumnarScheduler(SynchronousScheduler):
 
         # (e) boundary bookkeeping — identical observables to the parent
         self.dropped_last_round = self._flow_dropped + dropped_extra
-        sent = self._flow_sent + sent_extra
         if tel is not None:
             tel.add_time("kernel.patch", _perf() - _t0)
             msg = tel.messages
@@ -843,7 +837,7 @@ class ColumnarScheduler(SynchronousScheduler):
             if tel_extra:
                 msg.update(tel_extra)
             tel.on_round(
-                sent=sent, dropped=self.dropped_last_round,
+                sent=self._flow_sent + sent_extra, dropped=self.dropped_last_round,
                 executed=executed, replayed=n_start - executed - expired,
             )
         self.changed_last_round = state_changed_any or flow_changed
@@ -862,9 +856,4 @@ class ColumnarScheduler(SynchronousScheduler):
         self._added_mid_round = set()
         self._removed_mid = []
         self._patched = {}
-        if self._trace is not None:
-            self._trace.record_round(
-                round_no, actors=n_start, sent=sent, dropped=self.dropped_last_round,
-                executed=executed,
-            )
         self._round += 1

@@ -151,7 +151,6 @@ from repro.netsim.messages import (
     receivers_referencing,
 )
 from repro.netsim.timemodel import DeliveryModel, TimeModel, make_daemon, make_delivery_model
-from repro.netsim.trace import TraceRecorder
 from time import perf_counter as _perf
 
 
@@ -252,7 +251,6 @@ class SynchronousScheduler:
 
     def __init__(
         self,
-        trace: Optional[TraceRecorder] = None,
         activity_tracking: bool = True,
         time_model: Optional[TimeModel] = None,
     ) -> None:
@@ -261,7 +259,6 @@ class SynchronousScheduler:
         self._round = 0
         #: (sender, target, payload) -> interned Envelope (see RoundContext.send)
         self._env_cache: Dict[tuple, Envelope] = {}
-        self._trace = trace
         #: optional TelemetryRecorder (None = disabled, the default);
         #: every instrumented path is guarded by one ``is None`` check
         #: per round, and nothing it records ever gates behavior
@@ -886,14 +883,13 @@ class SynchronousScheduler:
             if ctx._once:
                 outboxes.append(ctx._once)
         # the full-scan kernel executes every stepped actor
-        self._deliver_round(round_no, outboxes, len(keys), executed, 0, _t0)
+        self._deliver_round(round_no, outboxes, executed, 0, _t0)
         self._round += 1
 
     def _deliver_round(
         self,
         round_no: int,
         outboxes: List[List[Envelope]],
-        actors: int,
         executed: int,
         replayed: int,
         step_t0: float,
@@ -909,8 +905,7 @@ class SynchronousScheduler:
         outbox, and only the drop filter and dead targets look at single
         envelopes.  Closes the ``kernel.step`` span opened at
         ``step_t0`` and records the round with the telemetry plane
-        (envelope census by payload type included) and the trace
-        recorder.
+        (envelope census by payload type included).
         """
         tel = self._telemetry
         if tel is not None:
@@ -967,12 +962,6 @@ class SynchronousScheduler:
                     for env in sub:
                         msg[type(env.payload).__name__] += 1
             tel.on_round(sent=sent, dropped=dropped, executed=executed, replayed=replayed)
-        if self._trace is not None:
-            self._trace.record_round(
-                round_no, actors=actors, sent=sent, dropped=dropped,
-                # the full-scan kernel reports no execute/replay split
-                executed=executed if self.activity_tracking else -1,
-            )
 
     def _probe_refresh(self, key: Hashable, probes: tuple) -> bool:
         """Refresh an executed actor's probe baselines after its step.
@@ -1243,7 +1232,7 @@ class SynchronousScheduler:
                     self._lane_flag = True  # consumed next round: that boundary differs too
                 else:
                     self._one_shot(round_no, env, d)
-        self._deliver_round(round_no, contributions, len(keys), executed, replayed, _t0)
+        self._deliver_round(round_no, contributions, executed, replayed, _t0)
         if settled and active is None:
             self.changed_last_round = state_changed_any or flow_changed
         else:

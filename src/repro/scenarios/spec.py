@@ -29,7 +29,11 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
+from repro.scenarios.events import EVENT_KINDS
+from repro.traffic.generator import check_workload
 from repro.traffic.messages import OP_GET, OP_LOOKUP, OP_PUT
+from repro.traffic.plane import check_budget, check_resilience
+from repro.traffic.slo import check_quantiles
 
 #: initial-topology builders accepted by ScenarioSpec.start
 START_KINDS = (
@@ -58,6 +62,12 @@ class EventSpec:
     kind: str
     params: Dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.kind not in EVENT_KINDS:
+            raise ValueError(
+                f"unknown event kind {self.kind!r}; choose from {sorted(EVENT_KINDS)}"
+            )
+
     def to_dict(self) -> dict:
         """JSON-serializable form."""
         return {"at": self.at, "kind": self.kind, "params": dict(self.params)}
@@ -79,7 +89,9 @@ class TrafficSpec:
 
     ``op_mix`` weights are normalized by the generator; a mix containing
     ``put``/``get`` makes the executor attach a
-    :class:`repro.dht.storage.KeyValueStore` automatically.
+    :class:`repro.dht.storage.KeyValueStore` automatically.  Every knob
+    is checked against the generator's and the plane's bounds at
+    construction, so a bad spec fails when it is parsed.
     """
 
     rate: float = 2.0
@@ -90,9 +102,9 @@ class TrafficSpec:
     deadline: int = 32
     ttl: Optional[int] = None
     max_outstanding: Optional[int] = None
-    #: opt-in P² streaming latency quantiles (e.g. ``(0.5, 0.99)``);
-    #: estimates land under separate ``latency_p*_sketch`` summary keys,
-    #: so default reports (and their baselines) are unchanged
+    #: opt-in extra latency quantiles in (0, 1) (e.g. ``(0.5, 0.99)``),
+    #: each the exact nearest rank, under separate ``latency_p*_sketch``
+    #: summary keys, so default reports (and their baselines) are unchanged
     sketch_quantiles: Optional[Tuple[float, ...]] = None
     #: resilient request plane (see TrafficPlane): attempts budget per
     #: op (1 = retries off), base backoff in rounds, hedge delay in
@@ -103,6 +115,15 @@ class TrafficSpec:
     retry_backoff: int = 4
     hedge_after: Optional[int] = None
     route_redundancy: int = 1
+
+    def __post_init__(self) -> None:
+        check_workload(self.rate, self.op_mix, self.key_universe, self.popularity)
+        check_budget("deadline", self.deadline)
+        check_budget("ttl", self.ttl)
+        check_resilience(
+            self.max_attempts, self.retry_backoff, self.hedge_after, self.route_redundancy
+        )
+        check_quantiles(self.sketch_quantiles or ())
 
     def needs_store(self) -> bool:
         """Whether the mix issues KV operations."""

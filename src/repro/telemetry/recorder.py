@@ -5,6 +5,13 @@ The recorder separates what is comparable from what is not:
 * :attr:`counters` and :attr:`messages` are **engine-invariant** —
   identical between the full and columnar kernels for the same seeded
   run (the differential suites assert this);
+* :attr:`rounds` holds one ``(sent, dropped, executed, replayed)`` row
+  per round, in round order — the per-round series behind the message
+  complexity experiment (E12).  ``sent`` and ``dropped`` are
+  engine-invariant, ``executed``/``replayed`` belong to the kernel
+  plane below (the full-scan kernel reports everyone it stepped as
+  executed).  The rows stay out of :meth:`census`, :meth:`records` and
+  :meth:`dump`;
 * :attr:`kernel` holds the execute/replay split and dirty-set peaks —
   deterministic, but invariant only between the columnar kernel's
   round loops (the full-scan reference executes everybody by design);
@@ -26,6 +33,8 @@ The recorder separates what is comparable from what is not:
 >>> rec.on_round(sent=3, dropped=0, executed=2, replayed=5)
 >>> rec.census()["messages"]
 {'Introduce': 3}
+>>> rec.rounds
+[(3, 0, 2, 5)]
 >>> rec.kernel_stats() == {"executed": 2, "replayed": 5, "dirty_peak": 2}
 True
 >>> rec.add_memo("rule3", hits=9, misses=1)
@@ -56,6 +65,8 @@ class TelemetryRecorder:
         self.counters: Counter = Counter()
         #: engine-invariant envelope census by payload type name
         self.messages: Counter = Counter()
+        #: one (sent, dropped, executed, replayed) row per round
+        self.rounds: List[Tuple[int, int, int, int]] = []
         #: kernel-plane deterministic counters (execute/replay split)
         self.kernel: Counter = Counter()
         #: wall-clock phase accounting: phase -> [seconds, calls]
@@ -78,6 +89,7 @@ class TelemetryRecorder:
         replayed: int,
     ) -> None:
         """Per-round bookkeeping, called once by whichever kernel ran."""
+        self.rounds.append((sent, dropped, executed, replayed))
         c = self.counters
         c["rounds"] += 1
         c["sent"] += sent
@@ -202,6 +214,7 @@ class TelemetryRecorder:
         """Reset every plane (sampling config is kept)."""
         self.counters.clear()
         self.messages.clear()
+        self.rounds.clear()
         self.kernel.clear()
         self.timers.clear()
         self.rule_fires.clear()

@@ -35,6 +35,26 @@ POP_ZIPF = "zipf"
 _VECTOR_MIN = 64
 
 
+def check_workload(
+    rate: float, op_mix: Sequence[Tuple[str, float]], key_universe: int,
+    popularity: str,
+) -> None:
+    """The arrival process's bounds (see :class:`WorkloadGenerator`)."""
+    if rate < 0:
+        raise ValueError("rate must be non-negative")
+    if key_universe < 1:
+        raise ValueError("need at least one key")
+    for op, weight in op_mix:
+        if op not in (OP_LOOKUP, OP_GET, OP_PUT):
+            raise ValueError(f"unknown op {op!r} in mix")
+        if weight < 0:
+            raise ValueError("op weights must be non-negative")
+    if sum(w for _, w in op_mix) <= 0:
+        raise ValueError("op mix weights sum to zero")
+    if popularity not in (POP_UNIFORM, POP_ZIPF):
+        raise ValueError(f"unknown popularity {popularity!r}")
+
+
 class WorkloadGenerator:
     """Seeded per-round arrival process bound to one plane.
 
@@ -69,17 +89,7 @@ class WorkloadGenerator:
         max_outstanding: Optional[int] = None,
         seed: int = 0,
     ) -> None:
-        if rate < 0:
-            raise ValueError("rate must be non-negative")
-        if key_universe < 1:
-            raise ValueError("need at least one key")
-        for op, weight in op_mix:
-            if op not in (OP_LOOKUP, OP_GET, OP_PUT):
-                raise ValueError(f"unknown op {op!r} in mix")
-            if weight < 0:
-                raise ValueError("op weights must be non-negative")
-        if popularity not in (POP_UNIFORM, POP_ZIPF):
-            raise ValueError(f"unknown popularity {popularity!r}")
+        check_workload(rate, op_mix, key_universe, popularity)
         self.plane = plane
         plane.generator = self
         self.rate = float(rate)
@@ -98,8 +108,6 @@ class WorkloadGenerator:
                 cum.append(acc)
             self._cum = tuple(cum)
         total = sum(w for _, w in op_mix)
-        if total <= 0:
-            raise ValueError("op mix weights sum to zero")
         acc, mix = 0.0, []
         for op, weight in op_mix:
             acc += weight / total

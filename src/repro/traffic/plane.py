@@ -30,7 +30,7 @@ enforces):
   empty;
 * handler side effects (completions, store writes) happen in ascending
   peer-key order within a round on every kernel, so the collector's
-  order-sensitive sketches (P², the reservoir) agree bit for bit.
+  order-sensitive reservoir agrees bit for bit.
 
 Forwarding semantics (mirrors :func:`repro.chord.routing.route_greedy`,
 but with purely local termination): a peer answers a request itself when
@@ -76,11 +76,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.dht.storage import KeyValueStore
 
 
-def _check_budget(name: str, value: Optional[int]) -> None:
+def check_budget(name: str, value: Optional[int]) -> None:
     """A hop (``ttl``) or round (``deadline``) budget is >= 1 or unset:
     a zero or negative one would fail ops that are still routing."""
     if value is not None and value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def check_resilience(
+    max_attempts: int, retry_backoff: int, hedge_after: Optional[int],
+    route_redundancy: int,
+) -> None:
+    """The resilient request plane's bounds (see :class:`TrafficPlane`)."""
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
+    if retry_backoff < 1:
+        raise ValueError("retry_backoff must be >= 1")
+    if hedge_after is not None and hedge_after < 1:
+        raise ValueError("hedge_after must be >= 1 (or None)")
+    if route_redundancy < 1:
+        raise ValueError("route_redundancy must be >= 1")
 
 
 class TrafficPlane:
@@ -130,16 +145,9 @@ class TrafficPlane:
         route_redundancy: int = 1,
         retry_seed: int = 0,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if retry_backoff < 1:
-            raise ValueError("retry_backoff must be >= 1")
-        if hedge_after is not None and hedge_after < 1:
-            raise ValueError("hedge_after must be >= 1 (or None)")
-        if route_redundancy < 1:
-            raise ValueError("route_redundancy must be >= 1")
-        _check_budget("default_ttl", default_ttl)
-        _check_budget("default_deadline", default_deadline)
+        check_resilience(max_attempts, retry_backoff, hedge_after, route_redundancy)
+        check_budget("default_ttl", default_ttl)
+        check_budget("default_deadline", default_deadline)
         if collector_mode not in (None, "streaming"):
             raise ValueError(
                 f"collector_mode={collector_mode!r}: the SLO collector has one "
@@ -304,8 +312,8 @@ class TrafficPlane:
             raise ValueError(f"unknown traffic op {op!r}")
         if op in (OP_GET, OP_PUT) and self.store is None:
             raise RuntimeError("KV traffic needs a store: TrafficPlane(net, store=...)")
-        _check_budget("ttl", ttl)
-        _check_budget("deadline", deadline)
+        check_budget("ttl", ttl)
+        check_budget("deadline", deadline)
         kid = key if isinstance(key, int) else key_id(key, self.net.space)
         self.net.space.check_id(kid)
         op_id = self._next_op_id
@@ -373,8 +381,8 @@ class TrafficPlane:
         ``deadline`` checks — are identical to issuing them one by one.
         Returns the op ids in batch order.
         """
-        _check_budget("ttl", ttl)
-        _check_budget("deadline", deadline)
+        check_budget("ttl", ttl)
+        check_budget("deadline", deadline)
         if not ops:
             return []
         bad = {op for op, _, _, _ in ops} - {OP_LOOKUP, OP_GET, OP_PUT}

@@ -210,6 +210,13 @@ def nearest_rank(
     raise AssertionError("unreachable: the ranks sum to n")
 
 
+def check_quantiles(quantiles: Sequence[float]) -> None:
+    """Reject any extra latency quantile outside (0, 1)."""
+    for q in quantiles:
+        if not 0 < q < 1:
+            raise ValueError(f"quantile must be in (0, 1), got {q}")
+
+
 def latency_histogram(
     counts: Mapping[int, int],
     bounds: Optional[Sequence[int]] = None,
@@ -277,14 +284,12 @@ class SLOCollector:
         if reservoir_size < 1:
             raise ValueError("reservoir_size must be >= 1")
         self._true_owner = true_owner
-        #: opt-in streaming latency percentiles (P² sketches) for extra
-        #: quantiles; ``summary()`` keys are unchanged by default — the
-        #: estimates land under separate ``latency_p*_sketch`` keys
-        self.sketches: Optional[Dict[float, object]] = None
-        if sketch_quantiles:
-            from repro.telemetry.sketch import P2Quantile
-
-            self.sketches = {q: P2Quantile(q) for q in sketch_quantiles}
+        #: opt-in extra latency quantiles in (0, 1), each the exact
+        #: nearest rank over ``latency_counts``; ``summary()`` keys are
+        #: unchanged by default — these land under separate
+        #: ``latency_p*_sketch`` keys
+        self.sketch_quantiles: Tuple[float, ...] = tuple(sketch_quantiles or ())
+        check_quantiles(self.sketch_quantiles)
         self._reservoir_rng = random.Random(reservoir_seed)
         self.reservoir_size = reservoir_size
         self.outstanding: Dict[int, IssuedOp] = {}
@@ -581,9 +586,6 @@ class SLOCollector:
             self._wire_sum += wire
             if wire > self._wire_max:
                 self._wire_max = wire
-            if self.sketches is not None:
-                for sketch in self.sketches.values():
-                    sketch.add(latency)
         if hops is not None:
             self._hops_sum += hops
             self._hops_count += 1
@@ -665,9 +667,9 @@ class SLOCollector:
     def summary(self) -> dict:
         """Flat metrics dict (stable keys, used by tests and benches).
 
-        Every key is exact — ``latency_p95`` is the nearest rank over
-        the routed-latency counts — except the opt-in
-        ``latency_p*_sketch`` keys, which are P² estimates.
+        Every key is exact — ``latency_p95`` and the opt-in
+        ``latency_p*_sketch`` keys are nearest ranks over the
+        routed-latency counts.
         """
         out = {
             "issued": self.completed_count + len(self.outstanding),
@@ -691,14 +693,15 @@ class SLOCollector:
         if self._hops_count:
             out["hops_mean"] = round(self._hops_sum / self._hops_count, 2)
             out["hops_max"] = self._hops_max
-        if self.sketches:
-            # opt-in streaming estimates, keyed separately so default
-            # summaries (and every baseline built on them) are unchanged
-            for q, sketch in sorted(self.sketches.items()):
-                if len(sketch):
-                    out[f"latency_p{round(q * 100)}_sketch"] = round(
-                        sketch.value(), 2
-                    )
+        if self.routed_count:
+            # opt-in quantiles, keyed separately so default summaries
+            # (and every baseline built on them) are unchanged; the rank
+            # is taken at q * 100 rounded to 9 places, since 0.07 * 100
+            # is 7.000000000000001 and would round the rank up
+            for q in sorted(self.sketch_quantiles):
+                out[f"latency_p{round(q * 100)}_sketch"] = nearest_rank(
+                    self.latency_counts, round(q * 100, 9)
+                )
         if self.resilience_enabled:
             # resilient-plane census; gated so default summaries (and
             # every baseline built on them) keep their historical keys.

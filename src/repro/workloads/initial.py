@@ -68,7 +68,6 @@ def build_random_network(
     space: Optional[IdSpace] = None,
     config: Optional[RuleConfig] = None,
     extra_edge_prob: float = 0.05,
-    record_trace: bool = False,
     engine: str = "columnar",
 ) -> ReChordNetwork:
     """The paper's Section 5 workload: a random weakly connected start.
@@ -83,7 +82,7 @@ def build_random_network(
     space = space if space is not None else IdSpace()
     rng = random.Random(seed)
     ids = random_peer_ids(n, rng, space)
-    net = ReChordNetwork(space, config, record_trace=record_trace, engine=engine)
+    net = ReChordNetwork(space, config, engine=engine)
     edges = gnp_connected_graph(n, extra_edge_prob, rng) if n > 1 else []
     return _wire(net, ids, edges, rng)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -117,15 +119,39 @@ class TestCli:
             (["scenario", "nope"], "unknown scenario 'nope'; choose from"),
             (["scenario", "--spec", "/nonexistent.json"], "No such file"),
             (["scenario", "--spec", "MALFORMED"], "--spec"),
+            (["scenario", "--spec", {"traffic": {"deadline": 0}}],
+             "deadline must be >= 1, got 0"),
+            (["scenario", "--spec", {"traffic": {"rate": -1}}],
+             "rate must be non-negative"),
+            (["scenario", "--spec", {"traffic": {"max_attempts": 0}}],
+             "max_attempts must be >= 1"),
+            (["scenario", "--spec", {"traffic": {"key_universe": 0}}],
+             "need at least one key"),
+            (["scenario", "--spec", {"traffic": {"popularity": "nope"}}],
+             "unknown popularity 'nope'"),
+            (["scenario", "--spec", {"traffic": {"op_mix": [["nope", 1.0]]}}],
+             "unknown op 'nope' in mix"),
+            (["scenario", "--spec", {"traffic": {"sketch_quantiles": [1.5]}}],
+             "quantile must be in (0, 1), got 1.5"),
+            (["scenario", "--spec", {"events": [{"at": 1, "kind": "nope"}]}],
+             "unknown event kind 'nope'"),
             (["traffic", "--collector", "list"],
              "unrecognized arguments: --collector list"),
         ],
     )
     def test_bad_input_is_a_diagnostic_not_a_traceback(self, argv, message, capsys, tmp_path):
+        """A dict in ``argv`` is a spec override, written to a file: each
+        out-of-range knob is rejected when the spec is parsed."""
+        path = tmp_path / "spec.json"
         if "MALFORMED" in argv:
-            path = tmp_path / "spec.json"
             path.write_text('{"name": "x", ')
             argv = [str(path) if a == "MALFORMED" else a for a in argv]
+        elif isinstance(argv[-1], dict):
+            spec = {"name": "x", "n": 8, "seed": 1, "rounds": 4, "traffic": {}}
+            for field, value in argv[-1].items():
+                spec[field] = {**spec[field], **value} if field == "traffic" else value
+            path.write_text(json.dumps(spec))
+            argv = [*argv[:-1], str(path)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

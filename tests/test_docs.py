@@ -82,6 +82,11 @@ class TestDocs:
         "repro.dht.lookup",
         "repro.scenarios.spec",
         "repro.scenarios.library",
+        "repro.telemetry",
+        "repro.telemetry.recorder",
+        "repro.telemetry.report",
+        "repro.telemetry.tracing",
+        "repro.netsim.timemodel",
     )
 
     @pytest.mark.parametrize("module_name", DOCTEST_MODULES)

@@ -53,13 +53,15 @@ class TestEquivalence:
 
 class TestSavings:
     def test_steady_state_messages_reduced(self):
-        full = build_random_network(n=16, seed=7, record_trace=True)
+        full = build_random_network(n=16, seed=7)
+        full.enable_telemetry()
         full.run_until_stable(max_rounds=5000)
         full.run(2)
-        eco = build_random_network(n=16, seed=7, config=ECO, record_trace=True)
+        eco = build_random_network(n=16, seed=7, config=ECO)
+        eco.enable_telemetry()
         eco.run_until_stable(max_rounds=5000)
         eco.run(2)
-        assert eco.trace.messages_series()[-1] < full.trace.messages_series()[-1]
+        assert eco.telemetry.rounds[-1][0] < full.telemetry.rounds[-1][0]
 
     def test_experiment_module(self):
         from repro.experiments.economy import format_economy, run_economy

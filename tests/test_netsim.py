@@ -1,4 +1,4 @@
-"""Synchronous kernel: delivery semantics, tracing, seed streams."""
+"""Synchronous kernel: delivery semantics, per-round rows, seed streams."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from repro.netsim.messages import Envelope
 from repro.netsim.rng import SeedSequence
 from repro.netsim.scheduler import SynchronousScheduler
-from repro.netsim.trace import TraceRecorder
+from repro.telemetry import TelemetryRecorder
 
 
 class Echo:
@@ -254,27 +254,36 @@ class TestSchedulerSemanticsRegressions:
 
 
 class TestTrace:
+    """The per-round rows of the telemetry recorder, the kernels' one
+    per-round sink: ``(sent, dropped, executed, replayed)``."""
+
     def test_records_per_round(self):
-        trace = TraceRecorder()
-        sched = SynchronousScheduler(trace)
+        rec = TelemetryRecorder()
+        sched = SynchronousScheduler()
+        sched.set_telemetry(rec)
         sched.add_actor("a", Echo(lambda i, c: c.send("a", "x")))
         sched.run(3)
-        assert len(trace) == 3
-        assert trace.messages_series() == [1, 1, 1]
-        assert trace.total_messages() == 3
-        assert trace.peak_round_messages() == 1
+        assert len(rec.rounds) == 3
+        assert [sent for sent, _, _, _ in rec.rounds] == [1, 1, 1]
+        assert rec.census()["sent"] == 3
+        assert max(sent for sent, _, _, _ in rec.rounds) == 1
 
     def test_clear(self):
-        trace = TraceRecorder()
-        trace.record_round(0, 1, 2, 0)
-        trace.clear()
-        assert len(trace) == 0 and trace.peak_round_messages() == 0
+        rec = TelemetryRecorder()
+        rec.on_round(sent=2, dropped=0, executed=1, replayed=0)
+        rec.clear()
+        assert rec.rounds == [] and rec.census()["rounds"] == 0
 
     def test_rounds_copy(self):
-        trace = TraceRecorder()
-        trace.record_round(0, 1, 2, 3)
-        rounds = trace.rounds()
-        assert rounds[0].sent == 2 and rounds[0].dropped == 3
+        rec = TelemetryRecorder()
+        sched = SynchronousScheduler(activity_tracking=False)
+        sched.set_telemetry(rec)
+        sched.add_actor("a", Echo(lambda i, c: (c.send("a", "x"), c.send("gone", "y"))))
+        sched.run(1)
+        sent, dropped, executed, replayed = rec.rounds[0]
+        assert (sent, dropped, executed, replayed) == (2, 1, 1, 0)
+        # the rows add no kind to the JSONL record set
+        assert {r["kind"] for r in rec.records()} == {"census", "kernel", "timer"}
 
 
 class TestSeedSequence:

@@ -1,4 +1,4 @@
-"""The telemetry plane: counters, timers, sketches, traces.
+"""The telemetry plane: counters, timers, latency quantiles, traces.
 
 Contract under test (see docs/ARCHITECTURE.md, "Observability"):
 
@@ -23,11 +23,11 @@ import pytest
 
 from repro.experiments.scaling import build_ideal_network
 from repro.scenarios import make_scenario, run_scenario
-from repro.telemetry import P2Quantile, TelemetryRecorder, render_telemetry
+from repro.telemetry import TelemetryRecorder, render_telemetry
 from repro.telemetry.tracing import TraceContext
-from repro.traffic.messages import LookupRequest
+from repro.traffic.messages import OP_LOOKUP, ST_OK, LookupReply, LookupRequest
 from repro.traffic.plane import TrafficPlane
-from repro.traffic.slo import SLOCollector, percentile
+from repro.traffic.slo import IssuedOp, SLOCollector, percentile
 from repro.workloads.initial import build_random_network, corrupt_network
 from tests.conftest import ENGINES, FORCED, build, kernel
 
@@ -172,37 +172,41 @@ class TestEngineInvariance:
 
 
 # ----------------------------------------------------------------------
-# P² streaming percentile sketch
+# opt-in latency quantiles: exact nearest ranks
 # ----------------------------------------------------------------------
-class TestP2Quantile:
-    def test_small_samples_exact_nearest_rank(self):
-        for q in (0.5, 0.9, 0.95):
-            sketch = P2Quantile(q)
-            values = [9.0, 1.0, 5.0, 3.0]
-            for v in values:
-                sketch.add(v)
-            assert sketch.value() == percentile(values, q * 100)
+def collector_with_latencies(latencies, quantiles):
+    """An SLO collector whose routed ops took ``latencies`` rounds."""
+    coll = SLOCollector(lambda kid: 42, sketch_quantiles=quantiles)
+    for op_id, latency in enumerate(latencies):
+        coll.register(IssuedOp(op_id=op_id, op=OP_LOOKUP, origin=7, kid=9,
+                               issue_round=0, deadline=1000))
+        coll.on_reply(LookupReply(op=OP_LOOKUP, op_id=op_id, origin=7, kid=9,
+                                  status=ST_OK, owner=42, hops=1), round_no=latency)
+    return coll
 
-    def test_large_sample_accuracy(self):
-        rng = random.Random(42)
-        values = [rng.lognormvariate(0.0, 1.0) for _ in range(5000)]
-        for q in (0.5, 0.95, 0.99):
-            sketch = P2Quantile(q)
-            for v in values:
-                sketch.add(v)
-            exact = percentile(values, q * 100)
-            assert abs(sketch.value() - exact) / exact < 0.05, q
 
-    def test_empty_returns_none(self):
-        assert P2Quantile(0.5).value() is None
-        assert len(P2Quantile(0.5)) == 0
-
+class TestSketchQuantiles:
     def test_slo_sketch_keys_are_opt_in(self):
         default = SLOCollector(lambda kid: 0)
-        assert default.sketches is None
+        assert default.sketch_quantiles == ()
         assert not any("sketch" in k for k in default.summary())
-        withs = SLOCollector(lambda kid: 0, sketch_quantiles=(0.5, 0.95))
-        assert set(withs.sketches) == {0.5, 0.95}
+        rng = random.Random(42)
+        latencies = [rng.randrange(1, 40) for _ in range(500)]
+        summary = collector_with_latencies(latencies, (0.5, 0.95)).summary()
+        assert summary["latency_p50_sketch"] == percentile(latencies, 50)
+        assert summary["latency_p95_sketch"] == percentile(latencies, 95)
+        assert summary["latency_p95_sketch"] == summary["latency_p95"]
+
+    def test_fractional_quantile_rank_has_no_float_error(self):
+        # 0.07 * 100 == 7.000000000000001: taken literally, the rank of
+        # the 7th percentile of 1..100 would round up to 8
+        summary = collector_with_latencies(range(1, 101), (0.07,)).summary()
+        assert summary["latency_p7_sketch"] == 7.0
+
+    def test_quantile_outside_unit_interval_rejected(self):
+        for q in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match="quantile must be in"):
+                SLOCollector(lambda kid: 0, sketch_quantiles=(q,))
 
 
 # ----------------------------------------------------------------------

@@ -310,7 +310,8 @@ class TestEngineEquivalenceWithTraffic:
         emissions from the steady-emission cache)."""
         nets = []
         for engine in ("columnar", "full"):
-            net = build_random_network(n=10, seed=13, engine=engine, record_trace=True)
+            net = build_random_network(n=10, seed=13, engine=engine)
+            net.enable_telemetry()
             net.run_until_stable(max_rounds=5000)
             plane = TrafficPlane(net)
             for i in range(6):
@@ -318,8 +319,8 @@ class TestEngineEquivalenceWithTraffic:
             plane.run(12)
             nets.append(net)
         a, b = nets
-        sent_a = [r.sent for r in a.trace.rounds()[-12:]]
-        sent_b = [r.sent for r in b.trace.rounds()[-12:]]
+        sent_a = [sent for sent, _, _, _ in a.telemetry.rounds[-12:]]
+        sent_b = [sent for sent, _, _, _ in b.telemetry.rounds[-12:]]
         assert sent_a == sent_b
 
 

@@ -48,13 +48,14 @@ DELIVERY_LEGS = pytest.mark.parametrize(
 
 
 class Campaign:
-    """One seeded stabilized network with a traffic plane."""
+    """One seeded stabilized network with a traffic plane, recording its
+    per-round rows unless ``telemetry`` is false."""
 
     def __init__(self, engine: str, seed: int, n: int = 14,
-                 rate: float = 3.0, plane_cls=TrafficPlane):
-        self.net = net = build(
-            build_random_network, engine, n=n, seed=seed, record_trace=True
-        )
+                 rate: float = 3.0, plane_cls=TrafficPlane, telemetry: bool = True):
+        self.net = net = build(build_random_network, engine, n=n, seed=seed)
+        if telemetry:
+            net.enable_telemetry()
         net.run_until_stable(max_rounds=5000)
         self.plane = plane_cls(
             net, store=KeyValueStore(ReChordRouter(net)), reservoir_size=32,
@@ -99,8 +100,8 @@ def lockstep(lane: Campaign, spec: Campaign, context: str, exact_flag: bool = Tr
     else:
         assert lane.sched.changed_last_round or fp == spec_before, f"change flag {context}"
     assert lane.sched.dropped_last_round == spec.sched.dropped_last_round, context
-    last, ref = lane.net.trace.rounds()[-1], spec.net.trace.rounds()[-1]
-    assert (last.sent, last.dropped) == (ref.sent, ref.dropped), f"sent/dropped {context}"
+    last, ref = lane.net.telemetry.rounds[-1], spec.net.telemetry.rounds[-1]
+    assert last[:2] == ref[:2], f"sent/dropped {context}"
     assert lane.net.counters().fires == spec.net.counters().fires, f"counters {context}"
 
 
@@ -617,7 +618,7 @@ class TestTracedRunsUseTheSameKernel:
         """Regression: attaching a recorder used to leave columnar mode,
         and every traffic post then blocked re-entry — a traced run
         measured the tracked loop while the untraced one ran columnar."""
-        lane = Campaign("columnar", seed=3, rate=4.0)
+        lane = Campaign("columnar", seed=3, rate=4.0, telemetry=False)
         lane.plane.run(3)
         assert lane.sched._cols_active
         rec = lane.net.enable_telemetry()
@@ -633,7 +634,7 @@ class TestTracedRunsUseTheSameKernel:
         kernel counts, one-shot sends included."""
         censuses = []
         for engine in ("columnar", "full"):
-            c = Campaign(engine, seed=5, rate=3.0)
+            c = Campaign(engine, seed=5, rate=3.0, telemetry=False)
             c.plane.run(4)
             rec = c.net.enable_telemetry()
             c.plane.run(10)

@@ -39,7 +39,6 @@ from repro.traffic.messages import (
     LookupReply,
 )
 from repro.scenarios import executor, make_scenario, run_scenario
-from repro.telemetry.sketch import P2Quantile
 from repro.traffic.slo import (
     IssuedOp,
     SLOCollector,
@@ -101,10 +100,7 @@ def record_summary(records, coll, log=None) -> dict:
         "hops_mean": round(sum(hops) / len(hops), 2), "hops_max": max(hops),
     }
     for q in QUANTILES:
-        sketch = P2Quantile(q)
-        for lat in lats:
-            sketch.add(lat)
-        out[f"latency_p{round(q * 100)}_sketch"] = round(sketch.value(), 2)
+        out[f"latency_p{round(q * 100)}_sketch"] = percentile(lats, q * 100)
     if log is not None:
         kinds = Counter(kind for kind, *_ in log)
         out.update(
