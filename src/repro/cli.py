@@ -8,16 +8,23 @@ Examples::
     rechord lookup --sizes 16 64             # via the console script
     rechord scenario --list                  # the adversity library
     rechord scenario flash-crowd --n 64      # one seeded campaign
+    rechord resilience --n 1024 --out benchmarks/results
 
 Every experiment is deterministic for a given ``--root-seed``.
+``--out DIR`` also writes each printed table to ``DIR/<name>.txt``, plus
+``DIR/<name>.json`` where the experiment has a JSON form (traffic, the
+scenario sweep, resilience) — the checked-in ``benchmarks/results``
+files are regenerated this way.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
-from typing import List, Optional, Sequence
+from pathlib import Path
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.core.network import ENGINES
 from repro.experiments import PAPER_SIZES
@@ -43,9 +50,22 @@ from repro.experiments.runner import DEFAULT_ROOT_SEED
 from repro.experiments.scaling import DEFAULT_SIZES as SCALING_SIZES
 from repro.experiments.scaling import format_scaling, run_scaling
 from repro.experiments.traffic import DEFAULT_SIZES as TRAFFIC_SIZES
-from repro.experiments.traffic import format_traffic, run_traffic
+from repro.experiments.traffic import format_traffic, run_traffic, runs_to_json
 
 QUICK_SIZES = (5, 15, 25)
+
+#: classic Chord's two-ring start needs two rings of at least two peers
+BASELINE_MIN_N = 4
+
+
+class Table(NamedTuple):
+    """One printed result: ``--out`` writes ``text`` to ``<name>.txt``
+    and ``data`` (when the experiment has a JSON form) to ``<name>.json``;
+    a ``None`` name (listings, the observe report) is printed only."""
+
+    name: Optional[str]
+    text: str
+    data: Optional[dict] = None
 
 
 def _sizes(args: argparse.Namespace, default: Sequence[int]) -> Sequence[int]:
@@ -78,6 +98,13 @@ def quantile(text: str) -> float:
     return value
 
 
+def _add_out(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--out", type=Path, default=None, metavar="DIR",
+        help="also write each table to DIR/<name>.txt (and .json where available)",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rechord",
@@ -106,6 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sizes", type=positive_int, nargs="*", default=None)
         p.add_argument("--seeds", type=positive_int, default=None)
         p.add_argument("--quick", action="store_true", help="small sizes, 2 seeds")
+        _add_out(p)
         if name in ("ablation", "messages", "usability"):
             p.add_argument("--n", type=positive_int, default=32 if name != "usability" else 24)
         if name == "messages":
@@ -183,6 +211,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "latency_p*_sketch in the summary and JSON (needs a scenario "
         "with traffic attached)",
     )
+    _add_out(scen)
+    res = sub.add_parser(
+        "resilience",
+        help="mass-failure survival, retries on vs. off (seeded by --root-seed)",
+    )
+    res.add_argument("--n", type=positive_int, default=None, help="network size override")
+    _add_out(res)
     obs = sub.add_parser(
         "observe",
         help="telemetry deep-dive on one campaign: counter census, "
@@ -225,11 +260,9 @@ def _parse_model_arg(text: str) -> dict:
     (``'{"kind": "reorder", "bound": 4}'``); raises ``ValueError`` on
     anything else.
     """
-    import json as _json
-
     text = text.strip()
     if text.startswith("{"):
-        return dict(_json.loads(text))
+        return dict(json.loads(text))
     kind, _, rest = text.partition(":")
     spec: dict = {"kind": kind}
     for item in rest.split(",") if rest else ():
@@ -280,11 +313,14 @@ def _named_scenario(name: str, n: int, seed: int):
         raise _InputError(exc.args[0]) from None
 
 
-def _run_scenario_command(args: argparse.Namespace) -> List[str]:
+def _run_scenario_command(args: argparse.Namespace) -> List[Table]:
     """Dispatch ``rechord scenario`` (list / one campaign / sweep)."""
-    import json as _json
-
-    from repro.experiments.scenarios import DEFAULT_N, format_scenarios, run_scenarios
+    from repro.experiments.scenarios import (
+        DEFAULT_N,
+        format_scenarios,
+        reports_to_json,
+        run_scenarios,
+    )
     from repro.netsim.rng import SeedSequence
     from repro.scenarios import (
         ScenarioSpec,
@@ -308,18 +344,13 @@ def _run_scenario_command(args: argparse.Namespace) -> List[str]:
         lines.append(f"  daemons:        {', '.join(sorted(DAEMON_KINDS))}")
         lines.append("")
         lines.append("Details, adversary models and expected recovery: docs/SCENARIOS.md")
-        return ["\n".join(lines)]
+        return [Table(None, "\n".join(lines))]
     if args.all:
         n = args.n if args.n is not None else DEFAULT_N
         overrides = _time_model_overrides(args)
-        return [
-            format_scenarios(
-                run_scenarios(n=n, root_seed=args.root_seed, overrides=overrides)
-            )
-        ]
+        reports = run_scenarios(n=n, root_seed=args.root_seed, overrides=overrides)
+        return [Table("scenarios", format_scenarios(reports), reports_to_json(reports))]
     if args.spec is not None:
-        from pathlib import Path
-
         try:
             spec = ScenarioSpec.from_json(Path(args.spec).read_text())
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -358,14 +389,15 @@ def _run_scenario_command(args: argparse.Namespace) -> List[str]:
 
         recorder = TelemetryRecorder()
     report = run_scenario(spec, telemetry=recorder)
+    data = report.to_dict()
     if args.json:
-        return [_json.dumps(report.to_dict(), indent=2, sort_keys=True)]
+        return [Table(spec.name, json.dumps(data, indent=2, sort_keys=True), data)]
     blocks = [_format_scenario_report(spec, report)]
     if recorder is not None:
         from repro.telemetry import render_telemetry
 
         blocks.append(render_telemetry(recorder))
-    return ["\n\n".join(blocks)]
+    return [Table(spec.name, "\n\n".join(blocks), data)]
 
 
 def _format_scenario_report(spec, report) -> str:
@@ -410,7 +442,7 @@ def _format_scenario_report(spec, report) -> str:
     return "\n".join(lines)
 
 
-def _run_observe_command(args: argparse.Namespace) -> List[str]:
+def _run_observe_command(args: argparse.Namespace) -> List[Table]:
     """Dispatch ``rechord observe`` — one instrumented campaign."""
     from repro.experiments.scenarios import DEFAULT_N
     from repro.netsim.rng import SeedSequence
@@ -438,49 +470,79 @@ def _run_observe_command(args: argparse.Namespace) -> List[str]:
         recorder.dump(args.dump)
         lines.append("")
         lines.append(f"[telemetry records written to {args.dump}]")
-    return ["\n".join(lines)]
+    return [Table(None, "\n".join(lines))]
 
 
-def _dispatch(args: argparse.Namespace) -> List[str]:
+def _dispatch(args: argparse.Namespace) -> List[Table]:
     rs = args.root_seed
-    out: List[str] = []
+    out: List[Table] = []
     cmd = args.command
     if cmd == "scenario":
         return _run_scenario_command(args)
     if cmd == "observe":
         return _run_observe_command(args)
-    if cmd in ("fig5", "all"):
-        out.append(format_fig5(run_fig5(_sizes(args, PAPER_SIZES), _seeds(args, 10), rs)))
-    if cmd in ("fig6", "all"):
-        out.append(format_fig6(run_fig6(_sizes(args, PAPER_SIZES), _seeds(args, 10), rs)))
-    if cmd in ("fig7", "all"):
-        out.append(format_fig7(run_fig7(_sizes(args, PAPER_SIZES), _seeds(args, 10), rs)))
-    if cmd in ("scaling", "all"):
-        out.append(format_scaling(run_scaling(_sizes(args, SCALING_SIZES), _seeds(args, 5), rs)))
-    if cmd in ("join-leave", "all"):
-        out.append(format_join_leave(run_join_leave(_sizes(args, JL_SIZES), _seeds(args, 5), rs)))
-    if cmd in ("lookup", "all"):
-        out.append(format_lookup(run_lookup(_sizes(args, LOOKUP_SIZES), _seeds(args, 5), rs)))
+    if cmd == "resilience":
+        from repro.experiments.resilience import (
+            DEFAULT_N,
+            format_resilience,
+            run_resilience,
+            run_to_json,
+        )
+
+        n = args.n if args.n is not None else DEFAULT_N
+        run = run_resilience(n=n, seed=rs)
+        return [Table("resilience", format_resilience(run), run_to_json(run))]
     if cmd in ("baseline", "all"):
-        out.append(format_baseline(run_baseline(_sizes(args, BASELINE_SIZES), _seeds(args, 5), rs)))
+        small = [n for n in _sizes(args, BASELINE_SIZES) if n < BASELINE_MIN_N]
+        if small:
+            raise _InputError(
+                f"baseline: --sizes must be >= {BASELINE_MIN_N} "
+                f"(classic Chord's two-ring start), got {small[0]}"
+            )
+    if cmd in ("fig5", "all"):
+        out.append(Table("fig5", format_fig5(
+            run_fig5(_sizes(args, PAPER_SIZES), _seeds(args, 10), rs))))
+    if cmd in ("fig6", "all"):
+        out.append(Table("fig6", format_fig6(
+            run_fig6(_sizes(args, PAPER_SIZES), _seeds(args, 10), rs))))
+    if cmd in ("fig7", "all"):
+        out.append(Table("fig7", format_fig7(
+            run_fig7(_sizes(args, PAPER_SIZES), _seeds(args, 10), rs))))
+    if cmd in ("scaling", "all"):
+        out.append(Table("theorem11_scaling", format_scaling(
+            run_scaling(_sizes(args, SCALING_SIZES), _seeds(args, 5), rs))))
+    if cmd in ("join-leave", "all"):
+        out.append(Table("theorem41_join", format_join_leave(
+            run_join_leave(_sizes(args, JL_SIZES), _seeds(args, 5), rs))))
+    if cmd in ("lookup", "all"):
+        out.append(Table("lookup_hops", format_lookup(
+            run_lookup(_sizes(args, LOOKUP_SIZES), _seeds(args, 5), rs))))
+    if cmd in ("baseline", "all"):
+        out.append(Table("chord_baseline", format_baseline(
+            run_baseline(_sizes(args, BASELINE_SIZES), _seeds(args, 5), rs))))
     if cmd in ("ablation", "all"):
         n = getattr(args, "n", 32)
-        out.append(format_ablation(run_ablation(n=n, seeds=_seeds(args, 5), root_seed=rs)))
+        out.append(Table("ablation_rules", format_ablation(
+            run_ablation(n=n, seeds=_seeds(args, 5), root_seed=rs))))
     if cmd in ("messages", "all"):
         n = getattr(args, "n", 32)
         engine = getattr(args, "engine", "columnar")
-        out.append(format_messages(run_messages(n=n, root_seed=rs, engine=engine)))
+        out.append(Table("message_complexity", format_messages(
+            run_messages(n=n, root_seed=rs, engine=engine))))
     if cmd in ("phases", "all"):
-        out.append(format_phases(run_phases(_sizes(args, PHASES_SIZES), _seeds(args, 5), rs)))
+        out.append(Table("phase_completion", format_phases(
+            run_phases(_sizes(args, PHASES_SIZES), _seeds(args, 5), rs))))
     if cmd in ("economy", "all"):
-        out.append(format_economy(run_economy(_sizes(args, ECONOMY_SIZES), _seeds(args, 3), rs)))
+        out.append(Table("economy_broadcast", format_economy(
+            run_economy(_sizes(args, ECONOMY_SIZES), _seeds(args, 3), rs))))
     if cmd in ("asynchrony", "all"):
-        out.append(format_asynchrony(run_asynchrony(_sizes(args, ASYNC_SIZES), _seeds(args, 3), rs)))
+        out.append(Table("asynchrony", format_asynchrony(
+            run_asynchrony(_sizes(args, ASYNC_SIZES), _seeds(args, 3), rs))))
     if cmd in ("usability", "all"):
         n = getattr(args, "n", 24)
-        out.append(format_usability(run_usability(n=n, root_seed=rs)))
+        out.append(Table("usability", format_usability(run_usability(n=n, root_seed=rs))))
     if cmd in ("traffic", "all"):
-        out.append(format_traffic(run_traffic(
+        runs = run_traffic(
             _sizes(args, TRAFFIC_SIZES), _seeds(args, 1), rs,
             telemetry=getattr(args, "telemetry", False),
             sketch_quantiles=getattr(args, "sketch_quantiles", None),
@@ -488,8 +550,22 @@ def _dispatch(args: argparse.Namespace) -> List[str]:
             retry_backoff=getattr(args, "retry_backoff", 4),
             hedge_after=getattr(args, "hedge_after", None),
             route_redundancy=getattr(args, "route_redundancy", 1),
-        )))
+        )
+        out.append(Table("traffic_churn", format_traffic(runs), runs_to_json(runs)))
     return out
+
+
+def _write_tables(directory: Path, tables: Sequence[Table]) -> None:
+    """``--out``: each named table as ``<name>.txt`` (+ ``<name>.json``)."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for table in tables:
+        if table.name is None:
+            continue
+        (directory / f"{table.name}.txt").write_text(table.text + "\n")
+        if table.data is not None:
+            (directory / f"{table.name}.json").write_text(
+                json.dumps(table.data, indent=2) + "\n"
+            )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -499,13 +575,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if unknown:  # a retired or misspelled flag: name it, no usage dump
             raise _InputError(f"unrecognized arguments: {' '.join(unknown)}")
-        blocks = _dispatch(args)
+        tables = _dispatch(args)
     except _InputError as exc:
         print(f"rechord: error: {exc}", file=sys.stderr)
         return 2
-    for block in blocks:
-        print(block)
+    for table in tables:
+        print(table.text)
         print()
+    out_dir = getattr(args, "out", None)
+    if out_dir is not None:
+        _write_tables(out_dir, tables)
+        print(f"[results written to {out_dir}]", file=sys.stderr)
     print(f"[done in {time.time() - started:.1f}s]", file=sys.stderr)
     return 0
 

@@ -13,15 +13,8 @@ footgun (routes through dead peers, hop counts over vanished edges).
 The router now keys its cache on :meth:`ReChordNetwork.view_version` —
 a cheap token that moves on every membership event, every out-of-band
 topology edit, and every executed round — and checks it before each
-routed call:
-
-* ``mode="auto"`` (default) — transparently rebuild the views when the
-  network moved on;
-* ``mode="strict"`` — raise :class:`StaleViewError` instead, for
-  callers that want to control exactly which configuration they route
-  on (the experiments that route the *same* snapshot repeatedly);
-* ``mode="pin"`` — never rebuild, never raise: the explicit opt-in to
-  the historical snapshot semantics (measuring a frozen topology).
+routed call, transparently rebuilding the views when the network moved
+on.
 
 For routing that participates in the simulation itself — requests
 traveling through the scheduler on each peer's live, possibly degraded
@@ -36,23 +29,14 @@ from repro.chord.routing import RouteResult, route_greedy
 from repro.core.network import ReChordNetwork
 from repro.idspace.keys import key_id
 
-#: accepted staleness policies
-ROUTER_MODES = ("auto", "strict", "pin")
-
-
-class StaleViewError(RuntimeError):
-    """A strict-mode router was asked to route on an outdated snapshot."""
-
 
 class ReChordRouter:
     """Routing views over a Re-Chord network, cache-keyed on its version.
 
-    The view is rebuilt (or rejected, per ``mode``) whenever the
-    network's :meth:`~ReChordNetwork.view_version` no longer matches the
-    one the views were built at; :meth:`refresh` remains available for
-    explicit rebuilds.
-
-    Auto mode (the default) transparently follows the live network:
+    The view is rebuilt whenever the network's
+    :meth:`~ReChordNetwork.view_version` no longer matches the one the
+    views were built at; :meth:`refresh` remains available for explicit
+    rebuilds.  The router transparently follows the live network:
 
     >>> from repro.dht.lookup import ReChordRouter
     >>> from repro.experiments.scaling import build_ideal_network
@@ -64,27 +48,11 @@ class ReChordRouter:
     True
     >>> router.owner_of("alice") != owner    # rebuilt before answering
     True
-
-    Strict mode refuses instead — for callers that must control exactly
-    which configuration they route on:
-
-    >>> strict = ReChordRouter(net, mode="strict")
-    >>> net.crash(net.peer_ids[0])
-    >>> strict.owner_of("bob")  # doctest: +ELLIPSIS
-    Traceback (most recent call last):
-        ...
-    repro.dht.lookup.StaleViewError: router views built at ...
-
-    ``mode="pin"`` opts back into the historical frozen-snapshot
-    semantics (never rebuild, never raise).
     """
 
-    def __init__(self, network: ReChordNetwork, mode: str = "auto") -> None:
-        if mode not in ROUTER_MODES:
-            raise ValueError(f"unknown router mode {mode!r}; choose from {ROUTER_MODES}")
+    def __init__(self, network: ReChordNetwork) -> None:
         self.network = network
         self.space = network.space
-        self.mode = mode
         self._views: Dict[int, Set[int]] = {}
         self._built_at = None
         self.refresh()
@@ -95,10 +63,9 @@ class ReChordRouter:
         for src, dst in self.network.rechord_projection():
             views[src].add(dst)
         self._views = views
-        #: membership *of the snapshot* — routing must stay internally
+        #: membership *of the snapshot* — routing stays internally
         #: consistent (owner computed over the same peer set the views
-        #: cover), which matters for pin mode where the live network may
-        #: have moved on
+        #: cover)
         self._peer_ids = sorted(views)
         self._built_at = self.network.view_version()
 
@@ -107,30 +74,21 @@ class ReChordRouter:
         return self.network.view_version() != self._built_at
 
     def _ensure_fresh(self) -> None:
-        if not self.is_stale() or self.mode == "pin":
-            return
-        if self.mode == "strict":
-            raise StaleViewError(
-                f"router views built at {self._built_at} but the network is at "
-                f"{self.network.view_version()}; call refresh() or use mode='auto'"
-            )
-        self.refresh()
+        if self.is_stale():
+            self.refresh()
 
     def neighbors(self, peer_id: int) -> Set[int]:
-        """The peer's outgoing real-peer links (Chord view).
-
-        The staleness policy runs first: auto mode may rebuild the
-        views, strict mode may raise :class:`StaleViewError`.
-        """
+        """The peer's outgoing real-peer links (Chord view), rebuilt
+        first if the network moved on."""
         self._ensure_fresh()
         return self._views[peer_id]
 
     def route_id(self, start: int, target_id: int, max_hops: int = 512) -> RouteResult:
         """Greedy-route an identifier from ``start``.
 
-        The staleness policy (``auto``/``strict``/``pin``) is applied
-        before the walk, so auto-mode routes always run on views
-        matching the network's current :meth:`~ReChordNetwork.view_version`.
+        Stale views are rebuilt before the walk, so routes always run on
+        views matching the network's current
+        :meth:`~ReChordNetwork.view_version`.
         Routing over a degraded snapshot can fail; see
         :func:`repro.chord.routing.route_greedy` for the failure kinds.
         """
@@ -148,13 +106,12 @@ class ReChordRouter:
 
     def route_key(self, start: int, key: str, max_hops: int = 512) -> RouteResult:
         """Greedy-route a named key (consistent-hashed onto the circle,
-        same staleness policy as :meth:`route_id`)."""
+        views refreshed as in :meth:`route_id`)."""
         return self.route_id(start, key_id(key, self.space), max_hops=max_hops)
 
     def owner_of(self, key: str) -> int:
-        """The peer responsible for ``key`` under the snapshot's
-        membership (no routing; the staleness policy still applies, so
-        auto mode answers for the *current* membership)."""
+        """The peer responsible for ``key`` under the current membership
+        (no routing; stale views are rebuilt first)."""
         from repro.core.ideal import chord_successor
 
         self._ensure_fresh()

@@ -25,17 +25,17 @@ seed** and the two reports' configuration digests and survival tables
 must agree — the end-to-end determinism check the ``mass_failure`` gate
 case (``benchmarks/gates.py``) relies on.
 
-Run as a module to regenerate the checked-in results::
+Regenerate the checked-in results through the CLI (the seed is
+``--root-seed``)::
 
-    PYTHONPATH=src python -m repro.experiments.resilience \
+    PYTHONPATH=src python -m repro resilience \
         --n 1024 --out benchmarks/results
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.experiments.runner import DEFAULT_ROOT_SEED
 from repro.scenarios import make_scenario, run_scenario
@@ -198,29 +198,3 @@ def run_to_json(run: ResilienceRun) -> dict:
         ],
     }
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Regenerate the checked-in results under ``benchmarks/results``."""
-    import argparse
-    from pathlib import Path
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=DEFAULT_N)
-    parser.add_argument("--seed", type=int, default=DEFAULT_ROOT_SEED)
-    parser.add_argument("--out", type=Path, default=None, help="results directory")
-    args = parser.parse_args(argv)
-    run = run_resilience(n=args.n, seed=args.seed)
-    text = format_resilience(run)
-    print(text)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "resilience.txt").write_text(text + "\n")
-        (args.out / "resilience.json").write_text(
-            json.dumps(run_to_json(run), indent=2) + "\n"
-        )
-        print(f"\n[results written to {args.out}]")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

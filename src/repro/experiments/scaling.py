@@ -1,4 +1,4 @@
-"""Theorem 1.1 — stabilization-time scaling, plus engine-scaling paths.
+"""Theorem 1.1 — stabilization-time scaling, plus the large-N build path.
 
 The theorem bounds self-stabilization by O(n log n) rounds w.h.p.; the
 paper's simulations observe sublinear-to-linear growth and conclude the
@@ -8,8 +8,8 @@ reference shapes (log n, n, n log n) so the conclusion can be checked at
 a glance: the normalized ``rounds / n log n`` column must *decrease* if
 the paper's observation holds.
 
-Large-N engine path
--------------------
+Large-N path
+------------
 
 Post-churn recovery is *local* (Theorems 4.1/4.2: a join touches a
 O(log² n)-round neighborhood), which is exactly what the
@@ -17,12 +17,11 @@ activity-tracked kernel exploits.  To measure that at sizes where
 stabilizing from a random start would take hours, ``build_ideal_network``
 constructs the unique stable topology directly from
 :func:`repro.core.ideal.compute_ideal` and lets the constant message
-flow settle in a handful of rounds.  ``run_engine_comparison`` then
-drives the same single-join re-stabilization through both kernels
-(the full-scan spec vs. the default columnar kernel) and reports
-rounds/sec side by side —
-the regression benchmark behind ``benchmarks/bench_engine_throughput.py``
-and the CI smoke gate.
+flow settle in a handful of rounds.  ``_post_churn_restabilize`` then
+times one single-join re-stabilization on it — the unit behind the
+``restabilize_*`` cases of ``benchmarks/gates.py`` and
+``benchmarks/run_columnar_100k.py``.  Kernel throughput over time is
+tracked by the ``bench/`` ledger.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.ideal import compute_ideal
@@ -44,14 +42,9 @@ from repro.experiments.runner import (
 )
 from repro.idspace.ring import IdSpace
 from repro.netsim.gcpause import gc_batched
-from repro.netsim.rng import SeedSequence
 from repro.workloads.initial import build_random_network, random_peer_ids
 
 DEFAULT_SIZES = (8, 16, 32, 64, 128)
-
-#: size ladder of the engine-throughput comparison (quick / full)
-ENGINE_SIZES_QUICK = (64, 256)
-ENGINE_SIZES_FULL = (64, 256, 1024, 4096)
 
 
 def measure_one(n: int, seed: int, max_rounds: int = 20_000) -> Dict[str, float]:
@@ -142,34 +135,8 @@ def build_ideal_network(
 
 
 # ----------------------------------------------------------------------
-# engine-throughput comparison (full-scan spec vs. the default kernel)
+# post-churn re-stabilization (the gate cases' timed unit)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class EngineRow:
-    """One size of the engine comparison.
-
-    ``full_rounds_per_sec`` is ``None`` above the ``full_limit`` cutoff
-    of :func:`measure_engine_pair` — the full-scan engine needs tens of
-    minutes per re-stabilization at n ≥ 1024, so large sizes time the
-    default kernel only.
-    """
-
-    n: int
-    rounds: int                 #: rounds the re-stabilization took
-    full_rounds_per_sec: Optional[float]
-    rounds_per_sec: float       #: the default kernel
-    executed_fraction: float    #: mean executed/peers per round (default kernel)
-
-    @property
-    def speedup(self) -> Optional[float]:
-        """Default kernel over full-scan throughput (None when full skipped)."""
-        if self.full_rounds_per_sec is None:
-            return None
-        if self.full_rounds_per_sec <= 0:
-            return float("inf")
-        return self.rounds_per_sec / self.full_rounds_per_sec
-
-
 def _post_churn_restabilize(
     net: ReChordNetwork, join_id: int, gateway: int, max_rounds: int
 ) -> Tuple[StabilizationReport, float, float]:
@@ -182,8 +149,8 @@ def _post_churn_restabilize(
 
     The timed loop runs under :func:`gc_batched` — collector pauses
     would otherwise dominate the measurement at n ≥ 1k (and land on
-    whichever engine happens to cross an allocation threshold), so
-    batching them makes the engine comparison honest.
+    whichever run happens to cross an allocation threshold), so
+    batching them keeps the timing comparable across runs.
     """
     net.join(join_id, gateway)
     executed_total = 0
@@ -208,80 +175,3 @@ def _post_churn_restabilize(
     report = StabilizationReport(rounds - 1, None, rounds)
     frac = executed_total / max(1, rounds * len(net.peers))
     return report, elapsed, frac
-
-
-def measure_engine_pair(
-    n: int, seed: int, max_rounds: int = 6_000, full_limit: int = 512
-) -> EngineRow:
-    """Single-join re-stabilization, timed through both kernels.
-
-    The default kernel runs first and establishes the exact number of
-    re-stabilization rounds from its change flag; the full-scan engine
-    then executes the *same* number of rounds on the same input, so both
-    timings cover identical work (the full-scan engine would need O(n)
-    fingerprints on top to even detect stability — deliberately excluded
-    to keep the comparison conservative), and the two end states are
-    asserted fingerprint-identical.  Above ``full_limit`` peers the
-    full-scan leg is skipped entirely (it needs tens of minutes per
-    re-stabilization there).
-    """
-    seq = SeedSequence(seed).child("engine", n=n)
-    build_seed = seq.child("build").seed()
-    rng = seq.child("join").rng()
-
-    net = build_ideal_network(n, build_seed)
-    space = net.space
-    join_id = random_peer_ids(1, rng, space)[0]
-    while join_id in net.peers:
-        join_id = random_peer_ids(1, rng, space)[0]
-    gateway = rng.choice(net.peer_ids)
-
-    report, secs, frac = _post_churn_restabilize(net, join_id, gateway, max_rounds)
-    rounds = report.rounds_executed
-
-    full_rps: Optional[float] = None
-    if n <= full_limit:
-        full = build_ideal_network(n, build_seed, engine="full")
-        full.join(join_id, gateway)
-        with gc_batched():
-            t0 = time.perf_counter()
-            full.run(rounds)
-            full_secs = time.perf_counter() - t0
-        if net.fingerprint() != full.fingerprint():  # pragma: no cover - guarded by tests
-            raise AssertionError(f"engine divergence at n={n}, seed={seed}")
-        full_rps = rounds / full_secs if full_secs > 0 else float("inf")
-
-    return EngineRow(
-        n=n,
-        rounds=rounds,
-        full_rounds_per_sec=full_rps,
-        rounds_per_sec=rounds / secs if secs > 0 else float("inf"),
-        executed_fraction=frac,
-    )
-
-
-def run_engine_comparison(
-    sizes: Sequence[int] = ENGINE_SIZES_QUICK,
-    seed: int = DEFAULT_ROOT_SEED,
-    max_rounds: int = 6_000,
-    full_limit: int = 512,
-) -> Dict[int, EngineRow]:
-    """The old-vs-new kernel comparison over a size ladder."""
-    return {n: measure_engine_pair(n, seed, max_rounds, full_limit) for n in sizes}
-
-
-def format_engine_comparison(rows: Dict[int, EngineRow]) -> str:
-    """Rounds/sec table: full-scan spec vs. the default kernel."""
-    lines = [
-        "Engine throughput — post-churn re-stabilization (single join into a stable network)",
-        f"{'n':>6} {'rounds':>7} {'full r/s':>10} {'r/s':>10} {'speedup':>8} {'exec%':>6}",
-    ]
-    for n in sorted(rows):
-        r = rows[n]
-        full_rps = f"{r.full_rounds_per_sec:>10.2f}" if r.full_rounds_per_sec is not None else f"{'—':>10}"
-        speedup = f"{r.speedup:>7.1f}x" if r.speedup is not None else f"{'—':>8}"
-        lines.append(
-            f"{r.n:>6} {r.rounds:>7} {full_rps} {r.rounds_per_sec:>10.2f} "
-            f"{speedup} {100 * r.executed_fraction:>5.1f}%"
-        )
-    return "\n".join(lines)

@@ -9,15 +9,14 @@ long repair took after the window closed (recovery rounds), whether the
 exact ideal topology returned, and what the traffic plane observed
 while it happened (success rate, violation count, latency).
 
-Run as a module to regenerate the checked-in results::
+Regenerate the checked-in results through the CLI::
 
-    PYTHONPATH=src python -m repro.experiments.scenarios \
+    PYTHONPATH=src python -m repro scenario --all \
         --n 32 --out benchmarks/results
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -123,30 +122,3 @@ def reports_to_json(reports: Sequence[ScenarioReport]) -> dict:
         "runs": [report.to_dict() for report in reports],
     }
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Regenerate the checked-in results under ``benchmarks/results``."""
-    import argparse
-    from pathlib import Path
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--names", nargs="*", default=None)
-    parser.add_argument("--n", type=int, default=DEFAULT_N)
-    parser.add_argument("--root-seed", type=int, default=DEFAULT_ROOT_SEED)
-    parser.add_argument("--out", type=Path, default=None, help="results directory")
-    args = parser.parse_args(argv)
-    reports = run_scenarios(args.names, n=args.n, root_seed=args.root_seed)
-    text = format_scenarios(reports)
-    print(text)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "scenarios.txt").write_text(text + "\n")
-        (args.out / "scenarios.json").write_text(
-            json.dumps(reports_to_json(reports), indent=2) + "\n"
-        )
-        print(f"\n[results written to {args.out}]")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -24,15 +24,14 @@ n ≥ 1024):
    monotonic-searchability violations (a search failing after the same
    ``(origin, key)`` search previously succeeded).
 
-Run as a module to regenerate the checked-in results::
+Regenerate the checked-in results through the CLI::
 
-    PYTHONPATH=src python -m repro.experiments.traffic \
+    PYTHONPATH=src python -m repro traffic \
         --sizes 64 256 1024 --out benchmarks/results
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -319,62 +318,3 @@ def runs_to_json(runs: Sequence[TrafficChurnRun]) -> dict:
         ],
     }
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Regenerate the checked-in results under ``benchmarks/results``."""
-    import argparse
-    from pathlib import Path
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", type=int, nargs="*", default=list(DEFAULT_SIZES))
-    parser.add_argument("--seeds", type=int, default=1)
-    parser.add_argument("--root-seed", type=int, default=DEFAULT_ROOT_SEED)
-    parser.add_argument("--out", type=Path, default=None, help="results directory")
-    parser.add_argument(
-        "--sketch-quantiles",
-        type=float,
-        nargs="*",
-        default=None,
-        help="opt-in extra latency quantiles (e.g. 0.5 0.99), exact nearest ranks",
-    )
-    parser.add_argument(
-        "--max-attempts", type=int, default=1,
-        help="attempt budget per op (1 = retries off, the default)",
-    )
-    parser.add_argument(
-        "--retry-backoff", type=int, default=4,
-        help="base backoff in rounds between attempts (seeded jitter)",
-    )
-    parser.add_argument(
-        "--hedge-after", type=int, default=None,
-        help="launch a duplicate probe after this many rounds (off by default)",
-    )
-    parser.add_argument(
-        "--route-redundancy", type=int, default=1,
-        help="candidate successors considered per forwarding hop",
-    )
-    args = parser.parse_args(argv)
-    runs = run_traffic(
-        tuple(args.sizes),
-        args.seeds,
-        args.root_seed,
-        sketch_quantiles=args.sketch_quantiles,
-        max_attempts=args.max_attempts,
-        retry_backoff=args.retry_backoff,
-        hedge_after=args.hedge_after,
-        route_redundancy=args.route_redundancy,
-    )
-    text = format_traffic(runs)
-    print(text)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "traffic_churn.txt").write_text(text + "\n")
-        (args.out / "traffic_churn.json").write_text(
-            json.dumps(runs_to_json(runs), indent=2) + "\n"
-        )
-        print(f"\n[results written to {args.out}]")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -308,60 +308,8 @@ class TrafficPlane:
         (``timeout``).  ``ttl`` (hops) and ``deadline`` (rounds) override
         the plane's defaults and must be >= 1.
         """
-        if op not in (OP_LOOKUP, OP_GET, OP_PUT):
-            raise ValueError(f"unknown traffic op {op!r}")
-        if op in (OP_GET, OP_PUT) and self.store is None:
-            raise RuntimeError("KV traffic needs a store: TrafficPlane(net, store=...)")
-        check_budget("ttl", ttl)
-        check_budget("deadline", deadline)
         kid = key if isinstance(key, int) else key_id(key, self.net.space)
-        self.net.space.check_id(kid)
-        op_id = self._next_op_id
-        self._next_op_id += 1
-        issue_round = self.net.round_no
-        span = deadline if deadline is not None else self.deadline_for()
-        issued = IssuedOp(
-            op_id=op_id,
-            op=op,
-            origin=origin,
-            kid=kid,
-            issue_round=issue_round,
-            deadline=issue_round + span,
-            deadline_span=span,
-        )
-        template = LookupRequest(
-            op=op,
-            op_id=op_id,
-            origin=origin,
-            kid=kid,
-            ttl=ttl if ttl is not None else self.ttl_for(),
-            hops=0,
-            path=(origin,),
-            value=value,
-        )
-        request = template
-        # causal tracing: sampled ops carry a TraceContext on the request
-        # (outside payload equality — see messages.LookupRequest.trace)
-        tel = self.net.telemetry
-        if tel is not None and tel.sampled(op_id):
-            request = request._replace(
-                trace=TraceContext(op_id=op_id, hops=((origin, issue_round, "issue"),))
-            )
-        if self.net.scheduler.post(Envelope(origin, origin, request)):
-            self.collector.register(issued)
-            if self._track_requests:
-                self._op_request[op_id] = template
-                if self.hedge_after is not None:
-                    self._push_launch(
-                        self._hedge_wheel,
-                        self._hedge_rounds,
-                        issue_round + self.hedge_after,
-                        op_id,
-                        1,
-                    )
-        else:
-            self.collector.fail_unissued(issued, issue_round)
-        return op_id
+        return self._inject(((op, kid, origin, value),), ttl, deadline)[0]
 
     def issue_batch(
         self,
@@ -381,6 +329,22 @@ class TrafficPlane:
         ``deadline`` checks — are identical to issuing them one by one.
         Returns the op ids in batch order.
         """
+        op_ids = self._inject(ops, ttl, deadline)
+        tel = self.net.telemetry
+        if tel is not None:
+            tel.counters["traffic.batch_calls"] += 1
+            tel.counters["traffic.batch_ops"] += len(ops)
+        return op_ids
+
+    def _inject(
+        self,
+        ops: Sequence[Tuple[str, int, int, Any]],
+        ttl: Optional[int],
+        deadline: Optional[int],
+    ) -> List[int]:
+        """The one injection body: validate, build each op's
+        :class:`IssuedOp` and request, sample traces, post, then register
+        (or fail as ``origin_dead``) and arm hedges."""
         check_budget("ttl", ttl)
         check_budget("deadline", deadline)
         if not ops:
@@ -408,6 +372,8 @@ class TrafficPlane:
             )
             request = LookupRequest(op, op_id, origin, kid, ttl_val, 0, (origin,), value)
             templates.append(request)
+            # causal tracing: sampled ops carry a TraceContext on the request
+            # (outside payload equality — see messages.LookupRequest.trace)
             if tel is not None and tel.sampled(op_id):
                 request = request._replace(
                     trace=TraceContext(op_id=op_id, hops=((origin, issue_round, "issue"),))
@@ -434,9 +400,6 @@ class TrafficPlane:
             else:
                 self.collector.fail_unissued(issued, issue_round)
         self.collector.register_batch(registered)
-        if tel is not None:
-            tel.counters["traffic.batch_calls"] += 1
-            tel.counters["traffic.batch_ops"] += len(ops)
         return op_ids
 
     def lookup(self, key: "str | bytes | int", origin: int, **kw: Any) -> int:

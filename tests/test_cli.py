@@ -6,7 +6,67 @@ import json
 
 import pytest
 
+import repro.cli
+import repro.experiments.resilience
+import repro.experiments.scenarios
 from repro.cli import main
+from repro.experiments.resilience import format_resilience, run_to_json
+from repro.experiments.scenarios import format_scenarios, reports_to_json
+from repro.experiments.traffic import format_traffic, runs_to_json
+
+
+def _spy(monkeypatch, module, name):
+    """Wrap ``module.name`` so the runs the CLI computes are kept."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _written(directory, name):
+    return tuple((directory / f"{name}.{ext}").read_text() for ext in ("txt", "json"))
+
+
+def _json_file(data):
+    return json.dumps(data, indent=2) + "\n"
+
+
+class TestOut:
+    """``--out DIR`` writes exactly the library's table and JSON forms
+    of the run the command printed."""
+
+    def test_traffic(self, monkeypatch, tmp_path, capsys):
+        calls = _spy(monkeypatch, repro.cli, "run_traffic")
+        assert main(["traffic", "--sizes", "12", "--out", str(tmp_path)]) == 0
+        (runs,) = calls
+        text, data = _written(tmp_path, "traffic_churn")
+        assert text == format_traffic(runs) + "\n"
+        assert data == _json_file(runs_to_json(runs))
+        assert capsys.readouterr().out == text + "\n"
+
+    def test_scenario_sweep(self, monkeypatch, tmp_path, capsys):
+        calls = _spy(monkeypatch, repro.experiments.scenarios, "run_scenarios")
+        assert main(["scenario", "--all", "--n", "16", "--out", str(tmp_path)]) == 0
+        (reports,) = calls
+        text, data = _written(tmp_path, "scenarios")
+        assert text == format_scenarios(reports) + "\n"
+        assert data == _json_file(reports_to_json(reports))
+        assert capsys.readouterr().out == text + "\n"
+
+    def test_resilience(self, monkeypatch, tmp_path, capsys):
+        calls = _spy(monkeypatch, repro.experiments.resilience, "run_resilience")
+        assert main(["resilience", "--n", "64", "--out", str(tmp_path)]) == 0
+        (run,) = calls
+        assert run.n == 64 and run.seed == repro.cli.DEFAULT_ROOT_SEED
+        text, data = _written(tmp_path, "resilience")
+        assert text == format_resilience(run) + "\n"
+        assert data == _json_file(run_to_json(run))
+        assert capsys.readouterr().out == text + "\n"
 
 
 class TestCli:
@@ -137,6 +197,8 @@ class TestCli:
              "unknown event kind 'nope'"),
             (["traffic", "--collector", "list"],
              "unrecognized arguments: --collector list"),
+            (["baseline", "--sizes", "3"], "baseline: --sizes must be >= 4"),
+            (["all", "--sizes", "2"], "baseline: --sizes must be >= 4"),
         ],
     )
     def test_bad_input_is_a_diagnostic_not_a_traceback(self, argv, message, capsys, tmp_path):

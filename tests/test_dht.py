@@ -9,7 +9,7 @@ import pytest
 
 from repro.chord.routing import RouteResult, RoutingError, route_greedy
 from repro.core.ideal import chord_successor
-from repro.dht.lookup import ReChordRouter, StaleViewError
+from repro.dht.lookup import ReChordRouter
 from repro.dht.storage import KeyNotFound, KeyValueStore
 from repro.idspace.keys import key_id
 from repro.workloads.initial import random_peer_ids
@@ -245,59 +245,11 @@ class TestRouterStaleness:
             assert victim not in res.path  # never routed through the dead peer
         assert not router.is_stale()
 
-    def test_strict_mode_raises_on_stale_view(self):
-        net = stabilized(8, seed=104)
-        router = ReChordRouter(net, mode="strict")
-        router.route_id(net.peer_ids[0], net.peer_ids[1])  # fresh: fine
-        net.crash(net.peer_ids[3])
-        with pytest.raises(StaleViewError):
-            router.route_id(net.peer_ids[0], net.peer_ids[1])
-        router.refresh()
-        net.run_until_stable(max_rounds=5000)
-        with pytest.raises(StaleViewError):  # rounds also invalidate
-            router.route_id(net.peer_ids[0], net.peer_ids[1])
-
-    def test_pin_mode_keeps_the_snapshot(self):
-        net = stabilized(8, seed=105)
-        router = ReChordRouter(net, mode="pin")
-        before = {pid: set(router.neighbors(pid)) for pid in net.peer_ids}
-        net.crash(net.peer_ids[2])
-        net.run_until_stable(max_rounds=5000)
-        for pid, view in before.items():
-            assert router._views[pid] == view  # untouched by design
-
-    def test_pin_mode_routes_on_frozen_membership(self):
-        """A pinned router measures the frozen topology: post-snapshot
-        joins neither break routing (KeyError/loop) nor shift key
-        ownership — the owner comes from the snapshot's peer set."""
-        net = stabilized(10, seed=108)
-        router = ReChordRouter(net, mode="pin")
-        frozen_ids = sorted(net.peer_ids)
-        rng = random.Random(11)
-        new_id = random_peer_ids(1, rng, net.space)[0]
-        while new_id in net.peers:
-            new_id = random_peer_ids(1, rng, net.space)[0]
-        net.join(new_id, net.peer_ids[0])
-        net.run_until_stable(max_rounds=5000)
-        for _ in range(15):
-            key = rng.randrange(net.space.size)
-            res = router.route_id(rng.choice(frozen_ids), key)
-            assert res.ok
-            assert res.owner == chord_successor(net.space, frozen_ids, key)
-        # a peer outside the snapshot cannot be a start point
-        with pytest.raises(KeyError, match="not in the routing snapshot"):
-            router.route_id(new_id, frozen_ids[0])
-
     def test_rounds_bump_view_version(self):
         net = stabilized(6, seed=106)
         v0 = net.view_version()
         net.run_round()
         assert net.view_version() != v0
-
-    def test_unknown_mode_rejected(self):
-        net = stabilized(5, seed=107)
-        with pytest.raises(ValueError):
-            ReChordRouter(net, mode="yolo")
 
 
 class TestChurnSurvival:

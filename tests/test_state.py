@@ -260,6 +260,17 @@ class TestCanonicalMemo:
             assert all(n._canon is None for n in fresh.nodes.values())
             assert state.canonical() == fresh.canonical()
 
+    def test_a_stable_peer_hands_back_its_memoized_tuple(self):
+        """While a peer's version stands still, ``PeerState.canonical()``
+        returns the memoized tuple itself: quiescence probes and
+        fingerprints of unchanged peers rebuild nothing."""
+        from repro.workloads.initial import build_random_network
+
+        net = build_random_network(n=16, seed=2011)
+        net.run_until_stable(max_rounds=20_000)
+        for p in net.peers.values():
+            assert p.state.canonical() is p.state.canonical()
+
     def test_an_unchanged_level_hands_back_the_same_tuple(self):
         state = peer()
         state.ensure_level(1).nu.add(_REFS[0])
