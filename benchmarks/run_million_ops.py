@@ -13,8 +13,9 @@ practical.  The latency histogram is exact: it is built from the
 per-latency counts, not from the reservoir.
 
 Writes ``benchmarks/results/million_ops.json`` and ``.txt``.  Expect a
-wall-clock of a few minutes (recorded: 196 s; 2,800 s before the
-columnar kernel's application lane took traffic off the rule pipeline).
+wall-clock of a few minutes (recorded: 145 s on a 2-core x86_64 host;
+2,800 s before the columnar kernel's application lane took traffic off
+the rule pipeline).
 Usage::
 
     PYTHONPATH=src python benchmarks/run_million_ops.py [--ops 1000000]

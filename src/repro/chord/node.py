@@ -163,7 +163,9 @@ class ChordPeer:
         self.successor_list: List[int] = []
         self.fingers = FingerTable(space)
         self.successor_list_len = successor_list_len
-        self.fingers_per_round = max(0, fingers_per_round)
+        if fingers_per_round < 0:
+            raise ValueError(f"fingers_per_round must be non-negative, got {fingers_per_round}")
+        self.fingers_per_round = fingers_per_round
         self._next_finger = 1
         self._token = 0
         self._lookups: Dict[int, LookupState] = {}

@@ -53,7 +53,9 @@ see:
   to the changed owner.  A reverse index (``owner -> watchers``) is
   maintained from each peer's ``referenced_owners()`` whenever its state
   changes at a boundary; the peers about to *receive* such a reference
-  in flight are the kernel's answer to one ``ref_receivers`` query.
+  in flight are the kernel's answer to one ``ref_receivers`` query at
+  the next round start.  Rounds are atomic: joins, leaves and crashes
+  (and anything else that changes the scheduler) act between rounds.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ from repro.netsim.timemodel import TimeModel
 
 #: the kernels ``ReChordNetwork(engine=...)`` accepts (module docstring)
 ENGINES = ("full", "columnar")
+
+
+class NotStableError(RuntimeError):
+    """:meth:`ReChordNetwork.run_until_stable` ran out of rounds — the
+    one outcome an experiment may score as non-convergence."""
 
 
 @dataclass(frozen=True)
@@ -145,9 +152,7 @@ class ReChordNetwork:
                 BatchedRuleEngine(oracle=self._ref_alive, oracle_epoch=self.oracle_epoch)
             )
         else:
-            self.scheduler = SynchronousScheduler(
-                activity_tracking=False, time_model=time_model
-            )
+            self.scheduler = SynchronousScheduler(time_model=time_model)
         self.peers: Dict[int, ReChordPeer] = {}
         #: the liveness oracle's frozen map: owner -> levels it simulates.
         #: Written only through _note_levels / _forget_levels / the
@@ -473,16 +478,12 @@ class ReChordNetwork:
 
         Its watchers are woken at once, on a *current* watcher index,
         and the in-flight scan is queued in ``_level_flips`` for the
-        next round start.  Between rounds that scan sees the same
-        pending mail plus any posted since, so a wave of k events costs
-        one scan, not k.  A mid-round event is also scanned at once: the
-        rest of the round consumes mail the round-start scan would miss,
-        which in turn catches envelopes still sitting in outboxes now.
+        next round start.  Membership changes only between rounds, so
+        that scan sees the same pending mail plus any posted since, and
+        a wave of k events costs one scan, not k.
         """
         self._flush_pending_refresh()
         self._dirty_watchers(peer_id)
-        if self.scheduler._in_round:
-            self._wake_flow_refs({peer_id})
         self._level_flips.add(peer_id)
 
     def _drain_level_flips(self) -> None:
@@ -577,6 +578,8 @@ class ReChordNetwork:
 
     def run(self, rounds: int) -> None:
         """Execute ``rounds`` rounds."""
+        if rounds < 0:
+            raise ValueError(f"rounds must be non-negative, got {rounds}")
         for _ in range(rounds):
             self.run_round()
 
@@ -587,7 +590,7 @@ class ReChordNetwork:
     ) -> StabilizationReport:
         """Run until the global configuration repeats.
 
-        Raises ``RuntimeError`` if not stable within ``max_rounds`` (a
+        Raises :class:`NotStableError` if not stable within ``max_rounds`` (a
         non-converging protocol must fail loudly).  With ``track_almost``
         the report also carries the first round at which all desired
         edges of the ideal topology existed.
@@ -612,7 +615,7 @@ class ReChordNetwork:
                         rounds_to_almost=almost,
                         rounds_executed=executed,
                     )
-            raise RuntimeError(f"network not stable within {max_rounds} rounds")
+            raise NotStableError(f"network not stable within {max_rounds} rounds")
         prev = self.fingerprint()
         for executed in range(1, max_rounds + 1):
             self.run_round()
@@ -627,7 +630,7 @@ class ReChordNetwork:
                     rounds_executed=executed,
                 )
             prev = cur
-        raise RuntimeError(f"network not stable within {max_rounds} rounds")
+        raise NotStableError(f"network not stable within {max_rounds} rounds")
 
     # ------------------------------------------------------------------
     # stability / correctness predicates

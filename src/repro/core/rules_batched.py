@@ -41,8 +41,8 @@ What the batching buys
   builds the envelope here and never enters the scheduler's
   ``(sender, target, payload)``-keyed cache, so each envelope is held
   under one key, not two.  Interning is a pure speed device — outbox
-  comparisons are by value — so an interleaved round, which emits
-  through ``ctx.send``, merely compares a little slower.
+  comparisons are by value — so a scalar step, which emits through
+  ``ctx.send``, merely compares a little slower.
 * **Per-level delivery** — the apply-inbox phase parses each part of an
   inbox into its payloads per addressed level (a persistent
   :class:`~repro.netsim.messages.SubFlow` keeps the parsed form, so an
@@ -157,6 +157,14 @@ except Exception:  # pragma: no cover - numpy absent in minimal installs
 _KEY = attrgetter("_key")
 _ITEM_KEY = itemgetter(0)
 
+
+def _not_a_peer(key) -> TypeError:
+    return TypeError(
+        f"actor {key!r} is not a ReChordPeer: the batched rule pipeline "
+        "steps Re-Chord peers only"
+    )
+
+
 #: clear-on-overflow bound, mirroring the scheduler's envelope cache
 _FAST_CACHE_MAX = 4_000_000
 
@@ -259,9 +267,9 @@ class BatchedRuleEngine:
     """Phase-major executor for a round's batch of dirty ReChord peers.
 
     Installed on a scheduler via ``set_batch_stepper``; the tracked
-    kernels hand it the full list of ``(key, actor, inbox, ctx)`` step
-    items (in key order) of every round whose actors it all
-    :meth:`accepts`, instead of calling ``actor.step`` one by one.
+    loops hand it the full list of ``(key, actor, inbox, ctx)`` step
+    items (in key order) of every round, instead of calling
+    ``actor.step`` one by one.  It steps Re-Chord peers only.
     """
 
     __slots__ = (
@@ -300,13 +308,6 @@ class BatchedRuleEngine:
     # ------------------------------------------------------------------
     # entry point
     # ------------------------------------------------------------------
-    @staticmethod
-    def accepts(actor) -> bool:
-        """Only Re-Chord peers: their rules touch nothing but their own
-        state and round outbox, so the phase-major order is invisible;
-        a round with any other actor on it keeps the interleaved order."""
-        return isinstance(actor, ReChordPeer)
-
     def run_batch(self, items: Sequence[tuple], lane: Sequence[tuple] = ()) -> None:
         """Execute one round's steps phase-major.
 
@@ -324,13 +325,17 @@ class BatchedRuleEngine:
         those actors skip the rule phases and join the handler phase,
         which runs over both lists merged in key order — handler side
         effects (completion order) must not depend on which peers
-        happened to be dirty.
+        happened to be dirty.  An actor that is not a
+        :class:`~repro.core.protocol.ReChordPeer` raises ``TypeError``
+        naming its key.
         """
         peers: List[list] = []
         #: the handler phase: (key, bound handler, its arguments)
         handlers: List[tuple] = []
         tel = None
         for key, actor, parts, ctx in items:
+            if not isinstance(actor, ReChordPeer):
+                raise _not_a_peer(key)
             if actor.telemetry is not None:
                 tel = actor.telemetry
             fires_before = dict(actor.counters.fires)
@@ -351,6 +356,8 @@ class BatchedRuleEngine:
                     handlers.append((key, actor.traffic.handle, (actor, app, ctx)))
             peers.append([actor, parts, ctx, fires_before])
         for key, actor, inbox, ctx in lane:
+            if not isinstance(actor, ReChordPeer):
+                raise _not_a_peer(key)
             if actor.telemetry is not None:
                 tel = actor.telemetry
             handlers.append((key, actor._handle_lane, (inbox, ctx)))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.core.ideal import chord_edges
+from repro.core.network import NotStableError
 from repro.core.rules import RuleConfig
 from repro.experiments.runner import DEFAULT_ROOT_SEED, MeanStd, mean_std
 from repro.netsim.rng import SeedSequence
@@ -68,7 +69,7 @@ def measure_variant(
             report = net.run_until_stable(max_rounds=budget_rounds)
             stabilized.append(1.0)
             rounds.append(report.rounds_to_stable)
-        except RuntimeError:
+        except NotStableError:
             stabilized.append(0.0)
             rounds.append(budget_rounds)
         ideal.append(1.0 if net.matches_ideal() else 0.0)

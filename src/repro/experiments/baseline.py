@@ -19,7 +19,7 @@ import random
 from typing import Dict, Sequence
 
 from repro.chord.network import ChordNetwork
-from repro.core.network import ReChordNetwork
+from repro.core.network import NotStableError, ReChordNetwork
 from repro.experiments.runner import (
     DEFAULT_ROOT_SEED,
     MeanStd,
@@ -64,7 +64,7 @@ def measure_one(n: int, seed: int, budget_rounds: int = 400) -> Dict[str, float]
     try:
         rechord.run_until_stable(max_rounds=budget_rounds * 10)
         rechord_recovered = 1.0 if rechord.matches_ideal() else 0.0
-    except RuntimeError:
+    except NotStableError:
         rechord_recovered = 0.0
 
     # Re-Chord from a plain random weakly connected graph (sanity)
@@ -72,7 +72,7 @@ def measure_one(n: int, seed: int, budget_rounds: int = 400) -> Dict[str, float]
     try:
         rnet.run_until_stable(max_rounds=budget_rounds * 10)
         rechord_random = 1.0 if rnet.matches_ideal() else 0.0
-    except RuntimeError:
+    except NotStableError:
         rechord_random = 0.0
 
     return {

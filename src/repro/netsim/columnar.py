@@ -20,8 +20,8 @@ inboxes:
   unchanged one is recognized by identity;
 * ``_ghost[target][sender]`` — one-shot remnants: the final emissions
   of a removed sender, consumed at the target's next materialization;
-* ``_pre_buffer[target]`` / the plain inbox buffer — out-of-band posts
-  that sort before / after the flows at the next boundary (matching the
+* the plain inbox buffer (``_inboxes``) — posts made since the last
+  round, which sort after the flows at the next boundary (matching the
   parent's physical append order exactly);
 * ``_lane[target]`` — the application lane: one-shot sends
   (``RoundContext.send_once``) delivered at the last boundary, held
@@ -37,20 +37,23 @@ The in-flight ref query of a liveness flip
 and ghosts one sub-flow at a time, the one-shot lists one envelope at a
 time.  No index is kept for it: the network asks once per round start
 for every flip since the last one (a wave of k joins or crashes between
-rounds is one query, not k) and once per mid-round membership event,
-while an index would be updated on every flow patch and post.
+rounds is one query, not k), while an index would be updated on every
+flow patch and post.
 
 A round then touches only its work list — the key-sorted merge of the
-dirty set and the lane's targets.  A dirty actor *materializes* its
-inbox ``[pre-buffer][flows + ghosts in sorted-sender order][lane mail]
-[buffer]``, steps (rules, then the application handler), and has its
-outbox diffed against the steady cache.  A lane-only actor — clean, but
-holding application mail — runs only its ``handle_app`` hook against
-its boundary state: the rule pipeline would reproduce the cached step,
-so the round counts and settles as a replay, and application messages
-never dirty the overlay (the parent's lane rule).  Flow patches,
-removals, revivals and the round's one-shot sends are applied at the
-end-of-round delivery point, exactly where the parent delivers, so
+dirty set and the lane's targets.  Rounds are atomic (nothing changes
+the scheduler from inside a step), so every inbox is taken before any
+step runs and the round goes to the stepper as one batch.  A dirty
+actor *materializes* its inbox ``[flows + ghosts in sorted-sender
+order][lane mail][buffer]``, steps (rules, then the application
+handler), and has its outbox diffed against the steady cache.  A
+lane-only actor — clean, but holding application mail — runs only its
+``handle_app`` hook against its boundary state: the rule pipeline would
+reproduce the cached step, so the round counts and settles as a replay,
+and application messages never dirty the overlay (the parent's lane
+rule).  Flow patches, revivals and the round's one-shot sends are
+applied at the end-of-round delivery point, exactly where the parent
+delivers, so
 every boundary observable — fingerprints, pending multisets, change
 flags, sent/dropped/executed counts, rule counters at observation
 points — is bit-for-bit identical to the parent kernel (the
@@ -73,20 +76,12 @@ reference.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
-from itertools import chain
 from time import perf_counter as _perf
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set
 
-from repro.netsim.messages import (
-    AppPayload,
-    Envelope,
-    SubFlow,
-    receivers_referencing,
-    split_by_target as _split_by_target,
-)
-from repro.netsim.scheduler import RoundContext, SynchronousScheduler
+from repro.netsim.messages import AppPayload, Envelope, SubFlow, receivers_referencing
+from repro.netsim.scheduler import RoundContext, SerialStepper, SynchronousScheduler, _inside_step
 from repro.netsim.timemodel import TimeModel, make_delivery_model
 
 
@@ -102,16 +97,16 @@ class ColumnarScheduler(SynchronousScheduler):
     #: (docs/ARCHITECTURE.md)
     DENSE_SHARE = 0.5
 
+    activity_tracking = True
+
     def __init__(self, time_model: Optional[TimeModel] = None) -> None:
-        super().__init__(activity_tracking=True, time_model=time_model)
+        super().__init__(time_model=time_model)
         #: whether the columnar fast path is currently driving rounds
         self._cols_active = False
         #: steady delivered sub-flows per live target
         self._flow_in: Dict[Hashable, SubFlows] = {}
         #: one-shot remnants of removed senders per live target
         self._ghost: Dict[Hashable, SubFlows] = {}
-        #: posts ordered before the flows at the next boundary
-        self._pre_buffer: Dict[Hashable, List[Envelope]] = {}
         #: frozen sub-flows to removed targets (revived on re-join)
         self._dead_in: Dict[Hashable, SubFlows] = {}
         #: re-added targets whose frozen flows resume at the next
@@ -134,18 +129,6 @@ class ColumnarScheduler(SynchronousScheduler):
         #: round; columnar entry tells them from last round's one-shot
         #: sends, which sit in the same real inboxes
         self._late_posts: List[Envelope] = []
-        # ---- per-round working state (fast rounds only) ------------------
-        self._col_pos: Optional[Hashable] = None
-        self._work: List[Hashable] = []
-        self._queued: Set[Hashable] = set()
-        #: queued actors that run the rule pipeline this round; the rest
-        #: of the work list is lane-only
-        self._must_step: Set[Hashable] = set()
-        self._added_mid_round: Set[Hashable] = set()
-        #: [key, contributed, final_out, committed targets] per mid-round removal
-        self._removed_mid: List[list] = []
-        #: sender -> (prev_out, new_out) outbox patches of this round
-        self._patched: Dict[Hashable, tuple] = {}
         #: telemetry mirror of ``_flow_sent``, broken out by payload type
         #: name; maintained only while a recorder is attached (every
         #: ``_flow_sent`` adjustment has a matching typed adjustment, so
@@ -173,7 +156,7 @@ class ColumnarScheduler(SynchronousScheduler):
         """Index ``sender``'s cached outbox as steady flows; returns its
         per-round drop count (dead targets + filtered envelopes)."""
         drops = 0
-        for target, sub in self._sub_flows(sender).items():
+        for target, sub in self._out_by[sender].items():
             deliverable = self._deliverable(sub)
             if target in self._actors:
                 drops += len(sub) - len(deliverable)
@@ -208,7 +191,6 @@ class ColumnarScheduler(SynchronousScheduler):
         round_no = self._round
         self._flow_in = {}
         self._ghost = {}
-        self._pre_buffer = {}
         self._dead_in = {}
         self._revive = set()
         self._drop_by = {}
@@ -248,10 +230,10 @@ class ColumnarScheduler(SynchronousScheduler):
 
     def _boundary_inbox(self, target: Hashable) -> List[Envelope]:
         """The target's pending messages in the parent's inbox order:
-        ``[pre-buffer][per sender in key order: flows, ghosts, one-shot
-        sends][buffer]`` — a sender's one-shots follow its steady
-        emissions, exactly where the parent's delivery loop puts them."""
-        inbox: List[Envelope] = list(self._pre_buffer.get(target, ()))
+        ``[per sender in key order: flows, ghosts, one-shot sends]
+        [buffer]`` — a sender's one-shots follow its steady emissions,
+        exactly where the parent's delivery loop puts them."""
+        inbox: List[Envelope] = []
         flows = self._flow_in.get(target) or {}
         ghosts = self._ghost.get(target) or {}
         lane: SubFlows = {}
@@ -272,7 +254,6 @@ class ColumnarScheduler(SynchronousScheduler):
         # the lane's targets stay behind as the tracked loop's mail set
         self._flow_in = {}
         self._ghost = {}
-        self._pre_buffer = {}
         self._dead_in = {}
         self._revive = set()
         self._drop_by = {}
@@ -337,7 +318,7 @@ class ColumnarScheduler(SynchronousScheduler):
                     if not disjoint(sub.owners()):
                         receivers.add(target)
                         break
-        return receivers | receivers_referencing(owners, self._pre_buffer, self._lane)
+        return receivers | receivers_referencing(owners, self._lane)
 
     # ------------------------------------------------------------------
     # membership / posts / faults under columnar mode
@@ -347,30 +328,23 @@ class ColumnarScheduler(SynchronousScheduler):
         if not self._cols_active:
             return
         # counters owe nothing before the first scheduled execution
-        self._settled[key] = self._round if self._in_round else self._round - 1
+        self._settled[key] = self._round - 1
         if key in self._dead_in:
             # a re-joining id: the steady flows still addressed to it
             # resume at the next delivery point, like the parent's
             # delivery loop would
             self._revive.add(key)
-        if self._in_round:
-            self._added_mid_round.add(key)
 
     def remove_actor(self, key: Hashable):
+        if self._in_round:
+            raise _inside_step("remove_actor")
         if self._cols_active:
             self._remove_columnar(key)
         return super().remove_actor(key)
 
     def _remove_columnar(self, key: Hashable) -> None:
-        in_round = self._in_round
         # -- settle its counters to what the parent would have applied --
-        contributed = bool(
-            in_round and self._col_pos is not None and key <= self._col_pos
-        )
-        if in_round:
-            self._settle_actor(key, self._round if contributed else self._round - 1)
-        else:
-            self._settle_actor(key, self._round - 1)
+        self._settle_actor(key, self._round - 1)
         self._settled.pop(key, None)
         # -- as a target: its pending messages die with it ---------------
         flows = self._flow_in.pop(key, None)
@@ -388,76 +362,40 @@ class ColumnarScheduler(SynchronousScheduler):
         if ghosts:
             for sub in ghosts.values():
                 self._flow_pending -= len(sub)
-        self._pre_buffer.pop(key, None)
         self._lane.pop(key, None)
         self._lane_targets.discard(key)
         # -- as a sender: its steady flow stops --------------------------
-        # what the columns hold of it: the pre-patch outbox while a patch
-        # of this round still waits for the delivery point
-        if key in self._patched:
-            committed, committed_by = self._patched[key][0], self._patched[key][3]
-        else:
-            committed, committed_by = self._out.get(key, []), self._sub_flows(key)
-        self._flow_sent -= len(committed or ())
+        out = self._out[key]
+        self._flow_sent -= len(out)
         if self._tel_flow_types is not None:
-            for env in committed or ():
+            for env in out:
                 self._tel_flow_types[type(env.payload).__name__] -= 1
         self._flow_dropped -= self._drop_by.pop(key, 0)
         for subs in self._dead_in.values():
             subs.pop(key, None)
-        if in_round:
-            # defer the flow surgery to the delivery point: actors that
-            # materialize later this round must still see this sender's
-            # boundary sub-flows, exactly like the parent's snapshot
-            # inboxes do
-            self._removed_mid.append(
-                [key, contributed, list(self._out.get(key, ())), list(committed_by)]
-            )
-        else:
-            # between rounds: the flows delivered at the last boundary
-            # are still pending; they become one-shot ghosts
-            for target in committed_by:
-                subs = self._flow_in.get(target)
-                if subs is None:
-                    continue
-                sub = subs.pop(key, None)
-                if sub:
-                    self._ghost.setdefault(target, {})[key] = sub
+        # the flows delivered at the last boundary are still pending;
+        # they become one-shot ghosts
+        for target in self._out_by[key]:
+            subs = self._flow_in.get(target)
+            if subs is None:
+                continue
+            sub = subs.pop(key, None)
+            if sub:
+                self._ghost.setdefault(target, {})[key] = sub
 
     def post(self, envelope: Envelope) -> bool:
         # the parent's delivery checks and bookkeeping: application mail
-        # joins the mail set, anything else dirties its target
+        # joins the mail set, anything else dirties its target; under
+        # the columns the post waits in the buffer
         if not super().post(envelope):
             return False
-        app = isinstance(envelope.payload, AppPayload)
-        if not self._cols_active:
-            if app:
-                self._late_posts.append(envelope)
-            return True
-        target = envelope.target
-        if not self._in_round:
-            return True
-        if target in self._added_mid_round or (
-            self._col_pos is not None and target <= self._col_pos
-        ):
-            # the target's step already passed this round (or it was
-            # added mid-round and will not run): the post sits in its
-            # inbox and the end-of-round deliveries append AFTER it
-            self._inboxes[target].pop()
-            self._pre_buffer.setdefault(target, []).append(envelope)
-            return True
-        # not yet reached: it must consume [flows][post] this round like
-        # the parent — through the rules unless it is lane mail
-        if app:
-            self._lane_targets.discard(target)
-        else:
-            self._must_step.add(target)
-        if target not in self._queued:
-            insort(self._work, target)
-            self._queued.add(target)
+        if not self._cols_active and isinstance(envelope.payload, AppPayload):
+            self._late_posts.append(envelope)
         return True
 
     def set_drop_filter(self, drop: Optional[Callable[[Envelope], bool]]) -> None:
+        if self._in_round:
+            raise _inside_step("set_drop_filter")
         if self._cols_active and not (drop is None and self._drop_filter is None):
             # filter changes redefine every steady delivery; fall back to
             # the parent kernel (which marks everyone dirty) and re-enter
@@ -466,6 +404,8 @@ class ColumnarScheduler(SynchronousScheduler):
         super().set_drop_filter(drop)
 
     def set_delivery_model(self, model) -> None:
+        if self._in_round:
+            raise _inside_step("set_delivery_model")
         if self._cols_active:
             new = make_delivery_model(model)
             old = self._delivery
@@ -495,7 +435,7 @@ class ColumnarScheduler(SynchronousScheduler):
         if not self._cols_active:
             return super().pending_messages()
         count = self._flow_pending
-        for boxes in (self._pre_buffer, self._lane, self._inboxes):
+        for boxes in (self._lane, self._inboxes):
             for box in boxes.values():
                 count += len(box)
         return count
@@ -511,7 +451,7 @@ class ColumnarScheduler(SynchronousScheduler):
     # ------------------------------------------------------------------
     # round dispatch
     # ------------------------------------------------------------------
-    def run_round(self, active: Optional[set] = None) -> None:
+    def _run_round(self, active: Optional[set]) -> None:
         """One round through the columnar loop, or through the inherited
         tracked loop under partial activation, non-unit delivery, a dense
         round (:meth:`_dense`) or out-of-band flow events not yet absorbed."""
@@ -529,7 +469,7 @@ class ColumnarScheduler(SynchronousScheduler):
             # parent kernel absorb them, enter once the flag clears
         elif self._cols_active:
             self._exit_columnar()
-        super().run_round(active)
+        super()._run_round(active)
 
     def _dense(self) -> bool:
         """Whether more than ``DENSE_SHARE`` of the actors must execute
@@ -541,25 +481,22 @@ class ColumnarScheduler(SynchronousScheduler):
     # ------------------------------------------------------------------
     def _materialize_inbox(self, key: Hashable) -> List[List[Envelope]]:
         """Assemble and consume the actor's boundary inbox, as the
-        ordered parts it is made of: ``[pre-buffer][per sender in key
-        order: its SubFlow, its ghost][lane mail + buffer]``.
+        ordered parts it is made of: ``[per sender in key order: its
+        SubFlow, its ghost][lane mail + buffer]``.
 
-        Ghosts, lane mail, pre-buffered and buffered posts are one-shot:
-        they leave the pending set here.  Steady flows stay indexed —
-        they are conceptually re-delivered at the end of the round — and
-        are handed out as the persistent :class:`SubFlow` objects, so a
+        Ghosts, lane mail and buffered posts are one-shot: they leave
+        the pending set here.  Steady flows stay indexed — they are
+        conceptually re-delivered at the end of the round — and are
+        handed out as the persistent :class:`SubFlow` objects, so a
         consumer recognizes an unchanged one by identity.
         Lane sends land after all flows rather than after their own
         sender's: the rules never see them and the handler sees only
         them, so just their relative order is observable.
         """
-        parts: List[List[Envelope]] = []
-        pre = self._pre_buffer.pop(key, None)
-        if pre:
-            parts.append(pre)
         flows = self._flow_in.get(key) or {}
         ghosts = self._ghost.pop(key, None)
         if ghosts:
+            parts: List[List[Envelope]] = []
             for sub in ghosts.values():
                 self._flow_pending -= len(sub)
             for sender in sorted({*flows, *ghosts}):
@@ -568,19 +505,16 @@ class ColumnarScheduler(SynchronousScheduler):
                 if sender in ghosts:
                     parts.append(ghosts[sender])
         else:
-            parts.extend([flows[sender] for sender in sorted(flows)])
+            parts = [flows[sender] for sender in sorted(flows)]
         mail = self._take_mail(key)
         if mail:
             parts.append(mail)
         return parts
 
-    def _lane_inbox(self, key: Hashable) -> List[Envelope]:
-        """Consume a lane-only actor's inbox: application mail alone
-        (any other post would have put the actor on the dirty list)."""
-        return self._pre_buffer.pop(key, []) + self._take_mail(key)
-
     def _take_mail(self, key: Hashable) -> List[Envelope]:
-        """Consume the actor's lane sends and buffered posts, in order."""
+        """Consume the actor's lane sends and buffered posts, in order
+        (a lane-only actor's whole inbox: any other post would have put
+        it on the dirty list)."""
         mail = self._lane.pop(key, None) or []
         box = self._inboxes.get(key)
         if box:
@@ -588,37 +522,10 @@ class ColumnarScheduler(SynchronousScheduler):
             self._inboxes[key] = []
         return mail
 
-    def _columnar_post_step(
-        self,
-        key: Hashable,
-        out: List[Envelope],
-        changed_keys: Set[Hashable],
-        newly_dirty: Set[Hashable],
-    ) -> Tuple[bool, bool]:
-        """The parent's post-step bookkeeping, with the outbox patch
-        queued for the delivery point's flow surgery — which touches
-        only the targets whose sub-flow changed, unchanged targets keep
-        their (value-equal) indexed envelopes.  Returns
-        ``(state_changed, flow_changed)``."""
-        state_changed, patch = self._post_step(key, out, changed_keys, newly_dirty)
-        if patch is not None:
-            newly_dirty.update(patch[2])  # unit delivery: the change arrives next round
-            if key not in self._patched:
-                self._patched[key] = patch
-        if key not in self._actors:
-            # it removed itself during its own step; the parent still
-            # delivers THIS step's emissions, so fix the removal
-            # record captured mid-step
-            for record in reversed(self._removed_mid):
-                if record[0] == key:
-                    record[2] = list(out)
-                    break
-        return state_changed, patch is not None
-
     def _run_round_columnar(self) -> None:
         round_no = self._round
         tel = self._telemetry
-        n_start = len(self._actors)
+        actors = self._actors
         state_changed_any = False
         # posts / membership / pending application mail since last round
         flow_changed = self._flow_flag or self._lane_flag
@@ -626,93 +533,62 @@ class ColumnarScheduler(SynchronousScheduler):
         self._lane_flag = False
         changed_keys: Set[Hashable] = set()
         newly_dirty: Set[Hashable] = set()
-        executed = 0
-        dirty = self._dirty
-        self._dirty = set()
         carry_due = self._dirty_carry
         self._dirty_carry = set()
-        self._posted_mid_round = set()
-        self._patched = {}
-        self._removed_mid = []
-        self._added_mid_round = set()
-        # the work list: the dirty set merged with the lane's targets
-        must_step = self._must_step = {k for k in dirty if k in self._actors}
-        self._queued = set(must_step)
-        if self._lane_targets:
-            self._queued.update(k for k in self._lane_targets if k in self._actors)
-            self._lane_targets = set()
-        self._work = sorted(self._queued)
-        self._in_round = True
+        # the work list: the dirty set merged with the lane's targets;
+        # the dirty actors run the rule pipeline, the rest is lane-only
+        must_step = {k for k in self._dirty if k in actors}
+        work = sorted(must_step.union(k for k in self._lane_targets if k in actors))
+        self._lane_targets = set()
 
-        # ---- pass 1: materialize + execute the work list ---------------
-        # an accepted round (see set_batch_stepper) only collects here and
-        # runs as one batch below; any other round steps interleaved
-        accepted = self._accepted(self._work)
+        # ---- pass 1: take every inbox, then step the round as one batch
         batch: List[tuple] = []
         lane_batch: List[tuple] = []
         #: every context of the round in key order (one-shot delivery)
         ctxs: List[RoundContext] = []
-        materialize, lane_inbox = self._materialize_inbox, self._lane_inbox
-        index = 0
-        while index < len(self._work):
-            key = self._work[index]
-            index += 1
-            actor = self._actors.get(key)
-            if actor is None:  # removed by an earlier actor this round
-                continue
-            self._col_pos = key
+        materialize_s = 0.0
+        for key in work:
+            actor = actors[key]
+            ctx = RoundContext(round_no, key, self)
+            ctxs.append(ctx)
             # a clean actor with application mail is lane-only: the rules
             # would reproduce the cached step, so only the handler runs
             # and the round still counts (and settles) as a replay
-            lane_only = key not in must_step and hasattr(actor, "handle_app")
-            take_inbox = lane_inbox if lane_only else materialize
-            if tel is None:
-                inbox = take_inbox(key)
-            else:
-                _t0 = _perf()
-                inbox = take_inbox(key)
-                tel.add_time("kernel.materialize", _perf() - _t0)
-            if not lane_only:
-                executed += 1
+            if key in must_step or not hasattr(actor, "handle_app"):
                 self._settle_actor(key, round_no - 1)
                 self._settled[key] = round_no
-            ctx = RoundContext(round_no, key, self)
-            ctxs.append(ctx)
-            if accepted:
-                # materializations commute: accepted actors neither post
-                # nor change membership mid-round
-                (lane_batch if lane_only else batch).append((key, actor, inbox, ctx))
-                continue
-            if lane_only:
-                run = actor.handle_app
+                take, items = self._materialize_inbox, batch
             else:
-                run = actor.step
-                inbox = list(chain.from_iterable(inbox))
+                take, items = self._take_mail, lane_batch
             if tel is None:
-                run(inbox, ctx)
+                inbox = take(key)
             else:
                 _t0 = _perf()
-                run(inbox, ctx)
-                tel.add_time("kernel.execute", _perf() - _t0)
-            if lane_only:
-                self._check_lane_step(key, ctx)
-                continue
-            sc, fc = self._columnar_post_step(key, ctx._outbox, changed_keys, newly_dirty)
+                inbox = take(key)
+                materialize_s += _perf() - _t0
+            items.append((key, actor, inbox, ctx))
+        executed = len(batch)
+        if work:
+            stepper = self._batch_stepper or SerialStepper
+            if tel is None:
+                stepper.run_batch(batch, lane_batch)
+            else:
+                tel.add_time("kernel.materialize", materialize_s, len(work))
+                _t0 = _perf()
+                stepper.run_batch(batch, lane_batch)
+                tel.add_time("kernel.execute", _perf() - _t0, len(work))
+        #: sender -> outbox patch of this round (see :meth:`_post_step`)
+        patched: Dict[Hashable, tuple] = {}
+        for key, _actor, _inbox, ctx in batch:
+            sc, patch = self._post_step(key, ctx._outbox, changed_keys, newly_dirty)
             state_changed_any |= sc
-            flow_changed |= fc
-        if batch or lane_batch:
-            if tel is None:
-                self._batch_stepper.run_batch(batch, lane_batch)
-            else:
-                _t0 = _perf()
-                self._batch_stepper.run_batch(batch, lane_batch)
-                tel.add_time("kernel.execute", _perf() - _t0, len(batch) + len(lane_batch))
-            for key, _actor, _inbox, ctx in batch:
-                sc, fc = self._columnar_post_step(key, ctx._outbox, changed_keys, newly_dirty)
-                state_changed_any |= sc
-                flow_changed |= fc
-            for key, _actor, _inbox, ctx in lane_batch:
-                self._check_lane_step(key, ctx)
+            if patch is not None:
+                # unit delivery: the change arrives next round
+                newly_dirty.update(patch[2])
+                patched[key] = patch
+                flow_changed = True
+        for key, _actor, _inbox, ctx in lane_batch:
+            self._check_lane_step(key, ctx)
 
         # ---- pass 2: the delivery point ---------------------------------
         _t0 = _perf() if tel is not None else 0.0
@@ -721,11 +597,9 @@ class ColumnarScheduler(SynchronousScheduler):
         sent_extra = 0
         dropped_extra = 0
         flt = self._drop_filter
-        # (a) steady-flow patches of still-live senders: surgery touches
-        # only the targets whose sub-flow actually changed
-        for sender, (prev, new, changed, prev_by, new_by) in self._patched.items():
-            if sender not in self._actors:
-                continue
+        # (a) steady-flow patches: surgery touches only the targets whose
+        # sub-flow actually changed
+        for sender, (prev, new, changed, prev_by, new_by) in patched.items():
             self._flow_sent += len(new) - len(prev or ())
             drop_delta = 0
             for target in changed:
@@ -764,33 +638,7 @@ class ColumnarScheduler(SynchronousScheduler):
                             self._dead_in.setdefault(target, {})[sender] = deliverable
             self._drop_by[sender] = self._drop_by.get(sender, 0) + drop_delta
             self._flow_dropped += drop_delta
-        # (b) mid-round removals: ghost the contributions, expire the rest
-        expired = 0
-        for key, contributed, final_out, committed_targets in self._removed_mid:
-            for target in committed_targets:
-                subs = self._flow_in.get(target)
-                if subs is None:
-                    continue
-                sub = subs.pop(key, None)
-                if sub:
-                    self._flow_pending -= len(sub)
-            if not contributed:
-                expired += 1
-                continue
-            sent_extra += len(final_out)
-            if tel_extra is not None:
-                for env in final_out:
-                    tel_extra[type(env.payload).__name__] += 1
-            for target, sub in _split_by_target(final_out).items():
-                if target not in self._actors:
-                    dropped_extra += len(sub)
-                    continue
-                deliverable = self._deliverable(sub)
-                dropped_extra += len(sub) - len(deliverable)
-                if deliverable:
-                    self._ghost.setdefault(target, {})[key] = deliverable
-                    self._flow_pending += len(deliverable)
-        # (c) revivals: frozen flows to re-joined ids resume
+        # (b) revivals: frozen flows to re-joined ids resume
         for target in sorted(self._revive):
             if target not in self._actors:
                 continue
@@ -806,7 +654,7 @@ class ColumnarScheduler(SynchronousScheduler):
                 self._drop_by[sender] = self._drop_by.get(sender, 0) - len(sub)
                 self._flow_dropped -= len(sub)
         self._revive.clear()
-        # (d) this round's one-shot sends enter the lane
+        # (c) this round's one-shot sends enter the lane
         lane = self._lane
         for ctx in ctxs:
             once = ctx._once
@@ -825,7 +673,7 @@ class ColumnarScheduler(SynchronousScheduler):
                 lane.setdefault(target, []).append(env)
                 self._lane_targets.add(target)
 
-        # (e) boundary bookkeeping — identical observables to the parent
+        # (d) boundary bookkeeping — identical observables to the parent
         self.dropped_last_round = self._flow_dropped + dropped_extra
         if tel is not None:
             tel.add_time("kernel.patch", _perf() - _t0)
@@ -838,22 +686,12 @@ class ColumnarScheduler(SynchronousScheduler):
                 msg.update(tel_extra)
             tel.on_round(
                 sent=self._flow_sent + sent_extra, dropped=self.dropped_last_round,
-                executed=executed, replayed=n_start - executed - expired,
+                executed=executed, replayed=len(actors) - executed,
             )
         self.changed_last_round = state_changed_any or flow_changed
         self.state_changed_keys = changed_keys
         self.executed_last_round = executed
-        self.replayed_last_round = n_start - executed - expired
-        self._in_round = False
-        self._posted_mid_round = set()
+        self.replayed_last_round = len(actors) - executed
         newly_dirty |= carry_due
-        newly_dirty |= self._dirty  # marks added mid-round
         self._dirty = newly_dirty
-        self._col_pos = None
-        self._work = []
-        self._queued = set()
-        self._must_step = set()
-        self._added_mid_round = set()
-        self._removed_mid = []
-        self._patched = {}
         self._round += 1

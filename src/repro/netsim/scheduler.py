@@ -13,15 +13,32 @@ The scheduler iterates actors in sorted-key order for determinism, but
 because actors cannot read each other's state the iteration order is
 unobservable to a correct protocol (a property the test suite checks).
 
+Rounds are atomic
+-----------------
+
+The configuration changes only at round boundaries: joins, leaves,
+crashes, posts and time-model changes act on a configuration (paper
+Section 4), never on a round in progress.  While a round runs, every
+call that changes the scheduler — :meth:`~SynchronousScheduler.add_actor`,
+``remove_actor``, ``post``/``post_batch``, ``mark_dirty``,
+``set_drop_filter``, ``set_delivery_model``, ``set_daemon`` — raises
+``RuntimeError`` naming itself, in every loop; however the round
+ends, the next boundary takes changes again.  So every inbox of a
+round is fixed before any step runs, and each loop hands the round's
+steps to one stepper (:meth:`~SynchronousScheduler.set_batch_stepper`).
+
 Activity tracking (the tracked loop)
 ------------------------------------
 
-With ``activity_tracking=True`` (the default) the scheduler exploits the
-locality of self-stabilization (paper Theorems 4.1/4.2: post-churn
-recovery only touches a neighborhood): instead of stepping every actor
-every round, it maintains a **dirty set** and only executes actors that
-can possibly behave differently from their last executed step.  An actor
-is dirty when
+``SynchronousScheduler`` itself runs the spec loop: ``activity_tracking``
+is ``False`` and every (awake) actor steps every round.  The columnar
+kernel (:class:`~repro.netsim.columnar.ColumnarScheduler`) sets it and
+exploits the locality of self-stabilization (paper Theorems 4.1/4.2:
+post-churn recovery only touches a neighborhood): instead of stepping
+every actor every round, it maintains a **dirty set** and only executes
+actors that can possibly behave differently from their last executed
+step.  Its dense and non-unit rounds run the inherited tracked loop
+described here.  An actor is dirty when
 
 * it was just registered, or externally marked via :meth:`mark_dirty`;
 * its state changed — detected cheaply via the optional ``state_version``
@@ -136,8 +153,10 @@ rules under non-unit delivery:
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import (
-    Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple,
+    Any, Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Set, Tuple,
 )
 
 from repro.netsim.messages import (
@@ -158,6 +177,14 @@ from time import perf_counter as _perf
 #: simply cleared (it is a pure performance cache — correctness never
 #: depends on interning, only outbox-compare speed does)
 _ENV_CACHE_MAX = 4_000_000
+
+
+def _inside_step(call: str) -> RuntimeError:
+    """The error of a scheduler change attempted while a round runs."""
+    return RuntimeError(
+        f"{call}() called from inside a step: rounds are atomic, the "
+        "scheduler changes only between rounds"
+    )
 
 
 class Actor(Protocol):
@@ -246,14 +273,31 @@ class RoundContext:
         self._once.append(Envelope(self.self_key, target, payload))
 
 
+class SerialStepper:
+    """The stepper of a scheduler with no batch stepper installed: each
+    item's ``step`` on its concatenated inbox and each lane item's
+    ``handle_app`` on its mail, one actor at a time in key order."""
+
+    @staticmethod
+    def run_batch(items: Sequence[tuple], lane: Sequence[tuple]) -> None:
+        steps = [
+            (key, actor.step, list(chain.from_iterable(parts)), ctx)
+            for key, actor, parts, ctx in items
+        ]
+        steps += [(key, actor.handle_app, mail, ctx) for key, actor, mail, ctx in lane]
+        steps.sort(key=itemgetter(0))
+        for _key, run, inbox, ctx in steps:
+            run(inbox, ctx)
+
+
 class SynchronousScheduler:
     """Drives a set of actors through synchronous rounds."""
 
-    def __init__(
-        self,
-        activity_tracking: bool = True,
-        time_model: Optional[TimeModel] = None,
-    ) -> None:
+    #: whether the dirty-set/replay engine drives rounds: the spec loop
+    #: here, the tracked loop in the columnar kernel
+    activity_tracking = False
+
+    def __init__(self, time_model: Optional[TimeModel] = None) -> None:
         self._actors: Dict[Hashable, Actor] = {}
         self._inboxes: Dict[Hashable, List[Envelope]] = {}
         self._round = 0
@@ -296,8 +340,6 @@ class SynchronousScheduler:
         #: and to replayed and executed emissions alike, so the two
         #: engines stay round-for-round equivalent under faults.
         self._drop_filter: Optional[Callable[[Envelope], bool]] = None
-        #: whether the dirty-set/replay engine is active
-        self.activity_tracking = activity_tracking
         # ---- activity-tracking state -------------------------------------
         #: actors that must execute (not replay) next round
         self._dirty: Set[Hashable] = set()
@@ -335,11 +377,8 @@ class SynchronousScheduler:
         #: the mail set's wheel: round -> targets of delayed application
         #: mail consumed in it (see :meth:`_one_shot`)
         self._mail_at: Dict[int, Set[Hashable]] = {}
-        #: targets of non-application posts made while a tracked round is
-        #: executing: they must execute (not replay) THIS round or the
-        #: injected message would be silently consumed by the replay
-        #: inbox-clear
-        self._posted_mid_round: Set[Hashable] = set()
+        #: set while a round runs: every scheduler change is refused
+        #: (rounds are atomic, see the module docstring)
         self._in_round = False
         #: whether the last full round changed the global configuration
         self.changed_last_round = True
@@ -349,15 +388,17 @@ class SynchronousScheduler:
         self.executed_last_round = 0
         self.replayed_last_round = 0
         #: optional batched rule pipeline (see repro.core.rules_batched):
-        #: the round loops hand it every round whose actors it accepts
-        #: (:meth:`set_batch_stepper`) instead of stepping one by one
+        #: the tracked and columnar loops hand it every round
+        #: (:meth:`set_batch_stepper`); None steps through SerialStepper
         self._batch_stepper = None
 
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
     def add_actor(self, key: Hashable, actor: Actor) -> None:
-        """Register a new actor (effective immediately)."""
+        """Register a new actor; it first steps next round."""
+        if self._in_round:
+            raise _inside_step("add_actor")
         if key in self._actors:
             raise KeyError(f"actor {key!r} already registered")
         self._actors[key] = actor
@@ -382,13 +423,12 @@ class SynchronousScheduler:
             if not self._unit_settled():
                 # flows already addressed to a (re-)joining id — scheduled
                 # ones included — all start landing for its second step
-                first = self._round + 1
-                self._wake_at(first, key)
-                if self._in_round:
-                    self._wake_at(first + 1, key)
+                self._wake_at(self._round + 1, key)
 
     def remove_actor(self, key: Hashable) -> Actor:
         """Remove an actor; undelivered messages to it will be dropped."""
+        if self._in_round:
+            raise _inside_step("remove_actor")
         actor = self._actors.pop(key)
         self._inboxes.pop(key, None)
         if self.activity_tracking:
@@ -402,9 +442,7 @@ class SynchronousScheduler:
                 self._flow_flag = True  # its contribution leaves the pending set
             settled = self._unit_settled()
             delay = (self._switched_from or self._delivery).delay
-            # a mid-round removal may or may not have sent this round:
-            # feed both possibilities (conservative wakes are allowed)
-            stops = (self._round, self._round + 1) if self._in_round else (self._round,)
+            q = self._round
             for env in out:
                 if env.target == key:
                     continue
@@ -412,11 +450,10 @@ class SynchronousScheduler:
                 if d == 1:
                     self._dirty.add(env.target)
                     self._dirty_carry.add(env.target)
+                else:
+                    self._wake_at(q + d, env.target)
                 if not settled:
-                    for q in stops:
-                        if d > 1:
-                            self._wake_at(q + d, env.target)
-                        self._front(q, env, d)
+                    self._front(q, env, d)
             self._dirty_carry.discard(key)
             h = self._tok_hash.pop(key, None)
             if h is not None:
@@ -455,6 +492,8 @@ class SynchronousScheduler:
         one extra round — required when the trigger is a one-shot flow
         change whose effect reaches the actor's inbox a round later.
         """
+        if self._in_round:
+            raise _inside_step("mark_dirty")
         self._dirty.add(key)
         if carry:
             self._dirty_carry.add(key)
@@ -512,6 +551,8 @@ class SynchronousScheduler:
         full-scan kernel needs no bookkeeping — it re-executes everyone
         anyway — which keeps the two engines equivalent under faults.
         """
+        if self._in_round:
+            raise _inside_step("set_drop_filter")
         if drop is None and self._drop_filter is None:
             return
         self._drop_filter = drop
@@ -540,15 +581,14 @@ class SynchronousScheduler:
         """Install (or clear, with ``None``) the batched rule pipeline of
         the activity-tracked round loops.
 
-        ``stepper`` provides ``accepts(actor) -> bool`` and
-        ``run_batch(items, lane)``, ``items`` being a round's ``[(key,
-        actor, parts, ctx), ...]`` in key order, where ``parts`` lists
-        the envelope lists whose concatenation is the actor's inbox (the
-        tracked loop passes the whole inbox as one part; the columnar
-        loop passes its persistent :class:`SubFlow` objects and the
-        one-shot mail around them).  ``run_batch`` must leave every
-        actor's observable effects (state, ``ctx`` outbox, counters,
-        replay hooks) exactly as the equivalent sequence of
+        ``stepper`` provides ``run_batch(items, lane)``, ``items`` being
+        a round's ``[(key, actor, parts, ctx), ...]`` in key order, where
+        ``parts`` lists the envelope lists whose concatenation is the
+        actor's inbox (the tracked loop passes the whole inbox as one
+        part; the columnar loop passes its persistent :class:`SubFlow`
+        objects and the one-shot mail around them).  ``run_batch`` must
+        leave every actor's observable effects (state, ``ctx`` outbox,
+        counters, replay hooks) exactly as the equivalent sequence of
         ``actor.step(inbox, ctx)`` calls would — the equivalence suites
         compare it bit for bit against the full-scan kernel, which is the
         spec and never consults a stepper.  ``lane`` lists the round's
@@ -557,18 +597,10 @@ class SynchronousScheduler:
         semantics, ordered with the other actors' application handlers
         by key.
 
-        **The accepted-round rule.**  A round is handed to the stepper
-        only when it accepts *every* actor on that round's work list —
-        the dirty actors plus the mail set of a full round, the awake
-        ones of a partial round.  Any other
-        round runs interleaved, ``actor.step`` one by one in key order:
-        the path that honours mid-round posts, removals and additions.
-        A batch materializes every inbox before any step runs, so the
-        stepper may accept only actors that never post or change
-        scheduler membership *mid-round* (the Re-Chord peers never do:
-        traffic injection and join/leave/crash happen between rounds);
-        a harness actor that does is not accepted, and every round it
-        is due to step in keeps the spec's interleaving.
+        **One stepping path.**  Rounds are atomic, so every inbox of a
+        round is taken before any step runs and both tracked loops hand
+        every round to ``self._batch_stepper or SerialStepper``; the
+        serial stepper runs the same items one actor at a time.
         """
         self._batch_stepper = stepper
 
@@ -591,6 +623,8 @@ class SynchronousScheduler:
         keyed on the model object, so the switch invalidates them
         without a sweep.
         """
+        if self._in_round:
+            raise _inside_step("set_delivery_model")
         model = make_delivery_model(model)
         old = self._delivery
         if (model.is_unit and old.is_unit) or model.to_dict() == old.to_dict():
@@ -603,7 +637,7 @@ class SynchronousScheduler:
             for key in self._actors:
                 self._dirty.add(key)
                 self._dirty_carry.add(key)
-            first = self._round + (3 if self._in_round else 2)
+            first = self._round + 2
             self._wake_everyone(first, first - 2 + max(old.delay_bound(), model.delay_bound()))
             self._flow_flag = True
 
@@ -614,6 +648,8 @@ class SynchronousScheduler:
         activity-tracked kernel (every actor re-baselines), so no extra
         bookkeeping is needed here.
         """
+        if self._in_round:
+            raise _inside_step("set_daemon")
         self._daemon = make_daemon(daemon)
         self.time_model = TimeModel(self._delivery, self._daemon)
 
@@ -778,6 +814,8 @@ class SynchronousScheduler:
         introductions (Section 4.2).  Returns ``False`` (dropping the
         message) if the target is not registered.
         """
+        if self._in_round:
+            raise _inside_step("post")
         target = envelope.target
         box = self._inboxes.get(target)
         if box is None:
@@ -788,7 +826,7 @@ class SynchronousScheduler:
             # a delayed injection behaves like a send from the previous
             # round: it matures (drop filter applied there) for
             # consumption `delay` steps from the target's next step
-            t = self._round + delay if self._in_round else self._round + delay - 1
+            t = self._round + delay - 1
             self._future.setdefault(t, []).append(envelope)
             if self.activity_tracking:
                 # a one-shot — unless it is application mail (the rules
@@ -804,8 +842,7 @@ class SynchronousScheduler:
         if self.activity_tracking:
             if app:
                 # application mail never reaches the rules: the target
-                # consumes it in a lane step — mid-round too, if its turn
-                # has not come yet (see _step_work)
+                # consumes it in a lane step
                 self._lane_targets.add(target)
                 self._lane_flag = True
             else:
@@ -815,16 +852,6 @@ class SynchronousScheduler:
                 self._dirty.add(target)
                 self._dirty_carry.add(target)
                 self._flow_flag = True  # one-shot injection: next boundary differs
-                if self._in_round:
-                    # mid-round injection: if the target has not stepped
-                    # yet this round it must execute, not replay, or the
-                    # message would vanish in the replay inbox-clear
-                    self._posted_mid_round.add(target)
-            if self._in_round and not self._unit_settled():
-                # whether the target already stepped (the message sits in
-                # its inbox at this boundary) cannot be told from here:
-                # report this round as changed
-                self._flux_until = max(self._flux_until, self._round)
         return True
 
     def post_batch(self, envelopes: Sequence[Envelope]) -> List[bool]:
@@ -836,6 +863,8 @@ class SynchronousScheduler:
         distinguished from the one-at-a-time loop by any kernel, and a
         kernel that overrides :meth:`post` covers batches too.
         """
+        if self._in_round:
+            raise _inside_step("post_batch")
         return [self.post(env) for env in envelopes]
 
     def run_round(self, active: Optional[set] = None) -> None:
@@ -847,6 +876,16 @@ class SynchronousScheduler:
         untouched).  ``None`` consults the activation daemon of the
         time model, which defaults to everyone — the paper's model.
         """
+        # the guard's window: however the round ends, the next boundary
+        # accepts changes again
+        self._in_round = True
+        try:
+            self._run_round(active)
+        finally:
+            self._in_round = False
+
+    def _run_round(self, active: Optional[set]) -> None:
+        """Dispatch one round to the spec loop or the tracked loop."""
         if active is None and not self._daemon.is_full:
             active = self._daemon.select(self._round, sorted(self._actors))
         self.active_last_round = frozenset(active) if active is not None else None
@@ -855,7 +894,7 @@ class SynchronousScheduler:
         else:
             self._run_round_full(active)
 
-    # -- legacy full-scan kernel (activity_tracking=False) --------------
+    # -- the spec loop (activity_tracking off) -------------------------
     def _run_round_full(self, active: Optional[set]) -> None:
         """The executable spec: every (active) actor steps, one by one in
         key order, through its own ``step`` — never a batch stepper."""
@@ -865,19 +904,14 @@ class SynchronousScheduler:
         # emissions — the inbox order every other kernel reproduces
         outboxes: List[List[Envelope]] = []
         executed = 0
-        # Snapshot keys: actors added mid-round (e.g. by a join event
-        # processed inside another actor) first step next round.
-        keys = sorted(self._actors)
-        for key in keys:
+        actors, inboxes = self._actors, self._inboxes
+        for key in sorted(actors):
             if active is not None and key not in active:
                 continue
-            actor = self._actors.get(key)
-            if actor is None:  # removed by an earlier actor this round
-                continue
-            inbox = self._inboxes.get(key, [])
-            self._inboxes[key] = []
+            inbox = inboxes[key]
+            inboxes[key] = []
             ctx = RoundContext(round_no, key, self)
-            actor.step(inbox, ctx)
+            actors[key].step(inbox, ctx)
             executed += 1
             outboxes.append(ctx._outbox)
             if ctx._once:
@@ -1018,7 +1052,7 @@ class SynchronousScheduler:
         prev_out = self._out.get(key)
         if prev_out == out:
             return state_changed, None
-        prev_by = self._sub_flows(key)
+        prev_by = self._out_by[key]
         new_by = _group_by_target(out)
         # an unchanged sub-flow keeps its object (and what it carries)
         changed: List[Hashable] = []
@@ -1034,91 +1068,54 @@ class SynchronousScheduler:
         self._out_by[key] = new_by
         return state_changed, (prev_out, out, changed, prev_by, new_by)
 
-    def _sub_flows(self, key: Hashable) -> Dict[Hashable, SubFlow]:
-        """The cached outbox of ``key`` as ``target -> SubFlow`` (empty
-        for an actor that removed itself during its own step)."""
-        return self._out_by.get(key) or {}
-
-    def _accepted(self, work: Iterable[Hashable]) -> bool:
-        """Whether this round goes to the batch stepper: one is installed
-        and accepts every actor on the round's work list (the accepted-
-        round rule of :meth:`set_batch_stepper`)."""
-        stepper = self._batch_stepper
-        if stepper is None:
-            return False
-        accepts = stepper.accepts
-        actors = self._actors
-        return all(accepts(actors[key]) for key in work)
-
     def _step_work(
         self, keys: List[Hashable], dirty: Set[Hashable], mail: Set[Hashable], round_no: int
-    ) -> Iterator[Tuple[Hashable, Optional[RoundContext], bool]]:
-        """Run the round's steps; yield ``(key, ctx, executed)`` per live
-        actor of ``keys`` in key order, each *after* its step ran.
+    ) -> List[Tuple[Hashable, Optional[RoundContext], bool]]:
+        """Run the round's steps; return ``(key, ctx, executed)`` per
+        actor of ``keys``, in key order.
 
         Actors in ``dirty`` execute, the others replay (inbox consumed —
         application mail aside it provably repeats the last executed one,
         a known no-op on state — and cached side effects re-applied).  A
-        replayed actor holding application mail (one in ``mail``, or
-        posted to this round before its turn) also runs ``handle_app`` on
-        that mail alone, its lane step; one without the hook executes
-        instead.  ``ctx`` is ``None`` for a plain replay.  An accepted
-        round is collected, handed to the stepper in one
-        ``run_batch(items, lane)`` and then yielded in key order.  Any
-        other round is interleaved: each actor steps when its key comes
-        up and is yielded at once, so the caller's bookkeeping and
-        anything the step did to the scheduler (a mid-round post reaches
-        its target, a removed actor never steps) take effect before the
-        next actor runs.
+        replayed actor of ``mail`` holding application mail also runs
+        ``handle_app`` on that mail alone, its lane step; one without the
+        hook executes instead.  ``ctx`` is ``None`` for a plain replay.
+        Every inbox is taken first, then the round goes to the stepper
+        in one ``run_batch(items, lane)``.
         """
         actors, inboxes = self._actors, self._inboxes
-        posted, fresh = self._posted_mid_round, self._lane_targets
-        batch: Optional[List[tuple]] = (
-            [] if self._accepted(key for key in keys if key in dirty or key in mail) else None
-        )
+        probes = self._probes
+        items: List[tuple] = []
         lane: List[tuple] = []
         plan: List[tuple] = []
         for key in keys:
-            actor = actors.get(key)
-            if actor is None:  # removed by an earlier actor this round
-                continue
+            actor = actors[key]
             app = None
-            run = key in dirty or key in posted
-            if not run and (key in mail or key in fresh):
-                app = [env for env in inboxes.get(key, ()) if isinstance(env.payload, AppPayload)]
+            run = key in dirty
+            if not run and key in mail:
+                app = [env for env in inboxes[key] if isinstance(env.payload, AppPayload)]
                 run = bool(app) and not hasattr(actor, "handle_app")
             if run:
-                inbox = inboxes.get(key, [])
-                inboxes[key] = []
                 ctx = RoundContext(round_no, key, self)
-                if batch is None:
-                    actor.step(inbox, ctx)
-                else:
-                    # this loop keeps whole inboxes: one uncached part
-                    batch.append((key, actor, [inbox], ctx))
+                # this loop keeps whole inboxes: one uncached part
+                items.append((key, actor, [inboxes[key]], ctx))
+                inboxes[key] = []
             else:
                 ctx = None
-                if inboxes.get(key):
+                if inboxes[key]:
                     inboxes[key] = []
-                replay_fn = self._probes.get(key, (None, None, None))[2]
+                replay_fn = probes[key][2]
                 if replay_fn is not None:
                     replay_fn()
                 if app:
                     ctx = RoundContext(round_no, key, self)
-                    if batch is None:
-                        actor.handle_app(app, ctx)
-                        self._check_lane_step(key, ctx)
-                    else:
-                        lane.append((key, actor, app, ctx))
-            if batch is None:
-                yield key, ctx, run
-            else:
-                plan.append((key, ctx, run))
-        if batch or lane:
-            self._batch_stepper.run_batch(batch, lane)
+                    lane.append((key, actor, app, ctx))
+            plan.append((key, ctx, run))
+        if items or lane:
+            (self._batch_stepper or SerialStepper).run_batch(items, lane)
             for key, _actor, _mail, ctx in lane:
                 self._check_lane_step(key, ctx)
-        yield from plan
+        return plan
 
     @staticmethod
     def _check_lane_step(key: Hashable, ctx: RoundContext) -> None:
@@ -1165,19 +1162,12 @@ class SynchronousScheduler:
         onces: List[List[Envelope]] = []
         executed = 0
         replayed = 0
-        # the working dirty and mail sets are detached so marks added
-        # DURING the round (mid-round remove_actor / mark_dirty / post)
-        # accumulate in fresh sets and survive the end-of-round
-        # reassignment; carries added mid-round likewise wait one extra
-        # round
+        # the round's working sets; the next round's fill up from empty
         dirty = self._dirty
-        self._dirty = set()
         carry_due = self._dirty_carry
         self._dirty_carry = set()
         mail = self._lane_targets
         self._lane_targets = set()
-        self._posted_mid_round = set()
-        self._in_round = True
         work = keys
         if active is not None:
             work = [key for key in keys if key in active]
@@ -1195,7 +1185,7 @@ class SynchronousScheduler:
             else:
                 # quiescent: the steady emissions repeat without rules
                 replayed += 1
-            contributions.append(self._sub_flows(key) if by_flow else self._out.get(key, []))
+            contributions.append(self._out_by[key] if by_flow else self._out[key])
             if ctx is not None and ctx._once:
                 # one-shot sends go out right after the steady outbox; they
                 # never enter ``_out``, so sender and target both stay valid
@@ -1243,10 +1233,7 @@ class SynchronousScheduler:
         self.state_changed_keys = changed_keys
         self.executed_last_round = executed
         self.replayed_last_round = replayed
-        self._in_round = False
-        self._posted_mid_round = set()
         newly_dirty |= carry_due
-        newly_dirty |= self._dirty  # marks added mid-round
         newly_dirty.update(self._wake.pop(round_no + 1, ()))
         self._lane_targets.update(self._mail_at.pop(round_no + 1, ()))
         self._dirty = newly_dirty
@@ -1295,9 +1282,7 @@ class SynchronousScheduler:
             self._switched_from = None
             delay, old_delay = model.delay, old_model.delay
             for key in keys:
-                out = self._out.get(key)
-                if out is None:  # removed mid-round: fed by remove_actor
-                    continue
+                out = self._out[key]
                 patch = patches.get(key)
                 self._fronts(
                     q,

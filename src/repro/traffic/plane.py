@@ -777,6 +777,8 @@ class TrafficPlane:
 
     def run(self, rounds: int) -> None:
         """Execute ``rounds`` traffic-carrying rounds."""
+        if rounds < 0:
+            raise ValueError(f"rounds must be non-negative, got {rounds}")
         for _ in range(rounds):
             self.run_round()
 

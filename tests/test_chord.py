@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.chord.network import ChordNetwork
-from repro.chord.node import FingerTable
+from repro.chord.node import ChordPeer, FingerTable
 from repro.core.ideal import chord_successor
 from repro.idspace.ring import IdSpace
 from repro.workloads.initial import random_peer_ids
@@ -72,6 +72,13 @@ class TestPerfectRing:
         net.add_peer(5)
         with pytest.raises(ValueError):
             net.add_peer(5)
+
+    def test_negative_fingers_per_round_rejected(self):
+        with pytest.raises(ValueError, match=r"^fingers_per_round must be non-negative, got -1$"):
+            ChordPeer(some_ids(1)[0], SPACE, fingers_per_round=-1)
+        with pytest.raises(ValueError, match="fingers_per_round"):
+            ChordNetwork(SPACE, fingers_per_round=-1).add_peer(some_ids(1)[0])
+        assert ChordPeer(some_ids(1)[0], SPACE, fingers_per_round=0).fingers_per_round == 0
 
 
 class TestLookups:

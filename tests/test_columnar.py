@@ -5,8 +5,8 @@ batched dirty-set rule evaluation, bulk per-round delivery, the tracked
 loop on dense rounds) must be **round-for-round equivalent** to the
 full-scan spec: same :class:`StabilizationReport`, same
 ``fingerprint()`` at every boundary, and same rule-firing counters —
-across churn, mid-round membership surgery, partial activation, latency
-models, drop filters, and whole scenario campaigns.  These tests drive
+across churn, partial activation, latency models, drop filters, and
+whole scenario campaigns.  These tests drive
 the kernel as shipped, the kernel with its columnar loop forced on every
 round, and the spec over the same inputs and compare.
 
@@ -260,33 +260,6 @@ class TestColumnarLockstep:
                 assert len(asked) == 2 and all(set(wave) <= o for o in asked)
             assert_equivalent(nets, f"at round {r} after a {event} wave")
 
-    def test_mid_round_removal_stays_equivalent(self):
-        """A peer removed DURING a round after it already emitted: the
-        columnar engine must ghost its final outbox for exactly one
-        round, then expire it."""
-        nets = build_triple(10, 71)
-        for net in nets:
-            net.run_until_stable(max_rounds=4000)
-        victim = nets[0].peer_ids[4]
-        for net in nets:
-            class Remover:
-                def __init__(self, net):
-                    self.net = net
-                    self.done = False
-
-                def step(self, inbox, ctx):
-                    if not self.done:
-                        self.done = True
-                        self.net._remove_peer(victim)
-
-            # sorts AFTER every peer id: the victim has already executed
-            # (and emitted) when it is removed mid-round
-            net.scheduler.add_actor(2**70, Remover(net))
-        for r in range(40):
-            for net in nets:
-                net.run_round()
-            assert_equivalent(nets, f"at round {r}")
-
     def test_partial_activation_then_stability(self):
         """Partial rounds force the columnar engine onto the parent
         path; re-entry afterwards must agree with both kernels."""
@@ -482,7 +455,7 @@ def audit_columns(sched: ColumnarScheduler) -> None:
             assert sub.owners() == {o for env in sub for o in referenced_owners(env)}
             flow_pending += len(sub)
             pending += sum(envelope_fingerprint(env) for env in sub)
-    for boxes in (sched._pre_buffer, sched._lane, sched._inboxes):
+    for boxes in (sched._lane, sched._inboxes):
         for box in boxes.values():
             pending += sum(envelope_fingerprint(env) for env in box)
     assert sched.config_hash()[1] == pending & HASH_MASK
@@ -515,19 +488,6 @@ def audit_columns(sched: ColumnarScheduler) -> None:
                 assert sched._flow_in[target][key] is sub
 
 
-class _Remover:
-    """A harness actor that makes ``victim`` leave once, mid-round: its
-    farewell posts reach targets whose step already passed."""
-
-    def __init__(self, net, victim):
-        self.net, self.victim = net, victim
-
-    def step(self, inbox, ctx):
-        if self.victim is not None:
-            self.net.leave(self.victim)
-            self.victim = None
-
-
 class TestSubFlowAccounting:
     """The columnar loop's own bookkeeping: every network here forces it
     (a dense round would run the tracked loop, and the audits below only
@@ -536,9 +496,11 @@ class TestSubFlowAccounting:
     def test_totals_equal_a_rebuild_at_every_boundary_of_a_churn_run(self):
         """Changed / stopped / started sub-flows (join, leave), dead
         targets and a revival (crash, re-join of the crashed id), ghosts
-        and pre-buffered farewell posts (a mid-round leave), filtered
-        sub-flows (a partition that outlasts re-entry): the audit holds at
-        every columnar boundary, and the spec agrees throughout."""
+        and buffered farewell posts (a leave), filtered sub-flows (a
+        partition that outlasts re-entry): the audit holds at every
+        columnar boundary, and the spec agrees throughout.  A removal's
+        ghosts and farewell posts are consumed in the very next round,
+        so the audit also runs right after each event, before it."""
         spec = build_random_network(n=14, seed=8, engine="full")
         net = force_columnar(build_random_network(n=14, seed=8))
         sched = net.scheduler
@@ -551,6 +513,23 @@ class TestSubFlowAccounting:
             return (env.sender in side) != (env.target in side)
 
         seen = dict.fromkeys(("audits", "ghost", "dead", "filtered", "ghost ref", "posted ref"), 0)
+
+        def audit():
+            if not sched._cols_active:
+                return
+            audit_columns(sched)
+            seen["audits"] += 1
+            seen["ghost"] += bool(sched._ghost)
+            seen["dead"] += bool(sched._dead_in)
+            seen["filtered"] += sched._drop_filter is not None
+            # what the ref query scans beyond the steady flows
+            seen["ghost ref"] += any(
+                sub.owners() for subs in sched._ghost.values() for sub in subs.values()
+            )
+            seen["posted ref"] += any(
+                referenced_owners(env) for box in sched._inboxes.values() for env in box
+            )
+
         for r in range(150):
             for n in (spec, net):
                 if r == 30:
@@ -562,31 +541,17 @@ class TestSubFlowAccounting:
                 elif r == 80:
                     n.join(crashed, ids[1])
                 elif r == 95:
-                    n.scheduler.add_actor(2**70, _Remover(n, ghosted))
-                elif r == 97:
-                    n.scheduler.remove_actor(2**70)
+                    n.leave(ghosted)
                 elif r == 110:
                     n.scheduler.set_drop_filter(cut)
                 elif r == 135:
                     n.scheduler.set_drop_filter(None)
+            if r in (30, 50, 65, 80, 95):
+                audit()
+            for n in (spec, net):
                 n.run_round()
             assert net.fingerprint() == spec.fingerprint(), f"at round {r}"
-            if sched._cols_active:
-                audit_columns(sched)
-                seen["audits"] += 1
-                seen["ghost"] += bool(sched._ghost)
-                seen["dead"] += bool(sched._dead_in)
-                seen["filtered"] += sched._drop_filter is not None
-                # what the ref query scans beyond the steady flows
-                seen["ghost ref"] += any(
-                    sub.owners() for subs in sched._ghost.values() for sub in subs.values()
-                )
-                seen["posted ref"] += any(
-                    referenced_owners(env)
-                    for boxes in (sched._pre_buffer, sched._inboxes)
-                    for box in boxes.values()
-                    for env in box
-                )
+            audit()
         assert seen["audits"] > 100 and all(seen.values()), seen
         assert crashed in net.peers and crashed not in sched._dead_in
 

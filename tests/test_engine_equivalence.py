@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.network import ReChordNetwork
+from repro.core.network import NotStableError, ReChordNetwork
 from repro.netsim.rng import SeedSequence
 from repro.workloads.churn import ChurnSchedule, apply_event
 from repro.workloads.initial import (
@@ -219,37 +219,40 @@ class TestExternalMutationEquivalence:
             b.run_round()
             assert a.fingerprint() == b.fingerprint(), f"diverged at round {r}"
 
-    def test_mid_round_removal_of_tracked_actor_stays_equivalent(self):
-        """Regression: dirty marks added DURING a round (mid-round
-        remove_actor) must survive the end-of-round dirty-set rebuild,
-        including the extra carry round when the vanished flow leaves
-        receivers' inboxes."""
-        a = build_random_network(n=10, seed=71)
-        b = build_random_network(n=10, seed=71, engine="full")
-        a.run_until_stable(max_rounds=4000)
-        b.run_until_stable(max_rounds=4000)
-        victim = a.peer_ids[4]
-        for net in (a, b):
-            sched = net.scheduler
+    @pytest.mark.parametrize(
+        "reconfigure",
+        [
+            lambda net: net.scheduler.set_drop_filter(lambda env: env.target == net.peer_ids[4]),
+            lambda net: net.set_delivery_model({"kind": "constant", "delay": 2}),
+        ],
+        ids=["drop_filter", "delivery_model"],
+    )
+    @pytest.mark.parametrize("engine", ["full", "columnar"])
+    def test_a_step_that_reconfigures_the_scheduler_fails_loudly(self, engine, reconfigure):
+        """Regression: a harness actor that installed a drop filter or a
+        delivery model from inside its step made the columnar kernel
+        diverge from the spec.  Rounds are atomic now: the spec loop
+        refuses the change, and the batched pipeline refuses the actor."""
 
-            class Remover:
-                def __init__(self, net):
-                    self.net = net
-                    self.done = False
+        class Reconfigurer:
+            def __init__(self, net):
+                self.net = net
 
-                def step(self, inbox, ctx):
-                    if not self.done:
-                        self.done = True
-                        self.net._remove_peer(victim)
+            def step(self, inbox, ctx):
+                reconfigure(self.net)
 
-            # the remover must sort AFTER every peer id so the victim has
-            # already executed (and emitted) when it is removed mid-round
-            sched.add_actor(2**70, Remover(net))
-        for r in range(40):
-            a.run_round()
-            b.run_round()
-            assert a.fingerprint() == b.fingerprint(), f"diverged at round {r}"
-            assert a.counters().fires == b.counters().fires, f"counters at {r}"
+        net = build_random_network(n=10, seed=71, engine=engine)
+        net.run_until_stable(max_rounds=4000)
+        # sorts after every peer id: each peer has stepped when it runs
+        net.scheduler.add_actor(2**70, Reconfigurer(net))
+        if engine == "full":
+            error, match = RuntimeError, "called from inside a step"
+        else:
+            error, match = TypeError, f"actor {2**70!r} is not a ReChordPeer"
+        with pytest.raises(error, match=match) as failed:
+            net.run_until_stable(max_rounds=10)
+        # a broken contract is not scored as non-convergence
+        assert not isinstance(failed.value, NotStableError)
 
     def test_incremental_fingerprint_tracks_configuration(self):
         """The rolling hash is constant across stable rounds and moves

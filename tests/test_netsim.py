@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.netsim.columnar import ColumnarScheduler
 from repro.netsim.messages import Envelope
 from repro.netsim.rng import SeedSequence
 from repro.netsim.scheduler import SynchronousScheduler
 from repro.telemetry import TelemetryRecorder
+
+
+def scheduler(tracking: bool) -> SynchronousScheduler:
+    """The activity-tracked kernel, or the spec loop."""
+    return ColumnarScheduler() if tracking else SynchronousScheduler()
 
 
 class Echo:
@@ -23,8 +29,13 @@ class Echo:
 
 
 class TestScheduler:
+    """Delivery semantics on the spec loop; the subclasses below rerun
+    every test on the columnar kernel's two loops."""
+
+    kernel = SynchronousScheduler
+
     def test_message_delivered_next_round(self):
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         a = Echo(lambda inbox, ctx: ctx.send("b", "hi") if ctx.round_no == 0 else None)
         b = Echo()
         sched.add_actor("a", a)
@@ -36,7 +47,7 @@ class TestScheduler:
 
     def test_same_round_send_not_visible(self):
         """Even if the sender steps before the receiver, delivery waits."""
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         a = Echo(lambda inbox, ctx: ctx.send("z", "x"))
         z = Echo()
         sched.add_actor("a", a)  # "a" sorts before "z"
@@ -45,13 +56,13 @@ class TestScheduler:
         assert z.inboxes == [[]]
 
     def test_messages_to_unknown_actor_dropped(self):
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         sched.add_actor("a", Echo(lambda i, c: c.send("ghost", 1)))
         sched.run_round()
         assert sched.dropped_last_round == 1
 
     def test_removed_actor_loses_pending(self):
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         b = Echo()
         sched.add_actor("a", Echo(lambda i, c: c.send("b", 1)))
         sched.add_actor("b", b)
@@ -62,20 +73,20 @@ class TestScheduler:
         assert b.inboxes[-1] == []
 
     def test_duplicate_actor_rejected(self):
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         sched.add_actor("a", Echo())
         with pytest.raises(KeyError):
             sched.add_actor("a", Echo())
 
     def test_actor_exists_oracle(self):
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         seen = []
         sched.add_actor("a", Echo(lambda i, c: seen.append((c.actor_exists("a"), c.actor_exists("x")))))
         sched.run_round()
         assert seen == [(True, False)]
 
     def test_run_until_counts_rounds(self):
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         counter = {"n": 0}
 
         def plan(inbox, ctx):
@@ -86,21 +97,21 @@ class TestScheduler:
         assert rounds == 3
 
     def test_run_until_raises_on_budget(self):
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         sched.add_actor("a", Echo())
         with pytest.raises(RuntimeError):
             sched.run_until(lambda: False, max_rounds=2)
 
     def test_run_until_zero_if_already_true(self):
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         assert sched.run_until(lambda: True, max_rounds=1) == 0
 
     def test_negative_rounds_rejected(self):
         with pytest.raises(ValueError):
-            SynchronousScheduler().run(-1)
+            self.kernel().run(-1)
 
     def test_post_injects_for_next_round(self):
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         b = Echo()
         sched.add_actor("b", b)
         assert sched.post(Envelope("ext", "b", "ping"))
@@ -108,11 +119,11 @@ class TestScheduler:
         assert b.inboxes == [["ping"]]
 
     def test_post_to_missing_actor(self):
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         assert not sched.post(Envelope("ext", "nope", 1))
 
     def test_all_pending_snapshot(self):
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         sched.add_actor("a", Echo(lambda i, c: c.send("b", 1)))
         sched.add_actor("b", Echo())
         sched.run_round()
@@ -120,16 +131,29 @@ class TestScheduler:
         assert len(pending) == 1 and pending[0].payload == 1
 
     def test_round_counter(self):
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         sched.add_actor("a", Echo())
         sched.run(5)
         assert sched.round_no == 5
 
     def test_actor_keys_sorted(self):
-        sched = SynchronousScheduler()
+        sched = self.kernel()
         for k in (3, 1, 2):
             sched.add_actor(k, Echo())
         assert sched.actor_keys() == [1, 2, 3]
+
+
+class TestSchedulerTrackedLoop(TestScheduler):
+    # toy actors have no probes: every actor is dirty, every round dense
+    kernel = ColumnarScheduler
+
+
+class TestSchedulerColumnarLoop(TestScheduler):
+    @staticmethod
+    def kernel():
+        sched = ColumnarScheduler()
+        sched.DENSE_SHARE = 1.0  # no round is dense
+        return sched
 
 
 class TestSchedulerSemanticsRegressions:
@@ -142,7 +166,7 @@ class TestSchedulerSemanticsRegressions:
 
     @pytest.mark.parametrize("tracking", [True, False])
     def test_post_to_unregistered_returns_false_without_raising(self, tracking):
-        sched = SynchronousScheduler(activity_tracking=tracking)
+        sched = scheduler(tracking)
         sched.add_actor("a", Echo())
         assert sched.post(Envelope("ext", "ghost", 1)) is False
         # and the failed post left no residue: the round runs normally
@@ -150,27 +174,8 @@ class TestSchedulerSemanticsRegressions:
         assert sched.dropped_last_round == 0
 
     @pytest.mark.parametrize("tracking", [True, False])
-    def test_mid_round_remove_drops_mail_and_counts(self, tracking):
-        """An actor removing a peer mid-round: messages already sent to
-        the removed actor this round are dropped and counted."""
-        sched = SynchronousScheduler(activity_tracking=tracking)
-
-        def killer_plan(inbox, ctx):
-            if sched.has_actor("victim"):
-                sched.remove_actor("victim")
-
-        victim = Echo()
-        sched.add_actor("a_sender", Echo(lambda i, c: c.send("victim", "mail")))
-        sched.add_actor("killer", Echo(killer_plan))
-        sched.add_actor("victim", victim)
-        sched.run_round()
-        assert not sched.has_actor("victim")
-        assert sched.dropped_last_round == 1
-        assert victim.inboxes in ([], [[]])  # never saw the dropped mail
-
-    @pytest.mark.parametrize("tracking", [True, False])
     def test_partial_activation_preserves_sleeping_inboxes_exactly(self, tracking):
-        sched = SynchronousScheduler(activity_tracking=tracking)
+        sched = scheduler(tracking)
         sleeper = Echo()
         sched.add_actor("talker", Echo(lambda i, c: c.send("sleeper", c.round_no)))
         sched.add_actor("sleeper", sleeper)
@@ -208,49 +213,95 @@ class TestSchedulerSemanticsRegressions:
         executed, replayed = net.activity_stats()
         assert executed == 1 and replayed == len(net.peers) - 1
 
-    def test_mid_round_post_to_quiescent_actor_is_delivered(self):
-        """Regression: a post() issued DURING a round must not be eaten
-        by a later-sorted quiescent actor's replay inbox-clear — the
-        legacy kernel delivers it the same round."""
-
-        class Quiet:
-            """Probe-implementing actor that records payloads."""
-
-            def __init__(self):
-                self.got = []
-                self._v = 0
-
-            def step(self, inbox, ctx):
-                self.got.extend(e.payload for e in inbox)
-
-            def state_version(self):
-                return self._v
-
-            def state_token(self):
-                return ("quiet", self._v)
-
-        results = {}
-        for tracking in (True, False):
-            sched = SynchronousScheduler(activity_tracking=tracking)
-            quiet = Quiet()
-
-            def poster_plan(inbox, ctx, s=sched):
-                if ctx.round_no == 2:
-                    s.post(Envelope("ext", "z_quiet", "HELLO"))
-
-            sched.add_actor("a_poster", Echo(poster_plan))
-            sched.add_actor("z_quiet", quiet)
-            for _ in range(5):
-                sched.run_round()
-            results[tracking] = list(quiet.got)
-        assert "HELLO" in results[True]
-        assert results[True] == results[False]
-
     def test_dirty_count_reports_registered_only(self):
-        sched = SynchronousScheduler(activity_tracking=True)
+        sched = ColumnarScheduler()
         sched.add_actor("a", Echo())
         sched.mark_dirty("ghost")
         assert sched.dirty_count() == 1  # "a" only; ghost not registered
+
+
+class Meddler:
+    """A probed toy actor that is clean unless marked dirty; once armed,
+    its next step records which loop ran it and then calls ``meddle``."""
+
+    def __init__(self, sched):
+        self.sched = sched
+        self.meddle = None
+        self.loop = None
+
+    def state_version(self):
+        return 0
+
+    def state_token(self):
+        return ()
+
+    def step(self, inbox, ctx):
+        ctx.send("b", "beat")
+        if self.meddle is not None:
+            self.loop = getattr(self.sched, "_cols_active", None)
+            self.meddle(self.sched)
+
+
+#: every scheduler change, as made from inside a step
+CHANGES = {
+    "add_actor": lambda s: s.add_actor("new", Echo()),
+    "remove_actor": lambda s: s.remove_actor("b"),
+    "post": lambda s: s.post(Envelope("a", "b", "x")),
+    "post_batch": lambda s: s.post_batch([Envelope("a", "b", "x")]),
+    "mark_dirty": lambda s: s.mark_dirty("b"),
+    "set_drop_filter": lambda s: s.set_drop_filter(lambda env: True),
+    "set_delivery_model": lambda s: s.set_delivery_model({"kind": "constant", "delay": 3}),
+    "set_daemon": lambda s: s.set_daemon("full"),
+}
+
+
+def meddling_scheduler(loop: str):
+    """A scheduler of four clean actors plus a dirty meddler ("a", armed
+    by setting its ``meddle``), whose next round runs in ``loop``; also
+    returns the ``_cols_active`` value that loop shows during a step
+    (``None``: the spec loop)."""
+    if loop == "spec":
+        sched, expected = SynchronousScheduler(), None
+    else:
+        sched = ColumnarScheduler()
+        # columnar: no round is dense; dense: every round is
+        sched.DENSE_SHARE = 1.0 if loop == "columnar" else 0.0
+        expected = loop == "columnar"
+    meddler = Meddler(sched)
+    sched.add_actor("a", meddler)
+    for key in "bcde":
+        sched.add_actor(key, Meddler(sched))
+    if loop == "latency":
+        sched.set_delivery_model({"kind": "constant", "delay": 2})
+    sched.run(6)
+    if sched.activity_tracking:
+        assert sched.executed_last_round == 0  # everyone replays
+    sched.mark_dirty("a")
+    return sched, meddler, expected
+
+
+class TestRoundsAreAtomic:
+    """Nothing changes the scheduler from inside a step: every change
+    raises ``RuntimeError`` naming itself, in every loop."""
+
+    @pytest.mark.parametrize("loop", ["spec", "columnar", "dense", "latency"])
+    @pytest.mark.parametrize("call", sorted(CHANGES))
+    def test_a_change_from_inside_a_step_raises(self, call, loop):
+        sched, meddler, expected = meddling_scheduler(loop)
+        meddler.meddle = CHANGES[call]
+        with pytest.raises(RuntimeError, match=rf"^{call}\(\) called from inside a step"):
+            sched.run_round()
+        assert meddler.loop is expected
+        # the failed round still ends: the boundary takes the change
+        CHANGES[call](sched)
+
+    @pytest.mark.parametrize("loop", ["spec", "columnar", "dense", "latency"])
+    def test_the_same_changes_between_rounds_go_through(self, loop):
+        sched, _, _ = meddling_scheduler(loop)
+        for call in sorted(CHANGES):
+            CHANGES[call](sched)
+            sched.run_round()
+        assert sched.has_actor("new") and not sched.has_actor("b")
 
 
 class TestTrace:
@@ -258,15 +309,16 @@ class TestTrace:
     per-round sink: ``(sent, dropped, executed, replayed)``."""
 
     def test_records_per_round(self):
-        rec = TelemetryRecorder()
-        sched = SynchronousScheduler()
-        sched.set_telemetry(rec)
-        sched.add_actor("a", Echo(lambda i, c: c.send("a", "x")))
-        sched.run(3)
-        assert len(rec.rounds) == 3
-        assert [sent for sent, _, _, _ in rec.rounds] == [1, 1, 1]
-        assert rec.census()["sent"] == 3
-        assert max(sent for sent, _, _, _ in rec.rounds) == 1
+        for tracking in (False, True):
+            rec = TelemetryRecorder()
+            sched = scheduler(tracking)
+            sched.set_telemetry(rec)
+            sched.add_actor("a", Echo(lambda i, c: c.send("a", "x")))
+            sched.run(3)
+            assert len(rec.rounds) == 3
+            assert [sent for sent, _, _, _ in rec.rounds] == [1, 1, 1]
+            assert rec.census()["sent"] == 3
+            assert max(sent for sent, _, _, _ in rec.rounds) == 1
 
     def test_clear(self):
         rec = TelemetryRecorder()
@@ -276,7 +328,7 @@ class TestTrace:
 
     def test_rounds_copy(self):
         rec = TelemetryRecorder()
-        sched = SynchronousScheduler(activity_tracking=False)
+        sched = SynchronousScheduler()
         sched.set_telemetry(rec)
         sched.add_actor("a", Echo(lambda i, c: (c.send("a", "x"), c.send("gone", "y"))))
         sched.run(1)

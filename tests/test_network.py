@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.network import ReChordNetwork, StabilizationReport
+from repro.core.network import NotStableError, ReChordNetwork, StabilizationReport
 from repro.core.noderef import NodeRef
 from repro.core.protocol import REF_DEAD, REF_OK, REF_PHANTOM
 from repro.graphs.digraph import EdgeKind
@@ -31,6 +31,14 @@ class TestConstruction:
         net = ReChordNetwork(SPACE)
         with pytest.raises(ValueError):
             net.add_peer(SPACE.size)
+
+    def test_negative_rounds_rejected(self):
+        net = ReChordNetwork(SPACE)
+        net.add_peer(100)
+        with pytest.raises(ValueError, match=r"^rounds must be non-negative, got -1$"):
+            net.run(-1)
+        net.run(0)
+        assert net.round_no == 0
 
     def test_initial_edge_kinds(self):
         net = ReChordNetwork(SPACE)
@@ -120,9 +128,10 @@ class TestSnapshotsAndReports:
     def test_unstable_raises(self):
         from repro.workloads.initial import build_random_network
 
-        net = build_random_network(n=10, seed=3)
-        with pytest.raises(RuntimeError):
-            net.run_until_stable(max_rounds=1)
+        for engine in ("columnar", "full"):
+            net = build_random_network(n=10, seed=3, engine=engine)
+            with pytest.raises(NotStableError, match="not stable within 1 rounds"):
+                net.run_until_stable(max_rounds=1)
 
     def test_counters_accumulate(self):
         net = stabilized(6, seed=4)

@@ -37,6 +37,7 @@ from hypothesis import strategies as st
 
 from repro.dht.lookup import ReChordRouter
 from repro.dht.storage import KeyValueStore
+from repro.netsim.columnar import ColumnarScheduler
 from repro.netsim.messages import AppPayload, Envelope, SubFlow
 from repro.netsim.scheduler import SynchronousScheduler
 from repro.netsim.timemodel import (
@@ -206,7 +207,7 @@ class TestDaemons:
             assert daemon.select(r, self.KEYS) == again.select(r, self.KEYS)
 
     def test_scheduler_consults_daemon(self):
-        sched = SynchronousScheduler(activity_tracking=True)
+        sched = ColumnarScheduler()
         actors = {k: Recorder() for k in range(4)}
         for k, actor in actors.items():
             sched.add_actor(k, actor)
@@ -221,7 +222,7 @@ class TestDaemons:
 
 class TestDeliverySemantics:
     def build(self, model):
-        sched = SynchronousScheduler(activity_tracking=True)
+        sched = ColumnarScheduler()
         sink = Recorder()
         sched.add_actor("sink", sink)
         sched.add_actor("src", Recorder())
@@ -565,7 +566,7 @@ class TestWakeWheel:
     """Kernel level: who executes when, and when the flag is raised."""
 
     def build(self, model):
-        sched = SynchronousScheduler(activity_tracking=True)
+        sched = ColumnarScheduler()
         src, sink = Toy(), Toy()
         sched.add_actor("src", src)
         sched.add_actor("sink", sink)

@@ -349,6 +349,14 @@ class TestOptionBounds:
             plane.issue_batch([], **{name: value})
         assert plane.collector.summary()["issued"] == 0
 
+    def test_negative_rounds_rejected(self):
+        net, plane = make_traffic_net(6, seed=3)
+        with pytest.raises(ValueError, match=r"^rounds must be non-negative, got -1$"):
+            plane.run(-1)
+        start = net.round_no
+        plane.run(0)
+        assert net.round_no == start
+
     def test_budgets_of_one_are_accepted(self):
         net = stabilized(6, seed=3)
         plane = TrafficPlane(net, default_ttl=1, default_deadline=1)

@@ -19,10 +19,18 @@ next to its metrics.  A run executes instances until its time is up, so
 a faster side runs more of them; ``op_success_share`` then averages over
 different instances, and the report flags it.
 
+With ``--sim`` it checks instead that every simulated statistic is
+unchanged: one ``--trace 1`` run per side for every workload at seeds
+2011 and 77, comparing ``detail.sim``, the bound-0 keys of
+``detail.campaign`` and every per-layer count, rounds and share metric
+except the host-time-driven ones.  It prints ``identical`` or each
+differing key per workload and seed, and exits 1 on any difference.
+
 Usage::
 
     python tools/ab_bench.py --workload restabilize --pairs 10
     python tools/ab_bench.py --workload traffic_steady --seed 77 --pairs 5 --parent HEAD~1
+    python tools/ab_bench.py --sim [--parent REV]
 
 The script reads ``BENCHMARK.json`` and runs ``bench/``; it edits
 neither.  Run it on an otherwise idle machine: the two sides share it.
@@ -36,10 +44,19 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+#: the seeds ``--sim`` compares at
+SIM_SEEDS = (2011, 77)
+#: per-layer units that measure simulated work, compared exactly ...
+SIM_UNITS = ("count", "rounds", "share")
+#: ... except these metrics, which host time drives
+TIMED = ("bench.", "telemetry.overhead_share")
+#: the campaign keys with a nonzero bound (host time)
+TIMED_CAMPAIGN = ("wall_s", "rounds_per_s")
 
 
 def run_once(command: List[str], checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
@@ -58,6 +75,65 @@ def run_once(command: List[str], checkout: Path, workload: str, seed: int, secon
     values = {name: metric["value"] for name, metric in result["metrics"].items()}
     values["attempted"] = result["attempted"]
     return values
+
+
+def sim_run(command: List[str], checkout: Path, workload: str, seed: int) -> Dict[str, Any]:
+    """One ``--trace 1`` run in ``checkout``: its simulated statistics,
+    flattened to ``key -> value``."""
+    argv = command + ["--workload", workload, "--seed", str(seed), "--trace", "1"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} failed in {checkout}:\n{done.stderr[-2000:]}")
+    lines = done.stdout.strip().splitlines()
+    detail = json.loads(lines[-2])["detail"]
+    stats = {f"detail.sim.{key}": value for key, value in detail["sim"].items()}
+    stats.update(
+        (f"detail.campaign.{key}", value)
+        for key, value in detail["campaign"].items() if key not in TIMED_CAMPAIGN
+    )
+    stats.update(
+        (name, cell["value"])
+        for name, cell in json.loads(lines[-1])["metrics"].items()
+        if cell["unit"] in SIM_UNITS and not name.startswith(TIMED)
+    )
+    return stats
+
+
+def sim_diff(parent: Dict[str, Any], change: Dict[str, Any]) -> List[str]:
+    """The keys whose values differ (or exist on one side only)."""
+    missing = "<missing>"
+    return [
+        f"{key}: {parent.get(key, missing)!r} -> {change.get(key, missing)!r}"
+        for key in sorted(parent.keys() | change.keys())
+        if parent.get(key, missing) != change.get(key, missing)
+    ]
+
+
+@contextmanager
+def parent_checkout(rev: str) -> Iterator[Path]:
+    """A local clone of this repository at ``rev``, removed afterwards."""
+    with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
+        parent_dir = Path(tmp) / "parent"
+        subprocess.run(["git", "clone", "-q", "--no-hardlinks", str(ROOT), str(parent_dir)], check=True)
+        subprocess.run(["git", "-C", str(parent_dir), "checkout", "-q", "--detach", rev], check=True)
+        yield parent_dir
+
+
+def check_sim(command: List[str], workloads: List[str], rev: str) -> int:
+    """``--sim``: every simulated statistic, parent against working tree."""
+    differing = 0
+    with parent_checkout(rev) as parent_dir:
+        for workload in workloads:
+            for seed in SIM_SEEDS:
+                diff = sim_diff(
+                    sim_run(command, parent_dir, workload, seed),
+                    sim_run(command, ROOT, workload, seed),
+                )
+                differing += bool(diff)
+                print(f"{workload} seed {seed}: {'identical' if not diff else 'DIFFERS'}", flush=True)
+                for line in diff:
+                    print(f"  {line}")
+    return 1 if differing else 0
 
 
 def quartiles(values: List[float]) -> Tuple[float, float, float]:
@@ -114,21 +190,24 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=workloads)
+    parser.add_argument("--workload", choices=workloads)
     parser.add_argument("--seed", type=int, default=2011)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--parent", default="HEAD", help="revision to compare the working tree against")
+    parser.add_argument("--sim", action="store_true",
+                        help="check every simulated statistic of every workload instead")
     args = parser.parse_args(argv)
+    if args.sim:
+        return check_sim(spec["command"], workloads, args.parent)
+    if args.workload is None:
+        parser.error("--workload is required (unless --sim)")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     seconds = spec["run_seconds"]
     parent_runs: List[Dict[str, float]] = []
     change_runs: List[Dict[str, float]] = []
-    with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
-        parent_dir = Path(tmp) / "parent"
-        subprocess.run(["git", "clone", "-q", "--no-hardlinks", str(ROOT), str(parent_dir)], check=True)
-        subprocess.run(["git", "-C", str(parent_dir), "checkout", "-q", "--detach", args.parent], check=True)
+    with parent_checkout(args.parent) as parent_dir:
         sides = [("parent", parent_dir, parent_runs), ("change", ROOT, change_runs)]
         for pair in range(args.pairs):
             for side, checkout, runs in (sides if pair % 2 == 0 else sides[::-1]):
