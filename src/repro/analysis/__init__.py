@@ -5,11 +5,9 @@ phases (Section 3.1): connection, linearization, ring, closest-real, and
 cleanup.  :mod:`repro.analysis.phases` turns each phase's postcondition
 into an executable predicate and tracks when each is reached during a
 run — reproducing the *structure* of the proof empirically, not just its
-endpoint.  :mod:`repro.analysis.viz` renders overlay states for
-debugging and documentation (ASCII ring, Graphviz DOT).
+endpoint.
 """
 
 from repro.analysis.phases import PhaseReport, PhaseTracker, phase_predicates
-from repro.analysis.viz import ascii_ring, to_dot
 
-__all__ = ["PhaseReport", "PhaseTracker", "phase_predicates", "ascii_ring", "to_dot"]
+__all__ = ["PhaseReport", "PhaseTracker", "phase_predicates"]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence
@@ -87,6 +88,14 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse ``type=`` for counts where 0 means none: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -238,8 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="trace every K-th op id (default: 1 = every op)",
     )
     obs.add_argument(
-        "--traces", type=int, default=3,
-        help="sampled op traces to print (default: 3)",
+        "--traces", type=non_negative_int, default=3,
+        help="sampled op traces to print (default: 3; 0 prints none)",
     )
     obs.add_argument(
         "--dump", type=str, default=None, metavar="FILE",
@@ -473,6 +482,27 @@ def _run_observe_command(args: argparse.Namespace) -> List[Table]:
     return [Table(None, "\n".join(lines))]
 
 
+def _check_destinations(args: argparse.Namespace) -> None:
+    """Refuse an output path the run could not write, before the run:
+    ``--out DIR`` is created now (as the write would) and must take a
+    file; ``--dump FILE`` must open for writing (an existing file is
+    left as it is until the dump replaces it)."""
+    for flag in ("--out", "--dump"):
+        path = getattr(args, flag[2:], None)
+        if path is None:
+            continue
+        try:
+            if flag == "--out":
+                path.mkdir(parents=True, exist_ok=True)
+                with tempfile.TemporaryFile(dir=path):
+                    pass
+            else:
+                with open(path, "a"):
+                    pass
+        except OSError as exc:
+            raise _InputError(f"{flag} {path}: cannot write there ({exc.strerror or exc})") from None
+
+
 def _dispatch(args: argparse.Namespace) -> List[Table]:
     rs = args.root_seed
     out: List[Table] = []
@@ -575,6 +605,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if unknown:  # a retired or misspelled flag: name it, no usage dump
             raise _InputError(f"unrecognized arguments: {' '.join(unknown)}")
+        _check_destinations(args)
         tables = _dispatch(args)
     except _InputError as exc:
         print(f"rechord: error: {exc}", file=sys.stderr)

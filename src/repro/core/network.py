@@ -433,7 +433,7 @@ class ReChordNetwork:
         level was just dropped: the full-scan engine purges/rewrites it
         after delivery, so a replayed receiver must be woken to do the
         same).  The kernel answers who they are
-        (:meth:`~repro.netsim.scheduler.SynchronousScheduler.ref_receivers`),
+        (:meth:`~repro.netsim.columnar.ColumnarScheduler.ref_receivers`),
         one query per batch of changed owners, whichever loop ran.
         """
         mark = self.scheduler.mark_dirty
@@ -661,7 +661,7 @@ class ReChordNetwork:
         The state half is maintained by the activity-tracked scheduler
         from dirty peers only — O(active work) per round; the pending
         half is counted on demand over the in-flight messages,
-        O(pending) per call (see ``SynchronousScheduler.config_hash``).
+        O(pending) per call (see ``ColumnarScheduler.config_hash``).
         Valid at round boundaries of the tracked kernel; equal
         configurations always hash equal, distinct ones collide with
         probability ~2^-64.
@@ -856,11 +856,10 @@ class ReChordNetwork:
 
     def counters(self) -> RuleCounters:
         """Merged rule-firing counters across all live peers."""
-        settle = getattr(self.scheduler, "settle_replays", None)
-        if settle is not None:
+        if self.incremental:
             # the columnar kernel defers quiescent-round counter replays;
-            # observation points settle them to the parent-exact values
-            settle()
+            # observation points settle them to the exact values
+            self.scheduler.settle_replays()
         merged = RuleCounters()
         for pid in sorted(self.peers):
             merged = merged.merged(self.peers[pid].counters)

@@ -162,7 +162,7 @@ class ReChordPeer:
         }
 
     # ------------------------------------------------------------------
-    # the application lane (see repro.netsim.scheduler)
+    # the application lane (see repro.netsim.columnar)
     # ------------------------------------------------------------------
     def handle_app(self, inbox: Sequence[Envelope], ctx: RoundContext) -> None:
         """A lane-only round: application mail, no rule pipeline.
@@ -203,7 +203,7 @@ class ReChordPeer:
             )
 
     # ------------------------------------------------------------------
-    # activity-tracking probes (see repro.netsim.scheduler)
+    # activity-tracking probes (see repro.netsim.columnar)
     # ------------------------------------------------------------------
     def state_version(self) -> int:
         """Cheap monotonic possibly-changed counter of the peer state."""

@@ -266,8 +266,8 @@ class RankIndex:
 class BatchedRuleEngine:
     """Phase-major executor for a round's batch of dirty ReChord peers.
 
-    Installed on a scheduler via ``set_batch_stepper``; the tracked
-    loops hand it the full list of ``(key, actor, inbox, ctx)`` step
+    Installed on the columnar kernel via ``set_batch_stepper``; both of
+    its loops hand it the full list of ``(key, actor, inbox, ctx)`` step
     items (in key order) of every round, instead of calling
     ``actor.step`` one by one.  It steps Re-Chord peers only.
     """

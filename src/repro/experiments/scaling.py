@@ -19,9 +19,8 @@ constructs the unique stable topology directly from
 :func:`repro.core.ideal.compute_ideal` and lets the constant message
 flow settle in a handful of rounds.  ``_post_churn_restabilize`` then
 times one single-join re-stabilization on it — the unit behind the
-``restabilize_*`` cases of ``benchmarks/gates.py`` and
-``benchmarks/run_columnar_100k.py``.  Kernel throughput over time is
-tracked by the ``bench/`` ledger.
+``restabilize_*`` cases of ``benchmarks/gates.py``.  Kernel throughput
+over time is tracked by the ``bench/`` ledger.
 """
 
 from __future__ import annotations

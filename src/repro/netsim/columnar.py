@@ -1,19 +1,145 @@
-"""The columnar dirty-set kernel: O(dirty work) rounds at scale.
+"""The columnar kernel: activity tracking and O(dirty work) rounds.
 
-The activity-tracked kernel in :mod:`repro.netsim.scheduler` already
-executes only dirty actors, but its *round loop* still costs O(n + E):
-every round it sorts all actor keys, iterates every actor (replaying the
-quiescent ones), clears every inbox, and re-appends every steady
-envelope.  At n = 10k-100k peers that per-round floor — not rule
-evaluation — dominates wall-clock time.
+:class:`ColumnarScheduler` is the fast kernel of ``engine="columnar"``.
+Its rounds are observably those of the spec loop
+(:class:`~repro.netsim.scheduler.SynchronousScheduler`), round for
+round, through two round loops of its own over one dirty set, one
+steady-emission cache and one application lane: the **tracked loop**
+(:meth:`ColumnarScheduler._run_round_tracked`) and the **columnar
+loop** (:meth:`ColumnarScheduler._run_round_columnar`).
 
-This subclass removes the floor by holding the steady state of the
+Activity tracking
+-----------------
+
+The kernel exploits the locality of self-stabilization (paper Theorems
+4.1/4.2: post-churn recovery only touches a neighborhood): instead of
+stepping every actor every round, it maintains a **dirty set** and only
+executes actors that can possibly behave differently from their last
+executed step.  An actor is dirty when
+
+* it was just registered, or externally marked via :meth:`mark_dirty`;
+* its state changed — detected cheaply via the optional ``state_version``
+  probe (a monotonic counter bumped by every mutating operation) and
+  confirmed exactly via the optional ``state_token`` probe (a canonical
+  state tuple), so transient within-step mutations that cancel out do
+  not keep an actor dirty;
+* a message other than application mail was :meth:`post`-ed to it; or
+* an actor whose *emissions changed* sent to it (receivers of both the
+  old and the new outbox are re-activated, so vanished flows wake their
+  former receivers too).
+
+A clean actor's round is **replayed** from the steady-emission cache:
+its inbox is consumed with no state effect, its cached outbox is re-sent
+verbatim, and its optional ``replay_step`` hook re-applies cached side
+effects (e.g. rule-counter increments).  This is exact, not heuristic:
+by induction a clean actor's inbox, application mail aside, equals the
+inbox of its last executed step, so re-running the (deterministic) step
+would reproduce the cached emissions and leave the state untouched.
+Actors that implement none of the probes are simply always dirty and
+keep the paper's every-actor semantics.
+
+One-shot application mail (an :class:`AppPayload` post, a delivered
+:meth:`RoundContext.send_once`) dirties nobody — the lane rule, the same
+in every loop: the rules never read it, so a clean receiver replays and
+runs only its ``handle_app`` hook on that mail (a *lane step*, counted
+as replayed).  The **mail set** (``_lane_targets``) names the actors
+that may hold some for their next step; a receiver without the hook
+executes.
+
+The O(active-work) stability flag :attr:`changed_last_round` (used by
+``ReChordNetwork.run_until_stable`` instead of a full O(n) fingerprint
+per round) is computed from **exact** comparisons only: per-actor state
+tokens plus per-actor emission comparisons against the steady-emission
+cache, with one-shot flags for posts and membership changes.  The
+scheduler additionally exposes a **configuration hash**
+(:meth:`config_hash`) — a 64-bit multiset sum over state-token hashes
+and all in-flight envelope hashes.  Its state half rolls, updated only
+from dirty actors; its pending half is counted on demand, O(pending),
+so no round pays per-envelope bookkeeping for it.  The hash is for
+external observation only; it is deliberately *not* part of the
+stability decision because a sum of non-cryptographic hashes admits
+structured collisions.  ``changed_last_round`` is meaningful only for
+fully activated rounds.  Partial activation (the asynchrony bridge) filters
+the tracked loop's work list — only awake actors step, and all of them
+execute — and the round conservatively marks every actor dirty and
+reports ``True``.
+
+Rounds are atomic (nothing changes the scheduler from inside a step),
+so both loops take every inbox of a round before any step runs and hand
+the round's steps to one stepper
+(:meth:`ColumnarScheduler.set_batch_stepper`; :class:`SerialStepper`
+when none is installed).
+
+Exactness under non-unit delivery
+---------------------------------
+
+Delayed sends wait in the base class's delivery-round-keyed queue
+(``_future``) and mature at its delivery point.  Exactness rules:
+
+* **matured steady mail dirties nobody.**  ``DeliveryModel.delay`` is a
+  pure function of envelope content, so a clean sender's replayed outbox
+  lands in the same inboxes with the same delays every round (the
+  tracked loop delivers it a sub-flow at a time, from each sub-flow's
+  cached delay buckets, without asking the model again): a
+  receiver's inbox can only differ from its replay baseline in a round
+  where a *change* of some sender's sub-flow arrives.  The **wake wheel**
+  (``round -> actors that must execute in it``; ``_dirty`` and
+  ``_dirty_carry`` are its next-round and round-after slots) is fed when
+  the change is made, for the round it arrives in:
+
+  1. a changed sub-flow (``_post_step``'s per-target patch, made in
+     round ``q``) wakes its target for ``q + d`` for every delay ``d``
+     at which the old and the new sub-flow differ (``d = 1``: the unit
+     rule, dirty next round);
+  2. a removed sender wakes its former receivers ``d`` rounds after its
+     last send, for each delay ``d`` of its cached outbox;
+  3. a delayed one-shot (``send_once``, a delayed ``post``) reaches its
+     target in the round that consumes it: application mail through the
+     mail set (``_mail_at``, the wheel's twin), anything else as a wake
+     for that round and the round after (the carry); a (re-)joining
+     actor runs again when the flows that were waiting for it land;
+  4. what redefines every delivery at once is conservative: a model
+     change wakes everyone for as long as an old- or new-delay front can
+     arrive (``delay_bound() + 1`` rounds), a partial round likewise,
+     unit delivery included (the sleepers' missing sends arrive as
+     gaps), a drop-filter change for the two rounds of the unit rule
+     (all delays are filtered at landing, so it takes effect at once).
+
+  Conservative wakes are always allowed, missed wakes never.  The
+  in-flight ref query of a liveness flip (:meth:`ref_receivers`) may
+  keep reading inboxes only: a receiver whose *current* inbox holds a
+  reference to the flipped owner executes now, and a later first
+  arrival is itself a sub-flow change, woken by the wheel;
+* :attr:`changed_last_round` stays exact and O(changed): the flow flags
+  are extended by a **flux horizon**.  An emission change of envelope
+  ``E`` (delay ``d``) effective from round ``q`` — started, stopped, or,
+  at a model switch, "the old-delay flow stops and the new-delay flow
+  starts" for every cached envelope whose delay differs — keeps the flag
+  raised for the boundaries of rounds ``q .. q+d-2`` (the front travels
+  through remaining ``d-1 .. 1``) and for ``q+d-1`` iff ``E`` is
+  deliverable when it lands (live target, not filtered: a delivery
+  dropped at maturity never reaches remaining 0).  A one-shot is a start
+  at ``q`` and a stop at ``q + 1``, which also flags the boundary of the
+  round that consumes it.  The unit model keeps the O(active-work) fast
+  path bit for bit, and takes over again once wheel, horizon and queue
+  are empty (:meth:`_unit_settled`).
+
+The columnar loop
+-----------------
+
+The tracked loop costs O(n + E) per round: every round it sorts all
+actor keys, iterates every actor (replaying the quiescent ones), clears
+every inbox, and re-appends every steady envelope.  At n = 10k-100k
+peers that per-round floor — not rule evaluation — dominates wall-clock
+time.
+
+The columnar loop removes the floor by holding the steady state of the
 network in *flow-indexed columns* instead of materialized per-round
 inboxes:
 
 * ``_flow_in[target][sender]`` — the delivered sub-flows of every
   sender's steady outbox, stored once and conceptually re-delivered
-  every boundary (the parent rebuilds these lists physically each
+  every boundary (the tracked loop rebuilds these lists physically each
   round).  Each is a :class:`~repro.netsim.messages.SubFlow`: an
   immutable value shared with the sender's outbox split, carrying its
   referenced owners, so all accounting below is per sub-flow and an
@@ -22,12 +148,12 @@ inboxes:
   of a removed sender, consumed at the target's next materialization;
 * the plain inbox buffer (``_inboxes``) — posts made since the last
   round, which sort after the flows at the next boundary (matching the
-  parent's physical append order exactly);
+  tracked loop's physical append order exactly);
 * ``_lane[target]`` — the application lane: one-shot sends
   (``RoundContext.send_once``) delivered at the last boundary, held
   outside the flow columns; their targets and those of ``AppPayload``
-  posts in the buffers make the parent's mail set ``_lane_targets``,
-  which is *not* dirty;
+  posts in the buffers make the mail set ``_lane_targets``, which is
+  *not* dirty;
 * ``_settled[key]`` — lazily settled rule-counter replays: a quiescent
   actor owes one replay delta per skipped round, applied in one batch
   (``replay_steps``) when it wakes or when counters are observed.
@@ -41,68 +167,156 @@ rounds is one query, not k), while an index would be updated on every
 flow patch and post.
 
 A round then touches only its work list — the key-sorted merge of the
-dirty set and the lane's targets.  Rounds are atomic (nothing changes
-the scheduler from inside a step), so every inbox is taken before any
-step runs and the round goes to the stepper as one batch.  A dirty
-actor *materializes* its inbox ``[flows + ghosts in sorted-sender
-order][lane mail][buffer]``, steps (rules, then the application
-handler), and has its outbox diffed against the steady cache.  A
-lane-only actor — clean, but holding application mail — runs only its
-``handle_app`` hook against its boundary state: the rule pipeline would
-reproduce the cached step, so the round counts and settles as a replay,
-and application messages never dirty the overlay (the parent's lane
-rule).  Flow patches, revivals and the round's one-shot sends are
-applied at the end-of-round delivery point, exactly where the parent
-delivers, so
-every boundary observable — fingerprints, pending multisets, change
-flags, sent/dropped/executed counts, rule counters at observation
-points — is bit-for-bit identical to the parent kernel (the
-differential suite in ``tests/test_columnar.py`` asserts this
-round-for-round).
+dirty set and the lane's targets.  A dirty actor *materializes* its
+inbox ``[flows + ghosts in sorted-sender order][lane mail][buffer]``,
+steps (rules, then the application handler), and has its outbox diffed
+against the steady cache.  A lane-only actor — clean, but holding
+application mail — runs only its ``handle_app`` hook against its
+boundary state: the rule pipeline would reproduce the cached step, so
+the round counts and settles as a replay, and application messages
+never dirty the overlay (the lane rule).  Flow patches, revivals and
+the round's one-shot sends are applied at the end-of-round delivery
+point, exactly where the tracked loop delivers, so every boundary
+observable — fingerprints, pending multisets, change flags,
+sent/dropped/executed counts, rule counters at observation points — is
+bit-for-bit identical to the tracked loop (the differential suite in
+``tests/test_columnar.py`` asserts this round-for-round).
 
-The fast path is only sound under the parent's unit-delivery flow
-induction, so the kernel drops back to the parent's tracked loop
-(draining its columns into real inboxes) whenever latency models,
-partial activation, or drop-filter changes appear, or a round is
-**dense** (:meth:`ColumnarScheduler._dense`: flat inboxes beat
-per-actor materialization when most actors execute), and re-enters one
-round after the last out-of-band flow event.  Both loops obey one lane
-rule, so application mail crosses either switch as it is: the exit
-drains the lane into the real inboxes in the parent's order and leaves
-its targets in the parent's mail set, the entry picks the mail back up
-from the inboxes.  The full-scan kernel remains the executable
-reference.
+The columnar loop is only sound under the unit-delivery flow induction,
+so the kernel drops back to the tracked loop (draining its columns into
+real inboxes) whenever latency models, partial activation, or
+drop-filter changes appear, or a round is **dense**
+(:meth:`ColumnarScheduler._dense`: flat inboxes beat per-actor
+materialization when most actors execute), and re-enters one round
+after the last out-of-band flow event.  Both loops obey one lane rule,
+so application mail crosses either switch as it is: the exit drains the
+lane into the real inboxes in the tracked loop's order and leaves its
+targets in the mail set, the entry picks the mail back up from the
+inboxes.  The full-scan spec loop remains the executable reference.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
+from operator import itemgetter
 from time import perf_counter as _perf
-from typing import Callable, Dict, Hashable, List, Optional, Set
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.netsim.messages import AppPayload, Envelope, SubFlow, receivers_referencing
-from repro.netsim.scheduler import RoundContext, SerialStepper, SynchronousScheduler, _inside_step
-from repro.netsim.timemodel import TimeModel, make_delivery_model
+from repro.netsim.messages import (
+    HASH_MASK as _MASK,
+    AppPayload,
+    Envelope,
+    SubFlow,
+    envelope_fingerprint as _envelope_hash,
+    future_fingerprint as _future_hash,
+    group_by_target as _group_by_target,
+    receivers_referencing,
+)
+from repro.netsim.scheduler import RoundContext, SynchronousScheduler, _inside_step
+from repro.netsim.timemodel import DeliveryModel, TimeModel
 
 
 #: sub-flow map: sender -> that sender's sub-flow to one target
 SubFlows = Dict[Hashable, SubFlow]
 
 
+class SerialStepper:
+    """The stepper of a scheduler with no batch stepper installed: each
+    item's ``step`` on its concatenated inbox and each lane item's
+    ``handle_app`` on its mail, one actor at a time in key order."""
+
+    @staticmethod
+    def run_batch(items: Sequence[tuple], lane: Sequence[tuple]) -> None:
+        steps = [
+            (key, actor.step, list(chain.from_iterable(parts)), ctx)
+            for key, actor, parts, ctx in items
+        ]
+        steps += [(key, actor.handle_app, mail, ctx) for key, actor, mail, ctx in lane]
+        steps.sort(key=itemgetter(0))
+        for _key, run, inbox, ctx in steps:
+            run(inbox, ctx)
+
+
 class ColumnarScheduler(SynchronousScheduler):
-    """Activity-tracked scheduler with a columnar steady-flow store."""
+    """The activity-tracked kernel: the tracked loop and the columnar
+    loop over one dirty set (module docstring)."""
 
     #: a round with more than this share of the actors dirty is dense and
     #: runs the tracked loop: the crossover measured on cold starts
     #: (docs/ARCHITECTURE.md)
     DENSE_SHARE = 0.5
 
-    activity_tracking = True
-
     def __init__(self, time_model: Optional[TimeModel] = None) -> None:
         super().__init__(time_model=time_model)
+        # ---- activity tracking (both loops) ---------------------------
+        #: the wake wheel: round -> actors that must execute in it.  Fed
+        #: when a change is made, for the round the change *arrives* in
+        #: (see "Exactness under non-unit delivery" above); ``_dirty`` / ``_dirty_carry``
+        #: are its next-round and round-after slots, so unit delivery
+        #: never touches it
+        self._wake: Dict[int, Set[Hashable]] = {}
+        #: the flux horizon: ``changed_last_round`` stays raised for the
+        #: boundaries of all rounds <= this (change fronts in flight)
+        self._flux_until = -1
+        #: change fronts by landing point: consumption round -> envelopes
+        #: whose emission started or stopped; the boundary before that
+        #: round differs iff one of them is deliverable when it lands
+        self._landing: Dict[int, List[Envelope]] = {}
+        #: the delivery model the last round's sends were scheduled with,
+        #: while it differs from the installed one (None otherwise)
+        self._switched_from: Optional[DeliveryModel] = None
+        #: actors that must execute (not replay) next round
+        self._dirty: Set[Hashable] = set()
+        #: actors that must ALSO execute the round after next: one-shot
+        #: flow events (a post consumed, a removed actor's last in-flight
+        #: emissions) change a receiver's inbox one round *after* the
+        #: event round, so a single dirty mark would expire too early
+        self._dirty_carry: Set[Hashable] = set()
+        #: bound (state_version, state_token, replay_step) probes per actor
+        self._probes: Dict[Hashable, tuple] = {}
+        #: state_version observed at the last boundary sync per actor
+        self._ver: Dict[Hashable, int] = {}
+        #: exact state token at the last boundary sync per actor
+        self._tok: Dict[Hashable, Hashable] = {}
+        #: hash of the cached token (rolling-hash contribution) per actor
+        self._tok_hash: Dict[Hashable, int] = {}
+        #: steady-emission cache: outbox of the last executed step
+        self._out: Dict[Hashable, List[Envelope]] = {}
+        #: the cached outbox split into its sub-flows (target -> SubFlow);
+        #: an unchanged sub-flow stays the same object from step to step
+        self._out_by: Dict[Hashable, Dict[Hashable, SubFlow]] = {}
+        #: rolling hash over all tracked actors' state tokens
+        self._state_hash = 0
+        #: external flow change (post / membership) pending for next round
+        self._flow_flag = False
+        #: one-shot application mail (an :class:`AppPayload` post, a
+        #: delivered :meth:`RoundContext.send_once`) is pending: the next
+        #: boundary differs because that mail is consumed.  Kept apart
+        #: from ``_flow_flag`` because it says nothing about the steady
+        #: flows (the columnar kernel may enter with it raised)
+        self._lane_flag = False
+        #: the mail set: clean actors that may hold application mail for
+        #: their next step (a lane step finds out what is really there)
+        self._lane_targets: Set[Hashable] = set()
+        #: the mail set's wheel: round -> targets of delayed application
+        #: mail consumed in it (see :meth:`_one_shot`)
+        self._mail_at: Dict[int, Set[Hashable]] = {}
+        #: optional batched rule pipeline (see repro.core.rules_batched):
+        #: both loops hand it every round (:meth:`set_batch_stepper`);
+        #: None steps through SerialStepper
+        self._batch_stepper = None
+        # ---- the columnar loop -------------------------------------------
         #: whether the columnar fast path is currently driving rounds
         self._cols_active = False
+        self._clear_columns()
+        #: AppPayload posts accepted outside the columns since the last
+        #: round; columnar entry tells them from last round's one-shot
+        #: sends, which sit in the same real inboxes
+        self._late_posts: List[Envelope] = []
+
+    def _clear_columns(self) -> None:
+        """Empty the columns: outside the columnar loop they hold nothing."""
         #: steady delivered sub-flows per live target
         self._flow_in: Dict[Hashable, SubFlows] = {}
         #: one-shot remnants of removed senders per live target
@@ -120,21 +334,768 @@ class ColumnarScheduler(SynchronousScheduler):
         self._flow_pending = 0  # envelopes held in _flow_in + _ghost
         #: rule-counter settlement: last round each actor's counters cover
         self._settled: Dict[Hashable, int] = {}
-        # ---- the application lane ----------------------------------------
-        #: one-shot sends delivered at the last boundary, per live target,
-        #: in sender order; the parent's mail set (``_lane_targets``)
-        #: names their targets and those of AppPayload posts in the buffers
+        #: the application lane: one-shot sends delivered at the last
+        #: boundary, per live target, in sender order; the mail set
+        #: (``_lane_targets``) names their targets and those of
+        #: AppPayload posts in the buffers
         self._lane: Dict[Hashable, List[Envelope]] = {}
-        #: AppPayload posts accepted by the parent kernel since the last
-        #: round; columnar entry tells them from last round's one-shot
-        #: sends, which sit in the same real inboxes
-        self._late_posts: List[Envelope] = []
         #: telemetry mirror of ``_flow_sent``, broken out by payload type
         #: name; maintained only while a recorder is attached (every
         #: ``_flow_sent`` adjustment has a matching typed adjustment, so
-        #: the per-round envelope census equals the parent kernel's)
+        #: the per-round envelope census equals the tracked loop's)
         self._tel_flow_types: Optional[Counter] = None
 
+    # ------------------------------------------------------------------
+    # membership
+    # ------------------------------------------------------------------
+    def add_actor(self, key: Hashable, actor) -> None:
+        """Register a new actor; it executes next round, its probes
+        baselined now."""
+        super().add_actor(key, actor)
+        self._dirty.add(key)
+        ver_fn = getattr(actor, "state_version", None)
+        tok_fn = getattr(actor, "state_token", None)
+        replay_fn = getattr(actor, "replay_step", None)
+        self._probes[key] = (ver_fn, tok_fn, replay_fn)
+        if ver_fn is not None and tok_fn is not None:
+            # baseline the probes now so a no-op first round is
+            # recognized as such (exactness of changed_last_round)
+            self._ver[key] = ver_fn()
+            self._note_token(key, tok_fn())
+        self._out[key] = []
+        self._out_by[key] = {}
+        if not self._unit_settled():
+            # flows already addressed to a (re-)joining id — scheduled
+            # ones included — all start landing for its second step
+            self._wake_at(self._round + 1, key)
+        if self._cols_active:
+            # counters owe nothing before the first scheduled execution
+            self._settled[key] = self._round - 1
+            if key in self._dead_in:
+                # a re-joining id: the steady flows still addressed to it
+                # resume at the next delivery point, like the tracked
+                # loop's delivery would
+                self._revive.add(key)
+
+    def remove_actor(self, key: Hashable):
+        """Remove an actor; its pending messages die, its steady flow
+        stops and wakes its former receivers."""
+        if self._in_round:
+            raise _inside_step("remove_actor")
+        if self._cols_active:
+            self._remove_columnar(key)
+        actor = super().remove_actor(key)
+        # its steady flow vanishes: a former receiver must re-run in
+        # the round its last emission is missing from the inbox — the
+        # round after next under unit delivery (carry; next round is
+        # defensive), ``delay`` rounds after its last send in general
+        out = self._out.pop(key, [])
+        self._out_by.pop(key, None)
+        if out:
+            self._flow_flag = True  # its contribution leaves the pending set
+        settled = self._unit_settled()
+        delay = (self._switched_from or self._delivery).delay
+        q = self._round
+        for env in out:
+            if env.target == key:
+                continue
+            d = 1 if settled else delay(env)
+            if d == 1:
+                self._dirty.add(env.target)
+                self._dirty_carry.add(env.target)
+            else:
+                self._wake_at(q + d, env.target)
+            if not settled:
+                self._front(q, env, d)
+        self._dirty_carry.discard(key)
+        h = self._tok_hash.pop(key, None)
+        if h is not None:
+            self._state_hash = (self._state_hash - h) & _MASK
+        self._probes.pop(key, None)
+        self._ver.pop(key, None)
+        self._tok.pop(key, None)
+        self._dirty.discard(key)
+        return actor
+
+    def _remove_columnar(self, key: Hashable) -> None:
+        # -- settle its counters to what the tracked loop would have applied
+        self._settle_actor(key, self._round - 1)
+        self._settled.pop(key, None)
+        # -- as a target: its pending messages die with it ---------------
+        flows = self._flow_in.pop(key, None)
+        if key in self._revive:
+            # re-added and removed again before its frozen flows resumed:
+            # keep the original _dead_in entry untouched
+            self._revive.discard(key)
+        elif flows is not None:
+            for sender, sub in flows.items():
+                self._flow_pending -= len(sub)
+                self._drop_by[sender] = self._drop_by.get(sender, 0) + len(sub)
+                self._flow_dropped += len(sub)
+            self._dead_in[key] = flows
+        ghosts = self._ghost.pop(key, None)
+        if ghosts:
+            for sub in ghosts.values():
+                self._flow_pending -= len(sub)
+        self._lane.pop(key, None)
+        self._lane_targets.discard(key)
+        # -- as a sender: its steady flow stops --------------------------
+        out = self._out[key]
+        self._flow_sent -= len(out)
+        if self._tel_flow_types is not None:
+            for env in out:
+                self._tel_flow_types[type(env.payload).__name__] -= 1
+        self._flow_dropped -= self._drop_by.pop(key, 0)
+        for subs in self._dead_in.values():
+            subs.pop(key, None)
+        # the flows delivered at the last boundary are still pending;
+        # they become one-shot ghosts
+        for target in self._out_by[key]:
+            subs = self._flow_in.get(target)
+            if subs is None:
+                continue
+            sub = subs.pop(key, None)
+            if sub:
+                self._ghost.setdefault(target, {})[key] = sub
+
+    # ------------------------------------------------------------------
+    # activity tracking
+    # ------------------------------------------------------------------
+    def mark_dirty(self, key: Hashable, carry: bool = False) -> None:
+        """Force ``key`` to execute (not replay) next round.
+
+        Used by the network layer when an actor's behavior may change for
+        reasons the scheduler cannot see (external state mutation, a
+        liveness-oracle change such as a membership event or a remote
+        level-set change).  ``carry=True`` keeps the actor executing for
+        one extra round — required when the trigger is a one-shot flow
+        change whose effect reaches the actor's inbox a round later.
+        """
+        if self._in_round:
+            raise _inside_step("mark_dirty")
+        self._dirty.add(key)
+        if carry:
+            self._dirty_carry.add(key)
+
+    def dirty_count(self) -> int:
+        """Number of actors scheduled to execute next round."""
+        return sum(1 for key in self._dirty if key in self._actors)
+
+    def resync_actor(self, key: Hashable) -> None:
+        """Re-baseline an externally mutated actor's probes *now*.
+
+        Makes the current (mutated) state the comparison baseline so
+        ``changed_last_round`` keeps measuring boundary-to-boundary
+        differences exactly, matching a full-scan fingerprint comparison
+        that would also start from the mutated state.
+        """
+        probes = self._probes.get(key)
+        if probes is None or probes[0] is None:
+            return
+        self._ver[key] = probes[0]()
+        self._note_token(key, probes[1]())
+
+    def _note_token(self, key: Hashable, tok: Hashable) -> bool:
+        """Make ``tok`` the actor's cached state token; returns whether
+        it differs from the cached one (then the rolling hash moves)."""
+        if key in self._tok and tok == self._tok[key]:
+            return False
+        self._tok[key] = tok
+        old_h = self._tok_hash.get(key, 0)
+        h = hash(tok) & _MASK
+        self._tok_hash[key] = h
+        self._state_hash = (self._state_hash - old_h + h) & _MASK
+        return True
+
+    def config_hash(self) -> tuple:
+        """The configuration hash ``(states, pending)``.
+
+        A 64-bit multiset-sum fingerprint of all tracked actor states
+        plus all in-flight messages.  The state half rolls, maintained
+        from dirty actors only; the pending half is counted on demand —
+        O(pending): the (memoized) envelope fingerprints over
+        :meth:`all_pending`, one-shots included, plus the scheduled
+        future deliveries keyed by their remaining delay.  Two equal
+        configurations always hash equal; unequal configurations collide
+        with probability ~2^-64.  Only meaningful with activity
+        tracking.
+        """
+        pending = sum(map(_envelope_hash, self.all_pending()))
+        for t, batch in self._future.items():
+            remaining = t - self._round
+            pending += sum(_future_hash(env, remaining) for env in batch)
+        return (self._state_hash, pending & _MASK)
+
+    def ref_receivers(self, owners: Set) -> Set[Hashable]:
+        """The actors whose next-round inbox holds a message referencing
+        any owner in ``owners`` — whom a liveness flip of those owners
+        reaches in flight (the network's ``_wake_flow_refs``).
+
+        O(pending); every payload must enumerate its refs.  Scans the
+        plain inboxes (the buffer while the columns are live), the
+        columns (empty otherwise) a sub-flow at a time and the lane an
+        envelope at a time.
+        """
+        receivers = receivers_referencing(owners, self._inboxes)
+        disjoint = owners.isdisjoint
+        for column in (self._flow_in, self._ghost):
+            for target, subs in column.items():
+                for sub in subs.values():
+                    if not disjoint(sub.owners()):
+                        receivers.add(target)
+                        break
+        return receivers | receivers_referencing(owners, self._lane)
+
+    def set_batch_stepper(self, stepper) -> None:
+        """Install (or clear, with ``None``) the batched rule pipeline of
+        both round loops.
+
+        ``stepper`` provides ``run_batch(items, lane)``, ``items`` being
+        a round's ``[(key, actor, parts, ctx), ...]`` in key order, where
+        ``parts`` lists the envelope lists whose concatenation is the
+        actor's inbox (the tracked loop passes the whole inbox as one
+        part; the columnar loop passes its persistent :class:`SubFlow`
+        objects and the one-shot mail around them).  ``run_batch`` must
+        leave every actor's observable effects (state, ``ctx`` outbox,
+        counters, replay hooks) exactly as the equivalent sequence of
+        ``actor.step(inbox, ctx)`` calls would — the equivalence suites
+        compare it bit for bit against the full-scan kernel, which is the
+        spec and never consults a stepper.  ``lane`` lists the round's
+        lane steps as ``(key, actor, mail, ctx)``, ``mail`` holding the
+        application mail alone: those actors get ``handle_app``
+        semantics, ordered with the other actors' application handlers
+        by key.
+
+        **One stepping path.**  Rounds are atomic, so every inbox of a
+        round is taken before any step runs and both loops hand
+        every round to ``self._batch_stepper or SerialStepper``; the
+        serial stepper runs the same items one actor at a time.
+        """
+        self._batch_stepper = stepper
+
+    # ------------------------------------------------------------------
+    # flow events between rounds
+    # ------------------------------------------------------------------
+    def post(self, envelope: Envelope) -> bool:
+        """Inject a message from outside the round loop (see the base
+        class).  Application mail joins the mail set, anything else
+        dirties its target; a delayed post is a one-shot of the
+        previous round.  Under the columns a post waits in the buffer.
+        """
+        if self._in_round:
+            raise _inside_step("post")
+        delay = self._inject(envelope)
+        if not delay:
+            return False
+        target = envelope.target
+        app = isinstance(envelope.payload, AppPayload)
+        if delay > 1:
+            # a one-shot — unless it is application mail (the rules
+            # never see that), the target also executes the round
+            # after consuming it, when it is missing again
+            self._one_shot(self._round - 1, envelope, delay)
+            if not app:
+                self._wake_at(self._round + delay, target)
+        elif app:
+            # application mail never reaches the rules: the target
+            # consumes it in a lane step
+            self._lane_targets.add(target)
+            self._lane_flag = True
+        else:
+            # the target consumes the injected message next round AND
+            # has it missing from its inbox the round after — dirty
+            # for both
+            self._dirty.add(target)
+            self._dirty_carry.add(target)
+            self._flow_flag = True  # one-shot injection: next boundary differs
+        if app and not self._cols_active:
+            self._late_posts.append(envelope)
+        return True
+
+    def set_drop_filter(self, drop: Optional[Callable[[Envelope], bool]]) -> None:
+        """Install (or clear) a delivery-time fault filter (see the base
+        class).
+
+        Installing or clearing a filter is a flow event: every actor's
+        next inbox may differ from its cached baseline, so all actors
+        are marked dirty (with the one-round carry, since the changed
+        delivery lands one round later) and the boundary is flagged as
+        changed.  It redefines every steady delivery, so the columns
+        fall back to the tracked loop, re-entered once the flow flag
+        clears.
+        """
+        old = self._drop_filter
+        super().set_drop_filter(drop)
+        if drop is None and old is None:
+            return
+        if self._cols_active:
+            self._exit_columnar()
+        self._dirty.update(self._actors)
+        self._dirty_carry.update(self._actors)
+        self._flow_flag = True
+
+    def set_delivery_model(self, model) -> None:
+        """Install a delivery model (see the base class).
+
+        A model change is a flow event: per cached envelope whose delay
+        differs, the old-delay flow stops and the new-delay flow starts,
+        so every actor is woken for each round one of the two fronts can
+        still arrive in (``bound + 1`` rounds, the larger bound of the
+        two models), and the columns fall back to the tracked loop.  A
+        no-op install (unit over unit) keeps the fast path and the exact
+        change flag intact.  The sub-flows' cached delays
+        (:meth:`SubFlow.delay_buckets`) are keyed on the model object,
+        so the switch invalidates them without a sweep.
+        """
+        old = self._delivery
+        super().set_delivery_model(model)
+        model = self._delivery
+        if model is old:
+            return
+        if self._cols_active:
+            self._exit_columnar()
+        if self._switched_from is None:
+            self._switched_from = old
+        self._dirty.update(self._actors)
+        self._dirty_carry.update(self._actors)
+        first = self._round + 2
+        self._wake_everyone(first, first - 2 + max(old.delay_bound(), model.delay_bound()))
+        self._flow_flag = True
+
+    def set_telemetry(self, recorder) -> None:
+        super().set_telemetry(recorder)
+        if self._cols_active:
+            # in place, not by leaving columnar mode: a traced run must
+            # drive the same kernel as an untraced one
+            self._sync_tel_flow_types()
+
+    def _sync_tel_flow_types(self) -> None:
+        """(Re)build the typed mirror of ``_flow_sent`` from ``_out``."""
+        self._tel_flow_types = None if self._telemetry is None else Counter(
+            type(env.payload).__name__
+            for key in self._actors
+            for env in self._out.get(key, ())
+        )
+
+    # -- the wake wheel and the flux horizon (exactness under latency) ---
+    def _unit_settled(self) -> bool:
+        """Whether unit delivery is in effect *and* nothing of a non-unit
+        past is left: no scheduled envelope, no wake, no change front.
+        Only then do the unit-mode shortcuts hold (O(changed) flow
+        flags, the columnar kernel's fast rounds)."""
+        return (
+            not self._future
+            and not self._wake
+            and not self._landing
+            and self._switched_from is None
+            and self._flux_until < self._round
+            and self._delivery.is_unit
+        )
+
+    def _wake_at(self, round_no: int, key: Hashable) -> None:
+        """``key`` must execute (not replay) in ``round_no``."""
+        self._wake.setdefault(round_no, set()).add(key)
+
+    def _wake_everyone(self, first: int, last: int) -> None:
+        """Every current actor executes in rounds ``first..last``."""
+        for round_no in range(first, last + 1):
+            self._wake.setdefault(round_no, set()).update(self._actors)
+
+    def _front(self, q: int, env: Envelope, d: int) -> None:
+        """The emission of ``env`` (delay ``d``) started or stopped with
+        round ``q``: the pending structure differs across the boundaries
+        of rounds ``q .. q+d-2`` (the front travels through remaining
+        ``d-1 .. 1``) and of ``q+d-1`` iff ``env`` is deliverable when
+        the front lands — decided then, see :meth:`_landed`."""
+        if q + d - 2 > self._flux_until:
+            self._flux_until = q + d - 2
+        self._landing.setdefault(q + d, []).append(env)
+
+    def _one_shot(self, q: int, env: Envelope, d: int) -> None:
+        """``env`` (delay ``d``) is emitted in round ``q`` only: its
+        target consumes it in round ``q + d`` — in a lane step if it is
+        application mail, executing otherwise — and the emission starts
+        with round ``q`` and stops with ``q + 1``."""
+        if isinstance(env.payload, AppPayload):
+            self._mail_at.setdefault(q + d, set()).add(env.target)
+        else:
+            self._wake_at(q + d, env.target)
+        self._front(q, env, d)
+        self._front(q + 1, env, d)
+
+    def _landed(self, round_no: int) -> bool:
+        """Whether a change front landed in an inbox at the end of
+        ``round_no`` (a front to a dead or filtered target never reaches
+        remaining 0: that boundary does not differ)."""
+        fronts = self._landing.pop(round_no + 1, None)
+        if not fronts:
+            return False
+        inboxes = self._inboxes
+        flt = self._drop_filter
+        return any(
+            env.target in inboxes and not (flt is not None and flt(env)) for env in fronts
+        )
+
+    # ------------------------------------------------------------------
+    # round dispatch
+    # ------------------------------------------------------------------
+    def _run_round(self, active: Optional[frozenset]) -> None:
+        """One round through the columnar loop, or through the tracked
+        loop under partial activation, non-unit delivery, a dense round
+        (:meth:`_dense`) or out-of-band flow events not yet absorbed."""
+        late_posts = self._late_posts
+        if late_posts:
+            self._late_posts = []
+        if active is None and self._unit_settled() and not self._dense():
+            if not self._cols_active and not self._flow_flag:
+                self._enter_columnar(late_posts)
+            if self._cols_active:
+                self._run_round_columnar()
+                return
+            # out-of-band flow events since the last boundary: let the
+            # tracked loop absorb them, enter once the flag clears
+        elif self._cols_active:
+            self._exit_columnar()
+        self._run_round_tracked(active)
+
+    def _dense(self) -> bool:
+        """Whether more than ``DENSE_SHARE`` of the actors must execute
+        next round."""
+        return self.dirty_count() > self.DENSE_SHARE * len(self._actors)
+
+    # ------------------------------------------------------------------
+    # the tracked loop
+    # ------------------------------------------------------------------
+    def _probe_refresh(self, key: Hashable, probes: tuple) -> bool:
+        """Refresh an executed actor's probe baselines after its step.
+
+        Returns whether the exact state token changed: the cheap version
+        counter says *possibly*, the token confirms, and only then do
+        the version/token caches and the rolling state hash move.
+        """
+        version = probes[0]()
+        if version == self._ver.get(key):
+            return False
+        self._ver[key] = version
+        return self._note_token(key, probes[1]())
+
+    def _post_step(
+        self,
+        key: Hashable,
+        out: List[Envelope],
+        changed_keys: Set[Hashable],
+        newly_dirty: Set[Hashable],
+    ) -> Tuple[bool, Optional[tuple]]:
+        """Boundary bookkeeping after one executed step.
+
+        Refreshes the actor's probe baselines (a changed state keeps the
+        actor dirty) and diffs its outbox against the steady-emission
+        cache.  Returns ``(state_changed, patch)``; ``patch`` is ``None``
+        when the outbox repeats the cached one — a replayed actor
+        repeats its contribution verbatim, so only a patch can make a
+        later boundary's pending set differ — and otherwise ``(prev_out,
+        out, changed_targets, prev_by, new_by)``: only the targets whose
+        per-sender sub-flow actually changed (messages that stopped,
+        started, or were reordered) must re-run when the change arrives,
+        not every receiver of an otherwise-stable emission.  The caller
+        wakes them (next round under unit delivery) and the columnar
+        kernel's flow surgery consumes the per-target diff.  ``prev_by``
+        and ``new_by`` map targets to :class:`SubFlow` objects; the split
+        of the cached outbox is kept, so only ``out`` is re-grouped.
+        """
+        probes = self._probes.get(key)
+        if probes is None or probes[0] is None:
+            state_changed = True  # untracked actor: assume changed, never replay
+        else:
+            state_changed = self._probe_refresh(key, probes)
+        if state_changed:
+            changed_keys.add(key)
+            newly_dirty.add(key)
+        prev_out = self._out.get(key)
+        if prev_out == out:
+            return state_changed, None
+        prev_by = self._out_by[key]
+        new_by = _group_by_target(out)
+        # an unchanged sub-flow keeps its object (and what it carries)
+        changed: List[Hashable] = []
+        for target, envs in new_by.items():
+            old = prev_by.get(target)
+            if old == envs:
+                new_by[target] = old
+                continue
+            new_by[target] = SubFlow(envs)
+            changed.append(target)
+        changed.extend(target for target in prev_by if target not in new_by)
+        self._out[key] = out
+        self._out_by[key] = new_by
+        return state_changed, (prev_out, out, changed, prev_by, new_by)
+
+    def _step_work(
+        self, keys: List[Hashable], dirty: Set[Hashable], mail: Set[Hashable], round_no: int
+    ) -> List[Tuple[Hashable, Optional[RoundContext], bool]]:
+        """Run the round's steps; return ``(key, ctx, executed)`` per
+        actor of ``keys``, in key order.
+
+        Actors in ``dirty`` execute, the others replay (inbox consumed —
+        application mail aside it provably repeats the last executed one,
+        a known no-op on state — and cached side effects re-applied).  A
+        replayed actor of ``mail`` holding application mail also runs
+        ``handle_app`` on that mail alone, its lane step; one without the
+        hook executes instead.  ``ctx`` is ``None`` for a plain replay.
+        Every inbox is taken first, then the round goes to the stepper
+        in one ``run_batch(items, lane)``.
+        """
+        actors, inboxes = self._actors, self._inboxes
+        probes = self._probes
+        items: List[tuple] = []
+        lane: List[tuple] = []
+        plan: List[tuple] = []
+        for key in keys:
+            actor = actors[key]
+            app = None
+            run = key in dirty
+            if not run and key in mail:
+                app = [env for env in inboxes[key] if isinstance(env.payload, AppPayload)]
+                run = bool(app) and not hasattr(actor, "handle_app")
+            if run:
+                ctx = RoundContext(round_no, key, self)
+                # this loop keeps whole inboxes: one uncached part
+                items.append((key, actor, [inboxes[key]], ctx))
+                inboxes[key] = []
+            else:
+                ctx = None
+                if inboxes[key]:
+                    inboxes[key] = []
+                replay_fn = probes[key][2]
+                if replay_fn is not None:
+                    replay_fn()
+                if app:
+                    ctx = RoundContext(round_no, key, self)
+                    lane.append((key, actor, app, ctx))
+            plan.append((key, ctx, run))
+        if items or lane:
+            (self._batch_stepper or SerialStepper).run_batch(items, lane)
+            for key, _actor, _mail, ctx in lane:
+                self._check_lane_step(key, ctx)
+        return plan
+
+    @staticmethod
+    def _check_lane_step(key: Hashable, ctx: RoundContext) -> None:
+        if ctx._outbox:
+            raise RuntimeError(
+                f"actor {key!r} used ctx.send() while handling application "
+                "mail on a lane-only round; handlers emit through "
+                "ctx.send_once() — a steady send here would never be replayed"
+            )
+
+    def _run_round_tracked(self, active: Optional[frozenset] = None) -> None:
+        """One round of the tracked loop.
+
+        ``active`` (partial activation) filters the work list: only awake
+        actors step, and every one of them executes; sleepers keep state
+        *and inbox* and contribute nothing.  That breaks the
+        inbox-repetition induction the replay cache relies on, so such a
+        round ends conservatively: the round reported as changed, and
+        every actor executing while a sleeper's missing sends can still
+        arrive (as gaps) and its resumed sends land once more — the next
+        two rounds, and under non-unit delivery everyone woken, with the
+        change flag raised, until the last one landed (``delay_bound()``
+        rounds).  Probe baselines and emission caches of executed actors
+        stay exact, so later full rounds detect stability.
+        """
+        round_no = self._round
+        _t0 = _perf() if self._telemetry is not None else 0.0
+        keys = sorted(self._actors)
+        state_changed_any = False
+        # posts / membership / pending one-shot mail since the last round
+        flow_changed = self._flow_flag or self._lane_flag
+        self._flow_flag = False
+        self._lane_flag = False
+        changed_keys: Set[Hashable] = set()
+        newly_dirty: Set[Hashable] = set()
+        # under non-unit delivery a sender contributes its sub-flows,
+        # delivered from their cached delay buckets (see _deliver_round)
+        by_flow = not self._delivery.is_unit
+        contributions: List[Any] = []
+        #: sender -> outbox patch of this round (see :meth:`_post_step`)
+        patches: Dict[Hashable, tuple] = {}
+        #: the round's one-shot sends, per sender in key order
+        onces: List[List[Envelope]] = []
+        executed = 0
+        replayed = 0
+        # the round's working sets; the next round's fill up from empty
+        dirty = self._dirty
+        carry_due = self._dirty_carry
+        self._dirty_carry = set()
+        mail = self._lane_targets
+        self._lane_targets = set()
+        work = keys
+        if active is not None:
+            work = [key for key in keys if key in active]
+            dirty = active
+        for key, ctx, ran in self._step_work(work, dirty, mail, round_no):
+            if ran:
+                executed += 1
+                state_changed, patch = self._post_step(
+                    key, ctx._outbox, changed_keys, newly_dirty
+                )
+                if state_changed:
+                    state_changed_any = True
+                if patch is not None:
+                    patches[key] = patch
+            else:
+                # quiescent: the steady emissions repeat without rules
+                replayed += 1
+            contributions.append(self._out_by[key] if by_flow else self._out[key])
+            if ctx is not None and ctx._once:
+                # one-shot sends go out right after the steady outbox; they
+                # never enter ``_out``, so sender and target both stay valid
+                # replay templates
+                contributions.append(ctx._once)
+                onces.append(ctx._once)
+
+        # the delivery point.  Settled unit delivery: every change arrives
+        # next round and the boundary differs iff anything was patched or
+        # sent once.  Otherwise the wake wheel and the flux horizon are
+        # fed with each change's own arrival round (module docstring); a
+        # partial round's conservative tail covers every change instead
+        settled = self._unit_settled()
+        if active is None:
+            if settled:
+                if patches:
+                    flow_changed = True
+                    for patch in patches.values():
+                        newly_dirty.update(patch[2])
+            else:
+                self._feed_flow_changes(round_no, keys, patches, newly_dirty)
+        delay = self._delivery.delay
+        for once in onces:
+            # the lane rule: application mail reaches the mail set, the
+            # target of anything else executes the round it consumes it
+            for env in once:
+                d = 1 if settled else delay(env)
+                if d == 1:
+                    if isinstance(env.payload, AppPayload):
+                        self._lane_targets.add(env.target)
+                    else:
+                        newly_dirty.add(env.target)
+                    flow_changed = True
+                    self._lane_flag = True  # consumed next round: that boundary differs too
+                else:
+                    self._one_shot(round_no, env, d)
+        self._deliver_round(round_no, contributions, executed, replayed, _t0)
+        if settled and active is None:
+            self.changed_last_round = state_changed_any or flow_changed
+        else:
+            landed = self._landed(round_no)
+            self.changed_last_round = (
+                state_changed_any or flow_changed or landed or round_no <= self._flux_until
+            )
+        self.state_changed_keys = changed_keys
+        self.executed_last_round = executed
+        self.replayed_last_round = replayed
+        newly_dirty |= carry_due
+        newly_dirty.update(self._wake.pop(round_no + 1, ()))
+        self._lane_targets.update(self._mail_at.pop(round_no + 1, ()))
+        self._dirty = newly_dirty
+        if active is not None:
+            # the conservative tail (see the docstring): the sleepers'
+            # missing sends are gaps in next round's inboxes, and their
+            # resumed sends differ from those the round after — everyone
+            # executes in both
+            self.changed_last_round = True
+            self._flow_flag = True  # sleepers' flow resumes later: boundary differs
+            self._dirty = set(self._actors)
+            self._dirty_carry = set(self._actors)
+            if not settled:
+                bound = self._delivery.delay_bound()
+                if self._switched_from is not None:
+                    bound = max(bound, self._switched_from.delay_bound())
+                    self._switched_from = None
+                last = max(round_no + 1 + bound, max(self._future, default=0))
+                self._wake_everyone(round_no + 2, last)
+                self._flux_until = max(self._flux_until, last - 1)
+        self._round += 1
+
+    def _feed_flow_changes(
+        self,
+        q: int,
+        keys: List[Hashable],
+        patches: Dict[Hashable, tuple],
+        newly_dirty: Set[Hashable],
+    ) -> None:
+        """Feed wake wheel and flux horizon with round ``q``'s emission
+        changes, at its delivery point (the delivery model is final).
+
+        A changed sub-flow wakes its target for round ``q + d`` for every
+        delay ``d`` at which the old and the new sub-flow differ, and
+        every envelope whose multiplicity changed is a front.  In the
+        first round after a model switch every cached envelope whose
+        delay differs is two fronts, whether its sender executed or not:
+        the old-delay flow stops, the new-delay flow starts (the switch
+        itself woke everyone for as long as either front can arrive).
+        Otherwise the delays are those of the sub-flows' cached delay
+        buckets, which the delivery point reuses.
+        """
+        model = self._delivery
+        old_model = self._switched_from
+        if old_model is not None:
+            self._switched_from = None
+            delay, old_delay = model.delay, old_model.delay
+            for key in keys:
+                out = self._out[key]
+                patch = patches.get(key)
+                self._fronts(
+                    q,
+                    [(env, old_delay(env)) for env in (patch[0] or () if patch else out)],
+                    [(env, delay(env)) for env in out],
+                )
+            return
+        for _prev_out, _out, changed, prev_by, new_by in patches.values():
+            for target in changed:
+                old = prev_by.get(target)
+                new = new_by.get(target)
+                old_buckets = dict(old.delay_buckets(model)) if old is not None else {}
+                new_buckets = dict(new.delay_buckets(model)) if new is not None else {}
+                # a target's inbox is grouped by delay (older sends land
+                # first), so the sub-flow changes class by class
+                for d in old_buckets.keys() | new_buckets.keys():
+                    if old_buckets.get(d) == new_buckets.get(d):
+                        continue
+                    if d == 1:
+                        newly_dirty.add(target)
+                    else:
+                        self._wake_at(q + d, target)
+                self._fronts(
+                    q,
+                    [(env, d) for d, envs in old_buckets.items() for env in envs],
+                    [(env, d) for d, envs in new_buckets.items() for env in envs],
+                )
+
+    def _fronts(self, q: int, stopped: List[tuple], started: List[tuple]) -> None:
+        """Every ``(envelope, delay)`` whose multiplicity differs between
+        the emissions of round ``q - 1`` and of round ``q`` is a front.
+
+        A linear multiset difference: the started pairs are bucketed by
+        (memoized envelope fingerprint, delay) and equality decides
+        within a bucket — never ``Envelope.__hash__``, which re-hashes
+        payloads deeply."""
+        unmatched: Dict[tuple, List[Envelope]] = {}
+        for env, d in started:
+            unmatched.setdefault((_envelope_hash(env), d), []).append(env)
+        for env, d in stopped:
+            bucket = unmatched.get((_envelope_hash(env), d))
+            if bucket and env in bucket:
+                bucket.remove(env)
+            else:
+                self._front(q, env, d)
+        for (_, d), envs in unmatched.items():
+            for env in envs:
+                self._front(q, env, d)
+
+    # ------------------------------------------------------------------
+    # the columnar loop: the columns
+    # ------------------------------------------------------------------
     def _deliverable(self, sub: SubFlow) -> SubFlow:
         """What of ``sub`` passes the drop filter (``sub`` itself when
         nothing is filtered) — the gate every sub-flow passes on its way
@@ -178,29 +1139,19 @@ class ColumnarScheduler(SynchronousScheduler):
         """Derive the columns from the steady-emission cache.
 
         Only called at a boundary with no pending flow events
-        (``_flow_flag`` clear), where the parent's inboxes provably equal
+        (``_flow_flag`` clear), where the inboxes provably equal
         the filtered steady deliveries plus application mail — so the
         steady part can be dropped and regenerated from ``_out`` on
         exit.  The application mail moves into the lane: last round's
         one-shot sends (already in sender order) into ``_lane``, the
         posts made since (``late_posts``) stay behind as the buffer.
-        The derived columns must hold the parent's inboxes as a
+        The derived columns must hold the inboxes as a
         fingerprint multiset: checked at entry.
         """
         expected = self.config_hash()[1]
-        round_no = self._round
-        self._flow_in = {}
-        self._ghost = {}
-        self._dead_in = {}
-        self._revive = set()
-        self._drop_by = {}
-        self._lane = {}
+        self._clear_columns()
         self._lane_targets = set()
-        self._flow_dropped = 0
-        self._flow_sent = 0
-        self._flow_pending = 0
-        self._settled = {key: round_no - 1 for key in self._actors}
-        self._tel_flow_types = None
+        self._settled = {key: self._round - 1 for key in self._actors}
         for key in self._actors:
             self._flow_sent += len(self._out.get(key, ()))
             drops = self._install_sender_flows(key)
@@ -223,16 +1174,16 @@ class ColumnarScheduler(SynchronousScheduler):
                 box.clear()
         self._cols_active = True
         assert self.config_hash()[1] == expected, (
-            "columnar entry: the derived columns diverge from the parent's "
+            "columnar entry: the derived columns diverge from the "
             "inboxes — flow bookkeeping bug"
         )
         self._sync_tel_flow_types()
 
     def _boundary_inbox(self, target: Hashable) -> List[Envelope]:
-        """The target's pending messages in the parent's inbox order:
+        """The target's pending messages in the tracked loop's inbox order:
         ``[per sender in key order: flows, ghosts, one-shot sends]
         [buffer]`` — a sender's one-shots follow its steady emissions,
-        exactly where the parent's delivery loop puts them."""
+        exactly where :meth:`_deliver_round` puts them."""
         inbox: List[Envelope] = []
         flows = self._flow_in.get(target) or {}
         ghosts = self._ghost.get(target) or {}
@@ -247,22 +1198,12 @@ class ColumnarScheduler(SynchronousScheduler):
         return inbox
 
     def _exit_columnar(self) -> None:
-        """Materialize every inbox and fall back to the parent kernel."""
+        """Materialize every inbox and fall back to the tracked loop."""
         self.settle_replays()
         for target in self._actors:
             self._inboxes[target] = self._boundary_inbox(target)
         # the lane's targets stay behind as the tracked loop's mail set
-        self._flow_in = {}
-        self._ghost = {}
-        self._dead_in = {}
-        self._revive = set()
-        self._drop_by = {}
-        self._lane = {}
-        self._flow_dropped = 0
-        self._flow_sent = 0
-        self._flow_pending = 0
-        self._settled = {}
-        self._tel_flow_types = None
+        self._clear_columns()
         self._cols_active = False
 
     # ------------------------------------------------------------------
@@ -293,140 +1234,15 @@ class ColumnarScheduler(SynchronousScheduler):
         """Apply every owed quiescent-round counter delta now.
 
         Called at boundaries by observers of rule counters (the network
-        facade) and on every fall-back to the parent kernel; afterwards
-        all counters equal what the parent's eager per-round replay
-        would have produced.
+        facade) and on every fall-back to the tracked loop; afterwards
+        all counters equal what the tracked loop's eager per-round
+        replay would have produced.
         """
         if not self._cols_active:
             return
         upto = self._round - 1
         for key in self._actors:
             self._settle_actor(key, upto)
-
-    # ------------------------------------------------------------------
-    # the in-flight ref query, over the columns
-    # ------------------------------------------------------------------
-    def ref_receivers(self, owners: Set) -> Set[Hashable]:
-        """The base query over ``_inboxes`` (the buffer while the columns
-        are live), plus the columns, which are empty otherwise:
-        O(live sub-flows + one-shots)."""
-        receivers = super().ref_receivers(owners)
-        disjoint = owners.isdisjoint
-        for column in (self._flow_in, self._ghost):
-            for target, subs in column.items():
-                for sub in subs.values():
-                    if not disjoint(sub.owners()):
-                        receivers.add(target)
-                        break
-        return receivers | receivers_referencing(owners, self._lane)
-
-    # ------------------------------------------------------------------
-    # membership / posts / faults under columnar mode
-    # ------------------------------------------------------------------
-    def add_actor(self, key: Hashable, actor) -> None:
-        super().add_actor(key, actor)
-        if not self._cols_active:
-            return
-        # counters owe nothing before the first scheduled execution
-        self._settled[key] = self._round - 1
-        if key in self._dead_in:
-            # a re-joining id: the steady flows still addressed to it
-            # resume at the next delivery point, like the parent's
-            # delivery loop would
-            self._revive.add(key)
-
-    def remove_actor(self, key: Hashable):
-        if self._in_round:
-            raise _inside_step("remove_actor")
-        if self._cols_active:
-            self._remove_columnar(key)
-        return super().remove_actor(key)
-
-    def _remove_columnar(self, key: Hashable) -> None:
-        # -- settle its counters to what the parent would have applied --
-        self._settle_actor(key, self._round - 1)
-        self._settled.pop(key, None)
-        # -- as a target: its pending messages die with it ---------------
-        flows = self._flow_in.pop(key, None)
-        if key in self._revive:
-            # re-added and removed again before its frozen flows resumed:
-            # keep the original _dead_in entry untouched
-            self._revive.discard(key)
-        elif flows is not None:
-            for sender, sub in flows.items():
-                self._flow_pending -= len(sub)
-                self._drop_by[sender] = self._drop_by.get(sender, 0) + len(sub)
-                self._flow_dropped += len(sub)
-            self._dead_in[key] = flows
-        ghosts = self._ghost.pop(key, None)
-        if ghosts:
-            for sub in ghosts.values():
-                self._flow_pending -= len(sub)
-        self._lane.pop(key, None)
-        self._lane_targets.discard(key)
-        # -- as a sender: its steady flow stops --------------------------
-        out = self._out[key]
-        self._flow_sent -= len(out)
-        if self._tel_flow_types is not None:
-            for env in out:
-                self._tel_flow_types[type(env.payload).__name__] -= 1
-        self._flow_dropped -= self._drop_by.pop(key, 0)
-        for subs in self._dead_in.values():
-            subs.pop(key, None)
-        # the flows delivered at the last boundary are still pending;
-        # they become one-shot ghosts
-        for target in self._out_by[key]:
-            subs = self._flow_in.get(target)
-            if subs is None:
-                continue
-            sub = subs.pop(key, None)
-            if sub:
-                self._ghost.setdefault(target, {})[key] = sub
-
-    def post(self, envelope: Envelope) -> bool:
-        # the parent's delivery checks and bookkeeping: application mail
-        # joins the mail set, anything else dirties its target; under
-        # the columns the post waits in the buffer
-        if not super().post(envelope):
-            return False
-        if not self._cols_active and isinstance(envelope.payload, AppPayload):
-            self._late_posts.append(envelope)
-        return True
-
-    def set_drop_filter(self, drop: Optional[Callable[[Envelope], bool]]) -> None:
-        if self._in_round:
-            raise _inside_step("set_drop_filter")
-        if self._cols_active and not (drop is None and self._drop_filter is None):
-            # filter changes redefine every steady delivery; fall back to
-            # the parent kernel (which marks everyone dirty) and re-enter
-            # once the flow flag clears
-            self._exit_columnar()
-        super().set_drop_filter(drop)
-
-    def set_delivery_model(self, model) -> None:
-        if self._in_round:
-            raise _inside_step("set_delivery_model")
-        if self._cols_active:
-            new = make_delivery_model(model)
-            old = self._delivery
-            if not (new.is_unit and old.is_unit) and new.to_dict() != old.to_dict():
-                self._exit_columnar()
-        super().set_delivery_model(model)
-
-    def set_telemetry(self, recorder) -> None:
-        super().set_telemetry(recorder)
-        if self._cols_active:
-            # in place, not by leaving columnar mode: a traced run must
-            # drive the same kernel as an untraced one
-            self._sync_tel_flow_types()
-
-    def _sync_tel_flow_types(self) -> None:
-        """(Re)build the typed mirror of ``_flow_sent`` from ``_out``."""
-        self._tel_flow_types = None if self._telemetry is None else Counter(
-            type(env.payload).__name__
-            for key in self._actors
-            for env in self._out.get(key, ())
-        )
 
     # ------------------------------------------------------------------
     # pending-set observers
@@ -447,34 +1263,6 @@ class ColumnarScheduler(SynchronousScheduler):
         for target in sorted(self._inboxes):
             out.extend(self._boundary_inbox(target))
         return out
-
-    # ------------------------------------------------------------------
-    # round dispatch
-    # ------------------------------------------------------------------
-    def _run_round(self, active: Optional[set]) -> None:
-        """One round through the columnar loop, or through the inherited
-        tracked loop under partial activation, non-unit delivery, a dense
-        round (:meth:`_dense`) or out-of-band flow events not yet absorbed."""
-        late_posts = self._late_posts
-        if late_posts:
-            self._late_posts = []
-        if active is None and self._daemon.is_full and self._unit_settled() and not self._dense():
-            if not self._cols_active and not self._flow_flag:
-                self._enter_columnar(late_posts)
-            if self._cols_active:
-                self.active_last_round = None
-                self._run_round_columnar()
-                return
-            # out-of-band flow events since the last boundary: let the
-            # parent kernel absorb them, enter once the flag clears
-        elif self._cols_active:
-            self._exit_columnar()
-        super()._run_round(active)
-
-    def _dense(self) -> bool:
-        """Whether more than ``DENSE_SHARE`` of the actors must execute
-        next round."""
-        return self.dirty_count() > self.DENSE_SHARE * len(self._actors)
 
     # ------------------------------------------------------------------
     # the fast round
@@ -673,7 +1461,7 @@ class ColumnarScheduler(SynchronousScheduler):
                 lane.setdefault(target, []).append(env)
                 self._lane_targets.add(target)
 
-        # (d) boundary bookkeeping — identical observables to the parent
+        # (d) boundary bookkeeping — identical observables to the tracked loop
         self.dropped_last_round = self._flow_dropped + dropped_extra
         if tel is not None:
             tel.add_time("kernel.patch", _perf() - _t0)

@@ -1,4 +1,4 @@
-"""Phase instrumentation and visualization."""
+"""Phase instrumentation."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.analysis.phases import (
     PhaseTracker,
     phase_predicates,
 )
-from repro.analysis.viz import ascii_ring, to_dot
 from repro.core.ideal import compute_ideal
 from repro.workloads.initial import build_random_network
 from tests.conftest import stabilized
@@ -78,33 +77,6 @@ class TestPhaseTracker:
         tracker = PhaseTracker(net)
         with pytest.raises(RuntimeError):
             tracker.run_until_stable(max_rounds=1)
-
-
-class TestViz:
-    def test_ascii_ring_contains_all_nodes(self):
-        net = stabilized(6, seed=6)
-        art = ascii_ring(net)
-        total = sum(len(p.state.nodes) for p in net.peers.values())
-        assert f"{total} nodes" in art
-        assert "●" in art and "○" in art
-
-    def test_ascii_ring_truncates(self):
-        net = stabilized(12, seed=7)
-        art = ascii_ring(net, max_nodes=10)
-        assert "omitted" in art
-
-    def test_dot_structure(self):
-        net = stabilized(5, seed=8)
-        dot = to_dot(net)
-        assert dot.startswith("digraph rechord {") and dot.endswith("}")
-        assert "doublecircle" in dot  # real nodes
-        assert 'color="red"' in dot  # ring edges exist in stable state
-
-    def test_dot_without_connection_edges(self):
-        net = stabilized(5, seed=8)
-        full = to_dot(net, include_connection=True)
-        slim = to_dot(net, include_connection=False)
-        assert len(slim) <= len(full)
 
 
 class TestPhasesExperiment:

@@ -232,6 +232,7 @@ class TestCli:
             ["scenario", "seam-crash", "--sketch-quantiles", "1.5"],
             ["observe", "--n", "0"],
             ["observe", "--trace-sample", "0"],
+            ["observe", "--traces", "-2"],
             ["scaling", "--sizes", "0"],
             ["scaling", "--seeds", "0"],
         ],
@@ -244,6 +245,34 @@ class TestCli:
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert f"argument {flag}: must be" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_zero_traces_prints_none(self, capsys):
+        assert main(["observe", "--n", "8", "--traces", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "hop traces (0 of" in out and "  op " not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["observe", "--n", "8", "--dump", "{tmp}/missing/x.jsonl"],
+            ["scenario", "flash-crowd", "--n", "8", "--out", "{tmp}/a-file/x"],
+        ],
+        ids=["dump", "out"],
+    )
+    def test_unwritable_destination_is_refused_before_the_run(
+        self, argv, monkeypatch, capsys, tmp_path
+    ):
+        import repro.scenarios
+
+        runs = _spy(monkeypatch, repro.scenarios, "run_scenario")
+        (tmp_path / "a-file").write_text("")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        flag = argv[-2]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert runs == [] and captured.out == ""
+        assert captured.err.startswith(f"rechord: error: {flag} {argv[-1]}: cannot write there")
         assert "Traceback" not in captured.err
 
     # 'incremental' is the retired engine: both --engine flags reject it

@@ -1,6 +1,6 @@
 """The documentation plane must stay honest.
 
-Two enforcement layers, both also run by the CI docs job:
+Two enforcement layers, both part of the tier-1 suite:
 
 * every ``>>>`` snippet in README.md and docs/*.md is executed as a
   doctest (so quickstarts cannot rot);

@@ -7,6 +7,7 @@ import pytest
 from repro.netsim.columnar import ColumnarScheduler
 from repro.netsim.messages import Envelope
 from repro.netsim.rng import SeedSequence
+from repro.netsim import scheduler as scheduler_module
 from repro.netsim.scheduler import SynchronousScheduler
 from repro.telemetry import TelemetryRecorder
 
@@ -274,18 +275,28 @@ def meddling_scheduler(loop: str):
     if loop == "latency":
         sched.set_delivery_model({"kind": "constant", "delay": 2})
     sched.run(6)
-    if sched.activity_tracking:
+    if loop != "spec":  # the spec loop steps everyone anyway
         assert sched.executed_last_round == 0  # everyone replays
-    sched.mark_dirty("a")
+        sched.mark_dirty("a")
     return sched, meddler, expected
+
+
+LOOPS = ["spec", "columnar", "dense", "latency"]
+
+#: every change in every loop; the spec scheduler has no ``mark_dirty``
+GUARD_MATRIX = [
+    (call, loop)
+    for loop in LOOPS
+    for call in sorted(CHANGES)
+    if (call, loop) != ("mark_dirty", "spec")
+]
 
 
 class TestRoundsAreAtomic:
     """Nothing changes the scheduler from inside a step: every change
     raises ``RuntimeError`` naming itself, in every loop."""
 
-    @pytest.mark.parametrize("loop", ["spec", "columnar", "dense", "latency"])
-    @pytest.mark.parametrize("call", sorted(CHANGES))
+    @pytest.mark.parametrize("call, loop", GUARD_MATRIX)
     def test_a_change_from_inside_a_step_raises(self, call, loop):
         sched, meddler, expected = meddling_scheduler(loop)
         meddler.meddle = CHANGES[call]
@@ -295,13 +306,43 @@ class TestRoundsAreAtomic:
         # the failed round still ends: the boundary takes the change
         CHANGES[call](sched)
 
-    @pytest.mark.parametrize("loop", ["spec", "columnar", "dense", "latency"])
+    @pytest.mark.parametrize("loop", LOOPS)
     def test_the_same_changes_between_rounds_go_through(self, loop):
         sched, _, _ = meddling_scheduler(loop)
-        for call in sorted(CHANGES):
-            CHANGES[call](sched)
-            sched.run_round()
+        for call, in_loop in GUARD_MATRIX:
+            if in_loop == loop:
+                CHANGES[call](sched)
+                sched.run_round()
         assert sched.has_actor("new") and not sched.has_actor("b")
+
+
+#: the activity-tracking surface, which only the columnar kernel has
+TRACKING_SURFACE = (
+    "mark_dirty", "dirty_count", "resync_actor", "config_hash", "ref_receivers",
+    "set_batch_stepper", "_unit_settled", "_wake_at", "_wake_everyone", "_front",
+    "_one_shot", "_landed", "_probe_refresh", "_post_step", "_step_work",
+    "_check_lane_step", "_run_round_tracked", "_feed_flow_changes", "_fronts",
+)
+
+
+class TestSpecSurface:
+    """The spec scheduler is only the spec loop, the guard, the round
+    context and the delivery point: the tracking surface lives in the
+    columnar kernel."""
+
+    def test_the_spec_defines_none_of_the_tracking_surface(self):
+        defined = set(vars(SynchronousScheduler))
+        assert defined.isdisjoint(TRACKING_SURFACE)
+        assert defined.isdisjoint({"activity_tracking", "noted_version"})
+        assert all(name in vars(ColumnarScheduler) for name in TRACKING_SURFACE)
+        fields = set(vars(SynchronousScheduler()))
+        assert fields.isdisjoint({
+            "_dirty", "_dirty_carry", "_probes", "_ver", "_tok", "_tok_hash", "_out",
+            "_out_by", "_state_hash", "_flow_flag", "_lane_flag", "_lane_targets",
+            "_mail_at", "_wake", "_flux_until", "_landing", "_switched_from",
+            "_batch_stepper",
+        })
+        assert not hasattr(scheduler_module, "SerialStepper")
 
 
 class TestTrace:

@@ -243,7 +243,7 @@ class TestBackendSurface:
     """The pipeline follows the kernel; nothing selects it."""
 
     def test_full_scan_network_has_no_stepper(self):
-        assert ReChordNetwork(engine="full").scheduler._batch_stepper is None
+        assert not hasattr(ReChordNetwork(engine="full").scheduler, "set_batch_stepper")
 
     def test_the_tracked_kernel_runs_the_batched_pipeline(self):
         from repro.core.rules_batched import BatchedRuleEngine

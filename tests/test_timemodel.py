@@ -39,7 +39,6 @@ from repro.dht.lookup import ReChordRouter
 from repro.dht.storage import KeyValueStore
 from repro.netsim.columnar import ColumnarScheduler
 from repro.netsim.messages import AppPayload, Envelope, SubFlow
-from repro.netsim.scheduler import SynchronousScheduler
 from repro.netsim.timemodel import (
     DAEMON_KINDS,
     DELIVERY_KINDS,
@@ -1033,7 +1032,7 @@ class TestSubFlowDelayCache:
 
         for q in range(200):
             stopped, started = pairs(), pairs()
-            new, old = SynchronousScheduler(), SynchronousScheduler()
+            new, old = ColumnarScheduler(), ColumnarScheduler()
             new._fronts(q, stopped, started)
             _old_fronts(old, q, stopped, started)
             assert landing(new) == landing(old), (stopped, started)

@@ -76,6 +76,14 @@ class Campaign:
         return before
 
 
+def pending_hash(sched) -> int:
+    """The pending half of ``config_hash()``, rebuilt from the envelopes
+    (the spec scheduler keeps no hash of its own)."""
+    rebuilt = sum(envelope_fingerprint(e) for e in sched.all_pending())
+    rebuilt += sum(future_fingerprint(e, left) for left, e in sched.future_pending())
+    return rebuilt & HASH_MASK
+
+
 def lockstep(lane: Campaign, spec: Campaign, context: str, exact_flag: bool = True) -> None:
     """One round on both kernels, then every observable compared.  With
     ``exact_flag`` false (a drop filter installed, a partial round) the
@@ -90,11 +98,9 @@ def lockstep(lane: Campaign, spec: Campaign, context: str, exact_flag: bool = Tr
         (e.sender, e.target, e.payload) for e in spec.sched.all_pending()
     ], f"all_pending() order {context}"
     assert lane.sched.pending_messages() == spec.sched.pending_messages(), context
-    rebuilt = sum(envelope_fingerprint(e) for e in lane.sched.all_pending())
-    rebuilt += sum(future_fingerprint(e, left) for left, e in lane.sched.future_pending())
     pending = lane.sched.config_hash()[1]
-    assert pending == rebuilt & HASH_MASK, f"pending hash {context}"
-    assert pending == spec.sched.config_hash()[1], f"pending hash vs spec {context}"
+    assert pending == pending_hash(lane.sched), f"pending hash {context}"
+    assert pending == pending_hash(spec.sched), f"pending hash vs spec {context}"
     if exact_flag:
         assert lane.sched.changed_last_round == (fp != spec_before), f"change flag {context}"
     else:

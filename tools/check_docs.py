@@ -15,7 +15,7 @@ Validates every Markdown link in ``README.md`` and ``docs/*.md``:
   name a deleted file.
 
 Exits non-zero on the first class of broken links, printing all of
-them.  Used by the CI docs job and by ``tests/test_docs.py``.
+them.  ``tests/test_docs.py`` runs the same check per file.
 """
 
 from __future__ import annotations
