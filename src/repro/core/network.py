@@ -103,6 +103,50 @@ class StabilizationReport:
     rounds_executed: int
 
 
+class ConfigSnapshot:
+    """The global configuration at one round boundary, not yet in
+    canonical form (:meth:`ReChordNetwork.config_snapshot`).
+
+    Holds each peer's memoized ``state.canonical()`` tuple and the
+    lists the scheduler copies out of its in-flight envelopes and its
+    scheduled ``(remaining, envelope)`` deliveries: O(pending)
+    reference copies, no canonicalization and no sort.  It stays exact after the network
+    moves on because everything it references is immutable — canonical
+    state tuples are plain tuples rebuilt (never edited) when a peer
+    changes, envelopes are frozen, and so are their payloads, which the
+    kernels replace rather than mutate.  :meth:`canonical` is the
+    fingerprint of that boundary, computed on first use and kept.
+    """
+
+    __slots__ = ("_peers", "_sent", "_scheduled", "_canonical")
+
+    def __init__(
+        self,
+        peers: tuple,
+        sent: List[Envelope],
+        scheduled: List[Tuple[int, Envelope]],
+    ) -> None:
+        self._peers = peers
+        self._sent = sent
+        self._scheduled = scheduled
+        self._canonical: Optional[tuple] = None
+
+    def canonical(self) -> tuple:
+        """``(peer states, sorted in-flight entries)``: the value
+        :meth:`ReChordNetwork.fingerprint` returns for this boundary.
+
+        A scheduled delivery carries its remaining delay, because the
+        same envelope at different maturities is a different
+        configuration; under unit delivery there are none.
+        """
+        if self._canonical is None:
+            entries = [(env.target, env.payload.canonical()) for env in self._sent]
+            for remaining, env in self._scheduled:
+                entries.append((env.target, env.payload.canonical(), remaining))
+            self._canonical = (self._peers, tuple(sorted(entries)))
+        return self._canonical
+
+
 class ReChordNetwork:
     """A set of Re-Chord peers driven by the synchronous kernel.
 
@@ -635,25 +679,26 @@ class ReChordNetwork:
     # ------------------------------------------------------------------
     # stability / correctness predicates
     # ------------------------------------------------------------------
-    def fingerprint(self) -> tuple:
-        """Canonical global configuration (peer states + in-flight).
+    def config_snapshot(self) -> ConfigSnapshot:
+        """The global configuration (peer states + in-flight) at this
+        boundary, cheap to take and canonicalized only on demand.
 
         In-flight covers next round's inboxes *and* delayed deliveries
-        still parked in the scheduler's future queue; the latter carry
-        their remaining delay, because the same envelope at different
-        maturities is a different configuration.  Under unit delivery
-        the future queue is empty and the fingerprint is byte-identical
-        to the historical form.
+        still parked in the scheduler's future queue.
         """
-        peers = tuple(
-            self.peers[pid].state.canonical() for pid in sorted(self.peers)
+        return ConfigSnapshot(
+            tuple(self.peers[pid].state.canonical() for pid in sorted(self.peers)),
+            self.scheduler.all_pending(),
+            self.scheduler.future_pending(),
         )
-        entries = [
-            (env.target, env.payload.canonical()) for env in self.scheduler.all_pending()
-        ]
-        for remaining, env in self.scheduler.future_pending():
-            entries.append((env.target, env.payload.canonical(), remaining))
-        return (peers, tuple(sorted(entries)))
+
+    def fingerprint(self) -> tuple:
+        """Canonical global configuration: ``config_snapshot().canonical()``.
+
+        Under unit delivery the future queue is empty and the
+        fingerprint is byte-identical to the historical form.
+        """
+        return self.config_snapshot().canonical()
 
     def incremental_fingerprint(self) -> tuple:
         """The 64-bit configuration hash ``(states, pending)``.

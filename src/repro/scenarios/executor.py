@@ -21,7 +21,17 @@ does: the full-scan spec — and any run under a partial-activation
 daemon — compares fingerprints, the activity-tracked kernels under full
 activation ask the scheduler's exact ``changed_last_round`` flag.
 Recovery additionally waits for the operation ledger to drain (deadlines
-bound that wait).
+bound that wait).  A recovery round that opens with a retry/hedge
+relaunch compares fingerprints on every kernel, because the relaunch
+lands after the boundary the criterion compares against.  The loop
+stops only on a round that ends drained, so the fingerprint pair
+decides only relaunch rounds that end drained: each boundary that may
+need a fingerprint is kept as a cheap
+:class:`~repro.core.network.ConfigSnapshot` (memoized state tuples,
+references to the in-flight envelopes) and canonicalized only once the
+ledger has drained.  The snapshot is exact because everything it
+references is immutable: state tuples are rebuilt, never edited, and
+envelopes and their payloads are frozen values.
 """
 
 from __future__ import annotations
@@ -359,27 +369,29 @@ def run_scenario(
     adversity_end = net.round_no
     recovery_rounds = -1
     # tracked kernels, full activation: the scheduler's change flag is
-    # exact and O(changed); otherwise compare fingerprints (module
-    # docstring).  The flag measures a round against the configuration
-    # it started from, the fingerprint criterion against the previous
-    # boundary: a probe the plane relaunches at the top of a round sits
-    # between the two, so those rounds compare fingerprints as well
+    # exact and O(changed); otherwise compare the boundary snapshots
+    # (module docstring).  The flag measures a round against the
+    # configuration it started from, the fingerprint criterion against
+    # the previous boundary: a probe the plane relaunches at the top of
+    # a round sits between the two, so those rounds compare snapshots
+    # as well.  The loop stops only on a drained round, so a snapshot is
+    # canonicalized only once the ledger has drained
     by_flag = net.incremental and net.time_model.daemon.is_full
-    prev = None if by_flag else net.fingerprint()
+    prev = None if by_flag else net.config_snapshot()
     stable = False
     for executed in range(1, spec.max_recovery_rounds + 1):
         if by_flag and plane is not None and plane.launches_due():
-            prev = net.fingerprint()
+            prev = net.config_snapshot()
         run_one_round()
         if executed % spec.sample_every == 0:
             samples.append(_sample(net, plane, checked))
+        drained = plane is None or not plane.collector.outstanding
         if prev is None:
             changed = net.scheduler.changed_last_round
         else:
-            cur = net.fingerprint()
-            changed = cur != prev
+            cur = net.config_snapshot() if drained or not by_flag else None
+            changed = not drained or cur.canonical() != prev.canonical()
             prev = None if by_flag else cur
-        drained = plane is None or not plane.collector.outstanding
         if not changed and drained:
             # the configuration reached at `executed - 1` is final
             recovery_rounds = executed - 1

@@ -159,6 +159,18 @@ class TrafficSpec:
         return TrafficSpec(**kw)
 
 
+#: the integer fields of ScenarioSpec and their lower bounds (None: any
+#: int — the seed only keys SHA-256 derivations); a bool or a numeric
+#: string from a JSON spec is rejected, not coerced
+_INT_FIELDS = (
+    ("n", 1),
+    ("seed", None),
+    ("rounds", 0),
+    ("sample_every", 1),
+    ("max_recovery_rounds", 1),
+)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A complete, seeded adversity campaign.
@@ -214,12 +226,14 @@ class ScenarioSpec:
             from repro.netsim.timemodel import make_daemon
 
             make_daemon(dict(self.daemon))
-        if self.n < 1:
-            raise ValueError("need at least one peer")
-        if self.rounds < 0:
-            raise ValueError("rounds must be non-negative")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be positive")
+        for name, low in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r} ({type(value).__name__})"
+                )
+            if low is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         for event in self.events:
             # events fire at the boundary BEFORE their round executes, so
             # valid offsets are 0..rounds-1: an event at `rounds` would

@@ -1,0 +1,167 @@
+"""The pure helpers of ``tools/ab_bench.py`` (the A/B benchmark runner):
+verdicts, quartiles, the simulated-statistics diff and the command-line
+routing.  Nothing here runs a benchmark."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _load_ab_bench():
+    spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab_bench = _load_ab_bench()
+
+OPS = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+RSS = {"name": "peak_rss_mib", "unit": "MiB", "better": "lower", "bound": 0.15}
+PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.5, 98.5]
+
+
+def verdict(block: str) -> str:
+    (line,) = [row for row in block.splitlines() if row.strip().startswith("verdict:")]
+    return line.split("verdict:", 1)[1].strip()
+
+
+class TestReport:
+    def test_gain(self):
+        change = [v * 1.2 for v in PARENT]
+        block = ab_bench.report(OPS, PARENT, change)
+        assert verdict(block).startswith("gain")
+        assert "change ahead in 10/10 pairs" in block
+
+    def test_gain_when_lower_is_better(self):
+        change = [v * 0.8 for v in PARENT]
+        assert verdict(ab_bench.report(RSS, PARENT, change)).startswith("gain")
+
+    def test_regression(self):
+        change = [v * 0.7 for v in PARENT]
+        assert verdict(ab_bench.report(OPS, PARENT, change)).startswith(
+            "REGRESSION (worse by 30.0%, bound 25%)"
+        )
+
+    def test_regression_when_lower_is_better(self):
+        change = [v * 1.2 for v in PARENT]
+        assert verdict(ab_bench.report(RSS, PARENT, change)).startswith("REGRESSION")
+
+    def test_within_bound(self):
+        """Ahead in every pair, but by less than the parent's own
+        quartile distance: not a gain."""
+        change = [v + 0.1 for v in PARENT]
+        assert verdict(ab_bench.report(OPS, PARENT, change)) == "within the bound (25%)"
+
+    def test_within_bound_when_too_few_pairs_win(self):
+        change = [v * 1.2 if i < 8 else v * 0.99 for i, v in enumerate(PARENT)]
+        assert verdict(ab_bench.report(OPS, PARENT, change)) == "within the bound (25%)"
+
+
+class TestQuartiles:
+    def test_one_run_is_its_own_quartiles(self):
+        assert ab_bench.quartiles([7.5]) == (7.5, 7.5, 7.5)
+
+    def test_median_between_quartiles(self):
+        q1, median, q3 = ab_bench.quartiles(PARENT)
+        assert q1 <= median <= q3 and median == 100.0
+
+
+class TestSimDiff:
+    @staticmethod
+    def stdout(sim: dict, campaign: dict, metrics: dict) -> str:
+        """A ``--trace 1`` run's last two lines."""
+        detail = {"detail": {"sim": sim, "campaign": campaign}}
+        cells = {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()}
+        return "warm-up chatter\n" + json.dumps(detail) + "\n" + json.dumps({"metrics": cells})
+
+    def run(self, **overrides) -> dict:
+        sim = {"fingerprint": "ab12", "rule_fires": 900}
+        campaign = {"wall_s": 1.5, "rounds_per_s": 40.0, "sim_rounds": 60}
+        metrics = {
+            "netsim.round_calls": (60, "count"),
+            "netsim.round_s": (0.8, "s"),
+            "bench.unattributed_share": (0.2, "share"),
+            "bench.spans": (5000, "count"),
+            "telemetry.overhead_share": (0.14, "share"),
+            "scenarios.window_survival_share": (0.9, "share"),
+        }
+        for key, value in overrides.items():
+            if key in sim:
+                sim[key] = value
+            elif key in campaign:
+                campaign[key] = value
+            else:
+                metrics[key] = (value, metrics[key][1])
+        return ab_bench.sim_stats(self.stdout(sim, campaign, metrics))
+
+    def test_identical_runs(self):
+        assert ab_bench.sim_diff(self.run(), self.run()) == []
+
+    def test_host_time_keys_are_skipped(self):
+        change = self.run(
+            **{
+                "bench.unattributed_share": 0.1,
+                "bench.spans": 4000,
+                "telemetry.overhead_share": 0.3,
+                "wall_s": 1.2,
+                "rounds_per_s": 50.0,
+                "netsim.round_s": 0.5,
+            }
+        )
+        assert ab_bench.sim_diff(self.run(), change) == []
+
+    def test_simulated_keys_are_reported(self):
+        change = self.run(
+            **{"rule_fires": 901, "sim_rounds": 61, "scenarios.window_survival_share": 0.8}
+        )
+        assert ab_bench.sim_diff(self.run(), change) == [
+            "detail.campaign.sim_rounds: 60 -> 61",
+            "detail.sim.rule_fires: 900 -> 901",
+            "scenarios.window_survival_share: 0.9 -> 0.8",
+        ]
+
+    def test_key_on_one_side_only(self):
+        parent = {"detail.sim.fingerprint": "ab12"}
+        assert ab_bench.sim_diff(parent, {}) == ["detail.sim.fingerprint: 'ab12' -> '<missing>'"]
+
+
+class TestRouting:
+    @pytest.fixture
+    def sim_calls(self, monkeypatch):
+        calls = []
+
+        def fake_check_sim(command, workloads, rev):
+            calls.append((workloads, rev))
+            return 0
+
+        monkeypatch.setattr(ab_bench, "check_sim", fake_check_sim)
+        return calls
+
+    def test_sim_checks_every_workload(self, sim_calls):
+        assert ab_bench.main(["--sim"]) == 0
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+        assert sim_calls == [([w["name"] for w in declared], "HEAD")]
+
+    def test_sim_checks_only_the_named_workload(self, sim_calls):
+        assert ab_bench.main(["--sim", "--workload", "fault_campaign", "--parent", "HEAD~1"]) == 0
+        assert sim_calls == [(["fault_campaign"], "HEAD~1")]
+
+    def test_ab_run_needs_a_workload(self, sim_calls, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            ab_bench.main([])
+        assert exit_info.value.code == 2
+        assert "--workload is required (unless --sim)" in capsys.readouterr().err
+        assert sim_calls == []
+
+    def test_unknown_workload_rejected(self, sim_calls, capsys):
+        with pytest.raises(SystemExit):
+            ab_bench.main(["--sim", "--workload", "nope"])
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert sim_calls == []

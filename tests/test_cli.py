@@ -199,6 +199,8 @@ class TestCli:
              "unrecognized arguments: --collector list"),
             (["baseline", "--sizes", "3"], "baseline: --sizes must be >= 4"),
             (["all", "--sizes", "2"], "baseline: --sizes must be >= 4"),
+            (["scenario", "--spec", {"max_recovery_rounds": "9"}],
+             "max_recovery_rounds must be an integer, got '9' (str)"),
         ],
     )
     def test_bad_input_is_a_diagnostic_not_a_traceback(self, argv, message, capsys, tmp_path):

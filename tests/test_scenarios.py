@@ -20,10 +20,11 @@ from __future__ import annotations
 import functools
 import json
 import random
+import re
 
 import pytest
 
-from repro.core.network import ReChordNetwork
+from repro.core.network import ConfigSnapshot, ReChordNetwork
 from repro.scenarios import (
     EVENT_KINDS,
     EventContext,
@@ -37,8 +38,9 @@ from repro.scenarios import (
 )
 from repro.scenarios.executor import _build_start
 from repro.netsim.rng import SeedSequence
+from repro.traffic import TrafficPlane, WorkloadGenerator
 from repro.workloads.initial import build_random_network
-from tests.conftest import KERNELS, kernel
+from tests.conftest import ENGINES, KERNELS, build, kernel
 
 #: small campaign size used throughout (keeps the suite fast)
 N = 12
@@ -82,6 +84,35 @@ class TestSpec:
                 name="x", n=8, seed=1, rounds=4,
                 events=(EventSpec(at=4, kind="crash_wave", params={"count": 1}),),
             )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", "8", "n must be an integer, got '8' (str)"),
+            ("n", 0, "n must be >= 1, got 0"),
+            ("seed", True, "seed must be an integer, got True (bool)"),
+            ("seed", 1.0, "seed must be an integer, got 1.0 (float)"),
+            ("rounds", 4.5, "rounds must be an integer, got 4.5 (float)"),
+            ("rounds", -1, "rounds must be >= 0, got -1"),
+            ("sample_every", None, "sample_every must be an integer, got None (NoneType)"),
+            ("sample_every", 0, "sample_every must be >= 1, got 0"),
+            ("max_recovery_rounds", "9", "max_recovery_rounds must be an integer, got '9' (str)"),
+            ("max_recovery_rounds", -3, "max_recovery_rounds must be >= 1, got -3"),
+            ("max_recovery_rounds", 0, "max_recovery_rounds must be >= 1, got 0"),
+        ],
+    )
+    def test_integer_field_rejected(self, field, value, message):
+        """Each integer field is an int (never a bool or a numeric
+        string from a JSON spec) in range, and the error names it
+        (regression: a negative recovery budget ran to ``stable=False``
+        and a float round count reached the executor as a TypeError)."""
+        data = {"name": "x", "n": 8, "seed": 1, "rounds": 4, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScenarioSpec.from_json(json.dumps(data))
+
+    def test_negative_seed_accepted(self):
+        """The seed only keys SHA-256 derivations: any int is in range."""
+        assert ScenarioSpec(name="x", n=8, seed=-7, rounds=4).seed == -7
 
     def test_overrides_produce_new_spec(self):
         spec = tiny("flash-crowd")
@@ -310,3 +341,77 @@ class TestExecutor:
         # configuration digest (position-keyed seeding would re-roll
         # the crash wave and diverge here)
         assert b.config_digest == a.config_digest
+
+
+class TestBoundarySnapshot:
+    """The recovery loop's stability check: a boundary snapshot that is
+    canonicalized only when a drained round lets the comparison decide."""
+
+    LOGNORMAL = {"kind": "lognormal", "cap": 6}
+
+    @pytest.mark.parametrize("latency", [LOGNORMAL, None], ids=["lognormal", "unit"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_snapshot_does_not_alias_live_state(self, engine, latency):
+        """A snapshot keeps describing its own boundary while traffic,
+        delayed deliveries and a crash wave move the network on."""
+        net = build(build_random_network, engine, n=12, seed=4)
+        net.run_until_stable(max_rounds=4000)
+        if latency is not None:
+            net.set_delivery_model(dict(latency))
+        plane = TrafficPlane(net, max_attempts=3, hedge_after=2)
+        WorkloadGenerator(plane, rate=3.0, seed=8)
+        for _ in range(3):
+            plane.run_round()
+        rng = SeedSequence(4).child("crash").rng()
+        apply_event_spec(EventContext(net, plane), rng, "crash_wave", {"count": 3})
+        plane.run_round()
+        snap, before = net.config_snapshot(), net.fingerprint()
+        pending = before[1]
+        assert any(entry[1][0] == "traffic-req" for entry in pending)
+        if latency is not None:
+            assert any(len(entry) == 3 for entry in pending)  # scheduled deliveries
+        for _ in range(4):
+            plane.run_round()
+        assert net.fingerprint() != before
+        assert snap.canonical() == before
+
+    @pytest.mark.parametrize(
+        "spec, drained_relaunches",
+        [
+            (tiny("gray-failure"), 2),
+            (tiny("mass-failure", seed=2).with_overrides(latency=LOGNORMAL), 1),
+        ],
+        ids=["gray-failure", "mass-failure-lognormal"],
+    )
+    def test_only_drained_relaunch_rounds_are_canonicalized(
+        self, spec, drained_relaunches, monkeypatch
+    ):
+        """On the columnar kernel a campaign canonicalizes one snapshot
+        for the configuration digest and one pair per relaunch round that
+        ends with a drained ledger, however many relaunch rounds it runs;
+        the report still equals the full-scan spec's."""
+        expected = run_scenario(spec, engine="full")
+        canonicalized = []
+        relaunch_drained = []
+        canonical = ConfigSnapshot.canonical
+        run_round = TrafficPlane.run_round
+
+        def counting_canonical(self):
+            canonicalized.append(self)
+            return canonical(self)
+
+        def watched_run_round(self, *args, **kwargs):
+            recovering = self.generator is not None and not self.generator.active
+            due = recovering and self.launches_due()
+            out = run_round(self, *args, **kwargs)
+            if due:
+                relaunch_drained.append(not self.collector.outstanding)
+            return out
+
+        monkeypatch.setattr(ConfigSnapshot, "canonical", counting_canonical)
+        monkeypatch.setattr(TrafficPlane, "run_round", watched_run_round)
+        report = run_scenario(spec, engine="columnar")
+        assert report == expected
+        assert sum(relaunch_drained) == drained_relaunches
+        assert len(relaunch_drained) > drained_relaunches  # undrained ones cost nothing
+        assert len(canonicalized) == 1 + 2 * drained_relaunches

@@ -20,17 +20,18 @@ a faster side runs more of them; ``op_success_share`` then averages over
 different instances, and the report flags it.
 
 With ``--sim`` it checks instead that every simulated statistic is
-unchanged: one ``--trace 1`` run per side for every workload at seeds
-2011 and 77, comparing ``detail.sim``, the bound-0 keys of
-``detail.campaign`` and every per-layer count, rounds and share metric
-except the host-time-driven ones.  It prints ``identical`` or each
+unchanged: one ``--trace 1`` run per side for every workload (or only
+the one ``--workload`` names) at seeds 2011 and 77, comparing
+``detail.sim``, the bound-0 keys of ``detail.campaign`` and every
+per-layer count, rounds and share metric except the host-time-driven
+ones.  It prints ``identical`` or each
 differing key per workload and seed, and exits 1 on any difference.
 
 Usage::
 
     python tools/ab_bench.py --workload restabilize --pairs 10
     python tools/ab_bench.py --workload traffic_steady --seed 77 --pairs 5 --parent HEAD~1
-    python tools/ab_bench.py --sim [--parent REV]
+    python tools/ab_bench.py --sim [--workload W] [--parent REV]
 
 The script reads ``BENCHMARK.json`` and runs ``bench/``; it edits
 neither.  Run it on an otherwise idle machine: the two sides share it.
@@ -53,10 +54,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SIM_SEEDS = (2011, 77)
 #: per-layer units that measure simulated work, compared exactly ...
 SIM_UNITS = ("count", "rounds", "share")
-#: ... except these metrics, which host time drives
-TIMED = ("bench.", "telemetry.overhead_share")
-#: the campaign keys with a nonzero bound (host time)
-TIMED_CAMPAIGN = ("wall_s", "rounds_per_s")
+#: ... except the keys host time drives: the bench-side metrics, the
+#: telemetry overhead and the campaign keys with a nonzero bound
+TIMED = (
+    "bench.", "telemetry.overhead_share",
+    "detail.campaign.wall_s", "detail.campaign.rounds_per_s",
+)
 
 
 def run_once(command: List[str], checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
@@ -77,35 +80,39 @@ def run_once(command: List[str], checkout: Path, workload: str, seed: int, secon
     return values
 
 
-def sim_run(command: List[str], checkout: Path, workload: str, seed: int) -> Dict[str, Any]:
-    """One ``--trace 1`` run in ``checkout``: its simulated statistics,
-    flattened to ``key -> value``."""
-    argv = command + ["--workload", workload, "--seed", str(seed), "--trace", "1"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv)} failed in {checkout}:\n{done.stderr[-2000:]}")
-    lines = done.stdout.strip().splitlines()
+def sim_stats(stdout: str) -> Dict[str, Any]:
+    """The statistics of one ``--trace 1`` run's output, flattened to
+    ``key -> value``: ``detail.sim``, ``detail.campaign`` and every
+    per-layer metric in a :data:`SIM_UNITS` unit."""
+    lines = stdout.strip().splitlines()
     detail = json.loads(lines[-2])["detail"]
     stats = {f"detail.sim.{key}": value for key, value in detail["sim"].items()}
-    stats.update(
-        (f"detail.campaign.{key}", value)
-        for key, value in detail["campaign"].items() if key not in TIMED_CAMPAIGN
-    )
+    stats.update((f"detail.campaign.{key}", value) for key, value in detail["campaign"].items())
     stats.update(
         (name, cell["value"])
         for name, cell in json.loads(lines[-1])["metrics"].items()
-        if cell["unit"] in SIM_UNITS and not name.startswith(TIMED)
+        if cell["unit"] in SIM_UNITS
     )
     return stats
 
 
+def sim_run(command: List[str], checkout: Path, workload: str, seed: int) -> Dict[str, Any]:
+    """One ``--trace 1`` run in ``checkout``: :func:`sim_stats` of it."""
+    argv = command + ["--workload", workload, "--seed", str(seed), "--trace", "1"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} failed in {checkout}:\n{done.stderr[-2000:]}")
+    return sim_stats(done.stdout)
+
+
 def sim_diff(parent: Dict[str, Any], change: Dict[str, Any]) -> List[str]:
-    """The keys whose values differ (or exist on one side only)."""
+    """The keys whose values differ (or exist on one side only),
+    skipping the :data:`TIMED` ones."""
     missing = "<missing>"
     return [
         f"{key}: {parent.get(key, missing)!r} -> {change.get(key, missing)!r}"
         for key in sorted(parent.keys() | change.keys())
-        if parent.get(key, missing) != change.get(key, missing)
+        if not key.startswith(TIMED) and parent.get(key, missing) != change.get(key, missing)
     ]
 
 
@@ -195,10 +202,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--parent", default="HEAD", help="revision to compare the working tree against")
     parser.add_argument("--sim", action="store_true",
-                        help="check every simulated statistic of every workload instead")
+                        help="check every simulated statistic instead (of --workload, "
+                        "or of every workload)")
     args = parser.parse_args(argv)
     if args.sim:
-        return check_sim(spec["command"], workloads, args.parent)
+        chosen = workloads if args.workload is None else [args.workload]
+        return check_sim(spec["command"], chosen, args.parent)
     if args.workload is None:
         parser.error("--workload is required (unless --sim)")
     if args.pairs < 1:
