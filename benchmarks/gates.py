@@ -46,7 +46,9 @@ SLOWDOWN = 3.0
 def _restabilize(n: int) -> dict:
     """Join one peer into an n-peer network built directly in its stable
     topology and time the re-stabilization, with the batched pipeline's
-    memo hit shares over the post-churn run."""
+    reuse shares over the post-churn run: the share of level runs of
+    rules 3-6 and of the apply-inbox landing that were not recomputed —
+    a memo hit or a carried level (a carried level is never looked up)."""
     from repro.experiments.scaling import _post_churn_restabilize, build_ideal_network
     from repro.netsim.rng import SeedSequence
     from repro.workloads.initial import random_peer_ids
@@ -61,20 +63,21 @@ def _restabilize(n: int) -> dict:
     stepper = net.scheduler._batch_stepper
     before = stepper.memo_counts()
     report, seconds, frac = _post_churn_restabilize(net, join_id, gateway, 2_000)
-    lookups = {
-        phase: (h - before[phase][0], m - before[phase][1])
-        for phase, (h, m) in stepper.memo_counts().items()
+    #: phase -> (levels reused, levels recomputed)
+    runs = {
+        phase: (h + c - before[phase][0] - before[phase][2], m - before[phase][1])
+        for phase, (h, m, c) in stepper.memo_counts().items()
     }
-    landed, relanded = lookups.pop("apply_inbox")
-    hits = sum(h for h, _m in lookups.values())
-    misses = sum(m for _h, m in lookups.values())
+    kept, relanded = runs.pop("apply_inbox")
+    reused = sum(r for r, _m in runs.values())
+    recomputed = sum(m for _r, m in runs.values())
     return {
         "n": n,
         "rounds": report.rounds_executed,
         "rounds_per_sec": round(report.rounds_executed / seconds, 2),
         "executed_fraction": round(frac, 4),
-        "memo_hit_share": round(hits / (hits + misses), 4),
-        "apply_hit_share": round(landed / (landed + relanded), 4),
+        "memo_hit_share": round(reused / (reused + recomputed), 4),
+        "apply_hit_share": round(kept / (kept + relanded), 4),
     }
 
 

@@ -193,7 +193,10 @@ class ReChordNetwork:
             # batches.  The pipeline keeps this oracle's verdicts per
             # oracle epoch
             self.scheduler.set_batch_stepper(
-                BatchedRuleEngine(oracle=self._ref_alive, oracle_epoch=self.oracle_epoch)
+                BatchedRuleEngine(
+                    oracle=self._ref_alive, oracle_epoch=self.oracle_epoch,
+                    oracle_moves=self.oracle_moves,
+                )
             )
         else:
             self.scheduler = SynchronousScheduler(time_model=time_model)
@@ -203,6 +206,8 @@ class ReChordNetwork:
         #: full-scan rebuild, each of which moves the oracle epoch
         self._level_snapshot: Dict[int, frozenset] = {}
         self._oracle_epoch = 0
+        #: owner -> the oracle epoch at which its answers last moved
+        self._oracle_moved: Dict[int, int] = {}
         #: tracked kernel: owner ids referenced by each peer ...
         self._refs_out: Dict[int, frozenset] = {}
         #: ... and its inverse: peers whose purge consults each owner
@@ -421,8 +426,16 @@ class ReChordNetwork:
         """Moves whenever an answer of the liveness oracle may: a verdict
         is a pure function of the ref given the frozen level map, so a
         consumer (the fast pipeline's purge phase) may keep verdicts for
-        as long as the epoch stands.  Never compared for order."""
+        as long as the epoch stands.  It only ever grows."""
         return self._oracle_epoch
+
+    def oracle_moves(self) -> Dict[int, int]:
+        """``owner -> the epoch at which its answers last moved`` (read
+        only): a verdict on a ref of an owner missing here, or moved at
+        or before epoch ``e``, is the one it was at ``e``.  Under the
+        columnar kernel only; the full-scan rebuild moves the epoch
+        for every owner at once and is not recorded here."""
+        return self._oracle_moved
 
     def _note_levels(self, pid: int) -> bool:
         """Freeze ``pid``'s current level set into the oracle's map;
@@ -432,12 +445,14 @@ class ReChordNetwork:
             return False
         self._level_snapshot[pid] = levels
         self._oracle_epoch += 1
+        self._oracle_moved[pid] = self._oracle_epoch
         return True
 
     def _forget_levels(self, pid: int) -> None:
         """``pid`` is gone: its refs answer ``dead`` from now on."""
         if self._level_snapshot.pop(pid, None) is not None:
             self._oracle_epoch += 1
+            self._oracle_moved[pid] = self._oracle_epoch
 
     # ------------------------------------------------------------------
     # activity bookkeeping (tracked kernel)

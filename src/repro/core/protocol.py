@@ -79,7 +79,7 @@ class ReChordPeer:
 
     __slots__ = (
         "state", "config", "counters", "_ref_alive", "_replay_delta",
-        "traffic", "telemetry",
+        "traffic", "telemetry", "_carry",
     )
 
     def __init__(
@@ -97,6 +97,12 @@ class ReChordPeer:
         #: by the activity-tracked scheduler so quiescent rounds keep the
         #: exact same rule-firing accounting as fully executed ones
         self._replay_delta: dict = {}
+        #: the batched pipeline's ``(state version, config, peer-wide
+        #: reads)`` at the end of this peer's last step: while the version
+        #: and config still hold, the levels' carry records describe the
+        #: current state (repro.core.rules_batched); None when no record
+        #: may be trusted
+        self._carry = None
         #: application-plane handler (see repro.traffic); installed by
         #: ReChordNetwork.attach_traffic, None when no plane is attached
         self.traffic = None

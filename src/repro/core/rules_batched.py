@@ -21,6 +21,12 @@ peer outbox in the same relative order the scalar pipeline would).
 What the batching buys
 ----------------------
 
+* **Carried levels** — the dirty set is per *peer*, but one changed
+  sub-flow usually reaches one simulated node, and the other ~log n
+  levels of the receiver see exactly the inputs they saw the last time
+  they ran.  Such a level is **carried**: it runs no landing, purge,
+  rule 1–6 work or memo-key build; the engine replays what it did last
+  time instead.  See "Carrying a level" below.
 * **One rank index per round** — :class:`RankIndex` lexsorts the intern
   table's flat ``(ids, owners, levels)`` columns (numpy ``lexsort`` when
   available, a pure-Python argsort otherwise) into a global rank per
@@ -47,17 +53,16 @@ What the batching buys
   inbox into its payloads per addressed level (a persistent
   :class:`~repro.netsim.messages.SubFlow` keeps the parsed form, so an
   unchanged sub-flow is parsed once, not once per round), and lands
-  each level with one delta: the refs added to ``nu``/``nr``/``nc``
-  (one C-level ``set.update`` each, self-edges removed by one
-  ``discard``), the wrap slots, the adoption counts.  Set *content* is
-  all any downstream consumer observes (every order-sensitive reader
-  sorts first), and the ``version`` counter is only ever compared for
-  equality, so coalesced bumping is invisible.  Linear adoption reads
-  only ``node.ref`` and the ``rl``/``rr`` slots, which nothing in the
-  phase writes, so linear candidates commute with each other, with
-  edge-adds and with wrap candidates; wrap candidates (which read and
-  write the wrap slots) keep their relative order.  The landing sits
-  behind the per-level memo too (key table below).
+  each level with one delta (``_land``): the refs added to
+  ``nu``/``nr``/``nc`` (one C-level ``set.update`` each, self-edges
+  removed by one ``discard``), the wrap slots, the adoption counts.
+  Set *content* is all any downstream consumer observes (every
+  order-sensitive reader sorts first), and the ``version`` counter is
+  only ever compared for equality, so coalesced bumping is invisible.
+  Linear adoption reads only ``node.ref`` and the ``rl``/``rr`` slots,
+  which nothing in the phase writes, so linear candidates commute with
+  each other, with edge-adds and with wrap candidates; wrap candidates
+  (which read and write the wrap slots) keep their relative order.
 * **C-speed purge screening** — the ``ok`` set of refs already
   judged alive turns the common per-set scan into one hash-based
   ``issuperset`` call, and a single ``nref in refs`` containment check
@@ -67,10 +72,55 @@ What the batching buys
   connection edges per level, the closest-known-predecessor is found
   by a linear key scan over ``nu`` and the sibling chain instead of
   materializing and sorting the full candidate list.
-* **A per-level memo in front of rules 3–6** — the dirty set is per
-  *peer*, but one changed sub-flow usually reaches one virtual node, and
-  the other ~log n levels of the receiver see exactly the inputs they
-  saw the last time the peer executed.  See "The per-level memo" below.
+* **Peer-wide reads from the levels' parts** — rules 1 and 3 read the
+  real refs of ``knowledge()`` and rule 5 its extremes.  Each level
+  records its part (its known reals after purge, its extremes when rule
+  5 starts); the peer's value is the union of the parts, and the
+  previous step's when every executed level's part is its recorded
+  one, so no phase scans ``knowledge()`` unless rule 1 changes the
+  level set.
+* **A per-level memo in front of rules 3–6** of the levels that do run.
+  See "The per-level memo" below.
+
+Carrying a level
+----------------
+
+Every :class:`~repro.core.state.LocalNode` keeps a record of its last
+execution (``_carry``): the pieces it landed, whether it ended in the
+state it started from, its outbox slices of rules 3–6, its counter
+deltas, its rule-2 moves into sibling levels and the refs sibling moves
+added to it, its ``(rl, rr)``, the peer-wide rule-5 reads it saw, its
+parts of the peer-wide reads, and the owners its purge judged.  Level L
+of an executing peer is **carried** iff its inputs equal the inputs of
+that execution:
+
+* its pieces (compared by value; an unchanged sub-flow hands over the
+  very same tuples);
+* its sets and slots: that execution left L as it found it, and nothing
+  touched the peer since (its ``PeerState.version`` is the one the
+  peer's last step ended with, the peer-level token
+  ``ReChordPeer._carry``, which also pins the ``config`` object);
+* its purge verdicts: no owner it judged moved in the oracle since
+  (``ReChordNetwork.oracle_moves``);
+* every peer-wide value a phase reads — the level set and the sibling
+  tuple (pinned by the version), the refs rule 2 of its siblings moves
+  into it, its ``(rl, rr)`` and rule 5's four extremes.
+
+The last ones are only known part-way through the pipeline.  A carried
+level whose rule-2 adds differ, or whose ``(rl, rr)`` or rule-5 reads
+moved, is **promoted**: it executes from that phase on, starting from
+its state as of that phase — its landing and purge run again before
+rule 3 (nothing before rule 3 emits, and a carried level's counters are
+only added when the step closes), and before rule 5 its ``nr``/``nc``
+go back to what purge left (rules 5 and 6 write neither ``nu`` nor a
+slot, so those already hold what rule 4 left).  A peer whose level set
+changes — rule 1, or mail for a level it no longer simulates [D8] — or
+whose inbox holds mail for the scalar handler executes whole.
+
+A carried level appends its recorded slices at their rule-major,
+level-minor positions, so the outbox is the one a full step builds; its
+counter deltas are added when the step closes.  An executed level's
+record is rebuilt by its step.
 
 The per-level memo
 ------------------
@@ -95,16 +145,16 @@ rule  key
 6     ``nc`` after the sibling-chain add, ``nu``, the sibling tuple
 ====  ==============================================================
 
-The apply-inbox landing is memoized the same way, per simulated node:
-its key is the level's pieces (the payload tuples addressed to it, in
-inbox order), ``rl``, ``rr``, ``wrap_rl``, ``wrap_rr`` and
-``config.wrap_pointers``.  The landing only ever *adds* to the neighbor
-sets and reads none of them, so the sets are not key components and the
-entry is a delta (``_land_level``).
-
 ``(rl, rr)`` rather than the sorted reals list: a far-away real node the
 peer learns of moves no level's closest pair and must not miss them all.
-**A new read in a rule body is a new key component.**
+**A new read in a rule body is a new key component** — and a new input
+of the carry rule.
+
+The memo only sees the levels that execute: a level whose own inputs
+moved while a rule's did not (new mail that lands nothing new, a
+promotion) still hits.  The apply-inbox landing has no memo: carrying
+takes the repeats it used to catch (one in ten of the landings left
+after carrying would hit it).
 
 Every :class:`~repro.core.state.LocalNode` carries a one-entry memo per
 rule (``_memo``).  A phase builds the key; on a **hit** it appends the
@@ -130,7 +180,8 @@ never to a wrong answer.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from operator import attrgetter, itemgetter
 from time import perf_counter as _perf
 from typing import Dict, List, Optional, Sequence
@@ -174,8 +225,7 @@ _NUMPY_MIN_ROWS = 2048
 
 
 #: the memoized rules, in pipeline order; a node's memo is a list with
-#: one entry per memoized phase (``MEMO_PHASES`` below), a rule's
-#: indexed by its position here.  A rule's entry is
+#: one entry per rule, indexed by its position here.  A rule's entry is
 #: ``(key, envelopes, post set, rest)``: the key with its sets frozen,
 #: the emitted outbox slice as a tuple, the post-state of the set the
 #: rule rewrites (``nu`` for rules 3/4, ``nr`` for 5, ``nc`` for 6 — the
@@ -185,13 +235,159 @@ _NUMPY_MIN_ROWS = 2048
 MEMO_RULES = ("rule3", "rule4", "rule5", "rule6")
 _R3, _R4, _R5, _R6 = range(4)
 
-#: the memoized phases: the four rules and, in the list's last slot, the
-#: apply-inbox landing (entry layout at ``_land_level``)
+#: the phases ``memo_counts()`` reports: the four rules and the
+#: apply-inbox landing, which has no memo (its hits stay 0, every live
+#: landing counts as a miss)
 MEMO_PHASES = MEMO_RULES + ("apply_inbox",)
 _AI = 4
 
 #: rule 5's counter deltas when nothing fired
 _NO_RING_FIRES = (0, 0, 0)
+
+
+#: the counters one level's execution moves, in record order; each
+#: phase owns a slice of the list (``_F_*`` is where it starts)
+FIRE_NAMES = (
+    "rule3_adopt", "wrap_adopt",
+    "purge_phantom", "purge_dead", "purge_slot",
+    "rule2_move",
+    "rule4_forward",
+    "rule5_create", "rule5_convert", "rule5_forward",
+    "rule6_forward", "rule6_backward",
+)
+_F_AI, _F_PURGE, _F_R2, _F_R4, _F_R5, _F_R6 = 0, 2, 5, 6, 7, 10
+
+#: a level's carry record (``LocalNode._carry``) is a list describing
+#: its last execution, indexed by:
+_PIECES = 0   # the pieces it landed (None: no mail for it)
+_FIXED = 1    # the execution ended in the state it started from
+_LAND = 2     # the landing's adds to nu, nr, nc and the wrap slots it left
+_REALS = 3    # the real refs its sets and wrap slots held after purge
+_LO = 4       # refs rule 2 of its siblings added to nu before its turn ...
+_HI = 5       # ... and after it
+_MOVES = 6    # its own rule-2 moves, ((target level, ref), ...)
+_RLRR = 7     # rule 3's (rl, rr)
+_EXT = 8      # its part of rule 5's extremes (kmin, kmax, real min, real max)
+_WIDE = 9     # rule 5's peer-wide reads
+_OUT = 10     # the outbox slices of rules 3, 4, 5, 6 at _OUT + memo index
+_FIRES = 14   # its counter deltas in FIRE_NAMES order
+_REPLAY = 15  # the nonzero ones as ((index, amount), ...), made by the first carry
+_EPOCH = 16   # an oracle epoch at which its purge verdicts were the current ones
+_OWNERS = 17  # the owners of every ref its purge judged, made when first asked
+_REC_LEN = 18
+
+#: a promoted level's stage: it carried up to its rule-2 turn, or up to
+#: rule 5; at the end of the step it replays the counters of those
+#: phases (apply-inbox and purge run again live after a rule-2 turn)
+_POST2, _POST4 = 1, 2
+_STAGE_FIRES = {_POST2: slice(_F_R2, _F_R4), _POST4: slice(0, _F_R5)}
+
+_NO_MOVES: tuple = ()
+#: the ``_LAND`` of a level that got no mail
+_NO_LANDING = ((), (), (), None, None)
+
+
+def _new_rec(pieces=None) -> list:
+    rec = [None] * _REC_LEN
+    rec[_PIECES] = pieces
+    rec[_LO] = rec[_HI] = rec[_MOVES] = _NO_MOVES
+    rec[_OUT] = rec[_OUT + 1] = rec[_OUT + 2] = rec[_OUT + 3] = ()
+    rec[_FIRES] = [0] * len(FIRE_NAMES)
+    return rec
+
+
+def _slots(node) -> tuple:
+    return (
+        node._rl, node._rr, node._wrap_rl, node._wrap_rr,
+        node._bcast_rl, node._bcast_rl_targets,
+        node._bcast_rr, node._bcast_rr_targets,
+    )
+
+
+def _snapshot(node) -> tuple:
+    """A level's state, to tell at the end of its step whether the step
+    left it as it found it."""
+    return (frozenset(node._nu), frozenset(node._nr), frozenset(node._nc), _slots(node))
+
+
+def _owners(node, land: tuple) -> set:
+    """The owners of every ref in the level's sets and slots, and in
+    what its landing added."""
+    owners = {r.owner for refs in (node._nu, node._nr, node._nc, *land[:3]) for r in refs}
+    for ref in (node._rl, node._rr, node._wrap_rl, node._wrap_rr, land[3], land[4]):
+        if ref is not None:
+            owners.add(ref.owner)
+    return owners
+
+
+def _reals_of(node) -> frozenset:
+    """The real refs among the level's part of ``PeerState.knowledge()``."""
+    reals = {r for refs in (node._nu, node._nr, node._nc) for r in refs if not r.level}
+    if node._wrap_rl is not None:
+        reals.add(node._wrap_rl)
+    if node._wrap_rr is not None:
+        reals.add(node._wrap_rr)
+    return frozenset(reals)
+
+
+def _extremes(node) -> tuple:
+    """``(kmin, kmax, real min, real max)`` over the level's part of
+    ``knowledge()`` (its own ref included); the real ones may be None."""
+    refs = [node.ref, *node._nu, *node._nr, *node._nc, *node.wrap_refs()]
+    reals = [r for r in refs if not r.level]
+    if not reals:
+        return (min(refs, key=_KEY), max(refs, key=_KEY), None, None)
+    return (min(refs, key=_KEY), max(refs, key=_KEY), min(reals, key=_KEY), max(reals, key=_KEY))
+
+
+class _Step:
+    """One peer's step through the pipeline: the levels it carries and
+    the records its executed levels build."""
+
+    __slots__ = (
+        "carry", "carried", "recs", "snaps", "stage", "whole", "reals", "prev",
+        "same_reals", "reals_list", "real_keys", "wide", "sibs", "sib_keys",
+    )
+
+    def __init__(self, carry: bool, whole: bool = False, prev: Optional[tuple] = None) -> None:
+        #: may a level be carried this step
+        self.carry = carry
+        #: level -> its last record, for as long as the level is carried
+        self.carried: Dict[int, list] = {}
+        #: level -> the record an executed level is building (made on
+        #: first use)
+        self.recs: Dict[int, list] = defaultdict(_new_rec)
+        #: level -> its state at step start (executed levels)
+        self.snaps: Dict[int, tuple] = {}
+        #: level -> the stage a promoted level left carrying at
+        self.stage: Dict[int, int] = {}
+        #: every level executes and the peer-wide reads come from full
+        #: knowledge() scans: rule 1 changed the level set, or the step
+        #: runs a phase alone (no apply-inbox / purge before it)
+        self.whole = whole
+        #: the real refs of knowledge() after purge, once asked for
+        self.reals: Optional[set] = None
+        #: the previous step's peer-wide reads ``(reals, their keys,
+        #: rule 5's wide key, siblings, their keys)`` when it left every
+        #: level set as it is (None: nothing to reuse) ...
+        self.prev = prev
+        #: ... whether the union of the levels' known reals is that
+        #: step's (every executed level's part is its recorded one) ...
+        self.same_reals = False
+        #: ... and this step's, for the next one
+        self.reals_list: Optional[list] = None
+        self.real_keys: Optional[list] = None
+        self.wide: Optional[tuple] = None
+        self.sibs: Optional[tuple] = None
+        self.sib_keys: Optional[list] = None
+
+
+def _step(it: list) -> _Step:
+    """The peer's :class:`_Step` (a phase called on its own gets one
+    that carries nothing)."""
+    if len(it) < 5:
+        it.append(_Step(False, whole=True))
+    return it[4]
 
 
 def _restore(refs: TrackedSet, content: frozenset) -> None:
@@ -273,35 +469,46 @@ class BatchedRuleEngine:
     """
 
     __slots__ = (
-        "rank_index", "_fast", "_memo_hits", "_memo_misses",
-        "_oracle", "_oracle_epoch", "_verdict_epoch", "_verdicts", "_ok",
+        "rank_index", "_fast", "_memo_hits", "_memo_misses", "_carried",
+        "_oracle", "_oracle_epoch", "_oracle_moves", "_epoch", "_moved",
+        "_verdict_epoch", "_verdicts", "_ok",
     )
 
     def __init__(
-        self, use_numpy: Optional[bool] = None, oracle=None, oracle_epoch=None
+        self, use_numpy: Optional[bool] = None, oracle=None, oracle_epoch=None,
+        oracle_moves=None,
     ) -> None:
         self.rank_index = RankIndex(use_numpy)
         #: this pipeline's envelope intern cache, keyed by flat ints
         self._fast: Dict[tuple, Envelope] = {}
-        #: per-level memo lookups by outcome, one int per MEMO_PHASES
-        #: entry; observational only — no rule reads them
+        #: per-level memo lookups by outcome and carried levels, one int
+        #: per MEMO_PHASES entry; observational only — no rule reads them
         self._memo_hits = [0] * len(MEMO_PHASES)
         self._memo_misses = [0] * len(MEMO_PHASES)
+        self._carried = [0] * len(MEMO_PHASES)
         #: the liveness oracle whose verdicts purge may keep across
         #: rounds, and the callable reading its epoch — which moves
         #: whenever one of its answers may
-        #: (``ReChordNetwork._ref_alive`` / ``.oracle_epoch``).  Peers
-        #: answering to any other oracle share nothing
+        #: (``ReChordNetwork._ref_alive`` / ``.oracle_epoch``), and the
+        #: one reading the epoch at which each owner's answers last
+        #: moved (``.oracle_moves``).  Peers answering to any other
+        #: oracle share nothing and carry nothing
         self._oracle = oracle
         self._oracle_epoch = oracle_epoch
+        self._oracle_moves = oracle_moves
+        #: the running batch's epoch and owner moves
+        self._epoch = None
+        self._moved: Dict[int, int] = {}
         self._verdict_epoch = None
         self._verdicts: Dict[NodeRef, str] = {}
         self._ok: set = set()
 
     def memo_counts(self) -> Dict[str, tuple]:
-        """``phase -> (hits, misses)`` of the per-level memo so far."""
+        """``phase -> (hits, misses, carried)`` so far: the per-level
+        memo's lookups by outcome, and the levels that phase carried
+        without a lookup."""
         return {
-            phase: (self._memo_hits[i], self._memo_misses[i])
+            phase: (self._memo_hits[i], self._memo_misses[i], self._carried[i])
             for i, phase in enumerate(MEMO_PHASES)
         }
 
@@ -333,6 +540,9 @@ class BatchedRuleEngine:
         #: the handler phase: (key, bound handler, its arguments)
         handlers: List[tuple] = []
         tel = None
+        if self._oracle_moves is not None:
+            self._epoch = self._oracle_epoch()
+            self._moved = self._oracle_moves()
         for key, actor, parts, ctx in items:
             if not isinstance(actor, ReChordPeer):
                 raise _not_a_peer(key)
@@ -354,7 +564,18 @@ class BatchedRuleEngine:
                         parts[i] = [e for e in part if not isinstance(e.payload, AppPayload)]
                 if app:
                     handlers.append((key, actor.traffic.handle, (actor, app, ctx)))
-            peers.append([actor, parts, ctx, fires_before])
+            # the levels' records describe the current state only while
+            # nothing touched it since this peer's last step (every
+            # write moves the version) and the config is the one that
+            # step ran
+            token = actor._carry
+            carry = (
+                token is not None and token[0] == actor.state.version
+                and token[1] is actor.config
+            )
+            peers.append(
+                [actor, parts, ctx, fires_before, _Step(carry, prev=token[2] if carry else None)]
+            )
         for key, actor, inbox, ctx in lane:
             if not isinstance(actor, ReChordPeer):
                 raise _not_a_peer(key)
@@ -370,9 +591,9 @@ class BatchedRuleEngine:
         else:
             before = self.memo_counts()
             self._pipeline(peers, handlers, tel.add_time)
-            for phase, (hits, misses) in self.memo_counts().items():
-                tel.add_memo(phase, hits - before[phase][0], misses - before[phase][1])
-        for actor, _parts, _ctx, fires_before in peers:
+            for phase, counts in self.memo_counts().items():
+                tel.add_memo(phase, *(now - then for now, then in zip(counts, before[phase])))
+        for actor, _parts, _ctx, fires_before, _s in peers:
             fires = actor.counters.fires
             actor._replay_delta = {
                 rule: count - fires_before.get(rule, 0)
@@ -389,7 +610,8 @@ class BatchedRuleEngine:
         reports stay comparable; a span covers the whole batch and
         counts one call per peer in it, so call counts (and the
         per-call averages derived from them) keep their per-peer
-        meaning.
+        meaning.  Closing the steps (records, carried counters) is part
+        of the rule 6 span.
         """
         n = len(peers)
         t = _perf()
@@ -398,13 +620,9 @@ class BatchedRuleEngine:
             t2 = _perf(); add("peer.apply_inbox", t2 - t, n); t = t2
             self._phase_purge(peers)
             t2 = _perf(); add("rule.purge", t2 - t, n); t = t2
-            for actor, _i, _c, _f in peers:
-                if actor.config.virtual_nodes:
-                    actor._rule1_virtual_nodes()
+            self._phase_rule1(peers)
             t2 = _perf(); add("rule.1_virtual_nodes", t2 - t, n); t = t2
-            for actor, _i, _c, _f in peers:
-                if actor.config.overlap:
-                    actor._rule2_overlap()
+            self._phase_rule2(peers)
             t2 = _perf(); add("rule.2_overlap", t2 - t, n); t = t2
             # rule 1 mints refs for freshly created levels: re-rank once so
             # the sort phases below see them (cheap no-op when nothing grew)
@@ -416,6 +634,7 @@ class BatchedRuleEngine:
             self._phase_rule5(peers)
             t2 = _perf(); add("rule.5_ring", t2 - t, n); t = t2
             self._phase_rule6(peers)
+            self._phase_finish(peers)
             t2 = _perf(); add("rule.6_connection", t2 - t, n); t = t2
         if handlers:
             for _key, handle, args in handlers:
@@ -506,17 +725,21 @@ class BatchedRuleEngine:
         # the scalar _apply_inbox, level by level.  Each part of the inbox
         # is parsed into its payloads per addressed level (a SubFlow keeps
         # the result), a level's pieces are gathered in inbox order, and
-        # one landing per level — behind the memo — does what the scalar
-        # loop does envelope by envelope.  Edge-adds write only the
+        # one landing per level does what the scalar loop does envelope
+        # by envelope.  Edge-adds write only the
         # neighbor sets; linear adoption reads only node.ref and the rl/rr
         # slots, which nothing in this phase writes — so edge-adds, linear
         # candidates and NeighborIntros commute with each other and with
         # wrap candidates, which read and write the wrap slots and keep
-        # their relative order (a level's pieces are in inbox order)
-        hits = misses = 0
+        # their relative order (a level's pieces are in inbox order).
+        # This phase also decides which levels the step sets out to
+        # carry: a level whose record is fixed, whose pieces are the
+        # recorded ones and whose purge verdicts stand
         parse = self._parse
+        epoch, moved = self._epoch, self._moved
         for it in peers:
             actor, parts = it[0], it[1]
+            step = _step(it)
             state = actor.state
             peer_id = state.peer_id
             #: addressed level -> its payload tuples, one per part
@@ -537,61 +760,63 @@ class BatchedRuleEngine:
                         pieces.append(payloads)
                 if form[2]:
                     others.extend(form[2])
+            nodes = state.nodes
+            resolved = nodes.keys() >= by_level.keys()
+            if others or not resolved:
+                # the scalar handler or [D8] mail for a dropped level:
+                # the whole peer executes
+                step.carry = False
+            carry = step.carry
+            carried = step.carried
+            live: List[int] = []
+            for level in sorted(nodes):
+                node = nodes[level]
+                pieces = by_level.get(level)
+                rec = node._carry
+                if (
+                    carry and rec is not None and rec[_FIXED] and rec[_PIECES] == pieces
+                    and (rec[_EPOCH] == epoch or self._verdicts_stand(rec, node, epoch, moved))
+                ):
+                    carried[level] = rec
+                    continue
+                if not others:
+                    # (the handler's mail is no record's input: a level
+                    # it reaches keeps no record that may be carried)
+                    step.snaps[level] = _snapshot(node)
+                step.recs[level] = _new_rec(pieces)
+                live.append(level)
             if others:
                 # NeighborIntro / no-plane AppPayload / unknown: rare
                 # paths — the scalar handler (same effects, same errors)
                 actor._apply_inbox(others)
             if not by_level:
                 continue
-            nodes = state.nodes
-            if not nodes.keys() >= by_level.keys():
+            if not resolved:
                 by_level = self._resolve_levels(parts, nodes)
-            wrap = actor.config.wrap_pointers
-            counters = actor.counters
-            adopts = wrap_adopts = 0
-            for level, pieces in by_level.items():
-                node = nodes[level]
-                memo = node._memo
-                if memo is None:
-                    memo = node._memo = [None] * len(MEMO_PHASES)
-                entry = memo[_AI]
-                rl = node._rl
-                rr = node._rr
-                wrl = node._wrap_rl
-                wrr = node._wrap_rr
-                # interned refs: identity first, NodeRef.__eq__ is a call
-                if entry is not None and (
-                    (k := entry[0])[0] == pieces
-                    and (k[1] is rl or k[1] == rl)
-                    and (k[2] is rr or k[2] == rr)
-                    and (k[3] is wrl or k[3] == wrl)
-                    and (k[4] is wrr or k[4] == wrr)
-                    and k[5] == wrap
-                ):
-                    hits += 1
-                else:
-                    misses += 1
-                    entry = memo[_AI] = self._land_level(
-                        node, (pieces, rl, rr, wrl, wrr, wrap)
-                    )
-                _key, nu_add, nr_add, nc_add, slots, fired = entry
-                if nu_add:
-                    node._nu.update(nu_add)
-                if nr_add:
-                    node._nr.update(nr_add)
-                if nc_add:
-                    node._nc.update(nc_add)
-                if slots is not None:
-                    node.wrap_rl, node.wrap_rr = slots
-                if fired is not None:
-                    adopts += fired[0]
-                    wrap_adopts += fired[1]
-            if adopts:
-                counters.bump("rule3_adopt", adopts)
-            if wrap_adopts:
-                counters.bump("wrap_adopt", wrap_adopts)
-        self._memo_hits[_AI] += hits
-        self._memo_misses[_AI] += misses
+            recs = step.recs
+            for level in live:
+                pieces = by_level.get(level)
+                if pieces is not None:
+                    rec = recs[level]
+                    rec[_PIECES] = pieces
+                    self._land(actor, nodes[level], pieces, rec)
+
+    @staticmethod
+    def _verdicts_stand(rec: list, node, epoch: int, moved: Dict[int, int]) -> bool:
+        """Whether every verdict the fixed level's purge took at
+        ``rec``'s epoch is still the oracle's answer — no owner it judged
+        moved since; then the record holds at ``epoch`` too."""
+        then = rec[_EPOCH]
+        owners = rec[_OWNERS]
+        if owners is None:
+            # the level holds what it held when its run ended — and so
+            # when it started: its refs and its landing's are the judged
+            owners = rec[_OWNERS] = _owners(node, rec[_LAND] or _NO_LANDING)
+        for owner in owners:
+            if moved.get(owner, then) > then:
+                return False
+        rec[_EPOCH] = epoch
+        return True
 
     @staticmethod
     def _parse(envelopes: Sequence[Envelope], peer_id: int) -> tuple:
@@ -649,20 +874,19 @@ class BatchedRuleEngine:
                     landed.setdefault(level if level in nodes else top, []).append(payload)
         return {level: [tuple(payloads)] for level, payloads in landed.items()}
 
-    def _land_level(self, node, key: tuple) -> tuple:
-        """What the delayed assignments in ``key``'s pieces do to one
-        simulated node, as the memo entry ``(key, added to nu, to nr, to
-        nc, wrap slots or None, (rule3_adopt, wrap_adopt) or None)``.
-
-        Pure in ``key`` and ``node.ref``: no set is read — every landing
-        only adds — so the sets are not key components, and the entry is
-        a *delta* the caller applies on a hit and on a miss alike.
-        ``key`` lists every input: the pieces, ``rl``/``rr`` (the
-        receiver-side guards of both candidate kinds), the wrap slots
-        and ``config.wrap_pointers`` (wrap adoption).
-        """
-        pieces, rl, rr, wrl, wrr, wrap = key
+    def _land(self, actor, node, pieces: list, rec: list) -> None:
+        """What the delayed assignments of one level's pieces do to it,
+        landed as one delta: the refs added to ``nu`` / ``nr`` / ``nc``
+        (every landing only adds, and reads none of the sets), the wrap
+        slots, the adoption counts.  ``rl`` / ``rr`` are the
+        receiver-side guards of both candidate kinds, the wrap slots and
+        ``config.wrap_pointers`` steer wrap adoption.  Notes the
+        counters and the ``nr`` / ``nc`` adds in the level's record."""
+        self._memo_misses[_AI] += 1
+        wrap = actor.config.wrap_pointers
         ref = node.ref
+        rl, rr = node._rl, node._rr
+        wrl, wrr = node._wrap_rl, node._wrap_rr
         nu_add: set = set()
         nr_add: set = set()
         nc_add: set = set()
@@ -709,14 +933,20 @@ class BatchedRuleEngine:
         nu_add.discard(ref)
         nr_add.discard(ref)
         nc_add.discard(ref)
-        return (
-            key,
-            tuple(nu_add),
-            tuple(nr_add),
-            tuple(nc_add),
-            None if wrl is key[3] and wrr is key[4] else (wrl, wrr),
-            (len(adopted), wrap_adopts) if adopted or wrap_adopts else None,
-        )
+        if nu_add:
+            node._nu.update(nu_add)
+        if nr_add:
+            node._nr.update(nr_add)
+        if nc_add:
+            node._nc.update(nc_add)
+        if wrl is not node._wrap_rl or wrr is not node._wrap_rr:
+            node.wrap_rl, node.wrap_rr = wrl, wrr
+        rec[_LAND] = (tuple(nu_add), tuple(nr_add), tuple(nc_add), wrl, wrr)
+        if adopted or wrap_adopts:
+            rec[_FIRES][_F_AI:_F_PURGE] = (len(adopted), wrap_adopts)
+            counters = actor.counters
+            counters.bump("rule3_adopt", len(adopted))
+            counters.bump("wrap_adopt", wrap_adopts)
 
     @staticmethod
     def _adoptable(ref: NodeRef, bound: Optional[NodeRef], cands: List[NodeRef], side: str) -> List[NodeRef]:
@@ -746,15 +976,21 @@ class BatchedRuleEngine:
     # ------------------------------------------------------------------
     # phase: purge [D7]/[D11]
     # ------------------------------------------------------------------
+    def _verdicts_of(self, actor) -> tuple:
+        """``(verdicts, ok)`` for the actor's oracle: the ones kept for
+        the engine's oracle, fresh ones for any other."""
+        if actor._ref_alive == self._oracle:
+            return self._verdicts, self._ok
+        return {}, set()
+
     def _phase_purge(self, peers: List[list]) -> None:
         # a verdict is a pure function of the ref given the oracle's
         # frozen snapshot, so the verdicts of ``self._oracle`` are kept
         # for as long as its epoch stands — across peers and rounds.
         # ``ok`` holds every ref already judged alive; a set whose
         # members are all in it (and which does not contain a self-ref)
-        # provably purges nothing, and both checks run at C speed.
-        oracle = self._oracle
-        if oracle is not None:
+        # provably purges nothing, and both checks run at C speed
+        if self._oracle is not None:
             epoch = self._oracle_epoch()
             if epoch != self._verdict_epoch:
                 self._verdict_epoch = epoch
@@ -762,75 +998,290 @@ class BatchedRuleEngine:
                 self._ok = set()
         for it in peers:
             actor = it[0]
-            alive = actor._ref_alive
-            if alive == oracle:
-                verdicts, ok = self._verdicts, self._ok
-            else:  # another oracle's answers are shared with nobody
-                verdicts, ok = {}, set()
+            step = _step(it)
+            carried = step.carried
+            verdicts, ok = self._verdicts_of(actor)
+            nodes = actor.state.nodes
+            for level in sorted(nodes):
+                if level not in carried:
+                    self._purge_level(actor, nodes[level], step.recs[level], verdicts, ok)
+            if step.prev is not None:
+                for level, rec in step.recs.items():
+                    old = nodes[level]._carry
+                    if old is None or old[_REALS] != rec[_REALS]:
+                        break
+                else:
+                    step.same_reals = True
+
+    def _purge_level(self, actor, node, rec: list, verdicts: dict, ok: set) -> None:
+        """Purge one level; notes its counters and its known reals in
+        its record."""
+        alive = actor._ref_alive
+        nref = node.ref
+        rec[_EPOCH] = self._epoch
+        phantom = dead = slot = 0
+        for refs in (node._nu, node._nr, node._nc):
+            if nref not in refs and ok.issuperset(refs):
+                continue
+            p, d = self._purge_refs(refs, nref, verdicts, ok, alive)
+            phantom += p
+            dead += d
+        for attr, ref in (
+            ("rl", node._rl),
+            ("rr", node._rr),
+            ("wrap_rl", node._wrap_rl),
+            ("wrap_rr", node._wrap_rr),
+        ):
+            if ref is None:
+                continue
+            if ref.level != 0 or ref == nref:
+                setattr(node, attr, None)
+                slot += 1
+                continue
+            v = verdicts.get(ref)
+            if v is None:
+                v = verdicts[ref] = alive(ref)
+                if v == REF_OK:
+                    ok.add(ref)
+            if v != REF_OK:
+                setattr(node, attr, None)
+                slot += 1
+        nk = nref._key
+        rl = node._rl
+        if rl is not None and rl._key >= nk:
+            node.rl = None
+        rr = node._rr
+        if rr is not None and rr._key <= nk:
+            node.rr = None
+        rec[_REALS] = _reals_of(node)
+        if phantom or dead or slot:
+            rec[_FIRES][_F_PURGE:_F_R2] = (phantom, dead, slot)
             counters = actor.counters
+            counters.bump("purge_phantom", phantom)
+            counters.bump("purge_dead", dead)
+            counters.bump("purge_slot", slot)
+
+    @staticmethod
+    def _purge_refs(refs, nref: NodeRef, verdicts: dict, ok: set, alive) -> tuple:
+        """Purge one neighbor set; returns ``(phantom, dead)`` counts."""
+        bad: Optional[List[NodeRef]] = None
+        for r in refs:
+            if r == nref:
+                if bad is None:
+                    bad = []
+                bad.append(r)
+                continue
+            v = verdicts.get(r)
+            if v is None:
+                v = verdicts[r] = alive(r)
+                if v == REF_OK:
+                    ok.add(r)
+            if v != REF_OK:
+                if bad is None:
+                    bad = []
+                bad.append(r)
+        if bad is None:
+            return 0, 0
+        phantom = dead = 0
+        for ref in bad:
+            refs.discard(ref)
+            if ref == nref:
+                continue
+            if verdicts[ref] == REF_PHANTOM:
+                real = NodeRef.real(ref.owner)
+                if real != nref:
+                    refs.add(real)
+                phantom += 1
+            else:
+                dead += 1
+        return phantom, dead
+
+    # ------------------------------------------------------------------
+    # carrying: a level whose inputs turn out to differ runs after all
+    # ------------------------------------------------------------------
+    def _execute_level(self, it: list, level: int) -> list:
+        """A carried level executes from the start: its landing and purge
+        run live now (nothing before rule 3 emits, and a carried level's
+        counters are only added when the step closes).  Returns its new
+        record."""
+        actor, step = it[0], it[4]
+        old = step.carried.pop(level)
+        node = actor.state.nodes[level]
+        step.snaps[level] = _snapshot(node)
+        rec = step.recs[level] = _new_rec(old[_PIECES])
+        if old[_PIECES] is not None:
+            self._land(actor, node, old[_PIECES], rec)
+        self._purge_level(actor, node, rec, *self._verdicts_of(actor))
+        return rec
+
+    def _resume(self, it: list, level: int, hi: tuple) -> None:
+        """A carried level executes from rule 3 on (its rule-2 adds after
+        its own turn differ, or its ``(rl, rr)`` does): landing and purge
+        run live, then its recorded rule-2 turn is applied to ``nu`` and
+        ``hi`` is added."""
+        old = it[4].carried[level]
+        rec = self._execute_level(it, level)
+        nu = it[0].state.nodes[level]._nu
+        for w in old[_LO]:
+            nu.add(w)
+        for _target, w in old[_MOVES]:
+            nu.discard(w)
+        for w in hi:
+            nu.add(w)
+        rec[_LO], rec[_MOVES], rec[_HI] = old[_LO], old[_MOVES], hi
+        rec[_FIRES][_F_R2] = len(old[_MOVES])
+        it[4].stage[level] = _POST2
+
+    def _reopen(self, it: list, level: int) -> None:
+        """A carried level executes rules 5 and 6 (rule 5's peer-wide
+        reads moved).  The level left each earlier step as it found it
+        and rules 5 and 6 write neither ``nu`` nor a slot, so ``nu`` and
+        the slots already hold what rule 4 left; ``nr`` and ``nc`` go
+        back to what the purge left (the recorded adds, purged again —
+        the verdicts stand, the counters were counted)."""
+        actor, step = it[0], it[4]
+        old = step.carried.pop(level)
+        node = actor.state.nodes[level]
+        step.snaps[level] = _snapshot(node)
+        rec = step.recs[level] = list(old)
+        rec[_FIRES] = list(old[_FIRES])
+        verdicts, ok = self._verdicts_of(actor)
+        land = old[_LAND] or _NO_LANDING
+        for refs, add in ((node._nr, land[1]), (node._nc, land[2])):
+            if add:
+                refs.update(add)
+            self._purge_refs(refs, node.ref, verdicts, ok, actor._ref_alive)
+        step.stage[level] = _POST4
+
+    @staticmethod
+    def _known_reals(step: _Step, state) -> set:
+        """The real refs of ``knowledge()`` after purge — and so after
+        rules 1 and 2 too, which move refs between levels but lose none
+        (a moved ref equal to its target's own ref stays known as a
+        sibling): the union of the levels' recorded parts."""
+        reals = step.reals
+        if reals is None:
+            reals = step.reals = {state.nodes[0].ref}
+            carried, recs = step.carried, step.recs
+            for level in state.nodes:
+                rec = carried.get(level)
+                reals |= (recs[level] if rec is None else rec)[_REALS]
+        return reals
+
+    # ------------------------------------------------------------------
+    # phase: rule 1 — virtual nodes
+    # ------------------------------------------------------------------
+    def _phase_rule1(self, peers: List[list]) -> None:
+        # the scalar rule reads the closest real gap off knowledge();
+        # here the reals are the union of the levels' parts.  Only when
+        # the level set must change does the scalar rule run — and then
+        # the whole peer executes
+        for it in peers:
+            actor = it[0]
+            if not actor.config.virtual_nodes:
+                continue
+            step = it[4]
             state = actor.state
-            for level in sorted(state.nodes):
-                node = state.nodes[level]
-                nref = node.ref
-                for refs in (node._nu, node._nr, node._nc):
-                    if nref not in refs and ok.issuperset(refs):
-                        continue
-                    bad: Optional[List[NodeRef]] = None
-                    for r in refs:
-                        if r == nref:
-                            if bad is None:
-                                bad = []
-                            bad.append(r)
-                            continue
-                        v = verdicts.get(r)
-                        if v is None:
-                            v = verdicts[r] = alive(r)
-                            if v == REF_OK:
-                                ok.add(r)
-                        if v != REF_OK:
-                            if bad is None:
-                                bad = []
-                            bad.append(r)
-                    if bad is None:
-                        continue
-                    for ref in bad:
-                        refs.discard(ref)
-                        if ref == nref:
-                            continue
-                        if verdicts[ref] == REF_PHANTOM:
-                            real = NodeRef.real(ref.owner)
-                            if real != nref:
-                                refs.add(real)
-                            counters.bump("purge_phantom")
-                        else:
-                            counters.bump("purge_dead")
-                for attr, ref in (
-                    ("rl", node._rl),
-                    ("rr", node._rr),
-                    ("wrap_rl", node._wrap_rl),
-                    ("wrap_rr", node._wrap_rr),
-                ):
-                    if ref is None:
-                        continue
-                    if ref.level != 0 or ref == nref:
-                        setattr(node, attr, None)
-                        counters.bump("purge_slot")
-                        continue
-                    v = verdicts.get(ref)
-                    if v is None:
-                        v = verdicts[ref] = alive(ref)
-                        if v == REF_OK:
-                            ok.add(ref)
-                    if v != REF_OK:
-                        setattr(node, attr, None)
-                        counters.bump("purge_slot")
-                nk = nref._key
-                rl = node._rl
-                if rl is not None and rl._key >= nk:
-                    node.rl = None
-                rr = node._rr
-                if rr is not None and rr._key <= nk:
-                    node.rr = None
+            nodes = state.nodes
+            if step.same_reals:
+                continue  # the gap is the previous step's, which kept the levels
+            gap = state.closest_real_gap(self._known_reals(step, state))
+            m = state.space.level_count(gap)
+            if max(nodes) == m and len(nodes) == m + 1:
+                continue
+            for level in sorted(step.carried):
+                self._execute_level(it, level)
+            actor._rule1_virtual_nodes()
+            step.whole = True
+            step.sibs = None
+
+    # ------------------------------------------------------------------
+    # phase: rule 2 — overlapping neighborhood
+    # ------------------------------------------------------------------
+    def _phase_rule2(self, peers: List[list]) -> None:
+        # the scalar loop, level by level.  A carried level replays its
+        # recorded moves; the refs moved into it are compared with the
+        # recorded ones instead of being added: before its turn (they
+        # are rule 2's input) and after it (rule 3's).  A difference
+        # makes it execute
+        for it in peers:
+            actor = it[0]
+            if not actor.config.overlap:
+                continue
+            step = _step(it)
+            state = actor.state
+            nodes = state.nodes
+            sibs, sib_keys = self._siblings(step, nodes)
+            carried = step.carried
+            #: level -> refs moved into it since its turn (or the start)
+            got: Dict[int, list] = {}
+            moved = 0
+            for level in sorted(nodes):
+                node = nodes[level]
+                lo = tuple(got.pop(level, _NO_MOVES))
+                rec = carried.get(level)
+                if rec is not None and lo == rec[_LO]:
+                    moves = rec[_MOVES]
+                else:
+                    if rec is not None:
+                        self._execute_level(it, level)
+                        for w in lo:
+                            node._nu.add(w)
+                    rec = step.recs[level]
+                    rec[_LO] = lo
+                    moves = rec[_MOVES] = self._rule2_level(node, sibs, sib_keys)
+                    rec[_FIRES][_F_R2] = len(moves)
+                    moved += len(moves)
+                for target, w in moves:
+                    peer_node = nodes[target]
+                    if w != peer_node.ref:
+                        if target not in carried:
+                            peer_node._nu.add(w)
+                        got.setdefault(target, []).append(w)
+            for level in sorted(nodes):
+                hi = tuple(got.get(level, _NO_MOVES))
+                rec = carried.get(level)
+                if rec is None:
+                    step.recs[level][_HI] = hi
+                elif hi != rec[_HI]:
+                    self._resume(it, level, hi)
+            if moved:
+                actor.counters.bump("rule2_move", moved)
+
+    def _siblings(self, step: _Step, nodes: dict) -> tuple:
+        """The sibling refs in key order and their keys — the previous
+        step's while the level set stands."""
+        if step.sibs is None:
+            prev = step.prev
+            if prev is not None and prev[3] is not None and not step.whole:
+                step.sibs, step.sib_keys = prev[3], prev[4]
+            else:
+                sibs = step.sibs = tuple(self._sorted_refs([n.ref for n in nodes.values()]))
+                step.sib_keys = [s._key for s in sibs]
+        return step.sibs, step.sib_keys
+
+    @staticmethod
+    def _rule2_level(node, sibs: Sequence[NodeRef], sib_keys: list) -> tuple:
+        """Scalar rule 2 on one node: discards every ref it moves and
+        returns the moves as ``((target level, ref), ...)``."""
+        ui = node.ref
+        uik = ui._key
+        nsibs = len(sibs)
+        moves = []
+        for w in sorted(node._nu, key=_KEY):
+            wk = w._key
+            if wk < uik:
+                # siblings strictly between w and ui; closest to w wins
+                idx = bisect_right(sib_keys, wk)
+                target = sibs[idx] if idx < nsibs and sib_keys[idx] < uik else None
+            else:
+                idx = bisect_left(sib_keys, wk)
+                target = sibs[idx - 1] if idx > 0 and sib_keys[idx - 1] > uik else None
+            if target is None:
+                continue
+            node._nu.discard(w)
+            moves.append((target.level, w))
+        return tuple(moves) if moves else _NO_MOVES
 
     # ------------------------------------------------------------------
     # the per-level memo (module docstring, "The per-level memo")
@@ -848,22 +1299,40 @@ class BatchedRuleEngine:
     # phase: rule 3 — closest real neighbor
     # ------------------------------------------------------------------
     def _phase_rule3(self, peers: List[list]) -> None:
-        hits = misses = 0
+        hits = misses = carried_n = 0
         for it in peers:
             actor, ctx = it[0], it[2]
             cfg = actor.config
             if not cfg.closest_real:
                 continue
+            step = _step(it)
             state = actor.state
             outbox = ctx._outbox
             eco = cfg.economical_broadcast
-            reals = self._sorted_refs(
-                [r for r in state.knowledge() if r.level == 0]
-            )
-            real_keys = [r._key for r in reals]
+            same = step.same_reals and not step.whole
+            if same:
+                # every carried level's (rl, rr) was checked against
+                # this very list in the previous step
+                reals, real_keys = step.prev[0], step.prev[1]
+            else:
+                if step.whole:
+                    reals = self._sorted_refs(
+                        [r for r in state.knowledge() if r.level == 0]
+                    )
+                else:
+                    reals = self._sorted_refs(list(self._known_reals(step, state)))
+                real_keys = [r._key for r in reals]
+            step.reals_list, step.real_keys = reals, real_keys
             nreals = len(reals)
             nodes = state.nodes
+            carried = step.carried
             for level in sorted(nodes):
+                rec = carried.get(level)
+                if same and rec is not None:
+                    if rec[_OUT]:
+                        outbox.extend(rec[_OUT])
+                    carried_n += 1
+                    continue
                 node = nodes[level]
                 ui = node.ref
                 idx = bisect_left(real_keys, ui._key)
@@ -872,6 +1341,16 @@ class BatchedRuleEngine:
                     rr = reals[idx + 1] if idx + 1 < nreals else None
                 else:
                     rr = reals[idx] if idx < nreals else None
+                if rec is not None:
+                    crl, crr = rec[_RLRR]
+                    if (crl is rl or crl == rl) and (crr is rr or crr == rr):
+                        if rec[_OUT]:
+                            outbox.extend(rec[_OUT])
+                        carried_n += 1
+                        continue
+                    self._resume(it, level, rec[_HI])
+                rec = step.recs[level]
+                rec[_RLRR] = (rl, rr)
                 # the rule's first assignment; (rl, rr) is in the key, so
                 # it is the same write on a hit and on a miss
                 if node._rl is not rl:
@@ -880,7 +1359,7 @@ class BatchedRuleEngine:
                     node.rr = rr
                 memo = node._memo
                 if memo is None:
-                    memo = node._memo = [None] * len(MEMO_PHASES)
+                    memo = node._memo = [None] * len(MEMO_RULES)
                 key = (
                     node._nu, rl, rr, node._wrap_rl, node._wrap_rr, cfg,
                     (node._bcast_rl, node._bcast_rl_targets,
@@ -889,10 +1368,12 @@ class BatchedRuleEngine:
                 entry = memo[_R3]
                 if entry is None or entry[0] != key:
                     misses += 1
-                    memo[_R3] = self._rule3_level(actor, node, ctx, key)
+                    entry = memo[_R3] = self._rule3_level(actor, node, ctx, key)
+                    rec[_OUT] = entry[1]
                     continue
                 hits += 1
                 ekey, envelopes, nu_after, slots = entry
+                rec[_OUT] = envelopes
                 if envelopes:
                     outbox.extend(envelopes)
                 if nu_after is not ekey[0]:
@@ -904,6 +1385,7 @@ class BatchedRuleEngine:
                          node.bcast_rr, node.bcast_rr_targets) = bcast
         self._memo_hits[_R3] += hits
         self._memo_misses[_R3] += misses
+        self._carried[_R3] += carried_n
 
     def _rule3_level(self, actor, node, ctx, key: tuple) -> tuple:
         """Rule 3 on one simulated node whose ``rl``/``rr`` are already
@@ -1007,21 +1489,29 @@ class BatchedRuleEngine:
     # phase: rule 4 — linearization + mirroring
     # ------------------------------------------------------------------
     def _phase_rule4(self, peers: List[list]) -> None:
-        hits = misses = 0
+        hits = misses = carried_n = 0
         for it in peers:
             actor, ctx = it[0], it[2]
             cfg = actor.config
             if not cfg.linearize:
                 continue
+            step = _step(it)
+            carried = step.carried
             outbox = ctx._outbox
             source = self._nu_source(cfg, _R4)
             nodes = actor.state.nodes
             forwards = 0
             for level in sorted(nodes):
+                rec = carried.get(level)
+                if rec is not None:
+                    if rec[_OUT + _R4]:
+                        outbox.extend(rec[_OUT + _R4])
+                    carried_n += 1
+                    continue
                 node = nodes[level]
                 memo = node._memo
                 if memo is None:
-                    memo = node._memo = [None] * len(MEMO_PHASES)
+                    memo = node._memo = [None] * len(MEMO_RULES)
                 key = (
                     node._nu if source is None else memo[source][2],
                     node._rl, node._rr,
@@ -1036,11 +1526,15 @@ class BatchedRuleEngine:
                         outbox.extend(entry[1])
                     if entry[2] is not entry[0][0]:
                         _restore(node._nu, entry[2])
+                rec = step.recs[level]
+                rec[_OUT + _R4] = entry[1]
+                rec[_FIRES][_F_R4] = entry[3]
                 forwards += entry[3]
             if forwards:
                 actor.counters.bump("rule4_forward", forwards)
         self._memo_hits[_R4] += hits
         self._memo_misses[_R4] += misses
+        self._carried[_R4] += carried_n
 
     def _rule4_level(self, node, ctx, key: tuple) -> tuple:
         """Rule 4 on one simulated node; returns the memo entry (its
@@ -1097,30 +1591,69 @@ class BatchedRuleEngine:
     # phase: rule 5 — ring edges
     # ------------------------------------------------------------------
     def _phase_rule5(self, peers: List[list]) -> None:
-        hits = misses = 0
+        hits = misses = carried_n = 0
         for it in peers:
             actor, ctx = it[0], it[2]
             cfg = actor.config
             if not cfg.ring:
                 continue
+            step = _step(it)
             state = actor.state
             outbox = ctx._outbox
-            # peer-wide inputs, read after rule 4 ran on every level
-            knowledge = state.knowledge()
-            kmin = min(knowledge, key=_KEY)
-            kmax = max(knowledge, key=_KEY)
-            reals = state.known_reals(knowledge)
-            wide = (kmin, kmax, reals[0], reals[-1], cfg.wrap_pointers)
-            source = self._nu_source(cfg, _R5)
             nodes = state.nodes
+            carried = step.carried
+            # peer-wide inputs, read after rule 4 ran on every level
+            same = False
+            if step.whole:
+                knowledge = state.knowledge()
+                reals = state.known_reals(knowledge)
+                wide = (
+                    min(knowledge, key=_KEY), max(knowledge, key=_KEY),
+                    reals[0], reals[-1], cfg.wrap_pointers,
+                )
+            else:
+                # the union of the levels' parts: the executed ones
+                # measure theirs now, a carried level's is recorded.  If
+                # every executed level's part is its recorded one, the
+                # union is the previous step's
+                same = step.prev is not None and step.prev[2] is not None
+                for level, rec in step.recs.items():
+                    ext = rec[_EXT] = _extremes(nodes[level])
+                    if same:
+                        old = nodes[level]._carry
+                        same = old is not None and old[_EXT] == ext
+                if same:
+                    wide = step.prev[2]
+                else:
+                    exts = [
+                        (carried.get(level) or step.recs[level])[_EXT] for level in nodes
+                    ]
+                    wide = (
+                        min([e[0] for e in exts], key=_KEY),
+                        max([e[1] for e in exts], key=_KEY),
+                        min([e[2] for e in exts if e[2] is not None], key=_KEY),
+                        max([e[3] for e in exts if e[3] is not None], key=_KEY),
+                        cfg.wrap_pointers,
+                    )
+            step.wide = wide
+            source = self._nu_source(cfg, _R5)
+            stage = step.stage
             create = convert = forward = 0
             for level in sorted(nodes):
+                rec = carried.get(level)
+                if rec is not None:
+                    if same or rec[_WIDE] == wide:
+                        if rec[_OUT + _R5]:
+                            outbox.extend(rec[_OUT + _R5])
+                        carried_n += 1
+                        continue
+                    self._reopen(it, level)
                 node = nodes[level]
                 memo = node._memo
                 if memo is None:
-                    memo = node._memo = [None] * len(MEMO_PHASES)
+                    memo = node._memo = [None] * len(MEMO_RULES)
                 key = (
-                    node._nu if source is None else memo[source][2],
+                    node._nu if source is None or level in stage else memo[source][2],
                     node._nr,
                     *wide,
                 )
@@ -1134,7 +1667,11 @@ class BatchedRuleEngine:
                         outbox.extend(entry[1])
                     if entry[2] is not entry[0][1]:
                         _restore(node._nr, entry[2])
+                rec = step.recs[level]
+                rec[_WIDE] = wide
+                rec[_OUT + _R5] = entry[1]
                 fires = entry[3]
+                rec[_FIRES][_F_R5:_F_R6] = fires
                 if fires is not _NO_RING_FIRES:
                     create += fires[0]
                     convert += fires[1]
@@ -1145,6 +1682,7 @@ class BatchedRuleEngine:
             counters.bump("rule5_forward", forward)
         self._memo_hits[_R5] += hits
         self._memo_misses[_R5] += misses
+        self._carried[_R5] += carried_n
 
     def _rule5_level(self, node, ctx, key: tuple) -> tuple:
         """Rule 5 on one simulated node; returns the memo entry (its
@@ -1224,28 +1762,45 @@ class BatchedRuleEngine:
     # phase: rule 6 — connection edges
     # ------------------------------------------------------------------
     def _phase_rule6(self, peers: List[list]) -> None:
-        hits = misses = 0
+        hits = misses = carried_n = 0
         for it in peers:
             actor, ctx = it[0], it[2]
             cfg = actor.config
             if not cfg.connection:
                 continue
+            step = _step(it)
+            carried = step.carried
             outbox = ctx._outbox
             nodes = actor.state.nodes
-            sibs = tuple(self._sorted_refs([n.ref for n in nodes.values()]))
+            sibs = self._siblings(step, nodes)[0]
             for a, b in zip(sibs, sibs[1:]):
-                nodes[a.level]._nc.add(b)
+                if a.level not in carried:
+                    nodes[a.level]._nc.add(b)
             source = self._nu_source(cfg, _R6)
+            stage = step.stage
             forward = backward = 0
             for level in sorted(nodes):
+                rec = carried.get(level)
+                if rec is not None:
+                    if rec[_OUT + _R6]:
+                        outbox.extend(rec[_OUT + _R6])
+                    carried_n += 1
+                    continue
+                rec = step.recs[level]
                 node = nodes[level]
                 nc = node._nc
                 if not nc:
+                    rec[_OUT + _R6] = ()
+                    rec[_FIRES][_F_R6:] = (0, 0)
                     continue
                 memo = node._memo
                 if memo is None:
-                    memo = node._memo = [None] * len(MEMO_PHASES)
-                key = (nc, node._nu if source is None else memo[source][2], sibs)
+                    memo = node._memo = [None] * len(MEMO_RULES)
+                key = (
+                    nc,
+                    node._nu if source is None or level in stage else memo[source][2],
+                    sibs,
+                )
                 entry = memo[_R6]
                 if entry is None or entry[0] != key:
                     misses += 1
@@ -1256,6 +1811,8 @@ class BatchedRuleEngine:
                         outbox.extend(entry[1])
                     if entry[2] is not entry[0][0]:
                         _restore(nc, entry[2])
+                rec[_OUT + _R6] = entry[1]
+                rec[_FIRES][_F_R6:] = entry[3]
                 forward += entry[3][0]
                 backward += entry[3][1]
             if forward:
@@ -1264,6 +1821,65 @@ class BatchedRuleEngine:
                 actor.counters.bump("rule6_backward", backward)
         self._memo_hits[_R6] += hits
         self._memo_misses[_R6] += misses
+        self._carried[_R6] += carried_n
+
+    # ------------------------------------------------------------------
+    # closing a step
+    # ------------------------------------------------------------------
+    def _phase_finish(self, peers: List[list]) -> None:
+        """Add the carried levels' counters, store the executed levels'
+        records — fixed iff the step left the level as it found it — and
+        the token that lets the next step trust them."""
+        oracle = self._oracle
+        carried_n = 0
+        for it in peers:
+            actor, step = it[0], it[4]
+            state = actor.state
+            nodes = state.nodes
+            acc = [0] * len(FIRE_NAMES)
+            for rec in step.carried.values():
+                replay = rec[_REPLAY]
+                if replay is None:
+                    replay = rec[_REPLAY] = tuple(
+                        (i, a) for i, a in enumerate(rec[_FIRES]) if a
+                    )
+                for i, amount in replay:
+                    acc[i] += amount
+            carried_n += len(step.carried)
+            whole = step.whole
+            snaps = step.snaps
+            stage = step.stage
+            for level, rec in step.recs.items():
+                node = nodes.get(level)
+                if node is None:
+                    continue
+                fires = rec[_FIRES]
+                replayed = stage.get(level)
+                if replayed is not None:
+                    cut = _STAGE_FIRES[replayed]
+                    for i in range(cut.start, cut.stop):
+                        acc[i] += fires[i]
+                    carried_n += replayed == _POST4
+                snap = snaps.get(level)
+                rec[_FIXED] = not whole and snap is not None and (
+                    node._nu == snap[0] and node._nr == snap[1]
+                    and node._nc == snap[2] and _slots(node) == snap[3]
+                )
+                # what only a carry reads is worked out at the first one
+                rec[_REPLAY] = rec[_OWNERS] = None
+                node._carry = rec
+            if any(acc):
+                counters = actor.counters
+                for name, amount in zip(FIRE_NAMES, acc):
+                    if amount:
+                        counters.bump(name, amount)
+            actor._carry = (
+                (state.version, actor.config, None if whole else (
+                    step.reals_list, step.real_keys, step.wide, step.sibs, step.sib_keys,
+                ))
+                if self._oracle_moves is not None and actor._ref_alive == oracle else None
+            )
+        self._carried[_AI] += carried_n
 
     def _rule6_level(self, node, ctx, key: tuple) -> tuple:
         """Rule 6 on one simulated node whose ``nc`` already holds its

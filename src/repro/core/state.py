@@ -248,6 +248,7 @@ class LocalNode:
         "_bcast_rr",
         "_bcast_rr_targets",
         "_memo",
+        "_carry",
         "_canon",
     )
 
@@ -270,6 +271,10 @@ class LocalNode:
         #: outside canonical(), dropped by copies and pickles, gone with
         #: the node when its level is dropped
         self._memo: Optional[list] = None
+        #: the fast pipeline's record of this node's last execution, which
+        #: lets a later step carry the node instead of running it; derived
+        #: data like ``_memo``
+        self._carry: Optional[list] = None
         #: content-keyed memo of :meth:`canonical` — ``(nu, nr, nc frozen,
         #: pointer slots, the tuple)``; derived data like ``_memo``
         self._canon: Optional[tuple] = None
@@ -278,13 +283,14 @@ class LocalNode:
         return {
             name: getattr(self, name)
             for name in self.__slots__
-            if name not in ("_memo", "_canon")
+            if name not in ("_memo", "_carry", "_canon")
         }
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
         self._memo = None
+        self._carry = None
         self._canon = None
 
     nu = _tracked_set_slot("_nu")

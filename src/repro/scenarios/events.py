@@ -33,6 +33,7 @@ campaign stays comparable across spec edits.
 
 from __future__ import annotations
 
+import inspect
 import random
 from typing import Any, Callable, Dict, List, Optional, Set
 
@@ -83,6 +84,55 @@ def _wave_size(ctx: EventContext, rng: random.Random, count, fraction) -> int:
     if fraction is None:
         raise ValueError("wave events need either count or fraction")
     return max(1, int(len(ctx.net.peers) * float(fraction)))
+
+
+#: the allowed values of the wave kinds' choice parameters
+TARGETINGS = ("random", "clustered", "extremes")
+GATEWAYS = ("random", "single")
+#: wave kind -> (its choice parameter, the allowed values)
+WAVE_CHOICES = {
+    "crash_wave": ("targeting", TARGETINGS),
+    "leave_wave": ("targeting", TARGETINGS),
+    "flash_crowd": ("gateway", GATEWAYS),
+}
+
+
+def check_event(kind: str, params: dict) -> None:
+    """Reject ``params`` that ``kind``'s handler would refuse (or
+    silently misread) when the event fires: names outside its signature,
+    and the wave kinds' size and choice knobs.  Each error names the
+    offending field."""
+    handler = EVENT_KINDS[kind]
+    signature = inspect.signature(handler)
+    accepted = list(signature.parameters.values())[2:]  # past (ctx, rng)
+    if not any(p.kind is p.VAR_KEYWORD for p in accepted):
+        names = {p.name for p in accepted}
+        for name in params:
+            if name not in names:
+                raise ValueError(
+                    f"params: unknown parameter {name!r} for {kind}; "
+                    f"choose from {sorted(names)}"
+                )
+    if kind not in WAVE_CHOICES:
+        return
+    count, fraction = params.get("count"), params.get("fraction")
+    if count is None and fraction is None:
+        raise ValueError(f"params: {kind} needs either count or fraction")
+    if count is not None and fraction is not None:
+        raise ValueError(f"params: {kind} takes count or fraction, not both")
+    if count is not None and (
+        not isinstance(count, int) or isinstance(count, bool) or count < 0
+    ):
+        raise ValueError(f"params.count must be an integer >= 0, got {count!r}")
+    if fraction is not None and (
+        not isinstance(fraction, (int, float)) or isinstance(fraction, bool)
+        or not 0 < fraction <= 1
+    ):
+        raise ValueError(f"params.fraction must be a number in (0, 1], got {fraction!r}")
+    name, allowed = WAVE_CHOICES[kind]
+    value = params.get(name, "random")
+    if value not in allowed:
+        raise ValueError(f"params.{name} must be one of {list(allowed)}, got {value!r}")
 
 
 def _pick_victims(

@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
-from repro.scenarios.events import EVENT_KINDS
+from repro.scenarios.events import EVENT_KINDS, check_event
 from repro.traffic.generator import check_workload
 from repro.traffic.messages import OP_GET, OP_LOOKUP, OP_PUT
 from repro.traffic.plane import check_budget, check_resilience
@@ -55,7 +55,10 @@ class EventSpec:
     fires (events fire at a round *boundary*, before that round
     executes); ``kind`` names an entry of
     :data:`repro.scenarios.events.EVENT_KINDS`; ``params`` are the
-    kind-specific knobs (validated when the event is applied).
+    kind-specific knobs, checked at construction against the handler's
+    signature and, for the wave kinds, their ranges and choices
+    (:func:`repro.scenarios.events.check_event`) — a bad event fails
+    when the spec is parsed, not when it fires.
     """
 
     at: int
@@ -63,10 +66,17 @@ class EventSpec:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.at, int) or isinstance(self.at, bool):
+            raise ValueError(
+                f"at must be an integer, got {self.at!r} ({type(self.at).__name__})"
+            )
         if self.kind not in EVENT_KINDS:
             raise ValueError(
                 f"unknown event kind {self.kind!r}; choose from {sorted(EVENT_KINDS)}"
             )
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be an object, got {self.params!r}")
+        check_event(self.kind, self.params)
 
     def to_dict(self) -> dict:
         """JSON-serializable form."""
@@ -76,7 +86,7 @@ class EventSpec:
     def from_dict(data: dict) -> "EventSpec":
         """Inverse of :meth:`to_dict`."""
         return EventSpec(
-            at=int(data["at"]),
+            at=data["at"],
             kind=str(data["kind"]),
             params=dict(data.get("params", {})),
         )
@@ -270,7 +280,14 @@ class ScenarioSpec:
     def from_dict(data: dict) -> "ScenarioSpec":
         """Inverse of :meth:`to_dict`."""
         kw = dict(data)
-        kw["events"] = tuple(EventSpec.from_dict(e) for e in kw.get("events", []))
+        events = []
+        for index, event in enumerate(kw.get("events", [])):
+            try:
+                events.append(EventSpec.from_dict(event))
+            except (KeyError, ValueError) as exc:
+                what = exc.args[0] if isinstance(exc, ValueError) else f"missing field {exc}"
+                raise ValueError(f"event {index}: {what}") from None
+        kw["events"] = tuple(events)
         traffic = kw.get("traffic")
         kw["traffic"] = None if traffic is None else TrafficSpec.from_dict(traffic)
         kw["start_params"] = dict(kw.get("start_params", {}))

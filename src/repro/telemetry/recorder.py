@@ -18,9 +18,10 @@ The recorder separates what is comparable from what is not:
 * :attr:`timers` holds wall-clock phase spans — nondeterministic,
   reported but never compared;
 * :attr:`memo` holds the fast rule pipeline's per-level memo hits and
-  misses — deterministic, but a property of that pipeline alone (the
-  scalar spec has no memo), so it is its own record and never part of
-  the census or the kernel split;
+  misses, and the levels it carried without a lookup — deterministic,
+  but a property of that pipeline alone (the scalar spec has neither),
+  so it is its own record and never part of the census or the kernel
+  split;
 * :attr:`rule_fires` is filled in from the network's
   :class:`~repro.core.rules.RuleCounters` merge when a census is taken
   (rule firings are counted by the protocol layer whether or not
@@ -37,9 +38,11 @@ The recorder separates what is comparable from what is not:
 [(3, 0, 2, 5)]
 >>> rec.kernel_stats() == {"executed": 2, "replayed": 5, "dirty_peak": 2}
 True
->>> rec.add_memo("rule3", hits=9, misses=1)
+>>> rec.add_memo("rule3", hits=9, misses=1, carried=30)
 >>> rec.memo_hit_shares()
 {'rule3': 0.9}
+>>> rec.carried_shares()
+{'rule3': 0.75}
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ class TelemetryRecorder:
         self.timers: Dict[str, List[float]] = {}
         #: per-rule firing snapshot (set by the owning network at census)
         self.rule_fires: Dict[str, int] = {}
-        #: per-level rule memo of the batched pipeline: rule -> [hits, misses]
+        #: per-level rule memo of the batched pipeline:
+        #: rule -> [hits, misses, carried levels]
         self.memo: Dict[str, List[int]] = {}
         #: completed sampled ops: (op_id, op, outcome, hops tuple)
         self.traces: List[Tuple[int, str, str, tuple]] = []
@@ -109,14 +113,16 @@ class TelemetryRecorder:
             slot[0] += seconds
             slot[1] += calls
 
-    def add_memo(self, rule: str, hits: int, misses: int) -> None:
-        """Accumulate one batch's per-level memo lookups of ``rule``."""
+    def add_memo(self, rule: str, hits: int, misses: int, carried: int) -> None:
+        """Accumulate one batch's per-level memo lookups of ``rule`` and
+        the levels it carried."""
         slot = self.memo.get(rule)
         if slot is None:
-            self.memo[rule] = [hits, misses]
+            self.memo[rule] = [hits, misses, carried]
         else:
             slot[0] += hits
             slot[1] += misses
+            slot[2] += carried
 
     def sampled(self, op_id: int) -> bool:
         """Deterministic sampling decision for one op id."""
@@ -159,8 +165,16 @@ class TelemetryRecorder:
         """Hits over lookups of the per-level rule memo, per rule."""
         return {
             rule: round(hits / (hits + misses), 4)
-            for rule, (hits, misses) in sorted(self.memo.items())
+            for rule, (hits, misses, _carried) in sorted(self.memo.items())
             if hits + misses
+        }
+
+    def carried_shares(self) -> Dict[str, float]:
+        """Carried levels over all level runs of each memoized phase."""
+        return {
+            rule: round(carried / (hits + misses + carried), 4)
+            for rule, (hits, misses, carried) in sorted(self.memo.items())
+            if hits + misses + carried
         }
 
     def rule_hotspots(self, k: int = 3) -> List[Tuple[str, float, int]]:
@@ -194,8 +208,8 @@ class TelemetryRecorder:
         if self.memo:
             out.append(
                 {"kind": "memo",
-                 "lookups": {rule: {"hits": h, "misses": m}
-                             for rule, (h, m) in sorted(self.memo.items())}}
+                 "lookups": {rule: {"hits": h, "misses": m, "carried": c}
+                             for rule, (h, m, c) in sorted(self.memo.items())}}
             )
         for phase, seconds, calls in self.phase_table():
             out.append(

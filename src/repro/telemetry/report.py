@@ -70,6 +70,10 @@ def render_phase_table(rec: TelemetryRecorder) -> str:
     if shares:
         cells = ", ".join(f"{rule} {share:.1%}" for rule, share in shares.items())
         lines.append(f"  per-level memo hit share: {cells}")
+    carried = rec.carried_shares()
+    if carried:
+        cells = ", ".join(f"{rule} {share:.1%}" for rule, share in carried.items())
+        lines.append(f"  carried level share: {cells}")
     return "\n".join(lines)
 
 

@@ -1,6 +1,6 @@
 """The pure helpers of ``tools/ab_bench.py`` (the A/B benchmark runner):
-verdicts, quartiles, the simulated-statistics diff and the command-line
-routing.  Nothing here runs a benchmark."""
+verdicts, quartiles, the simulated-statistics diff, the per-layer
+report and the command-line routing.  Nothing here runs a benchmark."""
 
 from __future__ import annotations
 
@@ -132,6 +132,38 @@ class TestSimDiff:
         assert ab_bench.sim_diff(parent, {}) == ["detail.sim.fingerprint: 'ab12' -> '<missing>'"]
 
 
+class TestLayers:
+    @staticmethod
+    def stdout(metrics: dict) -> str:
+        """A ``--trace 1`` run's last two lines."""
+        cells = {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()}
+        return json.dumps({"detail": {}}) + "\n" + json.dumps({"metrics": cells})
+
+    def test_only_host_time_units_are_read(self):
+        got = ab_bench.layer_stats(self.stdout({
+            "netsim.round_s": (0.8, "s"),
+            "core.us_per_step": (120.0, "us"),
+            "netsim.round_calls": (60, "count"),
+            "bench.unattributed_share": (0.2, "share"),
+            "scenarios.recovery_rounds": (12, "rounds"),
+        }))
+        assert got == {"netsim.round_s": 0.8, "core.us_per_step": 120.0}
+
+    def test_report_has_both_medians_and_the_ratio(self):
+        parent = [{"core.rule3_s": v} for v in (1.0, 3.0, 2.0)]
+        change = [{"core.rule3_s": v} for v in (0.5, 1.5, 1.0)]
+        header, row = ab_bench.layer_report(parent, change).splitlines()
+        assert header.split() == ["metric", "parent", "change", "ratio", "delta"]
+        assert row.split() == ["core.rule3_s", "2.0000", "1.0000", "0.500", "-1.0000"]
+
+    def test_a_metric_on_one_side_counts_as_zero_on_the_other(self):
+        rows = ab_bench.layer_report([{"a_s": 1.0}], [{"b_s": 2.0}]).splitlines()[1:]
+        assert [row.split() for row in rows] == [
+            ["a_s", "1.0000", "0.0000", "0.000", "-1.0000"],
+            ["b_s", "0.0000", "2.0000", "-", "+2.0000"],
+        ]
+
+
 class TestRouting:
     @pytest.fixture
     def sim_calls(self, monkeypatch):
@@ -159,6 +191,35 @@ class TestRouting:
         assert exit_info.value.code == 2
         assert "--workload is required (unless --sim)" in capsys.readouterr().err
         assert sim_calls == []
+
+    @pytest.fixture
+    def layer_calls(self, monkeypatch):
+        calls = []
+
+        def fake_check_layers(command, workload, seed, pairs, rev):
+            calls.append((workload, seed, pairs, rev))
+            return 0
+
+        monkeypatch.setattr(ab_bench, "check_layers", fake_check_layers)
+        return calls
+
+    def test_layers_run_the_named_workload(self, layer_calls):
+        assert ab_bench.main(["--layers", "--workload", "restabilize", "--pairs", "3"]) == 0
+        assert ab_bench.main(["--layers", "--workload", "cold_stabilize", "--seed", "77",
+                              "--parent", "HEAD~2"]) == 0
+        assert layer_calls == [("restabilize", 2011, 3, "HEAD"), ("cold_stabilize", 77, 10, "HEAD~2")]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--layers"], "--workload is required (unless --sim)"),
+        (["--layers", "--workload", "restabilize", "--pairs", "0"], "--pairs must be at least 1"),
+        (["--layers", "--sim"], "--sim and --layers are separate runs"),
+    ])
+    def test_bad_layer_runs_rejected(self, layer_calls, sim_calls, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            ab_bench.main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert layer_calls == [] and sim_calls == []
 
     def test_unknown_workload_rejected(self, sim_calls, capsys):
         with pytest.raises(SystemExit):

@@ -195,6 +195,10 @@ class TestCli:
              "quantile must be in (0, 1), got 1.5"),
             (["scenario", "--spec", {"events": [{"at": 1, "kind": "nope"}]}],
              "unknown event kind 'nope'"),
+            (["scenario", "--spec", {"events": [
+                {"at": 1, "kind": "crash_wave", "params": {"count": 1}},
+                {"at": 2, "kind": "crash_wave", "params": {"count": 1, "bogus": 1}}]}],
+             "event 1: params: unknown parameter 'bogus' for crash_wave"),
             (["traffic", "--collector", "list"],
              "unrecognized arguments: --collector list"),
             (["baseline", "--sizes", "3"], "baseline: --sizes must be >= 4"),
@@ -253,6 +257,11 @@ class TestCli:
         assert main(["observe", "--n", "8", "--traces", "0"]) == 0
         out = capsys.readouterr().out
         assert "hop traces (0 of" in out and "  op " not in out
+
+    def test_observe_prints_the_carried_share(self, capsys):
+        assert main(["observe", "--n", "16", "--traces", "0"]) == 0
+        (line,) = [l for l in capsys.readouterr().out.splitlines() if "carried level share" in l]
+        assert "rule3 " in line and "apply_inbox " in line
 
     @pytest.mark.parametrize(
         "argv",

@@ -614,8 +614,8 @@ class TestNeverInternedRefs:
             r.iid == -1 for p in b.peers.values() for r in p.state.knowledge()
         )
         assert_run_identical(a, b, "(never-interned refs)")
-        hits = sum(h for h, _m in b.scheduler._batch_stepper.memo_counts().values())
-        assert hits > 0
+        reused = sum(h + c for h, _m, c in b.scheduler._batch_stepper.memo_counts().values())
+        assert reused > 0
 
 
 class TestGroupedCandidateDelivery:
@@ -690,9 +690,9 @@ class TestGroupedCandidateDelivery:
         with pytest.raises(LookupError, match="candidate for"):
             BatchedRuleEngine()._phase_apply_inbox([[peer, [[stray]], ctx, {}]])
 
-    def test_a_repeated_delivery_hits_and_lands_the_same(self):
+    def test_a_repeated_delivery_lands_the_same(self):
         """Duplicates, wrong sides, virtual and self candidates, dropped
-        levels: the memoized landing of the same inbox equals the first."""
+        levels: the landing of the same inbox again equals the first."""
         net = self._net()
         peer = self._peer(net)
         before = copy.deepcopy(peer.state)
@@ -701,16 +701,16 @@ class TestGroupedCandidateDelivery:
         ctx = RoundContext(0, 100, net.scheduler)
         engine._phase_apply_inbox([[peer, [inbox], ctx, {}]])
         first = (peer.state.canonical(), dict(peer.counters.fires))
-        assert engine.memo_counts()["apply_inbox"] == (0, 3)
+        assert engine.memo_counts()["apply_inbox"] == (0, 3, 0)
         _load(peer.state, before)
         peer.counters = RuleCounters()
         engine._phase_apply_inbox([[peer, [inbox], ctx, {}]])
-        assert engine.memo_counts()["apply_inbox"] == (3, 3)
+        assert engine.memo_counts()["apply_inbox"] == (0, 6, 0)
         assert (peer.state.canonical(), dict(peer.counters.fires)) == first
 
 
 # ----------------------------------------------------------------------
-# the per-level memo in front of the apply-inbox landing
+# the per-level apply-inbox landing
 # ----------------------------------------------------------------------
 from itertools import groupby
 
@@ -741,7 +741,7 @@ def _sub_flows(inbox):
 
 class _Landing:
     """One peer outside any scheduler: the batched apply-inbox phase
-    (memo kept across calls) next to the scalar ``_apply_inbox``."""
+    next to the scalar ``_apply_inbox``."""
 
     def __init__(self, net: ReChordNetwork, state, config: RuleConfig) -> None:
         self.net = net
@@ -753,17 +753,15 @@ class _Landing:
         actor = ReChordPeer(self.state, self.config, lambda ref: "ok", RuleCounters())
         ctx = RoundContext(0, self.state.peer_id, self.net.scheduler)
         canon, version = self.state.canonical(), self.state.version
-        hits, misses = self.engine.memo_counts()["apply_inbox"]
+        landed = self.engine.memo_counts()["apply_inbox"][1]
         self.engine._phase_apply_inbox([[actor, parts, ctx, {}]])
-        after = self.engine.memo_counts()["apply_inbox"]
         assert ctx._outbox == []
         return {
             "post": self.state.canonical(),
             "fires": dict(actor.counters.fires),
             "moved": self.state.version != version,
             "changed": self.state.canonical() != canon,
-            "hits": after[0] - hits,
-            "misses": after[1] - misses,
+            "landed": self.engine.memo_counts()["apply_inbox"][1] - landed,
         }
 
     def scalar(self, state, inbox) -> dict:
@@ -773,32 +771,32 @@ class _Landing:
         return {"post": twin.canonical(), "fires": dict(actor.counters.fires)}
 
 
-class TestApplyInboxMemo:
-    """A hit lands exactly what the bare landing and the scalar loop do."""
+class TestApplyInboxLanding:
+    """The per-level landing lands exactly what the scalar loop does,
+    and the same inbox on the same state lands the same again."""
 
     @pytest.mark.parametrize("rounds", [1, 3])
     @pytest.mark.parametrize("start", sorted(BUILDERS))
     @pytest.mark.parametrize("wrap", [True, False], ids=["wrap", "nowrap"])
-    def test_hit_equals_miss_equals_scalar(self, start, wrap, rounds):
+    def test_a_repeated_landing_equals_the_first_and_the_scalar(self, start, wrap, rounds):
         config = RuleConfig(wrap_pointers=wrap)
         net, cases = _mid_run_inboxes(start, config, rounds)
-        looked_up = 0
+        landed = 0
         for pid, inputs, inbox in cases:
             spec = _Landing(net, inputs, config).scalar(inputs, inbox)
             for parts in ([inbox], _sub_flows(inbox)):
                 h = _Landing(net, inputs, config)
-                miss = h.fast(parts)
-                assert miss["hits"] == 0
+                first = h.fast(parts)
                 _load(h.state, inputs)
                 assert h.state.canonical() == inputs.canonical()
-                hit = h.fast(parts)
-                assert hit["misses"] == 0 and hit["hits"] == miss["misses"]
-                looked_up += hit["hits"]
+                again = h.fast(parts)
+                assert again["landed"] == first["landed"]
+                landed += again["landed"]
                 for key in ("post", "fires"):
-                    assert hit[key] == miss[key] == spec[key], f"{key} of peer {pid}"
+                    assert again[key] == first[key] == spec[key], f"{key} of peer {pid}"
                 # every landing only adds: the version moves iff content does
-                assert hit["moved"] == hit["changed"] == miss["moved"] == miss["changed"]
-        assert looked_up > 0
+                assert again["moved"] == again["changed"] == first["moved"] == first["changed"]
+        assert landed > 0
 
     def test_sub_flows_are_parsed_once_per_receiver(self):
         net, cases = _mid_run_inboxes("wraparound", RuleConfig(), 2)
@@ -859,20 +857,16 @@ class TestApplyInboxMemo:
         assert posts["scalar"][1]["wrap_adopt"] == (1 if first == "own" else 2)
 
 
-#: perturbation -> must the landing of the perturbed level miss?
-LANDING_PERTURBATIONS = {
-    "payload": True, "rl": True, "rr": True, "wrap_rl": True, "wrap_rr": True,
-    "config": True,
-    # the landing only adds to the sets and never reads them: not key
-    # components, a perturbed set still hits — and still equals the spec
-    "nu": False, "nr": False, "nc": False,
-}
+#: the inputs of a level's landing, and the sets it only adds to
+LANDING_PERTURBATIONS = (
+    "payload", "rl", "rr", "wrap_rl", "wrap_rr", "config", "nu", "nr", "nc",
+)
 
 
-class TestApplyInboxKeyComponents:
-    """Every key component is load-bearing, and nothing else is read."""
+class TestApplyInboxInputs:
+    """Perturb one input of a landing: it still lands as the spec does."""
 
-    @pytest.mark.parametrize("what", sorted(LANDING_PERTURBATIONS))
+    @pytest.mark.parametrize("what", LANDING_PERTURBATIONS)
     @given(start=st.sampled_from(sorted(BUILDERS)), data=st.data())
     @settings(max_examples=12)
     def test_one_perturbed_input_matches_the_spec(self, what, start, data):
@@ -899,8 +893,6 @@ class TestApplyInboxKeyComponents:
 
         h = _Landing(net, inputs, config)
         h.fast(_sub_flows(inbox))
-        _load(h.state, inputs)
-        assert h.fast(_sub_flows(inbox))["misses"] == 0
 
         changed = copy.deepcopy(inputs)
         node = changed.nodes[level]
@@ -932,10 +924,6 @@ class TestApplyInboxKeyComponents:
 
         _load(h.state, changed)
         got = h.fast(_sub_flows(inbox))
-        if LANDING_PERTURBATIONS[what]:
-            assert got["misses"] > 0, f"perturbing {what} at level {level} of peer {pid} still hit"
-        else:
-            assert got["misses"] == 0, f"{what} is not an input of the landing"
         spec = h.scalar(changed, inbox)
         assert got["post"] == spec["post"]
         assert got["fires"] == spec["fires"]
@@ -1044,3 +1032,144 @@ class TestPurgeVerdictCache:
             _assert_verdicts_truthful(fast)
         assert not stranger.state.nodes[0].nu
         assert any(p.state.nodes[0].nu for p in fast.peers.values())
+
+
+# ----------------------------------------------------------------------
+# carrying: every coupling between levels sends a carried level back to
+# work, and the step still equals the spec's
+# ----------------------------------------------------------------------
+import random
+
+from repro.experiments.scaling import build_ideal_network
+
+#: coupling -> (n, seed, event, what the fast engine must have done
+#: in a round that also carried levels)
+COUPLINGS = {
+    # a sibling's rule-2 move lands in a carried level, before its own
+    # turn and after it
+    "rule2_move": (8, 2, "join", {("rule2", "_execute_level"), ("rule2", "_resume")}),
+    # a new real moves a carried level's closest pair (rl, rr)
+    "closest_pair": (12, 2, "join", {("rule3", "_resume")}),
+    # rule 5's peer-wide extremes move under a carried level
+    "ring_extremes": (12, 1, "join", {("rule5", "_reopen")}),
+    # a carried level holds a ref whose owner the oracle flipped
+    "oracle_flip": (8, 1, "crash", {("oracle", "moved")}),
+    # rule 1 creates or drops a level: the whole peer executes
+    "level_set": (8, 5, "join", {("rule1", "_execute_level")}),
+    # mail for a level the peer does not simulate lands on u_m [D8]:
+    # the whole peer executes (posted to a stable network next to a
+    # harmless post that makes a second peer execute and carry)
+    "dropped_level_mail": (8, 1, "post", {("apply_inbox", "_resolve_levels")}),
+}
+
+
+def _repeat_a_held_edge(net: ReChordNetwork, pid: int) -> None:
+    """Post ``pid``'s real node an edge it already holds: the peer
+    executes, and its levels stay as they are."""
+    node = net.peers[pid].state.nodes[0]
+    held = min(node.nu, key=lambda r: r.key)
+    net.scheduler.post(Envelope(held.owner, pid, EdgeAdd(node.ref, held, KIND_UNMARKED)))
+
+
+def _post_dropped_level_mail(net: ReChordNetwork) -> None:
+    """On a stable network, two peers execute a step that leaves them
+    as they are (so every level of theirs may be carried next), then the
+    first gets an edge for the level above its top one, whose endpoint
+    that top level does not know, and the second its repeat again."""
+    first, second = net.peer_ids[:2]
+    for _ in range(2):
+        _repeat_a_held_edge(net, first)
+        _repeat_a_held_edge(net, second)
+        net.run_round()
+    state = net.peers[first].state
+    top = max(state.nodes)
+    known = state.nodes[top].nu
+    endpoint = next(net.ref(p) for p in net.peer_ids if net.ref(p) not in known and p != first)
+    net.scheduler.post(
+        Envelope(second, first, EdgeAdd(net.ref(first, top + 1), endpoint, KIND_UNMARKED))
+    )
+    _repeat_a_held_edge(net, second)
+
+
+@pytest.fixture
+def couplings(monkeypatch):
+    """What the fast engine did that a carried level reacts to, as
+    ``(phase, what)`` counts (phases name the pipeline step), and under
+    ``"carried"`` the levels the round set out to carry."""
+    seen: dict = {}
+    phase = [None]
+
+    def note(key):
+        seen[key] = seen.get(key, 0) + 1
+
+    for name in ("_phase_apply_inbox", "_phase_rule1", "_phase_rule2",
+                 "_phase_rule3", "_phase_rule5"):
+        def run(self, peers, _orig=getattr(BatchedRuleEngine, name), _name=name):
+            phase[0] = _name.rsplit("_", 1)[1] if "rule" in _name else "apply_inbox"
+            try:
+                return _orig(self, peers)
+            finally:
+                phase[0] = None
+                if _name == "_phase_apply_inbox":
+                    # the levels the step set out to carry
+                    seen["carried"] = sum(len(it[4].carried) for it in peers)
+        monkeypatch.setattr(BatchedRuleEngine, name, run)
+    for name in ("_execute_level", "_resume", "_reopen"):
+        def promote(self, *args, _orig=getattr(BatchedRuleEngine, name), _name=name):
+            note((phase[0], _name))
+            return _orig(self, *args)
+        monkeypatch.setattr(BatchedRuleEngine, name, promote)
+    stand, resolve = BatchedRuleEngine._verdicts_stand, BatchedRuleEngine._resolve_levels
+
+    def verdicts_stand(rec, node, epoch, moved):
+        held = stand(rec, node, epoch, moved)
+        if not held:
+            note(("oracle", "moved"))
+        return held
+
+    def resolve_levels(parts, nodes):
+        note((phase[0], "_resolve_levels"))
+        return resolve(parts, nodes)
+
+    monkeypatch.setattr(BatchedRuleEngine, "_verdicts_stand", staticmethod(verdicts_stand))
+    monkeypatch.setattr(BatchedRuleEngine, "_resolve_levels", staticmethod(resolve_levels))
+    return seen
+
+
+class TestCarryCouplings:
+    """Per coupling: a stable network, one event (a join, a crash, or
+    posted mail), then spec and fast in lockstep to the fixpoint —
+    states, delivered envelopes and counters equal every round — and at
+    least one round in which the coupling fired while the round carried
+    levels.  Each case fails when its coupling is dropped from the carry
+    rule."""
+
+    @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+    def test_spec_equals_fast_while_the_coupling_fires(self, coupling, couplings):
+        n, seed, event, wanted = COUPLINGS[coupling]
+        spec, fast = (build_ideal_network(n, seed, engine=e) for e in ("full", "columnar"))
+        rng = random.Random(seed)
+        if event == "join":
+            new = next(c for c in iter(lambda: rng.randrange(fast.space.size), None)
+                       if c not in fast.peers)
+            gateway = rng.choice(fast.peer_ids)
+            for net in (spec, fast):
+                net.join(new, gateway)
+        elif event == "crash":
+            victim = rng.choice(fast.peer_ids)
+            for net in (spec, fast):
+                net.crash(victim)
+        else:
+            for net in (spec, fast):
+                net.run_until_stable()
+                _post_dropped_level_mail(net)
+        fired = set()
+        for r in range(200):
+            couplings.clear()
+            assert_one_round_identical(spec, fast, f"(round {r} after the {event})")
+            if couplings.get("carried"):
+                fired |= wanted & set(couplings)
+            if not fast.scheduler.changed_last_round:
+                break
+        assert spec.is_fixed_point(peek=True)
+        assert fired == wanted, f"{coupling}: {sorted(wanted - fired)} never fired next to a carry"

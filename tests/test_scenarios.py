@@ -114,6 +114,70 @@ class TestSpec:
         """The seed only keys SHA-256 derivations: any int is in range."""
         assert ScenarioSpec(name="x", n=8, seed=-7, rounds=4).seed == -7
 
+    @staticmethod
+    def _event_error(event: dict) -> str:
+        """The error a one-event spec's JSON raises, the event second."""
+        quiet = {"at": 0, "kind": "heal", "params": {}}
+        data = {"name": "x", "n": 8, "seed": 1, "rounds": 4, "events": [quiet, event]}
+        with pytest.raises(ValueError) as info:
+            ScenarioSpec.from_json(json.dumps(data))
+        return str(info.value)
+
+    def test_fractional_offset_rejected(self):
+        """Regression: ``"at": 2.5`` was truncated to round 2."""
+        got = self._event_error({"at": 2.5, "kind": "crash_wave", "params": {"count": 1}})
+        assert got == "event 1: at must be an integer, got 2.5 (float)"
+
+    def test_negative_count_rejected(self):
+        """Regression: ``count: -2`` crashed nobody and said nothing."""
+        got = self._event_error({"at": 1, "kind": "crash_wave", "params": {"count": -2}})
+        assert got == "event 1: params.count must be an integer >= 0, got -2"
+
+    def test_count_and_fraction_together_rejected(self):
+        """Regression: ``count`` silently won over ``fraction``."""
+        got = self._event_error(
+            {"at": 1, "kind": "leave_wave", "params": {"count": 2, "fraction": 0.5}}
+        )
+        assert got == "event 1: params: leave_wave takes count or fraction, not both"
+
+    def test_non_numeric_count_rejected(self):
+        """Regression: ``count: "many"`` raised a ValueError traceback
+        after the run had started."""
+        got = self._event_error({"at": 1, "kind": "flash_crowd", "params": {"count": "many"}})
+        assert got == "event 1: params.count must be an integer >= 0, got 'many'"
+
+    def test_unknown_parameter_rejected(self):
+        """Regression: ``{"bogus": 1}`` raised a TypeError traceback
+        after the run had started."""
+        got = self._event_error(
+            {"at": 1, "kind": "crash_wave", "params": {"count": 1, "bogus": 1}}
+        )
+        assert got.startswith("event 1: params: unknown parameter 'bogus' for crash_wave")
+
+    def test_unknown_targeting_rejected(self):
+        """Regression: an unknown targeting failed only when it fired."""
+        got = self._event_error(
+            {"at": 1, "kind": "crash_wave", "params": {"count": 1, "targeting": "nearest"}}
+        )
+        assert got == (
+            "event 1: params.targeting must be one of "
+            "['random', 'clustered', 'extremes'], got 'nearest'"
+        )
+
+    def test_misspelled_gateway_rejected(self):
+        """Regression: ``gateway="Single"`` silently meant ``"random"``."""
+        got = self._event_error(
+            {"at": 1, "kind": "flash_crowd", "params": {"count": 2, "gateway": "Single"}}
+        )
+        assert got == "event 1: params.gateway must be one of ['random', 'single'], got 'Single'"
+
+    def test_every_library_scenario_loads_unchanged(self):
+        """The checks reject nothing the library or the docs ship."""
+        for name in scenario_names():
+            spec = tiny(name)
+            assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert EventSpec(at=3, kind="set_latency", params={"kind": "constant", "delay": 2})
+
     def test_overrides_produce_new_spec(self):
         spec = tiny("flash-crowd")
         bigger = spec.with_overrides(n=2 * spec.n)

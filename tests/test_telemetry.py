@@ -156,8 +156,12 @@ class TestEngineInvariance:
         assert {rule: tuple(pair) for rule, pair in rec.memo.items()} == engine_counts
         (memo,) = [r for r in rec.records() if r["kind"] == "memo"]
         assert set(memo["lookups"]) == {"apply_inbox", "rule3", "rule4", "rule5", "rule6"}
-        assert memo["lookups"]["rule3"] == dict(zip(("hits", "misses"), rec.memo["rule3"]))
-        assert all(0.0 < share < 1.0 for share in rec.memo_hit_shares().values())
+        assert memo["lookups"]["rule3"] == dict(zip(("hits", "misses", "carried"), rec.memo["rule3"]))
+        # the apply-inbox landing has no memo: its runs are carried or land
+        shares = rec.memo_hit_shares()
+        assert shares.pop("apply_inbox") == 0.0
+        assert all(0.0 < share < 1.0 for share in shares.values())
+        assert all(0.0 < share < 1.0 for share in rec.carried_shares().values())
         rec.clear()
         assert rec.memo == {}
 
@@ -303,6 +307,7 @@ class TestScenarioTelemetry:
         for needle in (
             "message census", "rule firings", "phase timers", "hop traces",
             "top rule hotspots", "per-level memo hit share: apply_inbox ", ", rule3 ",
+            "carried level share: apply_inbox ",
         ):
             assert needle in text, needle
 

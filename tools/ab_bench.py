@@ -27,11 +27,18 @@ per-layer count, rounds and share metric except the host-time-driven
 ones.  It prints ``identical`` or each
 differing key per workload and seed, and exits 1 on any difference.
 
+With ``--layers`` it shows where a change's time went: ``--pairs`` K
+alternating pairs of ``--trace 1`` runs of one workload, then both
+sides' median of every per-layer metric in seconds or microseconds
+(``netsim.*_s``, ``core.rule3_s``, ``core.us_per_step``, ...) with
+their ratio.
+
 Usage::
 
     python tools/ab_bench.py --workload restabilize --pairs 10
     python tools/ab_bench.py --workload traffic_steady --seed 77 --pairs 5 --parent HEAD~1
     python tools/ab_bench.py --sim [--workload W] [--parent REV]
+    python tools/ab_bench.py --layers --workload restabilize --pairs 3
 
 The script reads ``BENCHMARK.json`` and runs ``bench/``; it edits
 neither.  Run it on an otherwise idle machine: the two sides share it.
@@ -54,6 +61,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIM_SEEDS = (2011, 77)
 #: per-layer units that measure simulated work, compared exactly ...
 SIM_UNITS = ("count", "rounds", "share")
+#: per-layer units of host time, which ``--layers`` reports
+LAYER_UNITS = ("s", "us")
 #: ... except the keys host time drives: the bench-side metrics, the
 #: telemetry overhead and the campaign keys with a nonzero bound
 TIMED = (
@@ -96,13 +105,55 @@ def sim_stats(stdout: str) -> Dict[str, Any]:
     return stats
 
 
-def sim_run(command: List[str], checkout: Path, workload: str, seed: int) -> Dict[str, Any]:
-    """One ``--trace 1`` run in ``checkout``: :func:`sim_stats` of it."""
+def traced_run(command: List[str], checkout: Path, workload: str, seed: int) -> str:
+    """The output of one ``--trace 1`` run in ``checkout``."""
     argv = command + ["--workload", workload, "--seed", str(seed), "--trace", "1"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} failed in {checkout}:\n{done.stderr[-2000:]}")
-    return sim_stats(done.stdout)
+    return done.stdout
+
+
+def sim_run(command: List[str], checkout: Path, workload: str, seed: int) -> Dict[str, Any]:
+    """One ``--trace 1`` run in ``checkout``: :func:`sim_stats` of it."""
+    return sim_stats(traced_run(command, checkout, workload, seed))
+
+
+def layer_stats(stdout: str) -> Dict[str, float]:
+    """The per-layer metrics in a :data:`LAYER_UNITS` unit of one
+    ``--trace 1`` run's output, ``name -> value``."""
+    cells = json.loads(stdout.strip().splitlines()[-1])["metrics"]
+    return {name: cell["value"] for name, cell in cells.items() if cell["unit"] in LAYER_UNITS}
+
+
+def layer_report(parent: List[Dict[str, float]], change: List[Dict[str, float]]) -> str:
+    """Both sides' median of every layer metric, with the ratio (change
+    over parent; below 1 is faster) and the difference."""
+    names = sorted({name for run in parent + change for name in run})
+    rows = [f"{'metric':<34} {'parent':>12} {'change':>12} {'ratio':>7} {'delta':>10}"]
+    for name in names:
+        pm = statistics.median(run.get(name, 0.0) for run in parent)
+        cm = statistics.median(run.get(name, 0.0) for run in change)
+        ratio = f"{cm / pm:.3f}" if pm else "-"
+        rows.append(f"{name:<34} {pm:>12.4f} {cm:>12.4f} {ratio:>7} {cm - pm:>+10.4f}")
+    return "\n".join(rows)
+
+
+def check_layers(command: List[str], workload: str, seed: int, pairs: int, rev: str) -> int:
+    """``--layers``: ``pairs`` alternating traced pairs, then the
+    per-layer medians of both sides."""
+    parent_runs: List[Dict[str, float]] = []
+    change_runs: List[Dict[str, float]] = []
+    with parent_checkout(rev) as parent_dir:
+        sides = [("parent", parent_dir, parent_runs), ("change", ROOT, change_runs)]
+        for pair in range(pairs):
+            for side, checkout, runs in (sides if pair % 2 == 0 else sides[::-1]):
+                runs.append(layer_stats(traced_run(command, checkout, workload, seed)))
+                print(f"pair {pair + 1:>2} {side}: traced", flush=True)
+    print(f"\n{workload}, seed {seed}, {pairs} alternating pairs of --trace 1 runs, "
+          f"{rev} | working tree; per-layer medians")
+    print(layer_report(parent_runs, change_runs))
+    return 0
 
 
 def sim_diff(parent: Dict[str, Any], change: Dict[str, Any]) -> List[str]:
@@ -204,7 +255,12 @@ def main(argv=None) -> int:
     parser.add_argument("--sim", action="store_true",
                         help="check every simulated statistic instead (of --workload, "
                         "or of every workload)")
+    parser.add_argument("--layers", action="store_true",
+                        help="compare the per-layer host-time medians of --pairs traced "
+                        "pairs of --workload instead")
     args = parser.parse_args(argv)
+    if args.sim and args.layers:
+        parser.error("--sim and --layers are separate runs: give one")
     if args.sim:
         chosen = workloads if args.workload is None else [args.workload]
         return check_sim(spec["command"], chosen, args.parent)
@@ -212,6 +268,8 @@ def main(argv=None) -> int:
         parser.error("--workload is required (unless --sim)")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.layers:
+        return check_layers(spec["command"], args.workload, args.seed, args.pairs, args.parent)
 
     seconds = spec["run_seconds"]
     parent_runs: List[Dict[str, float]] = []
