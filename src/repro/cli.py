@@ -52,6 +52,7 @@ from repro.experiments.scaling import DEFAULT_SIZES as SCALING_SIZES
 from repro.experiments.scaling import format_scaling, run_scaling
 from repro.experiments.traffic import DEFAULT_SIZES as TRAFFIC_SIZES
 from repro.experiments.traffic import format_traffic, run_traffic, runs_to_json
+from repro.netsim.timemodel import DAEMON_KINDS, DELIVERY_KINDS
 
 QUICK_SIZES = (5, 15, 25)
 
@@ -198,13 +199,13 @@ def _build_parser() -> argparse.ArgumentParser:
     scen.add_argument(
         "--latency-model", type=str, default=None, metavar="MODEL",
         help="delivery model for the whole campaign: a kind "
-        "(unit, constant, slow_links, lognormal, regions, reorder), "
+        f"({', '.join(DELIVERY_KINDS)}), "
         "kind:key=value,... (e.g. constant:delay=3), or a JSON spec dict",
     )
     scen.add_argument(
         "--daemon", type=str, default=None, metavar="DAEMON",
         help="activation daemon for the whole campaign: a kind "
-        "(full, partial, round_robin, unfair), kind:key=value,... "
+        f"({', '.join(DAEMON_KINDS)}), kind:key=value,... "
         "(e.g. partial:p=0.5), or a JSON spec dict",
     )
     scen.add_argument(
@@ -267,7 +268,7 @@ def _parse_model_arg(text: str) -> dict:
     Accepts a bare kind (``reorder``), ``kind:key=value,key=value``
     (``constant:delay=3``), or a JSON object
     (``'{"kind": "reorder", "bound": 4}'``); raises ``ValueError`` on
-    anything else.
+    anything else, a repeated key included.
     """
     text = text.strip()
     if text.startswith("{"):
@@ -278,9 +279,12 @@ def _parse_model_arg(text: str) -> dict:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"bad parameter {item!r} (expected key=value)")
+        key = key.strip()
+        if key in spec:
+            raise ValueError(f"repeated parameter {key!r}")
         for number in (int, float):  # every model parameter is one
             try:
-                spec[key.strip()] = number(value)
+                spec[key] = number(value)
                 break
             except ValueError:
                 pass
@@ -339,8 +343,6 @@ def _run_scenario_command(args: argparse.Namespace) -> List[Table]:
     )
 
     if args.list:
-        from repro.netsim.timemodel import DAEMON_KINDS, DELIVERY_KINDS
-
         lines = ["Named scenarios (rechord scenario <name>):", ""]
         for name in scenario_names():
             lines.append(f"  {name:<18} {scenario_description(name)}")

@@ -79,8 +79,9 @@ Delayed sends wait in the base class's delivery-round-keyed queue
 * **matured steady mail dirties nobody.**  ``DeliveryModel.delay`` is a
   pure function of envelope content, so a clean sender's replayed outbox
   lands in the same inboxes with the same delays every round (the
-  tracked loop delivers it a sub-flow at a time, from each sub-flow's
-  cached delay buckets, without asking the model again): a
+  tracked loop schedules, matures and hands over whole sub-flows, from
+  each sub-flow's cached delay buckets, without asking the model again;
+  a ``per_link`` model is asked once per sub-flow): a
   receiver's inbox can only differ from its replay baseline in a round
   where a *change* of some sender's sub-flow arrives.  The **wake wheel**
   (``round -> actors that must execute in it``; ``_dirty`` and
@@ -118,7 +119,14 @@ Delayed sends wait in the base class's delivery-round-keyed queue
   raised for the boundaries of rounds ``q .. q+d-2`` (the front travels
   through remaining ``d-1 .. 1``) and for ``q+d-1`` iff ``E`` is
   deliverable when it lands (live target, not filtered: a delivery
-  dropped at maturity never reaches remaining 0).  A one-shot is a start
+  dropped at maturity never reaches remaining 0).  Fronts are found per
+  changed sub-flow and delay class (a sub-flow is one class under a
+  ``per_link`` model): a class on one side only, or of another length
+  or multiset sum (``SubFlow.fp_sum``) on the two, proves that fronts
+  exist and records one landing entry for all of them, which lands iff
+  its target is alive — only a drop filter installed at landing time
+  makes it compute the envelope difference; equal sums take the exact
+  difference.  A one-shot is a start
   at ``q`` and a stop at ``q + 1``, which also flags the boundary of the
   round that consumes it.  The unit model keeps the O(active-work) fast
   path bit for bit, and takes over again once wheel, horizon and queue
@@ -212,6 +220,7 @@ from repro.netsim.messages import (
     future_fingerprint as _future_hash,
     group_by_target as _group_by_target,
     receivers_referencing,
+    ref_owners,
 )
 from repro.netsim.scheduler import RoundContext, SynchronousScheduler, _inside_step
 from repro.netsim.timemodel import DeliveryModel, TimeModel
@@ -219,6 +228,30 @@ from repro.netsim.timemodel import DeliveryModel, TimeModel
 
 #: sub-flow map: sender -> that sender's sub-flow to one target
 SubFlows = Dict[Hashable, SubFlow]
+
+
+def _unmatched(stopped: Sequence[tuple], started: Sequence[tuple]) -> List[tuple]:
+    """The ``(envelope, delay)`` pairs whose multiplicity differs between
+    ``stopped`` and ``started``: the stopped ones in order, then the
+    started ones.
+
+    A linear multiset difference: the started pairs are bucketed by
+    (memoized envelope fingerprint, delay) and equality decides within a
+    bucket — never ``Envelope.__hash__``, which re-hashes payloads
+    deeply."""
+    unmatched: Dict[tuple, List[Envelope]] = {}
+    for env, d in started:
+        unmatched.setdefault((_envelope_hash(env), d), []).append(env)
+    fronts: List[tuple] = []
+    for env, d in stopped:
+        bucket = unmatched.get((_envelope_hash(env), d))
+        if bucket and env in bucket:
+            bucket.remove(env)
+        else:
+            fronts.append((env, d))
+    for (_, d), envs in unmatched.items():
+        fronts.extend((env, d) for env in envs)
+    return fronts
 
 
 class SerialStepper:
@@ -259,10 +292,14 @@ class ColumnarScheduler(SynchronousScheduler):
         #: the flux horizon: ``changed_last_round`` stays raised for the
         #: boundaries of all rounds <= this (change fronts in flight)
         self._flux_until = -1
-        #: change fronts by landing point: consumption round -> envelopes
-        #: whose emission started or stopped; the boundary before that
-        #: round differs iff one of them is deliverable when it lands
-        self._landing: Dict[int, List[Envelope]] = {}
+        #: change fronts by landing point: consumption round -> fronts,
+        #: each an envelope whose emission started or stopped, or one
+        #: changed sub-flow's ``(target, stopped, started)`` entry whose
+        #: fronts are the multiset difference of the two envelope lists
+        #: (known to be non-empty, computed only if a drop filter is
+        #: installed when it lands); the boundary before that round
+        #: differs iff one front is deliverable when it lands
+        self._landing: Dict[int, List[Any]] = {}
         #: the delivery model the last round's sends were scheduled with,
         #: while it differs from the installed one (None otherwise)
         self._switched_from: Optional[DeliveryModel] = None
@@ -286,6 +323,15 @@ class ColumnarScheduler(SynchronousScheduler):
         #: the cached outbox split into its sub-flows (target -> SubFlow);
         #: an unchanged sub-flow stays the same object from step to step
         self._out_by: Dict[Hashable, Dict[Hashable, SubFlow]] = {}
+        #: non-unit delivery: each sender's split scheduled under one
+        #: model, ``(split, model, next-round parts, ((delay, parts),
+        #: ...))`` with parts ``(target, envelopes)`` — rebuilt when the
+        #: split or the model is a new object (see :meth:`_deliver_flows`)
+        self._plans: Dict[Hashable, tuple] = {}
+        #: non-unit delivery: the parts delivered to each target at the
+        #: last delivery point, in inbox order; an inbox is its parts
+        #: followed by its plain buffer (``_inboxes``: posts since)
+        self._parts: Dict[Hashable, List[Sequence[Envelope]]] = {}
         #: rolling hash over all tracked actors' state tokens
         self._state_hash = 0
         #: external flow change (post / membership) pending for next round
@@ -389,24 +435,25 @@ class ColumnarScheduler(SynchronousScheduler):
         # the round its last emission is missing from the inbox — the
         # round after next under unit delivery (carry; next round is
         # defensive), ``delay`` rounds after its last send in general
-        out = self._out.pop(key, [])
-        self._out_by.pop(key, None)
-        if out:
+        if self._out.pop(key, None):
             self._flow_flag = True  # its contribution leaves the pending set
+        out_by = self._out_by.pop(key, {})
+        self._plans.pop(key, None)
+        self._parts.pop(key, None)
         settled = self._unit_settled()
-        delay = (self._switched_from or self._delivery).delay
+        model = self._switched_from or self._delivery
         q = self._round
-        for env in out:
-            if env.target == key:
+        for target, sub in out_by.items():
+            if target == key:
                 continue
-            d = 1 if settled else delay(env)
-            if d == 1:
-                self._dirty.add(env.target)
-                self._dirty_carry.add(env.target)
-            else:
-                self._wake_at(q + d, env.target)
-            if not settled:
-                self._front(q, env, d)
+            for d, envs in ((1, sub),) if settled else sub.delay_buckets(model):
+                if d == 1:
+                    self._dirty.add(target)
+                    self._dirty_carry.add(target)
+                else:
+                    self._wake_at(q + d, target)
+                if not settled:
+                    self._sub_front(q, d, target, envs, ())
         self._dirty_carry.discard(key)
         h = self._tok_hash.pop(key, None)
         if h is not None:
@@ -521,9 +568,8 @@ class ColumnarScheduler(SynchronousScheduler):
         tracking.
         """
         pending = sum(map(_envelope_hash, self.all_pending()))
-        for t, batch in self._future.items():
-            remaining = t - self._round
-            pending += sum(_future_hash(env, remaining) for env in batch)
+        for remaining, env in self.future_pending():
+            pending += _future_hash(env, remaining)
         return (self._state_hash, pending & _MASK)
 
     def ref_receivers(self, owners: Set) -> Set[Hashable]:
@@ -533,11 +579,19 @@ class ColumnarScheduler(SynchronousScheduler):
 
         O(pending); every payload must enumerate its refs.  Scans the
         plain inboxes (the buffer while the columns are live), the
-        columns (empty otherwise) a sub-flow at a time and the lane an
+        delivered parts of non-unit delivery and the columns (both empty
+        while the other is in use) a sub-flow at a time, and the lane an
         envelope at a time.
         """
         receivers = receivers_referencing(owners, self._inboxes)
         disjoint = owners.isdisjoint
+        for target, parts in self._parts.items():
+            for part in parts:
+                if not disjoint(
+                    part.owners() if part.__class__ is SubFlow else ref_owners(part)
+                ):
+                    receivers.add(target)
+                    break
         for column in (self._flow_in, self._ghost):
             for target, subs in column.items():
                 for sub in subs.values():
@@ -711,6 +765,20 @@ class ColumnarScheduler(SynchronousScheduler):
             self._flux_until = q + d - 2
         self._landing.setdefault(q + d, []).append(env)
 
+    def _sub_front(
+        self, q: int, d: int, target: Hashable, stopped: Sequence[Envelope],
+        started: Sequence[Envelope],
+    ) -> None:
+        """One sub-flow's emission to ``target`` (delay ``d``) went from
+        ``stopped`` to ``started`` with round ``q``, and the two differ
+        as multisets: :meth:`_front` for every envelope of the
+        difference, as one entry.  They share the target and the delay,
+        so the entry lands like each of them — its difference is taken
+        only if a drop filter is installed by then."""
+        if q + d - 2 > self._flux_until:
+            self._flux_until = q + d - 2
+        self._landing.setdefault(q + d, []).append((target, stopped, started))
+
     def _one_shot(self, q: int, env: Envelope, d: int) -> None:
         """``env`` (delay ``d``) is emitted in round ``q`` only: its
         target consumes it in round ``q + d`` — in a lane step if it is
@@ -726,15 +794,31 @@ class ColumnarScheduler(SynchronousScheduler):
     def _landed(self, round_no: int) -> bool:
         """Whether a change front landed in an inbox at the end of
         ``round_no`` (a front to a dead or filtered target never reaches
-        remaining 0: that boundary does not differ)."""
+        remaining 0: that boundary does not differ).  A sub-flow entry
+        of :meth:`_sub_front` lands iff its target is alive — its
+        difference is not empty — unless a drop filter is installed:
+        then its fronts are computed and checked one by one."""
         fronts = self._landing.pop(round_no + 1, None)
         if not fronts:
             return False
         inboxes = self._inboxes
         flt = self._drop_filter
-        return any(
-            env.target in inboxes and not (flt is not None and flt(env)) for env in fronts
-        )
+        for entry in fronts:
+            if entry.__class__ is tuple:
+                target, stopped, started = entry
+                if target in inboxes and (
+                    flt is None
+                    or any(
+                        not flt(env)
+                        for env, _d in _unmatched(
+                            [(env, 0) for env in stopped], [(env, 0) for env in started]
+                        )
+                    )
+                ):
+                    return True
+            elif entry.target in inboxes and not (flt is not None and flt(entry)):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # round dispatch
@@ -843,28 +927,41 @@ class ColumnarScheduler(SynchronousScheduler):
         ``handle_app`` on that mail alone, its lane step; one without the
         hook executes instead.  ``ctx`` is ``None`` for a plain replay.
         Every inbox is taken first, then the round goes to the stepper
-        in one ``run_batch(items, lane)``.
+        in one ``run_batch(items, lane)``: an inbox is handed over as
+        its parts — under non-unit delivery the delivered sub-flows,
+        buckets and one-shots (:meth:`_deliver_flows`), then the plain
+        buffer; under unit delivery the whole flat inbox.
         """
         actors, inboxes = self._actors, self._inboxes
+        parts_of = self._parts
         probes = self._probes
         items: List[tuple] = []
         lane: List[tuple] = []
         plan: List[tuple] = []
         for key in keys:
             actor = actors[key]
+            box = inboxes[key]
+            parts = parts_of.pop(key, None) if parts_of else None
+            if parts is not None and box:
+                parts.append(box)
             app = None
             run = key in dirty
             if not run and key in mail:
-                app = [env for env in inboxes[key] if isinstance(env.payload, AppPayload)]
+                app = [
+                    env
+                    for part in parts or (box,)
+                    if part.__class__ is not SubFlow
+                    for env in part
+                    if isinstance(env.payload, AppPayload)
+                ]
                 run = bool(app) and not hasattr(actor, "handle_app")
             if run:
                 ctx = RoundContext(round_no, key, self)
-                # this loop keeps whole inboxes: one uncached part
-                items.append((key, actor, [inboxes[key]], ctx))
+                items.append((key, actor, parts or [box], ctx))
                 inboxes[key] = []
             else:
                 ctx = None
-                if inboxes[key]:
+                if box:
                     inboxes[key] = []
                 replay_fn = probes[key][2]
                 if replay_fn is not None:
@@ -914,8 +1011,10 @@ class ColumnarScheduler(SynchronousScheduler):
         changed_keys: Set[Hashable] = set()
         newly_dirty: Set[Hashable] = set()
         # under non-unit delivery a sender contributes its sub-flows,
-        # delivered from their cached delay buckets (see _deliver_round)
+        # delivered from their cached delay buckets (see _deliver_flows)
         by_flow = not self._delivery.is_unit
+        #: unit delivery: the flat outboxes in delivery order; otherwise
+        #: (sender, its one-shot sends) in delivery order
         contributions: List[Any] = []
         #: sender -> outbox patch of this round (see :meth:`_post_step`)
         patches: Dict[Hashable, tuple] = {}
@@ -946,13 +1045,18 @@ class ColumnarScheduler(SynchronousScheduler):
             else:
                 # quiescent: the steady emissions repeat without rules
                 replayed += 1
-            contributions.append(self._out_by[key] if by_flow else self._out[key])
-            if ctx is not None and ctx._once:
-                # one-shot sends go out right after the steady outbox; they
-                # never enter ``_out``, so sender and target both stay valid
-                # replay templates
-                contributions.append(ctx._once)
-                onces.append(ctx._once)
+            # one-shot sends go out right after the steady outbox; they
+            # never enter ``_out``, so sender and target both stay valid
+            # replay templates
+            once = ctx._once if ctx is not None else None
+            if by_flow:
+                contributions.append((key, once))
+            else:
+                contributions.append(self._out[key])
+                if once:
+                    contributions.append(once)
+            if once:
+                onces.append(once)
 
         # the delivery point.  Settled unit delivery: every change arrives
         # next round and the boundary differs iff anything was patched or
@@ -966,8 +1070,15 @@ class ColumnarScheduler(SynchronousScheduler):
                     flow_changed = True
                     for patch in patches.values():
                         newly_dirty.update(patch[2])
-            else:
+            elif self._telemetry is None:
                 self._feed_flow_changes(round_no, keys, patches, newly_dirty)
+            else:
+                # its own phase, cut out of the kernel.step span
+                _t1 = _perf()
+                self._feed_flow_changes(round_no, keys, patches, newly_dirty)
+                spent = _perf() - _t1
+                self._telemetry.add_time("kernel.flow_changes", spent)
+                _t0 += spent
         delay = self._delivery.delay
         for once in onces:
             # the lane rule: application mail reaches the mail set, the
@@ -983,7 +1094,10 @@ class ColumnarScheduler(SynchronousScheduler):
                     self._lane_flag = True  # consumed next round: that boundary differs too
                 else:
                     self._one_shot(round_no, env, d)
-        self._deliver_round(round_no, contributions, executed, replayed, _t0)
+        if by_flow:
+            self._deliver_flows(round_no, contributions, executed, replayed, _t0)
+        else:
+            self._deliver_round(round_no, contributions, executed, replayed, _t0)
         if settled and active is None:
             self.changed_last_round = state_changed_any or flow_changed
         else:
@@ -1017,6 +1131,110 @@ class ColumnarScheduler(SynchronousScheduler):
                 self._flux_until = max(self._flux_until, last - 1)
         self._round += 1
 
+    def _deliver_flows(
+        self,
+        round_no: int,
+        senders: List[Tuple[Hashable, Optional[List[Envelope]]]],
+        executed: int,
+        replayed: int,
+        step_t0: float,
+    ) -> None:
+        """The tracked loop's delivery point under non-unit delivery:
+        :meth:`SynchronousScheduler._deliver_round` a part at a time.
+
+        ``senders`` lists ``(sender, its one-shot sends)`` in delivery
+        order.  A sender's split is scheduled once per split and model
+        (``_plans``): its delayed parts join the delivery queue with one
+        ``extend`` per delay, its next-round parts land
+        (:meth:`_land_parts`) after the matured ones.  Per target and
+        maturity round the parts keep the flat outboxes' order, so every
+        observer reads the same envelopes in the same order.
+        """
+        tel = self._telemetry
+        if tel is not None:
+            tel.add_time("kernel.step", _perf() - step_t0, executed + replayed)
+            step_t0 = _perf()
+        model = self._delivery
+        future = self._future
+        out, out_by, plans = self._out, self._out_by, self._plans
+        sent = 0
+        #: this round's next-round parts, in delivery order
+        near: List[tuple] = []
+        for key, once in senders:
+            plan = plans.get(key)
+            split = out_by[key]
+            if plan is None or plan[0] is not split or plan[1] is not model:
+                now: List[tuple] = []
+                later: Dict[int, List[tuple]] = {}
+                for target, sub in split.items():
+                    for d, envs in sub.delay_buckets(model):
+                        if d == 1:
+                            now.append((target, envs))
+                        else:
+                            later.setdefault(d, []).append((target, envs))
+                plan = plans[key] = (split, model, now, tuple(later.items()))
+            sent += len(out[key])
+            if plan[2]:
+                near.extend(plan[2])
+            for d, parts in plan[3]:
+                batch = future.get(round_no + d)
+                if batch is None:
+                    future[round_no + d] = list(parts)
+                else:
+                    batch.extend(parts)
+            if once:
+                sent += len(once)
+                for env in once:
+                    d = model.delay(env)
+                    if d > 1:
+                        future.setdefault(round_no + d, []).append((env.target, (env,)))
+                    else:
+                        near.append((env.target, (env,)))
+        dropped = self._drain_matured(round_no) + self._land_parts(near)
+        self.dropped_last_round = dropped
+        if tel is not None:
+            tel.add_time("kernel.deliver", _perf() - step_t0)
+            msg = tel.messages
+            for key, once in senders:
+                for env in chain(out[key], once or ()):
+                    msg[type(env.payload).__name__] += 1
+            tel.on_round(sent=sent, dropped=dropped, executed=executed, replayed=replayed)
+
+    def _drain_matured(self, round_no: int) -> int:
+        """The parts scheduled for consumption in ``round_no + 1`` land
+        (:meth:`_land_parts`); returns how many envelopes dropped."""
+        return self._land_parts(self._future.pop(round_no + 1, ()))
+
+    def _land_parts(self, parts: Sequence[tuple]) -> int:
+        """Deliver ``(target, envelopes)`` parts, in order, into
+        ``_parts``; returns how many envelopes dropped (dead target or
+        drop filter).  A part nothing of which is filtered lands as the
+        object it is.  A target's plain buffer — a sleeper's posts —
+        becomes a part first, so the inbox keeps arrival order."""
+        dropped = 0
+        inboxes, parts_of = self._inboxes, self._parts
+        flt = self._drop_filter
+        for target, part in parts:
+            box = inboxes.get(target)
+            if box is None:
+                dropped += len(part)
+                continue
+            if flt is not None:
+                kept = [env for env in part if not flt(env)]
+                if len(kept) != len(part):
+                    dropped += len(part) - len(kept)
+                    if not kept:
+                        continue
+                    part = kept
+            got = parts_of.get(target)
+            if got is None:
+                got = parts_of[target] = []
+            if box:
+                got.append(box)
+                inboxes[target] = []
+            got.append(part)
+        return dropped
+
     def _feed_flow_changes(
         self,
         q: int,
@@ -1025,73 +1243,92 @@ class ColumnarScheduler(SynchronousScheduler):
         newly_dirty: Set[Hashable],
     ) -> None:
         """Feed wake wheel and flux horizon with round ``q``'s emission
-        changes, at its delivery point (the delivery model is final).
+        changes, at its delivery point (the delivery model is final),
+        one changed sub-flow at a time (:meth:`_sub_flow_change`).
 
         A changed sub-flow wakes its target for round ``q + d`` for every
-        delay ``d`` at which the old and the new sub-flow differ, and
-        every envelope whose multiplicity changed is a front.  In the
-        first round after a model switch every cached envelope whose
-        delay differs is two fronts, whether its sender executed or not:
-        the old-delay flow stops, the new-delay flow starts (the switch
-        itself woke everyone for as long as either front can arrive).
-        Otherwise the delays are those of the sub-flows' cached delay
-        buckets, which the delivery point reuses.
+        delay ``d`` at which the old and the new sub-flow differ.  In the
+        first round after a model switch every cached sub-flow whose
+        delay buckets differ sends fronts, whether its sender executed
+        or not: the old-delay flow stops, the new-delay flow starts (the
+        switch itself woke everyone for as long as either front can
+        arrive, so nobody is woken here).  The delays are those of the
+        sub-flows' cached delay buckets, which the delivery point reuses.
         """
         model = self._delivery
         old_model = self._switched_from
         if old_model is not None:
             self._switched_from = None
-            delay, old_delay = model.delay, old_model.delay
+            out_by = self._out_by
             for key in keys:
-                out = self._out[key]
+                new_by = out_by[key]
                 patch = patches.get(key)
-                self._fronts(
-                    q,
-                    [(env, old_delay(env)) for env in (patch[0] or () if patch else out)],
-                    [(env, delay(env)) for env in out],
-                )
+                old_by = patch[3] if patch else new_by
+                for target in chain(old_by, (t for t in new_by if t not in old_by)):
+                    self._sub_flow_change(
+                        q, target, old_by.get(target), new_by.get(target), old_model, model
+                    )
             return
         for _prev_out, _out, changed, prev_by, new_by in patches.values():
             for target in changed:
-                old = prev_by.get(target)
-                new = new_by.get(target)
-                old_buckets = dict(old.delay_buckets(model)) if old is not None else {}
-                new_buckets = dict(new.delay_buckets(model)) if new is not None else {}
-                # a target's inbox is grouped by delay (older sends land
-                # first), so the sub-flow changes class by class
-                for d in old_buckets.keys() | new_buckets.keys():
-                    if old_buckets.get(d) == new_buckets.get(d):
-                        continue
-                    if d == 1:
-                        newly_dirty.add(target)
-                    else:
-                        self._wake_at(q + d, target)
-                self._fronts(
-                    q,
-                    [(env, d) for d, envs in old_buckets.items() for env in envs],
-                    [(env, d) for d, envs in new_buckets.items() for env in envs],
+                self._sub_flow_change(
+                    q, target, prev_by.get(target), new_by.get(target), model, model,
+                    newly_dirty,
                 )
+
+    def _sub_flow_change(
+        self,
+        q: int,
+        target: Hashable,
+        old: Optional[SubFlow],
+        new: Optional[SubFlow],
+        old_model: DeliveryModel,
+        model: DeliveryModel,
+        newly_dirty: Optional[Set[Hashable]] = None,
+    ) -> None:
+        """The sub-flow to ``target`` went from ``old`` (delays under
+        ``old_model``) to ``new`` (under ``model``) with round ``q``.
+
+        A target's inbox is grouped by delay (older sends land first), so
+        the sub-flow changes class by class: a delay class that differs
+        wakes ``target`` for its arrival (unless ``newly_dirty`` is None)
+        and sends fronts.  A class present on one side only, or of
+        another length or multiset sum on the two, differs as a
+        multiset: its fronts are one :meth:`_sub_front` entry, no
+        envelope is diffed.  Equal sums (a reordered class) take the
+        exact difference (:meth:`_fronts`).  Under a ``per_link`` model
+        a sub-flow is one class.
+        """
+        old_by = dict(old.delay_buckets(old_model)) if old else {}
+        new_by = dict(new.delay_buckets(model)) if new else {}
+        stopped_pairs: List[tuple] = []
+        started_pairs: List[tuple] = []
+        for d in old_by.keys() | new_by.keys():
+            stopped, started = old_by.get(d, ()), new_by.get(d, ())
+            if stopped == started:
+                continue
+            if newly_dirty is not None:
+                if d == 1:
+                    newly_dirty.add(target)
+                else:
+                    self._wake_at(q + d, target)
+            if (
+                stopped and started and len(stopped) == len(started)
+                and stopped.fp_sum == started.fp_sum
+            ):
+                stopped_pairs.extend((env, d) for env in stopped)
+                started_pairs.extend((env, d) for env in started)
+            else:
+                self._sub_front(q, d, target, stopped, started)
+        if stopped_pairs:
+            self._fronts(q, stopped_pairs, started_pairs)
 
     def _fronts(self, q: int, stopped: List[tuple], started: List[tuple]) -> None:
         """Every ``(envelope, delay)`` whose multiplicity differs between
-        the emissions of round ``q - 1`` and of round ``q`` is a front.
-
-        A linear multiset difference: the started pairs are bucketed by
-        (memoized envelope fingerprint, delay) and equality decides
-        within a bucket — never ``Envelope.__hash__``, which re-hashes
-        payloads deeply."""
-        unmatched: Dict[tuple, List[Envelope]] = {}
-        for env, d in started:
-            unmatched.setdefault((_envelope_hash(env), d), []).append(env)
-        for env, d in stopped:
-            bucket = unmatched.get((_envelope_hash(env), d))
-            if bucket and env in bucket:
-                bucket.remove(env)
-            else:
-                self._front(q, env, d)
-        for (_, d), envs in unmatched.items():
-            for env in envs:
-                self._front(q, env, d)
+        the emissions of round ``q - 1`` and of round ``q`` is a front
+        (:func:`_unmatched`)."""
+        for env, d in _unmatched(stopped, started):
+            self._front(q, env, d)
 
     # ------------------------------------------------------------------
     # the columnar loop: the columns
@@ -1149,6 +1386,12 @@ class ColumnarScheduler(SynchronousScheduler):
         fingerprint multiset: checked at entry.
         """
         expected = self.config_hash()[1]
+        # the parts of the last non-unit delivery point, if any, go back
+        # in front of their buffers: the inboxes hold everything pending
+        for target, parts in self._parts.items():
+            self._inboxes[target][:0] = chain.from_iterable(parts)
+        self._parts = {}
+        self._plans = {}
         self._clear_columns()
         self._lane_targets = set()
         self._settled = {key: self._round - 1 for key in self._actors}
@@ -1249,7 +1492,10 @@ class ColumnarScheduler(SynchronousScheduler):
     # ------------------------------------------------------------------
     def pending_messages(self) -> int:
         if not self._cols_active:
-            return super().pending_messages()
+            count = super().pending_messages()
+            for parts in self._parts.values():
+                count += sum(map(len, parts))
+            return count
         count = self._flow_pending
         for boxes in (self._lane, self._inboxes):
             for box in boxes.values():
@@ -1258,7 +1504,15 @@ class ColumnarScheduler(SynchronousScheduler):
 
     def all_pending(self) -> List[Envelope]:
         if not self._cols_active:
-            return super().all_pending()
+            parts_of = self._parts
+            if not parts_of:
+                return super().all_pending()
+            out = []
+            for target in sorted(self._inboxes):
+                for part in parts_of.get(target, ()):
+                    out.extend(part)
+                out.extend(self._inboxes[target])
+            return out
         out: List[Envelope] = []
         for target in sorted(self._inboxes):
             out.extend(self._boundary_inbox(target))

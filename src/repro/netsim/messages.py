@@ -117,24 +117,29 @@ def envelope_fingerprint(env: Envelope) -> int:
 class SubFlow(list):
     """One sender's steady envelopes to one target, in emission order.
 
-    The unit the tracked kernels diff (``_post_step``) and the columnar
-    kernel stores (``_flow_in``): a steady outbox is a set of sub-flows,
-    and between two executions of its sender almost all of them repeat.
+    The unit the tracked kernels diff (``_post_step``), the columnar
+    kernel stores (``_flow_in``) and, under a non-unit delivery model,
+    the unit the tracked loop schedules, delivers and hands to the
+    stepper: a steady outbox is a set of sub-flows, and between two
+    executions of its sender almost all of them repeat.
     A ``SubFlow`` is **immutable once built** — a changed sub-flow is a
     new object, an unchanged one stays the *same* object in the sender's
     split and in the receiver's column — so what is derived from its
     content is derived once per change, not once per round or envelope:
 
     * :attr:`fp_sum` — the multiset fingerprint sum of its envelopes
-      (what it contributes to the pending half of ``config_hash()``),
-      computed on first use;
+      (what it contributes to the pending half of ``config_hash()``;
+      two sub-flows whose sums differ hold different multisets, which
+      is how the tracked loop knows a changed sub-flow sends a change
+      front without diffing it), computed on first use;
     * :meth:`owners` — the owner ids its envelopes reference (what the
       columnar kernel's ``ref_receivers`` query tests), computed on
       first use;
     * :meth:`delay_buckets` — its envelopes grouped by delivery delay
       under one delivery model, computed on first use and kept while
       that model object stays the one asked for (a model switch
-      recomputes it once per live sub-flow);
+      recomputes it once per live sub-flow) — one ``delay()`` call for
+      a model that declares ``per_link`` delays;
     * :attr:`parsed` — a slot that belongs to the *receiving* side: the
       consumer of the sub-flow (the batched rule pipeline) may store its
       parsed form there, tagged with the receiver it was parsed for.
@@ -160,21 +165,34 @@ class SubFlow(list):
 
         The delays are cached per model object (a model must not change
         its answers, see :mod:`repro.netsim.timemodel`).  One sender and
-        one target share one link, so under every link-keyed model the
-        sub-flow has a single delay: only that number is kept — no copy
-        of the envelopes, no reference from the sub-flow to itself.
+        one target share one link, so a model that declares ``per_link``
+        delays is asked once, for the first envelope, and the sub-flow
+        is one delay class; only that number is kept — no copy of the
+        envelopes, no reference from the sub-flow to itself.  Under a
+        payload-keyed model (``reorder``) every envelope is asked, and
+        a sub-flow split across delays keeps each bucket as a
+        :class:`SubFlow` of its own, so a receiver's parsed form of a
+        bucket lasts as long as the bucket.
         """
         cached = self._delays
         if cached is None or cached[0] is not model:
-            delay = model.delay
-            by_delay: dict = {}
-            for env in self:
-                by_delay.setdefault(delay(env), []).append(env)
-            if len(by_delay) == 1:
-                (d,) = by_delay
-                cached = (model, d)
+            if not self:
+                cached = (model, ())
+            elif model.per_link:
+                cached = (model, model.delay(self[0]))
             else:
-                cached = (model, tuple(sorted(by_delay.items())))
+                delay = model.delay
+                by_delay: dict = {}
+                for env in self:
+                    by_delay.setdefault(delay(env), []).append(env)
+                if len(by_delay) == 1:
+                    (d,) = by_delay
+                    cached = (model, d)
+                else:
+                    cached = (
+                        model,
+                        tuple((d, SubFlow(envs)) for d, envs in sorted(by_delay.items())),
+                    )
             self._delays = cached
         entry = cached[1]
         return entry if entry.__class__ is tuple else ((entry, self),)
@@ -184,7 +202,7 @@ class SubFlow(list):
         """The multiset fingerprint sum of its envelopes."""
         fp = self._fp_sum
         if fp is None:
-            fp = self._fp_sum = outbox_fingerprint(self)
+            fp = self._fp_sum = sum(map(envelope_fingerprint, self)) & HASH_MASK
         return fp
 
     def owners(self) -> frozenset:

@@ -40,8 +40,11 @@ The scheduler's notion of time is pluggable
 send a delivery delay in rounds and an :class:`ActivationDaemon` picks
 the active set when ``run_round`` is called without an explicit one.
 Delays beyond one round park the envelope in a **delivery-round-keyed
-queue** (``_future``); it matures — drop filter applied, inbox appended
-— at the end of the round before its consumption round.  Scheduled
+queue** (``_future``) of ``(target, envelopes)`` parts, each part
+addressed to one target (the spec parks single envelopes; the columnar
+kernel's tracked loop parks whole sub-flows); it matures — drop filter
+applied, inbox appended — at the end of the round before its
+consumption round.  Scheduled
 envelopes are part of the configuration: the network fingerprint
 appends them keyed by their *remaining* delay (:meth:`future_pending`).
 """
@@ -173,8 +176,9 @@ class SynchronousScheduler:
         self._delivery = self.time_model.delivery
         self._daemon = self.time_model.daemon
         #: delivery-round-keyed queue of delayed sends: consumption
-        #: round -> envelopes, drained at the end of the preceding round
-        self._future: Dict[int, List[Envelope]] = {}
+        #: round -> ``(target, envelopes)`` parts in scheduling order,
+        #: drained at the end of the preceding round
+        self._future: Dict[int, List[Tuple[Hashable, Sequence[Envelope]]]] = {}
         #: the active set the last round ran with (None = full)
         self.active_last_round: Optional[frozenset] = None
         #: messages addressed to unregistered actors in the last round
@@ -311,8 +315,9 @@ class SynchronousScheduler:
         """
         out: List[Tuple[int, Envelope]] = []
         for t in sorted(self._future):
-            for env in self._future[t]:
-                out.append((t - self._round, env))
+            remaining = t - self._round
+            for _target, part in self._future[t]:
+                out.extend((remaining, env) for env in part)
         return out
 
     def _drain_matured(self, round_no: int) -> int:
@@ -324,12 +329,16 @@ class SynchronousScheduler:
         """
         dropped = 0
         flt = self._drop_filter
-        for env in self._future.pop(round_no + 1, ()):
-            box = self._inboxes.get(env.target)
-            if box is None or (flt is not None and flt(env)):
-                dropped += 1
-            else:
-                box.append(env)
+        for target, part in self._future.pop(round_no + 1, ()):
+            box = self._inboxes.get(target)
+            if box is None:
+                dropped += len(part)
+                continue
+            for env in part:
+                if flt is not None and flt(env):
+                    dropped += 1
+                else:
+                    box.append(env)
         return dropped
 
     # ------------------------------------------------------------------
@@ -344,8 +353,8 @@ class SynchronousScheduler:
         """Messages in flight: next round's inboxes plus scheduled
         (not yet matured) delayed deliveries."""
         count = sum(len(box) for box in self._inboxes.values())
-        if self._future:
-            count += sum(len(batch) for batch in self._future.values())
+        for batch in self._future.values():
+            count += sum(len(part) for _target, part in batch)
         return count
 
     def all_pending(self) -> List[Envelope]:
@@ -382,7 +391,9 @@ class SynchronousScheduler:
             # a delayed injection behaves like a send from the previous
             # round: it matures (drop filter applied there) for
             # consumption `delay` steps from the target's next step
-            self._future.setdefault(self._round + delay - 1, []).append(envelope)
+            self._future.setdefault(self._round + delay - 1, []).append(
+                (envelope.target, (envelope,))
+            )
         elif self._drop_filter is not None and self._drop_filter(envelope):
             return 0
         else:
@@ -455,19 +466,15 @@ class SynchronousScheduler:
         replayed: int,
         step_t0: float,
     ) -> None:
-        """The delivery point of the spec loop and of the columnar
-        kernel's tracked loop.
+        """The delivery point of the spec loop (and of the columnar
+        kernel's tracked loop under unit delivery).
 
         Matured delayed sends land first, then the round's ``outboxes``
         in order: each envelope is scheduled (delay beyond one round),
         dropped (dead target or drop filter) or appended to its target's
-        inbox.  Under non-unit delivery an outbox may also be a sender's
-        ``target -> SubFlow`` split, delivered a sub-flow at a time from
-        its cached delay buckets: per-target order is that of the flat
-        outbox, and only the drop filter and dead targets look at single
-        envelopes.  Closes the ``kernel.step`` span opened at
-        ``step_t0`` and records the round with the telemetry plane
-        (envelope census by payload type included).
+        inbox.  Closes the ``kernel.step`` span opened at ``step_t0``
+        and records the round with the telemetry plane (envelope census
+        by payload type included).
         """
         tel = self._telemetry
         if tel is not None:
@@ -481,34 +488,12 @@ class SynchronousScheduler:
         unit = delivery.is_unit
         future = self._future
         for outbox in outboxes:
-            if outbox.__class__ is dict:
-                for target, sub in outbox.items():
-                    sent += len(sub)
-                    box = inboxes.get(target)
-                    for d, envs in sub.delay_buckets(delivery):
-                        if d > 1:
-                            later = future.get(round_no + d)
-                            if later is None:
-                                future[round_no + d] = list(envs)
-                            else:
-                                later.extend(envs)
-                        elif box is None:
-                            dropped += len(envs)
-                        elif flt is None:
-                            box.extend(envs)
-                        else:
-                            for env in envs:
-                                if flt(env):
-                                    dropped += 1
-                                else:
-                                    box.append(env)
-                continue
             for env in outbox:
                 sent += 1
                 if not unit:
                     d = delivery.delay(env)
                     if d > 1:
-                        future.setdefault(round_no + d, []).append(env)
+                        future.setdefault(round_no + d, []).append((env.target, (env,)))
                         continue
                 box = inboxes.get(env.target)
                 if box is None or (flt is not None and flt(env)):
@@ -520,9 +505,8 @@ class SynchronousScheduler:
             tel.add_time("kernel.deliver", _perf() - step_t0)
             msg = tel.messages
             for outbox in outboxes:
-                for sub in outbox.values() if outbox.__class__ is dict else (outbox,):
-                    for env in sub:
-                        msg[type(env.payload).__name__] += 1
+                for env in outbox:
+                    msg[type(env.payload).__name__] += 1
             tel.on_round(sent=sent, dropped=dropped, executed=executed, replayed=replayed)
 
     def run(self, rounds: int) -> None:

@@ -37,6 +37,14 @@ equivalent and seeded runs reproduce across processes and platforms:
   sub-flows cache their delays per model object
   (:meth:`repro.netsim.messages.SubFlow.delay_buckets`), so a replayed
   steady emission is not asked again.
+* A model whose delay depends only on the link ``(sender, target)``
+  says so with the class attribute ``per_link = True`` (every model here
+  but ``reorder``): the kernel then asks it once per sub-flow — one
+  sender's envelopes to one target — instead of once per envelope, and
+  treats a sub-flow as one delay class.  A model that keys any delay on
+  the payload must leave ``per_link`` false (the default).  It is a
+  fact about the class, not a parameter: it is in neither
+  :meth:`DeliveryModel.params` nor :meth:`DeliveryModel.to_dict`.
 * A message to yourself never crosses the network: ``delay`` is 1 for
   ``sender == target`` under every model (traffic injection posts into
   the origin's own inbox and must not be wire-delayed).
@@ -80,6 +88,16 @@ def stable_u64(*parts: object) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+def _int_param(name: str, value: Any, low: Optional[int] = None) -> int:
+    """``value`` as the integer parameter ``name``: a bool or a float is
+    rejected, naming the parameter, never truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r} ({type(value).__name__})")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def _payload_identity(env: Envelope) -> object:
     """The canonical payload identity used for per-envelope delay keys."""
     payload = env.payload
@@ -100,6 +118,9 @@ class DeliveryModel:
     """
 
     kind = "?"
+    #: whether ``delay`` depends on ``(sender, target)`` only (see the
+    #: exactness contract above); the conservative default is no
+    per_link = False
 
     def delay(self, env: Envelope) -> int:
         """Delivery delay for one envelope (deterministic, ``>= 1``)."""
@@ -135,6 +156,7 @@ class UnitDelivery(DeliveryModel):
     """Today's behavior: every message is consumed the next round."""
 
     kind = "unit"
+    per_link = True
 
     def _link_delay(self, env: Envelope) -> int:
         return 1
@@ -147,11 +169,10 @@ class ConstantDelivery(DeliveryModel):
     """Every cross-peer link takes a constant ``delay`` rounds."""
 
     kind = "constant"
+    per_link = True
 
     def __init__(self, delay: int = 2) -> None:
-        if delay < 1:
-            raise ValueError(f"delay must be >= 1, got {delay}")
-        self._delay = int(delay)
+        self._delay = _int_param("delay", delay, 1)
 
     def _link_delay(self, env: Envelope) -> int:
         return self._delay
@@ -172,15 +193,14 @@ class SlowLinksDelivery(DeliveryModel):
     """
 
     kind = "slow_links"
+    per_link = True
 
     def __init__(self, fraction: float = 0.25, delay: int = 4, seed: int = 0) -> None:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        if delay < 1:
-            raise ValueError(f"delay must be >= 1, got {delay}")
         self._fraction = float(fraction)
-        self._delay = int(delay)
-        self._seed = int(seed)
+        self._delay = _int_param("delay", delay, 1)
+        self._seed = _int_param("seed", seed)
         self._memo: Dict[tuple, int] = {}
 
     def _link_delay(self, env: Envelope) -> int:
@@ -208,18 +228,17 @@ class LogNormalDelivery(DeliveryModel):
     """
 
     kind = "lognormal"
+    per_link = True
 
     def __init__(
         self, mu: float = 0.0, sigma: float = 0.8, cap: int = 8, seed: int = 0
     ) -> None:
-        if cap < 1:
-            raise ValueError(f"cap must be >= 1, got {cap}")
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
         self._mu = float(mu)
         self._sigma = float(sigma)
-        self._cap = int(cap)
-        self._seed = int(seed)
+        self._cap = _int_param("cap", cap, 1)
+        self._seed = _int_param("seed", seed)
         self._memo: Dict[tuple, int] = {}
 
     def _link_delay(self, env: Envelope) -> int:
@@ -243,15 +262,12 @@ class RegionDelivery(DeliveryModel):
     cost ``delay`` rounds, intra-region links are unit."""
 
     kind = "regions"
+    per_link = True
 
     def __init__(self, regions: int = 2, delay: int = 4, seed: int = 0) -> None:
-        if regions < 1:
-            raise ValueError(f"need at least one region, got {regions}")
-        if delay < 1:
-            raise ValueError(f"delay must be >= 1, got {delay}")
-        self._regions = int(regions)
-        self._delay = int(delay)
-        self._seed = int(seed)
+        self._regions = _int_param("regions", regions, 1)
+        self._delay = _int_param("delay", delay, 1)
+        self._seed = _int_param("seed", seed)
         self._memo: Dict[Hashable, int] = {}
 
     def _region(self, peer: Hashable) -> int:
@@ -283,10 +299,8 @@ class ReorderDelivery(DeliveryModel):
     kind = "reorder"
 
     def __init__(self, bound: int = 3, seed: int = 0) -> None:
-        if bound < 1:
-            raise ValueError(f"bound must be >= 1, got {bound}")
-        self._bound = int(bound)
-        self._seed = int(seed)
+        self._bound = _int_param("bound", bound, 1)
+        self._seed = _int_param("seed", seed)
 
     def _link_delay(self, env: Envelope) -> int:
         u = stable_u64(
@@ -311,12 +325,18 @@ class CrossCutDelivery(DeliveryModel):
     """
 
     kind = "cross_cut"
+    per_link = True
 
     def __init__(self, side_a: Sequence[int] = (), delay: int = 5) -> None:
-        if delay < 1:
-            raise ValueError(f"delay must be >= 1, got {delay}")
+        if isinstance(side_a, (str, bytes)) or not hasattr(side_a, "__iter__"):
+            raise ValueError(
+                f"side_a must be a collection of peer ids, got {side_a!r} "
+                f"({type(side_a).__name__})"
+            )
+        for peer in side_a:
+            _int_param("side_a entry", peer)
         self._side_a = frozenset(side_a)
-        self._delay = int(delay)
+        self._delay = _int_param("delay", delay, 1)
 
     def _link_delay(self, env: Envelope) -> int:
         crosses = (env.sender in self._side_a) != (env.target in self._side_a)
@@ -416,7 +436,7 @@ class SeededPartialActivation(ActivationDaemon):
         if not 0.0 < p <= 1.0:
             raise ValueError(f"activation probability must be in (0, 1], got {p}")
         self._p = float(p)
-        self._seed = int(seed)
+        self._seed = _int_param("seed", seed)
 
     @property
     def is_full(self) -> bool:
@@ -440,9 +460,7 @@ class RoundRobinActivation(ActivationDaemon):
     kind = "round_robin"
 
     def __init__(self, groups: int = 2) -> None:
-        if groups < 1:
-            raise ValueError(f"need at least one group, got {groups}")
-        self._groups = int(groups)
+        self._groups = _int_param("groups", groups, 1)
 
     @property
     def is_full(self) -> bool:
@@ -464,10 +482,8 @@ class UnfairBoundedActivation(ActivationDaemon):
     kind = "unfair"
 
     def __init__(self, bound: int = 4, seed: int = 0) -> None:
-        if bound < 1:
-            raise ValueError(f"bound must be >= 1, got {bound}")
-        self._bound = int(bound)
-        self._seed = int(seed)
+        self._bound = _int_param("bound", bound, 1)
+        self._seed = _int_param("seed", seed)
 
     @property
     def is_full(self) -> bool:

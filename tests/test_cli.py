@@ -129,6 +129,16 @@ class TestCli:
             assert name in out
         assert "docs/SCENARIOS.md" in out
 
+    def test_scenario_help_lists_every_time_model_kind(self, capsys):
+        from repro.netsim.timemodel import DAEMON_KINDS, DELIVERY_KINDS
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["scenario", "--help"])
+        assert exit_.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        for kinds in (DELIVERY_KINDS, DAEMON_KINDS):
+            assert f"({', '.join(kinds)})" in help_text
+
     def test_scenario_run_tiny(self, capsys):
         code = main(["scenario", "seam-crash", "--n", "10", "--seed", "3"])
         assert code == 0
@@ -205,6 +215,20 @@ class TestCli:
             (["all", "--sizes", "2"], "baseline: --sizes must be >= 4"),
             (["scenario", "--spec", {"max_recovery_rounds": "9"}],
              "max_recovery_rounds must be an integer, got '9' (str)"),
+            (["scenario", "seam-crash", "--latency-model", "constant:delay=2.5"],
+             "delay must be an integer, got 2.5 (float)"),
+            (["scenario", "seam-crash", "--daemon", "round_robin:groups=2.5"],
+             "groups must be an integer, got 2.5 (float)"),
+            (["scenario", "seam-crash", "--latency-model", '{"kind": "lognormal", "cap": true}'],
+             "cap must be an integer, got True (bool)"),
+            (["scenario", "seam-crash", "--daemon", "partial:p=0.5,p=0.9"],
+             "repeated parameter 'p'"),
+            (["scenario", "seam-crash", "--latency-model", "cross_cut:side_a=1"],
+             "side_a must be a collection of peer ids, got 1 (int)"),
+            (["scenario", "seam-crash", "--latency-model", '{"kind": "cross_cut", "side_a": [1.5]}'],
+             "side_a entry must be an integer, got 1.5 (float)"),
+            (["scenario", "seam-crash", "--daemon", "unfair:bound=3,seed=1.5"],
+             "seed must be an integer, got 1.5 (float)"),
         ],
     )
     def test_bad_input_is_a_diagnostic_not_a_traceback(self, argv, message, capsys, tmp_path):

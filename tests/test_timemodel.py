@@ -1037,3 +1037,170 @@ class TestSubFlowDelayCache:
             _old_fronts(old, q, stopped, started)
             assert landing(new) == landing(old), (stopped, started)
             assert new._flux_until == old._flux_until
+
+
+#: one instance of every delivery kind, with parameters that make its
+#: delays differ between links
+PER_KIND = {
+    "unit": {},
+    "constant": {"delay": 3},
+    "slow_links": {"fraction": 0.5, "delay": 4, "seed": 7},
+    "lognormal": {"sigma": 0.9, "cap": 5, "seed": 3},
+    "regions": {"regions": 3, "delay": 4, "seed": 7},
+    "reorder": {"bound": 4, "seed": 7},
+    "cross_cut": {"side_a": [1, 2, 3], "delay": 5},
+}
+
+
+class TestPerSubFlowDelivery:
+    """Under a latency model the sub-flow is the unit of the delay path:
+    one ``delay()`` per link where the model declares per-link delays,
+    fronts decided from the multiset sum, whole sub-flows handed over."""
+
+    def test_every_kind_is_listed(self):
+        assert sorted(PER_KIND) == sorted(DELIVERY_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(PER_KIND))
+    def test_per_link_declaration_holds(self, kind):
+        """A model that declares ``per_link`` gives one delay to every
+        payload on one link; ``reorder`` does not declare it, and does
+        split a link.  The declaration is no parameter."""
+        model = make_delivery_model({"kind": kind, **PER_KIND[kind]})
+        assert "per_link" not in model.to_dict()
+        split_links = 0
+        for sender in range(6):
+            for target in range(6):
+                delays = {model.delay(Envelope(sender, target, ("p", i))) for i in range(24)}
+                split_links += len(delays) > 1
+        if kind == "reorder":
+            assert not model.per_link
+            assert split_links
+        else:
+            assert model.per_link
+            assert split_links == 0
+
+    def test_a_changed_sub_flow_costs_one_delay_call(self):
+        sched = ColumnarScheduler()
+        src, sink = Toy(), Toy()
+        sched.add_actor("src", src)
+        sched.add_actor("sink", sink)
+        model = CountingLogNormal(sigma=0.9, cap=5, seed=3)
+        sched.set_delivery_model(model)
+        src.out = [("sink", ("p", i)) for i in range(3)]
+        sched.mark_dirty("src")
+        TestWakeWheel.settle(sched, src, sink)
+        model.calls = 0
+        src.out = [("sink", ("p", i)) for i in (0, 1, 7)]
+        sched.mark_dirty("src")
+        sched.run(2 * model.delay_bound())
+        assert src.ran and sink.ran
+        assert model.calls == 1
+
+    def test_reordered_sub_flow_takes_the_exact_path_and_sends_no_front(self):
+        sched, src, sink = TestWakeWheel().build({"kind": "constant", "delay": 3})
+        src.out = [("sink", "a"), ("sink", "b")]
+        sched.mark_dirty("src")
+        TestWakeWheel.settle(sched, src, sink)
+        exact = []
+        original = sched._fronts
+
+        def spy(q, stopped, started):
+            exact.append((q, stopped, started))
+            original(q, stopped, started)
+
+        sched._fronts = spy
+        src.out = [("sink", "b"), ("sink", "a")]
+        sched.mark_dirty("src")
+        q = sched.round_no
+        flags = TestWakeWheel().run_checking_flag(sched, 6)
+        ((_q, stopped, started),) = exact
+        assert _q == q and sorted(map(repr, stopped)) == sorted(map(repr, started))
+        assert not sched._landing and flags == [False] * 6
+        # the inbox order changed: the target runs when the reordered
+        # sub-flow lands
+        assert sink.ran == [q + 3]
+
+    def test_filter_on_the_wire_lockstep_with_exact_flag(self):
+        """Columnar against ``engine="full"`` under lognormal delivery.
+        A switch to other per-link delays sends one landing entry per
+        moved sub-flow; a filter that drops everything is installed
+        while they travel, so the last of them land filtered (that
+        boundary does not differ); a switch back sends new ones, and the
+        filter is removed before they land; a crash follows.
+        Fingerprints and counters agree every round, and the change flag
+        equals a fingerprint comparison."""
+        spec = {"kind": "lognormal", "sigma": 0.9, "cap": 5, "seed": 3}
+        other = {**spec, "seed": 4}
+        fast = build_random_network(n=10, seed=6)
+        full = build_random_network(n=10, seed=6, engine="full")
+        for net in (fast, full):
+            net.set_delivery_model(spec)
+            net.run_until_stable(max_rounds=6000)
+        sched = fast.scheduler
+        victim = fast.peer_ids[3]
+        schedule = {2: other, 3: "filter_on", 9: spec, 10: "filter_off", 12: "crash"}
+        entries = {}
+        for r in range(60):
+            event = schedule.get(r)
+            if event is not None:
+                entries[r] = [
+                    t - sched.round_no
+                    for t, fronts in sched._landing.items()
+                    if any(front.__class__ is tuple for front in fronts)
+                ]
+            for net in (fast, full):
+                if isinstance(event, dict):
+                    net.set_delivery_model(event)
+                elif event == "filter_on":
+                    net.scheduler.set_drop_filter(lambda env: True)
+                elif event == "filter_off":
+                    net.scheduler.set_drop_filter(None)
+                elif event == "crash":
+                    net.crash(victim)
+            prev = fast.fingerprint()
+            fast.run_round()
+            full.run_round()
+            cur = fast.fingerprint()
+            assert cur == full.fingerprint(), f"round {r}"
+            assert fast.counters().fires == full.counters().fires, f"round {r}"
+            assert sched.changed_last_round == (cur != prev), f"round {r}"
+        # entries were on the wire when the filter came and when it went
+        assert entries[3] and entries[10], entries
+        assert fast.run_until_stable(max_rounds=6000) == full.run_until_stable(max_rounds=6000)
+
+    @pytest.mark.parametrize("engine", KERNELS)
+    def test_sleepers_keep_their_inbox_order(self, engine):
+        """Under partial activation a sleeper keeps its inbox and later
+        deliveries append to it: posts made while it slept stay in
+        front of the sub-flows delivered after them, message by message
+        as in the spec."""
+        spec = {"kind": "lognormal", "sigma": 0.9, "cap": 4, "seed": 3}
+        fast = build(build_random_network, engine, n=10, seed=12)
+        full = build_random_network(n=10, seed=12, engine="full")
+        planes = []
+        for net in (fast, full):
+            net.set_delivery_model(spec)
+            net.set_daemon({"kind": "partial", "p": 0.5, "seed": 5})
+            planes.append(_attach_traffic(net, seed=12))
+        for r in range(30):
+            for plane in planes:
+                plane.run_round()
+            assert _delivery_view(fast) == _delivery_view(full), f"round {r}"
+            assert fast.fingerprint() == full.fingerprint(), f"round {r}"
+
+    def test_flow_changes_are_their_own_phase_and_neutral(self):
+        from repro.telemetry import TelemetryRecorder
+
+        def run(recorder):
+            net = build_random_network(n=9, seed=4)
+            net.set_delivery_model({"kind": "lognormal", "sigma": 0.9, "cap": 4, "seed": 2})
+            if recorder is not None:
+                net.enable_telemetry(recorder)
+            net.run(12)
+            return net.fingerprint(), net.counters().fires
+
+        recorder = TelemetryRecorder()
+        assert run(recorder) == run(None)
+        phases = {phase: calls for phase, _seconds, calls in recorder.phase_table()}
+        assert phases.get("kernel.flow_changes", 0) > 0
+        assert {"kernel.step", "kernel.deliver"} <= phases.keys()
