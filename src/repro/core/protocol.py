@@ -61,6 +61,7 @@ RefOracle = Callable[[NodeRef], str]
 #: sort key accessor — sorting by the precomputed tuple is measurably
 #: faster than dispatching NodeRef.__lt__ per comparison (hot path)
 _KEY = attrgetter("_key")
+_payload_of = attrgetter("payload")
 
 
 def _untimed(phase: str, seconds: float, calls: int = 1) -> None:
@@ -196,7 +197,7 @@ class ReChordPeer:
             raise _no_plane_error(inbox[0].payload, self.state.peer_id)
         state = self.state
         version = state.version
-        self.traffic.handle(self, [env.payload for env in inbox], ctx)
+        self.traffic.handle(self, list(map(_payload_of, inbox)), ctx)
         if state.version != version:
             # the lane is sound only because handlers leave the overlay
             # alone: a mutation here would never reach the rules' replay

@@ -550,19 +550,24 @@ class BatchedRuleEngine:
                 tel = actor.telemetry
             fires_before = dict(actor.counters.fires)
             if actor.traffic is not None:
-                app: Optional[list] = None
-                for i, part in enumerate(parts):
-                    if type(part) is SubFlow:
-                        continue
-                    mail = [e.payload for e in part if isinstance(e.payload, AppPayload)]
-                    if mail:
-                        if app is None:
-                            app = mail
-                            parts = list(parts)
-                        else:
-                            app.extend(mail)
-                        parts[i] = [e for e in part if not isinstance(e.payload, AppPayload)]
+                # one pass per one-shot part takes the application mail
+                # out; a part that held nothing else is dropped
+                app: list = []
+                kept: list = []
+                for part in parts:
+                    if type(part) is not SubFlow:
+                        rest = []
+                        for env in part:
+                            if isinstance(env.payload, AppPayload):
+                                app.append(env.payload)
+                            else:
+                                rest.append(env)
+                        if not rest:
+                            continue
+                        part = rest
+                    kept.append(part)
                 if app:
+                    parts = kept
                     handlers.append((key, actor.traffic.handle, (actor, app, ctx)))
             # the levels' records describe the current state only while
             # nothing touched it since this peer's last step (every

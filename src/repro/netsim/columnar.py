@@ -1705,15 +1705,18 @@ class ColumnarScheduler(SynchronousScheduler):
             flow_changed = True
             self._lane_flag = True  # consumed next round: that boundary differs too
             sent_extra += len(once)
+            if tel_extra is not None:
+                tel_extra.update(type(env.payload).__name__ for env in once)
             for env in once:
-                if tel_extra is not None:
-                    tel_extra[type(env.payload).__name__] += 1
                 target = env.target
-                if target not in self._actors or (flt is not None and flt(env)):
+                if target not in actors or (flt is not None and flt(env)):
                     dropped_extra += 1
                     continue
-                lane.setdefault(target, []).append(env)
-                self._lane_targets.add(target)
+                box = lane.get(target)
+                if box is None:  # a target's first box puts it in the mail set
+                    box = lane[target] = []
+                    self._lane_targets.add(target)
+                box.append(env)
 
         # (d) boundary bookkeeping — identical observables to the tracked loop
         self.dropped_last_round = self._flow_dropped + dropped_extra

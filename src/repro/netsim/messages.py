@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Hashable, Iterator, Optional, Sequence, Set
 
 #: 64-bit wrap-around for the multiset fingerprints (``config_hash()``)
@@ -33,7 +32,6 @@ class AppPayload:
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Envelope:
     """A message in flight between two actors.
 
@@ -42,13 +40,15 @@ class Envelope:
     immutable: the synchronous model forbids a sender from mutating a
     message after the send.
 
-    ``_fp`` is the lazily memoized fingerprint slot (see
-    :func:`envelope_fingerprint`); slots keep construction and field
-    access cheap on the millions of envelopes a large run mints.
-    Equality/hash are hand-rolled with the usual dataclass semantics
-    (field-wise) but without intermediate tuple allocations: the
-    round-boundary outbox diffs compare whole outboxes every round, and
-    this is their innermost loop.
+    Immutability is kept by the class: ``__setattr__`` and
+    ``__delattr__`` raise ``AttributeError`` for every name, so only
+    the holders of the slot descriptors write a slot — the constructor
+    (``Envelope.sender.__set__``, ...; unpickling reuses it) and the
+    ``_fp`` memo of :func:`envelope_fingerprint`.  Building through the
+    descriptors roughly halves the cost of a frozen dataclass's
+    ``object.__setattr__`` per field: every traffic hop mints one.
+    Equality/hash are field-wise, without tuple allocations in
+    ``__eq__`` (the innermost loop of the round-boundary outbox diffs).
     """
 
     __slots__ = ("sender", "target", "payload", "_fp")
@@ -56,6 +56,16 @@ class Envelope:
     sender: Hashable
     target: Hashable
     payload: Any
+
+    def __init__(self, sender: Hashable, target: Hashable, payload: Any) -> None:
+        _set_sender(self, sender)
+        _set_target(self, target)
+        _set_payload(self, payload)
+
+    def __setattr__(self, name: str, *_: Any) -> None:
+        raise AttributeError(f"cannot set or delete field {name!r}: envelopes are immutable")
+
+    __delattr__ = __setattr__
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Envelope({self.sender!r} -> {self.target!r}: {self.payload!r})"
@@ -81,9 +91,14 @@ class Envelope:
         return (self.sender, self.target, self.payload)
 
     def __setstate__(self, state: tuple) -> None:
-        object.__setattr__(self, "sender", state[0])
-        object.__setattr__(self, "target", state[1])
-        object.__setattr__(self, "payload", state[2])
+        Envelope.__init__(self, *state)
+
+
+# the slot writers: the only way into an envelope (see Envelope)
+_set_sender = Envelope.sender.__set__
+_set_target = Envelope.target.__set__
+_set_payload = Envelope.payload.__set__
+_set_fp = Envelope._fp.__set__
 
 
 def envelope_fingerprint(env: Envelope) -> int:
@@ -110,7 +125,7 @@ def envelope_fingerprint(env: Envelope) -> int:
         fp = hash((env.target, canon)) & HASH_MASK
     except TypeError:
         fp = hash((env.target, repr(canon))) & HASH_MASK
-    object.__setattr__(env, "_fp", fp)
+    _set_fp(env, fp)
     return fp
 
 

@@ -41,6 +41,7 @@ from repro.core.network import ReChordNetwork
 from repro.graphs.digraph import EdgeKind
 from repro.netsim.messages import envelope_canon
 from repro.netsim.timemodel import stable_u64
+from repro.traffic.generator import check_rate
 from repro.workloads.churn import ChurnSchedule, apply_event
 from repro.workloads.initial import random_peer_ids
 
@@ -597,8 +598,7 @@ def set_rate(ctx: EventContext, rng: random.Random, rate: float = 0.0) -> None:
     if ctx.plane is None or ctx.plane.generator is None:
         raise ValueError("set_rate needs a traffic-carrying scenario")
     generator = ctx.plane.generator
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
+    check_rate(rate)
     generator.rate = float(rate)
     generator.active = rate > 0
     ctx.count("set_rate")

@@ -127,7 +127,9 @@ class TrafficSpec:
     route_redundancy: int = 1
 
     def __post_init__(self) -> None:
-        check_workload(self.rate, self.op_mix, self.key_universe, self.popularity)
+        check_workload(
+            self.rate, self.op_mix, self.key_universe, self.popularity, self.zipf_s
+        )
         check_budget("deadline", self.deadline)
         check_budget("ttl", self.ttl)
         check_resilience(

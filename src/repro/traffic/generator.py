@@ -13,6 +13,8 @@ tests drive two kernels with twin generators and compare fingerprints.
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from bisect import bisect_left
 from typing import Any, List, Optional, Sequence, Tuple
@@ -35,20 +37,40 @@ POP_ZIPF = "zipf"
 _VECTOR_MIN = 64
 
 
-def check_workload(
-    rate: float, op_mix: Sequence[Tuple[str, float]], key_universe: int,
-    popularity: str,
-) -> None:
-    """The arrival process's bounds (see :class:`WorkloadGenerator`)."""
+def check_number(name: str, value: Any, kind: type = numbers.Real) -> None:
+    """``value`` is a finite number of ``kind`` (a bool is none here)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r} ({type(value).__name__})")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def check_rate(rate: float) -> None:
+    """An arrival rate (ops per round) is a finite number >= 0."""
+    check_number("rate", rate)
     if rate < 0:
         raise ValueError("rate must be non-negative")
+
+
+def check_workload(
+    rate: float, op_mix: Sequence[Tuple[str, float]], key_universe: int,
+    popularity: str, zipf_s: float,
+) -> None:
+    """The arrival process's bounds (see :class:`WorkloadGenerator`):
+    each bad value is a ``ValueError`` naming its field, raised before
+    the first round."""
+    check_rate(rate)
+    check_number("key_universe", key_universe, numbers.Integral)
     if key_universe < 1:
         raise ValueError("need at least one key")
     for op, weight in op_mix:
         if op not in (OP_LOOKUP, OP_GET, OP_PUT):
             raise ValueError(f"unknown op {op!r} in mix")
+        check_number(f"op weight of {op!r}", weight)
         if weight < 0:
             raise ValueError("op weights must be non-negative")
+    check_number("zipf_s", zipf_s)
     if sum(w for _, w in op_mix) <= 0:
         raise ValueError("op mix weights sum to zero")
     if popularity not in (POP_UNIFORM, POP_ZIPF):
@@ -89,7 +111,7 @@ class WorkloadGenerator:
         max_outstanding: Optional[int] = None,
         seed: int = 0,
     ) -> None:
-        check_workload(rate, op_mix, key_universe, popularity)
+        check_workload(rate, op_mix, key_universe, popularity, zipf_s)
         self.plane = plane
         plane.generator = self
         self.rate = float(rate)

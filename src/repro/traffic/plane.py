@@ -42,13 +42,20 @@ clockwise neighbor.  Degraded views can therefore misroute (answered by
 a peer that is not the true successor), loop (caught by the request's
 seen-set) or dead-end — all surfaced as distinct outcomes by the
 :class:`repro.traffic.slo.SLOCollector`.
+
+The per-hop path is what a traffic campaign pays per message: a hop
+reads one cached **route entry** per peer (:meth:`TrafficPlane.route_entry`
+— believed predecessor, answer span and sorted view, reused while the
+peer's ``state.version`` is unchanged), decides with two modular
+comparisons and one bisect, and emits one envelope; replies complete
+inline in :meth:`TrafficPlane.handle`.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.telemetry.tracing import TraceContext
 
@@ -69,6 +76,8 @@ from repro.traffic.messages import (
     LookupRequest,
 )
 from repro.traffic.slo import IssuedOp, SLOCollector
+
+_tuple_new = tuple.__new__
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.network import ReChordNetwork
@@ -131,19 +140,11 @@ class TrafficPlane:
     """
 
     def __init__(
-        self,
-        net: "ReChordNetwork",
-        store: Optional["KeyValueStore"] = None,
-        default_ttl: Optional[int] = None,
-        default_deadline: int = 48,
-        collector_mode: Optional[str] = None,
-        sketch_quantiles: Optional[Sequence[float]] = None,
-        reservoir_size: int = 1024,
-        max_attempts: int = 1,
-        retry_backoff: int = 4,
-        hedge_after: Optional[int] = None,
-        route_redundancy: int = 1,
-        retry_seed: int = 0,
+        self, net: "ReChordNetwork", store: Optional["KeyValueStore"] = None,
+        default_ttl: Optional[int] = None, default_deadline: int = 48,
+        collector_mode: Optional[str] = None, sketch_quantiles: Optional[Sequence[float]] = None,
+        reservoir_size: int = 1024, max_attempts: int = 1, retry_backoff: int = 4,
+        hedge_after: Optional[int] = None, route_redundancy: int = 1, retry_seed: int = 0,
     ) -> None:
         check_resilience(max_attempts, retry_backoff, hedge_after, route_redundancy)
         check_budget("default_ttl", default_ttl)
@@ -219,11 +220,13 @@ class TrafficPlane:
         #: sorted live ids cached per membership version (one completion
         #: classification per op must not pay an O(n log n) sort)
         self._live_cache: tuple = (-1, [])
-        #: per-peer sorted routing view memo, keyed on ``state.version``
-        #: — every effective mutation bumps the version (the standing
-        #: PeerState contract), so a hit is exactly the view the linear
-        #: rebuild would have produced
-        self._view_cache: Dict[int, Tuple[int, List[int]]] = {}
+        #: peer id -> its route entry (see :meth:`route_entry`), reused
+        #: while the peer's ``state.version`` equals the entry's
+        self._routes: Dict[int, tuple] = {}
+        self._size = net.space.size
+        #: the collector's flat ``op_id -> truth`` notes, written inline per
+        #: answer; None with resilience on (notes keyed per probe)
+        self._truth = None if self.resilience_enabled else self.collector._answer_truth
         net.attach_traffic(self)
 
     def detach(self) -> None:
@@ -290,13 +293,8 @@ class TrafficPlane:
     # injection
     # ------------------------------------------------------------------
     def issue(
-        self,
-        op: str,
-        key: "str | bytes | int",
-        origin: int,
-        value: Any = None,
-        ttl: Optional[int] = None,
-        deadline: Optional[int] = None,
+        self, op: str, key: "str | bytes | int", origin: int, value: Any = None,
+        ttl: Optional[int] = None, deadline: Optional[int] = None,
     ) -> int:
         """Inject one operation at ``origin``; returns the op id.
 
@@ -312,10 +310,8 @@ class TrafficPlane:
         return self._inject(((op, kid, origin, value),), ttl, deadline)[0]
 
     def issue_batch(
-        self,
-        ops: Sequence[Tuple[str, int, int, Any]],
-        ttl: Optional[int] = None,
-        deadline: Optional[int] = None,
+        self, ops: Sequence[Tuple[str, int, int, Any]],
+        ttl: Optional[int] = None, deadline: Optional[int] = None,
     ) -> List[int]:
         """Bulk :meth:`issue`: one pass for a whole round of arrivals.
 
@@ -337,10 +333,7 @@ class TrafficPlane:
         return op_ids
 
     def _inject(
-        self,
-        ops: Sequence[Tuple[str, int, int, Any]],
-        ttl: Optional[int],
-        deadline: Optional[int],
+        self, ops: Sequence[Tuple[str, int, int, Any]], ttl: Optional[int], deadline: Optional[int]
     ) -> List[int]:
         """The one injection body: validate, build each op's
         :class:`IssuedOp` and request, sample traces, post, then register
@@ -355,23 +348,24 @@ class TrafficPlane:
         if self.store is None and any(op != OP_LOOKUP for op, _, _, _ in ops):
             raise RuntimeError("KV traffic needs a store: TrafficPlane(net, store=...)")
         space = self.net.space
+        size = space.size
         issue_round = self.net.round_no
         span = deadline if deadline is not None else self.deadline_for()
         deadline_round = issue_round + span
         ttl_val = ttl if ttl is not None else self.ttl_for()
         tel = self.net.telemetry
-        op_id = self._next_op_id
+        first = op_id = self._next_op_id
         issued_ops: List[IssuedOp] = []
-        templates: List[LookupRequest] = []
         envelopes: List[Envelope] = []
-        op_ids: List[int] = []
         for op, kid, origin, value in ops:
-            space.check_id(kid)
-            issued_ops.append(
-                IssuedOp(op_id, op, origin, kid, issue_round, deadline_round, 1, span)
+            if kid.__class__ is not int or not 0 <= kid < size:
+                space.check_id(kid)  # raises
+            issued_ops.append(_tuple_new(
+                IssuedOp, (op_id, op, origin, kid, issue_round, deadline_round, 1, span)
+            ))
+            request = _tuple_new(
+                LookupRequest, (op, op_id, origin, kid, ttl_val, 0, (origin,), value, 1, False, None)
             )
-            request = LookupRequest(op, op_id, origin, kid, ttl_val, 0, (origin,), value)
-            templates.append(request)
             # causal tracing: sampled ops carry a TraceContext on the request
             # (outside payload equality — see messages.LookupRequest.trace)
             if tel is not None and tel.sampled(op_id):
@@ -379,28 +373,25 @@ class TrafficPlane:
                     trace=TraceContext(op_id=op_id, hops=((origin, issue_round, "issue"),))
                 )
             envelopes.append(Envelope(origin, origin, request))
-            op_ids.append(op_id)
             op_id += 1
         self._next_op_id = op_id
         posted = self.net.scheduler.post_batch(envelopes)
-        registered: List[IssuedOp] = []
-        for issued, template, ok in zip(issued_ops, templates, posted):
-            if ok:
+        if self._track_requests or not all(posted):
+            registered: List[IssuedOp] = []
+            for issued, env, ok in zip(issued_ops, envelopes, posted):
+                if not ok:
+                    self.collector.fail_unissued(issued, issue_round)
+                    continue
                 registered.append(issued)
                 if self._track_requests:
-                    self._op_request[issued.op_id] = template
+                    # the untraced request is the relaunch template
+                    self._op_request[issued.op_id] = env.payload._replace(trace=None)
                     if self.hedge_after is not None:
-                        self._push_launch(
-                            self._hedge_wheel,
-                            self._hedge_rounds,
-                            issue_round + self.hedge_after,
-                            issued.op_id,
-                            1,
-                        )
-            else:
-                self.collector.fail_unissued(issued, issue_round)
-        self.collector.register_batch(registered)
-        return op_ids
+                        self._push_launch(self._hedge_wheel, self._hedge_rounds,
+                                          issue_round + self.hedge_after, issued.op_id, 1)
+            issued_ops = registered
+        self.collector.register_batch(issued_ops)
+        return list(range(first, op_id))
 
     def lookup(self, key: "str | bytes | int", origin: int, **kw: Any) -> int:
         """Inject a lookup for ``key`` at ``origin``."""
@@ -419,11 +410,8 @@ class TrafficPlane:
     # ------------------------------------------------------------------
     @staticmethod
     def _push_launch(
-        wheel: Dict[int, List[Tuple[int, int]]],
-        rounds: List[int],
-        launch_round: int,
-        op_id: int,
-        attempt: int,
+        wheel: Dict[int, List[Tuple[int, int]]], rounds: List[int], launch_round: int,
+        op_id: int, attempt: int,
     ) -> None:
         bucket = wheel.get(launch_round)
         if bucket is None:
@@ -488,45 +476,39 @@ class TrafficPlane:
             # timeout evidence keeps a hop demoted
             for pid in [p for p, exp in self._suspects.items() if exp <= round_no]:
                 del self._suspects[pid]
+        for op_id, attempt, template in self._due(self._retry_wheel, self._retry_rounds):
+            probe = template._replace(attempt=attempt)
+            if self.net.scheduler.post(Envelope(probe.origin, probe.origin, probe)):
+                if self.hedge_after is not None:
+                    self._push_launch(self._hedge_wheel, self._hedge_rounds,
+                                      round_no + self.hedge_after, op_id, attempt)
+            else:
+                # the origin no longer exists: no probe can ever be
+                # answered (replies address the origin), so spending
+                # the remaining attempts would only defer the truth
+                self.collector.force_timeout(op_id, round_no)
+        for op_id, attempt, template in self._due(self._hedge_wheel, self._hedge_rounds):
+            probe = template._replace(attempt=attempt, hedge=True)
+            if self.net.scheduler.post(Envelope(probe.origin, probe.origin, probe)):
+                self.collector.hedges_issued += 1
+                if self.attempt_log is not None:
+                    self.attempt_log.append(("hedge", op_id, attempt, round_no))
+
+    def _due(self, wheel: Dict[int, List[Tuple[int, int]]], rounds: List[int]) -> Iterator:
+        """``(op_id, attempt, template)`` of each launch on ``wheel`` due
+        by this round whose attempt is still the op's current one — an
+        op completed or superseded meanwhile (a retry during a hedge's
+        delay, an answer during a backoff) is skipped."""
+        round_no = self.net.round_no
         outstanding = self.collector.outstanding
-        rounds = self._retry_rounds
         while rounds and rounds[0] <= round_no:
-            for op_id, attempt in self._retry_wheel.pop(heapq.heappop(rounds), ()):
+            for op_id, attempt in wheel.pop(heapq.heappop(rounds), ()):
                 issued = outstanding.get(op_id)
                 if issued is None or issued.attempt != attempt:
-                    continue  # completed (or superseded) during backoff
-                template = self._op_request.get(op_id)
-                if template is None:  # pragma: no cover - ledger invariant
                     continue
-                probe = template._replace(attempt=attempt)
-                if self.net.scheduler.post(Envelope(probe.origin, probe.origin, probe)):
-                    if self.hedge_after is not None:
-                        self._push_launch(
-                            self._hedge_wheel,
-                            self._hedge_rounds,
-                            round_no + self.hedge_after,
-                            op_id,
-                            attempt,
-                        )
-                else:
-                    # the origin no longer exists: no probe can ever be
-                    # answered (replies address the origin), so spending
-                    # the remaining attempts would only defer the truth
-                    self.collector.force_timeout(op_id, round_no)
-        rounds = self._hedge_rounds
-        while rounds and rounds[0] <= round_no:
-            for op_id, attempt in self._hedge_wheel.pop(heapq.heappop(rounds), ()):
-                issued = outstanding.get(op_id)
-                if issued is None or issued.attempt != attempt:
-                    continue  # answered or retried: the hedge is moot
                 template = self._op_request.get(op_id)
-                if template is None:  # pragma: no cover - ledger invariant
-                    continue
-                probe = template._replace(attempt=attempt, hedge=True)
-                if self.net.scheduler.post(Envelope(probe.origin, probe.origin, probe)):
-                    self.collector.hedges_issued += 1
-                    if self.attempt_log is not None:
-                        self.attempt_log.append(("hedge", op_id, attempt, round_no))
+                if template is not None:  # a tracked op always has one
+                    yield op_id, attempt, template
 
     def _on_expiry(self, issued: IssuedOp, round_no: int) -> None:
         """Timeout observer: suspect the first hop the op routed through
@@ -547,92 +529,84 @@ class TrafficPlane:
     # per-peer handler (called from ReChordPeer.step)
     # ------------------------------------------------------------------
     def handle(self, peer: "ReChordPeer", payloads: Sequence[Any], ctx: RoundContext) -> None:
-        """Process the traffic payloads delivered to one peer this round."""
+        """Process the traffic payloads delivered to one peer this round.
+
+        The per-hop path: a reply completes at once; a request reads the
+        peer's cached route entry (:meth:`route_entry`) and is answered
+        here, failed in-band or forwarded with one :meth:`send_once`.
+        """
+        state = peer.state
+        me = state.peer_id
         if self._suspects:
             # any delivery the peer processes refutes its suspicion: a
             # black-holed peer never consumes traffic, a slow one does
-            self._suspects.pop(peer.state.peer_id, None)
-        view: Optional[Sequence[int]] = None
-        for payload in payloads:
-            if isinstance(payload, LookupRequest):
-                if view is None:
-                    # the overlay state cannot change mid-step after the
-                    # rules ran: one sorted view serves every request
-                    view = self._view_for(peer.state)
-                self._handle_request(peer, payload, ctx, view)
-            elif isinstance(payload, LookupReply):
-                self._handle_reply(payload, ctx)
-            else:  # pragma: no cover - protocol violation
-                raise TypeError(f"unknown traffic payload {payload!r}")
-
-    def _handle_reply(self, reply: LookupReply, ctx: RoundContext) -> None:
-        if reply.origin != ctx.self_key:  # pragma: no cover - misrouted
-            raise LookupError(f"reply for {reply.origin} delivered to {ctx.self_key}")
-        self.collector.on_reply(reply, ctx.round_no)
-
-    def _handle_request(
-        self, peer: "ReChordPeer", req: LookupRequest, ctx: RoundContext, view: Sequence[int]
-    ) -> None:
-        state = peer.state
-        me = state.peer_id
-        space = state.space
-        size = space.size
-        kid = req.kid
-        node0 = state.nodes[0]
-        # believed predecessor: the closest real neighbor to the left,
-        # falling back to the wrap pointer at the ring seam [D6].  Both
-        # ring tests of this hop are IdSpace.between_open_closed inlined:
-        # x in (a, b] iff a == b or 0 < (x - a) % size <= (b - a) % size
-        pred = node0.rl if node0.rl is not None else node0.wrap_rl
-        p = me if pred is None else pred.owner  # none: answer here
-        if p == me or 0 < (kid - p) % size <= (me - p) % size:
-            self._terminal(me, req, ctx)
-            return
-        if not view:
-            self._reply(req, ST_DEAD_END, me, ctx)
-            return
-        # the best-progress neighbor — argmin of distance_cw(cand, kid)
-        # over candidates in the arc (me, kid] — is the *circular
-        # predecessor* of kid in the sorted view, provided it lies in
-        # the arc at all: walking counter-clockwise from kid, every id
-        # encountered before leaving (me, kid] is inside it, so if the
-        # nearest one is outside, the arc holds no candidate.  (Any
-        # candidate in (me, kid] also trivially beats distance_cw(me,
-        # kid), which the historical linear scan used as its initial
-        # bound.)  One bisect replaces the O(v) scan, same decision.
-        best = view[bisect_right(view, kid) - 1]  # view[-1] wraps
-        rule = "greedy"
-        if not (me == kid or 0 < (best - me) % size <= (kid - me) % size):
-            # the key lies between us and every known neighbor: hand the
-            # request to our closest clockwise neighbor (the believed
-            # successor), who should find itself responsible — i.e. the
-            # first view entry after me, wrapping (me is never in view,
-            # and ids are distinct, so the argmin is unique)
-            best = view[bisect_right(view, me) % len(view)]
-            rule = "fallback"
-        if self.route_redundancy > 1:
-            best = self._redundant_choice(me, req, view, rule, space)
-            if best is None:
-                # every redundant candidate already held the request
+            self._suspects.pop(me, None)
+        route = None
+        size = self._size
+        send = ctx.send_once
+        redundant = self.route_redundancy > 1
+        for req in payloads:
+            cls = req.__class__
+            if cls is LookupReply:
+                if req.origin != me:  # pragma: no cover - misrouted
+                    raise LookupError(f"reply for {req.origin} delivered to {me}")
+                self.collector.on_reply(req, ctx.round_no)
+                continue
+            if cls is not LookupRequest:  # pragma: no cover - protocol violation
+                raise TypeError(f"unknown traffic payload {req!r}")
+            if route is None:
+                # the overlay state cannot change mid-step after the
+                # rules ran: one route entry serves every request
+                route = self._routes.get(me)
+                if route is None or route[0] != state.version:
+                    route = self._new_route(state)
+                _, pred, span, view = route
+            op, op_id, origin, kid, ttl, hops, path, value, attempt, hedge, trace = req
+            # answer here iff kid lies in (pred, me]: the span turns
+            # IdSpace.between_open_closed into one modular comparison
+            if (kid - pred - 1) % size < span:
+                self._terminal(me, req, ctx)
+                continue
+            if not view:
+                self._reply(req, ST_DEAD_END, me, ctx)
+                continue
+            # the best-progress neighbor (argmin of distance_cw(cand, kid)
+            # over the arc (me, kid]) is kid's circular predecessor in the
+            # sorted view if that lies in the arc at all — walking ccw
+            # from kid, every id met before leaving the arc is inside it.
+            # kid != me (me is in its own answer span) and best != me
+            # (never in view), so the arc test compares two offsets
+            best = view[bisect_right(view, kid) - 1]  # view[-1] wraps
+            rule = "greedy"
+            if (best - me) % size > (kid - me) % size:
+                # the key lies between us and every known neighbor: hand it
+                # to the believed successor, the first view entry after me
+                best = view[bisect_right(view, me) % len(view)]
+                rule = "fallback"
+            if redundant:
+                best = self._redundant_choice(me, req, view, rule, self.net.space)
+                if best is None:
+                    # every redundant candidate already held the request
+                    self._reply(req, ST_LOOP, me, ctx)
+                    continue
+            elif best in path:
                 self._reply(req, ST_LOOP, me, ctx)
-                return
-        elif best in req.path:
-            self._reply(req, ST_LOOP, me, ctx)
-            return
-        if req.hops + 1 > req.ttl:
-            self._reply(req, ST_TTL, me, ctx)
-            return
-        # a traced request records the forwarding decision this hop took
-        # (the trace rides outside payload equality: behavior is unchanged)
-        trace = req.trace
-        fwd = req.forwarded(
-            best, trace if trace is None else trace.extended(me, ctx.round_no, rule)
-        )
-        if self.route_redundancy > 1 and req.hops == 0 and me == req.origin:
-            # remember the first hop each attempt routes through so a
-            # later expiry can suspect it (and a delivery refute it)
-            self._first_hop[req.op_id] = best
-        ctx.send_once(best, fwd)
+                continue
+            if hops >= ttl:
+                self._reply(req, ST_TTL, me, ctx)
+                continue
+            if redundant and hops == 0 and me == origin:
+                # remember the first hop each attempt routes through so
+                # a later expiry can suspect it (and a delivery refute it)
+                self._first_hop[op_id] = best
+            if trace is not None:
+                # a traced request records the forwarding decision this
+                # hop took (the trace rides outside payload equality)
+                trace = trace.extended(me, ctx.round_no, rule)
+            # req.forwarded(best, trace), built from the fields at hand
+            send(best, _tuple_new(LookupRequest, (
+                op, op_id, origin, kid, ttl, hops + 1, path + (best,), value, attempt, hedge, trace,
+            )))
 
     def _redundant_choice(
         self, me: int, req: LookupRequest, view: Sequence[int], rule: str, space
@@ -673,89 +647,91 @@ class TrafficPlane:
 
     def _terminal(self, me: int, req: LookupRequest, ctx: RoundContext) -> None:
         """Execute the operation at the self-believed responsible peer."""
+        op, op_id, _, kid, _, _, _, value, attempt, hedge, _ = req
         # classification accounting (external to the simulation — not
         # part of the message, so handler emissions stay a pure function
         # of peer state + payload): sample who is really responsible NOW,
         # while the answer is produced; churn during the reply's transit
-        # round must not reclassify a correct answer as a misroute
-        self.collector.note_answer_truth(
-            req.op_id, self.true_owner(req.kid), attempt=req.attempt, hedged=req.hedge
-        )
-        value = None
-        if req.op == OP_PUT:
-            if self.store is None:  # pragma: no cover - guarded at issue
-                raise RuntimeError("put arrived with no store attached")
-            self.store.local_put(me, req.kid, req.value)
-            status = ST_OK
-        elif req.op == OP_GET:
-            if self.store is None:  # pragma: no cover - guarded at issue
-                raise RuntimeError("get arrived with no store attached")
-            found, value = self.store.local_get(me, req.kid)
-            status = ST_OK if found else ST_NOTFOUND
+        # round must not reclassify a correct answer as a misroute.  The
+        # truth is true_owner(kid), one bisect over the cached live ids
+        ids = self.live_ids()
+        i = bisect_left(ids, kid)
+        truth = ids[i] if i < len(ids) else ids[0]  # the answering peer is live
+        if self._truth is not None:
+            self._truth[op_id] = truth
         else:
-            status = ST_OK
+            self.collector.note_answer_truth(op_id, truth, attempt, hedge)
+        status = ST_OK
+        if op == OP_LOOKUP:
+            value = None
+        elif self.store is None:  # pragma: no cover - guarded at issue
+            raise RuntimeError(f"{op} arrived with no store attached")
+        elif op == OP_PUT:
+            self.store.local_put(me, kid, value)
+            value = None
+        else:
+            found, value = self.store.local_get(me, kid)
+            if not found:
+                status = ST_NOTFOUND
         self._reply(req, status, me, ctx, value)
 
     def _reply(
-        self,
-        req: LookupRequest,
-        status: str,
-        owner: int,
-        ctx: RoundContext,
-        value: Any = None,
+        self, req: LookupRequest, status: str, owner: int, ctx: RoundContext, value: Any = None
     ) -> None:
         op, op_id, origin, kid, _, hops, _, _, attempt, hedge, trace = req
         if trace is not None:
             # the terminal hop closes the causal trace with its status
             trace = trace.extended(owner, ctx.round_no, status)
-        reply = LookupReply(op, op_id, origin, kid, status, owner, hops, value, attempt, hedge, trace)
-        if origin == ctx.self_key:
+        reply = _tuple_new(LookupReply, (
+            op, op_id, origin, kid, status, owner, hops, value, attempt, hedge, trace,
+        ))
+        if origin == owner:
             # terminated at the origin itself: complete without a message
             self.collector.on_reply(reply, ctx.round_no)
         else:
             ctx.send_once(origin, reply)
 
-    def _view_for(self, state) -> List[int]:
-        """The peer's sorted routing view, memoized on ``state.version``.
-
-        ``PeerState.version`` bumps on every effective mutation (the
-        standing contract the tracked kernel is built on), so a
-        version hit returns exactly the view a fresh rebuild would
-        produce; rules run before traffic inside a step, so the version
-        observed here already reflects this round's repairs.  The cache
-        is pruned of departed peers when it outgrows the live set, so a
-        long churny campaign cannot accumulate unbounded entries.
-        """
-        me = state.peer_id
-        cached = self._view_cache.get(me)
-        if cached is not None and cached[0] == state.version:
-            return cached[1]
-        view = sorted(self._local_view(state))
-        if len(self._view_cache) >= 2 * len(self.net.peers) + 64:
+    def _new_route(self, state) -> tuple:
+        """Derive and cache the peer's :meth:`route_entry`; the cache is
+        pruned of departed peers when it outgrows the live set."""
+        routes = self._routes
+        if len(routes) >= 2 * len(self.net.peers) + 64:
             live = self.net.peers
-            for pid in [p for p in self._view_cache if p not in live]:
-                del self._view_cache[pid]
-        self._view_cache[me] = (state.version, view)
-        return view
+            for pid in [p for p in routes if p not in live]:
+                del routes[pid]
+        route = routes[state.peer_id] = self.route_entry(state)
+        return route
 
     @staticmethod
-    def _local_view(state) -> Set[int]:
-        """The peer's outgoing Re-Chord view: real-peer endpoints of its
-        unmarked, ring and wrap edges across all simulated nodes (the
-        per-peer slice of ``rechord_projection()``)."""
+    def route_entry(state) -> tuple:
+        """``(version, pred, span, view)``: all a hop reads of the peer's
+        state.  ``pred`` is the believed predecessor (the closest real
+        neighbor to the left, the wrap pointer at the ring seam [D6]) and
+        the peer answers ``kid`` iff ``(kid - pred - 1) % size < span``
+        (no predecessor: ``pred`` is the peer, ``span`` the circle);
+        ``view`` is the sorted real-peer endpoints of its unmarked, ring
+        and wrap edges (its slice of ``rechord_projection()``).  A cached
+        entry is reused while ``state.version`` equals the entry's: every
+        effective mutation bumps the version (the ``PeerState`` contract).
+        """
         me = state.peer_id
-        view: Set[int] = set()
-        for node in state.nodes.values():
-            for ref in node.nu:
-                if ref.is_real and ref.owner != me:
-                    view.add(ref.owner)
-            for ref in node.nr:
-                if ref.is_real and ref.owner != me:
-                    view.add(ref.owner)
-            for ref in node.wrap_refs():
-                if ref.is_real and ref.owner != me:
-                    view.add(ref.owner)
-        return view
+        size = state.space.size
+        node0 = state.nodes[0]
+        pred = node0.rl if node0.rl is not None else node0.wrap_rl
+        if pred is None or pred.owner == me:
+            p, span = me, size  # answer here
+        else:
+            p = pred.owner
+            span = (me - p) % size
+        view = {
+            ref.owner
+            for node in state.nodes.values()
+            for refs in (node.nu, node.nr, node.wrap_refs())
+            for ref in refs
+            if ref.level == 0  # ref.is_real
+        }
+        view.discard(me)
+        return (state.version, p, span, sorted(view))
 
     # ------------------------------------------------------------------
     # driving

@@ -88,6 +88,9 @@ from repro.traffic.messages import (
 #: outcomes that count as a successful search (reached the true owner)
 ROUTED_OUTCOMES = (ST_OK, ST_NOTFOUND)
 
+#: "no truth was noted for this op" (a noted truth may be None)
+_UNNOTED = object()
+
 
 _IssuedFields = namedtuple(
     "_IssuedFields",
@@ -123,9 +126,10 @@ def wire_delay(latency: int, hops: Optional[int]) -> int:
     return max(0, latency - (hops + 1 if hops else 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletedOp:
-    """Terminal record of one operation (kept for offline analysis)."""
+    """Terminal record of one operation (kept for offline analysis);
+    slotted, as the reservoir keeps thousands of them."""
 
     op_id: int
     op: str
@@ -273,12 +277,9 @@ class SLOCollector:
     """
 
     def __init__(
-        self,
-        true_owner: Callable[[int], Optional[int]],
-        sketch_quantiles: Optional[Sequence[float]] = None,
-        reservoir_size: int = 1024,
-        reservoir_seed: int = 2011,
-        max_tracked_searches: int = 1 << 20,
+        self, true_owner: Callable[[int], Optional[int]],
+        sketch_quantiles: Optional[Sequence[float]] = None, reservoir_size: int = 1024,
+        reservoir_seed: int = 2011, max_tracked_searches: int = 1 << 20,
         max_violation_records: int = 4096,
     ) -> None:
         if reservoir_size < 1:
@@ -389,11 +390,7 @@ class SLOCollector:
         return len(self.outstanding)
 
     def note_answer_truth(
-        self,
-        op_id: int,
-        truth: Optional[int],
-        attempt: int = 1,
-        hedged: bool = False,
+        self, op_id: int, truth: Optional[int], attempt: int = 1, hedged: bool = False
     ) -> None:
         """Record who was *really* responsible when the op was answered.
 
@@ -409,18 +406,6 @@ class SLOCollector:
             slot[(attempt, hedged)] = truth
         else:
             self._answer_truth[op_id] = truth
-
-    def _truth_for(self, reply: LookupReply) -> Optional[int]:
-        if self.resilience_enabled:
-            slot = self._answer_truth.get(reply.op_id)
-            if slot is not None:
-                key = (reply.attempt, reply.hedge)
-                if key in slot:
-                    return slot[key]
-            return self._true_owner(reply.kid)
-        if reply.op_id in self._answer_truth:
-            return self._answer_truth[reply.op_id]
-        return self._true_owner(reply.kid)
 
     def on_reply(self, reply: LookupReply, round_no: int) -> None:
         """Record a reply consumed by its origin peer during ``round_no``.
@@ -441,18 +426,22 @@ class SLOCollector:
           (loop/ttl/dead_end/misroute) are retried exactly like
           deadline expiries.
         """
-        issued = self.outstanding.get(reply.op_id)
+        _, op_id, _, kid, status, owner, hops, value, attempt, hedge, trace = reply
+        issued = self.outstanding.get(op_id)
         if issued is None:
             self.late_replies += 1
-            self._answer_truth.pop(reply.op_id, None)
+            self._answer_truth.pop(op_id, None)
             return
-        if reply.status in ROUTED_OUTCOMES:
-            truth = self._truth_for(reply)
-            outcome = reply.status if reply.owner == truth else OUT_MISROUTE
-        else:
-            outcome = reply.status
-        if outcome not in ROUTED_OUTCOMES:
-            if self.resilience_enabled and reply.attempt < issued.attempt:
+        if status in ROUTED_OUTCOMES:
+            truth = self._answer_truth.get(op_id, _UNNOTED)
+            if self.resilience_enabled and truth is not _UNNOTED:
+                truth = truth.get((attempt, hedge), _UNNOTED)
+            if truth is _UNNOTED:
+                truth = self._true_owner(kid)
+            if owner != truth:
+                status = OUT_MISROUTE
+        if status not in ROUTED_OUTCOMES:
+            if self.resilience_enabled and attempt < issued.attempt:
                 self.stale_replies += 1
                 return
             if self.retry_handler is not None:
@@ -460,17 +449,8 @@ class SLOCollector:
                 if replacement is not None:
                     self.rebucket(replacement)
                     return
-        del self.outstanding[reply.op_id]
-        self._complete(
-            issued,
-            round_no,
-            outcome,
-            reply.hops,
-            reply.value,
-            trace=reply.trace,
-            attempt=reply.attempt,
-            hedged=reply.hedge,
-        )
+        del self.outstanding[op_id]
+        self._complete(issued, round_no, status, hops, value, trace, attempt, hedge)
 
     def fail_unissued(self, issued: IssuedOp, round_no: int) -> None:
         """The op could not even be injected (origin not registered)."""
@@ -540,15 +520,8 @@ class SLOCollector:
         return expired
 
     def _complete(
-        self,
-        issued: IssuedOp,
-        round_no: int,
-        outcome: str,
-        hops: Optional[int],
-        value: object = None,
-        trace: object = None,
-        attempt: int = 1,
-        hedged: bool = False,
+        self, issued: IssuedOp, round_no: int, outcome: str, hops: Optional[int],
+        value: object = None, trace: object = None, attempt: int = 1, hedged: bool = False,
     ) -> None:
         """Fold one terminal verdict into the aggregates; the
         :class:`CompletedOp` record is built only when the reservoir,
@@ -582,10 +555,11 @@ class SLOCollector:
             tally[2] += latency
             if latency > tally[3]:
                 tally[3] = latency
-            wire = wire_delay(latency, hops)
-            self._wire_sum += wire
-            if wire > self._wire_max:
-                self._wire_max = wire
+            wire = latency - hops - 1 if hops else latency  # wire_delay(), inlined
+            if wire > 0:
+                self._wire_sum += wire
+                if wire > self._wire_max:
+                    self._wire_max = wire
         if hops is not None:
             self._hops_sum += hops
             self._hops_count += 1

@@ -4,6 +4,7 @@ report and the command-line routing.  Nothing here runs a benchmark."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
 import pathlib
@@ -226,3 +227,93 @@ class TestRouting:
             ab_bench.main(["--sim", "--workload", "nope"])
         assert "invalid choice: 'nope'" in capsys.readouterr().err
         assert sim_calls == []
+
+
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def fake_run(attempted: float, scale: float = 1.0) -> dict:
+    """One run's values as ``run_once`` returns them."""
+    return {"setup_s": 0.5 * scale, "ops_per_s": 100.0 * scale, "op_success_share": 0.99,
+            "peak_rss_mib": 70.0 * scale, "attempted": attempted}
+
+
+def noted(text: str) -> list:
+    """The metrics whose verdict block is followed by the work note."""
+    names, current = [], None
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            current = line.split(" [", 1)[0]
+        elif line.strip().startswith("note: the sides ran different seeded work"):
+            names.append(current)
+    return names
+
+
+class TestWorkNote:
+    def test_every_instance_averaged_metric_carries_the_note(self):
+        text = ab_bench.ab_report(END_TO_END, [fake_run(48000)] * 3, [fake_run(60000)] * 3)
+        assert noted(text) == ["setup_s", "op_success_share", "peak_rss_mib"]
+        assert set(ab_bench.WORK_METRICS) == set(noted(text))
+
+    def test_no_note_at_equal_work(self):
+        text = ab_bench.ab_report(END_TO_END, [fake_run(48000)] * 3, [fake_run(48000, 1.1)] * 3)
+        assert noted(text) == [] and "note:" not in text
+
+
+class TestEqualWork:
+    @pytest.fixture
+    def argvs(self, monkeypatch, tmp_path):
+        """Every benchmark argv a run passes to ``subprocess.run`` (which
+        answers with a fake result line); no clone is made."""
+        calls = []
+
+        class Done:
+            returncode = 0
+            stderr = ""
+
+            def __init__(self, argv):
+                metrics = {k: {"value": v} for k, v in fake_run(1000).items() if k != "attempted"}
+                self.stdout = json.dumps({"correct": True, "failed": 0, "attempted": 1000,
+                                          "metrics": metrics})
+
+        def fake_subprocess_run(argv, cwd=None, capture_output=False, text=False):
+            calls.append(list(argv))
+            return Done(argv)
+
+        @contextlib.contextmanager
+        def fake_checkout(rev):
+            yield tmp_path
+
+        monkeypatch.setattr(ab_bench.subprocess, "run", fake_subprocess_run)
+        monkeypatch.setattr(ab_bench, "parent_checkout", fake_checkout)
+        return calls
+
+    @staticmethod
+    def seconds(argv: list) -> str:
+        return argv[argv.index("--seconds") + 1]
+
+    def test_both_sides_run_seconds_zero(self, argvs, capsys):
+        assert ab_bench.main(["--workload", "traffic_steady", "--equal-work", "--pairs", "2"]) == 0
+        assert len(argvs) == 4 and {self.seconds(argv) for argv in argvs} == {"0"}
+        assert all(argv[argv.index("--workload") + 1] == "traffic_steady" for argv in argvs)
+        out = capsys.readouterr().out
+        assert "equal-work runs (--seconds 0)" in out
+        judged = [line.split(" [", 1)[0] for line in out.splitlines() if " is better]" in line]
+        assert judged == ["setup_s", "op_success_share", "peak_rss_mib"]
+
+    def test_default_runs_use_the_declared_seconds(self, argvs, capsys):
+        assert ab_bench.main(["--workload", "restabilize", "--pairs", "1"]) == 0
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+        assert [self.seconds(argv) for argv in argvs] == [str(declared)] * 2
+        out = capsys.readouterr().out
+        assert [line.split(" [", 1)[0] for line in out.splitlines() if " is better]" in line] == [
+            m["name"] for m in END_TO_END
+        ]
+
+    @pytest.mark.parametrize("extra", [["--sim"], ["--layers"]])
+    def test_equal_work_is_an_ab_run_only(self, argvs, capsys, extra):
+        with pytest.raises(SystemExit) as exit_info:
+            ab_bench.main(["--workload", "traffic_steady", "--equal-work", *extra])
+        assert exit_info.value.code == 2
+        assert "--equal-work is an A/B run" in capsys.readouterr().err
+        assert argvs == []

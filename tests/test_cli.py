@@ -229,6 +229,20 @@ class TestCli:
              "side_a entry must be an integer, got 1.5 (float)"),
             (["scenario", "seam-crash", "--daemon", "unfair:bound=3,seed=1.5"],
              "seed must be an integer, got 1.5 (float)"),
+            (["scenario", "--spec", {"traffic": {"rate": float("nan")}}],
+             "rate must be finite, got nan"),
+            (["scenario", "--spec", {"traffic": {"rate": float("inf")}}],
+             "rate must be finite, got inf"),
+            (["scenario", "--spec", {"traffic": {"rate": True}}],
+             "rate must be a number, got True (bool)"),
+            (["scenario", "--spec", {"traffic": {"zipf_s": float("nan")}}],
+             "zipf_s must be finite, got nan"),
+            (["scenario", "--spec", {"traffic": {"op_mix": [["lookup", float("nan")]]}}],
+             "op weight of 'lookup' must be finite, got nan"),
+            (["scenario", "--spec", {"traffic": {"op_mix": [["put", float("-inf")]]}}],
+             "op weight of 'put' must be finite, got -inf"),
+            (["scenario", "--spec", {"traffic": {"key_universe": 2.5}}],
+             "key_universe must be an integer, got 2.5 (float)"),
         ],
     )
     def test_bad_input_is_a_diagnostic_not_a_traceback(self, argv, message, capsys, tmp_path):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from types import SimpleNamespace
+
 import pytest
 
 from repro.netsim.columnar import ColumnarScheduler
-from repro.netsim.messages import Envelope
+from repro.netsim.messages import Envelope, envelope_fingerprint
 from repro.netsim.rng import SeedSequence
 from repro.netsim import scheduler as scheduler_module
 from repro.netsim.scheduler import SynchronousScheduler
@@ -343,6 +347,69 @@ class TestSpecSurface:
             "_batch_stepper",
         })
         assert not hasattr(scheduler_module, "SerialStepper")
+
+
+class Canon:
+    """Payload that counts its ``canonical()`` calls."""
+
+    def __init__(self, value):
+        self.value = value
+        self.calls = 0
+
+    def canonical(self):
+        self.calls += 1
+        return ("canon", self.value)
+
+    def __eq__(self, other):
+        return isinstance(other, Canon) and other.value == self.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+
+class TestEnvelopeContract:
+    """An envelope is immutable, memoizes its fingerprint once, pickles
+    without the memo and compares field-wise with envelopes only."""
+
+    @pytest.mark.parametrize("field", ["sender", "target", "payload", "_fp"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        env = Envelope("a", "b", "x")
+        with pytest.raises(AttributeError):
+            setattr(env, field, "y")
+        with pytest.raises(AttributeError):
+            delattr(env, field)
+        assert (env.sender, env.target, env.payload) == ("a", "b", "x")
+
+    def test_fingerprint_is_memoized_once(self):
+        payload = Canon(7)
+        env = Envelope("a", "b", payload)
+        assert not hasattr(env, "_fp")
+        fp = envelope_fingerprint(env)
+        assert env._fp == fp and payload.calls == 1
+        assert envelope_fingerprint(env) == fp and payload.calls == 1
+
+    @pytest.mark.parametrize("clone", [
+        lambda env: pickle.loads(pickle.dumps(env)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_copies_drop_the_fingerprint_memo(self, clone):
+        env = Envelope("a", "b", Canon(7))
+        fp = envelope_fingerprint(env)
+        twin = clone(env)
+        assert twin == env and hash(twin) == hash(env)
+        assert not hasattr(twin, "_fp")
+        assert envelope_fingerprint(twin) == fp  # same process, same hash seed
+        with pytest.raises(AttributeError):
+            twin.payload = "y"
+
+    def test_equality_and_hash_are_field_wise(self):
+        env = Envelope("a", "b", "x")
+        assert env == Envelope("a", "b", "x") and hash(env) == hash(Envelope("a", "b", "x"))
+        assert hash(env) == hash(("a", "b", "x"))
+        for other in (Envelope("z", "b", "x"), Envelope("a", "z", "x"), Envelope("a", "b", "z")):
+            assert env != other
+        for stranger in (("a", "b", "x"), SimpleNamespace(sender="a", target="b", payload="x"), None):
+            assert env != stranger and not env == stranger
+        assert env.__eq__(("a", "b", "x")) is NotImplemented
 
 
 class TestTrace:

@@ -11,6 +11,7 @@ replay cache).
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -31,7 +32,8 @@ from repro.traffic.messages import (
 )
 from repro.traffic.slo import IssuedOp, SLOCollector, latency_histogram, percentile
 from repro.workloads.initial import build_random_network, random_peer_ids
-from tests.conftest import KERNELS, build, stabilized
+from repro.scenarios.events import EventContext, apply_event_spec
+from tests.conftest import ENGINES, KERNELS, build, stabilized
 
 
 def make_traffic_net(n: int, seed: int, store: bool = False):
@@ -405,6 +407,82 @@ class TestWorkloadGenerator:
             WorkloadGenerator(plane, op_mix=(("frobnicate", 1.0),))
         with pytest.raises(ValueError):
             WorkloadGenerator(plane, popularity="pareto")
+
+
+class TestWorkloadInput:
+    """Bad arrival-process input fails when the generator is built,
+    naming the field, instead of mid-run or never."""
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"rate": float("nan")}, "rate must be finite, got nan"),
+            ({"rate": float("inf")}, "rate must be finite, got inf"),
+            ({"rate": True}, "rate must be a number, got True (bool)"),
+            ({"rate": "2"}, "rate must be a number, got '2' (str)"),
+            ({"op_mix": ((OP_LOOKUP, float("nan")),)}, "op weight of 'lookup' must be finite, got nan"),
+            ({"op_mix": ((OP_GET, float("inf")),)}, "op weight of 'get' must be finite, got inf"),
+            ({"op_mix": ((OP_LOOKUP, True),)}, "op weight of 'lookup' must be a number, got True (bool)"),
+            ({"popularity": "zipf", "zipf_s": float("nan")}, "zipf_s must be finite, got nan"),
+            ({"key_universe": 2.5}, "key_universe must be an integer, got 2.5 (float)"),
+            ({"key_universe": True}, "key_universe must be an integer, got True (bool)"),
+        ],
+    )
+    def test_rejected_at_construction(self, kwargs, message):
+        net, plane = make_traffic_net(6, seed=5)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WorkloadGenerator(plane, **kwargs)
+        assert plane.generator is None
+
+
+class TestRouteEntryExactness:
+    """The plane reuses a peer's cached route entry only while the
+    peer's ``state.version`` equals the entry's: a current entry must
+    equal a fresh derivation from ``state.nodes``, and every peer that
+    routed a request in a round must have routed it by a current one,
+    through joins, crashes and adversarial edits of routing state."""
+
+    EVENTS = {
+        3: ("flash_crowd", {"count": 2}),
+        7: ("crash_wave", {"count": 2}),
+        11: ("poison_fingers", {"fraction": 0.5}),
+        15: ("phantom_refs", {"fraction": 0.5}),
+        19: ("crash_wave", {"count": 1, "targeting": "extremes"}),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_current_entries_equal_a_fresh_derivation(self, engine):
+        net = build(build_ideal_network, engine, 20, 4)
+        plane = TrafficPlane(net)
+        WorkloadGenerator(plane, rate=6, key_universe=128, seed=8)
+        ctx = EventContext(net, plane)
+        rng = random.Random(12)
+        routed: set = set()
+        handle = plane.handle
+
+        def recording_handle(peer, payloads, round_ctx):
+            if any(isinstance(p, LookupRequest) for p in payloads):
+                routed.add(peer.state.peer_id)
+            handle(peer, payloads, round_ctx)
+
+        plane.handle = recording_handle
+        exact = 0
+        for round_no in range(36):
+            if round_no in self.EVENTS:
+                kind, params = self.EVENTS[round_no]
+                apply_event_spec(ctx, rng, kind, params)
+            routed.clear()
+            plane.run_round()
+            for pid in routed:
+                assert plane._routes[pid][0] == net.peers[pid].state.version, (round_no, pid)
+            for pid, entry in plane._routes.items():
+                peer = net.peers.get(pid)
+                if peer is not None and entry[0] == peer.state.version:
+                    assert entry == TrafficPlane.route_entry(peer.state), (round_no, pid)
+                    exact += 1
+        assert sum(ctx.census.values()) >= 10  # every event kind applied
+        assert set(ctx.census) >= {"join", "crash", "poison_edge", "virtual_level"}
+        assert exact > 36 * 10
 
 
 class TestSLOCollector:

@@ -16,8 +16,13 @@ the metric's bound, and one CHANGES.md-ready line listing every run.
 
 Each run's ``attempted`` (the seeded work it got through) is printed
 next to its metrics.  A run executes instances until its time is up, so
-a faster side runs more of them; ``op_success_share`` then averages over
-different instances, and the report flags it.
+a faster side runs more of them; the instance-averaged metrics
+(``setup_s``, ``op_success_share``, ``peak_rss_mib``: a median, a share
+and a high-water mark over the instances run) are then read over
+different work, and the report flags each of them.  ``--equal-work``
+runs both sides with ``--seconds 0`` instead — each run executes
+exactly the workload's ``min_instances`` — and gives verdicts on those
+three metrics only, read at equal work.
 
 With ``--sim`` it checks instead that every simulated statistic is
 unchanged: one ``--trace 1`` run per side for every workload (or only
@@ -37,6 +42,7 @@ Usage::
 
     python tools/ab_bench.py --workload restabilize --pairs 10
     python tools/ab_bench.py --workload traffic_steady --seed 77 --pairs 5 --parent HEAD~1
+    python tools/ab_bench.py --workload traffic_steady --equal-work --pairs 5
     python tools/ab_bench.py --sim [--workload W] [--parent REV]
     python tools/ab_bench.py --layers --workload restabilize --pairs 3
 
@@ -63,6 +69,9 @@ SIM_SEEDS = (2011, 77)
 SIM_UNITS = ("count", "rounds", "share")
 #: per-layer units of host time, which ``--layers`` reports
 LAYER_UNITS = ("s", "us")
+#: the end-to-end metrics read over the instances a run executes, so
+#: a side that runs more instances reads them over other work
+WORK_METRICS = ("setup_s", "op_success_share", "peak_rss_mib")
 #: ... except the keys host time drives: the bench-side metrics, the
 #: telemetry overhead and the campaign keys with a nonzero bound
 TIMED = (
@@ -203,15 +212,16 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
 
 
 def work_note(parent: List[float], change: List[float]) -> str:
-    """The flag under ``op_success_share`` when the two sides ran
-    different amounts of seeded work (empty when they did not)."""
+    """The flag under each of the :data:`WORK_METRICS` when the two
+    sides ran different amounts of seeded work (empty when they did
+    not)."""
     if sorted(parent) == sorted(change):
         return ""
     return (
         f"  note: the sides ran different seeded work (attempted, median "
         f"{statistics.median(parent):.6g} vs {statistics.median(change):.6g}): a faster "
-        "side runs more instances, so this share averages over different ones; "
-        "compare per-instance statistics (the traced pass) before reading a move here"
+        "side runs more instances, so this metric is read over different ones; "
+        "read it with --equal-work before reading a move here"
     )
 
 
@@ -244,6 +254,20 @@ def report(metric: dict, parent: List[float], change: List[float]) -> str:
     ])
 
 
+def ab_report(metrics: List[dict], parent: List[Dict[str, float]], change: List[Dict[str, float]]) -> str:
+    """The verdict block of each metric in ``metrics`` over both sides'
+    runs, each of the :data:`WORK_METRICS` followed by its work note."""
+    blocks = []
+    for metric in metrics:
+        name = metric["name"]
+        blocks.append(report(metric, [r[name] for r in parent], [r[name] for r in change]))
+        if name in WORK_METRICS:
+            note = work_note([r["attempted"] for r in parent], [r["attempted"] for r in change])
+            if note:
+                blocks.append(note)
+    return "\n".join(blocks)
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
@@ -258,9 +282,15 @@ def main(argv=None) -> int:
     parser.add_argument("--layers", action="store_true",
                         help="compare the per-layer host-time medians of --pairs traced "
                         "pairs of --workload instead")
+    parser.add_argument("--equal-work", action="store_true",
+                        help="run --seconds 0 on both sides (each run executes the "
+                        "workload's min_instances) and judge only the instance-averaged "
+                        "metrics " + ", ".join(WORK_METRICS))
     args = parser.parse_args(argv)
     if args.sim and args.layers:
         parser.error("--sim and --layers are separate runs: give one")
+    if args.equal_work and (args.sim or args.layers):
+        parser.error("--equal-work is an A/B run: give it without --sim or --layers")
     if args.sim:
         chosen = workloads if args.workload is None else [args.workload]
         return check_sim(spec["command"], chosen, args.parent)
@@ -271,7 +301,8 @@ def main(argv=None) -> int:
     if args.layers:
         return check_layers(spec["command"], args.workload, args.seed, args.pairs, args.parent)
 
-    seconds = spec["run_seconds"]
+    seconds = 0 if args.equal_work else spec["run_seconds"]
+    metrics = [m for m in spec["end_to_end"] if not args.equal_work or m["name"] in WORK_METRICS]
     parent_runs: List[Dict[str, float]] = []
     change_runs: List[Dict[str, float]] = []
     with parent_checkout(args.parent) as parent_dir:
@@ -282,17 +313,10 @@ def main(argv=None) -> int:
                 shown = "  ".join(f"{k}={v:.6g}" for k, v in runs[-1].items())
                 print(f"pair {pair + 1:>2} {side}: {shown}", flush=True)
 
+    length = "equal-work runs (--seconds 0)" if args.equal_work else f"{seconds} s runs"
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} alternating pairs of "
-          f"{seconds} s runs, {args.parent} | working tree")
-    for metric in spec["end_to_end"]:
-        name = metric["name"]
-        print(report(metric, [r[name] for r in parent_runs], [r[name] for r in change_runs]))
-        if name == "op_success_share":
-            note = work_note(
-                [r["attempted"] for r in parent_runs], [r["attempted"] for r in change_runs]
-            )
-            if note:
-                print(note)
+          f"{length}, {args.parent} | working tree")
+    print(ab_report(metrics, parent_runs, change_runs))
     return 0
 
 
