@@ -3,96 +3,24 @@
 The scalar pipeline in :mod:`repro.core.protocol` steps one peer at a
 time: apply inbox, purge, rules 1–6, traffic.  This module executes the
 same pipeline **phase-major** across every peer the scheduler decided to
-run in a round: one pass applies all inboxes, one pass purges all
-peers, one pass runs rule 3 everywhere, and so on.  The reordering is
-behaviorally invisible because within a round
+run in a round — one pass applies all inboxes, one purges all peers, one
+runs rule 3 everywhere, and so on — and inside a peer's step it runs
+only the levels whose inputs changed.  Why the reordering is invisible,
+and every device the fast path uses (the rank index, the envelope
+cache, per-level delivery, purge verdicts kept per oracle epoch,
+carrying and promotion, the per-level memo and the one driver that runs
+it for rules 3–6), is in docs/ARCHITECTURE.md § "The rule pipeline:
+spec and fast path".  This docstring keeps the contract and the two
+input lists every change must extend.
 
-* a peer's rules read and mutate *only its own* ``PeerState`` (direct
-  assignments are peer-local; delayed assignments travel as messages),
-* every send is buffered in the peer's round outbox and delivered only
-  at the round boundary, and
-* the liveness oracle answers from the network's frozen round-start
-  snapshot, so purge verdicts cannot observe another peer's progress.
-
-So per-peer phase results are identical to the scalar interleaving, and
-per-peer outbox *order* is preserved too (each phase appends to the same
-peer outbox in the same relative order the scalar pipeline would).
-
-What the batching buys
-----------------------
-
-* **Carried levels** — the dirty set is per *peer*, but one changed
-  sub-flow usually reaches one simulated node, and the other ~log n
-  levels of the receiver see exactly the inputs they saw the last time
-  they ran.  Such a level is **carried**: it runs no landing, purge,
-  rule 1–6 work or memo-key build; the engine replays what it did last
-  time instead.  See "Carrying a level" below.
-* **One rank index per round** — :class:`RankIndex` lexsorts the intern
-  table's flat ``(ids, owners, levels)`` columns (numpy ``lexsort`` when
-  available, a pure-Python argsort otherwise) into a global rank per
-  interned ref.  Ranks are a strict-total-order isomorphism of
-  ``NodeRef._key`` (the key is a bijection of the interned triple), so
-  every neighbor-set sort in rules 3/4/5/6 becomes an integer sort
-  instead of a tuple-key sort.  Ranks are used for *ordering only*;
-  equality guards (``y == rl`` etc.) stay real ``NodeRef`` comparisons,
-  which deliberately ignore the id component.
-* **Purge verdicts kept per oracle epoch** — liveness verdicts are pure
-  in the ref given the oracle's frozen snapshot, so one memo serves
-  every peer of the network, across rounds, until the network moves its
-  oracle epoch (any write to the snapshot).
-* **An integer-keyed envelope cache** — the stable state re-emits the
-  same small set of envelopes every round; the batched send path looks
-  them up by flat ``(owner, level)`` integers without constructing the
-  payload at all.  It is the *only* intern cache on this path: a miss
-  builds the envelope here and never enters the scheduler's
-  ``(sender, target, payload)``-keyed cache, so each envelope is held
-  under one key, not two.  Interning is a pure speed device — outbox
-  comparisons are by value — so a scalar step, which emits through
-  ``ctx.send``, merely compares a little slower.
-* **Per-level delivery** — the apply-inbox phase parses each part of an
-  inbox into its payloads per addressed level (a persistent
-  :class:`~repro.netsim.messages.SubFlow` keeps the parsed form, so an
-  unchanged sub-flow is parsed once, not once per round), and lands
-  each level with one delta (``_land``): the refs added to
-  ``nu``/``nr``/``nc`` (one C-level ``set.update`` each, self-edges
-  removed by one ``discard``), the wrap slots, the adoption counts.
-  Set *content* is all any downstream consumer observes (every
-  order-sensitive reader sorts first), and the ``version`` counter is
-  only ever compared for equality, so coalesced bumping is invisible.
-  Linear adoption reads only ``node.ref`` and the ``rl``/``rr`` slots,
-  which nothing in the phase writes, so linear candidates commute with
-  each other, with edge-adds and with wrap candidates; wrap candidates
-  (which read and write the wrap slots) keep their relative order.
-* **C-speed purge screening** — the ``ok`` set of refs already
-  judged alive turns the common per-set scan into one hash-based
-  ``issuperset`` call, and a single ``nref in refs`` containment check
-  replaces the per-ref self-edge comparison; only sets that might
-  actually purge fall back to the scalar loop.
-* **Predecessor scans in rule 6** — with the typical one or two
-  connection edges per level, the closest-known-predecessor is found
-  by a linear key scan over ``nu`` and the sibling chain instead of
-  materializing and sorting the full candidate list.
-* **Peer-wide reads from the levels' parts** — rules 1 and 3 read the
-  real refs of ``knowledge()`` and rule 5 its extremes.  Each level
-  records its part (its known reals after purge, its extremes when rule
-  5 starts); the peer's value is the union of the parts, and the
-  previous step's when every executed level's part is its recorded
-  one, so no phase scans ``knowledge()`` unless rule 1 changes the
-  level set.
-* **A per-level memo in front of rules 3–6** of the levels that do run.
-  See "The per-level memo" below.
-
-Carrying a level
-----------------
+Carry inputs
+------------
 
 Every :class:`~repro.core.state.LocalNode` keeps a record of its last
-execution (``_carry``): the pieces it landed, whether it ended in the
-state it started from, its outbox slices of rules 3–6, its counter
-deltas, its rule-2 moves into sibling levels and the refs sibling moves
-added to it, its ``(rl, rr)``, the peer-wide rule-5 reads it saw, its
-parts of the peer-wide reads, and the owners its purge judged.  Level L
-of an executing peer is **carried** iff its inputs equal the inputs of
-that execution:
+execution (``_carry``, indexed by the ``_PIECES`` … ``_OWNERS``
+constants below).  Level L of an executing peer is **carried** — it
+replays the record instead of running — iff its inputs equal the inputs
+of that execution:
 
 * its pieces (compared by value; an unchanged sub-flow hands over the
   very same tuples);
@@ -104,32 +32,16 @@ that execution:
   (``ReChordNetwork.oracle_moves``);
 * every peer-wide value a phase reads — the level set and the sibling
   tuple (pinned by the version), the refs rule 2 of its siblings moves
-  into it, its ``(rl, rr)`` and rule 5's four extremes.
+  into it, its ``(rl, rr)`` and rule 5's four extremes.  A carried
+  level whose rule-2 adds, ``(rl, rr)`` or extremes turn out to differ
+  is promoted (``_resume``, ``_reopen``).
 
-The last ones are only known part-way through the pipeline.  A carried
-level whose rule-2 adds differ, or whose ``(rl, rr)`` or rule-5 reads
-moved, is **promoted**: it executes from that phase on, starting from
-its state as of that phase — its landing and purge run again before
-rule 3 (nothing before rule 3 emits, and a carried level's counters are
-only added when the step closes), and before rule 5 its ``nr``/``nc``
-go back to what purge left (rules 5 and 6 write neither ``nu`` nor a
-slot, so those already hold what rule 4 left).  A peer whose level set
-changes — rule 1, or mail for a level it no longer simulates [D8] — or
-whose inbox holds mail for the scalar handler executes whole.
+Memo keys
+---------
 
-A carried level appends its recorded slices at their rule-major,
-level-minor positions, so the outbox is the one a full step builds; its
-counter deltas are added when the step closes.  An executed level's
-record is rebuilt by its step.
-
-The per-level memo
-------------------
-
-For one simulated node, each of rules 3, 4, 5 and 6 is a deterministic
-function of a short list of inputs — the node's own sets and slots plus
-a few peer-wide values — to (emitted envelopes, the node's state after
-the rule, counter deltas); ``node.ref`` is fixed for the node's
-lifetime.  The inputs, i.e. the **memo key** of each rule:
+Each of rules 3–6 keeps a one-entry memo per simulated node
+(``LocalNode._memo``), keyed on everything its per-level body reads
+(``node.ref`` is fixed for the node's lifetime):
 
 ====  ==============================================================
 rule  key
@@ -150,21 +62,6 @@ peer learns of moves no level's closest pair and must not miss them all.
 **A new read in a rule body is a new key component** — and a new input
 of the carry rule.
 
-The memo only sees the levels that execute: a level whose own inputs
-moved while a rule's did not (new mail that lands nothing new, a
-promotion) still hits.  The apply-inbox landing has no memo: carrying
-takes the repeats it used to catch (one in ten of the landings left
-after carrying would hit it).
-
-Every :class:`~repro.core.state.LocalNode` carries a one-entry memo per
-rule (``_memo``).  A phase builds the key; on a **hit** it appends the
-cached envelope slice to the outbox, restores the cached post-state
-through the tracking API (so ``PeerState.version`` moves iff content
-changes) and adds the cached counter deltas; on a **miss** it runs the
-rule body (``_ruleN_level``) in place and stores what it did.  The
-purity argument, the lifetime rules and the frozen-set sharing are in
-docs/ARCHITECTURE.md § "The rule pipeline: spec and fast path".
-
 Contract
 --------
 
@@ -182,7 +79,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from operator import attrgetter, itemgetter
+from functools import partial
+from operator import attrgetter, gt, itemgetter, lt
 from time import perf_counter as _perf
 from typing import Dict, List, Optional, Sequence
 
@@ -226,12 +124,11 @@ _NUMPY_MIN_ROWS = 2048
 
 #: the memoized rules, in pipeline order; a node's memo is a list with
 #: one entry per rule, indexed by its position here.  A rule's entry is
-#: ``(key, envelopes, post set, rest)``: the key with its sets frozen,
-#: the emitted outbox slice as a tuple, the post-state of the set the
-#: rule rewrites (``nu`` for rules 3/4, ``nr`` for 5, ``nc`` for 6 — the
-#: key's own frozenset when the rule left it alone) and the rule's
-#: remaining results (rule 3: changed wrap/bcast slots or None; rules
-#: 4–6: counter deltas)
+#: ``(key, envelopes, post set, counter deltas, extra)``: the key with
+#: its sets frozen, the emitted outbox slice as a tuple, the post-state
+#: of the set the rule rewrites (the key's own frozenset when the rule
+#: left it alone), its deltas and what else it wrote, as a callable a
+#: hit replays on the node (rule 3's wrap/bcast slots), or None
 MEMO_RULES = ("rule3", "rule4", "rule5", "rule6")
 _R3, _R4, _R5, _R6 = range(4)
 
@@ -240,9 +137,6 @@ _R3, _R4, _R5, _R6 = range(4)
 #: landing counts as a miss)
 MEMO_PHASES = MEMO_RULES + ("apply_inbox",)
 _AI = 4
-
-#: rule 5's counter deltas when nothing fired
-_NO_RING_FIRES = (0, 0, 0)
 
 
 #: the counters one level's execution moves, in record order; each
@@ -256,6 +150,16 @@ FIRE_NAMES = (
     "rule6_forward", "rule6_backward",
 )
 _F_AI, _F_PURGE, _F_R2, _F_R4, _F_R5, _F_R6 = 0, 2, 5, 6, 7, 10
+
+#: per memoized rule: the set it rewrites (its key's first component),
+#: its counters' slice of FIRE_NAMES (rule 3 has none) and its deltas
+#: when nothing fired
+_REWRITES = ("_nu", "_nu", "_nr", "_nc")
+_FIRES_AT = (slice(_F_R4, _F_R4), slice(_F_R4, _F_R5), slice(_F_R5, _F_R6), slice(_F_R6, None))
+_NO_FIRES = ((), (0,), (0, 0, 0), (0, 0))
+
+#: rule 3's broadcast per side: (side, announced pointer, its recipients)
+_BCAST_SLOTS = ((SIDE_LEFT, "bcast_rl", "bcast_rl_targets"), (SIDE_RIGHT, "bcast_rr", "bcast_rr_targets"))
 
 #: a level's carry record (``LocalNode._carry``) is a list describing
 #: its last execution, indexed by:
@@ -330,6 +234,13 @@ def _reals_of(node) -> frozenset:
     return frozenset(reals)
 
 
+def _put_slots(slots: tuple, node) -> None:
+    """Write rule 3's ``(wrap_rl, wrap_rr, bcast or None)`` back."""
+    node.wrap_rl, node.wrap_rr, bcast = slots
+    if bcast is not None:
+        node.bcast_rl, node.bcast_rl_targets, node.bcast_rr, node.bcast_rr_targets = bcast
+
+
 def _extremes(node) -> tuple:
     """``(kmin, kmax, real min, real max)`` over the level's part of
     ``knowledge()`` (its own ref included); the real ones may be None."""
@@ -354,27 +265,23 @@ class _Step:
         self.carry = carry
         #: level -> its last record, for as long as the level is carried
         self.carried: Dict[int, list] = {}
-        #: level -> the record an executed level is building (made on
-        #: first use)
+        #: level -> the record an executed level is building
         self.recs: Dict[int, list] = defaultdict(_new_rec)
         #: level -> its state at step start (executed levels)
         self.snaps: Dict[int, tuple] = {}
         #: level -> the stage a promoted level left carrying at
         self.stage: Dict[int, int] = {}
-        #: every level executes and the peer-wide reads come from full
-        #: knowledge() scans: rule 1 changed the level set, or the step
-        #: runs a phase alone (no apply-inbox / purge before it)
+        #: every level executes and the peer-wide reads scan knowledge():
+        #: rule 1 changed the level set, or a phase runs alone
         self.whole = whole
         #: the real refs of knowledge() after purge, once asked for
         self.reals: Optional[set] = None
         #: the previous step's peer-wide reads ``(reals, their keys,
-        #: rule 5's wide key, siblings, their keys)`` when it left every
-        #: level set as it is (None: nothing to reuse) ...
+        #: rule 5's wide key, siblings, their keys)`` (None: none to
+        #: reuse), whether the union of the levels' known reals is that
+        #: step's, and this step's reads, for the next one
         self.prev = prev
-        #: ... whether the union of the levels' known reals is that
-        #: step's (every executed level's part is its recorded one) ...
         self.same_reals = False
-        #: ... and this step's, for the next one
         self.reals_list: Optional[list] = None
         self.real_keys: Optional[list] = None
         self.wide: Optional[tuple] = None
@@ -400,8 +307,8 @@ def _restore(refs: TrackedSet, content: frozenset) -> None:
 
 
 def _as_frozen(refs) -> frozenset:
-    """A key's ``nu`` frozen: it is the previous rule's frozen post-state
-    already, or the live set when no memoized rule ran before."""
+    """A key's rewritten set frozen: rule 4's ``nu`` may be rule 3's
+    frozen post-state already, any other is the live set."""
     return refs if type(refs) is frozenset else frozenset(refs)
 
 
@@ -460,13 +367,10 @@ class RankIndex:
 
 
 class BatchedRuleEngine:
-    """Phase-major executor for a round's batch of dirty ReChord peers.
-
-    Installed on the columnar kernel via ``set_batch_stepper``; both of
-    its loops hand it the full list of ``(key, actor, inbox, ctx)`` step
-    items (in key order) of every round, instead of calling
-    ``actor.step`` one by one.  It steps Re-Chord peers only.
-    """
+    """Phase-major executor for a round's batch of dirty ReChord peers,
+    installed on the columnar kernel via ``set_batch_stepper``: both of
+    its loops hand it every round's step items (``run_batch``) instead
+    of calling ``actor.step`` one by one."""
 
     __slots__ = (
         "rank_index", "_fast", "_memo_hits", "_memo_misses", "_carried",
@@ -486,13 +390,10 @@ class BatchedRuleEngine:
         self._memo_hits = [0] * len(MEMO_PHASES)
         self._memo_misses = [0] * len(MEMO_PHASES)
         self._carried = [0] * len(MEMO_PHASES)
-        #: the liveness oracle whose verdicts purge may keep across
-        #: rounds, and the callable reading its epoch — which moves
-        #: whenever one of its answers may
-        #: (``ReChordNetwork._ref_alive`` / ``.oracle_epoch``), and the
-        #: one reading the epoch at which each owner's answers last
-        #: moved (``.oracle_moves``).  Peers answering to any other
-        #: oracle share nothing and carry nothing
+        #: the liveness oracle whose verdicts purge keeps across rounds
+        #: and its readers: its epoch, and owner -> the epoch its answers
+        #: last moved (``ReChordNetwork._ref_alive`` / ``.oracle_epoch``
+        #: / ``.oracle_moves``); other oracles share and carry nothing
         self._oracle = oracle
         self._oracle_epoch = oracle_epoch
         self._oracle_moves = oracle_moves
@@ -506,7 +407,9 @@ class BatchedRuleEngine:
     def memo_counts(self) -> Dict[str, tuple]:
         """``phase -> (hits, misses, carried)`` so far: the per-level
         memo's lookups by outcome, and the levels that phase carried
-        without a lookup."""
+        without a lookup.  A rule-6 level whose ``nc`` is empty runs
+        nothing and falls in no bucket, so rule 6's counts may sum to
+        less than rule 5's."""
         return {
             phase: (self._memo_hits[i], self._memo_misses[i], self._carried[i])
             for i, phase in enumerate(MEMO_PHASES)
@@ -519,22 +422,17 @@ class BatchedRuleEngine:
         """Execute one round's steps phase-major.
 
         ``items`` is ``[(key, actor, parts, ctx), ...]`` in scheduler
-        key order, ``parts`` being the actor's inbox as the ordered
-        envelope lists it is made of (their concatenation is the inbox;
-        a kernel without parts passes ``[inbox]``).  A part that is a
-        :class:`~repro.netsim.messages.SubFlow` is a persistent steady
-        sub-flow: it holds no application mail (the lane contract) and
-        keeps its parsed form between rounds.  Every actor's observable
-        effects (state, outbox, counters, replay delta) end up exactly
-        as if ``actor.step(inbox, ctx)`` had been called in that order.
-        ``lane`` lists the round's lane steps as ``(key, actor, inbox,
-        ctx)``, the inbox holding application mail only:
-        those actors skip the rule phases and join the handler phase,
-        which runs over both lists merged in key order — handler side
-        effects (completion order) must not depend on which peers
-        happened to be dirty.  An actor that is not a
-        :class:`~repro.core.protocol.ReChordPeer` raises ``TypeError``
-        naming its key.
+        key order, ``parts`` the ordered envelope lists the actor's inbox
+        is made of (a kernel without parts passes ``[inbox]``); a
+        :class:`~repro.netsim.messages.SubFlow` part holds no application
+        mail (the lane contract) and keeps its parsed form between
+        rounds.  Every actor's state, outbox, counters and replay delta
+        end up exactly as if ``actor.step(inbox, ctx)`` had been called
+        in that order.  ``lane`` lists the round's lane steps as ``(key,
+        actor, inbox, ctx)``, application mail only: they skip the rule
+        phases and join the handler phase, which runs over both lists
+        merged in key order.  A non-:class:`~repro.core.protocol.ReChordPeer`
+        actor raises ``TypeError`` naming its key.
         """
         peers: List[list] = []
         #: the handler phase: (key, bound handler, its arguments)
@@ -609,13 +507,10 @@ class BatchedRuleEngine:
     def _pipeline(self, peers: List[list], handlers: List[tuple], add) -> None:
         """The phases in order, each closed by a wall-clock span.
 
-        ``add`` is the recorder's ``add_time`` (or :func:`_untimed`: an
-        untraced batch pays ten clock reads per *round*, not per peer).
-        Phase labels match the scalar ``ReChordPeer.step`` ones so telemetry
-        reports stay comparable; a span covers the whole batch and
-        counts one call per peer in it, so call counts (and the
-        per-call averages derived from them) keep their per-peer
-        meaning.  Closing the steps (records, carried counters) is part
+        ``add`` is the recorder's ``add_time`` (or :func:`_untimed`).
+        Labels match the scalar ``ReChordPeer.step`` ones; a span covers
+        the whole batch and counts one call per peer, so per-call
+        averages keep their per-peer meaning.  Closing the steps is part
         of the rule 6 span.
         """
         n = len(peers)
@@ -678,15 +573,10 @@ class BatchedRuleEngine:
     # fast envelope construction
     # ------------------------------------------------------------------
     def _send_edge(self, ctx, outbox, target: NodeRef, endpoint: NodeRef, kind: str) -> None:
-        """``ctx.send(target.owner, EdgeAdd(target, endpoint, kind))``.
-
-        The cache key is the interned row ids of both refs — a short
-        int tuple that hashes far cheaper than the refs themselves — so
-        repeated stable-flow emissions skip both payload construction
-        and the scheduler cache's tuple hashing.  A miss interns the
-        new envelope here only; never-interned refs (``iid == -1`` is
-        not unique) go through ``ctx.send``.
-        """
+        """``ctx.send(target.owner, EdgeAdd(target, endpoint, kind))``,
+        cached under the refs' interned row ids (cheap to hash); a miss
+        interns the envelope here only, and never-interned refs (``iid
+        == -1`` is not unique) go through ``ctx.send``."""
         ti = target.iid
         ei = endpoint.iid
         if ti < 0 or ei < 0:
@@ -727,19 +617,11 @@ class BatchedRuleEngine:
     # phase: delayed-assignment delivery
     # ------------------------------------------------------------------
     def _phase_apply_inbox(self, peers: List[list]) -> None:
-        # the scalar _apply_inbox, level by level.  Each part of the inbox
-        # is parsed into its payloads per addressed level (a SubFlow keeps
-        # the result), a level's pieces are gathered in inbox order, and
-        # one landing per level does what the scalar loop does envelope
-        # by envelope.  Edge-adds write only the
-        # neighbor sets; linear adoption reads only node.ref and the rl/rr
-        # slots, which nothing in this phase writes — so edge-adds, linear
-        # candidates and NeighborIntros commute with each other and with
-        # wrap candidates, which read and write the wrap slots and keep
-        # their relative order (a level's pieces are in inbox order).
-        # This phase also decides which levels the step sets out to
-        # carry: a level whose record is fixed, whose pieces are the
-        # recorded ones and whose purge verdicts stand
+        # the scalar _apply_inbox, one landing per level (ARCHITECTURE.md,
+        # "Apply-inbox: one delta per level").  It also decides which
+        # levels the step sets out to carry: a level whose record is
+        # fixed, whose pieces are the recorded ones and whose purge
+        # verdicts stand
         parse = self._parse
         epoch, moved = self._epoch, self._moved
         for it in peers:
@@ -861,13 +743,9 @@ class BatchedRuleEngine:
 
     @staticmethod
     def _resolve_levels(parts: Sequence[Sequence[Envelope]], nodes: dict) -> Dict[int, list]:
-        """The split per *landing* level when an addressed level is gone.
-
-        Mail for a dropped level lands on ``u_m`` ([D8]), and wrap
-        candidates do not commute: ``u_m`` must see its own and the
-        inherited ones in inbox order, so the peer's split is redone
-        from the envelopes, one piece per landing level.
-        """
+        """The split per *landing* level when an addressed level is gone:
+        its mail lands on ``u_m`` ([D8]) amid ``u_m``'s own, and wrap
+        candidates do not commute, so it is redone from the envelopes."""
         top = max(nodes)
         landed: Dict[int, list] = {}
         for part in parts:
@@ -881,12 +759,8 @@ class BatchedRuleEngine:
 
     def _land(self, actor, node, pieces: list, rec: list) -> None:
         """What the delayed assignments of one level's pieces do to it,
-        landed as one delta: the refs added to ``nu`` / ``nr`` / ``nc``
-        (every landing only adds, and reads none of the sets), the wrap
-        slots, the adoption counts.  ``rl`` / ``rr`` are the
-        receiver-side guards of both candidate kinds, the wrap slots and
-        ``config.wrap_pointers`` steer wrap adoption.  Notes the
-        counters and the ``nr`` / ``nc`` adds in the level's record."""
+        landed as one delta — the refs added to ``nu`` / ``nr`` / ``nc``,
+        the wrap slots, the adoption counts — and noted in its record."""
         self._memo_misses[_AI] += 1
         wrap = actor.config.wrap_pointers
         ref = node.ref
@@ -955,27 +829,22 @@ class BatchedRuleEngine:
 
     @staticmethod
     def _adoptable(ref: NodeRef, bound: Optional[NodeRef], cands: List[NodeRef], side: str) -> List[NodeRef]:
-        """The candidates rule 3's receiver-side guard lets into ``nu``.
-
-        ``_deliver_candidate`` + ``_adopt_linear_candidate`` over one
-        node's candidates of one side: real, not the node itself, on the
-        right side, and a strict improvement over the cached pointer
-        ``bound`` (``rl`` / ``rr``).  A duplicate passes twice, as it
-        fires ``rule3_adopt`` twice.
-        """
+        """The candidates rule 3's receiver-side guard lets into ``nu``
+        (``_deliver_candidate`` + ``_adopt_linear_candidate`` over one
+        node's candidates of one side): real, not the node itself, on
+        that side, and strictly closer than the cached pointer ``bound``
+        (``rl`` / ``rr``).  A duplicate passes twice, as it fires
+        ``rule3_adopt`` twice."""
         nk = ref._key
+        bk = None if bound is None else bound._key
         if side == SIDE_LEFT:
-            lo = None if bound is None else bound._key
             return [
                 c for c in cands
-                if c.level == 0 and c._key < nk
-                and (lo is None or c._key > lo) and c != ref
+                if c.level == 0 and c._key < nk and (bk is None or c._key > bk) and c != ref
             ]
-        hi = None if bound is None else bound._key
         return [
             c for c in cands
-            if c.level == 0 and c._key > nk
-            and (hi is None or c._key < hi) and c != ref
+            if c.level == 0 and c._key > nk and (bk is None or c._key < bk) and c != ref
         ]
 
     # ------------------------------------------------------------------
@@ -989,12 +858,9 @@ class BatchedRuleEngine:
         return {}, set()
 
     def _phase_purge(self, peers: List[list]) -> None:
-        # a verdict is a pure function of the ref given the oracle's
-        # frozen snapshot, so the verdicts of ``self._oracle`` are kept
-        # for as long as its epoch stands — across peers and rounds.
-        # ``ok`` holds every ref already judged alive; a set whose
-        # members are all in it (and which does not contain a self-ref)
-        # provably purges nothing, and both checks run at C speed
+        # the verdicts of ``self._oracle`` stand for as long as its epoch
+        # does, across peers and rounds; a set that holds no self-ref and
+        # only refs in ``ok`` (judged alive) purges nothing
         if self._oracle is not None:
             epoch = self._oracle_epoch()
             if epoch != self._verdict_epoch:
@@ -1069,23 +935,18 @@ class BatchedRuleEngine:
     @staticmethod
     def _purge_refs(refs, nref: NodeRef, verdicts: dict, ok: set, alive) -> tuple:
         """Purge one neighbor set; returns ``(phantom, dead)`` counts."""
-        bad: Optional[List[NodeRef]] = None
+        bad: List[NodeRef] = []
         for r in refs:
-            if r == nref:
-                if bad is None:
-                    bad = []
-                bad.append(r)
-                continue
-            v = verdicts.get(r)
-            if v is None:
-                v = verdicts[r] = alive(r)
+            if r != nref:
+                v = verdicts.get(r)
+                if v is None:
+                    v = verdicts[r] = alive(r)
+                    if v == REF_OK:
+                        ok.add(r)
                 if v == REF_OK:
-                    ok.add(r)
-            if v != REF_OK:
-                if bad is None:
-                    bad = []
-                bad.append(r)
-        if bad is None:
+                    continue
+            bad.append(r)
+        if not bad:
             return 0, 0
         phantom = dead = 0
         for ref in bad:
@@ -1139,17 +1000,17 @@ class BatchedRuleEngine:
 
     def _reopen(self, it: list, level: int) -> None:
         """A carried level executes rules 5 and 6 (rule 5's peer-wide
-        reads moved).  The level left each earlier step as it found it
-        and rules 5 and 6 write neither ``nu`` nor a slot, so ``nu`` and
-        the slots already hold what rule 4 left; ``nr`` and ``nc`` go
-        back to what the purge left (the recorded adds, purged again —
-        the verdicts stand, the counters were counted)."""
+        reads moved): ``nu`` and the slots hold what rule 4 left, ``nr``
+        and ``nc`` go back to what the purge left (the recorded adds,
+        purged again under the same verdicts)."""
         actor, step = it[0], it[4]
         old = step.carried.pop(level)
         node = actor.state.nodes[level]
         step.snaps[level] = _snapshot(node)
         rec = step.recs[level] = list(old)
-        rec[_FIRES] = list(old[_FIRES])
+        # what rules 5 and 6 did is redone (an idle rule 6 did nothing)
+        rec[_OUT + _R5] = rec[_OUT + _R6] = ()
+        rec[_FIRES] = old[_FIRES][:_F_R5] + [0] * (len(FIRE_NAMES) - _F_R5)
         verdicts, ok = self._verdicts_of(actor)
         land = old[_LAND] or _NO_LANDING
         for refs, add in ((node._nr, land[1]), (node._nc, land[2])):
@@ -1160,10 +1021,8 @@ class BatchedRuleEngine:
 
     @staticmethod
     def _known_reals(step: _Step, state) -> set:
-        """The real refs of ``knowledge()`` after purge — and so after
-        rules 1 and 2 too, which move refs between levels but lose none
-        (a moved ref equal to its target's own ref stays known as a
-        sibling): the union of the levels' recorded parts."""
+        """The real refs of ``knowledge()`` after purge (and after rules
+        1 and 2, which lose none): the union of the levels' parts."""
         reals = step.reals
         if reals is None:
             reals = step.reals = {state.nodes[0].ref}
@@ -1177,10 +1036,8 @@ class BatchedRuleEngine:
     # phase: rule 1 — virtual nodes
     # ------------------------------------------------------------------
     def _phase_rule1(self, peers: List[list]) -> None:
-        # the scalar rule reads the closest real gap off knowledge();
-        # here the reals are the union of the levels' parts.  Only when
-        # the level set must change does the scalar rule run — and then
-        # the whole peer executes
+        # the closest real gap, off the union of the levels' parts; only
+        # a level set that must change runs the scalar rule (whole peer)
         for it in peers:
             actor = it[0]
             if not actor.config.virtual_nodes:
@@ -1205,9 +1062,8 @@ class BatchedRuleEngine:
     # ------------------------------------------------------------------
     def _phase_rule2(self, peers: List[list]) -> None:
         # the scalar loop, level by level.  A carried level replays its
-        # recorded moves; the refs moved into it are compared with the
-        # recorded ones instead of being added: before its turn (they
-        # are rule 2's input) and after it (rule 3's).  A difference
+        # recorded moves, and the refs moved into it before its turn and
+        # after it are compared with the recorded ones: a difference
         # makes it execute
         for it in peers:
             actor = it[0]
@@ -1289,8 +1145,80 @@ class BatchedRuleEngine:
         return tuple(moves) if moves else _NO_MOVES
 
     # ------------------------------------------------------------------
-    # the per-level memo (module docstring, "The per-level memo")
+    # rules 3-6: one per-level driver (docs/ARCHITECTURE.md, "The driver")
     # ------------------------------------------------------------------
+    def _drive(self, rule: int, work: List[tuple], key_of, body) -> None:
+        """Memoized rule ``rule`` on each ``(step item, step, nodes,
+        levels, arg)`` in ``work``, ``levels`` in order: a carried level
+        replays its slice; another looks up ``key_of(arg, level, node,
+        memo)`` (``key[0]`` the set the rule rewrites, live or frozen; the
+        rest immutable).  A miss runs ``body(node, ctx, key) -> (deltas,
+        extra)`` in place and stores the entry; a hit replays it — the
+        envelopes, the set through the tracking API, ``extra(node)``
+        unless None (what else the body wrote).  The record gets the slice
+        and deltas, the counters the sum."""
+        out = _OUT + rule
+        attr = _REWRITES[rule]
+        cut = _FIRES_AT[rule]
+        zero = _NO_FIRES[rule]
+        names = FIRE_NAMES[cut]
+        n_levels = misses = n_carried = 0
+        for it, step, nodes, levels, arg in work:
+            outbox = it[2]._outbox
+            carried, recs = step.carried, step.recs
+            # (every carried level is in ``levels``; the others are looked up)
+            n_carried += len(carried)
+            n_levels += len(levels)
+            acc = None
+            for level in levels:
+                rec = carried.get(level)
+                if rec is not None:
+                    if rec[out]:
+                        outbox.extend(rec[out])
+                    continue
+                node = nodes[level]
+                memo = node._memo
+                if memo is None:
+                    memo = node._memo = [None] * len(MEMO_RULES)
+                key = key_of(arg, level, node, memo)
+                entry = memo[rule]
+                if entry is None or entry[0] != key:
+                    misses += 1
+                    start = len(outbox)
+                    before = _as_frozen(key[0])
+                    fires, extra = body(node, it[2], key)
+                    entry = memo[rule] = (
+                        (before, *key[1:]),
+                        tuple(outbox[start:]),
+                        _frozen(getattr(node, attr), before),
+                        zero if fires == zero else fires,
+                        extra,
+                    )
+                else:
+                    if entry[1]:
+                        outbox.extend(entry[1])
+                    if entry[2] is not entry[0][0]:
+                        _restore(getattr(node, attr), entry[2])
+                    if entry[4] is not None:
+                        entry[4](node)
+                rec = recs[level]
+                rec[out] = entry[1]
+                fires = entry[3]
+                if fires is not zero:  # (the record's slice is zero until now)
+                    rec[_FIRES][cut] = fires
+                    if acc is None:
+                        acc = list(fires)
+                    else:
+                        for i, amount in enumerate(fires):
+                            acc[i] += amount
+            if acc is not None:
+                counters = it[0].counters
+                for name, amount in zip(names, acc):
+                    counters.bump(name, amount)
+        self._memo_hits[rule] += n_levels - n_carried - misses
+        self._memo_misses[rule] += misses
+        self._carried[rule] += n_carried
+
     @staticmethod
     def _nu_source(cfg, rule: int) -> Optional[int]:
         """The memoized rule whose entry holds ``nu`` frozen as ``rule``
@@ -1304,16 +1232,18 @@ class BatchedRuleEngine:
     # phase: rule 3 — closest real neighbor
     # ------------------------------------------------------------------
     def _phase_rule3(self, peers: List[list]) -> None:
-        hits = misses = carried_n = 0
+        # pre-pass: each level's closest real pair (rl, rr); a carried level
+        # whose pair moved is promoted, in level order, before any emits
+        work: List[tuple] = []
         for it in peers:
-            actor, ctx = it[0], it[2]
+            actor = it[0]
             cfg = actor.config
             if not cfg.closest_real:
                 continue
             step = _step(it)
             state = actor.state
-            outbox = ctx._outbox
-            eco = cfg.economical_broadcast
+            nodes = state.nodes
+            carried, recs = step.carried, step.recs
             same = step.same_reals and not step.whole
             if same:
                 # every carried level's (rl, rr) was checked against
@@ -1321,239 +1251,141 @@ class BatchedRuleEngine:
                 reals, real_keys = step.prev[0], step.prev[1]
             else:
                 if step.whole:
-                    reals = self._sorted_refs(
-                        [r for r in state.knowledge() if r.level == 0]
-                    )
+                    reals = self._sorted_refs([r for r in state.knowledge() if r.level == 0])
                 else:
                     reals = self._sorted_refs(list(self._known_reals(step, state)))
                 real_keys = [r._key for r in reals]
             step.reals_list, step.real_keys = reals, real_keys
-            nreals = len(reals)
-            nodes = state.nodes
-            carried = step.carried
-            for level in sorted(nodes):
-                rec = carried.get(level)
-                if same and rec is not None:
-                    if rec[_OUT]:
-                        outbox.extend(rec[_OUT])
-                    carried_n += 1
-                    continue
-                node = nodes[level]
-                ui = node.ref
+            n = len(reals)
+            levels = sorted(nodes)
+            # (in a step that is not whole the records are exactly the
+            # executed levels, and then no level is promoted)
+            for level in recs if same else levels:
+                ui = nodes[level].ref
                 idx = bisect_left(real_keys, ui._key)
                 rl = reals[idx - 1] if idx > 0 else None
-                if idx < nreals and reals[idx] == ui:
-                    rr = reals[idx + 1] if idx + 1 < nreals else None
-                else:
-                    rr = reals[idx] if idx < nreals else None
+                if idx < n and reals[idx] == ui:
+                    idx += 1
+                pair = (rl, reals[idx] if idx < n else None)
+                rec = carried.get(level)
                 if rec is not None:
-                    crl, crr = rec[_RLRR]
-                    if (crl is rl or crl == rl) and (crr is rr or crr == rr):
-                        if rec[_OUT]:
-                            outbox.extend(rec[_OUT])
-                        carried_n += 1
+                    if pair == rec[_RLRR]:
                         continue
                     self._resume(it, level, rec[_HI])
-                rec = step.recs[level]
-                rec[_RLRR] = (rl, rr)
-                # the rule's first assignment; (rl, rr) is in the key, so
-                # it is the same write on a hit and on a miss
-                if node._rl is not rl:
-                    node.rl = rl
-                if node._rr is not rr:
-                    node.rr = rr
-                memo = node._memo
-                if memo is None:
-                    memo = node._memo = [None] * len(MEMO_RULES)
-                key = (
-                    node._nu, rl, rr, node._wrap_rl, node._wrap_rr, cfg,
-                    (node._bcast_rl, node._bcast_rl_targets,
-                     node._bcast_rr, node._bcast_rr_targets) if eco else None,
-                )
-                entry = memo[_R3]
-                if entry is None or entry[0] != key:
-                    misses += 1
-                    entry = memo[_R3] = self._rule3_level(actor, node, ctx, key)
-                    rec[_OUT] = entry[1]
-                    continue
-                hits += 1
-                ekey, envelopes, nu_after, slots = entry
-                rec[_OUT] = envelopes
-                if envelopes:
-                    outbox.extend(envelopes)
-                if nu_after is not ekey[0]:
-                    _restore(node._nu, nu_after)
-                if slots is not None:
-                    node.wrap_rl, node.wrap_rr, bcast = slots
-                    if bcast is not None:
-                        (node.bcast_rl, node.bcast_rl_targets,
-                         node.bcast_rr, node.bcast_rr_targets) = bcast
-        self._memo_hits[_R3] += hits
-        self._memo_misses[_R3] += misses
-        self._carried[_R3] += carried_n
+                recs[level][_RLRR] = pair
+            work.append((it, step, nodes, levels, (recs, cfg)))
+        self._drive(_R3, work, self._rule3_key, self._rule3_level)
 
-    def _rule3_level(self, actor, node, ctx, key: tuple) -> tuple:
+    @staticmethod
+    def _rule3_key(arg: tuple, level: int, node, memo: list) -> tuple:
+        recs, cfg = arg
+        rl, rr = recs[level][_RLRR]  # the first write: the same on a hit and a miss
+        if node._rl is not rl:
+            node.rl = rl
+        if node._rr is not rr:
+            node.rr = rr
+        return (
+            node._nu, rl, rr, node._wrap_rl, node._wrap_rr, cfg,
+            (node._bcast_rl, node._bcast_rl_targets, node._bcast_rr, node._bcast_rr_targets)
+            if cfg.economical_broadcast else None,
+        )
+
+    def _rule3_level(self, node, ctx, key: tuple) -> tuple:
         """Rule 3 on one simulated node whose ``rl``/``rr`` are already
-        assigned; returns the memo entry.  ``key`` lists every input."""
-        nu_live, rl, rr, wrap_rl, wrap_rr, cfg, bcast = key
+        assigned.  It fires no counter; a hit replays the wrap and
+        broadcast slots it changed."""
+        nu, rl, rr, wrap_rl, wrap_rr, cfg, bcast = key
         outbox = ctx._outbox
-        start = len(outbox)
-        nu_before = frozenset(nu_live)
         wrap = cfg.wrap_pointers
         eco = cfg.economical_broadcast
         ui = node.ref
         uik = ui._key
-        if rl is not None:
-            node._nu.add(rl)
-        if rr is not None:
-            node._nu.add(rr)
-        if wrap:
-            actor._maintain_wrap_slots(node)
-        nu_sorted = self._sorted_refs(node._nu)
-        if rl is not None:
-            rlk = rl._key
-            recipients = []
-            for y in nu_sorted:
-                if y == rl:
-                    continue
-                yk = y._key
-                if yk > uik or rlk < yk < uik:
-                    recipients.append(y)
+        for x in (rl, rr):
+            if x is not None:
+                nu.add(x)
+        if wrap and (wrap_rl is not None or wrap_rr is not None):
+            # the scalar _maintain_wrap_slots: a linear real neighbor
+            # retires the wrap pointer of its side into nu
+            for near, slot in ((rr, "wrap_rr"), (rl, "wrap_rl")):
+                w = getattr(node, slot)
+                if near is not None and w is not None:
+                    if w != ui:
+                        nu.add(w)
+                    setattr(node, slot, None)
+        nu_sorted = self._sorted_refs(nu)
+        for x, (side, slot, targets) in zip((rl, rr), _BCAST_SLOTS):
+            if x is None:
+                if eco:
+                    setattr(node, slot, None)
+                    setattr(node, targets, None)
+                continue
+            # every neighbor but ui beyond x (x is strictly on its side of ui)
+            xk = x._key
+            if side == SIDE_LEFT:
+                recipients = [y for y in nu_sorted if y._key > xk and y._key != uik and y != x]
+            else:
+                recipients = [y for y in nu_sorted if y._key < xk and y._key != uik and y != x]
+            sent = getattr(node, targets) if eco and x == getattr(node, slot) else None
             for y in recipients:
-                if eco and rl == node.bcast_rl and (
-                    node.bcast_rl_targets is not None
-                    and y in node.bcast_rl_targets
-                ):
-                    continue
-                self._send_cand(ctx, outbox, y, rl, SIDE_LEFT)
+                if sent is None or y not in sent:
+                    self._send_cand(ctx, outbox, y, x, side)
             if eco:
-                node.bcast_rl = rl
-                node.bcast_rl_targets = frozenset(recipients)
-        elif eco:
-            node.bcast_rl = None
-            node.bcast_rl_targets = None
-        if rr is not None:
-            rrk = rr._key
-            recipients = []
-            for y in nu_sorted:
-                if y == rr:
-                    continue
-                yk = y._key
-                if yk < uik or uik < yk < rrk:
-                    recipients.append(y)
-            for y in recipients:
-                if eco and rr == node.bcast_rr and (
-                    node.bcast_rr_targets is not None
-                    and y in node.bcast_rr_targets
-                ):
-                    continue
-                self._send_cand(ctx, outbox, y, rr, SIDE_RIGHT)
-            if eco:
-                node.bcast_rr = rr
-                node.bcast_rr_targets = frozenset(recipients)
-        elif eco:
-            node.bcast_rr = None
-            node.bcast_rr_targets = None
-        if wrap:
+                setattr(node, slot, x)
+                setattr(node, targets, frozenset(recipients))
+        if wrap and (rl is None or rr is None):
             self._relay_wrap(node, ctx, outbox)
         bcast_after = (
             node._bcast_rl, node._bcast_rl_targets,
             node._bcast_rr, node._bcast_rr_targets,
         ) if eco else None
         slots = (node._wrap_rl, node._wrap_rr, bcast_after)
-        return (
-            (nu_before, *key[1:]),
-            tuple(outbox[start:]),
-            _frozen(node._nu, nu_before),
-            None if slots == (wrap_rl, wrap_rr, bcast) else slots,
-        )
+        return (), None if slots == (wrap_rl, wrap_rr, bcast) else partial(_put_slots, slots)
 
     def _relay_wrap(self, node, ctx, outbox) -> None:
-        """Scalar ``_relay_wrap`` on the fast send path."""
-        ui = node.ref
-        if node.rr is None and node.wrap_rr is not None:
-            lefts = [w for w in node.nu if w < ui]
-            targets = set()
-            if lefts:
-                targets.add(max(lefts))
-            if node.rl is not None:
-                targets.add(node.rl)
+        """Scalar ``_relay_wrap`` on the fast send path: a node with no
+        linear real neighbor on a side relays that side's wrap pointer to
+        its closest neighbor on the other side and to its linear real
+        neighbor there."""
+        uik = node.ref._key
+        rl, rr = node._rl, node._rr
+        for near, far, wrap, side, closest, toward in (
+            (rr, rl, node._wrap_rr, SIDE_RIGHT, max, uik.__gt__),
+            (rl, rr, node._wrap_rl, SIDE_LEFT, min, uik.__lt__),
+        ):
+            if near is not None or wrap is None:
+                continue
+            close = [w for w in node._nu if toward(w._key)]
+            targets = {closest(close)} if close else set()
+            if far is not None:
+                targets.add(far)
             for t in sorted(targets):
-                self._send_cand(ctx, outbox, t, node.wrap_rr, SIDE_RIGHT, wrap=True)
-        if node.rl is None and node.wrap_rl is not None:
-            rights = [w for w in node.nu if w > ui]
-            targets = set()
-            if rights:
-                targets.add(min(rights))
-            if node.rr is not None:
-                targets.add(node.rr)
-            for t in sorted(targets):
-                self._send_cand(ctx, outbox, t, node.wrap_rl, SIDE_LEFT, wrap=True)
+                self._send_cand(ctx, outbox, t, wrap, side, wrap=True)
 
     # ------------------------------------------------------------------
     # phase: rule 4 — linearization + mirroring
     # ------------------------------------------------------------------
     def _phase_rule4(self, peers: List[list]) -> None:
-        hits = misses = carried_n = 0
+        work: List[tuple] = []
         for it in peers:
-            actor, ctx = it[0], it[2]
-            cfg = actor.config
-            if not cfg.linearize:
-                continue
-            step = _step(it)
-            carried = step.carried
-            outbox = ctx._outbox
-            source = self._nu_source(cfg, _R4)
-            nodes = actor.state.nodes
-            forwards = 0
-            for level in sorted(nodes):
-                rec = carried.get(level)
-                if rec is not None:
-                    if rec[_OUT + _R4]:
-                        outbox.extend(rec[_OUT + _R4])
-                    carried_n += 1
-                    continue
-                node = nodes[level]
-                memo = node._memo
-                if memo is None:
-                    memo = node._memo = [None] * len(MEMO_RULES)
-                key = (
-                    node._nu if source is None else memo[source][2],
-                    node._rl, node._rr,
-                )
-                entry = memo[_R4]
-                if entry is None or entry[0] != key:
-                    misses += 1
-                    entry = memo[_R4] = self._rule4_level(node, ctx, key)
-                else:
-                    hits += 1
-                    if entry[1]:
-                        outbox.extend(entry[1])
-                    if entry[2] is not entry[0][0]:
-                        _restore(node._nu, entry[2])
-                rec = step.recs[level]
-                rec[_OUT + _R4] = entry[1]
-                rec[_FIRES][_F_R4] = entry[3]
-                forwards += entry[3]
-            if forwards:
-                actor.counters.bump("rule4_forward", forwards)
-        self._memo_hits[_R4] += hits
-        self._memo_misses[_R4] += misses
-        self._carried[_R4] += carried_n
+            actor = it[0]
+            if actor.config.linearize:
+                nodes = actor.state.nodes
+                work.append((it, _step(it), nodes, sorted(nodes), self._nu_source(actor.config, _R4)))
+        self._drive(_R4, work, self._rule4_key, self._rule4_level)
+
+    @staticmethod
+    def _rule4_key(source: Optional[int], level: int, node, memo: list) -> tuple:
+        return (node._nu if source is None else memo[source][2], node._rl, node._rr)
 
     def _rule4_level(self, node, ctx, key: tuple) -> tuple:
-        """Rule 4 on one simulated node; returns the memo entry (its
-        counter delta is the number of forwards)."""
+        """Rule 4 on one simulated node; its counter delta is the number
+        of forwards."""
         send_edge = self._send_edge
         outbox = ctx._outbox
-        start = len(outbox)
         nu = node._nu
-        nu_before = _as_frozen(key[0])
         ui = node.ref
         uik = ui._key
-        forwards = 0
-        # one sort, split at ui — the scalar code sorts the left
-        # and right halves separately
+        # one sort, split at ui (the scalar code sorts each half)
         lefts: List[NodeRef] = []
         rights: List[NodeRef] = []
         for w in self._sorted_refs(nu):
@@ -1562,65 +1394,48 @@ class BatchedRuleEngine:
                 lefts.append(w)
             elif wk > uik:
                 rights.append(w)
-        # forward pairs, closest-first (scalar iterates lefts in
-        # descending order)
+        # forward pairs, closest-first (lefts in descending order)
         for j in range(len(lefts) - 1, 0, -1):
-            a = lefts[j]
-            b = lefts[j - 1]
-            send_edge(ctx, outbox, a, b, KIND_UNMARKED)
-            nu.discard(b)
-            forwards += 1
+            send_edge(ctx, outbox, lefts[j], lefts[j - 1], KIND_UNMARKED)
+            nu.discard(lefts[j - 1])
         for j in range(len(rights) - 1):
-            a = rights[j]
-            b = rights[j + 1]
-            send_edge(ctx, outbox, a, b, KIND_UNMARKED)
-            nu.discard(b)
-            forwards += 1
-        # mirroring over whatever remains in nu (the two closest
-        # neighbors, plus pathological equal-to-ui refs — match
-        # the scalar re-scan exactly rather than assuming)
+            send_edge(ctx, outbox, rights[j], rights[j + 1], KIND_UNMARKED)
+            nu.discard(rights[j + 1])
+        # mirroring over whatever remains in nu (the two closest, and
+        # any equal-to-ui ref: the scalar re-scan, not an assumption)
         for v in self._sorted_refs(nu):
             send_edge(ctx, outbox, v, ui, KIND_UNMARKED)
-        if key[1] is not None:
-            nu.add(key[1])
-        if key[2] is not None:
-            nu.add(key[2])
-        return (
-            (nu_before, key[1], key[2]),
-            tuple(outbox[start:]),
-            _frozen(nu, nu_before),
-            forwards,
-        )
+        for x in key[1:]:
+            if x is not None:
+                nu.add(x)
+        return ((len(lefts) - 1 if lefts else 0) + (len(rights) - 1 if rights else 0),), None
 
     # ------------------------------------------------------------------
     # phase: rule 5 — ring edges
     # ------------------------------------------------------------------
     def _phase_rule5(self, peers: List[list]) -> None:
-        hits = misses = carried_n = 0
+        # pre-pass: the peer-wide reads, taken after rule 4 ran on every
+        # level; a carried level that saw other ones is reopened
+        work: List[tuple] = []
         for it in peers:
-            actor, ctx = it[0], it[2]
+            actor = it[0]
             cfg = actor.config
             if not cfg.ring:
                 continue
             step = _step(it)
             state = actor.state
-            outbox = ctx._outbox
             nodes = state.nodes
             carried = step.carried
-            # peer-wide inputs, read after rule 4 ran on every level
             same = False
             if step.whole:
                 knowledge = state.knowledge()
                 reals = state.known_reals(knowledge)
-                wide = (
-                    min(knowledge, key=_KEY), max(knowledge, key=_KEY),
-                    reals[0], reals[-1], cfg.wrap_pointers,
-                )
+                wide = (min(knowledge, key=_KEY), max(knowledge, key=_KEY),
+                        reals[0], reals[-1], cfg.wrap_pointers)
             else:
-                # the union of the levels' parts: the executed ones
-                # measure theirs now, a carried level's is recorded.  If
-                # every executed level's part is its recorded one, the
-                # union is the previous step's
+                # the union of the levels' parts (a carried level's is
+                # recorded): the previous step's if every executed
+                # level's part is its recorded one
                 same = step.prev is not None and step.prev[2] is not None
                 for level, rec in step.recs.items():
                     ext = rec[_EXT] = _extremes(nodes[level])
@@ -1630,9 +1445,7 @@ class BatchedRuleEngine:
                 if same:
                     wide = step.prev[2]
                 else:
-                    exts = [
-                        (carried.get(level) or step.recs[level])[_EXT] for level in nodes
-                    ]
+                    exts = [(carried.get(level) or step.recs[level])[_EXT] for level in nodes]
                     wide = (
                         min([e[0] for e in exts], key=_KEY),
                         max([e[1] for e in exts], key=_KEY),
@@ -1641,63 +1454,27 @@ class BatchedRuleEngine:
                         cfg.wrap_pointers,
                     )
             step.wide = wide
-            source = self._nu_source(cfg, _R5)
-            stage = step.stage
-            create = convert = forward = 0
-            for level in sorted(nodes):
-                rec = carried.get(level)
-                if rec is not None:
-                    if same or rec[_WIDE] == wide:
-                        if rec[_OUT + _R5]:
-                            outbox.extend(rec[_OUT + _R5])
-                        carried_n += 1
-                        continue
+            if not same:
+                for level in [lv for lv, rec in carried.items() if rec[_WIDE] != wide]:
                     self._reopen(it, level)
-                node = nodes[level]
-                memo = node._memo
-                if memo is None:
-                    memo = node._memo = [None] * len(MEMO_RULES)
-                key = (
-                    node._nu if source is None or level in stage else memo[source][2],
-                    node._nr,
-                    *wide,
-                )
-                entry = memo[_R5]
-                if entry is None or entry[0] != key:
-                    misses += 1
-                    entry = memo[_R5] = self._rule5_level(node, ctx, key)
-                else:
-                    hits += 1
-                    if entry[1]:
-                        outbox.extend(entry[1])
-                    if entry[2] is not entry[0][1]:
-                        _restore(node._nr, entry[2])
-                rec = step.recs[level]
+            for rec in step.recs.values():
                 rec[_WIDE] = wide
-                rec[_OUT + _R5] = entry[1]
-                fires = entry[3]
-                rec[_FIRES][_F_R5:_F_R6] = fires
-                if fires is not _NO_RING_FIRES:
-                    create += fires[0]
-                    convert += fires[1]
-                    forward += fires[2]
-            counters = actor.counters
-            counters.bump("rule5_create", create)
-            counters.bump("rule5_convert", convert)
-            counters.bump("rule5_forward", forward)
-        self._memo_hits[_R5] += hits
-        self._memo_misses[_R5] += misses
-        self._carried[_R5] += carried_n
+            arg = (self._nu_source(cfg, _R5), step.stage, wide)
+            work.append((it, step, nodes, sorted(nodes), arg))
+        self._drive(_R5, work, self._rule5_key, self._rule5_level)
+
+    @staticmethod
+    def _rule5_key(arg: tuple, level: int, node, memo: list) -> tuple:
+        source, stage, wide = arg
+        nu = frozenset(node._nu) if source is None or level in stage else memo[source][2]
+        return (node._nr, nu, *wide)
 
     def _rule5_level(self, node, ctx, key: tuple) -> tuple:
-        """Rule 5 on one simulated node; returns the memo entry (its
-        counter deltas are ``(create, convert, forward)``)."""
-        nu, nr_live, kmin, kmax, real_min, real_max, wrap = key
+        """Rule 5 on one simulated node; its counter deltas are
+        ``(create, convert, forward)``."""
+        nr, nu, kmin, kmax, real_min, real_max, wrap = key
         send_edge = self._send_edge
         outbox = ctx._outbox
-        start = len(outbox)
-        nr = node._nr
-        nr_before = frozenset(nr)
         ui = node.ref
         uik = ui._key
         create = convert = forward = 0
@@ -1719,114 +1496,100 @@ class BatchedRuleEngine:
                 nr.discard(w)
                 continue
             wk = w._key
+            # w's side of ui: its extreme, the one across the seam, the
+            # real one across it, the wrap side and "farther out"
             if wk > uik:
-                x = kmax
-                xk = x._key
-                for y in nr:
-                    yk = y._key
-                    if yk > xk:
-                        x = y
-                        xk = yk
-                if xk > wk:
-                    send_edge(ctx, outbox, x, w, KIND_UNMARKED)
-                    nr.discard(w)
-                    convert += 1
-                elif kmin != ui:
-                    send_edge(ctx, outbox, kmin, w, KIND_RING)
-                    nr.discard(w)
-                    forward += 1
-                elif wrap:
-                    self._send_cand(ctx, outbox, w, real_min, SIDE_RIGHT, wrap=True)
+                x, seam, real, side, beyond = kmax, kmin, real_min, SIDE_RIGHT, gt
             else:
-                x = kmin
-                xk = x._key
-                for y in nr:
-                    yk = y._key
-                    if yk < xk:
-                        x = y
-                        xk = yk
-                if xk < wk:
-                    send_edge(ctx, outbox, x, w, KIND_UNMARKED)
-                    nr.discard(w)
-                    convert += 1
-                elif kmax != ui:
-                    send_edge(ctx, outbox, kmax, w, KIND_RING)
-                    nr.discard(w)
-                    forward += 1
-                elif wrap:
-                    self._send_cand(ctx, outbox, w, real_max, SIDE_LEFT, wrap=True)
-        fires = (create, convert, forward)
-        return (
-            (_as_frozen(nu), nr_before, *key[2:]),
-            tuple(outbox[start:]),
-            _frozen(nr, nr_before),
-            _NO_RING_FIRES if fires == _NO_RING_FIRES else fires,
-        )
+                x, seam, real, side, beyond = kmin, kmax, real_max, SIDE_LEFT, lt
+            xk = x._key
+            for y in nr:
+                if beyond(y._key, xk):
+                    x = y
+                    xk = y._key
+            if beyond(xk, wk):
+                send_edge(ctx, outbox, x, w, KIND_UNMARKED)
+                nr.discard(w)
+                convert += 1
+            elif seam != ui:
+                send_edge(ctx, outbox, seam, w, KIND_RING)
+                nr.discard(w)
+                forward += 1
+            elif wrap:
+                self._send_cand(ctx, outbox, w, real, side, wrap=True)
+        return (create, convert, forward), None
 
     # ------------------------------------------------------------------
     # phase: rule 6 — connection edges
     # ------------------------------------------------------------------
     def _phase_rule6(self, peers: List[list]) -> None:
-        hits = misses = carried_n = 0
+        # pre-pass: the sibling chain joins nc, so only the last sibling's
+        # nc may be empty; then that level runs nothing (and no lookup)
+        work: List[tuple] = []
         for it in peers:
-            actor, ctx = it[0], it[2]
+            actor = it[0]
             cfg = actor.config
             if not cfg.connection:
                 continue
             step = _step(it)
             carried = step.carried
-            outbox = ctx._outbox
             nodes = actor.state.nodes
             sibs = self._siblings(step, nodes)[0]
             for a, b in zip(sibs, sibs[1:]):
                 if a.level not in carried:
                     nodes[a.level]._nc.add(b)
-            source = self._nu_source(cfg, _R6)
-            stage = step.stage
-            forward = backward = 0
-            for level in sorted(nodes):
-                rec = carried.get(level)
-                if rec is not None:
-                    if rec[_OUT + _R6]:
-                        outbox.extend(rec[_OUT + _R6])
-                    carried_n += 1
-                    continue
-                rec = step.recs[level]
-                node = nodes[level]
-                nc = node._nc
-                if not nc:
-                    rec[_OUT + _R6] = ()
-                    rec[_FIRES][_F_R6:] = (0, 0)
-                    continue
-                memo = node._memo
-                if memo is None:
-                    memo = node._memo = [None] * len(MEMO_RULES)
-                key = (
-                    nc,
-                    node._nu if source is None or level in stage else memo[source][2],
-                    sibs,
-                )
-                entry = memo[_R6]
-                if entry is None or entry[0] != key:
-                    misses += 1
-                    entry = memo[_R6] = self._rule6_level(node, ctx, key)
-                else:
-                    hits += 1
-                    if entry[1]:
-                        outbox.extend(entry[1])
-                    if entry[2] is not entry[0][0]:
-                        _restore(nc, entry[2])
-                rec[_OUT + _R6] = entry[1]
-                rec[_FIRES][_F_R6:] = entry[3]
-                forward += entry[3][0]
-                backward += entry[3][1]
-            if forward:
-                actor.counters.bump("rule6_forward", forward)
-            if backward:
-                actor.counters.bump("rule6_backward", backward)
-        self._memo_hits[_R6] += hits
-        self._memo_misses[_R6] += misses
-        self._carried[_R6] += carried_n
+            levels = sorted(nodes)
+            last = sibs[-1].level
+            if last not in carried and not nodes[last]._nc:
+                levels.remove(last)
+            work.append((it, step, nodes, levels, (self._nu_source(cfg, _R6), step.stage, sibs)))
+        self._drive(_R6, work, self._rule6_key, self._rule6_level)
+
+    @staticmethod
+    def _rule6_key(arg: tuple, level: int, node, memo: list) -> tuple:
+        source, stage, sibs = arg
+        nu = frozenset(node._nu) if source is None or level in stage else memo[source][2]
+        return (node._nc, nu, sibs)
+
+    def _rule6_level(self, node, ctx, key: tuple) -> tuple:
+        """Rule 6 on one simulated node whose ``nc`` already holds its
+        sibling-chain edge; its counter deltas are ``(forward,
+        backward)``."""
+        nc, nu, sibs = key
+        send_edge = self._send_edge
+        outbox = ctx._outbox
+        ui = node.ref
+        forward = backward = 0
+        # few connection edges (typically just the sibling chain): each
+        # closest known predecessor by a linear scan, not a sort
+        few = len(nc) <= 4
+        if few:
+            known = (*nu, *sibs)
+        else:
+            cands = self._sorted_refs([*nu, *sibs])
+            cand_keys = [c._key for c in cands]
+        for v in self._sorted_refs(nc):
+            nc.discard(v)
+            if v == ui:
+                continue
+            vk = v._key
+            if few:
+                w = wk = None
+                for c in known:
+                    ck = c._key
+                    if ck < vk and (wk is None or ck > wk):
+                        w = c
+                        wk = ck
+            else:
+                idx = bisect_left(cand_keys, vk)
+                w = cands[idx - 1] if idx > 0 else None
+            if w is None or w == ui:
+                send_edge(ctx, outbox, v, ui, KIND_UNMARKED)
+                backward += 1
+            else:
+                send_edge(ctx, outbox, w, v, KIND_CONNECTION)
+                forward += 1
+        return (forward, backward), None
 
     # ------------------------------------------------------------------
     # closing a step
@@ -1845,9 +1608,7 @@ class BatchedRuleEngine:
             for rec in step.carried.values():
                 replay = rec[_REPLAY]
                 if replay is None:
-                    replay = rec[_REPLAY] = tuple(
-                        (i, a) for i, a in enumerate(rec[_FIRES]) if a
-                    )
+                    replay = rec[_REPLAY] = tuple((i, a) for i, a in enumerate(rec[_FIRES]) if a)
                 for i, amount in replay:
                     acc[i] += amount
             carried_n += len(step.carried)
@@ -1885,67 +1646,3 @@ class BatchedRuleEngine:
                 if self._oracle_moves is not None and actor._ref_alive == oracle else None
             )
         self._carried[_AI] += carried_n
-
-    def _rule6_level(self, node, ctx, key: tuple) -> tuple:
-        """Rule 6 on one simulated node whose ``nc`` already holds its
-        sibling-chain edge; returns the memo entry (its counter deltas
-        are ``(forward, backward)``)."""
-        nc, nu, sibs = key
-        send_edge = self._send_edge
-        outbox = ctx._outbox
-        start = len(outbox)
-        nc_before = frozenset(nc)
-        ui = node.ref
-        forward = backward = 0
-        if len(nc) <= 4:
-            # few connection edges (typically just the sibling
-            # chain): find each closest known predecessor by a
-            # linear key scan instead of sorting nu + sibs
-            for v in self._sorted_refs(nc):
-                if v == ui:
-                    nc.discard(v)
-                    continue
-                vk = v._key
-                w = None
-                wk = None
-                for c in nu:
-                    ck = c._key
-                    if ck < vk and (wk is None or ck > wk):
-                        w = c
-                        wk = ck
-                for c in sibs:
-                    ck = c._key
-                    if ck < vk and (wk is None or ck > wk):
-                        w = c
-                        wk = ck
-                if w is None or w == ui:
-                    send_edge(ctx, outbox, v, ui, KIND_UNMARKED)
-                    nc.discard(v)
-                    backward += 1
-                else:
-                    send_edge(ctx, outbox, w, v, KIND_CONNECTION)
-                    nc.discard(v)
-                    forward += 1
-        else:
-            cands = self._sorted_refs([*nu, *sibs])
-            cand_keys = [c._key for c in cands]
-            for v in self._sorted_refs(nc):
-                if v == ui:
-                    nc.discard(v)
-                    continue
-                idx = bisect_left(cand_keys, v._key)
-                w = cands[idx - 1] if idx > 0 else None
-                if w is None or w == ui:
-                    send_edge(ctx, outbox, v, ui, KIND_UNMARKED)
-                    nc.discard(v)
-                    backward += 1
-                else:
-                    send_edge(ctx, outbox, w, v, KIND_CONNECTION)
-                    nc.discard(v)
-                    forward += 1
-        return (
-            (nc_before, _as_frozen(nu), sibs),
-            tuple(outbox[start:]),
-            _frozen(nc, nc_before),
-            (forward, backward),
-        )
