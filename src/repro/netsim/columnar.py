@@ -3,10 +3,11 @@
 :class:`ColumnarScheduler` is the fast kernel of ``engine="columnar"``.
 Its rounds are observably those of the spec loop
 (:class:`~repro.netsim.scheduler.SynchronousScheduler`), round for
-round, through two round loops of its own over one dirty set, one
-steady-emission cache and one application lane: the **tracked loop**
-(:meth:`ColumnarScheduler._run_round_tracked`) and the **columnar
-loop** (:meth:`ColumnarScheduler._run_round_columnar`).
+round.  Every full round under settled unit delivery runs the **columnar
+loop** (:meth:`ColumnarScheduler._run_round_columnar`), sparse or dense;
+the **tracked loop** (:meth:`ColumnarScheduler._run_round_tracked`) runs
+only the rounds the columns cannot express.  Both work over one dirty
+set, one steady-emission cache and one application lane.
 
 Activity tracking
 -----------------
@@ -135,19 +136,17 @@ Delayed sends wait in the base class's delivery-round-keyed queue
 The columnar loop
 -----------------
 
-The tracked loop costs O(n + E) per round: every round it sorts all
-actor keys, iterates every actor (replaying the quiescent ones), clears
-every inbox, and re-appends every steady envelope.  At n = 10k-100k
-peers that per-round floor — not rule evaluation — dominates wall-clock
-time.
+The tracked loop costs O(n + sub-flows) per round: every round it sorts
+all actor keys, iterates every actor (replaying the quiescent ones) and
+re-delivers every steady sub-flow as a part.  At n = 10k-100k peers that
+per-round floor — not rule evaluation — dominates wall-clock time.
 
 The columnar loop removes the floor by holding the steady state of the
-network in *flow-indexed columns* instead of materialized per-round
-inboxes:
+network in *flow-indexed columns* instead of per-round deliveries:
 
 * ``_flow_in[target][sender]`` — the delivered sub-flows of every
   sender's steady outbox, stored once and conceptually re-delivered
-  every boundary (the tracked loop rebuilds these lists physically each
+  every boundary (the tracked loop delivers these parts again each
   round).  Each is a :class:`~repro.netsim.messages.SubFlow`: an
   immutable value shared with the sender's outbox split, carrying its
   referenced owners, so all accounting below is per sub-flow and an
@@ -156,7 +155,7 @@ inboxes:
   of a removed sender, consumed at the target's next materialization;
 * the plain inbox buffer (``_inboxes``) — posts made since the last
   round, which sort after the flows at the next boundary (matching the
-  tracked loop's physical append order exactly);
+  tracked loop, whose inbox is its delivered parts, then its buffer);
 * ``_lane[target]`` — the application lane: one-shot sends
   (``RoundContext.send_once``) delivered at the last boundary, held
   outside the flow columns; their targets and those of ``AppPayload``
@@ -191,16 +190,17 @@ bit-for-bit identical to the tracked loop (the differential suite in
 ``tests/test_columnar.py`` asserts this round-for-round).
 
 The columnar loop is only sound under the unit-delivery flow induction,
-so the kernel drops back to the tracked loop (draining its columns into
-real inboxes) whenever latency models, partial activation, or
-drop-filter changes appear, or a round is **dense**
-(:meth:`ColumnarScheduler._dense`: flat inboxes beat per-actor
-materialization when most actors execute), and re-enters one round
-after the last out-of-band flow event.  Both loops obey one lane rule,
-so application mail crosses either switch as it is: the exit drains the
-lane into the real inboxes in the tracked loop's order and leaves its
-targets in the mail set, the entry picks the mail back up from the
-inboxes.  The full-scan spec loop remains the executable reference.
+so the kernel drops back to the tracked loop (handing its columns over
+as delivered parts) under non-unit delivery, partial activation and for
+the round after a drop-filter change, and re-enters one round after the
+last out-of-band flow event; the rounds before the first entry are
+tracked too.  How many actors execute plays no part: a dense round
+(a cold start, a crash wave) runs the columns like a sparse one.  Both
+loops obey one lane rule, so application mail crosses either switch as
+it is: the exit hands the lane over as one-shot parts in the tracked
+loop's order and leaves its targets in the mail set, the entry takes the
+lane from the one-shot parts and leaves the buffers as posts.  The
+full-scan spec loop remains the executable reference.
 """
 
 from __future__ import annotations
@@ -275,11 +275,6 @@ class ColumnarScheduler(SynchronousScheduler):
     """The activity-tracked kernel: the tracked loop and the columnar
     loop over one dirty set (module docstring)."""
 
-    #: a round with more than this share of the actors dirty is dense and
-    #: runs the tracked loop: the crossover measured on cold starts
-    #: (docs/ARCHITECTURE.md)
-    DENSE_SHARE = 0.5
-
     def __init__(self, time_model: Optional[TimeModel] = None) -> None:
         super().__init__(time_model=time_model)
         # ---- activity tracking (both loops) ---------------------------
@@ -323,14 +318,15 @@ class ColumnarScheduler(SynchronousScheduler):
         #: the cached outbox split into its sub-flows (target -> SubFlow);
         #: an unchanged sub-flow stays the same object from step to step
         self._out_by: Dict[Hashable, Dict[Hashable, SubFlow]] = {}
-        #: non-unit delivery: each sender's split scheduled under one
+        #: the tracked loop: each sender's split scheduled under one
         #: model, ``(split, model, next-round parts, ((delay, parts),
         #: ...))`` with parts ``(target, envelopes)`` — rebuilt when the
         #: split or the model is a new object (see :meth:`_deliver_flows`)
         self._plans: Dict[Hashable, tuple] = {}
-        #: non-unit delivery: the parts delivered to each target at the
-        #: last delivery point, in inbox order; an inbox is its parts
-        #: followed by its plain buffer (``_inboxes``: posts since)
+        #: the tracked loop: the parts delivered to each target at the
+        #: last delivery point (or handed over by a columnar exit), in
+        #: inbox order; an inbox is its parts followed by its plain
+        #: buffer (``_inboxes``: posts since)
         self._parts: Dict[Hashable, List[Sequence[Envelope]]] = {}
         #: rolling hash over all tracked actors' state tokens
         self._state_hash = 0
@@ -356,10 +352,6 @@ class ColumnarScheduler(SynchronousScheduler):
         #: whether the columnar fast path is currently driving rounds
         self._cols_active = False
         self._clear_columns()
-        #: AppPayload posts accepted outside the columns since the last
-        #: round; columnar entry tells them from last round's one-shot
-        #: sends, which sit in the same real inboxes
-        self._late_posts: List[Envelope] = []
 
     def _clear_columns(self) -> None:
         """Empty the columns: outside the columnar loop they hold nothing."""
@@ -578,10 +570,9 @@ class ColumnarScheduler(SynchronousScheduler):
         reaches in flight (the network's ``_wake_flow_refs``).
 
         O(pending); every payload must enumerate its refs.  Scans the
-        plain inboxes (the buffer while the columns are live), the
-        delivered parts of non-unit delivery and the columns (both empty
-        while the other is in use) a sub-flow at a time, and the lane an
-        envelope at a time.
+        buffers, the tracked loop's delivered parts and the columns
+        (both empty while the other is in use) a sub-flow at a time, and
+        the lane an envelope at a time.
         """
         receivers = receivers_referencing(owners, self._inboxes)
         disjoint = owners.isdisjoint
@@ -607,9 +598,9 @@ class ColumnarScheduler(SynchronousScheduler):
         ``stepper`` provides ``run_batch(items, lane)``, ``items`` being
         a round's ``[(key, actor, parts, ctx), ...]`` in key order, where
         ``parts`` lists the envelope lists whose concatenation is the
-        actor's inbox (the tracked loop passes the whole inbox as one
-        part; the columnar loop passes its persistent :class:`SubFlow`
-        objects and the one-shot mail around them).  ``run_batch`` must
+        actor's inbox: in both loops the persistent :class:`SubFlow`
+        objects (what of them a drop filter lets through) and the
+        one-shot mail around them.  ``run_batch`` must
         leave every actor's observable effects (state, ``ctx`` outbox,
         counters, replay hooks) exactly as the equivalent sequence of
         ``actor.step(inbox, ctx)`` calls would — the equivalence suites
@@ -662,8 +653,6 @@ class ColumnarScheduler(SynchronousScheduler):
             self._dirty.add(target)
             self._dirty_carry.add(target)
             self._flow_flag = True  # one-shot injection: next boundary differs
-        if app and not self._cols_active:
-            self._late_posts.append(envelope)
         return True
 
     def set_drop_filter(self, drop: Optional[Callable[[Envelope], bool]]) -> None:
@@ -825,14 +814,11 @@ class ColumnarScheduler(SynchronousScheduler):
     # ------------------------------------------------------------------
     def _run_round(self, active: Optional[frozenset]) -> None:
         """One round through the columnar loop, or through the tracked
-        loop under partial activation, non-unit delivery, a dense round
-        (:meth:`_dense`) or out-of-band flow events not yet absorbed."""
-        late_posts = self._late_posts
-        if late_posts:
-            self._late_posts = []
-        if active is None and self._unit_settled() and not self._dense():
+        loop under partial activation, non-unit delivery or out-of-band
+        flow events not yet absorbed."""
+        if active is None and self._unit_settled():
             if not self._cols_active and not self._flow_flag:
-                self._enter_columnar(late_posts)
+                self._enter_columnar()
             if self._cols_active:
                 self._run_round_columnar()
                 return
@@ -841,11 +827,6 @@ class ColumnarScheduler(SynchronousScheduler):
         elif self._cols_active:
             self._exit_columnar()
         self._run_round_tracked(active)
-
-    def _dense(self) -> bool:
-        """Whether more than ``DENSE_SHARE`` of the actors must execute
-        next round."""
-        return self.dirty_count() > self.DENSE_SHARE * len(self._actors)
 
     # ------------------------------------------------------------------
     # the tracked loop
@@ -928,9 +909,9 @@ class ColumnarScheduler(SynchronousScheduler):
         hook executes instead.  ``ctx`` is ``None`` for a plain replay.
         Every inbox is taken first, then the round goes to the stepper
         in one ``run_batch(items, lane)``: an inbox is handed over as
-        its parts — under non-unit delivery the delivered sub-flows,
-        buckets and one-shots (:meth:`_deliver_flows`), then the plain
-        buffer; under unit delivery the whole flat inbox.
+        its parts — the delivered sub-flows, buckets and one-shots
+        (:meth:`_deliver_flows`), then the plain buffer — and only the
+        one-shot parts are searched for application mail.
         """
         actors, inboxes = self._actors, self._inboxes
         parts_of = self._parts
@@ -1010,12 +991,10 @@ class ColumnarScheduler(SynchronousScheduler):
         self._lane_flag = False
         changed_keys: Set[Hashable] = set()
         newly_dirty: Set[Hashable] = set()
-        # under non-unit delivery a sender contributes its sub-flows,
-        # delivered from their cached delay buckets (see _deliver_flows)
-        by_flow = not self._delivery.is_unit
-        #: unit delivery: the flat outboxes in delivery order; otherwise
-        #: (sender, its one-shot sends) in delivery order
-        contributions: List[Any] = []
+        #: (sender, its one-shot sends) in delivery order: a sender
+        #: contributes its sub-flows, delivered from their cached delay
+        #: buckets (see :meth:`_deliver_flows`)
+        senders: List[tuple] = []
         #: sender -> outbox patch of this round (see :meth:`_post_step`)
         patches: Dict[Hashable, tuple] = {}
         #: the round's one-shot sends, per sender in key order
@@ -1049,12 +1028,7 @@ class ColumnarScheduler(SynchronousScheduler):
             # never enter ``_out``, so sender and target both stay valid
             # replay templates
             once = ctx._once if ctx is not None else None
-            if by_flow:
-                contributions.append((key, once))
-            else:
-                contributions.append(self._out[key])
-                if once:
-                    contributions.append(once)
+            senders.append((key, once))
             if once:
                 onces.append(once)
 
@@ -1094,10 +1068,7 @@ class ColumnarScheduler(SynchronousScheduler):
                     self._lane_flag = True  # consumed next round: that boundary differs too
                 else:
                     self._one_shot(round_no, env, d)
-        if by_flow:
-            self._deliver_flows(round_no, contributions, executed, replayed, _t0)
-        else:
-            self._deliver_round(round_no, contributions, executed, replayed, _t0)
+        self._deliver_flows(round_no, senders, executed, replayed, _t0)
         if settled and active is None:
             self.changed_last_round = state_changed_any or flow_changed
         else:
@@ -1139,7 +1110,7 @@ class ColumnarScheduler(SynchronousScheduler):
         replayed: int,
         step_t0: float,
     ) -> None:
-        """The tracked loop's delivery point under non-unit delivery:
+        """The tracked loop's delivery point, under every delivery model:
         :meth:`SynchronousScheduler._deliver_round` a part at a time.
 
         ``senders`` lists ``(sender, its one-shot sends)`` in delivery
@@ -1372,79 +1343,74 @@ class ColumnarScheduler(SynchronousScheduler):
     # ------------------------------------------------------------------
     # mode transitions
     # ------------------------------------------------------------------
-    def _enter_columnar(self, late_posts: List[Envelope]) -> None:
+    def _enter_columnar(self) -> None:
         """Derive the columns from the steady-emission cache.
 
         Only called at a boundary with no pending flow events
-        (``_flow_flag`` clear), where the inboxes provably equal
+        (``_flow_flag`` clear), where the delivered parts provably equal
         the filtered steady deliveries plus application mail — so the
         steady part can be dropped and regenerated from ``_out`` on
-        exit.  The application mail moves into the lane: last round's
-        one-shot sends (already in sender order) into ``_lane``, the
-        posts made since (``late_posts``) stay behind as the buffer.
-        The derived columns must hold the inboxes as a
-        fingerprint multiset: checked at entry.
+        exit.  The application mail of the one-shot (non-:class:`SubFlow`)
+        parts, last round's one-shot sends in sender order, becomes the
+        lane; the buffers keep the posts made since.  The derived columns
+        must hold the parts and buffers as a fingerprint multiset:
+        checked at entry.
         """
         expected = self.config_hash()[1]
-        # the parts of the last non-unit delivery point, if any, go back
-        # in front of their buffers: the inboxes hold everything pending
-        for target, parts in self._parts.items():
-            self._inboxes[target][:0] = chain.from_iterable(parts)
+        parts_of = self._parts
         self._parts = {}
         self._plans = {}
         self._clear_columns()
-        self._lane_targets = set()
         self._settled = {key: self._round - 1 for key in self._actors}
         for key in self._actors:
             self._flow_sent += len(self._out.get(key, ()))
             drops = self._install_sender_flows(key)
             self._drop_by[key] = drops
             self._flow_dropped += drops
-        if self._lane_flag:
-            posted = {id(env) for env in late_posts}
-            for target, box in self._inboxes.items():
-                mail = [env for env in box if isinstance(env.payload, AppPayload)]
-                if mail:
-                    sends = [env for env in mail if id(env) not in posted]
-                    if sends:
-                        self._lane[target] = sends
-                    self._lane_targets.add(target)
-                    box[:] = [env for env in mail if id(env) in posted]
-                else:
-                    box.clear()
-        else:
-            for box in self._inboxes.values():
-                box.clear()
+        for target, parts in parts_of.items():
+            sends = [
+                env
+                for part in parts
+                if part.__class__ is not SubFlow
+                for env in part
+                if isinstance(env.payload, AppPayload)
+            ]
+            if sends:
+                self._lane[target] = sends
+        self._lane_targets = {key for key, box in self._inboxes.items() if box}
+        self._lane_targets.update(self._lane)
         self._cols_active = True
         assert self.config_hash()[1] == expected, (
             "columnar entry: the derived columns diverge from the "
-            "inboxes — flow bookkeeping bug"
+            "delivered parts — flow bookkeeping bug"
         )
         self._sync_tel_flow_types()
 
-    def _boundary_inbox(self, target: Hashable) -> List[Envelope]:
-        """The target's pending messages in the tracked loop's inbox order:
-        ``[per sender in key order: flows, ghosts, one-shot sends]
-        [buffer]`` — a sender's one-shots follow its steady emissions,
-        exactly where :meth:`_deliver_round` puts them."""
-        inbox: List[Envelope] = []
+    def _boundary_parts(self, target: Hashable) -> List[Sequence[Envelope]]:
+        """The target's pending messages but its buffer, as the tracked
+        loop's parts: ``[per sender in key order: flow, ghost, one-shot
+        sends]`` — a sender's one-shots follow its steady emissions,
+        exactly where :meth:`_deliver_flows` puts them."""
         flows = self._flow_in.get(target) or {}
         ghosts = self._ghost.get(target) or {}
-        lane: SubFlows = {}
+        lane: Dict[Hashable, List[Envelope]] = {}
         for env in self._lane.get(target, ()):
             lane.setdefault(env.sender, []).append(env)
-        for sender in sorted({*flows, *ghosts, *lane}):
-            inbox.extend(flows.get(sender, ()))
-            inbox.extend(ghosts.get(sender, ()))
-            inbox.extend(lane.get(sender, ()))
-        inbox.extend(self._inboxes.get(target, ()))
-        return inbox
+        return [
+            column[sender]
+            for sender in sorted({*flows, *ghosts, *lane})
+            for column in (flows, ghosts, lane)
+            if sender in column
+        ]
 
     def _exit_columnar(self) -> None:
-        """Materialize every inbox and fall back to the tracked loop."""
+        """Hand every pending message to the tracked loop as delivered
+        parts (the buffers stay as they are) and fall back to it."""
         self.settle_replays()
         for target in self._actors:
-            self._inboxes[target] = self._boundary_inbox(target)
+            parts = self._boundary_parts(target)
+            if parts:
+                self._parts[target] = parts
         # the lane's targets stay behind as the tracked loop's mail set
         self._clear_columns()
         self._cols_active = False
@@ -1503,19 +1469,12 @@ class ColumnarScheduler(SynchronousScheduler):
         return count
 
     def all_pending(self) -> List[Envelope]:
-        if not self._cols_active:
-            parts_of = self._parts
-            if not parts_of:
-                return super().all_pending()
-            out = []
-            for target in sorted(self._inboxes):
-                for part in parts_of.get(target, ()):
-                    out.extend(part)
-                out.extend(self._inboxes[target])
-            return out
+        parts_of = self._boundary_parts if self._cols_active else self._parts.get
         out: List[Envelope] = []
         for target in sorted(self._inboxes):
-            out.extend(self._boundary_inbox(target))
+            for part in parts_of(target) or ():
+                out.extend(part)
+            out.extend(self._inboxes[target])
         return out
 
     # ------------------------------------------------------------------

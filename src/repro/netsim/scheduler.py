@@ -466,8 +466,7 @@ class SynchronousScheduler:
         replayed: int,
         step_t0: float,
     ) -> None:
-        """The delivery point of the spec loop (and of the columnar
-        kernel's tracked loop under unit delivery).
+        """The delivery point of the spec loop.
 
         Matured delayed sends land first, then the round's ``outboxes``
         in order: each envelope is scheduled (delay beyond one round),

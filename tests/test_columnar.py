@@ -2,13 +2,12 @@
 
 The columnar kernel (flow-indexed inboxes over interned NodeRef ids,
 batched dirty-set rule evaluation, bulk per-round delivery, the tracked
-loop on dense rounds) must be **round-for-round equivalent** to the
+loop under latency, partial activation and filter changes) must be **round-for-round equivalent** to the
 full-scan spec: same :class:`StabilizationReport`, same
 ``fingerprint()`` at every boundary, and same rule-firing counters —
 across churn, partial activation, latency models, drop filters, and
-whole scenario campaigns.  These tests drive
-the kernel as shipped, the kernel with its columnar loop forced on every
-round, and the spec over the same inputs and compare.
+whole scenario campaigns.  These tests drive the kernel and the spec
+over the same inputs and compare.
 
 The suite also pins the :class:`repro.core.noderef.InternTable`
 invariants the columnar layout leans on: one singleton ref per identity
@@ -27,24 +26,23 @@ from repro.core.noderef import INTERN, NodeRef, make_ref
 from repro.idspace.ring import IdSpace
 from repro.netsim.columnar import ColumnarScheduler
 from repro.netsim.rng import SeedSequence
-from repro.scenarios import make_scenario, run_scenario, scenario_names
+from repro.scenarios import make_scenario, run_scenario
 from repro.workloads.churn import ChurnSchedule, apply_event
 from repro.workloads.initial import (
     build_random_network,
     corrupt_network,
     random_peer_ids,
 )
-from tests.conftest import FORCED, build, force_columnar, kernel
 
 ROOT = SeedSequence(61011)
 
 
-def build_triple(n: int, seed: int, corrupt: bool = False):
-    """The same seeded start: the kernel as shipped, forced columnar,
-    and the full-scan spec (last)."""
+def build_pair(n: int, seed: int, corrupt: bool = False):
+    """The same seeded start: the columnar kernel, and the full-scan
+    spec (last)."""
     nets = [
-        build(build_random_network, engine, n=n, seed=seed)
-        for engine in ("columnar", FORCED, "full")
+        build_random_network(n=n, seed=seed, engine=engine)
+        for engine in ("columnar", "full")
     ]
     if corrupt:
         for net in nets:
@@ -53,7 +51,7 @@ def build_triple(n: int, seed: int, corrupt: bool = False):
 
 
 def assert_equivalent(nets, context: str = "") -> None:
-    """Full observable equality across the triple."""
+    """Full observable equality across the pair."""
     ref = nets[-1]
     for net in nets[:-1]:
         assert net.fingerprint() == ref.fingerprint(), f"fingerprint diverged {context}"
@@ -93,64 +91,82 @@ class TestColumnarEngineSelection:
 
 
 class TestLoopSelection:
-    """The kernel picks each round's loop from what it observes: a dense
-    round — more than ``DENSE_SHARE`` of the actors dirty, no application
-    mail pending — runs the tracked loop, any other unit round the
-    columnar loop.  A round that executed more than that share was dense
-    at its start, so ``executed_last_round`` tells the two apart."""
+    """Once entered, the columnar loop runs every full round under
+    settled unit delivery, however many actors execute.  The tracked
+    loop runs only what the columns cannot express — non-unit delivery,
+    partial activation, the round after a drop-filter change — and the
+    kernel re-enters the columns as soon as they can run again."""
 
     @staticmethod
     def _rounds_until_stable(net) -> list:
-        """``(dense, columnar)`` per round, run to the fixpoint."""
+        """``(executed, columnar)`` per round, run to the fixpoint."""
         sched, log = net.scheduler, []
         while True:
             net.run_round()
-            dense = sched.executed_last_round > sched.DENSE_SHARE * len(net.peers)
-            log.append((dense, sched._cols_active))
+            log.append((sched.executed_last_round, sched._cols_active))
             if not sched.changed_last_round:
                 return log
 
-    def test_one_seeded_run_takes_each_loop_where_it_fits(self):
+    def test_the_columns_keep_every_full_unit_round(self):
         from repro.traffic import TrafficPlane
 
         net = build_random_network(n=24, seed=5)
         sched = net.scheduler
+        # a cold start: dense rounds, most peers executing
         cold = self._rounds_until_stable(net)
-        assert sum(dense for dense, _ in cold) >= 3
-        assert not any(cols for dense, cols in cold if dense)
-        assert cold[-1] == (False, True)
-        # a join: the sparse repair rounds run columnar
+        assert all(cols for _executed, cols in cold)
+        assert sum(executed > len(net.peers) // 2 for executed, _ in cold) >= 3
+        # a join, then a crash wave: the repair rounds
         new_id = next(i for i in range(1, 2**20) if i not in net.peers)
         net.join(new_id, net.peer_ids[0])
-        repair = self._rounds_until_stable(net)
-        sparse = [cols for dense, cols in repair if not dense]
-        assert sparse and all(sparse)
-        # every peer dirty: dense, the tracked loop ...
-        for pid in net.peers:
-            sched.mark_dirty(pid)
-        net.run_round()
-        assert sched.executed_last_round == len(net.peers) and not sched._cols_active
-        # ... application mail pending or not: both loops obey one lane rule
+        assert all(cols for _executed, cols in self._rounds_until_stable(net))
+        for pid in net.peer_ids[1::6]:
+            net.crash(pid)
+        assert all(cols for _executed, cols in self._rounds_until_stable(net))
+        # a traffic round with every peer dirty
         plane = TrafficPlane(net)
-        net.run_round()
-        assert sched._cols_active
         for pid in net.peers:
             sched.mark_dirty(pid)
         plane.lookup("some-key", net.peer_ids[0])
         net.run_round()
-        assert sched.executed_last_round == len(net.peers) and not sched._cols_active
-        net.run_round()
-        assert sched._cols_active
+        assert sched.executed_last_round == len(net.peers) and sched._cols_active
         plane.drain()
+        assert sched._cols_active
         assert plane.collector.summary()["completed"] == 1
+
+    @pytest.mark.parametrize("trigger", ["latency", "partial", "filter"])
+    def test_the_tracked_loop_runs_what_the_columns_cannot(self, trigger):
+        net = build_random_network(n=16, seed=3)
+        net.run_until_stable(max_rounds=4000)
+        sched = net.scheduler
+        assert sched._cols_active
+        if trigger == "latency":
+            net.set_delivery_model({"kind": "constant", "delay": 2})
+        elif trigger == "partial":
+            net.set_daemon({"kind": "partial", "p": 0.5, "seed": 1})
+        else:
+            sched.set_drop_filter(lambda env: False)
+        loops = []
+        for _ in range(4):
+            net.run_round()
+            loops.append(sched._cols_active)
+        # a filter change costs one round; the others last while in effect
+        assert loops == ([False, True, True, True] if trigger == "filter" else [False] * 4)
+        if trigger == "latency":
+            net.set_delivery_model("unit")
+        elif trigger == "partial":
+            net.set_daemon("full")
+        net.run_until_stable(max_rounds=4000)
+        net.run_round()
+        assert sched._cols_active and sched.executed_last_round == 0
 
 
 class TestColumnarStabilization:
     @pytest.mark.parametrize("n,seed,corrupt", STARTS)
     def test_seeded_start_same_report_and_fingerprint(self, n, seed, corrupt):
-        nets = build_triple(n, seed, corrupt)
+        nets = build_pair(n, seed, corrupt)
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1] == reports[2], (
+        assert reports[0] == reports[1], (
             f"reports diverged at n={n} seed={seed} corrupt={corrupt}"
         )
         assert_equivalent(nets, f"at n={n} seed={seed} corrupt={corrupt}")
@@ -174,7 +190,7 @@ class TestColumnarLockstep:
 
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_fingerprints_match_every_round(self, seed):
-        nets = build_triple(10, seed, corrupt=(seed % 2 == 0))
+        nets = build_pair(10, seed, corrupt=(seed % 2 == 0))
         for r in range(60):
             for net in nets:
                 net.run_round()
@@ -184,7 +200,7 @@ class TestColumnarLockstep:
     def test_churn_trajectory_lockstep(self, seed):
         """join → graceful leave → crash → rejoin of the crashed id,
         compared at every boundary (the rejoin revives frozen flows)."""
-        nets = build_triple(16, seed)
+        nets = build_pair(16, seed)
         rng = ROOT.child("churn", seed=seed).rng()
         new_id = random_peer_ids(1, rng, nets[0].space)[0]
         while new_id in nets[0].peers:
@@ -211,7 +227,7 @@ class TestColumnarLockstep:
             assert_equivalent(nets, f"at round {r} (seed={seed})")
 
     def test_churn_schedule_same_trajectory(self):
-        nets = build_triple(10, 5)
+        nets = build_pair(10, 5)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         schedule = ChurnSchedule.random(nets[0], events=4, seed=55)
@@ -220,7 +236,7 @@ class TestColumnarLockstep:
             for net in nets:
                 apply_event(net, event)
                 reports.append(net.run_until_stable(max_rounds=4000))
-            assert reports[0] == reports[1] == reports[2], f"after {event}"
+            assert reports[0] == reports[1], f"after {event}"
             assert_equivalent(nets, f"after {event}")
 
     @pytest.mark.parametrize("event", ["crash", "leave", "join"])
@@ -228,7 +244,7 @@ class TestColumnarLockstep:
         """A wave of membership events between two rounds asks the
         in-flight ref query once, at the next round start, for all of
         them, and the trajectory stays the spec's round for round."""
-        nets = build_triple(16, 4)
+        nets = build_pair(16, 4)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         asked = []
@@ -256,14 +272,14 @@ class TestColumnarLockstep:
             for net in nets:
                 net.run_round()
             if r == 0:
-                # one query per tracked network (shipped and forced)
-                assert len(asked) == 2 and all(set(wave) <= o for o in asked)
+                # one query, on the columnar network
+                assert len(asked) == 1 and set(wave) <= asked[0]
             assert_equivalent(nets, f"at round {r} after a {event} wave")
 
     def test_partial_activation_then_stability(self):
         """Partial rounds force the columnar engine onto the parent
         path; re-entry afterwards must agree with both kernels."""
-        nets = build_triple(8, 51)
+        nets = build_pair(8, 51)
         for net in nets:
             net.run(5)
         active = set(nets[0].peer_ids[:4])
@@ -272,14 +288,14 @@ class TestColumnarLockstep:
                 net.run_round(active=active)
         assert_equivalent(nets, "after partial activation")
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1]
         assert_equivalent(nets, "after re-stabilization")
 
     def test_latency_model_switch_mid_run(self):
         """Installing a non-unit delivery model exits columnar mode;
         restoring unit delivery re-enters it — equivalence must hold
         through both transitions."""
-        nets = build_triple(10, 13)
+        nets = build_pair(10, 13)
         for net in nets:
             net.run(10)
         for net in nets:
@@ -291,13 +307,13 @@ class TestColumnarLockstep:
         for net in nets:
             net.set_delivery_model("unit")
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1]
         assert_equivalent(nets, "after returning to unit delivery")
 
     def test_drop_filter_lockstep(self):
         """A delivery-time drop filter (partition) exits columnar mode;
         lifting it re-enters — compare at every boundary."""
-        nets = build_triple(12, 17)
+        nets = build_pair(12, 17)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         side_a = frozenset(nets[0].peer_ids[: len(nets[0].peer_ids) // 2])
@@ -314,13 +330,13 @@ class TestColumnarLockstep:
         for net in nets:
             net.scheduler.set_drop_filter(None)
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1]
         assert_equivalent(nets, "after healing the partition")
 
     def test_out_of_band_perturbation_detected(self):
         """Direct state edits (caught by the version-counter sweep) must
         re-activate peers under the columnar engine too."""
-        nets = build_triple(10, 31)
+        nets = build_pair(10, 31)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         for net in nets:
@@ -328,7 +344,7 @@ class TestColumnarLockstep:
             foreign = NodeRef.real(net.peer_ids[0])
             victim.state.nodes[victim.state.max_level()].nu.add(foreign)
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1]
         assert_equivalent(nets, "after perturbation")
 
     def test_change_flag_matches_fingerprint_comparison(self):
@@ -342,20 +358,8 @@ class TestColumnarLockstep:
 
 
 class TestColumnarScenarios:
-    """Whole campaigns (traffic + latency + partitions + corruption)
-    through the scenario engine, compared report-for-report."""
-
-    @pytest.mark.parametrize("name", scenario_names())
-    def test_named_scenario_equivalent(self, name):
-        """The two legs of the kernel against each other (each against
-        the spec: tests/test_scenarios.py)."""
-        spec = make_scenario(name, n=12, seed=5)
-        col = run_scenario(spec, engine="columnar")
-        with kernel(FORCED) as engine:
-            forced = run_scenario(spec, engine=engine)
-        # dataclass equality covers recovery metrics, repair curve, SLO
-        # ledger, rule firings and the configuration digest
-        assert col == forced, f"the two round loops diverged under scenario {name!r}"
+    """Whole campaigns through the scenario engine (each against the
+    spec: tests/test_scenarios.py)."""
 
     def test_scenario_determinism(self):
         spec = make_scenario("churn-storm", n=12, seed=9)
@@ -463,7 +467,7 @@ def audit_columns(sched: ColumnarScheduler) -> None:
     # owner -> the targets whose boundary inbox references it
     holders: dict = {}
     for target in sched._actors:
-        for env in sched._boundary_inbox(target):
+        for env in chain(*sched._boundary_parts(target), sched._inboxes[target]):
             for owner in referenced_owners(env):
                 holders.setdefault(owner, set()).add(target)
     nobody = next(owner for owner in count() if owner not in holders)
@@ -489,9 +493,8 @@ def audit_columns(sched: ColumnarScheduler) -> None:
 
 
 class TestSubFlowAccounting:
-    """The columnar loop's own bookkeeping: every network here forces it
-    (a dense round would run the tracked loop, and the audits below only
-    apply while the columns are live)."""
+    """The columnar loop's own bookkeeping (the audits below apply
+    while the columns are live)."""
 
     def test_totals_equal_a_rebuild_at_every_boundary_of_a_churn_run(self):
         """Changed / stopped / started sub-flows (join, leave), dead
@@ -502,7 +505,7 @@ class TestSubFlowAccounting:
         ghosts and farewell posts are consumed in the very next round,
         so the audit also runs right after each event, before it."""
         spec = build_random_network(n=14, seed=8, engine="full")
-        net = force_columnar(build_random_network(n=14, seed=8))
+        net = build_random_network(n=14, seed=8)
         sched = net.scheduler
         ids = net.peer_ids
         fresh = next(i for i in range(1, 2**20) if i not in net.peers)
@@ -559,7 +562,7 @@ class TestSubFlowAccounting:
     def test_parts_concatenate_to_the_boundary_inbox(self, seed):
         """What a dirty actor is handed: its persistent SubFlows in
         sender order, between the one-shot lists — the flat inbox."""
-        net = force_columnar(build_random_network(n=10, seed=seed))
+        net = build_random_network(n=10, seed=seed)
         checked = 0
         for r in range(40):
             if r == 15:
@@ -572,7 +575,7 @@ class TestSubFlowAccounting:
                 continue
             probe = copy.deepcopy(sched)
             for key in sorted(k for k in probe._dirty if k in probe._actors):
-                flat = probe._boundary_inbox(key)
+                flat = [*chain(*probe._boundary_parts(key)), *probe._inboxes[key]]
                 flows = probe._flow_in.get(key, {})
                 parts = probe._materialize_inbox(key)
                 assert list(chain.from_iterable(parts)) == flat
@@ -585,7 +588,7 @@ class TestSubFlowAccounting:
         assert checked > 20
 
     def test_a_sub_flow_survives_copies_without_what_it_carries(self):
-        net = force_columnar(build_random_network(n=6, seed=3))
+        net = build_random_network(n=6, seed=3)
         net.run(12)
         subs = [s for by in net.scheduler._flow_in.values() for s in by.values()]
         sub = max(subs, key=len)
@@ -618,7 +621,6 @@ class TestSubFlowAccounting:
                 pass
 
         sched = ColumnarScheduler()
-        sched.DENSE_SHARE = 1.0
         sched.add_actor("a", Chatty())
         sched.add_actor("b", Quiet())
         with pytest.raises(AssertionError, match="lane contract"):

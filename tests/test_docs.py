@@ -4,8 +4,9 @@ Two enforcement layers, both part of the tier-1 suite:
 
 * every ``>>>`` snippet in README.md and docs/*.md is executed as a
   doctest (so quickstarts cannot rot);
-* every relative Markdown link and anchor resolves, and every repo
-  path named in code exists (``tools/check_docs.py``).
+* every relative Markdown link and anchor resolves, every repo path
+  named in code exists, and every ``Class.member`` code span names a
+  member of its class (``tools/check_docs.py``).
 """
 
 from __future__ import annotations
@@ -70,6 +71,36 @@ class TestDocs:
             "README.md: missing path tools/gone.py",
             "README.md: missing path tests/*.py",
             "README.md: missing path examples/gone.py",
+        ]
+
+    def test_class_members_must_exist(self, tmp_path, monkeypatch):
+        checker = _load_checker()
+        monkeypatch.setattr(checker, "ROOT", tmp_path)
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "kernel.py").write_text(
+            "class Base:\n"
+            "    LIMIT = 3\n"
+            "    def run(self):\n"
+            "        self._state = 0\n"
+            "class Kernel(Base):\n"
+            "    size: int\n"
+            "    def step(self):\n"
+            "        pass\n"
+            "class Flow(list):\n"
+            "    pass\n"
+        )
+        doc = tmp_path / "README.md"
+        doc.write_text(
+            "`Kernel.step()`, `Kernel.run`, `Kernel.LIMIT`, `Kernel._state`,\n"
+            "`Kernel.size`, `Flow.append`, `Kernel.SHARE`, `x.Flow.gone`;\n"
+            "`Other.anything` is not defined here\n"
+            "```\nKernel.fenced\n```\n"
+        )
+        broken, _external = checker.check_file(doc)
+        assert broken == [
+            "README.md: no member Kernel.SHARE",
+            "README.md: no member Flow.gone",
         ]
 
     #: public-API modules whose docstring examples must keep executing

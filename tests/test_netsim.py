@@ -13,6 +13,7 @@ from repro.netsim.messages import Envelope, envelope_fingerprint
 from repro.netsim.rng import SeedSequence
 from repro.netsim import scheduler as scheduler_module
 from repro.netsim.scheduler import SynchronousScheduler
+from repro.netsim.timemodel import ActivationDaemon
 from repro.telemetry import TelemetryRecorder
 
 
@@ -148,17 +149,27 @@ class TestScheduler:
         assert sched.actor_keys() == [1, 2, 3]
 
 
+class EveryoneAwake(ActivationDaemon):
+    """A partial daemon that wakes every actor: each round is a partial
+    round, so the columnar kernel runs all of them on its tracked loop
+    while the delivery semantics stay those of full rounds."""
+
+    kind = "everyone"
+
+    def select(self, round_no, keys):
+        return frozenset(keys)
+
+
 class TestSchedulerTrackedLoop(TestScheduler):
-    # toy actors have no probes: every actor is dirty, every round dense
-    kernel = ColumnarScheduler
-
-
-class TestSchedulerColumnarLoop(TestScheduler):
     @staticmethod
     def kernel():
         sched = ColumnarScheduler()
-        sched.DENSE_SHARE = 1.0  # no round is dense
+        sched.set_daemon(EveryoneAwake())
         return sched
+
+
+class TestSchedulerColumnarLoop(TestScheduler):
+    kernel = ColumnarScheduler
 
 
 class TestSchedulerSemanticsRegressions:
@@ -264,13 +275,12 @@ def meddling_scheduler(loop: str):
     """A scheduler of four clean actors plus a dirty meddler ("a", armed
     by setting its ``meddle``), whose next round runs in ``loop``; also
     returns the ``_cols_active`` value that loop shows during a step
-    (``None``: the spec loop)."""
+    (``None``: the spec loop).  ``tracked`` reaches the tracked loop
+    under unit delivery through a drop-filter change."""
     if loop == "spec":
         sched, expected = SynchronousScheduler(), None
     else:
         sched = ColumnarScheduler()
-        # columnar: no round is dense; dense: every round is
-        sched.DENSE_SHARE = 1.0 if loop == "columnar" else 0.0
         expected = loop == "columnar"
     meddler = Meddler(sched)
     sched.add_actor("a", meddler)
@@ -282,10 +292,12 @@ def meddling_scheduler(loop: str):
     if loop != "spec":  # the spec loop steps everyone anyway
         assert sched.executed_last_round == 0  # everyone replays
         sched.mark_dirty("a")
+    if loop == "tracked":
+        sched.set_drop_filter(lambda env: False)
     return sched, meddler, expected
 
 
-LOOPS = ["spec", "columnar", "dense", "latency"]
+LOOPS = ["spec", "columnar", "tracked", "latency"]
 
 #: every change in every loop; the spec scheduler has no ``mark_dirty``
 GUARD_MATRIX = [

@@ -29,7 +29,7 @@ from repro.traffic.messages import OP_LOOKUP, ST_OK, LookupReply, LookupRequest
 from repro.traffic.plane import TrafficPlane
 from repro.traffic.slo import IssuedOp, SLOCollector, percentile
 from repro.workloads.initial import build_random_network, corrupt_network
-from tests.conftest import ENGINES, FORCED, build, kernel
+from tests.conftest import ENGINES, build
 
 
 def _run_instrumented(engine: str, n: int = 10, seed: int = 7, rounds: int = 30):
@@ -107,11 +107,9 @@ class TestEngineInvariance:
             net, rec = _run_instrumented(engine)
             censuses[engine] = net.telemetry_census()
             kernels[engine] = rec.kernel_stats()
-        assert censuses["full"] == censuses["columnar"] == censuses[FORCED]
-        # the execute/replay split is a dirty-set concept: identical
-        # between the columnar kernel's two round loops, different for
-        # full-scan (which executes every peer every round)
-        assert kernels["columnar"] == kernels[FORCED]
+        assert censuses["full"] == censuses["columnar"]
+        # the execute/replay split is a dirty-set concept: full-scan
+        # executes every peer every round
         assert kernels["full"]["replayed"] == 0
 
     def test_enabled_run_bit_for_bit_identical_to_disabled(self):
@@ -274,9 +272,8 @@ class TestScenarioTelemetry:
     def test_dropped_by_window_engine_invariant(self):
         spec = make_scenario("partition-heal", n=16, seed=5)
         reports = []
-        for leg in ENGINES:
-            with kernel(leg) as engine:
-                reports.append(run_scenario(spec, engine=engine))
+        for engine in ENGINES:
+            reports.append(run_scenario(spec, engine=engine))
         windows = reports[0].dropped_by_window
         assert all(r.dropped_by_window == windows for r in reports)
         by_label = dict(windows)

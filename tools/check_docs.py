@@ -12,7 +12,11 @@ Validates every Markdown link in ``README.md`` and ``docs/*.md``:
 * repository paths under ``benchmarks/``, ``examples/``, ``src/``,
   ``tests/`` and ``tools/`` named in inline code spans or code fences
   must exist (a glob pattern must match something), so a doc cannot
-  name a deleted file.
+  name a deleted file;
+* a ``Class.member`` inline code span whose class is defined under
+  ``src/repro/`` must name a member of that class or of one of its bases
+  (a static parse: methods, class attributes and ``self.`` attributes),
+  so a doc cannot cite a deleted name.
 
 Exits non-zero on the first class of broken links, printing all of
 them.  ``tests/test_docs.py`` runs the same check per file.
@@ -20,10 +24,13 @@ them.  ``tests/test_docs.py`` runs the same check per file.
 
 from __future__ import annotations
 
+import ast
+import builtins
+import functools
 import re
 import sys
 from pathlib import Path
-from typing import List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,6 +45,9 @@ CODE_RE = re.compile(r"`([^`]+)`")
 
 #: a repository path inside code (not the tail of a longer one: ``foo/src/x``)
 PATH_RE = re.compile(r"(?<![\w./-])(?:benchmarks|examples|src|tests|tools)/[\w./*-]*")
+
+#: ``Class.member`` inside code: a capitalized name, a dot, a member
+MEMBER_RE = re.compile(r"(?<!\w)([A-Z]\w*)\.(\w+)")
 
 
 def doc_files() -> List[Path]:
@@ -86,18 +96,91 @@ def extract_links(path: Path) -> List[str]:
     return links
 
 
-def extract_paths(path: Path) -> List[str]:
-    """Repository paths named in a markdown file's code: inline spans
-    outside fences, whole lines inside them."""
-    paths: List[str] = []
+def code_strings(path: Path, fences: bool) -> List[str]:
+    """A markdown file's code, in order: inline spans outside fences
+    and, with ``fences``, whole lines inside them."""
+    code: List[str] = []
     in_fence = False
     for line in path.read_text().splitlines():
         if line.strip().startswith("```"):
             in_fence = not in_fence
+        elif not in_fence:
+            code.extend(CODE_RE.findall(line))
+        elif fences:
+            code.append(line)
+    return code
+
+
+def extract_paths(path: Path) -> List[str]:
+    """Repository paths named in a markdown file's code: inline spans
+    outside fences, whole lines inside them."""
+    return [p.rstrip(".") for code in code_strings(path, True) for p in PATH_RE.findall(code)]
+
+
+def _base_name(expr: ast.expr) -> str:
+    """The class name a base expression refers to (``a.B[T]`` -> ``B``)."""
+    if isinstance(expr, ast.Subscript):
+        expr = expr.value
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return expr.id if isinstance(expr, ast.Name) else ""
+
+
+@functools.lru_cache(maxsize=None)
+def source_classes(root: Path) -> Dict[str, Tuple[Set[str], List[str]]]:
+    """Class name -> (members, base names) of every class defined under
+    ``src/repro/`` (same-named classes merge).  Members are what the
+    class body defines and every ``self.``/``cls.`` attribute its
+    methods assign."""
+    classes: Dict[str, Tuple[Set[str], List[str]]] = {}
+    for module in sorted((root / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            members, bases = classes.setdefault(node.name, (set(), []))
+            bases.extend(_base_name(base) for base in node.bases)
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    members.add(stmt.name)
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+                    [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+                )
+                members.update(t.id for t in targets if isinstance(t, ast.Name))
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name) and sub.value.id in ("self", "cls")
+                ):
+                    members.add(sub.attr)
+    return classes
+
+
+def has_member(classes: Dict[str, Tuple[Set[str], List[str]]], name: str, member: str) -> bool:
+    """Whether class ``name`` or a base defines ``member``; a base from
+    outside the repository that is not a builtin cannot be checked and
+    counts as defining it."""
+    todo, seen = [name], set()
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
             continue
-        for code in [line] if in_fence else CODE_RE.findall(line):
-            paths.extend(p.rstrip(".") for p in PATH_RE.findall(code))
-    return paths
+        seen.add(cls)
+        if cls in classes:
+            members, bases = classes[cls]
+            if member in members:
+                return True
+            todo.extend(bases)
+        elif not isinstance(getattr(builtins, cls, None), type):
+            return True
+        elif hasattr(getattr(builtins, cls), member):
+            return True
+    return hasattr(object, member)
+
+
+def extract_members(path: Path) -> List[Tuple[str, str]]:
+    """``(class, member)`` pairs named in a markdown file's inline code
+    spans (fences excluded)."""
+    return [pair for code in code_strings(path, False) for pair in MEMBER_RE.findall(code)]
 
 
 def check_file(path: Path) -> Tuple[List[str], List[str]]:
@@ -107,6 +190,12 @@ def check_file(path: Path) -> Tuple[List[str], List[str]]:
         for name in extract_paths(path)
         if not (any(ROOT.glob(name)) if "*" in name else (ROOT / name).exists())
     ]
+    classes = source_classes(ROOT)
+    broken.extend(
+        f"{path.relative_to(ROOT)}: no member {cls}.{member}"
+        for cls, member in extract_members(path)
+        if cls in classes and not has_member(classes, cls, member)
+    )
     external: List[str] = []
     for link in extract_links(path):
         if link.startswith(("http://", "https://", "mailto:")):
