@@ -2,12 +2,13 @@
 
 The columnar kernel (flow-indexed inboxes over interned NodeRef ids,
 batched dirty-set rule evaluation, bulk per-round delivery, the tracked
-loop under latency, partial activation and filter changes) must be **round-for-round equivalent** to the
-full-scan spec: same :class:`StabilizationReport`, same
-``fingerprint()`` at every boundary, and same rule-firing counters —
-across churn, partial activation, latency models, drop filters, and
-whole scenario campaigns.  These tests drive the kernel and the spec
-over the same inputs and compare.
+loop under latency, partial activation and filter changes) must be
+**round-for-round equivalent** to the full-scan spec: same
+:class:`StabilizationReport`, same ``fingerprint()`` at every boundary,
+and same rule-firing counters — across churn, partial activation,
+latency models, drop filters, and whole scenario campaigns.  These
+tests drive the kernel as shipped, the kernel with every round on its
+tracked loop, and the spec over the same inputs and compare.
 
 The suite also pins the :class:`repro.core.noderef.InternTable`
 invariants the columnar layout leans on: one singleton ref per identity
@@ -26,23 +27,24 @@ from repro.core.noderef import INTERN, NodeRef, make_ref
 from repro.idspace.ring import IdSpace
 from repro.netsim.columnar import ColumnarScheduler
 from repro.netsim.rng import SeedSequence
-from repro.scenarios import make_scenario, run_scenario
+from repro.scenarios import make_scenario, run_scenario, scenario_names
 from repro.workloads.churn import ChurnSchedule, apply_event
 from repro.workloads.initial import (
     build_random_network,
     corrupt_network,
     random_peer_ids,
 )
+from tests.conftest import TRACKED, build, kernel
 
 ROOT = SeedSequence(61011)
 
 
-def build_pair(n: int, seed: int, corrupt: bool = False):
-    """The same seeded start: the columnar kernel, and the full-scan
-    spec (last)."""
+def build_triple(n: int, seed: int, corrupt: bool = False):
+    """The same seeded start: the kernel as shipped, the kernel with
+    every round tracked, and the full-scan spec (last)."""
     nets = [
-        build_random_network(n=n, seed=seed, engine=engine)
-        for engine in ("columnar", "full")
+        build(build_random_network, engine, n=n, seed=seed)
+        for engine in ("columnar", TRACKED, "full")
     ]
     if corrupt:
         for net in nets:
@@ -51,7 +53,7 @@ def build_pair(n: int, seed: int, corrupt: bool = False):
 
 
 def assert_equivalent(nets, context: str = "") -> None:
-    """Full observable equality across the pair."""
+    """Full observable equality across the triple."""
     ref = nets[-1]
     for net in nets[:-1]:
         assert net.fingerprint() == ref.fingerprint(), f"fingerprint diverged {context}"
@@ -134,6 +136,19 @@ class TestLoopSelection:
         assert sched._cols_active
         assert plane.collector.summary()["completed"] == 1
 
+    def test_the_tracked_leg_never_enters_the_columns(self):
+        """The differential suites' ``TRACKED`` leg runs every round of
+        a cold start on the tracked loop, built directly or through
+        ``kernel()``."""
+        net = build(build_random_network, TRACKED, n=16, seed=3)
+        loops = [cols for _executed, cols in self._rounds_until_stable(net)]
+        assert loops and not any(loops)
+        with kernel(TRACKED) as engine:
+            net = build_random_network(n=16, seed=3, engine=engine)
+            assert not any(cols for _executed, cols in self._rounds_until_stable(net))
+        net = build_random_network(n=16, seed=3)
+        assert all(cols for _executed, cols in self._rounds_until_stable(net))
+
     @pytest.mark.parametrize("trigger", ["latency", "partial", "filter"])
     def test_the_tracked_loop_runs_what_the_columns_cannot(self, trigger):
         net = build_random_network(n=16, seed=3)
@@ -164,9 +179,9 @@ class TestLoopSelection:
 class TestColumnarStabilization:
     @pytest.mark.parametrize("n,seed,corrupt", STARTS)
     def test_seeded_start_same_report_and_fingerprint(self, n, seed, corrupt):
-        nets = build_pair(n, seed, corrupt)
+        nets = build_triple(n, seed, corrupt)
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1], (
+        assert reports[0] == reports[1] == reports[2], (
             f"reports diverged at n={n} seed={seed} corrupt={corrupt}"
         )
         assert_equivalent(nets, f"at n={n} seed={seed} corrupt={corrupt}")
@@ -190,7 +205,7 @@ class TestColumnarLockstep:
 
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_fingerprints_match_every_round(self, seed):
-        nets = build_pair(10, seed, corrupt=(seed % 2 == 0))
+        nets = build_triple(10, seed, corrupt=(seed % 2 == 0))
         for r in range(60):
             for net in nets:
                 net.run_round()
@@ -200,7 +215,7 @@ class TestColumnarLockstep:
     def test_churn_trajectory_lockstep(self, seed):
         """join → graceful leave → crash → rejoin of the crashed id,
         compared at every boundary (the rejoin revives frozen flows)."""
-        nets = build_pair(16, seed)
+        nets = build_triple(16, seed)
         rng = ROOT.child("churn", seed=seed).rng()
         new_id = random_peer_ids(1, rng, nets[0].space)[0]
         while new_id in nets[0].peers:
@@ -227,7 +242,7 @@ class TestColumnarLockstep:
             assert_equivalent(nets, f"at round {r} (seed={seed})")
 
     def test_churn_schedule_same_trajectory(self):
-        nets = build_pair(10, 5)
+        nets = build_triple(10, 5)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         schedule = ChurnSchedule.random(nets[0], events=4, seed=55)
@@ -236,7 +251,7 @@ class TestColumnarLockstep:
             for net in nets:
                 apply_event(net, event)
                 reports.append(net.run_until_stable(max_rounds=4000))
-            assert reports[0] == reports[1], f"after {event}"
+            assert reports[0] == reports[1] == reports[2], f"after {event}"
             assert_equivalent(nets, f"after {event}")
 
     @pytest.mark.parametrize("event", ["crash", "leave", "join"])
@@ -244,7 +259,7 @@ class TestColumnarLockstep:
         """A wave of membership events between two rounds asks the
         in-flight ref query once, at the next round start, for all of
         them, and the trajectory stays the spec's round for round."""
-        nets = build_pair(16, 4)
+        nets = build_triple(16, 4)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         asked = []
@@ -272,14 +287,14 @@ class TestColumnarLockstep:
             for net in nets:
                 net.run_round()
             if r == 0:
-                # one query, on the columnar network
-                assert len(asked) == 1 and set(wave) <= asked[0]
+                # one query per activity-tracked network (both legs)
+                assert len(asked) == 2 and all(set(wave) <= o for o in asked)
             assert_equivalent(nets, f"at round {r} after a {event} wave")
 
     def test_partial_activation_then_stability(self):
         """Partial rounds force the columnar engine onto the parent
         path; re-entry afterwards must agree with both kernels."""
-        nets = build_pair(8, 51)
+        nets = build_triple(8, 51)
         for net in nets:
             net.run(5)
         active = set(nets[0].peer_ids[:4])
@@ -288,14 +303,14 @@ class TestColumnarLockstep:
                 net.run_round(active=active)
         assert_equivalent(nets, "after partial activation")
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
         assert_equivalent(nets, "after re-stabilization")
 
     def test_latency_model_switch_mid_run(self):
         """Installing a non-unit delivery model exits columnar mode;
         restoring unit delivery re-enters it — equivalence must hold
         through both transitions."""
-        nets = build_pair(10, 13)
+        nets = build_triple(10, 13)
         for net in nets:
             net.run(10)
         for net in nets:
@@ -307,13 +322,13 @@ class TestColumnarLockstep:
         for net in nets:
             net.set_delivery_model("unit")
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
         assert_equivalent(nets, "after returning to unit delivery")
 
     def test_drop_filter_lockstep(self):
         """A delivery-time drop filter (partition) exits columnar mode;
         lifting it re-enters — compare at every boundary."""
-        nets = build_pair(12, 17)
+        nets = build_triple(12, 17)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         side_a = frozenset(nets[0].peer_ids[: len(nets[0].peer_ids) // 2])
@@ -330,13 +345,13 @@ class TestColumnarLockstep:
         for net in nets:
             net.scheduler.set_drop_filter(None)
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
         assert_equivalent(nets, "after healing the partition")
 
     def test_out_of_band_perturbation_detected(self):
         """Direct state edits (caught by the version-counter sweep) must
         re-activate peers under the columnar engine too."""
-        nets = build_pair(10, 31)
+        nets = build_triple(10, 31)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         for net in nets:
@@ -344,7 +359,7 @@ class TestColumnarLockstep:
             foreign = NodeRef.real(net.peer_ids[0])
             victim.state.nodes[victim.state.max_level()].nu.add(foreign)
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
         assert_equivalent(nets, "after perturbation")
 
     def test_change_flag_matches_fingerprint_comparison(self):
@@ -358,8 +373,24 @@ class TestColumnarLockstep:
 
 
 class TestColumnarScenarios:
-    """Whole campaigns through the scenario engine (each against the
-    spec: tests/test_scenarios.py)."""
+    """Whole campaigns (traffic + latency + partitions + corruption)
+    through the scenario engine, compared report-for-report."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_named_scenario_equivalent(self, name):
+        """The two legs of the kernel against each other (each against
+        the spec: tests/test_scenarios.py), execute/replay split
+        included: the spec executes every peer every round, so only the
+        two legs can pin that both loops run exactly the dirty set."""
+        spec = make_scenario(name, n=12, seed=5)
+        col = run_scenario(spec, engine="columnar", telemetry=True)
+        with kernel(TRACKED) as engine:
+            tracked = run_scenario(spec, engine=engine, telemetry=True)
+        # dataclass equality covers recovery metrics, repair curve, SLO
+        # ledger, rule firings and the configuration digest
+        assert col == tracked, f"the two round loops diverged under scenario {name!r}"
+        assert col.telemetry["kernel"] == tracked.telemetry["kernel"], name
+        assert col.activity == tracked.activity, name
 
     def test_scenario_determinism(self):
         spec = make_scenario("churn-storm", n=12, seed=9)

@@ -22,7 +22,7 @@ from repro.workloads.initial import (
     corrupt_network,
     random_peer_ids,
 )
-from tests.conftest import ENGINES, build
+from tests.conftest import ENGINES, TRACKED, build
 
 ROOT = SeedSequence(20211)
 
@@ -312,13 +312,15 @@ class TestExternalMutationEquivalence:
 
 class TestTelemetryCensusEquivalence:
     """The telemetry counter census is part of the equivalence surface:
-    the same seeded run under the spec and the default kernel yields
-    identical rule firings, envelope-type counts and round/sent/dropped
-    totals."""
+    the same seeded run under the spec and both legs of the default
+    kernel (as shipped, every round tracked) yields identical rule
+    firings, envelope-type counts and round/sent/dropped totals; the
+    execute/replay split agrees between the two legs."""
 
     @pytest.mark.parametrize("n,seed,corrupt", STARTS[::5])
     def test_census_invariant(self, n, seed, corrupt):
         censuses = []
+        kernel_stats = {}
         for engine in ENGINES:
             net = build(build_random_network, engine, n=n, seed=seed)
             if corrupt:
@@ -326,7 +328,12 @@ class TestTelemetryCensusEquivalence:
             net.enable_telemetry()
             net.run_until_stable(max_rounds=4000)
             censuses.append(net.telemetry_census())
-        assert censuses[0] == censuses[1], f"census diverged at n={n} seed={seed} corrupt={corrupt}"
+            kernel_stats[engine] = net.telemetry.kernel_stats()
+        ctx = f"at n={n} seed={seed} corrupt={corrupt}"
+        assert censuses[0] == censuses[1] == censuses[2], f"census diverged {ctx}"
+        assert (
+            kernel_stats["columnar"] == kernel_stats[TRACKED]
+        ), f"kernel split diverged {ctx}"
 
     def test_census_rules_match_network_counters(self):
         net = build_random_network(n=8, seed=3)
@@ -341,7 +348,7 @@ class TestRuleBackendMatrix:
     One seeded campaign — stabilization, a latency model, live KV
     traffic, a crash, a transient partition and a join — is driven
     through the full-scan kernel on the scalar rule pipeline (the spec)
-    and the activity-tracked kernel on the batched one;
+    and both legs of the activity-tracked kernel on the batched one;
     fingerprints, rule counters, SLO outcome ledgers and the telemetry
     counter census must be identical across all of them.
     """

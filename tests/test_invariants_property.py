@@ -31,6 +31,7 @@ from repro.core.network import ReChordNetwork
 from repro.netsim.rng import SeedSequence
 from repro.workloads.churn import ChurnSchedule, apply_event
 from repro.workloads.initial import build_random_network, corrupt_network
+from tests.conftest import KERNELS, build
 
 ROOT = SeedSequence(41)
 
@@ -190,7 +191,8 @@ class TestSpecVsFastFuzz:
     Every drawn example prints its ``repro:`` line via :func:`note` —
     shown by Hypothesis on failure — so a failing topology/churn draw
     can be replayed in isolation with the stated seeds.  The
-    activity-tracked kernel on the batched rule pipeline must follow the
+    activity-tracked kernel on the batched rule pipeline — as shipped,
+    or with every round on its tracked loop — must follow the
     full-scan kernel on the scalar pipeline event by event: same
     ``run_until_stable`` reports, fingerprints and rule counters, with
     invariants (a)–(c) holding along the way.
@@ -201,12 +203,13 @@ class TestSpecVsFastFuzz:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         events=st.integers(min_value=1, max_value=4),
         corrupt=st.booleans(),
+        engine=st.sampled_from(KERNELS),
     )
     @settings(max_examples=20, deadline=None)
-    def test_churn_trajectory_fast_equals_spec(self, n, seed, events, corrupt):
+    def test_churn_trajectory_fast_equals_spec(self, n, seed, events, corrupt, engine):
         note(f"repro: n={n} seed={seed} events={events} corrupt={corrupt} — "
-             "seeded churn, engine='columnar' vs. engine='full'")
-        a = build_random_network(n=n, seed=seed)
+             f"seeded churn, engine={engine!r} vs. engine='full'")
+        a = build(build_random_network, engine, n=n, seed=seed)
         b = build_random_network(n=n, seed=seed, engine="full")
         if corrupt:
             corrupt_network(a, seed + 1)

@@ -25,6 +25,7 @@ from repro.core.noderef import make_ref
 from repro.core.rules import RuleConfig
 from repro.idspace.ring import IdSpace
 from repro.workloads.initial import build_random_network, corrupt_network
+from tests.conftest import KERNELS, build
 
 #: a config with every rule off — tests switch individual rules back on
 ALL_OFF = RuleConfig(
@@ -227,14 +228,15 @@ class TestFullPipelineDifferential:
         a, b = _pair(config, plant_wraparound)
         assert_run_identical(a, b, "(economical broadcast)")
 
+    @pytest.mark.parametrize("engine", KERNELS)
     @pytest.mark.parametrize("seed", [3, 17])
-    def test_corrupt_random_start_lockstep(self, seed):
+    def test_corrupt_random_start_lockstep(self, seed, engine):
         nets = []
-        for kind in ("full", "columnar"):
-            net = build_random_network(n=14, seed=seed, engine=kind)
+        for kind in ("full", engine):
+            net = build(build_random_network, kind, n=14, seed=seed)
             corrupt_network(net, seed + 1)
             nets.append(net)
-        assert_run_identical(*nets, f"(corrupt seed={seed})")
+        assert_run_identical(*nets, f"(corrupt seed={seed}, {engine})")
 
 
 class TestBackendSurface:
@@ -987,15 +989,16 @@ def _round_in_lockstep(spec: ReChordNetwork, fast: ReChordNetwork, context: str)
 
 
 class TestPurgeVerdictCache:
+    @pytest.mark.parametrize("engine", KERNELS)
     @pytest.mark.parametrize("event", sorted(ORACLE_EVENTS))
-    def test_every_oracle_write_invalidates_the_verdicts(self, event):
+    def test_every_oracle_write_invalidates_the_verdicts(self, event, engine):
         """A probe ref held by a bystander is judged (and cached) before
         the event and judged again after it: spec ≡ fast throughout, and
         the epoch moved by the time purge runs again."""
         apply, probe_of = ORACLE_EVENTS[event]
         nets = []
-        for kind in ("full", "columnar"):
-            net = ReChordNetwork(engine=kind, space=IdSpace(8))
+        for kind in ("full", engine):
+            net = build(ReChordNetwork, kind, space=IdSpace(8))
             for pid in _IDS:
                 net.add_peer(pid)
             for a, b in zip(_IDS, _IDS[1:]):

@@ -9,13 +9,15 @@ Three layers of guarantees:
   byte-identical :class:`ScenarioReport`, including the configuration
   digest, on repeated runs;
 * **engine equivalence** — every named scenario produces the *same*
-  report on the columnar kernel and on the full-scan kernel (the
+  report on the columnar kernel (as shipped, and with every round on
+  its tracked loop) and on the full-scan kernel (the
   ``tests/test_engine_equivalence.py`` discipline extended to the whole
   adversity vocabulary, partitions and corruption included).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -38,7 +40,7 @@ from repro.scenarios.executor import _build_start
 from repro.netsim.rng import SeedSequence
 from repro.traffic import TrafficPlane, WorkloadGenerator
 from repro.workloads.initial import build_random_network
-from tests.conftest import ENGINES, build
+from tests.conftest import ENGINES, KERNELS, build, kernel
 
 #: small campaign size used throughout (keeps the suite fast)
 N = 12
@@ -46,6 +48,12 @@ N = 12
 
 def tiny(name: str, n: int = N, seed: int = 5) -> ScenarioSpec:
     return make_scenario(name, n=n, seed=seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _spec_report(name: str):
+    """``tiny(name)`` on the full-scan spec, run once for both legs."""
+    return run_scenario(tiny(name), engine="full")
 
 
 class TestSpec:
@@ -202,13 +210,14 @@ class TestEngineEquivalence:
     """Columnar-vs-full-scan equality for the whole adversity
     vocabulary (the tests/test_engine_equivalence.py discipline)."""
 
+    @pytest.mark.parametrize("leg", KERNELS)
     @pytest.mark.parametrize("name", scenario_names())
-    def test_named_scenario_equivalent_across_kernels(self, name):
-        report = run_scenario(tiny(name), engine="columnar")
+    def test_named_scenario_equivalent_across_kernels(self, name, leg):
+        with kernel(leg) as engine:
+            report = run_scenario(tiny(name), engine=engine)
         # dataclass equality covers recovery metrics, repair curve,
         # SLO ledger, rule firings and the configuration digest
-        spec = run_scenario(tiny(name), engine="full")
-        assert report == spec, f"the columnar kernel diverged under scenario {name!r}"
+        assert report == _spec_report(name), f"{leg} diverged under scenario {name!r}"
 
     def test_partition_lockstep_fingerprints(self):
         """Round-for-round equality while a drop filter is installed,

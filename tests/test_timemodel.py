@@ -51,7 +51,7 @@ from repro.netsim.timemodel import (
 from repro.traffic import TrafficPlane, WorkloadGenerator
 from repro.traffic.messages import OP_GET, OP_LOOKUP, OP_PUT
 from repro.workloads.initial import build_random_network, random_peer_ids
-from tests.conftest import build
+from tests.conftest import KERNELS, build
 
 #: non-unit delivery specs exercised throughout
 LATENCY_MODELS = (
@@ -432,7 +432,7 @@ class TestClosureUnderLatency:
     """Closure (a stable configuration steps to itself) costs nothing
     under latency: matured steady mail dirties nobody."""
 
-    @pytest.mark.parametrize("engine", ["columnar"])
+    @pytest.mark.parametrize("engine", KERNELS)
     @pytest.mark.parametrize("spec", LATENCY_MODELS, ids=lambda s: s["kind"])
     def test_stable_network_replays_everyone(self, spec, engine):
         fast = build(build_random_network, engine, n=9, seed=6)
@@ -513,7 +513,7 @@ class TestLatencyCampaigns:
             max_size=6,
         ),
         traffic=st.booleans(),
-        engine=st.just("columnar"),
+        engine=st.sampled_from(KERNELS),
     )
     def test_tracked_engines_match_the_spec(self, n, seed, spec, events, traffic, engine):
         want = _latency_campaign(n, seed, spec, events, traffic, "full")
@@ -932,7 +932,7 @@ class TestSubFlowDelayCache:
             assert net.activity_stats() == (0, n)
         assert model.calls == 0
 
-    @pytest.mark.parametrize("engine", ["columnar"])
+    @pytest.mark.parametrize("engine", KERNELS)
     def test_model_switch_delivers_like_the_spec(self, engine):
         fast = build(build_random_network, engine, n=10, seed=12)
         full = build_random_network(n=10, seed=12, engine="full")
@@ -951,7 +951,7 @@ class TestSubFlowDelayCache:
             assert _delivery_view(fast) == _delivery_view(full), f"round {r}"
             assert fast.counters().fires == full.counters().fires, f"round {r}"
 
-    @pytest.mark.parametrize("engine", ["columnar"])
+    @pytest.mark.parametrize("engine", KERNELS)
     def test_reorder_buckets_with_partition_mid_flight(self, engine):
         fast = build(build_random_network, engine, n=12, seed=9)
         full = build_random_network(n=12, seed=9, engine="full")
@@ -1168,7 +1168,7 @@ class TestPerSubFlowDelivery:
         assert entries[3] and entries[10], entries
         assert fast.run_until_stable(max_rounds=6000) == full.run_until_stable(max_rounds=6000)
 
-    @pytest.mark.parametrize("engine", ["columnar"])
+    @pytest.mark.parametrize("engine", KERNELS)
     def test_sleepers_keep_their_inbox_order(self, engine):
         """Under partial activation a sleeper keeps its inbox and later
         deliveries append to it: posts made while it slept stay in

@@ -33,7 +33,7 @@ from repro.traffic.messages import (
 from repro.traffic.slo import IssuedOp, SLOCollector, latency_histogram, percentile
 from repro.workloads.initial import build_random_network, random_peer_ids
 from repro.scenarios.events import EventContext, apply_event_spec
-from tests.conftest import ENGINES, build, stabilized
+from tests.conftest import ENGINES, KERNELS, build, stabilized
 
 
 def make_traffic_net(n: int, seed: int, store: bool = False):
@@ -257,8 +257,9 @@ class TestTrafficUnderChurn:
 class TestEngineEquivalenceWithTraffic:
     """tests/test_engine_equivalence.py extended to the traffic plane."""
 
+    @pytest.mark.parametrize("engine", KERNELS)
     @pytest.mark.parametrize("seed", [3, 7])
-    def test_lockstep_fingerprints_with_traffic_and_churn(self, seed):
+    def test_lockstep_fingerprints_with_traffic_and_churn(self, seed, engine):
         def make(kind):
             net = build(build_random_network, kind, n=12, seed=seed)
             net.run_until_stable(max_rounds=5000)
@@ -273,7 +274,7 @@ class TestEngineEquivalenceWithTraffic:
             )
             return net, plane
 
-        a_net, a_plane = make("columnar")
+        a_net, a_plane = make(engine)
         b_net, b_plane = make("full")
         assert a_net.fingerprint() == b_net.fingerprint()
         join_rng = random.Random(seed + 1000)
