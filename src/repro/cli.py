@@ -342,6 +342,7 @@ def _run_scenario_command(args: argparse.Namespace) -> List[Table]:
         scenario_names,
     )
 
+    _check_scenario_mode(args)
     if args.list:
         lines = ["Named scenarios (rechord scenario <name>):", ""]
         for name in scenario_names():
@@ -371,7 +372,7 @@ def _run_scenario_command(args: argparse.Namespace) -> List[Table]:
             spec = spec.with_overrides(n=args.n)
         if args.seed is not None:
             spec = spec.with_overrides(seed=args.seed)
-    elif args.name is not None:
+    else:
         n = args.n if args.n is not None else DEFAULT_N
         seed = (
             args.seed
@@ -379,8 +380,6 @@ def _run_scenario_command(args: argparse.Namespace) -> List[Table]:
             else SeedSequence(args.root_seed).child("scenario-exp", args.name, n=n).seed()
         )
         spec = _named_scenario(args.name, n, seed)
-    else:
-        raise _InputError("scenario: give a name, --spec FILE, --all, or --list")
     overrides = _time_model_overrides(args)
     if overrides:
         spec = spec.with_overrides(**overrides)
@@ -409,6 +408,35 @@ def _run_scenario_command(args: argparse.Namespace) -> List[Table]:
 
         blocks.append(render_telemetry(recorder))
     return [Table(spec.name, "\n\n".join(blocks), data)]
+
+
+#: the flags each ``rechord scenario`` mode would ignore
+_IGNORED_BY_MODE = {
+    "--list": ("--n", "--seed", "--json", "--latency-model", "--daemon", "--telemetry",
+               "--sketch-quantiles", "--out"),
+    "--all": ("--seed", "--json", "--telemetry", "--sketch-quantiles"),
+}
+
+
+def _check_scenario_mode(args) -> None:
+    """Exactly one of NAME / ``--spec`` / ``--all`` / ``--list``, and no
+    flag that mode would ignore."""
+    modes = [
+        mode for mode, given in (
+            ("NAME", args.name is not None), ("--spec", args.spec is not None),
+            ("--all", args.all), ("--list", args.list),
+        ) if given
+    ]
+    if not modes:
+        raise _InputError("scenario: give a name, --spec FILE, --all, or --list")
+    if len(modes) > 1:
+        raise _InputError(f"scenario: {' and '.join(modes)} exclude each other; give one")
+    ignored = [
+        flag for flag in _IGNORED_BY_MODE.get(modes[0], ())
+        if getattr(args, flag[2:].replace("-", "_")) not in (None, False)
+    ]
+    if ignored:
+        raise _InputError(f"scenario: {modes[0]} ignores {', '.join(ignored)}")
 
 
 def _format_scenario_report(spec, report) -> str:

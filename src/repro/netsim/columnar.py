@@ -3,11 +3,9 @@
 :class:`ColumnarScheduler` is the fast kernel of ``engine="columnar"``.
 Its rounds are observably those of the spec loop
 (:class:`~repro.netsim.scheduler.SynchronousScheduler`), round for
-round.  Every full round under settled unit delivery runs the **columnar
-loop** (:meth:`ColumnarScheduler._run_round_columnar`), sparse or dense;
-the **tracked loop** (:meth:`ColumnarScheduler._run_round_tracked`) runs
-only the rounds the columns cannot express.  Both work over one dirty
-set, one steady-emission cache and one application lane.
+round, under every delivery model, daemon and drop filter.  It has one
+round loop (:meth:`ColumnarScheduler._run_round`) over one dirty set,
+one steady-emission cache, one application lane and the flow columns.
 
 Activity tracking
 -----------------
@@ -40,12 +38,11 @@ Actors that implement none of the probes are simply always dirty and
 keep the paper's every-actor semantics.
 
 One-shot application mail (an :class:`AppPayload` post, a delivered
-:meth:`RoundContext.send_once`) dirties nobody — the lane rule, the same
-in every loop: the rules never read it, so a clean receiver replays and
-runs only its ``handle_app`` hook on that mail (a *lane step*, counted
-as replayed).  The **mail set** (``_lane_targets``) names the actors
-that may hold some for their next step; a receiver without the hook
-executes.
+:meth:`RoundContext.send_once`) dirties nobody — the lane rule: the
+rules never read it, so a clean receiver replays and runs only its
+``handle_app`` hook on that mail (a *lane step*, counted as replayed).
+The **mail set** (``_lane_targets``) names the actors that may hold
+some for their next step; a receiver without the hook executes.
 
 The O(active-work) stability flag :attr:`changed_last_round` (used by
 ``ReChordNetwork.run_until_stable`` instead of a full O(n) fingerprint
@@ -59,148 +56,136 @@ from dirty actors; its pending half is counted on demand, O(pending),
 so no round pays per-envelope bookkeeping for it.  The hash is for
 external observation only; it is deliberately *not* part of the
 stability decision because a sum of non-cryptographic hashes admits
-structured collisions.  ``changed_last_round`` is meaningful only for
-fully activated rounds.  Partial activation (the asynchrony bridge) filters
-the tracked loop's work list — only awake actors step, and all of them
-execute — and the round conservatively marks every actor dirty and
-reports ``True``.
+structured collisions.
 
 Rounds are atomic (nothing changes the scheduler from inside a step),
-so both loops take every inbox of a round before any step runs and hand
+so the loop takes every inbox of a round before any step runs and hands
 the round's steps to one stepper
 (:meth:`ColumnarScheduler.set_batch_stepper`; :class:`SerialStepper`
 when none is installed).
 
-Exactness under non-unit delivery
----------------------------------
+The columns
+-----------
 
-Delayed sends wait in the base class's delivery-round-keyed queue
-(``_future``) and mature at its delivery point.  Exactness rules:
+Stepping every actor and re-delivering every steady message each round
+costs O(n + sub-flows) per round; at n = 10k-100k peers that floor, not
+rule evaluation, dominates.  The kernel instead holds the steady state
+of the network in *flow-indexed columns*, conceptually re-delivered at
+every boundary, and a round touches only its work list:
 
-* **matured steady mail dirties nobody.**  ``DeliveryModel.delay`` is a
-  pure function of envelope content, so a clean sender's replayed outbox
-  lands in the same inboxes with the same delays every round (the
-  tracked loop schedules, matures and hands over whole sub-flows, from
-  each sub-flow's cached delay buckets, without asking the model again;
-  a ``per_link`` model is asked once per sub-flow): a
-  receiver's inbox can only differ from its replay baseline in a round
-  where a *change* of some sender's sub-flow arrives.  The **wake wheel**
-  (``round -> actors that must execute in it``; ``_dirty`` and
-  ``_dirty_carry`` are its next-round and round-after slots) is fed when
-  the change is made, for the round it arrives in:
-
-  1. a changed sub-flow (``_post_step``'s per-target patch, made in
-     round ``q``) wakes its target for ``q + d`` for every delay ``d``
-     at which the old and the new sub-flow differ (``d = 1``: the unit
-     rule, dirty next round);
-  2. a removed sender wakes its former receivers ``d`` rounds after its
-     last send, for each delay ``d`` of its cached outbox;
-  3. a delayed one-shot (``send_once``, a delayed ``post``) reaches its
-     target in the round that consumes it: application mail through the
-     mail set (``_mail_at``, the wheel's twin), anything else as a wake
-     for that round and the round after (the carry); a (re-)joining
-     actor runs again when the flows that were waiting for it land;
-  4. what redefines every delivery at once is conservative: a model
-     change wakes everyone for as long as an old- or new-delay front can
-     arrive (``delay_bound() + 1`` rounds), a partial round likewise,
-     unit delivery included (the sleepers' missing sends arrive as
-     gaps), a drop-filter change for the two rounds of the unit rule
-     (all delays are filtered at landing, so it takes effect at once).
-
-  Conservative wakes are always allowed, missed wakes never.  The
-  in-flight ref query of a liveness flip (:meth:`ref_receivers`) may
-  keep reading inboxes only: a receiver whose *current* inbox holds a
-  reference to the flipped owner executes now, and a later first
-  arrival is itself a sub-flow change, woken by the wheel;
-* :attr:`changed_last_round` stays exact and O(changed): the flow flags
-  are extended by a **flux horizon**.  An emission change of envelope
-  ``E`` (delay ``d``) effective from round ``q`` — started, stopped, or,
-  at a model switch, "the old-delay flow stops and the new-delay flow
-  starts" for every cached envelope whose delay differs — keeps the flag
-  raised for the boundaries of rounds ``q .. q+d-2`` (the front travels
-  through remaining ``d-1 .. 1``) and for ``q+d-1`` iff ``E`` is
-  deliverable when it lands (live target, not filtered: a delivery
-  dropped at maturity never reaches remaining 0).  Fronts are found per
-  changed sub-flow and delay class (a sub-flow is one class under a
-  ``per_link`` model): a class on one side only, or of another length
-  or multiset sum (``SubFlow.fp_sum``) on the two, proves that fronts
-  exist and records one landing entry for all of them, which lands iff
-  its target is alive — only a drop filter installed at landing time
-  makes it compute the envelope difference; equal sums take the exact
-  difference.  A one-shot is a start
-  at ``q`` and a stop at ``q + 1``, which also flags the boundary of the
-  round that consumes it.  The unit model keeps the O(active-work) fast
-  path bit for bit, and takes over again once wheel, horizon and queue
-  are empty (:meth:`_unit_settled`).
-
-The columnar loop
------------------
-
-The tracked loop costs O(n + sub-flows) per round: every round it sorts
-all actor keys, iterates every actor (replaying the quiescent ones) and
-re-delivers every steady sub-flow as a part.  At n = 10k-100k peers that
-per-round floor — not rule evaluation — dominates wall-clock time.
-
-The columnar loop removes the floor by holding the steady state of the
-network in *flow-indexed columns* instead of per-round deliveries:
-
-* ``_flow_in[target][sender]`` — the delivered sub-flows of every
-  sender's steady outbox, stored once and conceptually re-delivered
-  every boundary (the tracked loop delivers these parts again each
-  round).  Each is a :class:`~repro.netsim.messages.SubFlow`: an
-  immutable value shared with the sender's outbox split, carrying its
-  referenced owners, so all accounting below is per sub-flow and an
-  unchanged one is recognized by identity;
-* ``_ghost[target][sender]`` — one-shot remnants: the final emissions
-  of a removed sender, consumed at the target's next materialization;
+* ``_flow_in[target][sender]`` — the delay-1 piece of every sender's
+  steady outbox; ``_late_in[target][(-d, 0, sender)]`` — its piece of
+  delay class ``d >= 2``.  A piece is a
+  :class:`~repro.netsim.messages.SubFlow` (a sub-flow, or one of its
+  :meth:`~repro.netsim.messages.SubFlow.delay_buckets`): an immutable
+  value shared with the sender's split, carrying its referenced owners,
+  so an unchanged one is recognized by identity.  Pieces are stored as
+  sent; what of them the drop filter of the last delivery point let
+  through (:meth:`SubFlow.kept`, ``_flt``) is the inbox.  Pieces to
+  removed targets wait frozen in ``_dead_in`` / ``_dead_late`` (they
+  count as dropped every round) and resume when the id re-joins;
+* ``_late_once[target][slot]`` — matured delayed one-shots at their
+  inbox position (``(-d, 0, sender)``, or ``(-d, 1)`` for a post, which
+  follows every sender of its class);
+* ``_lane[target]`` — the application lane: delay-1 one-shot sends
+  (``RoundContext.send_once``) delivered at the last boundary;
 * the plain inbox buffer (``_inboxes``) — posts made since the last
-  round, which sort after the flows at the next boundary (matching the
-  tracked loop, whose inbox is its delivered parts, then its buffer);
-* ``_lane[target]`` — the application lane: one-shot sends
-  (``RoundContext.send_once``) delivered at the last boundary, held
-  outside the flow columns; their targets and those of ``AppPayload``
-  posts in the buffers make the mail set ``_lane_targets``, which is
-  *not* dirty;
+  round;
+* ``_held[target]`` — a sleeper's inbox (partial activation: below);
 * ``_settled[key]`` — lazily settled rule-counter replays: a quiescent
   actor owes one replay delta per skipped round, applied in one batch
   (``replay_steps``) when it wakes or when counters are observed.
 
-The in-flight ref query of a liveness flip
-(:meth:`ColumnarScheduler.ref_receivers`) scans these columns: flows
-and ghosts one sub-flow at a time, the one-shot lists one envelope at a
-time.  No index is kept for it: the network asks once per round start
-for every flip since the last one (a wave of k joins or crashes between
-rounds is one query, not k), while an index would be updated on every
-flow patch and post.
+A boundary inbox is ``[held][late pieces and one-shots by slot][delay-1
+pieces by sender][lane mail][buffer]`` — the spec's order: older sends
+land first, a class in sender order, each sender's one-shots after its
+own piece (:meth:`ColumnarScheduler.all_pending` interleaves the lane
+per sender; a dirty actor is handed its lane mail after the pieces,
+since only the relative order of application mail is observable).  A
+dirty actor *materializes* it, steps (rules, then the application
+handler), and has its outbox diffed against the steady cache; a
+lane-only actor runs only its ``handle_app`` hook on its mail, against
+its boundary state.  The in-flight ref query of a liveness flip
+(:meth:`ColumnarScheduler.ref_receivers`) scans the columns one piece
+at a time; the network asks it once per round start for every flip
+since the last one.
 
-A round then touches only its work list — the key-sorted merge of the
-dirty set and the lane's targets.  A dirty actor *materializes* its
-inbox ``[flows + ghosts in sorted-sender order][lane mail][buffer]``,
-steps (rules, then the application handler), and has its outbox diffed
-against the steady cache.  A lane-only actor — clean, but holding
-application mail — runs only its ``handle_app`` hook against its
-boundary state: the rule pipeline would reproduce the cached step, so
-the round counts and settles as a replay, and application messages
-never dirty the overlay (the lane rule).  Flow patches, revivals and
-the round's one-shot sends are applied at the end-of-round delivery
-point, exactly where the tracked loop delivers, so every boundary
-observable — fingerprints, pending multisets, change flags,
-sent/dropped/executed counts, rule counters at observation points — is
-bit-for-bit identical to the tracked loop (the differential suite in
-``tests/test_columnar.py`` asserts this round-for-round).
+Every change of what the columns deliver is a **column patch**
+``(target, d, sender, piece)`` applied at the delivery point of the
+round it arrives in, ``_patch_at[round]`` in scheduling order:
 
-The columnar loop is only sound under the unit-delivery flow induction,
-so the kernel drops back to the tracked loop (handing its columns over
-as delivered parts) under non-unit delivery, partial activation and for
-the round after a drop-filter change, and re-enters one round after the
-last out-of-band flow event; the rounds before the first entry are
-tracked too.  How many actors execute plays no part: a dense round
-(a cold start, a crash wave) runs the columns like a sparse one.  Both
-loops obey one lane rule, so application mail crosses either switch as
-it is: the exit hands the lane over as one-shot parts in the tracked
-loop's order and leaves its targets in the mail set, the entry takes the
-lane from the one-shot parts and leaves the buffers as posts.  The
-full-scan spec loop remains the executable reference.
+1. a changed sub-flow (``_post_step``'s per-target diff, made in round
+   ``q``) patches each delay class ``d`` in which the old and the new
+   sub-flow differ, for ``q + d`` (under settled unit delivery it is
+   applied at once — the only class is 1);
+2. a removed sender's last sends keep arriving for ``d - 1`` more
+   rounds: its pieces are patched away ``d`` rounds after its last
+   send;
+3. a model switch stops every old-delay piece and starts every
+   new-delay one (rule 1 for every sub-flow whose buckets differ);
+4. a sleeper sends nothing: each of its pieces leaves a one-round gap,
+   removed for ``q + d`` and restored for ``q + d + 1`` (a later patch
+   of the same piece overrides the restore).
+
+A scheduled piece is thus the column's piece as patched up to its
+arrival: :meth:`ColumnarScheduler.future_pending` enumerates the
+in-flight copies on demand, O(pending).  Delayed one-shots and posts
+wait in the base class's delivery-round-keyed queue (``_future``, with
+their slot) and mature into ``_late_once`` (application mail also into
+the mail set) at the delivery point before their consumption round.  A
+drop-filter change re-derives the delivered pieces and the drop count
+at the next delivery point.
+
+Exactness under non-unit delivery
+---------------------------------
+
+* **matured steady mail dirties nobody.**  ``DeliveryModel.delay`` is a
+  pure function of envelope content, so a clean sender's pieces land in
+  the same inboxes with the same delays every round (from each
+  sub-flow's cached delay buckets, without asking the model again; a
+  ``per_link`` model is asked once per sub-flow): a receiver's inbox
+  can only differ from its replay baseline in a round where a patch
+  arrives.  The **wake wheel** (``round -> actors that must execute in
+  it``; ``_dirty`` and ``_dirty_carry`` are its next-round and
+  round-after slots) is fed when the change is made, for the round it
+  arrives in: a changed sub-flow wakes its target for ``q + d`` per
+  differing class; a removed sender wakes its former receivers ``d``
+  rounds after its last send; a delayed one-shot reaches its target in
+  the round that consumes it (application mail through the mail set,
+  anything else as a wake); a (re-)joining actor runs again when the
+  flows that were waiting for it land.  What redefines every delivery
+  at once is conservative: a model change wakes everyone for as long
+  as an old- or new-delay front can arrive (``delay_bound() + 1``
+  rounds), a partial round likewise, a drop-filter change for the two
+  rounds of the unit rule.  Conservative wakes are always allowed,
+  missed wakes never.  The in-flight ref query may keep reading inboxes
+  only: a later first arrival is itself a patch, woken by the wheel;
+* :attr:`changed_last_round` stays exact and O(changed): the flow flags
+  are extended by a **flux horizon**.  An emission change of envelope
+  ``E`` (delay ``d``) effective from round ``q`` keeps the flag raised
+  for the boundaries of rounds ``q .. q+d-2`` (the front travels
+  through remaining ``d-1 .. 1``) and for ``q+d-1`` iff ``E`` is
+  deliverable when it lands (live target, not filtered).  Fronts are
+  found per changed sub-flow and delay class: a class on one side only,
+  or of another length or multiset sum (``SubFlow.fp_sum``) on the two,
+  proves that fronts exist and records one landing entry for all of
+  them, which lands iff its target is alive — only a drop filter
+  installed at landing time makes it compute the envelope difference;
+  equal sums take the exact difference.  A one-shot is a start at ``q``
+  and a stop at ``q + 1``.  Under unit delivery, once wheel, horizon
+  and queue are empty (:meth:`_unit_settled`), none of this runs.
+
+Partial activation is a work-list filter
+----------------------------------------
+
+Under a fair partial daemon only the awake actors step, and every one
+of them executes.  A sleeper keeps its inbox: at the round's delivery
+point its pending inbox becomes ``_held`` (the columns keep
+delivering after it), and its own pieces leave a one-round gap (rule 4
+above).  That breaks the inbox-repetition induction the replay cache
+relies on, so such a round ends conservatively: reported as changed,
+every actor executing the next two rounds, and under non-unit delivery
+everyone woken with the change flag raised until the last gap landed.
 """
 
 from __future__ import annotations
@@ -226,7 +211,7 @@ from repro.netsim.scheduler import RoundContext, SynchronousScheduler, _inside_s
 from repro.netsim.timemodel import DeliveryModel, TimeModel
 
 
-#: sub-flow map: sender -> that sender's sub-flow to one target
+#: piece map of one target: sender (delay 1) or slot (delay >= 2) -> piece
 SubFlows = Dict[Hashable, SubFlow]
 
 
@@ -272,12 +257,12 @@ class SerialStepper:
 
 
 class ColumnarScheduler(SynchronousScheduler):
-    """The activity-tracked kernel: the tracked loop and the columnar
-    loop over one dirty set (module docstring)."""
+    """The activity-tracked kernel: one round loop over the dirty set
+    and the flow columns (module docstring)."""
 
     def __init__(self, time_model: Optional[TimeModel] = None) -> None:
         super().__init__(time_model=time_model)
-        # ---- activity tracking (both loops) ---------------------------
+        # ---- activity tracking ------------------------------------------
         #: the wake wheel: round -> actors that must execute in it.  Fed
         #: when a change is made, for the round the change *arrives* in
         #: (see "Exactness under non-unit delivery" above); ``_dirty`` / ``_dirty_carry``
@@ -318,16 +303,6 @@ class ColumnarScheduler(SynchronousScheduler):
         #: the cached outbox split into its sub-flows (target -> SubFlow);
         #: an unchanged sub-flow stays the same object from step to step
         self._out_by: Dict[Hashable, Dict[Hashable, SubFlow]] = {}
-        #: the tracked loop: each sender's split scheduled under one
-        #: model, ``(split, model, next-round parts, ((delay, parts),
-        #: ...))`` with parts ``(target, envelopes)`` — rebuilt when the
-        #: split or the model is a new object (see :meth:`_deliver_flows`)
-        self._plans: Dict[Hashable, tuple] = {}
-        #: the tracked loop: the parts delivered to each target at the
-        #: last delivery point (or handed over by a columnar exit), in
-        #: inbox order; an inbox is its parts followed by its plain
-        #: buffer (``_inboxes``: posts since)
-        self._parts: Dict[Hashable, List[Sequence[Envelope]]] = {}
         #: rolling hash over all tracked actors' state tokens
         self._state_hash = 0
         #: external flow change (post / membership) pending for next round
@@ -336,51 +311,41 @@ class ColumnarScheduler(SynchronousScheduler):
         #: delivered :meth:`RoundContext.send_once`) is pending: the next
         #: boundary differs because that mail is consumed.  Kept apart
         #: from ``_flow_flag`` because it says nothing about the steady
-        #: flows (the columnar kernel may enter with it raised)
+        #: flows
         self._lane_flag = False
         #: the mail set: clean actors that may hold application mail for
         #: their next step (a lane step finds out what is really there)
         self._lane_targets: Set[Hashable] = set()
-        #: the mail set's wheel: round -> targets of delayed application
-        #: mail consumed in it (see :meth:`_one_shot`)
-        self._mail_at: Dict[int, Set[Hashable]] = {}
         #: optional batched rule pipeline (see repro.core.rules_batched):
-        #: both loops hand it every round (:meth:`set_batch_stepper`);
+        #: the loop hands it every round (:meth:`set_batch_stepper`);
         #: None steps through SerialStepper
         self._batch_stepper = None
-        # ---- the columnar loop -------------------------------------------
-        #: whether the columnar fast path is currently driving rounds
-        self._cols_active = False
-        self._clear_columns()
-
-    def _clear_columns(self) -> None:
-        """Empty the columns: outside the columnar loop they hold nothing."""
-        #: steady delivered sub-flows per live target
+        # ---- the columns (module docstring) -------------------------------
         self._flow_in: Dict[Hashable, SubFlows] = {}
-        #: one-shot remnants of removed senders per live target
-        self._ghost: Dict[Hashable, SubFlows] = {}
-        #: frozen sub-flows to removed targets (revived on re-join)
+        self._late_in: Dict[Hashable, SubFlows] = {}
         self._dead_in: Dict[Hashable, SubFlows] = {}
-        #: re-added targets whose frozen flows resume at the next
+        self._dead_late: Dict[Hashable, SubFlows] = {}
+        self._late_once: Dict[Hashable, Dict[tuple, List[Envelope]]] = {}
+        self._lane: Dict[Hashable, List[Envelope]] = {}
+        self._held: Dict[Hashable, List[Sequence[Envelope]]] = {}
+        #: column patches by consumption round, in scheduling order
+        self._patch_at: Dict[int, List[tuple]] = {}
+        #: the drop filter of the last delivery point: what it let
+        #: through of the pieces is the pending inbox
+        self._flt: Optional[Callable[[Envelope], bool]] = None
+        #: re-added targets whose frozen pieces resume at the next
         #: delivery point
         self._revive: Set[Hashable] = set()
-        #: per-sender steady drops per round (dead targets + filtered)
-        self._drop_by: Dict[Hashable, int] = {}
-        #: running totals kept consistent with the structures above
-        self._flow_dropped = 0  # = sum(_drop_by.values())
+        #: running totals kept consistent with the columns: envelopes
+        #: delivered by the live pieces, and dropped per round (pieces to
+        #: dead targets, filtered envelopes)
+        self._flow_pending = 0
+        self._flow_dropped = 0
         self._flow_sent = 0  # = sum(len(_out[k]) for live k)
-        self._flow_pending = 0  # envelopes held in _flow_in + _ghost
-        #: rule-counter settlement: last round each actor's counters cover
         self._settled: Dict[Hashable, int] = {}
-        #: the application lane: one-shot sends delivered at the last
-        #: boundary, per live target, in sender order; the mail set
-        #: (``_lane_targets``) names their targets and those of
-        #: AppPayload posts in the buffers
-        self._lane: Dict[Hashable, List[Envelope]] = {}
         #: telemetry mirror of ``_flow_sent``, broken out by payload type
         #: name; maintained only while a recorder is attached (every
-        #: ``_flow_sent`` adjustment has a matching typed adjustment, so
-        #: the per-round envelope census equals the tracked loop's)
+        #: ``_flow_sent`` adjustment has a matching typed adjustment)
         self._tel_flow_types: Optional[Counter] = None
 
     # ------------------------------------------------------------------
@@ -406,39 +371,55 @@ class ColumnarScheduler(SynchronousScheduler):
             # flows already addressed to a (re-)joining id — scheduled
             # ones included — all start landing for its second step
             self._wake_at(self._round + 1, key)
-        if self._cols_active:
-            # counters owe nothing before the first scheduled execution
-            self._settled[key] = self._round - 1
-            if key in self._dead_in:
-                # a re-joining id: the steady flows still addressed to it
-                # resume at the next delivery point, like the tracked
-                # loop's delivery would
-                self._revive.add(key)
+        # counters owe nothing before the first scheduled execution
+        self._settled[key] = self._round - 1
+        if key in self._dead_in or key in self._dead_late:
+            # a re-joining id: the steady pieces still addressed to it
+            # resume at the next delivery point
+            self._revive.add(key)
 
     def remove_actor(self, key: Hashable):
         """Remove an actor; its pending messages die, its steady flow
-        stops and wakes its former receivers."""
+        stops (its last sends still land) and wakes its former
+        receivers."""
         if self._in_round:
             raise _inside_step("remove_actor")
-        if self._cols_active:
-            self._remove_columnar(key)
+        self._settle_actor(key, self._round - 1)
+        self._settled.pop(key, None)
         actor = super().remove_actor(key)
-        # its steady flow vanishes: a former receiver must re-run in
-        # the round its last emission is missing from the inbox — the
-        # round after next under unit delivery (carry; next round is
-        # defensive), ``delay`` rounds after its last send in general
-        if self._out.pop(key, None):
+        # -- as a target: its pieces freeze, its one-shot mail dies
+        if key in self._revive:
+            # re-added and removed again before its frozen pieces resumed
+            self._revive.discard(key)
+        else:
+            for column, frozen in ((self._flow_in, self._dead_in), (self._late_in, self._dead_late)):
+                subs = column.pop(key, None)
+                if subs:
+                    for sub in subs.values():
+                        self._count(sub, True, -1)
+                        self._count(sub, False, 1)
+                    frozen[key] = subs
+        for box in (self._late_once, self._lane, self._held):
+            box.pop(key, None)
+        self._lane_targets.discard(key)
+        # -- as a sender: a former receiver must re-run in the round its
+        # last emission is missing from the inbox — the round after next
+        # under unit delivery (carry; next round is defensive), ``delay``
+        # rounds after its last send in general
+        out = self._out.pop(key, None)
+        if out:
             self._flow_flag = True  # its contribution leaves the pending set
-        out_by = self._out_by.pop(key, {})
-        self._plans.pop(key, None)
-        self._parts.pop(key, None)
+            self._flow_sent -= len(out)
+            if self._tel_flow_types is not None:
+                self._tel_flow_types.subtract(type(env.payload).__name__ for env in out)
         settled = self._unit_settled()
         model = self._switched_from or self._delivery
         q = self._round
-        for target, sub in out_by.items():
-            if target == key:
-                continue
-            for d, envs in ((1, sub),) if settled else sub.delay_buckets(model):
+        for target, sub in self._out_by.pop(key, {}).items():
+            for d, envs in sub.delay_buckets(model):
+                self._patch_at.setdefault(q + d, []).append((target, d, key, None))
+                if target == key:
+                    continue
                 if d == 1:
                     self._dirty.add(target)
                     self._dirty_carry.add(target)
@@ -455,47 +436,6 @@ class ColumnarScheduler(SynchronousScheduler):
         self._tok.pop(key, None)
         self._dirty.discard(key)
         return actor
-
-    def _remove_columnar(self, key: Hashable) -> None:
-        # -- settle its counters to what the tracked loop would have applied
-        self._settle_actor(key, self._round - 1)
-        self._settled.pop(key, None)
-        # -- as a target: its pending messages die with it ---------------
-        flows = self._flow_in.pop(key, None)
-        if key in self._revive:
-            # re-added and removed again before its frozen flows resumed:
-            # keep the original _dead_in entry untouched
-            self._revive.discard(key)
-        elif flows is not None:
-            for sender, sub in flows.items():
-                self._flow_pending -= len(sub)
-                self._drop_by[sender] = self._drop_by.get(sender, 0) + len(sub)
-                self._flow_dropped += len(sub)
-            self._dead_in[key] = flows
-        ghosts = self._ghost.pop(key, None)
-        if ghosts:
-            for sub in ghosts.values():
-                self._flow_pending -= len(sub)
-        self._lane.pop(key, None)
-        self._lane_targets.discard(key)
-        # -- as a sender: its steady flow stops --------------------------
-        out = self._out[key]
-        self._flow_sent -= len(out)
-        if self._tel_flow_types is not None:
-            for env in out:
-                self._tel_flow_types[type(env.payload).__name__] -= 1
-        self._flow_dropped -= self._drop_by.pop(key, 0)
-        for subs in self._dead_in.values():
-            subs.pop(key, None)
-        # the flows delivered at the last boundary are still pending;
-        # they become one-shot ghosts
-        for target in self._out_by[key]:
-            subs = self._flow_in.get(target)
-            if subs is None:
-                continue
-            sub = subs.pop(key, None)
-            if sub:
-                self._ghost.setdefault(target, {})[key] = sub
 
     # ------------------------------------------------------------------
     # activity tracking
@@ -570,37 +510,37 @@ class ColumnarScheduler(SynchronousScheduler):
         reaches in flight (the network's ``_wake_flow_refs``).
 
         O(pending); every payload must enumerate its refs.  Scans the
-        buffers, the tracked loop's delivered parts and the columns
-        (both empty while the other is in use) a sub-flow at a time, and
-        the lane an envelope at a time.
+        buffers and the lane an envelope at a time, the columns a
+        delivered piece at a time.
         """
-        receivers = receivers_referencing(owners, self._inboxes)
+        receivers = receivers_referencing(owners, self._inboxes, self._lane)
         disjoint = owners.isdisjoint
-        for target, parts in self._parts.items():
-            for part in parts:
-                if not disjoint(
-                    part.owners() if part.__class__ is SubFlow else ref_owners(part)
-                ):
-                    receivers.add(target)
-                    break
-        for column in (self._flow_in, self._ghost):
+        flt = self._flt
+        for column in (self._flow_in, self._late_in):
             for target, subs in column.items():
                 for sub in subs.values():
-                    if not disjoint(sub.owners()):
+                    if not disjoint((sub if flt is None else sub.kept(flt)).owners()):
                         receivers.add(target)
                         break
-        return receivers | receivers_referencing(owners, self._lane)
+        for target, parts in chain(
+            ((t, once.values()) for t, once in self._late_once.items()), self._held.items()
+        ):
+            if any(
+                not disjoint(part.owners() if part.__class__ is SubFlow else ref_owners(part))
+                for part in parts
+            ):
+                receivers.add(target)
+        return receivers
 
     def set_batch_stepper(self, stepper) -> None:
-        """Install (or clear, with ``None``) the batched rule pipeline of
-        both round loops.
+        """Install (or clear, with ``None``) the batched rule pipeline.
 
         ``stepper`` provides ``run_batch(items, lane)``, ``items`` being
         a round's ``[(key, actor, parts, ctx), ...]`` in key order, where
         ``parts`` lists the envelope lists whose concatenation is the
-        actor's inbox: in both loops the persistent :class:`SubFlow`
-        objects (what of them a drop filter lets through) and the
-        one-shot mail around them.  ``run_batch`` must
+        actor's inbox: the persistent :class:`SubFlow` pieces (what of
+        them the drop filter let through) and the one-shot mail around
+        them.  ``run_batch`` must
         leave every actor's observable effects (state, ``ctx`` outbox,
         counters, replay hooks) exactly as the equivalent sequence of
         ``actor.step(inbox, ctx)`` calls would — the equivalence suites
@@ -612,9 +552,9 @@ class ColumnarScheduler(SynchronousScheduler):
         by key.
 
         **One stepping path.**  Rounds are atomic, so every inbox of a
-        round is taken before any step runs and both loops hand
-        every round to ``self._batch_stepper or SerialStepper``; the
-        serial stepper runs the same items one actor at a time.
+        round is taken before any step runs and the loop hands every
+        round to ``self._batch_stepper or SerialStepper``; the serial
+        stepper runs the same items one actor at a time.
         """
         self._batch_stepper = stepper
 
@@ -625,7 +565,7 @@ class ColumnarScheduler(SynchronousScheduler):
         """Inject a message from outside the round loop (see the base
         class).  Application mail joins the mail set, anything else
         dirties its target; a delayed post is a one-shot of the
-        previous round.  Under the columns a post waits in the buffer.
+        previous round.  A post waits in the buffer.
         """
         if self._in_round:
             raise _inside_step("post")
@@ -655,6 +595,13 @@ class ColumnarScheduler(SynchronousScheduler):
             self._flow_flag = True  # one-shot injection: next boundary differs
         return True
 
+    def _park_post(self, envelope: Envelope, delay: int) -> None:
+        """A delayed post waits with its inbox slot: after every sender
+        of its class (the base class's docstring)."""
+        self._future.setdefault(self._round + delay - 1, []).append(
+            (envelope.target, (-delay, 1), envelope)
+        )
+
     def set_drop_filter(self, drop: Optional[Callable[[Envelope], bool]]) -> None:
         """Install (or clear) a delivery-time fault filter (see the base
         class).
@@ -663,16 +610,13 @@ class ColumnarScheduler(SynchronousScheduler):
         next inbox may differ from its cached baseline, so all actors
         are marked dirty (with the one-round carry, since the changed
         delivery lands one round later) and the boundary is flagged as
-        changed.  It redefines every steady delivery, so the columns
-        fall back to the tracked loop, re-entered once the flow flag
-        clears.
+        changed.  The next delivery point re-derives what the pieces
+        deliver.
         """
         old = self._drop_filter
         super().set_drop_filter(drop)
         if drop is None and old is None:
             return
-        if self._cols_active:
-            self._exit_columnar()
         self._dirty.update(self._actors)
         self._dirty_carry.update(self._actors)
         self._flow_flag = True
@@ -684,8 +628,7 @@ class ColumnarScheduler(SynchronousScheduler):
         differs, the old-delay flow stops and the new-delay flow starts,
         so every actor is woken for each round one of the two fronts can
         still arrive in (``bound + 1`` rounds, the larger bound of the
-        two models), and the columns fall back to the tracked loop.  A
-        no-op install (unit over unit) keeps the fast path and the exact
+        two models).  A no-op install (unit over unit) keeps the exact
         change flag intact.  The sub-flows' cached delays
         (:meth:`SubFlow.delay_buckets`) are keyed on the model object,
         so the switch invalidates them without a sweep.
@@ -695,8 +638,6 @@ class ColumnarScheduler(SynchronousScheduler):
         model = self._delivery
         if model is old:
             return
-        if self._cols_active:
-            self._exit_columnar()
         if self._switched_from is None:
             self._switched_from = old
         self._dirty.update(self._actors)
@@ -707,10 +648,7 @@ class ColumnarScheduler(SynchronousScheduler):
 
     def set_telemetry(self, recorder) -> None:
         super().set_telemetry(recorder)
-        if self._cols_active:
-            # in place, not by leaving columnar mode: a traced run must
-            # drive the same kernel as an untraced one
-            self._sync_tel_flow_types()
+        self._sync_tel_flow_types()
 
     def _sync_tel_flow_types(self) -> None:
         """(Re)build the typed mirror of ``_flow_sent`` from ``_out``."""
@@ -725,7 +663,7 @@ class ColumnarScheduler(SynchronousScheduler):
         """Whether unit delivery is in effect *and* nothing of a non-unit
         past is left: no scheduled envelope, no wake, no change front.
         Only then do the unit-mode shortcuts hold (O(changed) flow
-        flags, the columnar kernel's fast rounds)."""
+        flags, patches applied where they are made)."""
         return (
             not self._future
             and not self._wake
@@ -771,11 +709,10 @@ class ColumnarScheduler(SynchronousScheduler):
     def _one_shot(self, q: int, env: Envelope, d: int) -> None:
         """``env`` (delay ``d``) is emitted in round ``q`` only: its
         target consumes it in round ``q + d`` — in a lane step if it is
-        application mail, executing otherwise — and the emission starts
-        with round ``q`` and stops with ``q + 1``."""
-        if isinstance(env.payload, AppPayload):
-            self._mail_at.setdefault(q + d, set()).add(env.target)
-        else:
+        application mail (the mail set takes it when it matures),
+        executing otherwise — and the emission starts with round ``q``
+        and stops with ``q + 1``."""
+        if not isinstance(env.payload, AppPayload):
             self._wake_at(q + d, env.target)
         self._front(q, env, d)
         self._front(q + 1, env, d)
@@ -810,26 +747,7 @@ class ColumnarScheduler(SynchronousScheduler):
         return False
 
     # ------------------------------------------------------------------
-    # round dispatch
-    # ------------------------------------------------------------------
-    def _run_round(self, active: Optional[frozenset]) -> None:
-        """One round through the columnar loop, or through the tracked
-        loop under partial activation, non-unit delivery or out-of-band
-        flow events not yet absorbed."""
-        if active is None and self._unit_settled():
-            if not self._cols_active and not self._flow_flag:
-                self._enter_columnar()
-            if self._cols_active:
-                self._run_round_columnar()
-                return
-            # out-of-band flow events since the last boundary: let the
-            # tracked loop absorb them, enter once the flag clears
-        elif self._cols_active:
-            self._exit_columnar()
-        self._run_round_tracked(active)
-
-    # ------------------------------------------------------------------
-    # the tracked loop
+    # step bookkeeping
     # ------------------------------------------------------------------
     def _probe_refresh(self, key: Hashable, probes: tuple) -> bool:
         """Refresh an executed actor's probe baselines after its step.
@@ -862,9 +780,8 @@ class ColumnarScheduler(SynchronousScheduler):
         out, changed_targets, prev_by, new_by)``: only the targets whose
         per-sender sub-flow actually changed (messages that stopped,
         started, or were reordered) must re-run when the change arrives,
-        not every receiver of an otherwise-stable emission.  The caller
-        wakes them (next round under unit delivery) and the columnar
-        kernel's flow surgery consumes the per-target diff.  ``prev_by``
+        not every receiver of an otherwise-stable emission.  The
+        delivery point wakes them and patches their columns.  ``prev_by``
         and ``new_by`` map targets to :class:`SubFlow` objects; the split
         of the cached outbox is kept, so only ``out`` is re-grouped.
         """
@@ -895,68 +812,6 @@ class ColumnarScheduler(SynchronousScheduler):
         self._out_by[key] = new_by
         return state_changed, (prev_out, out, changed, prev_by, new_by)
 
-    def _step_work(
-        self, keys: List[Hashable], dirty: Set[Hashable], mail: Set[Hashable], round_no: int
-    ) -> List[Tuple[Hashable, Optional[RoundContext], bool]]:
-        """Run the round's steps; return ``(key, ctx, executed)`` per
-        actor of ``keys``, in key order.
-
-        Actors in ``dirty`` execute, the others replay (inbox consumed —
-        application mail aside it provably repeats the last executed one,
-        a known no-op on state — and cached side effects re-applied).  A
-        replayed actor of ``mail`` holding application mail also runs
-        ``handle_app`` on that mail alone, its lane step; one without the
-        hook executes instead.  ``ctx`` is ``None`` for a plain replay.
-        Every inbox is taken first, then the round goes to the stepper
-        in one ``run_batch(items, lane)``: an inbox is handed over as
-        its parts — the delivered sub-flows, buckets and one-shots
-        (:meth:`_deliver_flows`), then the plain buffer — and only the
-        one-shot parts are searched for application mail.
-        """
-        actors, inboxes = self._actors, self._inboxes
-        parts_of = self._parts
-        probes = self._probes
-        items: List[tuple] = []
-        lane: List[tuple] = []
-        plan: List[tuple] = []
-        for key in keys:
-            actor = actors[key]
-            box = inboxes[key]
-            parts = parts_of.pop(key, None) if parts_of else None
-            if parts is not None and box:
-                parts.append(box)
-            app = None
-            run = key in dirty
-            if not run and key in mail:
-                app = [
-                    env
-                    for part in parts or (box,)
-                    if part.__class__ is not SubFlow
-                    for env in part
-                    if isinstance(env.payload, AppPayload)
-                ]
-                run = bool(app) and not hasattr(actor, "handle_app")
-            if run:
-                ctx = RoundContext(round_no, key, self)
-                items.append((key, actor, parts or [box], ctx))
-                inboxes[key] = []
-            else:
-                ctx = None
-                if box:
-                    inboxes[key] = []
-                replay_fn = probes[key][2]
-                if replay_fn is not None:
-                    replay_fn()
-                if app:
-                    ctx = RoundContext(round_no, key, self)
-                    lane.append((key, actor, app, ctx))
-            plan.append((key, ctx, run))
-        if items or lane:
-            (self._batch_stepper or SerialStepper).run_batch(items, lane)
-            for key, _actor, _mail, ctx in lane:
-                self._check_lane_step(key, ctx)
-        return plan
-
     @staticmethod
     def _check_lane_step(key: Hashable, ctx: RoundContext) -> None:
         if ctx._outbox:
@@ -966,265 +821,24 @@ class ColumnarScheduler(SynchronousScheduler):
                 "ctx.send_once() — a steady send here would never be replayed"
             )
 
-    def _run_round_tracked(self, active: Optional[frozenset] = None) -> None:
-        """One round of the tracked loop.
-
-        ``active`` (partial activation) filters the work list: only awake
-        actors step, and every one of them executes; sleepers keep state
-        *and inbox* and contribute nothing.  That breaks the
-        inbox-repetition induction the replay cache relies on, so such a
-        round ends conservatively: the round reported as changed, and
-        every actor executing while a sleeper's missing sends can still
-        arrive (as gaps) and its resumed sends land once more — the next
-        two rounds, and under non-unit delivery everyone woken, with the
-        change flag raised, until the last one landed (``delay_bound()``
-        rounds).  Probe baselines and emission caches of executed actors
-        stay exact, so later full rounds detect stability.
-        """
-        round_no = self._round
-        _t0 = _perf() if self._telemetry is not None else 0.0
-        keys = sorted(self._actors)
-        state_changed_any = False
-        # posts / membership / pending one-shot mail since the last round
-        flow_changed = self._flow_flag or self._lane_flag
-        self._flow_flag = False
-        self._lane_flag = False
-        changed_keys: Set[Hashable] = set()
-        newly_dirty: Set[Hashable] = set()
-        #: (sender, its one-shot sends) in delivery order: a sender
-        #: contributes its sub-flows, delivered from their cached delay
-        #: buckets (see :meth:`_deliver_flows`)
-        senders: List[tuple] = []
-        #: sender -> outbox patch of this round (see :meth:`_post_step`)
-        patches: Dict[Hashable, tuple] = {}
-        #: the round's one-shot sends, per sender in key order
-        onces: List[List[Envelope]] = []
-        executed = 0
-        replayed = 0
-        # the round's working sets; the next round's fill up from empty
-        dirty = self._dirty
-        carry_due = self._dirty_carry
-        self._dirty_carry = set()
-        mail = self._lane_targets
-        self._lane_targets = set()
-        work = keys
-        if active is not None:
-            work = [key for key in keys if key in active]
-            dirty = active
-        for key, ctx, ran in self._step_work(work, dirty, mail, round_no):
-            if ran:
-                executed += 1
-                state_changed, patch = self._post_step(
-                    key, ctx._outbox, changed_keys, newly_dirty
-                )
-                if state_changed:
-                    state_changed_any = True
-                if patch is not None:
-                    patches[key] = patch
-            else:
-                # quiescent: the steady emissions repeat without rules
-                replayed += 1
-            # one-shot sends go out right after the steady outbox; they
-            # never enter ``_out``, so sender and target both stay valid
-            # replay templates
-            once = ctx._once if ctx is not None else None
-            senders.append((key, once))
-            if once:
-                onces.append(once)
-
-        # the delivery point.  Settled unit delivery: every change arrives
-        # next round and the boundary differs iff anything was patched or
-        # sent once.  Otherwise the wake wheel and the flux horizon are
-        # fed with each change's own arrival round (module docstring); a
-        # partial round's conservative tail covers every change instead
-        settled = self._unit_settled()
-        if active is None:
-            if settled:
-                if patches:
-                    flow_changed = True
-                    for patch in patches.values():
-                        newly_dirty.update(patch[2])
-            elif self._telemetry is None:
-                self._feed_flow_changes(round_no, keys, patches, newly_dirty)
-            else:
-                # its own phase, cut out of the kernel.step span
-                _t1 = _perf()
-                self._feed_flow_changes(round_no, keys, patches, newly_dirty)
-                spent = _perf() - _t1
-                self._telemetry.add_time("kernel.flow_changes", spent)
-                _t0 += spent
-        delay = self._delivery.delay
-        for once in onces:
-            # the lane rule: application mail reaches the mail set, the
-            # target of anything else executes the round it consumes it
-            for env in once:
-                d = 1 if settled else delay(env)
-                if d == 1:
-                    if isinstance(env.payload, AppPayload):
-                        self._lane_targets.add(env.target)
-                    else:
-                        newly_dirty.add(env.target)
-                    flow_changed = True
-                    self._lane_flag = True  # consumed next round: that boundary differs too
-                else:
-                    self._one_shot(round_no, env, d)
-        self._deliver_flows(round_no, senders, executed, replayed, _t0)
-        if settled and active is None:
-            self.changed_last_round = state_changed_any or flow_changed
-        else:
-            landed = self._landed(round_no)
-            self.changed_last_round = (
-                state_changed_any or flow_changed or landed or round_no <= self._flux_until
-            )
-        self.state_changed_keys = changed_keys
-        self.executed_last_round = executed
-        self.replayed_last_round = replayed
-        newly_dirty |= carry_due
-        newly_dirty.update(self._wake.pop(round_no + 1, ()))
-        self._lane_targets.update(self._mail_at.pop(round_no + 1, ()))
-        self._dirty = newly_dirty
-        if active is not None:
-            # the conservative tail (see the docstring): the sleepers'
-            # missing sends are gaps in next round's inboxes, and their
-            # resumed sends differ from those the round after — everyone
-            # executes in both
-            self.changed_last_round = True
-            self._flow_flag = True  # sleepers' flow resumes later: boundary differs
-            self._dirty = set(self._actors)
-            self._dirty_carry = set(self._actors)
-            if not settled:
-                bound = self._delivery.delay_bound()
-                if self._switched_from is not None:
-                    bound = max(bound, self._switched_from.delay_bound())
-                    self._switched_from = None
-                last = max(round_no + 1 + bound, max(self._future, default=0))
-                self._wake_everyone(round_no + 2, last)
-                self._flux_until = max(self._flux_until, last - 1)
-        self._round += 1
-
-    def _deliver_flows(
-        self,
-        round_no: int,
-        senders: List[Tuple[Hashable, Optional[List[Envelope]]]],
-        executed: int,
-        replayed: int,
-        step_t0: float,
-    ) -> None:
-        """The tracked loop's delivery point, under every delivery model:
-        :meth:`SynchronousScheduler._deliver_round` a part at a time.
-
-        ``senders`` lists ``(sender, its one-shot sends)`` in delivery
-        order.  A sender's split is scheduled once per split and model
-        (``_plans``): its delayed parts join the delivery queue with one
-        ``extend`` per delay, its next-round parts land
-        (:meth:`_land_parts`) after the matured ones.  Per target and
-        maturity round the parts keep the flat outboxes' order, so every
-        observer reads the same envelopes in the same order.
-        """
-        tel = self._telemetry
-        if tel is not None:
-            tel.add_time("kernel.step", _perf() - step_t0, executed + replayed)
-            step_t0 = _perf()
-        model = self._delivery
-        future = self._future
-        out, out_by, plans = self._out, self._out_by, self._plans
-        sent = 0
-        #: this round's next-round parts, in delivery order
-        near: List[tuple] = []
-        for key, once in senders:
-            plan = plans.get(key)
-            split = out_by[key]
-            if plan is None or plan[0] is not split or plan[1] is not model:
-                now: List[tuple] = []
-                later: Dict[int, List[tuple]] = {}
-                for target, sub in split.items():
-                    for d, envs in sub.delay_buckets(model):
-                        if d == 1:
-                            now.append((target, envs))
-                        else:
-                            later.setdefault(d, []).append((target, envs))
-                plan = plans[key] = (split, model, now, tuple(later.items()))
-            sent += len(out[key])
-            if plan[2]:
-                near.extend(plan[2])
-            for d, parts in plan[3]:
-                batch = future.get(round_no + d)
-                if batch is None:
-                    future[round_no + d] = list(parts)
-                else:
-                    batch.extend(parts)
-            if once:
-                sent += len(once)
-                for env in once:
-                    d = model.delay(env)
-                    if d > 1:
-                        future.setdefault(round_no + d, []).append((env.target, (env,)))
-                    else:
-                        near.append((env.target, (env,)))
-        dropped = self._drain_matured(round_no) + self._land_parts(near)
-        self.dropped_last_round = dropped
-        if tel is not None:
-            tel.add_time("kernel.deliver", _perf() - step_t0)
-            msg = tel.messages
-            for key, once in senders:
-                for env in chain(out[key], once or ()):
-                    msg[type(env.payload).__name__] += 1
-            tel.on_round(sent=sent, dropped=dropped, executed=executed, replayed=replayed)
-
-    def _drain_matured(self, round_no: int) -> int:
-        """The parts scheduled for consumption in ``round_no + 1`` land
-        (:meth:`_land_parts`); returns how many envelopes dropped."""
-        return self._land_parts(self._future.pop(round_no + 1, ()))
-
-    def _land_parts(self, parts: Sequence[tuple]) -> int:
-        """Deliver ``(target, envelopes)`` parts, in order, into
-        ``_parts``; returns how many envelopes dropped (dead target or
-        drop filter).  A part nothing of which is filtered lands as the
-        object it is.  A target's plain buffer — a sleeper's posts —
-        becomes a part first, so the inbox keeps arrival order."""
-        dropped = 0
-        inboxes, parts_of = self._inboxes, self._parts
-        flt = self._drop_filter
-        for target, part in parts:
-            box = inboxes.get(target)
-            if box is None:
-                dropped += len(part)
-                continue
-            if flt is not None:
-                kept = [env for env in part if not flt(env)]
-                if len(kept) != len(part):
-                    dropped += len(part) - len(kept)
-                    if not kept:
-                        continue
-                    part = kept
-            got = parts_of.get(target)
-            if got is None:
-                got = parts_of[target] = []
-            if box:
-                got.append(box)
-                inboxes[target] = []
-            got.append(part)
-        return dropped
-
     def _feed_flow_changes(
         self,
         q: int,
-        keys: List[Hashable],
+        keys,
         patches: Dict[Hashable, tuple],
         newly_dirty: Set[Hashable],
     ) -> None:
-        """Feed wake wheel and flux horizon with round ``q``'s emission
-        changes, at its delivery point (the delivery model is final),
-        one changed sub-flow at a time (:meth:`_sub_flow_change`).
+        """Patch the columns, and feed wake wheel and flux horizon, with
+        round ``q``'s emission changes at its delivery point (the
+        delivery model is final), one changed sub-flow at a time
+        (:meth:`_sub_flow_change`).
 
-        A changed sub-flow wakes its target for round ``q + d`` for every
-        delay ``d`` at which the old and the new sub-flow differ.  In the
-        first round after a model switch every cached sub-flow whose
-        delay buckets differ sends fronts, whether its sender executed
+        In the first round after a model switch every cached sub-flow
+        whose delay buckets differ changes, whether its sender executed
         or not: the old-delay flow stops, the new-delay flow starts (the
         switch itself woke everyone for as long as either front can
         arrive, so nobody is woken here).  The delays are those of the
-        sub-flows' cached delay buckets, which the delivery point reuses.
+        sub-flows' cached delay buckets.
         """
         model = self._delivery
         old_model = self._switched_from
@@ -1237,19 +851,21 @@ class ColumnarScheduler(SynchronousScheduler):
                 old_by = patch[3] if patch else new_by
                 for target in chain(old_by, (t for t in new_by if t not in old_by)):
                     self._sub_flow_change(
-                        q, target, old_by.get(target), new_by.get(target), old_model, model
+                        q, key, target, old_by.get(target), new_by.get(target), old_model,
+                        model,
                     )
             return
-        for _prev_out, _out, changed, prev_by, new_by in patches.values():
+        for key, (_prev_out, _out, changed, prev_by, new_by) in patches.items():
             for target in changed:
                 self._sub_flow_change(
-                    q, target, prev_by.get(target), new_by.get(target), model, model,
+                    q, key, target, prev_by.get(target), new_by.get(target), model, model,
                     newly_dirty,
                 )
 
     def _sub_flow_change(
         self,
         q: int,
+        sender: Hashable,
         target: Hashable,
         old: Optional[SubFlow],
         new: Optional[SubFlow],
@@ -1257,18 +873,19 @@ class ColumnarScheduler(SynchronousScheduler):
         model: DeliveryModel,
         newly_dirty: Optional[Set[Hashable]] = None,
     ) -> None:
-        """The sub-flow to ``target`` went from ``old`` (delays under
-        ``old_model``) to ``new`` (under ``model``) with round ``q``.
+        """The sub-flow ``sender`` sends ``target`` went from ``old``
+        (delays under ``old_model``) to ``new`` (under ``model``) with
+        round ``q``.
 
         A target's inbox is grouped by delay (older sends land first), so
-        the sub-flow changes class by class: a delay class that differs
-        wakes ``target`` for its arrival (unless ``newly_dirty`` is None)
-        and sends fronts.  A class present on one side only, or of
-        another length or multiset sum on the two, differs as a
-        multiset: its fronts are one :meth:`_sub_front` entry, no
-        envelope is diffed.  Equal sums (a reordered class) take the
-        exact difference (:meth:`_fronts`).  Under a ``per_link`` model
-        a sub-flow is one class.
+        the sub-flow changes class by class: a delay class ``d`` that
+        differs is a column patch for ``q + d``, wakes ``target`` for
+        that round (unless ``newly_dirty`` is None) and sends fronts.  A
+        class present on one side only, or of another length or multiset
+        sum on the two, differs as a multiset: its fronts are one
+        :meth:`_sub_front` entry, no envelope is diffed.  Equal sums (a
+        reordered class) take the exact difference (:meth:`_fronts`).
+        Under a ``per_link`` model a sub-flow is one class.
         """
         old_by = dict(old.delay_buckets(old_model)) if old else {}
         new_by = dict(new.delay_buckets(model)) if new else {}
@@ -1278,6 +895,7 @@ class ColumnarScheduler(SynchronousScheduler):
             stopped, started = old_by.get(d, ()), new_by.get(d, ())
             if stopped == started:
                 continue
+            self._patch_at.setdefault(q + d, []).append((target, d, sender, started or None))
             if newly_dirty is not None:
                 if d == 1:
                     newly_dirty.add(target)
@@ -1302,118 +920,117 @@ class ColumnarScheduler(SynchronousScheduler):
             self._front(q, env, d)
 
     # ------------------------------------------------------------------
-    # the columnar loop: the columns
+    # the columns
     # ------------------------------------------------------------------
-    def _deliverable(self, sub: SubFlow) -> SubFlow:
-        """What of ``sub`` passes the drop filter (``sub`` itself when
-        nothing is filtered) — the gate every sub-flow passes on its way
-        into the columns."""
-        assert not any(isinstance(env.payload, AppPayload) for env in sub), (
-            "application mail in a steady sub-flow: AppPayloads travel by "
-            "post() / send_once(), never send() (the lane contract)"
-        )
-        flt = self._drop_filter
-        if flt is None:
-            return sub
-        kept = [env for env in sub if not flt(env)]
-        return sub if len(kept) == len(sub) else SubFlow(kept)
+    def _kept(self, sub: SubFlow) -> SubFlow:
+        """What of ``sub`` the last delivery point's filter let through."""
+        return sub if self._flt is None else sub.kept(self._flt)
 
-    # ------------------------------------------------------------------
-    # sender flow surgery
-    # ------------------------------------------------------------------
-    def _install_sender_flows(self, sender: Hashable) -> int:
-        """Index ``sender``'s cached outbox as steady flows; returns its
-        per-round drop count (dead targets + filtered envelopes)."""
-        drops = 0
-        for target, sub in self._out_by[sender].items():
-            deliverable = self._deliverable(sub)
-            if target in self._actors:
-                drops += len(sub) - len(deliverable)
-                if deliverable:
-                    self._flow_in.setdefault(target, {})[sender] = deliverable
-                    self._flow_pending += len(deliverable)
+    def _count(self, sub: SubFlow, live: bool, sign: int) -> None:
+        """Add (``sign`` 1) or take out (-1) one piece's share of the
+        running totals: a live target's piece delivers what the filter
+        keeps and drops the rest, a dead target's drops whole."""
+        if not live:
+            self._flow_dropped += sign * len(sub)
+            return
+        kept = len(self._kept(sub))
+        self._flow_pending += sign * kept
+        self._flow_dropped += sign * (len(sub) - kept)
+
+    def _patch(self, target: Hashable, d: int, sender: Hashable, sub: Optional[SubFlow]) -> None:
+        """From this delivery point on, ``sender``'s delay-``d`` piece to
+        ``target`` is ``sub`` (None: there is none)."""
+        live = target in self._actors
+        if d == 1:
+            column, key = (self._flow_in if live else self._dead_in), sender
+        else:
+            column, key = (self._late_in if live else self._dead_late), (-d, 0, sender)
+        subs = column.get(target)
+        if subs is None:
+            if sub is None:
+                return
+            subs = column[target] = {}
+        old = subs.pop(key, None)
+        if sub is not None:
+            subs[key] = sub
+        elif not subs:
+            del column[target]
+        if self._flt is None:
+            delta = (len(sub) if sub else 0) - (len(old) if old else 0)
+            if live:
+                self._flow_pending += delta
             else:
-                # every envelope to a dead target drops, filtered or not;
-                # the deliverable part is frozen for a possible re-join
-                drops += len(sub)
-                if deliverable:
-                    self._dead_in.setdefault(target, {})[sender] = deliverable
-        return drops
+                self._flow_dropped += delta
+            return
+        if old is not None:
+            self._count(old, live, -1)
+        if sub is not None:
+            self._count(sub, live, 1)
 
-    # ------------------------------------------------------------------
-    # mode transitions
-    # ------------------------------------------------------------------
-    def _enter_columnar(self) -> None:
-        """Derive the columns from the steady-emission cache.
+    def _rederive(self) -> None:
+        """A new drop filter takes effect at this delivery point: the
+        running totals are recounted under it."""
+        self._flt = self._drop_filter
+        self._flow_pending = self._flow_dropped = 0
+        for column, live in (
+            (self._flow_in, True), (self._late_in, True),
+            (self._dead_in, False), (self._dead_late, False),
+        ):
+            for subs in column.values():
+                for sub in subs.values():
+                    self._count(sub, live, 1)
 
-        Only called at a boundary with no pending flow events
-        (``_flow_flag`` clear), where the delivered parts provably equal
-        the filtered steady deliveries plus application mail — so the
-        steady part can be dropped and regenerated from ``_out`` on
-        exit.  The application mail of the one-shot (non-:class:`SubFlow`)
-        parts, last round's one-shot sends in sender order, becomes the
-        lane; the buffers keep the posts made since.  The derived columns
-        must hold the parts and buffers as a fingerprint multiset:
-        checked at entry.
-        """
-        expected = self.config_hash()[1]
-        parts_of = self._parts
-        self._parts = {}
-        self._plans = {}
-        self._clear_columns()
-        self._settled = {key: self._round - 1 for key in self._actors}
-        for key in self._actors:
-            self._flow_sent += len(self._out.get(key, ()))
-            drops = self._install_sender_flows(key)
-            self._drop_by[key] = drops
-            self._flow_dropped += drops
-        for target, parts in parts_of.items():
-            sends = [
-                env
-                for part in parts
-                if part.__class__ is not SubFlow
-                for env in part
-                if isinstance(env.payload, AppPayload)
-            ]
-            if sends:
-                self._lane[target] = sends
-        self._lane_targets = {key for key, box in self._inboxes.items() if box}
-        self._lane_targets.update(self._lane)
-        self._cols_active = True
-        assert self.config_hash()[1] == expected, (
-            "columnar entry: the derived columns diverge from the "
-            "delivered parts — flow bookkeeping bug"
-        )
-        self._sync_tel_flow_types()
+    def _revive_frozen(self) -> None:
+        """Re-joined ids: their frozen pieces resume delivering."""
+        for target in self._revive:
+            for frozen, column in ((self._dead_in, self._flow_in), (self._dead_late, self._late_in)):
+                subs = frozen.pop(target, None)
+                if subs:
+                    for sub in subs.values():
+                        self._count(sub, False, -1)
+                        self._count(sub, True, 1)
+                    column[target] = subs
+        self._revive.clear()
 
-    def _boundary_parts(self, target: Hashable) -> List[Sequence[Envelope]]:
-        """The target's pending messages but its buffer, as the tracked
-        loop's parts: ``[per sender in key order: flow, ghost, one-shot
-        sends]`` — a sender's one-shots follow its steady emissions,
-        exactly where :meth:`_deliver_flows` puts them."""
-        flows = self._flow_in.get(target) or {}
-        ghosts = self._ghost.get(target) or {}
-        lane: Dict[Hashable, List[Envelope]] = {}
-        for env in self._lane.get(target, ()):
-            lane.setdefault(env.sender, []).append(env)
-        return [
-            column[sender]
-            for sender in sorted({*flows, *ghosts, *lane})
-            for column in (flows, ghosts, lane)
-            if sender in column
-        ]
-
-    def _exit_columnar(self) -> None:
-        """Hand every pending message to the tracked loop as delivered
-        parts (the buffers stay as they are) and fall back to it."""
-        self.settle_replays()
-        for target in self._actors:
-            parts = self._boundary_parts(target)
+    def _hold(self, sleepers: List[Hashable]) -> None:
+        """The sleepers of a partial round keep their inboxes: what each
+        holds becomes its ``_held`` parts, the columns deliver after it."""
+        for key in sleepers:
+            parts = self._pending_parts(key)
+            box = self._inboxes[key]
+            if box:
+                parts.append(box)
+                self._inboxes[key] = []
             if parts:
-                self._parts[target] = parts
-        # the lane's targets stay behind as the tracked loop's mail set
-        self._clear_columns()
-        self._cols_active = False
+                self._held[key] = parts
+                self._late_once.pop(key, None)
+                self._lane.pop(key, None)
+
+    def _gap(self, q: int, sleepers: List[Hashable]) -> None:
+        """The sleepers of round ``q`` sent nothing: each of their
+        pieces is missing for one arrival round, then resumes."""
+        model = self._delivery
+        patch_at = self._patch_at
+        for key in sleepers:
+            for target, sub in self._out_by[key].items():
+                for d, piece in sub.delay_buckets(model):
+                    patch_at.setdefault(q + d, []).append((target, d, key, None))
+                    patch_at.setdefault(q + d + 1, []).append((target, d, key, piece))
+
+    def _mature(self, q: int) -> int:
+        """Delayed one-shots and posts consumed in ``q + 1`` take their
+        slots (application mail joins the mail set); returns how many
+        dropped (dead target or filter)."""
+        dropped = 0
+        flt = self._drop_filter
+        for target, slot, env in self._future.pop(q + 1, ()):
+            if target not in self._actors or (flt is not None and flt(env)):
+                dropped += 1
+                continue
+            self._late_once.setdefault(target, {}).setdefault(slot, []).append(env)
+            if isinstance(env.payload, AppPayload):
+                self._lane_targets.add(target)
+        return dropped
 
     # ------------------------------------------------------------------
     # counter settlement
@@ -1443,12 +1060,9 @@ class ColumnarScheduler(SynchronousScheduler):
         """Apply every owed quiescent-round counter delta now.
 
         Called at boundaries by observers of rule counters (the network
-        facade) and on every fall-back to the tracked loop; afterwards
-        all counters equal what the tracked loop's eager per-round
-        replay would have produced.
+        facade) and before a partial round; afterwards all counters
+        equal what an eager per-round replay would have produced.
         """
-        if not self._cols_active:
-            return
         upto = self._round - 1
         for key in self._actors:
             self._settle_actor(key, upto)
@@ -1456,77 +1070,161 @@ class ColumnarScheduler(SynchronousScheduler):
     # ------------------------------------------------------------------
     # pending-set observers
     # ------------------------------------------------------------------
+    def _late_parts(self, target: Hashable, take: bool) -> List[Sequence[Envelope]]:
+        """The target's delay-``>= 2`` pieces and matured one-shots in
+        slot order (``take``: the one-shots are consumed)."""
+        late = self._late_in.get(target) or {}
+        once = (self._late_once.pop if take else self._late_once.get)(target, None) or {}
+        if not once and self._flt is None:
+            return [late[slot] for slot in sorted(late)]
+        parts: List[Sequence[Envelope]] = []
+        for slot in sorted({*late, *once}):
+            sub = late.get(slot)
+            if sub is not None:
+                sub = self._kept(sub)
+                if sub:
+                    parts.append(sub)
+            if slot in once:
+                parts.append(once[slot])
+        return parts
+
+    def _pending_parts(self, target: Hashable) -> List[Sequence[Envelope]]:
+        """The target's pending inbox but its buffer, in the spec's
+        order: held, late slots, then per sender its delay-1 piece and
+        its one-shot sends."""
+        parts = [*self._held.get(target, ()), *self._late_parts(target, take=False)]
+        flows = self._flow_in.get(target) or {}
+        lane: Dict[Hashable, List[Envelope]] = {}
+        for env in self._lane.get(target, ()):
+            lane.setdefault(env.sender, []).append(env)
+        for sender in sorted({*flows, *lane}):
+            sub = flows.get(sender)
+            if sub is not None:
+                sub = self._kept(sub)
+                if sub:
+                    parts.append(sub)
+            if sender in lane:
+                parts.append(lane[sender])
+        return parts
+
     def pending_messages(self) -> int:
-        if not self._cols_active:
-            count = super().pending_messages()
-            for parts in self._parts.values():
-                count += sum(map(len, parts))
-            return count
         count = self._flow_pending
         for boxes in (self._lane, self._inboxes):
             for box in boxes.values():
                 count += len(box)
-        return count
+        for parts in chain(self._held.values(), (o.values() for o in self._late_once.values())):
+            count += sum(map(len, parts))
+        count += sum(map(len, self._future.values()))
+        return count + sum(
+            len(piece) * (stop - first) for _t, _s, piece, first, stop in self._wire_spans()
+        )
 
     def all_pending(self) -> List[Envelope]:
-        parts_of = self._boundary_parts if self._cols_active else self._parts.get
         out: List[Envelope] = []
         for target in sorted(self._inboxes):
-            for part in parts_of(target) or ():
+            for part in self._pending_parts(target):
                 out.extend(part)
             out.extend(self._inboxes[target])
         return out
 
-    # ------------------------------------------------------------------
-    # the fast round
-    # ------------------------------------------------------------------
-    def _materialize_inbox(self, key: Hashable) -> List[List[Envelope]]:
-        """Assemble and consume the actor's boundary inbox, as the
-        ordered parts it is made of: ``[per sender in key order: its
-        SubFlow, its ghost][lane mail + buffer]``.
+    def _wire_spans(self):
+        """The delay-``>= 2`` pieces on the wire at this boundary, as
+        ``(target, slot, piece, first, stop)``: the arrivals ``first ..
+        stop - 1`` each carry ``piece``.  At boundary ``r`` a class-``d``
+        piece has its sends of the last ``d - 1`` rounds in flight
+        (arrivals ``r + 1 .. r + d - 1``); a pending patch for arrival
+        ``c`` changes the piece from ``c`` on.  Raw: the filter applies
+        when they land, to dead targets too."""
+        r = self._round
+        steps: Dict[tuple, List[tuple]] = {}
+        for c in sorted(self._patch_at):
+            for target, d, sender, sub in self._patch_at[c]:
+                if 1 < d and c < r + d:
+                    steps.setdefault((target, (-d, 0, sender)), []).append((c, sub))
+        for column in (self._late_in, self._dead_late):
+            for target, subs in column.items():
+                for slot, sub in subs.items():
+                    if (target, slot) not in steps:
+                        yield target, slot, sub, r + 1, r - slot[0]
+        for (target, slot), changes in steps.items():
+            piece = (self._late_in.get(target) or self._dead_late.get(target) or {}).get(slot)
+            first = r + 1
+            for c, sub in [*changes, (r - slot[0], None)]:
+                if piece is not None and c > first:
+                    yield target, slot, piece, first, c
+                piece, first = sub, c
 
-        Ghosts, lane mail and buffered posts are one-shot: they leave
-        the pending set here.  Steady flows stay indexed — they are
+    def future_pending(self) -> List[Tuple[int, Envelope]]:
+        """The queued one-shots and the in-flight copies of the pieces
+        (:meth:`_wire_spans`), per arrival round and target in the
+        spec's inbox order."""
+        r = self._round
+        flight = [
+            (c, target, (slot, 1, rank), (env,))
+            for c, entries in self._future.items()
+            for rank, (target, slot, env) in enumerate(entries)
+        ]
+        for target, slot, piece, first, stop in self._wire_spans():
+            flight += [(c, target, (slot, 0), piece) for c in range(first, stop)]
+        flight.sort(key=itemgetter(0, 1, 2))
+        return [(c - r, env) for c, _target, _order, part in flight for env in part]
+
+    # ------------------------------------------------------------------
+    # the round
+    # ------------------------------------------------------------------
+    def _materialize_inbox(self, key: Hashable) -> List[Sequence[Envelope]]:
+        """Assemble and consume the actor's boundary inbox, as the
+        ordered parts it is made of: ``[held][late slots][delay-1 pieces
+        in sender order][lane mail + buffer]``.
+
+        Held parts, one-shots, lane mail and buffered posts leave the
+        pending set here.  Steady pieces stay indexed — they are
         conceptually re-delivered at the end of the round — and are
         handed out as the persistent :class:`SubFlow` objects, so a
-        consumer recognizes an unchanged one by identity.
-        Lane sends land after all flows rather than after their own
-        sender's: the rules never see them and the handler sees only
-        them, so just their relative order is observable.
+        consumer recognizes an unchanged one by identity.  Lane sends
+        land after all pieces rather than after their own sender's: the
+        rules never see them and the handler sees only them, so just
+        their relative order is observable.
         """
         flows = self._flow_in.get(key) or {}
-        ghosts = self._ghost.pop(key, None)
-        if ghosts:
-            parts: List[List[Envelope]] = []
-            for sub in ghosts.values():
-                self._flow_pending -= len(sub)
-            for sender in sorted({*flows, *ghosts}):
-                if sender in flows:
-                    parts.append(flows[sender])
-                if sender in ghosts:
-                    parts.append(ghosts[sender])
+        if self._flt is None and not (self._late_in or self._late_once or self._held):
+            parts: List[Sequence[Envelope]] = [flows[sender] for sender in sorted(flows)]
         else:
-            parts = [flows[sender] for sender in sorted(flows)]
+            parts = [*self._held.pop(key, ()), *self._late_parts(key, take=True)]
+            if self._flt is None:
+                parts += [flows[sender] for sender in sorted(flows)]
+            else:
+                parts += filter(None, map(self._kept, (flows[s] for s in sorted(flows))))
         mail = self._take_mail(key)
         if mail:
             parts.append(mail)
         return parts
 
     def _take_mail(self, key: Hashable) -> List[Envelope]:
-        """Consume the actor's lane sends and buffered posts, in order
-        (a lane-only actor's whole inbox: any other post would have put
-        it on the dirty list)."""
+        """Consume the actor's matured one-shots, lane sends and buffered
+        posts, in order (a lane-only actor's whole inbox: any other mail
+        would have put it on the dirty list)."""
         mail = self._lane.pop(key, None) or []
+        once = self._late_once.pop(key, None) if self._late_once else None
+        if once:
+            mail[:0] = [env for slot in sorted(once) for env in once[slot]]
         box = self._inboxes.get(key)
         if box:
             mail.extend(box)
             self._inboxes[key] = []
         return mail
 
-    def _run_round_columnar(self) -> None:
+    def _run_round(self, active: Optional[frozenset]) -> None:
+        """One round: step the work list, then the delivery point.
+
+        ``active`` (partial activation) filters the work list: only
+        awake actors step, and every one of them executes (module
+        docstring)."""
         round_no = self._round
         tel = self._telemetry
         actors = self._actors
+        settled = self._unit_settled()
+        switched_from = self._switched_from
         state_changed_any = False
         # posts / membership / pending application mail since last round
         flow_changed = self._flow_flag or self._lane_flag
@@ -1536,10 +1234,17 @@ class ColumnarScheduler(SynchronousScheduler):
         newly_dirty: Set[Hashable] = set()
         carry_due = self._dirty_carry
         self._dirty_carry = set()
-        # the work list: the dirty set merged with the lane's targets;
-        # the dirty actors run the rule pipeline, the rest is lane-only
-        must_step = {k for k in self._dirty if k in actors}
-        work = sorted(must_step.union(k for k in self._lane_targets if k in actors))
+        if active is None:
+            # the work list: the dirty set merged with the lane's targets;
+            # the dirty actors run the rule pipeline, the rest is lane-only
+            sleepers: List[Hashable] = []
+            must_step = {k for k in self._dirty if k in actors}
+            work = sorted(must_step.union(k for k in self._lane_targets if k in actors))
+        else:
+            self.settle_replays()
+            sleepers = [k for k in actors if k not in active]
+            must_step = active
+            work = sorted(k for k in actors if k in active)
         self._lane_targets = set()
 
         # ---- pass 1: take every inbox, then step the round as one batch
@@ -1547,7 +1252,7 @@ class ColumnarScheduler(SynchronousScheduler):
         lane_batch: List[tuple] = []
         #: every context of the round in key order (one-shot delivery)
         ctxs: List[RoundContext] = []
-        materialize_s = 0.0
+        materialize_s = execute_s = 0.0
         for key in work:
             actor = actors[key]
             ctx = RoundContext(round_no, key, self)
@@ -1574,100 +1279,84 @@ class ColumnarScheduler(SynchronousScheduler):
             if tel is None:
                 stepper.run_batch(batch, lane_batch)
             else:
-                tel.add_time("kernel.materialize", materialize_s, len(work))
                 _t0 = _perf()
                 stepper.run_batch(batch, lane_batch)
-                tel.add_time("kernel.execute", _perf() - _t0, len(work))
+                execute_s = _perf() - _t0
         #: sender -> outbox patch of this round (see :meth:`_post_step`)
         patched: Dict[Hashable, tuple] = {}
         for key, _actor, _inbox, ctx in batch:
             sc, patch = self._post_step(key, ctx._outbox, changed_keys, newly_dirty)
             state_changed_any |= sc
             if patch is not None:
-                # unit delivery: the change arrives next round
-                newly_dirty.update(patch[2])
                 patched[key] = patch
-                flow_changed = True
         for key, _actor, _inbox, ctx in lane_batch:
             self._check_lane_step(key, ctx)
 
         # ---- pass 2: the delivery point ---------------------------------
         _t0 = _perf() if tel is not None else 0.0
+        flow_s = 0.0
         tel_types = self._tel_flow_types
         tel_extra: Optional[Counter] = Counter() if tel is not None else None
-        sent_extra = 0
-        dropped_extra = 0
-        flt = self._drop_filter
-        # (a) steady-flow patches: surgery touches only the targets whose
-        # sub-flow actually changed
-        for sender, (prev, new, changed, prev_by, new_by) in patched.items():
+        # (a) the senders' side: sent totals and their typed mirror
+        for prev, new, changed, prev_by, new_by in patched.values():
             self._flow_sent += len(new) - len(prev or ())
-            drop_delta = 0
-            for target in changed:
-                old_sub = prev_by.get(target)
-                new_sub = new_by.get(target)
-                if tel_types is not None:
-                    for env in new_sub or ():
-                        tel_types[type(env.payload).__name__] += 1
-                    for env in old_sub or ():
-                        tel_types[type(env.payload).__name__] -= 1
-                # a frozen sub from before the target's death (or from a
-                # pre-revival window) must not resurface on top of the
-                # fresh sub-flow installed below
-                dead = self._dead_in.get(target)
-                if dead is not None:
-                    dead.pop(sender, None)
-                deliverable = self._deliverable(new_sub) if new_sub else None
-                if target in self._actors:
-                    subs = self._flow_in.get(target)
-                    cur = subs.pop(sender, None) if subs is not None else None
-                    if cur:
-                        self._flow_pending -= len(cur)
-                    drop_delta -= len(old_sub or ()) - len(cur or ())
-                    if new_sub:
-                        drop_delta += len(new_sub) - len(deliverable)
-                        if deliverable:
-                            self._flow_in.setdefault(target, {})[sender] = deliverable
-                            self._flow_pending += len(deliverable)
-                else:
-                    # every envelope to a dead target drops; the
-                    # deliverable part is frozen for a possible re-join
-                    drop_delta -= len(old_sub or ())
-                    if new_sub:
-                        drop_delta += len(new_sub)
-                        if deliverable:
-                            self._dead_in.setdefault(target, {})[sender] = deliverable
-            self._drop_by[sender] = self._drop_by.get(sender, 0) + drop_delta
-            self._flow_dropped += drop_delta
-        # (b) revivals: frozen flows to re-joined ids resume
-        for target in sorted(self._revive):
-            if target not in self._actors:
-                continue
-            subs = self._dead_in.pop(target, None)
-            if subs is None:
-                continue
-            for sender in sorted(subs):
-                if sender not in self._actors:
-                    continue
-                sub = subs[sender]
-                self._flow_in.setdefault(target, {})[sender] = sub
-                self._flow_pending += len(sub)
-                self._drop_by[sender] = self._drop_by.get(sender, 0) - len(sub)
-                self._flow_dropped -= len(sub)
-        self._revive.clear()
-        # (c) this round's one-shot sends enter the lane
+            if tel_types is not None:
+                for target in changed:
+                    tel_types.update(type(env.payload).__name__ for env in new_by.get(target, ()))
+                    tel_types.subtract(type(env.payload).__name__ for env in prev_by.get(target, ()))
+        # (b) what the last boundary delivered: sleepers hold it, a new
+        # filter and re-joined ids take effect
+        if sleepers:
+            self._hold(sleepers)
+        if self._flt is not self._drop_filter:
+            self._rederive()
+        if self._revive:
+            self._revive_frozen()
+        # (c) column patches: those arriving now in scheduling order, then
+        # (settled unit delivery) this round's, which arrive at once
+        if settled:
+            if patched:
+                flow_changed = True
+                for patch in patched.values():
+                    newly_dirty.update(patch[2])
+        elif tel is None:
+            self._feed_flow_changes(round_no, actors, patched, newly_dirty)
+        else:
+            _t1 = _perf()
+            self._feed_flow_changes(round_no, actors, patched, newly_dirty)
+            flow_s = _perf() - _t1
+        if sleepers:
+            self._gap(round_no, sleepers)
+        for entry in self._patch_at.pop(round_no + 1, ()):
+            self._patch(*entry)
+        if settled:
+            for sender, (_prev, _new, changed, _prev_by, new_by) in patched.items():
+                for target in changed:
+                    self._patch(target, 1, sender, new_by.get(target))
+        # (d) one-shots: the matured ones, then this round's sends
+        dropped_extra = self._mature(round_no) if self._future else 0
+        sent_extra = 0
+        flt = self._drop_filter
+        delay = self._delivery.delay
         lane = self._lane
         for ctx in ctxs:
             once = ctx._once
             if not once:
                 continue
-            flow_changed = True
-            self._lane_flag = True  # consumed next round: that boundary differs too
             sent_extra += len(once)
             if tel_extra is not None:
                 tel_extra.update(type(env.payload).__name__ for env in once)
             for env in once:
                 target = env.target
+                d = 1 if settled else delay(env)
+                if d > 1:
+                    self._future.setdefault(round_no + d, []).append(
+                        (target, (-d, 0, env.sender), env)
+                    )
+                    self._one_shot(round_no, env, d)
+                    continue
+                flow_changed = True
+                self._lane_flag = True  # consumed next round: that boundary differs too
                 if target not in actors or (flt is not None and flt(env)):
                     dropped_extra += 1
                     continue
@@ -1677,25 +1366,68 @@ class ColumnarScheduler(SynchronousScheduler):
                     self._lane_targets.add(target)
                 box.append(env)
 
-        # (d) boundary bookkeeping — identical observables to the tracked loop
+        # (e) boundary bookkeeping
+        sent = self._flow_sent + sent_extra
+        sleeping_types: Optional[Counter] = None
+        if sleepers:
+            sent -= sum(len(self._out[key]) for key in sleepers)
+            if tel_types:
+                sleeping_types = Counter(
+                    type(env.payload).__name__ for key in sleepers for env in self._out[key]
+                )
         self.dropped_last_round = self._flow_dropped + dropped_extra
+        replayed = len(actors) - executed if active is None else 0
         if tel is not None:
-            tel.add_time("kernel.patch", _perf() - _t0)
+            if settled:
+                tel.add_time("kernel.materialize", materialize_s, len(work))
+                tel.add_time("kernel.execute", execute_s, len(work))
+                tel.add_time("kernel.patch", _perf() - _t0)
+            else:
+                # a round with anything beyond the next boundary in motion
+                # reports its own phases
+                tel.add_time("kernel.step", materialize_s + execute_s, executed + replayed)
+                tel.add_time("kernel.flow_changes", flow_s)
+                tel.add_time("kernel.deliver", _perf() - _t0 - flow_s)
             msg = tel.messages
             if tel_types:
                 for name, count in tel_types.items():
+                    count -= sleeping_types[name] if sleeping_types else 0
                     if count:
                         msg[name] += count
             if tel_extra:
                 msg.update(tel_extra)
             tel.on_round(
-                sent=self._flow_sent + sent_extra, dropped=self.dropped_last_round,
-                executed=executed, replayed=len(actors) - executed,
+                sent=sent, dropped=self.dropped_last_round, executed=executed, replayed=replayed,
             )
-        self.changed_last_round = state_changed_any or flow_changed
+        if settled and active is None:
+            self.changed_last_round = state_changed_any or flow_changed
+        else:
+            landed = self._landed(round_no)
+            self.changed_last_round = (
+                state_changed_any or flow_changed or landed or round_no <= self._flux_until
+            )
         self.state_changed_keys = changed_keys
         self.executed_last_round = executed
-        self.replayed_last_round = len(actors) - executed
+        self.replayed_last_round = replayed
         newly_dirty |= carry_due
+        if self._wake:
+            newly_dirty.update(self._wake.pop(round_no + 1, ()))
         self._dirty = newly_dirty
+        if active is not None:
+            # the conservative tail (module docstring): the sleepers'
+            # gaps arrive next round and their restored pieces the round
+            # after — everyone executes in both
+            for key in sleepers:
+                self._settled[key] = round_no
+            self.changed_last_round = True
+            self._flow_flag = True  # sleepers' flow resumes later: boundary differs
+            self._dirty = set(actors)
+            self._dirty_carry = set(actors)
+            if not settled:
+                bound = self._delivery.delay_bound()
+                if switched_from is not None:
+                    bound = max(bound, switched_from.delay_bound())
+                last = max(round_no + 1 + bound, max(self._future, default=0))
+                self._wake_everyone(round_no + 2, last)
+                self._flux_until = max(self._flux_until, last - 1)
         self._round += 1

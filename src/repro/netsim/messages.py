@@ -25,8 +25,9 @@ class AppPayload:
     Handlers may read the peer's state, external stores and the message
     — never the liveness oracle — and must not mutate overlay state
     (enforced on lane-only rounds).  In return application mail does
-    not dirty the overlay: in both round loops of the dirty-set kernel a
-    clean receiver replays its rules and runs only the handler.
+    not dirty the overlay: in the dirty-set kernel a clean receiver
+    replays its rules and runs only the handler.  ``RoundContext.send()``
+    refuses one where it builds a new envelope.
     """
 
     __slots__ = ()
@@ -132,11 +133,10 @@ def envelope_fingerprint(env: Envelope) -> int:
 class SubFlow(list):
     """One sender's steady envelopes to one target, in emission order.
 
-    The unit the tracked kernels diff (``_post_step``), the columnar
-    kernel stores (``_flow_in``) and, under a non-unit delivery model,
-    the unit the tracked loop schedules, delivers and hands to the
-    stepper: a steady outbox is a set of sub-flows, and between two
-    executions of its sender almost all of them repeat.
+    The unit the columnar kernel diffs (``_post_step``), stores in its
+    columns (one piece per delay class) and hands to the stepper: a
+    steady outbox is a set of sub-flows, and between two executions of
+    its sender almost all of them repeat.
     A ``SubFlow`` is **immutable once built** — a changed sub-flow is a
     new object, an unchanged one stays the *same* object in the sender's
     split and in the receiver's column — so what is derived from its
@@ -145,11 +145,13 @@ class SubFlow(list):
     * :attr:`fp_sum` — the multiset fingerprint sum of its envelopes
       (what it contributes to the pending half of ``config_hash()``;
       two sub-flows whose sums differ hold different multisets, which
-      is how the tracked loop knows a changed sub-flow sends a change
-      front without diffing it), computed on first use;
+      is how the kernel knows a changed sub-flow sends a change front
+      without diffing it), computed on first use;
     * :meth:`owners` — the owner ids its envelopes reference (what the
       columnar kernel's ``ref_receivers`` query tests), computed on
       first use;
+    * :meth:`kept` — what of it a drop filter lets through, computed
+      once per filter object;
     * :meth:`delay_buckets` — its envelopes grouped by delivery delay
       under one delivery model, computed on first use and kept while
       that model object stays the one asked for (a model switch
@@ -164,7 +166,7 @@ class SubFlow(list):
     value that is used once has nothing to amortize.
     """
 
-    __slots__ = ("_fp_sum", "_owners", "parsed", "_delays")
+    __slots__ = ("_fp_sum", "_owners", "parsed", "_delays", "_kept")
 
     def __init__(self, envelopes: Sequence[Envelope] = ()) -> None:
         super().__init__(envelopes)
@@ -172,6 +174,19 @@ class SubFlow(list):
         self._owners: Optional[frozenset] = None
         self.parsed: Any = None
         self._delays: Optional[tuple] = None
+        self._kept: Optional[tuple] = None
+
+    def kept(self, drop: Any) -> "SubFlow":
+        """What of it passes the drop filter ``drop``: itself when
+        nothing is dropped, else one sub-flow of the survivors, kept
+        while that filter object stays the one asked for."""
+        cached = self._kept
+        if cached is None or cached[0] is not drop:
+            survivors = [env for env in self if not drop(env)]
+            cached = self._kept = (
+                drop, self if len(survivors) == len(self) else SubFlow(survivors)
+            )
+        return cached[1]
 
     def delay_buckets(self, model: Any) -> tuple:
         """``((delay, envelopes), ...)`` under delivery ``model``: every

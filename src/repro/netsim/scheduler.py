@@ -22,7 +22,7 @@ Section 4), never on a round in progress.  While a round runs, every
 call that changes the scheduler — :meth:`~SynchronousScheduler.add_actor`,
 ``remove_actor``, ``post``/``post_batch``, ``set_drop_filter``,
 ``set_delivery_model``, ``set_daemon``, and the columnar kernel's own
-tracking calls — raises ``RuntimeError`` naming itself, in every loop;
+tracking calls — raises ``RuntimeError`` naming itself, in either kernel;
 however the round ends, the next boundary takes changes again.
 So every inbox of a round is fixed before any step runs.
 
@@ -41,10 +41,10 @@ send a delivery delay in rounds and an :class:`ActivationDaemon` picks
 the active set when ``run_round`` is called without an explicit one.
 Delays beyond one round park the envelope in a **delivery-round-keyed
 queue** (``_future``) of ``(target, envelopes)`` parts, each part
-addressed to one target (the spec parks single envelopes; the columnar
-kernel's tracked loop parks whole sub-flows); it matures — drop filter
-applied, inbox appended — at the end of the round before its
-consumption round.  Scheduled
+addressed to one target (the columnar kernel queues only one-shots
+there, each with its inbox slot, and derives its steady pieces in flight
+from its columns); it matures — drop filter applied, inbox appended — at
+the end of the round before its consumption round.  Scheduled
 envelopes are part of the configuration: the network fingerprint
 appends them keyed by their *remaining* delay (:meth:`future_pending`).
 """
@@ -72,6 +72,16 @@ def _inside_step(call: str) -> RuntimeError:
         f"{call}() called from inside a step: rounds are atomic, the "
         "scheduler changes only between rounds"
     )
+
+
+def _steady(sender: Hashable, target: Hashable, payload: Any) -> Envelope:
+    """A new steady envelope; application mail is refused (the lane
+    contract: it is one-shot, see :class:`AppPayload`)."""
+    assert not isinstance(payload, AppPayload), (
+        "application mail sent with send(): AppPayloads travel by "
+        "post() / send_once(), never send() (the lane contract)"
+    )
+    return Envelope(sender, target, payload)
 
 
 class Actor(Protocol):
@@ -117,18 +127,19 @@ class RoundContext:
         (steady-emission caches, columnar flow diffs) short-circuit on
         identity instead of deep-comparing payloads, and lets the
         memoized envelope fingerprint survive across rounds.  Unhashable
-        payloads (generic unit-test actors) skip the cache.
+        payloads (generic unit-test actors) skip the cache.  A new
+        envelope holding application mail fails the lane contract.
         """
         try:
             env = self._scheduler._env_cache.get((self.self_key, target, payload))
         except TypeError:
-            env = Envelope(self.self_key, target, payload)
+            env = _steady(self.self_key, target, payload)
         else:
             if env is None:
                 cache = self._scheduler._env_cache
                 if len(cache) >= _ENV_CACHE_MAX:
                     cache.clear()  # plain perf cache: dropping it only costs speed
-                env = cache[(self.self_key, target, payload)] = Envelope(
+                env = cache[(self.self_key, target, payload)] = _steady(
                     self.self_key, target, payload
                 )
         self._outbox.append(env)
@@ -192,7 +203,7 @@ class SynchronousScheduler:
         #: set while a round runs: every scheduler change is refused
         #: (rounds are atomic, see the module docstring)
         self._in_round = False
-        #: the tracked kernel's report of the last round (the spec loop
+        #: the columnar kernel's report of the last round (the spec loop
         #: leaves it as built): whether the last full round changed the
         #: global configuration
         self.changed_last_round = True
@@ -389,16 +400,21 @@ class SynchronousScheduler:
         delay = 1 if self._delivery.is_unit else self._delivery.delay(envelope)
         if delay > 1:
             # a delayed injection behaves like a send from the previous
-            # round: it matures (drop filter applied there) for
-            # consumption `delay` steps from the target's next step
-            self._future.setdefault(self._round + delay - 1, []).append(
-                (envelope.target, (envelope,))
-            )
+            # round, made after every sender of it: it matures (drop
+            # filter applied there) for consumption `delay` steps from
+            # the target's next step
+            self._park_post(envelope, delay)
         elif self._drop_filter is not None and self._drop_filter(envelope):
             return 0
         else:
             box.append(envelope)
         return delay
+
+    def _park_post(self, envelope: Envelope, delay: int) -> None:
+        """Queue a delayed post for its consumption round."""
+        self._future.setdefault(self._round + delay - 1, []).append(
+            (envelope.target, (envelope,))
+        )
 
     def post_batch(self, envelopes: Sequence[Envelope]) -> List[bool]:
         """Bulk :meth:`post`: inject a round's worth of messages.

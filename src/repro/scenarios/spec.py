@@ -26,7 +26,7 @@ Example::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.scenarios.events import EVENT_KINDS, check_event
@@ -34,6 +34,23 @@ from repro.traffic.generator import check_workload
 from repro.traffic.messages import OP_GET, OP_LOOKUP, OP_PUT
 from repro.traffic.plane import check_budget, check_resilience
 from repro.traffic.slo import check_quantiles
+
+
+def _section(value: Any, what: str, allowed: Optional[Tuple[str, ...]] = None) -> dict:
+    """``value`` as the JSON object ``what`` names, copied; with
+    ``allowed``, an unknown key is refused naming the allowed ones."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {value!r}")
+    unknown = sorted(map(str, set(value) - set(allowed or value)))
+    if unknown:
+        raise ValueError(f"{what}: unknown field(s) {unknown}; allowed: {sorted(allowed)}")
+    return dict(value)
+
+
+def _field_names(cls) -> Tuple[str, ...]:
+    """The dataclass's field names: the keys its JSON section may hold."""
+    return tuple(f.name for f in fields(cls))
+
 
 #: initial-topology builders accepted by ScenarioSpec.start
 START_KINDS = (
@@ -85,10 +102,11 @@ class EventSpec:
     @staticmethod
     def from_dict(data: dict) -> "EventSpec":
         """Inverse of :meth:`to_dict`."""
+        data = _section(data, "event", _field_names(EventSpec))
         return EventSpec(
             at=data["at"],
             kind=str(data["kind"]),
-            params=dict(data.get("params", {})),
+            params=_section(data.get("params", {}), "params"),
         )
 
 
@@ -164,10 +182,18 @@ class TrafficSpec:
     @staticmethod
     def from_dict(data: dict) -> "TrafficSpec":
         """Inverse of :meth:`to_dict`."""
-        kw = dict(data)
-        kw["op_mix"] = tuple((str(op), float(w)) for op, w in kw.get("op_mix", [["lookup", 1.0]]))
-        if kw.get("sketch_quantiles") is not None:
-            kw["sketch_quantiles"] = tuple(float(q) for q in kw["sketch_quantiles"])
+        kw = _section(data, "traffic", _field_names(TrafficSpec))
+        mix = kw.get("op_mix", [["lookup", 1.0]])
+        if not isinstance(mix, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in mix
+        ):
+            raise ValueError(f"traffic: op_mix must be a list of [op, weight] pairs, got {mix!r}")
+        kw["op_mix"] = tuple((str(op), float(w)) for op, w in mix)
+        quantiles = kw.get("sketch_quantiles")
+        if quantiles is not None:
+            if not isinstance(quantiles, list):
+                raise ValueError(f"traffic: sketch_quantiles must be a list, got {quantiles!r}")
+            kw["sketch_quantiles"] = tuple(float(q) for q in quantiles)
         return TrafficSpec(**kw)
 
 
@@ -227,6 +253,12 @@ class ScenarioSpec:
     daemon: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
+        for name in ("name", "description"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(
+                    f"{name} must be a string, got {value!r} ({type(value).__name__})"
+                )
         if self.start not in START_KINDS:
             raise ValueError(f"unknown start {self.start!r}; choose from {START_KINDS}")
         # fail loudly at construction, not mid-campaign
@@ -280,19 +312,26 @@ class ScenarioSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict`."""
-        kw = dict(data)
-        events = []
-        for index, event in enumerate(kw.get("events", [])):
+        """Inverse of :meth:`to_dict`.  Each section's shape is checked
+        here, so a malformed document is refused naming its field."""
+        kw = _section(data, "scenario", _field_names(ScenarioSpec))
+        events = kw.get("events", [])
+        if not isinstance(events, list):
+            raise ValueError(f"events must be a list, got {events!r}")
+        parsed = []
+        for index, event in enumerate(events):
             try:
-                events.append(EventSpec.from_dict(event))
+                parsed.append(EventSpec.from_dict(event))
             except (KeyError, ValueError) as exc:
                 what = exc.args[0] if isinstance(exc, ValueError) else f"missing field {exc}"
                 raise ValueError(f"event {index}: {what}") from None
-        kw["events"] = tuple(events)
+        kw["events"] = tuple(parsed)
         traffic = kw.get("traffic")
         kw["traffic"] = None if traffic is None else TrafficSpec.from_dict(traffic)
-        kw["start_params"] = dict(kw.get("start_params", {}))
+        kw["start_params"] = _section(kw.get("start_params", {}), "start_params")
+        for name in ("latency", "daemon"):
+            if kw.get(name) is not None:
+                kw[name] = _section(kw[name], name)
         return ScenarioSpec(**kw)
 
     def to_json(self, **json_kw: Any) -> str:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Dict, List, Tuple
 
 import pytest
@@ -13,55 +12,20 @@ from repro.core.protocol import REF_OK
 from repro.core.rules import RuleConfig
 from repro.core.state import PeerState
 from repro.idspace.ring import IdSpace
-from repro.netsim.columnar import ColumnarScheduler
 
 # Keep property-based tests fast and deterministic in CI.
 settings.register_profile("suite", max_examples=30, deadline=None, derandomize=True)
 settings.load_profile("suite")
 
-#: the default kernel with every round sent through its tracked loop (the
-#: columns are never entered).  As shipped, the kernel runs a full unit
-#: round on the tracked loop only before its first entry and after a
-#: drop-filter change, so the differential suites run this leg beside it
-#: to keep the tracked loop's parts delivery compared with the
-#: ``engine="full"`` spec over whole runs
-TRACKED = "tracked"
-#: the two legs of the default kernel
-KERNELS = ("columnar", TRACKED)
-#: the spec first, then the two legs of the default kernel
+#: the activity-tracked kernel (the default engine)
+KERNELS = ("columnar",)
+#: the spec first, then the default kernel
 ENGINES = ("full",) + KERNELS
 
 
-def track_every_round(net: ReChordNetwork) -> ReChordNetwork:
-    """Send every round of ``net``'s kernel through its tracked loop;
-    returns ``net``."""
-    net.scheduler._run_round = net.scheduler._run_round_tracked
-    return net
-
-
 def build(builder, engine: str, *args, **kwargs) -> ReChordNetwork:
-    """``builder(*args, engine=engine, **kwargs)``; ``TRACKED`` builds
-    the default kernel and sends every round through its tracked loop."""
-    if engine != TRACKED:
-        return builder(*args, engine=engine, **kwargs)
-    return track_every_round(builder(*args, engine="columnar", **kwargs))
-
-
-@contextmanager
-def kernel(engine: str):
-    """Yield the ``engine=`` value that builds ``engine``; inside the
-    block every columnar kernel runs only its tracked loop when
-    ``engine`` is ``TRACKED`` (for callers that build their own network,
-    e.g. ``run_scenario``)."""
-    if engine != TRACKED:
-        yield engine
-        return
-    saved = ColumnarScheduler._run_round
-    ColumnarScheduler._run_round = ColumnarScheduler._run_round_tracked
-    try:
-        yield "columnar"
-    finally:
-        ColumnarScheduler._run_round = saved
+    """``builder(*args, engine=engine, **kwargs)``."""
+    return builder(*args, engine=engine, **kwargs)
 
 
 @pytest.fixture

@@ -243,20 +243,42 @@ class TestCli:
              "op weight of 'put' must be finite, got -inf"),
             (["scenario", "--spec", {"traffic": {"key_universe": 2.5}}],
              "key_universe must be an integer, got 2.5 (float)"),
+            (["scenario", "--spec", {"events": [5]}], "event 0: event must be an object, got 5"),
+            (["scenario", "--spec", {"events": {"a": 1}}],
+             "events must be a list, got {'a': 1}"),
+            (["scenario", "--spec", {"latency": [1]}], "latency must be an object, got [1]"),
+            (["scenario", "--spec", [1, 2]], "scenario must be an object, got [1, 2]"),
+            (["scenario", "--spec", {"traffic": "lots"}], "traffic must be an object, got 'lots'"),
+            (["scenario", "--spec", {"traffic": {"op_mix": {"lookup": -1}}}],
+             "op_mix must be a list of [op, weight] pairs, got {'lookup': -1}"),
+            (["scenario", "--spec", {"bogus": 1}],
+             "scenario: unknown field(s) ['bogus']; allowed: ['daemon', 'description'"),
+            (["scenario", "--spec", {"name": 5}], "name must be a string, got 5 (int)"),
+            (["scenario", "flash-crowd", "--all"], "scenario: NAME and --all exclude each other"),
+            (["scenario", "flash-crowd", "--spec", "/nonexistent.json"],
+             "scenario: NAME and --spec exclude each other"),
+            (["scenario", "--all", "--seed", "3"], "scenario: --all ignores --seed"),
+            (["scenario", "--all", "--telemetry"], "scenario: --all ignores --telemetry"),
+            (["scenario", "--all", "--sketch-quantiles", "0.5"],
+             "scenario: --all ignores --sketch-quantiles"),
+            (["scenario", "--list", "--n", "8", "--daemon", "full"],
+             "scenario: --list ignores --n, --daemon"),
         ],
     )
     def test_bad_input_is_a_diagnostic_not_a_traceback(self, argv, message, capsys, tmp_path):
-        """A dict in ``argv`` is a spec override, written to a file: each
+        """A dict in ``argv`` is a spec override, written to a file, and
+        a list a whole spec document: each malformed section or
         out-of-range knob is rejected when the spec is parsed."""
         path = tmp_path / "spec.json"
         if "MALFORMED" in argv:
             path.write_text('{"name": "x", ')
             argv = [str(path) if a == "MALFORMED" else a for a in argv]
-        elif isinstance(argv[-1], dict):
+        elif isinstance(argv[-1], (dict, list)):
             spec = {"name": "x", "n": 8, "seed": 1, "rounds": 4, "traffic": {}}
-            for field, value in argv[-1].items():
-                spec[field] = {**spec[field], **value} if field == "traffic" else value
-            path.write_text(json.dumps(spec))
+            for field, value in argv[-1].items() if isinstance(argv[-1], dict) else ():
+                traffic = field == "traffic" and isinstance(value, dict)
+                spec[field] = {**spec[field], **value} if traffic else value
+            path.write_text(json.dumps(spec if isinstance(argv[-1], dict) else argv[-1]))
             argv = [*argv[:-1], str(path)]
         assert main(argv) == 2
         captured = capsys.readouterr()

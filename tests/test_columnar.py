@@ -1,14 +1,13 @@
 """Differential kernel tests: columnar engine ≡ full-scan.
 
 The columnar kernel (flow-indexed inboxes over interned NodeRef ids,
-batched dirty-set rule evaluation, bulk per-round delivery, the tracked
-loop under latency, partial activation and filter changes) must be
-**round-for-round equivalent** to the full-scan spec: same
+batched dirty-set rule evaluation, bulk per-round delivery, delay
+classes, partial activation and filter changes in the same columns)
+must be **round-for-round equivalent** to the full-scan spec: same
 :class:`StabilizationReport`, same ``fingerprint()`` at every boundary,
 and same rule-firing counters — across churn, partial activation,
 latency models, drop filters, and whole scenario campaigns.  These
-tests drive the kernel as shipped, the kernel with every round on its
-tracked loop, and the spec over the same inputs and compare.
+tests drive the kernel and the spec over the same inputs and compare.
 
 The suite also pins the :class:`repro.core.noderef.InternTable`
 invariants the columnar layout leans on: one singleton ref per identity
@@ -26,26 +25,23 @@ from repro.core.network import ReChordNetwork
 from repro.core.noderef import INTERN, NodeRef, make_ref
 from repro.idspace.ring import IdSpace
 from repro.netsim.columnar import ColumnarScheduler
+from repro.netsim.scheduler import SynchronousScheduler
 from repro.netsim.rng import SeedSequence
-from repro.scenarios import make_scenario, run_scenario, scenario_names
+from repro.scenarios import make_scenario, run_scenario
 from repro.workloads.churn import ChurnSchedule, apply_event
 from repro.workloads.initial import (
     build_random_network,
     corrupt_network,
     random_peer_ids,
 )
-from tests.conftest import TRACKED, build, kernel
 
 ROOT = SeedSequence(61011)
 
 
-def build_triple(n: int, seed: int, corrupt: bool = False):
-    """The same seeded start: the kernel as shipped, the kernel with
-    every round tracked, and the full-scan spec (last)."""
-    nets = [
-        build(build_random_network, engine, n=n, seed=seed)
-        for engine in ("columnar", TRACKED, "full")
-    ]
+def build_pair(n: int, seed: int, corrupt: bool = False):
+    """The same seeded start: the columnar kernel, and the full-scan
+    spec (last)."""
+    nets = [build_random_network(n=n, seed=seed, engine=engine) for engine in ("columnar", "full")]
     if corrupt:
         for net in nets:
             corrupt_network(net, seed + 1)
@@ -53,7 +49,7 @@ def build_triple(n: int, seed: int, corrupt: bool = False):
 
 
 def assert_equivalent(nets, context: str = "") -> None:
-    """Full observable equality across the triple."""
+    """Full observable equality across the pair."""
     ref = nets[-1]
     for net in nets[:-1]:
         assert net.fingerprint() == ref.fingerprint(), f"fingerprint diverged {context}"
@@ -92,96 +88,12 @@ class TestColumnarEngineSelection:
             ReChordNetwork(**{'incremental': False})
 
 
-class TestLoopSelection:
-    """Once entered, the columnar loop runs every full round under
-    settled unit delivery, however many actors execute.  The tracked
-    loop runs only what the columns cannot express — non-unit delivery,
-    partial activation, the round after a drop-filter change — and the
-    kernel re-enters the columns as soon as they can run again."""
-
-    @staticmethod
-    def _rounds_until_stable(net) -> list:
-        """``(executed, columnar)`` per round, run to the fixpoint."""
-        sched, log = net.scheduler, []
-        while True:
-            net.run_round()
-            log.append((sched.executed_last_round, sched._cols_active))
-            if not sched.changed_last_round:
-                return log
-
-    def test_the_columns_keep_every_full_unit_round(self):
-        from repro.traffic import TrafficPlane
-
-        net = build_random_network(n=24, seed=5)
-        sched = net.scheduler
-        # a cold start: dense rounds, most peers executing
-        cold = self._rounds_until_stable(net)
-        assert all(cols for _executed, cols in cold)
-        assert sum(executed > len(net.peers) // 2 for executed, _ in cold) >= 3
-        # a join, then a crash wave: the repair rounds
-        new_id = next(i for i in range(1, 2**20) if i not in net.peers)
-        net.join(new_id, net.peer_ids[0])
-        assert all(cols for _executed, cols in self._rounds_until_stable(net))
-        for pid in net.peer_ids[1::6]:
-            net.crash(pid)
-        assert all(cols for _executed, cols in self._rounds_until_stable(net))
-        # a traffic round with every peer dirty
-        plane = TrafficPlane(net)
-        for pid in net.peers:
-            sched.mark_dirty(pid)
-        plane.lookup("some-key", net.peer_ids[0])
-        net.run_round()
-        assert sched.executed_last_round == len(net.peers) and sched._cols_active
-        plane.drain()
-        assert sched._cols_active
-        assert plane.collector.summary()["completed"] == 1
-
-    def test_the_tracked_leg_never_enters_the_columns(self):
-        """The differential suites' ``TRACKED`` leg runs every round of
-        a cold start on the tracked loop, built directly or through
-        ``kernel()``."""
-        net = build(build_random_network, TRACKED, n=16, seed=3)
-        loops = [cols for _executed, cols in self._rounds_until_stable(net)]
-        assert loops and not any(loops)
-        with kernel(TRACKED) as engine:
-            net = build_random_network(n=16, seed=3, engine=engine)
-            assert not any(cols for _executed, cols in self._rounds_until_stable(net))
-        net = build_random_network(n=16, seed=3)
-        assert all(cols for _executed, cols in self._rounds_until_stable(net))
-
-    @pytest.mark.parametrize("trigger", ["latency", "partial", "filter"])
-    def test_the_tracked_loop_runs_what_the_columns_cannot(self, trigger):
-        net = build_random_network(n=16, seed=3)
-        net.run_until_stable(max_rounds=4000)
-        sched = net.scheduler
-        assert sched._cols_active
-        if trigger == "latency":
-            net.set_delivery_model({"kind": "constant", "delay": 2})
-        elif trigger == "partial":
-            net.set_daemon({"kind": "partial", "p": 0.5, "seed": 1})
-        else:
-            sched.set_drop_filter(lambda env: False)
-        loops = []
-        for _ in range(4):
-            net.run_round()
-            loops.append(sched._cols_active)
-        # a filter change costs one round; the others last while in effect
-        assert loops == ([False, True, True, True] if trigger == "filter" else [False] * 4)
-        if trigger == "latency":
-            net.set_delivery_model("unit")
-        elif trigger == "partial":
-            net.set_daemon("full")
-        net.run_until_stable(max_rounds=4000)
-        net.run_round()
-        assert sched._cols_active and sched.executed_last_round == 0
-
-
 class TestColumnarStabilization:
     @pytest.mark.parametrize("n,seed,corrupt", STARTS)
     def test_seeded_start_same_report_and_fingerprint(self, n, seed, corrupt):
-        nets = build_triple(n, seed, corrupt)
+        nets = build_pair(n, seed, corrupt)
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1] == reports[2], (
+        assert reports[0] == reports[1], (
             f"reports diverged at n={n} seed={seed} corrupt={corrupt}"
         )
         assert_equivalent(nets, f"at n={n} seed={seed} corrupt={corrupt}")
@@ -205,7 +117,7 @@ class TestColumnarLockstep:
 
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_fingerprints_match_every_round(self, seed):
-        nets = build_triple(10, seed, corrupt=(seed % 2 == 0))
+        nets = build_pair(10, seed, corrupt=(seed % 2 == 0))
         for r in range(60):
             for net in nets:
                 net.run_round()
@@ -215,7 +127,7 @@ class TestColumnarLockstep:
     def test_churn_trajectory_lockstep(self, seed):
         """join → graceful leave → crash → rejoin of the crashed id,
         compared at every boundary (the rejoin revives frozen flows)."""
-        nets = build_triple(16, seed)
+        nets = build_pair(16, seed)
         rng = ROOT.child("churn", seed=seed).rng()
         new_id = random_peer_ids(1, rng, nets[0].space)[0]
         while new_id in nets[0].peers:
@@ -242,7 +154,7 @@ class TestColumnarLockstep:
             assert_equivalent(nets, f"at round {r} (seed={seed})")
 
     def test_churn_schedule_same_trajectory(self):
-        nets = build_triple(10, 5)
+        nets = build_pair(10, 5)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         schedule = ChurnSchedule.random(nets[0], events=4, seed=55)
@@ -251,7 +163,7 @@ class TestColumnarLockstep:
             for net in nets:
                 apply_event(net, event)
                 reports.append(net.run_until_stable(max_rounds=4000))
-            assert reports[0] == reports[1] == reports[2], f"after {event}"
+            assert reports[0] == reports[1], f"after {event}"
             assert_equivalent(nets, f"after {event}")
 
     @pytest.mark.parametrize("event", ["crash", "leave", "join"])
@@ -259,7 +171,7 @@ class TestColumnarLockstep:
         """A wave of membership events between two rounds asks the
         in-flight ref query once, at the next round start, for all of
         them, and the trajectory stays the spec's round for round."""
-        nets = build_triple(16, 4)
+        nets = build_pair(16, 4)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         asked = []
@@ -287,14 +199,14 @@ class TestColumnarLockstep:
             for net in nets:
                 net.run_round()
             if r == 0:
-                # one query per activity-tracked network (both legs)
-                assert len(asked) == 2 and all(set(wave) <= o for o in asked)
+                # one query for the activity-tracked network
+                assert len(asked) == 1 and all(set(wave) <= o for o in asked)
             assert_equivalent(nets, f"at round {r} after a {event} wave")
 
     def test_partial_activation_then_stability(self):
-        """Partial rounds force the columnar engine onto the parent
-        path; re-entry afterwards must agree with both kernels."""
-        nets = build_triple(8, 51)
+        """Partial rounds leave gaps and held inboxes in the columns;
+        the kernel agrees with the spec through them and after."""
+        nets = build_pair(8, 51)
         for net in nets:
             net.run(5)
         active = set(nets[0].peer_ids[:4])
@@ -303,14 +215,14 @@ class TestColumnarLockstep:
                 net.run_round(active=active)
         assert_equivalent(nets, "after partial activation")
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1]
         assert_equivalent(nets, "after re-stabilization")
 
     def test_latency_model_switch_mid_run(self):
-        """Installing a non-unit delivery model exits columnar mode;
-        restoring unit delivery re-enters it — equivalence must hold
-        through both transitions."""
-        nets = build_triple(10, 13)
+        """Installing a non-unit delivery model moves the pieces into
+        their delay classes; restoring unit delivery moves them back —
+        equivalence must hold through both transitions."""
+        nets = build_pair(10, 13)
         for net in nets:
             net.run(10)
         for net in nets:
@@ -322,13 +234,14 @@ class TestColumnarLockstep:
         for net in nets:
             net.set_delivery_model("unit")
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1]
         assert_equivalent(nets, "after returning to unit delivery")
 
     def test_drop_filter_lockstep(self):
-        """A delivery-time drop filter (partition) exits columnar mode;
-        lifting it re-enters — compare at every boundary."""
-        nets = build_triple(12, 17)
+        """A delivery-time drop filter (partition) re-derives what the
+        pieces deliver, and so does lifting it — compare at every
+        boundary."""
+        nets = build_pair(12, 17)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         side_a = frozenset(nets[0].peer_ids[: len(nets[0].peer_ids) // 2])
@@ -345,13 +258,13 @@ class TestColumnarLockstep:
         for net in nets:
             net.scheduler.set_drop_filter(None)
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1]
         assert_equivalent(nets, "after healing the partition")
 
     def test_out_of_band_perturbation_detected(self):
         """Direct state edits (caught by the version-counter sweep) must
         re-activate peers under the columnar engine too."""
-        nets = build_triple(10, 31)
+        nets = build_pair(10, 31)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         for net in nets:
@@ -359,7 +272,7 @@ class TestColumnarLockstep:
             foreign = NodeRef.real(net.peer_ids[0])
             victim.state.nodes[victim.state.max_level()].nu.add(foreign)
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1]
         assert_equivalent(nets, "after perturbation")
 
     def test_change_flag_matches_fingerprint_comparison(self):
@@ -374,23 +287,8 @@ class TestColumnarLockstep:
 
 class TestColumnarScenarios:
     """Whole campaigns (traffic + latency + partitions + corruption)
-    through the scenario engine, compared report-for-report."""
-
-    @pytest.mark.parametrize("name", scenario_names())
-    def test_named_scenario_equivalent(self, name):
-        """The two legs of the kernel against each other (each against
-        the spec: tests/test_scenarios.py), execute/replay split
-        included: the spec executes every peer every round, so only the
-        two legs can pin that both loops run exactly the dirty set."""
-        spec = make_scenario(name, n=12, seed=5)
-        col = run_scenario(spec, engine="columnar", telemetry=True)
-        with kernel(TRACKED) as engine:
-            tracked = run_scenario(spec, engine=engine, telemetry=True)
-        # dataclass equality covers recovery metrics, repair curve, SLO
-        # ledger, rule firings and the configuration digest
-        assert col == tracked, f"the two round loops diverged under scenario {name!r}"
-        assert col.telemetry["kernel"] == tracked.telemetry["kernel"], name
-        assert col.activity == tracked.activity, name
+    through the scenario engine (each against the spec:
+    tests/test_scenarios.py)."""
 
     def test_scenario_determinism(self):
         spec = make_scenario("churn-storm", n=12, seed=9)
@@ -458,12 +356,14 @@ class TestInternTable:
 # ----------------------------------------------------------------------
 # sub-flows: what a SubFlow carries, and the totals accounted through it
 # ----------------------------------------------------------------------
+from collections import Counter
 from itertools import chain, count
 
 from repro.netsim.messages import (
     HASH_MASK,
     SubFlow,
     envelope_fingerprint,
+    future_fingerprint,
     outbox_fingerprint,
     split_by_target,
 )
@@ -476,40 +376,63 @@ def referenced_owners(env) -> set:
 
 def audit_columns(sched: ColumnarScheduler) -> None:
     """Every derived value of the columnar kernel against a rebuild from
-    the envelopes it holds: what each ``SubFlow`` carries, the pending
-    half of ``config_hash()`` (on the columns and, on a copy, on the
-    materialized inboxes) and the pending count, the in-flight ref query
-    (likewise on both), and the sender-side split."""
-    assert sched._cols_active
-    pending = flow_pending = 0
-    for target, subs in chain(sched._flow_in.items(), sched._ghost.items()):
-        for sender, sub in subs.items():
-            assert type(sub) is SubFlow and len(sub) > 0
-            assert all(env.sender == sender and env.target == target for env in sub)
-            assert sub.fp_sum == outbox_fingerprint(list(sub))
-            assert sub.owners() == {o for env in sub for o in referenced_owners(env)}
-            flow_pending += len(sub)
-            pending += sum(envelope_fingerprint(env) for env in sub)
+    the envelopes it holds: what each piece carries and where it sits
+    (target, sender, delay class), the running totals, the in-flight
+    copies of the delayed pieces, the pending half of ``config_hash()``
+    and the pending count, the in-flight ref query, and the sender-side
+    split, whose pieces the columns share."""
+    flt = sched._flt
+    pending = flow_pending = dropped = 0
+    patched = {(t, d, s) for entries in sched._patch_at.values() for t, d, s, _p in entries}
+    expected_in_flight: Counter = Counter()
+    for column, live, late in (
+        (sched._flow_in, True, False), (sched._late_in, True, True),
+        (sched._dead_in, False, False), (sched._dead_late, False, True),
+    ):
+        for target, subs in column.items():
+            assert subs and (target in sched._actors) == live
+            for key, sub in subs.items():
+                d, sender = (-key[0], key[2]) if late else (1, key)
+                assert (key == (-d, 0, sender) and d >= 2) if late else True
+                assert type(sub) is SubFlow and len(sub) > 0
+                assert all(env.sender == sender and env.target == target for env in sub)
+                assert sub.fp_sum == outbox_fingerprint(list(sub))
+                assert sub.owners() == {o for env in sub for o in referenced_owners(env)}
+                kept = [env for env in sub if flt is None or not flt(env)]
+                if live:
+                    assert list(sched._kept(sub)) == kept
+                    flow_pending += len(kept)
+                    dropped += len(sub) - len(kept)
+                    pending += sum(envelope_fingerprint(env) for env in kept)
+                else:
+                    dropped += len(sub)
+                if (target, d, sender) not in patched:
+                    # its sends of the last d - 1 rounds are on the wire
+                    for remaining in range(1, d):
+                        expected_in_flight.update(
+                            (remaining, envelope_fingerprint(env)) for env in sub
+                        )
+    assert sched._flow_pending == flow_pending
+    assert sched._flow_dropped == dropped
+    future = sched.future_pending()
+    in_flight = Counter((remaining, envelope_fingerprint(env)) for remaining, env in future)
+    assert not expected_in_flight - in_flight
+    for parts in chain(sched._held.values(), (o.values() for o in sched._late_once.values())):
+        pending += sum(envelope_fingerprint(env) for part in parts for env in part)
     for boxes in (sched._lane, sched._inboxes):
         for box in boxes.values():
             pending += sum(envelope_fingerprint(env) for env in box)
+    pending += sum(future_fingerprint(env, remaining) for remaining, env in future)
     assert sched.config_hash()[1] == pending & HASH_MASK
-    assert sched._flow_pending == flow_pending
+    assert sched.pending_messages() == len(sched.all_pending()) + len(future)
     # owner -> the targets whose boundary inbox references it
     holders: dict = {}
-    for target in sched._actors:
-        for env in chain(*sched._boundary_parts(target), sched._inboxes[target]):
-            for owner in referenced_owners(env):
-                holders.setdefault(owner, set()).add(target)
+    for env in sched.all_pending():
+        for owner in referenced_owners(env):
+            holders.setdefault(owner, set()).add(env.target)
     nobody = next(owner for owner in count() if owner not in holders)
-    materialized = copy.deepcopy(sched)
-    materialized._exit_columnar()
-    assert materialized.config_hash() == sched.config_hash()
     for owner in [*holders, nobody]:
-        expected = holders.get(owner, set())
-        assert sched.ref_receivers({owner}) == expected, owner
-        assert materialized.ref_receivers({owner}) == expected, owner
-    flt = sched._drop_filter
+        assert sched.ref_receivers({owner}) == holders.get(owner, set()), owner
     for key in sched._actors:
         out = sched._out[key]
         split = sched._out_by.get(key)
@@ -517,77 +440,107 @@ def audit_columns(sched: ColumnarScheduler) -> None:
             continue
         assert split == split_by_target(out)
         assert sum(sub.fp_sum for sub in split.values()) & HASH_MASK == outbox_fingerprint(out)
+        if sched._switched_from is not None:
+            continue
         for target, sub in split.items():
-            if target in sched._actors and flt is None:
+            for d, piece in sub.delay_buckets(sched._delivery):
+                if (target, d, key) in patched or target in sched._revive:
+                    continue
+                live = target in sched._actors
+                if d == 1:
+                    column, slot = (sched._flow_in if live else sched._dead_in), key
+                else:
+                    column, slot = (sched._late_in if live else sched._dead_late), (-d, 0, key)
                 # one object, shared by the sender's split and the column
-                assert sched._flow_in[target][key] is sub
+                assert column[target][slot] is piece
+
+
+def audited_churn_run(latency: bool) -> None:
+    """A churn run of the columnar kernel and the spec in lockstep, the
+    audit at every boundary and right after each event: changed /
+    stopped / started sub-flows (join, leave), dead targets and a
+    revival (crash, re-join of the crashed id), a removed sender's last
+    sends and buffered farewell posts (a leave), filtered pieces (a
+    partition).  ``latency``: all of it under lognormal delivery, with a
+    partial-daemon stretch (held inboxes, gaps) and the partition
+    installed and lifted while pieces are in flight."""
+    spec = build_random_network(n=14, seed=8, engine="full")
+    net = build_random_network(n=14, seed=8)
+    sched = net.scheduler
+    ids = net.peer_ids
+    fresh = next(i for i in range(1, 2**20) if i not in net.peers)
+    crashed, removed, left = ids[5], ids[9], ids[3]
+    side = frozenset(ids[:7])
+
+    def cut(env):
+        return (env.sender in side) != (env.target in side)
+
+    looks = ["audits", "removed", "dead", "filtered", "posted ref"]
+    if latency:
+        looks += ["late", "held", "in flight"]
+        for n in (spec, net):
+            n.set_delivery_model({"kind": "lognormal", "sigma": 0.9, "cap": 4, "seed": 3})
+    seen = dict.fromkeys(looks, 0)
+
+    def audit():
+        audit_columns(sched)
+        seen["audits"] += 1
+        # a removed sender's pieces still deliver until patched away
+        seen["removed"] += any(p is None for es in sched._patch_at.values() for *_, p in es)
+        seen["dead"] += bool(sched._dead_in or sched._dead_late)
+        seen["filtered"] += sched._flt is not None
+        seen["posted ref"] += any(
+            referenced_owners(env) for box in sched._inboxes.values() for env in box
+        )
+        if latency:
+            seen["late"] += bool(sched._late_in)
+            seen["held"] += bool(sched._held)
+            seen["in flight"] += bool(sched.future_pending())
+
+    events = {30, 50, 65, 80, 95}
+    for r in range(150):
+        for n in (spec, net):
+            if r == 30:
+                n.join(fresh, ids[0])
+            elif r == 50:
+                n.leave(left)
+            elif r == 65:
+                n.crash(crashed)
+            elif r == 80:
+                n.join(crashed, ids[1])
+            elif r == 95:
+                n.leave(removed)
+            elif r == 110:
+                n.scheduler.set_drop_filter(cut)
+            elif r == 135:
+                n.scheduler.set_drop_filter(None)
+            elif latency and r == 40:
+                n.set_daemon({"kind": "partial", "p": 0.6, "seed": 3})
+            elif latency and r == 56:
+                n.set_daemon("full")
+        if r in events:
+            audit()
+        for n in (spec, net):
+            n.run_round()
+        assert net.fingerprint() == spec.fingerprint(), f"at round {r}"
+        audit()
+    assert seen["audits"] > 150 and all(seen.values()), seen
+    assert crashed in net.peers and crashed not in sched._dead_in
+    assert crashed not in sched._dead_late
 
 
 class TestSubFlowAccounting:
-    """The columnar loop's own bookkeeping (the audits below apply
-    while the columns are live)."""
+    """The columnar kernel's own bookkeeping."""
 
     def test_totals_equal_a_rebuild_at_every_boundary_of_a_churn_run(self):
-        """Changed / stopped / started sub-flows (join, leave), dead
-        targets and a revival (crash, re-join of the crashed id), ghosts
-        and buffered farewell posts (a leave), filtered sub-flows (a
-        partition that outlasts re-entry): the audit holds at every
-        columnar boundary, and the spec agrees throughout.  A removal's
-        ghosts and farewell posts are consumed in the very next round,
-        so the audit also runs right after each event, before it."""
-        spec = build_random_network(n=14, seed=8, engine="full")
-        net = build_random_network(n=14, seed=8)
-        sched = net.scheduler
-        ids = net.peer_ids
-        fresh = next(i for i in range(1, 2**20) if i not in net.peers)
-        crashed, ghosted, left = ids[5], ids[9], ids[3]
-        side = frozenset(ids[:7])
+        """The audit holds at every boundary of a churn run under unit
+        delivery, and the spec agrees throughout."""
+        audited_churn_run(latency=False)
 
-        def cut(env):
-            return (env.sender in side) != (env.target in side)
-
-        seen = dict.fromkeys(("audits", "ghost", "dead", "filtered", "ghost ref", "posted ref"), 0)
-
-        def audit():
-            if not sched._cols_active:
-                return
-            audit_columns(sched)
-            seen["audits"] += 1
-            seen["ghost"] += bool(sched._ghost)
-            seen["dead"] += bool(sched._dead_in)
-            seen["filtered"] += sched._drop_filter is not None
-            # what the ref query scans beyond the steady flows
-            seen["ghost ref"] += any(
-                sub.owners() for subs in sched._ghost.values() for sub in subs.values()
-            )
-            seen["posted ref"] += any(
-                referenced_owners(env) for box in sched._inboxes.values() for env in box
-            )
-
-        for r in range(150):
-            for n in (spec, net):
-                if r == 30:
-                    n.join(fresh, ids[0])
-                elif r == 50:
-                    n.leave(left)
-                elif r == 65:
-                    n.crash(crashed)
-                elif r == 80:
-                    n.join(crashed, ids[1])
-                elif r == 95:
-                    n.leave(ghosted)
-                elif r == 110:
-                    n.scheduler.set_drop_filter(cut)
-                elif r == 135:
-                    n.scheduler.set_drop_filter(None)
-            if r in (30, 50, 65, 80, 95):
-                audit()
-            for n in (spec, net):
-                n.run_round()
-            assert net.fingerprint() == spec.fingerprint(), f"at round {r}"
-            audit()
-        assert seen["audits"] > 100 and all(seen.values()), seen
-        assert crashed in net.peers and crashed not in sched._dead_in
+    def test_totals_equal_a_rebuild_at_every_boundary_under_latency_and_naps(self):
+        """The same run under lognormal delivery, partial activation and
+        a partition that comes and goes while pieces are in flight."""
+        audited_churn_run(latency=True)
 
     @pytest.mark.parametrize("seed", [2, 6])
     def test_parts_concatenate_to_the_boundary_inbox(self, seed):
@@ -599,14 +552,11 @@ class TestSubFlowAccounting:
             if r == 15:
                 net.leave(net.peer_ids[2])  # farewell posts: buffered mail
             if r == 25:
-                net.crash(net.peer_ids[4])  # ghosts
+                net.crash(net.peer_ids[4])  # a removed sender's last sends
             net.run_round()
-            sched = net.scheduler
-            if not sched._cols_active:
-                continue
-            probe = copy.deepcopy(sched)
+            probe = copy.deepcopy(net.scheduler)
             for key in sorted(k for k in probe._dirty if k in probe._actors):
-                flat = [*chain(*probe._boundary_parts(key)), *probe._inboxes[key]]
+                flat = [*chain(*probe._pending_parts(key)), *probe._inboxes[key]]
                 flows = probe._flow_in.get(key, {})
                 parts = probe._materialize_inbox(key)
                 assert list(chain.from_iterable(parts)) == flat
@@ -631,9 +581,9 @@ class TestSubFlowAccounting:
             assert clone.owners() == sub.owners()
 
     def test_steady_application_mail_is_refused_at_install(self):
-        """The lane contract, asserted where a sub-flow enters the
-        columns (and never per step): AppPayloads do not travel by
-        ``send()``."""
+        """The lane contract, asserted where a steady envelope is built
+        (a cache miss of ``send()``, never per step), on either kernel:
+        AppPayloads do not travel by ``send()``."""
         from repro.netsim.messages import AppPayload
 
         class Mail(AppPayload):
@@ -651,8 +601,9 @@ class TestSubFlowAccounting:
             def step(self, inbox, ctx):
                 pass
 
-        sched = ColumnarScheduler()
-        sched.add_actor("a", Chatty())
-        sched.add_actor("b", Quiet())
-        with pytest.raises(AssertionError, match="lane contract"):
-            sched.run(3)
+        for kernel in (ColumnarScheduler, SynchronousScheduler):
+            sched = kernel()
+            sched.add_actor("a", Chatty())
+            sched.add_actor("b", Quiet())
+            with pytest.raises(AssertionError, match="lane contract"):
+                sched.run(3)

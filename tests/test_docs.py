@@ -103,6 +103,30 @@ class TestDocs:
             "README.md: no member Flow.gone",
         ]
 
+    def test_private_names_must_be_defined(self, tmp_path, monkeypatch):
+        checker = _load_checker()
+        monkeypatch.setattr(checker, "ROOT", tmp_path)
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "kernel.py").write_text(
+            "from time import perf_counter as _perf\n"
+            "_LIMIT = 3\n"
+            "class Kernel:\n"
+            "    def _step(self):\n"
+            "        self._dirty = set()\n"
+        )
+        doc = tmp_path / "README.md"
+        doc.write_text(
+            "`_step()`, `_dirty`, `_LIMIT`, `_perf`, `_gone`, `_retired()`;\n"
+            "`x._hidden` and `_a + _b` are not bare names\n"
+            "```\n_fenced\n```\n"
+        )
+        broken, _external = checker.check_file(doc)
+        assert broken == [
+            "README.md: no definition of _gone",
+            "README.md: no definition of _retired",
+        ]
+
     #: public-API modules whose docstring examples must keep executing
     DOCTEST_MODULES = (
         "repro.core.network",

@@ -191,8 +191,7 @@ class TestSpecVsFastFuzz:
     Every drawn example prints its ``repro:`` line via :func:`note` —
     shown by Hypothesis on failure — so a failing topology/churn draw
     can be replayed in isolation with the stated seeds.  The
-    activity-tracked kernel on the batched rule pipeline — as shipped,
-    or with every round on its tracked loop — must follow the
+    activity-tracked kernel on the batched rule pipeline must follow the
     full-scan kernel on the scalar pipeline event by event: same
     ``run_until_stable`` reports, fingerprints and rule counters, with
     invariants (a)–(c) holding along the way.

@@ -36,7 +36,8 @@ class Echo:
 
 class TestScheduler:
     """Delivery semantics on the spec loop; the subclasses below rerun
-    every test on the columnar kernel's two loops."""
+    every test on the columnar kernel, with full and with partial
+    rounds."""
 
     kernel = SynchronousScheduler
 
@@ -151,7 +152,7 @@ class TestScheduler:
 
 class EveryoneAwake(ActivationDaemon):
     """A partial daemon that wakes every actor: each round is a partial
-    round, so the columnar kernel runs all of them on its tracked loop
+    round, so the columnar kernel filters its work list every round
     while the delivery semantics stay those of full rounds."""
 
     kind = "everyone"
@@ -238,12 +239,12 @@ class TestSchedulerSemanticsRegressions:
 
 class Meddler:
     """A probed toy actor that is clean unless marked dirty; once armed,
-    its next step records which loop ran it and then calls ``meddle``."""
+    its next step calls ``meddle`` and records that it did."""
 
     def __init__(self, sched):
         self.sched = sched
         self.meddle = None
-        self.loop = None
+        self.meddled = False
 
     def state_version(self):
         return 0
@@ -254,7 +255,7 @@ class Meddler:
     def step(self, inbox, ctx):
         ctx.send("b", "beat")
         if self.meddle is not None:
-            self.loop = getattr(self.sched, "_cols_active", None)
+            self.meddled = True
             self.meddle(self.sched)
 
 
@@ -273,15 +274,9 @@ CHANGES = {
 
 def meddling_scheduler(loop: str):
     """A scheduler of four clean actors plus a dirty meddler ("a", armed
-    by setting its ``meddle``), whose next round runs in ``loop``; also
-    returns the ``_cols_active`` value that loop shows during a step
-    (``None``: the spec loop).  ``tracked`` reaches the tracked loop
-    under unit delivery through a drop-filter change."""
-    if loop == "spec":
-        sched, expected = SynchronousScheduler(), None
-    else:
-        sched = ColumnarScheduler()
-        expected = loop == "columnar"
+    by setting its ``meddle``), whose next round runs in ``loop``: the
+    spec, the columnar kernel, or the columnar kernel under latency."""
+    sched = SynchronousScheduler() if loop == "spec" else ColumnarScheduler()
     meddler = Meddler(sched)
     sched.add_actor("a", meddler)
     for key in "bcde":
@@ -292,12 +287,10 @@ def meddling_scheduler(loop: str):
     if loop != "spec":  # the spec loop steps everyone anyway
         assert sched.executed_last_round == 0  # everyone replays
         sched.mark_dirty("a")
-    if loop == "tracked":
-        sched.set_drop_filter(lambda env: False)
-    return sched, meddler, expected
+    return sched, meddler
 
 
-LOOPS = ["spec", "columnar", "tracked", "latency"]
+LOOPS = ["spec", "columnar", "latency"]
 
 #: every change in every loop; the spec scheduler has no ``mark_dirty``
 GUARD_MATRIX = [
@@ -314,17 +307,17 @@ class TestRoundsAreAtomic:
 
     @pytest.mark.parametrize("call, loop", GUARD_MATRIX)
     def test_a_change_from_inside_a_step_raises(self, call, loop):
-        sched, meddler, expected = meddling_scheduler(loop)
+        sched, meddler = meddling_scheduler(loop)
         meddler.meddle = CHANGES[call]
         with pytest.raises(RuntimeError, match=rf"^{call}\(\) called from inside a step"):
             sched.run_round()
-        assert meddler.loop is expected
+        assert meddler.meddled
         # the failed round still ends: the boundary takes the change
         CHANGES[call](sched)
 
     @pytest.mark.parametrize("loop", LOOPS)
     def test_the_same_changes_between_rounds_go_through(self, loop):
-        sched, _, _ = meddling_scheduler(loop)
+        sched, _ = meddling_scheduler(loop)
         for call, in_loop in GUARD_MATRIX:
             if in_loop == loop:
                 CHANGES[call](sched)
@@ -336,8 +329,8 @@ class TestRoundsAreAtomic:
 TRACKING_SURFACE = (
     "mark_dirty", "dirty_count", "resync_actor", "config_hash", "ref_receivers",
     "set_batch_stepper", "_unit_settled", "_wake_at", "_wake_everyone", "_front",
-    "_one_shot", "_landed", "_probe_refresh", "_post_step", "_step_work",
-    "_check_lane_step", "_run_round_tracked", "_feed_flow_changes", "_fronts",
+    "_one_shot", "_landed", "_probe_refresh", "_post_step", "_check_lane_step",
+    "_feed_flow_changes", "_fronts", "_patch", "_gap", "_hold", "_mature",
 )
 
 
@@ -355,8 +348,8 @@ class TestSpecSurface:
         assert fields.isdisjoint({
             "_dirty", "_dirty_carry", "_probes", "_ver", "_tok", "_tok_hash", "_out",
             "_out_by", "_state_hash", "_flow_flag", "_lane_flag", "_lane_targets",
-            "_mail_at", "_wake", "_flux_until", "_landing", "_switched_from",
-            "_batch_stepper",
+            "_wake", "_flux_until", "_landing", "_switched_from", "_batch_stepper",
+            "_flow_in", "_late_in", "_held", "_patch_at",
         })
         assert not hasattr(scheduler_module, "SerialStepper")
 

@@ -9,8 +9,7 @@ Three layers of guarantees:
   byte-identical :class:`ScenarioReport`, including the configuration
   digest, on repeated runs;
 * **engine equivalence** — every named scenario produces the *same*
-  report on the columnar kernel (as shipped, and with every round on
-  its tracked loop) and on the full-scan kernel (the
+  report on the columnar kernel and on the full-scan kernel (the
   ``tests/test_engine_equivalence.py`` discipline extended to the whole
   adversity vocabulary, partitions and corruption included).
 """
@@ -40,7 +39,7 @@ from repro.scenarios.executor import _build_start
 from repro.netsim.rng import SeedSequence
 from repro.traffic import TrafficPlane, WorkloadGenerator
 from repro.workloads.initial import build_random_network
-from tests.conftest import ENGINES, KERNELS, build, kernel
+from tests.conftest import ENGINES, KERNELS, build
 
 #: small campaign size used throughout (keeps the suite fast)
 N = 12
@@ -213,8 +212,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("leg", KERNELS)
     @pytest.mark.parametrize("name", scenario_names())
     def test_named_scenario_equivalent_across_kernels(self, name, leg):
-        with kernel(leg) as engine:
-            report = run_scenario(tiny(name), engine=engine)
+        report = run_scenario(tiny(name), engine=leg)
         # dataclass equality covers recovery metrics, repair curve,
         # SLO ledger, rule firings and the configuration digest
         assert report == _spec_report(name), f"{leg} diverged under scenario {name!r}"

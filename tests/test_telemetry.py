@@ -7,9 +7,7 @@ Contract under test (see docs/ARCHITECTURE.md, "Observability"):
   ops), and message traces never leak into payload identity;
 * **engine invariance** — the counter census (rounds / sent / dropped /
   envelope types / rule firings) is identical across the full-scan
-  kernel and both legs of the columnar one (as shipped, every round
-  tracked); the kernel-plane split (executed / replayed / dirty peak) is
-  identical between the two legs;
+  kernel and the columnar one;
 * **determinism** — censuses, sampled-trace hop paths and per-window
   drop totals are pure functions of the seeded run.
 """
@@ -29,7 +27,7 @@ from repro.traffic.messages import OP_LOOKUP, ST_OK, LookupReply, LookupRequest
 from repro.traffic.plane import TrafficPlane
 from repro.traffic.slo import IssuedOp, SLOCollector, percentile
 from repro.workloads.initial import build_random_network, corrupt_network
-from tests.conftest import ENGINES, TRACKED, build, kernel
+from tests.conftest import ENGINES, build
 
 
 def _run_instrumented(engine: str, n: int = 10, seed: int = 7, rounds: int = 30):
@@ -107,11 +105,9 @@ class TestEngineInvariance:
             net, rec = _run_instrumented(engine)
             censuses[engine] = net.telemetry_census()
             kernels[engine] = rec.kernel_stats()
-        assert censuses["full"] == censuses["columnar"] == censuses[TRACKED]
-        # the execute/replay split is a dirty-set concept: identical
-        # between the columnar kernel's two round loops, different for
-        # full-scan (which executes every peer every round)
-        assert kernels["columnar"] == kernels[TRACKED]
+        assert censuses["full"] == censuses["columnar"]
+        # the execute/replay split is a dirty-set concept: the full scan
+        # executes every peer every round
         assert kernels["full"]["replayed"] == 0
 
     def test_enabled_run_bit_for_bit_identical_to_disabled(self):
@@ -139,9 +135,7 @@ class TestEngineInvariance:
 
     def test_memo_record_is_its_own_plane(self):
         """Per-level memo lookups: reported for the batched pipeline,
-        absent for the spec, never inside the census or kernel split.
-        (Apply-inbox lookups legitimately differ between the columnar
-        kernel's two loops: the tracked loop hands over flat inboxes.)"""
+        absent for the spec, never inside the census or kernel split."""
         records = {}
         for engine in ("full", "columnar"):
             net, rec = _run_instrumented(engine)
@@ -274,9 +268,8 @@ class TestScenarioTelemetry:
     def test_dropped_by_window_engine_invariant(self):
         spec = make_scenario("partition-heal", n=16, seed=5)
         reports = []
-        for leg in ENGINES:
-            with kernel(leg) as engine:
-                reports.append(run_scenario(spec, engine=engine))
+        for engine in ENGINES:
+            reports.append(run_scenario(spec, engine=engine))
         windows = reports[0].dropped_by_window
         assert all(r.dropped_by_window == windows for r in reports)
         by_label = dict(windows)

@@ -452,19 +452,22 @@ class TestClosureUnderLatency:
         assert fast.counters().fires == full.counters().fires
 
     def test_columnar_reenters_after_switch_back_to_unit(self):
+        """Back on unit delivery, the delayed pieces drain within the old
+        bound and the unit shortcuts hold again."""
         net = build_random_network(n=9, seed=6, engine="columnar")
         net.run_until_stable(max_rounds=6000)
         sched = net.scheduler
-        assert sched._cols_active
+        assert sched._unit_settled()
         net.set_delivery_model({"kind": "reorder", "bound": 4, "seed": 7})
         bound = sched.delay_bound()
         net.run(12)
-        assert not sched._cols_active
+        assert sched._late_in and not sched._unit_settled()
         net.set_delivery_model("unit")
         for r in range(bound + 2):
             net.run_round()
-        assert sched._cols_active, "columnar kernel did not re-enter"
+        assert sched._unit_settled(), "unit delivery did not settle"
         assert not sched._wake and not sched._landing and not sched.future_pending()
+        assert not sched._late_in and not sched._patch_at
         report = net.run_until_stable(max_rounds=6000)
         assert net.matches_ideal() and report.rounds_executed >= 1
 

@@ -1,11 +1,10 @@
 """The application lane: traffic does not dirty the overlay.
 
 Application mail (``AppPayload`` posts and ``RoundContext.send_once``
-sends) dirties nobody: in both loops of the default kernel (the
-columnar loop, and the tracked loop under latency, partial activation
-or a drop-filter change) a clean receiver runs only the traffic
-handler, never the rule pipeline (the columnar loop holds the mail in
-a per-target lane).  The full-scan
+sends) dirties nobody: in the default kernel, under every delivery
+model, daemon and drop filter, a clean receiver runs only the traffic
+handler, never the rule pipeline (the kernel holds the mail in a
+per-target lane).  The full-scan
 kernel stays the executable spec, so this suite drives both over the
 same seeded traffic campaigns **round by round** and compares every
 observable — including the ones that depend on *order* (``all_pending``,
@@ -42,8 +41,7 @@ from tests.conftest import KERNELS, build
 OP_MIX = ((OP_LOOKUP, 0.5), (OP_PUT, 0.3), (OP_GET, 0.2))
 CONSTANT_2 = {"kind": "constant", "delay": 2}
 LOGNORMAL = {"kind": "lognormal", "sigma": 0.9, "cap": 5, "seed": 3}
-#: unit delivery and two latency models: the tracked loop drives the
-#: latency legs from start to end
+#: unit delivery and two latency models
 DELIVERY_LEGS = pytest.mark.parametrize(
     "model", (None, CONSTANT_2, LOGNORMAL), ids=("unit", "constant", "lognormal")
 )
@@ -147,16 +145,10 @@ class TestLaneEquivalentToFullScan:
                 for c in (lane, spec):
                     c.net.leave(victim)
             if r == 30:
-                # crash a peer while application mail is pending for it:
-                # in the lane on the columnar loop, in one-shot parts on
-                # the tracked one
-                assert lane.sched._cols_active == (engine == "columnar")
+                # crash a peer while application mail is pending for it
                 assert lane.sched._lane_targets
                 victim = max(lane.sched._lane_targets)
-                held = lane.sched._lane.get(victim) if engine == "columnar" else [
-                    env for env in lane.sched.all_pending()
-                    if env.target == victim and isinstance(env.payload, AppPayload)
-                ]
+                held = lane.sched._lane.get(victim)
                 crashed_with_mail = bool(held)
                 for c in (lane, spec):
                     c.net.crash(victim)
@@ -169,17 +161,17 @@ class TestLaneEquivalentToFullScan:
         assert lane.net.fingerprint() == spec.net.fingerprint()
 
     def test_drop_filter_and_delivery_model_mid_traffic(self):
-        """Both fall back to the tracked loop: the exit hands the lane
-        over as one-shot parts in sender order, re-entry picks the mail
-        in those parts back up — with the generator active throughout."""
+        """Both redefine every delivery while the lane holds mail: a
+        filter re-derives what the pieces deliver, a model switch moves
+        them between delay classes — with the generator active
+        throughout."""
         lane = Campaign("columnar", seed=5)
         spec = Campaign("full", seed=5)
         cut = set(lane.net.peer_ids[:4])
         partition = lambda env: (env.sender in cut) != (env.target in cut)  # noqa: E731
-        modes = []
         for r in range(60):
             if r == 8:
-                assert lane.sched._lane_targets  # mail pending at the exit
+                assert lane.sched._lane_targets  # mail pending at the change
                 for c in (lane, spec):
                     c.sched.set_drop_filter(partition)
             if r == 16:
@@ -193,32 +185,25 @@ class TestLaneEquivalentToFullScan:
                 for c in (lane, spec):
                     c.net.set_delivery_model("unit")
             lockstep(lane, spec, f"round={r}")
-            modes.append(lane.sched._cols_active)
-        # left columnar mode for each event, came back while traffic flowed
-        assert modes[7] and not modes[8] and modes[15]
-        assert not modes[28] and modes[-1]
-        reentries = [r for r in range(1, 60) if modes[r] and not modes[r - 1]]
-        assert len(reentries) >= 3
         for c in (lane, spec):
             c.gen.active = False
             c.plane.drain()
         assert_same_ledger(lane, spec)
 
     def test_reentry_moves_inbox_mail_into_the_lane(self):
+        """Across a drop-filter change application mail keeps to the
+        lane: posts wait in the buffers with their targets in the mail
+        set, and the handlers' one-shot sends land in the lane."""
         lane = Campaign("columnar", seed=9)
         for _ in range(4):
             lane.round()
         lane.sched.set_drop_filter(lambda env: False)
-        # the flow event's round runs tracked
         lane.round()
-        assert not lane.sched._cols_active
-        # tracked rounds hold application mail in one-shot parts ...
         lane.gen.inject()
         held = sum(isinstance(e.payload, LookupRequest) for e in lane.sched.all_pending())
-        assert held and lane.sched._lane_targets and not lane.sched._lane
+        assert held and lane.sched._lane_targets
         lane.net.run_round()
-        # ... and entry moved all of it out: sends to the lane, posts stay
-        assert lane.sched._cols_active
+        assert lane.sched._lane
 
     def test_dense_round_with_mail_pending_stays_columnar(self):
         """A dense round with application mail pending runs on the
@@ -237,17 +222,15 @@ class TestLaneEquivalentToFullScan:
                 for c in (lane, spec):
                     c.plane.lookup("some-key", origin)
             assert traffic == (origin in lane.sched._lane_targets)
-            steps, loops = [], []
+            steps = []
             for r in range(12):
                 lockstep(lane, spec, f"traffic={traffic} round={r}")
                 steps.append(lane.sched.executed_last_round)
-                loops.append(lane.sched._cols_active)
             assert_same_ledger(lane, spec)
-            return steps, loops, lane.plane.collector.summary()["completed"]
+            return steps, lane.plane.collector.summary()["completed"]
 
-        busy, busy_loops, completed = campaign(True)
-        idle, idle_loops, _none = campaign(False)
-        assert all(busy_loops) and all(idle_loops)
+        busy, completed = campaign(True)
+        idle, _none = campaign(False)
         assert busy == idle
         # every peer but the mail-holding origin executes the dense round
         assert busy[0] == 14 - 1 and completed == 1
@@ -376,7 +359,7 @@ class TestLaneKernelLevel:
         rings = [self.ring(lane), self.ring(spec)]
         for sched in (lane, spec):
             sched.run(3)
-        assert lane._cols_active and lane.executed_last_round == 0
+        assert lane.executed_last_round == 0
         for sched in (lane, spec):
             assert sched.post_batch(
                 [Envelope(i, i, Token(8)) for i in (1, 4, 5)]
@@ -404,8 +387,8 @@ class TestLaneContract:
     def test_traffic_executes_exactly_the_twins_rule_steps(self, model):
         """Application messages never run the rule pipeline: the join +
         crash campaign executes as many rule steps with the generator
-        injecting as with it inactive, round for round — on the columnar
-        loop under unit delivery, on the tracked loop under latency."""
+        injecting as with it inactive, round for round — under unit
+        delivery and under latency."""
 
         def campaign(traffic: bool, rounds: int = 40) -> tuple:
             c = Campaign("columnar", seed=21, n=16, rate=6.0)
@@ -441,10 +424,9 @@ class TestLaneContract:
     @DELIVERY_LEGS
     def test_a_dense_join_costs_traffic_no_rule_steps(self, model):
         """A join at small n makes repair rounds dense: both runs take
-        them on the columns under unit delivery and on the tracked loop
-        under latency, pending application mail or not, and a clean
-        receiver runs only its handler there — the same rule steps,
-        round for round."""
+        them on the columns, under unit delivery or latency, pending
+        application mail or not, and a clean receiver runs only its
+        handler there — the same rule steps, round for round."""
 
         def campaign(traffic: bool) -> tuple:
             c = Campaign("columnar", seed=4, n=6, rate=4.0)
@@ -452,7 +434,7 @@ class TestLaneContract:
                 c.net.set_delivery_model(model)
             c.gen.active = traffic
             rng = random.Random(2)
-            steps, tracked = [], 0
+            steps = []
             for r in range(30):
                 if r == 3:
                     c.net.join(fresh_id(c.net, rng), c.net.peer_ids[0])
@@ -460,23 +442,19 @@ class TestLaneContract:
                     c.gen.active = False
                 c.plane.run_round()
                 steps.append(c.net.activity_stats()[0])
-                tracked += not c.sched._cols_active
-            return steps, tracked, c.plane.collector.summary()["completed"], c.net.fingerprint()
+            return steps, c.plane.collector.summary()["completed"], c.net.fingerprint()
 
-        busy, busy_tracked, completed, busy_fp = campaign(True)
-        idle, idle_tracked, _none, idle_fp = campaign(False)
-        assert busy_tracked == idle_tracked
-        assert busy_tracked == 0 if model is None else busy_tracked >= 3
+        busy, completed, busy_fp = campaign(True)
+        idle, _none, idle_fp = campaign(False)
         assert completed > 40
         assert busy == idle
         assert busy_fp == idle_fp
 
     def test_tracked_kernel_runs_a_receiver_only_its_handler(self):
-        """The lane rule on the tracked loop: a clean receiver of
-        application mail replays and runs its handler — no rule step for
-        any hop.  A constant two-round delay keeps the kernel on its
-        tracked loop, where every hop spends a round on the wire and is
-        consumed the next."""
+        """The lane rule under latency: a clean receiver of application
+        mail replays and runs its handler — no rule step for any hop.
+        Under a constant two-round delay every hop spends a round on the
+        wire and is consumed the next."""
         net = build_random_network(n=12, seed=7)
         net.set_delivery_model(CONSTANT_2)
         net.run_until_stable(max_rounds=5000)
@@ -491,7 +469,6 @@ class TestLaneContract:
             net.run_round()
             rounds += 1
             assert rounds < 64, "the lookup was lost on the wire"
-            assert not net.scheduler._cols_active
             assert net.activity_stats() == (0, len(net.peers))
         # the origin consumes the post, then two rounds per hop
         assert rounds > 3 and rounds % 2 == 1
@@ -504,7 +481,7 @@ class TestLaneContract:
     def test_lane_only_peers_count_as_replayed(self):
         lane = Campaign("columnar", seed=3, rate=5.0)
         lane.plane.run(6)
-        assert lane.sched._cols_active and lane.sched._lane_targets
+        assert lane.sched._lane_targets
         lane.plane.run_round()
         executed, replayed = lane.net.activity_stats()
         assert executed == 0 and replayed == len(lane.net.peers)
@@ -521,7 +498,6 @@ class TestLaneContract:
 
         lane = Campaign("columnar", seed=3, rate=0.0, plane_cls=MutatingPlane)
         lane.net.run_round()
-        assert lane.sched._cols_active
         origin = lane.net.peer_ids[0]
         lane.plane.lookup("k", origin)
         with pytest.raises(RuntimeError) as err:
@@ -529,9 +505,12 @@ class TestLaneContract:
         assert f"peer {origin}" in str(err.value) and "LookupRequest" in str(err.value)
 
     def test_steady_send_from_a_lane_handler_is_rejected(self):
+        """Any steady send from a lane step is refused (application mail
+        by ``send()`` is refused earlier still, by the lane contract)."""
+
         class SteadyPlane(TrafficPlane):
             def handle(self, peer, payloads, ctx):
-                ctx.send(peer.state.peer_id, payloads[0])
+                ctx.send(peer.state.peer_id, "steady")
 
         lane = Campaign("columnar", seed=3, rate=0.0, plane_cls=SteadyPlane)
         lane.net.run_round()
@@ -552,15 +531,14 @@ class TestLaneContract:
 
 class TestTracedRunsUseTheSameKernel:
     def test_telemetry_on_columnar_traffic_run_records_no_kernel_step(self):
-        """Regression: attaching a recorder used to leave columnar mode,
-        and every traffic post then blocked re-entry — a traced run
-        measured the tracked loop while the untraced one ran columnar."""
+        """Regression: attaching a recorder mid-run must not move the
+        kernel off its unit path — a traced unit run records the unit
+        phases (materialize / execute / patch), never the latency
+        regime's ``kernel.step``."""
         lane = Campaign("columnar", seed=3, rate=4.0, telemetry=False)
         lane.plane.run(3)
-        assert lane.sched._cols_active
         rec = lane.net.enable_telemetry()
         lane.plane.run(12)
-        assert lane.sched._cols_active
         assert "kernel.step" not in rec.timers
         assert rec.timers["kernel.execute"][1] > 0
         assert rec.timers["peer.traffic"][1] > 0
@@ -581,24 +559,23 @@ class TestTracedRunsUseTheSameKernel:
 
 
 class TestPostBatch:
-    @pytest.mark.parametrize("loop", ["columnar", "tracked"])
+    @pytest.mark.parametrize("loop", ["columnar", "filtered"])
     def test_ref_carrying_batch_reaches_the_liveness_flip_query(self, loop):
         """``post_batch`` goes through the kernel's ``post``: a batched
         protocol payload referencing an owner that then crashes wakes its
-        receiver exactly like the spec — on the columnar loop and on the
-        tracked loop (a drop-filter change that drops nothing leaves the
-        columns), each answering the query from its own pending store."""
+        receiver exactly like the spec — also with a drop filter
+        installed (one that drops nothing), whose pieces the query reads
+        as the filter delivers them."""
         nets = []
         for engine in ("columnar", "full"):
             net = build_random_network(n=10, seed=13, engine=engine)
             net.run_until_stable(max_rounds=5000)
             net.run_round()
-            if loop == "tracked":
+            if loop == "filtered":
                 net.scheduler.set_drop_filter(lambda env: False)
             nets.append(net)
         lane, spec = nets
         sched = lane.scheduler
-        assert sched._cols_active == (loop == "columnar")
         a, b, c = lane.peer_ids[0], lane.peer_ids[4], lane.peer_ids[7]
         for net in nets:
             payload = EdgeAdd(net.ref(b), net.ref(c), KIND_UNMARKED)

@@ -16,7 +16,10 @@ Validates every Markdown link in ``README.md`` and ``docs/*.md``:
 * a ``Class.member`` inline code span whose class is defined under
   ``src/repro/`` must name a member of that class or of one of its bases
   (a static parse: methods, class attributes and ``self.`` attributes),
-  so a doc cannot cite a deleted name.
+  and a bare private name in an inline code span (``_name`` or
+  ``_name()``) must be defined somewhere under ``src/repro/`` (a ``def``
+  or ``class``, an attribute or an assignment), so a doc cannot cite a
+  deleted name.
 
 Exits non-zero on the first class of broken links, printing all of
 them.  ``tests/test_docs.py`` runs the same check per file.
@@ -48,6 +51,9 @@ PATH_RE = re.compile(r"(?<![\w./-])(?:benchmarks|examples|src|tests|tools)/[\w./
 
 #: ``Class.member`` inside code: a capitalized name, a dot, a member
 MEMBER_RE = re.compile(r"(?<!\w)([A-Z]\w*)\.(\w+)")
+
+#: a whole inline code span that is one private name: ``_name`` / ``_name()``
+PRIVATE_RE = re.compile(r"(_\w+)(?:\(\))?")
 
 
 def doc_files() -> List[Path]:
@@ -155,6 +161,34 @@ def source_classes(root: Path) -> Dict[str, Tuple[Set[str], List[str]]]:
     return classes
 
 
+@functools.lru_cache(maxsize=None)
+def source_names(root: Path) -> Set[str]:
+    """Every name a ``def``, ``class``, attribute store, assignment or
+    import alias under ``src/repro/`` defines."""
+    names: Set[str] = set()
+    for module in sorted((root / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+    return names
+
+
+def extract_private_names(path: Path) -> List[str]:
+    """The bare private names a markdown file's inline code spans
+    consist of (fences excluded)."""
+    return [
+        match.group(1)
+        for code in code_strings(path, False)
+        if (match := PRIVATE_RE.fullmatch(code.strip()))
+    ]
+
+
 def has_member(classes: Dict[str, Tuple[Set[str], List[str]]], name: str, member: str) -> bool:
     """Whether class ``name`` or a base defines ``member``; a base from
     outside the repository that is not a builtin cannot be checked and
@@ -195,6 +229,12 @@ def check_file(path: Path) -> Tuple[List[str], List[str]]:
         f"{path.relative_to(ROOT)}: no member {cls}.{member}"
         for cls, member in extract_members(path)
         if cls in classes and not has_member(classes, cls, member)
+    )
+    defined = source_names(ROOT)
+    broken.extend(
+        f"{path.relative_to(ROOT)}: no definition of {name}"
+        for name in extract_private_names(path)
+        if name not in defined
     )
     external: List[str] = []
     for link in extract_links(path):
