@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Any, Dict, List, Tuple
 
 import pytest
@@ -12,20 +13,63 @@ from repro.core.protocol import REF_OK
 from repro.core.rules import RuleConfig
 from repro.core.state import PeerState
 from repro.idspace.ring import IdSpace
+from repro.netsim.columnar import ColumnarScheduler
 
 # Keep property-based tests fast and deterministic in CI.
 settings.register_profile("suite", max_examples=30, deadline=None, derandomize=True)
 settings.load_profile("suite")
 
-#: the activity-tracked kernel (the default engine)
-KERNELS = ("columnar",)
-#: the spec first, then the default kernel
+#: the default kernel with its settled-unit shortcut off: every round,
+#: unit ones included, takes the delivery point that latency, partial
+#: rounds and model switches need (patches scheduled for their arrival
+#: round, the wake wheel, the flux horizon and its landing entries).  As
+#: shipped, a unit run takes it only for the rounds after such an event,
+#: so the differential suites run this leg beside it to keep that path
+#: compared with the ``engine="full"`` spec over whole runs
+GENERAL = "general"
+#: the two legs of the default kernel
+KERNELS = ("columnar", GENERAL)
+#: the spec first, then the two legs of the default kernel
 ENGINES = ("full",) + KERNELS
 
 
+def _never_settled(self) -> bool:
+    return False
+
+
+def general_every_round(sched: ColumnarScheduler) -> ColumnarScheduler:
+    """Send every round of ``sched`` through its general delivery point;
+    returns ``sched``."""
+    sched._unit_settled = _never_settled.__get__(sched)
+    return sched
+
+
 def build(builder, engine: str, *args, **kwargs) -> ReChordNetwork:
-    """``builder(*args, engine=engine, **kwargs)``."""
-    return builder(*args, engine=engine, **kwargs)
+    """``builder(*args, engine=engine, **kwargs)``; ``GENERAL`` builds
+    the default kernel and sends every round through its general
+    delivery point."""
+    if engine != GENERAL:
+        return builder(*args, engine=engine, **kwargs)
+    net = builder(*args, engine="columnar", **kwargs)
+    general_every_round(net.scheduler)
+    return net
+
+
+@contextmanager
+def leg(engine: str):
+    """Yield the ``engine=`` value that builds ``engine``; inside the
+    block every columnar kernel takes its general delivery point in
+    every round when ``engine`` is ``GENERAL`` (for callers that build
+    their own network, e.g. ``run_scenario``)."""
+    if engine != GENERAL:
+        yield engine
+        return
+    saved = ColumnarScheduler._unit_settled
+    ColumnarScheduler._unit_settled = _never_settled
+    try:
+        yield "columnar"
+    finally:
+        ColumnarScheduler._unit_settled = saved
 
 
 @pytest.fixture

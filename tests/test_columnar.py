@@ -7,7 +7,8 @@ must be **round-for-round equivalent** to the full-scan spec: same
 :class:`StabilizationReport`, same ``fingerprint()`` at every boundary,
 and same rule-firing counters — across churn, partial activation,
 latency models, drop filters, and whole scenario campaigns.  These
-tests drive the kernel and the spec over the same inputs and compare.
+tests drive the kernel as shipped, the kernel with every round on its
+general delivery point, and the spec over the same inputs and compare.
 
 The suite also pins the :class:`repro.core.noderef.InternTable`
 invariants the columnar layout leans on: one singleton ref per identity
@@ -27,21 +28,26 @@ from repro.idspace.ring import IdSpace
 from repro.netsim.columnar import ColumnarScheduler
 from repro.netsim.scheduler import SynchronousScheduler
 from repro.netsim.rng import SeedSequence
-from repro.scenarios import make_scenario, run_scenario
+from repro.scenarios import make_scenario, run_scenario, scenario_names
 from repro.workloads.churn import ChurnSchedule, apply_event
 from repro.workloads.initial import (
     build_random_network,
     corrupt_network,
     random_peer_ids,
 )
+from tests.conftest import GENERAL, build, leg
 
 ROOT = SeedSequence(61011)
 
 
-def build_pair(n: int, seed: int, corrupt: bool = False):
-    """The same seeded start: the columnar kernel, and the full-scan
-    spec (last)."""
-    nets = [build_random_network(n=n, seed=seed, engine=engine) for engine in ("columnar", "full")]
+def build_triple(n: int, seed: int, corrupt: bool = False):
+    """The same seeded start: the kernel as shipped, the kernel with
+    every round on its general delivery point, and the full-scan spec
+    (last)."""
+    nets = [
+        build(build_random_network, engine, n=n, seed=seed)
+        for engine in ("columnar", GENERAL, "full")
+    ]
     if corrupt:
         for net in nets:
             corrupt_network(net, seed + 1)
@@ -49,7 +55,7 @@ def build_pair(n: int, seed: int, corrupt: bool = False):
 
 
 def assert_equivalent(nets, context: str = "") -> None:
-    """Full observable equality across the pair."""
+    """Full observable equality across the triple."""
     ref = nets[-1]
     for net in nets[:-1]:
         assert net.fingerprint() == ref.fingerprint(), f"fingerprint diverged {context}"
@@ -88,12 +94,112 @@ class TestColumnarEngineSelection:
             ReChordNetwork(**{'incremental': False})
 
 
+class TestSettledShortcut:
+    """Under settled unit delivery a round applies its patches where
+    they are made and skips the wake wheel and the flux horizon (the
+    shortcut); every full or partial unit round keeps it, filter changes
+    included.  Only a non-unit past takes the general delivery point,
+    and the kernel takes the shortcut again once that past has landed."""
+
+    @staticmethod
+    def _rounds_until_stable(net) -> list:
+        """``(executed, settled at the round's start)`` per round, run
+        to the fixpoint."""
+        sched, log = net.scheduler, []
+        while True:
+            settled = sched._unit_settled()
+            net.run_round()
+            log.append((sched.executed_last_round, settled))
+            if not sched.changed_last_round:
+                return log
+
+    def test_every_full_unit_round_keeps_the_shortcut(self):
+        from repro.traffic import TrafficPlane
+
+        net = build_random_network(n=24, seed=5)
+        sched = net.scheduler
+        # a cold start: dense rounds, most peers executing
+        cold = self._rounds_until_stable(net)
+        assert all(settled for _executed, settled in cold)
+        assert sum(executed > len(net.peers) // 2 for executed, _ in cold) >= 3
+        # a join, then a crash wave: the repair rounds
+        new_id = next(i for i in range(1, 2**20) if i not in net.peers)
+        net.join(new_id, net.peer_ids[0])
+        assert all(settled for _executed, settled in self._rounds_until_stable(net))
+        for pid in net.peer_ids[1::6]:
+            net.crash(pid)
+        assert all(settled for _executed, settled in self._rounds_until_stable(net))
+        # a traffic round with every peer dirty
+        plane = TrafficPlane(net)
+        for pid in net.peers:
+            sched.mark_dirty(pid)
+        plane.lookup("some-key", net.peer_ids[0])
+        net.run_round()
+        assert sched.executed_last_round == len(net.peers) and sched._unit_settled()
+        plane.drain()
+        assert sched._unit_settled()
+        assert plane.collector.summary()["completed"] == 1
+
+    def test_the_general_leg_never_takes_the_shortcut(self, monkeypatch):
+        """The differential suites' ``GENERAL`` leg feeds every round of
+        a cold start through the general delivery point, built directly
+        or through ``leg()``; the kernel as shipped feeds none."""
+        fed = []
+        feed = ColumnarScheduler._feed_flow_changes
+
+        def counted(sched, round_no, *args):
+            fed.append(round_no)
+            return feed(sched, round_no, *args)
+
+        monkeypatch.setattr(ColumnarScheduler, "_feed_flow_changes", counted)
+        net = build(build_random_network, GENERAL, n=16, seed=3)
+        rounds = len(self._rounds_until_stable(net))
+        assert rounds > 1 and fed == list(range(rounds))
+        fed.clear()
+        with leg(GENERAL) as engine:
+            net = build_random_network(n=16, seed=3, engine=engine)
+            assert len(self._rounds_until_stable(net)) == rounds
+        assert fed == list(range(rounds))
+        fed.clear()
+        net = build_random_network(n=16, seed=3)
+        assert len(self._rounds_until_stable(net)) == rounds and fed == []
+
+    @pytest.mark.parametrize("trigger", ["latency", "partial", "filter"])
+    def test_only_a_non_unit_past_leaves_the_shortcut(self, trigger):
+        net = build_random_network(n=16, seed=3)
+        net.run_until_stable(max_rounds=4000)
+        sched = net.scheduler
+        assert sched._unit_settled()
+        if trigger == "latency":
+            net.set_delivery_model({"kind": "constant", "delay": 2})
+        elif trigger == "partial":
+            net.set_daemon({"kind": "partial", "p": 0.5, "seed": 1})
+        else:
+            sched.set_drop_filter(lambda env: False)
+        shortcut = []
+        for _ in range(4):
+            shortcut.append(sched._unit_settled())
+            net.run_round()
+        # partial activation filters the work list and a filter change
+        # re-derives the pieces: neither leaves the shortcut
+        assert shortcut == [trigger != "latency"] * 4
+        if trigger == "latency":
+            net.set_delivery_model("unit")
+        elif trigger == "partial":
+            net.set_daemon("full")
+        else:
+            sched.set_drop_filter(None)
+        net.run_until_stable(max_rounds=4000)
+        net.run_round()
+        assert sched._unit_settled() and sched.executed_last_round == 0
+
+
 class TestColumnarStabilization:
     @pytest.mark.parametrize("n,seed,corrupt", STARTS)
     def test_seeded_start_same_report_and_fingerprint(self, n, seed, corrupt):
-        nets = build_pair(n, seed, corrupt)
+        nets = build_triple(n, seed, corrupt)
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1], (
+        assert reports[0] == reports[1] == reports[2], (
             f"reports diverged at n={n} seed={seed} corrupt={corrupt}"
         )
         assert_equivalent(nets, f"at n={n} seed={seed} corrupt={corrupt}")
@@ -117,7 +223,7 @@ class TestColumnarLockstep:
 
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_fingerprints_match_every_round(self, seed):
-        nets = build_pair(10, seed, corrupt=(seed % 2 == 0))
+        nets = build_triple(10, seed, corrupt=(seed % 2 == 0))
         for r in range(60):
             for net in nets:
                 net.run_round()
@@ -127,7 +233,7 @@ class TestColumnarLockstep:
     def test_churn_trajectory_lockstep(self, seed):
         """join → graceful leave → crash → rejoin of the crashed id,
         compared at every boundary (the rejoin revives frozen flows)."""
-        nets = build_pair(16, seed)
+        nets = build_triple(16, seed)
         rng = ROOT.child("churn", seed=seed).rng()
         new_id = random_peer_ids(1, rng, nets[0].space)[0]
         while new_id in nets[0].peers:
@@ -154,7 +260,7 @@ class TestColumnarLockstep:
             assert_equivalent(nets, f"at round {r} (seed={seed})")
 
     def test_churn_schedule_same_trajectory(self):
-        nets = build_pair(10, 5)
+        nets = build_triple(10, 5)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         schedule = ChurnSchedule.random(nets[0], events=4, seed=55)
@@ -163,7 +269,7 @@ class TestColumnarLockstep:
             for net in nets:
                 apply_event(net, event)
                 reports.append(net.run_until_stable(max_rounds=4000))
-            assert reports[0] == reports[1], f"after {event}"
+            assert reports[0] == reports[1] == reports[2], f"after {event}"
             assert_equivalent(nets, f"after {event}")
 
     @pytest.mark.parametrize("event", ["crash", "leave", "join"])
@@ -171,7 +277,7 @@ class TestColumnarLockstep:
         """A wave of membership events between two rounds asks the
         in-flight ref query once, at the next round start, for all of
         them, and the trajectory stays the spec's round for round."""
-        nets = build_pair(16, 4)
+        nets = build_triple(16, 4)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         asked = []
@@ -199,14 +305,14 @@ class TestColumnarLockstep:
             for net in nets:
                 net.run_round()
             if r == 0:
-                # one query for the activity-tracked network
-                assert len(asked) == 1 and all(set(wave) <= o for o in asked)
+                # one query per activity-tracked network (both legs)
+                assert len(asked) == 2 and all(set(wave) <= o for o in asked)
             assert_equivalent(nets, f"at round {r} after a {event} wave")
 
     def test_partial_activation_then_stability(self):
         """Partial rounds leave gaps and held inboxes in the columns;
         the kernel agrees with the spec through them and after."""
-        nets = build_pair(8, 51)
+        nets = build_triple(8, 51)
         for net in nets:
             net.run(5)
         active = set(nets[0].peer_ids[:4])
@@ -215,14 +321,14 @@ class TestColumnarLockstep:
                 net.run_round(active=active)
         assert_equivalent(nets, "after partial activation")
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
         assert_equivalent(nets, "after re-stabilization")
 
     def test_latency_model_switch_mid_run(self):
         """Installing a non-unit delivery model moves the pieces into
         their delay classes; restoring unit delivery moves them back —
         equivalence must hold through both transitions."""
-        nets = build_pair(10, 13)
+        nets = build_triple(10, 13)
         for net in nets:
             net.run(10)
         for net in nets:
@@ -234,14 +340,14 @@ class TestColumnarLockstep:
         for net in nets:
             net.set_delivery_model("unit")
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
         assert_equivalent(nets, "after returning to unit delivery")
 
     def test_drop_filter_lockstep(self):
         """A delivery-time drop filter (partition) re-derives what the
         pieces deliver, and so does lifting it — compare at every
         boundary."""
-        nets = build_pair(12, 17)
+        nets = build_triple(12, 17)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         side_a = frozenset(nets[0].peer_ids[: len(nets[0].peer_ids) // 2])
@@ -258,13 +364,13 @@ class TestColumnarLockstep:
         for net in nets:
             net.scheduler.set_drop_filter(None)
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
         assert_equivalent(nets, "after healing the partition")
 
     def test_out_of_band_perturbation_detected(self):
         """Direct state edits (caught by the version-counter sweep) must
         re-activate peers under the columnar engine too."""
-        nets = build_pair(10, 31)
+        nets = build_triple(10, 31)
         for net in nets:
             net.run_until_stable(max_rounds=4000)
         for net in nets:
@@ -272,7 +378,7 @@ class TestColumnarLockstep:
             foreign = NodeRef.real(net.peer_ids[0])
             victim.state.nodes[victim.state.max_level()].nu.add(foreign)
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
         assert_equivalent(nets, "after perturbation")
 
     def test_change_flag_matches_fingerprint_comparison(self):
@@ -287,8 +393,24 @@ class TestColumnarLockstep:
 
 class TestColumnarScenarios:
     """Whole campaigns (traffic + latency + partitions + corruption)
-    through the scenario engine (each against the spec:
-    tests/test_scenarios.py)."""
+    through the scenario engine, compared report-for-report."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_named_scenario_equivalent(self, name):
+        """The two legs of the kernel against each other (each against
+        the spec: tests/test_scenarios.py), execute/replay split
+        included: the spec executes every peer every round, so only the
+        two legs can pin that both delivery points wake exactly the same
+        dirty set."""
+        spec = make_scenario(name, n=12, seed=5)
+        col = run_scenario(spec, engine="columnar", telemetry=True)
+        with leg(GENERAL) as engine:
+            general = run_scenario(spec, engine=engine, telemetry=True)
+        # dataclass equality covers recovery metrics, repair curve, SLO
+        # ledger, rule firings and the configuration digest
+        assert col == general, f"the two delivery points diverged under scenario {name!r}"
+        assert col.telemetry["kernel"] == general.telemetry["kernel"], name
+        assert col.activity == general.activity, name
 
     def test_scenario_determinism(self):
         spec = make_scenario("churn-storm", n=12, seed=9)

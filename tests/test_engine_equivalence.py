@@ -22,7 +22,7 @@ from repro.workloads.initial import (
     corrupt_network,
     random_peer_ids,
 )
-from tests.conftest import ENGINES, build
+from tests.conftest import ENGINES, GENERAL, build
 
 ROOT = SeedSequence(20211)
 
@@ -312,13 +312,16 @@ class TestExternalMutationEquivalence:
 
 class TestTelemetryCensusEquivalence:
     """The telemetry counter census is part of the equivalence surface:
-    the same seeded run under the spec and the default kernel yields
-    identical rule firings, envelope-type counts and round/sent/dropped
-    totals."""
+    the same seeded run under the spec and both legs of the default
+    kernel (as shipped, and with every round on its general delivery
+    point) yields identical rule firings, envelope-type counts and
+    round/sent/dropped totals; the execute/replay split agrees between
+    the two legs."""
 
     @pytest.mark.parametrize("n,seed,corrupt", STARTS[::5])
     def test_census_invariant(self, n, seed, corrupt):
         censuses = []
+        kernel_stats = {}
         for engine in ENGINES:
             net = build(build_random_network, engine, n=n, seed=seed)
             if corrupt:
@@ -326,8 +329,12 @@ class TestTelemetryCensusEquivalence:
             net.enable_telemetry()
             net.run_until_stable(max_rounds=4000)
             censuses.append(net.telemetry_census())
+            kernel_stats[engine] = net.telemetry.kernel_stats()
         ctx = f"at n={n} seed={seed} corrupt={corrupt}"
-        assert censuses[0] == censuses[1], f"census diverged {ctx}"
+        assert censuses[0] == censuses[1] == censuses[2], f"census diverged {ctx}"
+        assert (
+            kernel_stats["columnar"] == kernel_stats[GENERAL]
+        ), f"kernel split diverged {ctx}"
 
     def test_census_rules_match_network_counters(self):
         net = build_random_network(n=8, seed=3)

@@ -15,6 +15,7 @@ from repro.netsim import scheduler as scheduler_module
 from repro.netsim.scheduler import SynchronousScheduler
 from repro.netsim.timemodel import ActivationDaemon
 from repro.telemetry import TelemetryRecorder
+from tests.conftest import general_every_round
 
 
 def scheduler(tracking: bool) -> SynchronousScheduler:
@@ -275,8 +276,11 @@ CHANGES = {
 def meddling_scheduler(loop: str):
     """A scheduler of four clean actors plus a dirty meddler ("a", armed
     by setting its ``meddle``), whose next round runs in ``loop``: the
-    spec, the columnar kernel, or the columnar kernel under latency."""
+    spec, the columnar kernel as shipped, on its general delivery point
+    in every round, or under latency."""
     sched = SynchronousScheduler() if loop == "spec" else ColumnarScheduler()
+    if loop == "general":
+        general_every_round(sched)
     meddler = Meddler(sched)
     sched.add_actor("a", meddler)
     for key in "bcde":
@@ -290,7 +294,7 @@ def meddling_scheduler(loop: str):
     return sched, meddler
 
 
-LOOPS = ["spec", "columnar", "latency"]
+LOOPS = ["spec", "columnar", "general", "latency"]
 
 #: every change in every loop; the spec scheduler has no ``mark_dirty``
 GUARD_MATRIX = [

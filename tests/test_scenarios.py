@@ -9,7 +9,8 @@ Three layers of guarantees:
   byte-identical :class:`ScenarioReport`, including the configuration
   digest, on repeated runs;
 * **engine equivalence** — every named scenario produces the *same*
-  report on the columnar kernel and on the full-scan kernel (the
+  report on the columnar kernel (as shipped, and with every round on
+  its general delivery point) and on the full-scan kernel (the
   ``tests/test_engine_equivalence.py`` discipline extended to the whole
   adversity vocabulary, partitions and corruption included).
 """
@@ -39,7 +40,7 @@ from repro.scenarios.executor import _build_start
 from repro.netsim.rng import SeedSequence
 from repro.traffic import TrafficPlane, WorkloadGenerator
 from repro.workloads.initial import build_random_network
-from tests.conftest import ENGINES, KERNELS, build
+from tests.conftest import ENGINES, KERNELS, build, leg
 
 #: small campaign size used throughout (keeps the suite fast)
 N = 12
@@ -209,13 +210,14 @@ class TestEngineEquivalence:
     """Columnar-vs-full-scan equality for the whole adversity
     vocabulary (the tests/test_engine_equivalence.py discipline)."""
 
-    @pytest.mark.parametrize("leg", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("name", scenario_names())
-    def test_named_scenario_equivalent_across_kernels(self, name, leg):
-        report = run_scenario(tiny(name), engine=leg)
+    def test_named_scenario_equivalent_across_kernels(self, name, kernel):
+        with leg(kernel) as engine:
+            report = run_scenario(tiny(name), engine=engine)
         # dataclass equality covers recovery metrics, repair curve,
         # SLO ledger, rule firings and the configuration digest
-        assert report == _spec_report(name), f"{leg} diverged under scenario {name!r}"
+        assert report == _spec_report(name), f"{kernel} diverged under scenario {name!r}"
 
     def test_partition_lockstep_fingerprints(self):
         """Round-for-round equality while a drop filter is installed,

@@ -7,7 +7,9 @@ Contract under test (see docs/ARCHITECTURE.md, "Observability"):
   ops), and message traces never leak into payload identity;
 * **engine invariance** — the counter census (rounds / sent / dropped /
   envelope types / rule firings) is identical across the full-scan
-  kernel and the columnar one;
+  kernel and both legs of the columnar one (as shipped, and with every
+  round on its general delivery point); the kernel-plane split
+  (executed / replayed / dirty peak) is identical between the two legs;
 * **determinism** — censuses, sampled-trace hop paths and per-window
   drop totals are pure functions of the seeded run.
 """
@@ -27,7 +29,7 @@ from repro.traffic.messages import OP_LOOKUP, ST_OK, LookupReply, LookupRequest
 from repro.traffic.plane import TrafficPlane
 from repro.traffic.slo import IssuedOp, SLOCollector, percentile
 from repro.workloads.initial import build_random_network, corrupt_network
-from tests.conftest import ENGINES, build
+from tests.conftest import ENGINES, GENERAL, build, leg
 
 
 def _run_instrumented(engine: str, n: int = 10, seed: int = 7, rounds: int = 30):
@@ -105,9 +107,11 @@ class TestEngineInvariance:
             net, rec = _run_instrumented(engine)
             censuses[engine] = net.telemetry_census()
             kernels[engine] = rec.kernel_stats()
-        assert censuses["full"] == censuses["columnar"]
-        # the execute/replay split is a dirty-set concept: the full scan
-        # executes every peer every round
+        assert censuses["full"] == censuses["columnar"] == censuses[GENERAL]
+        # the execute/replay split is a dirty-set concept: identical
+        # between the columnar kernel's two delivery points, different
+        # for full-scan (which executes every peer every round)
+        assert kernels["columnar"] == kernels[GENERAL]
         assert kernels["full"]["replayed"] == 0
 
     def test_enabled_run_bit_for_bit_identical_to_disabled(self):
@@ -268,8 +272,9 @@ class TestScenarioTelemetry:
     def test_dropped_by_window_engine_invariant(self):
         spec = make_scenario("partition-heal", n=16, seed=5)
         reports = []
-        for engine in ENGINES:
-            reports.append(run_scenario(spec, engine=engine))
+        for name in ENGINES:
+            with leg(name) as engine:
+                reports.append(run_scenario(spec, engine=engine))
         windows = reports[0].dropped_by_window
         assert all(r.dropped_by_window == windows for r in reports)
         by_label = dict(windows)
