@@ -3,8 +3,8 @@
 Full reproduction of Kniesburges, Koutsopoulos & Scheideler's Re-Chord:
 the self-stabilizing protocol itself (:mod:`repro.core`), the synchronous
 message-passing substrate (:mod:`repro.netsim`), identifier-space
-arithmetic (:mod:`repro.idspace`), classic Chord and linearization
-baselines (:mod:`repro.chord`, :mod:`repro.linearize`), a DHT layer on
+arithmetic (:mod:`repro.idspace`), the classic Chord baseline
+(:mod:`repro.chord`), a DHT layer on
 top of the stabilized overlay (:mod:`repro.dht`), an in-band traffic
 plane routing live operations through the overlay *while* it stabilizes
 (:mod:`repro.traffic`), a declarative adversity-scenario engine

@@ -166,10 +166,6 @@ class PhaseTracker:
             prev = cur
         raise RuntimeError(f"not stable within {max_rounds} rounds")
 
-    def series(self, phase: str) -> List[bool]:
-        """The sampled boolean series of one phase."""
-        return list(self._series[phase])
-
     def report(self) -> PhaseReport:
         """Completion rounds: first index from which a phase holds on."""
         completion: Dict[str, Optional[int]] = {}

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.chord.routing import merge_successor_list, prune_successor_list
+from repro.chord.routing import merge_successor_list
 from repro.idspace.ring import IdSpace
 from repro.netsim.messages import Envelope
 from repro.netsim.scheduler import RoundContext
@@ -95,22 +95,12 @@ class FindSuccessorReferral:
 
 
 @dataclass(frozen=True)
-class LeaveNotice:
-    """Voluntary departure: hand neighbors to each other."""
-
-    new_predecessor: Optional[int]
-    new_successor: Optional[int]
-
-
-@dataclass(frozen=True)
 class LookupState:
     """Client-side bookkeeping of an in-flight iterative lookup."""
 
     key: int
     hops: int
-    started_round: int
-    purpose: str  # "finger:<i>" | "user" | "join"
-    current_target: int
+    finger: int  #: the finger-table entry the answer fills
 
 
 class FingerTable:
@@ -129,16 +119,6 @@ class FingerTable:
         if index not in self.entries:
             raise IndexError(f"finger index {index} out of range")
         self.entries[index] = value
-
-    def get(self, index: int) -> Optional[int]:
-        """Finger ``index`` (may be stale or ``None``)."""
-        return self.entries[index]
-
-    def drop_value(self, value: int) -> None:
-        """Remove a failed peer from all entries."""
-        for i, v in self.entries.items():
-            if v == value:
-                self.entries[i] = None
 
     def known(self) -> List[int]:
         """All distinct live finger values."""
@@ -169,8 +149,6 @@ class ChordPeer:
         self._next_finger = 1
         self._token = 0
         self._lookups: Dict[int, LookupState] = {}
-        self.completed_lookups: Dict[int, tuple] = {}  # token -> (owner, hops, rounds)
-        self.left = False
 
     # ------------------------------------------------------------------
     # helpers
@@ -204,11 +182,8 @@ class ChordPeer:
     # ------------------------------------------------------------------
     def step(self, inbox: Sequence[Envelope], ctx: RoundContext) -> None:
         """One synchronous round: serve requests, then run maintenance."""
-        if self.left:
-            return
         for env in inbox:
             self._handle(env, ctx)
-        self._purge_failed(ctx)
         self._stabilize(ctx)
         self._fix_fingers(ctx)
         self._refresh_successor_list(ctx)
@@ -231,11 +206,9 @@ class ChordPeer:
         elif isinstance(msg, FindSuccessorStep):
             self._serve_lookup(msg, ctx)
         elif isinstance(msg, FindSuccessorAnswer):
-            self._on_answer(msg, ctx)
+            self._on_answer(msg)
         elif isinstance(msg, FindSuccessorReferral):
             self._on_referral(msg, ctx)
-        elif isinstance(msg, LeaveNotice):
-            self._on_leave_notice(msg)
         else:  # pragma: no cover - protocol violation
             raise TypeError(f"unexpected message {msg!r}")
 
@@ -276,17 +249,10 @@ class ChordPeer:
             self.successor, msg.values, me=self.id, length=self.successor_list_len
         )
 
-    def _on_answer(self, msg: FindSuccessorAnswer, ctx: RoundContext) -> None:
+    def _on_answer(self, msg: FindSuccessorAnswer) -> None:
         state = self._lookups.pop(msg.token, None)
-        if state is None:
-            return
-        rounds = ctx.round_no - state.started_round
-        self.completed_lookups[msg.token] = (msg.owner, state.hops, rounds)
-        if state.purpose.startswith("finger:"):
-            index = int(state.purpose.split(":", 1)[1])
-            self.fingers.set(index, msg.owner)
-        elif state.purpose == "join":
-            self.successor = msg.owner
+        if state is not None:
+            self.fingers.set(state.finger, msg.owner)
 
     def _on_referral(self, msg: FindSuccessorReferral, ctx: RoundContext) -> None:
         state = self._lookups.get(msg.token)
@@ -296,38 +262,12 @@ class ChordPeer:
             # dead next hop or routing loop: abandon (callers retry)
             self._lookups.pop(msg.token, None)
             return
-        self._lookups[msg.token] = LookupState(
-            key=state.key,
-            hops=state.hops + 1,
-            started_round=state.started_round,
-            purpose=state.purpose,
-            current_target=msg.next_hop,
-        )
+        self._lookups[msg.token] = LookupState(state.key, state.hops + 1, state.finger)
         ctx.send(msg.next_hop, FindSuccessorStep(state.key, self.id, msg.token))
-
-    def _on_leave_notice(self, msg: LeaveNotice) -> None:
-        if msg.new_successor is not None:
-            self.successor = msg.new_successor
-        if msg.new_predecessor is not None:
-            self.predecessor = msg.new_predecessor
 
     # ------------------------------------------------------------------
     # periodic maintenance
     # ------------------------------------------------------------------
-    def _purge_failed(self, ctx: RoundContext) -> None:
-        if self.predecessor is not None and not ctx.actor_exists(self.predecessor):
-            self.predecessor = None
-        self.successor_list = prune_successor_list(self.successor_list, ctx.actor_exists)
-        for v in list(self.fingers.known()):
-            if not ctx.actor_exists(v):
-                self.fingers.drop_value(v)
-        if self.successor is not None and not ctx.actor_exists(self.successor):
-            self.successor = self.successor_list[0] if self.successor_list else None
-        if self.successor is None:
-            # last resort: any live finger, else ourselves (singleton ring)
-            known = self.fingers.known()
-            self.successor = known[0] if known else self.id
-
     def _stabilize(self, ctx: RoundContext) -> None:
         if self.successor is None or self.successor == self.id:
             return
@@ -338,7 +278,7 @@ class ChordPeer:
             index = self._next_finger
             self._next_finger = 1 + (self._next_finger % self.space.bits)
             target = self.space.finger_target(self.id, index)
-            self.start_lookup(target, purpose=f"finger:{index}", ctx=ctx)
+            self.start_lookup(target, index, ctx)
 
     def _refresh_successor_list(self, ctx: RoundContext) -> None:
         if self.successor is not None and self.successor != self.id:
@@ -347,17 +287,12 @@ class ChordPeer:
     # ------------------------------------------------------------------
     # public operations
     # ------------------------------------------------------------------
-    def start_lookup(self, key: int, purpose: str, ctx: RoundContext) -> int:
-        """Begin an iterative find_successor(key); returns the token."""
+    def start_lookup(self, key: int, finger: int, ctx: RoundContext) -> int:
+        """Begin an iterative find_successor(key) whose answer fills
+        finger entry ``finger``; returns the token."""
         token = self._new_token()
-        self._lookups[token] = LookupState(
-            key=key, hops=0, started_round=ctx.round_no, purpose=purpose, current_target=self.id
-        )
+        self._lookups[token] = LookupState(key, 0, finger)
         # first step is served locally next round (sent to ourselves) so
         # that every step has uniform round-trip accounting
         ctx.send(self.id, FindSuccessorStep(key, self.id, token))
         return token
-
-    def pending_lookup_count(self) -> int:
-        """In-flight lookups (diagnostics)."""
-        return len(self._lookups)

@@ -51,11 +51,6 @@ class RouteResult:
     path: tuple
     status: str = ROUTE_OK
 
-    @property
-    def ok(self) -> bool:
-        """Whether the route reached the responsible peer."""
-        return self.status == ROUTE_OK
-
 
 class RoutingError(RuntimeError):
     """Raised (in strict mode) when greedy routing cannot reach the
@@ -96,8 +91,8 @@ def route_greedy(
     >>> space = IdSpace(8)                      # 256 positions
     >>> ring = {10: {80}, 80: {200}, 200: {10}}
     >>> result = route_greedy(space, [10, 80, 200], ring.__getitem__, 10, 190)
-    >>> result.owner, result.hops, result.path, result.ok
-    (200, 2, (10, 80, 200), True)
+    >>> result.owner, result.hops, result.path, result.status
+    (200, 2, (10, 80, 200), 'ok')
 
     Routing over a *degraded* view surfaces the failure kind instead:
 
@@ -183,22 +178,3 @@ def merge_successor_list(
         if v not in deduped:
             deduped.append(v)
     return deduped[:length]
-
-
-def prune_successor_list(
-    entries: Sequence[int],
-    alive: Callable[[int], bool],
-) -> List[int]:
-    """Drop dead entries from a successor list, preserving order.
-
-    ``alive`` is whatever liveness evidence the caller has (the Chord
-    baseline passes ``ctx.actor_exists``).  Relative order is kept so
-    the head of the pruned list remains the closest live backup —
-    exactly the entry ``_purge_failed`` promotes when the primary
-    successor dies.
-
-    >>> from repro.chord.routing import prune_successor_list
-    >>> prune_successor_list([20, 30, 40], {20, 40}.__contains__)
-    [20, 40]
-    """
-    return [v for v in entries if alive(v)]

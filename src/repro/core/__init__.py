@@ -20,7 +20,7 @@ from repro.core.noderef import NodeRef
 from repro.core.rules import RuleConfig, RuleCounters
 from repro.core.network import ReChordNetwork
 from repro.core.ideal import IdealTopology, compute_ideal
-from repro.core.checker import local_check_peer, locally_checkable_stable
+from repro.core.checker import local_check_peer
 from repro.core.metrics import NetworkMetrics
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "IdealTopology",
     "compute_ideal",
     "local_check_peer",
-    "locally_checkable_stable",
     "NetworkMetrics",
 ]

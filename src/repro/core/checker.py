@@ -17,7 +17,6 @@ from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import List
 
-from repro.core.network import ReChordNetwork
 from repro.core.protocol import ReChordPeer
 
 _KEY = attrgetter("_key")
@@ -102,8 +101,3 @@ def local_check_peer(peer: ReChordPeer) -> List[str]:
             problems.append(f"{ui!r}: wrap_rl set despite linear rl")
 
     return problems
-
-
-def locally_checkable_stable(network: ReChordNetwork) -> bool:
-    """Conjunction of all peers' local checks."""
-    return all(not local_check_peer(peer) for peer in network.peers.values())

@@ -39,31 +39,6 @@ class IdealTopology:
     wrap_rl: Dict[NodeRef, Optional[NodeRef]] = field(hash=False)
     wrap_rr: Dict[NodeRef, Optional[NodeRef]] = field(hash=False)
 
-    @property
-    def total_nodes(self) -> int:
-        """Real + virtual node count of the stable network."""
-        return len(self.refs)
-
-    @property
-    def virtual_nodes(self) -> int:
-        """Virtual node count of the stable network."""
-        return len(self.refs) - len(self.peer_ids)
-
-    def desired_edges(self) -> Set[Tuple[NodeRef, NodeRef, str]]:
-        """All edges of the ideal Re-Chord network (``E_u ∪ E_r`` + wraps).
-
-        Used by the "almost stable" detector: a state is almost stable
-        once every desired edge exists (extra edges permitted).
-        """
-        out: Set[Tuple[NodeRef, NodeRef, str]] = set()
-        for x, targets in self.nu.items():
-            for t in targets:
-                out.add((x, t, "u"))
-        for x, targets in self.nr.items():
-            for t in targets:
-                out.add((x, t, "r"))
-        return out
-
 
 def gap_to_successor(space: IdSpace, peer_ids: Sequence[int], u: int) -> int:
     """Clockwise distance from ``u`` to the nearest other peer id.

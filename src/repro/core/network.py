@@ -375,13 +375,6 @@ class ReChordNetwork:
             peer.telemetry = recorder
         return recorder
 
-    def disable_telemetry(self) -> None:
-        """Detach the telemetry recorder from the kernel and all peers."""
-        self.telemetry = None
-        self.scheduler.set_telemetry(None)
-        for peer in self.peers.values():
-            peer.telemetry = None
-
     def telemetry_census(self) -> dict:
         """The deterministic counter census, rule firings included.
 
@@ -714,21 +707,6 @@ class ReChordNetwork:
         fingerprint is byte-identical to the historical form.
         """
         return self.config_snapshot().canonical()
-
-    def incremental_fingerprint(self) -> tuple:
-        """The 64-bit configuration hash ``(states, pending)``.
-
-        The state half is maintained by the activity-tracked scheduler
-        from dirty peers only — O(active work) per round; the pending
-        half is counted on demand over the in-flight messages,
-        O(pending) per call (see ``ColumnarScheduler.config_hash``).
-        Valid at round boundaries of the tracked kernel; equal
-        configurations always hash equal, distinct ones collide with
-        probability ~2^-64.
-        """
-        if not self.incremental:
-            raise RuntimeError("incremental fingerprint requires the tracked kernel")
-        return self.scheduler.config_hash()
 
     def is_fixed_point(self, peek: bool = False) -> bool:
         """Whether one more round leaves the configuration unchanged.

@@ -141,20 +141,6 @@ class InternTable:
             self.levels.append(level)
         return ref
 
-    def ref(self, iid: int) -> NodeRef:
-        """The ref holding dense id ``iid``.
-
-        Only non-negative dense ids name rows; ``-1`` is the sentinel
-        carried by direct-constructed (never-interned) refs, and Python's
-        negative indexing would silently alias it to whatever ref was
-        interned *last* — after a mass leave that is some unrelated live
-        peer.  Batched kernels read the flat columns by ``iid``, so the
-        aliasing must be an error, not a wrong answer.
-        """
-        if iid < 0:
-            raise IndexError(f"iid {iid} does not name an interned ref")
-        return self._refs[iid]
-
     def all_refs(self) -> List[NodeRef]:
         """The live ref column in dense-id order (do not mutate).
 

@@ -220,17 +220,6 @@ class ReChordPeer:
         """Exact boundary state (the peer's canonical fingerprint part)."""
         return self.state.canonical()
 
-    def replay_step(self) -> None:
-        """Re-apply the side effects of the last executed step.
-
-        Called instead of :meth:`step` when the scheduler replays a
-        quiescent round: state and emissions are known to repeat, and the
-        rule counters advance by the cached delta so accounting stays
-        identical to a full execution.
-        """
-        for rule, amount in self._replay_delta.items():
-            self.counters.bump(rule, amount)
-
     def replay_steps(self, count: int) -> None:
         """Re-apply ``count`` quiescent rounds of counter deltas at once.
 

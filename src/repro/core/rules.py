@@ -68,10 +68,6 @@ class RuleCounters:
         """Total state-changing firings recorded."""
         return sum(self.fires.values())
 
-    def get(self, rule: str) -> int:
-        """Firings of one rule (0 if never fired)."""
-        return self.fires.get(rule, 0)
-
     def merged(self, other: "RuleCounters") -> "RuleCounters":
         """Counter union (for aggregating across peers)."""
         out = RuleCounters(dict(self.fires))

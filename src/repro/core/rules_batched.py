@@ -330,21 +330,18 @@ class RankIndex:
     unranked.
     """
 
-    __slots__ = ("ranks", "size", "_use_numpy")
+    __slots__ = ("ranks", "size")
 
-    def __init__(self, use_numpy: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self.ranks: List[int] = []
         self.size = 0
-        self._use_numpy = _np is not None if use_numpy is None else (
-            bool(use_numpy) and _np is not None
-        )
 
     def refresh(self) -> None:
         """Re-rank if the intern table grew since the last build."""
         n = len(INTERN)
         if n == self.size:
             return
-        if self._use_numpy and n >= _NUMPY_MIN_ROWS:
+        if _np is not None and n >= _NUMPY_MIN_ROWS:
             ids_col, owners_col, levels_col = INTERN.columns()
             ids = _np.frombuffer(ids_col, dtype=_np.uint64, count=n)
             owners = _np.frombuffer(owners_col, dtype=_np.uint64, count=n)
@@ -379,10 +376,9 @@ class BatchedRuleEngine:
     )
 
     def __init__(
-        self, use_numpy: Optional[bool] = None, oracle=None, oracle_epoch=None,
-        oracle_moves=None,
+        self, oracle=None, oracle_epoch=None, oracle_moves=None,
     ) -> None:
-        self.rank_index = RankIndex(use_numpy)
+        self.rank_index = RankIndex()
         #: this pipeline's envelope intern cache, keyed by flat ints
         self._fast: Dict[tuple, Envelope] = {}
         #: per-level memo lookups by outcome and carried levels, one int

@@ -397,19 +397,6 @@ class PeerState:
     # ------------------------------------------------------------------
     # sibling management
     # ------------------------------------------------------------------
-    @property
-    def real_ref(self) -> NodeRef:
-        """The ref of the real node ``u_0``."""
-        return self.nodes[0].ref
-
-    def levels(self) -> List[int]:
-        """Existing levels, sorted ascending."""
-        return sorted(self.nodes)
-
-    def max_level(self) -> int:
-        """The highest existing level (``u_m``'s level; 0 only pre-step)."""
-        return max(self.nodes)
-
     def ensure_level(self, level: int) -> LocalNode:
         """Create the node at ``level`` (empty neighborhoods) if missing."""
         node = self.nodes.get(level)
@@ -443,7 +430,7 @@ class PeerState:
         node = self.nodes.get(ref.level)
         if node is not None:
             return node
-        return self.nodes[self.max_level()]
+        return self.nodes[max(self.nodes)]
 
     # ------------------------------------------------------------------
     # knowledge (the paper's N / DESIGN.md's K)
@@ -521,10 +508,3 @@ class PeerState:
         )
         self._canon = (self.version, value)
         return value
-
-    def edge_count(self) -> int:
-        """Total outgoing edges of this peer (all kinds + wrap pointers)."""
-        return sum(
-            len(n._nu) + len(n._nr) + len(n._nc) + len(n.wrap_refs())
-            for n in self.nodes.values()
-        )

@@ -42,11 +42,12 @@ class ReChordRouter:
     >>> from repro.experiments.scaling import build_ideal_network
     >>> net = build_ideal_network(16, 1)
     >>> router = ReChordRouter(net)
-    >>> owner = router.owner_of("alice")
+    >>> owner = router.route_key(net.peer_ids[0], "alice").owner
     >>> net.crash(owner)                     # the snapshot is now stale
     >>> router.is_stale()
     True
-    >>> router.owner_of("alice") != owner    # rebuilt before answering
+    >>> _ = net.run_until_stable(max_rounds=5000)
+    >>> router.route_key(net.peer_ids[0], "alice").owner != owner    # rebuilt first
     True
     """
 
@@ -77,12 +78,6 @@ class ReChordRouter:
         if self.is_stale():
             self.refresh()
 
-    def neighbors(self, peer_id: int) -> Set[int]:
-        """The peer's outgoing real-peer links (Chord view), rebuilt
-        first if the network moved on."""
-        self._ensure_fresh()
-        return self._views[peer_id]
-
     def route_id(self, start: int, target_id: int, max_hops: int = 512) -> RouteResult:
         """Greedy-route an identifier from ``start``.
 
@@ -108,11 +103,3 @@ class ReChordRouter:
         """Greedy-route a named key (consistent-hashed onto the circle,
         views refreshed as in :meth:`route_id`)."""
         return self.route_id(start, key_id(key, self.space), max_hops=max_hops)
-
-    def owner_of(self, key: str) -> int:
-        """The peer responsible for ``key`` under the current membership
-        (no routing; stale views are rebuilt first)."""
-        from repro.core.ideal import chord_successor
-
-        self._ensure_fresh()
-        return chord_successor(self.space, self._peer_ids, key_id(key, self.space))

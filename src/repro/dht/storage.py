@@ -93,17 +93,6 @@ class KeyValueStore:
                 return bucket[kid]
         raise KeyNotFound(key)
 
-    def delete(self, key: str, via: Optional[int] = None) -> bool:
-        """Remove ``key`` from all replicas; returns whether it existed."""
-        kid = key_id(key, self.space)
-        self._route_hops(via, kid)
-        existed = False
-        for pid in self.replica_peers(kid):
-            bucket = self._data.get(pid)
-            if bucket is not None and bucket.pop(kid, None) is not None:
-                existed = True
-        return existed
-
     def _route_hops(self, via: Optional[int], kid: int) -> int:
         if via is None:
             return 0
@@ -178,10 +167,6 @@ class KeyValueStore:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def keys_at(self, pid: int) -> Set[int]:
-        """Key ids stored at one peer."""
-        return set(self._data.get(pid, ()))
-
     def total_placements(self) -> int:
         """Number of (key, peer) placements across the network."""
         return sum(len(b) for b in self._data.values())

@@ -188,10 +188,9 @@ def measure_one(
     )
     tel = None
     if recorder is not None:
-        recorder.rule_fires = dict(net.counters().fires)
         for comp in plane.collector.traced():
             recorder.add_trace(comp.op_id, comp.op, comp.outcome, comp.trace.hops)
-        tel = {"census": recorder.census(), "kernel": recorder.kernel_stats()}
+        tel = {"census": net.telemetry_census(), "kernel": recorder.kernel_stats()}
     return TrafficChurnRun(
         n=n,
         seed=seed,

@@ -31,7 +31,7 @@ def weakly_connected_components(graph: TypedDigraph) -> List[Set[Hashable]]:
         seen.add(start)
         while queue:
             v = queue.popleft()
-            for w in graph.undirected_neighbors(v):
+            for w in graph.successors(v) | graph.predecessors(v):
                 if w not in seen:
                     seen.add(w)
                     comp.add(w)

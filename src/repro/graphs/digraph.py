@@ -11,7 +11,7 @@ its own per-peer adjacency for locality.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Hashable, Iterable, Iterator, Set, Tuple
+from typing import Dict, Hashable, Iterator, Set
 
 
 class EdgeKind(enum.Enum):
@@ -21,12 +21,6 @@ class EdgeKind(enum.Enum):
     RING = "r"      #: the paper's E_r — seam-closing ring edges
     CONNECTION = "c"  #: the paper's E_c — sibling-chain repair edges
     REAL_POINTER = "p"  #: rl/rr/wrap pointers (DESIGN.md [D4]/[D6])
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-
-Edge = Tuple[Hashable, Hashable, EdgeKind]
 
 
 class TypedDigraph:
@@ -45,22 +39,6 @@ class TypedDigraph:
         if v not in self._succ:
             self._succ[v] = {}
             self._pred[v] = {}
-
-    def remove_node(self, v: Hashable) -> None:
-        """Remove ``v`` and all incident edges."""
-        if v not in self._succ:
-            raise KeyError(v)
-        for kind, targets in list(self._succ[v].items()):
-            for w in list(targets):
-                self.remove_edge(v, w, kind)
-        for kind, sources in list(self._pred[v].items()):
-            for w in list(sources):
-                self.remove_edge(w, v, kind)
-        del self._succ[v]
-        del self._pred[v]
-
-    def __contains__(self, v: Hashable) -> bool:
-        return v in self._succ
 
     def __len__(self) -> int:
         return len(self._succ)
@@ -83,24 +61,6 @@ class TypedDigraph:
         self._pred[v].setdefault(kind, set()).add(u)
         self._edge_count += 1
         return True
-
-    def remove_edge(self, u: Hashable, v: Hashable, kind: EdgeKind = EdgeKind.UNMARKED) -> None:
-        """Remove edge ``(u, v)`` of ``kind``; raises ``KeyError`` if absent."""
-        try:
-            self._succ[u][kind].remove(v)
-            self._pred[v][kind].remove(u)
-        except KeyError as exc:
-            raise KeyError((u, v, kind)) from exc
-        self._edge_count -= 1
-
-    def has_edge(self, u: Hashable, v: Hashable, kind: EdgeKind | None = None) -> bool:
-        """Edge presence test; ``kind=None`` means "of any kind"."""
-        buckets = self._succ.get(u)
-        if buckets is None:
-            return False
-        if kind is not None:
-            return v in buckets.get(kind, ())
-        return any(v in targets for targets in buckets.values())
 
     def successors(self, v: Hashable, kind: EdgeKind | None = None) -> Set[Hashable]:
         """Out-neighbors of ``v`` (all kinds merged when ``kind=None``)."""
@@ -126,70 +86,8 @@ class TypedDigraph:
             out |= sources
         return out
 
-    def edges(self, kind: EdgeKind | None = None) -> Iterator[Edge]:
-        """Iterate ``(u, v, kind)`` triples, optionally filtered by kind."""
-        for u, buckets in self._succ.items():
-            for k, targets in buckets.items():
-                if kind is not None and k is not kind:
-                    continue
-                for v in targets:
-                    yield (u, v, k)
-
     def edge_count(self, kind: EdgeKind | None = None) -> int:
         """Number of edges, optionally of one kind."""
         if kind is None:
             return self._edge_count
         return sum(len(b.get(kind, ())) for b in self._succ.values())
-
-    def out_degree(self, v: Hashable, kind: EdgeKind | None = None) -> int:
-        """Out-degree of ``v`` (by kind or total)."""
-        buckets = self._succ.get(v)
-        if buckets is None:
-            raise KeyError(v)
-        if kind is not None:
-            return len(buckets.get(kind, ()))
-        return sum(len(t) for t in buckets.values())
-
-    def in_degree(self, v: Hashable, kind: EdgeKind | None = None) -> int:
-        """In-degree of ``v`` (by kind or total)."""
-        buckets = self._pred.get(v)
-        if buckets is None:
-            raise KeyError(v)
-        if kind is not None:
-            return len(buckets.get(kind, ()))
-        return sum(len(t) for t in buckets.values())
-
-    # ------------------------------------------------------------------
-    # views / conversions
-    # ------------------------------------------------------------------
-    def undirected_neighbors(self, v: Hashable) -> Set[Hashable]:
-        """All nodes adjacent to ``v`` ignoring direction and kind."""
-        return self.successors(v) | self.predecessors(v)
-
-    def copy(self) -> "TypedDigraph":
-        """Deep copy of the graph."""
-        g = TypedDigraph()
-        for v in self.nodes():
-            g.add_node(v)
-        for u, v, k in self.edges():
-            g.add_edge(u, v, k)
-        return g
-
-    def subgraph_kinds(self, kinds: Iterable[EdgeKind]) -> "TypedDigraph":
-        """Graph restricted to the given edge kinds (same node set)."""
-        wanted = set(kinds)
-        g = TypedDigraph()
-        for v in self.nodes():
-            g.add_node(v)
-        for u, v, k in self.edges():
-            if k in wanted:
-                g.add_edge(u, v, k)
-        return g
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TypedDigraph):
-            return NotImplemented
-        return set(self.nodes()) == set(other.nodes()) and set(self.edges()) == set(other.edges())
-
-    def __hash__(self) -> int:  # pragma: no cover - mutable container
-        raise TypeError("TypedDigraph is unhashable")

@@ -14,9 +14,7 @@ identifiers.
 from __future__ import annotations
 
 import random
-from typing import Hashable, List, Sequence, Tuple
-
-from repro.graphs.digraph import EdgeKind, TypedDigraph
+from typing import List, Sequence, Tuple
 
 UndirectedEdge = Tuple[int, int]
 
@@ -120,17 +118,3 @@ def random_orientation(
     *weakly* connected.
     """
     return [(u, v) if rng.random() < 0.5 else (v, u) for (u, v) in edges]
-
-
-def build_typed_digraph(
-    nodes: Sequence[Hashable],
-    directed_edges: Sequence[Tuple[Hashable, Hashable]],
-    kind: EdgeKind = EdgeKind.UNMARKED,
-) -> TypedDigraph:
-    """Assemble a :class:`TypedDigraph` from explicit nodes and edges."""
-    g = TypedDigraph()
-    for v in nodes:
-        g.add_node(v)
-    for u, v in directed_edges:
-        g.add_edge(u, v, kind)
-    return g

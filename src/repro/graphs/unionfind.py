@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator
+from typing import Dict, Hashable, Iterable
 
 
 class UnionFind:
@@ -26,15 +26,6 @@ class UnionFind:
             self._parent[x] = x
             self._size[x] = 1
             self._components += 1
-
-    def __contains__(self, x: Hashable) -> bool:
-        return x in self._parent
-
-    def __len__(self) -> int:
-        return len(self._parent)
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._parent)
 
     @property
     def component_count(self) -> int:
@@ -66,11 +57,3 @@ class UnionFind:
         self._size[ra] += self._size[rb]
         self._components -= 1
         return True
-
-    def connected(self, a: Hashable, b: Hashable) -> bool:
-        """Whether ``a`` and ``b`` share a component."""
-        return self.find(a) == self.find(b)
-
-    def component_sizes(self) -> Dict[Hashable, int]:
-        """Map of component representative -> component size."""
-        return {r: self._size[r] for r in self._parent if self.find(r) == r}

@@ -107,10 +107,6 @@ class IdSpace:
         """Clockwise distance from ``a`` to ``b``."""
         return ring_distance_cw(a, b, self.size)
 
-    def distance_ccw(self, a: int, b: int) -> int:
-        """Counter-clockwise distance from ``a`` to ``b``."""
-        return ring_distance_cw(b, a, self.size)
-
     def between_open(self, a: int, x: int, b: int) -> bool:
         """``x`` in the open ring interval ``(a, b)``."""
         return ring_between_open(a, x, b, self.size)
@@ -168,16 +164,3 @@ class IdSpace:
         the baseline implementation.
         """
         return self.virtual_id(ident, level)
-
-    # ------------------------------------------------------------------
-    # conversions
-    # ------------------------------------------------------------------
-    def to_unit(self, ident: int) -> float:
-        """Map an identifier to the paper's ``[0, 1)`` picture (lossy)."""
-        return ident / self.size
-
-    def from_unit(self, x: float) -> int:
-        """Map a ``[0, 1)`` real to the nearest identifier below it."""
-        if not 0.0 <= x < 1.0:
-            raise ValueError(f"unit position must be in [0, 1), got {x}")
-        return min(self.size - 1, int(x * self.size))

@@ -48,15 +48,7 @@ The O(active-work) stability flag :attr:`changed_last_round` (used by
 ``ReChordNetwork.run_until_stable`` instead of a full O(n) fingerprint
 per round) is computed from **exact** comparisons only: per-actor state
 tokens plus per-actor emission comparisons against the steady-emission
-cache, with one-shot flags for posts and membership changes.  The
-scheduler additionally exposes a **configuration hash**
-(:meth:`config_hash`) — a 64-bit multiset sum over state-token hashes
-and all in-flight envelope hashes.  Its state half rolls, updated only
-from dirty actors; its pending half is counted on demand, O(pending),
-so no round pays per-envelope bookkeeping for it.  The hash is for
-external observation only; it is deliberately *not* part of the
-stability decision because a sum of non-cryptographic hashes admits
-structured collisions.
+cache, with one-shot flags for posts and membership changes.
 
 Rounds are atomic (nothing changes the scheduler from inside a step),
 so the loop takes every inbox of a round before any step runs and hands
@@ -197,12 +189,10 @@ from time import perf_counter as _perf
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.netsim.messages import (
-    HASH_MASK as _MASK,
     AppPayload,
     Envelope,
     SubFlow,
     envelope_fingerprint as _envelope_hash,
-    future_fingerprint as _future_hash,
     group_by_target as _group_by_target,
     receivers_referencing,
     ref_owners,
@@ -296,15 +286,11 @@ class ColumnarScheduler(SynchronousScheduler):
         self._ver: Dict[Hashable, int] = {}
         #: exact state token at the last boundary sync per actor
         self._tok: Dict[Hashable, Hashable] = {}
-        #: hash of the cached token (rolling-hash contribution) per actor
-        self._tok_hash: Dict[Hashable, int] = {}
         #: steady-emission cache: outbox of the last executed step
         self._out: Dict[Hashable, List[Envelope]] = {}
         #: the cached outbox split into its sub-flows (target -> SubFlow);
         #: an unchanged sub-flow stays the same object from step to step
         self._out_by: Dict[Hashable, Dict[Hashable, SubFlow]] = {}
-        #: rolling hash over all tracked actors' state tokens
-        self._state_hash = 0
         #: external flow change (post / membership) pending for next round
         self._flow_flag = False
         #: one-shot application mail (an :class:`AppPayload` post, a
@@ -428,9 +414,6 @@ class ColumnarScheduler(SynchronousScheduler):
                 if not settled:
                     self._sub_front(q, d, target, envs, ())
         self._dirty_carry.discard(key)
-        h = self._tok_hash.pop(key, None)
-        if h is not None:
-            self._state_hash = (self._state_hash - h) & _MASK
         self._probes.pop(key, None)
         self._ver.pop(key, None)
         self._tok.pop(key, None)
@@ -476,33 +459,11 @@ class ColumnarScheduler(SynchronousScheduler):
 
     def _note_token(self, key: Hashable, tok: Hashable) -> bool:
         """Make ``tok`` the actor's cached state token; returns whether
-        it differs from the cached one (then the rolling hash moves)."""
+        it differs from the cached one."""
         if key in self._tok and tok == self._tok[key]:
             return False
         self._tok[key] = tok
-        old_h = self._tok_hash.get(key, 0)
-        h = hash(tok) & _MASK
-        self._tok_hash[key] = h
-        self._state_hash = (self._state_hash - old_h + h) & _MASK
         return True
-
-    def config_hash(self) -> tuple:
-        """The configuration hash ``(states, pending)``.
-
-        A 64-bit multiset-sum fingerprint of all tracked actor states
-        plus all in-flight messages.  The state half rolls, maintained
-        from dirty actors only; the pending half is counted on demand —
-        O(pending): the (memoized) envelope fingerprints over
-        :meth:`all_pending`, one-shots included, plus the scheduled
-        future deliveries keyed by their remaining delay.  Two equal
-        configurations always hash equal; unequal configurations collide
-        with probability ~2^-64.  Only meaningful with activity
-        tracking.
-        """
-        pending = sum(map(_envelope_hash, self.all_pending()))
-        for remaining, env in self.future_pending():
-            pending += _future_hash(env, remaining)
-        return (self._state_hash, pending & _MASK)
 
     def ref_receivers(self, owners: Set) -> Set[Hashable]:
         """The actors whose next-round inbox holds a message referencing
@@ -754,7 +715,7 @@ class ColumnarScheduler(SynchronousScheduler):
 
         Returns whether the exact state token changed: the cheap version
         counter says *possibly*, the token confirms, and only then do
-        the version/token caches and the rolling state hash move.
+        the version/token caches move.
         """
         version = probes[0]()
         if version == self._ver.get(key):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterator, Optional, Sequence, Set
 
-#: 64-bit wrap-around for the multiset fingerprints (``config_hash()``)
+#: 64-bit wrap-around for the multiset fingerprints (``SubFlow.fp_sum``)
 HASH_MASK = (1 << 64) - 1
 
 
@@ -112,9 +112,9 @@ def envelope_fingerprint(env: Envelope) -> int:
     unhashable ones; exactness guarantees only cover canonical payloads.
 
     The value is memoized on the (immutable) envelope: a steady
-    envelope is interned and stays in flight round after round, so every
-    on-demand count of the pending hash (``config_hash()``, the columnar
-    entry check) and the tracked loop's front diff hash its payload once.
+    envelope is interned and stays in flight round after round, so the
+    sub-flow sums (:attr:`SubFlow.fp_sum`) and the columnar kernel's
+    front diff hash its payload once.
     """
     try:
         return env._fp
@@ -143,8 +143,7 @@ class SubFlow(list):
     content is derived once per change, not once per round or envelope:
 
     * :attr:`fp_sum` — the multiset fingerprint sum of its envelopes
-      (what it contributes to the pending half of ``config_hash()``;
-      two sub-flows whose sums differ hold different multisets, which
+      (two sub-flows whose sums differ hold different multisets, which
       is how the kernel knows a changed sub-flow sends a change front
       without diffing it), computed on first use;
     * :meth:`owners` — the owner ids its envelopes reference (what the
@@ -262,11 +261,6 @@ def group_by_target(outbox: Sequence[Envelope]) -> dict:
     return by_target
 
 
-def split_by_target(outbox: Sequence[Envelope]) -> dict:
-    """``target -> SubFlow`` of one sender's outbox."""
-    return {target: SubFlow(sub) for target, sub in group_by_target(outbox).items()}
-
-
 def ref_owners(envelopes: Sequence[Envelope]) -> Iterator:
     """The owner ids referenced by ``envelopes``, lazily, with repeats.
     Every payload must enumerate its refs (``refs()``): a protocol
@@ -305,19 +299,3 @@ def envelope_canon(env: Envelope) -> object:
     except TypeError:
         return repr(canon)
     return canon
-
-
-def future_fingerprint(env: Envelope, remaining: int) -> int:
-    """Fingerprint contribution of a scheduled (not yet matured)
-    delivery: the pending identity extended with the remaining delay in
-    rounds — two configurations holding the same envelope at different
-    maturities are different configurations."""
-    return hash((env.target, envelope_canon(env), remaining)) & HASH_MASK
-
-
-def outbox_fingerprint(outbox: Sequence[Envelope]) -> int:
-    """Multiset hash-sum of one actor's emissions (64-bit wrap-around)."""
-    total = 0
-    for env in outbox:
-        total = (total + envelope_fingerprint(env)) & HASH_MASK
-    return total

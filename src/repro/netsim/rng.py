@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable
 
 
 class SeedSequence:
@@ -46,10 +45,6 @@ class SeedSequence:
     def rng(self) -> random.Random:
         """A fresh ``random.Random`` seeded from this sequence."""
         return random.Random(self.seed())
-
-    def spawn(self, count: int) -> Iterable["SeedSequence"]:
-        """``count`` numbered children."""
-        return (self.child(i) for i in range(count))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SeedSequence(root={self._root}, path={'/'.join(self._path)})"

@@ -164,8 +164,14 @@ class RoundContext:
         one-shots stays a valid replay template, because a replay
         re-sends only the steady outbox.  The envelope is not interned:
         a one-shot is never re-emitted, so a cache entry could never
-        hit.
+        hit.  Only application mail is one-shot: any other payload fails
+        the lane contract (the rules see it, and the kernels would land
+        it at different inbox positions).
         """
+        assert isinstance(payload, AppPayload), (
+            "overlay mail sent with send_once(): only AppPayloads are "
+            "one-shot, everything else travels by send() (the lane contract)"
+        )
         self._once.append(Envelope(self.self_key, target, payload))
 
 
@@ -236,17 +242,6 @@ class SynchronousScheduler:
     def has_actor(self, key: Hashable) -> bool:
         """Whether ``key`` is registered."""
         return key in self._actors
-
-    def actor(self, key: Hashable) -> Actor:
-        """Look up an actor by key."""
-        return self._actors[key]
-
-    def actor_keys(self) -> List[Hashable]:
-        """Sorted list of registered actor keys."""
-        return sorted(self._actors)
-
-    def __len__(self) -> int:
-        return len(self._actors)
 
     # ------------------------------------------------------------------
     # faults and observation
@@ -530,18 +525,3 @@ class SynchronousScheduler:
             raise ValueError(f"rounds must be non-negative, got {rounds}")
         for _ in range(rounds):
             self.run_round()
-
-    def run_until(self, predicate: Callable[[], bool], max_rounds: int) -> int:
-        """Run until ``predicate()`` holds at a round boundary.
-
-        Returns the number of rounds executed.  Raises ``RuntimeError`` if
-        the predicate is still false after ``max_rounds`` rounds, so that
-        non-converging protocols fail loudly in tests and experiments.
-        """
-        if predicate():
-            return 0
-        for executed in range(1, max_rounds + 1):
-            self.run_round()
-            if predicate():
-                return executed
-        raise RuntimeError(f"predicate not reached within {max_rounds} rounds")

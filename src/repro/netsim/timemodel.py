@@ -422,9 +422,6 @@ class FullActivation(ActivationDaemon):
     kind = "full"
     is_full = True
 
-    def select(self, round_no, keys):
-        return None
-
 
 class SeededPartialActivation(ActivationDaemon):
     """Independent seeded coin flips: each actor is active with
@@ -549,24 +546,3 @@ class TimeModel:
     def unit() -> "TimeModel":
         """The paper's model: unit delivery, full activation."""
         return TimeModel()
-
-    @property
-    def is_unit(self) -> bool:
-        """Whether the model reproduces the paper's semantics exactly."""
-        return self.delivery.is_unit and self.daemon.is_full
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (inverse of :meth:`from_dict`)."""
-        return {"delivery": self.delivery.to_dict(), "daemon": self.daemon.to_dict()}
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "TimeModel":
-        """Rebuild a model from its :meth:`to_dict` form."""
-        return TimeModel(data.get("delivery"), data.get("daemon"))
-
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        return f"delivery={self.delivery.to_dict()} daemon={self.daemon.to_dict()}"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TimeModel({self.describe()})"

@@ -25,7 +25,6 @@ from repro.scenarios.events import EVENT_KINDS, EventContext, apply_event_spec
 from repro.scenarios.executor import RecoverySample, ScenarioReport, run_scenario
 from repro.scenarios.library import (
     DEFAULT_N,
-    default_suite,
     make_scenario,
     scenario_description,
     scenario_names,
@@ -42,7 +41,6 @@ __all__ = [
     "ScenarioSpec",
     "TrafficSpec",
     "apply_event_spec",
-    "default_suite",
     "make_scenario",
     "run_scenario",
     "scenario_description",

@@ -427,7 +427,6 @@ def run_scenario(
     tel_out: Optional[dict] = None
     if recorder is not None:
         _flush_segment()
-        recorder.rule_fires = dict(net.counters().fires)
         if plane is not None:
             # harvest hop traces of completed sampled ops into the sink
             for comp in plane.collector.traced():
@@ -435,7 +434,7 @@ def run_scenario(
                     comp.op_id, comp.op, comp.outcome, comp.trace.hops
                 )
         tel_out = {
-            "census": recorder.census(),
+            "census": net.telemetry_census(),
             "kernel": recorder.kernel_stats(),
             "segments": tel_segments,
         }

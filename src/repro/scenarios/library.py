@@ -572,8 +572,3 @@ def _cold_start_line(n: int, seed: int) -> ScenarioSpec:
             "from the worst O(n)-diameter start."
         ),
     )
-
-
-def default_suite() -> List[str]:
-    """The scenario names exercised by the sweep and the smoke gate."""
-    return scenario_names()

@@ -223,14 +223,3 @@ class TelemetryRecorder:
                  "hops": [list(h) for h in hops]}
             )
         return out
-
-    def clear(self) -> None:
-        """Reset every plane (sampling config is kept)."""
-        self.counters.clear()
-        self.messages.clear()
-        self.rounds.clear()
-        self.kernel.clear()
-        self.timers.clear()
-        self.rule_fires.clear()
-        self.memo.clear()
-        self.traces.clear()

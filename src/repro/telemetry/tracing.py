@@ -25,8 +25,6 @@ took at that hop:
 >>> t = t.extended(peer=22, round_no=4, rule="greedy")
 >>> t.hops
 ((10, 3, 'issue'), (22, 4, 'greedy'))
->>> len(t)
-2
 """
 
 from __future__ import annotations
@@ -45,13 +43,3 @@ class TraceContext:
     def extended(self, peer: int, round_no: int, rule: str) -> "TraceContext":
         """A new context with one more hop record appended."""
         return replace(self, hops=self.hops + ((peer, round_no, rule),))
-
-    def __len__(self) -> int:
-        return len(self.hops)
-
-    def describe(self) -> str:
-        """One line per hop, for the CLI renderer."""
-        lines = []
-        for peer, round_no, rule in self.hops:
-            lines.append(f"round {round_no:>4}  peer {peer:>8}  {rule}")
-        return "\n".join(lines)

@@ -134,7 +134,6 @@ class WorkloadGenerator:
         for op, weight in op_mix:
             acc += weight / total
             mix.append((acc, op))
-        self._mix: Tuple[Tuple[float, str], ...] = tuple(mix)
         # split columns of the mix for the vectorized batch mapping
         self._mix_edges: Tuple[float, ...] = tuple(edge for edge, _ in mix)
         self._mix_ops: Tuple[str, ...] = tuple(op for _, op in mix)
@@ -152,21 +151,6 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
     # draws
     # ------------------------------------------------------------------
-    def draw_key(self) -> str:
-        """One key name from the popularity distribution."""
-        if self._cum is None:
-            return self.keys[self.rng.randrange(len(self.keys))]
-        x = self.rng.random() * self._cum[-1]
-        return self.keys[min(bisect_left(self._cum, x), len(self.keys) - 1)]
-
-    def draw_op(self) -> str:
-        """One operation kind from the mix."""
-        x = self.rng.random()
-        for edge, op in self._mix:
-            if x <= edge:
-                return op
-        return self._mix[-1][1]  # pragma: no cover - float edge
-
     # ------------------------------------------------------------------
     # the per-round arrival process
     # ------------------------------------------------------------------

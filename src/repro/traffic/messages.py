@@ -28,10 +28,8 @@ tuple build instead of an ``object.__setattr__`` call per field.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Optional
 
 from repro.netsim.messages import AppPayload
-from repro.telemetry.tracing import TraceContext
 
 #: operation kinds carried by requests
 OP_LOOKUP = "lookup"
@@ -82,8 +80,6 @@ class TrafficRecord:
         return hash(self[self._compared])
 
 
-_tuple_new = tuple.__new__
-
 _RequestFields = namedtuple(
     "_RequestFields",
     "op op_id origin kid ttl hops path value attempt hedge trace",
@@ -111,22 +107,6 @@ class LookupRequest(TrafficRecord, _RequestFields, AppPayload):
     """
 
     __slots__ = ()
-
-    def forwarded(
-        self, next_hop: int, trace: Optional[TraceContext] = None
-    ) -> "LookupRequest":
-        """The hop-stamped copy sent to ``next_hop``.
-
-        The causal trace is carried along; pass ``trace`` to carry an
-        extended one instead (a sampled op recording this hop).  A copy
-        of this tuple with the hop stamp and the path moved on: this
-        runs once per hop of every op.
-        """
-        op, op_id, origin, kid, ttl, hops, path, value, attempt, hedge, old = self
-        return _tuple_new(LookupRequest, (
-            op, op_id, origin, kid, ttl, hops + 1, path + (next_hop,), value,
-            attempt, hedge, old if trace is None else trace,
-        ))
 
     def canonical(self) -> tuple:
         """Sortable identity tuple for fingerprints.

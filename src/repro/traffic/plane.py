@@ -15,8 +15,7 @@ Kernel integration (the exactness contract the engine-equivalence suite
 enforces):
 
 * traffic payloads ride ordinary envelopes, so in-flight requests are
-  part of the configuration fingerprint and of the pending half of the
-  scheduler's ``config_hash()`` — no side channel;
+  part of the configuration fingerprint — no side channel;
 * traffic is one-shot, not a steady flow: requests enter through
   ``post()`` and handlers emit through
   :meth:`RoundContext.send_once`, so the steady-emission cache never
@@ -603,7 +602,7 @@ class TrafficPlane:
                 # a traced request records the forwarding decision this
                 # hop took (the trace rides outside payload equality)
                 trace = trace.extended(me, ctx.round_no, rule)
-            # req.forwarded(best, trace), built from the fields at hand
+            # the request forwarded to best: the hop stamped, the path moved on
             send(best, _tuple_new(LookupRequest, (
                 op, op_id, origin, kid, ttl, hops + 1, path + (best,), value, attempt, hedge, trace,
             )))

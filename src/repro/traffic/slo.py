@@ -268,8 +268,8 @@ class SLOCollector:
 
     >>> from repro.traffic.slo import IssuedOp, SLOCollector
     >>> coll = SLOCollector(lambda kid: 42)
-    >>> coll.register(IssuedOp(op_id=0, op="lookup", origin=7, kid=9,
-    ...                        issue_round=0, deadline=8))
+    >>> coll.register_batch((IssuedOp(op_id=0, op="lookup", origin=7, kid=9,
+    ...                                issue_round=0, deadline=8),))
     >>> coll.expire(round_no=10)        # past the deadline: timed out
     1
     >>> coll.summary()["outcomes"]
@@ -372,13 +372,10 @@ class SLOCollector:
     # ------------------------------------------------------------------
     # ledger
     # ------------------------------------------------------------------
-    def register(self, issued: IssuedOp) -> None:
-        """Track a newly injected operation (bucketed on the wheel)."""
-        self.register_batch((issued,))
-
     def register_batch(self, batch: Sequence[IssuedOp]) -> None:
-        """Bulk :meth:`register`: one ledger/wheel pass for a whole
-        round of arrivals (they typically share one deadline bucket)."""
+        """Track newly injected operations (bucketed on the wheel): one
+        ledger/wheel pass for a whole round of arrivals (they typically
+        share one deadline bucket)."""
         outstanding = self.outstanding
         for issued in batch:
             if issued.op_id in outstanding:

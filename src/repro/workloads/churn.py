@@ -55,9 +55,6 @@ class ChurnSchedule:
     def __iter__(self) -> Iterator[ChurnEvent]:
         return iter(self.events)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     @staticmethod
     def random(
         net: ReChordNetwork,

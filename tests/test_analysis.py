@@ -62,7 +62,7 @@ class TestPhaseTracker:
         tracker = PhaseTracker(net)
         report = tracker.run_until_stable(max_rounds=5000)
         for name in PHASES:
-            assert len(tracker.series(name)) == report.rounds_executed + 1
+            assert len(tracker._series[name]) == report.rounds_executed + 1
 
     def test_as_row_is_numeric(self):
         net = build_random_network(n=8, seed=4)

@@ -140,7 +140,7 @@ class TestCheckerViolationClasses:
     def test_level_violation(self):
         net = stabilized(10, seed=400)
         peer = some_interior_peer(net)
-        peer.state.ensure_level(peer.state.max_level() + 1)
+        peer.state.ensure_level(max(peer.state.nodes) + 1)
         assert any("levels" in p for p in local_check_peer(peer))
 
     def test_stale_rl_cache(self):

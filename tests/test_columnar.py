@@ -376,7 +376,7 @@ class TestColumnarLockstep:
         for net in nets:
             victim = net.peers[net.peer_ids[3]]
             foreign = NodeRef.real(net.peer_ids[0])
-            victim.state.nodes[victim.state.max_level()].nu.add(foreign)
+            victim.state.nodes[max(victim.state.nodes)].nu.add(foreign)
         reports = [net.run_until_stable(max_rounds=4000) for net in nets]
         assert reports[0] == reports[1] == reports[2]
         assert_equivalent(nets, "after perturbation")
@@ -457,7 +457,7 @@ class TestInternTable:
         assert INTERN.ids[i] == ref.id
         assert INTERN.owners[i] == ref.owner
         assert INTERN.levels[i] == ref.level
-        assert INTERN.ref(i) is ref
+        assert INTERN.all_refs()[i] is ref
 
     def test_pickle_round_trips_to_the_singleton(self):
         space = IdSpace()
@@ -481,14 +481,12 @@ class TestInternTable:
 from collections import Counter
 from itertools import chain, count
 
-from repro.netsim.messages import (
-    HASH_MASK,
-    SubFlow,
-    envelope_fingerprint,
-    future_fingerprint,
-    outbox_fingerprint,
-    split_by_target,
-)
+from repro.netsim.messages import HASH_MASK, SubFlow, envelope_fingerprint, group_by_target
+
+
+def fingerprint_sum(envelopes) -> int:
+    """The multiset fingerprint sum of ``envelopes`` (64-bit wrap-around)."""
+    return sum(map(envelope_fingerprint, envelopes)) & HASH_MASK
 
 
 def referenced_owners(env) -> set:
@@ -500,11 +498,12 @@ def audit_columns(sched: ColumnarScheduler) -> None:
     """Every derived value of the columnar kernel against a rebuild from
     the envelopes it holds: what each piece carries and where it sits
     (target, sender, delay class), the running totals, the in-flight
-    copies of the delayed pieces, the pending half of ``config_hash()``
-    and the pending count, the in-flight ref query, and the sender-side
-    split, whose pieces the columns share."""
+    copies of the delayed pieces, the pending multiset and count, the
+    in-flight ref query, and the sender-side split, whose pieces the
+    columns share."""
     flt = sched._flt
-    pending = flow_pending = dropped = 0
+    flow_pending = dropped = 0
+    pending: Counter = Counter()
     patched = {(t, d, s) for entries in sched._patch_at.values() for t, d, s, _p in entries}
     expected_in_flight: Counter = Counter()
     for column, live, late in (
@@ -518,14 +517,14 @@ def audit_columns(sched: ColumnarScheduler) -> None:
                 assert (key == (-d, 0, sender) and d >= 2) if late else True
                 assert type(sub) is SubFlow and len(sub) > 0
                 assert all(env.sender == sender and env.target == target for env in sub)
-                assert sub.fp_sum == outbox_fingerprint(list(sub))
+                assert sub.fp_sum == fingerprint_sum(sub)
                 assert sub.owners() == {o for env in sub for o in referenced_owners(env)}
                 kept = [env for env in sub if flt is None or not flt(env)]
                 if live:
                     assert list(sched._kept(sub)) == kept
                     flow_pending += len(kept)
                     dropped += len(sub) - len(kept)
-                    pending += sum(envelope_fingerprint(env) for env in kept)
+                    pending.update(map(envelope_fingerprint, kept))
                 else:
                     dropped += len(sub)
                 if (target, d, sender) not in patched:
@@ -540,12 +539,11 @@ def audit_columns(sched: ColumnarScheduler) -> None:
     in_flight = Counter((remaining, envelope_fingerprint(env)) for remaining, env in future)
     assert not expected_in_flight - in_flight
     for parts in chain(sched._held.values(), (o.values() for o in sched._late_once.values())):
-        pending += sum(envelope_fingerprint(env) for part in parts for env in part)
+        pending.update(envelope_fingerprint(env) for part in parts for env in part)
     for boxes in (sched._lane, sched._inboxes):
         for box in boxes.values():
-            pending += sum(envelope_fingerprint(env) for env in box)
-    pending += sum(future_fingerprint(env, remaining) for remaining, env in future)
-    assert sched.config_hash()[1] == pending & HASH_MASK
+            pending.update(map(envelope_fingerprint, box))
+    assert Counter(map(envelope_fingerprint, sched.all_pending())) == pending
     assert sched.pending_messages() == len(sched.all_pending()) + len(future)
     # owner -> the targets whose boundary inbox references it
     holders: dict = {}
@@ -560,8 +558,8 @@ def audit_columns(sched: ColumnarScheduler) -> None:
         split = sched._out_by.get(key)
         if split is None:
             continue
-        assert split == split_by_target(out)
-        assert sum(sub.fp_sum for sub in split.values()) & HASH_MASK == outbox_fingerprint(out)
+        assert split == {target: SubFlow(sub) for target, sub in group_by_target(out).items()}
+        assert sum(sub.fp_sum for sub in split.values()) & HASH_MASK == fingerprint_sum(out)
         if sched._switched_from is not None:
             continue
         for target, sub in split.items():
@@ -729,3 +727,32 @@ class TestSubFlowAccounting:
             sched.add_actor("b", Quiet())
             with pytest.raises(AssertionError, match="lane contract"):
                 sched.run(3)
+
+    def test_one_shot_overlay_mail_is_refused(self):
+        """The lane contract's other half, on either kernel: only
+        AppPayloads travel by ``send_once()``.  Rule-visible one-shot
+        mail would land at different inbox positions: ``a`` sends a
+        steady and a one-shot to ``c``, ``b`` a steady; the spec reads
+        a-steady, a-once, b-steady and the columns a-steady, b-steady,
+        a-once."""
+
+        class Sender:
+            def __init__(self, name, once):
+                self.name, self.once = name, once
+
+            def step(self, inbox, ctx):
+                ctx.send("c", f"{self.name}-steady")
+                if self.once:
+                    ctx.send_once("c", f"{self.name}-once")
+
+        class Quiet:
+            def step(self, inbox, ctx):
+                pass
+
+        for kernel in (ColumnarScheduler, SynchronousScheduler):
+            sched = kernel()
+            sched.add_actor("a", Sender("a", once=True))
+            sched.add_actor("b", Sender("b", once=False))
+            sched.add_actor("c", Quiet())
+            with pytest.raises(AssertionError, match="lane contract"):
+                sched.run(1)

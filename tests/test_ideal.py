@@ -30,7 +30,7 @@ class TestGap:
 class TestComputeIdeal:
     def test_empty(self):
         ideal = compute_ideal(SPACE, [])
-        assert ideal.refs == () and ideal.total_nodes == 0
+        assert ideal.refs == ()
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -91,18 +91,7 @@ class TestComputeIdeal:
     def test_virtual_node_count(self):
         ids = [100, 5000, 40000]
         ideal = compute_ideal(SPACE, ids)
-        assert ideal.virtual_nodes == sum(ideal.m_star.values())
-        assert ideal.total_nodes == len(ids) + ideal.virtual_nodes
-
-    def test_desired_edges_cover_nu_and_nr(self):
-        ideal = compute_ideal(SPACE, [100, 9000])
-        edges = ideal.desired_edges()
-        for x, targets in ideal.nu.items():
-            for t in targets:
-                assert (x, t, "u") in edges
-        for x, targets in ideal.nr.items():
-            for t in targets:
-                assert (x, t, "r") in edges
+        assert len(ideal.refs) == len(ids) + sum(ideal.m_star.values())
 
 
 class TestChordSuccessor:

@@ -18,6 +18,13 @@ from repro.idspace.ring import (
 )
 
 SPACE = IdSpace(16)
+
+
+def at(x: float) -> int:
+    """The identifier at position ``x`` of the paper's ``[0, 1)`` picture."""
+    return int(x * SPACE.size)
+
+
 IDS = st.integers(min_value=0, max_value=SPACE.size - 1)
 
 
@@ -55,16 +62,16 @@ class TestIntervals:
 
     def test_paper_example_wrapping(self):
         # "0, 0.2 in [0.8, 0.3]" scaled onto a 16-bit circle
-        a = SPACE.from_unit(0.8)
-        b = SPACE.from_unit(0.3)
-        assert SPACE.between_open(a, SPACE.from_unit(0.0), b)
-        assert SPACE.between_open(a, SPACE.from_unit(0.2), b)
+        a = at(0.8)
+        b = at(0.3)
+        assert SPACE.between_open(a, at(0.0), b)
+        assert SPACE.between_open(a, at(0.2), b)
 
     def test_paper_example_non_member(self):
         # "0.2 not in [0.3, 0.8]"
-        a = SPACE.from_unit(0.3)
-        b = SPACE.from_unit(0.8)
-        assert not SPACE.between_open(a, SPACE.from_unit(0.2), b)
+        a = at(0.3)
+        b = at(0.8)
+        assert not SPACE.between_open(a, at(0.2), b)
 
     def test_endpoints_excluded(self):
         assert not ring_between_open(10, 10, 20, 256)
@@ -157,15 +164,6 @@ class TestIdSpace:
     def test_finger_target_alias(self):
         space = IdSpace(12)
         assert space.finger_target(100, 3) == space.virtual_id(100, 3)
-
-    def test_unit_round_trip(self):
-        space = IdSpace(16)
-        assert space.to_unit(0) == 0.0
-        assert space.from_unit(0.5) == space.size // 2
-
-    def test_from_unit_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            IdSpace(8).from_unit(1.0)
 
 
 class TestLevelCount:

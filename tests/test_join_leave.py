@@ -128,7 +128,7 @@ class TestChurnSchedules:
     def test_random_schedule_applies_cleanly(self):
         net = stabilized(10, seed=8)
         schedule = ChurnSchedule.random(net, events=6, seed=8)
-        assert len(schedule) == 6
+        assert len(schedule.events) == 6
         for event in schedule:
             apply_event(net, event)
             net.run_until_stable(max_rounds=MAX_ROUNDS)

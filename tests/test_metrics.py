@@ -14,8 +14,8 @@ class TestCollect:
         ideal = compute_ideal(net.space, net.peer_ids)
         m = metrics_mod.collect(net)
         assert m.real_nodes == 12
-        assert m.virtual_nodes == ideal.virtual_nodes
-        assert m.total_nodes == ideal.total_nodes
+        assert m.virtual_nodes == len(ideal.refs) - len(ideal.peer_ids)
+        assert m.total_nodes == len(ideal.refs)
 
     def test_edge_totals_add_up(self):
         net = stabilized(10, seed=1)

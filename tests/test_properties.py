@@ -124,4 +124,4 @@ def test_total_nodes_matches_ideal_account(n, seed):
     net.run_until_stable(max_rounds=2000)
     ideal = compute_ideal(net.space, net.peer_ids)
     simulated = sum(len(p.state.nodes) for p in net.peers.values())
-    assert simulated == ideal.total_nodes
+    assert simulated == len(ideal.refs)

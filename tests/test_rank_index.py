@@ -1,13 +1,16 @@
 """``RankIndex``: its numpy and pure-Python builds, on a table large
 enough that the numpy ``lexsort`` branch runs (``_NUMPY_MIN_ROWS``).
 
-The intern table is process-global and only grows, so each test first
-interns refs of its own until the table holds enough rows."""
+The build is chosen by whether numpy imports, so the pure one is
+reached by setting the module's ``_np`` to ``None``.  The intern table
+is process-global and only grows, so each test first interns refs of
+its own until the table holds enough rows."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core import rules_batched
 from repro.core.noderef import INTERN
 from repro.core.rules_batched import _NUMPY_MIN_ROWS, BatchedRuleEngine, RankIndex
 
@@ -37,21 +40,28 @@ def table():
     return INTERN.all_refs()
 
 
-def test_numpy_and_pure_builds_give_identical_ranks(table):
+def _pure_build(monkeypatch) -> None:
+    """Make ``RankIndex.refresh`` take the pure-Python build."""
+    monkeypatch.setattr(rules_batched, "_np", None)
+
+
+def test_numpy_and_pure_builds_give_identical_ranks(table, monkeypatch):
     pytest.importorskip("numpy")
-    fast, pure = RankIndex(True), RankIndex(False)
-    assert fast._use_numpy and not pure._use_numpy
+    fast, pure = RankIndex(), RankIndex()
     fast.refresh()
+    _pure_build(monkeypatch)
     pure.refresh()
     assert fast.size == pure.size >= _NUMPY_MIN_ROWS
     assert fast.ranks == pure.ranks
 
 
 @pytest.mark.parametrize("use_numpy", [False, True], ids=["pure", "numpy"])
-def test_ranks_order_refs_as_their_keys(table, use_numpy):
+def test_ranks_order_refs_as_their_keys(table, use_numpy, monkeypatch):
     if use_numpy:
         pytest.importorskip("numpy")
-    index = RankIndex(use_numpy)
+    else:
+        _pure_build(monkeypatch)
+    index = RankIndex()
     index.refresh()
     n = index.size
     assert sorted(index.ranks) == list(range(n))
@@ -59,8 +69,9 @@ def test_ranks_order_refs_as_their_keys(table, use_numpy):
     assert by_rank == sorted(range(n), key=lambda iid: table[iid]._key)
 
 
-def test_a_ref_interned_after_refresh_is_unranked_until_the_next(table):
-    engine = BatchedRuleEngine(use_numpy=False)
+def test_a_ref_interned_after_refresh_is_unranked_until_the_next(table, monkeypatch):
+    _pure_build(monkeypatch)
+    engine = BatchedRuleEngine()
     engine.rank_index.refresh()
     size = engine.rank_index.size
     new = _fresh_ref()

@@ -147,7 +147,7 @@ class TestRetryEdgeRaces:
         """The late original's loop reply must not complete (or retry)
         the op while attempt 2 is still racing."""
         coll = self._retrying()
-        coll.register(issued(1, deadline=10))
+        coll.register_batch((issued(1, deadline=10),))
         coll.expire(10)  # attempt 1 times out -> attempt 2 outstanding
         assert coll.outstanding[1].attempt == 2
         coll.on_reply(reply(1, status=ST_LOOP, attempt=1), 12)
@@ -163,7 +163,7 @@ class TestRetryEdgeRaces:
         """A successful answer is a successful answer, even from the
         superseded original: the op completes once, with attempt 1."""
         coll = self._retrying()
-        coll.register(issued(1, deadline=10))
+        coll.register_batch((issued(1, deadline=10),))
         coll.expire(10)
         coll.on_reply(reply(1, status=ST_OK, attempt=1), 11)
         assert coll.completed_count == 1
@@ -179,8 +179,8 @@ class TestRetryEdgeRaces:
         bucket; after its attempt-2 reply completes it, draining the
         stale bucket must not resurrect or re-time-out the op."""
         coll = self._retrying(backoff=7)
-        coll.register(issued(1, deadline=10))
-        coll.register(issued(2, deadline=10))
+        coll.register_batch((issued(1, deadline=10),))
+        coll.register_batch((issued(2, deadline=10),))
         coll.expire(10)  # both rebucketed to deadline 17
         coll.on_reply(reply(1, status=ST_OK, attempt=2), 12)
         assert coll.completed_count == 1
@@ -200,7 +200,7 @@ class TestRetryEdgeRaces:
         """The expiry sweep must skip ops whose *current* deadline lies
         beyond the due bucket (the lazily-unlinked retry entry)."""
         coll = self._retrying(max_attempts=2, backoff=20)
-        coll.register(issued(1, deadline=5))
+        coll.register_batch((issued(1, deadline=5),))
         coll.expire(5)  # retried: deadline now 25
         assert coll.outstanding[1].deadline == 25
         # sweeping rounds 6..24 touches nothing
@@ -209,7 +209,7 @@ class TestRetryEdgeRaces:
 
     def test_budget_exhaustion_times_out_with_final_attempt(self):
         coll = self._retrying(max_attempts=3, backoff=4)
-        coll.register(issued(1, deadline=4))
+        coll.register_batch((issued(1, deadline=4),))
         coll.expire(4)   # -> attempt 2, deadline 8
         coll.expire(8)   # -> attempt 3, deadline 12
         assert coll.expire(12) == 1  # budget spent: terminal timeout
@@ -222,7 +222,7 @@ class TestRetryEdgeRaces:
         """A dead_end reply from the current attempt consults the retry
         handler exactly like a deadline expiry."""
         coll = self._retrying()
-        coll.register(issued(1, deadline=30))
+        coll.register_batch((issued(1, deadline=30),))
         coll.on_reply(reply(1, status=ST_DEAD_END, attempt=1), 3)
         assert 1 in coll.outstanding
         assert coll.outstanding[1].attempt == 2

@@ -44,14 +44,14 @@ class TestRule1VirtualNodes:
     def test_lone_peer_creates_one_level(self):
         peer = build_peer(1000)
         peer._rule1_virtual_nodes()
-        assert peer.state.levels() == [0, 1]
+        assert sorted(peer.state.nodes) == [0, 1]
 
     def test_level_count_follows_gap(self):
         peer = build_peer(0)
         peer.state.nodes[0].nu.add(NodeRef.real(8192))  # gap 8192 = 2**13
         peer._rule1_virtual_nodes()
         # minimal m with 2**(16-m) < 8192 -> m = 4
-        assert peer.state.levels() == [0, 1, 2, 3, 4]
+        assert sorted(peer.state.nodes) == [0, 1, 2, 3, 4]
 
     def test_m_grows_when_closer_real_learned(self):
         peer = build_peer(0)
@@ -59,7 +59,7 @@ class TestRule1VirtualNodes:
         peer._rule1_virtual_nodes()
         peer.state.nodes[0].nu.add(NodeRef.real(1024))  # much closer
         peer._rule1_virtual_nodes()
-        assert peer.state.max_level() == SPACE.level_count(1024)
+        assert max(peer.state.nodes) == SPACE.level_count(1024)
 
     def test_excess_levels_deleted_with_transfer(self):
         """Deleted nodes' full neighborhoods land in Nu(u_m) — rule 1's
@@ -564,7 +564,7 @@ class TestDelivery:
     def test_unknown_kind_raises(self):
         peer = build_peer(100)
         with pytest.raises(ValueError):
-            deliver(peer, EdgeAdd(peer.state.real_ref, NodeRef.real(1), "z"))
+            deliver(peer, EdgeAdd(peer.state.nodes[0].ref, NodeRef.real(1), "z"))
 
 
 class TestLeaveIntroductions:

@@ -261,22 +261,6 @@ class TestBackendSurface:
         assert main(["scenario", "flash-crowd", "--rule-backend", "batched"]) == 2
         assert "unrecognized arguments: --rule-backend" in capsys.readouterr().err
 
-    def test_batched_pure_fallback_matches(self):
-        """An engine built with ``use_numpy=False`` matches the spec.
-
-        Run alone, this test interns 17 refs, below ``_NUMPY_MIN_ROWS``,
-        so both engines take the pure-Python rank build: it pins the
-        flag's plumbing, not the numpy build, which
-        ``tests/test_rank_index.py`` checks against the pure one."""
-        from repro.core.rules_batched import BatchedRuleEngine
-
-        a = ReChordNetwork(space=IdSpace(8), engine="full")
-        b = ReChordNetwork(space=IdSpace(8))
-        b.scheduler.set_batch_stepper(BatchedRuleEngine(use_numpy=False))
-        plant_phantoms(a)
-        plant_phantoms(b)
-        assert_run_identical(a, b, "(pure fallback)")
-
 
 # ----------------------------------------------------------------------
 # the per-level memo in front of rules 3-6

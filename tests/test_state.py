@@ -18,20 +18,20 @@ def peer(pid=1000) -> PeerState:
 class TestLevels:
     def test_starts_with_real_node(self):
         st = peer()
-        assert st.levels() == [0]
-        assert st.real_ref == NodeRef.real(1000)
+        assert sorted(st.nodes) == [0]
+        assert st.nodes[0].ref == NodeRef.real(1000)
 
     def test_ensure_level_idempotent(self):
         st = peer()
         a = st.ensure_level(2)
         b = st.ensure_level(2)
-        assert a is b and st.levels() == [0, 2]
+        assert a is b and sorted(st.nodes) == [0, 2]
 
     def test_drop_level(self):
         st = peer()
         st.ensure_level(1)
         node = st.drop_level(1)
-        assert node.ref.level == 1 and st.levels() == [0]
+        assert node.ref.level == 1 and sorted(st.nodes) == [0]
 
     def test_drop_level_zero_forbidden(self):
         with pytest.raises(ValueError):
@@ -41,7 +41,7 @@ class TestLevels:
         st = peer()
         st.ensure_level(3)
         st.ensure_level(1)
-        assert st.max_level() == 3
+        assert max(st.nodes) == 3
 
     def test_sibling_refs_sorted_linearly(self):
         st = peer(60000)  # near the top: some virtual ids wrap below
@@ -133,7 +133,7 @@ class TestCanonical:
         node.nr.add(NodeRef.real(2))
         node.nc.add(NodeRef.real(3))
         node.wrap_rr = NodeRef.real(4)
-        assert st.edge_count() == 4
+        assert len(node.nu) + len(node.nr) + len(node.nc) + len(node.wrap_refs()) == 4
 
     def test_node_all_out_refs(self):
         st = peer()

@@ -52,7 +52,7 @@ class TestEdgeAccounting:
         """
         m = collect(stable_net, include_pending=False)
         ideal = compute_ideal(stable_net.space, stable_net.peer_ids)
-        chord_slots = ideal.total_nodes  # n successor edges + sum(m*) fingers
+        chord_slots = len(ideal.refs)  # n successor edges + sum(m*) fingers
         assert m.unmarked_edges + m.ring_edges <= 4 * chord_slots
         # the deduplicated pair set is a lower bound sanity check
         assert len(chord_edges(stable_net.space, stable_net.peer_ids)) <= chord_slots
@@ -76,8 +76,8 @@ class TestEdgeAccounting:
         consistent with the ideal oracle."""
         ideal = compute_ideal(stable_net.space, stable_net.peer_ids)
         for pid, peer in stable_net.peers.items():
-            assert peer.state.max_level() == ideal.m_star[pid]
-            assert peer.state.max_level() <= stable_net.space.bits
+            assert max(peer.state.nodes) == ideal.m_star[pid]
+            assert max(peer.state.nodes) <= stable_net.space.bits
 
 
 class TestProjectionProperties:

@@ -144,7 +144,7 @@ class TestInBandKeyValue:
         plane.drain()
         kid = key_id("landing", net.space)
         owner = plane.true_owner(kid)
-        assert kid in plane.store.keys_at(owner)
+        assert plane.store.local_get(owner, kid)[0]
 
 
 class TestTrafficUnderChurn:
@@ -384,17 +384,17 @@ class TestWorkloadGenerator:
     def test_zipf_popularity_skews_draws(self):
         net, plane = make_traffic_net(6, seed=29)
         gen = WorkloadGenerator(plane, popularity="zipf", zipf_s=1.3, key_universe=32, seed=3)
-        draws = [gen.draw_key() for _ in range(600)]
-        top = draws.count("key-0")
-        tail = draws.count("key-31")
+        draws = [kid for _op, kid, _origin, _value in gen._draw_batch(600, net.peer_ids)]
+        top = draws.count(gen.kids[0])
+        tail = draws.count(gen.kids[31])
         assert top > 5 * max(1, tail)
 
     def test_same_seed_same_schedule(self):
         net, plane = make_traffic_net(8, seed=53)
         g1 = WorkloadGenerator(plane, rate=3, seed=9)
-        seq1 = [(g1.draw_op(), g1.draw_key()) for _ in range(50)]
+        seq1 = g1._draw_batch(50, net.peer_ids)
         g2 = WorkloadGenerator(plane, rate=3, seed=9)
-        seq2 = [(g2.draw_op(), g2.draw_key()) for _ in range(50)]
+        seq2 = g2._draw_batch(50, net.peer_ids)
         assert seq1 == seq2
 
     def test_bad_parameters_rejected(self):
@@ -500,7 +500,7 @@ class TestSLOCollector:
 
     def test_misroute_classified_against_true_owner(self):
         col = self._collector(truth=42)
-        col.register(self._issued(0))
+        col.register_batch((self._issued(0),))
         col.on_reply(self._reply(0, owner=99), round_no=4)
         assert col.outcomes == {"misroute": 1}
 
@@ -509,7 +509,7 @@ class TestSLOCollector:
         correct answer as a misroute: the truth sampled when the
         terminal peer answered wins over the completion-time truth."""
         col = SLOCollector(lambda kid: 99)  # completion-time truth moved on
-        col.register(self._issued(0))
+        col.register_batch((self._issued(0),))
         col.note_answer_truth(0, 42)  # owner 42 was correct when it answered
         col.on_reply(self._reply(0, owner=42), round_no=4)
         assert col.outcomes == {ST_OK: 1}
@@ -517,9 +517,9 @@ class TestSLOCollector:
 
     def test_monotonic_violation_counted(self):
         col = self._collector()
-        col.register(self._issued(0))
+        col.register_batch((self._issued(0),))
         col.on_reply(self._reply(0, owner=42), round_no=4)
-        col.register(self._issued(1))
+        col.register_batch((self._issued(1),))
         assert col.expire(round_no=11) == 1
         assert col.outcomes == {ST_OK: 1, OUT_TIMEOUT: 1}
         assert len(col.violations) == 1
@@ -527,21 +527,21 @@ class TestSLOCollector:
 
     def test_failure_before_any_success_is_not_a_violation(self):
         col = self._collector()
-        col.register(self._issued(0))
+        col.register_batch((self._issued(0),))
         col.expire(round_no=11)
         assert col.violations == []
 
     def test_different_origin_is_a_different_search(self):
         col = self._collector()
-        col.register(self._issued(0, origin=1))
+        col.register_batch((self._issued(0, origin=1),))
         col.on_reply(self._reply(0, owner=42, origin=1), round_no=3)
-        col.register(self._issued(1, origin=2))
+        col.register_batch((self._issued(1, origin=2),))
         col.expire(round_no=11)
         assert col.violations == []  # origin 2 never succeeded before
 
     def test_late_reply_after_timeout_ignored(self):
         col = self._collector()
-        col.register(self._issued(0))
+        col.register_batch((self._issued(0),))
         col.expire(round_no=11)
         col.on_reply(self._reply(0, owner=42), round_no=12)
         assert col.late_replies == 1
@@ -549,9 +549,9 @@ class TestSLOCollector:
 
     def test_duplicate_op_id_rejected(self):
         col = self._collector()
-        col.register(self._issued(0))
+        col.register_batch((self._issued(0),))
         with pytest.raises(ValueError):
-            col.register(self._issued(0))
+            col.register_batch((self._issued(0),))
 
     def test_latency_histogram_buckets(self):
         hist = latency_histogram(Counter([1, 2, 2, 5, 300]), bounds=(1, 2, 4, 8))
@@ -605,8 +605,7 @@ class TestPayloadSurface:
         assert req.refs() == ()
         assert isinstance(hash(req.canonical()), int)
         assert isinstance(envelope_fingerprint(Envelope(2, 2, req)), int)
-        fwd = req.forwarded(9)
-        assert fwd.hops == 1 and fwd.path == (2, 9)
+        fwd = req._replace(hops=1, path=(2, 9))
         assert fwd.canonical() != req.canonical()
 
     def test_traffic_without_plane_fails_loudly(self):

@@ -115,21 +115,6 @@ class TestIdentity:
             assert repr(clone) == repr(record)  # the trace survives too
 
 
-class TestForwarded:
-    def test_copies_every_field_and_moves_the_hop_on(self):
-        req = request(attempt=2, hedge=True, trace=TRACE)
-        fwd = req.forwarded(23)
-        assert type(fwd) is LookupRequest
-        assert fwd == request(attempt=2, hedge=True, hops=3, path=(3, 9, 17, 23))
-        assert fwd.trace is TRACE
-        assert req.hops == 2 and req.path == (3, 9, 17)
-
-    def test_an_extended_trace_replaces_the_carried_one(self):
-        longer = TRACE.extended(9, 2, "greedy")
-        assert request(trace=TRACE).forwarded(23, longer).trace is longer
-        assert request().forwarded(23).trace is None
-
-
 def campaign_records(resilient: bool):
     """A seeded churny KV campaign; the records its collector keeps."""
     net = build_ideal_network(24, 5)

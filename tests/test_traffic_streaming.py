@@ -227,7 +227,7 @@ class TestNearestRank:
 
     def test_no_routed_ops(self):
         col = collector()
-        col.register(issued(0, deadline=5))
+        col.register_batch((issued(0, deadline=5),))
         col.expire(round_no=8)  # one timeout, nothing routed
         assert "latency_p95" not in col.summary() and col.latency_counts == {}
 
@@ -248,7 +248,7 @@ class TestDeadlineWheel:
         """A reply consumed in the very round the deadline expires wins:
         the op completed, and the wheel bucket skips it lazily."""
         col = collector()
-        col.register(issued(0, deadline=5))
+        col.register_batch((issued(0, deadline=5),))
         col.on_reply(reply(0), round_no=5)
         assert col.expire(round_no=5) == 0
         assert col.outcomes == {"ok": 1}
@@ -257,7 +257,7 @@ class TestDeadlineWheel:
 
     def test_late_reply_after_wheel_expiry(self):
         col = collector()
-        col.register(issued(0, deadline=5))
+        col.register_batch((issued(0, deadline=5),))
         assert col.expire(round_no=8) == 1
         assert col.outcomes == {OUT_TIMEOUT: 1}
         col.on_reply(reply(0), round_no=9)
@@ -268,9 +268,9 @@ class TestDeadlineWheel:
         """Draining bucket round R must not retire R forever: a later op
         whose deadline lands on R again is still expired."""
         col = collector()
-        col.register(issued(0, deadline=5))
+        col.register_batch((issued(0, deadline=5),))
         assert col.expire(round_no=5) == 1
-        col.register(issued(1, deadline=5, issue_round=5))
+        col.register_batch((issued(1, deadline=5, issue_round=5),))
         assert col.expire(round_no=5) == 1
         assert col.outcomes == {OUT_TIMEOUT: 2}
 
@@ -278,17 +278,17 @@ class TestDeadlineWheel:
         """deadline == issue_round (a plane-level ``deadline=0``) times
         out at the first sweep at-or-after the issue round."""
         col = collector()
-        col.register(issued(0, deadline=0, issue_round=0))
+        col.register_batch((issued(0, deadline=0, issue_round=0),))
         assert col.expire(round_no=0) == 1
         rec = col.completed[0]
         assert rec.outcome == OUT_TIMEOUT and rec.latency == 0
 
     def test_one_sweep_pops_every_due_bucket_in_deadline_order(self):
         col = collector()
-        col.register(issued(2, deadline=7))
-        col.register(issued(0, deadline=3))
-        col.register(issued(1, deadline=5))
-        col.register(issued(3, deadline=11))
+        col.register_batch((issued(2, deadline=7),))
+        col.register_batch((issued(0, deadline=3),))
+        col.register_batch((issued(1, deadline=5),))
+        col.register_batch((issued(3, deadline=11),))
         assert col.expire(round_no=8) == 3
         assert [c.op_id for c in col.completed] == [0, 1, 2]
         assert col.outstanding_count() == 1
@@ -296,7 +296,7 @@ class TestDeadlineWheel:
     def test_fully_unlinked_bucket_costs_nothing(self):
         col = collector()
         for i in range(4):
-            col.register(issued(i, deadline=6))
+            col.register_batch((issued(i, deadline=6),))
         for i in range(4):
             col.on_reply(reply(i), round_no=2)
         assert col.expire(round_no=10) == 0
@@ -304,9 +304,9 @@ class TestDeadlineWheel:
 
     def test_duplicate_registration_still_rejected(self):
         col = collector()
-        col.register(issued(0, deadline=5))
+        col.register_batch((issued(0, deadline=5),))
         with pytest.raises(ValueError):
-            col.register(issued(0, deadline=7))
+            col.register_batch((issued(0, deadline=7),))
         with pytest.raises(ValueError):
             col.register_batch([issued(1, deadline=5), issued(1, deadline=5)])
 
@@ -351,9 +351,9 @@ class TestHistogramBisect:
 # ----------------------------------------------------------------------
 class TestOverflowPolicies:
     def _succeed_then_fail(self, col, op_id, origin):
-        col.register(issued(op_id, deadline=50, origin=origin))
+        col.register_batch((issued(op_id, deadline=50, origin=origin),))
         col.on_reply(reply(op_id), round_no=2)  # owner == truth: success
-        col.register(issued(op_id + 100, deadline=50, origin=origin))
+        col.register_batch((issued(op_id + 100, deadline=50, origin=origin),))
         col.on_reply(reply(op_id + 100, owner=7), round_no=4)  # misroute
 
     def test_tracked_search_cap_undercounts_never_overcounts(self):

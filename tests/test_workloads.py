@@ -46,7 +46,7 @@ class TestBuilders:
     def test_random_network_real_nodes_only(self):
         net = build_random_network(n=9, seed=0)
         for peer in net.peers.values():
-            assert peer.state.levels() == [0]
+            assert sorted(peer.state.nodes) == [0]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
