@@ -89,6 +89,62 @@ class TestPerfectRing:
         assert ChordPeer(some_ids(1)[0], SPACE, fingers_per_round=0).fingers_per_round == 0
 
 
+
+class TestClosestPrecedingNode:
+    """The next hop of an iterative find_successor: the known peer that
+    gets closest to the key without reaching or passing it."""
+
+    def peer(self, pid, successor, fingers=()):
+        p = ChordPeer(pid, SPACE)
+        p.successor = successor
+        for i, f in enumerate(fingers, start=1):
+            p.fingers.set(i, f)
+        return p
+
+    def test_no_other_peer_known_returns_self(self):
+        assert self.peer(100, 100).closest_preceding_node(5000) == 100
+
+    def test_picks_the_candidate_nearest_before_the_key(self):
+        p = self.peer(100, 200, fingers=(40000, 9000, 3000))
+        assert p.closest_preceding_node(10000) == 9000
+        assert p.closest_preceding_node(8000) == 3000
+        assert p.closest_preceding_node(150) == 100  # nothing precedes it
+
+    def test_a_candidate_at_the_key_is_not_a_predecessor(self):
+        p = self.peer(100, 200, fingers=(9000,))
+        assert p.closest_preceding_node(9000) == 200
+
+    def test_wraps_past_zero(self):
+        top = SPACE.size - 100
+        p = self.peer(top, SPACE.size - 10, fingers=(50, 900))
+        assert p.closest_preceding_node(60) == 50
+        assert p.closest_preceding_node(5) == SPACE.size - 10
+
+
+class TestJoinByStabilization:
+    """Classic Chord's join: a newcomer that only knows its successor is
+    spliced in by stabilize/notify, while the ring never points at it."""
+
+    @pytest.mark.parametrize("joiners", [1, 2, 5])
+    def test_newcomers_are_spliced_in(self, joiners):
+        ids = sorted(some_ids(12, seed=joiners))
+        newcomers = set(random.Random(joiners).sample(ids, joiners))
+        ring = [u for u in ids if u not in newcomers]
+        succ = {u: ring[(i + 1) % len(ring)] for i, u in enumerate(ring)}
+        for u in newcomers:
+            succ[u] = chord_successor(SPACE, ring, u)
+        net = ChordNetwork.from_successor_map(succ, SPACE)
+        assert not net.ring_correct()
+        net.run(20 * joiners)
+        assert net.ring_correct()
+        for u in ids:
+            assert net.peers[u].successor == net.true_successor(u)
+
+    def test_true_successor_wraps(self):
+        net = perfect_ring([10, 20, 30])
+        assert [net.true_successor(u) for u in (10, 20, 30)] == [20, 30, 10]
+
+
 class TestNotSelfStabilizing:
     """The paper's motivation (Section 1): classic Chord cannot recover
     from arbitrary states."""

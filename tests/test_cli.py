@@ -359,3 +359,50 @@ class TestCli:
         assert "'full', 'columnar'" in captured.err
         assert "Traceback" not in captured.err
 
+
+
+def _seam_crash_report(capsys, *flags):
+    """The ``--json`` report of a tiny seam-crash run under ``flags``."""
+    assert main(["scenario", "seam-crash", "--n", "6", "--seed", "3", "--json", *flags]) == 0
+    return json.loads(capsys.readouterr().out[: -len("\n\n")])
+
+
+#: every ``--latency-model`` and ``--daemon`` kind, written out so that a
+#: kind added to the registries without a CLI run here fails a test
+LATENCY_KINDS = ("constant", "cross_cut", "lognormal", "regions", "reorder", "slow_links", "unit")
+DAEMON_KINDS = ("full", "partial", "round_robin", "unfair")
+
+
+class TestTimeModelFlags:
+    """Each delivery model and daemon kind stays because the CLI can
+    select it: a run under each one completes and ends in a different
+    configuration than the paper's model, unless the kind's defaults
+    coincide with it (``cross_cut`` with an empty cut, ``full``)."""
+
+    #: kinds whose default parameters are the synchronous model itself
+    SAME_AS_PAPER = ("unit", "cross_cut", "full")
+
+    @pytest.fixture(scope="class")
+    def paper_digest(self):
+        from repro.scenarios import make_scenario, run_scenario
+
+        return run_scenario(make_scenario("seam-crash", n=6, seed=3)).config_digest
+
+    @pytest.mark.parametrize("kind", LATENCY_KINDS)
+    def test_every_latency_model_kind_runs(self, kind, capsys, paper_digest):
+        report = _seam_crash_report(capsys, "--latency-model", kind)
+        assert report["stable"] is True and report["ideal"] is True
+        assert (report["config_digest"] == paper_digest) is (kind in self.SAME_AS_PAPER)
+        assert (report["slo"]["wire_delay_max"] > 1) is (kind not in self.SAME_AS_PAPER)
+
+    @pytest.mark.parametrize("kind", DAEMON_KINDS)
+    def test_every_daemon_kind_runs(self, kind, capsys, paper_digest):
+        report = _seam_crash_report(capsys, "--daemon", kind)
+        assert report["n"] == 6 and report["peers_final"] == 4
+        assert (report["config_digest"] == paper_digest) is (kind in self.SAME_AS_PAPER)
+
+    def test_the_kind_lists_match_the_registries(self):
+        from repro.netsim import timemodel
+
+        assert sorted(LATENCY_KINDS) == sorted(timemodel.DELIVERY_KINDS)
+        assert sorted(DAEMON_KINDS) == sorted(timemodel.DAEMON_KINDS)

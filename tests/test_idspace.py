@@ -14,6 +14,7 @@ from repro.idspace.keys import hash_to_id, key_id
 from repro.idspace.ring import (
     IdSpace,
     ring_between_open,
+    ring_between_open_closed,
     ring_distance_cw,
 )
 
@@ -105,6 +106,53 @@ class TestIntervals:
     def test_open_matches_distance_definition(self, a, x, b):
         want = 0 < ring_distance_cw(a, x, SPACE.size) < ring_distance_cw(a, b, SPACE.size) if a != b else x != a
         assert ring_between_open(a, x, b, SPACE.size) == want
+
+
+
+def _walk_cw(a: int, b: int, size: int) -> list:
+    """The points strictly after ``a`` up to and including ``b``,
+    stepping clockwise one identifier at a time (a full loop if a == b)."""
+    points, x = [], a
+    while True:
+        x = (x + 1) % size
+        points.append(x)
+        if x == b:
+            return points
+
+
+class TestIntervalsExhaustive:
+    """Every triple of a small circle, checked against a step-by-step
+    clockwise walk rather than against modular arithmetic."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
+    def test_open_is_the_walk_without_its_end(self, bits):
+        size = 1 << bits
+        for a in range(size):
+            for b in range(size):
+                inside = set(_walk_cw(a, b, size)[:-1])
+                for x in range(size):
+                    assert ring_between_open(a, x, b, size) == (x in inside), (a, x, b)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
+    def test_open_closed_is_the_walk(self, bits):
+        size = 1 << bits
+        for a in range(size):
+            for b in range(size):
+                inside = set(_walk_cw(a, b, size))
+                for x in range(size):
+                    assert ring_between_open_closed(a, x, b, size) == (x in inside), (a, x, b)
+
+    @given(peers=st.sets(IDS, min_size=1, max_size=12), key=IDS)
+    def test_every_key_has_exactly_one_responsible_peer(self, peers, key):
+        """Chord responsibility: ``key`` lies in ``(pred(s), s]`` for
+        exactly one peer ``s``, and that peer is its clockwise successor."""
+        ordered = sorted(peers)
+        owners = [
+            s for i, s in enumerate(ordered)
+            if SPACE.between_open_closed(ordered[i - 1], key, s)
+        ]
+        successor = min(ordered, key=lambda s: SPACE.distance_cw(key, s))
+        assert owners == [successor]
 
 
 class TestIdSpace:

@@ -285,3 +285,95 @@ class TestCanonicalMemo:
         state.nodes[1].nu.discard(_REFS[1])
         again = state.canonical()
         assert again == before and again[1][0] is before[1][0]
+
+
+# ----------------------------------------------------------------------
+# every TrackedSet mutator keeps the version contract
+# ----------------------------------------------------------------------
+_A, _B, _C = (NodeRef.real(i) for i in (11, 22, 33))
+
+#: (case id, the mutation on a set holding {_A, _B}, whether it changes it)
+_MUTATIONS = [
+    ("add-new", lambda s: s.add(_C), True),
+    ("add-present", lambda s: s.add(_A), False),
+    ("discard-present", lambda s: s.discard(_A), True),
+    ("discard-absent", lambda s: s.discard(_C), False),
+    ("remove-present", lambda s: s.remove(_B), True),
+    ("pop-both", lambda s: (s.pop(), s.pop()), True),
+    ("clear", lambda s: s.clear(), True),
+    ("update-new", lambda s: s.update({_C}), True),
+    ("update-present", lambda s: s.update([_A], (_B,)), False),
+    ("update-nothing", lambda s: s.update(), False),
+    ("ior-new", lambda s: s.__ior__({_C}), True),
+    ("ior-present", lambda s: s.__ior__({_A}), False),
+    ("difference_update-hit", lambda s: s.difference_update({_A, _C}), True),
+    ("difference_update-miss", lambda s: s.difference_update({_C}, []), False),
+    ("isub-hit", lambda s: s.__isub__({_B}), True),
+    ("isub-miss", lambda s: s.__isub__(set()), False),
+    ("intersection_update-shrinks", lambda s: s.intersection_update({_A, _C}), True),
+    ("intersection_update-superset", lambda s: s.intersection_update({_A, _B, _C}), False),
+    ("iand-shrinks", lambda s: s.__iand__(set()), True),
+    ("iand-superset", lambda s: s.__iand__({_A, _B}), False),
+    ("symmetric_difference_update-grows", lambda s: s.symmetric_difference_update({_C}), True),
+    ("symmetric_difference_update-shrinks", lambda s: s.symmetric_difference_update([_A]), True),
+    # same length, different content: a length probe alone would miss it
+    ("symmetric_difference_update-swaps", lambda s: s.symmetric_difference_update({_A, _C}), True),
+    ("symmetric_difference_update-empty", lambda s: s.symmetric_difference_update(()), False),
+    # a one-shot iterator is read once, then both tested and applied
+    ("symmetric_difference_update-iterator",
+     lambda s: s.symmetric_difference_update(iter([_B, _C])), True),
+    ("ixor-swaps", lambda s: s.__ixor__({_B, _C}), True),
+    ("ixor-empty", lambda s: s.__ixor__(set()), False),
+]
+
+
+class TestTrackedSetMutators:
+    """Each mutator :class:`TrackedSet` overrides bumps its owner's
+    version exactly when the contents change, leaves the same contents a
+    plain ``set`` would, and so never lets the canonical memo go stale."""
+
+    @pytest.mark.parametrize(
+        "mutate, changes", [m[1:] for m in _MUTATIONS], ids=[m[0] for m in _MUTATIONS]
+    )
+    def test_bumps_iff_contents_change(self, mutate, changes):
+        state = peer()
+        tracked = state.nodes[0].nu
+        tracked.update({_A, _B})
+        plain = {_A, _B}
+        before = state.canonical()
+        version = state.version
+        mutate(tracked)
+        mutate(plain)
+        assert set(tracked) == plain
+        assert (state.version != version) is changes
+        assert (state.canonical() != before) is changes
+        assert state.canonical() == copy.deepcopy(state).canonical()
+
+    @pytest.mark.parametrize("op", ["remove", "pop"])
+    def test_a_failed_mutation_does_not_bump(self, op):
+        state = peer()
+        tracked = state.nodes[0].nu
+        version = state.version
+        with pytest.raises(KeyError):
+            tracked.remove(_C) if op == "remove" else tracked.pop()
+        assert state.version == version and not tracked
+
+    def test_in_place_operators_keep_the_tracked_object(self):
+        state = peer()
+        node = state.nodes[0]
+        tracked = node.nu
+        node.nu |= {_A, _B}
+        node.nu -= {_A}
+        node.nu &= {_B, _C}
+        node.nu ^= {_C}
+        assert node.nu is tracked
+        assert set(node.nu) == {_B, _C}
+
+    def test_an_ownerless_set_mutates_without_tracking(self):
+        from repro.core.state import TrackedSet
+
+        for mutate, _changes in (m[1:] for m in _MUTATIONS):
+            loose, plain = TrackedSet(None, {_A, _B}), {_A, _B}
+            mutate(loose)
+            mutate(plain)
+            assert set(loose) == plain and loose._owner is None

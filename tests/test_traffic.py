@@ -366,6 +366,53 @@ class TestOptionBounds:
         plane.drain()
         assert plane.collector.completed_count == 1
 
+    @pytest.mark.parametrize(
+        "knob, message",
+        [
+            ("max_attempts", "max_attempts must be >= 1"),
+            ("retry_backoff", "retry_backoff must be >= 1"),
+            ("hedge_after", "hedge_after must be >= 1 (or None)"),
+            ("route_redundancy", "route_redundancy must be >= 1"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_resilience_knobs(self, knob, message, value):
+        net = stabilized(6, seed=3)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            TrafficPlane(net, **{knob: value})
+
+    def test_a_second_collector_mode_is_refused(self):
+        net = stabilized(6, seed=3)
+        with pytest.raises(ValueError, match=r"^collector_mode='list': the SLO collector has one mode"):
+            TrafficPlane(net, collector_mode="list")
+        assert TrafficPlane(net, collector_mode="streaming").collector is not None
+
+
+class TestRetryBackoff:
+    """The seeded jitter of a retry: exponential windows, reproducible
+    from the seed, and spread across ops so retries do not thunder."""
+
+    @pytest.mark.parametrize("base", [1, 3, 4])
+    def test_each_attempt_waits_inside_its_window(self, base):
+        net = stabilized(6, seed=3)
+        plane = TrafficPlane(net, max_attempts=8, retry_backoff=base, retry_seed=5)
+        for attempt in range(1, 8):
+            low = base * 2 ** (attempt - 1)
+            for op_id in range(40):
+                assert low <= plane.backoff_delay(op_id, attempt) < 2 * low
+
+    def test_the_schedule_is_a_function_of_the_seed(self):
+        net = stabilized(6, seed=3)
+        a, b, c = (TrafficPlane(net, max_attempts=3, retry_seed=s) for s in (9, 9, 10))
+        schedule = lambda plane: [plane.backoff_delay(op, k) for op in range(60) for k in (1, 2)]
+        assert schedule(a) == schedule(b)
+        assert schedule(a) != schedule(c)
+
+    def test_ops_do_not_retry_in_lockstep(self):
+        net = stabilized(6, seed=3)
+        plane = TrafficPlane(net, max_attempts=2, retry_backoff=8)
+        assert len({plane.backoff_delay(op, 1) for op in range(60)}) > 4
+
 
 class TestWorkloadGenerator:
     def test_closed_loop_respects_max_outstanding(self):
