@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.ideal import IdealTopology, compute_ideal
-from repro.core.network import ReChordNetwork
+from repro.core.network import ReChordNetwork, StabilityWatch
 from repro.core.noderef import NodeRef
 from repro.graphs.unionfind import UnionFind
 
@@ -156,15 +156,9 @@ class PhaseTracker:
 
     def run_until_stable(self, max_rounds: int = 10_000) -> PhaseReport:
         """Drive the network to stability, sampling every round."""
-        prev = self.net.fingerprint()
-        for _ in range(max_rounds):
-            self.net.run_round()
+        for _ in StabilityWatch(self.net).run(max_rounds):
             self.sample()
-            cur = self.net.fingerprint()
-            if cur == prev:
-                return self.report()
-            prev = cur
-        raise RuntimeError(f"not stable within {max_rounds} rounds")
+        return self.report()
 
     def report(self) -> PhaseReport:
         """Completion rounds: first index from which a phase holds on."""

@@ -452,10 +452,15 @@ def _format_scenario_report(spec, report) -> str:
         f"peers {report.peers_start} -> {report.peers_final}   "
         f"events {dict(report.event_census)}"
     )
+    recovery = (
+        f"recovery in {report.recovery_rounds} rounds"
+        if report.stable
+        else f"not stable within {spec.max_recovery_rounds} recovery rounds"
+    )
     lines.append(
         f"adversity window of {spec.rounds} rounds ended at round "
-        f"{report.rounds_adversity}; recovery in {report.recovery_rounds} "
-        f"rounds (stable={report.stable}, ideal={report.ideal}); "
+        f"{report.rounds_adversity}; {recovery} "
+        f"(stable={report.stable}, ideal={report.ideal}); "
         f"{report.rule_fires} rule firings total"
     )
     if any(d for _, d in report.dropped_by_window):

@@ -4,12 +4,16 @@ Builds a network from any initial topology, drives the synchronous rounds,
 detects stabilization, and exposes the dynamic-membership operations
 (join / graceful leave / crash) analyzed in Section 4 of the paper.
 
-Stability detection: the rule dynamics are deterministic, so the network
-is stable exactly when the global configuration — all peer states *plus*
-the in-flight messages — repeats between consecutive round boundaries.
-The stable state is a constant flow (connection edges keep streaming,
-ring-edge requests keep re-issuing), so peer states alone would not be a
-sound criterion; the fingerprint therefore includes pending messages.
+Stability detection: the rule dynamics are deterministic, so under full
+activation the network is stable exactly when the global configuration —
+all peer states *plus* the in-flight messages — repeats between
+consecutive round boundaries.  The stable state is a constant flow
+(connection edges keep streaming, ring-edge requests keep re-issuing),
+so peer states alone would not be a sound criterion there; the
+fingerprint therefore includes pending messages.  Under the other
+activation daemons the judgement spans the daemon's fairness window;
+:class:`StabilityWatch` is the one predicate every run-to-stable loop
+asks.
 
 Engines
 -------
@@ -20,15 +24,12 @@ Two kernels drive the rounds:
   scheduler only executes peers that can behave differently from their
   last executed step (dirty set + steady-emission replay, see
   :mod:`repro.netsim.scheduler` and :mod:`repro.netsim.columnar`), and
-  ``run_until_stable`` detects the configuration fixpoint from the
-  scheduler's O(active-work) change flag instead of recomputing the full
-  O(n) fingerprint every round.  Post-churn re-stabilization then costs
-  time proportional to the *touched neighborhood* (paper Theorems
-  4.1/4.2), not to ``n``; the kernel picks its round loop per round from
-  how many peers are dirty (dense cold-start rounds run the tracked
-  loop, sparse ones the columnar loop).
+  under full activation the stability predicate reads the scheduler's
+  O(active-work) change flag instead of comparing O(n) configurations
+  every round.  Post-churn re-stabilization then costs time proportional
+  to the *touched neighborhood* (paper Theorems 4.1/4.2), not to ``n``.
 * ``engine="full"`` — the full-scan kernel: every peer steps every round
-  and stability compares complete fingerprints.  Kept as the executable
+  and stability compares configuration snapshots.  Kept as the executable
   reference; the differential test suite asserts the two are
   round-for-round equivalent (identical reports, fingerprints and rule
   counters) on random topologies, corrupt starts and churn schedules.
@@ -60,9 +61,10 @@ see:
 
 from __future__ import annotations
 
-import copy
+from collections import deque
+from itertools import chain
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.events import NeighborIntro
 from repro.core.ideal import IdealTopology, compute_ideal
@@ -145,6 +147,146 @@ class ConfigSnapshot:
                 entries.append((env.target, env.payload.canonical(), remaining))
             self._canonical = (self._peers, tuple(sorted(entries)))
         return self._canonical
+
+
+class StabilityWatch:
+    """The one stability predicate: asked once per round, it says when
+    the configuration has stopped changing under the installed daemon.
+
+    Every loop that runs a network to stability builds one watch before
+    its first round and drives its rounds through :meth:`run`, which
+    asks :meth:`settled` after each round and raises
+    :class:`NotStableError` when the budget runs out; the loop keeps
+    only its own sampling.  ``ledger`` is the traffic plane of a loop
+    that drives one: the watch then also waits for its operation ledger
+    to drain, and notes the rounds that open with a retry/hedge
+    relaunch.
+
+    The daemon's fairness window (``ActivationDaemon.window``) picks
+    the judgement:
+
+    * **window 1** (full activation): the configuration equals the one a
+      round earlier.  The columnar kernel's exact ``changed_last_round``
+      flag stands in for the comparison, except on a round that opens
+      with a relaunch: the flag measures the round from the
+      configuration after the relaunch, so that round compares the
+      snapshot of the boundary before it instead.  The full-scan spec
+      compares snapshots every round.
+    * **window w > 1** (``round_robin``, ``unfair``): the daemon repeats
+      with period ``w``, so the run has settled into its cycle once the
+      configuration equals the one ``w`` rounds earlier; no peer state
+      may move within those ``w`` rounds either.
+    * **no window** (``partial``): a window opens at a boundary.  The
+      network is stable once no peer state has moved since, every live
+      peer has been activated since, and every payload in flight has
+      already been consumed by its target inside the window
+      (docs/ARCHITECTURE.md § "Stability detection" argues why that is
+      sound for this protocol, and why activations alone are not); any
+      move reopens the window.
+
+    Every judgement also waits for a drained ledger.  Snapshots are
+    :class:`ConfigSnapshot` values, canonicalized only when a drained
+    boundary lets the comparison decide.  After :meth:`settled` returns
+    true, :attr:`stable_from` is the number of rounds after which the
+    configuration was final.
+    """
+
+    def __init__(self, net: "ReChordNetwork", ledger=None) -> None:
+        self._net, self._ledger = net, ledger
+        self._window: Optional[int] = net.time_model.daemon.window
+        #: rounds judged so far
+        self.rounds = 0
+        #: once settled: the boundary, counted from the watch's start,
+        #: from which the configuration is final
+        self.stable_from: Optional[int] = None
+        self._by_flag = net.incremental and self._window == 1
+        # the last window + 1 boundaries (one without a window); the flag
+        # path keeps only the opening boundary of a relaunch round
+        self._snaps: Deque[Optional[ConfigSnapshot]] = deque(
+            [self._boundary()], maxlen=(self._window or 0) + 1
+        )
+        self._moved = 0  # the last boundary whose peer states differ from the one before
+        if self._window is None:
+            self._open()
+
+    def _boundary(self) -> Optional[ConfigSnapshot]:
+        """This boundary's snapshot, which a later judgement compares
+        against; the flag path needs one only before a relaunch round."""
+        ledger = self._ledger
+        if not self._by_flag or (ledger is not None and ledger.launches_due()):
+            return self._net.config_snapshot()
+        return None
+
+    def _open(self) -> None:
+        """Open a window of a daemon without one at the last boundary:
+        no peer activated and no payload consumed in it yet."""
+        self._opened = self.rounds
+        self._waiting = set(self._net.peers)
+        self._consumed: Dict[int, Set[tuple]] = {}
+
+    def run(self, max_rounds: int, step: Optional[Callable[[], None]] = None) -> Iterator[int]:
+        """Run rounds (``step``, by default ``net.run_round``) until the
+        watch settles.  Yields each round's number right after it ran,
+        so the caller samples that boundary; raises
+        :class:`NotStableError` after ``max_rounds`` unsettled rounds."""
+        step = step or self._net.run_round
+        for _ in range(max_rounds):
+            step()
+            yield self.rounds + 1
+            if self.settled():
+                return
+        raise NotStableError(f"network not stable within {max_rounds} rounds")
+
+    def settled(self) -> bool:
+        """Judge the boundary the last round ended on."""
+        self.rounds += 1
+        net, ledger, snaps, window = self._net, self._ledger, self._snaps, self._window
+        drained = ledger is None or not ledger.collector.outstanding
+        prev = snaps[-1]
+        if self._by_flag:
+            if drained and (
+                not net.scheduler.changed_last_round
+                if prev is None
+                else net.config_snapshot().canonical() == prev.canonical()
+            ):
+                self.stable_from = self.rounds - 1
+                return True
+            snaps.append(self._boundary())
+            return False
+        snap = net.config_snapshot()
+        if snap._peers != prev._peers:
+            self._moved = self.rounds
+        snaps.append(snap)
+        if window is not None:
+            if (
+                drained
+                and self.rounds - window >= self._moved
+                and snap.canonical() == snaps[0].canonical()
+            ):
+                self.stable_from = self.rounds - window
+        elif self._moved == self.rounds:
+            self._open()
+        else:
+            # the round's active peers consumed their inboxes of the last
+            # boundary, and none of them moved
+            active = net.scheduler.active_last_round
+            consumed = self._consumed
+            for env in prev._sent:
+                if active is None or env.target in active:
+                    consumed.setdefault(env.target, set()).add(env.payload.canonical())
+            self._waiting = set() if active is None else self._waiting - active
+            peers = net.peers
+            if (
+                drained
+                and not self._waiting
+                and all(
+                    env.payload.canonical() in consumed.get(env.target, ())
+                    for env in chain(snap._sent, (env for _, env in snap._scheduled))
+                    if env.target in peers
+                )
+            ):
+                self.stable_from = self._opened
+        return self.stable_from is not None
 
 
 class ReChordNetwork:
@@ -640,49 +782,23 @@ class ReChordNetwork:
         max_rounds: int = 10_000,
         track_almost: bool = False,
     ) -> StabilizationReport:
-        """Run until the global configuration repeats.
+        """Run until the configuration stops changing (:class:`StabilityWatch`).
 
         Raises :class:`NotStableError` if not stable within ``max_rounds`` (a
         non-converging protocol must fail loudly).  With ``track_almost``
         the report also carries the first round at which all desired
-        edges of the ideal topology existed.
-
-        The tracked kernel detects the repeat from the scheduler's change
-        flag (exact state tokens + flow flags), an O(active work) check;
-        the full-scan kernel compares full O(n) fingerprints.  The differential tests assert both produce the
-        same report on the same input.
+        edges of the ideal topology existed.  The differential tests
+        assert both engines produce the same report on the same input.
         """
         ideal = compute_ideal(self.space, self.peer_ids) if track_almost else None
         almost: Optional[int] = None
         if ideal is not None and self._almost_stable(ideal):
             almost = 0
-        if self.incremental:
-            for executed in range(1, max_rounds + 1):
-                self.run_round()
-                if ideal is not None and almost is None and self._almost_stable(ideal):
-                    almost = executed
-                if not self.scheduler.changed_last_round:
-                    return StabilizationReport(
-                        rounds_to_stable=executed - 1,
-                        rounds_to_almost=almost,
-                        rounds_executed=executed,
-                    )
-            raise NotStableError(f"network not stable within {max_rounds} rounds")
-        prev = self.fingerprint()
-        for executed in range(1, max_rounds + 1):
-            self.run_round()
-            cur = self.fingerprint()
+        watch = StabilityWatch(self)
+        for executed in watch.run(max_rounds):
             if ideal is not None and almost is None and self._almost_stable(ideal):
                 almost = executed
-            if cur == prev:
-                # the configuration reached at round `executed - 1` is final
-                return StabilizationReport(
-                    rounds_to_stable=executed - 1,
-                    rounds_to_almost=almost,
-                    rounds_executed=executed,
-                )
-            prev = cur
-        raise NotStableError(f"network not stable within {max_rounds} rounds")
+        return StabilizationReport(watch.stable_from, almost, watch.rounds)
 
     # ------------------------------------------------------------------
     # stability / correctness predicates
@@ -707,22 +823,6 @@ class ReChordNetwork:
         fingerprint is byte-identical to the historical form.
         """
         return self.config_snapshot().canonical()
-
-    def is_fixed_point(self, peek: bool = False) -> bool:
-        """Whether one more round leaves the configuration unchanged.
-
-        With ``peek=False`` (historical behavior) this *runs a round on
-        the live network* and compares: observationally non-destructive
-        on a stable network — the stable state is invariant — but it
-        advances :attr:`round_no` as a side effect and mutates state if
-        the network was *not* stable.  With ``peek=True`` the probe round
-        runs on a deep copy, leaving the network (round counter
-        included) completely untouched in both outcomes.
-        """
-        probe = copy.deepcopy(self) if peek else self
-        before = probe.fingerprint()
-        probe.run_round()
-        return probe.fingerprint() == before
 
     def matches_ideal(self, ideal: Optional[IdealTopology] = None) -> bool:
         """Whether every peer's state equals the ideal stable topology."""

@@ -15,9 +15,12 @@ round, so the experiment contains no activation plumbing of its own
 ``unfair`` and ``round_robin`` daemons are available for harsher or
 perfectly fair adversaries).
 
-Convergence is detected by reaching the ideal topology (the
-configuration-fingerprint criterion does not apply: under random
-activation the in-flight flows never repeat deterministically).
+The metric is the first round at which the ideal topology holds, an
+oracle check.  ``run_until_stable`` works under these daemons too (its
+:class:`repro.core.network.StabilityWatch` judges a partial daemon over
+a window in which every peer was activated), but it reports stability
+only once such a window has closed: that measures detection as well as
+repair, so the table keeps the oracle.
 """
 
 from __future__ import annotations

@@ -180,20 +180,7 @@ def run_to_json(run: ResilienceRun) -> dict:
         "digest_deterministic": run.digest_deterministic,
         "survival_floor": SURVIVAL_FLOOR,
         "variants": [
-            {
-                "label": v.label,
-                "max_attempts": v.max_attempts,
-                "route_redundancy": v.route_redundancy,
-                "rounds_total": v.rounds_total,
-                "recovery_rounds": v.recovery_rounds,
-                "config_digest": v.config_digest,
-                "survival_by_window": [list(row) for row in v.survival_by_window],
-                "failure_window": v.failure_window,
-                "failure_issued": v.failure_issued,
-                "failure_routed": v.failure_routed,
-                "failure_survival": v.failure_survival,
-                "totals": v.totals,
-            }
+            {**vars(v), "survival_by_window": [list(row) for row in v.survival_by_window]}
             for v in run.variants
         ],
     }

@@ -31,7 +31,7 @@ import time
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.ideal import compute_ideal
-from repro.core.network import ReChordNetwork, StabilizationReport
+from repro.core.network import ReChordNetwork, StabilityWatch, StabilizationReport
 from repro.core.rules import RuleConfig
 from repro.experiments.runner import (
     DEFAULT_ROOT_SEED,
@@ -153,24 +153,16 @@ def _post_churn_restabilize(
     """
     net.join(join_id, gateway)
     executed_total = 0
-    rounds = 0
-    stable = False
+    watch = StabilityWatch(net)
     with gc_batched():
         t0 = time.perf_counter()
-        # inline run_until_stable so the per-round executed split is sampled
-        for _ in range(max_rounds):
-            net.run_round()
-            rounds += 1
-            executed, _replayed = net.activity_stats()
-            executed_total += executed
-            if not net.scheduler.changed_last_round:
-                stable = True
-                break
-        elapsed = time.perf_counter() - t0
-    if not stable:
+        # inline run_until_stable so the per-round executed split is
+        # sampled; a run that does not settle raises NotStableError, as
         # a silent non-converged "report" would poison every downstream
-        # rounds/sec comparison; fail like run_until_stable does
-        raise RuntimeError(f"network not stable within {max_rounds} rounds")
-    report = StabilizationReport(rounds - 1, None, rounds)
-    frac = executed_total / max(1, rounds * len(net.peers))
+        # rounds/sec comparison
+        for _ in watch.run(max_rounds):
+            executed_total += net.activity_stats()[0]
+        elapsed = time.perf_counter() - t0
+    report = StabilizationReport(watch.stable_from, None, watch.rounds)
+    frac = executed_total / max(1, watch.rounds * len(net.peers))
     return report, elapsed, frac

@@ -17,6 +17,7 @@ from typing import List, Tuple
 
 from repro.chord.routing import RoutingError, route_greedy
 from repro.core.ideal import chord_successor
+from repro.core.network import StabilityWatch
 from repro.experiments.runner import DEFAULT_ROOT_SEED
 from repro.netsim.rng import SeedSequence
 from repro.workloads.initial import build_random_network
@@ -78,22 +79,17 @@ def run_usability(
     ideal = compute_ideal(net.space, net.peer_ids)
     series: List[float] = [_success_fraction(net, sample_pairs)]
     almost: int | None = None
-    prev = net.fingerprint()
-    for executed in range(1, max_rounds + 1):
-        net.run_round()
+    watch = StabilityWatch(net)
+    for executed in watch.run(max_rounds):
         series.append(_success_fraction(net, sample_pairs))
         if almost is None and net._almost_stable(ideal):
             almost = executed
-        cur = net.fingerprint()
-        if cur == prev:
-            return UsabilityProfile(
-                n=n,
-                series=tuple(series),
-                rounds_to_stable=executed - 1,
-                rounds_to_almost=almost if almost is not None else executed - 1,
-            )
-        prev = cur
-    raise RuntimeError(f"not stable within {max_rounds} rounds")
+    return UsabilityProfile(
+        n=n,
+        series=tuple(series),
+        rounds_to_stable=watch.stable_from,
+        rounds_to_almost=almost if almost is not None else watch.stable_from,
+    )
 
 
 def format_usability(profile: UsabilityProfile) -> str:

@@ -437,7 +437,7 @@ class SynchronousScheduler:
         # accepts changes again
         self._in_round = True
         try:
-            if active is None and not self._daemon.is_full:
+            if active is None and self._daemon.window != 1:
                 active = self._daemon.select(self._round, sorted(self._actors))
             self.active_last_round = frozenset(active) if active is not None else None
             self._run_round(self.active_last_round)

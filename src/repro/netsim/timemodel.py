@@ -50,6 +50,11 @@ equivalent and seeded runs reproduce across processes and platforms:
   the origin's own inbox and must not be wire-delayed).
 * ``ActivationDaemon.select(round_no, keys)`` may depend only on the
   daemon's parameters/seed, the round number and the sorted key list.
+  A daemon whose choice repeats every ``window`` rounds and activates
+  every actor once per period says so with ``window`` (1 is full
+  activation); one with no such bound has ``window = None``.  The
+  stability predicate (:class:`repro.core.network.StabilityWatch`)
+  judges a run over that window.
 
 Models and daemons are values: ``to_dict()`` round-trips through JSON
 and :func:`make_delivery_model` / :func:`make_daemon` rebuild them,
@@ -388,19 +393,19 @@ def make_delivery_model(spec: "DeliveryModel | str | Dict[str, Any]") -> Deliver
 class ActivationDaemon:
     """Chooses the actors that execute each round.
 
-    ``select`` returns ``None`` for full activation or the (possibly
-    empty) set of active keys; actors left out keep their state and
-    accumulate their inboxes — the standard bridge from the synchronous
-    model toward asynchrony.
+    ``select`` returns the (possibly empty) set of active keys; actors
+    left out keep their state and accumulate their inboxes — the
+    standard bridge from the synchronous model toward asynchrony.  A
+    daemon of window 1 is full activation and is never asked.
     """
 
     kind = "?"
-    #: full daemons short-circuit to the paper's every-actor semantics
-    is_full = False
+    #: the fairness window: ``select`` repeats with this period and
+    #: activates every actor once per period (``None``: no bound).
+    #: Window 1 is full activation, the paper's every-actor semantics
+    window: Optional[int] = None
 
-    def select(
-        self, round_no: int, keys: Sequence[Hashable]
-    ) -> Optional[FrozenSet[Hashable]]:
+    def select(self, round_no: int, keys: Sequence[Hashable]) -> FrozenSet[Hashable]:
         """The active set for ``round_no`` (``keys`` arrive sorted)."""
         raise NotImplementedError
 
@@ -420,7 +425,7 @@ class FullActivation(ActivationDaemon):
     """Everyone steps every round — the paper's model."""
 
     kind = "full"
-    is_full = True
+    window = 1
 
 
 class SeededPartialActivation(ActivationDaemon):
@@ -436,12 +441,10 @@ class SeededPartialActivation(ActivationDaemon):
         self._seed = _int_param("seed", seed)
 
     @property
-    def is_full(self) -> bool:
-        return self._p >= 1.0
+    def window(self) -> Optional[int]:
+        return 1 if self._p >= 1.0 else None
 
     def select(self, round_no, keys):
-        if self._p >= 1.0:
-            return None
         rng = random.Random(stable_u64("partial", self._seed, round_no))
         return frozenset(key for key in keys if rng.random() < self._p)
 
@@ -460,8 +463,8 @@ class RoundRobinActivation(ActivationDaemon):
         self._groups = _int_param("groups", groups, 1)
 
     @property
-    def is_full(self) -> bool:
-        return self._groups == 1
+    def window(self) -> int:
+        return self._groups
 
     def select(self, round_no, keys):
         turn = round_no % self._groups
@@ -483,8 +486,8 @@ class UnfairBoundedActivation(ActivationDaemon):
         self._seed = _int_param("seed", seed)
 
     @property
-    def is_full(self) -> bool:
-        return self._bound == 1
+    def window(self) -> int:
+        return self._bound
 
     def select(self, round_no, keys):
         turn = round_no % self._bound

@@ -15,23 +15,18 @@ split) is carried in a comparison-excluded field so reports from the
 two engines compare equal — the property ``tests/test_scenarios.py``
 asserts for every named scenario.
 
-Stability is the configuration (states + in-flight messages) repeating
-across a round, detected as :meth:`ReChordNetwork.run_until_stable`
-does: the full-scan spec — and any run under a partial-activation
-daemon — compares fingerprints, the activity-tracked kernels under full
-activation ask the scheduler's exact ``changed_last_round`` flag.
-Recovery additionally waits for the operation ledger to drain (deadlines
-bound that wait).  A recovery round that opens with a retry/hedge
-relaunch compares fingerprints on every kernel, because the relaunch
-lands after the boundary the criterion compares against.  The loop
-stops only on a round that ends drained, so the fingerprint pair
-decides only relaunch rounds that end drained: each boundary that may
-need a fingerprint is kept as a cheap
-:class:`~repro.core.network.ConfigSnapshot` (memoized state tuples,
-references to the in-flight envelopes) and canonicalized only once the
-ledger has drained.  The snapshot is exact because everything it
-references is immutable: state tuples are rebuilt, never edited, and
-envelopes and their payloads are frozen values.
+Recovery ends when :class:`~repro.core.network.StabilityWatch`, the
+one stability predicate that ``run_until_stable`` asks too, settles
+with the traffic plane as its ledger: the configuration (states +
+in-flight messages) has stopped changing over the daemon's fairness
+window — it repeats after one round under full activation, after
+``window`` rounds under a periodic daemon, and a ``partial`` run needs
+a window in which every peer was activated, no peer state moved and
+every payload still in flight was already consumed by its target —
+and the operation ledger has drained (deadlines bound that wait).  The
+round count reported is the boundary from which the configuration is
+final; a campaign that does not settle within ``max_recovery_rounds``
+reports ``recovery_rounds == -1`` and ``stable=False``.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.checker import local_check_peer
-from repro.core.network import ReChordNetwork
+from repro.core.network import NotStableError, ReChordNetwork, StabilityWatch
 from repro.dht.lookup import ReChordRouter
 from repro.dht.storage import KeyValueStore
 from repro.experiments.scaling import build_ideal_network
@@ -78,7 +73,9 @@ class ScenarioReport:
 
     ``recovery_rounds`` follows the paper's Fig. 6 convention: the index
     (relative to the end of the adversity window) of the first round
-    boundary whose configuration never changes again.  ``config_digest``
+    boundary whose configuration never changes again, as the stability
+    predicate judges it (-1, with ``stable`` false, when recovery did
+    not settle within ``max_recovery_rounds``).  ``config_digest``
     is a stable digest of the final global configuration — two runs of
     the same ``(spec, kernel)`` pair, and the same spec across the two
     kernels, must produce byte-identical digests.  ``activity`` carries
@@ -121,28 +118,14 @@ class ScenarioReport:
 
     def to_dict(self) -> dict:
         """JSON-serializable form (stable key order left to callers)."""
-        out = {
-            "name": self.name,
-            "n": self.n,
-            "seed": self.seed,
-            "peers_start": self.peers_start,
-            "peers_final": self.peers_final,
-            "rounds_adversity": self.rounds_adversity,
-            "recovery_rounds": self.recovery_rounds,
-            "rounds_total": self.rounds_total,
-            "stable": self.stable,
-            "ideal": self.ideal,
+        return {
+            **vars(self),
             "event_census": dict(sorted(self.event_census.items())),
             "samples": [vars(s) for s in self.samples],
-            "slo": self.slo,
-            "rule_fires": self.rule_fires,
-            "config_digest": self.config_digest,
             "dropped_by_window": [list(w) for w in self.dropped_by_window],
             "survival_by_window": [list(w) for w in self.survival_by_window],
             "activity": dict(self.activity),
-            "telemetry": self.telemetry,
         }
-        return out
 
 
 def _build_start(
@@ -367,36 +350,14 @@ def run_scenario(
         plane.generator.active = False
     _open_window("recovery")
     adversity_end = net.round_no
-    recovery_rounds = -1
-    # tracked kernels, full activation: the scheduler's change flag is
-    # exact and O(changed); otherwise compare the boundary snapshots
-    # (module docstring).  The flag measures a round against the
-    # configuration it started from, the fingerprint criterion against
-    # the previous boundary: a probe the plane relaunches at the top of
-    # a round sits between the two, so those rounds compare snapshots
-    # as well.  The loop stops only on a drained round, so a snapshot is
-    # canonicalized only once the ledger has drained
-    by_flag = net.incremental and net.time_model.daemon.is_full
-    prev = None if by_flag else net.config_snapshot()
-    stable = False
-    for executed in range(1, spec.max_recovery_rounds + 1):
-        if by_flag and plane is not None and plane.launches_due():
-            prev = net.config_snapshot()
-        run_one_round()
-        if executed % spec.sample_every == 0:
-            samples.append(_sample(net, plane, checked))
-        drained = plane is None or not plane.collector.outstanding
-        if prev is None:
-            changed = net.scheduler.changed_last_round
-        else:
-            cur = net.config_snapshot() if drained or not by_flag else None
-            changed = not drained or cur.canonical() != prev.canonical()
-            prev = None if by_flag else cur
-        if not changed and drained:
-            # the configuration reached at `executed - 1` is final
-            recovery_rounds = executed - 1
-            stable = True
-            break
+    watch = StabilityWatch(net, plane)
+    try:
+        for executed in watch.run(spec.max_recovery_rounds, run_one_round):
+            if executed % spec.sample_every == 0:
+                samples.append(_sample(net, plane, checked))
+    except NotStableError:
+        pass  # reported as recovery_rounds == -1, stable=False
+    recovery_rounds = -1 if watch.stable_from is None else watch.stable_from
     if samples[-1].round != net.round_no:
         samples.append(_sample(net, plane, checked))
 
@@ -447,7 +408,7 @@ def run_scenario(
         rounds_adversity=adversity_end,
         recovery_rounds=recovery_rounds,
         rounds_total=net.round_no,
-        stable=stable,
+        stable=recovery_rounds >= 0,
         ideal=net.matches_ideal() if not net.scheduler.has_drop_filter() else False,
         event_census=dict(sorted(ctx.census.items())),
         samples=tuple(samples),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from typing import Any, Dict, List, Tuple
 
@@ -119,6 +120,22 @@ def make_peer(space: IdSpace, peer_id: int, config: RuleConfig | None = None):
 
     state = PeerState(peer_id, space)
     return ReChordPeer(state, config or RuleConfig(), lambda ref: REF_OK)
+
+
+def is_fixed_point(net: ReChordNetwork, peek: bool = False) -> bool:
+    """The closure oracle: whether one more round leaves the
+    configuration (``fingerprint()``) unchanged.
+
+    With ``peek=False`` the probe round runs *on the live network*:
+    observationally non-destructive on a stable network, but it advances
+    ``round_no`` and mutates state if the network was not stable.  With
+    ``peek=True`` it runs on a deep copy, leaving the network (round
+    counter included) untouched in both outcomes.
+    """
+    probe = copy.deepcopy(net) if peek else net
+    before = probe.fingerprint()
+    probe.run_round()
+    return probe.fingerprint() == before
 
 
 def stabilized(n: int, seed: int, **kw) -> ReChordNetwork:

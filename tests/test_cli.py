@@ -399,10 +399,54 @@ class TestTimeModelFlags:
     def test_every_daemon_kind_runs(self, kind, capsys, paper_digest):
         report = _seam_crash_report(capsys, "--daemon", kind)
         assert report["n"] == 6 and report["peers_final"] == 4
+        assert report["stable"] is True and report["ideal"] is True
         assert (report["config_digest"] == paper_digest) is (kind in self.SAME_AS_PAPER)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # once reported stable while not ideal: a round that woke no
+            # peer with work compared equal to the one before
+            ("--n", "6", "--seed", "3", "--daemon", "unfair"),
+            # once never stable: the healed run is a cycle of period 2
+            ("--n", "12", "--daemon", "round_robin"),
+        ],
+        ids=["unfair-n6-false-stable", "round-robin-n12-never-stable"],
+    )
+    def test_daemon_recovery_is_stable_and_ideal(self, flags, capsys):
+        assert main(["scenario", "seam-crash", "--json", *flags]) == 0
+        report = json.loads(capsys.readouterr().out[: -len("\n\n")])
+        assert report["stable"] is True and report["ideal"] is True
+        assert 0 <= report["recovery_rounds"] < 50
+
+    def test_unstable_recovery_is_named_as_such(self, capsys, tmp_path):
+        from repro.scenarios import make_scenario
+
+        spec_file = tmp_path / "spec.json"
+        spec = make_scenario("seam-crash", n=6, seed=3).with_overrides(max_recovery_rounds=1)
+        spec_file.write_text(spec.to_json())
+        assert main(["scenario", "--spec", str(spec_file)]) == 0
+        out = capsys.readouterr().out
+        assert "not stable within 1 recovery rounds (stable=False" in out
+        assert "recovery in" not in out
 
     def test_the_kind_lists_match_the_registries(self):
         from repro.netsim import timemodel
 
         assert sorted(LATENCY_KINDS) == sorted(timemodel.DELIVERY_KINDS)
         assert sorted(DAEMON_KINDS) == sorted(timemodel.DAEMON_KINDS)
+
+
+class TestCommittedResults:
+    """The committed scenario tables are a record of the code: the
+    command that writes them reproduces them byte for byte.  (The
+    traffic table takes over a minute, so it is not rerun here.)"""
+
+    def test_scenario_tables_regenerate(self, tmp_path, capsys):
+        import pathlib
+
+        results = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+        assert main(["scenario", "--all", "--n", "32", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for name in ("scenarios.txt", "scenarios.json"):
+            assert (tmp_path / name).read_bytes() == (results / name).read_bytes(), name

@@ -21,6 +21,7 @@ from repro.workloads.initial import (
     build_shaped_network,
     corrupt_network,
 )
+from tests.conftest import ENGINES, build
 
 MAX_ROUNDS = 5000
 
@@ -147,3 +148,44 @@ class TestDeterminism:
         a = build_random_network(n=10, seed=5)
         b = build_random_network(n=10, seed=6)
         assert a.peer_ids != b.peer_ids
+
+
+#: one of each activation daemon kind, with windows 1, none, 3 and 4
+DAEMONS = (
+    {"kind": "full"},
+    {"kind": "partial", "p": 0.5, "seed": 1},
+    {"kind": "round_robin", "groups": 3},
+    {"kind": "unfair", "bound": 4, "seed": 2},
+)
+
+
+class TestClosureUnderEveryDaemon:
+    """Convergence and closure under every activation daemon: from a
+    random start ``run_until_stable`` reports stable on the ideal state,
+    with the same report on every engine, and the state it stopped at is
+    closed — running the full daemon on from there moves no peer."""
+
+    @pytest.mark.parametrize("daemon", DAEMONS, ids=[d["kind"] for d in DAEMONS])
+    @pytest.mark.parametrize("n, seed", [(4, 0), (7, 1), (10, 2)])
+    def test_stable_state_is_ideal_and_closed(self, daemon, n, seed):
+        reports = {}
+        for engine in ENGINES:
+            net = build(build_random_network, engine, n=n, seed=seed)
+            net.set_daemon(daemon)
+            reports[engine] = net.run_until_stable(max_rounds=MAX_ROUNDS)
+            assert_fully_stable(net)
+            states = {pid: peer.state.canonical() for pid, peer in net.peers.items()}
+            net.set_daemon("full")
+            net.run_until_stable(max_rounds=MAX_ROUNDS)
+            assert {pid: peer.state.canonical() for pid, peer in net.peers.items()} == states
+        assert len(set(reports.values())) == 1, reports
+
+    def test_partial_waits_for_mail_its_targets_have_not_consumed(self):
+        """Every peer activated and no state moved is not enough: here a
+        linearization edge was still in flight to a peer that had
+        already stepped, and it moved that peer rounds later."""
+        net = build_random_network(n=24, seed=7)
+        corrupt_network(net, seed=12)
+        net.set_daemon({"kind": "partial", "p": 0.6, "seed": 7})
+        net.run_until_stable(max_rounds=MAX_ROUNDS)
+        assert_fully_stable(net)

@@ -31,7 +31,7 @@ from repro.core.network import ReChordNetwork
 from repro.netsim.rng import SeedSequence
 from repro.workloads.churn import ChurnSchedule, apply_event
 from repro.workloads.initial import build_random_network, corrupt_network
-from tests.conftest import KERNELS, build
+from tests.conftest import KERNELS, build, is_fixed_point
 
 ROOT = SeedSequence(41)
 
@@ -178,8 +178,8 @@ class TestStableFingerprintMatchesReference:
         assert ra == rb
         assert a.fingerprint() == b.fingerprint()
         # and the stable state is a true fixed point under both kernels
-        assert a.is_fixed_point(peek=True)
-        assert b.is_fixed_point(peek=True)
+        assert is_fixed_point(a, peek=True)
+        assert is_fixed_point(b, peek=True)
 
 
 # ----------------------------------------------------------------------

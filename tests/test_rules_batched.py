@@ -25,7 +25,7 @@ from repro.core.noderef import make_ref
 from repro.core.rules import RuleConfig
 from repro.idspace.ring import IdSpace
 from repro.workloads.initial import build_random_network, corrupt_network
-from tests.conftest import KERNELS, build
+from tests.conftest import KERNELS, build, is_fixed_point
 
 #: a config with every rule off — tests switch individual rules back on
 ALL_OFF = RuleConfig(
@@ -89,8 +89,8 @@ def assert_one_round_identical(a: ReChordNetwork, b: ReChordNetwork, context: st
 def assert_run_identical(a: ReChordNetwork, b: ReChordNetwork, context: str):
     """Run both to the fixpoint round by round, comparing at every boundary."""
     for r in range(600):
-        ra = a.is_fixed_point(peek=True)
-        rb = b.is_fixed_point(peek=True)
+        ra = is_fixed_point(a, peek=True)
+        rb = is_fixed_point(b, peek=True)
         assert ra == rb, f"fixpoint flags diverged at round {r} {context}"
         if ra:
             break
@@ -1160,5 +1160,5 @@ class TestCarryCouplings:
                 fired |= wanted & set(couplings)
             if not fast.scheduler.changed_last_round:
                 break
-        assert spec.is_fixed_point(peek=True)
+        assert is_fixed_point(spec, peek=True)
         assert fired == wanted, f"{coupling}: {sorted(wanted - fired)} never fired next to a carry"

@@ -246,6 +246,26 @@ class TestEngineEquivalence:
         assert a.fingerprint() == b.fingerprint()
 
 
+class TestRecoveryUnderEveryDaemon:
+    """``seam-crash`` under each activation daemon, with unit and
+    constant delivery: recovery reports stable exactly on an ideal
+    overlay, and the two kernels report the same campaign."""
+
+    @pytest.mark.parametrize(
+        "latency", [None, {"kind": "constant", "delay": 2}], ids=["unit", "constant"]
+    )
+    @pytest.mark.parametrize("daemon", ["full", "partial", "round_robin", "unfair"])
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_recovery_is_stable_and_ideal(self, n, daemon, latency):
+        for seed in range(1, 4):
+            spec = make_scenario("seam-crash", n=n, seed=seed).with_overrides(
+                daemon={"kind": daemon}, latency=latency
+            )
+            report = run_scenario(spec, engine="columnar")
+            assert report.stable and report.ideal, (seed, report.recovery_rounds)
+            assert report == run_scenario(spec, engine="full"), f"seed {seed}"
+
+
 class TestEvents:
     def make_net(self, n=10, seed=3) -> ReChordNetwork:
         net = build_random_network(n=n, seed=seed)

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.checker import local_check_peer
 from repro.core.noderef import NodeRef
-from tests.conftest import ENGINES, build, stabilized
+from repro.experiments.scaling import build_ideal_network
+from tests.conftest import ENGINES, build, is_fixed_point, stabilized
 
 
 class TestStableStateInvariance:
@@ -19,13 +20,13 @@ class TestStableStateInvariance:
 
     def test_is_fixed_point_predicate(self):
         net = stabilized(10, seed=1)
-        assert net.is_fixed_point()
+        assert is_fixed_point(net)
 
     def test_unstable_network_is_not_fixed_point(self):
         from repro.workloads.initial import build_random_network
 
         net = build_random_network(n=10, seed=1)
-        assert not net.is_fixed_point()
+        assert not is_fixed_point(net)
 
     def test_stable_state_still_ideal_after_extra_rounds(self):
         net = stabilized(15, seed=2)
@@ -43,6 +44,48 @@ class TestStableStateInvariance:
         assert len(set(counts)) == 1
 
 
+class TestStabilityWatch:
+    """The one stability predicate judges each daemon over its window:
+    from the ideal state every kind reports stable on both engines."""
+
+    PERIODIC = (
+        {"kind": "full"},
+        {"kind": "round_robin", "groups": 2},
+        {"kind": "round_robin", "groups": 3},
+        {"kind": "unfair", "bound": 4, "seed": 3},
+    )
+
+    @pytest.mark.parametrize("daemon", PERIODIC, ids=["full", "rr2", "rr3", "unfair4"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_ideal_state_settles_within_one_window(self, engine, daemon):
+        net = build(build_ideal_network, engine, 12, seed=5)
+        net.set_daemon(daemon)
+        window = net.time_model.daemon.window
+        report = net.run_until_stable(max_rounds=400)
+        assert report.rounds_to_stable <= window
+        # the configuration is compared with the one a window earlier
+        assert report.rounds_executed == report.rounds_to_stable + window
+        assert net.matches_ideal()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_partial_ideal_state_settles_when_one_window_closes(self, engine, seed):
+        """No peer state moves and the steady flow in flight is what
+        each target already consumed, so the first window closes, and
+        the run ends, in the round that activates the last peer."""
+        net = build(build_ideal_network, engine, 12, seed=5)
+        daemon = {"kind": "partial", "p": 0.5, "seed": seed}
+        net.set_daemon(daemon)
+        keys, seen, closes = sorted(net.peers), set(), 0
+        while seen != set(keys):
+            seen |= net.time_model.daemon.select(net.round_no + closes, keys)
+            closes += 1
+        report = net.run_until_stable(max_rounds=400)
+        assert report.rounds_to_stable == 0
+        assert report.rounds_executed == closes
+        assert net.matches_ideal()
+
+
 class TestIsFixedPointSideEffects:
     """Regression for the historical mutation footgun: is_fixed_point()
     ran a probe round on the live network, silently advancing round_no
@@ -52,14 +95,14 @@ class TestIsFixedPointSideEffects:
     def test_default_still_advances_round_no(self):
         net = stabilized(8, seed=30)
         before = net.round_no
-        assert net.is_fixed_point()
+        assert is_fixed_point(net)
         assert net.round_no == before + 1  # documented historical behavior
 
     def test_peek_leaves_stable_network_untouched(self):
         net = stabilized(8, seed=31)
         before_round = net.round_no
         before_fp = net.fingerprint()
-        assert net.is_fixed_point(peek=True)
+        assert is_fixed_point(net, peek=True)
         assert net.round_no == before_round
         assert net.fingerprint() == before_fp
 
@@ -70,7 +113,7 @@ class TestIsFixedPointSideEffects:
         net.run(2)
         before_round = net.round_no
         before_fp = net.fingerprint()
-        assert not net.is_fixed_point(peek=True)
+        assert not is_fixed_point(net, peek=True)
         # the probe ran on a copy: nothing moved, state identical
         assert net.round_no == before_round
         assert net.fingerprint() == before_fp
@@ -85,7 +128,7 @@ class TestIsFixedPointSideEffects:
             b = build(build_random_network, engine, n=8, seed=33)
             a.run(3)
             b.run(3)
-            a.is_fixed_point(peek=True)  # probe on copy
+            is_fixed_point(a, peek=True)  # probe on copy
             ra = a.run_until_stable(max_rounds=4000)
             rb = b.run_until_stable(max_rounds=4000)
             assert ra == rb

@@ -169,8 +169,8 @@ class TestModels:
 
     def test_constant_delay_one_counts_as_unit(self):
         assert make_delivery_model({"kind": "constant", "delay": 1}).is_unit
-        assert make_daemon({"kind": "partial", "p": 1.0}).is_full
-        assert make_daemon({"kind": "round_robin", "groups": 1}).is_full
+        assert make_daemon({"kind": "partial", "p": 1.0}).window == 1
+        assert make_daemon({"kind": "round_robin", "groups": 1}).window == 1
 
 
 class TestDaemons:
@@ -191,6 +191,30 @@ class TestDaemons:
             for r in range(4 * window, 4 * window + 4):
                 seen |= daemon.select(r, self.KEYS)
             assert seen == set(self.KEYS)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "partial", "p": 1.0},
+            {"kind": "round_robin", "groups": 3},
+            {"kind": "unfair", "bound": 4, "seed": 2},
+        ],
+        ids=["partial-p1", "round_robin", "unfair"],
+    )
+    def test_window_is_a_period_that_activates_everyone(self, spec):
+        """What the stability predicate relies on: ``select`` repeats
+        every ``window`` rounds, and any ``window`` consecutive rounds
+        activate every key."""
+        daemon = make_daemon(spec)
+        w = daemon.window
+        active = [daemon.select(r, self.KEYS) for r in range(3 * w + 2)]
+        for r in range(2 * w + 2):
+            assert active[r] == active[r + w]
+            assert set().union(*active[r : r + w]) == set(self.KEYS)
+
+    def test_full_daemon_has_window_one_partial_none(self):
+        assert make_daemon("full").window == 1
+        assert make_daemon({"kind": "partial", "p": 0.5}).window is None
 
     def test_partial_selection_deterministic(self):
         daemon = make_daemon({"kind": "partial", "p": 0.5, "seed": 9})

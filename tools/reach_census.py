@@ -124,7 +124,6 @@ KEPT: Dict[str, str] = {
         "lane step only if it has one (the batched engine calls _handle_lane)"
     ),
     # the spec and test oracles
-    "repro.core.network.ReChordNetwork.is_fixed_point": "test oracle: closure, one probe round on a copy",
     "repro.graphs.connectivity.weakly_connected_components": "test oracle: weak connectivity",
     "repro.graphs.connectivity.is_weakly_connected": "test oracle: weak connectivity",
     "repro.graphs.digraph.TypedDigraph.successors": "test oracle: graphs.connectivity reads it",
