@@ -17,8 +17,7 @@ tie-break never fires in practice.
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.idspace.ring import IdSpace
 
@@ -105,27 +104,23 @@ class InternTable:
 
     Every ref minted through :func:`make_ref` / :meth:`NodeRef.real` is a
     singleton per ``(id, owner, level)`` triple and carries a dense
-    integer ``iid`` (its row in the columnar arrays below).  The columns
-    — ``ids``/``owners`` as unsigned 64-bit, ``levels`` as native ints —
-    are flat :mod:`array` storage that the columnar engine and the
-    scale analyses index by ``iid`` instead of chasing objects.
+    integer ``iid``: the order in which the table first saw it.  The
+    batched rule engine keys its envelope cache on ``iid``s, which are
+    cheaper to hash than refs.
+
+    Rows never evict: a peer leaving the network keeps its rows, so an
+    ``iid`` observed once names the same identity for good — the
+    property that cache relies on.
 
     Direct ``NodeRef(...)`` construction remains legal (``iid == -1``,
     equality and hashing unchanged); interning is an acceleration layer,
     not a semantic one.
     """
 
-    __slots__ = ("_by_key", "_refs", "ids", "owners", "levels")
+    __slots__ = ("_by_key",)
 
     def __init__(self) -> None:
         self._by_key: Dict[Tuple[int, int, int], NodeRef] = {}
-        self._refs: List[NodeRef] = []
-        self.ids = array("Q")
-        self.owners = array("Q")
-        self.levels = array("i")
-
-    def __len__(self) -> int:
-        return len(self._refs)
 
     def intern(self, ident: int, owner: int, level: int) -> NodeRef:
         """The singleton ref for ``(ident, owner, level)`` (minted once)."""
@@ -133,38 +128,15 @@ class InternTable:
         ref = self._by_key.get(key)
         if ref is None:
             ref = NodeRef(ident, owner, level)
-            object.__setattr__(ref, "iid", len(self._refs))
+            object.__setattr__(ref, "iid", len(self._by_key))
             self._by_key[key] = ref
-            self._refs.append(ref)
-            self.ids.append(ident)
-            self.owners.append(owner)
-            self.levels.append(level)
         return ref
-
-    def all_refs(self) -> List[NodeRef]:
-        """The live ref column in dense-id order (do not mutate).
-
-        Rows are append-only: a peer leaving the network never frees its
-        rows, so an ``iid`` observed once names the same identity
-        forever — the property the batched kernels' rank index relies
-        on.  The list object itself is the live backing store; callers
-        must treat it as read-only.
-        """
-        return self._refs
-
-    def columns(self) -> Tuple[array, array, array]:
-        """The flat ``(ids, owners, levels)`` columns (do not mutate).
-
-        Aligned with :meth:`all_refs`: row ``iid`` of each column holds
-        that ref's identifier, owner and level.  These are the arrays
-        the batched rule kernels (and numpy, via zero-copy
-        ``frombuffer``) sort and scan instead of chasing ref objects.
-        """
-        return (self.ids, self.owners, self.levels)
 
 
 #: the process-wide intern table (grows monotonically, never evicts —
-#: evicting would let two live objects claim the same identity)
+#: the batched engine's envelope cache keys on ``iid``s, so an ``iid``
+#: must name one identity for good, and evicting would also let two
+#: live objects claim the same identity)
 INTERN = InternTable()
 
 

@@ -13,7 +13,7 @@ fires no state-changing rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict
 
 
@@ -35,22 +35,13 @@ class RuleConfig:
     economical_broadcast: bool = False
 
     def ablated(self, **changes: bool) -> "RuleConfig":
-        """A copy with some flags flipped, e.g. ``cfg.ablated(ring=False)``."""
-        data = {
-            "virtual_nodes": self.virtual_nodes,
-            "overlap": self.overlap,
-            "closest_real": self.closest_real,
-            "linearize": self.linearize,
-            "ring": self.ring,
-            "connection": self.connection,
-            "wrap_pointers": self.wrap_pointers,
-            "economical_broadcast": self.economical_broadcast,
-        }
-        for key, value in changes.items():
-            if key not in data:
+        """A copy with some flags flipped, e.g. ``cfg.ablated(ring=False)``;
+        an unknown flag raises ``KeyError``."""
+        flags = {f.name for f in fields(self)}
+        for key in changes:
+            if key not in flags:
                 raise KeyError(f"unknown rule flag {key!r}")
-            data[key] = value
-        return RuleConfig(**data)
+        return replace(self, **changes)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Batched rule kernels over the interned-id columns.
+"""Batched rule kernels: the rule pipeline run phase-major.
 
 The scalar pipeline in :mod:`repro.core.protocol` steps one peer at a
 time: apply inbox, purge, rules 1–6, traffic.  This module executes the
@@ -6,11 +6,10 @@ same pipeline **phase-major** across every peer the scheduler decided to
 run in a round — one pass applies all inboxes, one purges all peers, one
 runs rule 3 everywhere, and so on — and inside a peer's step it runs
 only the levels whose inputs changed.  Why the reordering is invisible,
-and every device the fast path uses (the rank index, the envelope
-cache, per-level delivery, purge verdicts kept per oracle epoch,
-carrying and promotion, the per-level memo and the one driver that runs
-it for rules 3–6), is in docs/ARCHITECTURE.md § "The rule pipeline:
-spec and fast path".  This docstring keeps the contract and the two
+and every device the fast path uses (the envelope cache, per-level
+delivery, purge verdicts kept per oracle epoch, carrying and promotion,
+the per-level memo and the one driver that runs it for rules 3–6), is
+in docs/ARCHITECTURE.md § "The rule pipeline: spec and fast path".  This docstring keeps the contract and the two
 input lists every change must extend.
 
 Carry inputs
@@ -70,9 +69,9 @@ envelope sequences, rule counters, replay deltas and telemetry censuses
 match bit for bit (``tests/test_rules_batched.py`` and the equivalence
 matrix enforce this).  The scalar pipeline remains the executable spec;
 when in doubt, this module mirrors :mod:`repro.core.protocol` line by
-line.  Refs that were never interned (``iid == -1``, hand-built
-adversarial states) demote the affected sort to the scalar key sort —
-never to a wrong answer.
+line, down to its sort order (``sorted(..., key=_KEY)``).  Refs that
+were never interned (``iid == -1``, hand-built adversarial states) bypass
+the envelope cache and go through ``ctx.send`` — never to a wrong answer.
 """
 
 from __future__ import annotations
@@ -93,15 +92,10 @@ from repro.core.events import (
     SIDE_LEFT,
     SIDE_RIGHT,
 )
-from repro.core.noderef import INTERN, NodeRef
+from repro.core.noderef import NodeRef
 from repro.core.protocol import REF_OK, REF_PHANTOM, ReChordPeer, _untimed
 from repro.core.state import TrackedSet
 from repro.netsim.messages import AppPayload, Envelope, SubFlow
-
-try:  # optional accelerator; the pure-array path below is the fallback
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy absent in minimal installs
-    _np = None
 
 _KEY = attrgetter("_key")
 _ITEM_KEY = itemgetter(0)
@@ -116,11 +110,6 @@ def _not_a_peer(key) -> TypeError:
 
 #: clear-on-overflow bound, mirroring the scheduler's envelope cache
 _FAST_CACHE_MAX = 4_000_000
-
-#: below this interned-table size the numpy lexsort loses to the
-#: pure-Python argsort (crossover measured around a few thousand rows)
-_NUMPY_MIN_ROWS = 2048
-
 
 #: the memoized rules, in pipeline order; a node's memo is a list with
 #: one entry per rule, indexed by its position here.  A rule's entry is
@@ -318,51 +307,6 @@ def _frozen(refs: TrackedSet, before: frozenset) -> frozenset:
     return before if before == refs else frozenset(refs)
 
 
-class RankIndex:
-    """Global linear rank of every interned ref, by ``NodeRef._key``.
-
-    Built from the intern table's flat columns: ``lexsort`` orders rows
-    by ``(id, is_virtual, owner, level)`` — exactly the scalar sort key
-    — and the inverse permutation is the rank.  The table is
-    append-only, but appending *changes existing ranks* (a new row can
-    land anywhere in the order), so consumers refresh at phase
-    boundaries and treat a row id at or beyond the indexed size as
-    unranked.
-    """
-
-    __slots__ = ("ranks", "size")
-
-    def __init__(self) -> None:
-        self.ranks: List[int] = []
-        self.size = 0
-
-    def refresh(self) -> None:
-        """Re-rank if the intern table grew since the last build."""
-        n = len(INTERN)
-        if n == self.size:
-            return
-        if _np is not None and n >= _NUMPY_MIN_ROWS:
-            ids_col, owners_col, levels_col = INTERN.columns()
-            ids = _np.frombuffer(ids_col, dtype=_np.uint64, count=n)
-            owners = _np.frombuffer(owners_col, dtype=_np.uint64, count=n)
-            levels = _np.frombuffer(levels_col, dtype=_np.intc, count=n)
-            # last lexsort key is the primary one: (id, isv, owner, level)
-            perm = _np.lexsort((levels, owners, levels != 0, ids))
-            ranks = _np.empty(n, dtype=_np.int64)
-            ranks[perm] = _np.arange(n, dtype=_np.int64)
-            # a plain list keeps the per-ref lookups in the rule loops at
-            # native list-index speed (ndarray item access boxes per hit)
-            self.ranks = ranks.tolist()
-        else:
-            refs = INTERN.all_refs()
-            order = sorted(range(n), key=lambda i: refs[i]._key)
-            ranks = [0] * n
-            for pos, iid in enumerate(order):
-                ranks[iid] = pos
-            self.ranks = ranks
-        self.size = n
-
-
 class BatchedRuleEngine:
     """Phase-major executor for a round's batch of dirty ReChord peers,
     installed on the columnar kernel via ``set_batch_stepper``: both of
@@ -370,7 +314,7 @@ class BatchedRuleEngine:
     of calling ``actor.step`` one by one."""
 
     __slots__ = (
-        "rank_index", "_fast", "_memo_hits", "_memo_misses", "_carried",
+        "_fast", "_memo_hits", "_memo_misses", "_carried",
         "_oracle", "_oracle_epoch", "_oracle_moves", "_epoch", "_moved",
         "_verdict_epoch", "_verdicts", "_ok",
     )
@@ -378,7 +322,6 @@ class BatchedRuleEngine:
     def __init__(
         self, oracle=None, oracle_epoch=None, oracle_moves=None,
     ) -> None:
-        self.rank_index = RankIndex()
         #: this pipeline's envelope intern cache, keyed by flat ints
         self._fast: Dict[tuple, Envelope] = {}
         #: per-level memo lookups by outcome and carried levels, one int
@@ -483,8 +426,6 @@ class BatchedRuleEngine:
             handlers.append((key, actor._handle_lane, (inbox, ctx)))
         if lane and peers:
             handlers.sort(key=_ITEM_KEY)
-        if peers:
-            self.rank_index.refresh()
         if tel is None:
             self._pipeline(peers, handlers, _untimed)
         else:
@@ -520,9 +461,6 @@ class BatchedRuleEngine:
             t2 = _perf(); add("rule.1_virtual_nodes", t2 - t, n); t = t2
             self._phase_rule2(peers)
             t2 = _perf(); add("rule.2_overlap", t2 - t, n); t = t2
-            # rule 1 mints refs for freshly created levels: re-rank once so
-            # the sort phases below see them (cheap no-op when nothing grew)
-            self.rank_index.refresh()
             self._phase_rule3(peers)
             t2 = _perf(); add("rule.3_closest_real", t2 - t, n); t = t2
             self._phase_rule4(peers)
@@ -536,34 +474,6 @@ class BatchedRuleEngine:
             for _key, handle, args in handlers:
                 handle(*args)
             add("peer.traffic", _perf() - t, len(handlers))
-
-    # ------------------------------------------------------------------
-    # sorting over the rank column
-    # ------------------------------------------------------------------
-    def _sorted_refs(self, refs) -> List[NodeRef]:
-        """``sorted(refs, key=_KEY)`` via the global rank column.
-
-        Ranks order exactly like keys for interned refs; a never-interned
-        ref (or one minted after the last refresh) demotes the call to
-        the scalar key sort.
-        """
-        n = len(refs)
-        if n < 2:
-            return list(refs)
-        if n == 2:
-            a, b = refs
-            return [a, b] if a._key <= b._key else [b, a]
-        ranks = self.rank_index.ranks
-        size = self.rank_index.size
-        pairs = []
-        for r in refs:
-            iid = r.iid
-            if 0 <= iid < size:
-                pairs.append((ranks[iid], r))
-            else:
-                return sorted(refs, key=_KEY)
-        pairs.sort()
-        return [r for _rank, r in pairs]
 
     # ------------------------------------------------------------------
     # fast envelope construction
@@ -1113,7 +1023,7 @@ class BatchedRuleEngine:
             if prev is not None and prev[3] is not None and not step.whole:
                 step.sibs, step.sib_keys = prev[3], prev[4]
             else:
-                sibs = step.sibs = tuple(self._sorted_refs([n.ref for n in nodes.values()]))
+                sibs = step.sibs = tuple(sorted([n.ref for n in nodes.values()], key=_KEY))
                 step.sib_keys = [s._key for s in sibs]
         return step.sibs, step.sib_keys
 
@@ -1247,9 +1157,9 @@ class BatchedRuleEngine:
                 reals, real_keys = step.prev[0], step.prev[1]
             else:
                 if step.whole:
-                    reals = self._sorted_refs([r for r in state.knowledge() if r.level == 0])
+                    reals = sorted([r for r in state.knowledge() if r.level == 0], key=_KEY)
                 else:
-                    reals = self._sorted_refs(list(self._known_reals(step, state)))
+                    reals = sorted(self._known_reals(step, state), key=_KEY)
                 real_keys = [r._key for r in reals]
             step.reals_list, step.real_keys = reals, real_keys
             n = len(reals)
@@ -1308,7 +1218,7 @@ class BatchedRuleEngine:
                     if w != ui:
                         nu.add(w)
                     setattr(node, slot, None)
-        nu_sorted = self._sorted_refs(nu)
+        nu_sorted = sorted(nu, key=_KEY)
         for x, (side, slot, targets) in zip((rl, rr), _BCAST_SLOTS):
             if x is None:
                 if eco:
@@ -1384,7 +1294,7 @@ class BatchedRuleEngine:
         # one sort, split at ui (the scalar code sorts each half)
         lefts: List[NodeRef] = []
         rights: List[NodeRef] = []
-        for w in self._sorted_refs(nu):
+        for w in sorted(nu, key=_KEY):
             wk = w._key
             if wk < uik:
                 lefts.append(w)
@@ -1399,7 +1309,7 @@ class BatchedRuleEngine:
             nu.discard(rights[j + 1])
         # mirroring over whatever remains in nu (the two closest, and
         # any equal-to-ui ref: the scalar re-scan, not an assumption)
-        for v in self._sorted_refs(nu):
+        for v in sorted(nu, key=_KEY):
             send_edge(ctx, outbox, v, ui, KIND_UNMARKED)
         for x in key[1:]:
             if x is not None:
@@ -1487,7 +1397,7 @@ class BatchedRuleEngine:
         if not has_right and kmin != ui:
             send_edge(ctx, outbox, kmin, ui, KIND_RING)
             create += 1
-        for w in self._sorted_refs(nr) if nr else ():
+        for w in sorted(nr, key=_KEY) if nr else ():
             if w == ui:
                 nr.discard(w)
                 continue
@@ -1562,9 +1472,9 @@ class BatchedRuleEngine:
         if few:
             known = (*nu, *sibs)
         else:
-            cands = self._sorted_refs([*nu, *sibs])
+            cands = sorted([*nu, *sibs], key=_KEY)
             cand_keys = [c._key for c in cands]
-        for v in self._sorted_refs(nc):
+        for v in sorted(nc, key=_KEY):
             nc.discard(v)
             if v == ui:
                 continue

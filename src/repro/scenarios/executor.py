@@ -75,7 +75,14 @@ class ScenarioReport:
     (relative to the end of the adversity window) of the first round
     boundary whose configuration never changes again, as the stability
     predicate judges it (-1, with ``stable`` false, when recovery did
-    not settle within ``max_recovery_rounds``).  ``config_digest``
+    not settle within ``max_recovery_rounds``).  What "never changes"
+    covers depends on the daemon kind, so the counts of two kinds do
+    not compare: under ``partial`` it is the boundary after which no
+    peer state moved; under ``full``, ``round_robin`` and ``unfair`` it
+    is the boundary from which the whole configuration, in-flight
+    messages included, repeats (``seam-crash`` at ``n=6``, seeds 1–5,
+    reads 0–2 rounds under ``partial`` and 11–12 under ``full``).
+    ``config_digest``
     is a stable digest of the final global configuration — two runs of
     the same ``(spec, kernel)`` pair, and the same spec across the two
     kernels, must produce byte-identical digests.  ``activity`` carries

@@ -17,24 +17,16 @@ import math
 import numbers
 import random
 from bisect import bisect_left
+from functools import partial
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.idspace.keys import key_id
 from repro.traffic.messages import OP_GET, OP_LOOKUP, OP_PUT
 from repro.traffic.plane import TrafficPlane
 
-try:  # vectorized draw mapping (the raw seeded stream is unchanged)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the base image
-    _np = None
-
 #: popularity shapes
 POP_UNIFORM = "uniform"
 POP_ZIPF = "zipf"
-
-#: below this many arrivals per round the numpy round-trip costs more
-#: than the pure-python bisect mapping it replaces
-_VECTOR_MIN = 64
 
 
 def check_number(name: str, value: Any, kind: type = numbers.Real) -> None:
@@ -121,26 +113,25 @@ class WorkloadGenerator:
         self.rng = random.Random(seed)
         self.keys: Tuple[str, ...] = tuple(f"key-{i}" for i in range(key_universe))
         self.kids: Tuple[int, ...] = tuple(key_id(k, plane.net.space) for k in self.keys)
-        # cumulative popularity weights; None means uniform
+        # cumulative popularity and op-mix edges, the last one infinite so
+        # that the first edge >= a draw always exists (the end clamp of a
+        # per-arrival scan); a None popularity means uniform
         self._cum: Optional[Tuple[float, ...]] = None
+        self._cum_total = 0.0
         if popularity == POP_ZIPF:
             acc, cum = 0.0, []
             for rank in range(1, key_universe + 1):
                 acc += 1.0 / rank**zipf_s
                 cum.append(acc)
-            self._cum = tuple(cum)
+            self._cum_total = acc
+            self._cum = (*cum[:-1], math.inf)
         total = sum(w for _, w in op_mix)
-        acc, mix = 0.0, []
-        for op, weight in op_mix:
+        acc, edges = 0.0, []
+        for _op, weight in op_mix:
             acc += weight / total
-            mix.append((acc, op))
-        # split columns of the mix for the vectorized batch mapping
-        self._mix_edges: Tuple[float, ...] = tuple(edge for edge, _ in mix)
-        self._mix_ops: Tuple[str, ...] = tuple(op for _, op in mix)
-        self._mix_edges_np = _np.asarray(self._mix_edges) if _np is not None else None
-        self._cum_np = (
-            _np.asarray(self._cum) if _np is not None and self._cum is not None else None
-        )
+            edges.append(acc)
+        self._mix_edges: Tuple[float, ...] = (*edges[:-1], math.inf)
+        self._mix_ops: Tuple[str, ...] = tuple(op for op, _ in op_mix)
         self._credit = 0.0
         self._value_serial = 0
         #: total ops handed to the plane
@@ -200,10 +191,9 @@ class WorkloadGenerator:
         ``randrange(len(ids))`` consume identical ``_randbelow`` calls)
         — so every seeded schedule, and every baseline recorded from
         one, is unchanged.  Only the *mapping* of raw uniforms onto the
-        cumulative op-mix/Zipf edges is vectorized: one numpy
-        ``searchsorted`` per column when available and worthwhile, a
-        pure ``bisect_left`` sweep otherwise (both reproduce the
-        first-edge->=x scan and the historical end clamps exactly).
+        cumulative op-mix/Zipf edges is batched: one ``bisect_left``
+        sweep per column, the first edge >= x, and the infinite last
+        edge reproduces the historical clamp to the last op or key.
         Keys come from the pre-hashed :attr:`kids` table, so batch
         injection never re-digests a key name.
         """
@@ -220,31 +210,13 @@ class WorkloadGenerator:
                 key_draws.append(rng.randrange(n_keys))
                 origin_idx.append(rng.randrange(n_ids))
         else:
-            cum_total = self._cum[-1]
+            cum_total = self._cum_total
             for _ in range(budget):
                 op_draws.append(rng.random())
                 key_draws.append(rng.random() * cum_total)
                 origin_idx.append(rng.randrange(n_ids))
-        last_op = len(self._mix_ops) - 1
-        if _np is not None and budget >= _VECTOR_MIN:
-            op_idx = _np.minimum(
-                _np.searchsorted(self._mix_edges_np, op_draws, side="left"), last_op
-            ).tolist()
-            key_idx = (
-                key_draws
-                if uniform
-                else _np.minimum(
-                    _np.searchsorted(self._cum_np, key_draws, side="left"), n_keys - 1
-                ).tolist()
-            )
-        else:
-            edges = self._mix_edges
-            op_idx = [min(bisect_left(edges, x), last_op) for x in op_draws]
-            key_idx = (
-                key_draws
-                if uniform
-                else [min(bisect_left(self._cum, x), n_keys - 1) for x in key_draws]
-            )
+        op_idx = map(partial(bisect_left, self._mix_edges), op_draws)
+        key_idx = key_draws if uniform else map(partial(bisect_left, self._cum), key_draws)
         mix_ops = self._mix_ops
         kids = self.kids
         rows: List[Tuple[str, int, int, Any]] = []

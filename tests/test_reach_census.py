@@ -58,9 +58,8 @@ def _load_census():
 reach_census = _load_census()
 
 
-def _census(tmp_path, monkeypatch):
-    """The toy package's functions and what a driver reaches: it imports
-    the package (module code runs under the hook) and calls one method."""
+def _toy(tmp_path, monkeypatch) -> pathlib.Path:
+    """The toy package on the path, freshly importable; its module."""
     package = tmp_path / "src" / "census_toy"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
@@ -68,6 +67,13 @@ def _census(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(tmp_path / "src"))
     monkeypatch.delitem(sys.modules, "census_toy", raising=False)
     monkeypatch.delitem(sys.modules, "census_toy.shapes", raising=False)
+    return package / "shapes.py"
+
+
+def _census(tmp_path, monkeypatch):
+    """The toy package's functions and what a driver reaches: it imports
+    the package (module code runs under the hook) and calls one method."""
+    _toy(tmp_path, monkeypatch)
 
     def drive():
         shapes = importlib.import_module("census_toy.shapes")
@@ -115,3 +121,28 @@ def test_the_census_fails_on_an_unkept_or_stale_name(tmp_path, monkeypatch):
     assert failed
     assert "STALE     census_toy.shapes.gone: KEPT names no function" in lines
     assert "note      census_toy.shapes.used: in KEPT but reached" in lines
+
+
+def test_a_module_edited_during_the_run_fails_the_census(tmp_path, monkeypatch):
+    """An edit mid-drive shifts the compiled line numbers away from the
+    parsed ones: the census names the file instead of a false report."""
+    shapes_py = _toy(tmp_path, monkeypatch)
+    kept = {
+        "census_toy.shapes.unused": "a reason",
+        "census_toy.shapes.cached_unused": "a reason",
+        "census_toy.shapes.Shape.never": "a reason",
+    }
+
+    def drive(edit: bool):
+        def run():
+            monkeypatch.delitem(sys.modules, "census_toy.shapes", raising=False)
+            if edit:
+                shapes_py.write_text("# two new lines\n\n" + shapes_py.read_text())
+            importlib.import_module("census_toy.shapes").Shape().area()
+        return run
+
+    lines, failed = reach_census.census(tmp_path / "src", drive(False), kept)
+    assert not failed and lines[-1].startswith("7 functions, 3 unreached")
+    lines, failed = reach_census.census(tmp_path / "src", drive(True), kept)
+    assert failed
+    assert lines == [f"CHANGED   {shapes_py}: edited during the run, re-run the census"]

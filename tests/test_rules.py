@@ -40,6 +40,19 @@ def deliver(peer: ReChordPeer, *payloads) -> None:
     peer._apply_inbox([Envelope(0, peer.state.peer_id, p) for p in payloads])
 
 
+class TestRuleConfig:
+    def test_ablated_flips_only_the_named_flags(self):
+        base = RuleConfig(economical_broadcast=True)
+        cut = base.ablated(ring=False, connection=False)
+        assert (cut.ring, cut.connection) == (False, False)
+        assert cut == RuleConfig(ring=False, connection=False, economical_broadcast=True)
+        assert base.ablated() == base
+
+    def test_ablated_rejects_an_unknown_flag(self):
+        with pytest.raises(KeyError, match="unknown rule flag 'rings'"):
+            RuleConfig().ablated(rings=False)
+
+
 class TestRule1VirtualNodes:
     def test_lone_peer_creates_one_level(self):
         peer = build_peer(1000)

@@ -2,9 +2,8 @@
 
 The batched pipeline (:mod:`repro.core.rules_batched`, the fast path
 every activity-tracked kernel runs) executes each phase of the rules
-across *all* dirty peers of a round before the next phase starts,
-sorting by precomputed global ranks over the intern table's flat columns
-instead of per-peer key sorts.  Its contract is **observational
+across *all* dirty peers of a round before the next phase starts.
+Its contract is **observational
 identity** with the scalar pipeline in :mod:`repro.core.protocol` that
 the full-scan kernel runs — the executable spec: identical fingerprints
 (states *and* in-flight messages), identical delivered envelopes in
@@ -124,7 +123,7 @@ def plant_duplicate_ids(net: ReChordNetwork) -> None:
     With 4 bits, level-1 of peer ``u`` sits at ``u + 8`` — choosing
     peers 8 apart makes one peer's virtual node share its identifier
     with another peer's *real* node, the duplicate-id torture case for
-    rank-based ordering (real sorts before virtual at equal ids).
+    the key order (real sorts before virtual at equal ids).
     """
     ids = [1, 9, 4, 12]
     for pid in ids:
@@ -337,7 +336,6 @@ class _Harness:
         reports what the *last* phase did."""
         actor = ReChordPeer(self.state, self.config, lambda ref: "ok", RuleCounters())
         ctx = self._ctx(self.state)
-        self.engine.rank_index.refresh()
         start = self.engine.memo_counts()
         for name in MEMO_PHASES[:upto]:
             getattr(self.engine, name)([[actor, [], ctx, {}]])

@@ -427,28 +427,92 @@ class TestIssueBatch:
         with pytest.raises(RuntimeError):
             plane.issue_batch([(OP_PUT, 5, net.peer_ids[0], "v0")])
 
-    def test_generator_vector_path_matches_scalar_fallback(self):
-        """Above _VECTOR_MIN arrivals the numpy mapping must reproduce
-        the pure-bisect mapping draw for draw."""
-        from repro.traffic import generator as gen_mod
+    @staticmethod
+    def _reference_rows(gen, ids, op_mix, cum, draws):
+        """The per-arrival mapping ``_draw_batch`` batches: for each
+        ``(op uniform, key draw, origin index)`` the first op-mix / Zipf
+        edge >= the draw, clamped to the last op or key."""
+
+        def first_edge_at_least(edges, x):
+            for i, edge in enumerate(edges):
+                if edge >= x:
+                    return i
+            return len(edges) - 1
+
+        total = sum(w for _, w in op_mix)
+        acc, op_edges = 0.0, []
+        for _op, weight in op_mix:
+            acc += weight / total
+            op_edges.append(acc)
+        rows, serial = [], 0
+        for u_op, key_draw, origin in draws:
+            op = op_mix[first_edge_at_least(op_edges, u_op)][0]
+            ki = key_draw if cum is None else first_edge_at_least(cum, key_draw)
+            value = None
+            if op == OP_PUT:
+                value, serial = f"v{serial}", serial + 1
+            rows.append((op, gen.kids[ki], ids[origin], value))
+        return rows
+
+    def test_draw_batch_matches_a_per_arrival_scan(self):
+        """``_draw_batch``'s bisect over edges ending in infinity maps
+        each draw as a first-edge->=x scan with an end clamp, on a real
+        seeded stream and on scripted draws at and above the last
+        cumulative edge, for a Zipf three-op mix and a uniform one-op
+        mix."""
+
+        class Scripted:
+            """``random()`` / ``randrange(n)`` from fixed scripts."""
+
+            def __init__(self, uniforms, indices):
+                self._u, self._i = iter(uniforms), iter(indices)
+
+            def random(self):
+                return next(self._u)
+
+            def randrange(self, n):
+                return next(self._i) % n
 
         net, plane = self._net(seed=47)
-        gen = WorkloadGenerator(
-            plane, rate=0,  # drive _draw_batch directly
-            op_mix=((OP_LOOKUP, 0.5), (OP_PUT, 0.3), (OP_GET, 0.2)),
-            popularity="zipf", zipf_s=1.2, key_universe=96, seed=5,
-        )
         ids = plane.live_ids()
-        rows_vec = gen._draw_batch(200, ids)
-        gen2 = WorkloadGenerator(
-            plane, rate=0,
-            op_mix=((OP_LOOKUP, 0.5), (OP_PUT, 0.3), (OP_GET, 0.2)),
-            popularity="zipf", zipf_s=1.2, key_universe=96, seed=5,
-        )
-        saved = gen_mod._np
-        gen_mod._np = None  # force the pure fallback
-        try:
-            rows_pure = gen2._draw_batch(200, ids)
-        finally:
-            gen_mod._np = saved
-        assert rows_vec == rows_pure
+        mix = ((OP_LOOKUP, 0.5), (OP_PUT, 0.3), (OP_GET, 0.2))
+        zipf_s, n_keys = 1.2, 96
+        acc, cum = 0.0, []
+        for rank in range(1, n_keys + 1):
+            acc += 1.0 / rank**zipf_s
+            cum.append(acc)
+
+        def zipf_gen():
+            return WorkloadGenerator(
+                plane, rate=0, op_mix=mix, popularity="zipf", zipf_s=zipf_s,
+                key_universe=n_keys, seed=5,
+            )
+
+        # a seeded stream, drawn as the generator draws it
+        gen, twin = zipf_gen(), random.Random(5)
+        draws = [
+            (twin.random(), twin.random() * cum[-1], twin.randrange(len(ids)))
+            for _ in range(750)
+        ]
+        assert gen._draw_batch(750, ids) == self._reference_rows(gen, ids, mix, cum, draws)
+
+        # scripted: on an edge, just below the last, at it and above it
+        op_us = [0.0, 0.5, 0.8, 1.0 - 1e-12, 1.0, 1.5]
+        key_us = [0.0, cum[0] / cum[-1], 0.5, 1.0 - 1e-12, 1.0, 1.5]
+        origins = list(range(len(op_us)))
+        gen = zipf_gen()
+        uniforms = [u for pair in zip(op_us, key_us) for u in pair]
+        gen.rng = Scripted(uniforms, origins)
+        draws = [(u, k * cum[-1], o) for u, k, o in zip(op_us, key_us, origins)]
+        rows = gen._draw_batch(len(op_us), ids)
+        assert rows == self._reference_rows(gen, ids, mix, cum, draws)
+        assert rows[-1][0] == rows[-2][0] == OP_GET  # clamped to the last op
+
+        # a one-op mix with uniform keys: every draw maps to that op
+        one = ((OP_PUT, 2.0),)
+        gen = WorkloadGenerator(plane, rate=0, op_mix=one, key_universe=8, seed=9)
+        gen.rng = Scripted(op_us, [3, 1] * len(op_us))
+        draws = [(u, 3, 1) for u in op_us]
+        rows = gen._draw_batch(len(op_us), ids)
+        assert rows == self._reference_rows(gen, ids, one, None, draws)
+        assert {op for op, *_ in rows} == {OP_PUT}

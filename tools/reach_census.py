@@ -22,7 +22,10 @@ The entry points (:func:`entry_points`):
 A function no entry point reaches is either deleted or named in
 :data:`KEPT` with the reason it stays.  Exits 1 if an unreached
 function is not in ``KEPT`` or a ``KEPT`` name no longer names a
-function; a ``KEPT`` function the run did reach is only noted.
+function; a ``KEPT`` function the run did reach is only noted.  The
+functions are parsed before the run, and a ``src/`` module edited while
+it runs also exits 1, naming the file: its line numbers no longer match
+the code the run compiled, so its report would be false.
 
 Usage::
 
@@ -41,7 +44,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, NamedTuple, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -167,12 +170,26 @@ class Function(NamedTuple):
         return self.last - self.first + 1
 
 
-def functions(root: Path) -> List[Function]:
+def sources(root: Path) -> Dict[Path, str]:
+    """The text of each module under ``root``, by path."""
+    return {path: path.read_text(encoding="utf-8") for path in sorted(root.rglob("*.py"))}
+
+
+def changed(root: Path, before: Dict[Path, str]) -> List[Path]:
+    """The modules under ``root`` added, deleted or edited since the
+    ``before`` snapshot of :func:`sources`."""
+    after = sources(root)
+    return sorted(p for p in before.keys() | after.keys() if before.get(p) != after.get(p))
+
+
+def functions(root: Path, texts: Optional[Dict[Path, str]] = None) -> List[Function]:
     """Every function and method defined in the modules under ``root``
     (nested ones included), with their first line as the interpreter's
-    ``co_firstlineno`` gives it."""
+    ``co_firstlineno`` gives it; ``texts`` is a :func:`sources` snapshot
+    to parse instead of the files."""
     found: List[Function] = []
-    for path in sorted(root.rglob("*.py")):
+    texts = sources(root) if texts is None else texts
+    for path, text in texts.items():
         parts = path.relative_to(root).with_suffix("").parts
         module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
@@ -188,7 +205,7 @@ def functions(root: Path) -> List[Function]:
                 else:
                     visit(child, prefix)
 
-        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+        visit(ast.parse(text), "")
     return found
 
 
@@ -222,6 +239,23 @@ def unreached(found: Iterable[Function], hits: Set[Tuple[str, int]]) -> List[Fun
     ]
 
 
+def _shown(path: Path) -> Path:
+    return path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
+
+
+def census(root: Path, drive: Callable[[], None], kept: Dict[str, str]) -> Tuple[List[str], bool]:
+    """Parse ``root``'s functions, run ``drive`` under the trace hook and
+    :func:`report`; a module under ``root`` that changed while ``drive``
+    ran fails the census instead, one ``CHANGED`` line per file."""
+    before = sources(root)
+    found = functions(root, before)
+    hits = reached(drive)
+    moved = changed(root, before)
+    if moved:
+        return [f"CHANGED   {_shown(path)}: edited during the run, re-run the census" for path in moved], True
+    return report(unreached(found, hits), found, kept)
+
+
 def report(missed: List[Function], found: List[Function], kept: Dict[str, str]) -> Tuple[List[str], bool]:
     """The census printout and whether it fails: an unreached function
     outside ``kept``, or a ``kept`` name that names no function."""
@@ -230,7 +264,7 @@ def report(missed: List[Function], found: List[Function], kept: Dict[str, str]) 
     lines: List[str] = []
     failed = False
     for f in missed:
-        where = f"{f.path.relative_to(ROOT) if f.path.is_relative_to(ROOT) else f.path}:{f.first}"
+        where = f"{_shown(f.path)}:{f.first}"
         if f.name in kept:
             lines.append(f"kept      {f.name}  {where}  {f.lines} lines  ({kept[f.name]})")
         else:
@@ -351,9 +385,7 @@ def main(argv: List[str]) -> int:
     if argv:
         print(__doc__, file=sys.stderr)
         return 2
-    hits = reached(drive_all)
-    found = functions(SRC)
-    lines, failed = report(unreached(found, hits), found, KEPT)
+    lines, failed = census(SRC, drive_all, KEPT)
     print("\n".join(lines))
     return 1 if failed else 0
 
