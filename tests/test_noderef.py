@@ -135,3 +135,14 @@ class TestInternTable:
         iid = ref.iid
         again = make_ref(SPACE, 321, 1)
         assert again is ref and again.iid == iid
+
+    def test_rows_aligned_with_keys(self):
+        """Each row's ref carries its own key, and the ``iid``s are the
+        dense insertion order ``0 .. len - 1``."""
+        from repro.core.noderef import INTERN
+
+        make_ref(SPACE, 4321, 2)  # the table holds at least one row
+        rows = list(INTERN._by_key.items())
+        assert [ref.iid for _key, ref in rows] == list(range(len(rows)))
+        for (ident, owner, level), ref in rows:
+            assert (ref.id, ref.owner, ref.level) == (ident, owner, level)

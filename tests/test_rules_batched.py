@@ -605,6 +605,36 @@ class TestNeverInternedRefs:
         assert reused > 0
 
 
+def reverse_interned_start(space: IdSpace):
+    """A start whose peers, of ids nothing has interned yet, join in
+    descending id order, so their ``iid``s run against the key order;
+    each peer knows every other.  The ids are chosen once, so both
+    networks of a pair get the same peers."""
+    from repro.core.noderef import INTERN
+
+    fresh = [p for p in range(space.size - 1, 0, -997) if (p, p, 0) not in INTERN._by_key]
+    ids = fresh[:6]
+
+    def plant(net: ReChordNetwork) -> None:
+        for pid in ids:
+            net.add_peer(pid)
+        for pid in ids:
+            net.peers[pid].state.nodes[0].nu = {net.ref(o) for o in ids if o != pid}
+
+    return plant
+
+
+class TestInterningOrder:
+    """The batched engine orders refs by key, never by ``iid``."""
+
+    def test_reverse_interned_start_lockstep(self):
+        a, b = _pair(RuleConfig(), reverse_interned_start(IdSpace(16)), bits=16)
+        refs = sorted((b.ref(pid) for pid in b.peers), key=lambda r: r.iid)
+        assert len(refs) == 6
+        assert [r.key for r in refs] == sorted((r.key for r in refs), reverse=True)
+        assert_run_identical(a, b, "(iids against the key order)")
+
+
 class TestGroupedCandidateDelivery:
     """(f) apply-inbox's per-(level, side) adoption ≡ ``_deliver_candidate``."""
 
